@@ -25,9 +25,12 @@ test:
 
 # GOMAXPROCS is pinned above 1 so the race detector actually sees the
 # concurrent collection, parallel merge and WaitChildren pools race
-# against each other instead of running effectively serialized.
+# against each other instead of running effectively serialized. The
+# whole module is covered, not just internal/: the root package's
+# Session hands a live machine between goroutines at every Step, and the
+# daemons sit on top of it.
 race:
-	GOMAXPROCS=4 $(GO) test -race ./internal/...
+	GOMAXPROCS=4 $(GO) test -race ./...
 
 # Full-size experiment tables (slow); see also `go run ./cmd/detbench`.
 bench:

@@ -1,7 +1,7 @@
 // Detbench regenerates the tables and figures of the paper's evaluation
 // (§6). Each experiment prints the same rows or series the paper
-// reports; EXPERIMENTS.md records a captured run next to the paper's
-// numbers.
+// reports; the committed BENCH_pr*.json files record captured runs, and
+// README.md ("Benchmarks") says how to read them.
 //
 // Usage:
 //

@@ -1,14 +1,16 @@
 // Detserved is the deterministic session-serving daemon: a long-lived
 // HTTP front end over internal/serve, multiplexing many tenants'
-// sessions across a bounded worker pool with checkpoint-backed eviction
-// into an on-disk content-addressed store.
+// sessions across a bounded worker pool — resident sessions are live
+// machines parked between slices — with checkpoint-backed eviction into
+// an on-disk content-addressed store.
 //
 // Usage:
 //
 //	go run ./cmd/detserved -addr :8080 -store /var/lib/detserved \
 //	    -workers 4 -resident 32 -slice 2
 //
-// Endpoints (JSON over POST unless noted):
+// Endpoints (JSON over POST unless noted; bodies over 1 MiB are refused
+// with 413, malformed ones with 400):
 //
 //	/v1/open  {"tenant","program","arg"}  -> {"id"}
 //	/v1/run   {"tenant","id"}             -> {"status","ret","vt","insns"}
@@ -45,10 +47,10 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		storeDir = flag.String("store", "", "checkpoint store directory (required)")
 		workers  = flag.Int("workers", 4, "worker pool size")
-		resident = flag.Int("resident", 32, "max sessions holding an in-memory image (0 = unbounded)")
+		resident = flag.Int("resident", 32, "max sessions holding a live machine (0 = unbounded)")
 		slice    = flag.Int("slice", 1, "phase budget per timeslice")
 		maxOpen  = flag.Int("max-open", 0, "default per-tenant open-session cap (0 = unlimited)")
-		maxPages = flag.Int("max-pages", 0, "default per-tenant resting-image page cap")
+		maxPages = flag.Int("max-pages", 0, "default per-tenant cap on a resting session's footprint (page tables + pages)")
 		maxVT    = flag.Int64("max-vt", 0, "default per-tenant virtual-time budget")
 		maxWall  = flag.Duration("max-wall", 0, "default per-tenant wall-clock budget")
 	)
@@ -79,7 +81,30 @@ func main() {
 	defer srv.Shutdown()
 	log.Printf("detserved: serving on %s (store %s, %d workers, resident cap %d)",
 		*addr, *storeDir, *workers, *resident)
-	log.Fatal(http.ListenAndServe(*addr, srv.mux()))
+	log.Fatal(httpServer(*addr, srv.mux()).ListenAndServe())
+}
+
+// Limits on what a client may make the daemon hold or wait for. Request
+// bodies are one small JSON object; a client that sends more, or sends
+// it slowly, is cut off rather than served. There is no write timeout:
+// /v1/run legitimately blocks for as long as the session takes.
+const (
+	maxBodyBytes      = 1 << 20
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer is the daemon's listener configuration: the handler behind
+// the timeouts above.
+func httpServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // server ties the serve fabric to its HTTP surface.
@@ -208,8 +233,13 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request: %v", err), code)
 		return false
 	}
 	return true

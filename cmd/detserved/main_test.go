@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -129,4 +130,69 @@ func TestServedErrors(t *testing.T) {
 	// Shut down: further opens are 503.
 	h.Shutdown()
 	post(t, ts, "/v1/open", map[string]any{"tenant": "t", "program": "stripe-small"}, nil, 503)
+}
+
+// TestServedHostileBodies: request bodies are bounded and parsed
+// strictly — an oversized body is 413 whether or not it is well-formed
+// JSON so far, a malformed or truncated one is 400, and neither reaches
+// the fabric (nothing is opened).
+func TestServedHostileBodies(t *testing.T) {
+	ts, _ := startTestServer(t)
+	send := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	// One JSON string value that is still open when the limit is hit.
+	oversized := append([]byte(`{"tenant":"`), bytes.Repeat([]byte("a"), maxBodyBytes+1)...)
+	for _, tc := range []struct {
+		name string
+		path string
+		body []byte
+		want int
+	}{
+		{"oversized open", "/v1/open", oversized, http.StatusRequestEntityTooLarge},
+		{"oversized run", "/v1/run", oversized, http.StatusRequestEntityTooLarge},
+		{"oversized padding", "/v1/close", append(bytes.Repeat([]byte(" "), maxBodyBytes), '{', '}'), http.StatusRequestEntityTooLarge},
+		{"truncated object", "/v1/open", []byte(`{"tenant":"t","program":`), http.StatusBadRequest},
+		{"wrong type", "/v1/open", []byte(`{"tenant":7}`), http.StatusBadRequest},
+		{"not json", "/v1/evict", []byte("\x00\xff\x00"), http.StatusBadRequest},
+		{"empty body", "/v1/run", nil, http.StatusBadRequest},
+		{"just under the limit", "/v1/open", append([]byte(`{"tenant":"t","program":"stripe-small","arg":1}`),
+			bytes.Repeat([]byte(" "), maxBodyBytes-64)...), http.StatusOK},
+	} {
+		if got := send(tc.path, tc.body); got != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m serve.Metrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Opened != 1 {
+		t.Fatalf("hostile bodies opened sessions: %+v", m)
+	}
+}
+
+// TestServedListenerTimeouts pins the listener configuration: every
+// read-side timeout set, no write timeout (a run may block for as long
+// as its session takes).
+func TestServedListenerTimeouts(t *testing.T) {
+	hs := httpServer("127.0.0.1:0", http.NewServeMux())
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("read-side timeouts unset: %+v", hs)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Fatalf("write timeout %v would cut long runs off", hs.WriteTimeout)
+	}
 }

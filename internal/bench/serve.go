@@ -12,9 +12,10 @@ import (
 
 // Serve measures the session-serving fabric: open-session count swept
 // far past the resident cap, for one tenant and for eight, reporting
-// how many pages the cap actually pins (peak, not per-session sum),
-// how often sessions cycled through the shared store, what a resumed
-// slice costs, and how many store bytes each open session amortizes to.
+// how much the cap actually pins (peak footprint of the live machines,
+// not a per-session sum), how often sessions cycled through the shared
+// store, what a resumed slice costs, and how many store bytes each open
+// session amortizes to.
 // Every row asserts the memory claim — peak resident pages are bounded
 // by the cap plus in-flight workers, never by the session count — and
 // spot-checks served results bit-identical against uninterrupted
@@ -63,9 +64,9 @@ func Serve(o Options) Table {
 	row[0] = "64+kill"
 	t.AddRow(row...)
 
-	t.Note("res-pages is the peak of pages pinned by in-memory resting images, asserted <=")
+	t.Note("res-pages is the peak footprint (page tables + pages) of the parked live machines, asserted <=")
 	t.Note("(resident-cap + workers) x pages/session however many sessions are open. resume-ms is")
-	t.Note("the mean wall time of a slice that begins by reloading its session from the store;")
+	t.Note("the mean wall time of a slice that begins by rebuilding its session from the store;")
 	t.Note("store-kb/sess the stored (deduped, compressed) bytes per open session after the run.")
 	t.Note("bit-eq: sampled sessions equal uninterrupted private runs; the 64+kill row additionally")
 	t.Note("fails over after every fifth slice and asserts each re-run's checkpoint digest equals")
@@ -183,7 +184,7 @@ func serveRow(sessions, resident, tenants int, fault serve.FaultHook) []string {
 		f2(float64(st.StoredSize) / 1024 / float64(sessions)), bitEq}
 }
 
-// serveSessionPages is the resting-image page count of one stripe
+// serveSessionPages is the largest resting footprint of one stripe
 // session — the unit the resident-pages bound is stated in.
 func serveSessionPages(maker serve.ProgramMaker, opts []repro.SessionOption) int {
 	sess, err := repro.NewSession(opts...)

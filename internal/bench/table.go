@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: one runner per table and
 // figure in the paper's evaluation (§6), each reproducing the same rows
 // or series the paper reports. Reported "virtual times" come from the
-// kernel's deterministic cost model (see DESIGN.md §4.2); wall-clock
+// kernel's deterministic cost model (kernel.CostModel and the
+// internal/kernel package comment); wall-clock
 // columns are measured on the host where they are meaningful.
 package bench
 

@@ -19,8 +19,41 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"fmt"
 	"io"
 )
+
+// MaxChunkSize is the largest blob a store accepts (Put refuses more
+// with *ChunkSizeError) and therefore the largest length a stored record
+// may claim. The decoder checks the claim before it allocates: the
+// length fields below are read from bytes that came off a disk and have
+// not been hashed yet, so without the ceiling a five-byte record could
+// demand 4 GiB. Every chunk this module writes — 4 KiB pages, table
+// chunks, manifests, a build task's output files — is far below it.
+const MaxChunkSize = 64 << 20
+
+// decodePrealloc caps what a flate record's length field alone can make
+// the decoder allocate up front; past it the buffer grows only as
+// decompressed bytes actually arrive.
+const decodePrealloc = 1 << 20
+
+// ChunkSizeError reports a Put of a blob larger than MaxChunkSize.
+type ChunkSizeError struct {
+	Key  Key
+	Size int
+}
+
+func (e *ChunkSizeError) Error() string {
+	return fmt.Sprintf("castore: chunk %s is %d bytes, over the %d-byte chunk ceiling", e.Key, e.Size, MaxChunkSize)
+}
+
+// checkSize is the Put-side half of the ceiling.
+func checkSize(key Key, b []byte) error {
+	if len(b) > MaxChunkSize {
+		return &ChunkSizeError{Key: key, Size: len(b)}
+	}
+	return nil
+}
 
 // Codec tags, the first byte of every stored blob.
 const (
@@ -78,18 +111,28 @@ func decodeBlob(key Key, stored []byte) ([]byte, error) {
 			return nil, corrupt
 		}
 		n := binary.LittleEndian.Uint32(stored[1:])
+		if n > MaxChunkSize {
+			return nil, corrupt
+		}
 		return make([]byte, n), nil
 	case codecFlate:
 		if len(stored) < 5 {
 			return nil, corrupt
 		}
-		n := binary.LittleEndian.Uint32(stored[1:])
-		r := flate.NewReader(bytes.NewReader(stored[5:]))
-		out := make([]byte, n)
-		if _, err := io.ReadFull(r, out); err != nil {
+		n := int64(binary.LittleEndian.Uint32(stored[1:]))
+		if n > MaxChunkSize {
 			return nil, corrupt
 		}
-		return out, nil
+		// Read one byte past the claimed length: a stream that is shorter
+		// or longer than its header says is corrupt either way, and the
+		// limit bounds what a lying header or a flate bomb can cost.
+		r := &io.LimitedReader{R: flate.NewReader(bytes.NewReader(stored[5:])), N: n + 1}
+		var out bytes.Buffer
+		out.Grow(int(min(n, decodePrealloc)) + bytes.MinRead)
+		if _, err := out.ReadFrom(r); err != nil || int64(out.Len()) != n {
+			return nil, corrupt
+		}
+		return out.Bytes(), nil
 	default:
 		return nil, corrupt
 	}

@@ -45,6 +45,9 @@ func (s *DirStore) path(key Key) string {
 
 // Put stores b under key (idempotent).
 func (s *DirStore) Put(key Key, b []byte) error {
+	if err := checkSize(key, b); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	s.stats.Puts++
 	s.stats.PutBytes += int64(len(b))

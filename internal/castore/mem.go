@@ -23,6 +23,9 @@ func NewMemStore() *MemStore {
 
 // Put stores b under key (idempotent).
 func (s *MemStore) Put(key Key, b []byte) error {
+	if err := checkSize(key, b); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Puts++

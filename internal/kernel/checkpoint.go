@@ -159,6 +159,32 @@ func (e *Env) Checkpoint(o CheckpointOpts) ([]byte, error) {
 	return imgenc.Seal(b), nil
 }
 
+// Footprint reports how much memory the calling space's subtree — for
+// the root, the whole machine — pins, as vm.Footprint of every space's
+// memory and merge snapshot: distinct level-2 tables plus the pages they
+// back, at least 1 for any machine that has touched memory. Like
+// Checkpoint it is a pure observation that blocks until every descendant
+// has stopped, but it serializes nothing: it is what a live session
+// costs while it rests, read without making it leave the machine.
+func (e *Env) Footprint() int {
+	return vm.Footprint(e.sp.forest(nil))
+}
+
+// forest appends the memory and merge snapshot of sp and of every
+// descendant, waiting for each descendant to stop first. Callers only
+// count what it returns, so the map order of children does not matter.
+func (sp *Space) forest(out []*vm.Space) []*vm.Space {
+	out = append(out, sp.mem)
+	if sp.snap != nil {
+		out = append(out, sp.snap)
+	}
+	for _, child := range sp.children {
+		child.waitStopped()
+		out = child.forest(out)
+	}
+	return out
+}
+
 // encodeConfig emits the machine-identity section: the knobs virtual
 // time depends on (validated at restore) plus the device cursors.
 func (m *Machine) encodeConfig(b []byte) []byte {

@@ -169,7 +169,8 @@ type node struct {
 // program order, so assignments are deterministic by construction.
 // Independent subtrees collecting concurrently each get their own pool —
 // an optimistic list-scheduling bound that trades some cross-subtree
-// contention accuracy for schedule-independence (see DESIGN.md §4.2).
+// contention accuracy for schedule-independence (the package comment's
+// virtual-time paragraph states the model).
 type vcpuPool struct {
 	free []int64
 }
@@ -268,8 +269,20 @@ type RunResult struct {
 // until the root halts and every descendant space has stopped. The root is
 // the only space with device access. A Machine may be Run once.
 func (m *Machine) Run(prog Prog, arg uint64) RunResult {
+	m.Start(prog, arg)
+	return m.Wait()
+}
+
+// Start is the launching half of Run: it creates the root space on node 0
+// (or adopts the tree a Restore rebuilt) and sets prog running in it,
+// without waiting. The caller owns the rendezvous from here on — a root
+// program that blocks on the caller's behalf (a session parked at a phase
+// barrier) keeps the whole machine live until it returns — and must call
+// Wait exactly once to collect the result and release the machine's
+// goroutines. A Machine may be started once.
+func (m *Machine) Start(prog Prog, arg uint64) {
 	if m.broken != nil {
-		panic(fmt.Sprintf("kernel: Machine.Run on a machine poisoned by a failed restore: %v", m.broken))
+		panic(fmt.Sprintf("kernel: Machine.Start on a machine poisoned by a failed restore: %v", m.broken))
 	}
 	var root *Space
 	if m.restored {
@@ -282,13 +295,20 @@ func (m *Machine) Run(prog Prog, arg uint64) RunResult {
 		root.regs.Arg = arg
 	} else {
 		if m.root != nil {
-			panic("kernel: Machine.Run called twice")
+			panic("kernel: Machine started twice")
 		}
 		root = newSpace(m, nil, 0, m.nodes[0])
 		root.regs = Regs{Entry: prog, Arg: arg}
 		m.root = root
 	}
 	root.start(0)
+}
+
+// Wait blocks until the root started by Start halts or traps and every
+// descendant space has stopped, then reports the root's result. No space
+// goroutine of the machine outlives Wait.
+func (m *Machine) Wait() RunResult {
+	root := m.root
 	root.waitStopped()
 	res := RunResult{
 		Status: root.status,

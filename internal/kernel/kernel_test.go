@@ -764,3 +764,46 @@ func TestStatusStrings(t *testing.T) {
 		t.Error("Resumable classification wrong")
 	}
 }
+
+// TestStartWaitKeepsMachineLive: Start launches the root without
+// waiting, so a root that blocks on its host's behalf keeps the whole
+// machine — stopped children included — alive until released, and Wait
+// then reports exactly what Run would have.
+func TestStartWaitKeepsMachineLive(t *testing.T) {
+	prog := func(park <-chan struct{}, parked chan<- int) Prog {
+		return func(env *Env) {
+			env.SetPerm(0, vm.PageSize, vm.PermRW)
+			env.WriteU32(0, 5)
+			if err := env.Put(1, PutOpts{
+				Regs:    &Regs{Entry: func(c *Env) { c.WriteU32(4, c.ReadU32(0)+1) }},
+				CopyAll: true, Snap: true, Start: true,
+			}); err != nil {
+				panic(err)
+			}
+			if _, err := env.Get(1, GetOpts{Merge: true}); err != nil {
+				panic(err)
+			}
+			if parked != nil {
+				parked <- env.Footprint()
+				<-park
+			}
+			env.SetRet(uint64(env.ReadU32(4)))
+		}
+	}
+	want := New(Config{}).Run(prog(nil, nil), 0)
+
+	park, parked := make(chan struct{}), make(chan int)
+	m := New(Config{})
+	m.Start(prog(park, parked), 0)
+	// Root, child and the child's snapshot share one table; the root's
+	// page diverged from the snapshot's, and the merge adopted or copied
+	// the child's: at least the table and a page, far fewer than three
+	// unshared copies.
+	if fp := <-parked; fp < 2 || fp > 6 {
+		t.Fatalf("footprint of a parked machine = %d", fp)
+	}
+	close(park)
+	if got := m.Wait(); got != want || got.Ret != 6 {
+		t.Fatalf("Start+Wait = %+v, Run = %+v", got, want)
+	}
+}

@@ -12,8 +12,9 @@ const (
 	// FaultNone runs the slice normally.
 	FaultNone FaultAction = iota
 	// FaultCrashMid kills the worker mid-slice: the slice's first phase
-	// panics before completing, the pre-slice checkpoint stays intact,
-	// and the server re-runs the slice on the spot.
+	// panics before completing, taking the live machine with it, and the
+	// server re-runs the slice on the spot — the session rebuilds the
+	// machine from its anchor by deterministic re-execution.
 	FaultCrashMid
 	// FaultCrashAfter kills the worker after the slice completes but
 	// before it reports back: the server fails over to a fresh Session

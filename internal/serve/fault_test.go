@@ -12,8 +12,10 @@ import (
 )
 
 // TestServeCrashMidRetry kills the worker mid-slice on a fixed cadence:
-// each death leaves the pre-slice checkpoint intact, the slice re-runs
-// in place, and the final result is exactly the uninterrupted one.
+// each death takes the live machine but leaves the session resting at
+// the pre-slice barrier, the slice re-runs in place (the machine is
+// rebuilt by re-execution from the anchor), and the final result is
+// exactly the uninterrupted one.
 func TestServeCrashMidRetry(t *testing.T) {
 	maker := StripeProgram(2, 5, 128)
 	s := newTestServer(t, Config{Slice: 1, Fault: func(ev FaultEvent) FaultAction {

@@ -20,14 +20,14 @@ type Metrics struct {
 	BitEqOK   int64
 	BitEqFail int64
 
-	Evictions int64 // resting checkpoints pushed to the store
-	Resumes   int64 // slices that began by reloading a suspended session
+	Evictions int64 // resting sessions captured, pushed to the store and torn down
+	Resumes   int64 // slices that began by rebuilding a suspended session from the store
 	ResumeNS  int64 // wall time of those resumed slices (subset of WallNS)
 
 	CapRejections int64 // opens/runs refused by tenant caps
 
-	ResidentSessions  int64 // sessions currently holding an in-memory image
-	ResidentPages     int64 // pages those images pin in memory
+	ResidentSessions  int64 // sessions currently holding a live machine
+	ResidentPages     int64 // footprint of those machines (tables + pages, see repro.StepResult.Pages)
 	ResidentPeakPages int64 // high-water mark of ResidentPages
 
 	WallNS int64 // total slice wall time measured by Config.Clock

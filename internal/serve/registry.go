@@ -34,7 +34,7 @@ type session struct {
 	running  bool  // a worker is executing a slice
 	wanted   bool  // a Run request wants it driven to completion
 	lastTick int64 // logical time of the last dispatch (LRU eviction key)
-	pages    int   // resident pages of the in-memory resting image (0 = none)
+	pages    int   // footprint of the session's live machine (0 = holds none)
 
 	done   bool // final result computed (or request failed)
 	result repro.RunResult
@@ -59,8 +59,8 @@ func (s *Server) lookup(tenantName string, id SessionID) (*session, error) {
 }
 
 // sortedSessions returns the registry's sessions in ID order — the
-// deterministic iteration every registry sweep (eviction, GC roots,
-// accounting) uses.
+// deterministic iteration for sweeps whose output order matters (GC
+// roots).
 func (s *Server) sortedSessions() []*session {
 	ids := make([]string, 0, len(s.sessions))
 	for id := range s.sessions {

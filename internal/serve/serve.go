@@ -6,13 +6,18 @@
 //
 //   - Timeslicing: sessions execute in phase-bounded slices
 //     (Session.Step) and yield their worker at quiescence points, so a
-//     handful of workers serve any number of open sessions.
-//   - Eviction: resting sessions are suspended into a shared
-//     content-addressed store and resume transparently on their next
-//     slice — idle sessions cost store bytes, not memory.
-//   - Retry and failover are free: a slice re-run from the last
-//     checkpoint is bit-identical to the attempt a dead worker made,
-//     which the server asserts (Metrics.BitEqOK) rather than assumes.
+//     handful of workers serve any number of open sessions. A resident
+//     session is a live machine whose root program is parked at a
+//     phase barrier: a slice costs the program's phases plus one
+//     handoff, with nothing restored, captured or hashed.
+//   - Eviction: over the resident cap, resting sessions are captured,
+//     suspended into a shared content-addressed store and torn down;
+//     they are rebuilt transparently on their next slice — idle
+//     sessions cost store bytes, not memory or goroutines.
+//   - Retry and failover are free: a slice that dies is re-run by
+//     deterministic re-execution from the session's anchor, bit-identical
+//     to the attempt a dead worker made, which the server asserts on
+//     every failover (Metrics.BitEqOK) rather than assumes.
 //
 // Scheduling policy (admission, FIFO-per-tenant queueing, eviction
 // order) affects only latency and availability, never results — which
@@ -65,7 +70,7 @@ type Config struct {
 	SessionOpts []repro.SessionOption
 	// Workers bounds concurrently executing slices (default 1).
 	Workers int
-	// Resident bounds sessions holding an in-memory checkpoint; the
+	// Resident bounds sessions holding a live machine; the
 	// least-recently-dispatched resting session is evicted to Store
 	// when the bound is exceeded (0 = unbounded).
 	Resident int
@@ -255,8 +260,12 @@ func (s *Server) Evict(tenantName string, id SessionID) error {
 	if c.running {
 		return fmt.Errorf("serve: session %s is mid-slice", id)
 	}
-	if c.pages == 0 {
-		return nil // already cold
+	// A completed session is not resident — it keeps only its result —
+	// but it can still be pushed to the store on request: its final
+	// checkpoint is re-derived by deterministic re-execution.
+	completed := c.done && c.failed == nil && c.sess.State() != repro.StateSuspended
+	if c.pages == 0 && !completed {
+		return nil // never started, failed, or already cold
 	}
 	if _, err := c.sess.Suspend(s.cfg.Store); err != nil {
 		return err
@@ -318,9 +327,11 @@ func (s *Server) Stats() Metrics {
 	return s.m
 }
 
-// Shutdown stops the worker pool. In-flight slices finish; stranded
-// Run calls return ErrClosed. Open sessions are not suspended — call
-// Evict first if their state must survive the process.
+// Shutdown stops the worker pool and closes every open session, tearing
+// their live machines down: when it returns no goroutine of the server
+// or of any session's machine remains. In-flight slices finish first;
+// stranded Run calls return ErrClosed. Open sessions are not suspended —
+// call Evict first if their state must survive the process.
 func (s *Server) Shutdown() {
 	s.mu.Lock()
 	if s.closed {
@@ -331,6 +342,13 @@ func (s *Server) Shutdown() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.sessions {
+		_ = c.sess.Close() // no slice is in flight: Close cannot be refused
+		s.setPages(c, 0)
+	}
 }
 
 // finish completes c's request. Caller holds s.mu; waiters wake on the
@@ -341,7 +359,8 @@ func (s *Server) finish(c *session, res repro.RunResult, err error) {
 	c.failed = err
 }
 
-// setPages updates c's resident-image accounting.
+// setPages updates c's resident accounting: n is the footprint of its
+// live machine (StepResult.Pages), 0 when it holds none.
 func (s *Server) setPages(c *session, n int) {
 	if c.pages > 0 {
 		s.m.ResidentSessions--
@@ -419,11 +438,13 @@ func (s *Server) worker() {
 		if st.bitFail {
 			s.m.BitEqFail++
 		}
+		// sr is zero after a failed slice, and so is the footprint: the
+		// slice's death took the machine with it.
+		s.setPages(c, sr.Pages)
 		switch {
 		case err != nil:
 			s.finish(c, zeroResult, err)
 		default:
-			s.setPages(c, sr.Pages)
 			caps := t.caps
 			if caps.MaxPages > 0 && sr.Pages > caps.MaxPages {
 				s.m.CapRejections++
@@ -458,8 +479,10 @@ type sliceStats struct {
 // session's own lifecycle guards it; the dispatcher guarantees a
 // single worker per session). Fault paths:
 //
-//   - A mid-slice death (injected kill or real trap) leaves the
-//     pre-slice checkpoint intact; the slice is re-run once in place.
+//   - A mid-slice death (injected kill or real trap) takes the live
+//     machine with it but leaves the session resting at the pre-slice
+//     barrier; the slice is re-run once in place, which rebuilds the
+//     machine from the session's anchor by deterministic re-execution.
 //     A deterministic program error recurs on the retry and fails the
 //     request with the program's own error.
 //   - A post-slice death (FaultCrashAfter) fails over to a fresh
@@ -473,8 +496,10 @@ func (s *Server) execSlice(c *session, act FaultAction) (repro.StepResult, slice
 	var preMan *repro.Manifest
 	if act == FaultCrashAfter {
 		// Anchor the pre-slice state in the store so the failover has a
-		// manifest to re-admit from. A fresh phase-0 session has no image
-		// to anchor; its failover re-binds from scratch instead.
+		// manifest to re-admit from — and so both attempts start from the
+		// same anchor, which is what makes their digests comparable. A
+		// fresh phase-0 session has nothing to anchor; its failover
+		// re-binds from scratch instead.
 		switch {
 		case st.resumed:
 			preMan = c.sess.LastManifest()
@@ -484,7 +509,7 @@ func (s *Server) execSlice(c *session, act FaultAction) (repro.StepResult, slice
 				return repro.StepResult{}, st, err
 			}
 			preMan = m
-			st.resumed = true // the step below reloads from the store
+			st.resumed = true // the step below rebuilds from the store
 		}
 	}
 	if act == FaultCrashMid {
@@ -497,8 +522,8 @@ func (s *Server) execSlice(c *session, act FaultAction) (repro.StepResult, slice
 	}
 	sr, err := c.sess.Step(s.slice())
 	if err != nil {
-		// Worker died mid-slice: the pre-slice rest is intact, so re-run
-		// the slice once on the same worker.
+		// Worker died mid-slice: the session still rests at the pre-slice
+		// barrier, so re-run the slice once on the same worker.
 		st.died = true
 		st.retried = true
 		sr, err = c.sess.Step(s.slice())
@@ -506,7 +531,7 @@ func (s *Server) execSlice(c *session, act FaultAction) (repro.StepResult, slice
 	if err == nil && act == FaultCrashAfter {
 		st.died = true
 		st.failover = true
-		sr, err = s.failover(c, preMan, sr, &st)
+		sr, err = s.failover(c, preMan, &st)
 	}
 	if s.cfg.Clock != nil {
 		st.wall = s.cfg.Clock() - start
@@ -517,9 +542,14 @@ func (s *Server) execSlice(c *session, act FaultAction) (repro.StepResult, slice
 // failover replaces c's Session — whose worker "died" after completing
 // a slice but before reporting — with a fresh one re-admitted from the
 // pre-slice manifest (or re-bound from scratch for a phase-0 session),
-// re-runs the slice, and compares checkpoint digests with the dead
-// worker's attempt.
-func (s *Server) failover(c *session, preMan *repro.Manifest, dead repro.StepResult, st *sliceStats) (repro.StepResult, error) {
+// re-runs the slice, and compares the two sessions' digests: both
+// attempts ran the same slice from the same anchor, so their resting
+// checkpoints must be byte-identical.
+func (s *Server) failover(c *session, preMan *repro.Manifest, st *sliceStats) (repro.StepResult, error) {
+	dead, err := c.sess.Digest()
+	if err != nil {
+		return repro.StepResult{}, err
+	}
 	fresh, err := s.newSession()
 	if err != nil {
 		return repro.StepResult{}, err
@@ -534,9 +564,15 @@ func (s *Server) failover(c *session, preMan *repro.Manifest, dead repro.StepRes
 	}
 	sr, err := fresh.Step(s.slice())
 	if err != nil {
+		_ = fresh.Close()
 		return repro.StepResult{}, err
 	}
-	if sr.Digest == dead.Digest {
+	got, err := fresh.Digest()
+	if err != nil {
+		_ = fresh.Close()
+		return repro.StepResult{}, err
+	}
+	if got == dead {
 		st.bitOK = true
 	} else {
 		st.bitFail = true

@@ -3,8 +3,11 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro"
 )
@@ -31,7 +34,7 @@ func directResult(t *testing.T, maker ProgramMaker, arg uint64) repro.RunResult 
 }
 
 // maxStepPages steps maker(arg) to completion with budget 1 and returns
-// the largest resting-image page count seen.
+// the largest resting footprint seen.
 func maxStepPages(t *testing.T, maker ProgramMaker, arg uint64) int {
 	t.Helper()
 	sess, err := repro.NewSession(testOpts()...)
@@ -348,8 +351,10 @@ func TestServeEvictCloseAndIsolation(t *testing.T) {
 		t.Fatal("unknown id ran")
 	}
 
-	// A completed session still holds its final image until evicted.
-	if st := s.Stats(); st.ResidentSessions != 1 {
+	// A completed session holds only its result — its machine halted
+	// with the last slice — yet its final checkpoint can still be pushed
+	// to the store: Evict re-derives it by deterministic re-execution.
+	if st := s.Stats(); st.ResidentSessions != 0 || st.ResidentPeakPages == 0 {
 		t.Fatalf("resident after run: %+v", st)
 	}
 	if err := s.Evict("acme", id); err != nil {
@@ -357,6 +362,12 @@ func TestServeEvictCloseAndIsolation(t *testing.T) {
 	}
 	if st := s.Stats(); st.ResidentSessions != 0 || st.Evictions != 1 {
 		t.Fatalf("resident after evict: %+v", st)
+	}
+	s.mu.Lock()
+	head := s.sessions[id].sess.LastManifest()
+	s.mu.Unlock()
+	if head == nil {
+		t.Fatal("evicting a completed session left no chain head")
 	}
 	if err := s.Evict("acme", id); err != nil {
 		t.Fatalf("evicting a cold session: %v", err)
@@ -454,5 +465,65 @@ func TestServeGCKeepsLiveChains(t *testing.T) {
 		if _, err := repro.LoadManifest(store, key); err == nil {
 			t.Errorf("closed session's manifest %s survived GC", key)
 		}
+	}
+}
+
+// TestServeShutdownLeavesNoGoroutines: resident sessions are parked
+// machines, so Shutdown (and CloseSession) must take them down with the
+// worker pool — no goroutine of the server or of any session's machine
+// outlives it, even with sessions still open and mid-program.
+func TestServeShutdownLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+
+	// A wall budget of one slice strands every session after its first
+	// slice: request refused, session open, machine parked at barrier 1.
+	var now atomic.Int64
+	s, err := New(Config{
+		Store: repro.NewMemStore(), SessionOpts: testOpts(), Workers: 2, Slice: 1,
+		Clock: func() int64 { return now.Add(1000) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Register("stripe", StripeProgram(3, 4, 128))
+	const n = 4
+	ids := make([]SessionID, n)
+	for i := range ids {
+		tenant := fmt.Sprintf("t%d", i)
+		s.SetCaps(tenant, TenantCaps{MaxWallNS: 1})
+		if ids[i], err = s.Open(tenant, "stripe", uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		var ce *CapError
+		if _, err := s.Run(tenant, ids[i]); !errors.As(err, &ce) || ce.Cap != "wall" {
+			t.Fatalf("run %d: %v, want the wall cap", i, err)
+		}
+	}
+	if st := s.Stats(); st.ResidentSessions != n {
+		t.Fatalf("resident sessions %d, want %d parked machines", st.ResidentSessions, n)
+	}
+	parked := runtime.NumGoroutine()
+	if parked <= base {
+		t.Fatalf("%d goroutines with %d resident sessions, baseline %d", parked, n, base)
+	}
+
+	if err := s.CloseSession("t0", ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.ResidentSessions != n-1 {
+		t.Fatalf("resident sessions after CloseSession: %d", st.ResidentSessions)
+	}
+	s.Shutdown()
+	if st := s.Stats(); st.ResidentSessions != 0 || st.ResidentPages != 0 {
+		t.Fatalf("resident after Shutdown: %+v", st)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond) // exiting goroutines are counted until retired
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after Shutdown, baseline %d\n%s", got, base, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -10,8 +10,9 @@ import "fmt"
 type TenantCaps struct {
 	// MaxOpen bounds concurrently open sessions (0 = unlimited).
 	MaxOpen int
-	// MaxPages bounds the resting checkpoint size of any one session in
-	// whole pages; a slice that rests above it fails with *CapError.
+	// MaxPages bounds the resting footprint of any one session's live
+	// machine (repro.StepResult.Pages: distinct page tables plus backed
+	// pages); a slice that rests above it fails with *CapError.
 	MaxPages int
 	// MaxVT bounds the total virtual time of the tenant's completed
 	// sessions; once exhausted, new opens and runs are refused.

@@ -635,6 +635,36 @@ func (s *Space) MappedPages() int {
 	return n
 }
 
+// Footprint is the resident size of a forest of spaces, in objects: the
+// distinct level-2 tables the spaces reference plus the distinct pages
+// those tables back. Tables and pages shared copy-on-write — between a
+// space and its snapshot, a parent and its replicas — count once, and
+// lazy-zero mappings count nothing, so the number tracks what the forest
+// actually pins in memory. It is a pure table walk (no serialization) and
+// deterministic: it depends only on the sharing graph, which is itself a
+// function of the program's history.
+func Footprint(spaces []*Space) int {
+	tables := make(map[*table]struct{})
+	pages := make(map[*page]struct{})
+	for _, s := range spaces {
+		for _, t := range s.root {
+			if t == nil {
+				continue
+			}
+			if _, seen := tables[t]; seen {
+				continue
+			}
+			tables[t] = struct{}{}
+			for j := range t.ptes {
+				if pg := t.ptes[j].pg; pg != nil {
+					pages[pg] = struct{}{}
+				}
+			}
+		}
+	}
+	return len(tables) + len(pages)
+}
+
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -618,3 +618,41 @@ func TestPermString(t *testing.T) {
 		}
 	}
 }
+
+// TestFootprintCountsSharedObjectsOnce: lazy-zero mappings pin only
+// their table, a snapshot shares everything with its origin, and a
+// write diverges exactly one table and one page.
+func TestFootprintCountsSharedObjectsOnce(t *testing.T) {
+	if got := Footprint([]*Space{NewSpace()}); got != 0 {
+		t.Fatalf("empty space: footprint %d", got)
+	}
+	s := NewSpace()
+	mustSetPerm(t, s, 0, 3*TableSpan, PermRW) // three tables, nothing backed
+	if got := Footprint([]*Space{s}); got != 3 {
+		t.Fatalf("three lazy-zero tables: footprint %d, want 3", got)
+	}
+	if err := s.WriteU64(0, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteU64(Addr(TableSpan)+PageSize, 9); err != nil {
+		t.Fatal(err)
+	}
+	if got := Footprint([]*Space{s}); got != 5 {
+		t.Fatalf("three tables, two pages: footprint %d, want 5", got)
+	}
+	snap, _ := s.Snapshot()
+	if got := Footprint([]*Space{s, snap, s}); got != 5 {
+		t.Fatalf("space + its snapshot: footprint %d, want 5 (all shared)", got)
+	}
+	// A write breaks one table's sharing and copies one page; the
+	// snapshot keeps the originals.
+	if err := s.WriteU64(8, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := Footprint([]*Space{s, snap}); got != 7 {
+		t.Fatalf("after a COW break: footprint %d, want 7", got)
+	}
+	if a, b := Footprint([]*Space{s, snap}), Footprint([]*Space{snap, s}); a != b {
+		t.Fatalf("footprint depends on order: %d vs %d", a, b)
+	}
+}

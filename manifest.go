@@ -204,24 +204,22 @@ func LoadImage(store BlobStore, m *Manifest) (*Image, error) {
 	return im, nil
 }
 
-// SaveTo writes the session's most recent captured checkpoint (the
-// resting image of a Quiescent session, or the last CheckpointAfter
-// capture) into store and returns its manifest. Successive SaveTo calls
-// on one session — and SaveTo after ResumeFrom — chain their manifests,
-// so each save stores only chunks new since the previous one. Unlike
-// Suspend, SaveTo keeps the checkpoint in memory: the session stays
-// steppable without a reload. Calling it mid-run fails with
-// *StateError.
+// SaveTo writes the checkpoint the session rests at into store and
+// returns its manifest: a bound session's parked root captures it where
+// it stands; a one-shot session saves RunToCheckpoint's image or the
+// last CheckpointAfter capture. Successive SaveTo calls on one session —
+// and SaveTo after ResumeFrom — chain their manifests, so each save
+// stores only chunks new since the previous one. Unlike Suspend, SaveTo
+// keeps the machine live: the session stays steppable without a reload.
+// Calling it mid-run fails with *StateError.
 func (s *Session) SaveTo(store BlobStore) (*Manifest, error) {
 	if err := s.begin("SaveTo", StateIdle, StateQuiescent); err != nil {
 		return nil, err
 	}
 	defer s.mu.Unlock()
-	img := s.current
-	if img == nil {
-		if n := len(s.checkpoints); n > 0 {
-			img = s.checkpoints[n-1]
-		}
+	img, err := s.restingImage()
+	if err != nil {
+		return nil, err
 	}
 	if img == nil {
 		return nil, &ProgramError{Msg: "SaveTo without a captured checkpoint; use RunToCheckpoint or CheckpointAfter first"}
@@ -331,10 +329,5 @@ func (s *Session) ResumeFrom(store BlobStore, m *Manifest, p Program) (RunResult
 	}
 	defer s.mu.Unlock()
 	s.lastManifest = m
-	res, err := s.runPhased(p, img, 0, false)
-	if err == nil {
-		s.state = StateIdle
-		s.current = nil
-	}
-	return res, err
+	return s.runToEnd(p, img)
 }

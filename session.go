@@ -14,7 +14,6 @@ import (
 	"repro/internal/imgenc"
 	"repro/internal/kernel"
 	"repro/internal/trace"
-	"repro/internal/vm"
 )
 
 // A Session is the library's coherent entry point: one builder that
@@ -24,10 +23,14 @@ import (
 // configuration, console I/O, and trace record/replay — and the home of
 // deterministic checkpoint/restore.
 //
-// A Session does not own a running machine; it is a validated
-// configuration plus the run entry points. Each Run* call builds a fresh
-// machine, which is what makes "resume in a fresh process" and "run the
-// same program twice" the same operation.
+// A Session is a validated configuration plus the run entry points.
+// The one-shot entry points (Run, RunProgram, RunToCheckpoint, Resume,
+// ResumeFrom) each build a fresh machine, run it and tear it down, which
+// is what makes "resume in a fresh process" and "run the same program
+// twice" the same operation. A session bound to a program (Bind,
+// BindSuspended) is different: it owns a live machine whose root program
+// parks at a phase barrier between Steps, so a timeslice costs the
+// program's own phases plus one goroutine handoff.
 //
 // # Checkpoint/restore
 //
@@ -45,37 +48,64 @@ import (
 // run's. Checkpointing is itself a pure observation: a run that captures
 // images is bit-identical to one that does not.
 //
+// An Image is what state looks like when it leaves the machine. A bound
+// session captures one only then — Suspend, SaveTo, Digest, or a
+// CheckpointAfter barrier — never as a toll on a timeslice.
+//
 // # Lifecycle
 //
 // A Session moves through an explicit lifecycle:
 //
-//		Idle ──Bind──▶ Quiescent ──Step──▶ Running ──▶ Quiescent
-//		                  │   ▲                           │
-//		            Suspend   └─────────Step──────────────┘
-//		                  ▼
-//		               Suspended ──Close──▶ Closed
+//	Idle ──Bind──▶ Quiescent ──Step──▶ Running ──▶ Quiescent
+//	                  │   ▲   (root parked             │
+//	                  │   │    at a barrier)           │
+//	                  │   └──────────Step──────────────┘
+//	            Suspend (capture, save, tear the machine down)
+//	                  ▼
+//	               Suspended ──Step──▶ (machine rebuilt from the store) ──▶ Quiescent
 //
-//	 - Idle: no program bound, no pending checkpoint; every entry point
-//	   is available.
-//	 - Running: an entry point is in flight. Any lifecycle call made
-//	   concurrently fails immediately with *StateError instead of
-//	   queueing behind the run (a SaveTo mid-run, a double Resume).
-//	 - Quiescent: the session rests at a phase barrier holding a
-//	   captured in-memory Image; Step continues it, Suspend evicts it to
-//	   a store, SaveTo persists it without evicting.
-//	 - Suspended: the checkpoint lives only in a BlobStore (as a chained
-//	   Manifest); the session holds no image bytes. Step transparently
-//	   resumes from the store.
-//	 - Closed: terminal; everything but State and Close fails with
-//	   *StateError.
+//	any resting state ──Close──▶ Closed
+//
+// The states:
+//
+//   - Idle: no program bound, no pending checkpoint; every entry point
+//     is available.
+//   - Running: an entry point is in flight. Any lifecycle call made
+//     concurrently fails immediately with *StateError instead of
+//     queueing behind the run (a SaveTo mid-run, a double Resume).
+//   - Quiescent: the session rests at a phase barrier. A bound session
+//     rests there as a live machine whose root is parked (none yet
+//     before the first Step, none any more once the program has
+//     finished: a finished session keeps only its result); Step runs it
+//     on, SaveTo and Digest capture it where it stands, Suspend captures
+//     it, saves the image and tears the machine down. A session left at
+//     a barrier by RunToCheckpoint holds that call's image instead.
+//   - Suspended: the checkpoint lives only in a BlobStore (as a chained
+//     Manifest); the session holds neither machine nor image. Step
+//     rebuilds the machine from the store and runs on.
+//   - Closed: terminal; everything but State and Close fails with
+//     *StateError. Close tears a live machine down and waits for its
+//     goroutines.
+//
+// # Crash retry
+//
+// A bound session remembers its anchor: nothing for a fresh Bind, else
+// the manifest it was last suspended to or admitted from. A slice that
+// dies — a phase panics, the machine traps — takes the live machine
+// with it; the next Step rebuilds one from the anchor and
+// deterministically re-executes the phases up to the barrier the
+// session rested at before running the requested slice. The cost is
+// paid only on a fault, and the result is bit-identical by
+// construction. (Re-execution re-reads the devices: with the default
+// deterministic devices or a replayed log that is exact; a session on
+// live nondeterministic sources gets a fresh, self-consistent run.)
 //
 // The stepped form (Bind/Step/Suspend) is what a multi-tenant server
 // drives (internal/serve): sessions run one timeslice at a time, yield
 // at quiescence points, and are evicted to a shared store while idle.
-// The historical one-shot entry points (Run, RunProgram,
-// RunToCheckpoint, Resume, SaveTo, ResumeFrom) remain as thin wrappers
-// over the same runner and now enforce the lifecycle with typed errors
-// instead of blocking or silently doing the wrong thing.
+// The historical one-shot entry points remain as thin wrappers over the
+// same phase loop and enforce the lifecycle with typed errors instead of
+// blocking or silently doing the wrong thing.
 type Session struct {
 	cfg SessionConfig
 
@@ -97,21 +127,34 @@ type Session struct {
 	// lifecycle; nil for sessions driven by the one-shot entry points.
 	prog *Program
 
-	// current is the checkpoint the session rests at (Quiescent); nil
-	// when Idle or Suspended.
+	// live is a bound session's machine, its root parked at barrier pos;
+	// nil before the first Step, while Suspended, once the program has
+	// finished, and after a slice died.
+	live *liveMachine
+
+	// anchor is the manifest (in anchorStore) a bound session's machine
+	// is rebuilt from — set by Suspend and BindSuspended, nil for a
+	// fresh Bind, which rebuilds by running from the start. It moves
+	// only when the machine is torn down, so the live machine's state is
+	// always a function of (anchor, pos) alone.
+	anchor      *Manifest
+	anchorStore BlobStore
+
+	// final is the bound program's result once every phase has run.
+	final *RunResult
+
+	// current is the image of the barrier the session rests at, when one
+	// has been captured there (RunToCheckpoint, SaveTo, Digest); the
+	// next Step drops it.
 	current *Image
 
-	// evictStore is the store Suspend evicted into (or BindSuspended
-	// named); Step resumes from it.
-	evictStore BlobStore
-
-	// pos is the last known resting phase barrier (-1 for a
+	// pos is the phase barrier the session rests at (-1 for a
 	// BindSuspended session that has not loaded its image yet).
 	pos int
 
-	// log is the live recording of the most recent Run* call (Record
-	// mode); prefix is the already-recorded log a resumed session splices
-	// in front of it.
+	// log is the live recording of the most recent Run* call or of the
+	// live machine (Record mode); prefix is the already-recorded log a
+	// resumed session splices in front of it.
 	log    *TraceLog
 	prefix *TraceLog
 
@@ -132,9 +175,10 @@ const (
 	StateIdle SessionState = iota
 	// StateRunning marks an entry point in flight.
 	StateRunning
-	// StateQuiescent is a session resting at a phase barrier with a
-	// captured in-memory checkpoint (or freshly bound, about to run
-	// phase 0).
+	// StateQuiescent is a session resting at a phase barrier: a bound
+	// session as a live machine with its root parked there (freshly
+	// bound, about to run phase 0; or finished, holding its result), a
+	// RunToCheckpoint session holding the captured image.
 	StateQuiescent
 	// StateSuspended is a session whose checkpoint has been evicted to a
 	// BlobStore; only the chained manifest is held in memory.
@@ -358,18 +402,24 @@ func NewSessionFromConfig(cfg SessionConfig) (*Session, error) {
 func (s *Session) Config() SessionConfig { return s.cfg }
 
 // TraceLog returns the trace recorded by the most recent Run* call
-// (Record mode only). For a run resumed from a checkpoint the log is
-// complete, not a suffix: the restore re-records the image's prefix
-// while fast-forwarding the devices, so the result is bit-identical to
-// the log an uninterrupted recording would have produced.
+// (Record mode only) — for a bound session, by its machine so far. For
+// a run resumed from a checkpoint the log is complete, not a suffix:
+// the restore re-records the image's prefix while fast-forwarding the
+// devices, so the result is bit-identical to the log an uninterrupted
+// recording would have produced. A live machine is still appending to
+// its log, so a resident session hands out a snapshot of it.
 func (s *Session) TraceLog() *TraceLog {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.live != nil && s.log != nil {
+		return s.log.Clone()
+	}
 	return s.log
 }
 
-// Checkpoints returns the images captured by the most recent RunProgram
-// (via CheckpointAfter), in capture order.
+// Checkpoints returns the images captured at CheckpointAfter barriers by
+// the most recent RunProgram — or, for a bound session, the most recent
+// Step — in capture order.
 func (s *Session) Checkpoints() []*Image {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -474,13 +524,19 @@ func (e *ProgramError) Error() string { return "repro: program: " + e.Msg }
 // Deprecation note: RunProgram is the one-shot form kept for existing
 // callers; code that needs to interleave many programs (a server)
 // should Bind the program and drive it with Step, which runs the same
-// phased runner one timeslice at a time.
+// phase loop one timeslice at a time.
 func (s *Session) RunProgram(p Program) (RunResult, error) {
 	if err := s.beginUnbound("RunProgram", StateIdle, StateQuiescent); err != nil {
 		return RunResult{}, err
 	}
 	defer s.mu.Unlock()
-	res, err := s.runPhased(p, nil, 0, false)
+	return s.runToEnd(p, nil)
+}
+
+// runToEnd is the tail RunProgram, Resume and ResumeFrom share: run p
+// (from img, if any) through its result and return the session to Idle.
+func (s *Session) runToEnd(p Program, img *Image) (RunResult, error) {
+	res, err := s.runPhased(p, img, 0)
 	if err == nil {
 		s.state = StateIdle
 		s.current = nil
@@ -504,7 +560,7 @@ func (s *Session) RunToCheckpoint(p Program, afterPhases int) (*Image, error) {
 		return nil, err
 	}
 	defer s.mu.Unlock()
-	_, err := s.runPhased(p, nil, afterPhases, false)
+	_, err := s.runPhased(p, nil, afterPhases)
 	if err != nil {
 		return nil, err
 	}
@@ -534,72 +590,91 @@ func (s *Session) Resume(img *Image, p Program) (RunResult, error) {
 		return RunResult{}, err
 	}
 	defer s.mu.Unlock()
-	res, err := s.runPhased(p, img, 0, false)
-	if err == nil {
-		s.state = StateIdle
-		s.current = nil
-	}
-	return res, err
+	return s.runToEnd(p, img)
 }
 
-// runPhased is the shared phased runner; the caller holds s.mu and has
-// validated the lifecycle state. img selects resume; stopAfter (when
-// > 0) checkpoints at that barrier and halts — unless resultAtStop is
-// set and the stop barrier is the final one, in which case the run
-// falls through to Result after capturing (the stepped final slice both
-// checkpoints and answers).
-func (s *Session) runPhased(p Program, img *Image, stopAfter int, resultAtStop bool) (RunResult, error) {
-	if p.Phases < 0 || (p.Phases > 0 && p.Phase == nil) {
-		return RunResult{}, &ProgramError{Msg: "Phase function missing"}
+// runPhased is the one-shot form of the phase loop; the caller holds
+// s.mu and has validated the lifecycle state. img selects resume;
+// stopAfter (when > 0) checkpoints at that barrier and halts there.
+// Its barrier hook never parks: the root runs straight through.
+func (s *Session) runPhased(p Program, img *Image, stopAfter int) (RunResult, error) {
+	s.checkpoints = nil
+	run, err := s.startPhased(p, img, stopAfter, func(_ *Env, _ *RT, k int) bool { return stopAfter > 0 && k == stopAfter })
+	if err != nil {
+		return RunResult{}, err
 	}
-	wantCk := make(map[int]bool, len(s.cfg.CheckpointAfter))
+	res := run.m.Wait()
+	s.checkpoints = run.images
+	return res, run.err
+}
+
+// phaseRun is one execution of the phase loop on one machine. The root
+// program writes err, images and finished; the session reads them only
+// after the root has handed control back (a barrier event, or Wait).
+type phaseRun struct {
+	m        *kernel.Machine
+	err      error    // first program error: Attach/Restore failure, phase error, capture failure
+	images   []*Image // CheckpointAfter captures, in barrier order
+	finished bool     // Result ran: the root halted because the program is over
+	// exited is closed when the root program returns or unwinds — done,
+	// failed or killed — so nobody waits for word from a dead root.
+	exited chan struct{}
+}
+
+// startPhased builds a machine — restored from img when non-nil — and
+// starts its root on the phase loop, the only one there is: set the
+// runtime up (Layout and Init on a fresh start; Attach, Layout and
+// Restore on a resume), then alternate barriers and phases, then Result.
+// At every barrier k it reaches — the one it starts at, then the one
+// after each phase — the root captures an image if k is a
+// CheckpointAfter barrier (or alsoAt), and asks atBarrier whether to
+// halt there. A hook may block: that is how a live session parks its
+// root. The caller must Wait on the returned machine.
+func (s *Session) startPhased(p Program, img *Image, alsoAt int, atBarrier func(env *Env, rt *RT, k int) (halt bool)) (*phaseRun, error) {
+	if err := bindable(p); err != nil {
+		return nil, err
+	}
+	wantCk := make(map[int]bool, len(s.cfg.CheckpointAfter)+1)
+	if alsoAt > 0 {
+		wantCk[alsoAt] = true
+	}
 	for _, k := range s.cfg.CheckpointAfter {
 		if k > p.Phases {
 			// k >= 1 was validated at session construction; the phase
 			// bound is only known here. Silently ignoring the request
 			// would report "no checkpoints" as success.
-			return RunResult{}, &ProgramError{Msg: fmt.Sprintf(
+			return nil, &ProgramError{Msg: fmt.Sprintf(
 				"CheckpointAfter barrier %d outside the program's %d phases", k, p.Phases)}
 		}
 		wantCk[k] = true
 	}
-	if stopAfter > 0 {
-		wantCk[stopAfter] = true
-	}
-	s.checkpoints = nil
 	if img != nil {
 		s.prefix = img.TracePrefix
 		defer func() { s.prefix = nil }()
 	}
 
-	m := kernel.New(s.deviceConfig())
+	run := &phaseRun{m: kernel.New(s.deviceConfig()), exited: make(chan struct{})}
 	start := 0
 	if img != nil {
-		if err := m.Restore(img.Kernel); err != nil {
-			return RunResult{}, err
+		if err := run.m.Restore(img.Kernel); err != nil {
+			return nil, err
 		}
 		start = img.Phase
 		if start > p.Phases {
-			return RunResult{}, &ProgramError{Msg: fmt.Sprintf("image resumes at phase %d of a %d-phase program", start, p.Phases)}
+			return nil, &ProgramError{Msg: fmt.Sprintf("image resumes at phase %d of a %d-phase program", start, p.Phases)}
 		}
 	}
 
-	var progErr error
-	var images []*Image
-	res := m.Run(func(env *kernel.Env) {
+	run.m.Start(func(env *kernel.Env) {
+		defer close(run.exited)
 		var rt *RT
 		if img != nil {
-			var err error
-			rt, err = core.Attach(env, img.RT, p.Layout)
-			if err != nil {
-				progErr = err
-				return
+			rt, run.err = core.Attach(env, img.RT, p.Layout)
+			if run.err == nil && p.Restore != nil {
+				run.err = p.Restore(rt, img.User)
 			}
-			if p.Restore != nil {
-				if err := p.Restore(rt, img.User); err != nil {
-					progErr = err
-					return
-				}
+			if run.err != nil {
+				return
 			}
 		} else {
 			rt = core.New(env, s.cfg.SharedSize)
@@ -611,29 +686,31 @@ func (s *Session) runPhased(p Program, img *Image, stopAfter int, resultAtStop b
 				p.Init(rt)
 			}
 		}
-		for ph := start; ph < p.Phases; ph++ {
-			if err := p.Phase(rt, ph); err != nil {
-				progErr = err
+		for k := start; ; k++ {
+			if k > start && wantCk[k] {
+				im, err := s.capture(env, rt, p, k)
+				if err != nil {
+					run.err = err
+					return
+				}
+				run.images = append(run.images, im)
+			}
+			if atBarrier(env, rt, k) {
 				return
 			}
-			if wantCk[ph+1] {
-				im, err := s.capture(env, rt, p, ph+1)
-				if err != nil {
-					progErr = err
-					return
-				}
-				images = append(images, im)
-				if stopAfter == ph+1 && !(resultAtStop && stopAfter == p.Phases) {
-					return
-				}
+			if k == p.Phases {
+				break
+			}
+			if run.err = p.Phase(rt, k); run.err != nil {
+				return
 			}
 		}
 		if p.Result != nil {
 			env.SetRet(p.Result(rt))
 		}
+		run.finished = true
 	}, 0)
-	s.checkpoints = images
-	return res, progErr
+	return run, nil
 }
 
 // capture takes one checkpoint at a phase barrier: the kernel image of
@@ -661,34 +738,234 @@ type StepResult struct {
 	Phase int
 	// Done reports that every phase has run; Result is valid.
 	Done bool
-	// Pages is the size of the resting checkpoint's kernel image in
-	// whole pages — the session's resident cost while Quiescent.
+	// Pages is the resident footprint of the session's live machine at
+	// the barrier it rests at — its cost while Quiescent: the distinct
+	// level-2 page tables of every space and merge snapshot in the
+	// machine plus the distinct pages they back (kernel.Env.Footprint),
+	// read off the live forest by a table walk with nothing serialized.
+	// It is deterministic (a function of the program's history), at
+	// least 1 for a live machine, and 0 once Done: a finished session
+	// holds only its result.
 	Pages int
-	// Digest is the content key of the resting checkpoint's canonical
-	// serialization. Because images are canonical, two executions of the
-	// same slice from the same checkpoint must produce equal digests —
-	// the bit-identity a retrying server asserts.
-	Digest ChunkKey
 	// Result is the machine result of the final slice (Done only).
 	Result RunResult
 }
 
+// liveMachine is a bound session's running machine and the channels its
+// root and the session hand control over. Exactly one side runs at a
+// time: the session sends a command only to a root it knows is parked
+// (it has received that park's event), then awaits the next event.
+type liveMachine struct {
+	s   *Session
+	p   Program
+	run *phaseRun
+	// stop is the barrier the root parks at next (beyond the last phase:
+	// never — run through Result and halt). The session sets it before
+	// the root starts; after that only the root touches it.
+	stop int
+	// ctl carries commands to the parked root. Closing it tells the
+	// root to halt where it stands.
+	ctl chan liveCmd
+	// evt carries the root's answers: one per park, one per capture.
+	evt chan liveEvt
+}
+
+// liveCmd is what the session asks of a parked root.
+type liveCmd struct {
+	capture bool // capture an Image of this barrier and answer with it
+	stop    int  // otherwise: run on and park at barrier stop
+}
+
+// liveEvt is one answer from the root.
+type liveEvt struct {
+	phase int    // the barrier the root is parked at
+	pages int    // the machine's footprint there (park events)
+	img   *Image // the image (capture answers)
+	err   error
+}
+
+// atBarrier is the live machine's barrier hook, run by the root: short
+// of the stop barrier it lets the loop run on; at it, it reports the
+// park and serves capture commands until told to run on or to halt.
+func (l *liveMachine) atBarrier(env *Env, rt *RT, k int) (halt bool) {
+	if k < l.stop {
+		return false
+	}
+	l.evt <- liveEvt{phase: k, pages: env.Footprint()}
+	for cmd := range l.ctl {
+		if !cmd.capture {
+			l.stop = cmd.stop
+			return false
+		}
+		img, err := l.s.capture(env, rt, l.p, k)
+		l.evt <- liveEvt{phase: k, img: img, err: err}
+	}
+	return true
+}
+
+// await blocks until the root answers (parked, or a capture done) or
+// exits; ok is false for an exit.
+func (l *liveMachine) await() (ev liveEvt, ok bool) {
+	select {
+	case ev = <-l.evt:
+		return ev, true
+	case <-l.run.exited:
+		return liveEvt{}, false
+	}
+}
+
+// teardown halts the session's live machine, if any, and waits until
+// none of its goroutines remain. The root must be parked.
+func (s *Session) teardown() {
+	if s.live == nil {
+		return
+	}
+	close(s.live.ctl)
+	s.live.run.m.Wait()
+	s.live = nil
+}
+
+// loadAnchor returns the image the session's next machine is rebuilt
+// from: nil for a fresh Bind, else the anchor manifest's.
+func (s *Session) loadAnchor() (*Image, error) {
+	if s.anchor == nil {
+		return nil, nil
+	}
+	return LoadImage(s.anchorStore, s.anchor)
+}
+
+// drive runs the bound program until its root parks at barrier stop,
+// returning the machine's footprint there — or, for stop beyond the
+// last phase, until it has computed Result and halted, which finishes
+// the session (final is set, no machine remains). With no live machine
+// it first builds one from img (the loaded anchor; nil starts from
+// scratch), which re-executes any phases between the anchor and the
+// barrier the session rested at: the replay after a slice died.
+//
+// If the root exits short of stop — a phase failed, panicked (the
+// kernel converts panics into trap statuses) or trapped — the machine
+// is gone, the session still rests where it rested, and the error is
+// the program's own.
+func (s *Session) drive(stop int, img *Image) (pages int, err error) {
+	l := s.live
+	if l != nil {
+		l.ctl <- liveCmd{stop: stop}
+	} else {
+		l = &liveMachine{s: s, p: *s.prog, stop: stop, ctl: make(chan liveCmd), evt: make(chan liveEvt)}
+		if l.run, err = s.startPhased(l.p, img, 0, l.atBarrier); err != nil {
+			return 0, err
+		}
+		s.live = l
+	}
+	if ev, parked := l.await(); parked {
+		s.pos = ev.phase
+		s.checkpoints, l.run.images = l.run.images, nil
+		return ev.pages, nil
+	}
+	res, err := s.bury()
+	if err == nil && !l.run.finished {
+		err = &ProgramError{Msg: fmt.Sprintf("slice ended before barrier %d", stop)}
+	}
+	if err != nil {
+		return 0, err
+	}
+	s.pos, s.final = l.p.Phases, &res
+	return 0, nil
+}
+
+// bury collects the live machine after its root has exited and reports
+// the root's result and the error that ended it, if one did.
+func (s *Session) bury() (RunResult, error) {
+	run := s.live.run
+	s.live = nil
+	res := run.m.Wait()
+	s.checkpoints = run.images
+	if run.err != nil {
+		return res, run.err
+	}
+	return res, res.Err
+}
+
+// restingImage returns the image of the barrier the session rests at,
+// capturing it if none is held; nil when there is nothing to capture
+// (no checkpoint taken, no phase run). A bound session's parked root
+// captures where it stands. With no live machine — a slice died, or the
+// program has finished — one is first rebuilt to the resting barrier by
+// deterministic re-execution from the anchor; a finished session's is
+// torn down again once the image is in hand, so it is captured at most
+// once however often it is saved.
+func (s *Session) restingImage() (*Image, error) {
+	switch {
+	case s.current != nil:
+		return s.current, nil
+	case s.prog == nil:
+		if n := len(s.checkpoints); n > 0 {
+			return s.checkpoints[n-1], nil
+		}
+		return nil, nil
+	case s.live == nil && s.final == nil && s.anchor == nil && s.pos == 0:
+		// Bound, but no phase has run (or only a first slice that died).
+		return nil, nil
+	}
+	if s.live == nil {
+		if s.final != nil {
+			// The rebuilt machine re-records the trace only as far as the
+			// barrier; the finished run's own log is the complete one.
+			defer func(log *TraceLog) { s.log = log }(s.log)
+		}
+		img, err := s.loadAnchor()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := s.drive(s.pos, img); err != nil {
+			return nil, err
+		}
+	}
+	s.live.ctl <- liveCmd{capture: true}
+	ev, ok := s.live.await()
+	if !ok {
+		_, err := s.bury()
+		if err == nil {
+			err = &ProgramError{Msg: "machine halted during a capture"}
+		}
+		return nil, err
+	}
+	if ev.err != nil {
+		return nil, ev.err
+	}
+	s.current = ev.img
+	if s.final != nil {
+		s.teardown()
+	}
+	return s.current, nil
+}
+
+// bindable validates a program's shape: what Bind and BindSuspended
+// refuse up front and the phase loop refuses before building a machine.
+func bindable(p Program) error {
+	if p.Phases < 0 || (p.Phases > 0 && p.Phase == nil) {
+		return &ProgramError{Msg: "Phase function missing"}
+	}
+	return nil
+}
+
 // Bind attaches a phased program to the session for stepped execution,
-// leaving it Quiescent at phase 0. A bound session is driven with
+// leaving it Quiescent at phase 0. Binding builds nothing: the machine
+// comes to life on the first Step. A bound session is driven with
 // Step/Suspend/Close; the one-shot entry points refuse it.
 func (s *Session) Bind(p Program) error {
 	if err := s.begin("Bind", StateIdle); err != nil {
 		return err
 	}
 	defer s.mu.Unlock()
-	if p.Phases < 0 || (p.Phases > 0 && p.Phase == nil) {
-		return &ProgramError{Msg: "Phase function missing"}
+	if err := bindable(p); err != nil {
+		return err
 	}
 	s.prog = &p
 	s.current = nil
 	s.checkpoints = nil
 	s.lastManifest = nil
-	s.evictStore = nil
+	s.anchor, s.anchorStore = nil, nil
 	s.pos = 0
 	s.state = StateQuiescent
 	return nil
@@ -697,15 +974,15 @@ func (s *Session) Bind(p Program) error {
 // BindSuspended attaches a program to a checkpoint that lives in a
 // store — the admission path for a session that some other process (or
 // a killed worker) left suspended. The session starts Suspended; the
-// first Step loads the image and continues it, and later saves chain
-// onto m.
+// first Step loads the image, rebuilds the machine and continues it,
+// and later saves chain onto m.
 func (s *Session) BindSuspended(p Program, store BlobStore, m *Manifest) error {
 	if err := s.begin("BindSuspended", StateIdle); err != nil {
 		return err
 	}
 	defer s.mu.Unlock()
-	if p.Phases < 0 || (p.Phases > 0 && p.Phase == nil) {
-		return &ProgramError{Msg: "Phase function missing"}
+	if err := bindable(p); err != nil {
+		return err
 	}
 	if store == nil || m == nil {
 		return &ProgramError{Msg: "BindSuspended needs a store and a manifest"}
@@ -714,26 +991,29 @@ func (s *Session) BindSuspended(p Program, store BlobStore, m *Manifest) error {
 	s.current = nil
 	s.checkpoints = nil
 	s.lastManifest = m
-	s.evictStore = store
+	s.anchor, s.anchorStore = m, store
 	s.pos = -1 // unknown until the first Step loads the image
 	s.state = StateSuspended
 	return nil
 }
 
 // Step runs the bound program forward by at most budget phases and
-// captures a checkpoint at the barrier it stops at, leaving the session
-// Quiescent there. A Suspended session transparently reloads its image
-// from the store first. The final slice both checkpoints at the last
-// barrier and computes the program result; re-stepping a finished
-// session re-derives the same result from the resting image (delivery
-// is idempotent because execution is deterministic).
+// leaves the session Quiescent at the barrier it stops at — its root
+// parked there, nothing captured, nothing serialized. The first Step,
+// and the first after a Suspend, build the machine (from scratch, or
+// from the image in the store) before running. The final slice runs
+// through the program's Result; the machine then halts and the session
+// keeps the result, so re-stepping a finished session delivers it again
+// without running anything.
 //
 // A slice that dies mid-way — a phase panics (the kernel converts the
 // panic into a trap status) or the machine traps — returns that error
-// with the pre-slice checkpoint intact, so a killed worker's slice can
-// simply be re-run; because execution is deterministic, the retry's
-// StepResult.Digest must equal the digest the first attempt would have
-// produced.
+// and takes the live machine with it, but the session still rests at
+// the pre-slice barrier: the next Step rebuilds the machine from the
+// anchor and re-executes up to that barrier before running its slice,
+// so a killed worker's slice can simply be re-run. Because execution is
+// deterministic, the retry's results — and its Digest at any barrier —
+// equal what the undisturbed run would have produced.
 func (s *Session) Step(budget int) (StepResult, error) {
 	if err := s.begin("Step", StateQuiescent, StateSuspended); err != nil {
 		return StepResult{}, err
@@ -745,109 +1025,114 @@ func (s *Session) Step(budget int) (StepResult, error) {
 	if budget < 1 {
 		return StepResult{}, &ProgramError{Msg: fmt.Sprintf("step budget %d (must be >= 1)", budget)}
 	}
-	p := *s.prog
-	img := s.current
-	if s.state == StateSuspended {
-		loaded, err := LoadImage(s.evictStore, s.lastManifest)
-		if err != nil {
+	pages := 0
+	if s.final == nil {
+		var img *Image
+		pos := s.pos
+		if s.live == nil {
+			var err error
+			if img, err = s.loadAnchor(); err != nil {
+				return StepResult{}, err
+			}
+			if pos < 0 {
+				pos = img.Phase
+			}
+		}
+		stop := pos + budget
+		if stop >= s.prog.Phases {
+			stop = s.prog.Phases + 1 // the last slice runs on through Result
+		}
+		var err error
+		if pages, err = s.drive(stop, img); err != nil {
 			return StepResult{}, err
 		}
-		img = loaded
+		s.current = nil
+		s.state = StateQuiescent
 	}
-	pos := 0
-	if img != nil {
-		pos = img.Phase
-	}
-	stop := pos + budget
-	if stop > p.Phases {
-		stop = p.Phases
-	}
-	// Crash safety: a panic inside a phase must leave the pre-slice
-	// resting state intact so the slice can be re-run from it.
-	prevState, prevCur := s.state, s.current
-	defer func() {
-		if r := recover(); r != nil {
-			s.state, s.current = prevState, prevCur
-			panic(r)
-		}
-	}()
-	res, err := s.runPhased(p, img, stop, true)
-	if err == nil && len(s.checkpoints) == 0 && pos < p.Phases {
-		// The machine stopped before the slice's barrier: a phase panicked
-		// (the kernel converts panics into trap statuses) or trapped.
-		err = res.Err
-		if err == nil {
-			err = &ProgramError{Msg: fmt.Sprintf("slice ended before barrier %d", stop)}
-		}
-	}
-	if err != nil {
-		s.state, s.current = prevState, prevCur
-		return StepResult{}, err
-	}
-	if n := len(s.checkpoints); n > 0 {
-		s.current = s.checkpoints[n-1]
-	} else if img != nil {
-		// Re-stepping a finished program: no new barrier was crossed, the
-		// resting image is unchanged.
-		s.current = img
-	}
-	s.state = StateQuiescent
-	sr := StepResult{Phase: p.Phases}
-	if s.current != nil {
-		sr.Phase = s.current.Phase
-		sr.Pages = len(s.current.Kernel) >> vm.PageShift
-		raw, err := s.current.Bytes()
-		if err != nil {
-			return StepResult{}, err
-		}
-		sr.Digest = castore.KeyOf(raw)
-	}
-	s.pos = sr.Phase
-	sr.Done = sr.Phase == p.Phases
-	if sr.Done {
-		sr.Result = res
+	sr := StepResult{Phase: s.pos, Pages: pages}
+	if s.final != nil {
+		sr.Done, sr.Result = true, *s.final
 	}
 	return sr, nil
 }
 
-// Suspend evicts the session's resting checkpoint into store and drops
-// it from memory, leaving the session Suspended: its only cost until
-// the next Step is the chained manifest. Successive Suspends (and
-// SaveTo) chain, so each eviction stores only chunks new since the
-// previous one.
+// Suspend captures the session's resting checkpoint, evicts it into
+// store and tears the live machine down, leaving the session Suspended:
+// its only cost until the next Step is the chained manifest. Successive
+// Suspends (and SaveTo) chain, so each eviction stores only chunks new
+// since the previous one. The manifest becomes the session's anchor.
 func (s *Session) Suspend(store BlobStore) (*Manifest, error) {
 	if err := s.begin("Suspend", StateQuiescent); err != nil {
 		return nil, err
 	}
 	defer s.mu.Unlock()
-	if s.current == nil {
-		return nil, &StateError{Op: "Suspend", State: s.state,
-			Msg: "no captured checkpoint to evict; Step first"}
-	}
-	m, err := SaveImage(store, s.current, s.lastManifest)
+	img, err := s.restingImage()
 	if err != nil {
 		return nil, err
 	}
+	if img == nil {
+		return nil, &StateError{Op: "Suspend", State: s.state,
+			Msg: "no checkpoint to evict; Step first"}
+	}
+	m, err := SaveImage(store, img, s.lastManifest)
+	if err != nil {
+		return nil, err
+	}
+	s.teardown()
 	s.lastManifest = m
-	s.evictStore = store
+	s.anchor, s.anchorStore = m, store
 	s.current = nil
 	s.checkpoints = nil
 	s.state = StateSuspended
 	return m, nil
 }
 
-// Close releases the session's in-memory run state and moves it to the
-// terminal Closed state. Closing an already-closed session is a no-op;
-// closing mid-run fails with *StateError. The store side is untouched:
-// a Suspended session's manifest chain survives its Session, and
-// LastManifest remains readable for GC rooting or re-admission.
+// Digest returns the content key of the canonical serialization of the
+// checkpoint the session rests at, capturing it on demand (a
+// serialisation and a SHA-256 nobody pays unless they ask). Images are
+// canonical and a resting machine's state is a function of its anchor
+// and barrier alone, so two sessions with equal histories — the same
+// anchor, stepped to the same barrier, however sliced, retried or
+// observed in between — have equal digests: the bit-identity a server
+// asserts when it fails a slice over. Digests are history-sensitive
+// beyond that: a machine restored from an image and one that ran
+// through from the start rest in equivalent, not byte-equal, states.
+func (s *Session) Digest() (ChunkKey, error) {
+	if err := s.begin("Digest", StateQuiescent); err != nil {
+		return ChunkKey{}, err
+	}
+	defer s.mu.Unlock()
+	img, err := s.restingImage()
+	if err != nil {
+		return ChunkKey{}, err
+	}
+	if img == nil {
+		return ChunkKey{}, &StateError{Op: "Digest", State: s.state,
+			Msg: "no checkpoint to digest; Step first"}
+	}
+	raw, err := img.Bytes()
+	if err != nil {
+		return ChunkKey{}, err
+	}
+	return castore.KeyOf(raw), nil
+}
+
+// Close tears down the session's live machine, waiting until none of
+// its goroutines remain, releases the in-memory run state and moves the
+// session to the terminal Closed state. Closing an already-closed
+// session is a no-op; closing mid-run fails with *StateError. The store
+// side is untouched: a Suspended session's manifest chain survives its
+// Session, and LastManifest remains readable for GC rooting or
+// re-admission.
 func (s *Session) Close() error {
 	if !s.mu.TryLock() {
 		return &StateError{Op: "Close", State: StateRunning}
 	}
 	defer s.mu.Unlock()
+	s.teardown()
 	s.state = StateClosed
 	s.prog = nil
+	s.final = nil
 	s.current = nil
 	s.checkpoints = nil
 	s.log = nil
@@ -861,9 +1146,6 @@ func (s *Session) Close() error {
 func (s *Session) Phase() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.current != nil {
-		return s.current.Phase
-	}
 	return s.pos
 }
 

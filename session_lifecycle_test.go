@@ -10,6 +10,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"repro/internal/castore"
 )
 
 // stepOpts is the machine shape every stepped test uses; resumes must
@@ -52,8 +54,11 @@ func TestSessionStateMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Done || sr.Phase != 2 || sr.Pages == 0 || sr.Digest.IsZero() {
+	if sr.Done || sr.Phase != 2 || sr.Pages == 0 {
 		t.Fatalf("after Step(2): %+v", sr)
+	}
+	if d, err := s.Digest(); err != nil || d.IsZero() {
+		t.Fatalf("Digest after Step(2): %v, %v", d, err)
 	}
 	if got := s.State(); got != StateQuiescent {
 		t.Fatalf("state after partial step = %v, want Quiescent", got)
@@ -182,19 +187,48 @@ func TestSessionStateErrors(t *testing.T) {
 	})
 }
 
+// mustDigest returns the digest of the checkpoint s rests at.
+func mustDigest(t *testing.T, s *Session) ChunkKey {
+	t.Helper()
+	d, err := s.Digest()
+	if err != nil {
+		t.Fatalf("Digest: %v", err)
+	}
+	return d
+}
+
+// imageDigest is the digest Session.Digest would report for img.
+func imageDigest(t *testing.T, img *Image) ChunkKey {
+	t.Helper()
+	raw, err := img.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return castore.KeyOf(raw)
+}
+
 // TestSteppedBitIdentical checks the core serving property: a program
 // driven in timeslices — any budget, with eviction to a store between
 // every slice — finishes with results bit-identical to the
-// uninterrupted run, and rests at bit-identical images along the way.
+// uninterrupted run, and rests at bit-identical checkpoints along the
+// way wherever the histories are equal.
 func TestSteppedBitIdentical(t *testing.T) {
 	p := arrayProgram(4, 6, 2048, -1, nil)
 	want := keyOf(mustSession(t, stepOpts()...).RunProgram(p))
 
-	// Results are bit-identical for every slicing; resting images at a
-	// given barrier are only byte-identical between runs with the same
-	// slicing (a restore-then-run machine and a run-through machine rest
-	// in equivalent but not byte-equal states).
-	digests := map[int]ChunkKey{} // barrier -> resting image digest, budget-1 schedule
+	// A resident session is one machine running through from Bind, parked
+	// between slices: its state at barrier k is the one-shot run's state
+	// there, whatever the slicing and however often it was observed. So
+	// its digest at k equals the digest of RunToCheckpoint(p, k)'s image —
+	// across execution paths, not merely across re-runs of one schedule.
+	ref := map[int]ChunkKey{}
+	for k := 1; k <= p.Phases; k++ {
+		img, err := mustSession(t, stepOpts()...).RunToCheckpoint(p, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[k] = imageDigest(t, img)
+	}
 	for _, budget := range []int{1, 2, 3, 4, 7} {
 		s := mustSession(t, stepOpts()...)
 		if err := s.Bind(p); err != nil {
@@ -205,8 +239,8 @@ func TestSteppedBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("budget %d: %v", budget, err)
 			}
-			if budget == 1 {
-				digests[sr.Phase] = sr.Digest
+			if got := mustDigest(t, s); got != ref[sr.Phase] {
+				t.Fatalf("budget %d: digest at barrier %d differs from RunToCheckpoint's image", budget, sr.Phase)
 			}
 			if sr.Done {
 				if got := keyOf(sr.Result, nil); got != want {
@@ -215,11 +249,21 @@ func TestSteppedBitIdentical(t *testing.T) {
 				break
 			}
 		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// The same schedule re-run from scratch rests at byte-identical
-	// images: execution from equal states is deterministic.
-	{
+	// Evict to a store after every slice; the chain resumes transparently
+	// and the result is the uninterrupted one. Resting digests are
+	// history-sensitive — a machine restored from an image and one that
+	// ran through rest in equivalent, not byte-equal, states — so they are
+	// compared within this schedule (two runs of it agree barrier by
+	// barrier), not against the resident schedules above.
+	var evicted [2]map[int]ChunkKey
+	for run := range evicted {
+		evicted[run] = map[int]ChunkKey{}
+		store := NewMemStore()
 		s := mustSession(t, stepOpts()...)
 		if err := s.Bind(p); err != nil {
 			t.Fatal(err)
@@ -229,38 +273,21 @@ func TestSteppedBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if digests[sr.Phase] != sr.Digest {
-				t.Fatalf("re-run: digest at barrier %d differs from first budget-1 run", sr.Phase)
-			}
+			evicted[run][sr.Phase] = mustDigest(t, s)
 			if sr.Done {
+				if got := keyOf(sr.Result, nil); got != want {
+					t.Fatalf("evicted run result %+v, want %+v", got, want)
+				}
 				break
 			}
-		}
-	}
-
-	// Evict to a store after every slice; the chain resumes transparently
-	// and the per-barrier digests match the in-memory schedules above.
-	store := NewMemStore()
-	s := mustSession(t, stepOpts()...)
-	if err := s.Bind(p); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		sr, err := s.Step(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if digests[sr.Phase] != sr.Digest {
-			t.Fatalf("evicted run: digest at barrier %d differs from resident runs", sr.Phase)
-		}
-		if sr.Done {
-			if got := keyOf(sr.Result, nil); got != want {
-				t.Fatalf("evicted run result %+v, want %+v", got, want)
+			if _, err := s.Suspend(store); err != nil {
+				t.Fatal(err)
 			}
-			break
 		}
-		if _, err := s.Suspend(store); err != nil {
-			t.Fatal(err)
+	}
+	for k, d := range evicted[0] {
+		if evicted[1][k] != d {
+			t.Fatalf("evict-every-slice schedule: digest at barrier %d differs between two runs", k)
 		}
 	}
 }
@@ -352,8 +379,8 @@ func TestStepRetryAfterCrash(t *testing.T) {
 }
 
 // TestStepResultRedelivery steps a finished session again: delivery is
-// idempotent because re-deriving the answer from the resting image is
-// deterministic.
+// idempotent — the session kept its result — and leaves the final
+// checkpoint's digest alone.
 func TestStepResultRedelivery(t *testing.T) {
 	p := arrayProgram(2, 3, 512, -1, nil)
 	s := mustSession(t, stepOpts()...)
@@ -361,11 +388,15 @@ func TestStepResultRedelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := stepToEnd(t, s, 2)
+	before := mustDigest(t, s)
 	again, err := s.Step(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !again.Done || again.Result != first.Result || again.Digest != first.Digest {
+	if !again.Done || again.Result != first.Result || again.Phase != first.Phase {
 		t.Fatalf("redelivery differs: first %+v, again %+v", first, again)
+	}
+	if mustDigest(t, s) != before {
+		t.Fatal("redelivery changed the resting checkpoint's digest")
 	}
 }
