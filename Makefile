@@ -4,11 +4,11 @@
 GO ?= go
 
 # Output of `make bench-json`: override per PR / per CI run, e.g.
-# `make bench-json BENCH_OUT=BENCH_pr10.json`. CI uploads the file as a
+# `make bench-json BENCH_OUT=BENCH_pr14.json`. CI uploads the file as a
 # build artifact so the perf trajectory is downloadable per run.
-BENCH_OUT ?= BENCH_pr10.json
+BENCH_OUT ?= BENCH_pr14.json
 
-.PHONY: build test race bench bench-smoke bench-json vet fmt-check staticcheck detlint ci
+.PHONY: build test race fuzz-smoke bench bench-smoke bench-json vet fmt-check staticcheck detlint ci
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,15 @@ test:
 # daemons sit on top of it.
 race:
 	GOMAXPROCS=4 $(GO) test -race ./...
+
+# Ten seconds of native fuzzing on the chunk decoder, the one parser in
+# the module that reads bytes straight off a disk before anything has
+# hashed them. The seed corpus (codec_test.go's hostile-record table)
+# also runs as a plain test under `make test`; this target is what
+# mutates it. A crasher is written to internal/castore/testdata/fuzz and
+# fails every later `go test` until fixed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBlob -fuzztime 10s ./internal/castore
 
 # Full-size experiment tables (slow); see also `go run ./cmd/detbench`.
 bench:
@@ -65,7 +74,7 @@ staticcheck:
 detlint:
 	$(GO) run ./cmd/detlint ./...
 
-ci: build vet fmt-check detlint test race bench-smoke bench-json
+ci: build vet fmt-check detlint test race fuzz-smoke bench-smoke bench-json
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		$(MAKE) staticcheck; \
 	else \

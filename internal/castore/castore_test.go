@@ -137,6 +137,40 @@ func TestMissingAndCorruptChunks(t *testing.T) {
 	}
 }
 
+// TestGetResultIsCallersToMutate: a Get hands the caller bytes it may
+// scribble on without damaging the store. The raw form used to decode to
+// a slice of MemStore's own buffer, so flipping one byte of a fetched
+// incompressible chunk made the next Get of that key fail with
+// *ChunkHashError. All three codec forms, both backends.
+func TestGetResultIsCallersToMutate(t *testing.T) {
+	for name, s := range stores(t) {
+		for form, b := range map[string][]byte{
+			"raw":   noisePage(),
+			"flate": sparsePage(),
+			"zero":  make([]byte, 4096),
+		} {
+			key := KeyOf(b)
+			if err := s.Put(key, b); err != nil {
+				t.Fatalf("%s/%s: put: %v", name, form, err)
+			}
+			got, err := s.Get(key)
+			if err != nil {
+				t.Fatalf("%s/%s: get: %v", name, form, err)
+			}
+			for i := range got {
+				got[i] ^= 0xff
+			}
+			again, err := s.Get(key)
+			if err != nil {
+				t.Fatalf("%s/%s: get after the caller wrote to the first result: %v", name, form, err)
+			}
+			if !bytes.Equal(again, b) {
+				t.Fatalf("%s/%s: second get returned different bytes", name, form)
+			}
+		}
+	}
+}
+
 func TestNodeFraming(t *testing.T) {
 	leafA, leafB := KeyOf([]byte("a")), KeyOf([]byte("b"))
 	child := KeyOf([]byte("child node"))

@@ -14,6 +14,24 @@ package castore
 // The codec is an internal representation detail: keys are computed over
 // the uncompressed bytes and Get always returns them, so two backends
 // with different codec outcomes still agree on every key.
+//
+// Compressor ownership. A flate.Writer is about a megabyte of hash
+// tables and a flate reader some 40 KiB of window, both zeroed at
+// construction — far more work than deflating one 4 KiB page. Each store
+// therefore owns a codec value holding free lists of both, takes one per
+// chunk and Resets it: Writer.Reset is specified to leave the writer
+// equivalent to a fresh NewWriter at the same level, and the reader's
+// Reset re-initialises all decoder state including a sticky error, so
+// stored bytes and decode verdicts are those of a fresh instance every
+// time (codec_test.go pins both). The lists live in the store, not in a
+// package variable: a store's compressors die with it and no state is
+// shared between stores. They grow to the peak number of concurrent
+// encodes or decodes the store has seen, which its callers' worker pools
+// bound.
+//
+// Locking. The free lists' own mutexes guard only the lists — never a
+// compression — and the stores call encodeBlob and decodeBlob outside
+// their locks, so one large Put does not stall every other worker's Get.
 
 import (
 	"bytes"
@@ -21,6 +39,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // MaxChunkSize is the largest blob a store accepts (Put refuses more
@@ -71,24 +90,82 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// encodeBlob compresses b for storage.
-func encodeBlob(b []byte) []byte {
+// A deflater is one reusable compressor and the scratch buffer it
+// writes to.
+type deflater struct {
+	buf bytes.Buffer
+	w   *flate.Writer
+}
+
+// An inflater is one reusable decompressor over its own source reader.
+type inflater struct {
+	src bytes.Reader
+	r   io.ReadCloser // flate reader over &src; implements flate.Resetter
+}
+
+// freeList is a stack of idle *T.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	idle []*T
+}
+
+// get pops an idle item; nil means there is none and the caller makes one.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.idle)
+	if n == 0 {
+		return nil
+	}
+	x := l.idle[n-1]
+	l.idle = l.idle[:n-1]
+	return x
+}
+
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	l.idle = append(l.idle, x)
+	l.mu.Unlock()
+}
+
+// codec is a store's chunk codec: encodeBlob and decodeBlob plus the
+// compressors they reuse. The zero value is ready to use; it must not be
+// copied after first use.
+type codec struct {
+	deflaters freeList[deflater]
+	inflaters freeList[inflater]
+}
+
+// encodeBlob compresses b for storage. The result is freshly allocated
+// and exactly sized.
+func (c *codec) encodeBlob(b []byte) []byte {
 	if allZero(b) {
 		out := make([]byte, 5)
 		out[0] = codecZero
 		binary.LittleEndian.PutUint32(out[1:], uint32(len(b)))
 		return out
 	}
-	var buf bytes.Buffer
-	buf.WriteByte(codecFlate)
+	d := c.deflaters.get()
+	if d == nil {
+		d = &deflater{}
+		d.w, _ = flate.NewWriter(&d.buf, flate.BestSpeed) // errs only on an invalid level
+	}
+	defer func() {
+		if d.buf.Cap() > decodePrealloc {
+			d.buf = bytes.Buffer{} // don't pin a huge chunk's scratch for the store's lifetime
+		}
+		c.deflaters.put(d)
+	}()
+	d.buf.Reset()
+	d.buf.WriteByte(codecFlate)
 	var lenb [4]byte
 	binary.LittleEndian.PutUint32(lenb[:], uint32(len(b)))
-	buf.Write(lenb[:])
-	w, _ := flate.NewWriter(&buf, flate.BestSpeed)
-	_, _ = w.Write(b)
-	_ = w.Close()
-	if buf.Len() < len(b)+1 {
-		return buf.Bytes()
+	d.buf.Write(lenb[:])
+	d.w.Reset(&d.buf)
+	_, _ = d.w.Write(b) // a bytes.Buffer does not fail
+	_ = d.w.Close()
+	if d.buf.Len() < len(b)+1 {
+		return bytes.Clone(d.buf.Bytes())
 	}
 	out := make([]byte, 0, len(b)+1)
 	out = append(out, codecRaw)
@@ -97,8 +174,9 @@ func encodeBlob(b []byte) []byte {
 
 // decodeBlob reverses encodeBlob. A structurally broken stored blob is
 // reported as corruption at the given key: the hash error the caller
-// would have produced had the bytes decoded to garbage.
-func decodeBlob(key Key, stored []byte) ([]byte, error) {
+// would have produced had the bytes decoded to garbage. The raw form
+// decodes to a view of stored, not a copy; every other result is fresh.
+func (c *codec) decodeBlob(key Key, stored []byte) ([]byte, error) {
 	corrupt := &ChunkHashError{Key: key}
 	if len(stored) == 0 {
 		return nil, corrupt
@@ -126,7 +204,20 @@ func decodeBlob(key Key, stored []byte) ([]byte, error) {
 		// Read one byte past the claimed length: a stream that is shorter
 		// or longer than its header says is corrupt either way, and the
 		// limit bounds what a lying header or a flate bomb can cost.
-		r := &io.LimitedReader{R: flate.NewReader(bytes.NewReader(stored[5:])), N: n + 1}
+		in := c.inflaters.get()
+		if in == nil {
+			in = &inflater{}
+			in.r = flate.NewReader(&in.src)
+		}
+		defer func() {
+			in.src.Reset(nil) // drop the reference to the caller's stored bytes
+			c.inflaters.put(in)
+		}()
+		in.src.Reset(stored[5:])
+		if err := in.r.(flate.Resetter).Reset(&in.src, nil); err != nil {
+			return nil, corrupt
+		}
+		r := &io.LimitedReader{R: in.r, N: n + 1}
 		var out bytes.Buffer
 		out.Grow(int(min(n, decodePrealloc)) + bytes.MinRead)
 		if _, err := out.ReadFrom(r); err != nil || int64(out.Len()) != n {

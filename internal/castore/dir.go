@@ -20,7 +20,8 @@ import (
 // (the MANIFEST file the detshell ckpt commands maintain) live beside
 // the fan-out as the caller's business.
 type DirStore struct {
-	dir string
+	dir   string
+	codec codec
 
 	mu    sync.Mutex
 	stats StoreStats // traffic counters only; contents come from the FS
@@ -66,7 +67,7 @@ func (s *DirStore) Put(key Key, b []byte) error {
 	if err != nil {
 		return fmt.Errorf("castore: put %s: %w", key, err)
 	}
-	enc := encodeBlob(b)
+	enc := s.codec.encodeBlob(b)
 	if _, err := tmp.Write(enc); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
@@ -92,7 +93,7 @@ func (s *DirStore) Get(key Key) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("castore: get %s: %w", key, err)
 	}
-	b, err := decodeBlob(key, enc)
+	b, err := s.codec.decodeBlob(key, enc)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +121,7 @@ func (s *DirStore) Stat(key Key) (BlobInfo, error) {
 		}
 		return BlobInfo{}, fmt.Errorf("castore: stat %s: %w", key, err)
 	}
-	b, err := decodeBlob(key, enc)
+	b, err := s.codec.decodeBlob(key, enc)
 	if err != nil {
 		return BlobInfo{}, err
 	}

@@ -10,6 +10,8 @@ import (
 // chunks guarded by a mutex. It is the store of choice for tests, for
 // benches, and for session eviction inside one process.
 type MemStore struct {
+	codec codec
+
 	mu     sync.Mutex
 	chunks map[Key][]byte // codec-encoded
 	sizes  map[Key]int    // uncompressed sizes
@@ -21,25 +23,39 @@ func NewMemStore() *MemStore {
 	return &MemStore{chunks: make(map[Key][]byte), sizes: make(map[Key]int)}
 }
 
-// Put stores b under key (idempotent).
+// Put stores b under key (idempotent). The chunk is encoded outside the
+// store lock — compression is the expensive part of a Put and must not
+// stall concurrent Gets — so the key is checked before encoding and
+// again at insertion; a Put that loses that race is a deduplicated one.
 func (s *MemStore) Put(key Key, b []byte) error {
 	if err := checkSize(key, b); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.stats.Puts++
 	s.stats.PutBytes += int64(len(b))
+	_, dup := s.chunks[key]
+	if dup {
+		s.stats.DupPuts++
+	}
+	s.mu.Unlock()
+	if dup {
+		return nil
+	}
+	enc := s.codec.encodeBlob(b)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.chunks[key]; ok {
 		s.stats.DupPuts++
 		return nil
 	}
-	s.chunks[key] = encodeBlob(b)
+	s.chunks[key] = enc
 	s.sizes[key] = len(b)
 	return nil
 }
 
-// Get returns the chunk's uncompressed bytes, verifying their hash.
+// Get returns the chunk's uncompressed bytes, verifying their hash. The
+// result is the caller's to keep and modify.
 func (s *MemStore) Get(key Key) ([]byte, error) {
 	s.mu.Lock()
 	enc, ok := s.chunks[key]
@@ -47,11 +63,20 @@ func (s *MemStore) Get(key Key) ([]byte, error) {
 	if !ok {
 		return nil, &ChunkMissingError{Key: key}
 	}
-	b, err := decodeBlob(key, enc)
+	b, err := s.codec.decodeBlob(key, enc)
 	if err != nil {
 		return nil, err
 	}
-	return verifyGet(key, b)
+	if b, err = verifyGet(key, b); err != nil {
+		return nil, err
+	}
+	if enc[0] == codecRaw {
+		// The raw form decodes to a view of enc — the store's own
+		// buffer. Handing that out would let a caller's write corrupt
+		// the chunk for every later Get.
+		b = bytes.Clone(b)
+	}
+	return b, nil
 }
 
 // Has reports whether the store holds key.

@@ -178,10 +178,24 @@ func (b *builder) hashOf(p string) castore.Key {
 	return k
 }
 
-// run executes the build inside the machine's root space.
+// run executes the build inside the machine's root space. Whatever
+// happens, the result carries the checksum of the master as the build
+// left it: a failed build's covers exactly the sources and waves that
+// committed before the failure.
 func (b *builder) run(env *kernel.Env) {
+	master := fs.Format(env, masterBase, b.cfg.MasterFSSize)
+	ret := uint64(1)
+	if b.build(env, master) {
+		ret = 0
+	}
+	b.finalChecksum = master.Checksum()
+	env.SetRet(ret)
+}
+
+// build writes the sources into the master and runs the waves in order,
+// stopping (with b.err set) at the first failure.
+func (b *builder) build(env *kernel.Env, master *fs.FS) bool {
 	cfg := b.cfg
-	master := fs.Format(env, masterBase, cfg.MasterFSSize)
 	srcs := make([]string, 0, len(cfg.Sources))
 	for p := range cfg.Sources {
 		srcs = append(srcs, p)
@@ -190,24 +204,17 @@ func (b *builder) run(env *kernel.Env) {
 	for _, p := range srcs {
 		if err := writeAll(master, p, cfg.Sources[p]); err != nil {
 			b.fail(fmt.Errorf("detmake: writing source %q: %w", p, err))
-			b.checksum(master)
-			env.SetRet(1)
-			return
+			return false
 		}
 		b.tree[p] = cfg.Sources[p]
 	}
 	for _, wave := range b.plan.Waves {
 		b.stats.Waves++
 		if !b.runWave(env, master, wave) {
-			// The failing wave never committed: the checksum below
-			// covers exactly the waves before it.
-			b.checksum(master)
-			env.SetRet(1)
-			return
+			return false
 		}
 	}
-	b.checksum(master)
-	env.SetRet(0)
+	return true
 }
 
 // runWave takes one wave from ready to committed. It returns false on
@@ -514,11 +521,6 @@ func writeAll(f *fs.FS, path string, b []byte) error {
 		return err
 	}
 	return f.WriteFile(path, b)
-}
-
-// checksum records the master image checksum into the pending result.
-func (b *builder) checksum(master *fs.FS) {
-	b.finalChecksum = master.Checksum()
 }
 
 // finish assembles the Result after the machine has halted.

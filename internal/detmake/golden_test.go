@@ -1,0 +1,47 @@
+package detmake
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/castore"
+)
+
+// Golden results for one fixed graph, captured at the commit before
+// fs.Checksum learned to jump demand-zero pages and castore began
+// reusing its compressors. Cold-vs-warm agreement only proves the two
+// paths agree with each other today; this pins them to the past. A
+// deliberate change to the image layout, the cost model or the commit
+// order must update these numbers and say why.
+func TestGoldenBuild(t *testing.T) {
+	const (
+		wantChecksum = 0x29a0116308455876
+		wantDigest   = "8dc6b91e2bfae656be0eb53de4a905e8db655b8c644f44774b67e5ebde26b7f5"
+		wantColdVT   = 5278537
+		wantWarmVT   = 2099580
+	)
+	tasks, sources := randomDAG(rand.New(rand.NewSource(14)), 4, 5)
+	g := mustGraph(t, tasks)
+	store, idx := castore.NewMemStore(), NewMemIndex()
+	cfg := Config{Graph: g, Sources: sources, Store: store, Index: idx, Jobs: 2}
+	cold := buildOrDie(t, cfg)
+	warm := buildOrDie(t, cfg)
+	if warm.Stats.CacheHits != len(tasks) {
+		t.Fatalf("warm build hit %d of %d tasks", warm.Stats.CacheHits, len(tasks))
+	}
+	for _, r := range []struct {
+		name   string
+		res    Result
+		wantVT int64
+	}{{"cold", cold, wantColdVT}, {"warm", warm, wantWarmVT}} {
+		if r.res.Checksum != wantChecksum {
+			t.Errorf("%s Checksum = %#x, want %#x", r.name, r.res.Checksum, uint64(wantChecksum))
+		}
+		if got := r.res.TreeDigest.String(); got != wantDigest {
+			t.Errorf("%s TreeDigest = %s, want %s", r.name, got, wantDigest)
+		}
+		if r.res.VT != r.wantVT {
+			t.Errorf("%s VT = %d, want %d", r.name, r.res.VT, r.wantVT)
+		}
+	}
+}

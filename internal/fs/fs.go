@@ -1452,27 +1452,63 @@ func (f *FS) GC() GCStats {
 	return st
 }
 
-// Checksum hashes the entire image (FNV-1a 64). After a Compact the
-// image layout is canonical, so replicas that performed the same
-// operation history produce identical checksums — the bit-determinism
-// assertion the benchmarks lean on.
+// FNV-1a 64 parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// checksumWindow is the span Checksum charges as one read. It is part
+// of the image's virtual-time contract: ticks and remote page fetches
+// are accounted per window, so changing it changes VT and NetStats.
+const checksumWindow = 64 << 10
+
+// Checksum hashes every byte of the image's mapped extent, superblock to
+// last byte, with FNV-1a 64. After a Compact the image layout is
+// canonical, so replicas that performed the same operation history
+// produce identical checksums — the bit-determinism assertion the
+// benchmarks lean on.
+//
+// The cost is O(backed pages), not O(image size). An FNV-1a step over a
+// zero byte is h = (h ^ 0) * prime, so n consecutive zero bytes are the
+// single multiplication h *= prime^n (mod 2^64) — exact, not an
+// approximation. A page the image has mapped but never written has no
+// backing page (Format and growth leave demand-zero ptes), so the page
+// table alone says it holds 4096 zeros; Checksum jumps such runs without
+// reading them and hashes only backed pages byte by byte. A backed page
+// that happens to hold zeros is hashed the slow way, to the same value.
+//
+// What it charges is unchanged by the jump: the image is read in
+// checksumWindow spans, each accounted (memory ticks, demand paging on a
+// remote node, a fault on an unreadable page) exactly as one Read of
+// that span.
 func (f *FS) Checksum() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	size := f.size()
-	buf := make([]byte, 64<<10)
-	for off := uint64(0); off < size; off += uint64(len(buf)) {
-		n := uint64(len(buf))
-		if off+n > size {
-			n = size - off
-		}
-		f.gbytes(uint32(off), buf[:n])
-		for _, b := range buf[:n] {
-			h = (h ^ uint64(b)) * prime64
+	h := uint64(fnvOffset64)
+	data := func(b []byte) {
+		for _, c := range b {
+			h = (h ^ uint64(c)) * fnvPrime64
 		}
 	}
+	zeros := func(n int) { h *= fnvPow(uint64(n)) }
+	size := f.size()
+	for off := uint64(0); off < size; off += checksumWindow {
+		n := size - off
+		if n > checksumWindow {
+			n = checksumWindow
+		}
+		f.env.ReadRuns(f.base+vm.Addr(off), int(n), data, zeros)
+	}
 	return h
+}
+
+// fnvPow returns fnvPrime64^n mod 2^64, by squaring.
+func fnvPow(n uint64) uint64 {
+	r, sq := uint64(1), uint64(fnvPrime64)
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			r *= sq
+		}
+		sq *= sq
+	}
+	return r
 }

@@ -139,6 +139,37 @@ func (e *Env) Read(addr vm.Addr, p []byte) {
 	e.fault(e.sp.mem.Read(addr, p))
 }
 
+// ReadRuns reads [addr, addr+size) for a caller that folds the bytes
+// instead of keeping them, without materialising demand-zero memory. It
+// is Read in every accounted respect — one memory tick and one
+// demand-paging pass over the whole span, a fault at the first page that
+// lacks PermR — so virtual time, instruction counts and NetStats advance
+// exactly as a Read of the same span would. The bytes arrive in address
+// order as page-granular runs: zeros(n) stands for n bytes of readable
+// pages with no backing page, found by a page-table query alone, and
+// data(b) carries at most one page of everything else; b is only valid
+// during the call.
+func (e *Env) ReadRuns(addr vm.Addr, size int, data func(b []byte), zeros func(n int)) {
+	e.memTick(size)
+	e.sp.touchPages(addr, size, false)
+	var buf []byte // escapes through data, so only spans that need it pay for it
+	for size > 0 {
+		n := int(e.sp.mem.ZeroRun(addr, uint64(size)))
+		if n > 0 {
+			zeros(n)
+		} else {
+			if buf == nil {
+				buf = make([]byte, vm.PageSize)
+			}
+			n = min(size, vm.PageSize-int(addr&(vm.PageSize-1)))
+			e.fault(e.sp.mem.Read(addr, buf[:n]))
+			data(buf[:n])
+		}
+		addr += vm.Addr(n)
+		size -= n
+	}
+}
+
 // Write copies p into the space's memory, faulting on access violations.
 func (e *Env) Write(addr vm.Addr, p []byte) {
 	e.memTick(len(p))

@@ -807,3 +807,39 @@ func TestStartWaitKeepsMachineLive(t *testing.T) {
 		t.Fatalf("Start+Wait = %+v, Run = %+v", got, want)
 	}
 }
+
+// ReadRuns is Read for a caller that folds the bytes: stitched back
+// together, the runs it delivers are the bytes Read returns — for spans
+// that start and end mid-page too — and it advances the instruction
+// count and virtual time exactly as Read does.
+func TestReadRunsMatchesRead(t *testing.T) {
+	runRoot(t, func(env *Env) {
+		env.SetPerm(0, 8*vm.PageSize, vm.PermRW)
+		env.Write(vm.PageSize+10, []byte("backed"))         // page 1
+		env.Write(4*vm.PageSize-2, []byte("straddles"))     // pages 3 and 4
+		env.Write(6*vm.PageSize, make([]byte, vm.PageSize)) // page 6: backed zeros
+		for _, span := range [][2]int{{0, 8 * vm.PageSize}, {vm.PageSize + 12, 3 * vm.PageSize}, {100, 50}, {5*vm.PageSize + 1, vm.PageSize}, {0, 0}} {
+			addr, size := vm.Addr(span[0]), span[1]
+			want := make([]byte, size)
+			vt, insns := env.VT(), env.Insns()
+			env.Read(addr, want)
+			readVT, readInsns := env.VT()-vt, env.Insns()-insns
+
+			var got []byte
+			zeroBytes := 0
+			vt, insns = env.VT(), env.Insns()
+			env.ReadRuns(addr, size,
+				func(b []byte) { got = append(got, b...) },
+				func(n int) { got = append(got, make([]byte, n)...); zeroBytes += n })
+			if !bytes.Equal(got, want) {
+				panic("ReadRuns delivered different bytes than Read")
+			}
+			if env.VT()-vt != readVT || env.Insns()-insns != readInsns {
+				panic("ReadRuns charged differently from Read")
+			}
+			if size == 8*vm.PageSize && zeroBytes != 4*vm.PageSize {
+				panic("ReadRuns did not report the four untouched pages as zero runs")
+			}
+		}
+	})
+}

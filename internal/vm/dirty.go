@@ -57,6 +57,20 @@ func (s *Space) markDirty(a Addr) {
 	s.dirtyTable(l1)[l2>>6] |= 1 << (uint(l2) & 63)
 }
 
+// setRange marks ptes [lo, hi) of one table.
+func (b *dirtyBits) setRange(lo, hi int) {
+	for w := lo >> 6; w<<6 < hi; w++ {
+		word := ^uint64(0)
+		if base := w << 6; base < lo {
+			word <<= uint(lo - base)
+		}
+		if end := (w + 1) << 6; end > hi {
+			word &= ^uint64(0) >> uint(end-hi)
+		}
+		b[w] |= word
+	}
+}
+
 // markTableDirty records a possible modification of every pte of table l1
 // (bulk operations that swap in a whole table).
 func (s *Space) markTableDirty(l1 int) {

@@ -243,12 +243,6 @@ func (s *Space) entry(a Addr) pte {
 	return t.ptes[l2]
 }
 
-// setEntry installs a pte, breaking table sharing as needed.
-func (s *Space) setEntry(a Addr, e pte) {
-	l1, l2 := split(a)
-	s.ownTable(l1).ptes[l2] = e
-}
-
 // PermAt reports the permissions at address a (PermNone if unmapped).
 func (s *Space) PermAt(a Addr) Perm { return s.entry(a).perm }
 
@@ -265,6 +259,23 @@ func rangeCheck(addr Addr, size uint64) error {
 	return nil
 }
 
+// ownRange calls visit once per level-2 table the (page-aligned, already
+// range-checked) span touches, handing it that table's ptes for the span.
+// The table is privately owned and the ptes are marked dirty before visit
+// sees them, so table sharing is broken and the dirty bitmap fetched once
+// per level-1 slot rather than once per page — the bulk counterpart of
+// the cursor walk in Read and Write.
+func (s *Space) ownRange(addr Addr, size uint64, visit func(ptes []pte)) {
+	for a, end := uint64(addr), uint64(addr)+size; a < end; {
+		l1, lo := split(Addr(a))
+		hi := min(tableEntries, lo+int((end-a)>>PageShift))
+		t := s.ownTable(l1)
+		s.dirtyTable(l1).setRange(lo, hi)
+		visit(t.ptes[lo:hi])
+		a += uint64(hi-lo) << PageShift
+	}
+}
+
 // SetPerm sets the permissions of every page in the (page-aligned) range,
 // mapping previously unmapped pages as lazy-zero pages. It corresponds to
 // the Perm option of Put/Get.
@@ -272,13 +283,11 @@ func (s *Space) SetPerm(addr Addr, size uint64, perm Perm) error {
 	if err := rangeCheck(addr, size); err != nil {
 		return err
 	}
-	for off := uint64(0); off < size; off += PageSize {
-		a := addr + Addr(off)
-		e := s.entry(a)
-		e.perm = perm
-		s.setEntry(a, e)
-		s.markDirty(a)
-	}
+	s.ownRange(addr, size, func(ptes []pte) {
+		for i := range ptes {
+			ptes[i].perm = perm
+		}
+	})
 	return nil
 }
 
@@ -289,16 +298,14 @@ func (s *Space) Zero(addr Addr, size uint64, perm Perm) error {
 	if err := rangeCheck(addr, size); err != nil {
 		return err
 	}
-	for off := uint64(0); off < size; off += PageSize {
-		a := addr + Addr(off)
-		l1, l2 := split(a)
-		t := s.ownTable(l1)
-		if old := t.ptes[l2].pg; old != nil {
-			old.refs.Add(-1)
+	s.ownRange(addr, size, func(ptes []pte) {
+		for i := range ptes {
+			if old := ptes[i].pg; old != nil {
+				old.refs.Add(-1)
+			}
+			ptes[i] = pte{perm: perm}
 		}
-		t.ptes[l2] = pte{perm: perm}
-		s.markDirty(a)
-	}
+	})
 	return nil
 }
 
@@ -469,6 +476,38 @@ func (s *Space) Read(addr Addr, p []byte) error {
 		addr += Addr(n)
 	}
 	return nil
+}
+
+// ZeroRun reports how many bytes starting at addr, at most limit, lie in
+// demand-zero memory: pages mapped with PermR that have no backing page,
+// which Read would deliver by clearing the caller's buffer. The run ends
+// at the first page that is backed, unreadable or unmapped; ZeroRun says
+// nothing about that page, so a Read of it still returns data or faults
+// exactly as it always did. It is a pure page-table query — no byte is
+// touched — and uses the same per-level-1-slot cursor as Read.
+func (s *Space) ZeroRun(addr Addr, limit uint64) uint64 {
+	curL1 := -1
+	var t *table
+	var run uint64
+	for run < limit {
+		l1, l2 := split(addr)
+		if l1 != curL1 {
+			t, curL1 = s.root[l1], l1
+		}
+		if t == nil {
+			break
+		}
+		if e := t.ptes[l2]; e.pg != nil || e.perm&PermR == 0 {
+			break
+		}
+		n := PageSize - uint64(addr&pageMask)
+		run += n
+		addr += Addr(n)
+	}
+	if run > limit {
+		run = limit
+	}
+	return run
 }
 
 // Write copies p into the space starting at addr. Every page touched must
