@@ -3,10 +3,11 @@
 
 GO ?= go
 
-# Output of `make bench-json`: override per PR / per CI run, e.g.
-# `make bench-json BENCH_OUT=BENCH_pr14.json`. CI uploads the file as a
-# build artifact so the perf trajectory is downloadable per run.
-BENCH_OUT ?= BENCH_pr14.json
+# Output of `make bench-json`. The default is a scratch name (ignored by
+# git); a PR commits its snapshot with one explicit invocation,
+# `make bench-json BENCH_OUT=BENCH_prN.json`. CI uploads the default file
+# as a per-commit artifact so the perf trajectory is downloadable per run.
+BENCH_OUT ?= BENCH.json
 
 .PHONY: build test race fuzz-smoke bench bench-smoke bench-json vet fmt-check staticcheck detlint ci
 
@@ -46,7 +47,7 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
 # Quick experiments end to end: proves the bench harness still runs,
-# the dsched round engine still beats the legacy loop path, the kv
+# the dsched round engine still completes its blocked-heavy workload, the kv
 # reconciliation sweep still checksums identically across merge workers,
 # the sharded barrier tree still matches the flat collector bit for bit
 # while cutting the root's cross-node messages, every checkpoint sweep
@@ -59,9 +60,10 @@ bench-smoke:
 	$(GO) test -bench='Fig4|MergeTable|DschedRound|KVTable|ClusterTable|CkptTable|ServeTable|MakeTable' -benchtime=1x -run='^$$' .
 
 # Machine-readable perf snapshot for the repo's trajectory artifacts
-# (BENCH_pr2.json and successors; see BENCH_OUT above).
+# (BENCH_pr2.json and successors; see BENCH_OUT above). tab3 rides along
+# so every snapshot carries the module's code size beside its numbers.
 bench-json:
-	$(GO) run ./cmd/detbench -run dsched,merge,kv,cluster,ckpt,serve,make -quick -json > $(BENCH_OUT)
+	$(GO) run ./cmd/detbench -run dsched,merge,kv,cluster,ckpt,serve,make,tab3 -quick -json > $(BENCH_OUT)
 
 # Mirrors the pinned CI job; requires staticcheck on PATH
 # (go install honnef.co/go/tools/cmd/staticcheck@2025.1).

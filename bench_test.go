@@ -137,9 +137,10 @@ func BenchmarkForkJoinThread(b *testing.B) {
 // other on a dirty-heavy 4-thread join: four children each dirty their
 // entire quarter of a 64 MiB region, the parent touches every page so the
 // merges take the byte-compare slow path, and all four are joined in
-// thread-id order. The sub-benchmarks — serial word kernel, the per-byte
-// reference kernel, and the parallel engine — do byte-identical work (the
-// vm property tests prove it); the delta is pure engine wall-clock.
+// thread-id order. The serial and parallel sub-benchmarks do
+// byte-identical work (the vm property tests prove it); the delta is pure
+// engine wall-clock. (The word kernel against its per-byte oracle is
+// BenchmarkMergeKernels in internal/vm.)
 func BenchmarkMerge(b *testing.B) {
 	const (
 		mergePages   = 16 * 1024 // 64 MiB
@@ -151,7 +152,6 @@ func BenchmarkMerge(b *testing.B) {
 		cfg  vm.MergeConfig
 	}{
 		{"serial", vm.MergeConfig{}},
-		{"byteKernel", vm.MergeConfig{ByteKernel: true}},
 		{fmt.Sprintf("parallel%d", workers), vm.MergeConfig{Workers: workers}},
 	} {
 		b.Run(eng.name, func(b *testing.B) {
@@ -170,13 +170,10 @@ func BenchmarkMerge(b *testing.B) {
 }
 
 // BenchmarkDschedRound drives the deterministic scheduler's round engine
-// against the pre-engine loop (from-scratch snapshot per runnable thread
-// per round, no epoch skipping) on a blocked-heavy 8-thread workload:
-// threads serialize on one mutex and the holder scans shared memory for
-// many read-only quanta, so at any instant one thread is runnable and
-// seven sit blocked. Checksums, round counts and schedules are identical
-// between the two engines (see the dsched invariance tests); the metric
-// that differs is rounds per second of host time.
+// on a blocked-heavy 8-thread workload: threads serialize on one mutex and
+// the holder scans shared memory for many read-only quanta, so at any
+// instant one thread is runnable and seven sit blocked. The metric is
+// rounds per second of host time.
 func BenchmarkDschedRound(b *testing.B) {
 	const (
 		dsThreads = 8
@@ -184,50 +181,29 @@ func BenchmarkDschedRound(b *testing.B) {
 		dsQuantum = 2000
 		dsShared  = uint64(64 << 20)
 	)
-	// run times the workload body only — machine construction and
-	// shared-region mapping stay outside the window. The body's own
-	// setup (256 table-init writes) is negligible against 520 rounds
-	// and is paid identically by both engines.
-	run := func(cfg dsched.Config) (uint64, dsched.Stats, time.Duration) {
-		var value uint64
-		var stats dsched.Stats
-		var dur time.Duration
+	var rounds, skipped int64
+	var sched time.Duration
+	for i := 0; i < b.N; i++ {
+		// Only the workload body is timed — machine construction and
+		// shared-region mapping stay outside the window. The body's own
+		// setup (256 table-init writes) is negligible against 520 rounds.
 		res := core.Run(core.Options{
 			Kernel:     kernel.Config{CPUsPerNode: dsThreads},
 			SharedSize: dsShared,
 		}, func(rt *core.RT) uint64 {
 			start := time.Now()
-			value, stats = workload.LockScan(rt, dsThreads, dsPages, cfg)
-			dur = time.Since(start)
+			value, st := workload.LockScan(rt, dsThreads, dsPages, dsched.Config{Quantum: dsQuantum})
+			sched += time.Since(start)
+			rounds, skipped = st.Rounds, st.SyncSkipped
 			return value
 		})
 		if res.Status != kernel.StatusHalted {
 			b.Fatalf("%v: %v", res.Status, res.Err)
 		}
-		return value, stats, dur
 	}
-	for _, eng := range []struct {
-		name string
-		cfg  dsched.Config
-	}{
-		{"legacy", dsched.Config{Quantum: dsQuantum, FullResync: true}},
-		{"engine", dsched.Config{Quantum: dsQuantum}},
-	} {
-		b.Run(eng.name, func(b *testing.B) {
-			var rounds, skipped int64
-			var sig uint64
-			var sched time.Duration
-			for i := 0; i < b.N; i++ {
-				v, st, dur := run(eng.cfg)
-				sig, rounds, skipped = v, st.Rounds, st.SyncSkipped
-				sched += dur
-			}
-			b.ReportMetric(float64(rounds)*float64(b.N)/sched.Seconds(), "rounds/sec")
-			b.ReportMetric(float64(rounds), "rounds/op")
-			b.ReportMetric(float64(skipped), "skipped/op")
-			_ = sig
-		})
-	}
+	b.ReportMetric(float64(rounds)*float64(b.N)/sched.Seconds(), "rounds/sec")
+	b.ReportMetric(float64(rounds), "rounds/op")
+	b.ReportMetric(float64(skipped), "skipped/op")
 }
 
 func BenchmarkMergeDirtyPages(b *testing.B) {

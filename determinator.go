@@ -63,11 +63,10 @@
 //   - internal/workload, internal/baseline, internal/bench — the paper's
 //     evaluation: benchmarks, comparison systems, experiment harness
 //
-// The pre-Session entry points (Run, Boot, NewSched, RecordTrace, …)
-// remain as thin wrappers. Unlike before, they validate their inputs:
-// values that used to be silently replaced by defaults (a negative
-// quantum, negative worker counts) now surface as typed errors
-// (*ConfigError, *SchedConfigError).
+// The pre-Session entry points (Run, Boot, NewSchedWith, RecordTrace, …)
+// remain as thin wrappers. They validate their inputs: a negative
+// quantum or worker count surfaces as a typed error (*ConfigError,
+// *SchedConfigError), never as a silently substituted default.
 package repro
 
 import (
@@ -223,40 +222,6 @@ func NewMachine(cfg MachineConfig) *Machine { return kernel.New(cfg) }
 // Session.Run, kept as a thin wrapper.
 func Run(opts Options, main func(rt *RT) uint64) RunResult { return core.Run(opts, main) }
 
-// NewRT attaches a private-workspace runtime to a root environment,
-// mapping the shared region (size 0 selects the default). A region that
-// cannot fit the address space panics with *ConfigError; NewRTWith is
-// the non-panicking, full-options form.
-func NewRT(env *Env, sharedSize uint64) *RT {
-	rt, err := NewRTWith(env, Options{SharedSize: sharedSize})
-	if err != nil {
-		panic(err)
-	}
-	return rt
-}
-
-// NewRTWith attaches a runtime honoring every runtime option — the
-// legacy NewRT accepted a size and silently ignored the rest of
-// core.Options. Invalid values return *ConfigError, including a
-// non-zero Options.Kernel: env's machine is already built, so machine
-// configuration here can only be a mistake (build the machine through
-// a Session or NewMachine instead).
-func NewRTWith(env *Env, opts Options) (*RT, error) {
-	if k := opts.Kernel; k.Nodes != 0 || k.CPUsPerNode != 0 || k.Cost != (CostModel{}) ||
-		k.Console != nil || k.Clock != nil || k.Rand != nil || k.DisableROCache ||
-		k.MergeWorkers != 0 {
-		return nil, &ConfigError{Field: "Kernel",
-			Reason: "machine configuration cannot apply to an already-built machine; use NewSession or NewMachine"}
-	}
-	if opts.SharedSize > maxSharedSize {
-		return nil, &ConfigError{Field: "SharedSize",
-			Reason: "region does not fit the address space above the shared base"}
-	}
-	rt := core.New(env, opts.SharedSize)
-	rt.SetTreeJoin(opts.TreeJoin)
-	return rt, nil
-}
-
 // NewRegistry returns an empty program registry for Boot.
 func NewRegistry() *Registry { return uproc.NewRegistry() }
 
@@ -265,24 +230,11 @@ func Boot(cfg BootConfig, entry string, args ...string) uproc.BootResult {
 	return uproc.Boot(cfg, entry, args...)
 }
 
-// NewSched creates a deterministic scheduler for legacy mutex/condvar
-// code in the master space managed by rt. Quantum 0 selects the default;
-// a negative quantum — which used to be silently replaced by the default
-// — panics with *SchedConfigError. NewSchedWith is the non-panicking
-// form and accepts the full SchedConfig, which this wrapper historically
-// dropped.
-func NewSched(rt *RT, quantum int64) *Sched {
-	s, err := NewSchedWith(rt, SchedConfig{Quantum: quantum})
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// NewSchedWith creates a deterministic scheduler from a full
-// configuration, validating it (typed *SchedConfigError).
+// NewSchedWith creates a deterministic scheduler for legacy
+// mutex/condvar code in the master space managed by rt. A zero Quantum
+// selects the default; invalid values are a typed *SchedConfigError.
 func NewSchedWith(rt *RT, cfg SchedConfig) (*Sched, error) {
-	return dsched.NewChecked(rt, cfg)
+	return dsched.New(rt, cfg)
 }
 
 // RecordTrace instruments cfg so all nondeterministic device inputs are

@@ -85,7 +85,10 @@ func TestFacadeBootProcessTree(t *testing.T) {
 
 func TestFacadeDeterministicScheduler(t *testing.T) {
 	res := Run(Options{Kernel: MachineConfig{CPUsPerNode: 2}}, func(rt *RT) uint64 {
-		s := NewSched(rt, 1000)
+		s, err := NewSchedWith(rt, SchedConfig{Quantum: 1000})
+		if err != nil {
+			panic(err)
+		}
 		mu := s.NewMutex()
 		counter := rt.Alloc(4, 4)
 		if err := s.Run(3, func(th *SchedThread) {

@@ -41,7 +41,11 @@ func main() {
 func run() []uint32 {
 	var got []uint32
 	res := repro.Run(repro.Options{Kernel: repro.MachineConfig{CPUsPerNode: 4}}, func(rt *repro.RT) uint64 {
-		s := repro.NewSched(rt, 2_000) // small quantum: plenty of preemption
+		// Small quantum: plenty of preemption.
+		s, err := repro.NewSchedWith(rt, repro.SchedConfig{Quantum: 2_000})
+		if err != nil {
+			panic(err)
+		}
 		mu := s.NewMutex()
 		env := rt.Env()
 

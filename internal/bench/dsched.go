@@ -10,9 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-// DschedEngine measures the deterministic scheduler's round engine
-// against the pre-engine loop (from-scratch snapshots every quantum, no
-// epoch skipping) across a threads × quantum sweep on two shapes:
+// schedRun executes one scheduler workload under cfg and returns its
+// checksum, scheduler stats, final virtual time and wall clock.
+type schedRun func(cfg dsched.Config) (uint64, dsched.Stats, int64, time.Duration)
+
+// DschedEngine measures the deterministic scheduler's round engine across
+// a threads × quantum sweep on two shapes:
 //
 //   - blackscholes: the paper's §6.2 compute workload, read-mostly
 //     within a quantum, so small quanta produce many skippable resyncs;
@@ -20,150 +23,79 @@ import (
 //     one mutex, the holder scanning shared memory for many quanta —
 //     where the scheduler is essentially the whole cost.
 //
-// Checksums and round counts are asserted identical between the two
-// engines on every row; the wall and VT columns are what changed.
+// Every column but the wall time is deterministic and must repeat
+// exactly, run to run and PR to PR.
 func DschedEngine(o Options) Table {
 	type row struct {
 		name    string
 		threads int
 		quantum int64
-		run     func(cfg dsched.Config, byteKernel bool) (uint64, dsched.Stats, int64, time.Duration)
+		run     schedRun
 	}
 	bsSize := 1 << 13
 	scanPages := 96
+	// A realistically sized shared region for lockscan (the core default
+	// is 64 MiB), so per-table resync accounting has tables to skip.
+	scanShared := uint64(64 << 20)
 	if o.Quick {
 		bsSize = 1 << 10
 		scanPages = 24
+		scanShared = 16 << 20
 	}
-	runBS := func(threads int, size int) func(cfg dsched.Config, byteKernel bool) (uint64, dsched.Stats, int64, time.Duration) {
+	runBS := func(threads int) schedRun {
 		spec, _ := workload.Lookup("blackscholes")
-		return func(cfg dsched.Config, byteKernel bool) (uint64, dsched.Stats, int64, time.Duration) {
+		return func(cfg dsched.Config) (uint64, dsched.Stats, int64, time.Duration) {
 			return runSched(func(rt *coreRT) (uint64, dsched.Stats) {
-				return workload.BlackscholesSched(rt, threads, size, cfg)
-			}, threads, spec.SharedBytes(size), byteKernel)
+				return workload.BlackscholesSched(rt, threads, bsSize, cfg)
+			}, threads, spec.SharedBytes(bsSize))
 		}
 	}
-	runScan := func(threads, pages int) func(cfg dsched.Config, byteKernel bool) (uint64, dsched.Stats, int64, time.Duration) {
-		return func(cfg dsched.Config, byteKernel bool) (uint64, dsched.Stats, int64, time.Duration) {
-			// A realistically sized shared region (the core default is
-			// 64 MiB): the legacy loop's from-scratch snapshots pay per
-			// mapped table, which is the overhead the engine removes.
-			shared := uint64(64 << 20)
-			if o.Quick {
-				shared = 16 << 20
-			}
+	runScan := func(threads int) schedRun {
+		return func(cfg dsched.Config) (uint64, dsched.Stats, int64, time.Duration) {
 			return runSched(func(rt *coreRT) (uint64, dsched.Stats) {
-				return workload.LockScan(rt, threads, pages, cfg)
-			}, threads, shared, byteKernel)
+				return workload.LockScan(rt, threads, scanPages, cfg)
+			}, threads, scanShared)
 		}
 	}
 	var rows []row
 	for _, th := range []int{2, 4, 8} {
 		for _, q := range []int64{5_000, 50_000} {
-			rows = append(rows, row{"blackscholes", th, q, runBS(th, bsSize)})
+			rows = append(rows, row{"blackscholes", th, q, runBS(th)})
 		}
 	}
 	for _, th := range []int{2, 4, 8} {
 		for _, q := range []int64{2_000, 8_000} {
-			rows = append(rows, row{"lockscan", th, q, runScan(th, scanPages)})
+			rows = append(rows, row{"lockscan", th, q, runScan(th)})
 		}
 	}
 
 	t := Table{
 		ID:    "dsched",
-		Title: "dsched round engine vs pre-engine loop (threads × quantum)",
+		Title: "dsched round engine (threads × quantum)",
 		Header: []string{"workload", "threads", "quantum", "rounds", "skipped",
-			"t-resync", "t-skip", "adopted", "compared", "legacy", "engine",
-			"speedup", "vt-legacy", "vt-engine"},
+			"t-resync", "t-skip", "adopted", "compared", "engine", "vt-engine"},
 	}
 	for _, r := range rows {
-		legacyVal, legacySt, legacyVT, legacyWall := best(r.run, dsched.Config{Quantum: r.quantum, FullResync: true}, false)
-		engineVal, st, engineVT, engineWall := best(r.run, dsched.Config{Quantum: r.quantum}, false)
-		if legacyVal != engineVal {
-			panic(fmt.Sprintf("bench: dsched %s t=%d q=%d: engine checksum %#x != legacy %#x",
-				r.name, r.threads, r.quantum, engineVal, legacyVal))
-		}
-		if legacySt.Rounds != st.Rounds || legacySt.ThreadQuanta != st.ThreadQuanta {
-			panic(fmt.Sprintf("bench: dsched %s t=%d q=%d: engine schedule %d/%d != legacy %d/%d",
-				r.name, r.threads, r.quantum, st.Rounds, st.ThreadQuanta,
-				legacySt.Rounds, legacySt.ThreadQuanta))
-		}
-		// Every merge-kernel × epoch-granularity combination must reproduce
-		// the engine's results bit for bit — checksum, VT, schedule, merge
-		// stats. Only the resync-table telemetry may move with granularity,
-		// and the per-table epochs must account for the same table
-		// population while re-copying no more tables than whole-region
-		// epochs do (strictly fewer on the read-mostly lockscan rows, whose
-		// commits touch a handful of the region's tables).
-		combos := []struct {
-			name       string
-			gran       dsched.EpochGranularity
-			byteKernel bool
-		}{
-			{"region", dsched.EpochRegion, false},
-			{"byteKernel", dsched.EpochTable, true},
-			{"byteKernelRegion", dsched.EpochRegion, true},
-		}
-		for _, cb := range combos {
-			v, s, vt, _ := best(r.run, dsched.Config{Quantum: r.quantum, Granularity: cb.gran}, cb.byteKernel)
-			if v != engineVal || vt != engineVT || s.Rounds != st.Rounds ||
-				s.ThreadQuanta != st.ThreadQuanta || s.Merge != st.Merge {
-				panic(fmt.Sprintf("bench: dsched %s t=%d q=%d combo %s: results diverged: %#x/%d vs %#x/%d",
-					r.name, r.threads, r.quantum, cb.name, v, vt, engineVal, engineVT))
-			}
-			if cb.gran == dsched.EpochRegion {
-				if s.TablesResynced+s.TablesSkipped != st.TablesResynced+st.TablesSkipped {
-					panic(fmt.Sprintf("bench: dsched %s t=%d q=%d combo %s: table accounting %d+%d != %d+%d",
-						r.name, r.threads, r.quantum, cb.name,
-						s.TablesResynced, s.TablesSkipped, st.TablesResynced, st.TablesSkipped))
-				}
-				if st.TablesResynced > s.TablesResynced {
-					panic(fmt.Sprintf("bench: dsched %s t=%d q=%d: per-table epochs resynced %d tables, region %d",
-						r.name, r.threads, r.quantum, st.TablesResynced, s.TablesResynced))
-				}
-				if r.name == "lockscan" && !cb.byteKernel && st.TablesResynced >= s.TablesResynced {
-					panic(fmt.Sprintf("bench: dsched lockscan t=%d q=%d: per-table epochs resynced %d tables, not strictly below region's %d",
-						r.threads, r.quantum, st.TablesResynced, s.TablesResynced))
-				}
-			} else if s.TablesResynced != st.TablesResynced || s.TablesSkipped != st.TablesSkipped {
-				panic(fmt.Sprintf("bench: dsched %s t=%d q=%d combo %s: kernel changed resync telemetry %d/%d vs %d/%d",
-					r.name, r.threads, r.quantum, cb.name,
-					s.TablesResynced, s.TablesSkipped, st.TablesResynced, st.TablesSkipped))
-			}
-		}
+		st, vt, wall := best(r.run, dsched.Config{Quantum: r.quantum})
 		t.AddRow(r.name, iv(int64(r.threads)), iv(r.quantum),
 			iv(st.Rounds), iv(st.SyncSkipped),
 			iv(st.TablesResynced), iv(st.TablesSkipped),
 			iv(int64(st.Merge.PagesAdopted)), iv(int64(st.Merge.PagesCompared)),
-			ms(legacyWall.Seconds()*1000), ms(engineWall.Seconds()*1000),
-			f2(legacyWall.Seconds()/engineWall.Seconds()),
-			mi(legacyVT), mi(engineVT))
+			ms(wall.Seconds()*1000), mi(vt))
 	}
-	t.Note("legacy re-copies and re-snapshots every runnable thread from scratch each round;")
-	t.Note("the engine waits concurrently, resnapshots incrementally and epoch-skips clean resyncs.")
-	t.Note("checksums and round counts are verified identical per row; skipped counts bare restarts.")
-	t.Note("t-resync/t-skip count shared-region tables re-copied vs skipped by per-table sync epochs;")
-	t.Note("whole-region epochs, and both merge kernels at either granularity, are re-run per row and")
-	t.Note("must reproduce checksum, VT and schedule exactly, with per-table epochs re-copying no")
-	t.Note("more (on lockscan strictly fewer) tables over the same accounted population.")
+	t.Note("the engine waits for a round's threads concurrently, resnapshots incrementally and")
+	t.Note("epoch-skips clean resyncs; skipped counts bare restarts. t-resync/t-skip count")
+	t.Note("shared-region tables re-copied vs skipped by per-table sync epochs. engine is the best")
+	t.Note("wall of three runs whose checksum, stats and VT are verified identical.")
 	return t
 }
 
-// best reruns one configuration a few times and keeps the fastest wall
-// time (the deterministic outputs are identical by construction).
-func best(run func(cfg dsched.Config, byteKernel bool) (uint64, dsched.Stats, int64, time.Duration),
-	cfg dsched.Config, byteKernel bool) (uint64, dsched.Stats, int64, time.Duration) {
-	const reps = 3
-	var val uint64
-	var st dsched.Stats
-	var vt int64
-	var wall time.Duration
-	for i := 0; i < reps; i++ {
-		v, s, t, w := run(cfg, byteKernel)
-		if i == 0 {
-			val, st, vt, wall = v, s, t, w
-			continue
-		}
+// best runs one configuration three times and keeps the fastest wall
+// time; the deterministic outputs must be identical across repetitions.
+func best(run schedRun, cfg dsched.Config) (dsched.Stats, int64, time.Duration) {
+	val, st, vt, wall := run(cfg)
+	for i := 1; i < 3; i++ {
+		v, s, t, w := run(cfg)
 		if v != val || s != st || t != vt {
 			panic("bench: dsched run not deterministic across repetitions")
 		}
@@ -171,18 +103,18 @@ func best(run func(cfg dsched.Config, byteKernel bool) (uint64, dsched.Stats, in
 			wall = w
 		}
 	}
-	return val, st, vt, wall
+	return st, vt, wall
 }
 
 // runSched executes one scheduler workload on a fresh machine, returning
 // checksum, scheduler stats, final virtual time and wall clock.
 func runSched(fn func(rt *coreRT) (uint64, dsched.Stats), threads int,
-	shared uint64, byteKernel bool) (uint64, dsched.Stats, int64, time.Duration) {
+	shared uint64) (uint64, dsched.Stats, int64, time.Duration) {
 	var value uint64
 	var stats dsched.Stats
 	start := time.Now()
 	res := core.Run(core.Options{
-		Kernel:     kernel.Config{CPUsPerNode: threads, MergeByteKernel: byteKernel},
+		Kernel:     kernel.Config{CPUsPerNode: threads},
 		SharedSize: shared,
 	}, func(rt *core.RT) uint64 {
 		value, stats = fn(rt)

@@ -10,7 +10,7 @@ import (
 
 // MergeEngine measures the parallel merge engine directly at the vm layer:
 // join throughput versus dirty fraction and thread count, serial versus
-// parallel workers, plus the pte-scan reduction from dirty-page tracking.
+// parallel workers, plus the pte scan dirty-page tracking leaves.
 // Two workload shapes bracket the join cost space:
 //
 //   - adopt: only the children write, so every dirtied page is adopted by
@@ -43,42 +43,29 @@ func MergeEngine(o Options) Table {
 		Title: fmt.Sprintf("merge engine: serial vs %d-worker parallel join (%d-page region)",
 			workers, pages),
 		Header: []string{"scenario", "threads", "dirty", "serial", "parallel", "speedup",
-			"gbps", "kern-x", "scan-full", "scan-dirty", "adopted", "compared"},
+			"gbps", "scan-dirty", "adopted", "compared"},
 	}
 	for _, scenario := range []string{"adopt", "compare"} {
 		for _, threads := range threadSteps {
 			for _, frac := range dirtyFracs {
 				r := measureMerge(pages, threads, frac, scenario == "compare", workers)
-				gbps, kernX := "-", "-"
-				if r.kernCompared > 0 {
-					gbps = f2(float64(r.kernCompared) * vm.PageSize / r.wordKernel.Seconds() / 1e9)
-					ratio := r.byteKernel.Seconds() / r.wordKernel.Seconds()
-					kernX = f2(ratio)
-					if scenario == "compare" && frac == 1.0 && ratio < 2.0 {
-						// Regression guard: the word-masked kernel must hold
-						// at least a 2x single-threaded throughput win over
-						// the per-byte oracle on the compare-heavy rows.
-						panic(fmt.Sprintf(
-							"bench: word merge kernel only %.2fx the byte kernel on compare threads=%d dirty=%.0f%% (want >= 2x)",
-							ratio, threads, 100*frac))
-					}
+				gbps := "-"
+				if r.steadyCompared > 0 {
+					gbps = f2(float64(r.steadyCompared) * vm.PageSize / r.steady.Seconds() / 1e9)
 				}
 				t.AddRow(scenario, iv(int64(threads)), pct(frac),
 					ms(r.serial.Seconds()*1000), ms(r.parallel.Seconds()*1000),
-					f2(r.serial.Seconds()/r.parallel.Seconds()), gbps, kernX,
-					iv(int64(r.scanFull)), iv(int64(r.scanDirty)),
-					iv(int64(r.adopted)), iv(int64(r.compared)))
+					f2(r.serial.Seconds()/r.parallel.Seconds()), gbps,
+					iv(int64(r.scanDirty)), iv(int64(r.adopted)), iv(int64(r.compared)))
 			}
 		}
 	}
-	t.Note("serial/parallel join the same %d children; dirty tracking cuts scan-full to scan-dirty;", threadSteps[len(threadSteps)-1])
+	t.Note("serial/parallel join the same %d children; scan-dirty is the ptes the dirty-guided walk examines;", threadSteps[len(threadSteps)-1])
 	t.Note("compare rows byte-compare every dirty page (parent touched), adopt rows move ptes only.")
-	t.Note("gbps/kern-x time the page-compare slow path itself — a steady-state re-join against an")
+	t.Note("gbps times the page-compare slow path itself — a steady-state re-join against an")
 	t.Note("already-owned destination, the master's situation after round one, so the one-time COW")
-	t.Note("breaks of the first join do not mask the kernels. gbps is compared bytes per second")
-	t.Note("through the word-masked kernel; kern-x its speedup over the per-byte reference kernel,")
-	t.Note("asserted >= 2x on full-dirty compare rows. wall columns are host measurements; merged")
-	t.Note("bytes, stats and conflicts are identical throughout.")
+	t.Note("breaks of the first join do not mask the kernel: compared bytes per second. wall columns")
+	t.Note("are host measurements; merged bytes, stats and conflicts are identical throughout.")
 	return t
 }
 
@@ -156,11 +143,7 @@ func (w *MergeWorkload) JoinAll(cfg vm.MergeConfig) (vm.MergeStats, time.Duratio
 		if err != nil {
 			panic(err)
 		}
-		total.TablesAdopted += st.TablesAdopted
-		total.PagesAdopted += st.PagesAdopted
-		total.PagesCompared += st.PagesCompared
-		total.BytesMerged += st.BytesMerged
-		total.PtesScanned += st.PtesScanned
+		total.Add(st)
 	}
 	wall := time.Since(start)
 	dst.Free()
@@ -177,75 +160,59 @@ func (w *MergeWorkload) Free() {
 }
 
 type mergeMeasurement struct {
-	serial, parallel       time.Duration
-	wordKernel, byteKernel time.Duration // steady-state slow-path joins per kernel
-	scanFull, scanDirty    int
-	adopted, compared      int
-	kernCompared           int // pages the steady-state join byte-compares
+	serial, parallel time.Duration
+	steady           time.Duration // best steady-state slow-path join
+	scanDirty        int
+	adopted          int
+	compared         int
+	steadyCompared   int // pages the steady-state join byte-compares
 }
 
-// KernelDuel times the page-compare slow path itself under both merge
-// kernels. The children are first merged once into a persistent copy of
-// the parent to break its COW sharing (and convert pointer-adopted pages
-// into diverged ones), then re-merged with each kernel against the now
-// privately-owned destination — the dsched master's steady state after
-// round one. Re-merges use last-writer-wins because the destination
-// already holds the childrens' bytes, which strict mode would report as
-// conflicts against the snapshot. Both kernels must produce identical
-// stats; the walls and the per-join compared-page count are returned.
-func (w *MergeWorkload) KernelDuel(reps int) (word, byt time.Duration, compared int) {
+// steadyJoin times the page-compare slow path itself. The children are
+// first merged into a persistent copy of the parent to break its COW
+// sharing (and convert pointer-adopted pages into diverged ones), then
+// re-merged against the now privately-owned destination — the dsched
+// master's steady state after round one. Re-merges use last-writer-wins
+// because the destination already holds the childrens' bytes, which
+// strict mode would report as conflicts against the snapshot. The best
+// wall of reps joins and the per-join compared-page count are returned.
+func (w *MergeWorkload) steadyJoin(reps int) (best time.Duration, compared int) {
 	dst := vm.NewSpace()
 	dst.CopyAllFrom(w.Parent)
 	defer dst.Free()
-	join := func(cfg vm.MergeConfig) (vm.MergeStats, time.Duration) {
-		cfg.Mode = vm.MergeLastWriter
-		var total vm.MergeStats
+	join := func() (int, time.Duration) {
+		pages := 0
 		start := time.Now()
 		for c := range w.Children {
-			st, err := vm.MergeEx(dst, w.Children[c], w.Snaps[c], 0, w.Span, cfg)
+			st, err := vm.MergeEx(dst, w.Children[c], w.Snaps[c], 0, w.Span,
+				vm.MergeConfig{Mode: vm.MergeLastWriter})
 			if err != nil {
 				panic(err)
 			}
-			total.PagesCompared += st.PagesCompared
-			total.BytesMerged += st.BytesMerged
+			pages += st.PagesCompared
 		}
-		return total, time.Since(start)
+		return pages, time.Since(start)
 	}
-	join(vm.MergeConfig{}) // warm: break COW, un-adopt, own every page
-	join(vm.MergeConfig{}) // warm: re-break pages the un-adopt re-shared
+	join() // warm: break COW, un-adopt, own every page
+	join() // warm: re-break pages the un-adopt re-shared
 	for r := 0; r < reps; r++ {
-		wordSt, wordWall := join(vm.MergeConfig{})
-		byteSt, byteWall := join(vm.MergeConfig{ByteKernel: true})
-		if wordSt != byteSt {
-			panic(fmt.Sprintf("bench: merge kernels disagree on stats: word %+v byte %+v", wordSt, byteSt))
+		var wall time.Duration
+		compared, wall = join()
+		if r == 0 || wall < best {
+			best = wall
 		}
-		if r == 0 || wordWall < word {
-			word = wordWall
-		}
-		if r == 0 || byteWall < byt {
-			byt = byteWall
-		}
-		compared = wordSt.PagesCompared
 	}
-	return word, byt, compared
+	return best, compared
 }
 
 func measureMerge(pages, threads int, frac float64, parentDirty bool, workers int) mergeMeasurement {
 	w := BuildMergeWorkload(pages, threads, frac, parentDirty)
 	defer w.Free()
 	var m mergeMeasurement
-	// The full-scan join exists only for its deterministic PtesScanned
-	// counter; one untimed run suffices.
-	full, _ := w.JoinAll(vm.MergeConfig{NoDirtyHints: true})
-	m.scanFull = full.PtesScanned
 	const reps = 3
 	for r := 0; r < reps; r++ {
 		st, serial := w.JoinAll(vm.MergeConfig{})
-		byteSt, _ := w.JoinAll(vm.MergeConfig{ByteKernel: true})
 		_, parallel := w.JoinAll(vm.MergeConfig{Workers: workers})
-		if st != byteSt {
-			panic(fmt.Sprintf("bench: merge kernels disagree on stats: word %+v byte %+v", st, byteSt))
-		}
 		if r == 0 || serial < m.serial {
 			m.serial = serial
 		}
@@ -256,6 +223,6 @@ func measureMerge(pages, threads int, frac float64, parentDirty bool, workers in
 		m.adopted = st.PagesAdopted
 		m.compared = st.PagesCompared
 	}
-	m.wordKernel, m.byteKernel, m.kernCompared = w.KernelDuel(reps)
+	m.steady, m.steadyCompared = w.steadyJoin(reps)
 	return m
 }

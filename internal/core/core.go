@@ -78,13 +78,13 @@ type Thread struct {
 type ThreadFunc func(t *Thread) uint64
 
 // New initializes a runtime for env's space, mapping the shared region.
-// size is rounded up to a 4 MiB multiple; 0 selects DefaultSharedSize.
+// size is rounded up to a whole number of level-1 tables (4 MiB); 0
+// selects DefaultSharedSize.
 func New(env *kernel.Env, size uint64) *RT {
 	if size == 0 {
 		size = DefaultSharedSize
 	}
-	const chunk = 4 << 20
-	size = (size + chunk - 1) / chunk * chunk
+	size = (size + vm.TableSpan - 1) / vm.TableSpan * vm.TableSpan
 	env.SetPerm(SharedBase, size, vm.PermRW)
 	return &RT{env: env, base: SharedBase, size: size, next: SharedBase}
 }

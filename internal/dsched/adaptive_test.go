@@ -25,7 +25,7 @@ func runAdaptiveWorkload(t *testing.T, adaptive bool) (uint64, Stats, int64, []R
 	res := core.Run(core.Options{
 		Kernel: kernel.Config{CPUsPerNode: n},
 	}, func(rt *core.RT) uint64 {
-		s := New(rt, Config{
+		s := mustNew(rt, Config{
 			Quantum:         700,
 			AdaptiveQuantum: adaptive,
 			OnRound:         func(rs RoundStats) { perRound = append(perRound, rs) },

@@ -83,25 +83,6 @@ const (
 	offOwner = 8 // owning thread id; written only by the master
 )
 
-// EpochGranularity selects how precisely commit epochs track changes to
-// the master's shared region.
-type EpochGranularity int
-
-const (
-	// EpochTable keeps one epoch per 4 MiB level-1 table (the default):
-	// a commit bumps only the tables it actually changed — derived from
-	// the merge's deterministic touched-table bits — so a resuming
-	// thread re-copies only those tables, through the kernel's
-	// whole-table COW fast path.
-	EpochTable EpochGranularity = iota
-	// EpochRegion keeps a single epoch for the whole shared region: any
-	// commit invalidates every thread's sync state and a resync re-copies
-	// the full region. This is the pre-table behavior, kept as the
-	// ablation baseline; results, including virtual times, are identical
-	// to EpochTable — only the host copy work differs.
-	EpochRegion
-)
-
 // Config tunes the scheduler.
 type Config struct {
 	// Quantum is the instruction limit per scheduling round. The paper's
@@ -130,21 +111,6 @@ type Config struct {
 	// bits of race-free (mutex-protected) programs do not: only the
 	// schedule moves, never the synchronization order's outcome.
 	AdaptiveQuantum bool
-	// DisableEpochSkip turns off epoch-skipped resynchronization: every
-	// runnable thread is re-copied and re-snapshotted each round even
-	// when the engine can prove both are no-ops. Results — including
-	// virtual times — are identical; the flag exists for the invariance
-	// tests and as an ablation.
-	DisableEpochSkip bool
-	// Granularity selects per-table or whole-region commit epochs; see
-	// EpochGranularity. The zero value is EpochTable.
-	Granularity EpochGranularity
-	// FullResync reproduces the pre-engine round loop: every resync
-	// rebuilds the thread's snapshot from scratch (PutOpts.SnapFresh) and
-	// epoch skipping is disabled. Checksums and schedules are identical;
-	// virtual time and host work are not (that overhead is the point).
-	// Kept as the benchmark baseline for the round engine.
-	FullResync bool
 	// OnRound, if non-nil, receives every completed round's statistics.
 	OnRound func(RoundStats)
 }
@@ -169,8 +135,8 @@ type RoundStats struct {
 	// TablesResynced counts the 4 MiB shared-region tables re-copied
 	// into resuming threads this round; TablesSkipped counts the tables
 	// the per-table epoch proof showed current, so their copies were
-	// never issued. A full (dirty or skip-disabled) resync counts every
-	// region table as resynced.
+	// never issued. A full resync (the thread's replica was dirty) counts
+	// every region table as resynced.
 	TablesResynced int
 	TablesSkipped  int
 	// Merge totals the reconciliation work of this round's collections.
@@ -249,11 +215,15 @@ type Sched struct {
 	// byte- and pointer-identical between master and that thread's
 	// replica (the merge's touched-table bits are deterministic and any
 	// divergence marks the table), so a resync need only copy the tables
-	// whose epoch passed the thread's. Under EpochRegion every commit
-	// stamps every table, collapsing this back to the scalar behavior.
+	// whose epoch passed the thread's.
 	tableEpochs []uint64
 	// epochLo is the level-1 index of the shared region's first table.
 	epochLo int
+
+	// noSkip is the package's one test seam: it forces the full resync
+	// every round, so the invariance tests can show that skipping changes
+	// no result and no virtual time. Nothing outside _test.go sets it.
+	noSkip bool
 }
 
 // Thread is the handle application thread code receives. Synchronization
@@ -268,29 +238,26 @@ type Thread struct {
 // Env exposes the thread's kernel environment.
 func (t *Thread) Env() *kernel.Env { return t.env }
 
-// New creates a scheduler in the master space managed by rt.
-func New(rt *core.RT, cfg Config) *Sched {
+// New creates a scheduler in the master space managed by rt. A zero
+// Quantum selects DefaultQuantum; an invalid cfg is a *BadConfigError.
+//
+// Every core.RT's shared region is a whole number of level-1 tables
+// (core.New rounds to it, core.Attach rejects anything else), which is
+// what lets a partial resync be a list of table-aligned copies.
+func New(rt *core.RT, cfg Config) (*Sched, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	q := cfg.Quantum
-	if q <= 0 {
+	if q == 0 {
 		q = DefaultQuantum
 	}
-	if cfg.FullResync {
-		cfg.DisableEpochSkip = true
-	}
 	base, size := rt.SharedRange()
-	if uint64(base)%vm.TableSpan != 0 || size%vm.TableSpan != 0 {
-		// Partial resyncs rely on table-aligned copies (the kernel's
-		// whole-table COW fast path, which charges only pointer-different
-		// tables). An unaligned region cannot use them; fall back to
-		// whole-region epochs, which copy exactly as the scalar-epoch
-		// engine did.
-		cfg.Granularity = EpochRegion
-	}
 	return &Sched{
 		rt: rt, env: rt.Env(), cfg: cfg, quantum: q, scale: 1, commitEpoch: 1,
-		tableEpochs: make([]uint64, (size+vm.TableSpan-1)/vm.TableSpan),
+		tableEpochs: make([]uint64, size/vm.TableSpan),
 		epochLo:     vm.TableOf(base),
-	}
+	}, nil
 }
 
 // NewMutex creates a mutex, initially unlocked and owned by thread 0.
@@ -346,12 +313,11 @@ func (s *Sched) Run(n int, body func(t *Thread)) error {
 			body(&Thread{ID: i, env: env, mus: mus})
 		}
 		if err := s.env.Put(s.ref(i), kernel.PutOpts{
-			Regs:      &kernel.Regs{Entry: entry, Arg: uint64(i)},
-			Copy:      &kernel.CopyRange{Src: base, Dst: base, Size: size},
-			Snap:      true,
-			SnapFresh: s.cfg.FullResync,
-			Start:     true,
-			Limit:     s.quantum,
+			Regs:  &kernel.Regs{Entry: entry, Arg: uint64(i)},
+			Copy:  &kernel.CopyRange{Src: base, Dst: base, Size: size},
+			Snap:  true,
+			Start: true,
+			Limit: s.quantum,
 		}); err != nil {
 			return err
 		}
@@ -388,12 +354,11 @@ func (s *Sched) Run(n int, body func(t *Thread)) error {
 func (s *Sched) ref(id int) uint64 { return uint64(id + 1) }
 
 // bumpTouched advances the commit epoch for a merge commit, stamping the
-// region tables the merge's deterministic touched bits say it changed
-// (every table under EpochRegion).
+// region tables the merge's deterministic touched bits say it changed.
 func (s *Sched) bumpTouched(tb *vm.TableBits) {
 	s.commitEpoch++
 	for i := range s.tableEpochs {
-		if s.cfg.Granularity == EpochRegion || tb.Test(s.epochLo+i) {
+		if tb.Test(s.epochLo + i) {
 			s.tableEpochs[i] = s.commitEpoch
 		}
 	}
@@ -401,16 +366,11 @@ func (s *Sched) bumpTouched(tb *vm.TableBits) {
 
 // bumpAddrs advances the commit epoch for a master write to the given
 // shared-memory addresses (mutex hand-off words), stamping the tables
-// containing them (every table under EpochRegion).
+// containing them.
 func (s *Sched) bumpAddrs(addrs ...vm.Addr) {
 	s.commitEpoch++
 	for _, a := range addrs {
 		if i := vm.TableOf(a) - s.epochLo; i >= 0 && i < len(s.tableEpochs) {
-			s.tableEpochs[i] = s.commitEpoch
-		}
-	}
-	if s.cfg.Granularity == EpochRegion {
-		for i := range s.tableEpochs {
 			s.tableEpochs[i] = s.commitEpoch
 		}
 	}
@@ -460,14 +420,13 @@ func (s *Sched) round() error {
 		}
 		opts := kernel.PutOpts{Start: true, Limit: limit}
 		regionTables := len(s.tableEpochs)
-		if s.cfg.DisableEpochSkip || t.dirty {
-			// The replica diverged from its own snapshot (or skipping is
-			// disabled): re-copy the whole shared region and refresh the
-			// snapshot. Both operations do — and charge — work only
-			// proportional to the tables that actually diverged.
+		if t.dirty || s.noSkip {
+			// The replica diverged from its own snapshot: re-copy the
+			// whole shared region and refresh the snapshot. Both
+			// operations do — and charge — work only proportional to the
+			// tables that actually diverged.
 			opts.Copy = &kernel.CopyRange{Src: base, Dst: base, Size: size}
 			opts.Snap = true
-			opts.SnapFresh = s.cfg.FullResync
 			rs.TablesResynced += regionTables
 			t.syncEpoch = s.commitEpoch
 			t.dirty = false
@@ -518,8 +477,7 @@ type staleSet struct {
 }
 
 // staleRuns computes the stale set for a thread last synchronized at
-// syncEpoch. Only called with table-aligned regions (New falls back to
-// EpochRegion otherwise, and region mode resyncs stale sets whole).
+// syncEpoch.
 func (s *Sched) staleRuns(syncEpoch uint64, base vm.Addr) staleSet {
 	var out staleSet
 	lo := -1

@@ -15,7 +15,7 @@ func TestMutexProtectsCounter(t *testing.T) {
 	// Deterministic scheduling must produce exactly n*k.
 	const n, k = 4, 25
 	res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: 4}}, func(rt *core.RT) uint64 {
-		s := New(rt, Config{Quantum: 1000})
+		s := mustNew(rt, Config{Quantum: 1000})
 		counter := rt.Alloc(4, 4)
 		mu := s.NewMutex()
 		rt.Env().WriteU32(counter, 0)
@@ -47,7 +47,7 @@ func TestSchedulingIsDeterministic(t *testing.T) {
 	prog := func() (uint64, int64) {
 		var rounds int64
 		res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: 4}}, func(rt *core.RT) uint64 {
-			s := New(rt, Config{Quantum: 500})
+			s := mustNew(rt, Config{Quantum: 500})
 			slots := rt.Alloc(8*8, 8)
 			mu := s.NewMutex()
 			seq := rt.Alloc(8, 8)
@@ -93,7 +93,7 @@ func TestOwnerFastPathNeedsNoScheduler(t *testing.T) {
 	// A single thread locking and unlocking its own mutex repeatedly
 	// should finish in very few rounds: the owner fast path never traps.
 	res := core.Run(core.Options{}, func(rt *core.RT) uint64 {
-		s := New(rt, Config{Quantum: 100_000})
+		s := mustNew(rt, Config{Quantum: 100_000})
 		mu := s.NewMutex()
 		x := rt.Alloc(4, 4)
 		if err := s.Run(1, func(th *Thread) {
@@ -120,7 +120,7 @@ func TestOwnerFastPathNeedsNoScheduler(t *testing.T) {
 func TestCondVarHandshake(t *testing.T) {
 	const items = 5
 	res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: 2}}, func(rt *core.RT) uint64 {
-		s := New(rt, Config{Quantum: 2000})
+		s := mustNew(rt, Config{Quantum: 2000})
 		mu := s.NewMutex()
 		cvFull := s.NewCond()
 		cvEmpty := s.NewCond()
@@ -169,7 +169,7 @@ func TestCondVarHandshake(t *testing.T) {
 func TestBarrierSynchronizesPhases(t *testing.T) {
 	const n = 4
 	res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: 4}}, func(rt *core.RT) uint64 {
-		s := New(rt, Config{Quantum: 5000})
+		s := mustNew(rt, Config{Quantum: 5000})
 		b := s.NewBarrier(n)
 		arr := rt.Alloc(4*n, 4)
 		ok := rt.Alloc(4, 4)
@@ -202,7 +202,7 @@ func TestRacyWritesAreRepeatableNotConflicting(t *testing.T) {
 	// (arbitrary) winner must be identical across runs (§4.5).
 	prog := func() uint64 {
 		res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: 2}}, func(rt *core.RT) uint64 {
-			s := New(rt, Config{Quantum: 300})
+			s := mustNew(rt, Config{Quantum: 300})
 			x := rt.Alloc(8, 8)
 			if err := s.Run(2, func(th *Thread) {
 				for i := 0; i < 10; i++ {
@@ -229,7 +229,7 @@ func TestRacyWritesAreRepeatableNotConflicting(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: 2}}, func(rt *core.RT) uint64 {
-		s := New(rt, Config{Quantum: 1000})
+		s := mustNew(rt, Config{Quantum: 1000})
 		a := s.NewMutex()
 		b := s.NewMutex()
 		err := s.Run(2, func(th *Thread) {
@@ -262,7 +262,7 @@ func errString(err error) string {
 
 func TestUnlockWithoutOwnershipPanics(t *testing.T) {
 	res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: 2}}, func(rt *core.RT) uint64 {
-		s := New(rt, Config{Quantum: 1000})
+		s := mustNew(rt, Config{Quantum: 1000})
 		mu := s.NewMutex()
 		err := s.Run(2, func(th *Thread) {
 			if th.ID == 1 {
@@ -281,7 +281,7 @@ func TestUnlockWithoutOwnershipPanics(t *testing.T) {
 
 func TestCrashingThreadReported(t *testing.T) {
 	res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: 2}}, func(rt *core.RT) uint64 {
-		s := New(rt, Config{Quantum: 1000})
+		s := mustNew(rt, Config{Quantum: 1000})
 		err := s.Run(2, func(th *Thread) {
 			if th.ID == 1 {
 				panic("thread bug")
@@ -301,7 +301,7 @@ func TestSmallerQuantumMoreRounds(t *testing.T) {
 	rounds := func(q int64) int64 {
 		var r int64
 		res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: 2}}, func(rt *core.RT) uint64 {
-			s := New(rt, Config{Quantum: q})
+			s := mustNew(rt, Config{Quantum: q})
 			if err := s.Run(2, func(th *Thread) {
 				th.Env().Tick(10_000)
 			}); err != nil {

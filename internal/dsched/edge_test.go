@@ -12,7 +12,7 @@ import (
 
 func TestBroadcastWakesAllWaiters(t *testing.T) {
 	res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: 4}}, func(rt *core.RT) uint64 {
-		s := New(rt, Config{Quantum: 2000})
+		s := mustNew(rt, Config{Quantum: 2000})
 		mu := s.NewMutex()
 		cv := s.NewCond()
 		ready := rt.Alloc(8, 8)
@@ -52,7 +52,7 @@ func TestBroadcastWakesAllWaiters(t *testing.T) {
 
 func TestSignalWithNoWaitersIsNoOp(t *testing.T) {
 	res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: 2}}, func(rt *core.RT) uint64 {
-		s := New(rt, Config{Quantum: 2000})
+		s := mustNew(rt, Config{Quantum: 2000})
 		cv := s.NewCond()
 		if err := s.Run(1, func(th *Thread) {
 			th.Signal(cv) // nobody waiting: must not wedge the scheduler
@@ -69,7 +69,7 @@ func TestSignalWithNoWaitersIsNoOp(t *testing.T) {
 
 func TestMultipleMutexesIndependent(t *testing.T) {
 	res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: 2}}, func(rt *core.RT) uint64 {
-		s := New(rt, Config{Quantum: 1500})
+		s := mustNew(rt, Config{Quantum: 1500})
 		a, b := s.NewMutex(), s.NewMutex()
 		ca := rt.Alloc(8, 8)
 		cb := rt.Alloc(8, 8)
@@ -101,7 +101,7 @@ func TestYieldEndsQuantumEarly(t *testing.T) {
 	rounds := func(yield bool) int64 {
 		var r int64
 		res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: 2}}, func(rt *core.RT) uint64 {
-			s := New(rt, Config{Quantum: 1_000_000})
+			s := mustNew(rt, Config{Quantum: 1_000_000})
 			if err := s.Run(1, func(th *Thread) {
 				for i := 0; i < 20; i++ {
 					th.Env().Tick(10)
@@ -127,7 +127,7 @@ func TestYieldEndsQuantumEarly(t *testing.T) {
 
 func TestZeroThreadsCompletesTrivially(t *testing.T) {
 	res := core.Run(core.Options{}, func(rt *core.RT) uint64 {
-		s := New(rt, Config{})
+		s := mustNew(rt, Config{})
 		if err := s.Run(0, func(th *Thread) {}); err != nil {
 			panic(err)
 		}

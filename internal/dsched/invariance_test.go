@@ -1,6 +1,7 @@
 package dsched
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // engineResult captures everything the round engine promises to keep
-// invariant across its host-parallelism and skip knobs.
+// invariant across its host-parallelism settings and the skip seam.
 type engineResult struct {
 	checksum uint64
 	vt       int64
@@ -22,21 +23,32 @@ type engineResult struct {
 	perRound []RoundStats
 }
 
+// mustNew is New for test bodies running inside core.Run, where a panic
+// is how a thread function reports failure.
+func mustNew(rt *core.RT, cfg Config) *Sched {
+	s, err := New(rt, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // runEngineWorkload executes a composite synchronization workload — a
 // mutex-protected counter, deliberately racy (LWW) writes, a condvar
 // handshake and a barrier — under the given scheduler and kernel merge
-// configuration, and returns the invariants.
-func runEngineWorkload(t *testing.T, cfg Config, mergeWorkers int, byteKernel bool) engineResult {
+// configuration, and returns the invariants. noSkip sets the Sched's test
+// seam: every resync is the full one, never skipped or partial.
+func runEngineWorkload(t *testing.T, cfg Config, mergeWorkers int, noSkip bool) engineResult {
 	t.Helper()
 	const n, iters = 4, 6
 	var out engineResult
 	cfg.Quantum = 900
 	cfg.OnRound = func(rs RoundStats) { out.perRound = append(out.perRound, rs) }
 	res := core.Run(core.Options{
-		Kernel: kernel.Config{CPUsPerNode: n, MergeWorkers: mergeWorkers,
-			MergeByteKernel: byteKernel},
+		Kernel: kernel.Config{CPUsPerNode: n, MergeWorkers: mergeWorkers},
 	}, func(rt *core.RT) uint64 {
-		s := New(rt, cfg)
+		s := mustNew(rt, cfg)
+		s.noSkip = noSkip
 		mu := s.NewMutex()
 		counter := rt.Alloc(8, 8)
 		racy := rt.Alloc(8, 8)
@@ -96,12 +108,42 @@ func runEngineWorkload(t *testing.T, cfg Config, mergeWorkers int, byteKernel bo
 	return out
 }
 
-// TestRoundEngineInvariance is the PR's acceptance gate: checksums,
-// conflict behavior (the LWW merges must never raise one), round counts,
-// merge statistics and virtual times are identical for CollectWorkers in
-// {1, 2, GOMAXPROCS}, for MergeWorkers 1 vs parallel, with epoch-skipped
-// resynchronization on and off, at both epoch granularities, and under
-// both merge kernels.
+// engineGolden is runEngineWorkload's outcome as captured at the commit
+// before the ablation knobs were deleted (fff16d7), where it was asserted
+// identical with epoch skipping on and off, at per-table and whole-region
+// epoch granularity, and under the word and per-byte merge kernels. The
+// paths those knobs selected are gone; this pins that what remains still
+// computes what all of them did.
+var engineGolden = engineResult{
+	checksum: 0xe933f93af32a0f26,
+	vt:       152551,
+	rounds:   13,
+	quanta:   31,
+	merge:    vm.MergeStats{TablesAdopted: 10, PagesAdopted: 16, PtesScanned: 16},
+	resynced: 169,
+	skipped:  327,
+}
+
+func TestRoundEngineGolden(t *testing.T) {
+	got := runEngineWorkload(t, Config{}, 1, false)
+	got.perRound = nil
+	if !reflect.DeepEqual(got, engineGolden) {
+		t.Errorf("engine workload moved:\n got  %+v\n want %+v", got, engineGolden)
+	}
+	// With the seam forcing every resync full, the parent commit counted
+	// all 496 thread-round tables as resynced at the same checksum and VT.
+	full := runEngineWorkload(t, Config{}, 1, true)
+	if full.checksum != engineGolden.checksum || full.vt != engineGolden.vt ||
+		full.resynced != 496 || full.skipped != 0 {
+		t.Errorf("no-skip run moved: checksum %#x vt %d resynced %d skipped %d",
+			full.checksum, full.vt, full.resynced, full.skipped)
+	}
+}
+
+// TestRoundEngineInvariance: checksums, conflict behavior (the LWW merges
+// must never raise one), round counts, merge statistics and virtual times
+// are identical for CollectWorkers in {1, 2, GOMAXPROCS}, for MergeWorkers
+// 1 vs parallel, and with epoch-skipped resynchronization on and off.
 func TestRoundEngineInvariance(t *testing.T) {
 	base := runEngineWorkload(t, Config{}, 1, false)
 	if base.rounds < 8 {
@@ -111,22 +153,17 @@ func TestRoundEngineInvariance(t *testing.T) {
 		name         string
 		cfg          Config
 		mergeWorkers int
-		byteKernel   bool
+		noSkip       bool
 	}
 	variants := []variant{
 		{"collect2", Config{CollectWorkers: 2}, 1, false},
 		{"collectMax", Config{CollectWorkers: runtime.GOMAXPROCS(0)}, 1, false},
 		{"mergeParallel", Config{}, runtime.GOMAXPROCS(0), false},
-		{"noSkip", Config{DisableEpochSkip: true}, 1, false},
-		{"noSkipCollect2", Config{DisableEpochSkip: true, CollectWorkers: 2}, 2, false},
-		{"epochRegion", Config{Granularity: EpochRegion}, 1, false},
-		{"epochRegionNoSkip", Config{Granularity: EpochRegion, DisableEpochSkip: true}, 1, false},
-		{"byteKernel", Config{}, 1, true},
-		{"byteKernelParallel", Config{}, runtime.GOMAXPROCS(0), true},
-		{"byteKernelRegion", Config{Granularity: EpochRegion}, 1, true},
+		{"noSkip", Config{}, 1, true},
+		{"noSkipCollect2", Config{CollectWorkers: 2}, 2, true},
 	}
 	for _, v := range variants {
-		got := runEngineWorkload(t, v.cfg, v.mergeWorkers, v.byteKernel)
+		got := runEngineWorkload(t, v.cfg, v.mergeWorkers, v.noSkip)
 		if got.checksum != base.checksum {
 			t.Errorf("%s: checksum %#x != base %#x", v.name, got.checksum, base.checksum)
 		}
@@ -148,9 +185,8 @@ func TestRoundEngineInvariance(t *testing.T) {
 		for i := range got.perRound {
 			g, b := got.perRound[i], base.perRound[i]
 			// SyncSkipped and the resync-table counts legitimately differ
-			// across skip and epoch-granularity settings (that telemetry
-			// measures exactly what those knobs change); everything else
-			// must match round for round.
+			// with the skip seam (that telemetry measures exactly what it
+			// changes); everything else must match round for round.
 			g.SyncSkipped, b.SyncSkipped = 0, 0
 			g.TablesResynced, b.TablesResynced = 0, 0
 			g.TablesSkipped, b.TablesSkipped = 0, 0
@@ -178,60 +214,13 @@ func TestEpochSkipFiresOnReadMostlyPhases(t *testing.T) {
 	if skipped == 0 {
 		t.Fatal("no quantum was resumed via epoch skip on a read-mostly workload")
 	}
-	off := runEngineWorkload(t, Config{DisableEpochSkip: true}, 1, false)
+	off := runEngineWorkload(t, Config{}, 1, true)
 	var offSkipped int64
 	for _, rs := range off.perRound {
 		offSkipped += int64(rs.SyncSkipped)
 	}
 	if offSkipped != 0 {
-		t.Fatalf("DisableEpochSkip still skipped %d resyncs", offSkipped)
-	}
-}
-
-// TestFullResyncBaselineMatchesResults: the pre-engine loop (from-scratch
-// snapshots, no skipping) must produce the same checksum and the same
-// schedule (round count); only its cost differs.
-func TestFullResyncBaselineMatchesResults(t *testing.T) {
-	base := runEngineWorkload(t, Config{}, 1, false)
-	legacy := runEngineWorkload(t, Config{FullResync: true}, 1, false)
-	if legacy.checksum != base.checksum {
-		t.Errorf("legacy checksum %#x != engine %#x", legacy.checksum, base.checksum)
-	}
-	if legacy.rounds != base.rounds || legacy.quanta != base.quanta {
-		t.Errorf("legacy rounds/quanta %d/%d != engine %d/%d",
-			legacy.rounds, legacy.quanta, base.rounds, base.quanta)
-	}
-	if legacy.vt < base.vt {
-		t.Errorf("legacy VT %d below engine VT %d: incremental resync must not cost more",
-			legacy.vt, base.vt)
-	}
-}
-
-// TestTableEpochsResyncFewerTables pins the tentpole win: per-table
-// epochs must re-copy strictly fewer shared-region tables than the
-// whole-region baseline on this workload (its read-mostly phase and its
-// localized mutex/counter writes leave most tables untouched per commit),
-// with every result invariant — checksum, VT, rounds, merge stats —
-// bit-identical, and the two telemetries accounting for the same total
-// table population.
-func TestTableEpochsResyncFewerTables(t *testing.T) {
-	table := runEngineWorkload(t, Config{}, 1, false)
-	region := runEngineWorkload(t, Config{Granularity: EpochRegion}, 1, false)
-	if table.checksum != region.checksum || table.vt != region.vt ||
-		table.rounds != region.rounds || table.merge != region.merge {
-		t.Fatalf("granularity changed results: table %+v vs region %+v", table, region)
-	}
-	if table.resynced >= region.resynced {
-		t.Errorf("per-table epochs resynced %d tables, not below region granularity's %d",
-			table.resynced, region.resynced)
-	}
-	if table.skipped <= region.skipped {
-		t.Errorf("per-table epochs skipped %d tables, not above region granularity's %d",
-			table.skipped, region.skipped)
-	}
-	if table.resynced+table.skipped != region.resynced+region.skipped {
-		t.Errorf("table accounting differs: %d+%d vs %d+%d",
-			table.resynced, table.skipped, region.resynced, region.skipped)
+		t.Fatalf("noSkip still skipped %d resyncs", offSkipped)
 	}
 }
 
@@ -243,7 +232,7 @@ func TestAdaptiveQuantumReducesRounds(t *testing.T) {
 		const n, k = 4, 8
 		var rounds int64
 		res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: n}}, func(rt *core.RT) uint64 {
-			s := New(rt, Config{Quantum: 400, AdaptiveQuantum: adaptive})
+			s := mustNew(rt, Config{Quantum: 400, AdaptiveQuantum: adaptive})
 			mu := s.NewMutex()
 			counter := rt.Alloc(8, 8)
 			if err := s.Run(n, func(th *Thread) {

@@ -63,16 +63,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// NewChecked is New with configuration validation: the Session-era
-// constructor. New keeps the historical silently-defaulting behavior for
-// compatibility.
-func NewChecked(rt *core.RT, cfg Config) (*Sched, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return New(rt, cfg), nil
-}
-
 // ExportState captures the scheduler's bookkeeping at a quiescent point.
 func (s *Sched) ExportState() (State, error) {
 	for _, t := range s.threads {
@@ -117,7 +107,8 @@ func (s *Sched) ExportState() (State, error) {
 // checkpoint); their contents — lock flags and owners — come from the
 // restored memory image.
 func AttachState(rt *core.RT, cfg Config, st State) (*Sched, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := New(rt, cfg)
+	if err != nil {
 		return nil, err
 	}
 	if st.Quantum <= 0 {
@@ -133,7 +124,6 @@ func AttachState(rt *core.RT, cfg Config, st State) (*Sched, error) {
 				Msg: fmt.Sprintf("mutex %d word %#x outside shared region", i, a)}
 		}
 	}
-	s := New(rt, cfg)
 	s.quantum = st.Quantum
 	s.scale = st.Scale
 	s.commitEpoch = st.CommitEpoch

@@ -172,7 +172,7 @@ type FS struct {
 	base    vm.Addr
 	protect bool
 
-	noIndex bool           // SetIndex(false): always scan (benchmarks, ablation)
+	noIndex bool           // SetIndex(false): always scan (uproc's phased root)
 	idx     map[dirent]int // cached (dir, name) → inode, nil until built
 	idxGen  uint32         // sbGen the cache was built/maintained at
 }
@@ -184,9 +184,13 @@ type dirent struct {
 }
 
 // SetIndex enables or disables this handle's per-directory entry index
-// (enabled by default). Disabling forces the original full-table scan
-// on every lookup; results are identical either way — the flag exists
-// for the lookup micro-benchmark and the equivalence tests.
+// (enabled by default). Disabling forces the full-table scan on every
+// lookup; results are identical either way, but the reads charged are
+// not: a cold index is rebuilt lazily. uproc's phased root depends on
+// that — it runs with the index off so that a resumed run, which
+// reattaches with a cold cache, costs exactly what the uninterrupted
+// run did (uproc/phased.go). The lookup micro-benchmark and the
+// equivalence tests use it too.
 func (f *FS) SetIndex(on bool) {
 	f.noIndex = !on
 	f.idx = nil

@@ -119,12 +119,6 @@ type Config struct {
 	// merge results, statistics and therefore virtual times are identical
 	// at every setting.
 	MergeWorkers int
-	// MergeByteKernel routes every Merge during Get through the per-byte
-	// reference kernel instead of the word-masked one. Like MergeWorkers
-	// it changes wall-clock speed only — results, statistics and virtual
-	// times are identical; benchmarks and the invariance tests use it to
-	// measure and verify the kernels against each other.
-	MergeByteKernel bool
 }
 
 // Machine is the simulated hardware plus kernel state: a set of nodes, the
@@ -137,7 +131,6 @@ type Machine struct {
 	rand         RandFunc
 	noCache      bool
 	mergeWorkers int
-	mergeBytes   bool
 
 	wg   sync.WaitGroup // all space goroutines ever started
 	root *Space
@@ -227,7 +220,6 @@ func New(cfg Config) *Machine {
 		rand:         cfg.Rand,
 		noCache:      cfg.DisableROCache,
 		mergeWorkers: cfg.MergeWorkers,
-		mergeBytes:   cfg.MergeByteKernel,
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		m.nodes = append(m.nodes, &node{id: i, cpus: cfg.CPUsPerNode})

@@ -57,11 +57,6 @@ type PutOpts struct {
 	// re-snapshotting an unchanged child is free. The resulting snapshot
 	// is identical — table for table — to one built from scratch.
 	Snap bool
-	// SnapFresh forces Snap to discard any existing snapshot and rebuild
-	// from scratch, re-sharing (and charging) every mapped table: the
-	// pre-incremental behavior, kept as a benchmarking baseline and
-	// ablation. Results are identical; only cost and churn differ.
-	SnapFresh bool
 	// Tree deep-copies the subtree rooted at the caller's child TreeSrc
 	// (memory, registers, snapshots and recursively all children) into
 	// this child, which must be stopped — the checkpoint/restore idiom.
@@ -228,14 +223,7 @@ func (sp *Space) put(ref uint64, o PutOpts) error {
 	}
 	if o.Snap {
 		var st vm.CopyStats
-		if o.SnapFresh {
-			if child.snap != nil {
-				child.snap.Free()
-			}
-			child.snap, st = child.mem.Snapshot()
-		} else {
-			child.snap, st = child.mem.Resnap(child.snap)
-		}
+		child.snap, st = child.mem.Resnap(child.snap)
 		sp.chargeVT(int64(st.TablesShared+st.PagesShared+st.PagesZeroed) * cost.PageCopy)
 	}
 	if o.Tree {
@@ -304,10 +292,9 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 			mode = vm.MergeLastWriter
 		}
 		st, err := vm.MergeEx(sp.mem, child.mem, child.snap, r.Addr, r.Size, vm.MergeConfig{
-			Mode:       mode,
-			Workers:    sp.m.mergeWorkers,
-			ByteKernel: sp.m.mergeBytes,
-			Touched:    &info.MergeTouched,
+			Mode:    mode,
+			Workers: sp.m.mergeWorkers,
+			Touched: &info.MergeTouched,
 		})
 		info.Merge = st
 		info.MemClean = child.mem.CleanSince(child.snap)

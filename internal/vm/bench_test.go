@@ -178,3 +178,62 @@ func BenchmarkPageSpanRead(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMergeKernels times the page-compare slow path under the word
+// kernel and under its per-byte oracle (merge_kernel_test.go) on the same
+// page triples: every page of a 4 MiB table changed by the child and
+// touched by the parent, so none can be adopted. "sparse" pages differ in
+// one 1 KiB span, "full" pages in every byte. Last-writer-wins mode keeps
+// each iteration's work identical (the destination already holding the
+// child's bytes would be a strict-mode conflict on the second pass). The
+// ratio between the two is the kern-x figure detbench's merge table used
+// to report.
+func BenchmarkMergeKernels(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		span int // bytes per page the child changes
+	}{{"sparse", 1024}, {"full", PageSize}} {
+		parent := benchSpace(tableEntries)
+		cur := NewSpace()
+		cur.CopyAllFrom(parent)
+		ref, _ := cur.Snapshot()
+		dst := NewSpace()
+		dst.CopyAllFrom(parent)
+		inv := make([]byte, shape.span)
+		for i := range inv {
+			inv[i] = ^byte(i)
+		}
+		for p := 0; p < tableEntries; p++ {
+			if err := cur.Write(Addr(p*PageSize), inv); err != nil {
+				b.Fatal(err)
+			}
+			if err := dst.Write(Addr(p*PageSize)+PageSize-1, []byte{0xa5}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, k := range []struct {
+			name   string
+			kernel pageKernel
+		}{{"words", mergePageWords}, {"bytes", mergePageBytes}} {
+			b.Run(shape.name+"/"+k.name, func(b *testing.B) {
+				var st MergeStats
+				var conflict MergeConflictError
+				var touched bool
+				c := mergeCtx{mode: MergeLastWriter, st: &st, conflict: &conflict, touched: &touched}
+				dc := dstCursor{s: dst, l1: 0}
+				b.SetBytes(tableEntries * PageSize)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for l2 := 0; l2 < tableEntries; l2++ {
+						pa := Addr(l2 * PageSize)
+						k.kernel(&dc, pa, l2, cur.entry(pa), ref.entry(pa), dc.entry(l2), c)
+					}
+				}
+			})
+		}
+		parent.Free()
+		cur.Free()
+		ref.Free()
+		dst.Free()
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -88,27 +87,13 @@ type MergeConfig struct {
 	Mode MergeMode
 	// Workers is the level of host parallelism: table partitions are
 	// byte-compared by up to this many goroutines. Values <= 1 run
-	// serially. Explicit values are honored as given; callers wanting
-	// "as parallel as the host allows" use MergeParallel with
-	// workers <= 0, which selects GOMAXPROCS.
+	// serially. Explicit values are honored as given.
 	Workers int
-	// NoDirtyHints disables dirty-bitmap-guided iteration, forcing the
-	// full per-table pte scan even when the hints are available. The
-	// result is identical; benchmarks and the equivalence property test
-	// use this to measure and verify the unguided path.
-	NoDirtyHints bool
-	// ByteKernel selects the per-byte reference merge kernel — the
-	// original decode-every-differing-word-into-bytes slow path — instead
-	// of the word-masked kernel. The two produce bit-identical
-	// destination bytes, statistics and conflict lists (property-tested);
-	// the reference kernel is kept as the oracle for those tests and as
-	// the benchmark baseline the word kernel is measured against.
-	ByteKernel bool
 	// Touched, if non-nil, gets a bit set for every level-1 table of dst
 	// this merge modified (whole-table adoptions, page adoptions, and
 	// byte merges alike). Like the semantic MergeStats fields the bits
-	// are invariant across workers, dirty hints and kernel choice, so
-	// collectors can use them to maintain per-table commit epochs
+	// are invariant across workers and across guided and unguided walks,
+	// so collectors can use them to maintain per-table commit epochs
 	// deterministically.
 	Touched *TableBits
 }
@@ -126,23 +111,6 @@ type MergeConfig struct {
 // each side wrote, never on when they wrote them.
 func Merge(dst, cur, ref *Space, addr Addr, size uint64) (MergeStats, error) {
 	return MergeEx(dst, cur, ref, addr, size, MergeConfig{Mode: MergeStrict})
-}
-
-// MergeWith is Merge with an explicit conflict-handling mode.
-func MergeWith(dst, cur, ref *Space, addr Addr, size uint64, mode MergeMode) (MergeStats, error) {
-	return MergeEx(dst, cur, ref, addr, size, MergeConfig{Mode: mode})
-}
-
-// MergeParallel is MergeWith with the page comparisons spread over up to
-// workers goroutines (<= 0 selects GOMAXPROCS). Partitions are combined in
-// address order, so the destination bytes, statistics and conflict list
-// are identical to the serial Merge no matter how the workers are
-// scheduled — parallelism buys wall-clock speed, nothing else.
-func MergeParallel(dst, cur, ref *Space, addr Addr, size uint64, mode MergeMode, workers int) (MergeStats, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return MergeEx(dst, cur, ref, addr, size, MergeConfig{Mode: mode, Workers: workers})
 }
 
 // ParallelFor runs fn(0), ..., fn(n-1) with up to workers goroutines
@@ -197,20 +165,27 @@ type tableResult struct {
 // sink is owned by the job (results are recombined in address order), so
 // parallel workers never share mutable state through it.
 type mergeCtx struct {
-	mode       MergeMode
-	byteKernel bool
-	st         *MergeStats
-	conflict   *MergeConflictError
-	touched    *bool
+	mode     MergeMode
+	st       *MergeStats
+	conflict *MergeConflictError
+	touched  *bool
 }
 
-// MergeEx is the full-control merge entry point; see MergeConfig.
+// MergeEx is the merge engine's entry point; see MergeConfig. The walk is
+// steered by cur's dirty bitmaps whenever they provably describe its
+// divergence from ref (dirtyGuided), and scans every pte of each touched
+// table otherwise; the outcome is the same either way.
 func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (MergeStats, error) {
+	return mergeRange(dst, cur, ref, addr, size, cfg, dirtyGuided(cur, ref))
+}
+
+// mergeRange is MergeEx with the walk chosen by the caller. guided may be
+// true only when dirtyGuided(cur, ref) holds; false is always correct.
+func mergeRange(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig, guided bool) (MergeStats, error) {
 	var st MergeStats
 	if err := rangeCheck(addr, size); err != nil {
 		return st, err
 	}
-	guided := !cfg.NoDirtyHints && dirtyGuided(cur, ref)
 
 	// Walk only the level-2 tables that exist in the child: the snapshot
 	// was taken from the child, so any page mapped in ref is mapped in cur.
@@ -251,8 +226,7 @@ func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (Mer
 		for _, j := range jobs {
 			var touched bool
 			mergeTable(dst, cur, ref, j, mergeCtx{
-				mode: cfg.Mode, byteKernel: cfg.ByteKernel,
-				st: &st, conflict: conflict, touched: &touched,
+				mode: cfg.Mode, st: &st, conflict: conflict, touched: &touched,
 			})
 			if touched && cfg.Touched != nil {
 				cfg.Touched.Set(j.l1)
@@ -267,9 +241,8 @@ func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (Mer
 		results := make([]tableResult, len(jobs))
 		ParallelFor(len(jobs), workers, func(i int) {
 			mergeTable(dst, cur, ref, jobs[i], mergeCtx{
-				mode: cfg.Mode, byteKernel: cfg.ByteKernel,
-				st: &results[i].st, conflict: &results[i].conflict,
-				touched: &results[i].touched,
+				mode: cfg.Mode, st: &results[i].st,
+				conflict: &results[i].conflict, touched: &results[i].touched,
 			})
 		})
 		for i := range results {
@@ -408,10 +381,9 @@ func mergeTable(dst, cur, ref *Space, job tableJob, c mergeCtx) {
 	}
 }
 
-// mergePage merges one child page at address pa into dst. The adoption
-// fast path is kernel-independent; pages that need a real three-way
-// compare go to the word-masked kernel or, under MergeConfig.ByteKernel,
-// the per-byte reference kernel.
+// mergePage merges one child page at address pa into dst: adopted whole
+// when the parent has not touched it, three-way compared by the
+// word-masked kernel otherwise.
 func mergePage(dc *dstCursor, pa Addr, l2 int, ce, re pte, c mergeCtx) {
 	de := dc.entry(l2)
 	if de.pg == re.pg {
@@ -436,52 +408,7 @@ func mergePage(dc *dstCursor, pa Addr, l2 int, ce, re pte, c mergeCtx) {
 		*c.touched = true
 		return
 	}
-	if c.byteKernel {
-		mergePageBytes(dc, pa, l2, ce, re, de, c)
-	} else {
-		mergePageWords(dc, pa, l2, ce, re, de, c)
-	}
-}
-
-// mergePageBytes is the reference merge kernel: compare eight bytes at a
-// time, decode every differing word into a per-byte loop. It defines the
-// merge semantics the word kernel must reproduce bit-for-bit — bytes,
-// statistics and conflict addresses — and serves as the oracle in the
-// kernel equivalence property test and as the benchmark baseline.
-func mergePageBytes(dc *dstCursor, pa Addr, l2 int, ce, re pte, de pte, c mergeCtx) {
-	st, conflict := c.st, c.conflict
-	st.PagesCompared++
-	curD, refD, dstD := dataOf(ce.pg), dataOf(re.pg), dataOf(de.pg)
-	var wp *page // writable dst page, fetched lazily
-	for off := 0; off < PageSize; off += 8 {
-		cw := binary.LittleEndian.Uint64(curD[off:])
-		rw := binary.LittleEndian.Uint64(refD[off:])
-		if cw == rw {
-			continue
-		}
-		dw := binary.LittleEndian.Uint64(dstD[off:])
-		for b := 0; b < 8; b++ {
-			sh := 8 * b
-			cb, rb := byte(cw>>sh), byte(rw>>sh)
-			if cb == rb {
-				continue
-			}
-			if byte(dw>>sh) != rb && c.mode == MergeStrict {
-				// Parent changed this byte too: write/write conflict.
-				if len(conflict.Addrs) < maxReportedConflicts {
-					conflict.Addrs = append(conflict.Addrs, pa+Addr(off+b))
-				}
-				conflict.Total++
-				continue
-			}
-			if wp == nil {
-				wp = dc.writablePage(l2)
-				*c.touched = true
-			}
-			wp.data[off+b] = cb
-			st.BytesMerged++
-		}
-	}
+	mergePageWords(dc, pa, l2, ce, re, de, c)
 }
 
 // byteMaskOf expands a word x into a byte mask: every byte of the result
@@ -509,9 +436,9 @@ const (
 )
 
 // mergePageWords is the word-masked merge kernel. It produces destination
-// bytes, statistics and conflict addresses bit-identical to
-// mergePageBytes (property-tested in merge_kernel_test.go) while moving
-// data a word or a run at a time:
+// bytes, statistics and conflict addresses bit-identical to the per-byte
+// reference kernel kept in merge_kernel_test.go (property-tested there)
+// while moving data a word or a run at a time:
 //
 //   - a whole-page bytes.Equal prefilter, then a bytes.Equal skip per
 //     256-byte stride, dispose of the unchanged spans at memequal speed;

@@ -1,22 +1,74 @@
 package vm
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 	"testing/quick"
 )
 
-// Oracle property test for the word-masked merge kernel: mergePageWords
-// must reproduce mergePageBytes — the per-byte reference kernel kept
-// behind MergeConfig.ByteKernel — bit for bit: destination bytes, every
-// MergeStats field, the conflict address list (order included), and the
-// Touched table bits, in both conflict modes and at Workers 1 and
-// GOMAXPROCS. Scenarios deliberately plant overlapping writes that
-// straddle 8-byte word boundaries (where the masked conflict test and the
-// per-byte fallback meet) and page edges (where a page's word walk ends),
-// plus a fully-rewritten compared page (maximal full-word runs for the
-// copy() coalescing path).
+// Two oracles pin the merge slow path, neither reached through any
+// product-side switch:
+//
+//   - mergePageBytes, the per-byte reference kernel, run page by page
+//     beside mergePageWords by runKernel: destination bytes, every
+//     MergeStats field, the conflict address list (order included) and
+//     the touched tables must agree bit for bit;
+//   - byteRule, the three-way rule itself computed from Space.Read of
+//     dst, cur and ref alone — no table walk, no adoption fast path, no
+//     dstCursor — against which the whole engine (MergeEx, every worker
+//     count, guided and unguided) is checked.
+//
+// Scenarios deliberately plant overlapping writes that straddle 8-byte
+// word boundaries (where the masked conflict test and the per-byte
+// fallback meet) and page edges (where a page's word walk ends), plus a
+// fully-rewritten compared page (maximal full-word runs for the copy()
+// coalescing path).
+
+// mergePageBytes is the reference merge kernel: compare eight bytes at a
+// time, decode every differing word into a per-byte loop. It defines the
+// merge semantics the word kernel must reproduce bit-for-bit — bytes,
+// statistics and conflict addresses. It lives here, not in merge.go,
+// because being compared against is its only job: the tests below and
+// BenchmarkMergeKernels call it on a dstCursor directly.
+func mergePageBytes(dc *dstCursor, pa Addr, l2 int, ce, re pte, de pte, c mergeCtx) {
+	st, conflict := c.st, c.conflict
+	st.PagesCompared++
+	curD, refD, dstD := dataOf(ce.pg), dataOf(re.pg), dataOf(de.pg)
+	var wp *page // writable dst page, fetched lazily
+	for off := 0; off < PageSize; off += 8 {
+		cw := binary.LittleEndian.Uint64(curD[off:])
+		rw := binary.LittleEndian.Uint64(refD[off:])
+		if cw == rw {
+			continue
+		}
+		dw := binary.LittleEndian.Uint64(dstD[off:])
+		for b := 0; b < 8; b++ {
+			sh := 8 * b
+			cb, rb := byte(cw>>sh), byte(rw>>sh)
+			if cb == rb {
+				continue
+			}
+			if byte(dw>>sh) != rb && c.mode == MergeStrict {
+				// Parent changed this byte too: write/write conflict.
+				if len(conflict.Addrs) < maxReportedConflicts {
+					conflict.Addrs = append(conflict.Addrs, pa+Addr(off+b))
+				}
+				conflict.Total++
+				continue
+			}
+			if wp == nil {
+				wp = dc.writablePage(l2)
+				*c.touched = true
+			}
+			wp.data[off+b] = cb
+			st.BytesMerged++
+		}
+	}
+}
 
 // plantStraddles appends child/parent writes that overlap across an
 // 8-byte word boundary inside a page, across a page edge, and over one
@@ -41,40 +93,218 @@ func plantStraddles(rng *rand.Rand, childOps, parentOps []memOp) (c, p []memOp) 
 	return childOps, parentOps
 }
 
+// pageKernel is the shape mergePageWords and mergePageBytes share.
+type pageKernel func(dc *dstCursor, pa Addr, l2 int, ce, re pte, de pte, c mergeCtx)
+
+// runKernel replays the history like runMerge, then applies kernel to
+// every page of [0, propSpan) the child changed — its own page-by-page
+// walk, with no adoption of any kind, so two kernels run through it see
+// exactly the same (cur, ref, dst) page triples.
+func runKernel(t *testing.T, parent *Space, childOps, parentOps []memOp,
+	mode MergeMode, kernel pageKernel) (mergeOutcome, TableBits) {
+	t.Helper()
+	var tables TableBits
+	out := runMergeVia(t, parent, childOps, parentOps, 0, propSpan,
+		func(dst, cur, ref *Space) (MergeStats, error) {
+			var st MergeStats
+			conflict := &MergeConflictError{}
+			for l1 := 0; l1 < propSpan/PageSize/tableEntries+1; l1++ {
+				dc := dstCursor{s: dst, l1: l1}
+				for l2 := 0; l2 < tableEntries; l2++ {
+					pa := Addr(l1*tableEntries+l2) * PageSize
+					if pa >= propSpan {
+						break
+					}
+					ce, re := cur.entry(pa), ref.entry(pa)
+					if ce.pg == re.pg {
+						continue
+					}
+					var touched bool
+					kernel(&dc, pa, l2, ce, re, dc.entry(l2), mergeCtx{
+						mode: mode, st: &st, conflict: conflict, touched: &touched,
+					})
+					if touched {
+						tables.Set(l1)
+					}
+				}
+			}
+			if conflict.Total > 0 {
+				return st, conflict
+			}
+			return st, nil
+		})
+	return out, tables
+}
+
+// straddleHistory draws one seeded history with the planted straddles.
+func straddleHistory(t *testing.T, seed int64) (parent *Space, childOps, parentOps []memOp) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	parent = NewSpace()
+	if err := parent.SetPerm(0, propSpan, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	applyOps(t, parent, randOps(rng, 8, propSpan))
+	childOps, parentOps = plantStraddles(rng,
+		randOps(rng, 8, propSpan), randOps(rng, 4, propSpan))
+	return parent, childOps, parentOps
+}
+
 func TestMergeKernelsEquivalentProperty(t *testing.T) {
-	workersList := []int{1, runtime.GOMAXPROCS(0)}
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		parent := NewSpace()
-		if err := parent.SetPerm(0, propSpan, PermRW); err != nil {
+		parent, childOps, parentOps := straddleHistory(t, seed)
+		defer parent.Free()
+		for _, mode := range []MergeMode{MergeStrict, MergeLastWriter} {
+			oracle, oracleTouched := runKernel(t, parent, childOps, parentOps, mode, mergePageBytes)
+			got, touched := runKernel(t, parent, childOps, parentOps, mode, mergePageWords)
+			if diff := outcomesEqual(oracle, got, false); diff != "" {
+				t.Errorf("seed %d mode %v: word kernel differs from byte oracle: %s", seed, mode, diff)
+				return false
+			}
+			if touched != oracleTouched {
+				t.Errorf("seed %d mode %v: touched tables differ: %d vs oracle %d",
+					seed, mode, touched.Count(), oracleTouched.Count())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+		t.Error(err)
+	}
+}
+
+// ruleOutcome is what the per-byte three-way rule says a merge must do.
+type ruleOutcome struct {
+	bytes   []byte    // dst's contents over the range after the merge
+	changed TableBits // tables holding a byte whose value the merge changes
+	merged  int       // MergeStats.BytesMerged
+	total   int       // conflicting bytes
+	addrs   []Addr    // the first maxReportedConflicts of them, ascending
+}
+
+// byteRule evaluates Deterministic Consistency's merge rule byte by byte
+// from what Space.Read returns for the three spaces: a byte the child
+// changed since ref goes to dst, unless dst changed it too, which in
+// strict mode is a conflict and leaves dst's byte alone.
+//
+// One fact does not come from Read: BytesMerged counts bytes *copied*, and
+// a page dst still shares with ref is adopted by reference rather than
+// copied. That page identity is BytesMerged's definition, not part of the
+// walk under test, so the oracle looks it up per page.
+func byteRule(t *testing.T, dst, cur, ref *Space, mode MergeMode) ruleOutcome {
+	t.Helper()
+	read := func(s *Space) []byte {
+		b := make([]byte, propSpan)
+		if err := s.Read(0, b); err != nil {
 			t.Fatal(err)
 		}
-		applyOps(t, parent, randOps(rng, 8, propSpan))
-		childOps, parentOps := plantStraddles(rng,
-			randOps(rng, 8, propSpan), randOps(rng, 4, propSpan))
-
-		for _, mode := range []MergeMode{MergeStrict, MergeLastWriter} {
-			var oracleTouched TableBits
-			oracle := runMerge(t, parent, childOps, parentOps, 0, propSpan,
-				MergeConfig{Mode: mode, ByteKernel: true, Touched: &oracleTouched})
-			for _, workers := range workersList {
-				var touched TableBits
-				got := runMerge(t, parent, childOps, parentOps, 0, propSpan,
-					MergeConfig{Mode: mode, Workers: workers, Touched: &touched})
-				if diff := outcomesEqual(oracle, got, false); diff != "" {
-					t.Errorf("seed %d mode %v workers %d: word kernel differs from byte oracle: %s",
-						seed, mode, workers, diff)
-					return false
+		return b
+	}
+	d, c, r := read(dst), read(cur), read(ref)
+	out := ruleOutcome{bytes: d}
+	for off := 0; off < propSpan; off += PageSize {
+		if bytes.Equal(c[off:off+PageSize], r[off:off+PageSize]) {
+			continue
+		}
+		copied := dst.entry(Addr(off)).pg != ref.entry(Addr(off)).pg
+		for i := off; i < off+PageSize; i++ {
+			switch {
+			case c[i] == r[i]:
+			case d[i] != r[i] && mode == MergeStrict:
+				if len(out.addrs) < maxReportedConflicts {
+					out.addrs = append(out.addrs, Addr(i))
 				}
-				if touched != oracleTouched {
-					t.Errorf("seed %d mode %v workers %d: touched tables differ: %d vs oracle %d",
-						seed, mode, workers, touched.Count(), oracleTouched.Count())
-					return false
+				out.total++
+			default:
+				if d[i] != c[i] {
+					out.changed.Set(TableOf(Addr(i)))
+				}
+				d[i] = c[i]
+				if copied {
+					out.merged++
 				}
 			}
 		}
-		parent.Free()
-		return true
+	}
+	return out
+}
+
+// checkAgainstByteRule merges the replayed history over [0, propSpan)
+// with cfg (through MergeEx, or through the forced full scan) and fails
+// unless destination bytes, BytesMerged, conflict total and reported
+// addresses are what byteRule computed from the pre-merge spaces, and
+// every table whose bytes changed is in Touched.
+func checkAgainstByteRule(t *testing.T, parent *Space, childOps, parentOps []memOp,
+	cfg MergeConfig, guided bool) (mergeOutcome, TableBits) {
+	t.Helper()
+	var touched TableBits
+	cfg.Touched = &touched
+	out := runMergeVia(t, parent, childOps, parentOps, 0, propSpan,
+		func(dst, cur, ref *Space) (MergeStats, error) {
+			want := byteRule(t, dst, cur, ref, cfg.Mode)
+			var st MergeStats
+			var err error
+			if guided {
+				st, err = MergeEx(dst, cur, ref, 0, propSpan, cfg)
+			} else {
+				st, err = mergeRange(dst, cur, ref, 0, propSpan, cfg, false)
+			}
+			got := make([]byte, propSpan)
+			if rerr := dst.Read(0, got); rerr != nil {
+				t.Fatal(rerr)
+			}
+			if !bytes.Equal(got, want.bytes) {
+				t.Errorf("cfg %+v guided %v: destination bytes differ from the byte rule", cfg, guided)
+			}
+			if st.BytesMerged != want.merged {
+				t.Errorf("cfg %+v guided %v: BytesMerged = %d, byte rule says %d", cfg, guided, st.BytesMerged, want.merged)
+			}
+			var total int
+			var addrs []Addr
+			if mc, ok := err.(*MergeConflictError); ok {
+				total, addrs = mc.Total, mc.Addrs
+			}
+			if total != want.total || fmt.Sprint(addrs) != fmt.Sprint(want.addrs) {
+				t.Errorf("cfg %+v guided %v: conflicts %d %v, byte rule says %d %v",
+					cfg, guided, total, addrs, want.total, want.addrs)
+			}
+			for i, w := range want.changed {
+				if w&^touched[i] != 0 {
+					t.Errorf("cfg %+v guided %v: a table whose bytes changed is not in Touched", cfg, guided)
+					break
+				}
+			}
+			return st, err
+		})
+	return out, touched
+}
+
+func TestMergeMatchesByteRuleProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		parent, childOps, parentOps := straddleHistory(t, seed)
+		defer parent.Free()
+		for _, mode := range []MergeMode{MergeStrict, MergeLastWriter} {
+			base, baseTouched := checkAgainstByteRule(t, parent, childOps, parentOps,
+				MergeConfig{Mode: mode}, true)
+			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+				for _, guided := range []bool{true, false} {
+					if workers == 1 && guided {
+						continue // that is base
+					}
+					got, touched := checkAgainstByteRule(t, parent, childOps, parentOps,
+						MergeConfig{Mode: mode, Workers: workers}, guided)
+					if diff := outcomesEqual(base, got, !guided); diff != "" {
+						t.Errorf("seed %d mode %v workers %d guided %v: %s", seed, mode, workers, guided, diff)
+					}
+					if touched != baseTouched {
+						t.Errorf("seed %d mode %v workers %d guided %v: touched tables differ: %d vs %d",
+							seed, mode, workers, guided, touched.Count(), baseTouched.Count())
+					}
+				}
+			}
+		}
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
@@ -84,8 +314,9 @@ func TestMergeKernelsEquivalentProperty(t *testing.T) {
 // TestMergeKernelStraddledConflicts pins the boundary cases directly: a
 // fixed scenario whose strict-mode conflict list contains adjacent
 // conflicting bytes on both sides of an 8-byte word boundary and on both
-// sides of a page edge, and every kernel/worker combination must agree
-// on that list exactly.
+// sides of a page edge. The reference kernel, the word kernel, the byte
+// rule and the engine at every worker count must agree on that list
+// exactly.
 func TestMergeKernelStraddledConflicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	parent := NewSpace()
@@ -106,8 +337,7 @@ func TestMergeKernelStraddledConflicts(t *testing.T) {
 		{addr: edge - 4, data: randBytes(rng, 9)},
 	}
 
-	oracle := runMerge(t, parent, childOps, parentOps, 0, propSpan,
-		MergeConfig{Mode: MergeStrict, ByteKernel: true})
+	oracle, _ := runKernel(t, parent, childOps, parentOps, MergeStrict, mergePageBytes)
 	if oracle.total == 0 {
 		t.Fatalf("constructed scenario produced no conflicts: %+v", oracle.st)
 	}
@@ -126,11 +356,18 @@ func TestMergeKernelStraddledConflicts(t *testing.T) {
 		t.Fatalf("conflict list %v does not straddle a word boundary (%v) and a page edge (%v)",
 			oracle.addrs, straddlesWord, straddlesEdge)
 	}
+	words, _ := runKernel(t, parent, childOps, parentOps, MergeStrict, mergePageWords)
+	if diff := outcomesEqual(oracle, words, false); diff != "" {
+		t.Errorf("word kernel differs from byte oracle: %s", diff)
+	}
+	// Every compared page here is one the parent wrote, so nothing is
+	// adopted and the engine's outcome equals the bare kernel's but for
+	// the scan count.
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		got := runMerge(t, parent, childOps, parentOps, 0, propSpan,
-			MergeConfig{Mode: MergeStrict, Workers: workers})
-		if diff := outcomesEqual(oracle, got, false); diff != "" {
-			t.Errorf("workers %d: word kernel differs from byte oracle: %s", workers, diff)
+		got, _ := checkAgainstByteRule(t, parent, childOps, parentOps,
+			MergeConfig{Mode: MergeStrict, Workers: workers}, true)
+		if diff := outcomesEqual(oracle, got, true); diff != "" {
+			t.Errorf("workers %d: engine differs from byte oracle: %s", workers, diff)
 		}
 	}
 }

@@ -89,8 +89,30 @@ type mergeOutcome struct {
 	addrs []Addr
 }
 
+// runMerge replays the history onto fresh copies of parent and merges
+// through MergeEx, which picks the guided walk (the histories always
+// qualify); runMergeFull forces the unguided full scan through the
+// engine's worker instead.
 func runMerge(t *testing.T, parent *Space, childOps, parentOps []memOp,
 	addr Addr, size uint64, cfg MergeConfig) mergeOutcome {
+	t.Helper()
+	return runMergeVia(t, parent, childOps, parentOps, addr, size,
+		func(dst, cur, ref *Space) (MergeStats, error) {
+			return MergeEx(dst, cur, ref, addr, size, cfg)
+		})
+}
+
+func runMergeFull(t *testing.T, parent *Space, childOps, parentOps []memOp,
+	addr Addr, size uint64, cfg MergeConfig) mergeOutcome {
+	t.Helper()
+	return runMergeVia(t, parent, childOps, parentOps, addr, size,
+		func(dst, cur, ref *Space) (MergeStats, error) {
+			return mergeRange(dst, cur, ref, addr, size, cfg, false)
+		})
+}
+
+func runMergeVia(t *testing.T, parent *Space, childOps, parentOps []memOp,
+	addr Addr, size uint64, merge func(dst, cur, ref *Space) (MergeStats, error)) mergeOutcome {
 	t.Helper()
 	child := NewSpace()
 	child.CopyAllFrom(parent)
@@ -101,13 +123,13 @@ func runMerge(t *testing.T, parent *Space, childOps, parentOps []memOp,
 	dst.CopyAllFrom(parent)
 	applyOps(t, dst, parentOps)
 
-	st, err := MergeEx(dst, child, snap, addr, size, cfg)
+	st, err := merge(dst, child, snap)
 	out := mergeOutcome{st: st, print: fingerprint(dst, addr, size)}
 	if err != nil {
 		out.err = err.Error()
 		mc, ok := err.(*MergeConflictError)
 		if !ok {
-			t.Fatalf("MergeEx(%+v): unexpected error type %T: %v", cfg, err, err)
+			t.Fatalf("merge: unexpected error type %T: %v", err, err)
 		}
 		out.total = mc.Total
 		out.addrs = append(out.addrs, mc.Addrs...)
@@ -174,17 +196,21 @@ func TestMergeEnginesEquivalentProperty(t *testing.T) {
 			serial := runMerge(t, parent, childOps, parentOps, addr, size,
 				MergeConfig{Mode: mode})
 			variants := []struct {
-				name          string
-				cfg           MergeConfig
-				ignoreScanned bool
+				name string
+				cfg  MergeConfig
+				full bool // unguided walk; PtesScanned legitimately differs
 			}{
 				{"parallel4", MergeConfig{Mode: mode, Workers: 4}, false},
-				{"serial-full", MergeConfig{Mode: mode, NoDirtyHints: true}, true},
-				{"parallel4-full", MergeConfig{Mode: mode, Workers: 4, NoDirtyHints: true}, true},
+				{"serial-full", MergeConfig{Mode: mode}, true},
+				{"parallel4-full", MergeConfig{Mode: mode, Workers: 4}, true},
 			}
 			for _, v := range variants {
-				got := runMerge(t, parent, childOps, parentOps, addr, size, v.cfg)
-				if diff := outcomesEqual(serial, got, v.ignoreScanned); diff != "" {
+				run := runMerge
+				if v.full {
+					run = runMergeFull
+				}
+				got := run(t, parent, childOps, parentOps, addr, size, v.cfg)
+				if diff := outcomesEqual(serial, got, v.full); diff != "" {
 					t.Errorf("seed %d mode %v: %s differs from serial guided: %s",
 						seed, mode, v.name, diff)
 					return false
@@ -228,15 +254,15 @@ func TestMergeEnginesEquivalentOnContention(t *testing.T) {
 	}
 	for _, mode := range []MergeMode{MergeStrict, MergeLastWriter} {
 		base := runMerge(t, parent, childOps, parentOps, 0, propSpan, MergeConfig{Mode: mode})
-		for _, cfg := range []MergeConfig{
-			{Mode: mode, Workers: 2},
-			{Mode: mode, Workers: 16},
-			{Mode: mode, NoDirtyHints: true},
-			{Mode: mode, Workers: 16, NoDirtyHints: true},
-		} {
+		for _, workers := range []int{1, 2, 16} {
+			cfg := MergeConfig{Mode: mode, Workers: workers}
 			got := runMerge(t, parent, childOps, parentOps, 0, propSpan, cfg)
-			if diff := outcomesEqual(base, got, cfg.NoDirtyHints); diff != "" {
-				t.Errorf("mode %v cfg %+v: %s", mode, cfg, diff)
+			if diff := outcomesEqual(base, got, false); diff != "" {
+				t.Errorf("mode %v cfg %+v guided: %s", mode, cfg, diff)
+			}
+			got = runMergeFull(t, parent, childOps, parentOps, 0, propSpan, cfg)
+			if diff := outcomesEqual(base, got, true); diff != "" {
+				t.Errorf("mode %v cfg %+v full: %s", mode, cfg, diff)
 			}
 		}
 	}
@@ -311,7 +337,7 @@ func TestMergeDirtyGuidedScansLessThanFull(t *testing.T) {
 		}
 	}
 	guided := runMerge(t, parent, childOps, parentOps, 0, propSpan, MergeConfig{})
-	full := runMerge(t, parent, childOps, parentOps, 0, propSpan, MergeConfig{NoDirtyHints: true})
+	full := runMergeFull(t, parent, childOps, parentOps, 0, propSpan, MergeConfig{})
 	if diff := outcomesEqual(guided, full, true); diff != "" {
 		t.Fatalf("guided and full walks disagree: %s", diff)
 	}

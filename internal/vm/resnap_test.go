@@ -215,7 +215,7 @@ func TestResnapRepeatedRoundsStayCoherent(t *testing.T) {
 		}
 		model[int(a1)] = byte(0x40 + round)
 		// Commit: merge child into master.
-		if _, err := MergeWith(master, child, snap, 0, pages*PageSize, MergeLastWriter); err != nil {
+		if _, err := MergeEx(master, child, snap, 0, pages*PageSize, MergeConfig{Mode: MergeLastWriter}); err != nil {
 			t.Fatal(err)
 		}
 		got := readAll(t, master, pages)

@@ -286,7 +286,7 @@ func TestMergeLastWriterWins(t *testing.T) {
 	if err := child.Write(0, []byte("Z")); err != nil { // conflicts with parent's X
 		t.Fatal(err)
 	}
-	st, err := MergeWith(parent, child, snap, 0, PageSize, MergeLastWriter)
+	st, err := MergeEx(parent, child, snap, 0, PageSize, MergeConfig{Mode: MergeLastWriter})
 	if err != nil {
 		t.Fatalf("LWW merge errored: %v", err)
 	}

@@ -15,9 +15,6 @@ const (
 // TableOf returns the level-1 table index covering address a.
 func TableOf(a Addr) int { return int(a >> l1Shift) }
 
-// TableBase returns the first address covered by level-1 table l1.
-func TableBase(l1 int) Addr { return Addr(uint64(l1) << l1Shift) }
-
 // TableBits is a bitset over level-1 table indices. Merge uses it to
 // report which of the destination's 4 MiB tables a merge actually
 // modified (MergeConfig.Touched), which is what lets collectors bump

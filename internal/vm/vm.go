@@ -25,7 +25,7 @@
 // break sharing first), so cross-space page sharing needs no locking beyond
 // the atomic reference count.
 //
-// MergeParallel exploits a refinement of that ownership rule: all mutable
+// A parallel merge exploits a refinement of that ownership rule: all mutable
 // per-table state — the root slot, the level-2 table it points to, and the
 // table's dirty bitmap — is reached only through the table's level-1 index,
 // and page reference counts are atomic. Partitioning a merge by level-1

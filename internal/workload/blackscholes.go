@@ -115,7 +115,10 @@ func BlackscholesSched(rt *core.RT, threads, size int, cfg dsched.Config) (uint6
 	opts := GenOptions(size)
 	data := writeOptions(rt, opts)
 	prices := rt.Alloc(uint64(8*size), vm.PageSize)
-	s := dsched.New(rt, cfg)
+	s, err := dsched.New(rt, cfg)
+	if err != nil {
+		panic(err)
+	}
 	if err := s.Run(threads, func(t *dsched.Thread) {
 		lo, hi := stripe(size, threads, t.ID)
 		if lo == hi {

@@ -6,42 +6,10 @@ import (
 	"repro/internal/vm"
 )
 
-// Synchronization-bound microworkloads for the deterministic scheduler's
-// round engine. Unlike the PARSEC-style kernels, these spend almost all
-// of their time in the scheduler, which is exactly what the dsched
-// experiment wants to measure: per-round overhead, not compute.
-
-// LockHeavy runs threads legacy-API threads that contend for one mutex
-// around a tiny critical section: at almost every instant one thread is
-// runnable and the rest sit blocked in the master's ownership queue, the
-// paper's worst case for quantized scheduling. Each thread performs
-// iters lock/increment/unlock cycles; the returned checksum folds the
-// final counter with the deterministic acquisition history.
-func LockHeavy(rt *core.RT, threads, iters int, cfg dsched.Config) (uint64, dsched.Stats) {
-	s := dsched.New(rt, cfg)
-	mu := s.NewMutex()
-	counter := rt.Alloc(8, 8)
-	seq := rt.Alloc(8, 8)
-	hist := rt.Alloc(8, 8)
-	if err := s.Run(threads, func(th *dsched.Thread) {
-		env := th.Env()
-		for i := 0; i < iters; i++ {
-			th.Lock(mu)
-			v := env.ReadU64(counter)
-			env.Tick(20)
-			env.WriteU64(counter, v+1)
-			pos := env.ReadU64(seq)
-			env.WriteU64(seq, pos+1)
-			env.WriteU64(hist, env.ReadU64(hist)*31+uint64(th.ID+1))
-			th.Unlock(mu)
-			env.Tick(int64(40 + 10*th.ID))
-		}
-	}); err != nil {
-		panic(err)
-	}
-	env := rt.Env()
-	return env.ReadU64(counter)*2654435761 + env.ReadU64(hist), s.Stats()
-}
+// A synchronization-bound microworkload for the deterministic scheduler's
+// round engine. Unlike the PARSEC-style kernels, it spends almost all of
+// its time in the scheduler, which is exactly what the dsched experiment
+// wants to measure: per-round overhead, not compute.
 
 // scanTicksPerPage models the per-page digest cost of the holder's scan
 // (hashing, parsing — work that is compute, not memory traffic).
@@ -63,7 +31,10 @@ func LockScan(rt *core.RT, threads, pages int, cfg dsched.Config) (uint64, dsche
 	for p := 0; p < pages; p++ {
 		env0.WriteU64(table+vm.Addr(p)*vm.PageSize, uint64(p)*0x9E3779B97F4A7C15+1)
 	}
-	s := dsched.New(rt, cfg)
+	s, err := dsched.New(rt, cfg)
+	if err != nil {
+		panic(err)
+	}
 	mu := s.NewMutex()
 	if err := s.Run(threads, func(th *dsched.Thread) {
 		env := th.Env()

@@ -429,7 +429,7 @@ func (s *Session) Checkpoints() []*Image {
 // NewSched builds a deterministic scheduler from the session's scheduler
 // configuration for a runtime created inside one of this session's runs.
 func (s *Session) NewSched(rt *RT) (*Sched, error) {
-	return dsched.NewChecked(rt, s.cfg.Sched)
+	return dsched.New(rt, s.cfg.Sched)
 }
 
 // deviceConfig materializes the kernel configuration for one run:

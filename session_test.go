@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // --- helpers -----------------------------------------------------------------
@@ -568,6 +570,48 @@ func TestSessionImageRoundTripAndRejects(t *testing.T) {
 	}
 }
 
+// A CRC-valid session image can carry any runtime region its author
+// likes. One that core.New could not have produced must fail Resume with
+// the typed attach error before the program's Restore sees it: the dsched
+// program below would otherwise size its table epochs from the region (an
+// 8 TiB makeslice that kills the process, not the call).
+func TestSessionResumeRejectsCraftedRegion(t *testing.T) {
+	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4, MergeWorkers: 1})}
+	sess := func() *Session { return mustSession(t, opts...) }
+	p := dschedProgram(t, sess, 3, 2)
+	img, err := sess().RunToCheckpoint(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		base Addr
+		size uint64
+	}{
+		{"8 TiB of epochs", img.RT.Base, 1 << 62},
+		{"page-aligned only", img.RT.Base + 0x1000, 0x3000},
+		{"past 4 GiB", img.RT.Base, 1 << 32},
+	} {
+		// The cursor keeps its offset, so only the region is implausible.
+		bad := *img
+		bad.RT.Base, bad.RT.Size = c.base, c.size
+		bad.RT.Next = c.base + (img.RT.Next - img.RT.Base)
+		data, err := bad.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeImage(data)
+		if err != nil {
+			t.Fatalf("%s: the image is structurally valid, DecodeImage = %v", c.name, err)
+		}
+		_, err = sess().Resume(dec, p)
+		var se *core.StateError
+		if !errors.As(err, &se) || se.Field != "region" {
+			t.Errorf("%s: Resume = %v, want *core.StateError{region}", c.name, err)
+		}
+	}
+}
+
 func TestSessionConfigValidation(t *testing.T) {
 	var ce *ConfigError
 	if _, err := NewSession(WithMachine(MachineConfig{MergeWorkers: -1})); !errors.As(err, &ce) || ce.Field != "Machine.MergeWorkers" {
@@ -598,34 +642,20 @@ func TestSessionConfigValidation(t *testing.T) {
 	}
 }
 
-// The legacy wrappers now validate instead of silently defaulting.
+// The legacy wrappers validate instead of silently defaulting.
 func TestLegacyWrapperValidation(t *testing.T) {
 	res := Run(Options{}, func(rt *RT) uint64 {
-		// Negative quantum: typed panic from the legacy wrapper.
-		func() {
-			defer func() {
-				r := recover()
-				err, ok := r.(error)
-				var se *SchedConfigError
-				if !ok || !errors.As(err, &se) {
-					panic(fmt.Sprintf("NewSched(-1) panicked with %v, want *SchedConfigError", r))
-				}
-			}()
-			NewSched(rt, -1)
-		}()
+		// A negative quantum or worker count is a typed error.
+		var se *SchedConfigError
+		if _, err := NewSchedWith(rt, SchedConfig{Quantum: -1}); !errors.As(err, &se) || se.Field != "Quantum" {
+			panic(fmt.Sprintf("NewSchedWith(Quantum -1) = %v, want *SchedConfigError{Quantum}", err))
+		}
+		if _, err := NewSchedWith(rt, SchedConfig{CollectWorkers: -3}); !errors.As(err, &se) {
+			panic(fmt.Sprintf("NewSchedWith(CollectWorkers -3) = %v, want *SchedConfigError", err))
+		}
 		// Zero still selects the documented default.
-		if s := NewSched(rt, 0); s == nil {
-			panic("NewSched(0) returned nil")
-		}
-		// The full-config path surfaces the same error without panicking.
-		if _, err := NewSchedWith(rt, SchedConfig{CollectWorkers: -3}); err == nil {
-			panic("NewSchedWith accepted negative workers")
-		}
-		// NewRTWith refuses machine config (the machine is already built)
-		// instead of silently dropping it.
-		var ce *ConfigError
-		if _, err := NewRTWith(rt.Env(), Options{Kernel: MachineConfig{Nodes: 4}}); !errors.As(err, &ce) || ce.Field != "Kernel" {
-			panic(fmt.Sprintf("NewRTWith(Kernel) = %v, want *ConfigError{Kernel}", err))
+		if s, err := NewSchedWith(rt, SchedConfig{}); err != nil || s == nil {
+			panic(fmt.Sprintf("NewSchedWith(zero) = %v, %v", s, err))
 		}
 		return 1
 	})
