@@ -3,13 +3,14 @@
 
 GO ?= go
 
-# Output of `make bench-json`. The default is a scratch name (ignored by
-# git); a PR commits its snapshot with one explicit invocation,
-# `make bench-json BENCH_OUT=BENCH_prN.json`. CI uploads the default file
-# as a per-commit artifact so the perf trajectory is downloadable per run.
+# Output of `make bench-json`: a scratch name ignored by git, which CI
+# uploads as a per-commit artifact. PRs no longer commit BENCH_prN.json
+# snapshots: the exact trajectory is `git log -p` of
+# internal/bench/testdata/quick.golden.json and BENCH_EXACT.golden, the
+# wall-clock trajectory is `go run ./benchmark`.
 BENCH_OUT ?= BENCH.json
 
-.PHONY: build test race fuzz-smoke bench bench-smoke bench-json vet fmt-check staticcheck detlint ci
+.PHONY: build test race fuzz-smoke bench bench-smoke bench-exact bench-json vet fmt-check staticcheck detlint ci
 
 build:
 	$(GO) build ./...
@@ -33,37 +34,43 @@ test:
 race:
 	GOMAXPROCS=4 $(GO) test -race ./...
 
-# Ten seconds of native fuzzing on the chunk decoder, the one parser in
-# the module that reads bytes straight off a disk before anything has
-# hashed them. The seed corpus (codec_test.go's hostile-record table)
-# also runs as a plain test under `make test`; this target is what
-# mutates it. A crasher is written to internal/castore/testdata/fuzz and
-# fails every later `go test` until fixed.
+# Ten seconds of native fuzzing on each decoder of bytes that came off a
+# disk: the chunk codec, and the two image decoders a checkpoint passes
+# through (kernel.Restore/SplitImage and vm.DecodeForest, which share
+# imgenc.Open). The seed corpora also run as plain tests under `make
+# test`; this target is what mutates them. A crasher is written to the
+# package's testdata/fuzz and fails every later `go test` until fixed.
+# Minimization is capped per input: the image seeds are tens of KiB, and
+# the default minute per interesting input would eat the whole window.
+FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 20x
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeBlob -fuzztime 10s ./internal/castore
+	$(FUZZ) -fuzz FuzzDecodeBlob ./internal/castore
+	$(FUZZ) -fuzz FuzzDecodeForest ./internal/vm
+	$(FUZZ) -fuzz FuzzRestore ./internal/kernel
 
 # Full-size experiment tables (slow); see also `go run ./cmd/detbench`.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
-# Quick experiments end to end: proves the bench harness still runs,
-# the dsched round engine still completes its blocked-heavy workload, the kv
-# reconciliation sweep still checksums identically across merge workers,
-# the sharded barrier tree still matches the flat collector bit for bit
-# while cutting the root's cross-node messages, every checkpoint sweep
-# row still resumes bit-identically to its uninterrupted run, the
-# serving fabric still bounds resident pages by the cap while serving
-# 1024 open sessions (killed-worker failovers asserted bit-equal), and
-# the build executor's warm builds still fetch >=90% of results with
-# checksums bit-equal to cold.
+# One iteration of two micro-benchmarks: proves `go test -bench` still
+# builds, the detbench harness still runs under testing.B (Figure 4) and
+# the dsched round engine still completes its blocked-heavy workload.
+# What the tables this target used to smoke-test assert now lives in
+# package tests and the two goldens (`make test`, `make bench-exact`).
 bench-smoke:
-	$(GO) test -bench='Fig4|MergeTable|DschedRound|KVTable|ClusterTable|CkptTable|ServeTable|MakeTable' -benchtime=1x -run='^$$' .
+	$(GO) test -bench='Fig4|DschedRound' -benchtime=1x -run='^$$' .
 
-# Machine-readable perf snapshot for the repo's trajectory artifacts
-# (BENCH_pr2.json and successors; see BENCH_OUT above). tab3 rides along
-# so every snapshot carries the module's code size beside its numbers.
+# The exact gate: the end-to-end benchmark's 14 deterministic per-layer
+# metrics (virtual times, instruction, round, page and byte counts) must
+# equal the committed values. A change that moves one regenerates
+# BENCH_EXACT.golden with the awk line below and says why.
+bench-exact:
+	$(GO) run ./benchmark -smoke | awk '$$NF == "exact" { print $$2, $$3 }' | diff BENCH_EXACT.golden -
+
+# Every surviving detbench table plus tab3 as JSON. All of it is exact:
+# two runs of one commit are byte-identical.
 bench-json:
-	$(GO) run ./cmd/detbench -run dsched,merge,kv,cluster,ckpt,serve,make,tab3 -quick -json > $(BENCH_OUT)
+	$(GO) run ./cmd/detbench -quick -json > $(BENCH_OUT)
 
 # Mirrors the pinned CI job; requires staticcheck on PATH
 # (go install honnef.co/go/tools/cmd/staticcheck@2025.1).
@@ -76,7 +83,7 @@ staticcheck:
 detlint:
 	$(GO) run ./cmd/detlint ./...
 
-ci: build vet fmt-check detlint test race fuzz-smoke bench-smoke bench-json
+ci: build vet fmt-check detlint test race fuzz-smoke bench-smoke bench-exact bench-json
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		$(MAKE) staticcheck; \
 	else \

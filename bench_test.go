@@ -1,5 +1,8 @@
-// The external test package breaks the cycle the serve fabric would
-// otherwise close: bench imports serve, and serve imports repro.
+// The module's micro-benchmarks (`go test -bench`): testing.B's own
+// repetition is the only timing loop here. The package is external
+// because it needs nothing unexported; the import cycle that once forced
+// it (bench → serve → repro) is gone — internal/bench depends only on
+// baseline, core, kernel, uproc, vm and workload.
 package repro_test
 
 import (
@@ -17,10 +20,10 @@ import (
 	"repro/internal/workload"
 )
 
-// Experiment benchmarks: one testing.B target per table/figure of the
-// paper's evaluation, running the same harness as cmd/detbench in quick
-// mode. `go test -bench=Fig7` etc.; full-size runs via `go run
-// ./cmd/detbench`.
+// Experiment benchmarks: one testing.B target per figure of the paper's
+// evaluation, running the same harness as cmd/detbench in quick mode —
+// what it costs the host to regenerate a figure. `go test -bench=Fig7`
+// etc.; full-size runs via `go run ./cmd/detbench`.
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
@@ -35,21 +38,14 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
-func BenchmarkFig4(b *testing.B)         { benchExperiment(b, "fig4") }
-func BenchmarkMergeTable(b *testing.B)   { benchExperiment(b, "merge") }
-func BenchmarkFig7(b *testing.B)         { benchExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)         { benchExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)         { benchExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)        { benchExperiment(b, "fig10") }
-func BenchmarkFig11(b *testing.B)        { benchExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)        { benchExperiment(b, "fig12") }
-func BenchmarkQuantum(b *testing.B)      { benchExperiment(b, "quantum") }
-func BenchmarkKVTable(b *testing.B)      { benchExperiment(b, "kv") }
-func BenchmarkClusterTable(b *testing.B) { benchExperiment(b, "cluster") }
-func BenchmarkCkptTable(b *testing.B)    { benchExperiment(b, "ckpt") }
-func BenchmarkServeTable(b *testing.B)   { benchExperiment(b, "serve") }
-func BenchmarkMakeTable(b *testing.B)    { benchExperiment(b, "make") }
-func BenchmarkTab3(b *testing.B)         { benchExperiment(b, "tab3") }
+func BenchmarkFig4(b *testing.B)    { benchExperiment(b, "fig4") }
+func BenchmarkFig7(b *testing.B)    { benchExperiment(b, "fig7") }
+func BenchmarkFig8(b *testing.B)    { benchExperiment(b, "fig8") }
+func BenchmarkFig9(b *testing.B)    { benchExperiment(b, "fig9") }
+func BenchmarkFig10(b *testing.B)   { benchExperiment(b, "fig10") }
+func BenchmarkFig11(b *testing.B)   { benchExperiment(b, "fig11") }
+func BenchmarkFig12(b *testing.B)   { benchExperiment(b, "fig12") }
+func BenchmarkQuantum(b *testing.B) { benchExperiment(b, "quantum") }
 
 // Per-workload micro-benchmarks: each benchmark kernel on Determinator
 // and on the nondeterministic baseline, at a fixed small size, so

@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"repro/internal/bench"
 )
@@ -13,6 +14,10 @@ import (
 func main() {
 	root := flag.String("root", ".", "repository root")
 	flag.Parse()
-	t := bench.Tab3(*root)
+	t, err := bench.Tab3(*root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Print(t.Format())
 }

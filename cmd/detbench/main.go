@@ -1,7 +1,10 @@
 // Detbench regenerates the tables and figures of the paper's evaluation
-// (§6). Each experiment prints the same rows or series the paper
-// reports; the committed BENCH_pr*.json files record captured runs, and
-// README.md ("Benchmarks") says how to read them.
+// (§6) in their exact quantities: virtual times, counts, sizes and
+// checksums, which repeat bit for bit on every host and are pinned by
+// internal/bench/testdata/quick.golden.json. It reads no wall clock —
+// host time is measured by `go run ./benchmark` (gated) and `go test
+// -bench` (micro-benchmarks); README.md ("Benchmarks") says which
+// number lives where.
 //
 // Usage:
 //
@@ -9,8 +12,7 @@
 //
 // With no -run flag every experiment runs in paper order. With -json the
 // selected tables are emitted as one JSON array instead of aligned text,
-// which is how `make bench-json` produces the committed BENCH artifacts
-// tracking the perf trajectory across PRs.
+// which is what `make bench-json` uploads from CI.
 package main
 
 import (

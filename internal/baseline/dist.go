@@ -32,10 +32,14 @@ func MD5Dist(nodes, size int, cost kernel.CostModel) DistResult {
 	const master = 0
 	want := workload.MD5Candidate(workload.MD5Target(size))
 	results := make([]uint64, nodes)
+	// The master ships every work descriptor before any worker runs: a
+	// reply folded into its clock between two of its own sends would make
+	// the makespan depend on host scheduling.
+	for w := 0; w < nodes; w++ {
+		net.send(master, w+1, 16) // work descriptor: [lo, hi)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < nodes; w++ {
-		w := w
-		net.send(master, w+1, 16) // work descriptor: [lo, hi)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -73,15 +77,19 @@ func MatmultDist(nodes, n int, cost kernel.CostModel) DistResult {
 	a := workload.GenU32(n*n, 0xA)
 	b := workload.GenU32(n*n, 0xB)
 	c := make([]uint32, n*n)
+	// All shipping first, as in MD5Dist: stripe of A plus all of B, 4
+	// bytes per word.
+	for w := 0; w < nodes; w++ {
+		if rlo, rhi := stripe(n, nodes, w); rlo != rhi {
+			net.send(master, w+1, 4*((rhi-rlo)*n+n*n))
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < nodes; w++ {
-		w := w
 		rlo, rhi := stripe(n, nodes, w)
 		if rlo == rhi {
 			continue
 		}
-		// Stripe of A plus all of B, 4 bytes per word.
-		net.send(master, w+1, 4*((rhi-rlo)*n+n*n))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -68,12 +68,12 @@ func ROCache(o Options) Table {
 	t := Table{
 		ID:     "rocache",
 		Title:  "ablation: read-only page cache for re-migrating spaces (§3.3)",
-		Header: []string{"nodes", "cached", "uncached", "penalty"},
+		Header: []string{"nodes", "cached-vt", "uncached-vt", "penalty"},
 	}
 	for _, n := range nodeSteps {
 		c := run(n, false)
 		u := run(n, true)
-		t.AddRow(iv(int64(n)), mi(c), mi(u), pct(float64(u)/float64(c)-1))
+		t.AddRow(iv(int64(n)), iv(c), iv(u), pct(float64(u)/float64(c)-1))
 	}
 	t.Note("a master carrying a %d-page read-only table makes %d laps of the cluster;", refPages, laps)
 	t.Note("without per-node caching every revisit re-transfers the table.")

@@ -1,22 +1,139 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/kernel"
 )
 
-// The harness itself under test: quick-mode experiments must produce
-// well-formed tables with the expected structure, and deterministic
-// virtual-time columns must repeat exactly.
+// The harness itself under test. Every quantity it prints is exact, so
+// the whole quick-mode output is pinned by one golden file and compared
+// cell for cell; the shape tests below check the paper's claims on the
+// full-size figures.
 
+const quickGoldenPath = "testdata/quick.golden.json"
+
+// quickIDs is every experiment the golden pins: all but tab3, whose
+// counts move with every edit to the module.
+func quickIDs() []string {
+	var ids []string
+	for _, id := range Experiments() {
+		if id != "tab3" {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// quickGolden loads the golden tables keyed by id. Following
+// ckpt_v1.golden's convention the file is created when absent: delete
+// it and re-run to regenerate, then read the diff before committing it.
+func quickGolden(t *testing.T) map[string]Table {
+	t.Helper()
+	raw, err := os.ReadFile(quickGoldenPath)
+	if os.IsNotExist(err) {
+		var tabs []Table
+		for _, id := range quickIDs() {
+			tab, err := Run(id, "", Options{Quick: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tabs = append(tabs, tab)
+		}
+		if raw, err = json.MarshalIndent(tabs, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(quickGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(quickGoldenPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden file created; commit %s", quickGoldenPath)
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	var tabs []Table
+	if err := json.Unmarshal(raw, &tabs); err != nil {
+		t.Fatalf("%s: %v", quickGoldenPath, err)
+	}
+	byID := make(map[string]Table, len(tabs))
+	for _, tab := range tabs {
+		byID[tab.ID] = tab
+	}
+	return byID
+}
+
+// TestQuickGolden runs every pinned experiment in quick mode and
+// requires its table to equal the golden's: an exact-quantity change
+// nobody explained fails here naming table, row, column, got and want.
+// It passes at any GOMAXPROCS and repeats under -count.
+func TestQuickGolden(t *testing.T) {
+	golden := quickGolden(t)
+	if len(golden) != len(quickIDs()) {
+		t.Errorf("golden holds %d tables, want %d", len(golden), len(quickIDs()))
+	}
+	for _, id := range quickIDs() {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			want, ok := golden[id]
+			if !ok {
+				t.Fatalf("no golden table %q", id)
+			}
+			got, err := Run(id, "", Options{Quick: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Title != want.Title {
+				t.Errorf("title %q, want %q", got.Title, want.Title)
+			}
+			if !reflect.DeepEqual(got.Header, want.Header) {
+				t.Fatalf("header %q, want %q", got.Header, want.Header)
+			}
+			if len(got.Rows) != len(want.Rows) {
+				t.Fatalf("%d rows, want %d", len(got.Rows), len(want.Rows))
+			}
+			for i, row := range got.Rows {
+				if len(row) != len(want.Rows[i]) {
+					t.Fatalf("row %d has %d cells, want %d", i, len(row), len(want.Rows[i]))
+				}
+				for j, cell := range row {
+					if cell != want.Rows[i][j] {
+						t.Errorf("%s row %d (%s) column %s: got %s, want %s",
+							id, i, row[0], got.Header[j], cell, want.Rows[i][j])
+					}
+				}
+			}
+			if !reflect.DeepEqual(got.Notes, want.Notes) {
+				t.Errorf("notes %q, want %q", got.Notes, want.Notes)
+			}
+		})
+	}
+}
+
+// TestAllExperimentsRunQuick checks the form of every experiment's
+// quick table: well-formed, no host-time column, virtual times as full
+// integers. The pinned tables come from the golden — TestQuickGolden
+// holds the live output equal to it — so only tab3 runs here.
 func TestAllExperimentsRunQuick(t *testing.T) {
+	golden := quickGolden(t)
 	for _, id := range Experiments() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			tab, err := Run(id, "../..", Options{Quick: true})
-			if err != nil {
-				t.Fatal(err)
+			tab, ok := golden[id]
+			if id == "tab3" {
+				var err error
+				if tab, err = Tab3("../.."); err != nil {
+					t.Fatal(err)
+				}
+			} else if !ok {
+				t.Fatalf("no golden table %q", id)
 			}
 			if tab.ID != id {
 				t.Errorf("table id %q, want %q", tab.ID, id)
@@ -24,13 +141,28 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if len(tab.Rows) == 0 {
 				t.Fatal("no rows")
 			}
+			vtCols := map[int]bool{}
+			for j, h := range tab.Header {
+				switch {
+				case strings.HasSuffix(h, "-ms"), strings.HasSuffix(h, "-wall"), h == "wall-ratio",
+					h == "serial", h == "parallel", h == "speedup", h == "gbps":
+					t.Errorf("header %q is a host-time column", h)
+				case h == "vt", strings.HasSuffix(h, "-vt"):
+					vtCols[j] = true
+				}
+			}
 			for i, r := range tab.Rows {
 				if len(r) != len(tab.Header) {
 					t.Errorf("row %d has %d cells, header has %d", i, len(r), len(tab.Header))
+					continue
+				}
+				for j := range vtCols {
+					if _, err := strconv.ParseInt(r[j], 10, 64); err != nil {
+						t.Errorf("row %d column %s: virtual time %q is not a full integer", i, tab.Header[j], r[j])
+					}
 				}
 			}
-			out := tab.Format()
-			if !strings.Contains(out, tab.Title) {
+			if !strings.Contains(tab.Format(), tab.Title) {
 				t.Error("formatted output missing title")
 			}
 		})
@@ -144,7 +276,10 @@ func TestQuantumOverheadDecreases(t *testing.T) {
 }
 
 func TestTab3CountsNonzero(t *testing.T) {
-	tab := Tab3("../..")
+	tab, err := Tab3("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) < 4 {
 		t.Fatalf("tab3 found only %d component groups", len(tab.Rows))
 	}
@@ -155,18 +290,40 @@ func TestTab3CountsNonzero(t *testing.T) {
 	}
 }
 
-func TestExperimentVTDeterministic(t *testing.T) {
-	// Deterministic columns of a vt-only experiment must be identical
-	// across harness invocations.
-	a := Fig11(Options{Quick: true})
-	b := Fig11(Options{Quick: true})
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if a.Rows[i][j] != b.Rows[i][j] {
-				t.Fatalf("fig11 cell (%d,%d) differs across runs: %q vs %q",
-					i, j, a.Rows[i][j], b.Rows[i][j])
+// TestTab3RejectsWhatItCannotCount: the tracked metric's good direction
+// is down, so a root that is not the module, a missing component
+// directory and a source file that cannot be opened must each be an
+// error — never a table with a smaller total.
+func TestTab3RejectsWhatItCannotCount(t *testing.T) {
+	if _, err := Tab3(filepath.Join(t.TempDir(), "nonexistent")); err == nil {
+		t.Error("root without go.mod accepted")
+	}
+
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module m\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Tab3(root); err == nil {
+		t.Error("root missing every component directory accepted")
+	}
+
+	for _, g := range tab3Groups {
+		for _, d := range g.dirs {
+			if err := os.MkdirAll(filepath.Join(root, d), 0o755); err != nil {
+				t.Fatal(err)
 			}
 		}
+	}
+	if _, err := Tab3(root); err != nil {
+		t.Fatalf("empty but complete module tree: %v", err)
+	}
+	// A dangling symlink cannot be opened whoever runs the test (a mode
+	// bit would not stop root).
+	if err := os.Symlink("gone", filepath.Join(root, "internal/vm/unreadable.go")); err != nil {
+		t.Skipf("no symlinks here: %v", err)
+	}
+	if _, err := Tab3(root); err == nil {
+		t.Error("unreadable source file counted as zero lines")
 	}
 }
 
@@ -186,5 +343,50 @@ func TestTableFormatting(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 6 {
 		t.Errorf("expected 6 lines, got %d:\n%s", len(lines), out)
+	}
+}
+
+// BenchmarkCkptSave is the ruler for ROADMAP's O(dirty) bar: a second
+// checkpoint after a 2%-dirty round (delta2) should cost within 2× of
+// the first checkpoint of a machine that only ever dirtied 2% (fresh2).
+// Only the last env.Checkpoint of each run is timed; the workloads are
+// the ckpt table's 2% and Δ2 rows on the quick-mode 32M region.
+func BenchmarkCkptSave(b *testing.B) {
+	const region, threads = 32 << 20, 4
+	cfg := kernel.Config{CPUsPerNode: threads, MergeWorkers: 1}
+	for _, sh := range []struct {
+		name  string
+		w     ckptWorkload
+		saves []int // barriers checkpointed; the last is the timed one
+	}{
+		{"fresh2", ckptWorkload{region: region, frac: 2, threads: threads, phases: 3}, []int{2}},
+		{"delta2", ckptWorkload{region: region, frac: 2, threads: threads, phases: 3,
+			phaseFracs: []int{100, 2, 2}}, []int{1, 2}},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				saved := 0
+				var saveErr error
+				// The hook runs on the machine's root goroutine, so it
+				// reports through saveErr rather than b.Fatal.
+				res := sh.w.run(cfg, 0, nil, func(env *kernel.Env, after int) bool {
+					if after != sh.saves[saved] {
+						return true
+					}
+					saved++
+					last := saved == len(sh.saves)
+					if last {
+						b.StartTimer()
+					}
+					_, saveErr = env.Checkpoint(kernel.CheckpointOpts{})
+					b.StopTimer()
+					return !last && saveErr == nil
+				})
+				if saveErr != nil || res.Err != nil {
+					b.Fatal(saveErr, res.Err)
+				}
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"repro/internal/castore"
 	"repro/internal/core"
@@ -11,9 +10,11 @@ import (
 	"repro/internal/vm"
 )
 
-// Ckpt sweeps the checkpoint subsystem: image size, chunked-store cost
-// and save/restore wall time versus shared-region size and the fraction
-// of the region a round of threads actually dirties. Each row runs a
+// Ckpt sweeps the checkpoint subsystem: image size and chunked-store
+// cost versus shared-region size and the fraction of the region a round
+// of threads actually dirties (save and restore wall time are
+// benchmark/'s kernel.checkpoint_ms and kernel.restore_ms, and
+// BenchmarkCkptSave beside this file). Each row runs a
 // phased fork/join workload, checkpoints at a mid-run barrier, ships the
 // image through the content-addressed chunk store (split, chunk,
 // unchunk, join — asserted byte-identical), restores the rebuilt image
@@ -45,7 +46,7 @@ func Ckpt(o Options) Table {
 		ID:    "ckpt",
 		Title: "checkpoint image and chunk-store size vs region size and dirty fraction",
 		Header: []string{"region", "dirty%", "img-kb", "kb/dirty-mb", "chunk-kb", "dedup",
-			"comp-kb", "comp-kb/dmb", "save-ms", "restore-ms", "resume"},
+			"comp-kb", "comp-kb/dmb", "resume"},
 	}
 	for _, region := range regions {
 		for _, frac := range fracs {
@@ -57,37 +58,17 @@ func Ckpt(o Options) Table {
 				panic(fmt.Sprintf("bench: ckpt workload: %v", want.Err))
 			}
 
-			var img []byte
-			var saveDur time.Duration
-			ckRes := w.run(cfg, 0, nil, func(env *kernel.Env, after int) bool {
-				if after != stopAt {
-					return true
-				}
-				start := time.Now()
-				var err error
-				img, err = env.Checkpoint(kernel.CheckpointOpts{})
-				saveDur = time.Since(start)
-				if err != nil {
-					panic(fmt.Sprintf("bench: ckpt save: %v", err))
-				}
-				return false
-			})
-			if ckRes.Err != nil {
-				panic(fmt.Sprintf("bench: ckpt save run: %v", ckRes.Err))
-			}
+			img := w.imagesAt(cfg, stopAt)[0]
 
 			// Ship the image through the chunk store and rebuild it.
 			store := castore.NewMemStore()
 			joined, st := chunkRoundTrip(store, img, castore.Key{})
 
 			m := kernel.New(cfg)
-			start := time.Now()
 			if err := m.Restore(joined); err != nil {
 				panic(fmt.Sprintf("bench: ckpt restore: %v", err))
 			}
-			restoreDur := time.Since(start)
-			got := w.resume(m, stopAt)
-			assertBitEq(got, want)
+			assertBitEq(w.resume(m, stopAt), want)
 
 			dirtyMB := float64(region) * float64(frac) / 100 / (1 << 20)
 			t.AddRow(fmt.Sprintf("%dM", region>>20), iv(int64(frac)),
@@ -97,8 +78,6 @@ func Ckpt(o Options) Table {
 				f2(float64(len(img))/float64(st.LogicalSize)),
 				iv(int64(st.StoredSize>>10)),
 				f2(float64(st.StoredSize)/1024/dirtyMB),
-				ms(float64(saveDur.Microseconds())/1000),
-				ms(float64(restoreDur.Microseconds())/1000),
 				"bit-eq")
 		}
 
@@ -168,26 +147,8 @@ func ckptDeltaRow(region uint64, threads int) []string {
 		panic(fmt.Sprintf("bench: ckpt delta workload: %v", want.Err))
 	}
 
-	var img1, img2 []byte
-	var saveDur time.Duration
-	ckRes := w.run(cfg, 0, nil, func(env *kernel.Env, after int) bool {
-		var err error
-		switch after {
-		case 1:
-			img1, err = env.Checkpoint(kernel.CheckpointOpts{})
-		case 2:
-			start := time.Now()
-			img2, err = env.Checkpoint(kernel.CheckpointOpts{})
-			saveDur = time.Since(start)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("bench: ckpt delta save: %v", err))
-		}
-		return after != 2
-	})
-	if ckRes.Err != nil {
-		panic(fmt.Sprintf("bench: ckpt delta run: %v", ckRes.Err))
-	}
+	imgs := w.imagesAt(cfg, 1, 2)
+	img1, img2 := imgs[0], imgs[1]
 
 	store := castore.NewMemStore()
 	_, root1, s1 := chunkRoundTripRoot(store, img1, castore.Key{})
@@ -201,11 +162,9 @@ func ckptDeltaRow(region uint64, threads int) []string {
 	}
 
 	m := kernel.New(cfg)
-	start := time.Now()
 	if err := m.Restore(joined2); err != nil {
 		panic(fmt.Sprintf("bench: ckpt delta restore: %v", err))
 	}
-	restoreDur := time.Since(start)
 	assertBitEq(w.resume(m, 2), want)
 
 	dirtyMB := float64(region) * deltaFrac / 100 / (1 << 20)
@@ -216,8 +175,6 @@ func ckptDeltaRow(region uint64, threads int) []string {
 		f2(float64(len(img2)) / float64(deltaLogical)),
 		iv(int64(deltaStored >> 10)),
 		f2(float64(deltaStored) / 1024 / dirtyMB),
-		ms(float64(saveDur.Microseconds()) / 1000),
-		ms(float64(restoreDur.Microseconds()) / 1000),
 		"bit-eq"}
 }
 
@@ -310,6 +267,26 @@ func (w ckptWorkload) run(cfg kernel.Config, start int, st *core.RTState,
 	onBarrier func(env *kernel.Env, after int) bool) kernel.RunResult {
 	m := kernel.New(cfg)
 	return w.drive(m, start, st, onBarrier)
+}
+
+// imagesAt runs the workload on a fresh machine, checkpoints at each of
+// the given barriers (ascending) and stops the run at the last.
+func (w ckptWorkload) imagesAt(cfg kernel.Config, barriers ...int) [][]byte {
+	var imgs [][]byte
+	res := w.run(cfg, 0, nil, func(env *kernel.Env, after int) bool {
+		if after == barriers[len(imgs)] {
+			img, err := env.Checkpoint(kernel.CheckpointOpts{})
+			if err != nil {
+				panic(fmt.Sprintf("bench: ckpt save: %v", err))
+			}
+			imgs = append(imgs, img)
+		}
+		return len(imgs) < len(barriers)
+	})
+	if res.Err != nil {
+		panic(fmt.Sprintf("bench: ckpt save run: %v", res.Err))
+	}
+	return imgs
 }
 
 // resume continues on a restored machine from the given barrier.

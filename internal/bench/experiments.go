@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/baseline"
 	"repro/internal/kernel"
@@ -11,40 +10,27 @@ import (
 
 // Fig7 reproduces Figure 7: Determinator performance relative to a
 // nondeterministic baseline on all seven benchmarks at the modelled CPU
-// count. Ratios above 1 mean Determinator is slower. Two views are
-// reported: the deterministic virtual-time ratio against an idealized
-// zero-overhead baseline, and host wall-clock against the real goroutine
-// baselines at the host's parallelism.
+// count. Ratios above 1 mean Determinator is slower. The ratio is in
+// deterministic virtual time against an idealized zero-overhead
+// baseline; the host wall-clock ratio against the real goroutine
+// baselines is benchmark/'s par_coarse and par_fine wall_ratio.
 func Fig7(o Options) Table {
 	cpus := o.cpus()
-	hostThreads := runtime.GOMAXPROCS(0)
 	cost := kernel.DefaultCostModel()
-	bases := baseline.Baselines()
 	t := Table{
-		ID:    "fig7",
-		Title: fmt.Sprintf("Determinator relative to nondeterministic baseline (%d modelled CPUs)", cpus),
-		Header: []string{"benchmark", "size", "det-vt", "ideal-base-vt", "vt-ratio",
-			"det-wall", "base-wall", "wall-ratio"},
+		ID:     "fig7",
+		Title:  fmt.Sprintf("Determinator relative to nondeterministic baseline (%d modelled CPUs)", cpus),
+		Header: []string{"benchmark", "size", "det-vt", "ideal-base-vt", "vt-ratio"},
 	}
 	for _, spec := range workload.Specs() {
 		size := o.size(spec)
 		det := runDet(spec, cpus, cpus, 1, size, cost)
 		ideal := idealBaselineVT(spec, size, cpus, cpus, cost)
-		wallDet := runDet(spec, hostThreads, hostThreads, 1, size, cost)
-		baseWall, baseVal := measureWall(func() uint64 { return bases[spec.Name](hostThreads, size) })
-		if baseVal != det.Value {
-			panic(fmt.Sprintf("bench: %s: baseline result %d != deterministic result %d",
-				spec.Name, baseVal, det.Value))
-		}
-		t.AddRow(spec.Name, iv(int64(size)), mi(det.VT), mi(ideal),
-			f2(float64(det.VT)/float64(ideal)),
-			ms(float64(wallDet.Wall.Microseconds())/1000),
-			ms(float64(baseWall.Microseconds())/1000),
-			f2(float64(wallDet.Wall)/float64(baseWall)))
+		t.AddRow(spec.Name, iv(int64(size)), iv(det.VT), iv(ideal),
+			f2(float64(det.VT)/float64(ideal)))
 	}
 	t.Note("vt-ratio compares against an ideal baseline that pays nothing for sync or isolation;")
 	t.Note("coarse-grained benchmarks should sit near 1, fine-grained (fft, lu) well above — the paper's shape.")
-	t.Note("wall columns are host measurements at %d threads and are load-sensitive.", hostThreads)
 	return t
 }
 
@@ -72,35 +58,26 @@ func Fig8(o Options) Table {
 	return t
 }
 
-// sweep runs a det-vs-baseline size sweep for one benchmark (Figures 9
-// and 10): performance relative to the baseline as the problem grows.
+// sweep runs a det-vs-ideal-baseline size sweep for one benchmark
+// (Figures 9 and 10): virtual time relative to the baseline as the
+// problem grows.
 func sweep(id, title, name string, sizes []int, o Options) Table {
 	spec, err := workload.Lookup(name)
 	if err != nil {
 		panic(err)
 	}
 	cpus := o.cpus()
-	hostThreads := runtime.GOMAXPROCS(0)
 	cost := kernel.DefaultCostModel()
-	base := baseline.Baselines()[name]
 	t := Table{
 		ID:     id,
 		Title:  title,
-		Header: []string{"size", "det-vt", "ideal-base-vt", "vt-ratio", "det-wall", "base-wall", "wall-ratio"},
+		Header: []string{"size", "det-vt", "ideal-base-vt", "vt-ratio"},
 	}
 	for _, size := range sizes {
 		det := runDet(spec, cpus, cpus, 1, size, cost)
 		ideal := idealBaselineVT(spec, size, cpus, cpus, cost)
-		wallDet := runDet(spec, hostThreads, hostThreads, 1, size, cost)
-		baseWall, baseVal := measureWall(func() uint64 { return base(hostThreads, size) })
-		if baseVal != det.Value {
-			panic(fmt.Sprintf("bench: %s size %d: baseline %d != det %d", name, size, baseVal, det.Value))
-		}
-		t.AddRow(iv(int64(size)), mi(det.VT), mi(ideal),
-			f2(float64(det.VT)/float64(ideal)),
-			ms(float64(wallDet.Wall.Microseconds())/1000),
-			ms(float64(baseWall.Microseconds())/1000),
-			f2(float64(wallDet.Wall)/float64(baseWall)))
+		t.AddRow(iv(int64(size)), iv(det.VT), iv(ideal),
+			f2(float64(det.VT)/float64(ideal)))
 	}
 	t.Note("small problems pay the per-fork page-copy/merge cost; ratios fall toward 1 as size grows (paper Figs. 9/10).")
 	return t
@@ -253,7 +230,7 @@ func Quantum(o Options) Table {
 		if ds.Value != native.Value {
 			panic("bench: quantum sweep changed results")
 		}
-		t.AddRow(mi(q), mi(ds.VT), mi(native.VT), pct(float64(ds.VT)/float64(native.VT)-1))
+		t.AddRow(iv(q), iv(ds.VT), iv(native.VT), pct(float64(ds.VT)/float64(native.VT)-1))
 	}
 	t.Note("overhead shrinks as the quantum grows; the paper reports ~35%% at a 10M-instruction")
 	t.Note("quantum for the full PARSEC run, and porting to the native API eliminates it (§6.2).")

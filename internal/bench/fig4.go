@@ -92,9 +92,9 @@ func Fig4(o Options) Table {
 		Title:  "parallel make scheduling: wait() semantics (tasks 3/1/2 units, 2 CPUs)",
 		Header: []string{"scenario", "makespan-vt", "vs-unlimited"},
 	}
-	t.AddRow("make -j (unlimited)", mi(unlimited), f2(1))
-	t.AddRow("make -j2, Unix wait (oracle)", mi(unixJ2), f2(float64(unixJ2)/float64(unlimited)))
-	t.AddRow("make -j2, Determinator wait", mi(detJ2), f2(float64(detJ2)/float64(unlimited)))
+	t.AddRow("make -j (unlimited)", iv(unlimited), f2(1))
+	t.AddRow("make -j2, Unix wait (oracle)", iv(unixJ2), f2(float64(unixJ2)/float64(unlimited)))
+	t.AddRow("make -j2, Determinator wait", iv(detJ2), f2(float64(detJ2)/float64(unlimited)))
 	t.Note("Determinator's wait() cannot learn which task finished first, so -j2 schedules")
 	t.Note("suboptimally — the paper's advice is to leave scheduling to the system ('make -j').")
 	return t

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -11,17 +9,14 @@ import (
 )
 
 // KVEngine sweeps the key-value-store reconciliation scenario over
-// threads × write-ratio × value-size, running every row twice — once
-// with the kernel's merge engine serialized (MergeWorkers=1) and once at
-// host parallelism — and asserting the image checksums, conflict counts
-// and virtual times are bit-identical. That is the determinism claim of
-// the FS layer made measurable: directories, free-list reuse, chained
-// growth and Compact all sit on the reconciliation path, and none of it
-// may depend on how the host happened to parallelize the joins.
+// threads × write-ratio × value-size: directories, free-list reuse,
+// chained growth and Compact all sit on the reconciliation path, and
+// every column is a deterministic observable of it. (That none of them
+// depends on how the host parallelizes the joins is
+// TestKVStoreDeterministicAcrossMergeWorkers in internal/workload.)
 //
 // The reuse column is the extent-GC payoff: allocations served from the
-// free list (unlink-heavy rows must show it, and the harness asserts
-// they do), where the paper's prototype leaked every freed extent.
+// free list, where the paper's prototype leaked every freed extent.
 func KVEngine(o Options) Table {
 	threadSteps := []int{2, 4, 8}
 	shapes := []struct {
@@ -35,17 +30,12 @@ func KVEngine(o Options) Table {
 		cfg.Ops = 24
 		cfg.Rounds = 2
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4 // exercise the concurrent engine even on small hosts
-	}
 
 	t := Table{
-		ID: "kv",
-		Title: fmt.Sprintf("kv store over FS reconciliation: serial vs %d-worker merge (checksum-asserted)",
-			workers),
+		ID:    "kv",
+		Title: "kv store over FS reconciliation",
 		Header: []string{"threads", "write", "valsz", "conflicts", "allocs", "reused",
-			"reuse", "grows", "image", "serial", "parallel", "vt", "checksum"},
+			"reuse", "grows", "image", "vt", "checksum"},
 	}
 	for _, th := range threadSteps {
 		for _, sh := range shapes {
@@ -53,49 +43,24 @@ func KVEngine(o Options) Table {
 			c.Threads = th
 			c.WritePct = sh.writePct
 			c.ValueSize = sh.valueSize
-			sum1, st1, vt1, wall1 := runKV(c, 1)
-			sumN, stN, vtN, wallN := runKV(c, workers)
-			if sum1 != sumN || st1 != stN || vt1 != vtN {
-				panic(fmt.Sprintf("bench: kv t=%d w=%d v=%d: MergeWorkers changed the run: "+
-					"checksum %#x/%#x vt %d/%d conflicts %d/%d",
-					th, sh.writePct, sh.valueSize, sum1, sumN, vt1, vtN, st1.Conflicts, stN.Conflicts))
-			}
-			if sh.writePct >= 60 && st1.GC.Reused == 0 {
-				panic(fmt.Sprintf("bench: kv t=%d w=%d: unlink-heavy row shows no extent reuse",
-					th, sh.writePct))
-			}
+			var st workload.KVStats
+			m := runMachine("kv", kernel.Config{CPUsPerNode: th}, 4<<20, func(rt *core.RT) uint64 {
+				var sum uint64
+				sum, st = workload.KVStore(rt, c)
+				return sum
+			})
 			reuseRate := 0.0
-			if st1.GC.Allocs > 0 {
-				reuseRate = float64(st1.GC.Reused) / float64(st1.GC.Allocs)
+			if st.GC.Allocs > 0 {
+				reuseRate = float64(st.GC.Reused) / float64(st.GC.Allocs)
 			}
 			t.AddRow(iv(int64(th)), rat(float64(sh.writePct)/100), iv(int64(sh.valueSize)),
-				iv(int64(st1.Conflicts)), iv(int64(st1.GC.Allocs)), iv(int64(st1.GC.Reused)),
-				rat(reuseRate), iv(int64(st1.GC.Grows)),
-				fmt.Sprintf("%dK", st1.Image>>10),
-				ms(wall1.Seconds()*1000), ms(wallN.Seconds()*1000),
-				mi(vt1), fmt.Sprintf("%08x", uint32(sum1)))
+				iv(int64(st.Conflicts)), iv(int64(st.GC.Allocs)), iv(int64(st.GC.Reused)),
+				rat(reuseRate), iv(int64(st.GC.Grows)),
+				fmt.Sprintf("%dK", st.Image>>10),
+				iv(m.VT), fmt.Sprintf("%08x", uint32(m.Value)))
 		}
 	}
-	t.Note("each row runs twice (MergeWorkers 1 vs %d); checksums, conflicts and VT are asserted identical;", workers)
 	t.Note("reuse = free-list hits / extent allocations in the master image (the paper leaked these);")
 	t.Note("grows counts chained regions added past the 64K initial image; image is the final mapped size.")
 	return t
-}
-
-func runKV(cfg workload.KVConfig, mergeWorkers int) (uint64, workload.KVStats, int64, time.Duration) {
-	var sum uint64
-	var st workload.KVStats
-	start := time.Now()
-	res := core.Run(core.Options{
-		Kernel:     kernel.Config{CPUsPerNode: cfg.Threads, MergeWorkers: mergeWorkers},
-		SharedSize: 4 << 20,
-	}, func(rt *core.RT) uint64 {
-		sum, st = workload.KVStore(rt, cfg)
-		return sum
-	})
-	wall := time.Since(start)
-	if res.Status != kernel.StatusHalted {
-		panic(fmt.Sprintf("bench: kv stopped with %v: %v", res.Status, res.Err))
-	}
-	return sum, st, res.VT, wall
 }

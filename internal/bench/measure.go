@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -45,73 +44,46 @@ func (o Options) size(spec workload.Spec) int {
 
 // Measurement is one deterministic-run data point.
 type Measurement struct {
-	VT    int64         // virtual completion time (deterministic)
-	Wall  time.Duration // host wall clock (informational)
-	Value uint64        // result checksum
-}
-
-// runDet executes a Det entry point on a fresh simulated machine.
-func runDet(spec workload.Spec, threads, cpus, nodes, size int, cost kernel.CostModel) Measurement {
-	var value uint64
-	start := time.Now()
-	res := core.Run(core.Options{
-		Kernel: kernel.Config{
-			Nodes:       nodes,
-			CPUsPerNode: cpus,
-			Cost:        cost,
-		},
-		SharedSize: spec.SharedBytes(size),
-	}, func(rt *core.RT) uint64 {
-		value = spec.Det(rt, threads, size)
-		return value
-	})
-	wall := time.Since(start)
-	if res.Status != kernel.StatusHalted {
-		panic(fmt.Sprintf("bench: %s stopped with %v: %v", spec.Name, res.Status, res.Err))
-	}
-	return Measurement{VT: res.VT, Wall: wall, Value: value}
+	VT    int64  // virtual completion time
+	Value uint64 // result checksum
 }
 
 // coreRT shortens distributed entry-point signatures in this package.
 type coreRT = core.RT
 
-// runDetFn is runDet for ad-hoc entry points outside the Spec table.
-func runDetFn(name string, fn func(rt *core.RT, threads, size int) uint64,
-	threads, cpus, size int, shared uint64, cost kernel.CostModel) Measurement {
+// runMachine executes fn as the root program of a fresh simulated machine and
+// panics unless it halts cleanly.
+func runMachine(name string, cfg kernel.Config, shared uint64, fn func(rt *core.RT) uint64) Measurement {
 	var value uint64
-	start := time.Now()
-	res := core.Run(core.Options{
-		Kernel:     kernel.Config{CPUsPerNode: cpus, Cost: cost},
-		SharedSize: shared,
-	}, func(rt *core.RT) uint64 {
-		value = fn(rt, threads, size)
+	res := core.Run(core.Options{Kernel: cfg, SharedSize: shared}, func(rt *core.RT) uint64 {
+		value = fn(rt)
 		return value
 	})
-	wall := time.Since(start)
 	if res.Status != kernel.StatusHalted {
 		panic(fmt.Sprintf("bench: %s stopped with %v: %v", name, res.Status, res.Err))
 	}
-	return Measurement{VT: res.VT, Wall: wall, Value: value}
+	return Measurement{VT: res.VT, Value: value}
+}
+
+// runDet executes a Det entry point on a fresh simulated machine.
+func runDet(spec workload.Spec, threads, cpus, nodes, size int, cost kernel.CostModel) Measurement {
+	return runMachine(spec.Name, kernel.Config{Nodes: nodes, CPUsPerNode: cpus, Cost: cost},
+		spec.SharedBytes(size), func(rt *core.RT) uint64 { return spec.Det(rt, threads, size) })
+}
+
+// runDetFn is runDet for ad-hoc entry points outside the Spec table.
+func runDetFn(name string, fn func(rt *core.RT, threads, size int) uint64,
+	threads, cpus, size int, shared uint64, cost kernel.CostModel) Measurement {
+	return runMachine(name, kernel.Config{CPUsPerNode: cpus, Cost: cost}, shared,
+		func(rt *core.RT) uint64 { return fn(rt, threads, size) })
 }
 
 // runDistDet executes a distributed Det entry point (signature
 // rt × nodes × size) on an n-node machine with uniprocessor nodes.
 func runDistDet(name string, fn func(rt *core.RT, nodes, size int) uint64,
 	nodes, size int, shared uint64, cost kernel.CostModel) Measurement {
-	var value uint64
-	start := time.Now()
-	res := core.Run(core.Options{
-		Kernel:     kernel.Config{Nodes: nodes, CPUsPerNode: 1, Cost: cost},
-		SharedSize: shared,
-	}, func(rt *core.RT) uint64 {
-		value = fn(rt, nodes, size)
-		return value
-	})
-	wall := time.Since(start)
-	if res.Status != kernel.StatusHalted {
-		panic(fmt.Sprintf("bench: %s stopped with %v: %v", name, res.Status, res.Err))
-	}
-	return Measurement{VT: res.VT, Wall: wall, Value: value}
+	return runMachine(name, kernel.Config{Nodes: nodes, CPUsPerNode: 1, Cost: cost}, shared,
+		func(rt *core.RT) uint64 { return fn(rt, nodes, size) })
 }
 
 // idealBaselineVT models the nondeterministic baseline's completion time
@@ -136,11 +108,4 @@ func idealBaselineVT(spec workload.Spec, size, threads, cpus int, cost kernel.Co
 		}
 	}
 	return vt
-}
-
-// measureWall times a host-native baseline run.
-func measureWall(fn func() uint64) (time.Duration, uint64) {
-	start := time.Now()
-	v := fn()
-	return time.Since(start), v
 }

@@ -1,9 +1,11 @@
-// Package bench is the experiment harness: one runner per table and
-// figure in the paper's evaluation (§6), each reproducing the same rows
-// or series the paper reports. Reported "virtual times" come from the
-// kernel's deterministic cost model (kernel.CostModel and the
-// internal/kernel package comment); wall-clock
-// columns are measured on the host where they are meaningful.
+// Package bench is the exact experiment harness: one runner per table
+// and figure in the paper's evaluation (§6), each reproducing the same
+// rows or series the paper reports, in quantities that repeat bit for
+// bit — virtual times from the kernel's deterministic cost model
+// (kernel.CostModel and the internal/kernel package comment), counts,
+// sizes and checksums — so testdata/quick.golden.json can pin them.
+// Host wall time is not read here: it is measured by benchmark/
+// (interleaved reference, repetitions, gated) and by `go test -bench`.
 package bench
 
 import (
@@ -74,9 +76,7 @@ func (t *Table) Format() string {
 }
 
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
-func ms(d float64) string  { return fmt.Sprintf("%.1fms", d) }
 func iv(v int64) string    { return fmt.Sprintf("%d", v) }
-func mi(v int64) string    { return fmt.Sprintf("%.1fM", float64(v)/1e6) }
 func pct(v float64) string { return fmt.Sprintf("%+.1f%%", v*100) }
 
 // rat formats an absolute ratio (no sign — pct is for deltas).

@@ -1,0 +1,116 @@
+package kernel
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/internal/imgenc"
+)
+
+// recapture resumes a restored machine with a program that does nothing
+// but checkpoint it again.
+func recapture(t *testing.T, m *Machine) []byte {
+	var img []byte
+	var err error
+	res := m.Run(func(env *Env) { img, err = env.Checkpoint(CheckpointOpts{}) }, 0)
+	if err != nil || res.Err != nil {
+		t.Fatalf("checkpoint of a restored machine: %v, run: %v", err, res.Err)
+	}
+	return img
+}
+
+// FuzzRestore mutates machine images against the contract Restore and
+// SplitImage share. Every input is tried as given (almost always a CRC
+// failure) and with its trailer recomputed, so the mutation itself
+// reaches the decoders. SplitImage either fails typed or splits into
+// halves JoinImage reassembles byte for byte. Restore either fails with
+// one of the layer's typed errors, leaving the machine pristine, or
+// yields a machine whose re-captured image is a fixed point: the first
+// re-capture may normalize (a resumed root's segment starts at its
+// restored virtual time, a mutant's unreferenced page is dropped) and
+// must then round-trip exactly. Neither may panic, and what they
+// allocate must follow from the bytes consumed, never from a count
+// field (the bound is vm's sparse-to-dense ratio: a 16 KiB table or
+// space per two bytes of forest, see FuzzDecodeForest).
+func FuzzRestore(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "ckpt_v1.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, cut := range []int{0, 4, 5, 5 + configSectionLen, len(golden) / 3, len(golden) - 5, len(golden) - 1} {
+		f.Add(golden[:cut])
+	}
+
+	// Restore replays device reads up to the image's three cursors, so
+	// its running time is proportional to them by design; past this many
+	// (a negative cursor reads as huge) the harness does not call it.
+	const maxCursor = 1 << 12
+	const cursorsAt = 5 + configSectionLen - 3*8
+	const maxObject = 17 << 10
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 2*len(golden) {
+			t.Skip("longer than any image the seeds can grow into")
+		}
+		inputs := [][]byte{data}
+		if len(data) >= 4 {
+			inputs = append(inputs, imgenc.Seal(append([]byte(nil), data[:len(data)-4]...)))
+		}
+		for _, in := range inputs {
+			var bad *BadImageError
+			var ver *ImageVersionError
+			var mis *ImageMismatchError
+			var kern *KernelError
+
+			meta, forest, err := SplitImage(in)
+			if err != nil {
+				if !errors.As(err, &bad) && !errors.As(err, &ver) {
+					t.Fatalf("SplitImage: %v (%T), want *BadImageError or *ImageVersionError", err, err)
+				}
+			} else if joined, err := JoinImage(meta, forest); err != nil || !bytes.Equal(joined, in) {
+				t.Fatalf("JoinImage(SplitImage(x)) != x (err %v)", err)
+			}
+
+			if len(in) >= cursorsAt+3*8 {
+				slow := false
+				for i := 0; i < 3; i++ {
+					if c := binary.LittleEndian.Uint64(in[cursorsAt+8*i:]); c > maxCursor {
+						slow = true
+					}
+				}
+				if slow {
+					continue
+				}
+			}
+
+			m := New(ckConfig())
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = m.Restore(in)
+			runtime.ReadMemStats(&after)
+			if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(len(in)/2+8)*maxObject; grew > bound {
+				t.Fatalf("restoring %d bytes allocated %d (bound %d)", len(in), grew, bound)
+			}
+			if err != nil {
+				if !errors.As(err, &bad) && !errors.As(err, &ver) && !errors.As(err, &mis) && !errors.As(err, &kern) {
+					t.Fatalf("Restore: %v (%T), want one of the layer's typed errors", err, err)
+				}
+				continue
+			}
+			first := recapture(t, m)
+			m = New(ckConfig())
+			if err := m.Restore(first); err != nil {
+				t.Fatalf("re-captured image does not restore: %v", err)
+			}
+			if second := recapture(t, m); !bytes.Equal(first, second) {
+				t.Fatalf("re-capture is not a fixed point (%d then %d bytes)", len(first), len(second))
+			}
+		}
+	})
+}

@@ -174,61 +174,66 @@ func TestServeMultiTenant(t *testing.T) {
 // TestServeResidentCapBounded is the memory claim: open sessions vastly
 // outnumber the resident cap, resident pages stay bounded by the cap
 // (plus in-flight workers), and everything still completes bit-exact
-// through evict/resume cycles.
+// through evict/resume cycles. The same bound holds at both session
+// counts: the peak does not grow with how many sessions are open.
 func TestServeResidentCapBounded(t *testing.T) {
 	const (
 		workers     = 2
 		residentCap = 3
-		sessions    = 16
 	)
 	maker := StripeProgram(2, 4, 128)
-	perPages := maxStepPages(t, maker, 0)
+	bound := int64(residentCap+workers) * int64(maxStepPages(t, maker, 0))
 
-	s := newTestServer(t, Config{Workers: workers, Resident: residentCap, Slice: 1})
-	s.Register("stripe", maker)
+	for _, sessions := range []int{16, 64} {
+		sessions := sessions
+		t.Run(fmt.Sprint(sessions), func(t *testing.T) {
+			s := newTestServer(t, Config{Workers: workers, Resident: residentCap, Slice: 1})
+			s.Register("stripe", maker)
 
-	ids := make([]SessionID, sessions)
-	for i := range ids {
-		id, err := s.Open("acme", "stripe", uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
-	results := make([]repro.RunResult, sessions)
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id SessionID) {
-			defer wg.Done()
-			res, err := s.Run("acme", id)
-			if err != nil {
-				t.Errorf("run %s: %v", id, err)
-				return
+			ids := make([]SessionID, sessions)
+			for i := range ids {
+				id, err := s.Open("acme", "stripe", uint64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[i] = id
 			}
-			results[i] = res
-		}(i, id)
-	}
-	wg.Wait()
+			results := make([]repro.RunResult, sessions)
+			var wg sync.WaitGroup
+			for i, id := range ids {
+				wg.Add(1)
+				go func(i int, id SessionID) {
+					defer wg.Done()
+					res, err := s.Run("acme", id)
+					if err != nil {
+						t.Errorf("run %s: %v", id, err)
+						return
+					}
+					results[i] = res
+				}(i, id)
+			}
+			wg.Wait()
 
-	for i := range ids {
-		if want := directResult(t, maker, uint64(i)); results[i] != want {
-			t.Errorf("session %d: served %+v, direct %+v", i, results[i], want)
-		}
-	}
-	st := s.Stats()
-	if st.ResidentSessions > residentCap {
-		t.Errorf("resident sessions %d > cap %d", st.ResidentSessions, residentCap)
-	}
-	if bound := int64(residentCap+workers) * int64(perPages); st.ResidentPeakPages > bound {
-		t.Errorf("peak resident pages %d > bound %d (cap %d + %d workers, %d pages/session)",
-			st.ResidentPeakPages, bound, residentCap, workers, perPages)
-	}
-	if st.Evictions == 0 || st.Resumes == 0 {
-		t.Errorf("cap never exercised: %d evictions, %d resumes", st.Evictions, st.Resumes)
-	}
-	if st.BitEqFail != 0 {
-		t.Errorf("%d failover digest mismatches", st.BitEqFail)
+			for i := range ids {
+				if want := directResult(t, maker, uint64(i)); results[i] != want {
+					t.Errorf("session %d: served %+v, direct %+v", i, results[i], want)
+				}
+			}
+			st := s.Stats()
+			if st.ResidentSessions > residentCap {
+				t.Errorf("resident sessions %d > cap %d", st.ResidentSessions, residentCap)
+			}
+			if st.ResidentPeakPages > bound {
+				t.Errorf("peak resident pages %d > bound %d (cap %d + %d workers)",
+					st.ResidentPeakPages, bound, residentCap, workers)
+			}
+			if st.Evictions == 0 || st.Resumes == 0 {
+				t.Errorf("cap never exercised: %d evictions, %d resumes", st.Evictions, st.Resumes)
+			}
+			if st.BitEqFail != 0 {
+				t.Errorf("%d failover digest mismatches", st.BitEqFail)
+			}
+		})
 	}
 }
 

@@ -236,22 +236,30 @@ func DecodeForest(data []byte) ([]*Space, error) {
 		return nil, err
 	}
 
-	nPages := int(r.U32())
-	if r.Err == nil && nPages*PageSize > len(r.B) {
-		r.Failf("page count %d exceeds image size", nPages)
+	// count reads an element count and fails unless that many elements,
+	// each at least unit bytes long, could still follow. A failed count
+	// reads as zero: nothing may be sized by a number the image made up.
+	count := func(unit int, what string) int {
+		n := int(r.U32())
+		if r.Err == nil && n > r.Remaining()/unit {
+			r.Failf("%s count %d exceeds image size", what, n)
+		}
+		if r.Err != nil {
+			return 0
+		}
+		return n
 	}
-	pages := make([]*page, 0, max(nPages, 0))
+
+	nPages := count(PageSize, "page")
+	pages := make([]*page, 0, nPages)
 	for i := 0; i < nPages && r.Err == nil; i++ {
 		pg := newPageFrom(r.Take(PageSize))
 		pg.refs.Store(0) // references added as ptes adopt the page
 		pages = append(pages, pg)
 	}
 
-	nTables := int(r.U32())
-	if r.Err == nil && nTables*3 > len(r.B) {
-		r.Failf("table count %d exceeds image size", nTables)
-	}
-	tables := make([]*table, 0, max(nTables, 0))
+	nTables := count(2, "table") // an empty table is its u16 entry count
+	tables := make([]*table, 0, nTables)
 	for i := 0; i < nTables && r.Err == nil; i++ {
 		t := newTable()
 		t.refs.Store(0)
@@ -281,11 +289,8 @@ func DecodeForest(data []byte) ([]*Space, error) {
 		tables = append(tables, t)
 	}
 
-	nSpaces := int(r.U32())
-	if r.Err == nil && nSpaces > len(r.B) {
-		r.Failf("space count %d exceeds image size", nSpaces)
-	}
-	spaces := make([]*Space, 0, max(nSpaces, 0))
+	nSpaces := count(5, "space") // flags, root-slot count, dirty-slot count
+	spaces := make([]*Space, 0, nSpaces)
 	for i := 0; i < nSpaces && r.Err == nil; i++ {
 		s := NewSpace()
 		s.dirtyAll = r.U8()&1 != 0
@@ -322,10 +327,7 @@ func DecodeForest(data []byte) ([]*Space, error) {
 		spaces = append(spaces, s)
 	}
 
-	nLinks := int(r.U32())
-	if r.Err == nil && nLinks*8 > len(r.B) {
-		r.Failf("link count %d exceeds image size", nLinks)
-	}
+	nLinks := count(8, "link")
 	for i := 0; i < nLinks && r.Err == nil; i++ {
 		ci := int(r.U32())
 		ri := int(r.U32())

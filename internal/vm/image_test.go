@@ -10,7 +10,7 @@ import (
 
 // buildPair returns a space with some content plus its snapshot, with
 // divergence written after the snapshot so dirty tracking is live.
-func buildPair(t *testing.T) (*Space, *Space) {
+func buildPair(t testing.TB) (*Space, *Space) {
 	t.Helper()
 	s := NewSpace()
 	if err := s.SetPerm(0, 1<<22, PermRW); err != nil {
