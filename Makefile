@@ -15,8 +15,13 @@ BENCH_OUT ?= BENCH.json
 build:
 	$(GO) build ./...
 
+# Besides `go vet`: every binary format frames itself with imgenc.Seal
+# and Open, so product code outside internal/imgenc has no business with
+# CRC32 — a format that imports it is hand-rolling a seventh trailer.
 vet:
 	$(GO) vet ./...
+	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=imgenc '"hash/crc32"' .); \
+	if [ -n "$$out" ]; then echo "hash/crc32 imported outside internal/imgenc (use imgenc.Seal/Open):"; echo "$$out"; exit 1; fi
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -35,9 +40,11 @@ race:
 	GOMAXPROCS=4 $(GO) test -race ./...
 
 # Ten seconds of native fuzzing on each decoder of bytes that came off a
-# disk: the chunk codec, and the two image decoders a checkpoint passes
-# through (kernel.Restore/SplitImage and vm.DecodeForest, which share
-# imgenc.Open). The seed corpora also run as plain tests under `make
+# disk: the chunk codec and the node framing, and the decoders a
+# checkpoint passes through on its way back from a store — the chunk
+# root (vm.UnchunkForest), the flat forest (vm.DecodeForest) and the
+# machine image (kernel.Restore/SplitImage) — all over imgenc's envelope
+# and cursor. The seed corpora also run as plain tests under `make
 # test`; this target is what mutates them. A crasher is written to the
 # package's testdata/fuzz and fails every later `go test` until fixed.
 # Minimization is capped per input: the image seeds are tens of KiB, and
@@ -45,7 +52,9 @@ race:
 FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 20x
 fuzz-smoke:
 	$(FUZZ) -fuzz FuzzDecodeBlob ./internal/castore
+	$(FUZZ) -fuzz FuzzParseNode ./internal/castore
 	$(FUZZ) -fuzz FuzzDecodeForest ./internal/vm
+	$(FUZZ) -fuzz FuzzUnchunkForest ./internal/vm
 	$(FUZZ) -fuzz FuzzRestore ./internal/kernel
 
 # Full-size experiment tables (slow); see also `go run ./cmd/detbench`.

@@ -10,9 +10,9 @@ import (
 
 // DirStore is the on-disk BlobStore backend: one codec-encoded file per
 // chunk under a two-level fan-out (aa/aabb...), the classic loose-object
-// layout. Chunk files are immutable once written — Put writes a
-// temporary file and renames it into place, so a crashed writer never
-// leaves a half chunk under a valid name — and Get re-hashes everything
+// layout. Chunk files are immutable once written — Put goes through
+// WriteFileAtomic, so a crashed writer never leaves a half chunk under
+// a valid name — and Get re-hashes everything
 // it reads, so on-disk corruption surfaces as *ChunkHashError rather
 // than as wrong state.
 //
@@ -63,25 +63,35 @@ func (s *DirStore) Put(key Key, b []byte) error {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return fmt.Errorf("castore: put %s: %w", key, err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("castore: put %s: %w", key, err)
-	}
-	enc := s.codec.encodeBlob(b)
-	if _, err := tmp.Write(enc); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("castore: put %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("castore: put %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
+	if err := WriteFileAtomic(p, s.codec.encodeBlob(b)); err != nil {
 		return fmt.Errorf("castore: put %s: %w", key, err)
 	}
 	return nil
+}
+
+// WriteFileAtomic writes data to path so that a crashed writer leaves
+// the old file or the new one, never a torn one under the real name:
+// the bytes go to a uniquely named temporary file in the same directory
+// (dot-prefixed, so Keys and the action index skip it), which is then
+// renamed into place. Atomic, not durable: nothing is fsynced, neither
+// the file nor its directory. ROADMAP's durability item adds that, and
+// this is the one place it has to.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Get returns the chunk's uncompressed bytes, verifying their hash.

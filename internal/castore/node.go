@@ -16,7 +16,8 @@ package castore
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+
+	"repro/internal/imgenc"
 )
 
 // nodeMagic introduces a framed node object.
@@ -37,76 +38,52 @@ type Node struct {
 	Payload  []byte // layer-owned bytes (may index LeafRefs)
 }
 
+// nodeVersion is the node framing's format version.
+const nodeVersion = 1
+
 // BuildNode frames a node object. The returned bytes are what gets
 // stored (and hashed into the node's key).
 func BuildNode(nodeRefs, leafRefs []Key, payload []byte) []byte {
 	b := make([]byte, 0, 4+1+8+KeySize*(len(nodeRefs)+len(leafRefs))+4+len(payload)+4)
 	b = append(b, nodeMagic...)
-	b = append(b, 1) // version
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(nodeRefs)))
-	for _, k := range nodeRefs {
-		b = append(b, k[:]...)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(leafRefs)))
-	for _, k := range leafRefs {
-		b = append(b, k[:]...)
+	b = append(b, nodeVersion)
+	for _, refs := range [][]Key{nodeRefs, leafRefs} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(refs)))
+		for _, k := range refs {
+			b = append(b, k[:]...)
+		}
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
 	b = append(b, payload...)
-	return append(b, binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(b))...)
+	return imgenc.Seal(b)
 }
 
 // ParseNode decodes a framed node object, verifying magic, version and
-// the CRC trailer.
+// the CRC trailer. The payload aliases data.
 func ParseNode(data []byte) (*Node, error) {
-	if len(data) < 4+1+4+4+4+4 {
-		return nil, &NodeFormatError{Msg: "short object"}
-	}
-	payload, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(trailer) {
-		return nil, &NodeFormatError{Msg: "checksum mismatch"}
-	}
-	if string(payload[:4]) != nodeMagic {
-		return nil, &NodeFormatError{Msg: "bad magic"}
-	}
-	if payload[4] != 1 {
-		return nil, &NodeFormatError{Msg: fmt.Sprintf("version %d not supported", payload[4])}
-	}
-	off := 5
-	readKeys := func() ([]Key, bool) {
-		if off+4 > len(payload) {
-			return nil, false
-		}
-		n := int(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-		if n < 0 || off+n*KeySize > len(payload) {
-			return nil, false
-		}
-		keys := make([]Key, n)
-		for i := range keys {
-			copy(keys[i][:], payload[off:off+KeySize])
-			off += KeySize
-		}
-		return keys, true
+	r, err := imgenc.Open(data, nodeMagic, nodeVersion,
+		func(_ int, msg string) error { return &NodeFormatError{Msg: msg} },
+		func(v byte) error { return &NodeFormatError{Msg: fmt.Sprintf("version %d not supported", v)} })
+	if err != nil {
+		return nil, err
 	}
 	n := &Node{}
-	var ok bool
-	if n.NodeRefs, ok = readKeys(); !ok {
-		return nil, &NodeFormatError{Msg: "truncated node refs"}
+	n.NodeRefs = readKeys(r, "node ref")
+	n.LeafRefs = readKeys(r, "leaf ref")
+	n.Payload = r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
-	if n.LeafRefs, ok = readKeys(); !ok {
-		return nil, &NodeFormatError{Msg: "truncated leaf refs"}
-	}
-	if off+4 > len(payload) {
-		return nil, &NodeFormatError{Msg: "truncated payload length"}
-	}
-	plen := int(binary.LittleEndian.Uint32(payload[off:]))
-	off += 4
-	if plen < 0 || off+plen != len(payload) {
-		return nil, &NodeFormatError{Msg: "payload length mismatch"}
-	}
-	n.Payload = payload[off:]
 	return n, nil
+}
+
+// readKeys reads a u32-counted list of keys.
+func readKeys(r *imgenc.Reader, what string) []Key {
+	keys := make([]Key, r.Count(KeySize, what))
+	for i := range keys {
+		copy(keys[i][:], r.Take(KeySize))
+	}
+	return keys
 }
 
 // GetNode fetches and parses a node object from a store.

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"repro/internal/castore"
+	"repro/internal/imgenc"
 )
 
 // The build cache is the content-addressed checkpoint store wearing a
@@ -98,35 +99,19 @@ func encodeManifest(m manifest) []byte {
 // decodeManifest parses a result node's payload. Framing damage is a
 // *castore.NodeFormatError like any other malformed node.
 func decodeManifest(p []byte) (manifest, error) {
-	bad := func(msg string) (manifest, error) {
-		return manifest{}, &castore.NodeFormatError{Msg: "detmake manifest: " + msg}
+	r := &imgenc.Reader{B: p, Wrap: func(_ int, msg string) error {
+		return &castore.NodeFormatError{Msg: "detmake manifest: " + msg}
+	}}
+	if magic := r.Take(len(manifestMagic)); r.Err == nil && string(magic) != manifestMagic {
+		r.Failf("wrong magic")
 	}
-	if len(p) < len(manifestMagic)+castore.KeySize+12 || string(p[:4]) != manifestMagic {
-		return bad("short or wrong magic")
-	}
-	p = p[4:]
 	var m manifest
-	copy(m.Action[:], p[:castore.KeySize])
-	p = p[castore.KeySize:]
-	m.Cost = int64(binary.LittleEndian.Uint64(p))
-	n := binary.LittleEndian.Uint32(p[8:])
-	p = p[12:]
-	for i := uint32(0); i < n; i++ {
-		if len(p) < 4 {
-			return bad("truncated path count")
-		}
-		l := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		if uint32(len(p)) < l {
-			return bad("truncated path")
-		}
-		m.Outputs = append(m.Outputs, string(p[:l]))
-		p = p[l:]
+	copy(m.Action[:], r.Take(castore.KeySize))
+	m.Cost = r.I64()
+	for n := r.Count(4, "output path"); n > 0; n-- { // a path is at least its length prefix
+		m.Outputs = append(m.Outputs, r.Str())
 	}
-	if len(p) != 0 {
-		return bad("trailing bytes")
-	}
-	return m, nil
+	return m, r.Done()
 }
 
 // ActionIndex maps action keys to result-manifest keys: the one piece
@@ -178,8 +163,9 @@ func (x *MemIndex) Roots() ([]castore.Key, error) {
 // DirIndex persists the action index as one small file per action key
 // under <dir>, conventionally the "actions" directory beside a
 // DirStore's chunk fan-out (DirStore documents such named roots as the
-// caller's business). Writes go through a temp file + rename so a
-// crashed build never leaves a torn entry; an unreadable entry is a
+// caller's business). Writes go through castore.WriteFileAtomic, so a
+// crashed build never leaves a torn entry and two builds sharing the
+// directory never write one temporary file; an unreadable entry is a
 // miss, not an error.
 type DirIndex struct {
 	dir string
@@ -215,11 +201,7 @@ func (x *DirIndex) Lookup(action castore.Key) (castore.Key, bool, error) {
 
 // Record implements ActionIndex.
 func (x *DirIndex) Record(action, man castore.Key) error {
-	tmp := x.path(action) + ".tmp"
-	if err := os.WriteFile(tmp, []byte(man.String()), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, x.path(action))
+	return castore.WriteFileAtomic(x.path(action), []byte(man.String()))
 }
 
 // Roots implements ActionIndex.

@@ -1,6 +1,7 @@
-// Package imgenc holds the bounds-checked cursor reader shared by the
-// checkpoint-image decoders (vm's forest images, kernel's machine
-// images, the session images of the root package). Each layer keeps its
+// Package imgenc is the one way bytes from a disk or a socket are framed
+// and walked: the envelope every binary format wears (magic, version
+// byte, payload, CRC32 trailer — Seal and Open) and the bounds-checked
+// cursor every payload is read through (Reader). Each layer keeps its
 // own typed error; the reader takes a constructor so a decoding failure
 // surfaces as that layer's error with the offset it happened at.
 package imgenc
@@ -77,18 +78,46 @@ func (r *Reader) U64() uint64 {
 
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
+// Bytes reads a u32-length-prefixed section. The result aliases the
+// image.
+func (r *Reader) Bytes() []byte { return r.Take(r.Count(1, "section byte")) }
+
 // Str reads a u32-length-prefixed string.
-func (r *Reader) Str() string {
-	n := int(r.U32())
-	if r.Err == nil && n > len(r.B)-r.Off {
-		r.Failf("string length %d exceeds image", n)
-		return ""
-	}
-	return string(r.Take(n))
-}
+func (r *Reader) Str() string { return string(r.Bytes()) }
 
 // Remaining reports the bytes left after the cursor.
 func (r *Reader) Remaining() int { return len(r.B) - r.Off }
+
+// Count reads a u32 element count and fails unless that many elements,
+// each at least unit bytes long, could still follow. A failed count
+// reads as zero: nothing may be sized by a number the image made up.
+func (r *Reader) Count(unit int, what string) int {
+	return r.bound(int(r.U32()), unit, what)
+}
+
+// Count16 is Count for the formats' u16 counts.
+func (r *Reader) Count16(unit int, what string) int {
+	return r.bound(int(r.U16()), unit, what)
+}
+
+func (r *Reader) bound(n, unit int, what string) int {
+	if r.Err == nil && (n < 0 || n > r.Remaining()/unit) {
+		r.Failf("%s count %d exceeds image size", what, n)
+	}
+	if r.Err != nil {
+		return 0
+	}
+	return n
+}
+
+// Done ends a decode: bytes left unread are a failure, and the first
+// error of the whole walk (this one included) is returned.
+func (r *Reader) Done() error {
+	if r.Err == nil && r.Remaining() != 0 {
+		r.Failf("%d trailing bytes", r.Remaining())
+	}
+	return r.Err
+}
 
 // Seal appends the CRC32 trailer that Open verifies.
 func Seal(b []byte) []byte {

@@ -372,11 +372,31 @@ func appendString(b []byte, s string) []byte {
 
 // --- restore -----------------------------------------------------------------
 
-// ckptReader builds the shared image cursor with this layer's typed error.
-func ckptReader(payload []byte) *imgenc.Reader {
-	return &imgenc.Reader{B: payload, Wrap: func(off int, msg string) error {
-		return &BadImageError{Offset: off, Msg: msg}
-	}}
+func badImage(off int, msg string) error { return &BadImageError{Offset: off, Msg: msg} }
+
+// configSectionLen is the size of the fixed machine-identity section
+// encodeConfig emits: node count, cpus, flags, ten cost-model fields
+// and three device cursors.
+const configSectionLen = 4 + 4 + 1 + 10*8 + 3*8
+
+// sections is the one walker of a machine image's layout: it verifies
+// the envelope and cuts the payload into the fixed-size config section,
+// the length-prefixed tree section and — in a full image; SplitImage's
+// metadata half ends before it — the length-prefixed forest section.
+// head is the payload up to where the forest section starts.
+func sections(img []byte, full bool) (config, tree, forest, head []byte, err error) {
+	r, err := imgenc.Open(img, checkpointMagic, CheckpointVersion, badImage,
+		func(v byte) error { return &ImageVersionError{Version: v, Max: CheckpointVersion} })
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	config = r.Take(configSectionLen)
+	tree = r.Bytes()
+	head = r.B[:r.Off]
+	if full {
+		forest = r.Bytes()
+	}
+	return config, tree, forest, head, r.Done()
 }
 
 // Restore loads a checkpoint image into a freshly constructed machine,
@@ -401,37 +421,22 @@ func (m *Machine) Restore(data []byte) error {
 	if m.broken != nil {
 		return kerr("restore", "machine poisoned by an earlier failed restore: %v", m.broken)
 	}
-	r, err := imgenc.Open(data, checkpointMagic, CheckpointVersion,
-		func(off int, msg string) error { return &BadImageError{Offset: off, Msg: msg} },
-		func(v byte) error { return &ImageVersionError{Version: v, Max: CheckpointVersion} })
+	config, tree, forest, _, err := sections(data, true)
 	if err != nil {
 		return err
 	}
-	devClock, devRand, devConsole, err := m.decodeConfig(r)
+	devClock, devRand, devConsole, err := m.decodeConfig(&imgenc.Reader{B: config, Wrap: badImage})
 	if err != nil {
 		return err
-	}
-	treeLen := int(r.U32())
-	tree := r.Take(treeLen)
-	forestLen := int(r.U32())
-	forest := r.Take(forestLen)
-	if r.Err != nil {
-		return r.Err
-	}
-	if r.Remaining() != 0 {
-		return &BadImageError{Offset: r.Off, Msg: "trailing bytes"}
 	}
 	spaces, err := vm.DecodeForest(forest)
 	if err != nil {
 		return &BadImageError{Msg: fmt.Sprintf("memory forest: %v", err)}
 	}
-	tr := ckptReader(tree)
+	tr := &imgenc.Reader{B: tree, Wrap: badImage}
 	root := m.decodeTree(tr, nil, 0, spaces)
-	if tr.Err != nil {
-		return tr.Err
-	}
-	if tr.Off != len(tree) {
-		return &BadImageError{Offset: tr.Off, Msg: "trailing bytes in tree section"}
+	if err := tr.Done(); err != nil {
+		return err
 	}
 	// Everything decoded and validated; only now touch machine state.
 	if err := m.fastForward(devClock, devRand, devConsole); err != nil {
@@ -461,8 +466,8 @@ func (m *Machine) decodeConfig(r *imgenc.Reader) (devClock, devRand, devConsole 
 	cost.BatchPages = int(r.I64())
 	cost.BatchMsg = r.I64()
 	devClock, devRand, devConsole = r.I64(), r.I64(), r.I64()
-	if r.Err != nil {
-		return 0, 0, 0, r.Err
+	if err := r.Done(); err != nil { // the section and encodeConfig's output are both configSectionLen bytes
+		return 0, 0, 0, err
 	}
 	mismatch := func(field, img, mach string) error {
 		return &ImageMismatchError{Field: field, Image: img, Machine: mach}
@@ -567,12 +572,7 @@ func (m *Machine) decodeTree(r *imgenc.Reader, parent *Space, ref uint64, spaces
 	nPools := int(r.U16())
 	for i := 0; i < nPools && r.Err == nil; i++ {
 		id := int(r.U32())
-		n := int(r.U16())
-		if r.Err != nil || n > r.Remaining() {
-			r.Failf("pool size %d exceeds image", n)
-			return nil
-		}
-		p := &vcpuPool{free: make([]int64, n)}
+		p := &vcpuPool{free: make([]int64, r.Count16(8, "pool slot"))}
 		for j := range p.free {
 			p.free[j] = r.I64()
 		}
@@ -586,11 +586,7 @@ func (m *Machine) decodeTree(r *imgenc.Reader, parent *Space, ref uint64, spaces
 		return nil
 	}
 
-	nChildren := int(r.U32())
-	if r.Err == nil && nChildren > r.Remaining() {
-		r.Failf("child count %d exceeds image", nChildren)
-		return nil
-	}
+	nChildren := r.Count(8, "child") // a child is its reference and its record
 	for i := 0; i < nChildren && r.Err == nil; i++ {
 		cref := r.U64()
 		child := m.decodeTree(r, sp, cref, spaces)
@@ -645,12 +641,7 @@ func (m *Machine) decodeResidency(r *imgenc.Reader, sp *Space) bool {
 
 func readPageSet(r *imgenc.Reader) *pageSet {
 	s := &pageSet{all: r.U8() != 0}
-	n := int(r.U32())
-	if r.Err == nil && n*4 > r.Remaining() {
-		r.Failf("page set size %d exceeds image", n)
-		return s
-	}
-	for i := 0; i < n && r.Err == nil; i++ {
+	for n := r.Count(4, "page set entry"); n > 0; n-- {
 		a := vm.Addr(r.U32())
 		if s.all {
 			if s.except == nil {

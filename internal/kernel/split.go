@@ -10,65 +10,32 @@ package kernel
 // bit-identically to one restored from the flat image.
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"repro/internal/imgenc"
 )
-
-// configSectionLen is the size of the fixed machine-identity section
-// encodeConfig emits: node count, cpus, flags, ten cost-model fields
-// and three device cursors.
-const configSectionLen = 4 + 4 + 1 + 10*8 + 3*8
 
 // SplitImage separates a machine checkpoint image into a self-sealed
 // metadata image (config + tree sections, no forest) and the raw vm
 // forest bytes. The input is fully validated — a truncated or corrupt
 // image fails with *BadImageError before anything is returned.
 func SplitImage(img []byte) (meta, forest []byte, err error) {
-	r, err := imgenc.Open(img, checkpointMagic, CheckpointVersion,
-		func(off int, msg string) error { return &BadImageError{Offset: off, Msg: msg} },
-		func(v byte) error { return &ImageVersionError{Version: v, Max: CheckpointVersion} })
+	_, _, f, head, err := sections(img, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	r.Take(configSectionLen)
-	treeLen := int(r.U32())
-	r.Take(treeLen)
-	cut := r.Off // forest section (its length prefix) starts here
-	forestLen := int(r.U32())
-	f := r.Take(forestLen)
-	if r.Err != nil {
-		return nil, nil, r.Err
-	}
-	if r.Remaining() != 0 {
-		return nil, nil, &BadImageError{Offset: r.Off, Msg: "trailing bytes"}
-	}
-	meta = imgenc.Seal(append([]byte(nil), r.B[:cut]...))
-	forest = append([]byte(nil), f...)
-	return meta, forest, nil
+	return imgenc.Seal(bytes.Clone(head)), bytes.Clone(f), nil
 }
 
 // JoinImage recombines a metadata image from SplitImage with forest
 // bytes into a complete machine checkpoint image. Joining the pieces
 // SplitImage produced yields the original image exactly.
 func JoinImage(meta, forest []byte) ([]byte, error) {
-	r, err := imgenc.Open(meta, checkpointMagic, CheckpointVersion,
-		func(off int, msg string) error { return &BadImageError{Offset: off, Msg: msg} },
-		func(v byte) error { return &ImageVersionError{Version: v, Max: CheckpointVersion} })
+	_, _, _, head, err := sections(meta, false)
 	if err != nil {
 		return nil, err
 	}
-	r.Take(configSectionLen)
-	treeLen := int(r.U32())
-	r.Take(treeLen)
-	if r.Err != nil {
-		return nil, r.Err
-	}
-	if r.Remaining() != 0 {
-		return nil, &BadImageError{Offset: r.Off, Msg: "metadata image already has a forest section"}
-	}
-	b := append([]byte(nil), r.B...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(forest)))
-	b = append(b, forest...)
-	return imgenc.Seal(b), nil
+	b := binary.LittleEndian.AppendUint32(bytes.Clone(head), uint32(len(forest)))
+	return imgenc.Seal(append(b, forest...)), nil
 }

@@ -42,6 +42,7 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/castore"
 	"repro/internal/imgenc"
@@ -101,68 +102,33 @@ func chunkFailf(off int, format string, args ...any) *ImageFormatError {
 // profitable; UnchunkForest of the returned key reproduces flat
 // byte-for-byte either way.
 func ChunkForest(store castore.BlobStore, flat []byte, parent castore.Key) (castore.Key, error) {
-	r, err := imgenc.Open(flat, imageMagic, ImageVersion,
-		func(off int, msg string) error { return &ImageFormatError{Offset: off, Msg: msg} },
-		func(v byte) error { return &ImageVersionError{Version: v, Max: ImageVersion} })
+	r, pages, flatTables, err := openForest(flat)
 	if err != nil {
 		return castore.Key{}, err
 	}
+	tail := r.Take(r.Remaining()) // spaces and links, verbatim
 
-	nPages := int(r.U32())
-	if r.Err == nil && nPages*PageSize > len(r.B) {
-		r.Failf("page count %d exceeds image size", nPages)
-	}
-	pageKeys := make([]castore.Key, 0, max(nPages, 0))
-	for i := 0; i < nPages && r.Err == nil; i++ {
-		pg := r.Take(PageSize)
-		if r.Err != nil {
-			break
-		}
-		key := castore.KeyOf(pg)
-		if err := store.Put(key, pg); err != nil {
+	pageKeys := make([]castore.Key, len(pages))
+	for i, pg := range pages {
+		pageKeys[i] = castore.KeyOf(pg)
+		if err := store.Put(pageKeys[i], pg); err != nil {
 			return castore.Key{}, err
 		}
-		pageKeys = append(pageKeys, key)
 	}
-
-	nTables := int(r.U32())
-	if r.Err == nil && nTables*3 > len(r.B) {
-		r.Failf("table count %d exceeds image size", nTables)
-	}
-	tables := make([]tableRec, 0, max(nTables, 0))
-	for i := 0; i < nTables && r.Err == nil; i++ {
-		n := int(r.U16())
-		chunk := make([]byte, 0, 2+3*n)
-		chunk = binary.LittleEndian.AppendUint16(chunk, uint16(n))
-		pids := make([]uint32, 0, n)
-		for j := 0; j < n && r.Err == nil; j++ {
-			l2 := r.U16()
-			perm := r.U8()
-			pid := r.U32()
-			if r.Err != nil {
-				break
-			}
-			if int(pid) > nPages {
-				r.Failf("page id %d out of range (%d pages)", pid, nPages)
-				break
-			}
+	tables := make([]tableRec, len(flatTables))
+	for i, ft := range flatTables {
+		pids := make([]uint32, ft.entries())
+		chunk := binary.LittleEndian.AppendUint16(make([]byte, 0, 2+3*len(pids)), uint16(len(pids)))
+		for j := range pids {
+			l2, perm, pid := ft.pte(j)
 			chunk = binary.LittleEndian.AppendUint16(chunk, l2)
 			chunk = append(chunk, perm)
-			pids = append(pids, pid)
+			pids[j] = pid
 		}
-		if r.Err != nil {
-			break
-		}
-		key := castore.KeyOf(chunk)
-		if err := store.Put(key, chunk); err != nil {
+		tables[i] = tableRec{chunk: castore.KeyOf(chunk), pids: pids}
+		if err := store.Put(tables[i].chunk, chunk); err != nil {
 			return castore.Key{}, err
 		}
-		tables = append(tables, tableRec{chunk: key, pids: pids})
-	}
-
-	tail := r.Take(r.Remaining())
-	if r.Err != nil {
-		return castore.Key{}, r.Err
 	}
 
 	cur := &forestShape{pageKeys: pageKeys, tables: tables, tail: tail}
@@ -332,12 +298,11 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 		}
 	}
 
+	// The instance lists grow by what the ops list — ranges of leaf refs
+	// and of the parent's lists that exist — and are never sized by the
+	// header's totals, which they must add up to.
 	nPages := int(r.U32())
-	nOps := int(r.U32())
-	if r.Err == nil && nOps > r.Remaining() {
-		r.Failf("page op count %d exceeds payload", nOps)
-	}
-	shape.pageKeys = make([]castore.Key, 0, max(nPages, 0))
+	nOps := r.Count(9, "page op") // kind, start, count
 	for i := 0; i < nOps && r.Err == nil; i++ {
 		kind := r.U8()
 		start := int(r.U32())
@@ -345,49 +310,41 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 		if r.Err != nil {
 			break
 		}
-		switch kind {
-		case 0:
-			if start < 0 || count < 0 || start+count > len(node.LeafRefs) {
-				r.Failf("page literal op [%d,+%d) outside %d leaf refs", start, count, len(node.LeafRefs))
-				break
-			}
-			shape.pageKeys = append(shape.pageKeys, node.LeafRefs[start:start+count]...)
-		case 1:
-			if par == nil {
-				r.Failf("page copy op in root without parent")
-				break
-			}
-			if start < 0 || count < 0 || start+count > len(par.pageKeys) {
-				r.Failf("page copy op [%d,+%d) outside parent's %d pages", start, count, len(par.pageKeys))
-				break
-			}
-			shape.pageKeys = append(shape.pageKeys, par.pageKeys[start:start+count]...)
-		default:
+		src := node.LeafRefs // kind 0: a literal range of this root's refs
+		switch {
+		case kind == 1 && par != nil:
+			src = par.pageKeys
+		case kind == 1:
+			r.Failf("page copy op in root without parent")
+		case kind != 0:
 			r.Failf("unknown page op kind %d", kind)
 		}
+		if r.Err != nil {
+			break
+		}
+		if start < 0 || count < 0 || start+count > len(src) || len(shape.pageKeys)+count > nPages {
+			r.Failf("page op %d [%d,+%d) outside its %d source keys or the header's %d pages", kind, start, count, len(src), nPages)
+			break
+		}
+		shape.pageKeys = append(shape.pageKeys, src[start:start+count]...)
 	}
 	if r.Err == nil && len(shape.pageKeys) != nPages {
 		r.Failf("page ops produced %d pages, header says %d", len(shape.pageKeys), nPages)
 	}
 
 	nTables := int(r.U32())
-	nOps = int(r.U32())
-	if r.Err == nil && nOps > r.Remaining() {
-		r.Failf("table op count %d exceeds payload", nOps)
-	}
-	shape.tables = make([]tableRec, 0, max(nTables, 0))
+	nOps = r.Count(5, "table op") // kind and a count at least
 	for i := 0; i < nOps && r.Err == nil; i++ {
-		kind := r.U8()
-		switch kind {
+		switch kind := r.U8(); kind {
 		case 0:
-			count := int(r.U32())
-			if r.Err == nil && count > r.Remaining() {
-				r.Failf("table literal count %d exceeds payload", count)
-				break
-			}
+			count := r.Count(6, "table literal") // leaf ref, page-id count
+			shape.tables = slices.Grow(shape.tables, count)
 			for j := 0; j < count && r.Err == nil; j++ {
 				leafIdx := int(r.U32())
-				npids := int(r.U16())
+				pids := make([]uint32, r.Count16(4, "page id"))
+				for k := range pids {
+					pids[k] = r.U32()
+				}
 				if r.Err != nil {
 					break
 				}
@@ -395,11 +352,7 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 					r.Failf("table leaf ref %d outside %d leaf refs", leafIdx, len(node.LeafRefs))
 					break
 				}
-				rec := tableRec{chunk: node.LeafRefs[leafIdx], pids: make([]uint32, 0, max(npids, 0))}
-				for k := 0; k < npids && r.Err == nil; k++ {
-					rec.pids = append(rec.pids, r.U32())
-				}
-				shape.tables = append(shape.tables, rec)
+				shape.tables = append(shape.tables, tableRec{chunk: node.LeafRefs[leafIdx], pids: pids})
 			}
 		case 1:
 			start := int(r.U32())
@@ -411,8 +364,8 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 				r.Failf("table copy op in root without parent")
 				break
 			}
-			if start < 0 || count < 0 || start+count > len(par.tables) {
-				r.Failf("table copy op [%d,+%d) outside parent's %d tables", start, count, len(par.tables))
+			if start < 0 || count < 0 || start+count > len(par.tables) || len(shape.tables)+count > nTables {
+				r.Failf("table copy op [%d,+%d) outside parent's %d tables or the header's %d", start, count, len(par.tables), nTables)
 				break
 			}
 			shape.tables = append(shape.tables, par.tables[start:start+count]...)
@@ -424,13 +377,9 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 		r.Failf("table ops produced %d tables, header says %d", len(shape.tables), nTables)
 	}
 
-	tailLen := int(r.U32())
-	if r.Err == nil && tailLen != r.Remaining() {
-		r.Failf("tail length %d, %d bytes left", tailLen, r.Remaining())
-	}
-	shape.tail = r.Take(tailLen)
-	if r.Err != nil {
-		return nil, r.Err
+	shape.tail = r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return shape, nil
 }

@@ -223,73 +223,86 @@ func (e *ForestEncoder) Encode() []byte {
 	return imgenc.Seal(b)
 }
 
+// flatPTESize is one mapped level-2 slot as the flat image lists it:
+// slot u16, permissions u8, page id u32 (0 = demand-zero, else a 1-based
+// index into the image's page list).
+const flatPTESize = 2 + 1 + 4
+
+// flatTable is one table's entries exactly as the image holds them:
+// range-checked by openForest, aliasing the image, copied nowhere.
+type flatTable []byte
+
+func (t flatTable) entries() int { return len(t) / flatPTESize }
+
+func (t flatTable) pte(j int) (l2 uint16, perm byte, pid uint32) {
+	e := t[j*flatPTESize : (j+1)*flatPTESize]
+	return binary.LittleEndian.Uint16(e), e[2], binary.LittleEndian.Uint32(e[3:])
+}
+
+// openForest is the one reader of the flat image's envelope and of its
+// page and table sections: DecodeForest builds the object graph from
+// what it returns, ChunkForest the chunks. The cursor is left at the
+// space section; pages and tables alias the image; every slot index and
+// page id in the tables is in range.
+func openForest(data []byte) (r *imgenc.Reader, pages [][]byte, tables []flatTable, err error) {
+	r, err = imgenc.Open(data, imageMagic, ImageVersion,
+		func(off int, msg string) error { return &ImageFormatError{Offset: off, Msg: msg} },
+		func(v byte) error { return &ImageVersionError{Version: v, Max: ImageVersion} })
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	pages = make([][]byte, r.Count(PageSize, "page"))
+	for i := range pages {
+		pages[i] = r.Take(PageSize)
+	}
+	tables = make([]flatTable, r.Count(2, "table")) // an empty table is its u16 entry count
+	for i := 0; i < len(tables) && r.Err == nil; i++ {
+		t := flatTable(r.Take(r.Count16(flatPTESize, "pte") * flatPTESize))
+		for j := 0; j < t.entries(); j++ {
+			switch l2, _, pid := t.pte(j); {
+			case l2 >= tableEntries:
+				r.Failf("pte index %d out of range", l2)
+			case int(pid) > len(pages):
+				r.Failf("page id %d out of range (%d pages)", pid, len(pages))
+			}
+		}
+		tables[i] = t
+	}
+	return r, pages, tables, r.Err
+}
+
 // DecodeForest reconstructs the spaces of a forest image, restoring the
 // exact page/table sharing graph, dirty bitmaps, and snapshot identity
 // links (with freshly issued tokens). Corrupt or truncated input returns
 // *ImageFormatError; input from a newer format returns
 // *ImageVersionError.
 func DecodeForest(data []byte) ([]*Space, error) {
-	r, err := imgenc.Open(data, imageMagic, ImageVersion,
-		func(off int, msg string) error { return &ImageFormatError{Offset: off, Msg: msg} },
-		func(v byte) error { return &ImageVersionError{Version: v, Max: ImageVersion} })
+	r, pageBytes, flatTables, err := openForest(data)
 	if err != nil {
 		return nil, err
 	}
-
-	// count reads an element count and fails unless that many elements,
-	// each at least unit bytes long, could still follow. A failed count
-	// reads as zero: nothing may be sized by a number the image made up.
-	count := func(unit int, what string) int {
-		n := int(r.U32())
-		if r.Err == nil && n > r.Remaining()/unit {
-			r.Failf("%s count %d exceeds image size", what, n)
-		}
-		if r.Err != nil {
-			return 0
-		}
-		return n
+	pages := make([]*page, len(pageBytes))
+	for i, b := range pageBytes {
+		pages[i] = newPageFrom(b)
+		pages[i].refs.Store(0) // references added as ptes adopt the page
 	}
-
-	nPages := count(PageSize, "page")
-	pages := make([]*page, 0, nPages)
-	for i := 0; i < nPages && r.Err == nil; i++ {
-		pg := newPageFrom(r.Take(PageSize))
-		pg.refs.Store(0) // references added as ptes adopt the page
-		pages = append(pages, pg)
-	}
-
-	nTables := count(2, "table") // an empty table is its u16 entry count
-	tables := make([]*table, 0, nTables)
-	for i := 0; i < nTables && r.Err == nil; i++ {
+	tables := make([]*table, len(flatTables))
+	for i, ft := range flatTables {
 		t := newTable()
 		t.refs.Store(0)
-		n := int(r.U16())
-		for j := 0; j < n && r.Err == nil; j++ {
-			l2 := int(r.U16())
-			perm := Perm(r.U8())
-			pid := int(r.U32())
-			if r.Err != nil {
-				break
-			}
-			if l2 >= tableEntries {
-				r.Failf("pte index %d out of range", l2)
-				break
-			}
+		for j := 0; j < ft.entries(); j++ {
+			l2, perm, pid := ft.pte(j)
 			var pg *page
 			if pid != 0 {
-				if pid > len(pages) {
-					r.Failf("page id %d out of range (%d pages)", pid, len(pages))
-					break
-				}
 				pg = pages[pid-1]
 				pg.refs.Add(1)
 			}
-			t.ptes[l2] = pte{pg: pg, perm: perm}
+			t.ptes[l2] = pte{pg: pg, perm: Perm(perm)}
 		}
-		tables = append(tables, t)
+		tables[i] = t
 	}
 
-	nSpaces := count(5, "space") // flags, root-slot count, dirty-slot count
+	nSpaces := r.Count(5, "space") // flags, root-slot count, dirty-slot count
 	spaces := make([]*Space, 0, nSpaces)
 	for i := 0; i < nSpaces && r.Err == nil; i++ {
 		s := NewSpace()
@@ -327,7 +340,7 @@ func DecodeForest(data []byte) ([]*Space, error) {
 		spaces = append(spaces, s)
 	}
 
-	nLinks := count(8, "link")
+	nLinks := r.Count(8, "link")
 	for i := 0; i < nLinks && r.Err == nil; i++ {
 		ci := int(r.U32())
 		ri := int(r.U32())
@@ -342,11 +355,8 @@ func DecodeForest(data []byte) ([]*Space, error) {
 		spaces[ci].snapID = id
 		spaces[ri].snapOf = id
 	}
-	if r.Err == nil && r.Remaining() != 0 {
-		r.Failf("%d trailing bytes", r.Remaining())
-	}
-	if r.Err != nil {
-		return nil, r.Err
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	// Every restored object needs at least one reference for the Free
 	// accounting to balance; unreferenced pages/tables (possible only in

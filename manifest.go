@@ -26,10 +26,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/castore"
+	"repro/internal/imgenc"
 	"repro/internal/kernel"
 	"repro/internal/vm"
 )
@@ -99,18 +99,18 @@ func LoadManifest(store BlobStore, key ChunkKey) (*Manifest, error) {
 
 // manifestFromNode validates a parsed node as a manifest.
 func manifestFromNode(key castore.Key, node *castore.Node, raw []byte) (*Manifest, error) {
-	p := node.Payload
-	if len(p) != 4+1+8+1 {
-		return nil, &ManifestError{Msg: fmt.Sprintf("payload is %d bytes", len(p))}
-	}
-	if string(p[:4]) != manifestMagic {
+	r := &imgenc.Reader{B: node.Payload, Wrap: func(_ int, msg string) error { return &ManifestError{Msg: msg} }}
+	if magic := r.Take(len(manifestMagic)); r.Err == nil && string(magic) != manifestMagic {
 		return nil, &ManifestError{Msg: "not a manifest object"}
 	}
-	if p[4] != ManifestVersion {
-		return nil, &ManifestError{Msg: fmt.Sprintf("version %d not supported (max %d)", p[4], ManifestVersion)}
+	if v := r.U8(); r.Err == nil && v != ManifestVersion {
+		return nil, &ManifestError{Msg: fmt.Sprintf("version %d not supported (max %d)", v, ManifestVersion)}
 	}
-	m := &Manifest{key: key, seq: binary.LittleEndian.Uint64(p[5:]), raw: append([]byte(nil), raw...)}
-	hasParent := p[13] != 0
+	m := &Manifest{key: key, seq: r.U64(), raw: append([]byte(nil), raw...)}
+	hasParent := r.U8() != 0
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
 	wantRefs := 1
 	if hasParent {
 		wantRefs = 2
@@ -254,27 +254,11 @@ func (e *HeadError) Error() string {
 func (e *HeadError) Unwrap() error { return e.Err }
 
 // WriteManifestHead records m's key in the head file at path
-// atomically: the key is written to a temporary file in the same
-// directory and renamed into place (the castore.DirStore pattern), so a
-// crashed writer leaves either the old head or the new one — never a
-// truncated file under the real name.
+// atomically (castore.WriteFileAtomic), so a crashed writer leaves
+// either the old head or the new one — never a truncated file under the
+// real name.
 func WriteManifestHead(path string, m *Manifest) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".head-*")
-	if err != nil {
-		return fmt.Errorf("repro: write chain head %s: %w", path, err)
-	}
-	if _, err := tmp.WriteString(m.Key().String() + "\n"); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("repro: write chain head %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("repro: write chain head %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := castore.WriteFileAtomic(path, []byte(m.Key().String()+"\n")); err != nil {
 		return fmt.Errorf("repro: write chain head %s: %w", path, err)
 	}
 	return nil

@@ -2,8 +2,13 @@ package repro
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
+
+	"repro/internal/castore"
+	"repro/internal/vm"
 )
 
 // sparseProgram writes every page once in phase 0, then touches only
@@ -359,5 +364,55 @@ func TestManifestAndChunkCorruptionRejected(t *testing.T) {
 	store.Corrupt(m.forest, []byte{'R', 0xde, 0xad})
 	if _, err := LoadImage(store, m); !errors.As(err, new(*ChunkHashError)) {
 		t.Fatalf("corrupt forest root: %v, want ChunkHashError", err)
+	}
+}
+
+// A manifest may name any node as its forest root, and a root's page and
+// table counts are claims: a CRC-valid root claiming 0xF0000000 of
+// either and listing none used to kill the process in makeslice inside
+// LoadImage (resolveShape sized its lists by the claim). It must fail
+// with vm's typed error, having allocated nothing of that order.
+func TestLoadImageRejectsHostileForestRoot(t *testing.T) {
+	sess := mustSession(t, WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1}))
+	if _, err := sess.RunToCheckpoint(sparseProgram(2, 32, 4, 0), 1); err != nil {
+		t.Fatal(err)
+	}
+	store := NewMemStore()
+	m, err := sess.SaveTo(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest, err := castore.ParseNode(m.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, counts := range map[string][2]uint32{"pages": {0xF0000000, 0}, "tables": {0, 0xF0000000}} {
+		root := []byte{1}                                // chunk root version
+		root = binary.LittleEndian.AppendUint32(root, 0) // depth
+		root = append(root, 0)                           // no parent
+		root = binary.LittleEndian.AppendUint32(root, counts[0])
+		root = binary.LittleEndian.AppendUint32(root, 0) // page ops
+		root = binary.LittleEndian.AppendUint32(root, counts[1])
+		root = binary.LittleEndian.AppendUint32(root, 0) // table ops
+		root = binary.LittleEndian.AppendUint32(root, 0) // tail length
+		rootKey, err := castore.PutNode(store, nil, nil, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostile, err := DecodeManifest(castore.BuildNode([]castore.Key{rootKey}, honest.LeafRefs, honest.Payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = LoadImage(store, hostile)
+		runtime.ReadMemStats(&after)
+		if !errors.As(err, new(*vm.ImageFormatError)) {
+			t.Errorf("%s: LoadImage = %v (%T), want *vm.ImageFormatError", name, err, err)
+		}
+		// The honest metadata chunk is decoded first; it is a few KiB.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("%s: LoadImage allocated %d bytes before rejecting the root", name, grew)
+		}
 	}
 }

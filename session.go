@@ -533,15 +533,17 @@ func (s *Session) RunProgram(p Program) (RunResult, error) {
 	return s.runToEnd(p, nil)
 }
 
-// runToEnd is the tail RunProgram, Resume and ResumeFrom share: run p
-// (from img, if any) through its result and return the session to Idle.
+// runToEnd is the tail RunProgram, Resume and ResumeFrom share: drive p
+// (from img, if any) past its last barrier — so the root never parks —
+// through its result, and return the session to Idle.
 func (s *Session) runToEnd(p Program, img *Image) (RunResult, error) {
-	res, err := s.runPhased(p, img, 0)
+	s.checkpoints = nil
+	sr, err := s.drive(p, p.Phases+1, img)
 	if err == nil {
 		s.state = StateIdle
 		s.current = nil
 	}
-	return res, err
+	return sr.Result, err
 }
 
 // RunToCheckpoint runs the first afterPhases phases of p, captures an
@@ -560,18 +562,18 @@ func (s *Session) RunToCheckpoint(p Program, afterPhases int) (*Image, error) {
 		return nil, err
 	}
 	defer s.mu.Unlock()
-	_, err := s.runPhased(p, nil, afterPhases)
+	s.checkpoints = nil
+	if _, err := s.drive(p, afterPhases, nil); err != nil {
+		return nil, err
+	}
+	img, err := s.captureParked()
+	s.teardown()
 	if err != nil {
 		return nil, err
 	}
-	n := len(s.checkpoints)
-	if n == 0 {
-		return nil, &ProgramError{Msg: "run ended before the checkpoint barrier"}
-	}
-	s.current = s.checkpoints[n-1]
-	s.pos = s.current.Phase
+	s.current = img
 	s.state = StateQuiescent
-	return s.current, nil
+	return img, nil
 }
 
 // Resume continues p from a previously captured image on a fresh
@@ -593,51 +595,20 @@ func (s *Session) Resume(img *Image, p Program) (RunResult, error) {
 	return s.runToEnd(p, img)
 }
 
-// runPhased is the one-shot form of the phase loop; the caller holds
-// s.mu and has validated the lifecycle state. img selects resume;
-// stopAfter (when > 0) checkpoints at that barrier and halts there.
-// Its barrier hook never parks: the root runs straight through.
-func (s *Session) runPhased(p Program, img *Image, stopAfter int) (RunResult, error) {
-	s.checkpoints = nil
-	run, err := s.startPhased(p, img, stopAfter, func(_ *Env, _ *RT, k int) bool { return stopAfter > 0 && k == stopAfter })
-	if err != nil {
-		return RunResult{}, err
-	}
-	res := run.m.Wait()
-	s.checkpoints = run.images
-	return res, run.err
-}
-
-// phaseRun is one execution of the phase loop on one machine. The root
-// program writes err, images and finished; the session reads them only
-// after the root has handed control back (a barrier event, or Wait).
-type phaseRun struct {
-	m        *kernel.Machine
-	err      error    // first program error: Attach/Restore failure, phase error, capture failure
-	images   []*Image // CheckpointAfter captures, in barrier order
-	finished bool     // Result ran: the root halted because the program is over
-	// exited is closed when the root program returns or unwinds — done,
-	// failed or killed — so nobody waits for word from a dead root.
-	exited chan struct{}
-}
-
 // startPhased builds a machine — restored from img when non-nil — and
 // starts its root on the phase loop, the only one there is: set the
 // runtime up (Layout and Init on a fresh start; Attach, Layout and
 // Restore on a resume), then alternate barriers and phases, then Result.
 // At every barrier k it reaches — the one it starts at, then the one
 // after each phase — the root captures an image if k is a
-// CheckpointAfter barrier (or alsoAt), and asks atBarrier whether to
-// halt there. A hook may block: that is how a live session parks its
-// root. The caller must Wait on the returned machine.
-func (s *Session) startPhased(p Program, img *Image, alsoAt int, atBarrier func(env *Env, rt *RT, k int) (halt bool)) (*phaseRun, error) {
+// CheckpointAfter barrier, and parks there if k is the stop barrier
+// (atBarrier). Whoever starts a machine must see it exit: bury it, or
+// tear it down.
+func (s *Session) startPhased(p Program, img *Image, stop int) (*liveMachine, error) {
 	if err := bindable(p); err != nil {
 		return nil, err
 	}
-	wantCk := make(map[int]bool, len(s.cfg.CheckpointAfter)+1)
-	if alsoAt > 0 {
-		wantCk[alsoAt] = true
-	}
+	wantCk := make(map[int]bool, len(s.cfg.CheckpointAfter))
 	for _, k := range s.cfg.CheckpointAfter {
 		if k > p.Phases {
 			// k >= 1 was validated at session construction; the phase
@@ -653,10 +624,11 @@ func (s *Session) startPhased(p Program, img *Image, alsoAt int, atBarrier func(
 		defer func() { s.prefix = nil }()
 	}
 
-	run := &phaseRun{m: kernel.New(s.deviceConfig()), exited: make(chan struct{})}
+	l := &liveMachine{s: s, p: p, m: kernel.New(s.deviceConfig()), stop: stop,
+		ctl: make(chan liveCmd), evt: make(chan liveEvt), exited: make(chan struct{})}
 	start := 0
 	if img != nil {
-		if err := run.m.Restore(img.Kernel); err != nil {
+		if err := l.m.Restore(img.Kernel); err != nil {
 			return nil, err
 		}
 		start = img.Phase
@@ -665,15 +637,15 @@ func (s *Session) startPhased(p Program, img *Image, alsoAt int, atBarrier func(
 		}
 	}
 
-	run.m.Start(func(env *kernel.Env) {
-		defer close(run.exited)
+	l.m.Start(func(env *kernel.Env) {
+		defer close(l.exited)
 		var rt *RT
 		if img != nil {
-			rt, run.err = core.Attach(env, img.RT, p.Layout)
-			if run.err == nil && p.Restore != nil {
-				run.err = p.Restore(rt, img.User)
+			rt, l.err = core.Attach(env, img.RT, p.Layout)
+			if l.err == nil && p.Restore != nil {
+				l.err = p.Restore(rt, img.User)
 			}
-			if run.err != nil {
+			if l.err != nil {
 				return
 			}
 		} else {
@@ -690,27 +662,27 @@ func (s *Session) startPhased(p Program, img *Image, alsoAt int, atBarrier func(
 			if k > start && wantCk[k] {
 				im, err := s.capture(env, rt, p, k)
 				if err != nil {
-					run.err = err
+					l.err = err
 					return
 				}
-				run.images = append(run.images, im)
+				l.images = append(l.images, im)
 			}
-			if atBarrier(env, rt, k) {
+			if l.atBarrier(env, rt, k) {
 				return
 			}
 			if k == p.Phases {
 				break
 			}
-			if run.err = p.Phase(rt, k); run.err != nil {
+			if l.err = p.Phase(rt, k); l.err != nil {
 				return
 			}
 		}
 		if p.Result != nil {
 			env.SetRet(p.Result(rt))
 		}
-		run.finished = true
+		l.finished = true
 	}, 0)
-	return run, nil
+	return l, nil
 }
 
 // capture takes one checkpoint at a phase barrier: the kernel image of
@@ -751,14 +723,22 @@ type StepResult struct {
 	Result RunResult
 }
 
-// liveMachine is a bound session's running machine and the channels its
-// root and the session hand control over. Exactly one side runs at a
-// time: the session sends a command only to a root it knows is parked
-// (it has received that park's event), then awaits the next event.
+// liveMachine is one execution of the phase loop on one machine, and
+// the channels its root and the session hand control over. Exactly one
+// side runs at a time: the session sends a command only to a root it
+// knows is parked (it has received that park's event), then awaits the
+// next event. The root writes err, images and finished; the session
+// reads them only after the root has handed control back (an event, or
+// its exit).
 type liveMachine struct {
-	s   *Session
-	p   Program
-	run *phaseRun
+	s *Session
+	p Program
+	m *kernel.Machine
+
+	err      error    // first program error: Attach/Restore failure, phase error, capture failure
+	images   []*Image // CheckpointAfter captures, in barrier order
+	finished bool     // Result ran: the root halted because the program is over
+
 	// stop is the barrier the root parks at next (beyond the last phase:
 	// never — run through Result and halt). The session sets it before
 	// the root starts; after that only the root touches it.
@@ -768,6 +748,9 @@ type liveMachine struct {
 	ctl chan liveCmd
 	// evt carries the root's answers: one per park, one per capture.
 	evt chan liveEvt
+	// exited is closed when the root program returns or unwinds — done,
+	// failed or killed — so nobody waits for word from a dead root.
+	exited chan struct{}
 }
 
 // liveCmd is what the session asks of a parked root.
@@ -784,7 +767,7 @@ type liveEvt struct {
 	err   error
 }
 
-// atBarrier is the live machine's barrier hook, run by the root: short
+// atBarrier is what the root does at barrier k: short
 // of the stop barrier it lets the loop run on; at it, it reports the
 // park and serves capture commands until told to run on or to halt.
 func (l *liveMachine) atBarrier(env *Env, rt *RT, k int) (halt bool) {
@@ -809,7 +792,7 @@ func (l *liveMachine) await() (ev liveEvt, ok bool) {
 	select {
 	case ev = <-l.evt:
 		return ev, true
-	case <-l.run.exited:
+	case <-l.exited:
 		return liveEvt{}, false
 	}
 }
@@ -821,7 +804,7 @@ func (s *Session) teardown() {
 		return
 	}
 	close(s.live.ctl)
-	s.live.run.m.Wait()
+	s.live.m.Wait()
 	s.live = nil
 }
 
@@ -834,56 +817,72 @@ func (s *Session) loadAnchor() (*Image, error) {
 	return LoadImage(s.anchorStore, s.anchor)
 }
 
-// drive runs the bound program until its root parks at barrier stop,
-// returning the machine's footprint there — or, for stop beyond the
-// last phase, until it has computed Result and halted, which finishes
-// the session (final is set, no machine remains). With no live machine
-// it first builds one from img (the loaded anchor; nil starts from
-// scratch), which re-executes any phases between the anchor and the
-// barrier the session rested at: the replay after a slice died.
+// drive runs p until its root parks at barrier stop, reporting the
+// barrier and the machine's footprint there — or, for stop beyond the
+// last phase, until it has computed Result and halted (Done; no machine
+// remains). With no live machine it first builds one from img (a bound
+// session's loaded anchor, a one-shot's image; nil starts from
+// scratch), which for a bound session re-executes any phases between
+// the anchor and the barrier it rested at: the replay after a slice
+// died.
 //
 // If the root exits short of stop — a phase failed, panicked (the
 // kernel converts panics into trap statuses) or trapped — the machine
-// is gone, the session still rests where it rested, and the error is
-// the program's own.
-func (s *Session) drive(stop int, img *Image) (pages int, err error) {
+// is gone, the session still rests where it rested, the error is the
+// program's own, and Result is what the machine had to say.
+func (s *Session) drive(p Program, stop int, img *Image) (StepResult, error) {
 	l := s.live
 	if l != nil {
 		l.ctl <- liveCmd{stop: stop}
 	} else {
-		l = &liveMachine{s: s, p: *s.prog, stop: stop, ctl: make(chan liveCmd), evt: make(chan liveEvt)}
-		if l.run, err = s.startPhased(l.p, img, 0, l.atBarrier); err != nil {
-			return 0, err
+		var err error
+		if l, err = s.startPhased(p, img, stop); err != nil {
+			return StepResult{}, err
 		}
 		s.live = l
 	}
 	if ev, parked := l.await(); parked {
 		s.pos = ev.phase
-		s.checkpoints, l.run.images = l.run.images, nil
-		return ev.pages, nil
+		s.checkpoints, l.images = l.images, nil
+		return StepResult{Phase: ev.phase, Pages: ev.pages}, nil
 	}
 	res, err := s.bury()
-	if err == nil && !l.run.finished {
+	if err == nil && !l.finished {
 		err = &ProgramError{Msg: fmt.Sprintf("slice ended before barrier %d", stop)}
 	}
 	if err != nil {
-		return 0, err
+		return StepResult{Result: res}, err
 	}
-	s.pos, s.final = l.p.Phases, &res
-	return 0, nil
+	s.pos = p.Phases
+	return StepResult{Phase: p.Phases, Done: true, Result: res}, nil
 }
 
 // bury collects the live machine after its root has exited and reports
 // the root's result and the error that ended it, if one did.
 func (s *Session) bury() (RunResult, error) {
-	run := s.live.run
+	l := s.live
 	s.live = nil
-	res := run.m.Wait()
-	s.checkpoints = run.images
-	if run.err != nil {
-		return res, run.err
+	res := l.m.Wait()
+	s.checkpoints = l.images
+	if l.err != nil {
+		return res, l.err
 	}
 	return res, res.Err
+}
+
+// captureParked has the parked root capture an image of the barrier it
+// stands at.
+func (s *Session) captureParked() (*Image, error) {
+	s.live.ctl <- liveCmd{capture: true}
+	ev, ok := s.live.await()
+	if !ok {
+		_, err := s.bury()
+		if err == nil {
+			err = &ProgramError{Msg: "machine halted during a capture"}
+		}
+		return nil, err
+	}
+	return ev.img, ev.err
 }
 
 // restingImage returns the image of the barrier the session rests at,
@@ -917,23 +916,15 @@ func (s *Session) restingImage() (*Image, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := s.drive(s.pos, img); err != nil {
+		if _, err := s.drive(*s.prog, s.pos, img); err != nil {
 			return nil, err
 		}
 	}
-	s.live.ctl <- liveCmd{capture: true}
-	ev, ok := s.live.await()
-	if !ok {
-		_, err := s.bury()
-		if err == nil {
-			err = &ProgramError{Msg: "machine halted during a capture"}
-		}
+	img, err := s.captureParked()
+	if err != nil {
 		return nil, err
 	}
-	if ev.err != nil {
-		return nil, ev.err
-	}
-	s.current = ev.img
+	s.current = img
 	if s.final != nil {
 		s.teardown()
 	}
@@ -1025,34 +1016,33 @@ func (s *Session) Step(budget int) (StepResult, error) {
 	if budget < 1 {
 		return StepResult{}, &ProgramError{Msg: fmt.Sprintf("step budget %d (must be >= 1)", budget)}
 	}
-	pages := 0
-	if s.final == nil {
-		var img *Image
-		pos := s.pos
-		if s.live == nil {
-			var err error
-			if img, err = s.loadAnchor(); err != nil {
-				return StepResult{}, err
-			}
-			if pos < 0 {
-				pos = img.Phase
-			}
-		}
-		stop := pos + budget
-		if stop >= s.prog.Phases {
-			stop = s.prog.Phases + 1 // the last slice runs on through Result
-		}
+	if s.final != nil {
+		return StepResult{Phase: s.pos, Done: true, Result: *s.final}, nil
+	}
+	var img *Image
+	pos := s.pos
+	if s.live == nil {
 		var err error
-		if pages, err = s.drive(stop, img); err != nil {
+		if img, err = s.loadAnchor(); err != nil {
 			return StepResult{}, err
 		}
-		s.current = nil
-		s.state = StateQuiescent
+		if pos < 0 {
+			pos = img.Phase
+		}
 	}
-	sr := StepResult{Phase: s.pos, Pages: pages}
-	if s.final != nil {
-		sr.Done, sr.Result = true, *s.final
+	stop := pos + budget
+	if stop >= s.prog.Phases {
+		stop = s.prog.Phases + 1 // the last slice runs on through Result
 	}
+	sr, err := s.drive(*s.prog, stop, img)
+	if err != nil {
+		return StepResult{}, err
+	}
+	if sr.Done {
+		s.final = &sr.Result
+	}
+	s.current = nil
+	s.state = StateQuiescent
 	return sr, nil
 }
 
@@ -1273,25 +1263,17 @@ func DecodeImage(data []byte) (*Image, error) {
 	im.RT.Size = r.U64()
 	im.RT.Next = r.U32()
 	im.RT.TreeJoin = r.U8() != 0
-	nPlaced := int(r.U32())
-	if r.Err == nil && nPlaced*16 > len(r.B) {
-		r.Failf("placement count %d exceeds image", nPlaced)
-	}
-	for i := 0; i < nPlaced && r.Err == nil; i++ {
-		id := int(int64(r.U64()))
-		node := int(int64(r.U64()))
+	for n := r.Count(16, "placement"); n > 0; n-- {
+		id := int(r.I64())
+		node := int(r.I64())
 		if im.RT.Placed == nil {
 			im.RT.Placed = make(map[int]int)
 		}
 		im.RT.Placed[id] = node
 	}
-	nUser := int(r.U32())
-	if r.Err == nil && nUser > len(r.B) {
-		r.Failf("section count %d exceeds image", nUser)
-	}
-	for i := 0; i < nUser && r.Err == nil; i++ {
+	for n := r.Count(8, "section"); n > 0; n-- { // a section is at least its two length prefixes
 		name := r.Str()
-		body := r.Take(int(r.U32()))
+		body := r.Bytes()
 		if r.Err != nil {
 			break
 		}
@@ -1301,7 +1283,7 @@ func DecodeImage(data []byte) (*Image, error) {
 		im.User[name] = append([]byte(nil), body...)
 	}
 	if r.U8() != 0 {
-		tb := r.Take(int(r.U32()))
+		tb := r.Bytes()
 		if r.Err == nil {
 			l, err := trace.Unmarshal(tb)
 			if err != nil {
@@ -1310,12 +1292,9 @@ func DecodeImage(data []byte) (*Image, error) {
 			im.TracePrefix = l
 		}
 	}
-	im.Kernel = append([]byte(nil), r.Take(int(r.U32()))...)
-	if r.Err == nil && r.Remaining() != 0 {
-		r.Failf("%d trailing bytes", r.Remaining())
-	}
-	if r.Err != nil {
-		return nil, r.Err
+	im.Kernel = append([]byte(nil), r.Bytes()...)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return im, nil
 }
