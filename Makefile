@@ -66,8 +66,11 @@ bench:
 # the dsched round engine still completes its blocked-heavy workload.
 # What the tables this target used to smoke-test assert now lives in
 # package tests and the two goldens (`make test`, `make bench-exact`).
+# Then one iteration of vm's typed-access benchmark, which fails itself
+# if any of its variants allocates: the words move in place.
 bench-smoke:
 	$(GO) test -bench='Fig4|DschedRound' -benchtime=1x -run='^$$' .
+	$(GO) test -bench=TypedAccess -benchtime=1x -run='^$$' ./internal/vm
 
 # The exact gate: the end-to-end benchmark's 14 deterministic per-layer
 # metrics (virtual times, instruction, round, page and byte counts) must

@@ -123,7 +123,15 @@ type haltSignal struct{}
 
 // --- memory -------------------------------------------------------------------
 
-func (e *Env) memTick(bytes int) { e.Tick(int64(bytes+7) / 8) }
+// access accounts for one load or store of size bytes at addr before it
+// happens: the memory tick, then the demand-paging cost of the pages it
+// touches. A span that runs past the top of the address space faults here,
+// before demand paging would walk (and charge for) its wrapped image.
+func (e *Env) access(addr vm.Addr, size int, write bool) {
+	e.Tick(int64(size+7) / 8)
+	e.fault(vm.CheckSpan(addr, size))
+	e.sp.touchPages(addr, size, write)
+}
 
 func (e *Env) fault(err error) {
 	if err == nil {
@@ -134,8 +142,7 @@ func (e *Env) fault(err error) {
 
 // Read copies memory from the space into p, faulting on access violations.
 func (e *Env) Read(addr vm.Addr, p []byte) {
-	e.memTick(len(p))
-	e.sp.touchPages(addr, len(p), false)
+	e.access(addr, len(p), false)
 	e.fault(e.sp.mem.Read(addr, p))
 }
 
@@ -150,8 +157,7 @@ func (e *Env) Read(addr vm.Addr, p []byte) {
 // data(b) carries at most one page of everything else; b is only valid
 // during the call.
 func (e *Env) ReadRuns(addr vm.Addr, size int, data func(b []byte), zeros func(n int)) {
-	e.memTick(size)
-	e.sp.touchPages(addr, size, false)
+	e.access(addr, size, false)
 	var buf []byte // escapes through data, so only spans that need it pay for it
 	for size > 0 {
 		n := int(e.sp.mem.ZeroRun(addr, uint64(size)))
@@ -172,15 +178,13 @@ func (e *Env) ReadRuns(addr vm.Addr, size int, data func(b []byte), zeros func(n
 
 // Write copies p into the space's memory, faulting on access violations.
 func (e *Env) Write(addr vm.Addr, p []byte) {
-	e.memTick(len(p))
-	e.sp.touchPages(addr, len(p), true)
+	e.access(addr, len(p), true)
 	e.fault(e.sp.mem.Write(addr, p))
 }
 
 // ReadU32 loads a little-endian uint32.
 func (e *Env) ReadU32(addr vm.Addr) uint32 {
-	e.memTick(4)
-	e.sp.touchPages(addr, 4, false)
+	e.access(addr, 4, false)
 	v, err := e.sp.mem.ReadU32(addr)
 	e.fault(err)
 	return v
@@ -188,15 +192,13 @@ func (e *Env) ReadU32(addr vm.Addr) uint32 {
 
 // WriteU32 stores a little-endian uint32.
 func (e *Env) WriteU32(addr vm.Addr, v uint32) {
-	e.memTick(4)
-	e.sp.touchPages(addr, 4, true)
+	e.access(addr, 4, true)
 	e.fault(e.sp.mem.WriteU32(addr, v))
 }
 
 // ReadU64 loads a little-endian uint64.
 func (e *Env) ReadU64(addr vm.Addr) uint64 {
-	e.memTick(8)
-	e.sp.touchPages(addr, 8, false)
+	e.access(addr, 8, false)
 	v, err := e.sp.mem.ReadU64(addr)
 	e.fault(err)
 	return v
@@ -204,15 +206,13 @@ func (e *Env) ReadU64(addr vm.Addr) uint64 {
 
 // WriteU64 stores a little-endian uint64.
 func (e *Env) WriteU64(addr vm.Addr, v uint64) {
-	e.memTick(8)
-	e.sp.touchPages(addr, 8, true)
+	e.access(addr, 8, true)
 	e.fault(e.sp.mem.WriteU64(addr, v))
 }
 
 // ReadF64 loads a float64.
 func (e *Env) ReadF64(addr vm.Addr) float64 {
-	e.memTick(8)
-	e.sp.touchPages(addr, 8, false)
+	e.access(addr, 8, false)
 	v, err := e.sp.mem.ReadF64(addr)
 	e.fault(err)
 	return v
@@ -220,36 +220,31 @@ func (e *Env) ReadF64(addr vm.Addr) float64 {
 
 // WriteF64 stores a float64.
 func (e *Env) WriteF64(addr vm.Addr, v float64) {
-	e.memTick(8)
-	e.sp.touchPages(addr, 8, true)
+	e.access(addr, 8, true)
 	e.fault(e.sp.mem.WriteF64(addr, v))
 }
 
 // ReadU32s bulk-loads little-endian uint32s.
 func (e *Env) ReadU32s(addr vm.Addr, dst []uint32) {
-	e.memTick(4 * len(dst))
-	e.sp.touchPages(addr, 4*len(dst), false)
+	e.access(addr, 4*len(dst), false)
 	e.fault(e.sp.mem.ReadU32s(addr, dst))
 }
 
 // WriteU32s bulk-stores little-endian uint32s.
 func (e *Env) WriteU32s(addr vm.Addr, src []uint32) {
-	e.memTick(4 * len(src))
-	e.sp.touchPages(addr, 4*len(src), true)
+	e.access(addr, 4*len(src), true)
 	e.fault(e.sp.mem.WriteU32s(addr, src))
 }
 
 // ReadF64s bulk-loads float64s.
 func (e *Env) ReadF64s(addr vm.Addr, dst []float64) {
-	e.memTick(8 * len(dst))
-	e.sp.touchPages(addr, 8*len(dst), false)
+	e.access(addr, 8*len(dst), false)
 	e.fault(e.sp.mem.ReadF64s(addr, dst))
 }
 
 // WriteF64s bulk-stores float64s.
 func (e *Env) WriteF64s(addr vm.Addr, src []float64) {
-	e.memTick(8 * len(src))
-	e.sp.touchPages(addr, 8*len(src), true)
+	e.access(addr, 8*len(src), true)
 	e.fault(e.sp.mem.WriteF64s(addr, src))
 }
 

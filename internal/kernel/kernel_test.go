@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -302,6 +303,50 @@ func TestFaultReportsToParent(t *testing.T) {
 			panic("fault cause missing")
 		}
 	})
+}
+
+// A store whose span runs past the top of the address space faults the
+// space whole: it does not wrap to address 0, and — the child sits on
+// another node with nothing resident — demand paging is never charged for
+// the wrapped span's pages.
+func TestSpanPastTopOfAddressSpaceFaults(t *testing.T) {
+	const top = vm.SpaceSize - vm.PageSize
+	res := New(Config{Nodes: 2}).Run(func(env *Env) {
+		env.SetPerm(0, 2*vm.PageSize, vm.PermRW)
+		env.SetPerm(top, vm.PageSize, vm.PermRW)
+		ref := ChildOn(1, 1)
+		if err := env.Put(ref, PutOpts{
+			Regs:    &Regs{Entry: func(c *Env) { c.Write(0xFFFF_FFF0, bytes.Repeat([]byte{0xAB}, 32)) }},
+			CopyAll: true,
+			Start:   true,
+		}); err != nil {
+			panic(err)
+		}
+		for i := range vm.PageSize / 8 {
+			env.WriteU64(vm.PageSize+vm.Addr(8*i), ^uint64(0))
+		}
+		info, err := env.Get(ref, GetOpts{Copy: &CopyRange{Src: 0, Dst: vm.PageSize, Size: vm.PageSize}})
+		if err != nil {
+			panic(err)
+		}
+		var se *vm.SpanError
+		if info.Status != StatusFault || !errors.As(info.Err, &se) {
+			panic(fmt.Sprintf("child stopped with %v (%v), want a fault with a *vm.SpanError", info.Status, info.Err))
+		}
+		for _, c := range env.sp.children {
+			if c.net != (NetStats{}) {
+				panic(fmt.Sprintf("refused span was charged demand paging: %+v", c.net))
+			}
+		}
+		for i := range vm.PageSize / 8 {
+			if v := env.ReadU64(vm.PageSize + vm.Addr(8*i)); v != 0 {
+				panic(fmt.Sprintf("child memory at %#x = %#x after the refused store", 8*i, v))
+			}
+		}
+	}, 0)
+	if res.Status != StatusHalted {
+		t.Fatalf("root stopped with %v: %v", res.Status, res.Err)
+	}
 }
 
 func TestExceptionReportsToParent(t *testing.T) {

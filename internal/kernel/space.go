@@ -186,8 +186,8 @@ func (sp *Space) run(entry Prog) {
 		case *abortSignal:
 			// Shutdown or register overwrite: exit without changing state;
 			// the aborter already holds the state machine.
-		case *vm.AccessError:
-			sp.stop(StatusFault, t)
+		case *vm.AccessError, *vm.SpanError:
+			sp.stop(StatusFault, t.(error))
 		default:
 			sp.stop(StatusExcept, fmt.Errorf("kernel: exception in space: %v", r))
 		}

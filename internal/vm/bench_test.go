@@ -179,6 +179,42 @@ func BenchmarkPageSpanRead(b *testing.B) {
 	}
 }
 
+// BenchmarkTypedAccess times the bulk float64 accessors on already-private
+// pages at the span lengths the fine-grained workloads use — an FFT
+// butterfly's 2, a matrix row's 64, a whole 8-page block — aligned and
+// with the span starting 4 bytes below a page boundary, so an element
+// straddles it. The words move in place, never through a staging buffer,
+// so a variant that allocates fails (`make bench-smoke` runs them all).
+func BenchmarkTypedAccess(b *testing.B) {
+	s := benchSpace(16)
+	for _, n := range []int{2, 64, 4096} {
+		vals := make([]float64, n)
+		for _, at := range []struct {
+			name string
+			addr Addr
+		}{{"aligned", PageSize}, {"straddle", PageSize - 4}} {
+			for _, op := range []struct {
+				name string
+				fn   func(Addr, []float64) error
+			}{{"read", s.ReadF64s}, {"write", s.WriteF64s}} {
+				b.Run(fmt.Sprintf("%s/%s/%d", op.name, at.name, n), func(b *testing.B) {
+					if a := testing.AllocsPerRun(10, func() { op.fn(at.addr, vals) }); a != 0 {
+						b.Fatalf("%v allocs/op, want 0", a)
+					}
+					b.ReportAllocs()
+					b.SetBytes(int64(8 * n))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := op.fn(at.addr, vals); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkMergeKernels times the page-compare slow path under the word
 // kernel and under its per-byte oracle (merge_kernel_test.go) on the same
 // page triples: every page of a 4 MiB table changed by the child and
@@ -220,7 +256,7 @@ func BenchmarkMergeKernels(b *testing.B) {
 				var conflict MergeConflictError
 				var touched bool
 				c := mergeCtx{mode: MergeLastWriter, st: &st, conflict: &conflict, touched: &touched}
-				dc := dstCursor{s: dst, l1: 0}
+				dc := cursor{s: dst, l1: 0}
 				b.SetBytes(tableEntries * PageSize)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

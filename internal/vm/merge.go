@@ -264,62 +264,6 @@ func mergeRange(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig, g
 	return st, nil
 }
 
-// dstCursor resolves dst's level-1 slot once per merge job instead of
-// once per page. The owned level-2 table and its dirty bitmap are cached
-// on first write, so the per-page writable-page path is a pte load, a
-// refcount check and a bit set — no repeated root walk, ownTable refcount
-// inspection or dirty-bitmap lookup. The cursor is job-local state over a
-// level-1 slot the job owns exclusively, like everything else the merge
-// mutates.
-type dstCursor struct {
-	s  *Space
-	l1 int
-	t  *table     // privately-owned level-2 table, resolved lazily
-	db *dirtyBits // dst's dirty bitmap for l1, resolved with t
-}
-
-// entry reads dst's pte for l2, through the owned table once one exists.
-func (dc *dstCursor) entry(l2 int) pte {
-	t := dc.t
-	if t == nil {
-		if t = dc.s.root[dc.l1]; t == nil {
-			return pte{}
-		}
-	}
-	return t.ptes[l2]
-}
-
-// own returns dst's privately-owned table for the cursor's slot,
-// breaking table sharing on first use.
-func (dc *dstCursor) own() *table {
-	if dc.t == nil {
-		dc.t = dc.s.ownTable(dc.l1)
-		dc.db = dc.s.dirtyTable(dc.l1)
-	}
-	return dc.t
-}
-
-// writablePage marks l2 dirty and returns a privately-owned page there,
-// breaking page sharing as needed — Space.writablePage minus the
-// per-page table walk.
-func (dc *dstCursor) writablePage(l2 int) *page {
-	t := dc.own()
-	dc.db[l2>>6] |= 1 << (uint(l2) & 63)
-	e := t.ptes[l2]
-	switch {
-	case e.pg == nil:
-		e.pg = newPage()
-		t.ptes[l2] = e
-	case e.pg.refs.Load() > 1:
-		np := newPage()
-		np.data = e.pg.data
-		e.pg.refs.Add(-1)
-		e.pg = np
-		t.ptes[l2] = e
-	}
-	return e.pg
-}
-
 // mergeTable merges one job's slice of a level-2 table into dst. It is the
 // unit of parallelism: everything it mutates hangs off dst's level-1 slot
 // job.l1, which the job owns exclusively.
@@ -358,7 +302,7 @@ func mergeTable(dst, cur, ref *Space, job tableJob, c mergeCtx) {
 		*c.touched = true
 		return
 	}
-	dc := dstCursor{s: dst, l1: l1}
+	dc := cursor{s: dst, l1: l1}
 	visit := func(l2 int) {
 		st.PtesScanned++
 		ce := ct.ptes[l2]
@@ -384,7 +328,7 @@ func mergeTable(dst, cur, ref *Space, job tableJob, c mergeCtx) {
 // mergePage merges one child page at address pa into dst: adopted whole
 // when the parent has not touched it, three-way compared by the
 // word-masked kernel otherwise.
-func mergePage(dc *dstCursor, pa Addr, l2 int, ce, re pte, c mergeCtx) {
+func mergePage(dc *cursor, pa Addr, l2 int, ce, re pte, c mergeCtx) {
 	de := dc.entry(l2)
 	if de.pg == re.pg {
 		// Fast path: the parent has not touched this page since the
@@ -452,7 +396,7 @@ const (
 // conflict addresses are recorded in the same ascending order, and the
 // non-conflicting bytes of such words still merge, exactly as the
 // reference kernel does.
-func mergePageWords(dc *dstCursor, pa Addr, l2 int, ce, re pte, de pte, c mergeCtx) {
+func mergePageWords(dc *cursor, pa Addr, l2 int, ce, re pte, de pte, c mergeCtx) {
 	st, conflict := c.st, c.conflict
 	st.PagesCompared++
 	curD, refD, dstD := dataOf(ce.pg), dataOf(re.pg), dataOf(de.pg)
@@ -462,7 +406,7 @@ func mergePageWords(dc *dstCursor, pa Addr, l2 int, ce, re pte, de pte, c mergeC
 	var wp *page // writable dst page, fetched lazily
 	writable := func() *page {
 		if wp == nil {
-			wp = dc.writablePage(l2)
+			wp = dc.writablePage(l2, false)
 			*c.touched = true
 		}
 		return wp

@@ -19,7 +19,7 @@ import (
 //     the touched tables must agree bit for bit;
 //   - byteRule, the three-way rule itself computed from Space.Read of
 //     dst, cur and ref alone — no table walk, no adoption fast path, no
-//     dstCursor — against which the whole engine (MergeEx, every worker
+//     cursor — against which the whole engine (MergeEx, every worker
 //     count, guided and unguided) is checked.
 //
 // Scenarios deliberately plant overlapping writes that straddle 8-byte
@@ -33,8 +33,8 @@ import (
 // merge semantics the word kernel must reproduce bit-for-bit — bytes,
 // statistics and conflict addresses. It lives here, not in merge.go,
 // because being compared against is its only job: the tests below and
-// BenchmarkMergeKernels call it on a dstCursor directly.
-func mergePageBytes(dc *dstCursor, pa Addr, l2 int, ce, re pte, de pte, c mergeCtx) {
+// BenchmarkMergeKernels call it on a cursor directly.
+func mergePageBytes(dc *cursor, pa Addr, l2 int, ce, re pte, de pte, c mergeCtx) {
 	st, conflict := c.st, c.conflict
 	st.PagesCompared++
 	curD, refD, dstD := dataOf(ce.pg), dataOf(re.pg), dataOf(de.pg)
@@ -61,7 +61,7 @@ func mergePageBytes(dc *dstCursor, pa Addr, l2 int, ce, re pte, de pte, c mergeC
 				continue
 			}
 			if wp == nil {
-				wp = dc.writablePage(l2)
+				wp = dc.writablePage(l2, false)
 				*c.touched = true
 			}
 			wp.data[off+b] = cb
@@ -94,7 +94,7 @@ func plantStraddles(rng *rand.Rand, childOps, parentOps []memOp) (c, p []memOp) 
 }
 
 // pageKernel is the shape mergePageWords and mergePageBytes share.
-type pageKernel func(dc *dstCursor, pa Addr, l2 int, ce, re pte, de pte, c mergeCtx)
+type pageKernel func(dc *cursor, pa Addr, l2 int, ce, re pte, de pte, c mergeCtx)
 
 // runKernel replays the history like runMerge, then applies kernel to
 // every page of [0, propSpan) the child changed — its own page-by-page
@@ -109,7 +109,7 @@ func runKernel(t *testing.T, parent *Space, childOps, parentOps []memOp,
 			var st MergeStats
 			conflict := &MergeConflictError{}
 			for l1 := 0; l1 < propSpan/PageSize/tableEntries+1; l1++ {
-				dc := dstCursor{s: dst, l1: l1}
+				dc := cursor{s: dst, l1: l1}
 				for l2 := 0; l2 < tableEntries; l2++ {
 					pa := Addr(l1*tableEntries+l2) * PageSize
 					if pa >= propSpan {

@@ -40,6 +40,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -105,9 +106,7 @@ func newPage() *page {
 
 // newPageFrom returns a fresh exclusively-owned page holding a copy of b
 // (at most PageSize bytes). It is the install path for whole-page data
-// arriving from outside the space — full-page-aligned Writes and
-// image/chunk decode — which never needs the read-copy COW break: the
-// incoming bytes replace the entire page, so nothing old is worth saving.
+// arriving from image and chunk decode.
 func newPageFrom(b []byte) *page {
 	p := newPage()
 	copy(p.data[:], b)
@@ -223,6 +222,29 @@ func (e *AccessError) Error() string {
 		kind = "write"
 	}
 	return fmt.Sprintf("vm: %s fault at %#08x (perm %s)", kind, e.Addr, e.Perm)
+}
+
+// SpanError reports a load or store whose span [Addr, Addr+Size) runs past
+// the top of the address space. Addresses do not wrap: the access is
+// refused before any byte moves, and the kernel faults the space as it
+// does for an AccessError.
+type SpanError struct {
+	Addr Addr
+	Size int
+}
+
+func (e *SpanError) Error() string {
+	return fmt.Sprintf("vm: %d bytes at %#08x exceed address space", e.Size, e.Addr)
+}
+
+// CheckSpan returns a *SpanError unless the size bytes at addr lie inside
+// the address space. Every load and store checks its own span; the kernel
+// also calls it before charging demand paging for one.
+func CheckSpan(addr Addr, size int) error {
+	if uint64(addr)+uint64(size) > SpaceSize {
+		return &SpanError{Addr: addr, Size: size}
+	}
+	return nil
 }
 
 // alignDown / alignUp round to page boundaries.
@@ -420,72 +442,211 @@ func (s *Space) Snapshot() (*Space, CopyStats) {
 	return snap, st
 }
 
-// writablePage returns the backing page for a, breaking table- and
-// page-level COW sharing and allocating lazy-zero pages as needed. The
-// caller must already have checked write permission. This is the funnel
-// for every in-place data write, so it is also where pages are marked
-// dirty for merge tracking.
-func (s *Space) writablePage(a Addr) *page {
-	s.markDirty(a)
-	l1, l2 := split(a)
-	t := s.ownTable(l1)
-	e := t.ptes[l2]
-	switch {
-	case e.pg == nil:
-		e.pg = newPage()
-		t.ptes[l2] = e
-	case e.pg.refs.Load() > 1:
-		np := newPage()
-		np.data = e.pg.data
-		e.pg.refs.Add(-1)
-		e.pg = np
-		t.ptes[l2] = e
+// writablePage returns an exclusively owned page behind entry l2 of t,
+// which the caller must itself own: a lazy-zero entry gets a fresh page
+// and a page shared copy-on-write is replaced by a private copy. whole
+// says the caller is about to overwrite every byte of the page, so the
+// shared page's contents are dropped rather than copied. This is the only
+// place a page's COW sharing is broken.
+func (t *table) writablePage(l2 int, whole bool) *page {
+	old := t.ptes[l2].pg
+	if old != nil && old.refs.Load() == 1 {
+		return old
 	}
-	return e.pg
+	np := newPage()
+	if old != nil {
+		if !whole {
+			np.data = old.data
+		}
+		old.refs.Add(-1)
+	}
+	t.ptes[l2].pg = np
+	return np
 }
 
-// Read copies len(p) bytes starting at addr into p. The range may cross
-// page boundaries but every page touched must be mapped with PermR.
+// cursor walks one space's page tables for an access. The level-2 table
+// is resolved once per level-1 slot (1024 pages) instead of once per
+// page; the privately owned table and its dirty bitmap are cached on the
+// first store, so the per-page store path is a pte load, a refcount check
+// and a bit set. Loads, stores and the destination side of a merge job
+// all go through it; a merge job owns its level-1 slot exclusively, like
+// everything else it mutates.
+type cursor struct {
+	s  *Space
+	l1 int        // -1 before an access has resolved its first page
+	t  *table     // privately owned level-2 table for l1, resolved lazily
+	db *dirtyBits // the space's dirty bitmap for l1, resolved with t
+}
+
+// entry reads the pte for l2, through the owned table once one exists.
+func (c *cursor) entry(l2 int) pte {
+	t := c.t
+	if t == nil {
+		if t = c.s.root[c.l1]; t == nil {
+			return pte{}
+		}
+	}
+	return t.ptes[l2]
+}
+
+// own returns the privately owned table for the cursor's slot, breaking
+// table sharing on first use.
+func (c *cursor) own() *table {
+	if c.t == nil {
+		t := c.s.root[c.l1]
+		if t == nil || t.refs.Load() > 1 { // else already private: skip the call
+			t = c.s.ownTable(c.l1)
+		}
+		c.t, c.db = t, c.s.dirtyTable(c.l1)
+	}
+	return c.t
+}
+
+// writablePage marks l2 dirty and returns a privately owned page there.
+// It is the funnel for every in-place data write, so it is also where
+// pages are marked dirty for merge tracking. The caller must already have
+// checked write permission.
+func (c *cursor) writablePage(l2 int, whole bool) *page {
+	t := c.own()
+	c.db[l2>>6] |= 1 << (uint(l2) & 63)
+	return t.writablePage(l2, whole)
+}
+
+// page returns the bytes of the page containing addr, for a load or for
+// a store. The pte that passes the permission check is the pte the
+// access goes through. A load of a lazy-zero page gets the shared zero
+// page; a store gets a page the space owns exclusively (see
+// table.writablePage for whole).
+func (c *cursor) page(addr Addr, write, whole bool) (*[PageSize]byte, error) {
+	l1, l2 := split(addr)
+	if l1 != c.l1 {
+		*c = cursor{s: c.s, l1: l1}
+	}
+	e := c.entry(l2)
+	switch {
+	case !write && e.perm&PermR != 0:
+		return dataOf(e.pg), nil
+	case write && e.perm&PermW != 0:
+		return &c.writablePage(l2, whole).data, nil
+	}
+	return nil, &AccessError{Addr: addr, Write: write, Perm: e.perm}
+}
+
+// word is the set of fixed-width little-endian element types the typed
+// accessors move.
+type word interface {
+	uint32 | float64
+}
+
+// move copies len(v) elements between v and their encoding in b (exactly
+// len(v) elements long): into b for a store, out of it for a load. The
+// type switch is per span, not per element.
+func move[T word](v []T, b []byte, write bool) {
+	switch v := any(v).(type) {
+	case []uint32:
+		for i := range v {
+			if write {
+				binary.LittleEndian.PutUint32(b[4*i:], v[i])
+			} else {
+				v[i] = binary.LittleEndian.Uint32(b[4*i:])
+			}
+		}
+	case []float64:
+		for i := range v {
+			if write {
+				binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v[i]))
+			} else {
+				v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+		}
+	}
+}
+
+// access is every bulk typed load and store: it moves the elements of v,
+// size bytes each, between the caller's slice and the pages at addr, in
+// place, through the same per-page step as the byte path — so permissions,
+// COW breaks, dirty marks, the whole-page install and the faulting address
+// are the byte path's, with the pages before a fault already accessed.
 //
-// The walk is a single cursor over the page tables: the level-2 table is
-// resolved once per level-1 slot (1024 pages), not once per page, and the
-// pte it yields serves both the permission check and the data access.
-func (s *Space) Read(addr Addr, p []byte) error {
-	curL1 := -1
-	var t *table
-	for len(p) > 0 {
-		l1, l2 := split(addr)
-		if l1 != curL1 {
-			t, curL1 = s.root[l1], l1
-		}
-		var e pte
-		if t != nil {
-			e = t.ptes[l2]
-		}
-		if e.perm&PermR == 0 {
-			return &AccessError{Addr: addr, Perm: e.perm}
-		}
+// An element that straddles a page boundary is staged in an 8-byte stack
+// array and goes through the byte path itself, so it faults on either
+// page exactly as its bytes would. (The byte path walks with a cursor of
+// its own; c stays valid across it because a cursor caches only a table
+// the space already owns.)
+func access[T word](s *Space, addr Addr, v []T, size int, write bool) error {
+	if err := CheckSpan(addr, len(v)*size); err != nil {
+		return err
+	}
+	shift := bits.TrailingZeros(uint(size)) // size is a power of two: no division per call
+	c := cursor{s: s, l1: -1}
+	for i := 0; i < len(v); {
 		off := int(addr & pageMask)
-		n := min(PageSize-off, len(p))
-		if e.pg == nil {
-			clear(p[:n])
-		} else {
-			copy(p[:n], e.pg.data[off:off+n])
+		if k := min((PageSize-off)>>shift, len(v)-i); k > 0 {
+			n := k << shift
+			d, err := c.page(addr, write, n == PageSize)
+			if err != nil {
+				return err
+			}
+			move(v[i:i+k], d[off:off+n], write)
+			i, addr = i+k, addr+Addr(n)
+			continue
 		}
-		p = p[n:]
-		addr += Addr(n)
+		var w [8]byte
+		if write {
+			move(v[i:i+1], w[:size], true)
+		}
+		if err := s.bytes(addr, w[:size], write); err != nil {
+			return err
+		}
+		if !write {
+			move(v[i:i+1], w[:size], false)
+		}
+		i, addr = i+1, addr+Addr(size)
 	}
 	return nil
 }
 
+// bytes is the byte path: Read, or Write when write is set. Every page
+// touched must carry the permission; the first one that does not faults,
+// after the pages before it have been accessed. A store that covers a
+// whole page installs a fresh page initialized straight from the incoming
+// bytes, skipping the read-copy of data that is about to be overwritten.
+func (s *Space) bytes(addr Addr, p []byte, write bool) error {
+	if err := CheckSpan(addr, len(p)); err != nil {
+		return err
+	}
+	c := cursor{s: s, l1: -1}
+	for len(p) > 0 {
+		off := int(addr & pageMask)
+		d, err := c.page(addr, write, off == 0 && len(p) >= PageSize)
+		if err != nil {
+			return err
+		}
+		var n int
+		if write {
+			n = copy(d[off:], p)
+		} else {
+			n = copy(p, d[off:])
+		}
+		p, addr = p[n:], addr+Addr(n)
+	}
+	return nil
+}
+
+// Read copies len(p) bytes starting at addr into p. The range may cross
+// page boundaries but every page touched must be mapped with PermR.
+func (s *Space) Read(addr Addr, p []byte) error { return s.bytes(addr, p, false) }
+
 // ZeroRun reports how many bytes starting at addr, at most limit, lie in
 // demand-zero memory: pages mapped with PermR that have no backing page,
-// which Read would deliver by clearing the caller's buffer. The run ends
-// at the first page that is backed, unreadable or unmapped; ZeroRun says
-// nothing about that page, so a Read of it still returns data or faults
-// exactly as it always did. It is a pure page-table query — no byte is
-// touched — and uses the same per-level-1-slot cursor as Read.
+// which Read would deliver as zeros. The run ends at the first page that
+// is backed, unreadable or unmapped, or at the top of the address space;
+// ZeroRun says nothing about that page, so a Read of it still returns
+// data or faults exactly as it always did. It is a pure page-table query
+// — no byte is touched — and resolves the level-2 table once per level-1
+// slot, as the access cursor does.
 func (s *Space) ZeroRun(addr Addr, limit uint64) uint64 {
+	limit = min(limit, SpaceSize-uint64(addr))
 	curL1 := -1
 	var t *table
 	var run uint64
@@ -504,105 +665,79 @@ func (s *Space) ZeroRun(addr Addr, limit uint64) uint64 {
 		run += n
 		addr += Addr(n)
 	}
-	if run > limit {
-		run = limit
-	}
-	return run
+	return min(run, limit)
 }
 
 // Write copies p into the space starting at addr. Every page touched must
 // be mapped with PermW; COW sharing is broken as needed.
-//
-// Like Read this is one cursor walk: the pte that passes the permission
-// check is the pte the write goes through — no second entry()/ownTable
-// lookup per page — and the dirty bitmap is fetched once per level-1
-// slot. Full-page-aligned stores that would need a COW break instead
-// install a fresh page initialized straight from the incoming bytes,
-// skipping the read-copy of data that is about to be overwritten.
-func (s *Space) Write(addr Addr, p []byte) error {
-	curL1 := -1
-	var t *table      // s.root[curL1], privately owned once written through
-	var db *dirtyBits // dirty bitmap for curL1
-	for len(p) > 0 {
-		l1, l2 := split(addr)
-		if l1 != curL1 {
-			t, curL1, db = s.root[l1], l1, nil
-		}
-		var e pte
-		if t != nil {
-			e = t.ptes[l2]
-		}
-		if e.perm&PermW == 0 {
-			return &AccessError{Addr: addr, Write: true, Perm: e.perm}
-		}
-		if t == nil || t.refs.Load() > 1 {
-			t = s.ownTable(l1)
-			e = t.ptes[l2]
-		}
-		if db == nil {
-			db = s.dirtyTable(l1)
-		}
-		db[l2>>6] |= 1 << (uint(l2) & 63)
-		off := int(addr & pageMask)
-		n := min(PageSize-off, len(p))
-		pg := e.pg
-		if n == PageSize && (pg == nil || pg.refs.Load() > 1) {
-			// Whole page replaced: install a fresh page holding the
-			// incoming bytes, with no read-copy COW break.
-			if pg != nil {
-				pg.refs.Add(-1)
-			}
-			t.ptes[l2] = pte{pg: newPageFrom(p[:PageSize]), perm: e.perm}
-		} else {
-			switch {
-			case pg == nil:
-				pg = newPage()
-				t.ptes[l2] = pte{pg: pg, perm: e.perm}
-			case pg.refs.Load() > 1:
-				np := newPage()
-				np.data = pg.data
-				pg.refs.Add(-1)
-				pg = np
-				t.ptes[l2] = pte{pg: pg, perm: e.perm}
-			}
-			copy(pg.data[off:off+n], p[:n])
-		}
-		p = p[n:]
-		addr += Addr(n)
-	}
-	return nil
-}
+func (s *Space) Write(addr Addr, p []byte) error { return s.bytes(addr, p, true) }
+
+// The scalar accessors resolve their one page with the cursor and move
+// the word in place; the rare word astride a page boundary goes through a
+// stack array and the byte path.
 
 // ReadU32 reads a little-endian uint32 at addr.
 func (s *Space) ReadU32(addr Addr) (uint32, error) {
-	var b [4]byte
-	if err := s.Read(addr, b[:]); err != nil {
+	off := addr & pageMask
+	if off > PageSize-4 {
+		var w [4]byte
+		err := s.bytes(addr, w[:], false)
+		return binary.LittleEndian.Uint32(w[:]), err
+	}
+	c := cursor{s: s, l1: -1}
+	d, err := c.page(addr, false, false)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	return binary.LittleEndian.Uint32(d[off:]), nil
 }
 
 // WriteU32 writes a little-endian uint32 at addr.
 func (s *Space) WriteU32(addr Addr, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return s.Write(addr, b[:])
+	off := addr & pageMask
+	if off > PageSize-4 {
+		var w [4]byte
+		binary.LittleEndian.PutUint32(w[:], v)
+		return s.bytes(addr, w[:], true)
+	}
+	c := cursor{s: s, l1: -1}
+	d, err := c.page(addr, true, false)
+	if err == nil {
+		binary.LittleEndian.PutUint32(d[off:], v)
+	}
+	return err
 }
 
 // ReadU64 reads a little-endian uint64 at addr.
 func (s *Space) ReadU64(addr Addr) (uint64, error) {
-	var b [8]byte
-	if err := s.Read(addr, b[:]); err != nil {
+	off := addr & pageMask
+	if off > PageSize-8 {
+		var w [8]byte
+		err := s.bytes(addr, w[:], false)
+		return binary.LittleEndian.Uint64(w[:]), err
+	}
+	c := cursor{s: s, l1: -1}
+	d, err := c.page(addr, false, false)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return binary.LittleEndian.Uint64(d[off:]), nil
 }
 
 // WriteU64 writes a little-endian uint64 at addr.
 func (s *Space) WriteU64(addr Addr, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return s.Write(addr, b[:])
+	off := addr & pageMask
+	if off > PageSize-8 {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], v)
+		return s.bytes(addr, w[:], true)
+	}
+	c := cursor{s: s, l1: -1}
+	d, err := c.page(addr, true, false)
+	if err == nil {
+		binary.LittleEndian.PutUint64(d[off:], v)
+	}
+	return err
 }
 
 // ReadF64 reads a float64 at addr.
@@ -612,51 +747,19 @@ func (s *Space) ReadF64(addr Addr) (float64, error) {
 }
 
 // WriteF64 writes a float64 at addr.
-func (s *Space) WriteF64(addr Addr, v float64) error {
-	return s.WriteU64(addr, math.Float64bits(v))
-}
+func (s *Space) WriteF64(addr Addr, v float64) error { return s.WriteU64(addr, math.Float64bits(v)) }
 
 // ReadU32s bulk-reads len(dst) little-endian uint32s starting at addr.
-func (s *Space) ReadU32s(addr Addr, dst []uint32) error {
-	buf := make([]byte, 4*len(dst))
-	if err := s.Read(addr, buf); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(buf[4*i:])
-	}
-	return nil
-}
+func (s *Space) ReadU32s(addr Addr, dst []uint32) error { return access(s, addr, dst, 4, false) }
 
 // WriteU32s bulk-writes src as little-endian uint32s starting at addr.
-func (s *Space) WriteU32s(addr Addr, src []uint32) error {
-	buf := make([]byte, 4*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(buf[4*i:], v)
-	}
-	return s.Write(addr, buf)
-}
+func (s *Space) WriteU32s(addr Addr, src []uint32) error { return access(s, addr, src, 4, true) }
 
 // ReadF64s bulk-reads len(dst) float64s starting at addr.
-func (s *Space) ReadF64s(addr Addr, dst []float64) error {
-	buf := make([]byte, 8*len(dst))
-	if err := s.Read(addr, buf); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return nil
-}
+func (s *Space) ReadF64s(addr Addr, dst []float64) error { return access(s, addr, dst, 8, false) }
 
 // WriteF64s bulk-writes src as float64s starting at addr.
-func (s *Space) WriteF64s(addr Addr, src []float64) error {
-	buf := make([]byte, 8*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return s.Write(addr, buf)
-}
+func (s *Space) WriteF64s(addr Addr, src []float64) error { return access(s, addr, src, 8, true) }
 
 // MappedPages counts mapped pages (useful in tests and for cost accounting).
 func (s *Space) MappedPages() int {
@@ -702,11 +805,4 @@ func Footprint(spaces []*Space) int {
 		}
 	}
 	return len(tables) + len(pages)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
