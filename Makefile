@@ -10,7 +10,7 @@ GO ?= go
 # wall-clock trajectory is `go run ./benchmark`.
 BENCH_OUT ?= BENCH.json
 
-.PHONY: build test race fuzz-smoke bench bench-smoke bench-exact bench-json vet fmt-check staticcheck detlint ci
+.PHONY: build test race fuzz-smoke bench bench-smoke bench-exact bench-json tab3 vet fmt-check staticcheck detlint ci
 
 build:
 	$(GO) build ./...
@@ -30,9 +30,9 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-# GOMAXPROCS is pinned above 1 so the race detector actually sees the
-# concurrent collection, parallel merge and WaitChildren pools race
-# against each other instead of running effectively serialized. The
+# GOMAXPROCS is pinned above 1 so the race detector actually sees
+# concurrently running spaces — a parent merging one child while its
+# siblings still execute — instead of an effectively serialized run. The
 # whole module is covered, not just internal/: the root package's
 # Session hands a live machine between goroutines at every Step, and the
 # daemons sit on top of it.
@@ -79,6 +79,13 @@ bench-smoke:
 bench-exact:
 	$(GO) run ./benchmark -smoke | awk '$$NF == "exact" { print $$2, $$3 }' | diff BENCH_EXACT.golden -
 
+# The code-size ratchet: product lines per component (tab3's "lines"
+# column) must equal the committed values. Growth and shrinkage are both
+# an edited TAB3.golden a reviewer sees; regenerate it with the pipeline
+# below.
+tab3:
+	$(GO) run ./cmd/codesize | awk '$$NF ~ /^[0-9]+$$/ { n = $$(NF-2); NF -= 4; print $$0, n }' | diff TAB3.golden -
+
 # Every surviving detbench table plus tab3 as JSON. All of it is exact:
 # two runs of one commit are byte-identical.
 bench-json:
@@ -95,7 +102,7 @@ staticcheck:
 detlint:
 	$(GO) run ./cmd/detlint ./...
 
-ci: build vet fmt-check detlint test race fuzz-smoke bench-smoke bench-exact bench-json
+ci: build vet fmt-check detlint test race fuzz-smoke bench-smoke bench-exact tab3 bench-json
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		$(MAKE) staticcheck; \
 	else \

@@ -7,7 +7,6 @@ package repro_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -129,40 +128,28 @@ func BenchmarkForkJoinThread(b *testing.B) {
 	}
 }
 
-// BenchmarkMerge pits the serial and parallel merge engines against each
-// other on a dirty-heavy 4-thread join: four children each dirty their
-// entire quarter of a 64 MiB region, the parent touches every page so the
-// merges take the byte-compare slow path, and all four are joined in
-// thread-id order. The serial and parallel sub-benchmarks do
-// byte-identical work (the vm property tests prove it); the delta is pure
-// engine wall-clock. (The word kernel against its per-byte oracle is
-// BenchmarkMergeKernels in internal/vm.)
+// BenchmarkMerge times the merge engine on a dirty-heavy 4-thread join:
+// four children each dirty their entire quarter of a 64 MiB region, the
+// parent touches every page so the merges take the byte-compare slow
+// path, and all four are joined in thread-id order. (The word kernel
+// against its per-byte oracle is BenchmarkMergeKernels in internal/vm.)
 func BenchmarkMerge(b *testing.B) {
 	const (
 		mergePages   = 16 * 1024 // 64 MiB
 		mergeThreads = 4
 	)
-	workers := runtime.GOMAXPROCS(0)
-	for _, eng := range []struct {
-		name string
-		cfg  vm.MergeConfig
-	}{
-		{"serial", vm.MergeConfig{}},
-		{fmt.Sprintf("parallel%d", workers), vm.MergeConfig{Workers: workers}},
-	} {
-		b.Run(eng.name, func(b *testing.B) {
-			w := bench.BuildMergeWorkload(mergePages, mergeThreads, 1.0, true)
-			defer w.Free()
-			b.ResetTimer()
-			var stats vm.MergeStats
-			for i := 0; i < b.N; i++ {
-				stats, _ = w.JoinAll(eng.cfg)
-			}
-			b.ReportMetric(float64(stats.PagesCompared), "pages-compared/op")
-			b.ReportMetric(float64(stats.PtesScanned), "ptes-scanned/op")
-			b.SetBytes(int64(stats.PagesCompared) * vm.PageSize)
-		})
-	}
+	b.Run("serial", func(b *testing.B) {
+		w := bench.BuildMergeWorkload(mergePages, mergeThreads, 1.0, true)
+		defer w.Free()
+		b.ResetTimer()
+		var stats vm.MergeStats
+		for i := 0; i < b.N; i++ {
+			stats, _ = w.JoinAll(vm.MergeConfig{})
+		}
+		b.ReportMetric(float64(stats.PagesCompared), "pages-compared/op")
+		b.ReportMetric(float64(stats.PtesScanned), "ptes-scanned/op")
+		b.SetBytes(int64(stats.PagesCompared) * vm.PageSize)
+	})
 }
 
 // BenchmarkDschedRound drives the deterministic scheduler's round engine

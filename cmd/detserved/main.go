@@ -118,7 +118,7 @@ type server struct {
 func newServer(store repro.ChunkStore, cfg serve.Config) (*server, error) {
 	cfg.Store = store
 	cfg.SessionOpts = []repro.SessionOption{
-		repro.WithMachine(repro.MachineConfig{CPUsPerNode: 4, MergeWorkers: 1}),
+		repro.WithMachine(repro.MachineConfig{CPUsPerNode: 4}),
 	}
 	s, err := serve.New(cfg)
 	if err != nil {

@@ -353,7 +353,7 @@ func TestTableFormatting(t *testing.T) {
 // the ckpt table's 2% and Δ2 rows on the quick-mode 32M region.
 func BenchmarkCkptSave(b *testing.B) {
 	const region, threads = 32 << 20, 4
-	cfg := kernel.Config{CPUsPerNode: threads, MergeWorkers: 1}
+	cfg := kernel.Config{CPUsPerNode: threads}
 	for _, sh := range []struct {
 		name  string
 		w     ckptWorkload

@@ -51,7 +51,7 @@ func Ckpt(o Options) Table {
 	for _, region := range regions {
 		for _, frac := range fracs {
 			w := ckptWorkload{region: region, frac: frac, threads: threads, phases: phases}
-			cfg := kernel.Config{CPUsPerNode: threads, MergeWorkers: 1}
+			cfg := kernel.Config{CPUsPerNode: threads}
 
 			want := w.run(cfg, 0, nil, nil)
 			if want.Err != nil {
@@ -140,7 +140,7 @@ func ckptDeltaRow(region uint64, threads int) []string {
 	const deltaFrac = 2
 	w := ckptWorkload{region: region, frac: deltaFrac, threads: threads, phases: 3,
 		phaseFracs: []int{100, deltaFrac, deltaFrac}}
-	cfg := kernel.Config{CPUsPerNode: threads, MergeWorkers: 1}
+	cfg := kernel.Config{CPUsPerNode: threads}
 
 	want := w.run(cfg, 0, nil, nil)
 	if want.Err != nil {

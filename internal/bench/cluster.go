@@ -11,15 +11,13 @@ import (
 
 // Cluster sweeps the sharded cross-node barrier tree against the flat
 // single-collector protocol on growing clusters: the stencil workload
-// at nodes × {flat, tree} × MergeWorkers {1, 4}, every cell
-// checksum-asserted. Three claims are enforced, not just reported:
+// at nodes × {flat, tree}, every cell checksum-asserted. Two claims are
+// enforced, not just reported:
 //
-//   - bit-identical results: checksums are equal across node counts,
-//     collector modes and merge parallelism, and deliberate write/write
-//     conflicts report identical byte addresses and totals in both
-//     modes (the flat collector pins the thread, the tree the node);
-//   - virtual-time determinism: within each mode, VT is identical at
-//     MergeWorkers 1 and 4;
+//   - bit-identical results: checksums are equal across node counts and
+//     collector modes, and deliberate write/write conflicts report
+//     identical byte addresses and totals in both modes (the flat
+//     collector pins the thread, the tree the node);
 //   - traffic: the root collector's cross-node message count drops from
 //     O(threads) per round (flat: visit and merge every remote thread)
 //     to O(nodes) per round (tree: one batched pre-merged delta per
@@ -36,15 +34,11 @@ func Cluster(o Options) Table {
 		nodeSteps = []int{1, 2, 4}
 		pages, phases = 2, 3
 	}
-	// A fixed count, not GOMAXPROCS: the parallel engine is exercised even
-	// on small hosts and the table reads the same on every host.
-	const workers = 4
 	cost := kernel.DefaultCostModel()
 
 	t := Table{
-		ID: "cluster",
-		Title: fmt.Sprintf("sharded barrier tree vs flat collector (checksum-asserted, MergeWorkers 1 vs %d)",
-			workers),
+		ID:    "cluster",
+		Title: "sharded barrier tree vs flat collector (checksum-asserted)",
 		Header: []string{"nodes", "threads", "flat-vt", "tree-vt", "vt-speedup",
 			"flat-msgs", "tree-msgs", "msgs", "flat-msg/thr", "tree-msg/node", "msg-base-vt", "checksum"},
 	}
@@ -59,15 +53,13 @@ func Cluster(o Options) Table {
 			vt  int64
 			net kernel.NetStats
 		}
-		run := func(tree bool, mw int) cell {
+		run := func(tree bool) cell {
 			c := cfg
 			c.Tree = tree
 			var sum uint64
 			var net kernel.NetStats
 			res := core.Run(core.Options{
-				Kernel: kernel.Config{
-					Nodes: nodes, CPUsPerNode: 1, Cost: cost, MergeWorkers: mw,
-				},
+				Kernel:     kernel.Config{Nodes: nodes, CPUsPerNode: 1, Cost: cost},
 				SharedSize: workload.ClusterSharedBytes(c),
 			}, func(rt *core.RT) uint64 {
 				sum, net = workload.ClusterStencil(rt, c)
@@ -78,40 +70,35 @@ func Cluster(o Options) Table {
 			}
 			return cell{sum: sum, vt: res.VT, net: net}
 		}
-		flat1, flatN := run(false, 1), run(false, workers)
-		tree1, treeN := run(true, 1), run(true, workers)
-		if flat1 != flatN || tree1 != treeN {
-			panic(fmt.Sprintf("bench: cluster n=%d: MergeWorkers changed a run: flat %+v/%+v tree %+v/%+v",
-				nodes, flat1, flatN, tree1, treeN))
-		}
-		if flat1.sum != tree1.sum {
+		flat, tree := run(false), run(true)
+		if flat.sum != tree.sum {
 			panic(fmt.Sprintf("bench: cluster n=%d: tree checksum %#x != flat %#x",
-				nodes, tree1.sum, flat1.sum))
+				nodes, tree.sum, flat.sum))
 		}
 		if nodes > 1 {
-			if tree1.vt >= flat1.vt {
+			if tree.vt >= flat.vt {
 				panic(fmt.Sprintf("bench: cluster n=%d: tree VT %d not below flat %d",
-					nodes, tree1.vt, flat1.vt))
+					nodes, tree.vt, flat.vt))
 			}
 			// O(threads) vs O(nodes): per collection pass (phases barrier
 			// rounds plus the final join) the flat root performs at least
 			// one cross-node interaction per thread; the tree root a
 			// bounded few per node.
 			passes := int64(phases)
-			if flat1.net.Msgs < passes*int64(threads) {
+			if flat.net.Msgs < passes*int64(threads) {
 				panic(fmt.Sprintf("bench: cluster n=%d: flat root sent %d msgs, below O(threads) floor %d",
-					nodes, flat1.net.Msgs, passes*int64(threads)))
+					nodes, flat.net.Msgs, passes*int64(threads)))
 			}
-			if tree1.net.Msgs >= flat1.net.Msgs {
+			if tree.net.Msgs >= flat.net.Msgs {
 				panic(fmt.Sprintf("bench: cluster n=%d: tree root msgs %d not below flat %d",
-					nodes, tree1.net.Msgs, flat1.net.Msgs))
+					nodes, tree.net.Msgs, flat.net.Msgs))
 			}
 		}
 		assertConflictParity(nodes)
 		baseVT := baseline.StencilDist(nodes, threads, pages, phases, cost)
 		msgRatio := "-"
-		if flat1.net.Msgs > 0 {
-			msgRatio = f2(float64(tree1.net.Msgs) / float64(flat1.net.Msgs))
+		if flat.net.Msgs > 0 {
+			msgRatio = f2(float64(tree.net.Msgs) / float64(flat.net.Msgs))
 		}
 		// Normalized traffic: per collection pass (phases-1 barrier
 		// rounds plus the final join), the flat collector's messages
@@ -119,14 +106,13 @@ func Cluster(o Options) Table {
 		// O(nodes) drop, visible as two near-constant columns.
 		passes := float64(phases)
 		t.AddRow(iv(int64(nodes)), iv(int64(threads)),
-			iv(flat1.vt), iv(tree1.vt), f2(float64(flat1.vt)/float64(tree1.vt)),
-			iv(flat1.net.Msgs), iv(tree1.net.Msgs), msgRatio,
-			f2(float64(flat1.net.Msgs)/(passes*float64(threads))),
-			f2(float64(tree1.net.Msgs)/(passes*float64(nodes))),
-			iv(baseVT), fmt.Sprintf("%08x", uint32(flat1.sum)))
+			iv(flat.vt), iv(tree.vt), f2(float64(flat.vt)/float64(tree.vt)),
+			iv(flat.net.Msgs), iv(tree.net.Msgs), msgRatio,
+			f2(float64(flat.net.Msgs)/(passes*float64(threads))),
+			f2(float64(tree.net.Msgs)/(passes*float64(nodes))),
+			iv(baseVT), fmt.Sprintf("%08x", uint32(flat.sum)))
 	}
-	t.Note("every row runs flat and tree at MergeWorkers 1 and %d; checksums, conflict bytes and VT", workers)
-	t.Note("are asserted bit-identical across merge parallelism, and tree-vs-flat checksums equal;")
+	t.Note("every row runs flat and tree; checksums and conflict bytes are asserted equal between them;")
 	t.Note("msgs is the root collector's cross-node message ratio (tree/flat): per-node batched deltas")
 	t.Note("instead of per-thread visits; msg-base-vt is the explicit message-passing program with the")
 	t.Note("same cost constants and batch framing (the traffic shape the tree approaches).")

@@ -50,9 +50,9 @@ type RT struct {
 	next vm.Addr // allocator cursor (application-chosen names, §2.4)
 
 	// placed records, for every live thread id, the cluster node it was
-	// forked on (nodeHome for plain Fork). Join, waitThreads and the
-	// collectors resolve thread references through it, so a thread forked
-	// with ForkOn can be joined with plain Join and grouped with its
+	// forked on (nodeHome for plain Fork). Join and the collectors
+	// resolve thread references through it, so a thread forked with
+	// ForkOn can be joined with plain Join and grouped with its
 	// node-mates by the barrier machinery.
 	placed map[int]int
 
@@ -358,14 +358,12 @@ func (rt *RT) groupByNode(ids []int) ([]int, map[int][]int) {
 // returning their results. The first error (conflict or crash) aborts
 // with that error after all threads have been collected.
 //
-// Collection is concurrent: a bounded worker pool (WaitChildren) overlaps
-// the waits for all ready children instead of blocking on thread 0 while
-// later threads sit finished. The merges themselves are then applied
-// strictly in node-then-thread order — merging into a single parent
-// replica is order-sensitive at the byte level, so a fixed order is what
-// keeps results, errors and conflicts schedule-independent — with each
-// merge internally parallelized by the kernel (Config.MergeWorkers).
-// On one node that order is plain thread-id order.
+// The threads are joined strictly in node-then-thread order — merging
+// into a single parent replica is order-sensitive at the byte level, so a
+// fixed order is what keeps results, errors and conflicts
+// schedule-independent. Each Join blocks until its thread stops, so an
+// early finisher is merged while later threads still run. On one node
+// that order is plain thread-id order.
 func (rt *RT) ParallelDo(n int, fn ThreadFunc) ([]uint64, error) {
 	return rt.ParallelDoOn(n, nil, fn)
 }
@@ -389,7 +387,6 @@ func (rt *RT) ParallelDoOn(n int, place func(i int) int, fn ThreadFunc) ([]uint6
 		}
 		return res, err
 	}
-	rt.waitThreads(all)
 	nodes, groups := rt.groupByNode(all)
 	for _, nd := range nodes {
 		for _, id := range groups[nd] {
@@ -452,18 +449,6 @@ func ids(n int) []int {
 	return s
 }
 
-// waitThreads overlaps the physical waiting for the listed threads on the
-// kernel's bounded pool; see Env.WaitChildren for why this cannot change
-// any observable result. Threads are waited for wherever they were
-// forked.
-func (rt *RT) waitThreads(threadIDs []int) {
-	refs := make([]uint64, len(threadIDs))
-	for i, id := range threadIDs {
-		refs[i] = rt.placedRef(id)
-	}
-	rt.env.WaitChildren(refs, 0)
-}
-
 // Barrier, called from a thread, stops the thread until the parent
 // completes a BarrierRound: the thread's changes so far are merged into
 // the parent's replica and the thread resumes with a fresh snapshot of
@@ -477,10 +462,10 @@ func (t *Thread) Barrier() {
 // resumes the threads. A thread that halts instead of reaching the
 // barrier stays halted; its final merge still occurs.
 //
-// Like ParallelDo, the round first gathers all ready threads concurrently
-// (bounded pool), then applies their merges in node-then-thread order so
-// every round's combined state — and any conflict it raises — is
-// independent of which thread happened to arrive first. In tree-join
+// Like ParallelDo, the round applies the threads' merges in
+// node-then-thread order so every round's combined state — and any
+// conflict it raises — is independent of which thread happened to arrive
+// first. In tree-join
 // mode the per-node pre-merges happen in the delegates, concurrently in
 // virtual time, and this collector commits one delta per node in the
 // same overall order.
@@ -488,7 +473,6 @@ func (rt *RT) BarrierRound(ids []int) error {
 	if rt.tree != nil {
 		return rt.treeBarrierRound(ids)
 	}
-	rt.waitThreads(ids)
 	nodes, groups := rt.groupByNode(ids)
 	for _, nd := range nodes {
 		for _, id := range groups[nd] {

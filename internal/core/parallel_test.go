@@ -2,27 +2,33 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/kernel"
 	"repro/internal/vm"
 )
 
-// Tests for the concurrent collection path: ParallelDo and BarrierRound
-// must report identical results, virtual times, and errors whether the
-// kernel merges serially (MergeWorkers: 1) or with full host parallelism,
-// and across repeated runs. Run under -race this also exercises the
-// bounded-pool child waiting and the parallel merge workers end to end.
+// Tests for the collection path: ParallelDo and BarrierRound must report
+// identical results, virtual times, and errors however the host schedules
+// the spaces' goroutines — the only host concurrency there is — and
+// across repeated runs. (The test names predate the deletion of the
+// kernel's merge-worker knob, which these tests proved invisible.)
 
-// mergeWorkerSettings are the kernel parallelism levels every observable
-// outcome must be invariant under.
-var mergeWorkerSettings = []int{1, 2, 0} // 0 = GOMAXPROCS
+// eachGOMAXPROCS calls run with the Go scheduler pinned to one OS thread
+// and then at the process default, and restores the default afterwards.
+func eachGOMAXPROCS(t *testing.T, run func(procs int)) {
+	def := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(def) })
+	for _, procs := range []int{1, def} {
+		runtime.GOMAXPROCS(procs)
+		run(procs)
+	}
+}
 
-// runAt executes main on a fresh machine with the given merge parallelism.
-func runAt(workers int, main func(rt *RT) uint64) kernel.RunResult {
-	return Run(Options{
-		Kernel: kernel.Config{CPUsPerNode: 4, MergeWorkers: workers},
-	}, main)
+// runFresh executes main on a fresh machine.
+func runFresh(main func(rt *RT) uint64) kernel.RunResult {
+	return Run(Options{Kernel: kernel.Config{CPUsPerNode: 4}}, main)
 }
 
 func TestParallelDoInvariantUnderMergeWorkers(t *testing.T) {
@@ -56,22 +62,19 @@ func TestParallelDoInvariantUnderMergeWorkers(t *testing.T) {
 		ret uint64
 		vt  int64
 	}
-	var base outcome
-	for i, w := range mergeWorkerSettings {
-		r := runAt(w, program)
+	var base *outcome
+	eachGOMAXPROCS(t, func(procs int) {
+		r := runFresh(program)
 		if r.Status != kernel.StatusHalted {
-			t.Fatalf("workers=%d: %v %v", w, r.Status, r.Err)
+			t.Fatalf("GOMAXPROCS=%d: %v %v", procs, r.Status, r.Err)
 		}
 		got := outcome{ret: r.Ret, vt: r.VT}
-		if i == 0 {
-			base = got
-			continue
+		if base == nil {
+			base = &got
+		} else if got != *base {
+			t.Errorf("GOMAXPROCS=%d: outcome %+v differs from GOMAXPROCS=1's %+v", procs, got, *base)
 		}
-		if got != base {
-			t.Errorf("workers=%d: outcome %+v differs from workers=%d's %+v",
-				w, got, mergeWorkerSettings[0], base)
-		}
-	}
+	})
 }
 
 func th32(rt *RT, base vm.Addr, id int) uint64 {
@@ -82,7 +85,7 @@ func TestParallelDoConflictInvariantUnderMergeWorkers(t *testing.T) {
 	// Threads 2 and 5 write the same byte with different values: a
 	// write/write conflict whose report — the error text, including the
 	// conflicting thread id and first conflicting address — must be
-	// identical at every parallelism level.
+	// identical at every GOMAXPROCS.
 	program := func(rt *RT) uint64 {
 		slot := rt.Alloc(4, 0)
 		_, err := rt.ParallelDo(8, func(th *Thread) uint64 {
@@ -106,21 +109,20 @@ func TestParallelDoConflictInvariantUnderMergeWorkers(t *testing.T) {
 		return 1
 	}
 	var texts []string
-	for _, w := range mergeWorkerSettings {
+	eachGOMAXPROCS(t, func(procs int) {
 		var out []byte
 		res := Run(Options{Kernel: kernel.Config{
-			CPUsPerNode:  4,
-			MergeWorkers: w,
-			Console:      kernel.NewConsole(nil, &sliceWriter{&out}),
+			CPUsPerNode: 4,
+			Console:     kernel.NewConsole(nil, &sliceWriter{&out}),
 		}}, program)
 		if res.Status != kernel.StatusHalted || res.Ret != 1 {
-			t.Fatalf("workers=%d: %v %v", w, res.Status, res.Err)
+			t.Fatalf("GOMAXPROCS=%d: %v %v", procs, res.Status, res.Err)
 		}
 		texts = append(texts, string(out))
-	}
+	})
 	for i := 1; i < len(texts); i++ {
 		if texts[i] != texts[0] {
-			t.Errorf("conflict report differs across merge parallelism:\n%q\nvs\n%q",
+			t.Errorf("conflict report differs across GOMAXPROCS:\n%q\nvs\n%q",
 				texts[i], texts[0])
 		}
 	}
@@ -157,23 +159,21 @@ func TestBarrierRoundInvariantUnderMergeWorkers(t *testing.T) {
 		}
 		return sum
 	}
-	var base kernel.RunResult
-	for i, w := range mergeWorkerSettings {
-		r := runAt(w, program)
+	var base *kernel.RunResult
+	eachGOMAXPROCS(t, func(procs int) {
+		r := runFresh(program)
 		if r.Status != kernel.StatusHalted {
-			t.Fatalf("workers=%d: %v %v", w, r.Status, r.Err)
+			t.Fatalf("GOMAXPROCS=%d: %v %v", procs, r.Status, r.Err)
 		}
-		if i == 0 {
-			base = r
-			continue
+		if base == nil {
+			base = &r
+		} else if r.Ret != base.Ret || r.VT != base.VT {
+			t.Errorf("GOMAXPROCS=%d: (ret %d, vt %d) differs from (ret %d, vt %d)",
+				procs, r.Ret, r.VT, base.Ret, base.VT)
 		}
-		if r.Ret != base.Ret || r.VT != base.VT {
-			t.Errorf("workers=%d: (ret %d, vt %d) differs from (ret %d, vt %d)",
-				w, r.Ret, r.VT, base.Ret, base.VT)
-		}
-	}
+	})
 	// And the whole computation must repeat exactly.
-	again := runAt(0, program)
+	again := runFresh(program)
 	if again.Ret != base.Ret || again.VT != base.VT {
 		t.Errorf("rerun diverged: (ret %d, vt %d) vs (ret %d, vt %d)",
 			again.Ret, again.VT, base.Ret, base.VT)

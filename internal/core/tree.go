@@ -113,9 +113,9 @@ func (b *delegateBox) takeErr() error {
 // single-collector protocol and the sharded barrier tree. Toggle it
 // before forking the threads a collection will cover: delegates must own
 // their node's threads from the fork on. Checksums, conflict bytes and
-// merge statistics are identical in both modes at any node count and any
-// MergeWorkers setting; virtual time and the root's cross-node message
-// count are what the tree improves.
+// merge statistics are identical in both modes at any node count;
+// virtual time and the root's cross-node message count are what the tree
+// improves.
 func (rt *RT) SetTreeJoin(on bool) {
 	switch {
 	case on && rt.tree == nil:
@@ -194,14 +194,12 @@ func (b *delegateBox) resyncParked(d *RT) {
 	}
 }
 
-// collect waits for the listed local threads concurrently and merges
-// them into the delegate's replica strictly in thread order — the
-// node-local half of the node-then-thread commit order. join captures
-// register results for the Join contract and keeps collecting after an
-// error (ParallelDo semantics); a barrier collect stops at the first
-// error like the flat collector does.
+// collect merges the listed local threads into the delegate's replica
+// strictly in thread order — the node-local half of the node-then-thread
+// commit order. join captures register results for the Join contract and
+// keeps collecting after an error (ParallelDo semantics); a barrier
+// collect stops at the first error like the flat collector does.
 func (b *delegateBox) collect(d *RT, join bool) {
-	d.waitThreads(b.ids)
 	if b.infos == nil {
 		b.infos = make(map[int]kernel.ChildInfo)
 	}
@@ -328,16 +326,6 @@ func (rt *RT) treeFork(node int, reqs []forkReq) error {
 	return rt.treeSync(d)
 }
 
-// waitDelegates overlaps the physical waits for the listed nodes'
-// delegates, like waitThreads does for threads.
-func (rt *RT) waitDelegates(nodes []int) {
-	refs := make([]uint64, len(nodes))
-	for i, nd := range nodes {
-		refs[i] = rt.treeDelegate(nd).ref
-	}
-	rt.env.WaitChildren(refs, 0)
-}
-
 // treeJoin collects the grouped threads through their delegates: every
 // node's collection is started first (they proceed concurrently, each on
 // its own node's CPUs), then the per-node deltas are committed in
@@ -363,7 +351,6 @@ func (rt *RT) treeJoin(groups map[int][]int) (map[int]uint64, error) {
 			return nil, err
 		}
 	}
-	rt.waitDelegates(nodes)
 	res := make(map[int]uint64)
 	var firstErr error
 	for _, nd := range nodes {
@@ -398,7 +385,6 @@ func (rt *RT) treeBarrierRound(ids []int) error {
 			return err
 		}
 	}
-	rt.waitDelegates(nodes)
 	for _, nd := range nodes {
 		if err := rt.treeCommit(rt.treeDelegate(nd)); err != nil {
 			return err

@@ -10,7 +10,7 @@ import (
 
 // Tests for the sharded barrier tree: the delegate-based collector must
 // produce bit-identical results, conflict bytes and errors to the flat
-// collector at every node count and merge parallelism, while cutting the
+// collector at every node count and GOMAXPROCS, while cutting the
 // root's cross-node message count from O(threads) to O(nodes).
 
 // clusterOutcome captures everything a collection mode promises to keep
@@ -26,14 +26,10 @@ type clusterOutcome struct {
 // plus disjoint words on one shared page, with cross-thread dataflow
 // through barrier rounds — on an n-node machine with threads placed
 // round-robin, and returns the workload checksum.
-func runPlaced(t *testing.T, nodes, threads, phases, mergeWorkers int, tree bool) clusterOutcome {
+func runPlaced(t *testing.T, nodes, threads, phases int, tree bool) clusterOutcome {
 	t.Helper()
 	res := Run(Options{
-		Kernel: kernel.Config{
-			Nodes:        nodes,
-			CPUsPerNode:  1,
-			MergeWorkers: mergeWorkers,
-		},
+		Kernel:     kernel.Config{Nodes: nodes, CPUsPerNode: 1},
 		SharedSize: 4 << 20,
 		TreeJoin:   tree,
 	}, func(rt *RT) uint64 {
@@ -84,23 +80,26 @@ func runPlaced(t *testing.T, nodes, threads, phases, mergeWorkers int, tree bool
 func TestTreeCollectorMatchesFlat(t *testing.T) {
 	const threads, phases = 8, 3
 	for _, nodes := range []int{1, 2, 4} {
-		flat := runPlaced(t, nodes, threads, phases, 1, false)
-		for _, mw := range []int{1, 0} {
-			f := runPlaced(t, nodes, threads, phases, mw, false)
-			tr := runPlaced(t, nodes, threads, phases, mw, true)
+		var flat, tree clusterOutcome
+		eachGOMAXPROCS(t, func(procs int) {
+			f := runPlaced(t, nodes, threads, phases, false)
+			tr := runPlaced(t, nodes, threads, phases, true)
+			if !flat.ok {
+				flat, tree = f, tr
+			}
 			if f.ret != flat.ret || f.vt != flat.vt {
-				t.Errorf("nodes=%d mw=%d: flat outcome (%#x, %d) varies with MergeWorkers (%#x, %d)",
-					nodes, mw, f.ret, f.vt, flat.ret, flat.vt)
+				t.Errorf("nodes=%d GOMAXPROCS=%d: flat outcome (%#x, %d) varies with GOMAXPROCS (%#x, %d)",
+					nodes, procs, f.ret, f.vt, flat.ret, flat.vt)
 			}
 			if tr.ret != flat.ret {
-				t.Errorf("nodes=%d mw=%d: tree checksum %#x != flat %#x",
-					nodes, mw, tr.ret, flat.ret)
+				t.Errorf("nodes=%d GOMAXPROCS=%d: tree checksum %#x != flat %#x",
+					nodes, procs, tr.ret, flat.ret)
 			}
-		}
-		// Both modes must repeat exactly, including virtual time.
-		if again := runPlaced(t, nodes, threads, phases, 0, true); again.vt != runPlaced(t, nodes, threads, phases, 1, true).vt {
-			t.Errorf("nodes=%d: tree VT differs across MergeWorkers/reruns", nodes)
-		}
+			// Both modes must repeat exactly, including virtual time.
+			if tr.vt != tree.vt {
+				t.Errorf("nodes=%d: tree VT differs across GOMAXPROCS/reruns", nodes)
+			}
+		})
 	}
 }
 
@@ -112,8 +111,8 @@ func TestTreeCollectorCutsRootMessages(t *testing.T) {
 	// nodes — each delegate's pre-merged, node-contiguous delta ships as
 	// a couple of batched runs.
 	const nodes, threads, phases = 4, 16, 4
-	flat := runPlaced(t, nodes, threads, phases, 1, false)
-	tree := runPlaced(t, nodes, threads, phases, 1, true)
+	flat := runPlaced(t, nodes, threads, phases, false)
+	tree := runPlaced(t, nodes, threads, phases, true)
 	if tree.ret != flat.ret {
 		t.Fatalf("checksums diverged: tree %#x, flat %#x", tree.ret, flat.ret)
 	}

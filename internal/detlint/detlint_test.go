@@ -41,6 +41,9 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{GlobalMutAnalyzer, "globalmut/allow", modulePath + "/internal/vm"},
 
 		{GoroutinePoolAnalyzer, "goroutinepool/pos", detPath},
+		// Under vm too: the fixture spawns from the retired merge pool's
+		// site, which must be reported like any other.
+		{GoroutinePoolAnalyzer, "goroutinepool/pos", modulePath + "/internal/vm"},
 		{GoroutinePoolAnalyzer, "goroutinepool/neg", detPath},
 		{GoroutinePoolAnalyzer, "goroutinepool/scope", benchPath},
 		{GoroutinePoolAnalyzer, "goroutinepool/scope", servePath},
@@ -54,6 +57,14 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		t.Run(tc.dir, func(t *testing.T) {
 			RunFixture(t, filepath.Join("testdata", "src", tc.dir), tc.analyzer, tc.path)
 		})
+	}
+}
+
+// A space is the only goroutine: the space runner is the single approved
+// launch site, and adding a second is a design change, not a lint edit.
+func TestOneApprovedGoroutineSite(t *testing.T) {
+	if len(ApprovedGoroutineSites) != 1 || !ApprovedGoroutineSites[modulePath+"/internal/kernel.start"] {
+		t.Fatalf("ApprovedGoroutineSites = %v, want only internal/kernel.start", ApprovedGoroutineSites)
 	}
 }
 

@@ -5,19 +5,17 @@ import (
 )
 
 // GoroutinePoolAnalyzer flags bare `go` statements in the deterministic
-// packages outside the approved bounded-pool sites. All legal
-// concurrency flows through goroutines the kernel accounts for: the
-// space runner ((*Space).start, joined through the machine WaitGroup)
-// and vm.ParallelFor (the bounded worker pool behind MergeParallel,
-// WaitChildren collection and the dsched collectors). An untracked
-// goroutine is invisible to the round engine and to virtual time, so
-// its interleaving is exactly what the result-invariance sweeps cannot
-// cover.
+// packages outside the one approved site. A space is the only goroutine:
+// all legal concurrency is the space runner ((*Space).start, joined
+// through the machine WaitGroup), which the kernel accounts for. An
+// untracked goroutine is invisible to the round engine and to virtual
+// time, so its interleaving is exactly what the result-invariance sweeps
+// cannot cover.
 var GoroutinePoolAnalyzer = &Analyzer{
 	Name: "goroutinepool",
-	Doc: "bare go statements in deterministic packages outside the approved bounded " +
-		"pools ((*Space).start, vm.ParallelFor) create untracked nondeterministic " +
-		"concurrency; route work through WaitChildren / ParallelFor",
+	Doc: "bare go statements in deterministic packages outside the space runner " +
+		"((*Space).start) create untracked nondeterministic concurrency; run the " +
+		"work in a child space (Put with Start) and collect it with Get",
 	Run: runGoroutinePool,
 }
 
@@ -30,10 +28,6 @@ var ApprovedGoroutineSites = map[string]bool{
 	// joined at shutdown; scheduling is mediated by the deterministic
 	// scheduler, never by the host.
 	modulePath + "/internal/kernel.start": true,
-	// The bounded worker pool used by MergeParallel and the kernel's
-	// WaitChildren/dsched collection; workers partition disjoint index
-	// ranges and results are recombined in deterministic order.
-	modulePath + "/internal/vm.ParallelFor": true,
 }
 
 func runGoroutinePool(pass *Pass) error {
@@ -48,7 +42,7 @@ func runGoroutinePool(pass *Pass) error {
 		if ApprovedGoroutineSites[pass.Pkg.Path()+"."+funcName] {
 			return
 		}
-		pass.Reportf(g.Pos(), "bare go statement in deterministic package %s (function %s) is untracked concurrency; use vm.ParallelFor / Env.WaitChildren, or add the site to detlint.ApprovedGoroutineSites with a determinism argument", pass.Pkg.Path(), funcName)
+		pass.Reportf(g.Pos(), "bare go statement in deterministic package %s (function %s) is untracked concurrency; run the work in a child space (Put with Start, Get), or add the site to detlint.ApprovedGoroutineSites with a determinism argument", pass.Pkg.Path(), funcName)
 	})
 	return nil
 }

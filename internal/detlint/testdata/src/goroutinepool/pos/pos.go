@@ -1,5 +1,5 @@
-// Positive goroutinepool fixtures (loaded under repro/internal/kernel):
-// bare go statements outside the approved pool sites.
+// Positive goroutinepool fixtures (loaded under repro/internal/kernel and
+// repro/internal/vm): bare go statements outside the one approved site.
 package fixture
 
 import "sync"
@@ -26,4 +26,12 @@ type runner struct{ done chan struct{} }
 
 func (r *runner) spawnInMethod() {
 	go close(r.done) // want "bare go statement in deterministic package"
+}
+
+// ParallelFor was an approved site under repro/internal/vm until the host
+// worker pools were deleted; the name buys nothing now.
+func ParallelFor(n int, fn func(i int)) {
+	for i := 0; i < n; i++ {
+		go fn(i) // want "bare go statement in deterministic package"
+	}
 }

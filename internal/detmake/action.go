@@ -84,10 +84,11 @@ func (e *MissingOutputError) Error() string {
 }
 
 // OutputConflictError reports path-keyed reconciliation finding
-// divergent writes between sibling tasks of one wave (e.g. a type
-// clash between one task's output file and another's output
-// directory). Tasks holds [first writer, conflicting writer] in the
-// deterministic collection order, so attribution is stable.
+// divergent writes between sibling tasks of one wave, or Build's
+// validation finding two tasks whose declared outputs clash in type
+// (one task's output file is another's output directory). Tasks holds
+// [first writer, conflicting writer] in the deterministic collection
+// order — task-ID order — so attribution is stable.
 type OutputConflictError struct {
 	Path  string
 	Tasks [2]string

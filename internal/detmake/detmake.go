@@ -129,16 +129,21 @@ func NewGraph(tasks []*Task) (*Graph, error) {
 	for _, t := range g.tasks { // sorted, so the reported pair is stable
 		for _, out := range t.Outputs {
 			if first, dup := producer[out]; dup {
-				pair := [2]string{first, t.ID}
-				if pair[0] > pair[1] {
-					pair[0], pair[1] = pair[1], pair[0]
-				}
-				return nil, &DuplicateOutputError{Path: out, Tasks: pair}
+				return nil, &DuplicateOutputError{Path: out, Tasks: sortedPair(first, t.ID)}
 			}
 			producer[out] = t.ID
 		}
 	}
 	return g, nil
+}
+
+// sortedPair orders two task IDs, so a pair is attributed the same way
+// whichever task was met first.
+func sortedPair(a, b string) [2]string {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]string{a, b}
 }
 
 // checkPath enforces the path shape tasks may declare. Names starting

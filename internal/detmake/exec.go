@@ -137,6 +137,9 @@ func Build(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	if err := checkOverlap(cfg.Graph, cfg.Sources, plan.Producer); err != nil {
+		return Result{}, err
+	}
 
 	b := &builder{cfg: cfg, plan: plan, tree: make(map[string][]byte), treeHash: make(map[string]castore.Key)}
 	res := kernel.New(kernel.Config{CPUsPerNode: cfg.Jobs}).Run(b.run, 0)
@@ -196,12 +199,7 @@ func (b *builder) run(env *kernel.Env) {
 // stopping (with b.err set) at the first failure.
 func (b *builder) build(env *kernel.Env, master *fs.FS) bool {
 	cfg := b.cfg
-	srcs := make([]string, 0, len(cfg.Sources))
-	for p := range cfg.Sources {
-		srcs = append(srcs, p)
-	}
-	sort.Strings(srcs)
-	for _, p := range srcs {
+	for _, p := range sortedPaths(cfg.Sources) {
 		if err := writeAll(master, p, cfg.Sources[p]); err != nil {
 			b.fail(fmt.Errorf("detmake: writing source %q: %w", p, err))
 			return false
@@ -279,11 +277,11 @@ func (b *builder) runWave(env *kernel.Env, master *fs.FS, wave []*Task) bool {
 				return false
 			}
 		}
-		env.WaitChildren(refs, 0)
 
-		// Quiescent point: every sibling has halted. Reconcile their
-		// images into a fresh outbox replica in task-ID order; genuine
-		// divergence between siblings surfaces as fs conflicts here.
+		// Reconcile the siblings' images into a fresh outbox replica in
+		// task-ID order (each collect's Get waits for its task to halt);
+		// genuine divergence between siblings surfaces as fs conflicts
+		// here.
 		outbox := fs.Format(env, outboxBase, cfg.MasterFSSize)
 		firstWriter := make(map[string]string)
 		for i, t := range cold {
@@ -479,6 +477,36 @@ func (b *builder) collect(env *kernel.Env, ref uint64, t *Task, outbox *fs.FS, f
 	return out, nil
 }
 
+// checkOverlap rejects declared paths that cannot coexist in one tree:
+// an output that is a directory of, or lies beneath, a source or another
+// declared output. Left to run, such a pair surfaces as an fs error in
+// the middle of a wave's commit, after sibling outputs have already
+// reached the master. Task pairs are reported as the same
+// *OutputConflictError reconciliation raises for siblings, at the path
+// that would have to be both file and directory.
+func checkOverlap(g *Graph, sources map[string][]byte, producer map[string]string) error {
+	for _, t := range g.Tasks() {
+		for _, out := range t.Outputs {
+			for dir := parentDir(out); dir != ""; dir = parentDir(dir) {
+				if _, ok := sources[dir]; ok {
+					return fmt.Errorf("%w: task %s output %q lies beneath source file %q", ErrBadTask, t.ID, out, dir)
+				}
+				if other, ok := producer[dir]; ok {
+					return &OutputConflictError{Path: dir, Tasks: sortedPair(other, t.ID)}
+				}
+			}
+		}
+	}
+	for _, src := range sortedPaths(sources) {
+		for dir := parentDir(src); dir != ""; dir = parentDir(dir) {
+			if id, ok := producer[dir]; ok {
+				return fmt.Errorf("%w: task %s output %q is a directory of source %q", ErrBadTask, id, dir, src)
+			}
+		}
+	}
+	return nil
+}
+
 func parentDir(p string) string {
 	i := strings.LastIndexByte(p, '/')
 	if i < 0 {
@@ -544,15 +572,20 @@ func (b *builder) finish(vt int64) Result {
 	return res
 }
 
-// treeDigest hashes a whole tree: sorted paths, each with its content.
-func treeDigest(tree map[string][]byte) castore.Key {
+// sortedPaths returns a tree's paths in sorted order.
+func sortedPaths(tree map[string][]byte) []string {
 	paths := make([]string, 0, len(tree))
 	for p := range tree {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
+	return paths
+}
+
+// treeDigest hashes a whole tree: sorted paths, each with its content.
+func treeDigest(tree map[string][]byte) castore.Key {
 	var buf []byte
-	for _, p := range paths {
+	for _, p := range sortedPaths(tree) {
 		buf = append(buf, p...)
 		buf = append(buf, 0)
 		k := castore.KeyOf(tree[p])

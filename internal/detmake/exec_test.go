@@ -314,6 +314,54 @@ func TestNestedOutputPaths(t *testing.T) {
 	}
 }
 
+// Declared paths that cannot coexist in one tree — an output that is a
+// directory of, or lies beneath, a source or another task's output — are
+// rejected typed before anything runs. They used to fail inside the
+// commit loop with a bare fs error, after sibling outputs of the same
+// wave had already reached the master and Result.Outputs.
+func TestOverlappingPathsRejectedBeforeCommit(t *testing.T) {
+	srcs := map[string][]byte{"src/a.c": []byte("int a;\n")}
+	cases := []struct {
+		name     string
+		tasks    []*Task
+		sources  map[string][]byte
+		conflict *OutputConflictError // nil: want ErrBadTask
+	}{
+		{"sibling output is a directory of a source", []*Task{
+			mkTask("a", "gen", []string{"out/ok.txt"}, nil),
+			mkTask("b", "gen", []string{"src"}, nil),
+		}, srcs, nil},
+		{"output lies beneath a source file", []*Task{
+			mkTask("a", "gen", []string{"out/ok.txt"}, nil),
+			mkTask("b", "gen", []string{"src/a.c/gen.h"}, nil),
+		}, srcs, nil},
+		// Wave 1's b claims the directory wave 0's lib/x.o lives in; its
+		// sibling ab sorts first and used to be committed before it.
+		{"later wave output is a directory of an earlier output", []*Task{
+			mkTask("a", "gen", []string{"lib/x.o"}, nil),
+			mkTask("a2", "upper", []string{"ok2"}, []string{"src/a.c"}),
+			mkTask("ab", "upper", []string{"ok3"}, []string{"ok2"}),
+			mkTask("b", "upper", []string{"lib"}, []string{"ok2"}),
+		}, srcs, &OutputConflictError{Path: "lib", Tasks: [2]string{"a", "b"}}},
+	}
+	for _, tc := range cases {
+		res, err := Build(Config{Graph: mustGraph(t, tc.tasks), Sources: tc.sources})
+		var conflict *OutputConflictError
+		switch {
+		case tc.conflict == nil && !errors.Is(err, ErrBadTask):
+			t.Errorf("%s: Build = %v, want ErrBadTask", tc.name, err)
+		case tc.conflict != nil && (!errors.As(err, &conflict) || *conflict != *tc.conflict):
+			t.Errorf("%s: Build = %v, want %+v", tc.name, err, tc.conflict)
+		}
+		// Nothing ran, so nothing is visible: the committed prefix of a
+		// build rejected in validation is the empty build.
+		if len(res.Outputs) != 0 || len(res.Tasks) != 0 || res.TreeDigest != (Result{}).TreeDigest {
+			t.Errorf("%s: rejected build reports outputs %v, tasks %v, digest %v",
+				tc.name, res.Outputs, res.Tasks, res.TreeDigest)
+		}
+	}
+}
+
 func mustGraph(t *testing.T, tasks []*Task) *Graph {
 	t.Helper()
 	g, err := NewGraph(tasks)

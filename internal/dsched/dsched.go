@@ -12,19 +12,17 @@
 // consistency model of DMP-B, totally ordering only synchronization.
 //
 // The round engine keeps that model while avoiding its naive cost.
-// Collection first overlaps the physical waits for every started thread
-// on a bounded pool (Config.CollectWorkers) and only then applies the
-// merges, strictly in thread order, so stragglers stop serializing the
-// wait without perturbing the commit order. Resynchronization is
-// epoch-skipped: the master tracks a commit epoch for its shared region
-// and each thread the epoch it last synchronized to, and a thread
-// resuming into an unchanged region — no commits, no hand-off writes,
-// and its own replica provably clean — is restarted with a bare
-// Put{Start,Limit}: no Copy, no fresh snapshot, no dirty-bitmap churn.
-// Both optimizations are result-invariant, including virtual times: the
-// skip fires only when the kernel's (incremental) Copy and Snap would
-// charge nothing and change nothing. Per-round telemetry (RoundStats,
-// Stats) makes the savings observable.
+// Collection applies the merges strictly in thread order, each Get
+// blocking until its thread stops, so an early finisher commits while
+// stragglers still run. Resynchronization is epoch-skipped: the master
+// tracks a commit epoch for its shared region and each thread the epoch
+// it last synchronized to, and a thread resuming into an unchanged region
+// — no commits, no hand-off writes, and its own replica provably clean —
+// is restarted with a bare Put{Start,Limit}: no Copy, no fresh snapshot,
+// no dirty-bitmap churn. The skip is result-invariant, including virtual
+// times: it fires only when the kernel's (incremental) Copy and Snap
+// would charge nothing and change nothing. Per-round telemetry
+// (RoundStats, Stats) makes the savings observable.
 //
 // Synchronization primitives trap to the master instead of spinning.
 // Each mutex is owned by some thread; the owner locks and unlocks it
@@ -88,13 +86,6 @@ type Config struct {
 	// Quantum is the instruction limit per scheduling round. The paper's
 	// evaluation uses 10 million instructions.
 	Quantum int64
-	// CollectWorkers bounds the host parallelism used to overlap the
-	// waits for the threads of one round before their merges are applied
-	// (in thread order, as always). Like kernel.Config.MergeWorkers it is
-	// a wall-clock knob only: checksums, conflict reports, round counts
-	// and virtual times are identical at every setting. <= 0 selects
-	// GOMAXPROCS.
-	CollectWorkers int
 	// AdaptiveQuantum enables the telemetry-driven quantum policy: the
 	// scheduler scales the next round's quantum from the committed
 	// RoundStats of the rounds before it. A round with a single runnable
@@ -505,18 +496,10 @@ func (s *Sched) staleRuns(syncEpoch uint64, base vm.Addr) staleSet {
 	return out
 }
 
-// collect gathers every started thread: the physical waits overlap on a
-// CollectWorkers-bounded pool, after which the merge commits are applied
-// strictly in thread-id order — the order, not the waiting, is what the
-// deterministic result depends on.
+// collect gathers every started thread: each Get waits for its thread to
+// stop, and the merge commits are applied strictly in thread-id order —
+// the order, not the waiting, is what the deterministic result depends on.
 func (s *Sched) collect(started []bool, rs *RoundStats) error {
-	refs := make([]uint64, 0, len(s.threads))
-	for _, t := range s.threads {
-		if started[t.id] {
-			refs = append(refs, s.ref(t.id))
-		}
-	}
-	s.env.WaitChildren(refs, s.cfg.CollectWorkers)
 	for _, t := range s.threads {
 		if !started[t.id] {
 			continue

@@ -58,23 +58,26 @@ func TestSchedRowsGolden(t *testing.T) {
 				Merge: vm.MergeStats{TablesAdopted: 5, PagesAdopted: 5, PtesScanned: 5}},
 		},
 	}
+	def := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(def) })
 	for _, r := range rows {
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, procs := range []int{1, def} {
+			runtime.GOMAXPROCS(procs)
 			var st dsched.Stats
 			res := core.Run(core.Options{
-				Kernel:     kernel.Config{CPUsPerNode: threads, MergeWorkers: workers},
+				Kernel:     kernel.Config{CPUsPerNode: threads},
 				SharedSize: r.shared,
 			}, func(rt *core.RT) uint64 {
 				var v uint64
-				v, st = r.run(rt, dsched.Config{Quantum: r.quantum, CollectWorkers: workers})
+				v, st = r.run(rt, dsched.Config{Quantum: r.quantum})
 				return v
 			})
 			if res.Status != kernel.StatusHalted {
 				t.Fatalf("%s: %v: %v", r.name, res.Status, res.Err)
 			}
 			if res.Ret != r.checksum || res.VT != r.vt || st != r.stats {
-				t.Errorf("%s workers=%d moved:\n got  %#x vt %d %+v\n want %#x vt %d %+v",
-					r.name, workers, res.Ret, res.VT, st, r.checksum, r.vt, r.stats)
+				t.Errorf("%s GOMAXPROCS=%d moved:\n got  %#x vt %d %+v\n want %#x vt %d %+v",
+					r.name, procs, res.Ret, res.VT, st, r.checksum, r.vt, r.stats)
 			}
 		}
 	}

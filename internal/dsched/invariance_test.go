@@ -11,7 +11,7 @@ import (
 )
 
 // engineResult captures everything the round engine promises to keep
-// invariant across its host-parallelism settings and the skip seam.
+// invariant across host parallelism (GOMAXPROCS) and the skip seam.
 type engineResult struct {
 	checksum uint64
 	vt       int64
@@ -35,17 +35,19 @@ func mustNew(rt *core.RT, cfg Config) *Sched {
 
 // runEngineWorkload executes a composite synchronization workload — a
 // mutex-protected counter, deliberately racy (LWW) writes, a condvar
-// handshake and a barrier — under the given scheduler and kernel merge
-// configuration, and returns the invariants. noSkip sets the Sched's test
-// seam: every resync is the full one, never skipped or partial.
-func runEngineWorkload(t *testing.T, cfg Config, mergeWorkers int, noSkip bool) engineResult {
+// handshake and a barrier — and returns the invariants. noSkip sets the
+// Sched's test seam: every resync is the full one, never skipped or
+// partial.
+func runEngineWorkload(t *testing.T, noSkip bool) engineResult {
 	t.Helper()
 	const n, iters = 4, 6
 	var out engineResult
-	cfg.Quantum = 900
-	cfg.OnRound = func(rs RoundStats) { out.perRound = append(out.perRound, rs) }
+	cfg := Config{
+		Quantum: 900,
+		OnRound: func(rs RoundStats) { out.perRound = append(out.perRound, rs) },
+	}
 	res := core.Run(core.Options{
-		Kernel: kernel.Config{CPUsPerNode: n, MergeWorkers: mergeWorkers},
+		Kernel: kernel.Config{CPUsPerNode: n},
 	}, func(rt *core.RT) uint64 {
 		s := mustNew(rt, cfg)
 		s.noSkip = noSkip
@@ -125,14 +127,14 @@ var engineGolden = engineResult{
 }
 
 func TestRoundEngineGolden(t *testing.T) {
-	got := runEngineWorkload(t, Config{}, 1, false)
+	got := runEngineWorkload(t, false)
 	got.perRound = nil
 	if !reflect.DeepEqual(got, engineGolden) {
 		t.Errorf("engine workload moved:\n got  %+v\n want %+v", got, engineGolden)
 	}
 	// With the seam forcing every resync full, the parent commit counted
 	// all 496 thread-round tables as resynced at the same checksum and VT.
-	full := runEngineWorkload(t, Config{}, 1, true)
+	full := runEngineWorkload(t, true)
 	if full.checksum != engineGolden.checksum || full.vt != engineGolden.vt ||
 		full.resynced != 496 || full.skipped != 0 {
 		t.Errorf("no-skip run moved: checksum %#x vt %d resynced %d skipped %d",
@@ -142,28 +144,27 @@ func TestRoundEngineGolden(t *testing.T) {
 
 // TestRoundEngineInvariance: checksums, conflict behavior (the LWW merges
 // must never raise one), round counts, merge statistics and virtual times
-// are identical for CollectWorkers in {1, 2, GOMAXPROCS}, for MergeWorkers
-// 1 vs parallel, and with epoch-skipped resynchronization on and off.
+// are identical with the threads' goroutines on one OS thread and on the
+// default GOMAXPROCS, and with epoch-skipped resynchronization on and off.
 func TestRoundEngineInvariance(t *testing.T) {
-	base := runEngineWorkload(t, Config{}, 1, false)
+	def := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(def) })
+	base := runEngineWorkload(t, false)
 	if base.rounds < 8 {
 		t.Fatalf("workload too small to exercise the engine: %d rounds", base.rounds)
 	}
-	type variant struct {
-		name         string
-		cfg          Config
-		mergeWorkers int
-		noSkip       bool
-	}
-	variants := []variant{
-		{"collect2", Config{CollectWorkers: 2}, 1, false},
-		{"collectMax", Config{CollectWorkers: runtime.GOMAXPROCS(0)}, 1, false},
-		{"mergeParallel", Config{}, runtime.GOMAXPROCS(0), false},
-		{"noSkip", Config{}, 1, true},
-		{"noSkipCollect2", Config{CollectWorkers: 2}, 2, true},
+	variants := []struct {
+		name   string
+		procs  int
+		noSkip bool
+	}{
+		{"procsDefault", def, false},
+		{"noSkip", 1, true},
+		{"noSkipProcsDefault", def, true},
 	}
 	for _, v := range variants {
-		got := runEngineWorkload(t, v.cfg, v.mergeWorkers, v.noSkip)
+		runtime.GOMAXPROCS(v.procs)
+		got := runEngineWorkload(t, v.noSkip)
 		if got.checksum != base.checksum {
 			t.Errorf("%s: checksum %#x != base %#x", v.name, got.checksum, base.checksum)
 		}
@@ -203,7 +204,7 @@ func TestRoundEngineInvariance(t *testing.T) {
 // workload's post-barrier scan phase runs quanta that write nothing, and
 // the engine must resume those threads without resynchronization.
 func TestEpochSkipFiresOnReadMostlyPhases(t *testing.T) {
-	got := runEngineWorkload(t, Config{}, 1, false)
+	got := runEngineWorkload(t, false)
 	if got.perRound[len(got.perRound)-1].VT == 0 {
 		t.Fatal("round telemetry missing VT")
 	}
@@ -214,7 +215,7 @@ func TestEpochSkipFiresOnReadMostlyPhases(t *testing.T) {
 	if skipped == 0 {
 		t.Fatal("no quantum was resumed via epoch skip on a read-mostly workload")
 	}
-	off := runEngineWorkload(t, Config{}, 1, true)
+	off := runEngineWorkload(t, true)
 	var offSkipped int64
 	for _, rs := range off.perRound {
 		offSkipped += int64(rs.SyncSkipped)

@@ -57,9 +57,6 @@ func (c Config) Validate() error {
 	if c.Quantum < 0 {
 		return &BadConfigError{Field: "Quantum", Msg: fmt.Sprintf("negative quantum %d", c.Quantum)}
 	}
-	if c.CollectWorkers < 0 {
-		return &BadConfigError{Field: "CollectWorkers", Msg: fmt.Sprintf("negative worker count %d", c.CollectWorkers)}
-	}
 	return nil
 }
 

@@ -78,7 +78,7 @@ func ckProg(t testing.TB, start int, onBarrier func(env *Env, nextPhase int) boo
 }
 
 func ckConfig() Config {
-	return Config{CPUsPerNode: 2, MergeWorkers: 1}
+	return Config{CPUsPerNode: 2}
 }
 
 func TestCheckpointResumeEquivalence(t *testing.T) {
@@ -302,7 +302,7 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 // Multi-node machines carry residency caches, per-node pools and traffic
 // counters through the image.
 func TestCheckpointResumeMultiNode(t *testing.T) {
-	cfg := Config{Nodes: 3, CPUsPerNode: 2, MergeWorkers: 1}
+	cfg := Config{Nodes: 3, CPUsPerNode: 2}
 	prog := func(start int, onBarrier func(env *Env, next int) bool) Prog {
 		return func(env *Env) {
 			if start == 0 {

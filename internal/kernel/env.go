@@ -100,15 +100,6 @@ func (e *Env) Put(ref uint64, o PutOpts) error { return e.sp.put(ref, o) }
 // *vm.MergeConflictError.
 func (e *Env) Get(ref uint64, o GetOpts) (ChildInfo, error) { return e.sp.get(ref, o) }
 
-// WaitChildren blocks until every named child that exists has stopped,
-// overlapping the waits on a bounded worker pool (workers <= 0 selects
-// GOMAXPROCS). It is a pure host-level optimization for collectors about
-// to Get many children in a fixed order: no state moves, no virtual time
-// is charged, and results are identical with or without the call — and at
-// any worker count — the subsequent Gets simply find their rendezvous
-// already satisfied instead of each blocking in turn.
-func (e *Env) WaitChildren(refs []uint64, workers int) { e.sp.waitChildren(refs, workers) }
-
 // Ret stops the calling space and returns control to its parent; the
 // space resumes here when the parent next issues a Put with Start.
 func (e *Env) Ret() {

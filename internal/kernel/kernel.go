@@ -22,7 +22,6 @@ package kernel
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/vm"
@@ -114,23 +113,23 @@ type Config struct {
 	// DisableROCache turns off per-node caching of read-only pages for
 	// re-migrating spaces (an ablation of the optimization in §3.3).
 	DisableROCache bool
-	// MergeWorkers is the host parallelism applied to each Merge during
-	// Get (0 = GOMAXPROCS, 1 = serial). It affects wall-clock speed only:
-	// merge results, statistics and therefore virtual times are identical
-	// at every setting.
+	// Deprecated: MergeWorkers is not read. It selected the width of a
+	// parallel merge engine that no workload's merges ever reached (a
+	// thread's delta fits one level-2 table); merges are one serial walk.
+	// The field survives only because benchmark/layers.go and
+	// benchmark/serve.go, frozen by BENCHMARK.json, still set it.
 	MergeWorkers int
 }
 
 // Machine is the simulated hardware plus kernel state: a set of nodes, the
 // cost model, and the I/O devices reachable only from the root space.
 type Machine struct {
-	cost         CostModel
-	nodes        []*node
-	console      *Console
-	clock        ClockFunc
-	rand         RandFunc
-	noCache      bool
-	mergeWorkers int
+	cost    CostModel
+	nodes   []*node
+	console *Console
+	clock   ClockFunc
+	rand    RandFunc
+	noCache bool
 
 	wg   sync.WaitGroup // all space goroutines ever started
 	root *Space
@@ -210,16 +209,12 @@ func New(cfg Config) *Machine {
 	if cfg.Rand == nil {
 		cfg.Rand = SeededRand(1)
 	}
-	if cfg.MergeWorkers <= 0 {
-		cfg.MergeWorkers = runtime.GOMAXPROCS(0)
-	}
 	m := &Machine{
-		cost:         cfg.Cost,
-		console:      cfg.Console,
-		clock:        cfg.Clock,
-		rand:         cfg.Rand,
-		noCache:      cfg.DisableROCache,
-		mergeWorkers: cfg.MergeWorkers,
+		cost:    cfg.Cost,
+		console: cfg.Console,
+		clock:   cfg.Clock,
+		rand:    cfg.Rand,
+		noCache: cfg.DisableROCache,
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		m.nodes = append(m.nodes, &node{id: i, cpus: cfg.CPUsPerNode})

@@ -1,10 +1,6 @@
 package kernel
 
-import (
-	"runtime"
-
-	"repro/internal/vm"
-)
+import "repro/internal/vm"
 
 // Range names a page-aligned span of virtual memory.
 type Range struct {
@@ -122,7 +118,7 @@ type ChildInfo struct {
 	MemClean bool
 	// MergeTouched marks, when GetOpts.Merge ran, the level-1 tables of
 	// the parent the merge modified. Like the Merge statistics the bits
-	// are deterministic — invariant across merge workers and kernels —
+	// are deterministic — invariant across guided and full walks —
 	// so collectors can bump per-table sync epochs from them instead of
 	// invalidating the whole shared region on every commit.
 	MergeTouched vm.TableBits
@@ -293,7 +289,6 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 		}
 		st, err := vm.MergeEx(sp.mem, child.mem, child.snap, r.Addr, r.Size, vm.MergeConfig{
 			Mode:    mode,
-			Workers: sp.m.mergeWorkers,
 			Touched: &info.MergeTouched,
 		})
 		info.Merge = st
@@ -350,34 +345,6 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 		sp.cloneTree(dst, child)
 	}
 	return info, nil
-}
-
-// waitChildren blocks until every named child that exists has stopped,
-// using a worker pool of the given width (<= 0 selects GOMAXPROCS). It
-// performs no state operation, creates no children, charges no virtual
-// time and does not migrate the caller — it is a pure host-level latency
-// hint that lets a collector overlap the physical waiting for many
-// children, after which the real Get/Put rendezvous (still issued one at
-// a time, in program order) find the children already stopped. Skipping
-// it, or varying the worker count, never changes any result.
-func (sp *Space) waitChildren(refs []uint64, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var ready []*Space
-	for _, ref := range refs {
-		node, idx, err := sp.splitChildRef(ref)
-		if err != nil {
-			continue
-		}
-		key := uint64(node.id+1)<<nodeShift | idx
-		if child := sp.children[key]; child != nil {
-			ready = append(ready, child)
-		}
-	}
-	vm.ParallelFor(len(ready), workers, func(i int) {
-		ready[i].waitStopped()
-	})
 }
 
 // cloneTree deep-copies src's state (memory, snapshot, registers and all

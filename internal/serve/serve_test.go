@@ -15,7 +15,7 @@ import (
 // testOpts is the machine shape every serve test uses; the server's
 // resumes must match the shape its checkpoints were captured under.
 func testOpts() []repro.SessionOption {
-	return []repro.SessionOption{repro.WithMachine(repro.MachineConfig{CPUsPerNode: 4, MergeWorkers: 1})}
+	return []repro.SessionOption{repro.WithMachine(repro.MachineConfig{CPUsPerNode: 4})}
 }
 
 // directResult runs maker(arg) uninterrupted on a private session — the

@@ -21,8 +21,7 @@ import (
 // produce identical merge results; the bitmap only narrows iteration.
 //
 // The bitmaps are owned by the space exactly as its page tables are: they
-// are written by the owning goroutine, or by parallel merge workers that
-// each own a disjoint set of level-1 slots (see mergeTables).
+// are written only by the goroutine that owns the space.
 
 // dirtyWords is the length of one table's dirty bitmap: one bit per pte.
 const dirtyWords = tableEntries / 64

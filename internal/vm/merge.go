@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 )
 
 // zeroData backs lazy-zero pages during comparisons. It is read-only by
@@ -27,8 +25,8 @@ func dataOf(pg *page) *[PageSize]byte {
 // MergeStats reports the work done by a Merge, for the kernel's
 // virtual-time cost model. The semantic fields (adopted, compared, merged)
 // depend only on the three spaces' contents, never on how the merge was
-// executed: serial, parallel and dirty-guided walks all report identical
-// values. PtesScanned is the exception — it counts iteration effort, which
+// executed: dirty-guided and full walks report identical values.
+// PtesScanned is the exception — it counts iteration effort, which
 // is exactly what dirty tracking exists to shrink.
 type MergeStats struct {
 	TablesAdopted int // whole child tables adopted (parent untouched since snapshot)
@@ -85,14 +83,10 @@ const (
 type MergeConfig struct {
 	// Mode selects conflict handling (MergeStrict or MergeLastWriter).
 	Mode MergeMode
-	// Workers is the level of host parallelism: table partitions are
-	// byte-compared by up to this many goroutines. Values <= 1 run
-	// serially. Explicit values are honored as given.
-	Workers int
 	// Touched, if non-nil, gets a bit set for every level-1 table of dst
 	// this merge modified (whole-table adoptions, page adoptions, and
 	// byte merges alike). Like the semantic MergeStats fields the bits
-	// are invariant across workers and across guided and unguided walks,
+	// are invariant across guided and unguided walks,
 	// so collectors can use them to maintain per-table commit epochs
 	// deterministically.
 	Touched *TableBits
@@ -113,40 +107,6 @@ func Merge(dst, cur, ref *Space, addr Addr, size uint64) (MergeStats, error) {
 	return MergeEx(dst, cur, ref, addr, size, MergeConfig{Mode: MergeStrict})
 }
 
-// ParallelFor runs fn(0), ..., fn(n-1) with up to workers goroutines
-// claiming indices from a shared counter; workers <= 1 runs inline, in
-// order. It is the bounded pool behind the parallel merge engine, also
-// used by the kernel's concurrent child collection. fn must make the
-// usual disjointness guarantee: invocations for different indices touch
-// no common mutable state.
-func ParallelFor(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // tableJob is one unit of merge work: the slice [lo, hi) of the level-2
 // table at level-1 index l1, optionally narrowed by a dirty bitmap.
 type tableJob struct {
@@ -154,21 +114,12 @@ type tableJob struct {
 	db         *dirtyBits // nil: scan every pte in [lo, hi)
 }
 
-// tableResult collects one job's contribution, combined in address order.
-type tableResult struct {
-	st       MergeStats
-	conflict MergeConflictError
-	touched  bool // job modified dst's level-1 slot
-}
-
-// mergeCtx carries one job's merge parameters and output sinks. Every
-// sink is owned by the job (results are recombined in address order), so
-// parallel workers never share mutable state through it.
+// mergeCtx carries one merge's parameters and the caller's output sinks.
 type mergeCtx struct {
 	mode     MergeMode
 	st       *MergeStats
 	conflict *MergeConflictError
-	touched  *bool
+	touched  *bool // set when the table being merged modifies dst's level-1 slot
 }
 
 // MergeEx is the merge engine's entry point; see MergeConfig. The walk is
@@ -193,7 +144,9 @@ func mergeRange(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig, g
 	// snapshot and is skipped outright; when dirty hints are trustworthy,
 	// an untouched table additionally has no bitmap at all.
 	end := uint64(addr) + size
-	var jobs []tableJob
+	conflict := &MergeConflictError{}
+	var touched bool
+	c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict, touched: &touched}
 	for l1 := int(addr >> l1Shift); uint64(l1)<<l1Shift < end; l1++ {
 		ct := cur.root[l1]
 		if ct == nil || ct == ref.root[l1] {
@@ -213,49 +166,10 @@ func mergeRange(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig, g
 		if base+(tableEntries<<l2Shift) > end {
 			hi = int((end - base) >> l2Shift)
 		}
-		jobs = append(jobs, tableJob{l1: l1, lo: lo, hi: hi, db: db})
-	}
-
-	workers := cfg.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	conflict := &MergeConflictError{}
-	if workers <= 1 {
-		for _, j := range jobs {
-			var touched bool
-			mergeTable(dst, cur, ref, j, mergeCtx{
-				mode: cfg.Mode, st: &st, conflict: conflict, touched: &touched,
-			})
-			if touched && cfg.Touched != nil {
-				cfg.Touched.Set(j.l1)
-			}
-		}
-	} else {
-		// Each job owns a distinct level-1 slot of dst (root pointer,
-		// table, dirty bitmap), so workers write disjoint state; page
-		// reference counts are atomic. Jobs are claimed from a shared
-		// counter but their results are indexed by job, and combined
-		// below in ascending address order — identical to serial.
-		results := make([]tableResult, len(jobs))
-		ParallelFor(len(jobs), workers, func(i int) {
-			mergeTable(dst, cur, ref, jobs[i], mergeCtx{
-				mode: cfg.Mode, st: &results[i].st,
-				conflict: &results[i].conflict, touched: &results[i].touched,
-			})
-		})
-		for i := range results {
-			st.Add(results[i].st)
-			for _, a := range results[i].conflict.Addrs {
-				if len(conflict.Addrs) < maxReportedConflicts {
-					conflict.Addrs = append(conflict.Addrs, a)
-				}
-			}
-			conflict.Total += results[i].conflict.Total
-			if results[i].touched && cfg.Touched != nil {
-				cfg.Touched.Set(jobs[i].l1)
-			}
+		touched = false
+		mergeTable(dst, cur, ref, tableJob{l1: l1, lo: lo, hi: hi, db: db}, c)
+		if touched && cfg.Touched != nil {
+			cfg.Touched.Set(l1)
 		}
 	}
 	if conflict.Total > 0 {
@@ -264,9 +178,8 @@ func mergeRange(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig, g
 	return st, nil
 }
 
-// mergeTable merges one job's slice of a level-2 table into dst. It is the
-// unit of parallelism: everything it mutates hangs off dst's level-1 slot
-// job.l1, which the job owns exclusively.
+// mergeTable merges one job's slice of a level-2 table into dst.
+// Everything it mutates hangs off dst's level-1 slot job.l1.
 func mergeTable(dst, cur, ref *Space, job tableJob, c mergeCtx) {
 	l1 := job.l1
 	ct := cur.root[l1]

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -287,21 +286,14 @@ func TestMergeMatchesByteRuleProperty(t *testing.T) {
 		for _, mode := range []MergeMode{MergeStrict, MergeLastWriter} {
 			base, baseTouched := checkAgainstByteRule(t, parent, childOps, parentOps,
 				MergeConfig{Mode: mode}, true)
-			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-				for _, guided := range []bool{true, false} {
-					if workers == 1 && guided {
-						continue // that is base
-					}
-					got, touched := checkAgainstByteRule(t, parent, childOps, parentOps,
-						MergeConfig{Mode: mode, Workers: workers}, guided)
-					if diff := outcomesEqual(base, got, !guided); diff != "" {
-						t.Errorf("seed %d mode %v workers %d guided %v: %s", seed, mode, workers, guided, diff)
-					}
-					if touched != baseTouched {
-						t.Errorf("seed %d mode %v workers %d guided %v: touched tables differ: %d vs %d",
-							seed, mode, workers, guided, touched.Count(), baseTouched.Count())
-					}
-				}
+			got, touched := checkAgainstByteRule(t, parent, childOps, parentOps,
+				MergeConfig{Mode: mode}, false)
+			if diff := outcomesEqual(base, got, true); diff != "" {
+				t.Errorf("seed %d mode %v full scan: %s", seed, mode, diff)
+			}
+			if touched != baseTouched {
+				t.Errorf("seed %d mode %v full scan: touched tables differ: %d vs %d",
+					seed, mode, touched.Count(), baseTouched.Count())
 			}
 		}
 		return !t.Failed()
@@ -315,8 +307,7 @@ func TestMergeMatchesByteRuleProperty(t *testing.T) {
 // fixed scenario whose strict-mode conflict list contains adjacent
 // conflicting bytes on both sides of an 8-byte word boundary and on both
 // sides of a page edge. The reference kernel, the word kernel, the byte
-// rule and the engine at every worker count must agree on that list
-// exactly.
+// rule and the engine must agree on that list exactly.
 func TestMergeKernelStraddledConflicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	parent := NewSpace()
@@ -363,11 +354,9 @@ func TestMergeKernelStraddledConflicts(t *testing.T) {
 	// Every compared page here is one the parent wrote, so nothing is
 	// adopted and the engine's outcome equals the bare kernel's but for
 	// the scan count.
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		got, _ := checkAgainstByteRule(t, parent, childOps, parentOps,
-			MergeConfig{Mode: MergeStrict, Workers: workers}, true)
-		if diff := outcomesEqual(oracle, got, true); diff != "" {
-			t.Errorf("workers %d: engine differs from byte oracle: %s", workers, diff)
-		}
+	got, _ := checkAgainstByteRule(t, parent, childOps, parentOps,
+		MergeConfig{Mode: MergeStrict}, true)
+	if diff := outcomesEqual(oracle, got, true); diff != "" {
+		t.Errorf("engine differs from byte oracle: %s", diff)
 	}
 }

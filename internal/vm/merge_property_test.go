@@ -7,16 +7,15 @@ import (
 	"testing/quick"
 )
 
-// Property test for the merge engine: serial, parallel, dirty-guided and
-// full-scan walks of the same (dst, cur, ref) triple must produce
-// byte-identical destination spaces, identical semantic MergeStats, and
-// identical conflict address lists — in both conflict modes, across
-// randomized dirty patterns on both sides of the fork. Run under -race
-// this also exercises the parallel workers' ownership discipline.
+// Property test for the merge engine: dirty-guided and full-scan walks of
+// the same (dst, cur, ref) triple must produce byte-identical destination
+// spaces, identical semantic MergeStats, and identical conflict address
+// lists — in both conflict modes, across randomized dirty patterns on both
+// sides of the fork.
 
 // propSpan covers two whole level-2 tables plus a partial third, so the
-// walk exercises whole-table adoption, partial-table clamping, and
-// multi-table parallel partitioning in one scenario.
+// walk exercises whole-table adoption, partial-table clamping, and a
+// multi-table walk in one scenario.
 const propSpan = 2*(tableEntries*PageSize) + 64*PageSize
 
 // memOp is one recorded mutation, replayable onto identical space copies.
@@ -91,8 +90,7 @@ type mergeOutcome struct {
 
 // runMerge replays the history onto fresh copies of parent and merges
 // through MergeEx, which picks the guided walk (the histories always
-// qualify); runMergeFull forces the unguided full scan through the
-// engine's worker instead.
+// qualify); runMergeFull forces the unguided full scan instead.
 func runMerge(t *testing.T, parent *Space, childOps, parentOps []memOp,
 	addr Addr, size uint64, cfg MergeConfig) mergeOutcome {
 	t.Helper()
@@ -193,33 +191,18 @@ func TestMergeEnginesEquivalentProperty(t *testing.T) {
 		}
 
 		for _, mode := range []MergeMode{MergeStrict, MergeLastWriter} {
-			serial := runMerge(t, parent, childOps, parentOps, addr, size,
+			guided := runMerge(t, parent, childOps, parentOps, addr, size,
 				MergeConfig{Mode: mode})
-			variants := []struct {
-				name string
-				cfg  MergeConfig
-				full bool // unguided walk; PtesScanned legitimately differs
-			}{
-				{"parallel4", MergeConfig{Mode: mode, Workers: 4}, false},
-				{"serial-full", MergeConfig{Mode: mode}, true},
-				{"parallel4-full", MergeConfig{Mode: mode, Workers: 4}, true},
+			full := runMergeFull(t, parent, childOps, parentOps, addr, size,
+				MergeConfig{Mode: mode})
+			if diff := outcomesEqual(guided, full, true); diff != "" {
+				t.Errorf("seed %d mode %v: full scan differs from guided: %s", seed, mode, diff)
+				return false
 			}
-			for _, v := range variants {
-				run := runMerge
-				if v.full {
-					run = runMergeFull
-				}
-				got := run(t, parent, childOps, parentOps, addr, size, v.cfg)
-				if diff := outcomesEqual(serial, got, v.full); diff != "" {
-					t.Errorf("seed %d mode %v: %s differs from serial guided: %s",
-						seed, mode, v.name, diff)
-					return false
-				}
-				if got.st.PtesScanned < serial.st.PtesScanned {
-					t.Errorf("seed %d mode %v: %s scanned %d ptes, fewer than guided serial's %d",
-						seed, mode, v.name, got.st.PtesScanned, serial.st.PtesScanned)
-					return false
-				}
+			if full.st.PtesScanned < guided.st.PtesScanned {
+				t.Errorf("seed %d mode %v: full scan visited %d ptes, fewer than guided's %d",
+					seed, mode, full.st.PtesScanned, guided.st.PtesScanned)
+				return false
 			}
 		}
 		parent.Free()
@@ -233,7 +216,7 @@ func TestMergeEnginesEquivalentProperty(t *testing.T) {
 // TestMergeEnginesEquivalentOnContention pins the hard cases the random
 // scenarios only sometimes draw: a guaranteed write/write conflict, a
 // byte-compared false-sharing page, and a whole-table adoption, all in one
-// merge — and requires every engine configuration to agree on them.
+// merge — and requires the guided and the full walk to agree on them.
 func TestMergeEnginesEquivalentOnContention(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	parent := NewSpace()
@@ -253,17 +236,11 @@ func TestMergeEnginesEquivalentOnContention(t *testing.T) {
 		t.Fatalf("constructed scenario missed a path: %+v (conflicts %d)", serial.st, serial.total)
 	}
 	for _, mode := range []MergeMode{MergeStrict, MergeLastWriter} {
-		base := runMerge(t, parent, childOps, parentOps, 0, propSpan, MergeConfig{Mode: mode})
-		for _, workers := range []int{1, 2, 16} {
-			cfg := MergeConfig{Mode: mode, Workers: workers}
-			got := runMerge(t, parent, childOps, parentOps, 0, propSpan, cfg)
-			if diff := outcomesEqual(base, got, false); diff != "" {
-				t.Errorf("mode %v cfg %+v guided: %s", mode, cfg, diff)
-			}
-			got = runMergeFull(t, parent, childOps, parentOps, 0, propSpan, cfg)
-			if diff := outcomesEqual(base, got, true); diff != "" {
-				t.Errorf("mode %v cfg %+v full: %s", mode, cfg, diff)
-			}
+		cfg := MergeConfig{Mode: mode}
+		base := runMerge(t, parent, childOps, parentOps, 0, propSpan, cfg)
+		got := runMergeFull(t, parent, childOps, parentOps, 0, propSpan, cfg)
+		if diff := outcomesEqual(base, got, true); diff != "" {
+			t.Errorf("mode %v full: %s", mode, diff)
 		}
 	}
 }

@@ -24,16 +24,6 @@
 // shared COW between spaces are never written in place (writers always
 // break sharing first), so cross-space page sharing needs no locking beyond
 // the atomic reference count.
-//
-// A parallel merge exploits a refinement of that ownership rule: all mutable
-// per-table state — the root slot, the level-2 table it points to, and the
-// table's dirty bitmap — is reached only through the table's level-1 index,
-// and page reference counts are atomic. Partitioning a merge by level-1
-// index therefore gives each worker exclusive ownership of every location
-// it writes (destination tables and their pages) while the child and
-// reference spaces are read shared-nothing, so the workers need no locks
-// and the merged bytes, statistics and conflict set are identical to the
-// serial walk's regardless of how the workers are scheduled.
 package vm
 
 import (

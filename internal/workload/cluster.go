@@ -27,8 +27,7 @@ type ClusterConfig struct {
 // ClusterStencil runs the workload on rt's machine and returns the
 // deterministic result checksum plus the root collector's cross-node
 // traffic. The checksum depends only on the configuration — never on
-// Nodes, Tree, or the kernel's MergeWorkers — which is what the bench
-// harness asserts.
+// Nodes or Tree — which is what the bench harness asserts.
 func ClusterStencil(rt *core.RT, cfg ClusterConfig) (uint64, kernel.NetStats) {
 	rt.SetTreeJoin(cfg.Tree)
 	threads, pages := cfg.Threads, cfg.PagesPerThread

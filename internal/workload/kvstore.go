@@ -31,8 +31,8 @@ import (
 //
 // Everything — thread interleaving aside, which the model forbids from
 // mattering — is a pure function of the configuration, so the returned
-// checksum is bit-identical at any host parallelism (MergeWorkers,
-// GOMAXPROCS); the benchmarks assert exactly that.
+// checksum is bit-identical at any host parallelism (GOMAXPROCS); the
+// tests assert exactly that.
 
 // KVConfig parameterizes a KVStore run.
 type KVConfig struct {
@@ -161,7 +161,6 @@ func KVStore(rt *core.RT, cfg KVConfig) (uint64, KVStats) {
 				Start: true,
 			}))
 		}
-		env.WaitChildren(refs, 0)
 		var roundConflicts []fs.Conflict
 		for t := 0; t < cfg.Threads; t++ {
 			info, err := env.Get(refs[t], kernel.GetOpts{

@@ -1,18 +1,19 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
 )
 
-func runKVStore(t *testing.T, cfg KVConfig, mergeWorkers int) (uint64, KVStats, int64) {
+func runKVStore(t *testing.T, cfg KVConfig) (uint64, KVStats, int64) {
 	t.Helper()
 	var sum uint64
 	var st KVStats
 	res := core.Run(core.Options{
-		Kernel:     kernel.Config{CPUsPerNode: cfg.Threads, MergeWorkers: mergeWorkers},
+		Kernel:     kernel.Config{CPUsPerNode: cfg.Threads},
 		SharedSize: 4 << 20,
 	}, func(rt *core.RT) uint64 {
 		sum, st = KVStore(rt, cfg)
@@ -26,21 +27,21 @@ func runKVStore(t *testing.T, cfg KVConfig, mergeWorkers int) (uint64, KVStats, 
 
 // TestKVStoreDeterministicAcrossMergeWorkers is the scenario's core
 // claim: the checksum (which folds the final image bytes), the conflict
-// history and the virtual time are all independent of host merge
-// parallelism and of repetition.
+// history and the virtual time are all independent of host parallelism —
+// GOMAXPROCS, since the merge-worker knob the name recalls was deleted —
+// and of repetition.
 func TestKVStoreDeterministicAcrossMergeWorkers(t *testing.T) {
 	cfg := KVConfig{Threads: 4, Keys: 6, Ops: 24, Rounds: 2, WritePct: 70, ValueSize: 200}
-	sum1, st1, vt1 := runKVStore(t, cfg, 1)
-	for _, w := range []int{2, 0} { // 0 selects GOMAXPROCS
-		sum, st, vt := runKVStore(t, cfg, w)
+	def := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(def) })
+	sum1, st1, vt1 := runKVStore(t, cfg)
+	runtime.GOMAXPROCS(def)
+	for rerun := 0; rerun < 2; rerun++ {
+		sum, st, vt := runKVStore(t, cfg)
 		if sum != sum1 || st != st1 || vt != vt1 {
-			t.Fatalf("MergeWorkers=%d changed the run: checksum %#x vs %#x, stats %+v vs %+v, vt %d vs %d",
-				w, sum, sum1, st, st1, vt, vt1)
+			t.Fatalf("GOMAXPROCS=%d run %d differs from GOMAXPROCS=1: checksum %#x vs %#x, stats %+v vs %+v, vt %d vs %d",
+				def, rerun, sum, sum1, st, st1, vt, vt1)
 		}
-	}
-	sum, st, vt := runKVStore(t, cfg, 1)
-	if sum != sum1 || st != st1 || vt != vt1 {
-		t.Fatal("repeated identical run diverged")
 	}
 }
 
@@ -50,7 +51,7 @@ func TestKVStoreDeterministicAcrossMergeWorkers(t *testing.T) {
 // initial 64K image grows by chaining regions.
 func TestKVStoreConflictAndReuseShape(t *testing.T) {
 	cfg := KVConfig{Threads: 3, Keys: 6, Ops: 30, Rounds: 3, WritePct: 90, ValueSize: 300}
-	_, st, _ := runKVStore(t, cfg, 0)
+	_, st, _ := runKVStore(t, cfg)
 	if want := (cfg.Threads - 1) * cfg.Rounds; st.Conflicts != want {
 		t.Errorf("conflicts = %d, want %d (threads-1 per round)", st.Conflicts, want)
 	}

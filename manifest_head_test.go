@@ -18,7 +18,7 @@ import (
 // manifest.
 func headFixture(t *testing.T, store BlobStore) *Manifest {
 	t.Helper()
-	s := mustSession(t, WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1}))
+	s := mustSession(t, WithMachine(MachineConfig{CPUsPerNode: 2}))
 	if _, err := s.RunToCheckpoint(arrayProgram(2, 2, 256, -1, nil), 1); err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func sparseProgram(phases, pages, dirtyPages int, salt uint64) Program {
 
 func TestSaveToResumeFromBothBackends(t *testing.T) {
 	p := sparseProgram(3, 64, 4, 0)
-	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1})}
+	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2})}
 	res, err := mustSession(t, opts...).RunProgram(p)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestManifestChainStoresIncrementally(t *testing.T) {
 	// second save must chain on the first and store far fewer bytes.
 	p := sparseProgram(3, 256, 4, 0)
 	opts := []SessionOption{
-		WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1}),
+		WithMachine(MachineConfig{CPUsPerNode: 2}),
 		WithCheckpointAfter(1, 2),
 	}
 	store := NewMemStore()
@@ -189,7 +189,7 @@ func TestSiblingSessionsShareChunks(t *testing.T) {
 	// images must share well over half their chunks.
 	const pages, dirty = 256, 4
 	opts := []SessionOption{
-		WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1}),
+		WithMachine(MachineConfig{CPUsPerNode: 2}),
 		WithCheckpointAfter(2),
 	}
 	store := NewMemStore()
@@ -236,7 +236,7 @@ func TestSiblingSessionsShareChunks(t *testing.T) {
 func TestCollectKeepsSurvivingChains(t *testing.T) {
 	const pages, dirty = 128, 4
 	opts := []SessionOption{
-		WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1}),
+		WithMachine(MachineConfig{CPUsPerNode: 2}),
 		WithCheckpointAfter(2),
 	}
 	store := NewMemStore()
@@ -315,7 +315,7 @@ func TestCollectKeepsSurvivingChains(t *testing.T) {
 
 func TestManifestAndChunkCorruptionRejected(t *testing.T) {
 	p := sparseProgram(2, 32, 4, 0)
-	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1})}
+	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2})}
 	sess := mustSession(t, opts...)
 	if _, err := sess.RunToCheckpoint(p, 1); err != nil {
 		t.Fatal(err)
@@ -373,7 +373,7 @@ func TestManifestAndChunkCorruptionRejected(t *testing.T) {
 // LoadImage (resolveShape sized its lists by the claim). It must fail
 // with vm's typed error, having allocated nothing of that order.
 func TestLoadImageRejectsHostileForestRoot(t *testing.T) {
-	sess := mustSession(t, WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1}))
+	sess := mustSession(t, WithMachine(MachineConfig{CPUsPerNode: 2}))
 	if _, err := sess.RunToCheckpoint(sparseProgram(2, 32, 4, 0), 1); err != nil {
 		t.Fatal(err)
 	}

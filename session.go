@@ -375,9 +375,6 @@ func NewSessionFromConfig(cfg SessionConfig) (*Session, error) {
 	if cfg.Machine.CPUsPerNode < 0 {
 		return nil, &ConfigError{Field: "Machine.CPUsPerNode", Reason: fmt.Sprintf("negative CPU count %d", cfg.Machine.CPUsPerNode)}
 	}
-	if cfg.Machine.MergeWorkers < 0 {
-		return nil, &ConfigError{Field: "Machine.MergeWorkers", Reason: fmt.Sprintf("negative worker count %d", cfg.Machine.MergeWorkers)}
-	}
 	if cfg.SharedSize > maxSharedSize {
 		return nil, &ConfigError{Field: "SharedSize", Reason: fmt.Sprintf("%d exceeds the %d-byte address space above the shared base", cfg.SharedSize, maxSharedSize)}
 	}

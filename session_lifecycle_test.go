@@ -17,7 +17,7 @@ import (
 // stepOpts is the machine shape every stepped test uses; resumes must
 // match the capture shape.
 func stepOpts() []SessionOption {
-	return []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4, MergeWorkers: 1})}
+	return []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4})}
 }
 
 // stepToEnd drives a bound session to completion with the given budget

@@ -159,7 +159,7 @@ func TestLiveSessionCheckpointAfter(t *testing.T) {
 // live machine records as it goes, and a rebuild splices the image's
 // prefix exactly as Resume does.
 func TestLiveSessionRecordedTrace(t *testing.T) {
-	mk := func() *Session { return mustSession(t, WithRecord(), WithMachine(MachineConfig{MergeWorkers: 1})) }
+	mk := func() *Session { return mustSession(t, WithRecord()) }
 	p := deviceProgram(3, 4)
 	result := p.Result
 	p.Result = func(rt *RT) uint64 { // a device read after the last barrier
@@ -239,7 +239,7 @@ func TestLiveSessionLeaksNoGoroutines(t *testing.T) {
 	// The tree-join runtime keeps permanently parked delegate spaces, so
 	// a leak here would be of more than the root.
 	opts := []SessionOption{
-		WithMachine(MachineConfig{Nodes: 2, CPUsPerNode: 2, MergeWorkers: 1}),
+		WithMachine(MachineConfig{Nodes: 2, CPUsPerNode: 2}),
 		WithTreeJoin(true),
 	}
 	place := func(i int) int { return i % 2 }

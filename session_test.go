@@ -196,7 +196,7 @@ func arrayProgram(threads, phases, words int, conflictAt int, place func(i int) 
 }
 
 func TestSessionCheckpointResumeArray(t *testing.T) {
-	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4, MergeWorkers: 1})}
+	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4})}
 	checkpointEverywhere(t, opts, arrayProgram(4, 4, 4096, -1, nil))
 }
 
@@ -204,7 +204,7 @@ func TestSessionCheckpointResumeConflictReport(t *testing.T) {
 	// The conflict fires in phase 2; resuming from barriers 1 and 2 must
 	// reproduce the identical conflict report, and later barriers are
 	// unreachable (verified against the uninterrupted failure).
-	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1})}
+	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2})}
 	p := arrayProgram(3, 4, 512, 2, nil)
 	res, err := mustSession(t, opts...).RunProgram(p)
 	var ce *ConflictError
@@ -218,7 +218,7 @@ func TestSessionCheckpointResumeMultiNodeTree(t *testing.T) {
 	for _, tree := range []bool{false, true} {
 		t.Run(fmt.Sprintf("tree=%v", tree), func(t *testing.T) {
 			opts := []SessionOption{
-				WithMachine(MachineConfig{Nodes: 3, CPUsPerNode: 2, MergeWorkers: 1}),
+				WithMachine(MachineConfig{Nodes: 3, CPUsPerNode: 2}),
 				WithTreeJoin(tree),
 			}
 			place := func(i int) int { return i % 3 }
@@ -301,7 +301,7 @@ func dschedProgram(t *testing.T, sess func() *Session, threads, phases int) Prog
 }
 
 func TestSessionCheckpointResumeDsched(t *testing.T) {
-	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4, MergeWorkers: 1})}
+	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4})}
 	sess := func() *Session { return mustSession(t, opts...) }
 	p := dschedProgram(t, sess, 3, 4)
 	res, err := sess().RunProgram(p)
@@ -353,7 +353,7 @@ func deviceProgram(threads, phases int) Program {
 }
 
 func TestSessionCheckpointResumeRecordedTrace(t *testing.T) {
-	mk := func() *Session { return mustSession(t, WithRecord(), WithMachine(MachineConfig{MergeWorkers: 1})) }
+	mk := func() *Session { return mustSession(t, WithRecord()) }
 	p := deviceProgram(3, 4)
 
 	full := mk()
@@ -398,7 +398,7 @@ func TestSessionCheckpointResumeRecordedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	mkReplay := func() *Session {
-		return mustSession(t, WithReplay(restored), WithMachine(MachineConfig{MergeWorkers: 1}))
+		return mustSession(t, WithReplay(restored))
 	}
 	img, err := mkReplay().RunToCheckpoint(p, 2)
 	if err != nil {
@@ -424,8 +424,7 @@ func TestSessionCheckpointResumeConsoleSplice(t *testing.T) {
 	}
 	mk := func() *Session {
 		return mustSession(t, WithRecord(),
-			WithConsole(strings.NewReader(input()), nil),
-			WithMachine(MachineConfig{MergeWorkers: 1}))
+			WithConsole(strings.NewReader(input()), nil))
 	}
 	var cell Addr
 	p := Program{
@@ -508,7 +507,7 @@ func TestSessionCheckpointResumeProperty(t *testing.T) {
 			place = func(i int) int { return i % nodes }
 		}
 		opts := []SessionOption{
-			WithMachine(MachineConfig{Nodes: nodes, CPUsPerNode: 1 + rng.Intn(3), MergeWorkers: 1}),
+			WithMachine(MachineConfig{Nodes: nodes, CPUsPerNode: 1 + rng.Intn(3)}),
 			WithTreeJoin(tree),
 		}
 		p := arrayProgram(threads, phases, words, conflictAt, place)
@@ -534,7 +533,7 @@ func TestSessionCheckpointResumeProperty(t *testing.T) {
 // --- image format and API-surface tests --------------------------------------
 
 func TestSessionImageRoundTripAndRejects(t *testing.T) {
-	img, err := mustSession(t, WithMachine(MachineConfig{MergeWorkers: 1})).
+	img, err := mustSession(t).
 		RunToCheckpoint(arrayProgram(2, 2, 128, -1, nil), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -563,7 +562,7 @@ func TestSessionImageRoundTripAndRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mm *ImageMismatchError
-	_, err = mustSession(t, WithMachine(MachineConfig{Nodes: 2, MergeWorkers: 1})).
+	_, err = mustSession(t, WithMachine(MachineConfig{Nodes: 2})).
 		Resume(img2, arrayProgram(2, 2, 128, -1, nil))
 	if !errors.As(err, &mm) {
 		t.Fatalf("mismatched resume: got %v, want *ImageMismatchError", err)
@@ -576,7 +575,7 @@ func TestSessionImageRoundTripAndRejects(t *testing.T) {
 // program below would otherwise size its table epochs from the region (an
 // 8 TiB makeslice that kills the process, not the call).
 func TestSessionResumeRejectsCraftedRegion(t *testing.T) {
-	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4, MergeWorkers: 1})}
+	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4})}
 	sess := func() *Session { return mustSession(t, opts...) }
 	p := dschedProgram(t, sess, 3, 2)
 	img, err := sess().RunToCheckpoint(p, 1)
@@ -614,9 +613,6 @@ func TestSessionResumeRejectsCraftedRegion(t *testing.T) {
 
 func TestSessionConfigValidation(t *testing.T) {
 	var ce *ConfigError
-	if _, err := NewSession(WithMachine(MachineConfig{MergeWorkers: -1})); !errors.As(err, &ce) || ce.Field != "Machine.MergeWorkers" {
-		t.Fatalf("negative workers: %v", err)
-	}
 	if _, err := NewSession(WithMachine(MachineConfig{Nodes: -2})); !errors.As(err, &ce) || ce.Field != "Machine.Nodes" {
 		t.Fatalf("negative nodes: %v", err)
 	}
@@ -645,13 +641,10 @@ func TestSessionConfigValidation(t *testing.T) {
 // The legacy wrappers validate instead of silently defaulting.
 func TestLegacyWrapperValidation(t *testing.T) {
 	res := Run(Options{}, func(rt *RT) uint64 {
-		// A negative quantum or worker count is a typed error.
+		// A negative quantum is a typed error.
 		var se *SchedConfigError
 		if _, err := NewSchedWith(rt, SchedConfig{Quantum: -1}); !errors.As(err, &se) || se.Field != "Quantum" {
 			panic(fmt.Sprintf("NewSchedWith(Quantum -1) = %v, want *SchedConfigError{Quantum}", err))
-		}
-		if _, err := NewSchedWith(rt, SchedConfig{CollectWorkers: -3}); !errors.As(err, &se) {
-			panic(fmt.Sprintf("NewSchedWith(CollectWorkers -3) = %v, want *SchedConfigError", err))
 		}
 		// Zero still selects the documented default.
 		if s, err := NewSchedWith(rt, SchedConfig{}); err != nil || s == nil {
