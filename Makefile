@@ -67,10 +67,13 @@ bench:
 # What the tables this target used to smoke-test assert now lives in
 # package tests and the two goldens (`make test`, `make bench-exact`).
 # Then one iteration of vm's typed-access benchmark, which fails itself
-# if any of its variants allocates: the words move in place.
+# if any of its variants allocates: the words move in place. Then one
+# cold and one warm build of detmake's two benchmark graphs, the host
+# cost of the executor's two paths.
 bench-smoke:
 	$(GO) test -bench='Fig4|DschedRound' -benchtime=1x -run='^$$' .
 	$(GO) test -bench=TypedAccess -benchtime=1x -run='^$$' ./internal/vm
+	$(GO) test -bench=Build -benchtime=1x -run='^$$' ./internal/detmake
 
 # The exact gate: the end-to-end benchmark's 14 deterministic per-layer
 # metrics (virtual times, instruction, round, page and byte counts) must

@@ -83,12 +83,11 @@ func (e *MissingOutputError) Error() string {
 	return fmt.Sprintf("detmake: task %s did not write declared output %q", e.Task, e.Path)
 }
 
-// OutputConflictError reports path-keyed reconciliation finding
-// divergent writes between sibling tasks of one wave, or Build's
-// validation finding two tasks whose declared outputs clash in type
-// (one task's output file is another's output directory). Tasks holds
-// [first writer, conflicting writer] in the deterministic collection
-// order — task-ID order — so attribution is stable.
+// OutputConflictError reports Build's validation finding two tasks
+// whose declared outputs clash in type: one task's output file is
+// another's output directory, at Path. Tasks holds the pair in sorted
+// ID order, so attribution is stable. (Two tasks declaring the very
+// same path is NewGraph's DuplicateOutputError.)
 type OutputConflictError struct {
 	Path  string
 	Tasks [2]string
@@ -100,10 +99,12 @@ func (e *OutputConflictError) Error() string {
 
 // TaskCtx is an action's window onto its hermetic world: the declared
 // inputs (readable), the declared outputs (writable), and scratch
-// space. Reads outside the declared inputs are the one determinism
-// hazard the kernel cannot see — the path exists in the wider build
-// tree but not in this image — so the context detects them and fails
-// the task typed, whether or not the action swallows the error.
+// space — any other path, which lives and dies with the task's space
+// whatever it is named. Reads outside the declared inputs are the one
+// determinism hazard the kernel cannot see — the path exists in the
+// wider build tree but not in this image — so the context detects them
+// and fails the task typed, whether or not the action swallows the
+// error.
 type TaskCtx struct {
 	task      *Task
 	img       *fs.FS
@@ -151,9 +152,10 @@ func (c *TaskCtx) ReadFile(path string) ([]byte, error) {
 
 // WriteFile writes a file in the hermetic image, creating parent
 // directories as needed. Anything that is not a declared output is
-// scratch: it is erased before the image reconciles back. Declared
-// inputs are read-only — the staged copy must reconcile away as
-// unchanged, so overwriting one is refused here.
+// scratch: the build never reads it. Declared inputs are read-only:
+// the path belongs to its producer (or the sources), so a write to it
+// could never be committed — it is refused rather than silently
+// dropped.
 func (c *TaskCtx) WriteFile(path string, b []byte) error {
 	if c.inputs[path] {
 		return fmt.Errorf("detmake: task %s wrote declared input %q: inputs are read-only", c.task.ID, path)

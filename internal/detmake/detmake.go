@@ -3,9 +3,11 @@
 // system over the Determinator kernel model.
 //
 // Each build task runs in a private child space holding a hermetic
-// internal/fs image of exactly its declared inputs; outputs flow back
-// by the same path-keyed reconciliation user-level processes use
-// (§4.2), committed at quiescent points between topological waves.
+// internal/fs image of exactly its declared inputs; its declared
+// outputs are read back out of that image when it halts and committed
+// at quiescent points between topological waves. Two tasks can never
+// disagree about a committed path — every output has one declared
+// writer, checked before anything runs — so nothing is merged.
 // Because the kernel enforces determinism, a task's output bits are a
 // pure function of (action, input tree) — so results are cacheable by
 // construction: detmake keys every task result by a content hash of
@@ -85,9 +87,10 @@ type Graph struct {
 }
 
 // NewGraph validates tasks and builds a graph. The duplicate-output
-// check is the static half of conflict detection: two tasks declaring
-// the same output path conflict before anything runs, attributed to
-// the sorted task pair.
+// check is the first half of conflict detection (Build's overlap check
+// is the other; both are static): two tasks declaring the same output
+// path conflict before anything runs, attributed to the sorted task
+// pair.
 func NewGraph(tasks []*Task) (*Graph, error) {
 	g := &Graph{byID: make(map[string]*Task, len(tasks))}
 	for _, t := range tasks {

@@ -12,8 +12,8 @@ import (
 	"repro/internal/vm"
 )
 
-// Address-space layout of a build. The master replica is the build
-// tree's committed truth; the other regions are per-task scratch in
+// Address-space layout of a build. The master image is the build
+// tree's committed truth; the other two regions are per-task scratch in
 // the root space, reused between tasks and waves.
 const (
 	// masterBase holds the committed build tree (sources + outputs of
@@ -23,12 +23,9 @@ const (
 	// image; the kernel Put copies it to the same address in the child,
 	// so fork-time offsets match exactly.
 	stageBase vm.Addr = 0xA000_0000
-	// collectBase is where a finished child's image is Get-copied for
-	// reconciliation (the parent-side scratch of §4.2).
+	// collectBase is where a finished child's image is Get-copied so the
+	// root can read the status report and the declared outputs out of it.
 	collectBase vm.Addr = 0xB000_0000
-	// outboxBase holds the per-wave outbox replica sibling images
-	// reconcile into before the wave commits to the master.
-	outboxBase vm.Addr = 0xC000_0000
 
 	// statusPath is the reserved control file a task writes its outcome
 	// into before halting (same '#' convention as uproc's console files).
@@ -60,7 +57,7 @@ type Config struct {
 	Jobs int
 
 	TaskFSSize   uint64 // hermetic image size per task
-	MasterFSSize uint64 // master replica (and wave outbox) size
+	MasterFSSize uint64 // master image size
 }
 
 // TaskResult is the per-task outcome of a build, reported in sorted
@@ -97,9 +94,9 @@ type Result struct {
 }
 
 // Build runs the DAG to completion: deterministic wave order, hermetic
-// per-task spaces, reconciliation into a per-wave outbox, atomic
-// commits at quiescent points, and content-addressed caching of every
-// task result.
+// per-task spaces, declared outputs read back from each task's own
+// image, atomic commits at quiescent points, and content-addressed
+// caching of every task result.
 func Build(cfg Config) (Result, error) {
 	if cfg.Graph == nil {
 		return Result{}, fmt.Errorf("%w: nil graph", ErrBadTask)
@@ -278,14 +275,10 @@ func (b *builder) runWave(env *kernel.Env, master *fs.FS, wave []*Task) bool {
 			}
 		}
 
-		// Reconcile the siblings' images into a fresh outbox replica in
-		// task-ID order (each collect's Get waits for its task to halt);
-		// genuine divergence between siblings surfaces as fs conflicts
-		// here.
-		outbox := fs.Format(env, outboxBase, cfg.MasterFSSize)
-		firstWriter := make(map[string]string)
+		// Collect in task-ID order; each collect's Get waits for its task
+		// to halt.
 		for i, t := range cold {
-			out, err := b.collect(env, refs[i], t, outbox, firstWriter)
+			out, err := b.collect(env, refs[i], t)
 			if err != nil {
 				b.fail(err)
 				return false
@@ -339,15 +332,10 @@ func (b *builder) stage(env *kernel.Env, t *Task) error {
 }
 
 // taskEntry is the child-space program of one task: attach the
-// hermetic image, stamp the fork, run the action, scrub scratch, and
-// report through the status file.
+// hermetic image, run the action, and report through the status file.
 func (b *builder) taskEntry(t *Task, treeSnap map[string]bool) func(*kernel.Env) {
 	size := b.cfg.TaskFSSize
 	action, _ := b.cfg.Actions.Lookup(t.Action)
-	outputs := make(map[string]bool, len(t.Outputs))
-	for _, p := range t.Outputs {
-		outputs[p] = true
-	}
 	inputs := make(map[string]bool, len(t.Inputs))
 	for _, p := range t.Inputs {
 		inputs[p] = true
@@ -357,26 +345,8 @@ func (b *builder) taskEntry(t *Task, treeSnap map[string]bool) func(*kernel.Env)
 		if err != nil {
 			panic(err) // hermetic image corrupt: fault the space
 		}
-		img.StampFork()
 		ctx := &TaskCtx{task: t, img: img, env: env, inputs: inputs, tree: treeSnap}
 		actErr := runAction(action, ctx)
-
-		// Scrub: everything but declared inputs and outputs is scratch
-		// and must not reach reconciliation. Inputs stay — unchanged
-		// since the fork stamp, reconciliation skips them entirely
-		// (scratch files are fresh, so their tombstones adopt away as
-		// no-ops; a staged input's tombstone would not). On failure the
-		// outputs go too (they will not be committed), which also
-		// guarantees room for the status file even after ErrNoSpace.
-		for _, info := range img.List() {
-			if info.Dir || info.Name == statusPath || inputs[info.Name] {
-				continue
-			}
-			if actErr == nil && ctx.violation == nil && outputs[info.Name] {
-				continue
-			}
-			_ = img.Unlink(info.Name)
-		}
 
 		status := "ok"
 		ret := uint64(0)
@@ -387,6 +357,16 @@ func (b *builder) taskEntry(t *Task, treeSnap map[string]bool) func(*kernel.Env)
 			status, ret = "nospace "+actErr.Error(), 1
 		case actErr != nil:
 			status, ret = "err "+actErr.Error(), 1
+		}
+		if ret != 0 {
+			// Nothing a failed task wrote is read back, so drop it all:
+			// that is what guarantees room for the status report even
+			// after ErrNoSpace.
+			for _, info := range img.List() {
+				if !info.Dir && !inputs[info.Name] {
+					_ = img.Unlink(info.Name)
+				}
+			}
 		}
 		if err := img.WriteFile(statusPath, []byte(status)); err != nil {
 			panic(err) // cannot even report: fault the space
@@ -407,8 +387,9 @@ func runAction(action ActionFunc, ctx *TaskCtx) (err error) {
 }
 
 // collect pulls one finished child image back, checks its status, and
-// reconciles it into the wave outbox. Returns the task's output bytes.
-func (b *builder) collect(env *kernel.Env, ref uint64, t *Task, outbox *fs.FS, firstWriter map[string]string) (map[string][]byte, error) {
+// reads the declared outputs out of it. Whatever else the task left in
+// its image is scratch and is never looked at.
+func (b *builder) collect(env *kernel.Env, ref uint64, t *Task) (map[string][]byte, error) {
 	size := b.cfg.TaskFSSize
 	env.SetPerm(collectBase, size, vm.PermRW)
 	info, err := env.Get(ref, kernel.GetOpts{
@@ -429,9 +410,6 @@ func (b *builder) collect(env *kernel.Env, ref uint64, t *Task, outbox *fs.FS, f
 	if err != nil {
 		return nil, &TaskError{Task: t.ID, Err: fmt.Errorf("no status report: %w", err)}
 	}
-	if err := img.Unlink(statusPath); err != nil {
-		return nil, &TaskError{Task: t.ID, Err: err}
-	}
 	status := string(raw)
 	switch {
 	case status == "ok":
@@ -444,23 +422,9 @@ func (b *builder) collect(env *kernel.Env, ref uint64, t *Task, outbox *fs.FS, f
 		return nil, &TaskError{Task: t.ID, Err: errors.New(strings.TrimPrefix(status, "err "))}
 	}
 
-	conflicts, err := outbox.ReconcileFrom(img)
-	if err != nil {
-		return nil, fmt.Errorf("detmake: reconciling task %s: %w", t.ID, err)
-	}
-	if len(conflicts) > 0 {
-		// Deterministic attribution: collection runs in task-ID order,
-		// so the recorded first writer and this task form the pair.
-		p := conflicts[0].Name
-		first := firstWriter[p]
-		if first == "" {
-			first = "(parent)"
-		}
-		return nil, &OutputConflictError{Path: p, Tasks: [2]string{first, t.ID}}
-	}
 	out := make(map[string][]byte, len(t.Outputs))
 	for _, p := range t.Outputs {
-		body, err := outbox.ReadFile(p)
+		body, err := img.ReadFile(p)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotFound) {
 				return nil, &MissingOutputError{Task: t.ID, Path: p}
@@ -468,11 +432,6 @@ func (b *builder) collect(env *kernel.Env, ref uint64, t *Task, outbox *fs.FS, f
 			return nil, &TaskError{Task: t.ID, Err: err}
 		}
 		out[p] = body
-		for q := p; q != ""; q = parentDir(q) {
-			if firstWriter[q] == "" {
-				firstWriter[q] = t.ID
-			}
-		}
 	}
 	return out, nil
 }
@@ -481,9 +440,8 @@ func (b *builder) collect(env *kernel.Env, ref uint64, t *Task, outbox *fs.FS, f
 // an output that is a directory of, or lies beneath, a source or another
 // declared output. Left to run, such a pair surfaces as an fs error in
 // the middle of a wave's commit, after sibling outputs have already
-// reached the master. Task pairs are reported as the same
-// *OutputConflictError reconciliation raises for siblings, at the path
-// that would have to be both file and directory.
+// reached the master. Task pairs are reported as *OutputConflictError at
+// the path that would have to be both file and directory.
 func checkOverlap(g *Graph, sources map[string][]byte, producer map[string]string) error {
 	for _, t := range g.Tasks() {
 		for _, out := range t.Outputs {

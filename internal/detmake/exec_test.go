@@ -3,6 +3,7 @@ package detmake
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/castore"
@@ -262,41 +263,87 @@ func TestMissingOutput(t *testing.T) {
 	}
 }
 
-// Scratch files written by an action never escape its space, and two
-// siblings may use the same scratch names without conflicting.
+// Scratch files written by an action never escape its space: two
+// siblings may use the same scratch names, and a scratch file or
+// directory may carry the name of a sibling's declared output, without
+// conflicting and without the build's result depending on it.
 func TestScratchIsInvisible(t *testing.T) {
 	actions := DefaultActions()
+	// scratchy writes Args[1] to the scratch path Args[0], reads it back
+	// and copies it to its output.
 	actions.Register("scratchy", func(c *TaskCtx) error {
-		if err := c.WriteFile("tmp/scratch.txt", []byte(c.TaskID())); err != nil {
+		scratch := c.Args()[0]
+		if err := c.WriteFile(scratch, []byte(c.Args()[1])); err != nil {
 			return err
 		}
-		b, err := c.ReadFile("tmp/scratch.txt")
+		b, err := c.ReadFile(scratch)
 		if err != nil {
 			return err
 		}
 		return c.WriteFile(c.Outputs()[0], b)
 	})
-	g, err := NewGraph([]*Task{
-		mkTask("s1", "scratchy", []string{"o1"}, nil),
-		mkTask("s2", "scratchy", []string{"o2"}, nil),
-	})
-	if err != nil {
-		t.Fatal(err)
+	scratchy := func(id, out, scratch, body string) *Task {
+		return &Task{ID: id, Action: "scratchy", Args: []string{scratch, body}, Outputs: []string{out}}
 	}
-	res, err := Build(Config{Graph: g, Actions: actions})
-	if err != nil {
-		t.Fatal(err)
+	gen := func(id, out, body string) *Task {
+		return &Task{ID: id, Action: "gen", Args: []string{body}, Outputs: []string{out}}
 	}
+	build := func(tasks ...*Task) Result {
+		t.Helper()
+		return buildOrDie(t, Config{Graph: mustGraph(t, tasks), Actions: actions})
+	}
+
+	res := build(scratchy("s1", "o1", "tmp/scratch.txt", "s1"), scratchy("s2", "o2", "tmp/scratch.txt", "s2"))
 	if string(res.Outputs["o1"]) != "s1" || string(res.Outputs["o2"]) != "s2" {
 		t.Fatalf("outputs = %q %q", res.Outputs["o1"], res.Outputs["o2"])
 	}
 	if _, ok := res.Outputs["tmp/scratch.txt"]; ok {
 		t.Fatal("scratch escaped the task space")
 	}
+
+	// A scratch directory x/ beside a sibling whose declared output is x.
+	res = build(scratchy("s1", "o1", "x/tmp.txt", "s1"), gen("s2", "x", "s2"))
+	if string(res.Outputs["o1"]) != "s1" || string(res.Outputs["x"]) != "s2\n" {
+		t.Fatalf("outputs = %q %q", res.Outputs["o1"], res.Outputs["x"])
+	}
+
+	// A scratch file x beside a sibling whose declared output is x,
+	// whichever of the two sorts first. The commit order is task-ID
+	// order, so the master image (Checksum) is compared with the same
+	// IDs writing their scratch elsewhere; the tree is compared across
+	// the two orders as well.
+	var trees []Result
+	for _, ids := range [][2]string{{"a", "b"}, {"b", "a"}} {
+		noisy := build(scratchy(ids[0], "x.tmp", "x", "scratch"), gen(ids[1], "x", "out"))
+		quiet := build(scratchy(ids[0], "x.tmp", "elsewhere", "scratch"), gen(ids[1], "x", "out"))
+		if string(noisy.Outputs["x"]) != "out\n" || string(noisy.Outputs["x.tmp"]) != "scratch" {
+			t.Fatalf("scratch=%s out=%s: outputs = %q %q", ids[0], ids[1], noisy.Outputs["x"], noisy.Outputs["x.tmp"])
+		}
+		wantSameBits(t, fmt.Sprintf("scratch=%s out=%s", ids[0], ids[1]), noisy, quiet)
+		trees = append(trees, noisy)
+	}
+	if !reflect.DeepEqual(trees[0].Outputs, trees[1].Outputs) || trees[0].TreeDigest != trees[1].TreeDigest {
+		t.Fatal("the built tree depends on which sibling sorts first")
+	}
+}
+
+// wantSameBits fails unless two builds produced the same outputs, tree
+// and master image.
+func wantSameBits(t *testing.T, what string, got, want Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Outputs, want.Outputs) {
+		t.Fatalf("%s: Outputs differ", what)
+	}
+	if got.TreeDigest != want.TreeDigest {
+		t.Fatalf("%s: TreeDigest = %s, want %s", what, got.TreeDigest, want.TreeDigest)
+	}
+	if got.Checksum != want.Checksum {
+		t.Fatalf("%s: Checksum = %#x, want %#x", what, got.Checksum, want.Checksum)
+	}
 }
 
 // Nested output paths work end to end (directories are created on
-// stage, reconcile, and commit).
+// stage, by the task's own writes, and on commit).
 func TestNestedOutputPaths(t *testing.T) {
 	g, err := NewGraph([]*Task{
 		mkTask("c", "upper", []string{"obj/deep/x.o"}, []string{"src/x.c"}),
@@ -362,7 +409,7 @@ func TestOverlappingPathsRejectedBeforeCommit(t *testing.T) {
 	}
 }
 
-func mustGraph(t *testing.T, tasks []*Task) *Graph {
+func mustGraph(t testing.TB, tasks []*Task) *Graph {
 	t.Helper()
 	g, err := NewGraph(tasks)
 	if err != nil {

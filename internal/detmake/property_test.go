@@ -3,6 +3,7 @@ package detmake
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -231,6 +232,92 @@ func TestPropertyConflictReportsDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(reports[0], reports[1]) || !reflect.DeepEqual(reports[1], reports[2]) {
 		t.Fatalf("conflict reports varied: %v", reports)
+	}
+}
+
+// noisyActions wraps derive and concat so that each task, before doing
+// its real work, litters its image with seeded scratch: files and
+// directories named like other tasks' declared outputs, names its
+// siblings pick from the same small pool (as a file by one, a directory
+// by another), and files inside its own output's directory. Only a
+// name the task's own image already uses the other way — file for
+// directory — is passed over.
+func noisyActions(seed int64, tasks []*Task) *Actions {
+	var allOuts []string
+	for _, t := range tasks {
+		allOuts = append(allOuts, t.Outputs...)
+	}
+	quiet, noisy := DefaultActions(), NewActions()
+	for _, name := range []string{"derive", "concat"} {
+		body, _ := quiet.Lookup(name)
+		noisy.Register(name, func(c *TaskCtx) error {
+			h := fnv.New64a()
+			h.Write([]byte(c.TaskID()))
+			r := rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
+			// What is already a file or a directory in this image: scratch
+			// goes anywhere that contradicts neither.
+			file, dir := make(map[string]bool), make(map[string]bool)
+			add := func(p string) {
+				file[p] = true
+				for q := parentDir(p); q != ""; q = parentDir(q) {
+					dir[q] = true
+				}
+			}
+			for _, p := range append(c.Inputs(), c.Outputs()...) {
+				add(p)
+			}
+			for i, n := 0, 3+r.Intn(4); i < n; i++ {
+				p := allOuts[r.Intn(len(allOuts))]
+				switch r.Intn(5) {
+				case 0: // a file where another task's output goes
+				case 1: // a directory there
+					p += "/junk"
+				case 2:
+					p = fmt.Sprintf("tmp/shared-%d", r.Intn(3))
+				case 3:
+					p = fmt.Sprintf("tmp/shared-%d/junk", r.Intn(3))
+				case 4:
+					p = parentDir(c.Outputs()[0]) + "/junk-" + c.TaskID()
+				}
+				if file[p] || dir[p] || file[parentDir(p)] {
+					continue
+				}
+				junk := make([]byte, 1+r.Intn(200))
+				r.Read(junk)
+				if err := c.WriteFile(p, junk); err != nil {
+					return fmt.Errorf("scratch %q: %w", p, err)
+				}
+				add(p)
+			}
+			return body(c)
+		})
+	}
+	return noisy
+}
+
+// What a task leaves in its image besides its declared outputs never
+// reaches the build: over the seeded DAGs, a build whose every task
+// litters scratch over its siblings' names produces the quiet build's
+// outputs, tree and master image, executed or fetched, at any Jobs.
+func TestPropertyScratchNeverEscapes(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		tasks, sources := randomDAG(rand.New(rand.NewSource(seed)), 3, 4)
+		g := mustGraph(t, tasks)
+		for _, jobs := range []int{1, 8} {
+			what := fmt.Sprintf("seed=%d jobs=%d", seed, jobs)
+			quiet := buildOrDie(t, Config{Graph: g, Sources: sources, Jobs: jobs})
+			cfg := Config{
+				Graph: g, Actions: noisyActions(seed, tasks), Sources: sources,
+				Store: castore.NewMemStore(), Index: NewMemIndex(), Jobs: jobs,
+			}
+			cold := buildOrDie(t, cfg)
+			warm := buildOrDie(t, cfg)
+			if cold.Stats.Executed != len(tasks) || warm.Stats.CacheHits != len(tasks) {
+				t.Fatalf("%s: cold %+v, warm %+v", what, cold.Stats, warm.Stats)
+			}
+			wantSameBits(t, what+" cold", cold, quiet)
+			wantSameBits(t, what+" warm", warm, quiet)
+		}
 	}
 }
 

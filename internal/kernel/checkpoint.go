@@ -466,6 +466,11 @@ func (m *Machine) decodeConfig(r *imgenc.Reader) (devClock, devRand, devConsole 
 	cost.BatchPages = int(r.I64())
 	cost.BatchMsg = r.I64()
 	devClock, devRand, devConsole = r.I64(), r.I64(), r.I64()
+	if devClock < 0 || devRand < 0 || devConsole < 0 {
+		// fastForward would skip its loops and store the value as the
+		// machine's cursor; no checkpoint ever recorded one.
+		r.Failf("negative device cursor (clock %d, rand %d, console %d)", devClock, devRand, devConsole)
+	}
 	if err := r.Done(); err != nil { // the section and encodeConfig's output are both configSectionLen bytes
 		return 0, 0, 0, err
 	}

@@ -267,6 +267,23 @@ func TestRestoreRejectsBadImages(t *testing.T) {
 	if err := New(ckConfig()).Restore(flip); !errors.As(err, &bad) {
 		t.Fatalf("corrupt: got %v, want *BadImageError", err)
 	}
+	// A negative device cursor is rejected while decoding — fastForward
+	// would skip its loops and store it — and the machine stays pristine.
+	for i, dev := range []string{"clock", "rand", "console"} {
+		neg := append([]byte(nil), img...)
+		binary.LittleEndian.PutUint64(neg[cursorsAt+8*i:], uint64(1)<<63|uint64(i))
+		fixImageCRC(neg)
+		m := New(ckConfig())
+		if err := m.Restore(neg); !errors.As(err, &bad) {
+			t.Fatalf("negative %s cursor: got %v, want *BadImageError", dev, err)
+		}
+		if m.broken != nil {
+			t.Fatalf("negative %s cursor poisoned the machine: %v", dev, m.broken)
+		}
+		if err := m.Restore(img); err != nil {
+			t.Fatalf("machine that rejected a negative %s cursor: %v", dev, err)
+		}
+	}
 	// Forward-compat: a version bump fails closed with the typed error.
 	futur := append([]byte(nil), img...)
 	futur[4] = CheckpointVersion + 1

@@ -12,6 +12,10 @@ import (
 	"repro/internal/imgenc"
 )
 
+// cursorsAt is the offset of the three device cursors, the tail of the
+// config section that follows the envelope's 5-byte head.
+const cursorsAt = 5 + configSectionLen - 3*8
+
 // recapture resumes a restored machine with a program that does nothing
 // but checkpoint it again.
 func recapture(t *testing.T, m *Machine) []byte {
@@ -46,12 +50,15 @@ func FuzzRestore(f *testing.F) {
 	for _, cut := range []int{0, 4, 5, 5 + configSectionLen, len(golden) / 3, len(golden) - 5, len(golden) - 1} {
 		f.Add(golden[:cut])
 	}
+	negCursor := append([]byte(nil), golden...)
+	binary.LittleEndian.PutUint64(negCursor[cursorsAt+8:], ^uint64(0))
+	f.Add(imgenc.Seal(negCursor[:len(negCursor)-4]))
 
 	// Restore replays device reads up to the image's three cursors, so
 	// its running time is proportional to them by design; past this many
-	// (a negative cursor reads as huge) the harness does not call it.
+	// the harness does not call it. A negative cursor is not slow: it is
+	// rejected before anything is replayed.
 	const maxCursor = 1 << 12
-	const cursorsAt = 5 + configSectionLen - 3*8
 	const maxObject = 17 << 10
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -80,7 +87,7 @@ func FuzzRestore(f *testing.F) {
 			if len(in) >= cursorsAt+3*8 {
 				slow := false
 				for i := 0; i < 3; i++ {
-					if c := binary.LittleEndian.Uint64(in[cursorsAt+8*i:]); c > maxCursor {
+					if c := int64(binary.LittleEndian.Uint64(in[cursorsAt+8*i:])); c > maxCursor {
 						slow = true
 					}
 				}

@@ -28,7 +28,7 @@ func applyOps(t *testing.T, s *Space, ops []memOp) {
 	t.Helper()
 	for _, op := range ops {
 		if op.data == nil {
-			if err := s.Zero(alignDown(op.addr), PageSize, PermRW); err != nil {
+			if err := s.Zero(op.addr&^pageMask, PageSize, PermRW); err != nil {
 				t.Fatalf("Zero(%#x): %v", op.addr, err)
 			}
 			continue

@@ -81,10 +81,10 @@ func TestSetPermAfterShareDoesNotLeak(t *testing.T) {
 	if err := dst.SetPerm(0, PageSize, PermR); err != nil {
 		t.Fatal(err)
 	}
-	if src.PermAt(0) != PermRW {
+	if src.entry(0).perm != PermRW {
 		t.Error("dst SetPerm changed src's permissions")
 	}
-	if dst.PermAt(0) != PermR || dst.PermAt(PageSize) != PermRW {
+	if dst.entry(0).perm != PermR || dst.entry(PageSize).perm != PermRW {
 		t.Error("dst SetPerm wrong on dst itself")
 	}
 }

@@ -237,9 +237,6 @@ func CheckSpan(addr Addr, size int) error {
 	return nil
 }
 
-// alignDown / alignUp round to page boundaries.
-func alignDown(a Addr) Addr { return a &^ pageMask }
-
 func split(a Addr) (l1, l2 int) {
 	return int(a >> l1Shift), int((a >> l2Shift) & (tableEntries - 1))
 }
@@ -254,9 +251,6 @@ func (s *Space) entry(a Addr) pte {
 	}
 	return t.ptes[l2]
 }
-
-// PermAt reports the permissions at address a (PermNone if unmapped).
-func (s *Space) PermAt(a Addr) Perm { return s.entry(a).perm }
 
 // rangeCheck validates a page-aligned range. size may run to the very end
 // of the address space (addr+size == 2^32 encodes as wraparound to 0 only
@@ -750,22 +744,6 @@ func (s *Space) ReadF64s(addr Addr, dst []float64) error { return access(s, addr
 
 // WriteF64s bulk-writes src as float64s starting at addr.
 func (s *Space) WriteF64s(addr Addr, src []float64) error { return access(s, addr, src, 8, true) }
-
-// MappedPages counts mapped pages (useful in tests and for cost accounting).
-func (s *Space) MappedPages() int {
-	n := 0
-	for _, t := range s.root {
-		if t == nil {
-			continue
-		}
-		for j := range t.ptes {
-			if t.ptes[j].mapped() {
-				n++
-			}
-		}
-	}
-	return n
-}
 
 // Footprint is the resident size of a forest of spaces, in objects: the
 // distinct level-2 tables the spaces reference plus the distinct pages
