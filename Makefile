@@ -40,13 +40,14 @@ race:
 	GOMAXPROCS=4 $(GO) test -race ./...
 
 # Ten seconds of native fuzzing on each decoder of bytes that came off a
-# disk: the chunk codec and the node framing, and the decoders a
-# checkpoint passes through on its way back from a store — the chunk
-# root (vm.UnchunkForest), the flat forest (vm.DecodeForest) and the
-# machine image (kernel.Restore/SplitImage) — all over imgenc's envelope
-# and cursor. The seed corpora also run as plain tests under `make
-# test`; this target is what mutates them. A crasher is written to the
-# package's testdata/fuzz and fails every later `go test` until fixed.
+# disk: the chunk codec and the node framing, the decoders a checkpoint
+# passes through on its way back from a store — the chunk root
+# (vm.UnchunkForest), the flat forest (vm.DecodeForest) and the machine
+# image (kernel.Restore/SplitImage) — and the build cache's result
+# manifest, all over imgenc's envelope and cursor. The seed corpora also
+# run as plain tests under `make test`; this target is what mutates
+# them. A crasher is written to the package's testdata/fuzz and fails
+# every later `go test` until fixed.
 # Minimization is capped per input: the image seeds are tens of KiB, and
 # the default minute per interesting input would eat the whole window.
 FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 20x
@@ -56,6 +57,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz FuzzDecodeForest ./internal/vm
 	$(FUZZ) -fuzz FuzzUnchunkForest ./internal/vm
 	$(FUZZ) -fuzz FuzzRestore ./internal/kernel
+	$(FUZZ) -fuzz FuzzDecodeManifest ./internal/detmake
 
 # Full-size experiment tables (slow); see also `go run ./cmd/detbench`.
 bench:
@@ -67,12 +69,16 @@ bench:
 # What the tables this target used to smoke-test assert now lives in
 # package tests and the two goldens (`make test`, `make bench-exact`).
 # Then one iteration of vm's typed-access benchmark, which fails itself
-# if any of its variants allocates: the words move in place. Then one
-# cold and one warm build of detmake's two benchmark graphs, the host
-# cost of the executor's two paths.
+# if any of its variants allocates: the words move in place. Then the
+# two micro-benchmarks under a build's host cost — fs.Checksum over a
+# sparse image and the chunk codec on either side of its size floor —
+# and one cold and one warm build of detmake's benchmark graphs, alone
+# and as the five-shape pass the end-to-end make_* workloads time.
 bench-smoke:
 	$(GO) test -bench='Fig4|DschedRound' -benchtime=1x -run='^$$' .
 	$(GO) test -bench=TypedAccess -benchtime=1x -run='^$$' ./internal/vm
+	$(GO) test -bench=Checksum -benchtime=1x -run='^$$' ./internal/fs
+	$(GO) test -bench=EncodeBlob -benchtime=1x -run='^$$' ./internal/castore
 	$(GO) test -bench=Build -benchtime=1x -run='^$$' ./internal/detmake
 
 # The exact gate: the end-to-end benchmark's 14 deterministic per-layer

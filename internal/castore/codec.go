@@ -6,6 +6,7 @@ package castore
 // codec tries, in order:
 //
 //   - zero elision: an all-zero chunk stores as a 5-byte record;
+//   - the size floor: a chunk under flateFloor goes straight to raw;
 //   - flate: kept only when it actually shrinks the chunk;
 //   - raw: the identity fallback, so encoding never grows a chunk by
 //     more than the 1-byte tag (plus a 4-byte length for the sized
@@ -55,6 +56,17 @@ const MaxChunkSize = 64 << 20
 // the decoder allocate up front; past it the buffer grows only as
 // decompressed bytes actually arrive.
 const decodePrealloc = 1 << 20
+
+// flateFloor is the size under which encodeBlob does not try flate. The
+// small blobs a store sees are a build's hex digests and manifests made
+// of SHA-256 keys, and what deflating them costs is building a Huffman
+// code, not scanning bytes. With one reused BestSpeed writer (2 vCPU
+// dev VM): 65 B of hex became a 63 B record for 3.3 µs; 160 B of keys
+// became 175 B, thrown away for raw, for 14.6 µs; 1 KiB of keys became
+// 1039 B, thrown away, for 38 µs. The benchmark's cold build pass spent
+// an eighth of its time there (docs/perf.md, PR 22). The decoder knows
+// nothing of the floor: an F record of any length still decodes.
+const flateFloor = 256
 
 // ChunkSizeError reports a Put of a blob larger than MaxChunkSize.
 type ChunkSizeError struct {
@@ -145,6 +157,9 @@ func (c *codec) encodeBlob(b []byte) []byte {
 		binary.LittleEndian.PutUint32(out[1:], uint32(len(b)))
 		return out
 	}
+	if len(b) < flateFloor {
+		return rawBlob(b)
+	}
 	d := c.deflaters.get()
 	if d == nil {
 		d = &deflater{}
@@ -167,6 +182,11 @@ func (c *codec) encodeBlob(b []byte) []byte {
 	if d.buf.Len() < len(b)+1 {
 		return bytes.Clone(d.buf.Bytes())
 	}
+	return rawBlob(b)
+}
+
+// rawBlob is b in the raw form.
+func rawBlob(b []byte) []byte {
 	out := make([]byte, 0, len(b)+1)
 	out = append(out, codecRaw)
 	return append(out, b...)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -47,6 +49,12 @@ func noisePage() []byte {
 	return noise
 }
 
+// textBlob is n bytes of source-like text, which flate shrinks at any
+// length near the floor.
+func textBlob(n int) []byte {
+	return bytes.Repeat([]byte("static int f(void);\n"), n/20+1)[:n]
+}
+
 // sparsePage is the typical checkpoint chunk: one byte set in 4 KiB. It
 // takes the flate form.
 func sparsePage() []byte { return append([]byte{1}, make([]byte, 4095)...) }
@@ -70,6 +78,18 @@ func TestCodecRoundTripEveryForm(t *testing.T) {
 		{"past the prealloc cap", bytes.Repeat([]byte{7, 9}, decodePrealloc), codecFlate},
 		{"incompressible", noise, codecRaw},
 		{"tiny", []byte("x"), codecRaw},
+		// The floor: text that flate would shrink stays raw one byte under
+		// it and is deflated from it on; noise is raw and zeros are
+		// elided on either side.
+		{"text under the floor", textBlob(flateFloor - 1), codecRaw},
+		{"text at the floor", textBlob(flateFloor), codecFlate},
+		{"text over the floor", textBlob(flateFloor + 1), codecFlate},
+		{"noise under the floor", noise[:flateFloor-1], codecRaw},
+		{"noise at the floor", noise[:flateFloor], codecRaw},
+		{"noise over the floor", noise[:flateFloor+1], codecRaw},
+		{"zeros under the floor", make([]byte, flateFloor-1), codecZero},
+		{"zeros at the floor", make([]byte, flateFloor), codecZero},
+		{"zeros over the floor", make([]byte, flateFloor+1), codecZero},
 	} {
 		enc := c.encodeBlob(tc.payload)
 		if enc[0] != tc.tag {
@@ -195,8 +215,10 @@ func referenceEncode(t testing.TB, b []byte) []byte {
 	if allZero(b) {
 		return record(codecZero, uint32(len(b)), nil)
 	}
-	if enc := record(codecFlate, uint32(len(b)), deflate(t, b)); len(enc) < len(b)+1 {
-		return enc
+	if len(b) >= flateFloor {
+		if enc := record(codecFlate, uint32(len(b)), deflate(t, b)); len(enc) < len(b)+1 {
+			return enc
+		}
 	}
 	return append([]byte{codecRaw}, b...)
 }
@@ -244,6 +266,67 @@ func TestReusedWriterMatchesFresh(t *testing.T) {
 		t.Errorf("%d writers and %d readers idle, want one of each reused throughout", len(c.deflaters.idle), len(c.inflaters.idle))
 	}
 }
+
+// TestOldFlateRecordUnderFloorStillReads plants, in both backends, the
+// F record the codec wrote for a 65-byte hex digest before small blobs
+// skipped flate: the encoder no longer writes the form at that size, but
+// a store written earlier holds it, and Get must decode and verify it.
+func TestOldFlateRecordUnderFloorStillReads(t *testing.T) {
+	blob := []byte("855551177345c1a0ee22ee543ea7f947dce15554823fff6d05c6a51ff2ef9b92\n")
+	old, err := hex.DecodeString("464100000004c0c10143210803d07ba7112422e3504cf61fe1bf0b0066993b30" +
+		"d68b7427119b9daac8373400717d4b3a6f614ec324a7ea5ffefb020000ffff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) >= flateFloor || old[0] != codecFlate {
+		t.Fatalf("the fixture is a %d-byte blob in form %q; want a sub-floor F record", len(blob), old[0])
+	}
+	key := KeyOf(blob)
+	for name, s := range stores(t) {
+		if err := s.Put(key, blob); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		switch s := s.(type) {
+		case *MemStore:
+			if s.chunks[key][0] != codecRaw {
+				t.Errorf("mem: today's form of the blob is %q, want raw", s.chunks[key][0])
+			}
+			s.chunks[key] = old
+		case *DirStore:
+			if err := os.WriteFile(s.path(key), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := s.Get(key); err != nil || !bytes.Equal(got, blob) {
+			t.Errorf("%s: Get of the old record: %q, %v", name, got, err)
+		}
+		if info, err := s.Stat(key); err != nil || info != (BlobInfo{Size: len(blob), StoredSize: len(old)}) {
+			t.Errorf("%s: Stat of the old record: %+v, %v", name, info, err)
+		}
+	}
+}
+
+// BenchmarkEncodeBlob times one reused codec on the sizes a build cache
+// sees: a 64-byte digest and a 200-byte manifest of keys, both under the
+// floor, and a 4 KiB text page, which is deflated.
+func BenchmarkEncodeBlob(b *testing.B) {
+	for _, n := range []int{64, 200, 4096} {
+		blob := textBlob(n)
+		if n < flateFloor { // what small blobs are made of: hashes
+			rand.New(rand.NewSource(int64(n))).Read(blob)
+		}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			var c codec
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				encodeSink = c.encodeBlob(blob)
+			}
+		})
+	}
+}
+
+var encodeSink []byte
 
 // FuzzDecodeBlob throws arbitrary stored bytes at decodeBlob. Whatever
 // arrives, the decoder returns either bytes whose length is the one the

@@ -237,8 +237,9 @@ func (x *DirIndex) Roots() ([]castore.Key, error) {
 // its own chunk, then the manifest node referencing them. With heal
 // set (the task re-executed after a rejected cache entry), chunks that
 // are nominally present are deleted and re-put, so a corrupted stored
-// form is replaced instead of surviving behind Put's idempotence.
-func storeResult(s castore.BlobStore, action castore.Key, outputs []string, bytesOf map[string][]byte, cost int64, heal bool) (castore.Key, int64, error) {
+// form is replaced instead of surviving behind Put's idempotence. Each
+// output's content key is left in keyOf under its path.
+func storeResult(s castore.BlobStore, action castore.Key, outputs []string, bytesOf map[string][]byte, keyOf map[string]castore.Key, cost int64, heal bool) (castore.Key, int64, error) {
 	del, canDel := s.(interface{ Delete(castore.Key) error })
 	var stored int64
 	putBlob := func(k castore.Key, b []byte) error {
@@ -267,7 +268,7 @@ func storeResult(s castore.BlobStore, action castore.Key, outputs []string, byte
 		if err := putBlob(k, b); err != nil {
 			return castore.Key{}, stored, err
 		}
-		leafRefs[i] = k
+		leafRefs[i], keyOf[p] = k, k
 	}
 	node := castore.BuildNode(nil, leafRefs, encodeManifest(manifest{Action: action, Outputs: outputs, Cost: cost}))
 	man := castore.KeyOf(node)

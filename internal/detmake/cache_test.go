@@ -1,9 +1,11 @@
 package detmake
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/castore"
@@ -203,4 +205,50 @@ func compileGraphStandalone(t *testing.T) (*Graph, map[string][]byte) {
 		"main.c": []byte("int main;\n"),
 		"util.c": []byte("int util;\n"),
 	}
+}
+
+// FuzzDecodeManifest throws arbitrary payloads at decodeManifest, seeded
+// with the manifests the golden build records and their truncations. A
+// payload either decodes to a manifest that encodes back to the same
+// bytes or fails as *castore.NodeFormatError; it never panics; and what
+// decoding allocates is bounded by the payload's length, whatever output
+// count it claims.
+func FuzzDecodeManifest(f *testing.F) {
+	cfg, tasks := goldenConfig(f)
+	buildOrDie(f, cfg)
+	roots, err := cfg.Index.Roots()
+	if err != nil || len(roots) != tasks {
+		f.Fatalf("golden build recorded %d manifests for %d tasks: %v", len(roots), tasks, err)
+	}
+	for _, k := range roots {
+		node, err := castore.GetNode(cfg.Store, k)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(node.Payload)
+		f.Add(node.Payload[:len(node.Payload)/2])
+	}
+	// A count that claims every remaining byte is a path.
+	f.Add(append(encodeManifest(manifest{})[:len(manifestMagic)+castore.KeySize+8], 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0))
+
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := decodeManifest(p)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			if !errors.As(err, new(*castore.NodeFormatError)) {
+				t.Fatalf("err = %T %v, want *castore.NodeFormatError", err, err)
+			}
+		} else if enc := encodeManifest(m); !bytes.Equal(enc, p) {
+			t.Fatalf("decoded manifest encodes to %x, was %x", enc, p)
+		}
+		// Outputs grows by doubling, one 16-byte string header per 4
+		// payload bytes at most, plus the strings themselves; the slack
+		// is for the error and whatever else the process allocated
+		// meanwhile (TotalAlloc is process-wide).
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(16*len(p))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(p), grew)
+		}
+	})
 }

@@ -13,19 +13,21 @@ import (
 )
 
 // Address-space layout of a build. The master image is the build
-// tree's committed truth; the other two regions are per-task scratch in
-// the root space, reused between tasks and waves.
+// tree's committed truth; the stage region is per-task scratch in the
+// root space, reused between tasks and waves.
 const (
 	// masterBase holds the committed build tree (sources + outputs of
 	// committed waves) in the root space.
 	masterBase vm.Addr = fs.DefaultBase
 	// stageBase is where the root assembles each task's hermetic input
 	// image; the kernel Put copies it to the same address in the child,
-	// so fork-time offsets match exactly.
+	// so fork-time offsets match exactly. Every task of a wave is staged
+	// and Put before the first is collected, so the region is free again
+	// by then, and a finished child's image is Get-copied back to it for
+	// the root to read the status report and the declared outputs out
+	// of. Same address both ways: a copy that covers whole page tables
+	// shares them instead of copying their entries.
 	stageBase vm.Addr = 0xA000_0000
-	// collectBase is where a finished child's image is Get-copied so the
-	// root can read the status report and the declared outputs out of it.
-	collectBase vm.Addr = 0xB000_0000
 
 	// statusPath is the reserved control file a task writes its outcome
 	// into before halting (same '#' convention as uproc's console files).
@@ -158,7 +160,12 @@ type builder struct {
 	// tree mirrors the master replica's committed file contents; the
 	// image remains the deterministic truth (its checksum is asserted
 	// bit-equal cold vs warm), the mirror serves staging and hashing.
-	tree     map[string][]byte
+	tree map[string][]byte
+	// treeHash memoizes content keys by path. A path's bytes are set
+	// once — a source, or the output of its one producer — so an entry
+	// never goes stale; storeResult seeds an executed task's outputs a
+	// wave ahead of their commit, and nothing asks for a path that has
+	// not been committed.
 	treeHash map[string]castore.Key
 
 	stats         Stats
@@ -310,7 +317,6 @@ func (b *builder) runWave(env *kernel.Env, master *fs.FS, wave []*Task) bool {
 				return false
 			}
 			b.tree[p] = body
-			delete(b.treeHash, p)
 			tr.OutBytes += int64(len(body))
 		}
 		b.results = append(b.results, *tr)
@@ -386,15 +392,14 @@ func runAction(action ActionFunc, ctx *TaskCtx) (err error) {
 	return action(ctx)
 }
 
-// collect pulls one finished child image back, checks its status, and
-// reads the declared outputs out of it. Whatever else the task left in
-// its image is scratch and is never looked at.
+// collect pulls one finished child image back into the stage region,
+// checks its status, and reads the declared outputs out of it. Whatever
+// else the task left in its image is scratch and is never looked at.
 func (b *builder) collect(env *kernel.Env, ref uint64, t *Task) (map[string][]byte, error) {
 	size := b.cfg.TaskFSSize
-	env.SetPerm(collectBase, size, vm.PermRW)
 	info, err := env.Get(ref, kernel.GetOpts{
 		Regs: true,
-		Copy: &kernel.CopyRange{Src: stageBase, Dst: collectBase, Size: size},
+		Copy: &kernel.CopyRange{Src: stageBase, Dst: stageBase, Size: size},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("detmake: collecting task %s: %w", t.ID, err)
@@ -402,7 +407,7 @@ func (b *builder) collect(env *kernel.Env, ref uint64, t *Task) (map[string][]by
 	if info.Status != kernel.StatusHalted {
 		return nil, &TaskError{Task: t.ID, Err: fmt.Errorf("space stopped %v: %v", info.Status, info.Err)}
 	}
-	img, err := fs.Attach(env, collectBase, size)
+	img, err := fs.Attach(env, stageBase, size)
 	if err != nil {
 		return nil, &TaskError{Task: t.ID, Err: fmt.Errorf("result image corrupt: %w", err)}
 	}
@@ -477,7 +482,7 @@ func parentDir(p string) string {
 // marks a task whose previous cache entry was rejected: its chunks are
 // rewritten rather than deduplicated against the damaged stored form.
 func (b *builder) storeTask(t *Task, key castore.Key, out map[string][]byte, heal bool) (int64, error) {
-	man, stored, err := storeResult(b.cfg.Store, key, t.Outputs, out, 0, heal)
+	man, stored, err := storeResult(b.cfg.Store, key, t.Outputs, out, b.treeHash, 0, heal)
 	if err != nil {
 		return stored, err
 	}
@@ -525,7 +530,7 @@ func (b *builder) finish(vt int64) Result {
 			}
 		}
 	}
-	res.TreeDigest = treeDigest(b.tree)
+	res.TreeDigest = b.treeDigest()
 	res.Checksum = b.finalChecksum
 	return res
 }
@@ -540,13 +545,14 @@ func sortedPaths(tree map[string][]byte) []string {
 	return paths
 }
 
-// treeDigest hashes a whole tree: sorted paths, each with its content.
-func treeDigest(tree map[string][]byte) castore.Key {
+// treeDigest hashes the whole tree: sorted paths, each with its content
+// key.
+func (b *builder) treeDigest() castore.Key {
 	var buf []byte
-	for _, p := range sortedPaths(tree) {
+	for _, p := range sortedPaths(b.tree) {
 		buf = append(buf, p...)
 		buf = append(buf, 0)
-		k := castore.KeyOf(tree[p])
+		k := b.hashOf(p)
 		buf = append(buf, k[:]...)
 	}
 	return castore.KeyOf(buf)

@@ -53,7 +53,7 @@ func randomDAG(r *rand.Rand, layers, perLayer int) ([]*Task, map[string][]byte) 
 	return tasks, sources
 }
 
-func buildOrDie(t *testing.T, cfg Config) Result {
+func buildOrDie(t testing.TB, cfg Config) Result {
 	t.Helper()
 	res, err := Build(cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -211,3 +212,107 @@ func TestFNVPow(t *testing.T) {
 		}
 	}
 }
+
+// TestChecksumWordPatterns puts Checksum's word fold in front of the
+// backed pages that sit on its seams: a single non-zero byte at each of
+// the eight offsets of a word, a backed page holding nothing but zeros,
+// and pages whose only non-zero word is the first or the last. Each
+// page is written non-zero first and then overwritten, so it is backed
+// whatever it ends up holding. Value and cost must be the reference's.
+func TestChecksumWordPatterns(t *testing.T) {
+	type row struct {
+		name string
+		set  map[int]byte // offset in the page -> byte
+	}
+	rows := []row{
+		{"backed page of zeros", nil},
+		{"first word only", map[int]byte{0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 7, 7: 8}},
+		{"last word only", map[int]byte{4088: 1, 4089: 2, 4090: 3, 4091: 4, 4092: 5, 4093: 6, 4094: 7, 4095: 8}},
+		{"last byte only", map[int]byte{4095: 0x80}},
+	}
+	for k := 0; k < 8; k++ {
+		rows = append(rows, row{fmt.Sprintf("byte %d of a word", k), map[int]byte{8*37*(k+1) + k: byte(0x11 * (k + 1))}})
+	}
+	for _, r := range rows {
+		page := make([]byte, vm.PageSize)
+		for off, c := range r.set {
+			page[off] = c
+		}
+		var backed int
+		run := func(sum func(*FS) uint64) (p probe) {
+			indexEnv(t, func(env *kernel.Env) {
+				f := Format(env, testBase, 40*vm.PageSize)
+				count := func() (n int) {
+					env.ReadRuns(testBase, 40*vm.PageSize, func(b []byte) { n += len(b) }, func(int) {})
+					return n
+				}
+				before := count()
+				if err := f.WriteFile("w", bytes.Repeat([]byte{0xAA}, len(page))); err != nil {
+					panic(err)
+				}
+				if err := f.WriteAt("w", 0, page); err != nil {
+					panic(err)
+				}
+				backed = count() - before
+				p = measure(env, f, sum)
+			})
+			return p
+		}
+		got, want := run((*FS).Checksum), run(referenceChecksum)
+		if got != want {
+			t.Errorf("%s: Checksum did %+v, reference did %+v", r.name, got, want)
+		}
+		if backed < len(page) {
+			t.Errorf("%s: writing the page backed %d more bytes, want at least the page", r.name, backed)
+		}
+	}
+}
+
+// TestFNVFoldMatchesByteLoop pins the word fold to its definition on
+// spans around two words long — every length from nothing to a
+// two-word span with a tail, and in each all zeros, a single non-zero
+// byte at every position, and noise.
+func TestFNVFoldMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for n := 0; n <= 17; n++ {
+		spans := [][]byte{make([]byte, n)}
+		for i := 0; i < n; i++ {
+			b := make([]byte, n)
+			b[i] = byte(1 + rng.Intn(255))
+			spans = append(spans, b)
+		}
+		noise := make([]byte, n)
+		rng.Read(noise)
+		spans = append(spans, noise)
+		for _, b := range spans {
+			h := rng.Uint64()
+			want := h
+			for _, c := range b {
+				want = (want ^ uint64(c)) * fnvPrime64
+			}
+			if got := fnvFold(h, b); got != want {
+				t.Errorf("fnvFold(%#x, %x) = %#x, the byte loop gives %#x", h, b, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkChecksum times Checksum over the image a build leaves: the
+// default 16 MiB, a few dozen short files, so the backed pages are the
+// superblock, the inode table and file pages that are mostly slack.
+func BenchmarkChecksum(b *testing.B) {
+	indexEnv(b, func(env *kernel.Env) {
+		f := Format(env, DefaultBase, DefaultSize)
+		for i := 0; i < 40; i++ {
+			if err := f.WriteFile(fmt.Sprintf("f%02d", i), bytes.Repeat([]byte("static int x;\n"), 5+i)); err != nil {
+				panic(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			checksumSink = f.Checksum()
+		}
+	})
+}
+
+var checksumSink uint64
