@@ -44,7 +44,8 @@ race:
 # passes through on its way back from a store — the chunk root
 # (vm.UnchunkForest), the flat forest (vm.DecodeForest) and the machine
 # image (kernel.Restore/SplitImage) — and the build cache's result
-# manifest, all over imgenc's envelope and cursor. The seed corpora also
+# manifest, all over imgenc's envelope and cursor; and on fs.Attach, the
+# one decoder of bytes another space wrote. The seed corpora also
 # run as plain tests under `make test`; this target is what mutates
 # them. A crasher is written to the package's testdata/fuzz and fails
 # every later `go test` until fixed.
@@ -58,6 +59,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz FuzzUnchunkForest ./internal/vm
 	$(FUZZ) -fuzz FuzzRestore ./internal/kernel
 	$(FUZZ) -fuzz FuzzDecodeManifest ./internal/detmake
+	$(FUZZ) -fuzz FuzzAttach ./internal/fs
 
 # Full-size experiment tables (slow); see also `go run ./cmd/detbench`.
 bench:
@@ -70,14 +72,17 @@ bench:
 # package tests and the two goldens (`make test`, `make bench-exact`).
 # Then one iteration of vm's typed-access benchmark, which fails itself
 # if any of its variants allocates: the words move in place. Then the
-# two micro-benchmarks under a build's host cost — fs.Checksum over a
-# sparse image and the chunk codec on either side of its size floor —
-# and one cold and one warm build of detmake's benchmark graphs, alone
-# and as the five-shape pass the end-to-end make_* workloads time.
+# strided column load beside the scalar loop it stands for, and the
+# micro-benchmarks under a build's host cost — fs.Checksum over a sparse
+# image, the whole-table scans of a task image and a full one, the chunk
+# codec on either side of its size floor — and one cold and one warm
+# build of detmake's benchmark graphs, alone and as the five-shape pass
+# the end-to-end make_* workloads time.
 bench-smoke:
 	$(GO) test -bench='Fig4|DschedRound' -benchtime=1x -run='^$$' .
 	$(GO) test -bench=TypedAccess -benchtime=1x -run='^$$' ./internal/vm
-	$(GO) test -bench=Checksum -benchtime=1x -run='^$$' ./internal/fs
+	$(GO) test -bench=ReadU32Stride -benchtime=1x -run='^$$' ./internal/kernel
+	$(GO) test -bench='Checksum|Scan' -benchtime=1x -run='^$$' ./internal/fs
 	$(GO) test -bench=EncodeBlob -benchtime=1x -run='^$$' ./internal/castore
 	$(GO) test -bench=Build -benchtime=1x -run='^$$' ./internal/detmake
 

@@ -105,6 +105,15 @@ func benchShapes(b *testing.B) []benchShape {
 // compressor is a megabyte of tables) are paid once per 80 tasks; a
 // single shape against its own fresh store pays them per 16 or 25 and
 // overstates them threefold.
+//
+// Even the pass is a skewed profile, though: under `go test` the live heap
+// sits at the runtime's 4 MB minimum trigger and is collected about twice
+// per pass, which the long-running benchmark process does not do. Against
+// a profile of that process (PR 23, docs/perf.md) the pass overstated GC
+// threefold (gcBgMarkWorker 16.9 % vs 5.8 %, bgscavenge 8.9 % vs 2.1 %)
+// and understated fs metadata reads by a third (fs.gu32 15.0 % vs
+// 24.1 %). Use this benchmark to time a change; order the work from a
+// profile of `benchmark --workload make_cold` itself.
 func BenchmarkBuild(b *testing.B) {
 	shapes := benchShapes(b)
 	build := func(b *testing.B, s benchShape, store castore.BlobStore, idx ActionIndex, warm bool) {

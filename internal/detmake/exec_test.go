@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/castore"
@@ -260,6 +261,38 @@ func TestMissingOutput(t *testing.T) {
 	}
 	if miss.Task != "l" || miss.Path != "two" {
 		t.Fatalf("missing = %+v", miss)
+	}
+}
+
+// An action that scribbles over its own image's region table — a wild
+// store, or a hostile action — fails its task when the root attaches to
+// what it left; the root must not follow the table and fault with it.
+// (Offsets are fs's superblock layout: the region count at 40, the table
+// of {start, size} pairs at 64.)
+func TestScribbledResultImageFailsTheTask(t *testing.T) {
+	actions := DefaultActions()
+	actions.Register("scribble", func(c *TaskCtx) error {
+		if err := c.WriteFile(c.Outputs()[0], []byte("written")); err != nil {
+			return err
+		}
+		c.env.WriteU32(stageBase+40, 2)
+		c.env.WriteU32(stageBase+64+4, 0xd7d7d7d7) // region 0 runs 3.6 GB past the image
+		c.env.WriteU32(stageBase+64+8, 0xd7d7d7d7) // and region 1 chains on from there
+		c.env.WriteU32(stageBase+64+12, 1)
+		return nil
+	})
+	g, err := NewGraph([]*Task{mkTask("s", "scribble", []string{"out"}, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Build(Config{Graph: g, Actions: actions})
+	var te *TaskError
+	if !errors.As(err, &te) || te.Task != "s" || !strings.Contains(err.Error(), "result image corrupt") {
+		t.Fatalf("Build = %v, want *TaskError for s: result image corrupt", err)
+	}
+	// The root ran to its last line: it halted, it did not fault.
+	if res.Checksum == 0 {
+		t.Fatal("build machine did not reach the master checksum")
 	}
 }
 

@@ -37,8 +37,10 @@ func (f *FS) Compact(o CompactOptions) (CompactStats, error) {
 	}
 	var items []item
 	var caps []uint32
+	var flags [NumInodes]uint32
+	f.column(iFlags, &flags)
 	for ino := 1; ino < NumInodes; ino++ {
-		fl := f.iGet(ino, iFlags)
+		fl := flags[ino]
 		if fl&flagExists == 0 || fl&flagDir != 0 {
 			continue
 		}
@@ -63,8 +65,9 @@ func (f *FS) Compact(o CompactOptions) (CompactStats, error) {
 	}
 
 	if o.ReclaimTombstones {
+		f.column(iFlags, &flags) // freeSlot scrubs only the slot it is given
 		for ino := 1; ino < NumInodes; ino++ {
-			if f.iGet(ino, iFlags)&flagTomb != 0 {
+			if flags[ino]&flagTomb != 0 {
 				f.freeSlot(ino) // tombstones hold no extent by invariant
 				st.Tombs++
 			}

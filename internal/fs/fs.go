@@ -294,6 +294,9 @@ func Attach(env *kernel.Env, base vm.Addr, mapped uint64) (*FS, error) {
 	if uint64(size) > mapped {
 		return nil, fmt.Errorf("fs: image claims %d bytes but only %d are mapped", size, mapped)
 	}
+	if size%vm.PageSize != 0 {
+		return nil, fmt.Errorf("fs: image size %d is not whole pages", size)
+	}
 	n := int(f.gu32(sbRegions))
 	if n < 1 || n > maxRegions {
 		return nil, fmt.Errorf("fs: corrupt region count %d", n)
@@ -305,7 +308,13 @@ func Attach(env *kernel.Env, base vm.Addr, mapped uint64) (*FS, error) {
 		if start != end || rsize == 0 {
 			return nil, fmt.Errorf("fs: region %d not chained (start %d, prev end %d)", i, start, end)
 		}
-		if i > 0 && (f.gu32(start) != regionMagic || f.gu32(start+4) != uint32(i)) {
+		// The table is image bytes: a region is bounded by the size the
+		// caller vouched for before its header is dereferenced, or a wild
+		// entry faults the attaching space instead of failing the attach.
+		if uint64(start)+uint64(rsize) > uint64(size) {
+			return nil, fmt.Errorf("fs: region %d [%d,+%d) outside the image's %d bytes", i, start, rsize, size)
+		}
+		if i > 0 && (rsize < vm.PageSize || f.gu32(start) != regionMagic || f.gu32(start+4) != uint32(i)) {
 			return nil, fmt.Errorf("fs: region %d header missing", i)
 		}
 		end = start + rsize
@@ -326,10 +335,16 @@ func Attach(env *kernel.Env, base vm.Addr, mapped uint64) (*FS, error) {
 	}
 	// Inode extents must point into the chain too: ReconcileFrom reads
 	// a replica's extents directly, and a corrupt iExtOff would turn
-	// into a machine fault mid-reconcile instead of this error.
+	// into a machine fault mid-reconcile instead of this error. Both
+	// columns are read in full before the first slot is judged: an
+	// accepted image costs exactly what reading field by field did, a
+	// rejected one has been charged for every slot, not only for those
+	// up to the one that failed.
+	var flags, caps [NumInodes]uint32
+	f.column(iFlags, &flags)
+	f.column(iExtCap, &caps)
 	for ino := 1; ino < NumInodes; ino++ {
-		fl := f.iGet(ino, iFlags)
-		c := f.iGet(ino, iExtCap)
+		fl, c := flags[ino], caps[ino]
 		isFile := fl&flagExists != 0 && fl&flagDir == 0
 		if !isFile && c != 0 {
 			// Free slots are scrubbed, tombstones freed their extent,
@@ -391,8 +406,12 @@ func (f *FS) pu32(off uint32, v uint32)   { f.env.WriteU32(f.base+vm.Addr(off), 
 func (f *FS) gbytes(off uint32, p []byte) { f.env.Read(f.base+vm.Addr(off), p) }
 func (f *FS) pbytes(off uint32, p []byte) { f.env.Write(f.base+vm.Addr(off), p) }
 
-func (f *FS) size() uint64    { return uint64(f.gu32(sbSize)) }
-func (f *FS) maxSize() uint64 { return uint64(f.gu32(sbMaxSize)) }
+func (f *FS) size() uint64 { return uint64(f.gu32(sbSize)) }
+
+// maxSize reads the growth ceiling. Format records whole pages; a ceiling
+// that is not is hostile bytes Attach does not read, and counts as the
+// page boundary below it so growth never maps a ragged span.
+func (f *FS) maxSize() uint64 { return uint64(f.gu32(sbMaxSize)) &^ (vm.PageSize - 1) }
 
 func roundPages(n uint64) uint64 {
 	return (n + vm.PageSize - 1) &^ uint64(vm.PageSize-1)
@@ -403,11 +422,21 @@ func inodeOff(ino int) uint32 { return uint32(inodeTable + ino*inodeSize) }
 func (f *FS) iGet(ino int, field uint32) uint32    { return f.gu32(inodeOff(ino) + field) }
 func (f *FS) iPut(ino int, field uint32, v uint32) { f.pu32(inodeOff(ino)+field, v) }
 
+// column reads one field of every slot but the root's: col[ino] is what
+// iGet(ino, field) returns, for ino 1…NumInodes-1, at the same charge as
+// those 127 reads in slot order. A scan may take a field from a column
+// only if it visits every slot and stores into no later slot's copy of
+// that field; one that can stop early would be charged for slots it never
+// read, and stays scalar (freeInode, childInScan, dirHasLive).
+func (f *FS) column(field uint32, col *[NumInodes]uint32) {
+	f.env.ReadU32Stride(f.base+vm.Addr(inodeOff(1)+field), inodeSize, col[1:])
+}
+
 // inUse reports whether a slot holds a live entry or a tombstone. This
 // is the single authoritative free-slot test: every iteration over the
-// inode table goes through it (or through a flag test strictly narrower
-// than it), so a freed slot can never surface through lookup or List no
-// matter what stale bytes its name field holds.
+// inode table goes through it, applies its mask to a column of flags, or
+// applies a strictly narrower one, so a freed slot can never surface
+// through lookup or List no matter what stale bytes its name field holds.
 func (f *FS) inUse(ino int) bool {
 	return f.iGet(ino, iFlags)&(flagExists|flagTomb) != 0
 }
@@ -443,12 +472,20 @@ func (f *FS) setName(ino int, name string) {
 }
 
 // pathOf reconstructs an entry's full path (no leading slash; "" is the
-// root) by walking parent links.
+// root) by walking parent links. A link is image bytes Attach does not
+// validate (a third column would add 127 reads to every attach), and a
+// scan hands pathOf slots no lookup vouched for, so the link is bounded
+// here, where it becomes an address: one that names no slot ends the walk
+// as the root does.
 func (f *FS) pathOf(ino int) string {
 	var parts []string
 	for depth := 0; ino != 0 && depth < NumInodes; depth++ {
 		parts = append(parts, f.name(ino))
-		ino = int(f.iGet(ino, iParent))
+		p := f.iGet(ino, iParent)
+		if p >= NumInodes {
+			break
+		}
+		ino = int(p)
 	}
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
 		parts[i], parts[j] = parts[j], parts[i]
@@ -509,8 +546,10 @@ func (f *FS) childInScan(dir int, name string, want uint32) int {
 // entry under its (parent, name) key.
 func (f *FS) rebuildIndex(gen uint32) {
 	f.idx = make(map[dirent]int)
+	var flags [NumInodes]uint32
+	f.column(iFlags, &flags)
 	for i := 1; i < NumInodes; i++ {
-		if f.inUse(i) {
+		if flags[i]&(flagExists|flagTomb) != 0 {
 			f.idx[dirent{dir: int(f.iGet(i, iParent)), name: f.name(i)}] = i
 		}
 	}
@@ -1157,8 +1196,10 @@ func (f *FS) statIno(ino int) Info {
 // keeping with §2.4: directory iteration must not leak timing.
 func (f *FS) List() []Info {
 	var out []Info
+	var flags [NumInodes]uint32
+	f.column(iFlags, &flags)
 	for i := 1; i < NumInodes; i++ {
-		if f.iGet(i, iFlags)&flagExists != 0 {
+		if flags[i]&flagExists != 0 {
 			out = append(out, f.statIno(i))
 		}
 	}
@@ -1178,8 +1219,10 @@ func (f *FS) ReadDir(path string) ([]Info, error) {
 		return nil, err
 	}
 	var out []Info
+	var flags [NumInodes]uint32
+	f.column(iFlags, &flags)
 	for i := 1; i < NumInodes; i++ {
-		if f.iGet(i, iFlags)&flagExists != 0 && int(f.iGet(i, iParent)) == dir {
+		if flags[i]&flagExists != 0 && int(f.iGet(i, iParent)) == dir {
 			out = append(out, f.statIno(i))
 		}
 	}
@@ -1401,8 +1444,10 @@ func (f *FS) Truncate(path string, n int) error {
 // changed (the degenerate two-replica version vector of Parker et al.).
 func (f *FS) StampFork() {
 	defer f.unlock()()
+	var flags [NumInodes]uint32
+	f.column(iFlags, &flags)
 	for i := 1; i < NumInodes; i++ {
-		if !f.inUse(i) {
+		if flags[i]&(flagExists|flagTomb) == 0 {
 			continue
 		}
 		f.iPut(i, iForkVersion, f.iGet(i, iVersion))

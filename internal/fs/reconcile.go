@@ -53,8 +53,13 @@ func (f *FS) ReconcileFrom(child *FS) ([]Conflict, error) {
 		depth int
 	}
 	var dirTombs []dirTomb
+	// The child's flags are read up front: nothing below stores into the
+	// child. A pass that stops on an error has been charged for the whole
+	// column, not for the slots up to the failing one.
+	var cflags [NumInodes]uint32
+	child.column(iFlags, &cflags)
 	for ino := 1; ino < NumInodes; ino++ {
-		cfl := child.iGet(ino, iFlags)
+		cfl := cflags[ino]
 		if cfl&(flagExists|flagTomb) == 0 {
 			continue
 		}

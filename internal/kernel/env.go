@@ -221,6 +221,29 @@ func (e *Env) ReadU32s(addr vm.Addr, dst []uint32) {
 	e.fault(e.sp.mem.ReadU32s(addr, dst))
 }
 
+// ReadU32Stride loads dst[i] from addr+i*stride — one field of a table of
+// records — and is accounted exactly as len(dst) calls of ReadU32 in index
+// order: the loop below is its definition. When no tick of the batch can
+// park the space (no limit armed, preemption suppressed, or the limit lies
+// beyond the batch) and every page is resident, the same ticks are charged
+// at once around one pass over the pages; an access that faults has been
+// charged for, and the ones after it have not, as in the loop.
+func (e *Env) ReadU32Stride(addr, stride vm.Addr, dst []uint32) {
+	sp, n := e.sp, int64(len(dst))
+	if sp.fetched != nil || (sp.limit > 0 && sp.critical == 0 && sp.insns+n >= sp.limit) {
+		for i := range dst {
+			dst[i] = e.ReadU32(addr + vm.Addr(i)*stride)
+		}
+		return
+	}
+	loaded, err := sp.mem.ReadU32Stride(addr, stride, dst)
+	if err != nil {
+		n = int64(loaded) + 1
+	}
+	e.Tick(n)
+	e.fault(err)
+}
+
 // WriteU32s bulk-stores little-endian uint32s.
 func (e *Env) WriteU32s(addr vm.Addr, src []uint32) {
 	e.access(addr, 4*len(src), true)

@@ -676,6 +676,38 @@ func (s *Space) ReadU32(addr Addr) (uint32, error) {
 	return binary.LittleEndian.Uint32(d[off:]), nil
 }
 
+// ReadU32Stride loads dst[i] from addr+i*stride (Addr arithmetic, as a
+// loop of ReadU32 would compute it), in index order. It is that loop with
+// each page resolved once: consecutive elements on one page share the
+// lookup, a word astride a page boundary takes the byte path, and the first
+// element that faults stops the load — loaded counts the elements before
+// it, and err is the error ReadU32 returns for that element.
+func (s *Space) ReadU32Stride(addr, stride Addr, dst []uint32) (loaded int, err error) {
+	c := cursor{s: s, l1: -1}
+	var d *[PageSize]byte // the page at base, nil before the first lookup
+	var base Addr
+	for i := range dst {
+		a := addr + Addr(i)*stride
+		off := a & pageMask
+		if off > PageSize-4 {
+			v, err := s.ReadU32(a)
+			if err != nil {
+				return i, err
+			}
+			dst[i] = v
+			continue
+		}
+		if d == nil || a-off != base {
+			if d, err = c.page(a, false, false); err != nil {
+				return i, err
+			}
+			base = a - off
+		}
+		dst[i] = binary.LittleEndian.Uint32(d[off:])
+	}
+	return len(dst), nil
+}
+
 // WriteU32 writes a little-endian uint32 at addr.
 func (s *Space) WriteU32(addr Addr, v uint32) error {
 	off := addr & pageMask
