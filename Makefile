@@ -44,8 +44,9 @@ race:
 # passes through on its way back from a store — the chunk root
 # (vm.UnchunkForest), the flat forest (vm.DecodeForest) and the machine
 # image (kernel.Restore/SplitImage) — and the build cache's result
-# manifest, all over imgenc's envelope and cursor; and on fs.Attach, the
-# one decoder of bytes another space wrote. The seed corpora also
+# manifest, all over imgenc's envelope and cursor; and on the two
+# decoders of bytes another space wrote: detmake's task message, over
+# the same cursor, and fs.Attach. The seed corpora also
 # run as plain tests under `make test`; this target is what mutates
 # them. A crasher is written to the package's testdata/fuzz and fails
 # every later `go test` until fixed.
@@ -59,6 +60,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz FuzzUnchunkForest ./internal/vm
 	$(FUZZ) -fuzz FuzzRestore ./internal/kernel
 	$(FUZZ) -fuzz FuzzDecodeManifest ./internal/detmake
+	$(FUZZ) -fuzz FuzzTaskMessage ./internal/detmake
 	$(FUZZ) -fuzz FuzzAttach ./internal/fs
 
 # Full-size experiment tables (slow); see also `go run ./cmd/detbench`.
@@ -77,14 +79,15 @@ bench:
 # image, the whole-table scans of a task image and a full one, the chunk
 # codec on either side of its size floor — and one cold and one warm
 # build of detmake's benchmark graphs, alone and as the five-shape pass
-# the end-to-end make_* workloads time.
+# the end-to-end make_* workloads time, with what marshalling a task's
+# inputs or outputs across the space boundary costs beside them.
 bench-smoke:
 	$(GO) test -bench='Fig4|DschedRound' -benchtime=1x -run='^$$' .
 	$(GO) test -bench=TypedAccess -benchtime=1x -run='^$$' ./internal/vm
 	$(GO) test -bench=ReadU32Stride -benchtime=1x -run='^$$' ./internal/kernel
 	$(GO) test -bench='Checksum|Scan' -benchtime=1x -run='^$$' ./internal/fs
 	$(GO) test -bench=EncodeBlob -benchtime=1x -run='^$$' ./internal/castore
-	$(GO) test -bench=Build -benchtime=1x -run='^$$' ./internal/detmake
+	$(GO) test -bench='Build|TaskMessage' -benchtime=1x -run='^$$' ./internal/detmake
 
 # The exact gate: the end-to-end benchmark's 14 deterministic per-layer
 # metrics (virtual times, instruction, round, page and byte counts) must

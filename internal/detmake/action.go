@@ -61,9 +61,12 @@ func (e *UndeclaredInputError) Error() string {
 	return fmt.Sprintf("detmake: task %s read undeclared input %q", e.Task, e.Path)
 }
 
-// TaskError reports an action body that failed. Err unwraps to the
-// underlying cause — in particular errors.Is(err, fs.ErrNoSpace) holds
-// when the task's hermetic image filled up mid-action.
+// TaskError reports a task that failed: its action body returned an
+// error or panicked, its space faulted, or what it left for the root was
+// not a well-formed result message. Err unwraps to the underlying cause —
+// in particular errors.Is(err, fs.ErrNoSpace) holds when the task's
+// hermetic image filled up, under the action or already under its
+// declared inputs.
 type TaskError struct {
 	Task string
 	Err  error
@@ -97,10 +100,12 @@ func (e *OutputConflictError) Error() string {
 	return fmt.Sprintf("detmake: tasks %s and %s wrote conflicting state at %q", e.Tasks[0], e.Tasks[1], e.Path)
 }
 
-// TaskCtx is an action's window onto its hermetic world: the declared
-// inputs (readable), the declared outputs (writable), and scratch
-// space — any other path, which lives and dies with the task's space
-// whatever it is named. Reads outside the declared inputs are the one
+// TaskCtx is an action's window onto its hermetic world, an image the
+// task's own space formats and fills before the action runs: the
+// declared inputs (readable), the declared outputs (writable, and read
+// back out by the task when the action returns), and scratch space — any
+// other path, which lives and dies with the task's space whatever it is
+// named. Reads outside the declared inputs are the one
 // determinism hazard the kernel cannot see — the path exists in the
 // wider build tree but not in this image — so the context detects them
 // and fails the task typed, whether or not the action swallows the

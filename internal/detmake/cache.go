@@ -33,6 +33,12 @@ import (
 // actionKeyVersion salts every action key; bump it when the key
 // derivation or the hermetic execution semantics change, so stale
 // caches miss instead of serving results computed under old rules.
+// Moving the outcome report out of the image (a status file until PR 24,
+// a message over the dead image since) needed no bump: only successes
+// are recorded, every execution that succeeded under the old rules
+// succeeds under the new ones with the same bits, and the one that is
+// new — a task that fills its image to the last extent and returns nil
+// used to fault writing the status file — had no entry to go stale.
 const actionKeyVersion = "detmake action v1\n"
 
 // actionKey derives the cache key of one task against concrete input

@@ -1,6 +1,7 @@
 package detmake
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -8,30 +9,30 @@ import (
 
 	"repro/internal/castore"
 	"repro/internal/fs"
+	"repro/internal/imgenc"
 	"repro/internal/kernel"
 	"repro/internal/vm"
 )
 
 // Address-space layout of a build. The master image is the build
-// tree's committed truth; the stage region is per-task scratch in the
-// root space, reused between tasks and waves.
+// tree's committed truth; a task's state crosses the space boundary at
+// stageBase, as one flat message each way.
 const (
 	// masterBase holds the committed build tree (sources + outputs of
 	// committed waves) in the root space.
 	masterBase vm.Addr = fs.DefaultBase
-	// stageBase is where the root assembles each task's hermetic input
-	// image; the kernel Put copies it to the same address in the child,
-	// so fork-time offsets match exactly. Every task of a wave is staged
-	// and Put before the first is collected, so the region is free again
-	// by then, and a finished child's image is Get-copied back to it for
-	// the root to read the status report and the declared outputs out
-	// of. Same address both ways: a copy that covers whole page tables
-	// shares them instead of copying their entries.
+	// stageBase is the one address a child keeps anything at: the input
+	// message until its prologue has read it, then the hermetic image the
+	// prologue formats over it, then — the image's head overwritten — the
+	// result message. In the root it holds whatever the task collected
+	// last left there, its whole region: a Get between equal addresses
+	// that covers whole page tables shares them instead of copying their
+	// entries, and the root, which only ever reads there, never breaks
+	// the share.
 	stageBase vm.Addr = 0xA000_0000
-
-	// statusPath is the reserved control file a task writes its outcome
-	// into before halting (same '#' convention as uproc's console files).
-	statusPath = "#detmake-status"
+	// outBase is where the root, and only the root, writes: each input
+	// message in turn, whose pages Put copies to stageBase in the child.
+	outBase vm.Addr = 0xB000_0000
 )
 
 // Defaults for Config's zero values.
@@ -266,14 +267,11 @@ func (b *builder) runWave(env *kernel.Env, master *fs.FS, wave []*Task) bool {
 		}
 		refs := make([]uint64, len(cold))
 		for i, t := range cold {
-			if err := b.stage(env, t); err != nil {
-				b.fail(err)
-				return false
-			}
+			n, pages := b.stage(env, t)
 			refs[i] = uint64(i + 1)
 			err := env.Put(refs[i], kernel.PutOpts{
-				Regs:  &kernel.Regs{Entry: b.taskEntry(t, treeSnap)},
-				Copy:  &kernel.CopyRange{Src: stageBase, Dst: stageBase, Size: cfg.TaskFSSize},
+				Regs:  &kernel.Regs{Entry: b.taskEntry(t, treeSnap), Arg: n},
+				Copy:  pages,
 				Start: true,
 			})
 			if err != nil {
@@ -324,21 +322,120 @@ func (b *builder) runWave(env *kernel.Env, master *fs.FS, wave []*Task) bool {
 	return true
 }
 
-// stage builds the hermetic input image for one task at stageBase.
-func (b *builder) stage(env *kernel.Env, t *Task) error {
-	img := fs.Format(env, stageBase, b.cfg.TaskFSSize)
-	ins := append([]string{}, t.Inputs...)
-	sort.Strings(ins)
-	for _, in := range ins {
-		if err := writeAll(img, in, b.tree[in]); err != nil {
-			return fmt.Errorf("detmake: staging input %q for task %s: %w", in, t.ID, err)
-		}
-	}
-	return nil
+// taskFile is one entry of a message's file list.
+type taskFile struct {
+	Path string
+	Body []byte
 }
 
-// taskEntry is the child-space program of one task: attach the
-// hermetic image, run the action, and report through the status file.
+// A task's inputs and its outputs cross the space boundary in one
+// format: a u32 word, a u32 count, then that many (path, bytes) pairs,
+// each half u32-length-prefixed. Down, the word is outcomeOK and the
+// list is the declared inputs in sorted path order. Up, the word is the
+// task's outcome and the list is the declared outputs in declared order
+// or, for a failure, one entry whose path field carries the path or
+// message of the typed error. A message's length travels beside it in a
+// register (Arg down, Ret up), not in it.
+const (
+	outcomeOK         uint32 = iota
+	outcomeUndeclared        // the path read
+	outcomeNoSpace           // the action's error
+	outcomeErr               // the action's error
+	outcomeMissing           // the declared output never written
+)
+
+// encodeMessage is the one encoder.
+func encodeMessage(word uint32, files []taskFile) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, word)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(files)))
+	for _, f := range files {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Path)))
+		b = append(b, f.Path...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Body)))
+		b = append(b, f.Body...)
+	}
+	return b
+}
+
+// decodeMessage is the one decoder. Bodies alias msg; the count is
+// bounded by the bytes that are left, two length prefixes to a pair, so
+// the list can be sized by it.
+func decodeMessage(msg []byte) (word uint32, files []taskFile, err error) {
+	r := &imgenc.Reader{B: msg, Wrap: func(off int, what string) error {
+		return fmt.Errorf("byte %d: %s", off, what)
+	}}
+	word = r.U32()
+	n := r.Count(8, "file")
+	files = make([]taskFile, 0, n)
+	for ; n > 0 && r.Err == nil; n-- {
+		files = append(files, taskFile{Path: r.Str(), Body: r.Bytes()})
+	}
+	return word, files, r.Done()
+}
+
+// decodeResult parses the result message task t left: its declared
+// outputs by path, or the typed failure it reported. The child is
+// untrusted, so anything but a well-formed message saying exactly what
+// t declared is a *TaskError.
+func decodeResult(t *Task, msg []byte) (map[string][]byte, error) {
+	corrupt := func(format string, args ...any) (map[string][]byte, error) {
+		return nil, &TaskError{Task: t.ID, Err: fmt.Errorf("result message corrupt: "+format, args...)}
+	}
+	outcome, files, err := decodeMessage(msg)
+	switch {
+	case err != nil:
+		return corrupt("%v", err)
+	case outcome == outcomeOK && len(files) == len(t.Outputs):
+		out := make(map[string][]byte, len(files))
+		for i, f := range files {
+			if f.Path != t.Outputs[i] {
+				return corrupt("output %d is %q, declared %q", i, f.Path, t.Outputs[i])
+			}
+			out[f.Path] = f.Body
+		}
+		return out, nil
+	case outcome == outcomeOK || len(files) != 1:
+		return corrupt("outcome %d with %d files, %d outputs declared", outcome, len(files), len(t.Outputs))
+	}
+	switch detail := files[0].Path; outcome {
+	case outcomeUndeclared:
+		return nil, &UndeclaredInputError{Task: t.ID, Path: detail}
+	case outcomeNoSpace:
+		return nil, &TaskError{Task: t.ID, Err: fmt.Errorf("%s: %w", detail, fs.ErrNoSpace)}
+	case outcomeErr:
+		return nil, &TaskError{Task: t.ID, Err: errors.New(detail)}
+	case outcomeMissing:
+		return nil, &MissingOutputError{Task: t.ID, Path: detail}
+	}
+	return corrupt("unknown outcome %d", outcome)
+}
+
+// stage writes task t's input message at outBase and returns its length
+// and the pages a Put must copy to stageBase in the child. The pages are
+// zeroed first because Put copies whole pages: the tail of the last one
+// would otherwise hand the child the end of a sibling's message.
+func (b *builder) stage(env *kernel.Env, t *Task) (uint64, *kernel.CopyRange) {
+	ins := append([]string{}, t.Inputs...)
+	sort.Strings(ins)
+	files := make([]taskFile, len(ins))
+	for i, in := range ins {
+		files[i] = taskFile{Path: in, Body: b.tree[in]}
+	}
+	msg := encodeMessage(outcomeOK, files)
+	pages := (uint64(len(msg)) + vm.PageSize - 1) &^ (vm.PageSize - 1)
+	env.Zero(outBase, pages, vm.PermRW)
+	env.Write(outBase, msg)
+	return uint64(len(msg)), &kernel.CopyRange{Src: outBase, Dst: stageBase, Size: pages}
+}
+
+// taskEntry is the child-space program of one task. Its prologue reads
+// the input message (Arg bytes at stageBase) and formats the task's own
+// image over it; its epilogue reads the declared outputs back through the
+// same handle and leaves the result message at stageBase, its length in
+// Ret. The image is dead by then, so the message goes over its head:
+// there is always room to report, even after ErrNoSpace. The action in
+// between sees what it always saw, a real image holding exactly its
+// inputs.
 func (b *builder) taskEntry(t *Task, treeSnap map[string]bool) func(*kernel.Env) {
 	size := b.cfg.TaskFSSize
 	action, _ := b.cfg.Actions.Lookup(t.Action)
@@ -347,54 +444,67 @@ func (b *builder) taskEntry(t *Task, treeSnap map[string]bool) func(*kernel.Env)
 		inputs[p] = true
 	}
 	return func(env *kernel.Env) {
-		img, err := fs.Attach(env, stageBase, size)
+		raw := make([]byte, env.Arg())
+		env.Read(stageBase, raw)
+		_, files, err := decodeMessage(raw)
 		if err != nil {
-			panic(err) // hermetic image corrupt: fault the space
+			panic(err) // the root's own message is damaged: fault the space
 		}
-		ctx := &TaskCtx{task: t, img: img, env: env, inputs: inputs, tree: treeSnap}
-		actErr := runAction(action, ctx)
-
-		status := "ok"
-		ret := uint64(0)
-		switch {
-		case ctx.violation != nil:
-			status, ret = "undeclared "+ctx.violation.Path, 1
-		case actErr != nil && errors.Is(actErr, fs.ErrNoSpace):
-			status, ret = "nospace "+actErr.Error(), 1
-		case actErr != nil:
-			status, ret = "err "+actErr.Error(), 1
-		}
-		if ret != 0 {
-			// Nothing a failed task wrote is read back, so drop it all:
-			// that is what guarantees room for the status report even
-			// after ErrNoSpace.
-			for _, info := range img.List() {
-				if !info.Dir && !inputs[info.Name] {
-					_ = img.Unlink(info.Name)
-				}
-			}
-		}
-		if err := img.WriteFile(statusPath, []byte(status)); err != nil {
-			panic(err) // cannot even report: fault the space
-		}
-		env.SetRet(ret)
+		ctx := &TaskCtx{task: t, img: fs.Format(env, stageBase, size), env: env, inputs: inputs, tree: treeSnap}
+		msg := resultMessage(ctx, runAction(action, ctx, files))
+		env.Write(stageBase, msg)
+		env.SetRet(uint64(len(msg)))
 	}
 }
 
-// runAction invokes the action body, converting a panic into an error
-// so one bad action fails its task, not the build machine.
-func runAction(action ActionFunc, ctx *TaskCtx) (err error) {
+// runAction writes the declared inputs into the task's image and invokes
+// the action body, converting a panic into an error so one bad action
+// fails its task, not the build machine.
+func runAction(action ActionFunc, ctx *TaskCtx, inputs []taskFile) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("action panicked: %v", r)
 		}
 	}()
+	for _, f := range inputs {
+		if err := writeAll(ctx.img, f.Path, f.Body); err != nil {
+			return fmt.Errorf("staging input %q: %w", f.Path, err)
+		}
+	}
 	return action(ctx)
 }
 
-// collect pulls one finished child image back into the stage region,
-// checks its status, and reads the declared outputs out of it. Whatever
-// else the task left in its image is scratch and is never looked at.
+// resultMessage encodes a finished task's outcome: the failure, or the
+// declared outputs as the action left them in the image.
+func resultMessage(ctx *TaskCtx, actErr error) []byte {
+	fail := func(outcome uint32, detail string) []byte {
+		return encodeMessage(outcome, []taskFile{{Path: detail}})
+	}
+	switch {
+	case ctx.violation != nil:
+		return fail(outcomeUndeclared, ctx.violation.Path)
+	case errors.Is(actErr, fs.ErrNoSpace):
+		return fail(outcomeNoSpace, actErr.Error())
+	case actErr != nil:
+		return fail(outcomeErr, actErr.Error())
+	}
+	files := make([]taskFile, len(ctx.task.Outputs))
+	for i, p := range ctx.task.Outputs {
+		body, err := ctx.img.ReadFile(p)
+		switch {
+		case errors.Is(err, fs.ErrNotFound):
+			return fail(outcomeMissing, p)
+		case err != nil:
+			return fail(outcomeErr, err.Error())
+		}
+		files[i] = taskFile{Path: p, Body: body}
+	}
+	return encodeMessage(outcomeOK, files)
+}
+
+// collect shares one finished child's region back to stageBase and
+// decodes the result message at its head. Whatever else the task left
+// there is a dead image and is never looked at.
 func (b *builder) collect(env *kernel.Env, ref uint64, t *Task) (map[string][]byte, error) {
 	size := b.cfg.TaskFSSize
 	info, err := env.Get(ref, kernel.GetOpts{
@@ -407,38 +517,12 @@ func (b *builder) collect(env *kernel.Env, ref uint64, t *Task) (map[string][]by
 	if info.Status != kernel.StatusHalted {
 		return nil, &TaskError{Task: t.ID, Err: fmt.Errorf("space stopped %v: %v", info.Status, info.Err)}
 	}
-	img, err := fs.Attach(env, stageBase, size)
-	if err != nil {
-		return nil, &TaskError{Task: t.ID, Err: fmt.Errorf("result image corrupt: %w", err)}
+	if info.Regs.Ret > size {
+		return nil, &TaskError{Task: t.ID, Err: fmt.Errorf("result message corrupt: %d bytes in a %d-byte region", info.Regs.Ret, size)}
 	}
-	raw, err := img.ReadFile(statusPath)
-	if err != nil {
-		return nil, &TaskError{Task: t.ID, Err: fmt.Errorf("no status report: %w", err)}
-	}
-	status := string(raw)
-	switch {
-	case status == "ok":
-	case strings.HasPrefix(status, "undeclared "):
-		return nil, &UndeclaredInputError{Task: t.ID, Path: strings.TrimPrefix(status, "undeclared ")}
-	case strings.HasPrefix(status, "nospace "):
-		return nil, &TaskError{Task: t.ID,
-			Err: fmt.Errorf("%s: %w", strings.TrimPrefix(status, "nospace "), fs.ErrNoSpace)}
-	default:
-		return nil, &TaskError{Task: t.ID, Err: errors.New(strings.TrimPrefix(status, "err "))}
-	}
-
-	out := make(map[string][]byte, len(t.Outputs))
-	for _, p := range t.Outputs {
-		body, err := img.ReadFile(p)
-		if err != nil {
-			if errors.Is(err, fs.ErrNotFound) {
-				return nil, &MissingOutputError{Task: t.ID, Path: p}
-			}
-			return nil, &TaskError{Task: t.ID, Err: err}
-		}
-		out[p] = body
-	}
-	return out, nil
+	msg := make([]byte, info.Regs.Ret)
+	env.Read(stageBase, msg)
+	return decodeResult(t, msg)
 }
 
 // checkOverlap rejects declared paths that cannot coexist in one tree:

@@ -1,6 +1,8 @@
 package detmake
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -9,6 +11,8 @@ import (
 
 	"repro/internal/castore"
 	"repro/internal/fs"
+	"repro/internal/kernel"
+	"repro/internal/vm"
 )
 
 // compileGraph is the shared three-stage pipeline: two "compiles" from
@@ -217,6 +221,54 @@ func TestNoSpaceLeavesNoHalfVisibleOutputs(t *testing.T) {
 	if res.TreeDigest != srcOnly.TreeDigest {
 		t.Fatal("failed build's tree differs from the committed prefix")
 	}
+
+	// Declared inputs that cannot fit the task's image fail the same way,
+	// and in the same place: the child formats its own image and writes
+	// its inputs into it, so it is the task that runs out of space (the
+	// root used to, staging, with an untyped error). The sibling that
+	// shares the wave commits nothing.
+	big := map[string][]byte{"big1.src": make([]byte, 600<<10), "big2.src": make([]byte, 600<<10)}
+	g = mustGraph(t, []*Task{
+		mkTask("a-ok", "gen", []string{"stable"}, nil),
+		mkTask("eat", "concat", []string{"big.out"}, []string{"big1.src", "big2.src"}),
+	})
+	res, err = Build(Config{Graph: g, Sources: big, TaskFSSize: 1 << 20})
+	if !errors.As(err, &taskErr) || taskErr.Task != "eat" || !errors.Is(err, fs.ErrNoSpace) {
+		t.Fatalf("oversized input: Build = %v, want *TaskError for eat wrapping fs.ErrNoSpace", err)
+	}
+	if len(res.Outputs) != 0 || len(res.Tasks) != 0 || res.Checksum == 0 {
+		t.Fatalf("oversized input: wave left outputs %v, tasks %v, checksum %#x", res.Outputs, res.Tasks, res.Checksum)
+	}
+}
+
+// A task that fills its image to the last extent, shrugs and returns nil
+// has written its declared output, and succeeds: the result message goes
+// over the image, not into it. (While the outcome was a status *file* the
+// task faulted writing it.) The outputs are what the cache keys promise:
+// the same bytes at every run.
+func TestFullImageStillReports(t *testing.T) {
+	actions := DefaultActions()
+	actions.Register("hog", func(c *TaskCtx) error {
+		if err := c.WriteFile(c.Outputs()[0], []byte("kept")); err != nil {
+			return err
+		}
+		for chunk, i := 64<<10, 0; chunk > 0; i++ {
+			if err := c.WriteFile(fmt.Sprintf("fill/%03d", i), make([]byte, chunk)); err != nil {
+				if !errors.Is(err, fs.ErrNoSpace) {
+					return err
+				}
+				chunk /= 2 // down to the last byte or the last inode
+			}
+		}
+		return nil
+	})
+	cfg := Config{Graph: mustGraph(t, []*Task{mkTask("h", "hog", []string{"out"}, nil)}),
+		Actions: actions, TaskFSSize: 1 << 20}
+	res := buildOrDie(t, cfg)
+	if string(res.Outputs["out"]) != "kept" {
+		t.Fatalf("out = %q", res.Outputs["out"])
+	}
+	wantSameBits(t, "second run", buildOrDie(t, cfg), res)
 }
 
 // Sibling divergence the static check cannot see — one task's output
@@ -264,12 +316,91 @@ func TestMissingOutput(t *testing.T) {
 	}
 }
 
-// An action that scribbles over its own image's region table — a wild
-// store, or a hostile action — fails its task when the root attaches to
-// what it left; the root must not follow the table and fault with it.
-// (Offsets are fs's superblock layout: the region count at 40, the table
-// of {start, size} pairs at 64.)
+// collectForged runs a root that forks one child which leaves msg at
+// stageBase and n in its Ret register — anything a hostile task could
+// leave there — and collects it the way a build does. sum is the master
+// checksum the root takes on its last line.
+func collectForged(t *testing.T, task *Task, size uint64, msg []byte, n uint64) (out map[string][]byte, err error, sum uint64) {
+	t.Helper()
+	b := &builder{cfg: Config{TaskFSSize: size}}
+	res := kernel.New(kernel.Config{}).Run(func(env *kernel.Env) {
+		master := fs.Format(env, masterBase, DefaultMasterFSSize)
+		forge := func(child *kernel.Env) {
+			child.Zero(stageBase, size, vm.PermRW)
+			child.Write(stageBase, msg)
+			child.SetRet(n)
+		}
+		if err := env.Put(1, kernel.PutOpts{Regs: &kernel.Regs{Entry: forge}, Start: true}); err != nil {
+			panic(err)
+		}
+		out, err = b.collect(env, 1, task)
+		sum = master.Checksum()
+	}, 0)
+	if res.Status != kernel.StatusHalted {
+		t.Fatalf("root stopped %v (%v): it must halt, not fault", res.Status, res.Err)
+	}
+	return out, err, sum
+}
+
+// The region a task hands back is bytes another space wrote. Whatever
+// they say, the root decodes them into the declared outputs or fails the
+// task typed — it never follows a length or a count out of the window,
+// and it always reaches the master checksum. (The test used to scribble
+// the image's superblock from inside an action; the root no longer reads
+// an image, so that case now has to pass or fail the task in the child —
+// the last case below.)
 func TestScribbledResultImageFailsTheTask(t *testing.T) {
+	const size = 1 << 20
+	task := mkTask("s", "gen", []string{"out"}, nil)
+	u32 := func(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
+	good := encodeMessage(outcomeOK, []taskFile{{"out", []byte("written")}})
+
+	out, err, sum := collectForged(t, task, size, good, uint64(len(good)))
+	if err != nil || string(out["out"]) != "written" || sum == 0 {
+		t.Fatalf("well-formed message: out = %q, err = %v, checksum %#x", out["out"], err, sum)
+	}
+
+	for _, tc := range []struct {
+		name string
+		msg  []byte
+		n    uint64 // 0: len(msg)
+	}{
+		{"unknown outcome", encodeMessage(9, []taskFile{{Path: "x"}}), 0},
+		{"no outputs where one is declared", encodeMessage(outcomeOK, nil), 0},
+		{"two outputs where one is declared", encodeMessage(outcomeOK, []taskFile{{Path: "out"}, {Path: "out2"}}), 0},
+		{"a path that is not the declared one", encodeMessage(outcomeOK, []taskFile{{"other", []byte("written")}}), 0},
+		{"a failure that names nothing", encodeMessage(outcomeMissing, nil), 0},
+		{"a failure that names two things", encodeMessage(outcomeErr, []taskFile{{Path: "a"}, {Path: "b"}}), 0},
+		{"a body length past the window", u32(append(u32(u32(u32(nil, outcomeOK), 1), 3), "out"...), 1000), 0},
+		{"a path length past the window", u32(u32(u32(nil, outcomeOK), 1), 0xd7d7d7d7), 0},
+		{"a count past the window", u32(u32(nil, outcomeOK), 0xffffffff), 0},
+		{"trailing bytes", append(bytes.Clone(good), 0), 0},
+		{"trailing bytes after a failure report", append(encodeMessage(outcomeErr, []taskFile{{Path: "boom"}}), 0), 0},
+		{"cut inside the outcome word", good, 2},
+		{"cut inside a body", good, uint64(len(good)) - 1},
+		{"empty", nil, 0},
+		{"a message length above TaskFSSize", good, size + 1},
+		{"a message length of all ones", good, ^uint64(0)},
+	} {
+		n := tc.n
+		if n == 0 {
+			n = uint64(len(tc.msg))
+		}
+		out, err, sum := collectForged(t, task, size, tc.msg, n)
+		var te *TaskError
+		if !errors.As(err, &te) || te.Task != "s" || !strings.Contains(err.Error(), "result message corrupt") {
+			t.Errorf("%s: collect = %v, %v; want *TaskError for s: result message corrupt", tc.name, out, err)
+		}
+		if sum == 0 {
+			t.Errorf("%s: the root did not reach the master checksum", tc.name)
+		}
+	}
+
+	// In the machine: an action that scribbles over its own image's region
+	// table (fs's superblock layout: the region count at 40, the table of
+	// {start, size} pairs at 64) after writing its output. The epilogue
+	// reads the output through the handle it made, so the task either
+	// reports the right bytes or fails typed; the build machine halts.
 	actions := DefaultActions()
 	actions.Register("scribble", func(c *TaskCtx) error {
 		if err := c.WriteFile(c.Outputs()[0], []byte("written")); err != nil {
@@ -281,16 +412,11 @@ func TestScribbledResultImageFailsTheTask(t *testing.T) {
 		c.env.WriteU32(stageBase+64+12, 1)
 		return nil
 	})
-	g, err := NewGraph([]*Task{mkTask("s", "scribble", []string{"out"}, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Build(Config{Graph: g, Actions: actions})
+	res, err := Build(Config{Graph: mustGraph(t, []*Task{mkTask("s", "scribble", []string{"out"}, nil)}), Actions: actions})
 	var te *TaskError
-	if !errors.As(err, &te) || te.Task != "s" || !strings.Contains(err.Error(), "result image corrupt") {
-		t.Fatalf("Build = %v, want *TaskError for s: result image corrupt", err)
+	if err == nil && string(res.Outputs["out"]) != "written" || err != nil && !errors.As(err, &te) {
+		t.Fatalf("scribbling action: out = %q, err = %v; want the right bytes or a *TaskError", res.Outputs["out"], err)
 	}
-	// The root ran to its last line: it halted, it did not fault.
 	if res.Checksum == 0 {
 		t.Fatal("build machine did not reach the master checksum")
 	}
