@@ -10,7 +10,7 @@ GO ?= go
 # wall-clock trajectory is `go run ./benchmark`.
 BENCH_OUT ?= BENCH.json
 
-.PHONY: build test race fuzz-smoke bench bench-smoke bench-exact bench-json tab3 vet fmt-check staticcheck detlint ci
+.PHONY: build test race fuzz-smoke bench bench-smoke bench-exact bench-json tab3 census vet fmt-check staticcheck detlint ci
 
 build:
 	$(GO) build ./...
@@ -103,6 +103,37 @@ bench-exact:
 tab3:
 	$(GO) run ./cmd/codesize | awk '$$NF ~ /^[0-9]+$$/ { n = $$(NF-2); NF -= 4; print $$0, n }' | diff TAB3.golden -
 
+# The coverage census (docs/census.md): every product function outside
+# benchmark/, cmd/ and examples/ is classed by the best of what reaches
+# it — a workload (benchmark -smoke, detbench -quick, detlint over the
+# module, the eight examples, all built with -cover), another package's
+# tests, only its own package's tests, or nothing. The target fails if
+# anything is reached by nothing, if the own-tests-only list differs from
+# the committed docs/census.txt, or if an entry of that list has no
+# sentence in docs/census.md: a mechanism without a caller is an edited
+# file a reviewer sees, the way TAB3.golden shows growth. Regenerate the
+# list with `sed -n 's/^1 //p' .census/classes > docs/census.txt`.
+CENSUS = .census
+census:
+	@rm -rf $(CENSUS) && mkdir -p $(CENSUS)/bin $(CENSUS)/cov
+	$(GO) build -cover -coverpkg=./... -o $(CENSUS)/bin/ ./benchmark ./cmd/detbench ./cmd/detlint ./examples/...
+	@for w in "benchmark -smoke" "detbench -quick" "detlint ./..." $$(ls examples); do \
+		echo "census: $$w"; \
+		GOCOVERDIR=$(CENSUS)/cov $(CENSUS)/bin/$$w > $(CENSUS)/log 2>&1 || { cat $(CENSUS)/log; exit 1; }; \
+	done
+	@$(GO) tool covdata textfmt -i=$(CENSUS)/cov -o $(CENSUS)/cov.txt
+	@$(GO) tool cover -func=$(CENSUS)/cov.txt | sed 's|^|- |' > $(CENSUS)/funcs
+	@for p in $$($(GO) list ./...); do \
+		rm -f $(CENSUS)/cov.txt; \
+		$(GO) test -coverpkg=./... -coverprofile=$(CENSUS)/cov.txt $$p > $(CENSUS)/log 2>&1 || { cat $(CENSUS)/log; exit 1; }; \
+		if [ -s $(CENSUS)/cov.txt ]; then $(GO) tool cover -func=$(CENSUS)/cov.txt | sed "s|^|$$p |" >> $(CENSUS)/funcs; fi; \
+	done
+	@awk -f docs/census.awk $(CENSUS)/funcs | sort > $(CENSUS)/classes
+	@awk '{ n[$$1]++ } END { printf "census: %d functions, reached by: a workload %d, another package tests %d, own package tests only %d, nothing %d\n", NR, n[3], n[2], n[1], n[0] }' $(CENSUS)/classes
+	@if grep '^0 ' $(CENSUS)/classes; then echo "census: reached by nothing: call it, test it or delete it"; exit 1; fi
+	@sed -n 's/^1 //p' $(CENSUS)/classes | diff docs/census.txt -
+	@while read -r e; do grep -qF "\`$$e\`" docs/census.md || { echo "census: docs/census.md has no sentence for $$e"; exit 1; }; done < docs/census.txt
+
 # Every surviving detbench table plus tab3 as JSON. All of it is exact:
 # two runs of one commit are byte-identical.
 bench-json:
@@ -119,7 +150,7 @@ staticcheck:
 detlint:
 	$(GO) run ./cmd/detlint ./...
 
-ci: build vet fmt-check detlint test race fuzz-smoke bench-smoke bench-exact tab3 bench-json
+ci: build vet fmt-check detlint test race fuzz-smoke bench-smoke bench-exact tab3 census bench-json
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		$(MAKE) staticcheck; \
 	else \

@@ -7,11 +7,9 @@
 // # Sessions
 //
 // The Session is the package's entry point: one builder that composes
-// the machine (cluster shape, cost model, merge workers), the runtime
-// (shared-region size, flat or sharded-tree collection), the
-// deterministic scheduler's configuration, console I/O, and trace
-// record/replay — the knobs the historical free functions Run, Boot,
-// NewSched and RecordTrace each configured in isolation.
+// the machine (cluster shape, cost model), the runtime (shared-region
+// size, flat or sharded-tree collection), console I/O, and trace
+// record/replay.
 //
 //	sess, err := repro.NewSession(
 //	    repro.WithMachine(repro.MachineConfig{CPUsPerNode: 4}),
@@ -63,10 +61,9 @@
 //   - internal/workload, internal/baseline, internal/bench — the paper's
 //     evaluation: benchmarks, comparison systems, experiment harness
 //
-// The pre-Session entry points (Run, Boot, NewSchedWith, RecordTrace, …)
-// remain as thin wrappers. They validate their inputs: a negative
-// quantum or worker count surfaces as a typed error (*ConfigError,
-// *SchedConfigError), never as a silently substituted default.
+// The pre-Session entry points Run and NewSchedWith remain as thin
+// wrappers. They validate their inputs: a negative quantum surfaces as
+// a typed *SchedConfigError, never as a silently substituted default.
 package repro
 
 import (
@@ -82,8 +79,6 @@ import (
 
 // Kernel layer.
 type (
-	// Machine is a simulated Determinator machine (or cluster).
-	Machine = kernel.Machine
 	// MachineConfig configures nodes, CPUs, cost model and devices.
 	MachineConfig = kernel.Config
 	// CostModel holds the virtual-time constants.
@@ -183,12 +178,10 @@ type (
 	UnixProgram = uproc.Program
 	// Registry maps program names to images.
 	Registry = uproc.Registry
-	// BootConfig configures a process-tree boot.
-	BootConfig = uproc.BootConfig
 	// UprocInitState is the init process's Go-side checkpoint state.
 	UprocInitState = uproc.InitState
 	// UprocStateError reports init-process state that cannot cross a
-	// checkpoint image (uncollected children, live shadows).
+	// checkpoint image (uncollected children, redirected streams).
 	UprocStateError = uproc.StateError
 )
 
@@ -214,21 +207,13 @@ type (
 	Addr = vm.Addr
 )
 
-// NewMachine builds a simulated machine.
-func NewMachine(cfg MachineConfig) *Machine { return kernel.New(cfg) }
-
 // Run executes main as a deterministic parallel program on a fresh
 // machine and returns the result. It is the legacy one-shot form of
 // Session.Run, kept as a thin wrapper.
 func Run(opts Options, main func(rt *RT) uint64) RunResult { return core.Run(opts, main) }
 
-// NewRegistry returns an empty program registry for Boot.
+// NewRegistry returns an empty program registry for UprocProgram.
 func NewRegistry() *Registry { return uproc.NewRegistry() }
-
-// Boot runs a Unix-style process tree from the named init program.
-func Boot(cfg BootConfig, entry string, args ...string) uproc.BootResult {
-	return uproc.Boot(cfg, entry, args...)
-}
 
 // NewSchedWith creates a deterministic scheduler for legacy
 // mutex/condvar code in the master space managed by rt. A zero Quantum
@@ -237,13 +222,5 @@ func NewSchedWith(rt *RT, cfg SchedConfig) (*Sched, error) {
 	return dsched.New(rt, cfg)
 }
 
-// RecordTrace instruments cfg so all nondeterministic device inputs are
-// captured; ReplayTrace makes cfg reproduce a recorded log. Sessions
-// subsume both (WithRecord/WithReplay) and add mid-log resume.
-func RecordTrace(cfg *MachineConfig) *TraceLog { return trace.Record(cfg) }
-
-// ReplayTrace configures cfg's devices to replay l.
-func ReplayTrace(cfg *MachineConfig, l *TraceLog) { trace.Replay(cfg, l) }
-
-// UnmarshalTrace parses a serialized trace log.
+// UnmarshalTrace parses a serialized trace log, ready for WithReplay.
 func UnmarshalTrace(data []byte) (*TraceLog, error) { return trace.Unmarshal(data) }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/uproc"
 )
 
 // Facade-level integration tests: the library as a downstream user sees
@@ -60,29 +61,6 @@ func TestFacadeConflictSurfaces(t *testing.T) {
 	}
 }
 
-func TestFacadeBootProcessTree(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register("init", func(p *Proc) int {
-		pid, err := p.Fork(func(c *Proc) int {
-			c.ConsoleWrite([]byte("from child\n"))
-			return 5
-		})
-		if err != nil {
-			panic(err)
-		}
-		status, _, err := p.Waitpid(pid)
-		if err != nil {
-			panic(err)
-		}
-		return status
-	})
-	var out bytes.Buffer
-	res := Boot(BootConfig{Registry: reg, Stdout: &out}, "init")
-	if res.ExitStatus != 5 || out.String() != "from child\n" {
-		t.Fatalf("boot: status=%d out=%q", res.ExitStatus, out.String())
-	}
-}
-
 func TestFacadeDeterministicScheduler(t *testing.T) {
 	res := Run(Options{Kernel: MachineConfig{CPUsPerNode: 2}}, func(rt *RT) uint64 {
 		s, err := NewSchedWith(rt, SchedConfig{Quantum: 1000})
@@ -117,11 +95,18 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 		}
 		env.ConsoleWrite(buf[:])
 	}
-	cfg := MachineConfig{Rand: kernel.SeededRand(12345)}
-	log := RecordTrace(&cfg)
-	var out1 bytes.Buffer
-	cfg.Console = kernel.NewConsole(strings.NewReader(""), &out1)
-	NewMachine(cfg).Run(prog, 0)
+	run := func(out *bytes.Buffer, opts ...SessionOption) *Session {
+		sess, err := NewSession(append(opts, WithConsole(nil, out))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := sess.Run(func(rt *RT) uint64 { prog(rt.Env()); return 0 }); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return sess
+	}
+	var out1, out2 bytes.Buffer
+	log := run(&out1, WithMachine(MachineConfig{Rand: kernel.SeededRand(12345)}), WithRecord()).TraceLog()
 
 	blob, err := log.Marshal()
 	if err != nil {
@@ -131,11 +116,7 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cfg2 MachineConfig
-	ReplayTrace(&cfg2, restored)
-	var out2 bytes.Buffer
-	cfg2.Console = kernel.NewConsole(restored.ReplayInput(), &out2)
-	NewMachine(cfg2).Run(prog, 0)
+	run(&out2, WithReplay(restored))
 
 	if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
 		t.Fatal("replay diverged")
@@ -176,7 +157,7 @@ func TestWholeSystemDeterminism(t *testing.T) {
 			return sum
 		})
 		var out bytes.Buffer
-		res := Boot(BootConfig{Registry: reg, Stdout: &out, Kernel: MachineConfig{CPUsPerNode: 4}}, "init")
+		res := uproc.Boot(uproc.BootConfig{Registry: reg, Stdout: &out, Kernel: MachineConfig{CPUsPerNode: 4}}, "init")
 		return uint64(res.ExitStatus), res.Run.VT, fileState + "|" + out.String()
 	}
 	s1, vt1, state1 := run()

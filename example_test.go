@@ -51,18 +51,28 @@ func ExampleRT_ParallelDo() {
 
 // A minimal process tree: init forks a child, waits, and the child's
 // console output arrives exactly once, in order.
-func ExampleBoot() {
-	reg := repro.NewRegistry()
-	reg.Register("init", func(p *repro.Proc) int {
-		pid, _ := p.Fork(func(c *repro.Proc) int {
-			c.ConsoleWrite([]byte("hello from pid-local child\n"))
-			return 0
-		})
-		p.Waitpid(pid)
-		return 0
-	})
+func ExampleUprocProgram() {
 	var out strings.Builder
-	repro.Boot(repro.BootConfig{Registry: reg, Stdout: &out}, "init")
+	sess, err := repro.NewSession(repro.WithConsole(nil, &out))
+	if err != nil {
+		panic(err)
+	}
+	prog := repro.UprocProgram(repro.NewRegistry(), []string{"init"}, []repro.UprocPhase{
+		func(p *repro.Proc) error {
+			pid, err := p.Fork(func(c *repro.Proc) int {
+				c.ConsoleWrite([]byte("hello from pid-local child\n"))
+				return 0
+			})
+			if err != nil {
+				return err
+			}
+			_, _, err = p.Waitpid(pid)
+			return err
+		},
+	})
+	if _, err := sess.RunProgram(prog); err != nil {
+		panic(err)
+	}
 	fmt.Print(out.String())
 	// Output: hello from pid-local child
 }

@@ -1,13 +1,14 @@
 // Replay: record-and-replay of explicit nondeterministic inputs (§2.1).
 //
 // A program that consumes "wall-clock" time readings, entropy, and
-// console input runs once while a supervising recorder logs every
-// nondeterministic input at the device boundary. The log is then
-// serialized, restored, and the program re-runs with synthesized
-// devices: because the kernel eliminates all internal nondeterminism,
-// replaying the explicit inputs alone reproduces the run byte for byte
-// — the foundation of replay debugging, fault tolerance and intrusion
-// analysis that motivates the paper.
+// console input runs once in a Session built WithRecord, which logs
+// every nondeterministic input at the device boundary. The log is then
+// serialized, restored, and the program re-runs in a Session built
+// WithReplay, whose devices are synthesized from it: because the kernel
+// eliminates all internal nondeterminism, replaying the explicit inputs
+// alone reproduces the run byte for byte — the foundation of replay
+// debugging, fault tolerance and intrusion analysis that motivates the
+// paper.
 //
 // Run: go run ./examples/replay
 package main
@@ -15,6 +16,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -60,47 +62,50 @@ func program(env *repro.Env) {
 	env.ConsoleWrite(out.Bytes())
 }
 
+// run executes program in a fresh Session built from opts, with stdin
+// as its console input and out as its console output.
+func run(stdin string, out io.Writer, opts ...repro.SessionOption) *repro.Session {
+	sess, err := repro.NewSession(append(opts, repro.WithConsole(strings.NewReader(stdin), out))...)
+	check(err)
+	check(sess.Run(func(rt *repro.RT) uint64 { program(rt.Env()); return 0 }).Err)
+	return sess
+}
+
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
 func main() {
 	// --- Recorded run with genuinely nondeterministic devices ----------
-	cfg := repro.MachineConfig{
+	var out1 bytes.Buffer
+	log := run("hello from the outside\n", &out1, repro.WithRecord(), repro.WithMachine(repro.MachineConfig{
 		Clock: func() int64 { return time.Now().UnixNano() },
 		Rand:  kernel.SeededRand(uint64(time.Now().UnixNano() | 1)),
-	}
-	log := repro.RecordTrace(&cfg)
-	var out1 bytes.Buffer
-	cfg.Console = kernel.NewConsole(log.RecordInput(strings.NewReader("hello from the outside\n")), &out1)
-	repro.NewMachine(cfg).Run(program, 0)
+	})).TraceLog()
 
 	fmt.Println("--- recorded run ---")
 	fmt.Print(out1.String())
 
 	blob, err := log.Marshal()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 	fmt.Printf("--- trace: %d bytes (%d clock readings, %d entropy words, %d input chunks) ---\n",
 		len(blob), len(log.Clock), len(log.Rand), len(log.Input))
 
-	// --- Replay from the serialized trace -------------------------------
+	// --- Replay from the serialized trace: nothing arrives from outside --
 	restored, err := repro.UnmarshalTrace(blob)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	var cfg2 repro.MachineConfig
-	repro.ReplayTrace(&cfg2, restored)
+	check(err)
 	var out2 bytes.Buffer
-	cfg2.Console = kernel.NewConsole(restored.ReplayInput(), &out2)
-	repro.NewMachine(cfg2).Run(program, 0)
+	run("", &out2, repro.WithReplay(restored))
 
 	fmt.Println("--- replayed run ---")
 	fmt.Print(out2.String())
 
-	if out1.String() == out2.String() {
-		fmt.Println("--- byte-for-byte identical ---")
-	} else {
+	if out1.String() != out2.String() {
 		fmt.Println("--- REPLAY DIVERGED (bug!) ---")
 		os.Exit(1)
 	}
+	fmt.Println("--- byte-for-byte identical ---")
 }

@@ -123,3 +123,20 @@ func TestSimnetCausality(t *testing.T) {
 		t.Error("receiver clock moved backwards")
 	}
 }
+
+// A payload one page over the batch window pays the kernel protocol's
+// per-batch framing once more, beyond the page's own transfer time — the
+// same charge a migration of that many pages pays.
+func TestSimnetChargesBatchFraming(t *testing.T) {
+	cost := kernel.DefaultCostModel()
+	delivery := func(pages int) int64 {
+		net := newSimnet(2, cost)
+		net.send(0, 1, pages*4096)
+		return net.now(1)
+	}
+	got := delivery(cost.BatchPages+1) - delivery(cost.BatchPages)
+	if want := cost.PageTransfer + cost.BatchMsgCost(); got != want {
+		t.Errorf("the page past the window cost %d, want transfer %d + framing %d",
+			got, cost.PageTransfer, cost.BatchMsgCost())
+	}
+}

@@ -35,9 +35,6 @@ func OpenDirStore(dir string) (*DirStore, error) {
 	return &DirStore{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *DirStore) Dir() string { return s.dir }
-
 // path returns the chunk file path for key.
 func (s *DirStore) path(key Key) string {
 	hex := key.String()

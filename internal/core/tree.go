@@ -125,9 +125,6 @@ func (rt *RT) SetTreeJoin(on bool) {
 	}
 }
 
-// TreeJoin reports whether the sharded collector is active.
-func (rt *RT) TreeJoin() bool { return rt.tree != nil }
-
 // treeDelegate returns (lazily creating master-side state for) node's
 // delegate.
 func (rt *RT) treeDelegate(node int) *delegateState {

@@ -37,7 +37,7 @@ type Analyzer struct {
 	Doc string
 
 	// Run applies the rule to a single type-checked package, reporting
-	// violations through pass.Report / pass.Reportf.
+	// violations through pass.Reportf.
 	Run func(pass *Pass) error
 }
 
@@ -59,10 +59,8 @@ type Diagnostic struct {
 	Message string
 }
 
-// Report records a diagnostic against the pass's package.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
-
-// Reportf is Report with fmt.Sprintf formatting.
+// Reportf records a diagnostic against the pass's package, formatted
+// as by fmt.Sprintf.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }

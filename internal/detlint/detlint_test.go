@@ -1,6 +1,7 @@
 package detlint
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -152,5 +153,13 @@ func TestFindingsAreSorted(t *testing.T) {
 		if a.File > b.File || (a.File == b.File && a.Line > b.Line) {
 			t.Errorf("findings out of order: %s before %s", a, b)
 		}
+	}
+	// What the driver prints for an open finding: position first, so an
+	// editor can jump to it, analyzer last.
+	f := findings[0]
+	line := f.String()
+	if !strings.HasPrefix(line, fmt.Sprintf("%s:%d:%d: ", f.File, f.Line, f.Col)) ||
+		!strings.HasSuffix(line, f.Message+" ["+f.Analyzer+"]") {
+		t.Errorf("finding renders as %q", line)
 	}
 }

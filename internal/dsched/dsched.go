@@ -86,32 +86,10 @@ type Config struct {
 	// Quantum is the instruction limit per scheduling round. The paper's
 	// evaluation uses 10 million instructions.
 	Quantum int64
-	// AdaptiveQuantum enables the telemetry-driven quantum policy: the
-	// scheduler scales the next round's quantum from the committed
-	// RoundStats of the rounds before it. A round with a single runnable
-	// thread doubles the scale (no peer to interleave with, so longer
-	// quanta only cut scheduling overhead — the old fixed 8x boost,
-	// generalized); a contended round that committed no shared-memory
-	// changes grows it one step (read-mostly phases tolerate coarse
-	// interleaving); a round that committed merge work collapses it back
-	// toward the configured quantum (writes propagate only at quantum
-	// boundaries, so commit-heavy phases need fine ones). The policy
-	// reads only committed, deterministic round telemetry, so execution
-	// remains repeatable — but round counts, virtual times and lock
-	// hand-off order may differ from the fixed-quantum schedule. Result
-	// bits of race-free (mutex-protected) programs do not: only the
-	// schedule moves, never the synchronization order's outcome.
-	AdaptiveQuantum bool
-	// OnRound, if non-nil, receives every completed round's statistics.
-	OnRound func(RoundStats)
 }
 
 // DefaultQuantum matches the paper's choice.
 const DefaultQuantum = 10_000_000
-
-// adaptiveMaxScale caps the adaptive policy's quantum multiplier (the
-// old one-runnable boost's value, now the ceiling the policy climbs to).
-const adaptiveMaxScale = 8
 
 // RoundStats describes one scheduling round.
 type RoundStats struct {
@@ -181,11 +159,7 @@ type threadState struct {
 type Sched struct {
 	rt      *core.RT
 	env     *kernel.Env
-	cfg     Config
 	quantum int64
-	// scale is the adaptive policy's current quantum multiplier, a pure
-	// function of the committed round history (see Config.AdaptiveQuantum).
-	scale int64
 
 	threads  []*threadState
 	mutexes  []*mutexState
@@ -211,10 +185,13 @@ type Sched struct {
 	// epochLo is the level-1 index of the shared region's first table.
 	epochLo int
 
-	// noSkip is the package's one test seam: it forces the full resync
-	// every round, so the invariance tests can show that skipping changes
-	// no result and no virtual time. Nothing outside _test.go sets it.
-	noSkip bool
+	// noSkip and onRound are the package's test seams, set by nothing
+	// outside _test.go. noSkip forces the full resync every round, so the
+	// invariance tests can show that skipping changes no result and no
+	// virtual time; onRound receives every completed round's statistics,
+	// so they can compare schedules round for round.
+	noSkip  bool
+	onRound func(RoundStats)
 }
 
 // Thread is the handle application thread code receives. Synchronization
@@ -245,7 +222,7 @@ func New(rt *core.RT, cfg Config) (*Sched, error) {
 	}
 	base, size := rt.SharedRange()
 	return &Sched{
-		rt: rt, env: rt.Env(), cfg: cfg, quantum: q, scale: 1, commitEpoch: 1,
+		rt: rt, env: rt.Env(), quantum: q, commitEpoch: 1,
 		tableEpochs: make([]uint64, size/vm.TableSpan),
 		epochLo:     vm.TableOf(base),
 	}, nil
@@ -271,10 +248,6 @@ func (s *Sched) NewBarrier(n int) Barrier {
 	s.barriers = append(s.barriers, &barrierState{need: n})
 	return Barrier(len(s.barriers) - 1)
 }
-
-// Rounds reports how many scheduling rounds ran, for the quantum
-// overhead experiment.
-func (s *Sched) Rounds() int64 { return s.stats.Rounds }
 
 // Stats reports the scheduler's accumulated round statistics.
 func (s *Sched) Stats() Stats { return s.stats }
@@ -399,17 +372,13 @@ func (s *Sched) round() error {
 	if runnable == 0 {
 		return ErrDeadlock
 	}
-	limit := s.quantum
-	if s.cfg.AdaptiveQuantum {
-		limit *= s.scale
-	}
-	rs.Quantum = limit
+	rs.Quantum = s.quantum
 	started := make([]bool, len(s.threads))
 	for _, t := range s.threads {
 		if t.done || t.blocked {
 			continue
 		}
-		opts := kernel.PutOpts{Start: true, Limit: limit}
+		opts := kernel.PutOpts{Start: true, Limit: s.quantum}
 		regionTables := len(s.tableEpochs)
 		if t.dirty || s.noSkip {
 			// The replica diverged from its own snapshot: re-copy the
@@ -531,8 +500,7 @@ func (s *Sched) handoffs() {
 	}
 }
 
-// finishRound closes out one round's accounting and advances the
-// adaptive-quantum policy from the round's committed telemetry.
+// finishRound closes out one round's accounting.
 func (s *Sched) finishRound(rs RoundStats) {
 	rs.VT = s.env.VT()
 	s.stats.Rounds++
@@ -541,37 +509,8 @@ func (s *Sched) finishRound(rs RoundStats) {
 	s.stats.TablesResynced += int64(rs.TablesResynced)
 	s.stats.TablesSkipped += int64(rs.TablesSkipped)
 	s.stats.Merge.Add(rs.Merge)
-	if s.cfg.AdaptiveQuantum {
-		s.adapt(rs)
-	}
-	if s.cfg.OnRound != nil {
-		s.cfg.OnRound(rs)
-	}
-}
-
-// adapt recomputes the quantum scale for the next round. Inputs are the
-// committed RoundStats only — deterministic by construction — so the
-// schedule the policy produces is as repeatable as the fixed-quantum one.
-func (s *Sched) adapt(rs RoundStats) {
-	committed := rs.Merge.BytesMerged > 0 || rs.Merge.PagesAdopted > 0 ||
-		rs.Merge.TablesAdopted > 0
-	switch {
-	case rs.Ran == 1:
-		// Nothing to interleave with: race toward the ceiling.
-		s.scale *= 2
-	case !committed:
-		// Contended but read-mostly: grow gently.
-		s.scale++
-	default:
-		// Shared-memory commits this round: writes propagate only at
-		// quantum boundaries, so fall back toward fine interleaving.
-		s.scale /= 2
-	}
-	if s.scale > adaptiveMaxScale {
-		s.scale = adaptiveMaxScale
-	}
-	if s.scale < 1 {
-		s.scale = 1
+	if s.onRound != nil {
+		s.onRound(rs)
 	}
 }
 

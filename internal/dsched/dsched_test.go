@@ -67,7 +67,7 @@ func TestSchedulingIsDeterministic(t *testing.T) {
 			}); err != nil {
 				panic(err)
 			}
-			rounds = s.Rounds()
+			rounds = s.Stats().Rounds
 			var sig uint64
 			for i := 0; i < 8; i++ {
 				sig = sig*31 + rt.Env().ReadU64(slots+vm.Addr(8*i))
@@ -105,7 +105,7 @@ func TestOwnerFastPathNeedsNoScheduler(t *testing.T) {
 		}); err != nil {
 			panic(err)
 		}
-		return uint64(s.Rounds())
+		return uint64(s.Stats().Rounds)
 	})
 	if res.Status != kernel.StatusHalted {
 		t.Fatalf("%v: %v", res.Status, res.Err)
@@ -307,7 +307,7 @@ func TestSmallerQuantumMoreRounds(t *testing.T) {
 			}); err != nil {
 				panic(err)
 			}
-			r = s.Rounds()
+			r = s.Stats().Rounds
 			return 0
 		})
 		if res.Status != kernel.StatusHalted {

@@ -112,7 +112,7 @@ func TestYieldEndsQuantumEarly(t *testing.T) {
 			}); err != nil {
 				panic(err)
 			}
-			r = s.Rounds()
+			r = s.Stats().Rounds
 			return 0
 		})
 		if res.Status != kernel.StatusHalted {

@@ -37,20 +37,17 @@ func mustNew(rt *core.RT, cfg Config) *Sched {
 // mutex-protected counter, deliberately racy (LWW) writes, a condvar
 // handshake and a barrier — and returns the invariants. noSkip sets the
 // Sched's test seam: every resync is the full one, never skipped or
-// partial.
+// partial. The per-round statistics arrive through the onRound seam.
 func runEngineWorkload(t *testing.T, noSkip bool) engineResult {
 	t.Helper()
 	const n, iters = 4, 6
 	var out engineResult
-	cfg := Config{
-		Quantum: 900,
-		OnRound: func(rs RoundStats) { out.perRound = append(out.perRound, rs) },
-	}
 	res := core.Run(core.Options{
 		Kernel: kernel.Config{CPUsPerNode: n},
 	}, func(rt *core.RT) uint64 {
-		s := mustNew(rt, cfg)
+		s := mustNew(rt, Config{Quantum: 900})
 		s.noSkip = noSkip
+		s.onRound = func(rs RoundStats) { out.perRound = append(out.perRound, rs) }
 		mu := s.NewMutex()
 		counter := rt.Alloc(8, 8)
 		racy := rt.Alloc(8, 8)
@@ -94,7 +91,7 @@ func runEngineWorkload(t *testing.T, noSkip bool) engineResult {
 		for j := 0; j < 512; j++ {
 			sig = sig*1099511628211 + env.ReadU64(slots+vm.Addr(8*j))
 		}
-		out.rounds = s.Rounds()
+		out.rounds = s.Stats().Rounds
 		st := s.Stats()
 		out.quanta = st.ThreadQuanta
 		out.merge = st.Merge
@@ -222,51 +219,5 @@ func TestEpochSkipFiresOnReadMostlyPhases(t *testing.T) {
 	}
 	if offSkipped != 0 {
 		t.Fatalf("noSkip still skipped %d resyncs", offSkipped)
-	}
-}
-
-// TestAdaptiveQuantumReducesRounds: with one runnable thread and the rest
-// blocked behind a mutex, boosting the quantum must cut round count while
-// the mutex-protected result stays exact.
-func TestAdaptiveQuantumReducesRounds(t *testing.T) {
-	run := func(adaptive bool) (uint64, int64) {
-		const n, k = 4, 8
-		var rounds int64
-		res := core.Run(core.Options{Kernel: kernel.Config{CPUsPerNode: n}}, func(rt *core.RT) uint64 {
-			s := mustNew(rt, Config{Quantum: 400, AdaptiveQuantum: adaptive})
-			mu := s.NewMutex()
-			counter := rt.Alloc(8, 8)
-			if err := s.Run(n, func(th *Thread) {
-				for i := 0; i < k; i++ {
-					th.Lock(mu)
-					v := th.Env().ReadU64(counter)
-					th.Env().Tick(900) // long critical section spanning quanta
-					th.Env().WriteU64(counter, v+1)
-					th.Unlock(mu)
-				}
-			}); err != nil {
-				panic(err)
-			}
-			rounds = s.Rounds()
-			return rt.Env().ReadU64(counter)
-		})
-		if res.Status != kernel.StatusHalted {
-			t.Fatalf("adaptive=%v: %v %v", adaptive, res.Status, res.Err)
-		}
-		return res.Ret, rounds
-	}
-	fixedVal, fixedRounds := run(false)
-	adaptVal, adaptRounds := run(true)
-	if fixedVal != 4*8 || adaptVal != 4*8 {
-		t.Fatalf("counter lost updates: fixed %d, adaptive %d", fixedVal, adaptVal)
-	}
-	if adaptRounds >= fixedRounds {
-		t.Errorf("adaptive quantum did not reduce rounds: %d vs %d", adaptRounds, fixedRounds)
-	}
-	// Determinism of the adaptive policy itself.
-	againVal, againRounds := run(true)
-	if againVal != adaptVal || againRounds != adaptRounds {
-		t.Errorf("adaptive schedule not repeatable: %d/%d vs %d/%d",
-			againVal, againRounds, adaptVal, adaptRounds)
 	}
 }

@@ -9,9 +9,9 @@ package dsched
 // program carry one scheduler across a checkpoint: the resumed process
 // attaches a new Sched whose mutexes point at the same shared-memory
 // words (the allocator is deterministic, so the addresses are already
-// reserved in the restored RT), whose commit epoch, adaptive-quantum
-// scale and statistics continue from the recorded values, and whose next
-// Run therefore schedules exactly as the uninterrupted run's would.
+// reserved in the restored RT), whose commit epoch and statistics
+// continue from the recorded values, and whose next Run therefore
+// schedules exactly as the uninterrupted run's would.
 //
 // Export is only valid between Runs, at a quiescent point: every thread
 // collected, every waiter queue empty. Mid-round scheduler state cannot
@@ -27,8 +27,11 @@ import (
 
 // State is the serializable scheduler bookkeeping.
 type State struct {
-	Quantum     int64     `json:"quantum"`      // configured (base) quantum
-	Scale       int64     `json:"scale"`        // adaptive-quantum multiplier
+	Quantum int64 `json:"quantum"` // configured quantum
+	// Scale is always 1. It was the multiplier of a second quantum policy
+	// since deleted; the member stays because session images hash these
+	// bytes.
+	Scale       int64     `json:"scale"`
 	CommitEpoch uint64    `json:"commit_epoch"` // shared-region commit epoch
 	Stats       Stats     `json:"stats"`
 	Mutexes     []vm.Addr `json:"mutexes"`  // shared-memory words, by Mutex index
@@ -84,7 +87,7 @@ func (s *Sched) ExportState() (State, error) {
 	}
 	st := State{
 		Quantum:     s.quantum,
-		Scale:       s.scale,
+		Scale:       1,
 		CommitEpoch: s.commitEpoch,
 		Stats:       s.stats,
 		Conds:       len(s.conds),
@@ -111,8 +114,8 @@ func AttachState(rt *core.RT, cfg Config, st State) (*Sched, error) {
 	if st.Quantum <= 0 {
 		return nil, &BadConfigError{Field: "State.Quantum", Msg: fmt.Sprintf("non-positive quantum %d", st.Quantum)}
 	}
-	if st.Scale < 1 || st.Scale > adaptiveMaxScale {
-		return nil, &BadConfigError{Field: "State.Scale", Msg: fmt.Sprintf("scale %d outside [1,%d]", st.Scale, adaptiveMaxScale)}
+	if st.Scale != 1 {
+		return nil, &BadConfigError{Field: "State.Scale", Msg: fmt.Sprintf("scale %d, want 1", st.Scale)}
 	}
 	base, size := rt.SharedRange()
 	for i, a := range st.Mutexes {
@@ -122,7 +125,6 @@ func AttachState(rt *core.RT, cfg Config, st State) (*Sched, error) {
 		}
 	}
 	s.quantum = st.Quantum
-	s.scale = st.Scale
 	s.commitEpoch = st.CommitEpoch
 	s.stats = st.Stats
 	for _, a := range st.Mutexes {

@@ -129,43 +129,6 @@ func TestUnlinkDirectory(t *testing.T) {
 	})
 }
 
-func TestRenameFileAcrossDirectories(t *testing.T) {
-	withFS(t, func(env *kernel.Env, f *FS) {
-		must := func(err error) {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		must(f.Mkdir("a"))
-		must(f.Mkdir("b"))
-		must(f.WriteFile("a/f", []byte("payload")))
-		must(f.Rename("a/f", "b/g"))
-		if _, err := f.Stat("a/f"); !errors.Is(err, ErrNotFound) {
-			t.Fatal("old path still live after rename")
-		}
-		got, err := f.ReadFile("b/g")
-		if err != nil || string(got) != "payload" {
-			t.Fatalf("renamed content = %q, %v", got, err)
-		}
-		// Onto an existing live entry: refused.
-		must(f.WriteFile("a/f", []byte("again")))
-		if err := f.Rename("a/f", "b/g"); !errors.Is(err, ErrExists) {
-			t.Fatalf("rename onto live target: %v", err)
-		}
-		// Directories rename whether empty or not — a non-empty one
-		// decomposes transitively (see rename_test.go for the semantics).
-		must(f.Mkdir("empty"))
-		must(f.Rename("empty", "moved"))
-		if info, err := f.Stat("moved"); err != nil || !info.Dir {
-			t.Fatalf("renamed dir = %+v, %v", info, err)
-		}
-		must(f.Rename("b", "c"))
-		if got, err := f.ReadFile("c/g"); err != nil || string(got) != "payload" {
-			t.Fatalf("moved dir content = %q, %v", got, err)
-		}
-	})
-}
-
 // --- reconciliation over the hierarchy ---------------------------------------
 
 func TestReconcileChildBuildsTree(t *testing.T) {
@@ -237,32 +200,6 @@ func TestReconcileTypeClashConflicts(t *testing.T) {
 		// Parent's file stands, flagged.
 		if _, err := f.ReadFile("x"); !errors.Is(err, ErrConflict) {
 			t.Fatalf("clashed file readable: %v", err)
-		}
-	})
-}
-
-func TestReconcileRenamePropagates(t *testing.T) {
-	withFS(t, func(env *kernel.Env, f *FS) {
-		if err := f.Mkdir("d"); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.WriteFile("d/old", []byte("data")); err != nil {
-			t.Fatal(err)
-		}
-		child := forkImage(t, env, f)
-		if err := child.Rename("d/old", "d/new"); err != nil {
-			t.Fatal(err)
-		}
-		conflicts, err := f.ReconcileFrom(child)
-		if err != nil || len(conflicts) != 0 {
-			t.Fatalf("rename reconciliation: %v, %v", conflicts, err)
-		}
-		if _, err := f.Stat("d/old"); !errors.Is(err, ErrNotFound) {
-			t.Fatal("old path survived the adopted rename")
-		}
-		got, err := f.ReadFile("d/new")
-		if err != nil || string(got) != "data" {
-			t.Fatalf("new path = %q, %v", got, err)
 		}
 	})
 }
@@ -463,28 +400,83 @@ func TestReconcileAncestorClashReportedAtAncestor(t *testing.T) {
 	})
 }
 
-// TestRenameRefusesConflictedEntry: conflicted entries fail later opens
-// until explicitly re-created; Rename must not launder the mark.
-func TestRenameRefusesConflictedEntry(t *testing.T) {
-	withFS(t, func(env *kernel.Env, f *FS) {
-		if err := f.Create("shared"); err != nil {
+// TestReconcileModifyVsTreeDeletionLeavesPlaceholder: the child
+// rewrites d/f after the fork while the parent deletes d/f and then d,
+// so the parent has no slot reachable at the path at all. Both sides
+// changed the entry: the divergence must stay visible as a conflicted
+// placeholder at d/f (reviving d and d/f's own tombstone, never a second
+// slot) that the documented re-create recovery clears. When the parent
+// has since put a file where d was, the report moves to that ancestor.
+func TestReconcileModifyVsTreeDeletionLeavesPlaceholder(t *testing.T) {
+	setup := func(t *testing.T, env *kernel.Env, f *FS) *FS {
+		if err := f.Mkdir("d"); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.WriteFile("d/f", []byte("base")); err != nil {
 			t.Fatal(err)
 		}
 		child := forkImage(t, env, f)
-		if err := f.WriteFile("shared", []byte("parent")); err != nil {
+		if err := child.WriteFile("d/f", []byte("child edit")); err != nil {
 			t.Fatal(err)
 		}
-		if err := child.WriteFile("shared", []byte("child")); err != nil {
+		if err := f.Unlink("d/f"); err != nil {
 			t.Fatal(err)
 		}
-		if conflicts, err := f.ReconcileFrom(child); err != nil || len(conflicts) != 1 {
-			t.Fatalf("setup: %v, %v", conflicts, err)
+		if err := f.Unlink("d"); err != nil {
+			t.Fatal(err)
 		}
-		if err := f.Rename("shared", "laundered"); !errors.Is(err, ErrConflict) {
-			t.Fatalf("rename of conflicted file: %v, want ErrConflict", err)
+		return child
+	}
+	slotsNamed := func(f *FS, name string) int {
+		n := 0
+		for ino := 1; ino < NumInodes; ino++ {
+			if f.inUse(ino) && f.name(ino) == name {
+				n++
+			}
 		}
-		if _, err := f.ReadFile("shared"); !errors.Is(err, ErrConflict) {
-			t.Fatalf("conflict mark lost: %v", err)
+		return n
+	}
+	withFS(t, func(env *kernel.Env, f *FS) {
+		child := setup(t, env, f)
+		conflicts, err := f.ReconcileFrom(child)
+		if err != nil || len(conflicts) != 1 || conflicts[0].Name != "d/f" {
+			t.Fatalf("conflicts %v, err %v, want exactly d/f", conflicts, err)
+		}
+		if got := conflicts[0].String(); got != "conflict(d/f)" {
+			t.Fatalf("the conflict prints as %q", got)
+		}
+		if info, err := f.Stat("d"); err != nil || !info.Dir || info.Conflicted {
+			t.Fatalf("enclosing directory after the pass: %+v, %v", info, err)
+		}
+		if _, err := f.ReadFile("d/f"); !errors.Is(err, ErrConflict) {
+			t.Fatalf("placeholder read: %v, want ErrConflict", err)
+		}
+		if n := slotsNamed(f, "f"); n != 1 {
+			t.Fatalf("%d slots named f, want 1 (the revived tombstone)", n)
+		}
+		if err := f.Create("d/f"); err != nil {
+			t.Fatalf("recovery Create(d/f): %v", err)
+		}
+		if got, err := f.ReadFile("d/f"); err != nil || len(got) != 0 {
+			t.Fatalf("d/f after recovery = %q, %v", got, err)
+		}
+	})
+	withFS(t, func(env *kernel.Env, f *FS) {
+		child := setup(t, env, f)
+		if err := f.WriteFile("d", []byte("now a file")); err != nil {
+			t.Fatal(err)
+		}
+		conflicts, err := f.ReconcileFrom(child)
+		if err != nil || len(conflicts) != 1 || conflicts[0].Name != "d" {
+			t.Fatalf("conflicts %v, err %v, want exactly the clashed ancestor d", conflicts, err)
+		}
+		if _, err := f.ReadFile("d"); !errors.Is(err, ErrConflict) {
+			t.Fatalf("clashed ancestor read: %v, want ErrConflict", err)
+		}
+		for ino := 1; ino < NumInodes; ino++ {
+			if f.name(ino) == "f" && f.iGet(ino, iFlags)&flagExists != 0 {
+				t.Fatal("a placeholder was created under the clashed ancestor")
+			}
 		}
 	})
 }

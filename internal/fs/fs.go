@@ -25,7 +25,7 @@
 // this implementation adds:
 //
 //   - directories: inodes carry a parent-ino field, names are path
-//     components, and Mkdir/ReadDir/Rename operate on slash-separated
+//     components, and Mkdir/ReadDir operate on slash-separated
 //     paths. Reconciliation is keyed by full path, so directory entries
 //     propagate, conflict and merge per-entry exactly the way file
 //     bytes do.
@@ -461,8 +461,8 @@ func (f *FS) name(ino int) string {
 }
 
 // setName names a freshly allocated slot. Callers set iParent first, so
-// the index entry recorded here carries the slot's final key. (Existing
-// entries are never renamed in place — Rename moves data to a new slot.)
+// the index entry recorded here carries the slot's final key; an
+// existing entry's name never changes.
 func (f *FS) setName(ino int, name string) {
 	var buf [MaxNameLen]byte
 	copy(buf[:], name)
@@ -956,207 +956,6 @@ func (f *FS) dirHasLive(dir int) bool {
 		}
 	}
 	return false
-}
-
-// Rename moves a file or directory — including a non-empty directory,
-// transitively — to a new path. Every moved entry decomposes into the
-// two operations reconciliation already understands: a tombstone at the
-// old path and a from-scratch entry at the new one carrying the data.
-// A directory move applies that decomposition to the directory and then
-// to each of its entries, parents before children in name order, so the
-// whole move propagates between replicas per-entry exactly the way file
-// bytes do, with no extra protocol. (A replica that reconciles a
-// renamed tree simply sees deletions at the old paths and creations at
-// the new ones; concurrent edits under the old path surface as the
-// usual modify/delete conflicts.)
-func (f *FS) Rename(oldPath, newPath string) error {
-	defer f.unlock()()
-	ino := f.lookup(oldPath)
-	if ino < 0 {
-		return ErrNotFound
-	}
-	fl := f.iGet(ino, iFlags)
-	if fl&flagConflict != 0 {
-		// Conflicted entries fail later opens until explicitly
-		// re-created; renaming one would launder the mark away.
-		return ErrConflict
-	}
-	dir, leaf, err := f.resolveParent(newPath)
-	if err != nil {
-		return err
-	}
-	if fl&flagDir != 0 && f.dirHasLive(ino) {
-		return f.renameTree(ino, dir, leaf)
-	}
-	// The destination directory chain must not pass through the entry
-	// being moved (only possible for an empty directory onto itself).
-	for d := dir; d != 0; d = int(f.iGet(d, iParent)) {
-		if d == ino {
-			return ErrBadName
-		}
-	}
-	if f.childIn(dir, leaf, flagExists) >= 0 {
-		return ErrExists
-	}
-	_, err = f.moveEntry(ino, dir, leaf)
-	return err
-}
-
-// moveEntry relocates live entry ino to (dir, leaf): the destination
-// adopts the source's data extent wholesale and counts as newly
-// changed; the source becomes a plain deletion. It returns the
-// destination slot. The caller has validated naming (no live entry at
-// the destination, no cycles).
-func (f *FS) moveEntry(ino, dir int, leaf string) (int, error) {
-	fl := f.iGet(ino, iFlags)
-	dst := f.childIn(dir, leaf, flagTomb)
-	if dst >= 0 && f.iGet(dst, iFlags)&flagConflict != 0 {
-		// A conflicted deletion record at the destination is a recorded
-		// divergence: only the explicit re-create recovery may clear it.
-		return -1, ErrConflict
-	}
-	if dst < 0 {
-		dst = f.freeInode()
-		if dst < 0 {
-			return -1, ErrNameTaken
-		}
-		f.iPut(dst, iParent, uint32(dir)) // parent before name: setName indexes under it
-		f.setName(dst, leaf)
-		f.iPut(dst, iVersion, 0)
-		f.iPut(dst, iForkVersion, 0)
-		f.iPut(dst, iForkSize, 0)
-	}
-	// ForkSize resets even on a reused tombstone slot: none of the
-	// moved content existed at this path at fork time.
-	f.iPut(dst, iExtOff, f.iGet(ino, iExtOff))
-	f.iPut(dst, iExtCap, f.iGet(ino, iExtCap))
-	f.iPut(dst, iSize, f.iGet(ino, iSize))
-	f.iPut(dst, iForkSize, 0)
-	v := f.iGet(dst, iVersion)
-	if sv := f.iGet(ino, iVersion); sv > v {
-		v = sv
-	}
-	f.iPut(dst, iVersion, v+1)
-	f.iPut(dst, iFlags, flagExists|(fl&(flagAppendOnly|flagDir)))
-	f.iPut(ino, iExtOff, 0)
-	f.iPut(ino, iExtCap, 0)
-	f.iPut(ino, iFlags, flagTomb|(fl&flagDir))
-	f.iPut(ino, iSize, 0)
-	f.bump(ino)
-	return dst, nil
-}
-
-// renameTree moves the non-empty directory ino to (dir, leaf) by
-// decomposing the move per entry, parents before children, each child
-// level in name order (deterministic across replicas). Everything that
-// can fail is checked before the first mutation — conflict marks
-// anywhere in the subtree, cycles, a live destination, and slot
-// capacity, via a dry run that mirrors moveEntry's decisions exactly
-// (including which destinations reuse a tombstone) — so a rename that
-// starts always completes.
-func (f *FS) renameTree(ino, dir int, leaf string) error {
-	// Collect the live subtree in preorder, children name-sorted.
-	type entry struct {
-		ino    int
-		parent int // source parent ino
-	}
-	entries := []entry{{ino: ino, parent: int(f.iGet(ino, iParent))}}
-	inTree := map[int]bool{ino: true}
-	var walk func(d int) error
-	walk = func(d int) error {
-		var kids []int
-		for i := 1; i < NumInodes; i++ {
-			if f.iGet(i, iFlags)&flagExists != 0 && int(f.iGet(i, iParent)) == d {
-				kids = append(kids, i)
-			}
-		}
-		sort.Slice(kids, func(a, b int) bool { return f.name(kids[a]) < f.name(kids[b]) })
-		for _, k := range kids {
-			kfl := f.iGet(k, iFlags)
-			if kfl&flagConflict != 0 {
-				return ErrConflict
-			}
-			entries = append(entries, entry{ino: k, parent: d})
-			inTree[k] = true
-			if kfl&flagDir != 0 {
-				if err := walk(k); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := walk(ino); err != nil {
-		return err
-	}
-	// The destination chain must not pass through the moved subtree.
-	for d := dir; d != 0; d = int(f.iGet(d, iParent)) {
-		if inTree[d] {
-			return ErrBadName
-		}
-	}
-	if f.childIn(dir, leaf, flagExists) >= 0 {
-		return ErrExists
-	}
-	// Dry-run the whole move before mutating anything, mirroring exactly
-	// the decisions moveEntry and freeInode will make: which destination
-	// slots reuse a tombstone (a conflicted one refuses the move —
-	// including stale tombstones whose parent field aliases a slot this
-	// rename is about to allocate) and which consume a free slot, in
-	// first-fit order. A rename that passes the dry run cannot fail
-	// part-way, so the operation is all-or-nothing.
-	taken := map[int]bool{}
-	nextFree := func() int {
-		for i := 1; i < NumInodes; i++ {
-			if !f.inUse(i) && !taken[i] {
-				return i
-			}
-		}
-		return -1
-	}
-	planned := make([]int, len(entries)) // destination slot per entry
-	plannedParent := map[int]int{}       // source ino -> planned destination slot
-	for i, e := range entries {
-		d, l := dir, leaf
-		if i > 0 {
-			d, l = plannedParent[e.parent], f.name(e.ino)
-		}
-		// The same (dir, name) tombstone lookup moveEntry will perform:
-		// for i > 0, d is a slot this rename will allocate, so a hit is a
-		// stale tombstone whose parent field aliases the reused number.
-		dst := f.childIn(d, l, flagTomb)
-		if dst >= 0 && f.iGet(dst, iFlags)&flagConflict != 0 {
-			return ErrConflict
-		}
-		if dst < 0 {
-			dst = nextFree()
-			if dst < 0 {
-				return ErrNameTaken
-			}
-		}
-		taken[dst] = true
-		planned[i] = dst
-		plannedParent[e.ino] = dst
-	}
-	// Execute top-down: each entry moves under its parent's new slot.
-	// The moves follow the plan by construction, so nothing can fail
-	// after the first mutation.
-	newIno := map[int]int{}
-	for i, e := range entries {
-		d, l := dir, leaf
-		if i > 0 {
-			d, l = newIno[e.parent], f.name(e.ino)
-		}
-		nd, err := f.moveEntry(e.ino, d, l)
-		if err != nil {
-			panic(fmt.Sprintf("fs: renameTree: move failed after dry run (%s under %d): %v", l, d, err))
-		}
-		if nd != planned[i] {
-			panic(fmt.Sprintf("fs: renameTree: planned slot %d, moved to %d", planned[i], nd))
-		}
-		newIno[e.ino] = nd
-	}
-	return nil
 }
 
 // Info describes a file or directory.

@@ -171,45 +171,6 @@ func TestReviveResetsForkSize(t *testing.T) {
 	})
 }
 
-// TestRenameOntoTombstoneResetsForkSize: the rename fast path reuses a
-// tombstone slot at the destination; none of the moved bytes existed at
-// that path at fork time, so the whole content must merge as appended.
-func TestRenameOntoTombstoneResetsForkSize(t *testing.T) {
-	withFS(t, func(env *kernel.Env, f *FS) {
-		if err := f.CreateAppendOnly("b"); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Append("b", bytes.Repeat([]byte{'B'}, 100)); err != nil {
-			t.Fatal(err)
-		}
-		child := forkImage(t, env, f)
-		if err := f.Append("b", []byte("-parent")); err != nil {
-			t.Fatal(err)
-		}
-		if err := child.CreateAppendOnly("a"); err != nil {
-			t.Fatal(err)
-		}
-		if err := child.Append("a", []byte("moved")); err != nil {
-			t.Fatal(err)
-		}
-		if err := child.Unlink("b"); err != nil { // tombstone with old fork size
-			t.Fatal(err)
-		}
-		if err := child.Rename("a", "b"); err != nil { // reuses the tombstone slot
-			t.Fatal(err)
-		}
-		conflicts, err := f.ReconcileFrom(child)
-		if err != nil || len(conflicts) != 0 {
-			t.Fatalf("rename onto tombstone: %v, %v", conflicts, err)
-		}
-		got, err := f.ReadFile("b")
-		want := string(bytes.Repeat([]byte{'B'}, 100)) + "-parent" + "moved"
-		if err != nil || string(got) != want {
-			t.Fatalf("merged file = %q, want %q", got, want)
-		}
-	})
-}
-
 // TestAttachRejectsDamagedAllocatorState: a corrupt cursor or free
 // entry must be refused at Attach, not crash or corrupt metadata later.
 func TestAttachRejectsDamagedAllocatorState(t *testing.T) {
@@ -231,34 +192,6 @@ func TestAttachRejectsDamagedAllocatorState(t *testing.T) {
 		f.pu32(freeTable+4, vm.PageSize) // one page "free" over metadata
 		if _, err := Attach(env, testBase, testSize); err == nil {
 			t.Fatal("attach accepted a free extent over the metadata pages")
-		}
-	})
-}
-
-// TestRenameRefusesConflictedTombstoneDestination: a conflicted
-// deletion record at the rename destination is a recorded divergence;
-// moving an entry onto it must not launder the mark.
-func TestRenameRefusesConflictedTombstoneDestination(t *testing.T) {
-	withFS(t, func(env *kernel.Env, f *FS) {
-		if err := f.WriteFile("p", []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		child := forkImage(t, env, f)
-		if err := f.Unlink("p"); err != nil { // parent deletes...
-			t.Fatal(err)
-		}
-		if err := child.WriteFile("p", []byte("child")); err != nil { // ...child rewrites
-			t.Fatal(err)
-		}
-		conflicts, err := f.ReconcileFrom(child)
-		if err != nil || len(conflicts) != 1 {
-			t.Fatalf("setup: %v, %v", conflicts, err)
-		}
-		if err := f.WriteFile("q", []byte("mover")); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Rename("q", "p"); !errors.Is(err, ErrConflict) {
-			t.Fatalf("rename onto conflicted tombstone: %v, want ErrConflict", err)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -385,4 +386,48 @@ func TestCheckpointResumeMultiNode(t *testing.T) {
 func fixImageCRC(img []byte) {
 	payload := img[:len(img)-4]
 	binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.ChecksumIEEE(payload))
+}
+
+// A child that crashed before the checkpoint is still a crashed child
+// after the restore: the parent's Get reports the same status, and the
+// trap cause crosses the image as its message (error types are Go values
+// and cannot).
+func TestCheckpointKeepsTrapCause(t *testing.T) {
+	var img []byte
+	var cause string
+	res := New(ckConfig()).Run(func(env *Env) {
+		if err := env.Put(1, PutOpts{
+			Regs:  &Regs{Entry: func(c *Env) { c.ReadU32(0xdead0000) }},
+			Start: true,
+		}); err != nil {
+			panic(err)
+		}
+		info, err := env.Get(1, GetOpts{})
+		if err != nil || info.Status != StatusFault {
+			panic("the child did not fault")
+		}
+		cause = info.Err.Error()
+		if img, err = env.Checkpoint(CheckpointOpts{}); err != nil {
+			panic(err)
+		}
+	}, 0)
+	if res.Err != nil {
+		t.Fatalf("checkpointing run: %v", res.Err)
+	}
+	m := New(ckConfig())
+	if err := m.Restore(img); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	res = m.Run(func(env *Env) {
+		info, err := env.Get(1, GetOpts{})
+		if err != nil {
+			panic(err)
+		}
+		if info.Status != StatusFault || info.Err == nil || info.Err.Error() != cause {
+			panic(fmt.Sprintf("restored child reports %v: %v, want fault: %s", info.Status, info.Err, cause))
+		}
+	}, 0)
+	if res.Err != nil {
+		t.Fatalf("resumed run: %v", res.Err)
+	}
 }

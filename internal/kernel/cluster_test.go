@@ -145,16 +145,17 @@ func TestDistributedResultEqualsLocal(t *testing.T) {
 }
 
 func TestNodesAccessor(t *testing.T) {
-	if got := New(Config{Nodes: 7}).Nodes(); got != 7 {
-		t.Errorf("Nodes() = %d, want 7", got)
-	}
-	if got := New(Config{}).Nodes(); got != 1 {
-		t.Errorf("default Nodes() = %d, want 1", got)
+	for _, c := range []struct{ configured, want int }{{7, 7}, {0, 1}} {
+		res := New(Config{Nodes: c.configured}).Run(func(env *Env) { env.SetRet(uint64(env.Nodes())) }, 0)
+		if res.Status != StatusHalted || res.Ret != uint64(c.want) {
+			t.Errorf("Config{Nodes: %d}: Nodes() = %d (%v), want %d", c.configured, res.Ret, res.Status, c.want)
+		}
 	}
 }
 
 func TestFixedClockDevice(t *testing.T) {
-	m := New(Config{Clock: FixedClock(10, 20, 30)})
+	readings, next := []int64{10, 20, 30, 30}, 0
+	m := New(Config{Clock: func() int64 { next++; return readings[next-1] }})
 	res := m.Run(func(env *Env) {
 		a, b, c, d := env.ClockNow(), env.ClockNow(), env.ClockNow(), env.ClockNow()
 		if a != 10 || b != 20 || c != 30 || d != 30 {

@@ -64,23 +64,6 @@ func LogicalClock() ClockFunc {
 	}
 }
 
-// FixedClock returns a clock that replays the given readings, then keeps
-// returning the last one — the replay case.
-func FixedClock(readings ...int64) ClockFunc {
-	var mu sync.Mutex
-	i := 0
-	return func() int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(readings) == 0 {
-			return 0
-		}
-		r := readings[min(i, len(readings)-1)]
-		i++
-		return r
-	}
-}
-
 // RandFunc produces entropy-device readings.
 type RandFunc func() uint64
 

@@ -31,9 +31,6 @@ func (e *Env) SetRet(v uint64) { e.sp.regs.Ret = v }
 // device access).
 func (e *Env) IsRoot() bool { return e.sp.parent == nil }
 
-// NodeID reports the cluster node the space currently executes on.
-func (e *Env) NodeID() int { return e.sp.node.id }
-
 // HomeNodeID reports the node the space was created on.
 func (e *Env) HomeNodeID() int { return e.sp.home.id }
 

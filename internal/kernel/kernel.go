@@ -222,9 +222,6 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// Nodes reports the cluster size.
-func (m *Machine) Nodes() int { return len(m.nodes) }
-
 // NetStats counts the cross-node protocol traffic one space initiated:
 // migrations, page-run requests and delta shipments it was charged for.
 // Like virtual time the counts are deterministic — they depend only on
@@ -234,12 +231,6 @@ func (m *Machine) Nodes() int { return len(m.nodes) }
 type NetStats struct {
 	Msgs  int64 // protocol messages (round trips) initiated
 	Pages int64 // pages moved across the wire
-}
-
-// Add accumulates another space's traffic into s.
-func (s *NetStats) Add(o NetStats) {
-	s.Msgs += o.Msgs
-	s.Pages += o.Pages
 }
 
 // RunResult describes a completed root program.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -885,6 +886,30 @@ func TestReadRunsMatchesRead(t *testing.T) {
 			if size == 8*vm.PageSize && zeroBytes != 4*vm.PageSize {
 				panic("ReadRuns did not report the four untouched pages as zero runs")
 			}
+		}
+	})
+}
+
+// The scalar float accessors read and write the same little-endian word
+// the U64 and bulk F64 accessors do, and charge as the U64 ones do.
+func TestScalarF64SharesTheWord(t *testing.T) {
+	runRoot(t, func(env *Env) {
+		env.SetPerm(0, vm.PageSize, vm.PermRW)
+		vt, insns := env.VT(), env.Insns()
+		env.WriteU64(16, 0)
+		_ = env.ReadU64(16)
+		wordVT, wordInsns := env.VT()-vt, env.Insns()-insns
+
+		vt, insns = env.VT(), env.Insns()
+		env.WriteF64(16, -3.25)
+		got := env.ReadF64(16)
+		if env.VT()-vt != wordVT || env.Insns()-insns != wordInsns {
+			panic("a float load and store charged differently from a uint64 pair")
+		}
+		var bulk [1]float64
+		env.ReadF64s(16, bulk[:])
+		if got != -3.25 || bulk[0] != -3.25 || env.ReadU64(16) != math.Float64bits(-3.25) {
+			panic("the float accessors disagree about the word")
 		}
 	})
 }

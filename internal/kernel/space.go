@@ -70,14 +70,9 @@ const (
 	stateRunning                  // goroutine executing user code
 )
 
-// errAbort is panicked into parked goroutines at shutdown or when the
-// parent overwrites a parked space's registers. It is a write-once
-// error sentinel (and satisfies error so callers could errors.Is it).
-var errAbort = &abortSignal{}
-
+// abortSignal is panicked into parked goroutines at shutdown or when
+// the parent overwrites a parked space's registers.
 type abortSignal struct{}
-
-func (*abortSignal) Error() string { return "kernel: space aborted" }
 
 // Space is one node of the kernel's space hierarchy (§3.1): register state
 // for a single control flow plus a private virtual address space. A space
@@ -183,7 +178,7 @@ func (sp *Space) run(entry Prog) {
 		switch t := r.(type) {
 		case nil, haltSignal:
 			sp.stop(StatusHalted, nil)
-		case *abortSignal:
+		case abortSignal:
 			// Shutdown or register overwrite: exit without changing state;
 			// the aborter already holds the state machine.
 		case *vm.AccessError, *vm.SpanError:
@@ -208,7 +203,7 @@ func (sp *Space) stop(st Status, err error) {
 }
 
 // park suspends the calling space goroutine (Ret or instruction-limit
-// trap) until the parent restarts it. It panics with errAbort if the
+// trap) until the parent restarts it. It panics with abortSignal if the
 // parent discards the parked execution.
 func (sp *Space) park(st Status) {
 	sp.mu.Lock()
@@ -229,7 +224,7 @@ func (sp *Space) park(st Status) {
 		sp.state = stateStopped
 		sp.cond.Broadcast()
 		sp.mu.Unlock()
-		panic(errAbort)
+		panic(abortSignal{})
 	}
 	sp.mu.Unlock()
 }

@@ -7,8 +7,7 @@ import (
 	"testing"
 )
 
-// Tests for the runtime extensions: batch pipes, CPU quotas, and
-// checkpoint/restore supervision.
+// Tests for the runtime extensions: batch pipes and CPU quotas.
 
 func TestPipelineTwoStages(t *testing.T) {
 	reg := NewRegistry()
@@ -173,95 +172,4 @@ func TestQuotaSufficientCompletes(t *testing.T) {
 	if status != 7 {
 		t.Errorf("status = %d, want 7", status)
 	}
-}
-
-// TestSuperviseRecoversFromCrash is the fault-tolerance demo: a worker
-// records progress in a file, syncs (checkpoint), then crashes; the
-// supervisor restores it and the rerun resumes from the recorded
-// progress instead of starting over.
-func TestSuperviseRecoversFromCrash(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register("init", func(p *Proc) int {
-		worker := func(c *Proc) int {
-			// Resume from recorded progress, if any.
-			done := 0
-			if data, err := c.FS().ReadFile("progress"); err == nil && len(data) > 0 {
-				fmt.Sscan(string(data), &done)
-			}
-			for step := done; step < 6; step++ {
-				c.Env().Tick(1000) // a unit of work
-				if err := c.FS().WriteFile("progress", []byte(fmt.Sprint(step+1))); err != nil {
-					panic(err)
-				}
-				c.Sync() // push progress to the parent => checkpoint
-				if step == 3 {
-					panic("transient fault") // crash after step 4 is recorded
-				}
-			}
-			return 42
-		}
-		pid, err := p.Fork(worker)
-		if err != nil {
-			panic(err)
-		}
-		res, err := p.Supervise(pid, 3)
-		if err != nil {
-			panic(err)
-		}
-		if res.Restarts != 1 {
-			panic(fmt.Sprintf("restarts = %d, want 1", res.Restarts))
-		}
-		if res.Status != 42 {
-			panic(fmt.Sprintf("status = %d, want 42", res.Status))
-		}
-		// The worker must have resumed from step 4, not repeated a
-		// crash loop: with progress preserved, step==3 never re-runs.
-		got, err := p.FS().ReadFile("progress")
-		if err != nil || string(got) != "6" {
-			panic("progress lost across restore: " + string(got))
-		}
-		return 0
-	})
-	boot(t, reg, "", "init")
-}
-
-func TestSuperviseGivesUpAfterMaxRestarts(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register("init", func(p *Proc) int {
-		pid, err := p.Fork(func(c *Proc) int {
-			panic("always crashes")
-		})
-		if err != nil {
-			panic(err)
-		}
-		res, err := p.Supervise(pid, 2)
-		var ee *ExitError
-		if !errors.As(err, &ee) {
-			panic("persistent crash not reported")
-		}
-		if res.Restarts != 2 {
-			panic(fmt.Sprintf("restarts = %d, want 2", res.Restarts))
-		}
-		return 0
-	})
-	boot(t, reg, "", "init")
-}
-
-func TestSuperviseCleanExit(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register("init", func(p *Proc) int {
-		pid, _ := p.Fork(func(c *Proc) int {
-			c.FS().WriteFile("out", []byte("ok"))
-			return 9
-		})
-		res, err := p.Supervise(pid, 1)
-		if err != nil || res.Status != 9 || res.Restarts != 0 {
-			panic("clean supervised exit mishandled")
-		}
-		if got, err := p.FS().ReadFile("out"); err != nil || string(got) != "ok" {
-			panic("supervised child's file output lost")
-		}
-		return 0
-	})
-	boot(t, reg, "", "init")
 }

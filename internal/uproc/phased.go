@@ -115,9 +115,9 @@ func AttachInit(env *kernel.Env, reg *Registry, args []string, st InitState) (*P
 // ExportState captures the init process's Go-side bookkeeping for a
 // checkpoint image. It must be called at a quiescent barrier: children
 // hold Go-side state (their program closures and service loops) that
-// cannot cross an image, so exporting with uncollected children, live
-// checkpoint shadows, or redirected standard streams fails with a
-// *StateError instead of silently producing an image that cannot resume.
+// cannot cross an image, so exporting with uncollected children or
+// redirected standard streams fails with a *StateError instead of
+// silently producing an image that cannot resume.
 func (p *Proc) ExportState() (InitState, error) {
 	if !p.root {
 		return InitState{}, &StateError{Msg: "only the init process checkpoints"}
@@ -125,9 +125,6 @@ func (p *Proc) ExportState() (InitState, error) {
 	if n := len(p.children); n > 0 {
 		return InitState{}, &StateError{Msg: fmt.Sprintf(
 			"%d uncollected children; wait for them before the checkpoint barrier", n)}
-	}
-	if n := len(p.shadows); n > 0 {
-		return InitState{}, &StateError{Msg: fmt.Sprintf("%d live checkpoint shadows", n)}
 	}
 	if p.stdinFile != "" || p.outFile != "" {
 		return InitState{}, &StateError{Msg: "standard streams are redirected"}

@@ -20,7 +20,6 @@ package uproc
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/fs"
 	"repro/internal/kernel"
@@ -77,16 +76,6 @@ func (r *Registry) Lookup(name string) (Program, bool) {
 	return p, ok
 }
 
-// Names lists registered programs in sorted (deterministic) order.
-func (r *Registry) Names() []string {
-	var out []string
-	for n := range r.progs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Proc is the user-level runtime state of one process. It lives in the
 // process's own space; the kernel knows nothing of processes.
 type Proc struct {
@@ -111,16 +100,10 @@ type Proc struct {
 	stdinFile  string // "" = console input stream; else a pipe/regular file
 	outFile    string // "" = console output stream; else a capture file
 	pipeSerial int    // deterministic pipe-name counter
-
-	// Checkpoint shadows, by pid (see checkpoint.go).
-	shadows map[int]uint64
 }
 
 type childState struct {
 	ref   uint64
-	args  []string
-	prog  Program // image, kept for restore-restart
-	stdin string
 	quota int64
 }
 
@@ -157,9 +140,6 @@ func (p *Proc) FS() *fs.FS { return p.fsys }
 
 // Args returns the argument vector the process was started with.
 func (p *Proc) Args() []string { return p.args }
-
-// IsRoot reports whether this is the root (init) process.
-func (p *Proc) IsRoot() bool { return p.root }
 
 // allocRef reserves a child space number, reusing freed slots — the
 // "free list of child spaces" of §4.1. Slot 0 is reserved (the paper
@@ -228,7 +208,7 @@ func (p *Proc) forkWith(prog Program, stdin string, quota int64, args []string) 
 	}
 	p.nextPID++
 	pid := p.nextPID
-	p.children[pid] = &childState{ref: ref, args: args, prog: prog, stdin: stdin, quota: quota}
+	p.children[pid] = &childState{ref: ref, quota: quota}
 	p.forkOrder = append(p.forkOrder, pid)
 	return pid, nil
 }
@@ -375,15 +355,6 @@ func (p *Proc) reconcileChild(ref uint64) ([]fs.Conflict, error) {
 // wants input the parent does not have, the request is forwarded up the
 // hierarchy (§4.3), ultimately to the root, which pumps the device.
 func (p *Proc) serviceChild(ref uint64, req int) error {
-	if err := p.syncChild(ref, req); err != nil {
-		return err
-	}
-	return p.env.Put(ref, kernel.PutOpts{Start: true})
-}
-
-// syncChild performs the two-way synchronization without resuming,
-// so a supervisor can act on the synced state (e.g. checkpoint) first.
-func (p *Proc) syncChild(ref uint64, req int) error {
 	if _, err := p.reconcileChild(ref); err != nil {
 		return err
 	}
@@ -397,9 +368,12 @@ func (p *Proc) syncChild(ref uint64, req int) error {
 	}
 	// Push the merged image down to the child; it re-stamps its fork
 	// versions when it wakes.
-	return p.env.Put(ref, kernel.PutOpts{
+	if err := p.env.Put(ref, kernel.PutOpts{
 		Copy: &kernel.CopyRange{Src: FSBase, Dst: FSBase, Size: FSSize},
-	})
+	}); err != nil {
+		return err
+	}
+	return p.env.Put(ref, kernel.PutOpts{Start: true})
 }
 
 // syncUp stops this process with a service request so its parent

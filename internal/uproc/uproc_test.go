@@ -436,13 +436,3 @@ func TestSyncFlushesOutputEarly(t *testing.T) {
 		t.Errorf("output = %q", out)
 	}
 }
-
-func TestRegistryNamesSorted(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register("zz", func(p *Proc) int { return 0 })
-	reg.Register("aa", func(p *Proc) int { return 0 })
-	names := reg.Names()
-	if len(names) != 2 || names[0] != "aa" || names[1] != "zz" {
-		t.Errorf("Names() = %v", names)
-	}
-}

@@ -161,8 +161,8 @@ func TestMergeKernelsEquivalentProperty(t *testing.T) {
 				return false
 			}
 			if touched != oracleTouched {
-				t.Errorf("seed %d mode %v: touched tables differ: %d vs oracle %d",
-					seed, mode, touched.Count(), oracleTouched.Count())
+				t.Errorf("seed %d mode %v: touched tables differ: %x vs oracle %x",
+					seed, mode, touched, oracleTouched)
 				return false
 			}
 		}
@@ -292,8 +292,8 @@ func TestMergeMatchesByteRuleProperty(t *testing.T) {
 				t.Errorf("seed %d mode %v full scan: %s", seed, mode, diff)
 			}
 			if touched != baseTouched {
-				t.Errorf("seed %d mode %v full scan: touched tables differ: %d vs %d",
-					seed, mode, touched.Count(), baseTouched.Count())
+				t.Errorf("seed %d mode %v full scan: touched tables differ: %x vs %x",
+					seed, mode, touched, baseTouched)
 			}
 		}
 		return !t.Failed()

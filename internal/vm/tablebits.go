@@ -1,7 +1,5 @@
 package vm
 
-import "math/bits"
-
 // Exported table geometry: higher layers (the kernel's merge plumbing,
 // dsched's per-table sync epochs) reason about level-1 table granularity
 // without knowing the paging internals.
@@ -35,13 +33,4 @@ func (b *TableBits) Any() bool {
 		}
 	}
 	return false
-}
-
-// Count returns the number of marked tables.
-func (b *TableBits) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

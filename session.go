@@ -19,9 +19,8 @@ import (
 // A Session is the library's coherent entry point: one builder that
 // composes everything the historical free functions configured
 // separately — the machine (kernel.Config), the runtime (shared-region
-// size, flat vs sharded-tree collection), the deterministic scheduler's
-// configuration, console I/O, and trace record/replay — and the home of
-// deterministic checkpoint/restore.
+// size, flat vs sharded-tree collection), console I/O, and trace
+// record/replay — and the home of deterministic checkpoint/restore.
 //
 // A Session is a validated configuration plus the run entry points.
 // The one-shot entry points (Run, RunProgram, RunToCheckpoint, Resume,
@@ -266,11 +265,11 @@ func (s *Session) State() SessionState {
 
 // SessionConfig is the unified configuration a Session is built from.
 // The zero value is a valid single-node deterministic machine with
-// default cost model, shared-region size and scheduler quantum.
+// default cost model and shared-region size.
 type SessionConfig struct {
-	// Machine configures the simulated machine (nodes, CPUs, cost model,
-	// merge workers). Machine.Console must be nil when Input/Output are
-	// set; the session builds the console.
+	// Machine configures the simulated machine (nodes, CPUs, cost
+	// model). Machine.Console must be nil when Input/Output are set; the
+	// session builds the console.
 	Machine MachineConfig
 	// SharedSize is the private-workspace shared region size (0 selects
 	// the default 64 MiB).
@@ -278,9 +277,6 @@ type SessionConfig struct {
 	// TreeJoin collects threads through the sharded per-node barrier
 	// tree instead of the flat collector.
 	TreeJoin bool
-	// Sched is the deterministic-scheduler configuration used by
-	// Session.NewSched.
-	Sched SchedConfig
 	// Record captures every nondeterministic device input of each run
 	// into the log returned by TraceLog.
 	Record bool
@@ -313,11 +309,6 @@ func WithSharedSize(n uint64) SessionOption {
 // WithTreeJoin selects sharded-tree collection.
 func WithTreeJoin(on bool) SessionOption {
 	return func(c *SessionConfig) { c.TreeJoin = on }
-}
-
-// WithSched sets the deterministic-scheduler configuration template.
-func WithSched(cfg SchedConfig) SessionOption {
-	return func(c *SessionConfig) { c.Sched = cfg }
 }
 
 // WithRecord enables trace recording.
@@ -378,9 +369,6 @@ func NewSessionFromConfig(cfg SessionConfig) (*Session, error) {
 	if cfg.SharedSize > maxSharedSize {
 		return nil, &ConfigError{Field: "SharedSize", Reason: fmt.Sprintf("%d exceeds the %d-byte address space above the shared base", cfg.SharedSize, maxSharedSize)}
 	}
-	if err := cfg.Sched.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Record && cfg.Replay != nil {
 		return nil, &ConfigError{Field: "Record/Replay", Reason: "mutually exclusive"}
 	}
@@ -394,9 +382,6 @@ func NewSessionFromConfig(cfg SessionConfig) (*Session, error) {
 	}
 	return &Session{cfg: cfg}, nil
 }
-
-// Config returns the session's validated configuration.
-func (s *Session) Config() SessionConfig { return s.cfg }
 
 // TraceLog returns the trace recorded by the most recent Run* call
 // (Record mode only) — for a bound session, by its machine so far. For
@@ -421,12 +406,6 @@ func (s *Session) Checkpoints() []*Image {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.checkpoints
-}
-
-// NewSched builds a deterministic scheduler from the session's scheduler
-// configuration for a runtime created inside one of this session's runs.
-func (s *Session) NewSched(rt *RT) (*Sched, error) {
-	return dsched.New(rt, s.cfg.Sched)
 }
 
 // deviceConfig materializes the kernel configuration for one run:

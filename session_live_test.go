@@ -354,46 +354,44 @@ func TestSessionAPIHammer(t *testing.T) {
 			go func(h int) {
 				defer wg.Done()
 				for i := 0; i < iters; i++ {
-					switch (i + h) % 16 {
+					switch (i + h) % 15 {
 					case 0:
 						_ = s.State()
 					case 1:
 						_ = s.Phase()
 					case 2:
-						_ = s.Config()
-					case 3:
 						_ = s.TraceLog()
-					case 4:
+					case 3:
 						_ = s.Checkpoints()
-					case 5:
+					case 4:
 						_ = s.LastManifest()
-					case 6:
+					case 5:
 						_, err := s.Digest()
 						refused("Digest", err)
-					case 7:
+					case 6:
 						_, err := s.SaveTo(store)
 						refused("SaveTo", err)
-					case 8:
+					case 7:
 						_, err := s.Suspend(store)
 						refused("Suspend", err)
-					case 9:
+					case 8:
 						refused("Bind", s.Bind(p))
-					case 10:
+					case 9:
 						refused("BindSuspended", s.BindSuspended(p, store, m0))
-					case 11:
+					case 10:
 						_, err := s.RunProgram(p)
 						refused("RunProgram", err)
-					case 12:
+					case 11:
 						_, err := s.RunToCheckpoint(p, 1)
 						refused("RunToCheckpoint", err)
-					case 13:
+					case 12:
 						_, err := s.Resume(img0, p)
 						refused("Resume", err)
 						_, err = s.ResumeFrom(store, m0, p)
 						refused("ResumeFrom", err)
-					case 14:
+					case 13:
 						refused("Run", s.Run(func(*RT) uint64 { return 0 }).Err)
-					case 15:
+					case 14:
 						// A competing stepper: it may win slices from the driver.
 						_, err := s.Step(1)
 						refused("Step", err)

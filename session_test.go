@@ -619,10 +619,6 @@ func TestSessionConfigValidation(t *testing.T) {
 	if _, err := NewSession(WithSharedSize(1 << 40)); !errors.As(err, &ce) || ce.Field != "SharedSize" {
 		t.Fatalf("oversized region: %v", err)
 	}
-	var se *SchedConfigError
-	if _, err := NewSession(WithSched(SchedConfig{Quantum: -5})); !errors.As(err, &se) || se.Field != "Quantum" {
-		t.Fatalf("negative quantum: %v", err)
-	}
 	if _, err := NewSession(WithRecord(), WithReplay(&TraceLog{})); !errors.As(err, &ce) {
 		t.Fatalf("record+replay: %v", err)
 	}
