@@ -35,16 +35,22 @@ test:
 # siblings still execute — instead of an effectively serialized run. The
 # whole module is covered, not just internal/: the root package's
 # Session hands a live machine between goroutines at every Step, and the
-# daemons sit on top of it.
+# daemons sit on top of it. Tests and benchmarks run in a shuffled order:
+# a deterministic system's tests have no business depending on the order
+# they were declared in. `go test` prints the seed ("-test.shuffle N") at
+# the head of a package's output when it fails; re-run that package with
+# -shuffle=N to get the same order back.
 race:
-	GOMAXPROCS=4 $(GO) test -race ./...
+	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./...
 
 # Ten seconds of native fuzzing on each decoder of bytes that came off a
 # disk: the chunk codec and the node framing, the decoders a checkpoint
 # passes through on its way back from a store — the chunk root
-# (vm.UnchunkForest), the flat forest (vm.DecodeForest) and the machine
-# image (kernel.Restore/SplitImage) — and the build cache's result
-# manifest, all over imgenc's envelope and cursor; and on the two
+# (vm.UnchunkForest), the flat forest (vm.DecodeForest), the machine
+# image (kernel.Restore/SplitImage), and the session image and the
+# manifest that wrap them (repro.DecodeImage, repro.DecodeManifest) —
+# and the build cache's result manifest, all over imgenc's envelope and
+# cursor; and on the two
 # decoders of bytes another space wrote: detmake's task message, over
 # the same cursor, and fs.Attach. The seed corpora also
 # run as plain tests under `make test`; this target is what mutates
@@ -59,6 +65,8 @@ fuzz-smoke:
 	$(FUZZ) -fuzz FuzzDecodeForest ./internal/vm
 	$(FUZZ) -fuzz FuzzUnchunkForest ./internal/vm
 	$(FUZZ) -fuzz FuzzRestore ./internal/kernel
+	$(FUZZ) -fuzz FuzzDecodeImage .
+	$(FUZZ) -fuzz FuzzDecodeManifest .
 	$(FUZZ) -fuzz FuzzDecodeManifest ./internal/detmake
 	$(FUZZ) -fuzz FuzzTaskMessage ./internal/detmake
 	$(FUZZ) -fuzz FuzzAttach ./internal/fs

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -71,14 +70,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "detmake: %v\n", err)
 			return 1
 		}
-		idx, err := detmake.OpenDirIndex(filepath.Join(*storeDir, "actions"))
-		if err != nil {
-			fmt.Fprintf(stderr, "detmake: %v\n", err)
-			return 1
-		}
-		cfg.Store, cfg.Index = store, idx
+		cfg.Store = store
 	} else {
-		cfg.Store, cfg.Index = castore.NewMemStore(), detmake.NewMemIndex()
+		cfg.Store = castore.NewMemStore()
 	}
 
 	start := time.Now()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro"
@@ -19,31 +18,32 @@ import (
 //	echo 'cat f'         | detshell ckpt resume DIR
 //
 // save runs the script and checkpoints the whole machine (process tree,
-// file system, console cursors) into DIR, recording the manifest key in
-// DIR/MANIFEST. resume continues that exact machine, feeds it the new
-// script lines, and — when there are new lines — saves a fresh
-// checkpoint chained onto the old one, so repeated resumes build an
-// incremental image chain in the same store.
+// file system, console cursors) into DIR and points the store's MANIFEST
+// ref (the file DIR/MANIFEST) at the manifest. resume continues that
+// exact machine, feeds it the new script lines, and — when there are new
+// lines — saves a fresh checkpoint chained onto the old one, so repeated
+// resumes build an incremental image chain in the same store.
 
-// manifestFile is where the current chain head's key is recorded.
-const manifestFile = "MANIFEST"
+// headRef is the store ref that names the current chain head. Being a
+// ref, it is also what keeps the chain's chunks through a collection of
+// DIR, whoever runs it.
+const headRef = "MANIFEST"
 
 func ckptMain(args []string) int {
 	if len(args) != 2 || (args[0] != "save" && args[0] != "resume") {
 		fmt.Fprintln(os.Stderr, "usage: detshell ckpt save DIR | detshell ckpt resume DIR")
 		return 2
 	}
-	dir := args[1]
-	store, err := repro.OpenDirStore(dir)
+	store, err := repro.OpenDirStore(args[1])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "detshell: ckpt:", err)
 		return 1
 	}
 	switch args[0] {
 	case "save":
-		err = ckptSave(store, dir, os.Stdin, os.Stdout)
+		err = ckptSave(store, os.Stdin, os.Stdout)
 	case "resume":
-		err = ckptResume(store, dir, os.Stdin, os.Stdout)
+		err = ckptResume(store, os.Stdin, os.Stdout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "detshell: ckpt:", err)
@@ -54,7 +54,7 @@ func ckptMain(args []string) int {
 
 // ckptSave runs the script from r as phases of a fresh machine and
 // checkpoints at the final barrier.
-func ckptSave(store repro.BlobStore, dir string, r io.Reader, out io.Writer) error {
+func ckptSave(store repro.BlobStore, r io.Reader, out io.Writer) error {
 	lines := scriptLines(r)
 	if len(lines) == 0 {
 		return fmt.Errorf("empty script: nothing to checkpoint")
@@ -71,21 +71,30 @@ func ckptSave(store repro.BlobStore, dir string, r io.Reader, out io.Writer) err
 	if err != nil {
 		return err
 	}
-	if err := writeManifestKey(dir, m); err != nil {
+	if err := store.SetRef(headRef, m.Key()); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "detshell: saved checkpoint %s (%d phases, seq %d) to %s\n",
-		m.Key(), prog.Phases, m.Seq(), dir)
+	fmt.Fprintf(os.Stderr, "detshell: saved checkpoint %s (%d phases, seq %d)\n",
+		m.Key(), prog.Phases, m.Seq())
 	return nil
 }
 
-// ckptResume continues the machine recorded in dir/MANIFEST, runs any
+// ckptResume continues the machine the store's head ref names, runs any
 // new script lines from r as further phases, and (when there are new
-// lines) chains a fresh checkpoint onto the old one.
-func ckptResume(store repro.BlobStore, dir string, r io.Reader, out io.Writer) error {
-	m, err := repro.ReadManifestHead(store, filepath.Join(dir, manifestFile))
+// lines) chains a fresh checkpoint onto the old one. A head that is not
+// a key is *repro.RefError; one naming a manifest the store lacks
+// unwraps to *repro.ChunkMissingError.
+func ckptResume(store repro.BlobStore, r io.Reader, out io.Writer) error {
+	key, ok, err := store.Ref(headRef)
 	if err != nil {
 		return err
+	}
+	if !ok {
+		return fmt.Errorf("no %s ref: nothing was saved here", headRef)
+	}
+	m, err := repro.LoadManifest(store, key)
+	if err != nil {
+		return fmt.Errorf("%s ref: %w", headRef, err)
 	}
 	// The phase the image resumes at tells us how many script lines the
 	// saved run already executed.
@@ -116,7 +125,7 @@ func ckptResume(store repro.BlobStore, dir string, r io.Reader, out io.Writer) e
 	if err != nil {
 		return err
 	}
-	if err := writeManifestKey(dir, m2); err != nil {
+	if err := store.SetRef(headRef, m2.Key()); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "detshell: resumed %s, saved %s (%d phases, seq %d)\n",
@@ -173,11 +182,4 @@ func scriptLines(r io.Reader) []string {
 		lines = append(lines, line)
 	}
 	return lines
-}
-
-// writeManifestKey records the chain head in dir/MANIFEST atomically —
-// a crashed save leaves the old head intact rather than a truncated key
-// that would strand the whole chain.
-func writeManifestKey(dir string, m *repro.Manifest) error {
-	return repro.WriteManifestHead(filepath.Join(dir, manifestFile), m)
 }

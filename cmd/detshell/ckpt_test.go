@@ -21,9 +21,9 @@ func ckpt(t *testing.T, dir, verb, script string) string {
 	var out strings.Builder
 	switch verb {
 	case "save":
-		err = ckptSave(store, dir, strings.NewReader(script), &out)
+		err = ckptSave(store, strings.NewReader(script), &out)
 	case "resume":
-		err = ckptResume(store, dir, strings.NewReader(script), &out)
+		err = ckptResume(store, strings.NewReader(script), &out)
 	default:
 		t.Fatalf("bad verb %q", verb)
 	}
@@ -63,13 +63,9 @@ func TestCkptManifestChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := repro.ParseChunkKey(strings.TrimSpace(string(raw)))
-	if err != nil {
-		t.Fatal(err)
+	key, ok, err := store.Ref(headRef)
+	if err != nil || !ok {
+		t.Fatalf("head ref: ok=%v err=%v", ok, err)
 	}
 	m, err := repro.LoadManifest(store, key)
 	if err != nil {
@@ -97,10 +93,11 @@ func TestCkptManifestChains(t *testing.T) {
 func TestCkptResumeRejectsTruncatedHead(t *testing.T) {
 	// Regression: a crashed save that used plain truncate-and-write could
 	// leave half a key in MANIFEST; resume must refuse it with the typed
-	// head error instead of a generic parse failure or a wrong chain.
+	// ref error, naming the ref, instead of a generic parse failure or a
+	// wrong chain.
 	dir := t.TempDir()
 	ckpt(t, dir, "save", "write f seed\n")
-	head := filepath.Join(dir, manifestFile)
+	head := filepath.Join(dir, headRef)
 	raw, err := os.ReadFile(head)
 	if err != nil {
 		t.Fatal(err)
@@ -112,10 +109,31 @@ func TestCkptResumeRejectsTruncatedHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = ckptResume(store, dir, strings.NewReader("cat f\n"), &strings.Builder{})
-	var he *repro.HeadError
-	if !errors.As(err, &he) {
-		t.Fatalf("resume with truncated head: error %v (%T), want *repro.HeadError", err, err)
+	err = ckptResume(store, strings.NewReader("cat f\n"), &strings.Builder{})
+	var re *repro.RefError
+	if !errors.As(err, &re) || re.Name != headRef || !strings.Contains(err.Error(), headRef) {
+		t.Fatalf("resume with truncated head: error %v (%T), want *repro.RefError naming %s", err, err, headRef)
+	}
+
+	// A head that parses but names a manifest the store does not hold is
+	// a different failure, and says which: the missing chunk.
+	if err := store.SetRef(headRef, repro.ChunkKey{1}); err != nil {
+		t.Fatal(err)
+	}
+	err = ckptResume(store, strings.NewReader("cat f\n"), &strings.Builder{})
+	var miss *repro.ChunkMissingError
+	if !errors.As(err, &miss) || !strings.Contains(err.Error(), headRef) {
+		t.Fatalf("resume with dangling head: error %v (%T), want *repro.ChunkMissingError naming %s", err, err, headRef)
+	}
+
+	// And a store nothing was saved into is neither.
+	empty, err := repro.OpenDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = ckptResume(empty, strings.NewReader("cat f\n"), &strings.Builder{})
+	if err == nil || errors.As(err, &re) || errors.As(err, &miss) {
+		t.Fatalf("resume with no head: error %v (%T), want a plain one", err, err)
 	}
 }
 
@@ -125,7 +143,7 @@ func TestCkptSaveEmptyScriptFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ckptSave(store, dir, strings.NewReader("# only a comment\n"), &strings.Builder{}); err == nil {
+	if err := ckptSave(store, strings.NewReader("# only a comment\n"), &strings.Builder{}); err == nil {
 		t.Fatal("save of empty script succeeded, want error")
 	}
 }

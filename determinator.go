@@ -118,7 +118,8 @@ type (
 
 // Content-addressed checkpoint store (see Session.SaveTo/ResumeFrom).
 type (
-	// BlobStore is the pluggable chunk-store interface SaveTo targets.
+	// BlobStore is the pluggable chunk-store interface SaveTo targets:
+	// chunks by key, and refs — names that point at a key.
 	BlobStore = castore.BlobStore
 	// ChunkStore extends BlobStore with enumeration and deletion — what
 	// garbage collection needs.
@@ -139,6 +140,8 @@ type (
 	ChunkMissingError = castore.ChunkMissingError
 	// ChunkHashError reports a chunk whose bytes no longer match its key.
 	ChunkHashError = castore.ChunkHashError
+	// RefError reports a store ref whose value is not a chunk key.
+	RefError = castore.RefError
 )
 
 // NewMemStore returns an empty in-memory chunk store.
@@ -147,14 +150,13 @@ func NewMemStore() *MemStore { return castore.NewMemStore() }
 // OpenDirStore opens (creating if needed) an on-disk chunk store.
 func OpenDirStore(dir string) (*DirStore, error) { return castore.OpenDirStore(dir) }
 
-// ParseChunkKey parses a hex chunk key (as printed by ChunkKey.String).
-func ParseChunkKey(s string) (ChunkKey, error) { return castore.ParseKey(s) }
-
-// CollectChunks removes every chunk in s not reachable from the given
-// roots (manifest keys, typically the newest manifest of each chain to
-// keep). A missing or damaged root aborts before anything is deleted.
-func CollectChunks(s ChunkStore, roots ...ChunkKey) (CollectStats, error) {
-	return castore.Collect(s, roots)
+// CollectChunks removes every chunk in s reachable neither from one of
+// s's own refs (SetRef: a chain's head, a build's action entries) nor
+// from live, the manifest keys the caller holds without a ref. A missing
+// or damaged root, or a ref whose value is not a key (*RefError), aborts
+// before anything is deleted.
+func CollectChunks(s ChunkStore, live ...ChunkKey) (CollectStats, error) {
+	return castore.Collect(s, live)
 }
 
 // Private workspace threading (the paper's primary contribution).

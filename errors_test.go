@@ -11,15 +11,12 @@ import (
 // does print them, and a message that drops the field the type exists
 // to carry is a bug no errors.As check catches.
 func TestErrorsRender(t *testing.T) {
-	cause := errors.New("the cause")
 	for _, c := range []struct {
 		err   error
 		wants []string // what the message must name
 		cause error    // what Unwrap must return, nil for a leaf
 	}{
 		{&ManifestError{Msg: "short node"}, []string{"manifest", "short node"}, nil},
-		{&HeadError{Path: "run/HEAD", Msg: "dangling"}, []string{"run/HEAD", "dangling"}, nil},
-		{&HeadError{Path: "run/HEAD", Msg: "dangling", Err: cause}, []string{"run/HEAD", "dangling", "the cause"}, cause},
 		{&StateError{Op: "Step", State: StateClosed}, []string{"Step", "Closed"}, nil},
 		{&StateError{Op: "Run", State: StateQuiescent, Msg: "bound"}, []string{"Run", "Quiescent", "bound"}, nil},
 		{&ConfigError{Field: "SharedSize", Reason: "too large"}, []string{"SharedSize", "too large"}, nil},

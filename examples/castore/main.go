@@ -2,8 +2,8 @@
 // checkpoints into an on-disk chunk store, a fresh session resumes from
 // the manifest and saves again, and the second save stores only the
 // chunks the run actually changed — a chained incremental image. The
-// garbage collector then shows that dropping to a single root keeps the
-// whole parent chain reachable.
+// garbage collector then shows that one ref of the store, pointing at
+// the newest manifest, keeps the whole parent chain reachable.
 //
 //	go run ./examples/castore
 package main
@@ -154,10 +154,15 @@ func main() {
 		log.Fatal("resumed run diverged from the uninterrupted one")
 	}
 
-	// Garbage-collect with only the newest manifest as a root: its
-	// parent chain stays reachable (manifests reference their parents),
-	// so nothing the chain needs is deleted.
-	cs, err := repro.CollectChunks(store, m2.Key())
+	// Name the newest manifest with a ref of the store and collect
+	// garbage. The collector is handed no root: a store's refs are its
+	// roots, and the parent chain stays reachable from this one
+	// (manifests reference their parents), so nothing the chain needs is
+	// deleted.
+	if err := store.SetRef("HEAD", m2.Key()); err != nil {
+		log.Fatal(err)
+	}
+	cs, err := repro.CollectChunks(store)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,10 +63,9 @@ func main() {
 	}
 
 	store := castore.NewMemStore()
-	idx := detmake.NewMemIndex()
 	build := func() detmake.Result {
 		res, err := detmake.Build(detmake.Config{
-			Graph: g, Actions: actions, Sources: sources, Store: store, Index: idx,
+			Graph: g, Actions: actions, Sources: sources, Store: store,
 		})
 		if err != nil {
 			fatal(err)

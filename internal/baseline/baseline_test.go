@@ -135,8 +135,8 @@ func TestSimnetChargesBatchFraming(t *testing.T) {
 		return net.now(1)
 	}
 	got := delivery(cost.BatchPages+1) - delivery(cost.BatchPages)
-	if want := cost.PageTransfer + cost.BatchMsgCost(); got != want {
+	if want := cost.PageTransfer + cost.BatchMsg; got != want {
 		t.Errorf("the page past the window cost %d, want transfer %d + framing %d",
-			got, cost.PageTransfer, cost.BatchMsgCost())
+			got, cost.PageTransfer, cost.BatchMsg)
 	}
 }

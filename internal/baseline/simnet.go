@@ -44,7 +44,7 @@ func (s *simnet) send(from, to int, bytes int) {
 	if c.BatchPages > 1 {
 		pages := (bytes + 4095) / 4096
 		if batches := (pages + c.BatchPages - 1) / c.BatchPages; batches > 1 {
-			wire += int64(batches-1) * c.BatchMsgCost()
+			wire += int64(batches-1) * c.BatchMsg
 		}
 	}
 	if c.TCPLike {

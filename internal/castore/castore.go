@@ -6,6 +6,10 @@
 // natural delta chains: identical pages and tables hash to identical
 // keys and are stored exactly once, however many images reference them.
 //
+// A store is chunks plus the names that keep them alive: refs (refs.go)
+// map a name to a key, and garbage collection (gc.go) keeps exactly
+// what the store's own refs reach.
+//
 // The package deliberately knows nothing about checkpoint formats. Two
 // object shapes exist at this layer:
 //
@@ -99,11 +103,18 @@ func (e *ChunkHashError) Error() string {
 // Get returns the uncompressed bytes of a chunk, verifying their hash:
 // a missing key returns *ChunkMissingError, corrupt bytes return
 // *ChunkHashError.
+//
+// SetRef and Ref are the store's named pointers (refs.go): SetRef points
+// name at key, replacing any previous value whole; Ref returns the key
+// name points at, ok == false when there is no such ref and *RefError
+// when its stored value is not a key.
 type BlobStore interface {
 	Put(key Key, b []byte) error
 	Get(key Key) ([]byte, error)
 	Has(key Key) (bool, error)
 	Stat(key Key) (BlobInfo, error)
+	SetRef(name string, key Key) error
+	Ref(name string) (key Key, ok bool, err error)
 }
 
 // StoreStats aggregates a backend's contents and traffic.
@@ -127,6 +138,9 @@ type Store interface {
 	// of store content, never of backend internals or map iteration.
 	// fn returning an error stops the walk and returns that error.
 	Keys(fn func(Key, BlobInfo) error) error
+	// Refs returns the name of every ref, in ascending order. What they
+	// point at is Collect's root set.
+	Refs() ([]string, error)
 	// Delete removes a chunk. Deleting an absent key is a no-op.
 	Delete(key Key) error
 	// Stats summarizes the store's contents and Put traffic.

@@ -222,14 +222,18 @@ func TestCollectTracesChains(t *testing.T) {
 			t.Fatalf("%s: put child: %v", name, err)
 		}
 
-		// Collect with only the child as root: the chain keeps the parent
-		// node and its leaves; only the orphan goes.
-		st, err := Collect(s, []Key{childKey})
+		// Collect with one ref, at the child, and no key handed in: the
+		// store roots itself, the chain keeps the parent node and its
+		// leaves, and only the orphan goes.
+		if err := s.SetRef("chains/head", childKey); err != nil {
+			t.Fatalf("%s: set ref: %v", name, err)
+		}
+		st, err := Collect(s, nil)
 		if err != nil {
 			t.Fatalf("%s: collect: %v", name, err)
 		}
-		if st.Removed != 1 {
-			t.Fatalf("%s: removed %d chunks, want 1 (stats %+v)", name, st.Removed, st)
+		if st.Roots != 1 || st.Removed != 1 {
+			t.Fatalf("%s: %d roots, removed %d chunks, want 1 and 1 (stats %+v)", name, st.Roots, st.Removed, st)
 		}
 		for _, key := range []Key{parentKey, childKey, KeyOf(p1), KeyOf(p2), KeyOf(c1)} {
 			if ok, _ := s.Has(key); !ok {
@@ -240,11 +244,38 @@ func TestCollectTracesChains(t *testing.T) {
 			t.Fatalf("%s: orphan survived", name)
 		}
 
-		// A missing root aborts without deleting anything.
-		if _, err := Collect(s, []Key{KeyOf([]byte("no such root"))}); err == nil {
-			t.Fatalf("%s: collect with bad root succeeded", name)
+		// A key the caller holds live is a root beside the refs: a node
+		// only it reaches survives, one nothing reaches does not.
+		held, err := PutNode(s, nil, []Key{KeyOf(c1)}, []byte("held in memory"))
+		if err != nil {
+			t.Fatalf("%s: put held: %v", name, err)
 		}
-		if ok, _ := s.Has(KeyOf(c1)); !ok {
+		if _, err := PutNode(s, nil, nil, []byte("dropped")); err != nil {
+			t.Fatalf("%s: put dropped: %v", name, err)
+		}
+		if st, err = Collect(s, []Key{held}); err != nil || st.Roots != 2 || st.Removed != 1 {
+			t.Fatalf("%s: collect with a held key: %+v, %v; want 2 roots, 1 removed", name, st, err)
+		}
+		if ok, _ := s.Has(held); !ok {
+			t.Fatalf("%s: collect removed the held node", name)
+		}
+
+		// A missing root — handed in, or named by a ref — aborts without
+		// deleting anything, and says which chunk is missing.
+		missing := KeyOf([]byte("no such root"))
+		var miss *ChunkMissingError
+		if _, err := Collect(s, []Key{missing}); !errors.As(err, &miss) || miss.Key != missing {
+			t.Fatalf("%s: collect with a missing held key: %v", name, err)
+		}
+		if err := s.SetRef("dangling", missing); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Collect(s, nil); !errors.As(err, &miss) || miss.Key != missing {
+			t.Fatalf("%s: collect with a dangling ref: %v", name, err)
+		}
+		// Neither aborted collection held that node live: had either
+		// swept, it would be gone.
+		if ok, _ := s.Has(held); !ok {
 			t.Fatalf("%s: failed collect deleted chunks", name)
 		}
 	}

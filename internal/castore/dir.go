@@ -4,21 +4,21 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 )
 
 // DirStore is the on-disk BlobStore backend: one codec-encoded file per
 // chunk under a two-level fan-out (aa/aabb...), the classic loose-object
 // layout. Chunk files are immutable once written — Put goes through
-// WriteFileAtomic, so a crashed writer never leaves a half chunk under
+// writeFileAtomic, so a crashed writer never leaves a half chunk under
 // a valid name — and Get re-hashes everything
 // it reads, so on-disk corruption surfaces as *ChunkHashError rather
 // than as wrong state.
 //
-// The directory holds only content-addressed chunks; roots with names
-// (the MANIFEST file the detshell ckpt commands maintain) live beside
-// the fan-out as the caller's business.
+// Beside the fan-out live the store's refs (refs.go), one small file
+// per name: the MANIFEST head the detshell ckpt commands maintain,
+// detmake's actions/<action key> entries. They are the store's own, and
+// what Collect keeps is what they reach.
 type DirStore struct {
 	dir   string
 	codec codec
@@ -57,23 +57,24 @@ func (s *DirStore) Put(key Key, b []byte) error {
 		s.mu.Unlock()
 		return nil
 	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("castore: put %s: %w", key, err)
-	}
-	if err := WriteFileAtomic(p, s.codec.encodeBlob(b)); err != nil {
+	if err := writeFileAtomic(p, s.codec.encodeBlob(b)); err != nil {
 		return fmt.Errorf("castore: put %s: %w", key, err)
 	}
 	return nil
 }
 
-// WriteFileAtomic writes data to path so that a crashed writer leaves
-// the old file or the new one, never a torn one under the real name:
-// the bytes go to a uniquely named temporary file in the same directory
-// (dot-prefixed, so Keys and the action index skip it), which is then
-// renamed into place. Atomic, not durable: nothing is fsynced, neither
-// the file nor its directory. ROADMAP's durability item adds that, and
-// this is the one place it has to.
-func WriteFileAtomic(path string, data []byte) error {
+// writeFileAtomic writes data to path, creating its directory if need
+// be, so that a crashed writer leaves the old file or the new one, never
+// a torn one under the real name: the bytes go to a uniquely named
+// temporary file in the same directory (dot-prefixed, so Keys and Refs
+// skip it), which is then renamed into place. Put and SetRef are its
+// only users. Atomic, not durable: nothing is fsynced, neither the file
+// nor its directory. ROADMAP's durability item adds that, and this is
+// the one place it has to.
+func writeFileAtomic(path string, data []byte) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
@@ -150,12 +151,9 @@ func (s *DirStore) Keys(fn func(Key, BlobInfo) error) error {
 			return fmt.Errorf("castore: keys: %w", err)
 		}
 		for _, f := range files {
-			if strings.HasPrefix(f.Name(), ".") {
-				continue
-			}
 			key, err := ParseKey(f.Name())
 			if err != nil {
-				continue // foreign file; not ours to report or delete
+				continue // a temporary or a foreign file; not ours to report or delete
 			}
 			info, err := s.Stat(key)
 			if err != nil {

@@ -21,6 +21,7 @@ func TestErrorsRender(t *testing.T) {
 		{&ChunkMissingError{Key: key}, []string{key.String(), "missing"}, nil},
 		{&ChunkHashError{Key: key, Got: other}, []string{key.String(), other.String()}, nil},
 		{&ChunkSizeError{Key: key, Size: MaxChunkSize + 1}, []string{key.String(), fmt.Sprint(MaxChunkSize + 1)}, nil},
+		{&RefError{Name: "actions/ab", Msg: "torn"}, []string{"actions/ab", "torn"}, nil},
 	} {
 		msg := c.err.Error()
 		for _, w := range c.wants {

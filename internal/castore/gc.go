@@ -1,7 +1,8 @@
 package castore
 
-// Garbage collection: refcounted mark from a set of root node keys,
-// then a sweep of everything unreferenced. Checkpoint chains make
+// Garbage collection: refcounted mark from the store's own refs (plus
+// whatever node keys the caller holds live in memory), then a sweep of
+// everything unreferenced. Checkpoint chains make
 // reachability the only safe criterion — a chunk put by one manifest is
 // silently shared by every later (and every sibling) manifest that
 // hashes the same content, so nothing short of a trace can know a chunk
@@ -20,12 +21,30 @@ type CollectStats struct {
 	RemovedBytes int64 // stored bytes reclaimed
 }
 
-// Collect removes every chunk not reachable from roots. Roots must be
-// node objects (manifests or checkpoint roots); a missing or unparsable
-// root aborts the collection with its typed error before anything is
-// deleted, so a bad root never triggers a destructive sweep.
-func Collect(s Store, roots []Key) (CollectStats, error) {
+// Collect removes every chunk reachable neither from a ref of s nor from
+// extra — keys the caller keeps alive without a ref, such as a server's
+// resident sessions. Roots must be node objects (manifests, checkpoint
+// roots, build results); a ref whose value is not a key, or a root that
+// is missing or unparsable, aborts the collection with its typed error
+// before anything is deleted, so a bad root never triggers a destructive
+// sweep.
+func Collect(s Store, extra []Key) (CollectStats, error) {
 	var st CollectStats
+	names, err := s.Refs()
+	if err != nil {
+		return st, err
+	}
+	roots := append([]Key(nil), extra...)
+	for _, name := range names {
+		// A ref removed behind the store's back since it was listed reads
+		// as the zero key, which no store holds: the trace below aborts,
+		// which is the safe answer to a root set that moved mid-collection.
+		key, _, err := s.Ref(name)
+		if err != nil {
+			return st, err
+		}
+		roots = append(roots, key)
+	}
 	refs := make(map[Key]int)
 	var walk func(key Key) error
 	walk = func(key Key) error {
@@ -73,7 +92,7 @@ func Collect(s Store, roots []Key) (CollectStats, error) {
 	st.Live = len(refs)
 	var sweep []Key
 	var sweepBytes int64
-	err := s.Keys(func(key Key, info BlobInfo) error {
+	err = s.Keys(func(key Key, info BlobInfo) error {
 		if refs[key] == 0 {
 			sweep = append(sweep, key)
 			sweepBytes += int64(info.StoredSize)

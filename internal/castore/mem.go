@@ -15,12 +15,13 @@ type MemStore struct {
 	mu     sync.Mutex
 	chunks map[Key][]byte // codec-encoded
 	sizes  map[Key]int    // uncompressed sizes
+	refs   map[string]Key // named pointers (refs.go)
 	stats  StoreStats
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{chunks: make(map[Key][]byte), sizes: make(map[Key]int)}
+	return &MemStore{chunks: make(map[Key][]byte), sizes: make(map[Key]int), refs: make(map[string]Key)}
 }
 
 // Put stores b under key (idempotent). The chunk is encoded outside the

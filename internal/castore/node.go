@@ -10,8 +10,10 @@ package castore
 // without knowing the payload formats, and payloads can refer to their
 // own leaf children by small index instead of repeating 32-byte keys.
 // Every node carries a CRC32 trailer, so a manifest or root damaged
-// outside the store (e.g. a MANIFEST file edited on disk) is rejected
-// with a typed error instead of decoding into garbage references.
+// outside the store (bytes handed to ParseNode that no Get re-hashed) is
+// rejected with a typed error instead of decoding into garbage
+// references. What names a node from outside the object graph is a ref
+// (refs.go): a key, never node bytes kept in a file of the caller's.
 
 import (
 	"encoding/binary"

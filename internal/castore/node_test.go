@@ -95,15 +95,16 @@ func FuzzParseNode(f *testing.F) {
 	})
 }
 
-// WriteFileAtomic replaces a file's contents whole, leaves no temporary
-// behind on success or failure, and gives concurrent writers of one path
-// — two builds recording one action into a shared cache directory — a
-// temporary each, so the survivor is one writer's bytes, never a blend.
+// writeFileAtomic replaces a file's contents whole, creating its
+// directory if need be, leaves no temporary behind on success or
+// failure, and gives concurrent writers of one path — two builds
+// recording one action into a shared cache directory — a temporary
+// each, so the survivor is one writer's bytes, never a blend.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "head")
 	for _, want := range []string{"first", "second, longer", ""} {
-		if err := WriteFileAtomic(path, []byte(want)); err != nil {
+		if err := writeFileAtomic(path, []byte(want)); err != nil {
 			t.Fatal(err)
 		}
 		if got, err := os.ReadFile(path); err != nil || string(got) != want {
@@ -120,7 +121,7 @@ func TestWriteFileAtomic(t *testing.T) {
 		go func(b []byte) {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				if err := WriteFileAtomic(path, b); err != nil {
+				if err := writeFileAtomic(path, b); err != nil {
 					t.Error(err)
 				}
 			}
@@ -139,8 +140,8 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("%d bytes starting %q are no single writer's contents", len(got), got[:1])
 	}
 
-	if err := WriteFileAtomic(filepath.Join(dir, "absent", "head"), []byte("x")); err == nil {
-		t.Fatal("writing into a missing directory succeeded")
+	if err := writeFileAtomic(filepath.Join(path, "head"), []byte("x")); err == nil {
+		t.Fatal("writing into a directory that is a file succeeded")
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -148,5 +149,12 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if len(ents) != 1 || ents[0].Name() != "head" {
 		t.Fatalf("directory holds %d entries (first %q), want only the file", len(ents), ents[0].Name())
+	}
+	nested := filepath.Join(dir, "made", "on", "demand")
+	if err := writeFileAtomic(nested, []byte("x")); err != nil {
+		t.Fatalf("writing into a missing directory: %v", err)
+	}
+	if ents, err = os.ReadDir(filepath.Dir(nested)); err != nil || len(ents) != 1 {
+		t.Fatalf("the directory made on demand holds %d entries, %v; want only the file", len(ents), err)
 	}
 }

@@ -3,8 +3,8 @@ package detmake
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
@@ -22,9 +22,9 @@ import (
 //     checkpoint images, and every Get re-hashes, making corruption a
 //     typed *castore.ChunkHashError rather than silent reuse;
 //   - the action index is the small mutable map from action key (the
-//     content hash of action + input tree) to manifest key. It is the
-//     only non-content-addressed state, mirroring the "action cache"
-//     of Bazel-style remote caches.
+//     content hash of action + input tree) to manifest key: the store's
+//     refs under actions/. It is the only non-content-addressed state,
+//     mirroring the "action cache" of Bazel-style remote caches.
 //
 // Determinism is what makes the whole scheme sound: the kernel
 // guarantees a task's output bits are a pure function of the action
@@ -121,122 +121,57 @@ func decodeManifest(p []byte) (manifest, error) {
 }
 
 // ActionIndex maps action keys to result-manifest keys: the one piece
-// of build-cache state that is not content-addressed. Implementations
-// must be sound but need not be complete — a lost entry is a cache
-// miss, never an error.
+// of build-cache state that is not content-addressed. It must be sound
+// but need not be complete — a lost entry is a cache miss, never an
+// error. There is one implementation, refIndex; the interface and the
+// two constructors below it remain because benchmark/, frozen between
+// the PRs it compares, embeds the one and calls the others. Everything
+// else leaves Config.Index nil.
 type ActionIndex interface {
 	// Lookup returns the manifest key recorded for the action key.
 	Lookup(action castore.Key) (castore.Key, bool, error)
 	// Record stores action -> manifest, replacing any previous entry.
 	Record(action, man castore.Key) error
-	// Roots returns every recorded manifest key, sorted, for use as GC
-	// roots with castore.Collect.
-	Roots() ([]castore.Key, error)
 }
 
-// MemIndex is the in-memory ActionIndex.
-type MemIndex struct {
-	m map[castore.Key]castore.Key
+// refIndex is the action index: the refs of a store under dir/, one per
+// action key — so the store that holds a build's results also names
+// them, and castore.Collect keeps them with no root set handed to it.
+type refIndex struct {
+	store castore.BlobStore
+	dir   string
 }
 
-// NewMemIndex returns an empty in-memory index.
-func NewMemIndex() *MemIndex { return &MemIndex{m: make(map[castore.Key]castore.Key)} }
-
-// Lookup implements ActionIndex.
-func (x *MemIndex) Lookup(action castore.Key) (castore.Key, bool, error) {
-	k, ok := x.m[action]
-	return k, ok, nil
+// Lookup implements ActionIndex. An entry whose value is not a key is a
+// miss, not an error: the task re-executes and Record replaces it.
+func (x refIndex) Lookup(action castore.Key) (castore.Key, bool, error) {
+	man, ok, err := x.store.Ref(x.dir + "/" + action.String())
+	if errors.As(err, new(*castore.RefError)) {
+		err = nil
+	}
+	return man, ok, err
 }
 
 // Record implements ActionIndex.
-func (x *MemIndex) Record(action, man castore.Key) error {
-	x.m[action] = man
-	return nil
+func (x refIndex) Record(action, man castore.Key) error {
+	return x.store.SetRef(x.dir+"/"+action.String(), man)
 }
 
-// Roots implements ActionIndex.
-func (x *MemIndex) Roots() ([]castore.Key, error) {
-	out := make([]castore.Key, 0, len(x.m))
-	for _, k := range x.m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return string(out[i][:]) < string(out[j][:])
-	})
-	return out, nil
-}
+// actionsDir is where a store's action index lives.
+const actionsDir = "actions"
 
-// DirIndex persists the action index as one small file per action key
-// under <dir>, conventionally the "actions" directory beside a
-// DirStore's chunk fan-out (DirStore documents such named roots as the
-// caller's business). Writes go through castore.WriteFileAtomic, so a
-// crashed build never leaves a torn entry and two builds sharing the
-// directory never write one temporary file; an unreadable entry is a
-// miss, not an error.
-type DirIndex struct {
-	dir string
-}
+// NewMemIndex returns an empty in-memory index: the refs of a MemStore
+// of its own.
+func NewMemIndex() ActionIndex { return refIndex{castore.NewMemStore(), actionsDir} }
 
-// OpenDirIndex creates/opens an on-disk index rooted at dir.
-func OpenDirIndex(dir string) (*DirIndex, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// OpenDirIndex returns the index whose entries are the files of dir,
+// which is the refs under dir's base name of a DirStore at its parent.
+func OpenDirIndex(dir string) (ActionIndex, error) {
+	s, err := castore.OpenDirStore(filepath.Dir(dir))
+	if err != nil {
 		return nil, fmt.Errorf("detmake: opening action index: %w", err)
 	}
-	return &DirIndex{dir: dir}, nil
-}
-
-func (x *DirIndex) path(action castore.Key) string {
-	return filepath.Join(x.dir, action.String())
-}
-
-// Lookup implements ActionIndex.
-func (x *DirIndex) Lookup(action castore.Key) (castore.Key, bool, error) {
-	b, err := os.ReadFile(x.path(action))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return castore.Key{}, false, nil
-		}
-		return castore.Key{}, false, err
-	}
-	k, perr := castore.ParseKey(string(b))
-	if perr != nil {
-		return castore.Key{}, false, nil // torn entry: treat as miss
-	}
-	return k, true, nil
-}
-
-// Record implements ActionIndex.
-func (x *DirIndex) Record(action, man castore.Key) error {
-	return castore.WriteFileAtomic(x.path(action), []byte(man.String()))
-}
-
-// Roots implements ActionIndex.
-func (x *DirIndex) Roots() ([]castore.Key, error) {
-	ents, err := os.ReadDir(x.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []castore.Key
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		action, err := castore.ParseKey(e.Name())
-		if err != nil {
-			continue
-		}
-		k, ok, err := x.Lookup(action)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return string(out[i][:]) < string(out[j][:])
-	})
-	return out, nil
+	return refIndex{s, filepath.Base(dir)}, nil
 }
 
 // storeResult writes one task result into the cache: each output as

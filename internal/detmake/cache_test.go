@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/castore"
@@ -98,6 +99,33 @@ func TestActionKeySensitivity(t *testing.T) {
 	}
 }
 
+// recorded returns the manifest key every action entry of s points at,
+// in entry order.
+func recorded(t testing.TB, s castore.BlobStore) []castore.Key {
+	t.Helper()
+	names, err := s.(castore.Store).Refs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []castore.Key
+	for _, name := range names {
+		if !strings.HasPrefix(name, "actions/") {
+			t.Fatalf("a build store holds a ref %q that is not an action entry", name)
+		}
+		key, ok, err := s.Ref(name)
+		if err != nil || !ok {
+			t.Fatalf("ref %s: ok=%v err=%v", name, ok, err)
+		}
+		out = append(out, key)
+	}
+	return out
+}
+
+// The index is the store's refs under actions/, whichever way it is
+// reached: through the adapter benchmark/ opens on DIR/actions, or as
+// the refs of a DirStore on DIR. What the DirIndex this replaced wrote —
+// the bare key, no newline — still reads back, and an entry that is not
+// a key is a miss to the index and a typed error to the store.
 func TestDirIndex(t *testing.T) {
 	dir := t.TempDir()
 	idx, err := OpenDirIndex(filepath.Join(dir, "actions"))
@@ -116,7 +144,7 @@ func TestDirIndex(t *testing.T) {
 	if err != nil || !ok || got != man {
 		t.Fatalf("lookup = %v %v %v", got, ok, err)
 	}
-	// Reopen: entries persist.
+	// Reopen: entries persist, and they are the store's refs.
 	idx2, err := OpenDirIndex(filepath.Join(dir, "actions"))
 	if err != nil {
 		t.Fatal(err)
@@ -124,47 +152,65 @@ func TestDirIndex(t *testing.T) {
 	if got, ok, _ := idx2.Lookup(action); !ok || got != man {
 		t.Fatal("entry lost on reopen")
 	}
-	roots, err := idx2.Roots()
-	if err != nil || len(roots) != 1 || roots[0] != man {
-		t.Fatalf("roots = %v, %v", roots, err)
+	store, err := castore.OpenDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A torn entry reads as a miss, not an error.
-	if err := os.WriteFile(filepath.Join(dir, "actions", action.String()), []byte("garbage"), 0o644); err != nil {
+	if roots := recorded(t, store); len(roots) != 1 || roots[0] != man {
+		t.Fatalf("the store's action refs point at %v, want %v", roots, man)
+	}
+	entry := filepath.Join(dir, "actions", action.String())
+	if raw, err := os.ReadFile(entry); err != nil || string(raw) != man.String()+"\n" {
+		t.Fatalf("entry file = %q, %v", raw, err)
+	}
+	// An entry as DirIndex wrote it.
+	if err := os.WriteFile(entry, []byte(man.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := idx2.Lookup(action); err != nil || !ok || got != man {
+		t.Fatalf("legacy entry lookup = %v %v %v", got, ok, err)
+	}
+	// A torn entry reads as a miss, not an error — and as a typed error,
+	// never a key, to whoever asks the store.
+	if err := os.WriteFile(entry, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := idx2.Lookup(action); ok || err != nil {
 		t.Fatalf("torn lookup = %v, %v", ok, err)
 	}
+	if _, _, err := store.Ref("actions/" + action.String()); !errors.As(err, new(*castore.RefError)) {
+		t.Fatalf("torn entry through the store: %v, want *castore.RefError", err)
+	}
+	// Recording over it heals it.
+	if err := idx2.Record(action, man); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := idx2.Lookup(action); err != nil || !ok || got != man {
+		t.Fatalf("lookup after re-record = %v %v %v", got, ok, err)
+	}
 }
 
 // End-to-end over the on-disk store: a second build in a fresh process
-// (modeled by fresh handles over the same directory) is fully warm,
-// and GC over index roots keeps every cached result alive.
+// (modeled by a fresh handle over the same directory) is fully warm,
+// and GC — handed no root at all — keeps every cached result alive,
+// because the store's own action refs name them.
 func TestDirStoreBuildCache(t *testing.T) {
 	dir := t.TempDir()
 	g, srcs := compileGraphStandalone(t)
 
-	open := func() (castore.Store, ActionIndex) {
+	build := func() Result {
 		store, err := castore.OpenDirStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, err := OpenDirIndex(filepath.Join(dir, "actions"))
+		res, err := Build(Config{Graph: g, Sources: srcs, Store: store})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return store, idx
+		return res
 	}
-	store, idx := open()
-	cold, err := Build(Config{Graph: g, Sources: srcs, Store: store, Index: idx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store2, idx2 := open()
-	warm, err := Build(Config{Graph: g, Sources: srcs, Store: store2, Index: idx2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := build()
+	warm := build()
 	if warm.Stats.CacheHits != 3 || warm.Stats.Executed != 0 {
 		t.Fatalf("warm-across-process stats = %+v", warm.Stats)
 	}
@@ -172,21 +218,18 @@ func TestDirStoreBuildCache(t *testing.T) {
 		t.Fatal("on-disk warm build differs in bits")
 	}
 
-	// GC with the index's manifests as roots must not collect anything
-	// a warm build needs.
-	roots, err := idx2.Roots()
+	store, err := castore.OpenDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := castore.Collect(store2, roots); err != nil {
-		t.Fatal(err)
-	}
-	store3, idx3 := open()
-	again, err := Build(Config{Graph: g, Sources: srcs, Store: store3, Index: idx3})
+	st, err := castore.Collect(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Stats.CacheHits != 3 {
+	if st.Roots != 3 || st.Removed != 0 {
+		t.Fatalf("collecting a build store: %+v, want 3 roots and nothing removed", st)
+	}
+	if again := build(); again.Stats.CacheHits != 3 {
 		t.Fatalf("post-GC stats = %+v, want all hits", again.Stats)
 	}
 }
@@ -216,9 +259,9 @@ func compileGraphStandalone(t *testing.T) (*Graph, map[string][]byte) {
 func FuzzDecodeManifest(f *testing.F) {
 	cfg, tasks := goldenConfig(f)
 	buildOrDie(f, cfg)
-	roots, err := cfg.Index.Roots()
-	if err != nil || len(roots) != tasks {
-		f.Fatalf("golden build recorded %d manifests for %d tasks: %v", len(roots), tasks, err)
+	roots := recorded(f, cfg.Store)
+	if len(roots) != tasks {
+		f.Fatalf("golden build recorded %d manifests for %d tasks", len(roots), tasks)
 	}
 	for _, k := range roots {
 		node, err := castore.GetNode(cfg.Store, k)

@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/fs"
 )
 
 // Task is one node of the build DAG: a pure action over declared
@@ -107,7 +109,7 @@ func NewGraph(tasks []*Task) (*Graph, error) {
 			return nil, fmt.Errorf("%w: task %s declares no outputs", ErrBadTask, t.ID)
 		}
 		for _, p := range append(append([]string{}, t.Inputs...), t.Outputs...) {
-			if err := checkPath(t.ID, p); err != nil {
+			if err := checkPath("task "+t.ID, p); err != nil {
 				return nil, err
 			}
 		}
@@ -149,18 +151,18 @@ func sortedPair(a, b string) [2]string {
 	return [2]string{a, b}
 }
 
-// checkPath enforces the path shape tasks may declare. Names starting
-// with '#' are reserved for the runtime's control files (the same
-// convention uproc uses for its console files).
-func checkPath(task, p string) error {
-	if p == "" {
-		return fmt.Errorf("%w: task %s declares an empty path", ErrBadTask, task)
-	}
-	if strings.HasPrefix(p, "#") || strings.Contains(p, "/#") {
-		return fmt.Errorf("%w: task %s declares reserved path %q", ErrBadTask, task, p)
-	}
-	if strings.HasPrefix(p, "/") || strings.HasSuffix(p, "/") {
-		return fmt.Errorf("%w: task %s declares non-relative path %q", ErrBadTask, task, p)
+// checkPath enforces the path shape who (a task, or Config.Sources)
+// may declare: relative, and made of components an fs image can hold —
+// what fs.splitPath accepts, checked here so that a bad path is
+// ErrBadTask before anything executes and not a task failing mid-build.
+// Components starting with '#' are reserved for the runtime's control
+// files (the same convention uproc uses for its console files).
+func checkPath(who, p string) error {
+	for _, c := range strings.Split(p, "/") {
+		if c == "" || c == "." || c == ".." || c[0] == '#' || len(c) >= fs.MaxNameLen {
+			return fmt.Errorf("%w: %s declares path %q: want relative, no component empty, \".\", \"..\", starting with '#' or of %d bytes or more",
+				ErrBadTask, who, p, fs.MaxNameLen)
+		}
 	}
 	return nil
 }

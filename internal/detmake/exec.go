@@ -49,8 +49,9 @@ type Config struct {
 	Sources map[string][]byte // initial tree contents by path
 
 	// Store and Index form the build cache. A nil Store disables
-	// caching (every task executes); a nil Index with a non-nil Store
-	// gets a fresh MemIndex, which still dedups within the build.
+	// caching (every task executes); a nil Index is the Store's own
+	// refs under actions/, which is what every caller but the frozen
+	// benchmark/ wants.
 	Store castore.BlobStore
 	Index ActionIndex
 
@@ -117,10 +118,13 @@ func Build(cfg Config) (Result, error) {
 		cfg.MasterFSSize = DefaultMasterFSSize
 	}
 	if cfg.Store != nil && cfg.Index == nil {
-		cfg.Index = NewMemIndex()
+		cfg.Index = refIndex{cfg.Store, actionsDir}
 	}
 	sources := make(map[string]bool, len(cfg.Sources))
 	for p := range cfg.Sources {
+		if err := checkPath("Config.Sources", p); err != nil {
+			return Result{}, err
+		}
 		sources[p] = true
 	}
 	for _, t := range cfg.Graph.Tasks() {

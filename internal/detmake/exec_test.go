@@ -53,12 +53,11 @@ func TestBuildBasic(t *testing.T) {
 func TestWarmBuildBitIdentical(t *testing.T) {
 	g, srcs := compileGraph(t)
 	store := castore.NewMemStore()
-	idx := NewMemIndex()
-	cold, err := Build(Config{Graph: g, Sources: srcs, Store: store, Index: idx})
+	cold, err := Build(Config{Graph: g, Sources: srcs, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Build(Config{Graph: g, Sources: srcs, Store: store, Index: idx})
+	warm, err := Build(Config{Graph: g, Sources: srcs, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +99,11 @@ func TestJobsInvariance(t *testing.T) {
 func TestIncrementalCone(t *testing.T) {
 	g, srcs := compileGraph(t)
 	store := castore.NewMemStore()
-	idx := NewMemIndex()
-	if _, err := Build(Config{Graph: g, Sources: srcs, Store: store, Index: idx}); err != nil {
+	if _, err := Build(Config{Graph: g, Sources: srcs, Store: store}); err != nil {
 		t.Fatal(err)
 	}
 	changed := map[string][]byte{"main.c": []byte("int main2;\n"), "util.c": srcs["util.c"]}
-	inc, err := Build(Config{Graph: g, Sources: changed, Store: store, Index: idx})
+	inc, err := Build(Config{Graph: g, Sources: changed, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

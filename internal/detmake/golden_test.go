@@ -65,5 +65,5 @@ func TestGoldenBuild(t *testing.T) {
 func goldenConfig(t testing.TB) (Config, int) {
 	tasks, sources := randomDAG(rand.New(rand.NewSource(14)), 4, 5)
 	return Config{Graph: mustGraph(t, tasks), Sources: sources,
-		Store: castore.NewMemStore(), Index: NewMemIndex(), Jobs: 2}, len(tasks)
+		Store: castore.NewMemStore(), Jobs: 2}, len(tasks)
 }

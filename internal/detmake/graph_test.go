@@ -3,7 +3,10 @@ package detmake
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/fs"
 )
 
 func mkTask(id, action string, outs, ins []string) *Task {
@@ -30,6 +33,48 @@ func TestGraphValidation(t *testing.T) {
 				t.Fatalf("NewGraph = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// A declared path is one the build tree's fs image can hold: checkPath
+// refuses, as ErrBadTask before anything executes, every path
+// fs.splitPath would refuse mid-build as "fs: invalid file name" — and
+// accepts the longest component the image does. The same list guards
+// an output, an input and a Config.Sources key.
+func TestDeclaredPathsAreRepresentable(t *testing.T) {
+	long := strings.Repeat("n", fs.MaxNameLen)
+	for _, tc := range []struct {
+		path string
+		ok   bool
+	}{
+		{"a", true}, {"a/b/c.txt", true}, {"a/b#c", true}, {"..a/.b", true},
+		{long[1:], true}, {"dir/" + long[1:], true},
+		{"", false}, {"/", false}, {"/a", false}, {"a/", false}, {"a//b", false},
+		{".", false}, {"./a", false}, {"a/.", false}, {"a/./b", false},
+		{"..", false}, {"../a", false}, {"a/../b", false}, {"a/..", false},
+		{"#a", false}, {"a/#b", false},
+		{long, false}, {"dir/" + long, false}, {long + "/f", false},
+	} {
+		_, outErr := NewGraph([]*Task{mkTask("t", "gen", []string{tc.path}, nil)})
+		_, inErr := NewGraph([]*Task{mkTask("t", "upper", []string{"out"}, []string{tc.path})})
+		_, srcErr := Build(Config{Graph: mustGraph(t, []*Task{mkTask("t", "gen", []string{"out"}, nil)}),
+			Sources: map[string][]byte{tc.path: []byte("x")}})
+		for where, err := range map[string]error{"output": outErr, "input": inErr, "source": srcErr} {
+			if tc.ok && err != nil {
+				t.Errorf("%s %q refused: %v", where, tc.path, err)
+			}
+			if !tc.ok && !errors.Is(err, ErrBadTask) {
+				t.Errorf("%s %q: %v, want ErrBadTask", where, tc.path, err)
+			}
+		}
+		if !tc.ok {
+			continue
+		}
+		// What checkPath accepts, the image holds: the build runs.
+		g := mustGraph(t, []*Task{{ID: "t", Action: "gen", Args: []string{"x"}, Outputs: []string{tc.path}}})
+		if _, err := Build(Config{Graph: g}); err != nil {
+			t.Errorf("build declaring output %q: %v", tc.path, err)
+		}
 	}
 }
 

@@ -95,13 +95,12 @@ func TestPropertyColdWarmEviction(t *testing.T) {
 
 			// (2) Warm: all hits, bit-identical, VT deterministic too.
 			store := castore.NewMemStore()
-			idx := NewMemIndex()
-			cached := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store, Index: idx})
+			cached := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store})
 			if cached.TreeDigest != cold1.TreeDigest || cached.Checksum != cold1.Checksum {
 				t.Fatal("caching build differs from uncached build")
 			}
-			warm1 := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store, Index: idx})
-			warm2 := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store, Index: idx})
+			warm1 := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store})
+			warm2 := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store})
 			if warm1.Stats.CacheHits != nTasks || warm1.Stats.Executed != 0 {
 				t.Fatalf("warm stats = %+v, want %d hits", warm1.Stats, nTasks)
 			}
@@ -128,7 +127,7 @@ func TestPropertyColdWarmEviction(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			mixed := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store, Index: idx})
+			mixed := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store})
 			if mixed.TreeDigest != cold1.TreeDigest || mixed.Checksum != cold1.Checksum {
 				t.Fatal("mixed-eviction build differs in bits")
 			}
@@ -161,14 +160,13 @@ func TestPropertyCorruptChunkFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := castore.NewMemStore()
-	idx := NewMemIndex()
-	cold := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store, Index: idx})
+	cold := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store})
 
 	// Corrupt one task's output chunk: resolve its manifest through the
 	// index, then damage the first leaf.
 	victim := tasks[r.Intn(len(tasks))]
 	key := actionKeyFor(t, g, sources, victim)
-	man, ok, err := idx.Lookup(key)
+	man, ok, err := store.Ref("actions/" + key.String())
 	if err != nil || !ok {
 		t.Fatalf("victim result not indexed: %v %v", ok, err)
 	}
@@ -180,7 +178,7 @@ func TestPropertyCorruptChunkFallsBack(t *testing.T) {
 		t.Fatal("victim chunk not in store")
 	}
 
-	warm := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store, Index: idx})
+	warm := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store})
 	if warm.TreeDigest != cold.TreeDigest || warm.Checksum != cold.Checksum {
 		t.Fatal("post-corruption build differs from cold in bits")
 	}
@@ -201,7 +199,7 @@ func TestPropertyCorruptChunkFallsBack(t *testing.T) {
 	}
 
 	// Healed: the next build hits everywhere again.
-	healed := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store, Index: idx})
+	healed := buildOrDie(t, Config{Graph: g, Sources: sources, Store: store})
 	if healed.Stats.CacheHits != len(tasks) {
 		t.Fatalf("healed stats = %+v, want all hits", healed.Stats)
 	}
@@ -308,7 +306,7 @@ func TestPropertyScratchNeverEscapes(t *testing.T) {
 			quiet := buildOrDie(t, Config{Graph: g, Sources: sources, Jobs: jobs})
 			cfg := Config{
 				Graph: g, Actions: noisyActions(seed, tasks), Sources: sources,
-				Store: castore.NewMemStore(), Index: NewMemIndex(), Jobs: jobs,
+				Store: castore.NewMemStore(), Jobs: jobs,
 			}
 			cold := buildOrDie(t, cfg)
 			warm := buildOrDie(t, cfg)

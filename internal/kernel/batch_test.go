@@ -68,7 +68,7 @@ func TestBatchedFetchCollapsesMessages(t *testing.T) {
 	// The only cost difference is the 15 request round trips saved:
 	// page-transfer volume, migrations and everything else are identical.
 	saved := ru.VT - rb.VT
-	if want := 15 * unbatched.batchMsg(); saved != want {
+	if want := 15 * unbatched.BatchMsg; saved != want {
 		t.Errorf("batching saved %d ticks, want exactly %d (15 requests)", saved, want)
 	}
 }

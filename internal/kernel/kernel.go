@@ -35,7 +35,7 @@ type CostModel struct {
 	Syscall      int64 // fixed cost of any Put/Get/Ret
 	PageCopy     int64 // sharing one page COW (pte manipulation)
 	PageCompare  int64 // byte-comparing one page during Merge
-	PageAdopt    int64 // adopting one merge page whose parent copy is untouched (pte move); 0 = PageCopy
+	PageAdopt    int64 // adopting one merge page whose parent copy is untouched (pte move)
 	ByteMerge    int64 // folding one changed byte into the parent
 	MigrateMsg   int64 // one cross-node protocol round trip (migration or page request)
 	PageTransfer int64 // moving one 4 KiB page across the wire
@@ -50,9 +50,11 @@ type CostModel struct {
 	// existed, join traffic paid transfer but no request framing, so
 	// pre-batching multi-node virtual times are reproduced by the
 	// per-page protocol only up to that framing term). BatchMsg is the
-	// fixed per-request overhead of a transfer; 0 selects MigrateMsg/4,
-	// the request cost demand paging has always charged, so a run of
-	// one page costs exactly what an unbatched fetch does.
+	// fixed per-request overhead of a transfer — MigrateMsg/4, the
+	// request cost demand paging has always charged, so a run of one
+	// page costs exactly what an unbatched fetch does — and what the
+	// message-passing baselines charge for the same wire framing, which
+	// keeps the Figure 12-style comparisons fair under batching.
 	BatchPages int
 	BatchMsg   int64
 }
@@ -73,34 +75,8 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// batchMsg returns the per-request overhead of one batched transfer,
-// defaulting to the per-page request cost for cost models written before
-// batching existed.
-func (c CostModel) batchMsg() int64 {
-	if c.BatchMsg != 0 {
-		return c.BatchMsg
-	}
-	return c.MigrateMsg / 4
-}
-
 // batched reports whether the model's wire protocol coalesces page runs.
 func (c CostModel) batched() bool { return c.BatchPages > 1 }
-
-// BatchMsgCost returns the effective per-request overhead of one batched
-// transfer (BatchMsg, defaulting to the per-page request cost), exported
-// so the message-passing baselines can charge the same wire framing the
-// migration protocol pays — keeping the Figure 12-style comparisons
-// fair under batching.
-func (c CostModel) BatchMsgCost() int64 { return c.batchMsg() }
-
-// pageAdopt returns the adopted-page merge charge, defaulting to PageCopy
-// for cost models written before the adopt/compare distinction existed.
-func (c CostModel) pageAdopt() int64 {
-	if c.PageAdopt != 0 {
-		return c.PageAdopt
-	}
-	return c.PageCopy
-}
 
 // Config describes the simulated machine.
 type Config struct {

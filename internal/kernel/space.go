@@ -354,7 +354,7 @@ func (sp *Space) touchPages(addr vm.Addr, size int, write bool) {
 		if run == 0 {
 			return
 		}
-		sp.chargeVT(cost.batchMsg() + int64(run)*cost.PageTransfer + msgExtra(cost))
+		sp.chargeVT(cost.BatchMsg + int64(run)*cost.PageTransfer + msgExtra(cost))
 		sp.net.Msgs++
 		sp.net.Pages += int64(run)
 		run = 0

@@ -299,7 +299,7 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 		sp.chargeVT(int64(st.PagesCompared)*cost.PageCompare +
 			int64(st.BytesMerged)*cost.ByteMerge +
 			int64(st.TablesAdopted)*cost.PageCopy +
-			int64(st.PagesAdopted)*cost.pageAdopt())
+			int64(st.PagesAdopted)*cost.PageAdopt)
 		if len(sp.m.nodes) > 1 && sp.home != child.node {
 			// The merge ran on the child's node, but the merged result
 			// must reach the caller's home copy: charge wire traffic for
@@ -314,7 +314,7 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 			if cost.batched() {
 				runs := vm.DeltaRuns(child.mem, child.snap, r.Addr, r.Size, cost.BatchPages)
 				pages := vm.DeltaPages(runs)
-				sp.chargeVT(int64(len(runs))*(cost.batchMsg()+msgExtra(cost)) +
+				sp.chargeVT(int64(len(runs))*(cost.BatchMsg+msgExtra(cost)) +
 					int64(pages)*cost.PageTransfer)
 				sp.net.Msgs += int64(len(runs))
 				sp.net.Pages += int64(pages)
@@ -322,7 +322,7 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 				// Unbatched: every page ships as its own request, the same
 				// per-page framing the demand-paging path charges.
 				moved := int64(st.PagesCompared + st.PagesAdopted)
-				sp.chargeVT(moved * (cost.batchMsg() + cost.PageTransfer + msgExtra(cost)))
+				sp.chargeVT(moved * (cost.BatchMsg + cost.PageTransfer + msgExtra(cost)))
 				sp.net.Msgs += moved
 				sp.net.Pages += moved
 			}

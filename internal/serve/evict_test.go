@@ -3,8 +3,25 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// sortedSessions returns the registry's sessions in ID order: the
+// deterministic iteration the reference eviction choice below and the
+// fault storm's final sweep are written against.
+func (s *Server) sortedSessions() []*session {
+	ids := make([]string, 0, len(s.sessions))
+	for id := range s.sessions {
+		ids = append(ids, string(id))
+	}
+	sort.Strings(ids)
+	out := make([]*session, len(ids))
+	for i, id := range ids {
+		out[i] = s.sessions[SessionID(id)]
+	}
+	return out
+}
 
 // evictimSorted is the eviction choice as it was first written — sort
 // the whole registry by ID, then take the first least-recently-

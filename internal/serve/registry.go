@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro"
@@ -32,11 +31,14 @@ type session struct {
 
 	queued   bool  // in the run queue
 	running  bool  // a worker is executing a slice
-	wanted   bool  // a Run request wants it driven to completion
 	lastTick int64 // logical time of the last dispatch (LRU eviction key)
 	pages    int   // footprint of the session's live machine (0 = holds none)
 
-	done   bool // final result computed (or request failed)
+	// refused is the cap error that failed the requests waiting since the
+	// last Run; unlike failed it says nothing about the session.
+	refused *CapError
+
+	done   bool // final result computed (or the session itself failed)
 	result repro.RunResult
 	failed error
 }
@@ -56,20 +58,4 @@ func (s *Server) lookup(tenantName string, id SessionID) (*session, error) {
 		return nil, fmt.Errorf("serve: tenant %s has no session %s", tenantName, id)
 	}
 	return c, nil
-}
-
-// sortedSessions returns the registry's sessions in ID order — the
-// deterministic iteration for sweeps whose output order matters (GC
-// roots).
-func (s *Server) sortedSessions() []*session {
-	ids := make([]string, 0, len(s.sessions))
-	for id := range s.sessions {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	out := make([]*session, len(ids))
-	for i, id := range ids {
-		out[i] = s.sessions[SessionID(id)]
-	}
-	return out
 }

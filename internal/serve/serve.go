@@ -27,7 +27,9 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro"
@@ -62,7 +64,8 @@ var ErrClosed error = shutdownError{}
 type Config struct {
 	// Store is the shared content-addressed store evicted checkpoints
 	// land in. Required. All tenants share it: identical chunks dedupe
-	// across sessions, and GC roots at every open session's chain head.
+	// across sessions, and GC keeps what every open session's chain head
+	// reaches besides what the store's own refs do.
 	Store repro.ChunkStore
 	// SessionOpts configures every Session the server builds. The
 	// machine shape must stay fixed for the server's lifetime: a resume
@@ -234,18 +237,21 @@ func (s *Server) Run(tenantName string, id SessionID) (repro.RunResult, error) {
 	if err != nil {
 		return zeroResult, err
 	}
-	c.wanted = true
+	c.refused = nil
 	if !c.done && !c.queued && !c.running {
 		s.queue.push(c)
 		s.cond.Broadcast()
 	}
-	for !c.done && !s.closed {
+	for !c.done && c.refused == nil && !s.closed {
 		s.cond.Wait()
 	}
-	if !c.done {
-		return zeroResult, ErrClosed
+	switch {
+	case c.done:
+		return c.result, c.failed
+	case c.refused != nil:
+		return zeroResult, c.refused
 	}
-	return c.result, c.failed
+	return zeroResult, ErrClosed
 }
 
 // Evict forces tenantName's resting session id out of memory now —
@@ -296,11 +302,14 @@ func (s *Server) CloseSession(tenantName string, id SessionID) error {
 	return nil
 }
 
-// GC removes store chunks unreachable from any open session's chain.
-// It quiesces in-flight slices first (a concurrently written checkpoint
-// must not race the sweep), then collects with every open session's
-// newest manifest as a root; chaining keeps each chain's ancestors
-// reachable, so eviction never strands a live tenant's history.
+// GC removes store chunks reachable neither from any open session's
+// chain nor from the store's own refs. It quiesces in-flight slices
+// first (a concurrently written checkpoint must not race the sweep),
+// then collects, holding every open session's newest manifest live;
+// chaining keeps each chain's ancestors reachable, so eviction never
+// strands a live tenant's history, and the store's refs keep whatever
+// else shares it — a detshell chain, a detmake cache — because the
+// server's sessions are merely the keys it holds without a ref.
 func (s *Server) GC() (repro.CollectStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -309,13 +318,16 @@ func (s *Server) GC() (repro.CollectStats, error) {
 		s.cond.Wait()
 	}
 	s.gcWait = false
-	roots := make([]repro.ChunkKey, 0, len(s.sessions))
-	for _, c := range s.sortedSessions() {
+	live := make([]repro.ChunkKey, 0, len(s.sessions))
+	for _, c := range s.sessions {
 		if m := c.sess.LastManifest(); m != nil {
-			roots = append(roots, m.Key())
+			live = append(live, m.Key())
 		}
 	}
-	st, err := repro.CollectChunks(s.cfg.Store, roots...)
+	// In key order, so that which dangling head a failed collection
+	// names does not depend on the map's iteration.
+	slices.SortFunc(live, func(a, b repro.ChunkKey) int { return bytes.Compare(a[:], b[:]) })
+	st, err := repro.CollectChunks(s.cfg.Store, live...)
 	s.cond.Broadcast()
 	return st, err
 }
@@ -351,12 +363,22 @@ func (s *Server) Shutdown() {
 	}
 }
 
-// finish completes c's request. Caller holds s.mu; waiters wake on the
-// caller's broadcast.
+// finish completes c's session: every request for it, now and later,
+// gets this result. Caller holds s.mu; waiters wake on the caller's
+// broadcast.
 func (s *Server) finish(c *session, res repro.RunResult, err error) {
 	c.done = true
 	c.result = res
 	c.failed = err
+}
+
+// refuse fails the requests waiting on c with a cap's error and leaves
+// the session as it rests, open and unfinished: the next Run queues it
+// again, and finishes it if the cap has been raised meanwhile. Caller
+// holds s.mu; waiters wake on the caller's broadcast.
+func (s *Server) refuse(c *session, ce *CapError) {
+	s.m.CapRejections++
+	c.refused = ce
 }
 
 // setPages updates c's resident accounting: n is the footprint of its
@@ -392,12 +414,12 @@ func (s *Server) worker() {
 		}
 		c := s.queue.pop()
 		t := s.tenants[c.tenant]
-		if ce := t.budget(); ce != nil {
+		if ce := t.budget(c.pages); ce != nil {
 			// The tenant's cumulative budget ran out while this session
-			// queued: refuse the slice. The session stays open and resting;
-			// a raised budget can finish it later.
-			s.m.CapRejections++
-			s.finish(c, zeroResult, ce)
+			// queued, or it already rests above the page cap: refuse the
+			// slice. The session stays open and resting; raised caps can
+			// finish it later.
+			s.refuse(c, ce)
 			s.cond.Broadcast()
 			continue
 		}
@@ -441,22 +463,19 @@ func (s *Server) worker() {
 		// sr is zero after a failed slice, and so is the footprint: the
 		// slice's death took the machine with it.
 		s.setPages(c, sr.Pages)
-		switch {
+		switch ce := t.budget(sr.Pages); {
 		case err != nil:
 			s.finish(c, zeroResult, err)
+		case sr.Done:
+			t.vtUsed += sr.Result.VT
+			s.m.Completed++
+			s.finish(c, sr.Result, nil)
+		case ce != nil:
+			// Out of budget, or resting above the page cap: the next slice
+			// would be refused, so refuse it now.
+			s.refuse(c, ce)
 		default:
-			caps := t.caps
-			if caps.MaxPages > 0 && sr.Pages > caps.MaxPages {
-				s.m.CapRejections++
-				s.finish(c, zeroResult, &CapError{Tenant: c.tenant, Cap: "pages",
-					Limit: int64(caps.MaxPages), Used: int64(sr.Pages)})
-			} else if sr.Done {
-				t.vtUsed += sr.Result.VT
-				s.m.Completed++
-				s.finish(c, sr.Result, nil)
-			} else if c.wanted {
-				s.queue.push(c)
-			}
+			s.queue.push(c) // a Run queued it, and nothing has answered that Run yet
 		}
 		s.evictOverCap()
 		s.cond.Broadcast()

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/castore"
+	"repro/internal/detmake"
 )
 
 // testOpts is the machine shape every serve test uses; the server's
@@ -471,6 +473,223 @@ func TestServeGCKeepsLiveChains(t *testing.T) {
 			t.Errorf("closed session's manifest %s survived GC", key)
 		}
 	}
+}
+
+// TestServeGCKeepsSharedStore: a DirStore shared with a detshell-style
+// checkpoint chain and a detmake build cache is collected by a server
+// that knows of neither. What survives is a function of the store — its
+// refs — plus the sessions the server holds: the chain's head still
+// loads, the build is still warm, a session evicted mid-program resumes
+// to the bits of an uninterrupted run, and what goes is what nothing
+// references — a closed session's chain and a stray chunk. (Before the
+// store kept its own refs, the server's roots were its sessions and
+// nothing else: this collection removed every chunk of the chain and
+// left MANIFEST naming a manifest the store no longer had.)
+func TestServeGCKeepsSharedStore(t *testing.T) {
+	maker := StripeProgram(2, 3, 64)
+	store, err := repro.OpenDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The chain: checkpoint after phase 1, resume, checkpoint after 2,
+	// head recorded the way detshell ckpt records it.
+	first, err := repro.NewSession(testOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.RunToCheckpoint(maker(5), 1); err != nil {
+		t.Fatal(err)
+	}
+	m1, err := first.SaveTo(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := repro.NewSession(append(testOpts(), repro.WithCheckpointAfter(2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := second.ResumeFrom(store, m1, maker(5)); err != nil {
+		t.Fatal(err)
+	}
+	head, err := second.SaveTo(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parent, ok := head.Parent(); !ok || parent != m1.Key() {
+		t.Fatal("the second save did not chain onto the first")
+	}
+	if err := store.SetRef("MANIFEST", head.Key()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The build, cold into the same store.
+	graph, err := detmake.NewGraph([]*detmake.Task{
+		{ID: "cat", Action: "concat", Outputs: []string{"ab"}, Inputs: []string{"a", "b"}},
+		{ID: "up", Action: "upper", Outputs: []string{"AB"}, Inputs: []string{"ab"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() detmake.Result {
+		t.Helper()
+		res, err := detmake.Build(detmake.Config{Graph: graph, Store: store,
+			Sources: map[string][]byte{"a": []byte("alpha\n"), "b": []byte("beta\n")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold := build()
+
+	// The server: one session stranded by its wall budget after a slice
+	// and evicted where it rests, one run to the end, evicted and closed.
+	var now atomic.Int64
+	s := newTestServer(t, Config{Store: store, Slice: 1, Clock: func() int64 { return now.Add(1000) }})
+	s.Register("stripe", maker)
+	s.SetCaps("acme", TenantCaps{MaxWallNS: 1})
+	kept, err := s.Open("acme", "stripe", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ce *CapError
+	if _, err := s.Run("acme", kept); !errors.As(err, &ce) || ce.Cap != "wall" {
+		t.Fatalf("run under a one-slice budget: %v", err)
+	}
+	if err := s.Evict("acme", kept); err != nil {
+		t.Fatal(err)
+	}
+	closed, err := s.Open("rival", "stripe", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run("rival", closed); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Evict("rival", closed); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	closedHead := s.sessions[closed].sess.LastManifest().Key()
+	s.mu.Unlock()
+	if err := s.CloseSession("rival", closed); err != nil {
+		t.Fatal(err)
+	}
+	stray := []byte("a chunk nothing references")
+	if err := store.Put(castore.KeyOf(stray), stray); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := s.GC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Roots: the head, two action entries, the evicted session.
+	if st.Roots != 4 || st.Removed < 2 {
+		t.Fatalf("GC: %+v, want 4 roots and the closed chain and the stray chunk removed", st)
+	}
+	if ok, _ := store.Has(castore.KeyOf(stray)); ok {
+		t.Error("the stray chunk survived")
+	}
+	if _, err := repro.LoadManifest(store, closedHead); err == nil {
+		t.Error("the closed session's manifest survived")
+	}
+
+	// The chain: still there from its ref, both links.
+	key, ok, err := store.Ref("MANIFEST")
+	if err != nil || !ok || key != head.Key() {
+		t.Fatalf("MANIFEST after GC = %s, %v, %v", key, ok, err)
+	}
+	for _, k := range []repro.ChunkKey{head.Key(), m1.Key()} {
+		m, err := repro.LoadManifest(store, k)
+		if err != nil {
+			t.Fatalf("chain manifest %s lost: %v", k, err)
+		}
+		if _, err := repro.LoadImage(store, m); err != nil {
+			t.Fatalf("chain image %s lost: %v", k, err)
+		}
+	}
+	// The build: still warm, same bits.
+	if warm := build(); warm.Stats.CacheHits != 2 || warm.TreeDigest != cold.TreeDigest || warm.Checksum != cold.Checksum {
+		t.Fatalf("build after GC: %+v, want 2 hits and the cold build's bits", warm.Stats)
+	}
+	// The evicted session: resumes from the store once its budget is
+	// raised, bit-identical to a run that was never interrupted.
+	s.SetCaps("acme", TenantCaps{})
+	got, err := s.Run("acme", kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := directResult(t, maker, 7); got != want {
+		t.Fatalf("resumed after GC = %+v, want %+v", got, want)
+	}
+	if s.Stats().Resumes == 0 {
+		t.Error("the evicted session finished without a resume")
+	}
+}
+
+// TestRaisedBudgetFinishesSession: a slice refused by a cap fails the
+// request that wanted it, not the session. The session stays open where
+// it rests, and once the cap is raised the next Run queues it again and
+// finishes it — with the result an uncapped run computes.
+func TestRaisedBudgetFinishesSession(t *testing.T) {
+	maker := StripeProgram(2, 3, 64)
+	want := directResult(t, maker, 9)
+
+	t.Run("wall", func(t *testing.T) {
+		var now atomic.Int64
+		s := newTestServer(t, Config{Slice: 1, Clock: func() int64 { return now.Add(1000) }})
+		s.Register("stripe", maker)
+		s.SetCaps("acme", TenantCaps{MaxWallNS: 1})
+		id, err := s.Open("acme", "stripe", 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ce *CapError
+		for i := 0; i < 2; i++ { // refused again while the cap stands
+			if _, err := s.Run("acme", id); !errors.As(err, &ce) || ce.Cap != "wall" {
+				t.Fatalf("run %d under the cap: %v", i, err)
+			}
+		}
+		if st := s.Stats(); st.Slices != 1 || st.CapRejections != 2 || st.ResidentSessions != 1 {
+			t.Fatalf("after two refusals: %+v; want one slice run, two rejections, the machine parked", st)
+		}
+		s.SetCaps("acme", TenantCaps{})
+		got, err := s.Run("acme", id)
+		if err != nil {
+			t.Fatalf("run after the cap was raised: %v", err)
+		}
+		if got != want {
+			t.Fatalf("result after a refusal = %+v, want %+v", got, want)
+		}
+	})
+
+	t.Run("pages", func(t *testing.T) {
+		s := newTestServer(t, Config{Slice: 1})
+		s.Register("stripe", maker)
+		s.SetCaps("acme", TenantCaps{MaxPages: 1})
+		id, err := s.Open("acme", "stripe", 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ce *CapError
+		for i := 0; i < 2; i++ { // a machine resting over the cap is not dispatched again
+			if _, err := s.Run("acme", id); !errors.As(err, &ce) || ce.Cap != "pages" {
+				t.Fatalf("run %d under the cap: %v", i, err)
+			}
+		}
+		if st := s.Stats(); st.Slices != 1 || st.CapRejections != 2 {
+			t.Fatalf("after two refusals: %+v; want one slice run, two rejections", st)
+		}
+		s.SetCaps("acme", TenantCaps{MaxPages: maxStepPages(t, maker, 9)})
+		got, err := s.Run("acme", id)
+		if err != nil {
+			t.Fatalf("run after the cap was raised: %v", err)
+		}
+		if got != want {
+			t.Fatalf("result after a refusal = %+v, want %+v", got, want)
+		}
+	})
 }
 
 // TestServeShutdownLeavesNoGoroutines: resident sessions are parked

@@ -12,7 +12,8 @@ type TenantCaps struct {
 	MaxOpen int
 	// MaxPages bounds the resting footprint of any one session's live
 	// machine (repro.StepResult.Pages: distinct page tables plus backed
-	// pages); a slice that rests above it fails with *CapError.
+	// pages); a slice that rests above it fails its request with
+	// *CapError, and the session is not dispatched again while it does.
 	MaxPages int
 	// MaxVT bounds the total virtual time of the tenant's completed
 	// sessions; once exhausted, new opens and runs are refused.
@@ -51,18 +52,22 @@ func (t *tenant) admission() *CapError {
 	if t.caps.MaxOpen > 0 && t.open >= t.caps.MaxOpen {
 		return &CapError{Tenant: t.name, Cap: "open", Limit: int64(t.caps.MaxOpen), Used: int64(t.open)}
 	}
-	return t.budget()
+	return t.budget(0)
 }
 
-// budget returns the exhausted cumulative cap (vt or wall), or nil.
-// Unlike admission it does not count open sessions, so an already-open
-// session can still be driven while head-room lasts.
-func (t *tenant) budget() *CapError {
+// budget returns the cap that refuses a session resting at pages its
+// next slice — an exhausted cumulative one (vt or wall), or the page
+// cap — or nil. Unlike admission it does not count open sessions, so an
+// already-open session can still be driven while head-room lasts.
+func (t *tenant) budget(pages int) *CapError {
 	if t.caps.MaxVT > 0 && t.vtUsed >= t.caps.MaxVT {
 		return &CapError{Tenant: t.name, Cap: "vt", Limit: t.caps.MaxVT, Used: t.vtUsed}
 	}
 	if t.caps.MaxWallNS > 0 && t.wallUsed >= t.caps.MaxWallNS {
 		return &CapError{Tenant: t.name, Cap: "wall", Limit: t.caps.MaxWallNS, Used: t.wallUsed}
+	}
+	if t.caps.MaxPages > 0 && pages > t.caps.MaxPages {
+		return &CapError{Tenant: t.name, Cap: "pages", Limit: int64(t.caps.MaxPages), Used: int64(pages)}
 	}
 	return nil
 }

@@ -19,14 +19,14 @@ package repro
 // stores O(k) new chunk bytes, and collecting garbage with only the
 // newest manifest as root keeps every ancestor chunk the chain still
 // needs (manifests and forest roots reference their parents as node
-// children, so reachability covers the chain).
+// children, so reachability covers the chain). A chain is kept by
+// pointing one of the store's refs at its head — store.SetRef(name,
+// m.Key()), read back with store.Ref and LoadManifest — which is also
+// what makes CollectChunks keep it.
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"os"
-	"strings"
 
 	"repro/internal/castore"
 	"repro/internal/imgenc"
@@ -51,9 +51,8 @@ func (e *ManifestError) Error() string { return "repro: bad manifest: " + e.Msg 
 // Manifest is the root object of one store-backed checkpoint: a small
 // CRC-framed node referencing the image's chunked forest, its session
 // metadata chunk, and (for incremental checkpoints) the parent
-// manifest. Manifests are immutable values; persist one with Bytes
-// (e.g. as a MANIFEST file beside a DirStore) and reload it with
-// DecodeManifest or LoadManifest.
+// manifest. Manifests are immutable values, stored under Key: name one
+// with a ref of the store and reload it with LoadManifest.
 type Manifest struct {
 	key    castore.Key
 	forest castore.Key // root node of the chunked vm forest
@@ -63,8 +62,8 @@ type Manifest struct {
 	raw    []byte
 }
 
-// Key returns the manifest's content key — its identity in the store
-// and the root to pass to CollectChunks.
+// Key returns the manifest's content key — its identity in the store,
+// and what a ref that keeps the checkpoint alive points at.
 func (m *Manifest) Key() ChunkKey { return m.key }
 
 // Seq is the manifest's position in its chain (0 for a chain head).
@@ -229,68 +228,6 @@ func (s *Session) SaveTo(store BlobStore) (*Manifest, error) {
 		return nil, err
 	}
 	s.lastManifest = m
-	return m, nil
-}
-
-// --- chain-head files ---------------------------------------------------------
-
-// HeadError reports a damaged or dangling chain-head file: truncated or
-// unparsable contents, or a head naming a manifest the store does not
-// hold or whose framing CRC fails. It distinguishes "the head itself is
-// bad" from ordinary I/O errors (which pass through unwrapped).
-type HeadError struct {
-	Path string // the head file
-	Msg  string
-	Err  error // underlying cause, when one exists
-}
-
-func (e *HeadError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("repro: bad chain head %s: %s: %v", e.Path, e.Msg, e.Err)
-	}
-	return fmt.Sprintf("repro: bad chain head %s: %s", e.Path, e.Msg)
-}
-
-func (e *HeadError) Unwrap() error { return e.Err }
-
-// WriteManifestHead records m's key in the head file at path
-// atomically (castore.WriteFileAtomic), so a crashed writer leaves
-// either the old head or the new one — never a truncated file under the
-// real name.
-func WriteManifestHead(path string, m *Manifest) error {
-	if err := castore.WriteFileAtomic(path, []byte(m.Key().String()+"\n")); err != nil {
-		return fmt.Errorf("repro: write chain head %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadManifestHead reads the chain-head key recorded at path and loads
-// the manifest it names from store, verifying the manifest's framing
-// and CRC. A truncated or unparsable head, a head naming an absent
-// manifest, or a manifest failing its CRC all return *HeadError — the
-// caller can tell a rotten head apart from a merely missing one
-// (os.IsNotExist on the passed-through open error).
-func ReadManifestHead(store BlobStore, path string) (*Manifest, error) {
-	text, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	key, err := castore.ParseKey(strings.TrimSpace(string(text)))
-	if err != nil {
-		return nil, &HeadError{Path: path, Msg: "unparsable manifest key", Err: err}
-	}
-	b, err := store.Get(key)
-	if err != nil {
-		var miss *ChunkMissingError
-		if errors.As(err, &miss) {
-			return nil, &HeadError{Path: path, Msg: "head names a manifest the store does not hold", Err: err}
-		}
-		return nil, err
-	}
-	m, err := DecodeManifest(b)
-	if err != nil {
-		return nil, &HeadError{Path: path, Msg: "manifest fails validation", Err: err}
-	}
 	return m, nil
 }
 
