@@ -88,7 +88,12 @@ bench:
 # codec on either side of its size floor — and one cold and one warm
 # build of detmake's benchmark graphs, alone and as the five-shape pass
 # the end-to-end make_* workloads time, with what marshalling a task's
-# inputs or outputs across the space boundary costs beside them.
+# inputs or outputs across the space boundary costs beside them. Then
+# internal/serve's BenchmarkServe/{hot,evict}: one open-run-close op
+# through an in-process server with every session resident and with one
+# machine for two clients — serve_hot and serve_evict minus the HTTP,
+# reporting evictions/op; time a serve change with that one (-benchtime
+# 300x) before claiming it with `go run ./benchmark`.
 bench-smoke:
 	$(GO) test -bench='Fig4|DschedRound' -benchtime=1x -run='^$$' .
 	$(GO) test -bench=TypedAccess -benchtime=1x -run='^$$' ./internal/vm
@@ -96,6 +101,7 @@ bench-smoke:
 	$(GO) test -bench='Checksum|Scan' -benchtime=1x -run='^$$' ./internal/fs
 	$(GO) test -bench=EncodeBlob -benchtime=1x -run='^$$' ./internal/castore
 	$(GO) test -bench='Build|TaskMessage' -benchtime=1x -run='^$$' ./internal/detmake
+	$(GO) test -bench=Serve -benchtime=1x -run='^$$' ./internal/serve
 
 # The exact gate: the end-to-end benchmark's 14 deterministic per-layer
 # metrics (virtual times, instruction, round, page and byte counts) must

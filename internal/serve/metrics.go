@@ -21,6 +21,7 @@ type Metrics struct {
 	BitEqFail int64
 
 	Evictions int64 // resting sessions captured, pushed to the store and torn down
+	EvictNS   int64 // wall time of those saves by Config.Clock; the server's cost, charged to no tenant and not part of WallNS
 	Resumes   int64 // slices that began by rebuilding a suspended session from the store
 	ResumeNS  int64 // wall time of those resumed slices (subset of WallNS)
 

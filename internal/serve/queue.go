@@ -8,7 +8,10 @@ import "sort"
 // fairly and reproducibly — the schedule is a function of the request
 // sequence, never of map iteration order or goroutine timing. (The
 // schedule affects only latency; session results are deterministic
-// regardless, which is what makes the whole fabric retryable.)
+// regardless, which is what makes the whole fabric retryable.) The one
+// request that loses its place is a session popped while its eviction is
+// still saving — possible only with several workers: it goes to the back
+// of its tenant's FIFO when the save lands (Server.evict).
 type runQueue struct {
 	fifos map[string][]*session
 	last  string // tenant served most recently; rotation resumes after it

@@ -30,9 +30,15 @@ type session struct {
 	kill atomic.Bool
 
 	queued   bool  // in the run queue
-	running  bool  // a worker is executing a slice
+	running  bool  // a goroutine holds the session outside s.mu: a slice, or an eviction
 	lastTick int64 // logical time of the last dispatch (LRU eviction key)
 	pages    int   // footprint of the session's live machine (0 = holds none)
+
+	// evicting marks the holder as an eviction rather than a slice, and
+	// wanted that the eviction is to queue the session once its state has
+	// left the machine: a worker popped it meanwhile, or a Run arrived.
+	evicting bool
+	wanted   bool
 
 	// refused is the cap error that failed the requests waiting since the
 	// last Run; unlike failed it says nothing about the session.

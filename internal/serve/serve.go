@@ -13,7 +13,9 @@
 //   - Eviction: over the resident cap, resting sessions are captured,
 //     suspended into a shared content-addressed store and torn down;
 //     they are rebuilt transparently on their next slice — idle
-//     sessions cost store bytes, not memory or goroutines.
+//     sessions cost store bytes, not memory or goroutines. The save
+//     runs outside the dispatch lock, like a slice: it delays its
+//     victim's next request and nobody else's.
 //   - Retry and failover are free: a slice that dies is re-run by
 //     deterministic re-execution from the session's anchor, bit-identical
 //     to the attempt a dead worker made, which the server asserts on
@@ -102,11 +104,14 @@ type Server struct {
 	sessions map[SessionID]*session
 	queue    *runQueue
 	tick     int64 // logical dispatch clock (LRU key; never wall time)
-	runningN int
-	gcWait   bool
-	closed   bool
-	m        Metrics
-	wg       sync.WaitGroup
+	runningN int   // sessions held outside mu: slices plus evictions in flight
+	// evictingN counts the resident sessions among them whose eviction
+	// is in flight: still resident, already spoken for.
+	evictingN int
+	gcWait    bool
+	closed    bool
+	m         Metrics
+	wg        sync.WaitGroup
 }
 
 // New validates cfg, starts the worker pool and returns the server.
@@ -238,7 +243,11 @@ func (s *Server) Run(tenantName string, id SessionID) (repro.RunResult, error) {
 		return zeroResult, err
 	}
 	c.refused = nil
-	if !c.done && !c.queued && !c.running {
+	switch {
+	case c.done, c.queued:
+	case c.evicting:
+		c.wanted = true // the eviction queues it once the machine is down
+	case !c.running: // a running slice queues it again by itself
 		s.queue.push(c)
 		s.cond.Broadcast()
 	}
@@ -255,7 +264,10 @@ func (s *Server) Run(tenantName string, id SessionID) (repro.RunResult, error) {
 }
 
 // Evict forces tenantName's resting session id out of memory now —
-// the administrative form of the automatic resident-cap eviction.
+// the administrative form of the automatic resident-cap eviction, and
+// like it saved outside the dispatch lock. A session that is mid-slice
+// or already being evicted refuses; a failed save leaves the session as
+// it rested and returns the store's error.
 func (s *Server) Evict(tenantName string, id SessionID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -264,7 +276,7 @@ func (s *Server) Evict(tenantName string, id SessionID) error {
 		return err
 	}
 	if c.running {
-		return fmt.Errorf("serve: session %s is mid-slice", id)
+		return fmt.Errorf("serve: session %s is busy", id)
 	}
 	// A completed session is not resident — it keeps only its result —
 	// but it can still be pushed to the store on request: its final
@@ -273,17 +285,12 @@ func (s *Server) Evict(tenantName string, id SessionID) error {
 	if c.pages == 0 && !completed {
 		return nil // never started, failed, or already cold
 	}
-	if _, err := c.sess.Suspend(s.cfg.Store); err != nil {
-		return err
-	}
-	s.setPages(c, 0)
-	s.m.Evictions++
-	return nil
+	return s.evict(c)
 }
 
 // CloseSession closes tenantName's session id and removes it from the
 // registry; its manifest chain stops being a GC root. Busy sessions
-// (queued or mid-slice) refuse to close.
+// (queued, mid-slice or mid-eviction) refuse to close.
 func (s *Server) CloseSession(tenantName string, id SessionID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -304,7 +311,8 @@ func (s *Server) CloseSession(tenantName string, id SessionID) error {
 
 // GC removes store chunks reachable neither from any open session's
 // chain nor from the store's own refs. It quiesces in-flight slices
-// first (a concurrently written checkpoint must not race the sweep),
+// and evictions first (a concurrently written checkpoint must not race
+// the sweep) — the one place the server calls its store under the lock —
 // then collects, holding every open session's newest manifest live;
 // chaining keeps each chain's ancestors reachable, so eviction never
 // strands a live tenant's history, and the store's refs keep whatever
@@ -357,8 +365,11 @@ func (s *Server) Shutdown() {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for s.runningN > 0 {
+		s.cond.Wait() // an administrative Evict is still saving
+	}
 	for _, c := range s.sessions {
-		_ = c.sess.Close() // no slice is in flight: Close cannot be refused
+		_ = c.sess.Close() // nothing is in flight: Close cannot be refused
 		s.setPages(c, 0)
 	}
 }
@@ -399,8 +410,9 @@ func (s *Server) setPages(c *session, n int) {
 }
 
 // worker is one pool goroutine: pop the next slice in deterministic
-// order, execute it without the lock, account, re-queue or complete,
-// and evict over-cap residents.
+// order, execute it without the lock, account, re-queue or complete and
+// wake whoever waits on that — then evict over-cap residents, each saved
+// without the lock as well, before taking the next slice.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	s.mu.Lock()
@@ -413,6 +425,13 @@ func (s *Server) worker() {
 			return
 		}
 		c := s.queue.pop()
+		switch {
+		case c.evicting:
+			c.wanted = true // its save is still running: evict queues it again
+			continue
+		case c.done:
+			continue // failed by an eviction while it queued
+		}
 		t := s.tenants[c.tenant]
 		if ce := t.budget(c.pages); ce != nil {
 			// The tenant's cumulative budget ran out while this session
@@ -477,8 +496,10 @@ func (s *Server) worker() {
 		default:
 			s.queue.push(c) // a Run queued it, and nothing has answered that Run yet
 		}
-		s.evictOverCap()
+		// Wake c's waiters before evicting: an eviction is its victim's
+		// cost, not c's.
 		s.cond.Broadcast()
+		s.evictOverCap()
 	}
 }
 

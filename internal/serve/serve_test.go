@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/castore"
@@ -22,7 +21,7 @@ func testOpts() []repro.SessionOption {
 
 // directResult runs maker(arg) uninterrupted on a private session — the
 // reference every served result must equal bit-for-bit.
-func directResult(t *testing.T, maker ProgramMaker, arg uint64) repro.RunResult {
+func directResult(t testing.TB, maker ProgramMaker, arg uint64) repro.RunResult {
 	t.Helper()
 	sess, err := repro.NewSession(testOpts()...)
 	if err != nil {
@@ -742,12 +741,5 @@ func TestServeShutdownLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("resident after Shutdown: %+v", st)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond) // exiting goroutines are counted until retired
-	}
-	if got := runtime.NumGoroutine(); got > base {
-		buf := make([]byte, 1<<16)
-		t.Fatalf("%d goroutines after Shutdown, baseline %d\n%s", got, base, buf[:runtime.Stack(buf, true)])
-	}
+	waitGoroutines(t, base, "after Shutdown")
 }
