@@ -17,7 +17,7 @@
 //	/v1/evict {"tenant","id"}             -> {}
 //	/v1/close {"tenant","id"}             -> {}
 //	/v1/gc    {}                          -> collection stats
-//	/v1/stats (GET)                       -> serve.Metrics
+//	/v1/stats (GET)                       -> serve.Metrics plus "Process" (this process's collector and memory)
 //
 // Programs are the built-in stripe workloads (stripe-small, stripe,
 // stripe-large); arg seeds the computation, so a request's result is a
@@ -25,7 +25,10 @@
 //
 // Unlike internal/serve, this package may read the wall clock (see
 // docs/determinism-rules.md): it lives at the edge, where wall time is
-// only billed against tenant budgets, never fed into a computation.
+// only billed against tenant budgets, never fed into a computation. It is
+// also where process-global runtime settings belong: the daemon sets its
+// collector's target at start-up (paceGC; docs/serving.md, Garbage)
+// unless the operator chose one through the GOGC environment variable.
 package main
 
 import (
@@ -36,6 +39,9 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"runtime"
+	"runtime/debug"
+	"syscall"
 	"time"
 
 	"repro"
@@ -55,6 +61,7 @@ func main() {
 		maxWall  = flag.Duration("max-wall", 0, "default per-tenant wall-clock budget")
 	)
 	flag.Parse()
+	paceGC()
 	if *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "detserved: -store is required")
 		os.Exit(2)
@@ -82,6 +89,24 @@ func main() {
 	log.Printf("detserved: serving on %s (store %s, %d workers, resident cap %d)",
 		*addr, *storeDir, *workers, *resident)
 	log.Fatal(httpServer(*addr, srv.mux()).ListenAndServe())
+}
+
+// gcPercent is the collector target of a daemon whose operator set none.
+// The daemon's live heap is a few parked machines — under 1 MB on the
+// benchmark's load — and every request leaves about 1.5 MB of dead page
+// tables behind, so at Go's default of 100 the heap goal sits on the
+// runtime's 4 MB floor and the process collects two times in three
+// requests. 400 is the smallest setting within 5 % of the floor of the
+// latency curve (the sweep is in docs/serving.md); it costs ≈ 12 MB of
+// resident memory with every session resident, ≈ 20 MB while evicting.
+const gcPercent = 400
+
+// paceGC applies gcPercent unless GOGC is set in the environment, which
+// the runtime has then already honoured.
+func paceGC() {
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(gcPercent)
+	}
 }
 
 // Limits on what a client may make the daemon hold or wait for. Request
@@ -224,8 +249,34 @@ func (h *server) gc(w http.ResponseWriter, r *http.Request) {
 	reply(w, st)
 }
 
+// statsReply is /v1/stats: the fabric's counters, flat as they have
+// always been, and the process they were counted in beside them.
+type statsReply struct {
+	serve.Metrics
+	Process processStats
+}
+
+// processStats is what the daemon's own runtime costs: a collector that
+// runs more than once in five requests, or a peak RSS far above
+// ResidentPeakPages' worth of memory, is host overhead no fabric counter
+// shows.
+type processStats struct {
+	GCCycles  uint32 // completed collections since the process started
+	GCPauseNS uint64 // total stop-the-world pause of those collections
+	HeapInUse uint64 // bytes in in-use heap spans
+	PeakRSSKB int64  // high-water resident set size (ru_maxrss)
+}
+
+func readProcessStats() processStats {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // on failure PeakRSSKB reads 0
+	return processStats{GCCycles: m.NumGC, GCPauseNS: m.PauseTotalNs, HeapInUse: m.HeapInuse, PeakRSSKB: ru.Maxrss}
+}
+
 func (h *server) stats(w http.ResponseWriter, r *http.Request) {
-	reply(w, h.s.Stats())
+	reply(w, statsReply{Metrics: h.s.Stats(), Process: readProcessStats()})
 }
 
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {

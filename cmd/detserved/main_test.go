@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime/debug"
 	"testing"
 
 	"repro"
@@ -89,12 +91,48 @@ func TestServedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fabric's counters decode as they always have — the benchmark
+	// reads them into a bare serve.Metrics — with the process beside them.
 	var m serve.Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Opened != 3 || m.Completed != 3 || m.Closed != 3 || m.BitEqFail != 0 {
 		t.Fatalf("stats: %+v", m)
+	}
+	var full statsReply
+	if err := json.Unmarshal(raw, &full); err != nil {
+		t.Fatal(err)
+	}
+	if full.Metrics != m || full.Process.HeapInUse == 0 || full.Process.PeakRSSKB == 0 {
+		t.Fatalf("stats: %s", raw)
+	}
+}
+
+// TestDaemonPacesGC: with GOGC unset the daemon sets its own collector
+// target; a GOGC in the environment is the operator's choice, which the
+// runtime has already applied and the daemon leaves alone.
+func TestDaemonPacesGC(t *testing.T) {
+	const operators = 150
+	// The test process's own target, whatever it was, comes back at the end.
+	defer debug.SetGCPercent(debug.SetGCPercent(operators))
+	for _, tc := range []struct {
+		env  string
+		want int
+	}{{"", gcPercent}, {"150", operators}} {
+		debug.SetGCPercent(operators) // what the runtime would have read from GOGC=150
+		t.Setenv("GOGC", tc.env)
+		if tc.env == "" {
+			os.Unsetenv("GOGC") // t.Setenv above restores the original afterwards
+		}
+		paceGC()
+		if got := debug.SetGCPercent(operators); got != tc.want {
+			t.Errorf("GOGC=%q: collector target %d, want %d", tc.env, got, tc.want)
+		}
 	}
 }
 

@@ -393,7 +393,9 @@ func decodeResult(t *Task, msg []byte) (map[string][]byte, error) {
 		out := make(map[string][]byte, len(files))
 		for i, f := range files {
 			if f.Path != t.Outputs[i] {
-				return corrupt("output %d is %q, declared %q", i, f.Path, t.Outputs[i])
+				// Quoted 64 bytes deep: %q can quadruple what it quotes,
+				// and the child chose the first path.
+				return corrupt("output %d is %.64q, declared %.64q", i, f.Path, t.Outputs[i])
 			}
 			out[f.Path] = f.Body
 		}

@@ -62,6 +62,11 @@ func FuzzTaskMessage(f *testing.F) {
 	}
 	f.Add(binary.LittleEndian.AppendUint32(make([]byte, 4), 0x7fffffff), "out") // a count claiming every byte left
 	f.Add(encodeMessage(outcomeMissing, []taskFile{{Path: "out"}}), "out")      // a reported failure
+	// A path of bytes %q escapes four for one, on either side of a
+	// mismatch: quoted whole, the declared one alone cost 113 KB.
+	escaped := strings.Repeat("\x01", 4998)
+	f.Add(encodeMessage(outcomeOK, []taskFile{{Path: "x", Body: make([]byte, 70)}}), escaped)
+	f.Add(encodeMessage(outcomeOK, []taskFile{{Path: escaped}}), "x")
 
 	f.Fuzz(func(t *testing.T, msg []byte, outs string) {
 		task := &Task{ID: "t", Outputs: strings.Split(outs, "\n")}
@@ -97,9 +102,11 @@ func FuzzTaskMessage(f *testing.F) {
 		}
 		// A pair is at least its two length prefixes, so a list is sized
 		// at one 40-byte taskFile per 8 message bytes at most, twice over
-		// for the two readings, plus the paths; bodies alias the message. An error may quote a declared path, which is the root's
-		// own; the slack is for the rest of the errors and whatever else
-		// the process allocated meanwhile (TotalAlloc is process-wide).
+		// for the two readings, plus the paths; bodies alias the message.
+		// An error may name a declared path, which is the root's own, or
+		// quote the head of one; the slack is for the rest of the errors
+		// and whatever else the process allocated meanwhile (TotalAlloc is
+		// process-wide).
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(16*len(msg)+8*len(outs))+64<<10 {
 			t.Fatalf("decoding %d bytes against %d of declared paths allocated %d", len(msg), len(outs), grew)
 		}

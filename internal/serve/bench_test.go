@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +17,8 @@ import (
 // of detserved's stripe program) and a close, every result checked
 // against an uninterrupted private run. hot keeps every session
 // resident; evict allows one machine for two clients, so resting
-// sessions leave through the store and come back. Time a change to
+// sessions leave through the store and come back. It reports
+// evictions/op and the collector's gc-cycles/op. Time a change to
 // internal/serve with this first; claim it with `go run ./benchmark`.
 func BenchmarkServe(b *testing.B) {
 	const (
@@ -59,6 +61,8 @@ func BenchmarkServe(b *testing.B) {
 				}
 				return s.CloseSession(tenant, id)
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			var wg sync.WaitGroup
 			for cl := 0; cl < clients; cl++ {
@@ -75,9 +79,16 @@ func BenchmarkServe(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
+			runtime.ReadMemStats(&after)
 
 			st := s.Stats()
 			b.ReportMetric(float64(st.Evictions)/float64(b.N), "evictions/op")
+			// An op leaves ≈ 1.5 MB of dead page tables behind: a process
+			// whose heap goal sits at the runtime's 4 MB floor collects
+			// two times in three ops, which is what detserved's GC target
+			// exists to stop (cmd/detserved, paceGC). Run with GOGC=400 to
+			// see the daemon's figure.
+			b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc-cycles/op")
 			if st.BitEqFail != 0 || st.Completed != int64(b.N) {
 				b.Errorf("%d ops: %+v", b.N, st)
 			}

@@ -17,6 +17,39 @@ import (
 // the byte path. TestAccessMatchesByteOracle holds every accessor to
 // them: same bytes, same sharing structure, same dirty marks, same fault.
 
+// oracleInstall is the oracles' pte write: the entry, and the occupancy
+// bit that says whether it holds a page, spelled out by hand rather than
+// through table.set — so the occupancy words in a world's shape are
+// the oracle's own, and an install that bypasses the setter differs.
+func oracleInstall(t *table, l2 int, e pte) {
+	t.ptes[l2] = e
+	if bit := uint64(1) << (uint(l2) & 63); e.pg != nil {
+		t.occ[l2>>6] |= bit
+	} else {
+		t.occ[l2>>6] &^= bit
+	}
+}
+
+// checkOccupancy fails t unless every table of s lists in its occupancy
+// map exactly the slots that hold a page.
+func checkOccupancy(t *testing.T, s *Space) {
+	t.Helper()
+	for l1, tb := range s.root {
+		if tb == nil {
+			continue
+		}
+		var want [tableEntries / 64]uint64
+		for l2 := range tb.ptes {
+			if tb.ptes[l2].pg != nil {
+				want[l2>>6] |= 1 << (uint(l2) & 63)
+			}
+		}
+		if tb.occ != want {
+			t.Fatalf("table %d: occupancy map %x, slots holding a page %x", l1, tb.occ, want)
+		}
+	}
+}
+
 func oracleRead(s *Space, addr Addr, p []byte) error {
 	curL1 := -1
 	var t *table
@@ -76,18 +109,18 @@ func oracleWrite(s *Space, addr Addr, p []byte) error {
 			if pg != nil {
 				pg.refs.Add(-1)
 			}
-			t.ptes[l2] = pte{pg: newPageFrom(p[:PageSize]), perm: e.perm}
+			oracleInstall(t, l2, pte{pg: newPageFrom(p[:PageSize]), perm: e.perm})
 		} else {
 			switch {
 			case pg == nil:
 				pg = newPage()
-				t.ptes[l2] = pte{pg: pg, perm: e.perm}
+				oracleInstall(t, l2, pte{pg: pg, perm: e.perm})
 			case pg.refs.Load() > 1:
 				np := newPage()
 				np.data = pg.data
 				pg.refs.Add(-1)
 				pg = np
-				t.ptes[l2] = pte{pg: pg, perm: e.perm}
+				oracleInstall(t, l2, pte{pg: pg, perm: e.perm})
 			}
 			copy(pg.data[off:off+n], p[:n])
 		}
@@ -311,7 +344,8 @@ func buildAccessWorld(t *testing.T, rng *rand.Rand) *accessWorld {
 
 // shape describes everything about a world an access may legitimately
 // change and everything it must not: per-page permission, bytes and page
-// refcount for every space, table refcounts, dirty bitmaps and footprint.
+// refcount for every space, table refcounts, occupancy words, dirty
+// bitmaps and footprint.
 func (w *accessWorld) shape() string {
 	all := append([]*Space{w.s}, w.others...)
 	out := fmt.Sprintf("footprint %d\n", Footprint(all))
@@ -327,11 +361,11 @@ func (w *accessWorld) shape() string {
 				si, pa, e.perm, refs, fingerprint(s, pa, PageSize))
 		}
 		for l1 := 0; l1 < 3; l1++ {
-			refs := int32(0)
+			refs, occ := int32(0), [tableEntries / 64]uint64{}
 			if tb := s.root[l1]; tb != nil {
-				refs = tb.refs.Load()
+				refs, occ = tb.refs.Load(), tb.occ
 			}
-			out += fmt.Sprintf("space %d table %d refs %d dirty %v\n", si, l1, refs, s.dirty[l1])
+			out += fmt.Sprintf("space %d table %d refs %d occ %x dirty %v\n", si, l1, refs, occ, s.dirty[l1])
 		}
 		out += fmt.Sprintf("space %d dirtyAll %v\n", si, s.dirtyAll)
 	}

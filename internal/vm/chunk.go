@@ -115,20 +115,29 @@ func ChunkForest(store castore.BlobStore, flat []byte, parent castore.Key) (cast
 			return castore.Key{}, err
 		}
 	}
+	// Tables of one machine mostly share a layout (every slot mapped
+	// read-write, say): each distinct layout is hashed and Put once.
 	tables := make([]tableRec, len(flatTables))
+	layouts := make(map[string]castore.Key)
+	var chunk []byte
 	for i, ft := range flatTables {
 		pids := make([]uint32, ft.entries())
-		chunk := binary.LittleEndian.AppendUint16(make([]byte, 0, 2+3*len(pids)), uint16(len(pids)))
+		chunk = binary.LittleEndian.AppendUint16(chunk[:0], uint16(len(pids)))
 		for j := range pids {
 			l2, perm, pid := ft.pte(j)
 			chunk = binary.LittleEndian.AppendUint16(chunk, l2)
 			chunk = append(chunk, perm)
 			pids[j] = pid
 		}
-		tables[i] = tableRec{chunk: castore.KeyOf(chunk), pids: pids}
-		if err := store.Put(tables[i].chunk, chunk); err != nil {
-			return castore.Key{}, err
+		key, stored := layouts[string(chunk)]
+		if !stored {
+			key = castore.KeyOf(chunk)
+			if err := store.Put(key, chunk); err != nil {
+				return castore.Key{}, err
+			}
+			layouts[string(chunk)] = key
 		}
+		tables[i] = tableRec{chunk: key, pids: pids}
 	}
 
 	cur := &forestShape{pageKeys: pageKeys, tables: tables, tail: tail}
@@ -220,12 +229,25 @@ func UnchunkForest(store castore.BlobStore, root castore.Key) ([]byte, error) {
 		return nil, err
 	}
 
-	var b []byte
+	// The image's size follows from the lists, so the buffer is made
+	// once. Each distinct key is fetched once: a repeated page is copied
+	// from where its first instance landed in the image, a repeated table
+	// layout comes from layouts — bytes the first fetch verified.
+	size := len(imageMagic) + 1 + 4 + len(shape.pageKeys)*PageSize + 4 + len(shape.tail) + 4
+	for _, rec := range shape.tables {
+		size += 2 + len(rec.pids)*flatPTESize
+	}
+	b := make([]byte, 0, size)
 	b = append(b, imageMagic[:]...)
 	b = append(b, ImageVersion)
 
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(shape.pageKeys)))
+	pageAt := make(map[castore.Key]int, len(shape.pageKeys))
 	for _, key := range shape.pageKeys {
+		if at, ok := pageAt[key]; ok {
+			b = append(b, b[at:at+PageSize]...)
+			continue
+		}
 		pg, err := store.Get(key)
 		if err != nil {
 			return nil, err
@@ -233,14 +255,19 @@ func UnchunkForest(store castore.BlobStore, root castore.Key) ([]byte, error) {
 		if len(pg) != PageSize {
 			return nil, chunkFailf(len(b), "page chunk %s is %d bytes, want %d", key, len(pg), PageSize)
 		}
+		pageAt[key] = len(b)
 		b = append(b, pg...)
 	}
 
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(shape.tables)))
+	layouts := make(map[castore.Key][]byte)
 	for ti, rec := range shape.tables {
-		chunk, err := store.Get(rec.chunk)
-		if err != nil {
-			return nil, err
+		chunk, ok := layouts[rec.chunk]
+		if !ok {
+			if chunk, err = store.Get(rec.chunk); err != nil {
+				return nil, err
+			}
+			layouts[rec.chunk] = chunk
 		}
 		if len(chunk) < 2 {
 			return nil, chunkFailf(len(b), "table chunk %s truncated", rec.chunk)

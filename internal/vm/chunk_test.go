@@ -273,3 +273,66 @@ func TestChunkSiblingImagesShareChunks(t *testing.T) {
 		t.Fatalf("sibling image added %d chunks to a %d-chunk store", added, mid.Chunks)
 	}
 }
+
+// callCountingStore counts the Put and Get calls each key receives.
+type callCountingStore struct {
+	castore.BlobStore
+	puts, gets map[castore.Key]int
+}
+
+func (s *callCountingStore) Put(key castore.Key, b []byte) error {
+	s.puts[key]++
+	return s.BlobStore.Put(key, b)
+}
+
+func (s *callCountingStore) Get(key castore.Key) ([]byte, error) {
+	s.gets[key]++
+	return s.BlobStore.Get(key)
+}
+
+// TestChunkOneStoreCallPerDistinctChunk: five tables with one layout and
+// three pages with two contents are five table instances and three page
+// instances in the image, but one layout chunk — Put once by the save,
+// fetched once by the load — and no key is fetched twice.
+func TestChunkOneStoreCallPerDistinctChunk(t *testing.T) {
+	s := NewSpace()
+	const tables = 5
+	if err := s.SetPerm(0, tables*TableSpan, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []uint64{7, 7, 9} { // pages 0 and 1 hold the same bytes
+		if err := s.WriteU64(Addr(i)*Addr(TableSpan), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewForestEncoder()
+	e.Add(s)
+	flat := e.Encode()
+
+	store := &callCountingStore{BlobStore: castore.NewMemStore(), puts: map[castore.Key]int{}, gets: map[castore.Key]int{}}
+	root := chunkRoundTrip(t, store, flat, castore.Key{})
+	shape, err := resolveShape(store.BlobStore, root, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shape.tables) != tables || len(shape.pageKeys) != 3 || shape.pageKeys[0] != shape.pageKeys[1] {
+		t.Fatalf("image lists %d tables and pages %v", len(shape.tables), shape.pageKeys)
+	}
+	layouts := map[castore.Key]bool{}
+	for _, rec := range shape.tables {
+		layouts[rec.chunk] = true
+		if n := store.puts[rec.chunk]; n != 1 {
+			t.Errorf("layout chunk %s Put %d times by one save", rec.chunk, n)
+		}
+	}
+	// Tables 0-2 back a page and tables 3-4 none, but the layout chunk
+	// holds no page reference: one layout.
+	if len(layouts) != 1 {
+		t.Errorf("%d distinct layouts among tables mapped alike", len(layouts))
+	}
+	for key, n := range store.gets {
+		if n != 1 {
+			t.Errorf("chunk %s fetched %d times by one load", key, n)
+		}
+	}
+}

@@ -244,7 +244,10 @@ func (s *meteredStore) Get(key castore.Key) ([]byte, error) {
 // not panic, and what it allocates must follow from what it consumed:
 // the chunks it fetched, plus the keys and table records its ops list —
 // an op is at least 9 bytes and lists no more than its source (the
-// root's leaf refs, its parent's lists) holds — never from a count.
+// root's leaf refs, its parent's lists) holds — plus the image those
+// lists spell out, a page per key and seven bytes per page id (a
+// repeated key is fetched once, so the image can outgrow the fetches) —
+// never from a count.
 func FuzzUnchunkForest(f *testing.F) {
 	cur, snap := buildPair(f)
 	base := castore.NewMemStore()
@@ -295,10 +298,18 @@ func FuzzUnchunkForest(f *testing.F) {
 			runtime.ReadMemStats(&before)
 			flat, err := UnchunkForest(store, store.key)
 			runtime.ReadMemStats(&after)
-			// Fetching decodes (a few copies of each chunk) and the image
-			// grows by doubling; 16x what was fetched covers both.
-			if grew, bound := after.TotalAlloc-before.TotalAlloc, (uint64(len(in))/9+8)*perOp+16*store.fetched+1<<20; grew > bound {
-				t.Fatalf("unchunking a %d-byte root that fetched %d bytes allocated %d (bound %d)", len(in), store.fetched, grew, bound)
+			// Fetching decodes (a few copies of each chunk): 16x what was
+			// fetched covers it. The image is allocated once, at the size
+			// the root's lists give it.
+			fetched, image := store.fetched, uint64(0)
+			if shape, serr := resolveShape(store, store.key, 0); serr == nil {
+				image = uint64(len(shape.pageKeys)*PageSize + len(shape.tail))
+				for _, rec := range shape.tables {
+					image += uint64(len(rec.pids) * flatPTESize)
+				}
+			}
+			if grew, bound := after.TotalAlloc-before.TotalAlloc, (uint64(len(in))/9+8)*perOp+16*fetched+2*image+1<<20; grew > bound {
+				t.Fatalf("unchunking a %d-byte root that fetched %d bytes into a %d-byte image allocated %d (bound %d)", len(in), fetched, image, grew, bound)
 			}
 			var fe *ImageFormatError
 			var ve *ImageVersionError

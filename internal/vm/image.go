@@ -128,11 +128,7 @@ func (e *ForestEncoder) Encode() []byte {
 			}
 			tableIdx[t] = len(tables)
 			tables = append(tables, t)
-			for l2 := range t.ptes {
-				pg := t.ptes[l2].pg
-				if pg == nil {
-					continue
-				}
+			for pg := range t.pages {
 				if _, ok := pageIdx[pg]; !ok {
 					pageIdx[pg] = len(pages)
 					pages = append(pages, pg)
@@ -141,8 +137,27 @@ func (e *ForestEncoder) Encode() []byte {
 		}
 	}
 
-	// Pass 2: emit.
-	var b []byte
+	// Pass 2: emit, into a buffer sized once: the page section exactly,
+	// each table as if every slot were mapped (7 KiB against the 16 KiB
+	// the table itself occupies), the space and link sections exactly.
+	size := len(imageMagic) + 1 +
+		4 + len(pages)*PageSize +
+		4 + len(tables)*(2+tableEntries*flatPTESize) +
+		4 + // the space count; the spaces are added below
+		4 + len(e.links)*8 +
+		4 // imgenc.Seal's trailer
+	for _, s := range e.spaces {
+		size += 1 + 2 + 2 // flags, root-slot count, dirty-slot count
+		for l1 := range s.root {
+			if s.root[l1] != nil {
+				size += 2 + 4
+			}
+			if s.dirty[l1] != nil {
+				size += 2 + 8*dirtyWords
+			}
+		}
+	}
+	b := make([]byte, 0, size)
 	b = append(b, imageMagic...)
 	b = append(b, ImageVersion)
 
@@ -153,26 +168,31 @@ func (e *ForestEncoder) Encode() []byte {
 
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(tables)))
 	for _, t := range tables {
+		count := len(b) // the entry count, known once the entries are out
+		b = append(b, 0, 0)
 		n := 0
-		for l2 := range t.ptes {
-			if t.ptes[l2].mapped() {
-				n++
-			}
-		}
-		b = binary.LittleEndian.AppendUint16(b, uint16(n))
 		for l2 := range t.ptes {
 			pe := t.ptes[l2]
 			if !pe.mapped() {
 				continue
 			}
+			n++
 			b = binary.LittleEndian.AppendUint16(b, uint16(l2))
 			b = append(b, byte(pe.perm))
-			if pe.pg == nil {
-				b = binary.LittleEndian.AppendUint32(b, 0)
-			} else {
-				b = binary.LittleEndian.AppendUint32(b, uint32(pageIdx[pe.pg]+1))
+			pid := 0
+			if pe.pg != nil {
+				id, ok := pageIdx[pe.pg]
+				if !ok {
+					// Pass 1 numbers pages by the occupancy map; this walk
+					// reads the slots. A stale map must not alias page 1
+					// into a checkpoint.
+					panic("vm: page behind a slot its table's occupancy map does not list")
+				}
+				pid = id + 1
 			}
+			b = binary.LittleEndian.AppendUint32(b, uint32(pid))
 		}
+		binary.LittleEndian.PutUint16(b[count:], uint16(n))
 	}
 
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(e.spaces)))
@@ -297,7 +317,7 @@ func DecodeForest(data []byte) ([]*Space, error) {
 				pg = pages[pid-1]
 				pg.refs.Add(1)
 			}
-			t.ptes[l2] = pte{pg: pg, perm: Perm(perm)}
+			t.set(int(l2), pte{pg: pg, perm: Perm(perm)})
 		}
 		tables[i] = t
 	}

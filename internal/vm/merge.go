@@ -259,7 +259,7 @@ func mergePage(dc *cursor, pa Addr, l2 int, ce, re pte, c mergeCtx) {
 		if !de.mapped() {
 			perm = ce.perm
 		}
-		t.ptes[l2] = pte{pg: ce.pg, perm: perm}
+		t.set(l2, pte{pg: ce.pg, perm: perm})
 		dc.db[l2>>6] |= 1 << (uint(l2) & 63)
 		c.st.PagesAdopted++
 		*c.touched = true

@@ -122,6 +122,7 @@ func runMergeVia(t *testing.T, parent *Space, childOps, parentOps []memOp,
 	applyOps(t, dst, parentOps)
 
 	st, err := merge(dst, child, snap)
+	checkOccupancy(t, dst)
 	out := mergeOutcome{st: st, print: fingerprint(dst, addr, size)}
 	if err != nil {
 		out.err = err.Error()

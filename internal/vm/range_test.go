@@ -18,7 +18,7 @@ func perPageZero(s *Space, addr Addr, size uint64, perm Perm) {
 		if old := t.ptes[l2].pg; old != nil {
 			old.refs.Add(-1)
 		}
-		t.ptes[l2] = pte{perm: perm}
+		oracleInstall(t, l2, pte{perm: perm})
 		s.markDirty(a)
 	}
 }
@@ -86,6 +86,9 @@ func TestBulkRangeOpsMatchPerPage(t *testing.T) {
 			}
 			if tb == nil {
 				continue
+			}
+			if tb.occ != tr.occ {
+				t.Fatalf("op %d: occupancy of table %d is %x, per-page walk has %x", op, l1, tb.occ, tr.occ)
 			}
 			for l2 := range tb.ptes {
 				eb, er := tb.ptes[l2], tr.ptes[l2]

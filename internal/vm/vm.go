@@ -120,8 +120,17 @@ func (e pte) mapped() bool { return e.perm != PermNone || e.pg != nil }
 // sharing is what makes fork and snapshot O(address-space/4MiB) rather
 // than O(pages), mirroring the real kernel's two-level COW ("replicating
 // a file system image among many spaces copies no physical pages").
+//
+// occ is the occupancy map: bit l2 is set exactly when ptes[l2].pg is
+// non-nil. A table usually backs a handful of its 1024 slots, so the
+// walks that only want the pages — reference counting in ownTable and
+// releaseTable, first-encounter numbering in ForestEncoder.Encode, the
+// count in Footprint — visit set bits instead of slots. The invariant is
+// kept by writing page pointers only through set (and by ownTable, which
+// copies ptes and occ together).
 type table struct {
 	refs atomic.Int32
+	occ  [tableEntries / 64]uint64
 	ptes [tableEntries]pte
 }
 
@@ -131,6 +140,30 @@ func newTable() *table {
 	return t
 }
 
+// set makes e the entry of slot l2. It is the one place a page pointer
+// is installed in or dropped from a table, which is what keeps occ in
+// step with ptes; reference counts are the caller's.
+func (t *table) set(l2 int, e pte) {
+	t.ptes[l2] = e
+	w, bit := l2>>6, uint64(1)<<(uint(l2)&63)
+	if e.pg != nil {
+		t.occ[w] |= bit
+	} else {
+		t.occ[w] &^= bit
+	}
+}
+
+// pages ranges over the pages t backs, in ascending slot order.
+func (t *table) pages(yield func(*page) bool) {
+	for w, word := range t.occ {
+		for ; word != 0; word &= word - 1 {
+			if !yield(t.ptes[w<<6|bits.TrailingZeros64(word)].pg) {
+				return
+			}
+		}
+	}
+}
+
 // releaseTable drops one reference; the last release also drops the
 // table's page references.
 func releaseTable(t *table) {
@@ -138,10 +171,8 @@ func releaseTable(t *table) {
 		return
 	}
 	if t.refs.Add(-1) == 0 {
-		for j := range t.ptes {
-			if pg := t.ptes[j].pg; pg != nil {
-				pg.refs.Add(-1)
-			}
+		for pg := range t.pages {
+			pg.refs.Add(-1)
 		}
 	}
 }
@@ -182,11 +213,9 @@ func (s *Space) ownTable(l1 int) *table {
 	}
 	if t.refs.Load() > 1 {
 		nt := newTable()
-		nt.ptes = t.ptes
-		for j := range nt.ptes {
-			if pg := nt.ptes[j].pg; pg != nil {
-				pg.refs.Add(1)
-			}
+		nt.ptes, nt.occ = t.ptes, t.occ
+		for pg := range nt.pages {
+			pg.refs.Add(1)
 		}
 		releaseTable(t)
 		s.root[l1] = nt
@@ -266,18 +295,19 @@ func rangeCheck(addr Addr, size uint64) error {
 }
 
 // ownRange calls visit once per level-2 table the (page-aligned, already
-// range-checked) span touches, handing it that table's ptes for the span.
+// range-checked) span touches, handing it that table and its slots [lo, hi)
+// for the span.
 // The table is privately owned and the ptes are marked dirty before visit
 // sees them, so table sharing is broken and the dirty bitmap fetched once
 // per level-1 slot rather than once per page — the bulk counterpart of
 // the cursor walk in Read and Write.
-func (s *Space) ownRange(addr Addr, size uint64, visit func(ptes []pte)) {
+func (s *Space) ownRange(addr Addr, size uint64, visit func(t *table, lo, hi int)) {
 	for a, end := uint64(addr), uint64(addr)+size; a < end; {
 		l1, lo := split(Addr(a))
 		hi := min(tableEntries, lo+int((end-a)>>PageShift))
 		t := s.ownTable(l1)
 		s.dirtyTable(l1).setRange(lo, hi)
-		visit(t.ptes[lo:hi])
+		visit(t, lo, hi)
 		a += uint64(hi-lo) << PageShift
 	}
 }
@@ -289,9 +319,9 @@ func (s *Space) SetPerm(addr Addr, size uint64, perm Perm) error {
 	if err := rangeCheck(addr, size); err != nil {
 		return err
 	}
-	s.ownRange(addr, size, func(ptes []pte) {
-		for i := range ptes {
-			ptes[i].perm = perm
+	s.ownRange(addr, size, func(t *table, lo, hi int) {
+		for l2 := lo; l2 < hi; l2++ {
+			t.ptes[l2].perm = perm
 		}
 	})
 	return nil
@@ -304,12 +334,13 @@ func (s *Space) Zero(addr Addr, size uint64, perm Perm) error {
 	if err := rangeCheck(addr, size); err != nil {
 		return err
 	}
-	s.ownRange(addr, size, func(ptes []pte) {
-		for i := range ptes {
-			if old := ptes[i].pg; old != nil {
+	s.ownRange(addr, size, func(t *table, lo, hi int) {
+		for l2 := lo; l2 < hi; l2++ {
+			if old := t.ptes[l2].pg; old != nil {
 				old.refs.Add(-1)
+				t.set(l2, pte{})
 			}
-			ptes[i] = pte{perm: perm}
+			t.ptes[l2].perm = perm
 		}
 	})
 	return nil
@@ -388,7 +419,7 @@ func (s *Space) CopyFrom(src *Space, srcAddr, dstAddr Addr, size uint64) (CopySt
 		} else {
 			st.PagesZeroed++
 		}
-		t.ptes[l2] = pte{pg: se.pg, perm: se.perm}
+		t.set(l2, pte{pg: se.pg, perm: se.perm})
 		s.markDirty(da)
 	}
 	return st, nil
@@ -444,7 +475,7 @@ func (t *table) writablePage(l2 int, whole bool) *page {
 		}
 		old.refs.Add(-1)
 	}
-	t.ptes[l2].pg = np
+	t.set(l2, pte{pg: np, perm: t.ptes[l2].perm})
 	return np
 }
 
@@ -797,10 +828,8 @@ func Footprint(spaces []*Space) int {
 				continue
 			}
 			tables[t] = struct{}{}
-			for j := range t.ptes {
-				if pg := t.ptes[j].pg; pg != nil {
-					pages[pg] = struct{}{}
-				}
+			for pg := range t.pages {
+				pages[pg] = struct{}{}
 			}
 		}
 	}
