@@ -50,9 +50,11 @@ race:
 # image (kernel.Restore/SplitImage), and the session image and the
 # manifest that wrap them (repro.DecodeImage, repro.DecodeManifest) —
 # and the build cache's result manifest, all over imgenc's envelope and
-# cursor; and on the two
+# cursor; on the two
 # decoders of bytes another space wrote: detmake's task message, over
-# the same cursor, and fs.Attach. The seed corpora also
+# the same cursor, and fs.Attach; and on the ref value parser
+# (DirStore.Ref), which every Collect runs over every file with a ref's
+# name — eleven targets. The seed corpora also
 # run as plain tests under `make test`; this target is what mutates
 # them. A crasher is written to the package's testdata/fuzz and fails
 # every later `go test` until fixed.
@@ -70,6 +72,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz FuzzDecodeManifest ./internal/detmake
 	$(FUZZ) -fuzz FuzzTaskMessage ./internal/detmake
 	$(FUZZ) -fuzz FuzzAttach ./internal/fs
+	$(FUZZ) -fuzz FuzzRefValue ./internal/castore
 
 # Full-size experiment tables (slow); see also `go run ./cmd/detbench`.
 bench:
@@ -84,7 +87,8 @@ bench:
 # if any of its variants allocates: the words move in place. Then the
 # strided column load beside the scalar loop it stands for, and the
 # micro-benchmarks under a build's host cost — fs.Checksum over a sparse
-# image, the whole-table scans of a task image and a full one, the chunk
+# image, the whole-table scans of a task image and a full one, one
+# WriteFile of a new file and of an overwrite at depth 1 and 4, the chunk
 # codec on either side of its size floor — and one cold and one warm
 # build of detmake's benchmark graphs, alone and as the five-shape pass
 # the end-to-end make_* workloads time, with what marshalling a task's
@@ -98,7 +102,7 @@ bench-smoke:
 	$(GO) test -bench='Fig4|DschedRound' -benchtime=1x -run='^$$' .
 	$(GO) test -bench=TypedAccess -benchtime=1x -run='^$$' ./internal/vm
 	$(GO) test -bench=ReadU32Stride -benchtime=1x -run='^$$' ./internal/kernel
-	$(GO) test -bench='Checksum|Scan' -benchtime=1x -run='^$$' ./internal/fs
+	$(GO) test -bench='Checksum|Scan|WriteFile' -benchtime=1x -run='^$$' ./internal/fs
 	$(GO) test -bench=EncodeBlob -benchtime=1x -run='^$$' ./internal/castore
 	$(GO) test -bench='Build|TaskMessage' -benchtime=1x -run='^$$' ./internal/detmake
 	$(GO) test -bench=Serve -benchtime=1x -run='^$$' ./internal/serve

@@ -16,7 +16,9 @@ package castore
 // the names in ascending order, the same from both backends.
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"maps"
 	"os"
@@ -79,18 +81,28 @@ func (s *DirStore) SetRef(name string, key Key) error {
 }
 
 // Ref returns the key name points at. The newline is optional on the
-// way in: action entries written before refs existed have none.
+// way in: action entries written before refs existed have none. At most
+// a key's hex, a newline and one byte more are read: every file with a
+// ref's name is read by every Collect, and a stray large one must fail
+// as a *RefError, not be read whole first.
 func (s *DirStore) Ref(name string) (Key, bool, error) {
 	if err := checkRefName(name); err != nil {
 		return Key{}, false, err
 	}
-	value, err := os.ReadFile(filepath.Join(s.dir, name))
+	file, err := os.Open(filepath.Join(s.dir, name))
 	if err != nil {
 		if os.IsNotExist(err) {
 			err = nil
 		}
 		return Key{}, false, err
 	}
+	defer file.Close()
+	var buf [2*KeySize + 2]byte
+	n, err := io.ReadFull(file, buf[:])
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return Key{}, false, err
+	}
+	value := buf[:n]
 	key, err := ParseKey(strings.TrimSuffix(string(value), "\n"))
 	if err != nil {
 		err = &RefError{name, fmt.Sprintf("value %.80q is not a key", value)}

@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -152,7 +154,7 @@ func TestDirRefsOnDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, rot := range []string{"", node.String()[:31], "not a key\n", node.String() + "\n\n", " " + node.String()} {
+	for _, rot := range rottenRefValues(node) {
 		plant(rot)
 		var re *RefError
 		if _, ok, err := s.Ref("heads/main"); ok || !errors.As(err, &re) || re.Name != "heads/main" {
@@ -172,6 +174,87 @@ func TestDirRefsOnDisk(t *testing.T) {
 	if st, err := Collect(s, nil); err != nil || st.Removed != 1 || st.Live != 1 {
 		t.Fatalf("collect over a sound ref: %+v, %v; want the orphan removed, the root kept", st, err)
 	}
+}
+
+// rottenRefValues are ref values that are not a key, built around k:
+// empty, truncated, garbage, one newline too many, a leading space, and
+// a key's hex with one more byte.
+func rottenRefValues(k Key) []string {
+	return []string{"", k.String()[:31], "not a key\n", k.String() + "\n\n", " " + k.String(), k.String() + "0"}
+}
+
+// A stray large file under a ref's name is read no further than a key's
+// hex and a newline and a byte: Ref and Collect fail typed having
+// allocated a few KiB, not the file.
+func TestDirRefReadIsBounded(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "heads"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	huge := append([]byte(KeyOf(nil).String()+"\n"), make([]byte, 1<<20)...)
+	if err := os.WriteFile(filepath.Join(dir, "heads", "main"), huge, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, op := range map[string]func() error{
+		"Ref":     func() error { _, _, err := s.Ref("heads/main"); return err },
+		"Collect": func() error { _, err := Collect(s, nil); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := op()
+		runtime.ReadMemStats(&after)
+		var re *RefError
+		if !errors.As(err, &re) || re.Name != "heads/main" {
+			t.Errorf("%s over a 1 MiB value = %v; want *RefError naming the ref", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s over a 1 MiB value allocated %d bytes", name, grew)
+		}
+	}
+}
+
+// FuzzRefValue writes arbitrary bytes as a ref's value. Ref returns the
+// key if and only if the bytes are a key's hex with an optional newline
+// (ParseKey's say, the newline trimmed), and otherwise *RefError naming
+// the ref; it never panics and allocates a few KiB at most.
+func FuzzRefValue(f *testing.F) {
+	k := KeyOf([]byte("root"))
+	for _, v := range append(rottenRefValues(k), k.String(), k.String()+"\n") {
+		f.Add([]byte(v))
+	}
+	dir := f.TempDir()
+	s, err := OpenDirStore(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(dir, "heads", "main")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, value []byte) {
+		if err := os.WriteFile(path, value, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, ok, err := s.Ref("heads/main")
+		runtime.ReadMemStats(&after)
+		want, wantErr := ParseKey(strings.TrimSuffix(string(value), "\n"))
+		var re *RefError
+		switch {
+		case wantErr == nil && (err != nil || !ok || got != want):
+			t.Fatalf("value %q: Ref = %v, %v, %v; want %s", value, got, ok, err, want)
+		case wantErr != nil && (ok || !errors.As(err, &re) || re.Name != "heads/main"):
+			t.Fatalf("value %q: Ref = %v, %v; want *RefError naming the ref", value, ok, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<10 {
+			t.Fatalf("value of %d bytes: Ref allocated %d", len(value), grew)
+		}
+	})
 }
 
 // What a collection keeps is a function of the store, not of who runs

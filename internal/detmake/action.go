@@ -165,22 +165,7 @@ func (c *TaskCtx) WriteFile(path string, b []byte) error {
 	if c.inputs[path] {
 		return fmt.Errorf("detmake: task %s wrote declared input %q: inputs are read-only", c.task.ID, path)
 	}
-	if err := mkdirAll(c.img, path); err != nil {
-		return err
-	}
-	return c.img.WriteFile(path, b)
-}
-
-// mkdirAll creates path's parent directories (not path itself).
-func mkdirAll(f *fs.FS, path string) error {
-	parts := strings.Split(path, "/")
-	for i := 1; i < len(parts); i++ {
-		dir := strings.Join(parts[:i], "/")
-		if err := f.Mkdir(dir); err != nil && !errors.Is(err, fs.ErrExists) {
-			return err
-		}
-	}
-	return nil
+	return c.img.WriteFileAll(path, b)
 }
 
 // DefaultActions returns the built-in action set shared by the command

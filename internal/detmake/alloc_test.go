@@ -1,0 +1,64 @@
+package detmake
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/castore"
+)
+
+// Allocation ceilings for one pass of the five benchmark shapes — the
+// make_cold and make_warm op — measured at PR 29 (cold 7 388 allocations
+// and 7.16 MB, warm 2 509 and 1.43 MB; PR 28 allocated 10 627 and 3 109)
+// plus 2 % slack. Repeated passes agree to within a few dozen
+// allocations and bytes; a buffer per file write adds several hundred. A
+// change that lowers a count lowers its ceiling.
+const (
+	coldPassAllocs = 7388 * 102 / 100
+	coldPassBytes  = 7_164_856 * 102 / 100
+	warmPassAllocs = 2509 * 102 / 100
+	warmPassBytes  = 1_434_688 * 102 / 100
+)
+
+func TestBuildPassAllocations(t *testing.T) {
+	shapes := benchShapes(t)
+	pass := func(store castore.BlobStore) {
+		for _, s := range shapes {
+			if _, err := Build(Config{Graph: s.graph, Sources: s.sources, Store: store}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// One P, as testing.AllocsPerRun runs: the spaces' goroutines then
+	// come from one free list.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	warm := castore.NewMemStore()
+	pass(warm) // also the first pass in the process, which allocates more
+	for _, c := range []struct {
+		name          string
+		run           func()
+		allocs, bytes uint64
+	}{
+		{"cold", func() { pass(castore.NewMemStore()) }, coldPassAllocs, coldPassBytes},
+		{"warm", func() { pass(warm) }, warmPassAllocs, warmPassBytes},
+	} {
+		// The lesser of two passes: a collection mid-pass empties the
+		// runtime's own pools, and the pass after it refills them.
+		allocs, bytes := passAllocs(c.run)
+		if a, b := passAllocs(c.run); a < allocs {
+			allocs, bytes = a, b
+		}
+		if allocs > c.allocs || bytes > c.bytes {
+			t.Errorf("%s pass: %d allocations, %d bytes; ceiling %d, %d", c.name, allocs, bytes, c.allocs, c.bytes)
+		}
+	}
+}
+
+// passAllocs reports the heap allocations run makes, and their bytes.
+func passAllocs(run func()) (allocs, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}

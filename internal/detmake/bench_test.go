@@ -23,7 +23,7 @@ type benchShape struct {
 // pack; and ferret's six four-stage pipelines folding into one result.
 // Same task counts, actions and source sizes as benchmark/make.go; the
 // source bytes are fixed text.
-func benchShapes(b *testing.B) []benchShape {
+func benchShapes(b testing.TB) []benchShape {
 	text := func(stem string, n int) []byte {
 		return []byte(strings.Repeat(stem, n/len(stem)+1)[:n])
 	}

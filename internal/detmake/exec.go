@@ -209,7 +209,7 @@ func (b *builder) run(env *kernel.Env) {
 func (b *builder) build(env *kernel.Env, master *fs.FS) bool {
 	cfg := b.cfg
 	for _, p := range sortedPaths(cfg.Sources) {
-		if err := writeAll(master, p, cfg.Sources[p]); err != nil {
+		if err := master.WriteFileAll(p, cfg.Sources[p]); err != nil {
 			b.fail(fmt.Errorf("detmake: writing source %q: %w", p, err))
 			return false
 		}
@@ -314,7 +314,7 @@ func (b *builder) runWave(env *kernel.Env, master *fs.FS, wave []*Task) bool {
 		tr := taskRes[t.ID]
 		for _, p := range t.Outputs {
 			body := out[p]
-			if err := writeAll(master, p, body); err != nil {
+			if err := master.WriteFileAll(p, body); err != nil {
 				b.fail(fmt.Errorf("detmake: committing %q (task %s): %w", p, t.ID, err))
 				return false
 			}
@@ -473,7 +473,7 @@ func runAction(action ActionFunc, ctx *TaskCtx, inputs []taskFile) (err error) {
 		}
 	}()
 	for _, f := range inputs {
-		if err := writeAll(ctx.img, f.Path, f.Body); err != nil {
+		if err := ctx.img.WriteFileAll(f.Path, f.Body); err != nil {
 			return fmt.Errorf("staging input %q: %w", f.Path, err)
 		}
 	}
@@ -594,14 +594,6 @@ func classifyFallback(err error) string {
 	default:
 		return "index-error"
 	}
-}
-
-// writeAll writes path (creating parent directories) into f.
-func writeAll(f *fs.FS, path string, b []byte) error {
-	if err := mkdirAll(f, path); err != nil {
-		return err
-	}
-	return f.WriteFile(path, b)
 }
 
 // finish assembles the Result after the machine has halted.

@@ -502,11 +502,16 @@ func splitPath(path string) ([]string, error) {
 	}
 	parts := strings.Split(path, "/")
 	for _, c := range parts {
-		if c == "" || c == "." || c == ".." || len(c) >= MaxNameLen {
+		if !validName(c) {
 			return nil, ErrBadName
 		}
 	}
 	return parts, nil
+}
+
+// validName reports whether c may be a path component.
+func validName(c string) bool {
+	return c != "" && c != "." && c != ".." && len(c) < MaxNameLen
 }
 
 // childIn finds the in-use slot for name directly under directory dir
@@ -851,12 +856,15 @@ func (f *FS) create(path string, extra uint32) error {
 	if err != nil {
 		return err
 	}
-	return f.createIn(dir, leaf, extra)
+	_, err = f.createIn(dir, leaf, extra)
+	return err
 }
 
-// createIn is create below a resolved parent directory; reconciliation
-// reuses it when adopting entries.
-func (f *FS) createIn(dir int, leaf string, extra uint32) error {
+// createIn is create below a resolved parent directory; WriteFile and
+// WriteFileAll reuse it where their walk meets a missing name, and
+// reconciliation when adopting entries. It returns the entry's slot —
+// with ErrExists, the live entry in the way.
+func (f *FS) createIn(dir int, leaf string, extra uint32) (int, error) {
 	if ino := f.childIn(dir, leaf, flagExists|flagTomb); ino >= 0 {
 		fl := f.iGet(ino, iFlags)
 		switch {
@@ -873,7 +881,7 @@ func (f *FS) createIn(dir int, leaf string, extra uint32) error {
 			f.iPut(ino, iSize, 0)
 			f.iPut(ino, iForkSize, 0)
 			f.bump(ino)
-			return nil
+			return ino, nil
 		case fl&flagConflict != 0:
 			// Re-creating a conflicted entry resolves the conflict; the
 			// old content's extent is returned to the free list, and
@@ -883,7 +891,7 @@ func (f *FS) createIn(dir int, leaf string, extra uint32) error {
 			// flag): silently turning it into a file would orphan its
 			// children behind an untraversable path.
 			if fl&flagDir != 0 && extra&flagDir == 0 && f.dirHasLive(ino) {
-				return ErrDirNotEmpty
+				return -1, ErrDirNotEmpty
 			}
 			f.freeExtent(f.iGet(ino, iExtOff), f.iGet(ino, iExtCap))
 			f.iPut(ino, iExtOff, 0)
@@ -892,30 +900,29 @@ func (f *FS) createIn(dir int, leaf string, extra uint32) error {
 			f.iPut(ino, iSize, 0)
 			f.iPut(ino, iForkSize, 0)
 			f.bump(ino)
-			return nil
+			return ino, nil
 		default:
-			return ErrExists
+			return ino, ErrExists
 		}
 	}
 	ino := f.freeInode()
 	if ino < 0 {
-		return ErrNameTaken
+		return -1, ErrNameTaken
 	}
-	f.iPut(ino, iParent, uint32(dir)) // parent before name: setName indexes under it
-	f.setName(ino, leaf)
-	f.iPut(ino, iVersion, 1)
-	// ForkVersion 0 makes a freshly created entry count as "changed
-	// since fork", so it propagates to the parent at reconciliation.
-	f.iPut(ino, iForkVersion, 0)
-	f.iPut(ino, iSize, 0)
-	f.iPut(ino, iForkSize, 0)
-	f.iPut(ino, iExtOff, 0)
-	f.iPut(ino, iExtCap, 0)
-	// Flags last: until they are set the slot still scans as free, so a
-	// failure part-way through initialization can never leave a
-	// half-visible entry.
-	f.iPut(ino, iFlags, flagExists|extra)
-	return nil
+	// The whole record is one store. Records are 128-byte aligned inside
+	// the page-aligned table, so no record straddles a page: the store
+	// lands whole or faults before writing a byte, and a slot can never be
+	// left half-visible. Version 1; ForkVersion 0 makes a freshly created
+	// entry count as "changed since fork", so it propagates to the parent
+	// at reconciliation; sizes and extent are zero.
+	var rec [inodeSize]byte
+	binary.LittleEndian.PutUint32(rec[iFlags:], flagExists|extra)
+	binary.LittleEndian.PutUint32(rec[iVersion:], 1)
+	binary.LittleEndian.PutUint32(rec[iParent:], uint32(dir))
+	copy(rec[iName:], leaf)
+	f.pbytes(inodeOff(ino), rec[:])
+	f.nsMutate(func() { f.idx[dirent{dir: dir, name: leaf}] = ino })
+	return ino, nil
 }
 
 // bump marks the entry modified by this replica.
@@ -1169,34 +1176,80 @@ func (f *FS) ReadAt(path string, off int, p []byte) (int, error) {
 	return n, nil
 }
 
-// ReadFile returns a file's full contents.
+// ReadFile returns a file's full contents. The path is walked once.
 func (f *FS) ReadFile(path string) ([]byte, error) {
-	info, err := f.Stat(path)
+	ino, err := f.resolveFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if info.Dir {
-		return nil, ErrIsDir
-	}
-	if info.Conflicted {
+	if f.iGet(ino, iFlags)&flagConflict != 0 {
 		return nil, ErrConflict
 	}
-	buf := make([]byte, info.Size)
-	_, err = f.ReadAt(path, 0, buf)
-	return buf, err
+	buf := make([]byte, f.iGet(ino, iSize))
+	f.gbytes(f.iGet(ino, iExtOff), buf)
+	return buf, nil
 }
 
-// WriteFile replaces a file's contents, creating it if needed.
+// WriteFile replaces a file's contents, creating it if needed. The path
+// is walked once; the image is left exactly as Create (if the file was
+// missing), Truncate to zero and WriteAt at offset zero leave it.
 func (f *FS) WriteFile(path string, p []byte) error {
-	if f.lookup(path) < 0 {
-		if err := f.Create(path); err != nil {
-			return err
-		}
-	}
-	if err := f.Truncate(path, 0); err != nil {
+	defer f.unlock()()
+	dir, leaf, err := f.resolveParent(path)
+	if err != nil {
 		return err
 	}
-	return f.WriteAt(path, 0, p)
+	return f.writeFileIn(dir, leaf, p)
+}
+
+// WriteFileAll is WriteFile that also makes path's missing parent
+// directories, on the same walk. Each parent ends as Mkdir leaves it —
+// created, a tombstone revived, a conflicted entry re-created as an
+// empty directory — and a live file among them is ErrNotDir. Components
+// are checked as the walk reaches them, so parents made before a bad
+// component stay made.
+func (f *FS) WriteFileAll(path string, p []byte) error {
+	defer f.unlock()()
+	parts := strings.Split(strings.TrimPrefix(path, "/"), "/")
+	dir, existed := 0, false
+	for i, c := range parts {
+		if !validName(c) {
+			return ErrBadName
+		}
+		// A name is checked before its parent is entered, as splitPath
+		// checks every name before walkDirs enters any.
+		if existed && f.iGet(dir, iFlags)&flagDir == 0 {
+			return ErrNotDir
+		}
+		if i == len(parts)-1 {
+			break
+		}
+		ino, err := f.createIn(dir, c, flagDir)
+		if existed = errors.Is(err, ErrExists); err != nil && !existed {
+			return err
+		}
+		dir = ino
+	}
+	return f.writeFileIn(dir, parts[len(parts)-1], p)
+}
+
+// writeFileIn is WriteFile below a resolved parent directory: the leaf
+// is looked up once, and the create, truncate and write act on its slot.
+func (f *FS) writeFileIn(dir int, leaf string, p []byte) error {
+	ino := f.childIn(dir, leaf, flagExists)
+	switch {
+	case ino < 0:
+		var err error
+		if ino, err = f.createIn(dir, leaf, 0); err != nil {
+			return err
+		}
+	case f.iGet(ino, iFlags)&flagDir != 0:
+		return ErrIsDir
+	}
+	if err := f.truncate(ino, 0); err != nil {
+		return err
+	}
+	return f.writeAt(ino, 0, p)
 }
 
 // Truncate sets a file's size to n (growing zero-filled if needed).
@@ -1209,6 +1262,12 @@ func (f *FS) Truncate(path string, n int) error {
 	if err != nil {
 		return err
 	}
+	return f.truncate(ino, n)
+}
+
+// truncate is Truncate below a resolved file, under the caller's
+// write-protection window.
+func (f *FS) truncate(ino, n int) error {
 	if f.iGet(ino, iFlags)&flagConflict != 0 {
 		return ErrConflict
 	}

@@ -326,7 +326,8 @@ func (f *FS) adoptPlaceholder(path string) (clashPath string, err error) {
 	if err != nil || clashPath != "" {
 		return clashPath, err
 	}
-	return "", f.createIn(dir, leaf, flagConflict)
+	_, err = f.createIn(dir, leaf, flagConflict)
+	return "", err
 }
 
 // mkdirAllAdopt walks path creating missing directories (reviving
@@ -345,10 +346,9 @@ func (f *FS) mkdirAllAdopt(path string) (ino int, clashPath string, err error) {
 		next := f.childIn(dir, c, flagExists|flagTomb)
 		switch {
 		case next < 0:
-			if err := f.createIn(dir, c, flagDir); err != nil {
+			if next, err = f.createIn(dir, c, flagDir); err != nil {
 				return -1, "", err
 			}
-			next = f.childIn(dir, c, flagExists)
 		case f.iGet(next, iFlags)&flagConflict != 0:
 			return -1, strings.Join(parts[:idx+1], "/"), nil
 		case f.iGet(next, iFlags)&flagTomb != 0:
