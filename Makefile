@@ -18,10 +18,14 @@ build:
 # Besides `go vet`: every binary format frames itself with imgenc.Seal
 # and Open, so product code outside internal/imgenc has no business with
 # CRC32 — a format that imports it is hand-rolling a seventh trailer.
+# Likewise package unsafe has one product use, the byte view of a run of
+# words in vm's move (internal/vm/vm.go); anywhere else it is refused.
 vet:
 	$(GO) vet ./...
 	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=imgenc '"hash/crc32"' .); \
 	if [ -n "$$out" ]; then echo "hash/crc32 imported outside internal/imgenc (use imgenc.Seal/Open):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=testdata '"unsafe"' . | grep -vx './internal/vm/vm.go'); \
+	if [ -n "$$out" ]; then echo "unsafe imported outside internal/vm/vm.go (its one use is move's byte view):"; echo "$$out"; exit 1; fi
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -179,30 +179,36 @@ func BenchmarkPageSpanRead(b *testing.B) {
 	}
 }
 
-// BenchmarkTypedAccess times the bulk float64 accessors on already-private
-// pages at the span lengths the fine-grained workloads use — an FFT
-// butterfly's 2, a matrix row's 64, a whole 8-page block — aligned and
-// with the span starting 4 bytes below a page boundary, so an element
-// straddles it. The words move in place, never through a staging buffer,
-// so a variant that allocates fails (`make bench-smoke` runs them all).
+// BenchmarkTypedAccess times the bulk float64 and uint32 accessors on
+// already-private pages at the span lengths the fine-grained workloads
+// use — an FFT butterfly's 2, a short run's 8, a matrix row's 64, a whole
+// block of pages — aligned and with the span starting half an element
+// below a page boundary, so an element straddles it. The words move in
+// place, never through a staging buffer, so a variant that allocates
+// fails (`make bench-smoke` runs them all).
 func BenchmarkTypedAccess(b *testing.B) {
 	s := benchSpace(16)
-	for _, n := range []int{2, 64, 4096} {
-		vals := make([]float64, n)
+	benchTypedAccess(b, "f64", 8, s.ReadF64s, s.WriteF64s)
+	benchTypedAccess(b, "u32", 4, s.ReadU32s, s.WriteU32s)
+}
+
+func benchTypedAccess[T word](b *testing.B, typ string, size int, read, write func(Addr, []T) error) {
+	for _, n := range []int{2, 8, 64, 4096} {
+		vals := make([]T, n)
 		for _, at := range []struct {
 			name string
 			addr Addr
-		}{{"aligned", PageSize}, {"straddle", PageSize - 4}} {
+		}{{"aligned", PageSize}, {"straddle", PageSize - Addr(size/2)}} {
 			for _, op := range []struct {
 				name string
-				fn   func(Addr, []float64) error
-			}{{"read", s.ReadF64s}, {"write", s.WriteF64s}} {
-				b.Run(fmt.Sprintf("%s/%s/%d", op.name, at.name, n), func(b *testing.B) {
+				fn   func(Addr, []T) error
+			}{{"read", read}, {"write", write}} {
+				b.Run(fmt.Sprintf("%s/%s/%s/%d", typ, op.name, at.name, n), func(b *testing.B) {
 					if a := testing.AllocsPerRun(10, func() { op.fn(at.addr, vals) }); a != 0 {
 						b.Fatalf("%v allocs/op, want 0", a)
 					}
 					b.ReportAllocs()
-					b.SetBytes(int64(8 * n))
+					b.SetBytes(int64(size * n))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						if err := op.fn(at.addr, vals); err != nil {

@@ -32,6 +32,7 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Address-space geometry. The layout mirrors 32-bit x86 two-level paging:
@@ -554,9 +555,21 @@ type word interface {
 }
 
 // move copies len(v) elements between v and their encoding in b (exactly
-// len(v) elements long): into b for a store, out of it for a load. The
-// type switch is per span, not per element.
+// len(v) elements long): into b for a store, out of it for a load. A page
+// holds words little-endian, which is how a little-endian host already
+// holds v in memory, so there the run is one copy of v's bytes; elsewhere
+// it is encoded a word at a time, with the type switch per span, not per
+// element. This is the module's one use of package unsafe.
 func move[T word](v []T, b []byte, write bool) {
+	if littleEndian {
+		vb := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(b))
+		if write {
+			copy(b, vb)
+		} else {
+			copy(vb, b)
+		}
+		return
+	}
 	switch v := any(v).(type) {
 	case []uint32:
 		for i := range v {
