@@ -128,7 +128,7 @@ tab3:
 # The coverage census (docs/census.md): every product function outside
 # benchmark/, cmd/ and examples/ is classed by the best of what reaches
 # it — a workload (benchmark -smoke, detbench -quick, detlint over the
-# module, the eight examples, all built with -cover), another package's
+# module, the seven examples, all built with -cover), another package's
 # tests, only its own package's tests, or nothing. The target fails if
 # anything is reached by nothing, if the own-tests-only list differs from
 # the committed docs/census.txt, or if an entry of that list has no

@@ -32,13 +32,16 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/debug"
 	"syscall"
@@ -85,10 +88,46 @@ func main() {
 	if err != nil {
 		log.Fatalf("detserved: %v", err)
 	}
-	defer srv.Shutdown()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("detserved: %v", err)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	log.Printf("detserved: serving on %s (store %s, %d workers, resident cap %d)",
-		*addr, *storeDir, *workers, *resident)
-	log.Fatal(httpServer(*addr, srv.mux()).ListenAndServe())
+		ln.Addr(), *storeDir, *workers, *resident)
+	if err := serveUntil(ctx, httpServer(*addr, srv.mux()), ln, srv); err != nil {
+		log.Fatalf("detserved: %v", err)
+	}
+	log.Print("detserved: shut down")
+}
+
+// shutdownGrace bounds how long a stopping daemon waits for requests in
+// flight; a /v1/run can legitimately take longer, and is cut off.
+const shutdownGrace = 10 * time.Second
+
+// serveUntil serves hs on ln until ctx is done — the daemon's SIGINT or
+// SIGTERM — then stops accepting, gives the requests in flight
+// shutdownGrace to finish, and shuts the fabric down. It returns nil
+// after a clean stop, or the listener's error if serving failed first.
+func serveUntil(ctx context.Context, hs *http.Server, ln net.Listener, srv *server) error {
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	var err error
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+		grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		if err = hs.Shutdown(grace); err == nil {
+			err = <-served
+		}
+	}
+	srv.Shutdown()
+	if errors.Is(err, http.ErrServerClosed) {
+		return nil
+	}
+	return err
 }
 
 // gcPercent is the collector target of a daemon whose operator set none.

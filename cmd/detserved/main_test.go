@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/serve"
@@ -232,5 +236,53 @@ func TestServedListenerTimeouts(t *testing.T) {
 	}
 	if hs.WriteTimeout != 0 {
 		t.Fatalf("write timeout %v would cut long runs off", hs.WriteTimeout)
+	}
+}
+
+// TestServeUntilShutsDown: cancelling serveUntil's context — what SIGINT
+// or SIGTERM does to the daemon — returns the serve loop cleanly, with
+// the listener closed and the fabric shut down.
+func TestServeUntilShutsDown(t *testing.T) {
+	h, err := newServer(repro.NewMemStore(), serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- serveUntil(ctx, httpServer("", h.mux()), ln, h) }()
+
+	open := func() (*http.Response, error) {
+		return http.Post("http://"+ln.Addr().String()+"/v1/open", "application/json",
+			bytes.NewReader([]byte(`{"tenant":"t","program":"stripe-small","arg":1}`)))
+	}
+	resp, err := open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("open while serving: status %d", resp.StatusCode)
+	}
+
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("serve loop: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve loop still running after its context was cancelled")
+	}
+	if _, err := h.s.Open("t", "stripe-small", 2); !errors.Is(err, serve.ErrClosed) {
+		t.Fatalf("open on the fabric after shutdown: %v, want serve.ErrClosed", err)
+	}
+	if resp, err := open(); err == nil {
+		resp.Body.Close()
+		t.Fatal("the listener still accepts after shutdown")
 	}
 }

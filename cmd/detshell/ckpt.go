@@ -17,12 +17,13 @@ import (
 //	echo 'write f hello' | detshell ckpt save DIR
 //	echo 'cat f'         | detshell ckpt resume DIR
 //
-// save runs the script and checkpoints the whole machine (process tree,
-// file system, console cursors) into DIR and points the store's MANIFEST
-// ref (the file DIR/MANIFEST) at the manifest. resume continues that
-// exact machine, feeds it the new script lines, and — when there are new
-// lines — saves a fresh checkpoint chained onto the old one, so repeated
-// resumes build an incremental image chain in the same store.
+// save binds the script to a session, steps it over every line and
+// suspends the whole machine (process tree, file system, console
+// cursors) into DIR, pointing the store's MANIFEST ref (the file
+// DIR/MANIFEST) at the manifest. resume admits that exact machine with
+// BindSuspended, steps it over the new script lines and — when there are
+// new lines — suspends it again, chained onto the old manifest, so
+// repeated resumes build an incremental image chain in the same store.
 
 // headRef is the store ref that names the current chain head. Being a
 // ref, it is also what keeps the chain's chunks through a collection of
@@ -53,29 +54,26 @@ func ckptMain(args []string) int {
 }
 
 // ckptSave runs the script from r as phases of a fresh machine and
-// checkpoints at the final barrier.
+// suspends it at the barrier after the last line.
 func ckptSave(store repro.BlobStore, r io.Reader, out io.Writer) error {
 	lines := scriptLines(r)
 	if len(lines) == 0 {
 		return fmt.Errorf("empty script: nothing to checkpoint")
 	}
-	prog := shellProgram(0, lines)
 	s, err := repro.NewSession(shellSessionOpts(out)...)
 	if err != nil {
 		return err
 	}
-	if _, err := s.RunToCheckpoint(prog, prog.Phases); err != nil {
+	defer s.Close()
+	if err := s.Bind(shellProgram(0, lines)); err != nil {
 		return err
 	}
-	m, err := s.SaveTo(store)
+	m, err := runAndSuspend(s, store, len(lines))
 	if err != nil {
 		return err
 	}
-	if err := store.SetRef(headRef, m.Key()); err != nil {
-		return err
-	}
 	fmt.Fprintf(os.Stderr, "detshell: saved checkpoint %s (%d phases, seq %d)\n",
-		m.Key(), prog.Phases, m.Seq())
+		m.Key(), len(lines), m.Seq())
 	return nil
 }
 
@@ -102,45 +100,53 @@ func ckptResume(store repro.BlobStore, r io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	done := img.Phase
-
 	lines := scriptLines(r)
-	prog := shellProgram(done, lines)
-	opts := shellSessionOpts(out)
-	if len(lines) > 0 {
-		opts = append(opts, repro.WithCheckpointAfter(prog.Phases))
-	}
-	s, err := repro.NewSession(opts...)
-	if err != nil {
-		return err
-	}
-	if _, err := s.ResumeFrom(store, m, prog); err != nil {
-		return err
-	}
 	if len(lines) == 0 {
 		fmt.Fprintf(os.Stderr, "detshell: resumed checkpoint %s (no new phases)\n", m.Key())
 		return nil
 	}
-	m2, err := s.SaveTo(store)
+	s, err := repro.NewSession(shellSessionOpts(out)...)
 	if err != nil {
 		return err
 	}
-	if err := store.SetRef(headRef, m2.Key()); err != nil {
+	defer s.Close()
+	if err := s.BindSuspended(shellProgram(img.Phase, lines), store, m); err != nil {
+		return err
+	}
+	m2, err := runAndSuspend(s, store, len(lines))
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "detshell: resumed %s, saved %s (%d phases, seq %d)\n",
-		m.Key(), m2.Key(), prog.Phases, m2.Seq())
+		m.Key(), m2.Key(), img.Phase+len(lines), m2.Seq())
 	return nil
+}
+
+// runAndSuspend steps a bound shell session over its n new lines,
+// suspends it into store at the barrier after them, and points the head
+// ref at the manifest — chained onto the one the session was admitted
+// from, if any.
+func runAndSuspend(s *repro.Session, store repro.BlobStore, n int) (*repro.Manifest, error) {
+	if _, err := s.Step(n); err != nil {
+		return nil, err
+	}
+	m, err := s.Suspend(store)
+	if err != nil {
+		return nil, err
+	}
+	return m, store.SetRef(headRef, m.Key())
 }
 
 // shellProgram builds the phased form of the shell: phases [0, done) ran
 // before the checkpoint being resumed (they are never invoked again);
 // each later phase executes one script line through the ordinary command
-// interpreter.
+// interpreter. A shell session is open-ended, so one trailing phase
+// stands for the next script's lines: it is never run, and a Step over
+// the supplied lines parks at the barrier before it.
 func shellProgram(done int, lines []string) repro.Program {
 	reg := repro.NewRegistry()
 	registerCommands(reg)
-	phases := make([]repro.UprocPhase, 0, done+len(lines))
+	phases := make([]repro.UprocPhase, 0, done+len(lines)+1)
 	for i := 0; i < done; i++ {
 		i := i
 		phases = append(phases, func(p *repro.Proc) error {
@@ -154,6 +160,9 @@ func shellProgram(done int, lines []string) repro.Program {
 			return nil
 		})
 	}
+	phases = append(phases, func(p *repro.Proc) error {
+		return fmt.Errorf("phase %d stands for the next script's lines", done+len(lines))
+	})
 	return repro.UprocProgram(reg, []string{"sh"}, phases)
 }
 

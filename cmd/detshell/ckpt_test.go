@@ -53,11 +53,18 @@ func TestCkptSaveResume(t *testing.T) {
 	}
 }
 
+// TestCkptManifestChains: a save and two resumes build a three-link
+// chain, and print exactly what one uninterrupted run of the
+// concatenated script prints.
 func TestCkptManifestChains(t *testing.T) {
+	scripts := []string{"write f seed\ncat f\n", "append l x\ncat l\n", "append l y\ncat l\ncat f\n"}
 	dir := t.TempDir()
-	ckpt(t, dir, "save", "write f seed\n")
-	ckpt(t, dir, "resume", "append l x\n")
-	ckpt(t, dir, "resume", "append l y\n")
+	got := ckpt(t, dir, "save", scripts[0]) +
+		ckpt(t, dir, "resume", scripts[1]) +
+		ckpt(t, dir, "resume", scripts[2])
+	if want := ckpt(t, t.TempDir(), "save", strings.Join(scripts, "")); got != want {
+		t.Errorf("save + two resumes printed %q, one run of the whole script %q", got, want)
+	}
 
 	store, err := repro.OpenDirStore(dir)
 	if err != nil {

@@ -26,21 +26,23 @@
 //	})
 //
 // Sessions also own deterministic checkpoint/restore. A phased Program
-// can be checkpointed at any phase barrier into an Image — a versioned
-// serialization of the whole space tree (memory, snapshots, COW sharing
-// and dirty tracking), every space's virtual time and traffic counters,
-// the device cursors and the trace log so far — and resumed from that
-// Image in a fresh Session or a fresh process:
+// bound to a session runs one Step at a time, and at any phase barrier
+// Suspend captures an Image — a versioned serialization of the whole
+// space tree (memory, snapshots, COW sharing and dirty tracking), every
+// space's virtual time and traffic counters, the device cursors and the
+// trace log so far — into a content-addressed store; BindSuspended picks
+// it up in a fresh Session or a fresh process:
 //
-//	img, _ := sess.RunToCheckpoint(prog, 2)     // run 2 phases, snapshot
-//	data, _ := img.Bytes()                      // ship/store the image
-//	img2, _ := repro.DecodeImage(data)
-//	res, _ := sess2.Resume(img2, prog)          // bit-identical continuation
+//	sess.Bind(prog)
+//	sess.Step(2)                                // run 2 phases, park
+//	m, _ := sess.Suspend(store)                 // save, tear down
+//	sess2.BindSuspended(prog, store, m)
+//	sr, _ := sess2.Step(prog.Phases)            // bit-identical continuation
 //
 // The resumed run's checksums, conflict reports and virtual times are
 // bit-identical to an uninterrupted run's, and a run that checkpoints is
 // bit-identical to one that does not (checkpointing is a pure
-// observation). See Session, Program and Image; examples/checkpoint is a
+// observation). See Session, Program and Image; examples/castore is a
 // runnable walkthrough.
 //
 // # Layers
@@ -116,9 +118,10 @@ type (
 	ImageMismatchError = kernel.ImageMismatchError
 )
 
-// Content-addressed checkpoint store (see Session.SaveTo/ResumeFrom).
+// Content-addressed checkpoint store (see Session.Suspend and
+// Session.BindSuspended).
 type (
-	// BlobStore is the pluggable chunk-store interface SaveTo targets:
+	// BlobStore is the pluggable chunk-store interface Suspend targets:
 	// chunks by key, and refs — names that point at a key.
 	BlobStore = castore.BlobStore
 	// ChunkStore extends BlobStore with enumeration and deletion — what

@@ -1,9 +1,12 @@
-// Content-addressed checkpoint store walkthrough: a phased program
-// checkpoints into an on-disk chunk store, a fresh session resumes from
-// the manifest and saves again, and the second save stores only the
-// chunks the run actually changed — a chained incremental image. The
-// garbage collector then shows that one ref of the store, pointing at
-// the newest manifest, keeps the whole parent chain reachable.
+// Checkpoint/resume walkthrough over the content-addressed store: a
+// phased parallel program is bound to a session, stepped a third of the
+// way and suspended into an on-disk chunk store; a fresh session admits
+// the manifest, steps on and suspends again, and the second save stores
+// only the chunks the run actually changed — a chained incremental
+// image. A third session finishes the chain bit-identically to the
+// uninterrupted run, and the garbage collector shows that one ref of the
+// store, pointing at the newest manifest, keeps the whole parent chain
+// reachable.
 //
 //	go run ./examples/castore
 package main
@@ -22,9 +25,11 @@ const (
 	words   = 1 << 14
 )
 
-// program is the same phased map/reduce the checkpoint example uses:
-// all cross-phase state lives in the shared region, so it can be
-// checkpointed (and therefore saved to a store) at every barrier.
+// program is a phased map/reduce: every phase each thread perturbs its
+// stripe of a shared array, and a running digest accumulates the
+// per-thread sums. All cross-phase state lives in the shared region, so
+// the program can be checkpointed at every barrier. Layout re-runs on
+// resume to re-derive the addresses; Init runs only on fresh starts.
 func program() repro.Program {
 	var arr, digest repro.Addr
 	return repro.Program{
@@ -99,12 +104,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Run a third of the phases and save the machine into the store.
+	// Bind the program, run a third of the phases, and suspend the
+	// machine into the store: the session keeps only the manifest.
 	first := session()
-	if _, err := first.RunToCheckpoint(program(), 2); err != nil {
+	if err := first.Bind(program()); err != nil {
 		log.Fatal(err)
 	}
-	m1, err := first.SaveTo(store)
+	if _, err := first.Step(2); err != nil {
+		log.Fatal(err)
+	}
+	m1, err := first.Suspend(store)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,22 +124,22 @@ func main() {
 	fmt.Printf("save 1: manifest %s…  %d chunks, %d KiB unique, %d KiB on disk\n",
 		m1.Key().String()[:12], s1.Chunks, s1.LogicalSize>>10, s1.StoredSize>>10)
 
-	// A fresh session resumes from the manifest, runs two more phases,
-	// and saves again — chained onto the first manifest, so only the
-	// pages those phases dirtied are stored anew.
-	mid, err := repro.NewSession(
-		repro.WithMachine(machine), repro.WithCheckpointAfter(4))
-	if err != nil {
-		log.Fatal(err)
-	}
+	// A fresh session — in a real deployment, a fresh process that knows
+	// only the manifest's key — admits the checkpoint, runs two more
+	// phases and suspends again, chained onto the first manifest: only
+	// the pages those phases dirtied are stored anew.
+	mid := session()
 	m1Again, err := repro.LoadManifest(store, m1.Key())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := mid.ResumeFrom(store, m1Again, program()); err != nil {
+	if err := mid.BindSuspended(program(), store, m1Again); err != nil {
 		log.Fatal(err)
 	}
-	m2, err := mid.SaveTo(store)
+	if _, err := mid.Step(2); err != nil {
+		log.Fatal(err)
+	}
+	m2, err := mid.Suspend(store)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -143,14 +152,20 @@ func main() {
 		m2.Key().String()[:12], m2.Seq(), parent.String()[:12],
 		(s2.LogicalSize-s1.LogicalSize)>>10, (s2.StoredSize-s1.StoredSize)>>10)
 
-	// Resume the chained manifest in another fresh session: the result
-	// is bit-identical to the uninterrupted run.
-	got, err := session().ResumeFrom(store, m2, program())
+	// Finish the chained checkpoint in another fresh session (a fresh
+	// program value too: no Go state crosses over): the result is
+	// bit-identical to the uninterrupted run.
+	last := session()
+	if err := last.BindSuspended(program(), store, m2); err != nil {
+		log.Fatal(err)
+	}
+	sr, err := last.Step(phases)
 	if err != nil {
 		log.Fatal(err)
 	}
+	got := sr.Result
 	fmt.Printf("resumed:       digest=%#x vt=%d\n", got.Ret, got.VT)
-	if got.Ret != want.Ret || got.VT != want.VT || got.Insns != want.Insns {
+	if !sr.Done || got.Ret != want.Ret || got.VT != want.VT || got.Insns != want.Insns {
 		log.Fatal("resumed run diverged from the uninterrupted one")
 	}
 

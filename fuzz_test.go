@@ -128,7 +128,7 @@ func FuzzDecodeManifest(f *testing.F) {
 		if _, err := s.Step(1); err != nil {
 			f.Fatal(err)
 		}
-		m, err := s.SaveTo(store)
+		m, err := s.Suspend(store)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -491,30 +491,28 @@ func TestServeGCKeepsSharedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The chain: checkpoint after phase 1, resume, checkpoint after 2,
-	// head recorded the way detshell ckpt records it.
-	first, err := repro.NewSession(testOpts()...)
+	// The chain: suspend after phase 1, resume, suspend after 2, head
+	// recorded the way detshell ckpt records it.
+	chain, err := repro.NewSession(testOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := first.RunToCheckpoint(maker(5), 1); err != nil {
+	if err := chain.Bind(maker(5)); err != nil {
 		t.Fatal(err)
 	}
-	m1, err := first.SaveTo(store)
-	if err != nil {
-		t.Fatal(err)
+	suspendNext := func() *repro.Manifest {
+		t.Helper()
+		if _, err := chain.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		m, err := chain.Suspend(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	second, err := repro.NewSession(append(testOpts(), repro.WithCheckpointAfter(2))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := second.ResumeFrom(store, m1, maker(5)); err != nil {
-		t.Fatal(err)
-	}
-	head, err := second.SaveTo(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := suspendNext()
+	head := suspendNext()
 	if parent, ok := head.Parent(); !ok || parent != m1.Key() {
 		t.Fatal("the second save did not chain onto the first")
 	}

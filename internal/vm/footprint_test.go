@@ -10,57 +10,57 @@ import (
 	"repro/internal/workload"
 )
 
-// footprintAtBarriers steps p one phase at a time on s and, at every
-// barrier it rests at, holds three counts of one forest to each other:
-// StepResult.Pages, which is vm.Footprint of the live machine; and
-// vm.Footprint and the slot-by-slot walk of the forest decoded from the
-// image captured at that barrier (s must capture one after every phase).
-// The image lists the live forest's spaces and preserves their sharing
-// graph, and its encoder refuses a backed slot the occupancy map does not
-// list, so the walk of the decoded forest is the live forest's true
-// count; the decoded tables were filled by DecodeForest, so its install
-// path is held to the walk as well. It returns the barriers compared.
-func footprintAtBarriers(t *testing.T, s *repro.Session, p repro.Program) int {
+// footprintAtBarriers holds three counts of one forest to each other at
+// every barrier after from: StepResult.Pages, which is vm.Footprint of
+// the live machine; and vm.Footprint and the slot-by-slot walk of the
+// forest decoded from the image Suspend captures there. Each barrier k
+// gets a session of its own from open — bound, resting at barrier from —
+// stepped to k and suspended into store (which holds the manifest a
+// suspended one is bound to), so every image is of a machine with the
+// history the session's Pages reports on. The image lists the live
+// forest's spaces and preserves their sharing graph, and its encoder
+// refuses a backed slot the occupancy map does not list, so the walk of
+// the decoded forest is the live forest's true count; the decoded tables
+// were filled by DecodeForest, so its install path is held to the walk as
+// well. It returns the barriers compared.
+func footprintAtBarriers(t *testing.T, open func() *repro.Session, store repro.BlobStore, from, phases int) int {
 	t.Helper()
 	compared := 0
-	for {
-		sr, err := s.Step(1)
+	for k := from + 1; k <= phases; k++ {
+		s := open()
+		sr, err := s.Step(k - from)
 		if err != nil {
-			t.Fatalf("step: %v", err)
+			t.Fatalf("step to %d: %v", k, err)
 		}
-		for _, img := range s.Checkpoints() {
-			_, forest, err := kernel.SplitImage(img.Kernel)
-			if err != nil {
-				t.Fatalf("barrier %d: %v", img.Phase, err)
-			}
-			spaces, err := vm.DecodeForest(forest)
-			if err != nil {
-				t.Fatalf("barrier %d: %v", img.Phase, err)
-			}
-			walk := vm.FootprintWalk(spaces)
-			if got := vm.Footprint(spaces); got != walk {
-				t.Errorf("barrier %d: Footprint of the decoded forest %d, slot walk %d", img.Phase, got, walk)
-			}
-			if !sr.Done && img.Phase == sr.Phase {
-				if sr.Pages != walk {
-					t.Errorf("barrier %d: live Footprint %d, slot walk of its image %d", sr.Phase, sr.Pages, walk)
-				}
-				compared++
-			}
+		m, err := s.Suspend(store)
+		if err != nil {
+			t.Fatalf("barrier %d: %v", k, err)
 		}
-		if sr.Done {
-			return compared
+		s.Close()
+		img, err := repro.LoadImage(store, m)
+		if err != nil {
+			t.Fatalf("barrier %d: %v", k, err)
+		}
+		_, forest, err := kernel.SplitImage(img.Kernel)
+		if err != nil {
+			t.Fatalf("barrier %d: %v", k, err)
+		}
+		spaces, err := vm.DecodeForest(forest)
+		if err != nil {
+			t.Fatalf("barrier %d: %v", k, err)
+		}
+		walk := vm.FootprintWalk(spaces)
+		if got := vm.Footprint(spaces); got != walk {
+			t.Errorf("barrier %d: Footprint of the decoded forest %d, slot walk %d", k, got, walk)
+		}
+		if !sr.Done {
+			if sr.Pages != walk {
+				t.Errorf("barrier %d: live Footprint %d, slot walk of its image %d", k, sr.Pages, walk)
+			}
+			compared++
 		}
 	}
-}
-
-// everyBarrier is the session option that captures after every phase.
-func everyBarrier(phases int) repro.SessionOption {
-	ks := make([]int, phases)
-	for i := range ks {
-		ks[i] = i + 1
-	}
-	return repro.WithCheckpointAfter(ks...)
+	return compared
 }
 
 // TestFootprintMatchesWalk: the occupancy map Footprint reads is kept by
@@ -71,17 +71,24 @@ func everyBarrier(phases int) repro.SessionOption {
 // rebuilt from a store.
 func TestFootprintMatchesWalk(t *testing.T) {
 	machine := repro.WithMachine(repro.MachineConfig{CPUsPerNode: 4})
+	// session returns an unbound session with opts and the machine.
+	session := func(t *testing.T, opts ...repro.SessionOption) *repro.Session {
+		s, err := repro.NewSession(append(opts, machine)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
 	run := func(name string, p repro.Program, opts ...repro.SessionOption) {
 		t.Run(name, func(t *testing.T) {
-			s, err := repro.NewSession(append(opts, machine, everyBarrier(p.Phases))...)
-			if err != nil {
-				t.Fatal(err)
+			open := func() *repro.Session {
+				s := session(t, opts...)
+				if err := s.Bind(p); err != nil {
+					t.Fatal(err)
+				}
+				return s
 			}
-			defer s.Close()
-			if err := s.Bind(p); err != nil {
-				t.Fatal(err)
-			}
-			if n := footprintAtBarriers(t, s, p); n != p.Phases-1 {
+			if n := footprintAtBarriers(t, open, repro.NewMemStore(), 0, p.Phases); n != p.Phases-1 {
 				t.Errorf("compared %d barriers of %d", n, p.Phases-1)
 			}
 		})
@@ -148,10 +155,7 @@ func TestFootprintMatchesWalk(t *testing.T) {
 	// tables DecodeForest filled and the program then wrote through.
 	t.Run("stripe-resumed", func(t *testing.T) {
 		p := serve.StripeProgram(4, 8, 1024)(7)
-		s, err := repro.NewSession(machine, everyBarrier(p.Phases))
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := session(t)
 		defer s.Close()
 		if err := s.Bind(p); err != nil {
 			t.Fatal(err)
@@ -159,10 +163,19 @@ func TestFootprintMatchesWalk(t *testing.T) {
 		if _, err := s.Step(3); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Suspend(repro.NewMemStore()); err != nil {
+		store := repro.NewMemStore()
+		m, err := s.Suspend(store)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if n := footprintAtBarriers(t, s, p); n != p.Phases-1-3 {
+		open := func() *repro.Session {
+			s := session(t)
+			if err := s.BindSuspended(p, store, m); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		if n := footprintAtBarriers(t, open, store, 3, p.Phases); n != p.Phases-1-3 {
 			t.Errorf("compared %d barriers after the resume, want %d", n, p.Phases-1-3)
 		}
 	})

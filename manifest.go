@@ -1,6 +1,7 @@
 package repro
 
-// Store-backed checkpoints: SaveTo/ResumeFrom and the Manifest chain.
+// Store-backed checkpoints: SaveImage/LoadImage and the Manifest chain
+// that Session.Suspend and Session.BindSuspended build on.
 //
 // Image.Bytes is the flat, single-blob form of a checkpoint. This file
 // is the chunked form: the image's kernel section is split into its
@@ -10,10 +11,9 @@ package repro
 // forest root, the session metadata and the previous manifest of the
 // chain. Because the chunk layer is an exact transcoding, an image
 // loaded back from a store is byte-identical to the image that was
-// saved, and a resume from a store is bit-identical to a resume from
-// the flat form.
+// saved.
 //
-// Chaining: each SaveTo links the new manifest to the session's
+// Chaining: each Suspend links the new manifest to the session's
 // previous one, and the forest root delta-encodes against the parent's.
 // A checkpoint that touched k pages since the previous one therefore
 // stores O(k) new chunk bytes, and collecting garbage with only the
@@ -130,7 +130,7 @@ func manifestFromNode(key castore.Key, node *castore.Node, raw []byte) (*Manifes
 // and returns its manifest. With a non-nil parent (an earlier manifest
 // in the same store), pages and tables unchanged since the parent are
 // not re-stored and the new root delta-encodes against the parent's —
-// the incremental form SaveTo chains automatically.
+// the incremental form Suspend chains automatically.
 func SaveImage(store BlobStore, img *Image, parent *Manifest) (*Manifest, error) {
 	kmeta, forest, err := kernel.SplitImage(img.Kernel)
 	if err != nil {
@@ -201,54 +201,4 @@ func LoadImage(store BlobStore, m *Manifest) (*Image, error) {
 	}
 	im.Kernel = full
 	return im, nil
-}
-
-// SaveTo writes the checkpoint the session rests at into store and
-// returns its manifest: a bound session's parked root captures it where
-// it stands; a one-shot session saves RunToCheckpoint's image or the
-// last CheckpointAfter capture. Successive SaveTo calls on one session —
-// and SaveTo after ResumeFrom — chain their manifests, so each save
-// stores only chunks new since the previous one. Unlike Suspend, SaveTo
-// keeps the machine live: the session stays steppable without a reload.
-// Calling it mid-run fails with *StateError.
-func (s *Session) SaveTo(store BlobStore) (*Manifest, error) {
-	if err := s.begin("SaveTo", StateIdle, StateQuiescent); err != nil {
-		return nil, err
-	}
-	defer s.mu.Unlock()
-	img, err := s.restingImage()
-	if err != nil {
-		return nil, err
-	}
-	if img == nil {
-		return nil, &ProgramError{Msg: "SaveTo without a captured checkpoint; use RunToCheckpoint or CheckpointAfter first"}
-	}
-	m, err := SaveImage(store, img, s.lastManifest)
-	if err != nil {
-		return nil, err
-	}
-	s.lastManifest = m
-	return m, nil
-}
-
-// ResumeFrom loads the checkpoint m references from store and resumes
-// p from it — the store-backed form of Resume, with the same
-// bit-identical continuation guarantee. The loaded manifest becomes
-// the session's chain parent, so a later SaveTo stores an incremental
-// checkpoint on top of m.
-//
-// Deprecation note: ResumeFrom runs the checkpoint to completion in one
-// call; BindSuspended/Step is the incremental form the serving fabric
-// uses, with the same store-backed chaining.
-func (s *Session) ResumeFrom(store BlobStore, m *Manifest, p Program) (RunResult, error) {
-	img, err := LoadImage(store, m)
-	if err != nil {
-		return RunResult{}, err
-	}
-	if err := s.beginUnbound("ResumeFrom", StateIdle, StateQuiescent); err != nil {
-		return RunResult{}, err
-	}
-	defer s.mu.Unlock()
-	s.lastManifest = m
-	return s.runToEnd(p, img)
 }

@@ -22,11 +22,8 @@ import (
 // manifest.
 func headFixture(t *testing.T, store BlobStore) *Manifest {
 	t.Helper()
-	s := mustSession(t, WithMachine(MachineConfig{CPUsPerNode: 2}))
-	if _, err := s.RunToCheckpoint(arrayProgram(2, 2, 256, -1, nil), 1); err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.SaveTo(store)
+	m, err := suspendAt(t, []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2})},
+		store, arrayProgram(2, 2, 256, -1, nil), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +89,7 @@ func TestManifestHeadRoundTrip(t *testing.T) {
 	}
 }
 
-func mustLoadImage(t *testing.T, store BlobStore, m *Manifest) *Image {
+func mustLoadImage(t testing.TB, store BlobStore, m *Manifest) *Image {
 	t.Helper()
 	img, err := LoadImage(store, m)
 	if err != nil {

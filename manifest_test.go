@@ -47,7 +47,7 @@ func sparseProgram(phases, pages, dirtyPages int, salt uint64) Program {
 	}
 }
 
-func TestSaveToResumeFromBothBackends(t *testing.T) {
+func TestSuspendBindSuspendedBothBackends(t *testing.T) {
 	p := sparseProgram(3, 64, 4, 0)
 	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2})}
 	res, err := mustSession(t, opts...).RunProgram(p)
@@ -61,13 +61,9 @@ func TestSaveToResumeFromBothBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, store := range map[string]BlobStore{"mem": NewMemStore(), "dir": dir} {
-		sess := mustSession(t, opts...)
-		if _, err := sess.RunToCheckpoint(p, 1); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		m, err := sess.SaveTo(store)
+		m, err := suspendAt(t, opts, store, p, 1)
 		if err != nil {
-			t.Fatalf("%s: SaveTo: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		// A fresh process: reload the manifest from its bytes and resume.
 		m2, err := DecodeManifest(m.Bytes())
@@ -77,40 +73,28 @@ func TestSaveToResumeFromBothBackends(t *testing.T) {
 		if m2.Key() != m.Key() {
 			t.Fatalf("%s: manifest key changed across serialization", name)
 		}
-		res, rerr := mustSession(t, opts...).ResumeFrom(store, m2, p)
+		_, res, rerr := resumeFrom(t, opts, store, m2, p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("%s: store-backed resume diverged:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }
 
-func TestSaveToWithoutCheckpointFailsTyped(t *testing.T) {
-	sess := mustSession(t)
-	if _, err := sess.SaveTo(NewMemStore()); !errors.As(err, new(*ProgramError)) {
-		t.Fatalf("SaveTo on an empty session: %v, want ProgramError", err)
-	}
-}
-
 func TestManifestChainStoresIncrementally(t *testing.T) {
-	// Checkpoint after phase 1 (all 256 pages fresh), save, keep running
-	// to phase 2 (4 pages dirtied), save again on the same session: the
-	// second save must chain on the first and store far fewer bytes.
+	// Suspend after phase 1 (all 256 pages fresh), step on to phase 2 (4
+	// pages dirtied), suspend again on the same session: the second save
+	// must chain on the first and store far fewer bytes.
 	p := sparseProgram(3, 256, 4, 0)
-	opts := []SessionOption{
-		WithMachine(MachineConfig{CPUsPerNode: 2}),
-		WithCheckpointAfter(1, 2),
-	}
 	store := NewMemStore()
 
-	sess := mustSession(t, opts...)
-	if _, err := sess.RunProgram(p); err != nil {
+	sess := mustSession(t, WithMachine(MachineConfig{CPUsPerNode: 2}))
+	if err := sess.Bind(p); err != nil {
 		t.Fatal(err)
 	}
-	cks := sess.Checkpoints()
-	if len(cks) != 2 {
-		t.Fatalf("captured %d checkpoints, want 2", len(cks))
+	if _, err := sess.Step(1); err != nil {
+		t.Fatal(err)
 	}
-	m1, err := SaveImage(store, cks[0], nil)
+	m1, err := sess.Suspend(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +102,11 @@ func TestManifestChainStoresIncrementally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := SaveImage(store, cks[1], m1)
+	if _, err := sess.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	flat := mustDigest(t, sess) // the content key of the image's flat bytes
+	m2, err := sess.Suspend(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,21 +127,24 @@ func TestManifestChainStoresIncrementally(t *testing.T) {
 	}
 
 	// The chained image loads byte-identically to its flat form.
-	img, err := LoadImage(store, m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes, err := cks[1].Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotBytes, err := img.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotBytes, wantBytes) {
+	if imageDigest(t, mustLoadImage(t, store, m2)) != flat {
 		t.Fatal("chained image differs from its flat form")
 	}
+}
+
+// chainOnto admits m on a fresh session running p, steps it one phase
+// and suspends it again: a checkpoint chained onto m.
+func chainOnto(t *testing.T, opts []SessionOption, store BlobStore, m *Manifest, p Program) (*Manifest, error) {
+	t.Helper()
+	s := mustSession(t, opts...)
+	defer s.Close()
+	if err := s.BindSuspended(p, store, m); err != nil {
+		return nil, err
+	}
+	if _, err := s.Step(1); err != nil {
+		return nil, err
+	}
+	return s.Suspend(store)
 }
 
 // reachableChunks walks a manifest chain and returns every key it can
@@ -188,28 +179,17 @@ func TestSiblingSessionsShareChunks(t *testing.T) {
 	// pages (different salts), and save. At low dirty fractions their
 	// images must share well over half their chunks.
 	const pages, dirty = 256, 4
-	opts := []SessionOption{
-		WithMachine(MachineConfig{CPUsPerNode: 2}),
-		WithCheckpointAfter(2),
-	}
+	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2})}
 	store := NewMemStore()
 
-	parent := mustSession(t, opts...)
-	if _, err := parent.RunToCheckpoint(sparseProgram(3, pages, dirty, 0), 1); err != nil {
-		t.Fatal(err)
-	}
-	m0, err := parent.SaveTo(store)
+	m0, err := suspendAt(t, opts, store, sparseProgram(3, pages, dirty, 0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var siblings []*Manifest
 	for _, salt := range []uint64{0x1000000, 0x2000000} {
-		sess := mustSession(t, opts...)
-		if _, err := sess.ResumeFrom(store, m0, sparseProgram(3, pages, dirty, salt)); err != nil {
-			t.Fatal(err)
-		}
-		m, err := sess.SaveTo(store)
+		m, err := chainOnto(t, opts, store, m0, sparseProgram(3, pages, dirty, salt))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,29 +215,17 @@ func TestSiblingSessionsShareChunks(t *testing.T) {
 
 func TestCollectKeepsSurvivingChains(t *testing.T) {
 	const pages, dirty = 128, 4
-	opts := []SessionOption{
-		WithMachine(MachineConfig{CPUsPerNode: 2}),
-		WithCheckpointAfter(2),
-	}
+	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2})}
 	store := NewMemStore()
-	p := sparseProgram(3, pages, dirty, 0)
 
-	parent := mustSession(t, opts...)
-	if _, err := parent.RunToCheckpoint(p, 1); err != nil {
-		t.Fatal(err)
-	}
-	m0, err := parent.SaveTo(store)
+	m0, err := suspendAt(t, opts, store, sparseProgram(3, pages, dirty, 0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two divergent children chained on m0.
 	var kids []*Manifest
 	for _, salt := range []uint64{7, 9} {
-		sess := mustSession(t, opts...)
-		if _, err := sess.ResumeFrom(store, m0, sparseProgram(3, pages, dirty, salt)); err != nil {
-			t.Fatal(err)
-		}
-		m, err := sess.SaveTo(store)
+		m, err := chainOnto(t, opts, store, m0, sparseProgram(3, pages, dirty, salt))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,14 +282,9 @@ func TestCollectKeepsSurvivingChains(t *testing.T) {
 }
 
 func TestManifestAndChunkCorruptionRejected(t *testing.T) {
-	p := sparseProgram(2, 32, 4, 0)
-	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2})}
-	sess := mustSession(t, opts...)
-	if _, err := sess.RunToCheckpoint(p, 1); err != nil {
-		t.Fatal(err)
-	}
 	store := NewMemStore()
-	m, err := sess.SaveTo(store)
+	m, err := suspendAt(t, []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2})},
+		store, sparseProgram(2, 32, 4, 0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,12 +336,9 @@ func TestManifestAndChunkCorruptionRejected(t *testing.T) {
 // LoadImage (resolveShape sized its lists by the claim). It must fail
 // with vm's typed error, having allocated nothing of that order.
 func TestLoadImageRejectsHostileForestRoot(t *testing.T) {
-	sess := mustSession(t, WithMachine(MachineConfig{CPUsPerNode: 2}))
-	if _, err := sess.RunToCheckpoint(sparseProgram(2, 32, 4, 0), 1); err != nil {
-		t.Fatal(err)
-	}
 	store := NewMemStore()
-	m, err := sess.SaveTo(store)
+	m, err := suspendAt(t, []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2})},
+		store, sparseProgram(2, 32, 4, 0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

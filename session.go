@@ -23,13 +23,12 @@ import (
 // record/replay — and the home of deterministic checkpoint/restore.
 //
 // A Session is a validated configuration plus the run entry points.
-// The one-shot entry points (Run, RunProgram, RunToCheckpoint, Resume,
-// ResumeFrom) each build a fresh machine, run it and tear it down, which
-// is what makes "resume in a fresh process" and "run the same program
-// twice" the same operation. A session bound to a program (Bind,
-// BindSuspended) is different: it owns a live machine whose root program
-// parks at a phase barrier between Steps, so a timeslice costs the
-// program's own phases plus one goroutine handoff.
+// Run, RunProgram and RunToCheckpoint each build a fresh machine, run it
+// and tear it down. A session bound to a program (Bind, BindSuspended)
+// owns a live machine whose root program parks at a phase barrier
+// between Steps, so a timeslice costs the program's own phases plus one
+// goroutine handoff; it is the one way a run is saved, resumed or
+// captured mid-way.
 //
 // # Checkpoint/restore
 //
@@ -41,15 +40,16 @@ import (
 // COW sharing, dirty tracking), every space's virtual time, instruction
 // and traffic counters, the device cursors, the runtime's allocator and
 // placement state, the scheduler state the program stashes, and (when
-// recording) the trace log so far. Resuming the Image in a fresh Session
-// — or a fresh process — continues the run bit-identically: final
-// checksums, conflict reports and virtual times equal the uninterrupted
-// run's. Checkpointing is itself a pure observation: a run that captures
-// images is bit-identical to one that does not.
+// recording) the trace log so far. Suspend saves it into a BlobStore as a
+// chained Manifest; BindSuspended on a fresh Session — or in a fresh
+// process — continues the run from it bit-identically: final checksums,
+// conflict reports and virtual times equal the uninterrupted run's.
+// Checkpointing is itself a pure observation: a run that captures images
+// is bit-identical to one that does not.
 //
 // An Image is what state looks like when it leaves the machine. A bound
-// session captures one only then — Suspend, SaveTo, Digest, or a
-// CheckpointAfter barrier — never as a toll on a timeslice.
+// session captures one only then — Suspend or Digest — never as a toll
+// on a timeslice.
 //
 // # Lifecycle
 //
@@ -67,18 +67,17 @@ import (
 //
 // The states:
 //
-//   - Idle: no program bound, no pending checkpoint; every entry point
-//     is available.
+//   - Idle: no program bound; Run, RunProgram, RunToCheckpoint and the
+//     two binds are available, and the one-shot runs leave it Idle.
 //   - Running: an entry point is in flight. Any lifecycle call made
 //     concurrently fails immediately with *StateError instead of
-//     queueing behind the run (a SaveTo mid-run, a double Resume).
-//   - Quiescent: the session rests at a phase barrier. A bound session
-//     rests there as a live machine whose root is parked (none yet
-//     before the first Step, none any more once the program has
-//     finished: a finished session keeps only its result); Step runs it
-//     on, SaveTo and Digest capture it where it stands, Suspend captures
-//     it, saves the image and tears the machine down. A session left at
-//     a barrier by RunToCheckpoint holds that call's image instead.
+//     queueing behind the run (a Suspend mid-run, a second Step).
+//   - Quiescent: a bound session rests at a phase barrier, as a live
+//     machine whose root is parked there (none yet before the first
+//     Step, none any more once the program has finished: a finished
+//     session keeps only its result). Step runs it on, Digest captures
+//     it where it stands, Suspend captures it, saves the image and tears
+//     the machine down. Only a bound session is ever Quiescent.
 //   - Suspended: the checkpoint lives only in a BlobStore (as a chained
 //     Manifest); the session holds neither machine nor image. Step
 //     rebuilds the machine from the store and runs on.
@@ -95,16 +94,16 @@ import (
 // deterministically re-executes the phases up to the barrier the
 // session rested at before running the requested slice. The cost is
 // paid only on a fault, and the result is bit-identical by
-// construction. (Re-execution re-reads the devices: with the default
-// deterministic devices or a replayed log that is exact; a session on
-// live nondeterministic sources gets a fresh, self-consistent run.)
+// construction. Re-execution is silent: the console output of the
+// phases it repeats was delivered when they first ran. (It re-reads the
+// devices: with the default deterministic devices or a replayed log that
+// is exact; a session on live nondeterministic sources gets a fresh,
+// self-consistent run.)
 //
-// The stepped form (Bind/Step/Suspend) is what a multi-tenant server
-// drives (internal/serve): sessions run one timeslice at a time, yield
-// at quiescence points, and are evicted to a shared store while idle.
-// The historical one-shot entry points remain as thin wrappers over the
-// same phase loop and enforce the lifecycle with typed errors instead of
-// blocking or silently doing the wrong thing.
+// The stepped form (Bind/Step/Suspend) is also what a multi-tenant
+// server drives (internal/serve): sessions run one timeslice at a time,
+// yield at quiescence points, and are evicted to a shared store while
+// idle.
 type Session struct {
 	cfg SessionConfig
 
@@ -122,8 +121,8 @@ type Session struct {
 	// never stored: it is implied by mu being held by an entry point.
 	state SessionState
 
-	// prog is the program bound by Bind/BindSuspended for the stepped
-	// lifecycle; nil for sessions driven by the one-shot entry points.
+	// prog is the program bound by Bind/BindSuspended; nil for a session
+	// driven by the one-shot entry points.
 	prog *Program
 
 	// live is a bound session's machine, its root parked at barrier pos;
@@ -135,7 +134,8 @@ type Session struct {
 	// is rebuilt from — set by Suspend and BindSuspended, nil for a
 	// fresh Bind, which rebuilds by running from the start. It moves
 	// only when the machine is torn down, so the live machine's state is
-	// always a function of (anchor, pos) alone.
+	// always a function of (anchor, pos) alone. The next Suspend chains
+	// onto it.
 	anchor      *Manifest
 	anchorStore BlobStore
 
@@ -143,8 +143,8 @@ type Session struct {
 	final *RunResult
 
 	// current is the image of the barrier the session rests at, when one
-	// has been captured there (RunToCheckpoint, SaveTo, Digest); the
-	// next Step drops it.
+	// has been captured there (by Digest, or for a Suspend that failed to
+	// save); the next Step drops it.
 	current *Image
 
 	// pos is the phase barrier the session rests at (-1 for a
@@ -156,28 +156,20 @@ type Session struct {
 	// resumed session splices in front of it.
 	log    *TraceLog
 	prefix *TraceLog
-
-	checkpoints []*Image
-
-	// lastManifest is the most recent manifest this session saved
-	// (SaveTo, Suspend) or resumed from (ResumeFrom, BindSuspended); the
-	// next save chains onto it.
-	lastManifest *Manifest
 }
 
 // SessionState is a Session's position in its lifecycle.
 type SessionState uint8
 
 const (
-	// StateIdle is a fresh or fully completed session: no bound program,
-	// no pending checkpoint.
+	// StateIdle is a session with no bound program: fresh, or between
+	// one-shot runs.
 	StateIdle SessionState = iota
 	// StateRunning marks an entry point in flight.
 	StateRunning
-	// StateQuiescent is a session resting at a phase barrier: a bound
-	// session as a live machine with its root parked there (freshly
-	// bound, about to run phase 0; or finished, holding its result), a
-	// RunToCheckpoint session holding the captured image.
+	// StateQuiescent is a bound session resting at a phase barrier, as a
+	// live machine with its root parked there (freshly bound, about to
+	// run phase 0; or finished, holding its result).
 	StateQuiescent
 	// StateSuspended is a session whose checkpoint has been evicted to a
 	// BlobStore; only the chained manifest is held in memory.
@@ -203,9 +195,10 @@ func (s SessionState) String() string {
 }
 
 // StateError reports a lifecycle entry point invoked from a state that
-// does not permit it: SaveTo or a second Resume while a run is in
-// flight (StateRunning), Step without a bound program, Suspend with
-// nothing captured, anything but Close on a Closed session.
+// does not permit it: Suspend or a second Step while a run is in flight
+// (StateRunning), Step without a bound program, Suspend with nothing
+// captured, a one-shot run on a bound session, anything but Close on a
+// Closed session.
 type StateError struct {
 	Op    string       // the entry point that was refused
 	State SessionState // the state the session was in
@@ -235,22 +228,6 @@ func (s *Session) begin(op string, allowed ...SessionState) error {
 	st := s.state
 	s.mu.Unlock()
 	return &StateError{Op: op, State: st}
-}
-
-// beginUnbound is begin for the one-shot entry points, which
-// additionally refuse sessions bound to a stepped program — mixing the
-// two forms would corrupt the stepped chain.
-func (s *Session) beginUnbound(op string, allowed ...SessionState) error {
-	if err := s.begin(op, allowed...); err != nil {
-		return err
-	}
-	if s.prog != nil {
-		st := s.state
-		s.mu.Unlock()
-		return &StateError{Op: op, State: st,
-			Msg: "session is bound to a stepped program; drive it with Step/Suspend/Close"}
-	}
-	return nil
 }
 
 // State reports the session's lifecycle state. A session whose mutex is
@@ -286,11 +263,6 @@ type SessionConfig struct {
 	// Input / Output are the console streams.
 	Input  io.Reader
 	Output io.Writer
-	// CheckpointAfter lists phase barriers at which RunProgram captures
-	// an Image while continuing to run: the value k means "after the
-	// first k phases" (1 <= k <= Phases). Captured images are available
-	// from Checkpoints.
-	CheckpointAfter []int
 }
 
 // SessionOption mutates a SessionConfig under construction.
@@ -324,12 +296,6 @@ func WithReplay(l *TraceLog) SessionOption {
 // WithConsole sets the console streams.
 func WithConsole(in io.Reader, out io.Writer) SessionOption {
 	return func(c *SessionConfig) { c.Input, c.Output = in, out }
-}
-
-// WithCheckpointAfter requests an Image capture at the named phase
-// barriers (k means after the first k phases) while the run continues.
-func WithCheckpointAfter(phases ...int) SessionOption {
-	return func(c *SessionConfig) { c.CheckpointAfter = append(c.CheckpointAfter, phases...) }
 }
 
 // ConfigError reports an invalid session or facade configuration value.
@@ -375,11 +341,6 @@ func NewSessionFromConfig(cfg SessionConfig) (*Session, error) {
 	if cfg.Machine.Console != nil && (cfg.Input != nil || cfg.Output != nil || cfg.Record || cfg.Replay != nil) {
 		return nil, &ConfigError{Field: "Machine.Console", Reason: "set Input/Output on the session instead of supplying a console"}
 	}
-	for _, k := range cfg.CheckpointAfter {
-		if k < 1 {
-			return nil, &ConfigError{Field: "CheckpointAfter", Reason: fmt.Sprintf("barrier index %d (must be >= 1)", k)}
-		}
-	}
 	return &Session{cfg: cfg}, nil
 }
 
@@ -399,19 +360,10 @@ func (s *Session) TraceLog() *TraceLog {
 	return s.log
 }
 
-// Checkpoints returns the images captured at CheckpointAfter barriers by
-// the most recent RunProgram — or, for a bound session, the most recent
-// Step — in capture order.
-func (s *Session) Checkpoints() []*Image {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpoints
-}
-
 // deviceConfig materializes the kernel configuration for one run:
-// console plumbing, replay, resume-splicing and recording, in that
-// wrapping order.
-func (s *Session) deviceConfig() MachineConfig {
+// console plumbing (writing to out), replay, resume-splicing and
+// recording, in that wrapping order.
+func (s *Session) deviceConfig(out io.Writer) MachineConfig {
 	cfg := s.cfg.Machine
 	input := s.cfg.Input
 	if s.cfg.Replay != nil {
@@ -433,8 +385,8 @@ func (s *Session) deviceConfig() MachineConfig {
 			input = s.log.RecordInput(input)
 		}
 	}
-	if input != nil || s.cfg.Output != nil {
-		cfg.Console = kernel.NewConsole(input, s.cfg.Output)
+	if input != nil || out != nil {
+		cfg.Console = kernel.NewConsole(input, out)
 	}
 	return cfg
 }
@@ -442,14 +394,14 @@ func (s *Session) deviceConfig() MachineConfig {
 // Run executes main as a deterministic parallel program on a fresh
 // machine built from the session configuration — the Session form of the
 // package-level Run. Lifecycle misuse (a concurrent run in flight, a
-// closed or stepped-bound session) surfaces as a StatusNever result
-// whose Err is a *StateError.
+// closed or bound session) surfaces as a StatusNever result whose Err is
+// a *StateError.
 func (s *Session) Run(main func(rt *RT) uint64) RunResult {
-	if err := s.beginUnbound("Run", StateIdle, StateQuiescent); err != nil {
+	if err := s.begin("Run", StateIdle); err != nil {
 		return RunResult{Status: kernel.StatusNever, Err: err}
 	}
 	defer s.mu.Unlock()
-	m := kernel.New(s.deviceConfig())
+	m := kernel.New(s.deviceConfig(s.cfg.Output))
 	return m.Run(func(env *kernel.Env) {
 		rt := core.New(env, s.cfg.SharedSize)
 		rt.SetTreeJoin(s.cfg.TreeJoin)
@@ -492,83 +444,38 @@ type ProgramError struct{ Msg string }
 
 func (e *ProgramError) Error() string { return "repro: program: " + e.Msg }
 
-// RunProgram runs all phases of p on a fresh machine, capturing images
-// at the configured CheckpointAfter barriers (available from
-// Checkpoints afterwards). It returns the machine result and the first
-// program error (phase error, conflict, crash) if any.
-//
-// Deprecation note: RunProgram is the one-shot form kept for existing
-// callers; code that needs to interleave many programs (a server)
-// should Bind the program and drive it with Step, which runs the same
-// phase loop one timeslice at a time.
+// RunProgram runs all phases of p on a fresh machine, through Result,
+// and returns the machine result and the first program error (phase
+// error, conflict, crash) if any — what a bound session's Steps would
+// deliver, with nothing bound: the session stays Idle.
 func (s *Session) RunProgram(p Program) (RunResult, error) {
-	if err := s.beginUnbound("RunProgram", StateIdle, StateQuiescent); err != nil {
+	if err := s.begin("RunProgram", StateIdle); err != nil {
 		return RunResult{}, err
 	}
 	defer s.mu.Unlock()
-	return s.runToEnd(p, nil)
-}
-
-// runToEnd is the tail RunProgram, Resume and ResumeFrom share: drive p
-// (from img, if any) past its last barrier — so the root never parks —
-// through its result, and return the session to Idle.
-func (s *Session) runToEnd(p Program, img *Image) (RunResult, error) {
-	s.checkpoints = nil
-	sr, err := s.drive(p, p.Phases+1, img)
-	if err == nil {
-		s.state = StateIdle
-		s.current = nil
-	}
+	sr, err := s.drive(p, p.Phases+1, nil)
 	return sr.Result, err
 }
 
-// RunToCheckpoint runs the first afterPhases phases of p, captures an
-// Image at that barrier, and halts the machine. Resume continues from
-// the image. The session is left Quiescent at that barrier, so SaveTo
-// and Suspend apply to the returned image.
-//
-// Deprecation note: RunToCheckpoint predates the stepped lifecycle;
-// Bind + Step(afterPhases) reaches the same barrier and keeps the
-// session steppable afterwards.
+// RunToCheckpoint runs the first afterPhases phases of p on a fresh
+// machine, captures an Image at that barrier, tears the machine down
+// and returns the image; the session stays Idle. To carry on from the
+// barrier, Bind and Step(afterPhases) reach it with the machine kept, and
+// Suspend saves it where BindSuspended can pick it up.
 func (s *Session) RunToCheckpoint(p Program, afterPhases int) (*Image, error) {
 	if afterPhases < 1 || afterPhases > p.Phases {
 		return nil, &ProgramError{Msg: fmt.Sprintf("checkpoint barrier %d outside [1,%d]", afterPhases, p.Phases)}
 	}
-	if err := s.beginUnbound("RunToCheckpoint", StateIdle, StateQuiescent); err != nil {
+	if err := s.begin("RunToCheckpoint", StateIdle); err != nil {
 		return nil, err
 	}
 	defer s.mu.Unlock()
-	s.checkpoints = nil
 	if _, err := s.drive(p, afterPhases, nil); err != nil {
 		return nil, err
 	}
 	img, err := s.captureParked()
 	s.teardown()
-	if err != nil {
-		return nil, err
-	}
-	s.current = img
-	s.state = StateQuiescent
-	return img, nil
-}
-
-// Resume continues p from a previously captured image on a fresh
-// machine — typically in a fresh session or process. The session
-// configuration must match the one the image was captured under
-// (machine shape and cost model are validated against the image). The
-// result is bit-identical to the uninterrupted run's: same checksums,
-// same conflict report, same virtual time. A second Resume issued while
-// one is in flight fails with *StateError instead of queueing.
-//
-// Deprecation note: Resume runs the image to completion in one call;
-// BindSuspended/Step is the incremental, store-backed form the serving
-// fabric uses.
-func (s *Session) Resume(img *Image, p Program) (RunResult, error) {
-	if err := s.beginUnbound("Resume", StateIdle, StateQuiescent); err != nil {
-		return RunResult{}, err
-	}
-	defer s.mu.Unlock()
-	return s.runToEnd(p, img)
+	return img, err
 }
 
 // startPhased builds a machine — restored from img when non-nil — and
@@ -576,32 +483,27 @@ func (s *Session) Resume(img *Image, p Program) (RunResult, error) {
 // runtime up (Layout and Init on a fresh start; Attach, Layout and
 // Restore on a resume), then alternate barriers and phases, then Result.
 // At every barrier k it reaches — the one it starts at, then the one
-// after each phase — the root captures an image if k is a
-// CheckpointAfter barrier, and parks there if k is the stop barrier
-// (atBarrier). Whoever starts a machine must see it exit: bury it, or
-// tear it down.
-func (s *Session) startPhased(p Program, img *Image, stop int) (*liveMachine, error) {
+// after each phase — the root parks if k is the stop barrier
+// (atBarrier). With held set, the machine's console output is held back
+// until released (revive). Whoever starts a machine must see it exit:
+// bury it, or tear it down.
+func (s *Session) startPhased(p Program, img *Image, stop int, held bool) (*liveMachine, error) {
 	if err := bindable(p); err != nil {
 		return nil, err
-	}
-	wantCk := make(map[int]bool, len(s.cfg.CheckpointAfter))
-	for _, k := range s.cfg.CheckpointAfter {
-		if k > p.Phases {
-			// k >= 1 was validated at session construction; the phase
-			// bound is only known here. Silently ignoring the request
-			// would report "no checkpoints" as success.
-			return nil, &ProgramError{Msg: fmt.Sprintf(
-				"CheckpointAfter barrier %d outside the program's %d phases", k, p.Phases)}
-		}
-		wantCk[k] = true
 	}
 	if img != nil {
 		s.prefix = img.TracePrefix
 		defer func() { s.prefix = nil }()
 	}
 
-	l := &liveMachine{s: s, p: p, m: kernel.New(s.deviceConfig()), stop: stop,
+	l := &liveMachine{s: s, p: p, stop: stop,
 		ctl: make(chan liveCmd), evt: make(chan liveEvt), exited: make(chan struct{})}
+	out := s.cfg.Output
+	if held && out != nil {
+		l.held = &heldOutput{w: out}
+		out = l.held
+	}
+	l.m = kernel.New(s.deviceConfig(out))
 	start := 0
 	if img != nil {
 		if err := l.m.Restore(img.Kernel); err != nil {
@@ -635,14 +537,6 @@ func (s *Session) startPhased(p Program, img *Image, stop int) (*liveMachine, er
 			}
 		}
 		for k := start; ; k++ {
-			if k > start && wantCk[k] {
-				im, err := s.capture(env, rt, p, k)
-				if err != nil {
-					l.err = err
-					return
-				}
-				l.images = append(l.images, im)
-			}
 			if l.atBarrier(env, rt, k) {
 				return
 			}
@@ -695,7 +589,9 @@ type StepResult struct {
 	// least 1 for a live machine, and 0 once Done: a finished session
 	// holds only its result.
 	Pages int
-	// Result is the machine result of the final slice (Done only).
+	// Result is the machine result of the final slice (Done), or of a
+	// slice that died: what the machine had to say, as RunProgram
+	// reports it beside the error.
 	Result RunResult
 }
 
@@ -703,17 +599,20 @@ type StepResult struct {
 // the channels its root and the session hand control over. Exactly one
 // side runs at a time: the session sends a command only to a root it
 // knows is parked (it has received that park's event), then awaits the
-// next event. The root writes err, images and finished; the session
-// reads them only after the root has handed control back (an event, or
-// its exit).
+// next event. The root writes err and finished; the session reads them
+// only after the root has handed control back (an event, or its exit).
 type liveMachine struct {
 	s *Session
 	p Program
 	m *kernel.Machine
 
-	err      error    // first program error: Attach/Restore failure, phase error, capture failure
-	images   []*Image // CheckpointAfter captures, in barrier order
-	finished bool     // Result ran: the root halted because the program is over
+	err      error // first program error: Attach/Restore failure, phase error, capture failure
+	finished bool  // Result ran: the root halted because the program is over
+
+	// held is the console output of a machine revived to a barrier the
+	// session already passed, nil otherwise; the session releases it once
+	// the root parks there.
+	held *heldOutput
 
 	// stop is the barrier the root parks at next (beyond the last phase:
 	// never — run through Result and halt). The session sets it before
@@ -797,10 +696,7 @@ func (s *Session) loadAnchor() (*Image, error) {
 // barrier and the machine's footprint there — or, for stop beyond the
 // last phase, until it has computed Result and halted (Done; no machine
 // remains). With no live machine it first builds one from img (a bound
-// session's loaded anchor, a one-shot's image; nil starts from
-// scratch), which for a bound session re-executes any phases between
-// the anchor and the barrier it rested at: the replay after a slice
-// died.
+// session's loaded anchor; nil starts from scratch).
 //
 // If the root exits short of stop — a phase failed, panicked (the
 // kernel converts panics into trap statuses) or trapped — the machine
@@ -812,14 +708,13 @@ func (s *Session) drive(p Program, stop int, img *Image) (StepResult, error) {
 		l.ctl <- liveCmd{stop: stop}
 	} else {
 		var err error
-		if l, err = s.startPhased(p, img, stop); err != nil {
+		if l, err = s.startPhased(p, img, stop, false); err != nil {
 			return StepResult{}, err
 		}
 		s.live = l
 	}
 	if ev, parked := l.await(); parked {
 		s.pos = ev.phase
-		s.checkpoints, l.images = l.images, nil
 		return StepResult{Phase: ev.phase, Pages: ev.pages}, nil
 	}
 	res, err := s.bury()
@@ -839,7 +734,6 @@ func (s *Session) bury() (RunResult, error) {
 	l := s.live
 	s.live = nil
 	res := l.m.Wait()
-	s.checkpoints = l.images
 	if l.err != nil {
 		return res, l.err
 	}
@@ -861,30 +755,63 @@ func (s *Session) captureParked() (*Image, error) {
 	return ev.img, ev.err
 }
 
-// restingImage returns the image of the barrier the session rests at,
-// capturing it if none is held; nil when there is nothing to capture
-// (no checkpoint taken, no phase run). A bound session's parked root
-// captures where it stands. With no live machine — a slice died, or the
-// program has finished — one is first rebuilt to the resting barrier by
-// deterministic re-execution from the anchor; a finished session's is
-// torn down again once the image is in hand, so it is captured at most
-// once however often it is saved.
+// revive rebuilds the machine a died slice or the program's end took
+// down, parked at the barrier the session rests at: restored from img,
+// the loaded anchor (nil: a fresh start), then re-executing the phases
+// in between. Those phases' console output was delivered when they
+// first ran, so it is held back until the root parks.
+func (s *Session) revive(img *Image) error {
+	l, err := s.startPhased(*s.prog, img, s.pos, true)
+	if err != nil {
+		return err
+	}
+	s.live = l
+	if _, parked := l.await(); !parked {
+		_, err := s.bury()
+		if err == nil {
+			err = &ProgramError{Msg: fmt.Sprintf("re-execution ended before barrier %d", s.pos)}
+		}
+		return err
+	}
+	if l.held != nil {
+		l.held.released = true
+	}
+	return nil
+}
+
+// heldOutput is the console output of a revived machine: it drops what
+// the re-executed phases write until the session releases it. The
+// release happens while the root is parked, so the handoff orders it
+// before every later write.
+type heldOutput struct {
+	w        io.Writer
+	released bool
+}
+
+func (h *heldOutput) Write(p []byte) (int, error) {
+	if !h.released {
+		return len(p), nil
+	}
+	return h.w.Write(p)
+}
+
+// restingImage returns the image of the barrier the bound session rests
+// at, capturing it if none is held; nil when there is nothing to capture
+// (no phase run). The parked root captures where it stands. With no live
+// machine — a slice died, or the program has finished — one is first
+// revived; a finished session's is torn down again once the image is in
+// hand, so it is captured at most once however often it is saved.
 func (s *Session) restingImage() (*Image, error) {
 	switch {
 	case s.current != nil:
 		return s.current, nil
-	case s.prog == nil:
-		if n := len(s.checkpoints); n > 0 {
-			return s.checkpoints[n-1], nil
-		}
-		return nil, nil
 	case s.live == nil && s.final == nil && s.anchor == nil && s.pos == 0:
 		// Bound, but no phase has run (or only a first slice that died).
 		return nil, nil
 	}
 	if s.live == nil {
 		if s.final != nil {
-			// The rebuilt machine re-records the trace only as far as the
+			// The revived machine re-records the trace only as far as the
 			// barrier; the finished run's own log is the complete one.
 			defer func(log *TraceLog) { s.log = log }(s.log)
 		}
@@ -892,7 +819,7 @@ func (s *Session) restingImage() (*Image, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := s.drive(*s.prog, s.pos, img); err != nil {
+		if err := s.revive(img); err != nil {
 			return nil, err
 		}
 	}
@@ -919,7 +846,7 @@ func bindable(p Program) error {
 // Bind attaches a phased program to the session for stepped execution,
 // leaving it Quiescent at phase 0. Binding builds nothing: the machine
 // comes to life on the first Step. A bound session is driven with
-// Step/Suspend/Close; the one-shot entry points refuse it.
+// Step/Suspend/Digest/Close; the one-shot entry points refuse it.
 func (s *Session) Bind(p Program) error {
 	if err := s.begin("Bind", StateIdle); err != nil {
 		return err
@@ -930,8 +857,6 @@ func (s *Session) Bind(p Program) error {
 	}
 	s.prog = &p
 	s.current = nil
-	s.checkpoints = nil
-	s.lastManifest = nil
 	s.anchor, s.anchorStore = nil, nil
 	s.pos = 0
 	s.state = StateQuiescent
@@ -942,7 +867,7 @@ func (s *Session) Bind(p Program) error {
 // store — the admission path for a session that some other process (or
 // a killed worker) left suspended. The session starts Suspended; the
 // first Step loads the image, rebuilds the machine and continues it,
-// and later saves chain onto m.
+// and later Suspends chain onto m.
 func (s *Session) BindSuspended(p Program, store BlobStore, m *Manifest) error {
 	if err := s.begin("BindSuspended", StateIdle); err != nil {
 		return err
@@ -956,8 +881,6 @@ func (s *Session) BindSuspended(p Program, store BlobStore, m *Manifest) error {
 	}
 	s.prog = &p
 	s.current = nil
-	s.checkpoints = nil
-	s.lastManifest = m
 	s.anchor, s.anchorStore = m, store
 	s.pos = -1 // unknown until the first Step loads the image
 	s.state = StateSuspended
@@ -977,10 +900,11 @@ func (s *Session) BindSuspended(p Program, store BlobStore, m *Manifest) error {
 // panic into a trap status) or the machine traps — returns that error
 // and takes the live machine with it, but the session still rests at
 // the pre-slice barrier: the next Step rebuilds the machine from the
-// anchor and re-executes up to that barrier before running its slice,
-// so a killed worker's slice can simply be re-run. Because execution is
-// deterministic, the retry's results — and its Digest at any barrier —
-// equal what the undisturbed run would have produced.
+// anchor and re-executes up to that barrier (silently: see revive)
+// before running its slice, so a killed worker's slice can simply be
+// re-run. Because execution is deterministic, the retry's results — and
+// its Digest at any barrier — equal what the undisturbed run would have
+// produced.
 func (s *Session) Step(budget int) (StepResult, error) {
 	if err := s.begin("Step", StateQuiescent, StateSuspended); err != nil {
 		return StepResult{}, err
@@ -1002,8 +926,17 @@ func (s *Session) Step(budget int) (StepResult, error) {
 		if img, err = s.loadAnchor(); err != nil {
 			return StepResult{}, err
 		}
+		from := 0
+		if img != nil {
+			from = img.Phase
+		}
 		if pos < 0 {
-			pos = img.Phase
+			pos = from
+		}
+		if pos > from { // a slice died past the anchor
+			if err := s.revive(img); err != nil {
+				return StepResult{}, err
+			}
 		}
 	}
 	stop := pos + budget
@@ -1012,7 +945,7 @@ func (s *Session) Step(budget int) (StepResult, error) {
 	}
 	sr, err := s.drive(*s.prog, stop, img)
 	if err != nil {
-		return StepResult{}, err
+		return sr, err
 	}
 	if sr.Done {
 		s.final = &sr.Result
@@ -1025,8 +958,10 @@ func (s *Session) Step(budget int) (StepResult, error) {
 // Suspend captures the session's resting checkpoint, evicts it into
 // store and tears the live machine down, leaving the session Suspended:
 // its only cost until the next Step is the chained manifest. Successive
-// Suspends (and SaveTo) chain, so each eviction stores only chunks new
-// since the previous one. The manifest becomes the session's anchor.
+// Suspends chain — onto the previous one, or the manifest BindSuspended
+// admitted — so each eviction stores only chunks new since then. The
+// manifest becomes the session's anchor, and BindSuspended resumes it
+// on any Session with the same configuration.
 func (s *Session) Suspend(store BlobStore) (*Manifest, error) {
 	if err := s.begin("Suspend", StateQuiescent); err != nil {
 		return nil, err
@@ -1040,15 +975,13 @@ func (s *Session) Suspend(store BlobStore) (*Manifest, error) {
 		return nil, &StateError{Op: "Suspend", State: s.state,
 			Msg: "no checkpoint to evict; Step first"}
 	}
-	m, err := SaveImage(store, img, s.lastManifest)
+	m, err := SaveImage(store, img, s.anchor)
 	if err != nil {
 		return nil, err
 	}
 	s.teardown()
-	s.lastManifest = m
 	s.anchor, s.anchorStore = m, store
 	s.current = nil
-	s.checkpoints = nil
 	s.state = StateSuspended
 	return m, nil
 }
@@ -1100,7 +1033,6 @@ func (s *Session) Close() error {
 	s.prog = nil
 	s.final = nil
 	s.current = nil
-	s.checkpoints = nil
 	s.log = nil
 	s.prefix = nil
 	return nil
@@ -1115,14 +1047,14 @@ func (s *Session) Phase() int {
 	return s.pos
 }
 
-// LastManifest returns the most recent manifest this session saved
-// (SaveTo, Suspend) or resumed from (ResumeFrom, BindSuspended), nil
-// when none: the root to protect during store GC and the handle needed
-// to re-admit the session elsewhere.
+// LastManifest returns the most recent manifest this session was
+// suspended to (Suspend) or admitted from (BindSuspended), nil when
+// none: the root to protect during store GC and the handle needed to
+// re-admit the session elsewhere.
 func (s *Session) LastManifest() *Manifest {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lastManifest
+	return s.anchor
 }
 
 // --- checkpoint images --------------------------------------------------------

@@ -44,6 +44,14 @@ func TestSessionStateMachine(t *testing.T) {
 	if got := s.State(); got != StateIdle {
 		t.Fatalf("fresh state = %v, want Idle", got)
 	}
+	// A one-shot capture hands its image back and keeps nothing: only a
+	// bound session is ever Quiescent.
+	if _, err := s.RunToCheckpoint(p, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.State(); got != StateIdle {
+		t.Fatalf("state after RunToCheckpoint = %v, want Idle", got)
+	}
 	if err := s.Bind(p); err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +141,11 @@ func TestSessionStateErrors(t *testing.T) {
 		}
 		_, err := s.RunProgram(p)
 		asState(t, err, "RunProgram", StateQuiescent)
-		_, err = s.SaveTo(NewMemStore())
-		if err == nil {
-			t.Fatal("SaveTo on a freshly bound session succeeded, want error")
-		}
+		_, err = s.RunToCheckpoint(p, 1)
+		asState(t, err, "RunToCheckpoint", StateQuiescent)
+		asState(t, s.Run(func(rt *RT) uint64 { return 0 }).Err, "Run", StateQuiescent)
+		_, err = s.Suspend(NewMemStore())
+		asState(t, err, "Suspend", StateQuiescent) // nothing has run: nothing to save
 	})
 	t.Run("closed", func(t *testing.T) {
 		s := mustSession(t, stepOpts()...)
@@ -153,7 +162,7 @@ func TestSessionStateErrors(t *testing.T) {
 	})
 	t.Run("mid-run", func(t *testing.T) {
 		// A phase that parks lets the test observe the Running state from
-		// outside: SaveTo and a second run must fail immediately with
+		// outside: Suspend and a second run must fail immediately with
 		// *StateError instead of queueing behind the in-flight run.
 		entered := make(chan struct{})
 		release := make(chan struct{})
@@ -178,10 +187,10 @@ func TestSessionStateErrors(t *testing.T) {
 		if got := s.State(); got != StateRunning {
 			t.Errorf("state mid-run = %v, want Running", got)
 		}
-		_, err := s.SaveTo(NewMemStore())
-		asState(t, err, "SaveTo", StateRunning)
-		_, err = s.Resume(nil, blocked)
-		asState(t, err, "Resume", StateRunning)
+		_, err := s.Suspend(NewMemStore())
+		asState(t, err, "Suspend", StateRunning)
+		_, err = s.RunToCheckpoint(blocked, 1)
+		asState(t, err, "RunToCheckpoint", StateRunning)
 		close(release)
 		wg.Wait()
 	})

@@ -123,41 +123,10 @@ func TestLiveSessionEverySchedule(t *testing.T) {
 	}
 }
 
-// TestLiveSessionCheckpointAfter: CheckpointAfter barriers are still
-// captured on the stepped path, as a pure observation.
-func TestLiveSessionCheckpointAfter(t *testing.T) {
-	p := arrayProgram(3, 4, 512, -1, nil)
-	want := keyOf(mustSession(t, stepOpts()...).RunProgram(p))
-	s := mustSession(t, append(stepOpts(), WithCheckpointAfter(1, 3))...)
-	defer s.Close()
-	if err := s.Bind(p); err != nil {
-		t.Fatal(err)
-	}
-	var got []int
-	for {
-		sr, err := s.Step(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, img := range s.Checkpoints() {
-			got = append(got, img.Phase)
-		}
-		if sr.Done {
-			if k := keyOf(sr.Result, nil); k != want {
-				t.Fatalf("result %+v, want %+v", k, want)
-			}
-			break
-		}
-	}
-	if fmt.Sprint(got) != "[1 3]" {
-		t.Fatalf("captured barriers %v, want [1 3]", got)
-	}
-}
-
 // TestLiveSessionRecordedTrace: a recorded session stepped, suspended
 // and resumed yields the log an uninterrupted recording yields — the
 // live machine records as it goes, and a rebuild splices the image's
-// prefix exactly as Resume does.
+// prefix.
 func TestLiveSessionRecordedTrace(t *testing.T) {
 	mk := func() *Session { return mustSession(t, WithRecord()) }
 	p := deviceProgram(3, 4)
@@ -210,6 +179,78 @@ func TestLiveSessionRecordedTrace(t *testing.T) {
 				t.Fatalf("suspend at %d (digested %v): stepped log differs:\n got %s\nwant %s",
 					suspendAt, digested, gotLog, wantLog)
 			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// consoleProgram writes "phase k" to the console in each of its phases.
+func consoleProgram(phases int) Program {
+	return Program{
+		Phases: phases,
+		Phase: func(rt *RT, k int) error {
+			rt.Env().ConsoleWrite([]byte(fmt.Sprintf("phase %d\n", k)))
+			return nil
+		},
+	}
+}
+
+// consoleOnce is what consoleProgram(3) prints when every phase runs
+// once.
+const consoleOnce = "phase 0\nphase 1\nphase 2\n"
+
+// TestLiveSessionFinishedDigestIsSilent: digesting or suspending a
+// finished session re-executes its phases from the anchor to capture the
+// final barrier, and that re-execution must not print them again.
+func TestLiveSessionFinishedDigestIsSilent(t *testing.T) {
+	var out bytes.Buffer
+	s := mustSession(t, WithConsole(nil, &out))
+	defer s.Close()
+	if err := s.Bind(consoleProgram(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	store := NewMemStore()
+	if _, err := s.Suspend(store); err != nil {
+		t.Fatal(err)
+	}
+	stepToEnd(t, s, 2)
+	mustDigest(t, s)
+	if _, err := s.Suspend(store); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != consoleOnce {
+		t.Fatalf("console output %q, want %q", got, consoleOnce)
+	}
+}
+
+// TestLiveSessionRetryIsSilent: the retry of a slice that died
+// re-executes the phases before it from the anchor, and only the
+// requested slice may reach the console — whether the retry is a Step or
+// a Digest taken first.
+func TestLiveSessionRetryIsSilent(t *testing.T) {
+	for _, digestFirst := range []bool{false, true} {
+		var out bytes.Buffer
+		s := mustSession(t, WithConsole(nil, &out))
+		if err := s.Bind(killOnce(consoleProgram(3), 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Step(1); err == nil {
+			t.Fatal("killed slice reported no error")
+		}
+		if digestFirst {
+			mustDigest(t, s)
+		}
+		stepToEnd(t, s, 1)
+		if got := out.String(); got != consoleOnce {
+			t.Fatalf("digest first %v: console output %q, want %q", digestFirst, got, consoleOnce)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
@@ -328,16 +369,12 @@ func TestSessionAPIHammer(t *testing.T) {
 		if err := s.Bind(p); err != nil {
 			t.Fatal(err)
 		}
-		// One slice first, so Suspend/SaveTo/Digest always have a
-		// checkpoint to take and can only be refused for lifecycle reasons.
+		// One slice first, so Suspend/Digest always have a checkpoint to
+		// take and can only be refused for lifecycle reasons.
 		if _, err := s.Step(1); err != nil {
 			t.Fatal(err)
 		}
-		m0, err := s.SaveTo(store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		img0, err := LoadImage(store, m0)
+		m0, err := s.Suspend(store)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +391,7 @@ func TestSessionAPIHammer(t *testing.T) {
 			go func(h int) {
 				defer wg.Done()
 				for i := 0; i < iters; i++ {
-					switch (i + h) % 15 {
+					switch (i + h) % 12 {
 					case 0:
 						_ = s.State()
 					case 1:
@@ -362,36 +399,26 @@ func TestSessionAPIHammer(t *testing.T) {
 					case 2:
 						_ = s.TraceLog()
 					case 3:
-						_ = s.Checkpoints()
-					case 4:
 						_ = s.LastManifest()
-					case 5:
+					case 4:
 						_, err := s.Digest()
 						refused("Digest", err)
-					case 6:
-						_, err := s.SaveTo(store)
-						refused("SaveTo", err)
-					case 7:
+					case 5:
 						_, err := s.Suspend(store)
 						refused("Suspend", err)
-					case 8:
+					case 6:
 						refused("Bind", s.Bind(p))
-					case 9:
+					case 7:
 						refused("BindSuspended", s.BindSuspended(p, store, m0))
-					case 10:
+					case 8:
 						_, err := s.RunProgram(p)
 						refused("RunProgram", err)
-					case 11:
+					case 9:
 						_, err := s.RunToCheckpoint(p, 1)
 						refused("RunToCheckpoint", err)
-					case 12:
-						_, err := s.Resume(img0, p)
-						refused("Resume", err)
-						_, err = s.ResumeFrom(store, m0, p)
-						refused("ResumeFrom", err)
-					case 13:
+					case 10:
 						refused("Run", s.Run(func(*RT) uint64 { return 0 }).Err)
-					case 14:
+					case 11:
 						// A competing stepper: it may win slices from the driver.
 						_, err := s.Step(1)
 						refused("Step", err)

@@ -60,12 +60,13 @@ func roundTripImage(t testing.TB, img *Image) *Image {
 	return img2
 }
 
-// roundTripStore ships an image through a content-addressed store —
-// SaveImage, manifest bytes, LoadImage — asserting the loaded image is
-// byte-identical to the flat form. Resuming its result therefore
-// exercises the chunked path and the flat path at once: they are
-// literally the same bytes.
-func roundTripStore(t testing.TB, img *Image) *Image {
+// roundTripStore ships an image through a fresh content-addressed
+// store — SaveImage, manifest bytes, LoadImage — asserting the loaded
+// image is byte-identical to the flat form, and returns the store and
+// the reparsed manifest. Resuming from them therefore exercises the
+// chunked path and the flat path at once: they are literally the same
+// bytes.
+func roundTripStore(t testing.TB, img *Image) (BlobStore, *Manifest) {
 	t.Helper()
 	store := NewMemStore()
 	m, err := SaveImage(store, img, nil)
@@ -76,36 +77,74 @@ func roundTripStore(t testing.TB, img *Image) *Image {
 	if err != nil {
 		t.Fatalf("DecodeManifest: %v", err)
 	}
-	img2, err := LoadImage(store, m2)
-	if err != nil {
-		t.Fatalf("LoadImage: %v", err)
-	}
 	flat, err := img.Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := img2.Bytes()
+	loaded, err := mustLoadImage(t, store, m2).Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(flat, loaded) {
 		t.Fatalf("store round trip changed the image: %d bytes vs %d", len(loaded), len(flat))
 	}
-	return img2
+	return store, m2
+}
+
+// suspendAt binds p on a fresh session, steps it to barrier k and
+// suspends it into store. The error is the program's, from a run that
+// fails before barrier k.
+func suspendAt(t testing.TB, opts []SessionOption, store BlobStore, p Program, k int) (*Manifest, error) {
+	t.Helper()
+	s := mustSession(t, opts...)
+	defer s.Close()
+	if err := s.Bind(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(k); err != nil {
+		return nil, err
+	}
+	m, err := s.Suspend(store)
+	if err != nil {
+		t.Fatalf("Suspend at %d: %v", k, err)
+	}
+	return m, nil
+}
+
+// resumeFrom admits the checkpoint m names on a fresh session and steps
+// it to the end in one slice, returning the session for its trace log.
+func resumeFrom(t testing.TB, opts []SessionOption, store BlobStore, m *Manifest, p Program) (*Session, RunResult, error) {
+	t.Helper()
+	s := mustSession(t, opts...)
+	if err := s.BindSuspended(p, store, m); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := s.Step(p.Phases + 1)
+	return s, sr.Result, err
+}
+
+// shipped resumes the checkpoint m names in store the way a fresh
+// process that received it would: as flat image bytes, through a fresh
+// store (roundTripStore), on a fresh session.
+func shipped(t testing.TB, opts []SessionOption, store BlobStore, m *Manifest, p Program) (*Session, RunResult, error) {
+	t.Helper()
+	store2, m2 := roundTripStore(t, roundTripImage(t, mustLoadImage(t, store, m)))
+	return resumeFrom(t, opts, store2, m2, p)
 }
 
 // checkpointEverywhere verifies the full equivalence contract for a
 // phased program under a session configuration: for every barrier k,
-// running to a checkpoint at k, shipping the image through bytes, and
-// resuming in a fresh session yields a result bit-identical to the
-// uninterrupted run (including any error, e.g. a conflict report).
+// suspending there, shipping the image through bytes, and resuming in a
+// fresh session yields a result bit-identical to the uninterrupted run
+// (including any error, e.g. a conflict report).
 func checkpointEverywhere(t *testing.T, opts []SessionOption, p Program) {
 	t.Helper()
 	res, err := mustSession(t, opts...).RunProgram(p)
 	want := keyOf(res, err)
 
 	for k := 1; k <= p.Phases; k++ {
-		img, err := mustSession(t, opts...).RunToCheckpoint(p, k)
+		store := NewMemStore()
+		m, err := suspendAt(t, opts, store, p, k)
 		if err != nil {
 			// A program that fails before barrier k cannot checkpoint
 			// there; the uninterrupted run must have failed identically.
@@ -114,22 +153,27 @@ func checkpointEverywhere(t *testing.T, opts []SessionOption, p Program) {
 			}
 			continue
 		}
-		res, rerr := mustSession(t, opts...).Resume(roundTripStore(t, roundTripImage(t, img)), p)
+		_, res, rerr := shipped(t, opts, store, m, p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("resume from barrier %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
 	}
 
 	// Checkpointing must be a pure observation: capturing an image at
-	// every barrier while running to completion changes nothing.
-	all := make([]int, p.Phases)
-	for i := range all {
-		all[i] = i + 1
+	// every barrier while stepping to completion changes nothing.
+	obs := mustSession(t, opts...)
+	if err := obs.Bind(p); err != nil {
+		t.Fatal(err)
 	}
-	obs := mustSession(t, append(append([]SessionOption{}, opts...), WithCheckpointAfter(all...))...)
-	res2, err2 := obs.RunProgram(p)
-	if got := keyOf(res2, err2); got != want {
-		t.Fatalf("checkpointing run diverged:\n got %+v\nwant %+v", got, want)
+	for {
+		sr, err := obs.Step(1)
+		if err != nil || sr.Done {
+			if got := keyOf(sr.Result, err); got != want {
+				t.Fatalf("checkpointing run diverged:\n got %+v\nwant %+v", got, want)
+			}
+			return
+		}
+		mustDigest(t, obs)
 	}
 }
 
@@ -310,11 +354,12 @@ func TestSessionCheckpointResumeDsched(t *testing.T) {
 	}
 	want := keyOf(res, err)
 	for k := 1; k <= p.Phases; k++ {
-		img, err := sess().RunToCheckpoint(p, k)
+		store := NewMemStore()
+		m, err := suspendAt(t, opts, store, p, k)
 		if err != nil {
 			t.Fatalf("checkpoint at %d: %v", k, err)
 		}
-		res, rerr := sess().Resume(roundTripImage(t, img), p)
+		_, res, rerr := resumeFrom(t, opts, store, m, p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("dsched resume from barrier %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
@@ -353,10 +398,10 @@ func deviceProgram(threads, phases int) Program {
 }
 
 func TestSessionCheckpointResumeRecordedTrace(t *testing.T) {
-	mk := func() *Session { return mustSession(t, WithRecord()) }
+	rec := []SessionOption{WithRecord()}
 	p := deviceProgram(3, 4)
 
-	full := mk()
+	full := mustSession(t, rec...)
 	res, err := full.RunProgram(p)
 	if err != nil || res.Err != nil {
 		t.Fatalf("recorded run: %v / %v", err, res.Err)
@@ -368,16 +413,15 @@ func TestSessionCheckpointResumeRecordedTrace(t *testing.T) {
 	}
 
 	for k := 1; k <= p.Phases; k++ {
-		ck := mk()
-		img, err := ck.RunToCheckpoint(p, k)
+		store := NewMemStore()
+		m, err := suspendAt(t, rec, store, p, k)
 		if err != nil {
 			t.Fatalf("checkpoint at %d: %v", k, err)
 		}
-		if img.TracePrefix == nil {
+		if mustLoadImage(t, store, m).TracePrefix == nil {
 			t.Fatalf("record-mode image at %d carries no trace prefix", k)
 		}
-		resumed := mk()
-		res, rerr := resumed.Resume(roundTripImage(t, img), p)
+		resumed, res, rerr := shipped(t, rec, store, m, p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("recorded resume from %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
@@ -397,14 +441,13 @@ func TestSessionCheckpointResumeRecordedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkReplay := func() *Session {
-		return mustSession(t, WithReplay(restored))
-	}
-	img, err := mkReplay().RunToCheckpoint(p, 2)
+	replay := []SessionOption{WithReplay(restored)}
+	store := NewMemStore()
+	m, err := suspendAt(t, replay, store, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rerr := mkReplay().Resume(roundTripImage(t, img), p)
+	_, res, rerr := shipped(t, replay, store, m, p)
 	if got := keyOf(res, rerr); got != want {
 		t.Fatalf("replayed resume diverged:\n got %+v\nwant %+v", got, want)
 	}
@@ -422,9 +465,10 @@ func TestSessionCheckpointResumeConsoleSplice(t *testing.T) {
 		}
 		return string(b)
 	}
-	mk := func() *Session {
-		return mustSession(t, WithRecord(),
-			WithConsole(strings.NewReader(input()), nil))
+	// Each session gets the whole input afresh: the resumed one's
+	// console is fast-forwarded past what the checkpointed run consumed.
+	opts := func() []SessionOption {
+		return []SessionOption{WithRecord(), WithConsole(strings.NewReader(input()), nil)}
 	}
 	var cell Addr
 	p := Program{
@@ -450,7 +494,7 @@ func TestSessionCheckpointResumeConsoleSplice(t *testing.T) {
 		Result: func(rt *RT) uint64 { return rt.Env().ReadU64(cell) },
 	}
 
-	full := mk()
+	full := mustSession(t, opts()...)
 	res, err := full.RunProgram(p)
 	if err != nil || res.Err != nil {
 		t.Fatalf("console run: %v / %v", err, res.Err)
@@ -465,12 +509,15 @@ func TestSessionCheckpointResumeConsoleSplice(t *testing.T) {
 	}
 
 	for k := 1; k <= p.Phases; k++ {
-		img, err := mk().RunToCheckpoint(p, k)
+		// A one-shot run takes the checkpoint: a bound session reaches the
+		// last barrier only by finishing, and capturing a finished session
+		// re-executes it, which re-reads live console input.
+		img, err := mustSession(t, opts()...).RunToCheckpoint(p, k)
 		if err != nil {
 			t.Fatalf("checkpoint at %d: %v", k, err)
 		}
-		resumed := mk()
-		res, rerr := resumed.Resume(roundTripImage(t, img), p)
+		store, m := roundTripStore(t, roundTripImage(t, img))
+		resumed, res, rerr := resumeFrom(t, opts(), store, m, p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("console resume from %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
@@ -515,14 +562,15 @@ func TestSessionCheckpointResumeProperty(t *testing.T) {
 		res, err := mustSession(t, opts...).RunProgram(p)
 		want := keyOf(res, err)
 		k := 1 + rng.Intn(phases) // random barrier
-		img, err := mustSession(t, opts...).RunToCheckpoint(p, k)
+		store := NewMemStore()
+		m, err := suspendAt(t, opts, store, p, k)
 		if err != nil {
 			if want.ErrStr == "" || err.Error() != want.ErrStr {
 				t.Fatalf("iter %d: checkpoint failed %v, uninterrupted %q", it, err, want.ErrStr)
 			}
 			continue
 		}
-		res, rerr := mustSession(t, opts...).Resume(roundTripImage(t, img), p)
+		_, res, rerr := shipped(t, opts, store, m, p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("iter %d (threads=%d phases=%d nodes=%d tree=%v conflict=%d ck=%d) diverged:\n got %+v\nwant %+v",
 				it, threads, phases, nodes, tree, conflictAt, k, got, want)
@@ -556,22 +604,24 @@ func TestSessionImageRoundTripAndRejects(t *testing.T) {
 	if _, err := DecodeImage(bad); !errors.As(err, &ie) {
 		t.Fatalf("corrupt: got %v", err)
 	}
-	// Resume under a mismatched machine fails with the typed kernel error.
+	// Resuming under a mismatched machine fails with the typed kernel
+	// error.
 	img2, err := DecodeImage(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mm *ImageMismatchError
-	_, err = mustSession(t, WithMachine(MachineConfig{Nodes: 2})).
-		Resume(img2, arrayProgram(2, 2, 128, -1, nil))
+	store, m := roundTripStore(t, img2)
+	_, _, err = resumeFrom(t, []SessionOption{WithMachine(MachineConfig{Nodes: 2})},
+		store, m, arrayProgram(2, 2, 128, -1, nil))
 	if !errors.As(err, &mm) {
 		t.Fatalf("mismatched resume: got %v, want *ImageMismatchError", err)
 	}
 }
 
 // A CRC-valid session image can carry any runtime region its author
-// likes. One that core.New could not have produced must fail Resume with
-// the typed attach error before the program's Restore sees it: the dsched
+// likes. One that core.New could not have produced must fail the resume
+// with the typed attach error before the program's Restore sees it: the dsched
 // program below would otherwise size its table epochs from the region (an
 // 8 TiB makeslice that kills the process, not the call).
 func TestSessionResumeRejectsCraftedRegion(t *testing.T) {
@@ -603,10 +653,11 @@ func TestSessionResumeRejectsCraftedRegion(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: the image is structurally valid, DecodeImage = %v", c.name, err)
 		}
-		_, err = sess().Resume(dec, p)
+		store, m := roundTripStore(t, dec)
+		_, _, err = resumeFrom(t, opts, store, m, p)
 		var se *core.StateError
 		if !errors.As(err, &se) || se.Field != "region" {
-			t.Errorf("%s: Resume = %v, want *core.StateError{region}", c.name, err)
+			t.Errorf("%s: resume = %v, want *core.StateError{region}", c.name, err)
 		}
 	}
 }
@@ -621,16 +672,6 @@ func TestSessionConfigValidation(t *testing.T) {
 	}
 	if _, err := NewSession(WithRecord(), WithReplay(&TraceLog{})); !errors.As(err, &ce) {
 		t.Fatalf("record+replay: %v", err)
-	}
-	if _, err := NewSession(WithCheckpointAfter(0)); !errors.As(err, &ce) {
-		t.Fatalf("bad barrier: %v", err)
-	}
-	// A barrier beyond the program's phase count is only detectable at
-	// run time; it must fail loudly, not silently capture nothing.
-	var pe *ProgramError
-	s := mustSession(t, WithCheckpointAfter(7))
-	if _, err := s.RunProgram(arrayProgram(2, 3, 64, -1, nil)); !errors.As(err, &pe) {
-		t.Fatalf("out-of-range CheckpointAfter: %v, want *ProgramError", err)
 	}
 }
 

@@ -19,11 +19,11 @@ type UprocPhase func(p *Proc) error
 
 // UprocProgram adapts a Unix process tree (internal/uproc) to the
 // Session's phased Program form, making process-tree runs checkpointable
-// with the same machinery as shared-memory programs: RunToCheckpoint,
-// Resume, SaveTo and ResumeFrom all work on the result.
+// with the same machinery as shared-memory programs: Bind, Step,
+// Suspend and BindSuspended work on the result as on any Program.
 //
 // A fresh run creates the init process (formatting the file system and
-// console files) before the first phase; a resumed run reattaches it
+// console files) in its first phase; a resumed run reattaches it
 // over the restored space tree, whose memory already holds the file
 // system replica and console files. Only the init process's counters
 // (PID/ref allocators, console cursors, pipe serial) cross the image,

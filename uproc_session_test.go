@@ -70,11 +70,10 @@ func uprocTestProgram(reg *Registry) Program {
 }
 
 // TestUprocProgramCheckpointEverywhere runs a process tree through the
-// Session's phased machinery: for every barrier, run to a checkpoint,
-// ship the image through bytes AND through a content-addressed store,
-// resume in a fresh session, and require the machine result and the
-// concatenated console output to be bit-identical to the uninterrupted
-// run's.
+// Session's phased machinery: for every barrier, suspend there, ship the
+// image through bytes AND through a content-addressed store, resume in a
+// fresh session, and require the machine result and the concatenated
+// console output to be bit-identical to the uninterrupted run's.
 func TestUprocProgramCheckpointEverywhere(t *testing.T) {
 	reg := uprocTestRegistry()
 
@@ -91,12 +90,12 @@ func TestUprocProgramCheckpointEverywhere(t *testing.T) {
 	prog := uprocTestProgram(reg)
 	for k := 1; k <= prog.Phases; k++ {
 		var outA, outB bytes.Buffer
-		img, err := mustSession(t, WithConsole(nil, &outA)).RunToCheckpoint(uprocTestProgram(reg), k)
+		store := NewMemStore()
+		m, err := suspendAt(t, []SessionOption{WithConsole(nil, &outA)}, store, uprocTestProgram(reg), k)
 		if err != nil {
-			t.Fatalf("barrier %d: RunToCheckpoint: %v", k, err)
+			t.Fatalf("barrier %d: %v", k, err)
 		}
-		img = roundTripStore(t, roundTripImage(t, img))
-		res, err := mustSession(t, WithConsole(nil, &outB)).Resume(img, uprocTestProgram(reg))
+		_, res, err := shipped(t, []SessionOption{WithConsole(nil, &outB)}, store, m, uprocTestProgram(reg))
 		if got := keyOf(res, err); got != want {
 			t.Fatalf("barrier %d: resumed result %+v, uninterrupted %+v", k, got, want)
 		}
@@ -108,10 +107,10 @@ func TestUprocProgramCheckpointEverywhere(t *testing.T) {
 	}
 }
 
-// TestUprocProgramSaveToResumeFrom checkpoints a process tree, persists
-// it through SaveTo on a DirStore, and resumes from the manifest in a
-// fresh session — the uproc version of the store-backed lifecycle.
-func TestUprocProgramSaveToResumeFrom(t *testing.T) {
+// TestUprocProgramSuspendBindSuspended suspends a process tree into a
+// DirStore and resumes from the manifest in a fresh session — the uproc
+// version of the store-backed lifecycle.
+func TestUprocProgramSuspendBindSuspended(t *testing.T) {
 	reg := uprocTestRegistry()
 
 	var full bytes.Buffer
@@ -126,13 +125,9 @@ func TestUprocProgramSaveToResumeFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	var outA bytes.Buffer
-	sA := mustSession(t, WithConsole(nil, &outA))
-	if _, err := sA.RunToCheckpoint(uprocTestProgram(reg), 2); err != nil {
-		t.Fatal(err)
-	}
-	m, err := sA.SaveTo(store)
+	m, err := suspendAt(t, []SessionOption{WithConsole(nil, &outA)}, store, uprocTestProgram(reg), 2)
 	if err != nil {
-		t.Fatalf("SaveTo: %v", err)
+		t.Fatal(err)
 	}
 
 	m2, err := LoadManifest(store, m.Key())
@@ -140,8 +135,7 @@ func TestUprocProgramSaveToResumeFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	var outB bytes.Buffer
-	sB := mustSession(t, WithConsole(nil, &outB))
-	res, err = sB.ResumeFrom(store, m2, uprocTestProgram(reg))
+	_, res, err = resumeFrom(t, []SessionOption{WithConsole(nil, &outB)}, store, m2, uprocTestProgram(reg))
 	if got := keyOf(res, err); got != want {
 		t.Fatalf("resumed result %+v, uninterrupted %+v", got, want)
 	}
@@ -181,7 +175,8 @@ func TestUprocResumeRejectsForeignImage(t *testing.T) {
 	}
 	img = roundTripImage(t, img)
 	delete(img.User, "uproc")
-	_, err = mustSession(t).Resume(img, uprocTestProgram(reg))
+	store, m := roundTripStore(t, img)
+	_, _, err = resumeFrom(t, nil, store, m, uprocTestProgram(reg))
 	var se *UprocStateError
 	if !errors.As(err, &se) {
 		t.Fatalf("resume without uproc section: %v, want *UprocStateError", err)
