@@ -56,9 +56,10 @@ race:
 # and the build cache's result manifest, all over imgenc's envelope and
 # cursor; on the two
 # decoders of bytes another space wrote: detmake's task message, over
-# the same cursor, and fs.Attach; and on the ref value parser
+# the same cursor, and fs.Attach; on the ref value parser
 # (DirStore.Ref), which every Collect runs over every file with a ref's
-# name — eleven targets. The seed corpora also
+# name; and on detmake's build-file parser, whose errors must not quote a
+# hostile field whole — twelve targets. The seed corpora also
 # run as plain tests under `make test`; this target is what mutates
 # them. A crasher is written to the package's testdata/fuzz and fails
 # every later `go test` until fixed.
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz FuzzTaskMessage ./internal/detmake
 	$(FUZZ) -fuzz FuzzAttach ./internal/fs
 	$(FUZZ) -fuzz FuzzRefValue ./internal/castore
+	$(FUZZ) -fuzz FuzzBuildFile ./cmd/detmake
 
 # Full-size experiment tables (slow); see also `go run ./cmd/detbench`.
 bench:

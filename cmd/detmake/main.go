@@ -109,12 +109,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // parseBuildFile reads the declarative build format described in the
-// package comment.
+// package comment. A build file is the user's, not the store's, but the
+// parser still treats it as hostile: an error quotes at most 64 bytes of
+// any field, and what it allocates grows with the file, not faster.
 func parseBuildFile(src string) (*detmake.Graph, map[string][]byte, error) {
 	sources := make(map[string][]byte)
 	var tasks []*detmake.Task
-	for i, line := range strings.Split(src, "\n") {
-		lineNo := i + 1
+	for lineNo, more := 1, true; more; lineNo++ {
+		var line string
+		line, src, more = strings.Cut(src, "\n")
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -128,7 +131,7 @@ func parseBuildFile(src string) (*detmake.Graph, map[string][]byte, error) {
 			rest := strings.TrimSpace(strings.TrimPrefix(line, "file"))
 			rest = strings.TrimSpace(strings.TrimPrefix(rest, fields[1]))
 			if _, dup := sources[fields[1]]; dup {
-				return nil, nil, fmt.Errorf("line %d: duplicate file %s", lineNo, fields[1])
+				return nil, nil, fmt.Errorf("line %d: duplicate file %.64q", lineNo, fields[1])
 			}
 			sources[fields[1]] = []byte(rest + "\n")
 		case "task":
@@ -138,7 +141,7 @@ func parseBuildFile(src string) (*detmake.Graph, map[string][]byte, error) {
 			}
 			tasks = append(tasks, t)
 		default:
-			return nil, nil, fmt.Errorf("line %d: unknown directive %q", lineNo, fields[0])
+			return nil, nil, fmt.Errorf("line %d: unknown directive %.64q", lineNo, fields[0])
 		}
 	}
 	g, err := detmake.NewGraph(tasks)
@@ -153,18 +156,15 @@ func parseTask(fields []string) (*detmake.Task, error) {
 	if len(fields) < 3 {
 		return nil, fmt.Errorf("task needs: id action out[,out] [<- in...]")
 	}
-	t := &detmake.Task{ID: fields[0]}
-	action := fields[1]
-	if colon := strings.IndexByte(action, ':'); colon >= 0 {
-		t.Args = strings.Split(action[colon+1:], ",")
-		action = action[:colon]
+	action, args, hasArgs := strings.Cut(fields[1], ":")
+	t := &detmake.Task{ID: fields[0], Action: action, Outputs: strings.Split(fields[2], ",")}
+	if hasArgs {
+		t.Args = strings.Split(args, ",")
 	}
-	t.Action = action
-	t.Outputs = strings.Split(fields[2], ",")
 	rest := fields[3:]
 	if len(rest) > 0 {
 		if rest[0] != "<-" {
-			return nil, fmt.Errorf("task %s: expected <- before inputs, got %q", t.ID, rest[0])
+			return nil, fmt.Errorf("task %.64q: expected <- before inputs, got %.64q", t.ID, rest[0])
 		}
 		t.Inputs = rest[1:]
 	}

@@ -145,7 +145,7 @@ func TestMissingAndCorruptChunks(t *testing.T) {
 func TestGetResultIsCallersToMutate(t *testing.T) {
 	for name, s := range stores(t) {
 		for form, b := range map[string][]byte{
-			"raw":   noisePage(),
+			"raw":   noise(4096),
 			"flate": sparsePage(),
 			"zero":  make([]byte, 4096),
 		} {

@@ -6,8 +6,11 @@ package castore
 // codec tries, in order:
 //
 //   - zero elision: an all-zero chunk stores as a 5-byte record;
-//   - the size floor: a chunk under flateFloor goes straight to raw;
-//   - flate: kept only when it actually shrinks the chunk;
+//   - the block floor: a chunk shorter than one 4 KiB block (flateFloor)
+//     goes straight to raw — hashes, manifests, table layouts and most
+//     build outputs;
+//   - flate: a chunk of a block or more is deflated, and the result kept
+//     only when it actually shrinks the chunk;
 //   - raw: the identity fallback, so encoding never grows a chunk by
 //     more than the 1-byte tag (plus a 4-byte length for the sized
 //     forms).
@@ -57,16 +60,21 @@ const MaxChunkSize = 64 << 20
 // decompressed bytes actually arrive.
 const decodePrealloc = 1 << 20
 
-// flateFloor is the size under which encodeBlob does not try flate. The
-// small blobs a store sees are a build's hex digests and manifests made
-// of SHA-256 keys, and what deflating them costs is building a Huffman
-// code, not scanning bytes. With one reused BestSpeed writer (2 vCPU
-// dev VM): 65 B of hex became a 63 B record for 3.3 µs; 160 B of keys
-// became 175 B, thrown away for raw, for 14.6 µs; 1 KiB of keys became
-// 1039 B, thrown away, for 38 µs. The benchmark's cold build pass spent
-// an eighth of its time there (docs/perf.md, PR 22). The decoder knows
-// nothing of the floor: an F record of any length still decodes.
-const flateFloor = 256
+// flateFloor is the size under which encodeBlob does not try flate: one
+// 4 KiB filesystem block. A DirStore chunk shorter than a block fills one
+// block whether it was deflated or not, so flate there saves no disk, and
+// what it costs is building a Huffman code, not scanning bytes: with one
+// reused BestSpeed writer (BenchmarkEncodeBlob, 2 vCPU dev VM) 520,
+// 1 560 and 3 000 B of text took 8.0, 14.2 and 20.8 µs to deflate and
+// take 0.15–0.6 µs raw, and a store's first deflate also builds its
+// ~1 MB writer. Storing such chunks raw left the 166 chunk files of the
+// five benchmark build shapes' DirStore at 1 328 sectors (st_blocks) and
+// grew their apparent bytes, as a MemStore's stored bytes, 16 388 →
+// 20 992. The benchmark's cold build pass had spent 9 % of its time
+// deflating them, and the warm pass 6 % inflating (docs/perf.md). The
+// decoder knows nothing of the floor: an F record of any length still
+// decodes.
+const flateFloor = 4096
 
 // ChunkSizeError reports a Put of a blob larger than MaxChunkSize.
 type ChunkSizeError struct {

@@ -6,10 +6,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -37,59 +37,87 @@ func deflate(t testing.TB, b []byte) []byte {
 	return buf.Bytes()
 }
 
-// noisePage is an incompressible 4 KiB chunk (a fixed LCG stream): the
-// payload that takes the raw form.
-func noisePage() []byte {
-	noise := make([]byte, 4096)
+// noise is n incompressible bytes (a fixed LCG stream): the payload that
+// takes the raw form. Every prefix of a longer stream is a shorter one.
+func noise(n int) []byte {
+	b := make([]byte, n)
 	x := uint32(1)
-	for i := range noise {
+	for i := range b {
 		x = x*1664525 + 1013904223
-		noise[i] = byte(x >> 24)
+		b[i] = byte(x >> 24)
 	}
-	return noise
+	return b
 }
 
-// textBlob is n bytes of source-like text, which flate shrinks at any
-// length near the floor.
-func textBlob(n int) []byte {
-	return bytes.Repeat([]byte("static int f(void);\n"), n/20+1)[:n]
+// wordText is n bytes of prose: words of a small vocabulary in a fixed
+// pseudo-random order, broken into short lines — what a build's text
+// outputs look like, and what flate shrinks at any length.
+func wordText(n int) []byte {
+	words := strings.Fields("the build stores each output under the key of its action and inputs so a warm run fetches what a cold one made")
+	b := make([]byte, 0, n+16)
+	x := uint32(5)
+	for len(b) < n {
+		x = x*1664525 + 1013904223
+		b = append(b, words[(x>>24)%uint32(len(words))]...)
+		b = append(b, " \n"[(x>>20)&1])
+	}
+	return b[:n]
 }
 
 // sparsePage is the typical checkpoint chunk: one byte set in 4 KiB. It
 // takes the flate form.
 func sparsePage() []byte { return append([]byte{1}, make([]byte, 4095)...) }
 
+// storedForm is the codec tag s holds key under.
+func storedForm(t *testing.T, s Store, key Key) byte {
+	t.Helper()
+	switch s := s.(type) {
+	case *MemStore:
+		return s.chunks[key][0]
+	case *DirStore:
+		b, err := os.ReadFile(s.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b[0]
+	}
+	t.Fatalf("no stored form for a %T", s)
+	return 0
+}
+
 // TestCodecRoundTripEveryForm puts one payload per codec form through
 // encodeBlob/decodeBlob — one codec for the whole table, so every chunk
 // after the first meets reused compressors — and checks the form chosen
-// and the bytes back.
+// and the bytes back. The floor rows also go through Put on both
+// backends, which must hold them in the same form.
 func TestCodecRoundTripEveryForm(t *testing.T) {
 	var c codec
-	noise := noisePage()
+	stream := noise(2 * flateFloor)
 	for _, tc := range []struct {
 		name    string
 		payload []byte
 		tag     byte
+		put     bool // also Put it on both backends
 	}{
-		{"zero page", make([]byte, 4096), codecZero},
-		{"empty", nil, codecZero},
-		{"sparse page", sparsePage(), codecFlate},
-		{"repetitive", bytes.Repeat([]byte("abcd"), 5000), codecFlate},
-		{"past the prealloc cap", bytes.Repeat([]byte{7, 9}, decodePrealloc), codecFlate},
-		{"incompressible", noise, codecRaw},
-		{"tiny", []byte("x"), codecRaw},
-		// The floor: text that flate would shrink stays raw one byte under
-		// it and is deflated from it on; noise is raw and zeros are
-		// elided on either side.
-		{"text under the floor", textBlob(flateFloor - 1), codecRaw},
-		{"text at the floor", textBlob(flateFloor), codecFlate},
-		{"text over the floor", textBlob(flateFloor + 1), codecFlate},
-		{"noise under the floor", noise[:flateFloor-1], codecRaw},
-		{"noise at the floor", noise[:flateFloor], codecRaw},
-		{"noise over the floor", noise[:flateFloor+1], codecRaw},
-		{"zeros under the floor", make([]byte, flateFloor-1), codecZero},
-		{"zeros at the floor", make([]byte, flateFloor), codecZero},
-		{"zeros over the floor", make([]byte, flateFloor+1), codecZero},
+		{"zero page", make([]byte, 4096), codecZero, false},
+		{"empty", nil, codecZero, false},
+		{"sparse page", sparsePage(), codecFlate, false},
+		{"repetitive", bytes.Repeat([]byte("abcd"), 5000), codecFlate, false},
+		{"past the prealloc cap", bytes.Repeat([]byte{7, 9}, decodePrealloc), codecFlate, false},
+		{"incompressible", stream[:4096], codecRaw, false},
+		{"tiny", []byte("x"), codecRaw, false},
+		// The floor, one block: text that flate would shrink stays raw
+		// one byte under it and is deflated from it on; noise is raw and
+		// zeros are elided on either side.
+		{"text under the floor", wordText(flateFloor - 1), codecRaw, true},
+		{"text at the floor", wordText(flateFloor), codecFlate, true},
+		{"text over the floor", wordText(flateFloor + 1), codecFlate, true},
+		{"noise under the floor", stream[:flateFloor-1], codecRaw, true},
+		{"noise at the floor", stream[:flateFloor], codecRaw, true},
+		{"noise over the floor", stream[:flateFloor+1], codecRaw, true},
+		{"zeros under the floor", make([]byte, flateFloor-1), codecZero, true},
+		{"zeros at the floor", make([]byte, flateFloor), codecZero, true},
+		{"zeros over the floor", make([]byte, flateFloor+1), codecZero, true},
 	} {
 		enc := c.encodeBlob(tc.payload)
 		if enc[0] != tc.tag {
@@ -102,6 +130,61 @@ func TestCodecRoundTripEveryForm(t *testing.T) {
 		}
 		if !bytes.Equal(got, tc.payload) {
 			t.Errorf("%s: round trip changed the bytes (%d vs %d)", tc.name, len(got), len(tc.payload))
+		}
+		if !tc.put {
+			continue
+		}
+		key := KeyOf(tc.payload)
+		for name, s := range stores(t) {
+			if err := s.Put(key, tc.payload); err != nil {
+				t.Fatalf("%s: %s: %v", tc.name, name, err)
+			}
+			if tag := storedForm(t, s, key); tag != tc.tag {
+				t.Errorf("%s: %s holds it as %q, want %q", tc.name, name, tag, tc.tag)
+			}
+			if got, err := s.Get(key); err != nil || !bytes.Equal(got, tc.payload) {
+				t.Errorf("%s: %s: Get returned %d bytes, %v", tc.name, name, len(got), err)
+			}
+		}
+	}
+}
+
+// TestEncodeBlobProperties holds encodeBlob to its contract over seeded
+// chunks of every kind on both sides of the floor: the blob decodes back
+// to the chunk, it is never more than 5 bytes longer than the chunk, and
+// a chunk under the floor is never written as an F record.
+func TestEncodeBlobProperties(t *testing.T) {
+	var c codec
+	r := rand.New(rand.NewSource(33))
+	for i := 0; i < 400; i++ {
+		n := r.Intn(2 * flateFloor)
+		if r.Intn(4) == 0 {
+			n = flateFloor - 2 + r.Intn(4) // crowd the floor itself
+		}
+		var b []byte
+		switch r.Intn(4) {
+		case 0:
+			b = make([]byte, n)
+		case 1:
+			b = make([]byte, n)
+			if n > 0 {
+				b[r.Intn(n)] = 1
+			}
+		case 2:
+			b = wordText(n)
+		case 3:
+			b = make([]byte, n)
+			r.Read(b)
+		}
+		enc := c.encodeBlob(b)
+		if len(enc) > len(b)+5 {
+			t.Fatalf("chunk %d: %d bytes encoded to %d", i, len(b), len(enc))
+		}
+		if len(b) < flateFloor && enc[0] == codecFlate {
+			t.Fatalf("chunk %d: %d bytes, under the floor, written as an F record", i, len(b))
+		}
+		if got, err := c.decodeBlob(KeyOf(b), enc); err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("chunk %d: %d bytes round-tripped to %d, %v", i, len(b), len(got), err)
 		}
 	}
 }
@@ -267,60 +350,89 @@ func TestReusedWriterMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestOldFlateRecordUnderFloorStillReads plants, in both backends, the
-// F record the codec wrote for a 65-byte hex digest before small blobs
-// skipped flate: the encoder no longer writes the form at that size, but
-// a store written earlier holds it, and Get must decode and verify it.
+// TestOldFlateRecordUnderFloorStillReads plants, in both backends, F
+// records that earlier encoders wrote under today's floor: one for a
+// 65-byte hex digest, from before small blobs skipped flate, and one for
+// 520 bytes of wordText, from when the floor was 256 bytes. The encoder
+// no longer writes the form at those sizes, but a store written earlier
+// holds it, and Get and Stat must decode and verify it.
 func TestOldFlateRecordUnderFloorStillReads(t *testing.T) {
-	blob := []byte("855551177345c1a0ee22ee543ea7f947dce15554823fff6d05c6a51ff2ef9b92\n")
-	old, err := hex.DecodeString("464100000004c0c10143210803d07ba7112422e3504cf61fe1bf0b0066993b30" +
-		"d68b7427119b9daac8373400717d4b3a6f614ec324a7ea5ffefb020000ffff")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blob) >= flateFloor || old[0] != codecFlate {
-		t.Fatalf("the fixture is a %d-byte blob in form %q; want a sub-floor F record", len(blob), old[0])
-	}
-	key := KeyOf(blob)
-	for name, s := range stores(t) {
-		if err := s.Put(key, blob); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		old  string // the stored record, hex
+	}{
+		{"hex digest", []byte("855551177345c1a0ee22ee543ea7f947dce15554823fff6d05c6a51ff2ef9b92\n"),
+			"464100000004c0c10143210803d07ba7112422e3504cf61fe1bf0b0066993b30" +
+				"d68b7427119b9daac8373400717d4b3a6f614ec324a7ea5ffefb020000ffff"},
+		{"520 B of text", wordText(520),
+			"460802000054504baec33008dc738ab91a2f7164abad8962aca8b77f1a70165d" +
+				"34b560989fa2e85671cd2eda77f9e85ee0b5a0f573fa10ddbc59c730dc7a7d84" +
+				"b0bbaaaf75deaa341f3c9257f9ca517cab65c866ef3d3fe4143bf06c6e32792d" +
+				"b1456c872d25196ed773fd37db7b977402f2a509eb45c2f4ec7bb9f02adf5c72" +
+				"6e4762b8ffb1826111d2a69fd3b164d61f63850f265f9139632ed293996fb242" +
+				"318cc0f825ddf2c80988e32da9e83988a1b00399872511143528b91fc925151b" +
+				"f6197a248aa6f82064d5a2cc4ad344e62c0b113b44539a7ef3434156beca4cdb" +
+				"68fd9c3ed07cc87f000000ffff"},
+	} {
+		old, err := hex.DecodeString(tc.old)
+		if err != nil {
+			t.Fatal(err)
 		}
-		switch s := s.(type) {
-		case *MemStore:
-			if s.chunks[key][0] != codecRaw {
-				t.Errorf("mem: today's form of the blob is %q, want raw", s.chunks[key][0])
+		if len(tc.blob) >= flateFloor || old[0] != codecFlate {
+			t.Fatalf("%s: the fixture is a %d-byte blob in form %q; want a sub-floor F record", tc.name, len(tc.blob), old[0])
+		}
+		key := KeyOf(tc.blob)
+		for name, s := range stores(t) {
+			if err := s.Put(key, tc.blob); err != nil {
+				t.Fatalf("%s: %s: %v", tc.name, name, err)
 			}
-			s.chunks[key] = old
-		case *DirStore:
-			if err := os.WriteFile(s.path(key), old, 0o644); err != nil {
-				t.Fatal(err)
+			if tag := storedForm(t, s, key); tag != codecRaw {
+				t.Errorf("%s: %s: today's form of the blob is %q, want raw", tc.name, name, tag)
 			}
-		}
-		if got, err := s.Get(key); err != nil || !bytes.Equal(got, blob) {
-			t.Errorf("%s: Get of the old record: %q, %v", name, got, err)
-		}
-		if info, err := s.Stat(key); err != nil || info != (BlobInfo{Size: len(blob), StoredSize: len(old)}) {
-			t.Errorf("%s: Stat of the old record: %+v, %v", name, info, err)
+			switch s := s.(type) {
+			case *MemStore:
+				s.chunks[key] = old
+			case *DirStore:
+				if err := os.WriteFile(s.path(key), old, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, err := s.Get(key); err != nil || !bytes.Equal(got, tc.blob) {
+				t.Errorf("%s: %s: Get of the old record: %q, %v", tc.name, name, got, err)
+			}
+			if info, err := s.Stat(key); err != nil || info != (BlobInfo{Size: len(tc.blob), StoredSize: len(old)}) {
+				t.Errorf("%s: %s: Stat of the old record: %+v, %v", tc.name, name, info, err)
+			}
 		}
 	}
 }
 
-// BenchmarkEncodeBlob times one reused codec on the sizes a build cache
-// sees: a 64-byte digest and a 200-byte manifest of keys, both under the
-// floor, and a 4 KiB text page, which is deflated.
+// BenchmarkEncodeBlob times one reused codec on what a store is handed,
+// the ruler for flateFloor: random bytes the size of a digest and of a
+// manifest of keys; word text at three sizes under the floor, stored raw
+// (deflating them is what the floor saves); word text of one block,
+// deflated; and a random block, deflated and then thrown away for raw,
+// which is the cost still paid per incompressible page.
 func BenchmarkEncodeBlob(b *testing.B) {
-	for _, n := range []int{64, 200, 4096} {
-		blob := textBlob(n)
-		if n < flateFloor { // what small blobs are made of: hashes
-			rand.New(rand.NewSource(int64(n))).Read(blob)
-		}
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
+	for _, row := range []struct {
+		name string
+		blob []byte
+	}{
+		{"random/64", noise(64)},
+		{"random/200", noise(200)},
+		{"text/520", wordText(520)},
+		{"text/1560", wordText(1560)},
+		{"text/3000", wordText(3000)},
+		{"text/4096", wordText(4096)},
+		{"random/4096", noise(4096)},
+	} {
+		b.Run(row.name, func(b *testing.B) {
 			var c codec
-			b.SetBytes(int64(n))
+			b.SetBytes(int64(len(row.blob)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				encodeSink = c.encodeBlob(blob)
+				encodeSink = c.encodeBlob(row.blob)
 			}
 		})
 	}
@@ -342,7 +454,7 @@ func FuzzDecodeBlob(f *testing.F) {
 	var c codec
 	good := sparsePage()
 	goodKey, goodEnc := KeyOf(good), c.encodeBlob(good)
-	for _, b := range [][]byte{good, noisePage(), make([]byte, 4096), []byte("x")} {
+	for _, b := range [][]byte{good, noise(4096), make([]byte, 4096), []byte("x")} {
 		f.Add(c.encodeBlob(b))
 	}
 	f.Fuzz(func(t *testing.T, stored []byte) {

@@ -23,10 +23,10 @@ func TestConcurrentPutGet(t *testing.T) {
 	)
 	chunk := func(i int) []byte {
 		switch i % 3 {
-		case 0:
-			return bytes.Repeat([]byte(fmt.Sprintf("chunk %d ", i)), 300)
+		case 0: // text of over a block: deflated
+			return bytes.Repeat([]byte(fmt.Sprintf("chunk %d ", i)), 600)
 		case 1:
-			b := noisePage()
+			b := noise(4096)
 			b[0], b[1] = byte(i), byte(i>>8)
 			return b
 		default:

@@ -66,7 +66,7 @@ type DuplicateOutputError struct {
 }
 
 func (e *DuplicateOutputError) Error() string {
-	return fmt.Sprintf("detmake: tasks %s and %s both declare output %q", e.Tasks[0], e.Tasks[1], e.Path)
+	return fmt.Sprintf("detmake: tasks %.64s and %.64s both declare output %.64q", e.Tasks[0], e.Tasks[1], e.Path)
 }
 
 // MissingInputError reports a declared input that no task produces and
@@ -77,7 +77,7 @@ type MissingInputError struct {
 }
 
 func (e *MissingInputError) Error() string {
-	return fmt.Sprintf("detmake: task %s input %q has no producer and is not a source", e.Task, e.Path)
+	return fmt.Sprintf("detmake: task %.64s input %.64q has no producer and is not a source", e.Task, e.Path)
 }
 
 // Graph is a validated set of tasks. Construction checks the static
@@ -92,7 +92,8 @@ type Graph struct {
 // check is the first half of conflict detection (Build's overlap check
 // is the other; both are static): two tasks declaring the same output
 // path conflict before anything runs, attributed to the sorted task
-// pair.
+// pair. The tasks may come from a hostile build file, so an error names
+// at most 64 bytes of an ID or path: %q can quadruple what it quotes.
 func NewGraph(tasks []*Task) (*Graph, error) {
 	g := &Graph{byID: make(map[string]*Task, len(tasks))}
 	for _, t := range tasks {
@@ -100,29 +101,30 @@ func NewGraph(tasks []*Task) (*Graph, error) {
 			return nil, fmt.Errorf("%w: empty task ID", ErrBadTask)
 		}
 		if _, dup := g.byID[t.ID]; dup {
-			return nil, fmt.Errorf("%w: duplicate task ID %q", ErrBadTask, t.ID)
+			return nil, fmt.Errorf("%w: duplicate task ID %.64q", ErrBadTask, t.ID)
 		}
 		if t.Action == "" {
-			return nil, fmt.Errorf("%w: task %s has no action", ErrBadTask, t.ID)
+			return nil, fmt.Errorf("%w: task %.64s has no action", ErrBadTask, t.ID)
 		}
 		if len(t.Outputs) == 0 {
-			return nil, fmt.Errorf("%w: task %s declares no outputs", ErrBadTask, t.ID)
+			return nil, fmt.Errorf("%w: task %.64s declares no outputs", ErrBadTask, t.ID)
 		}
+		who := "task " + t.ID
 		for _, p := range append(append([]string{}, t.Inputs...), t.Outputs...) {
-			if err := checkPath("task "+t.ID, p); err != nil {
+			if err := checkPath(who, p); err != nil {
 				return nil, err
 			}
 		}
 		seen := make(map[string]bool, len(t.Inputs))
 		for _, p := range t.Inputs {
 			if seen[p] {
-				return nil, fmt.Errorf("%w: task %s declares input %q twice", ErrBadTask, t.ID, p)
+				return nil, fmt.Errorf("%w: task %.64s declares input %.64q twice", ErrBadTask, t.ID, p)
 			}
 			seen[p] = true
 		}
 		for _, p := range t.Outputs {
 			if seen[p] {
-				return nil, fmt.Errorf("%w: task %s declares %q as both input and output", ErrBadTask, t.ID, p)
+				return nil, fmt.Errorf("%w: task %.64s declares %.64q as both input and output", ErrBadTask, t.ID, p)
 			}
 		}
 		g.byID[t.ID] = t
@@ -160,7 +162,7 @@ func sortedPair(a, b string) [2]string {
 func checkPath(who, p string) error {
 	for _, c := range strings.Split(p, "/") {
 		if c == "" || c == "." || c == ".." || c[0] == '#' || len(c) >= fs.MaxNameLen {
-			return fmt.Errorf("%w: %s declares path %q: want relative, no component empty, \".\", \"..\", starting with '#' or of %d bytes or more",
+			return fmt.Errorf("%w: %.70s declares path %.64q: want relative, no component empty, \".\", \"..\", starting with '#' or of %d bytes or more",
 				ErrBadTask, who, p, fs.MaxNameLen)
 		}
 	}
