@@ -84,9 +84,13 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
-# One iteration of two micro-benchmarks: proves `go test -bench` still
-# builds, the detbench harness still runs under testing.B (Figure 4) and
-# the dsched round engine still completes its blocked-heavy workload.
+# One iteration of three micro-benchmarks: proves `go test -bench` still
+# builds, the detbench harness still runs under testing.B (Figure 4), the
+# dsched round engine still completes its blocked-heavy workload, and a
+# fork → write → join still runs at 1, 16 and 256 dirty pages
+# (MergeDirtyPages, with B/op: time a vm or kernel change with
+# -benchtime 2000x, where the frame pool makes a steady-state op allocate
+# a few hundred bytes).
 # What the tables this target used to smoke-test assert now lives in
 # package tests and the two goldens (`make test`, `make bench-exact`).
 # Then one iteration of vm's typed-access benchmark, which fails itself
@@ -105,7 +109,7 @@ bench:
 # reporting evictions/op; time a serve change with that one (-benchtime
 # 300x) before claiming it with `go run ./benchmark`.
 bench-smoke:
-	$(GO) test -bench='Fig4|DschedRound' -benchtime=1x -run='^$$' .
+	$(GO) test -bench='Fig4|DschedRound|MergeDirtyPages' -benchtime=1x -run='^$$' .
 	$(GO) test -bench=TypedAccess -benchtime=1x -run='^$$' ./internal/vm
 	$(GO) test -bench=ReadU32Stride -benchtime=1x -run='^$$' ./internal/kernel
 	$(GO) test -bench='Checksum|Scan|WriteFile' -benchtime=1x -run='^$$' ./internal/fs

@@ -189,9 +189,16 @@ func BenchmarkDschedRound(b *testing.B) {
 	b.ReportMetric(float64(skipped), "skipped/op")
 }
 
+// BenchmarkMergeDirtyPages is one fork → write N pages → join in steady
+// state: the child's first write copies the shared table and breaks COW on
+// every page, the join adopts its table, and the next fork's re-snapshot
+// frees the last round's. The machine's frame pool hands those frees to
+// the next round, so past the first round an op allocates a few hundred
+// bytes whatever N is (B/op, with enough iterations to amortise the first).
 func BenchmarkMergeDirtyPages(b *testing.B) {
 	for _, pages := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("dirty=%d", pages), func(b *testing.B) {
+			b.ReportAllocs()
 			res := core.Run(core.Options{}, func(rt *core.RT) uint64 {
 				buf := make([]uint32, pages*1024)
 				addr := rt.AllocPages(pages)

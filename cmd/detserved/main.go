@@ -132,12 +132,14 @@ func serveUntil(ctx context.Context, hs *http.Server, ln net.Listener, srv *serv
 
 // gcPercent is the collector target of a daemon whose operator set none.
 // The daemon's live heap is a few parked machines — under 1 MB on the
-// benchmark's load — and every request leaves about 1.5 MB of dead page
-// tables behind, so at Go's default of 100 the heap goal sits on the
-// runtime's 4 MB floor and the process collects two times in three
-// requests. 400 is the smallest setting within 5 % of the floor of the
-// latency curve (the sweep is in docs/serving.md); it costs ≈ 12 MB of
-// resident memory with every session resident, ≈ 20 MB while evicting.
+// benchmark's load — and every request leaves about 0.65 MB of dead
+// objects behind (1.3 MB while evicting): each session's machine recycles
+// the pages and tables its spaces free, so what dies is mostly the
+// machine's first frames. At Go's default of 100 the process therefore
+// collects 0.3 times a request (0.7 while evicting); at 400, 0.05 (0.14).
+// No setting below 400 comes within 5 % of the floor of the latency curve
+// (the sweep is in docs/serving.md); 400 costs ≈ 12 MB of resident memory
+// with every session resident, ≈ 19 MB while evicting.
 const gcPercent = 400
 
 // paceGC applies gcPercent unless GOGC is set in the environment, which

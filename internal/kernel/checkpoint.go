@@ -429,7 +429,7 @@ func (m *Machine) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
-	spaces, err := vm.DecodeForest(forest)
+	spaces, err := m.frames.DecodeForest(forest)
 	if err != nil {
 		return &BadImageError{Msg: fmt.Sprintf("memory forest: %v", err)}
 	}
@@ -541,7 +541,7 @@ func (m *Machine) decodeTree(r *imgenc.Reader, parent *Space, ref uint64, spaces
 		r.Failf("node id out of range")
 		return nil
 	}
-	sp := newSpace(m, parent, ref, m.nodes[homeID])
+	sp := newSpace(m, parent, ref, m.nodes[homeID], nil) // memory follows below
 	sp.node = m.nodes[nodeID]
 	sp.status = status
 	sp.accounted = flags&sfAccounted != 0

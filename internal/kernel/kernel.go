@@ -106,6 +106,9 @@ type Machine struct {
 	clock   ClockFunc
 	rand    RandFunc
 	noCache bool
+	// frames recycles the pages and tables the machine's spaces free; every
+	// space's memory and snapshot, restored ones included, draws on it.
+	frames *vm.Frames
 
 	wg   sync.WaitGroup // all space goroutines ever started
 	root *Space
@@ -191,6 +194,7 @@ func New(cfg Config) *Machine {
 		clock:   cfg.Clock,
 		rand:    cfg.Rand,
 		noCache: cfg.DisableROCache,
+		frames:  vm.NewFrames(),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		m.nodes = append(m.nodes, &node{id: i, cpus: cfg.CPUsPerNode})
@@ -251,7 +255,7 @@ func (m *Machine) Start(prog Prog, arg uint64) {
 		if m.root != nil {
 			panic("kernel: Machine started twice")
 		}
-		root = newSpace(m, nil, 0, m.nodes[0])
+		root = newSpace(m, nil, 0, m.nodes[0], m.frames.NewSpace())
 		root.regs = Regs{Entry: prog, Arg: arg}
 		m.root = root
 	}

@@ -132,14 +132,14 @@ func (sp *Space) poolFor(n *node) *vcpuPool {
 	return p
 }
 
-func newSpace(m *Machine, parent *Space, ref uint64, home *node) *Space {
+func newSpace(m *Machine, parent *Space, ref uint64, home *node, mem *vm.Space) *Space {
 	sp := &Space{
 		m:      m,
 		parent: parent,
 		ref:    ref,
 		home:   home,
 		node:   home,
-		mem:    vm.NewSpace(),
+		mem:    mem,
 		status: StatusNever,
 	}
 	sp.cond = sync.NewCond(&sp.mu)

@@ -137,7 +137,7 @@ func (sp *Space) lookupChild(op string, ref uint64) (*Space, error) {
 	key := uint64(node.id+1)<<nodeShift | idx
 	child := sp.children[key]
 	if child == nil {
-		child = newSpace(sp.m, sp, key, node)
+		child = newSpace(sp.m, sp, key, node, sp.m.frames.NewSpace())
 		sp.inheritResidency(child)
 		if sp.children == nil {
 			sp.children = make(map[uint64]*Space)
@@ -381,7 +381,7 @@ func (sp *Space) cloneTree(dst, src *Space) {
 		sc.waitStopped()
 		dc := dst.children[ref]
 		if dc == nil {
-			dc = newSpace(sp.m, dst, ref, sc.home)
+			dc = newSpace(sp.m, dst, ref, sc.home, sp.m.frames.NewSpace())
 			if dst.children == nil {
 				dst.children = make(map[uint64]*Space)
 			}

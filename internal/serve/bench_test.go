@@ -83,11 +83,12 @@ func BenchmarkServe(b *testing.B) {
 
 			st := s.Stats()
 			b.ReportMetric(float64(st.Evictions)/float64(b.N), "evictions/op")
-			// An op leaves ≈ 1.5 MB of dead page tables behind: a process
-			// whose heap goal sits at the runtime's 4 MB floor collects
-			// two times in three ops, which is what detserved's GC target
-			// exists to stop (cmd/detserved, paceGC). Run with GOGC=400 to
-			// see the daemon's figure.
+			// An op leaves ≈ 0.65 MB of dead objects behind hot, ≈ 1.3 MB
+			// evicting (B/op with -benchmem; each machine recycles the
+			// frames its spaces free): at the test binary's GOGC=100 that
+			// is ≈ 0.3 and ≈ 0.5 cycles per op, which is what detserved's
+			// GC target exists to cut (cmd/detserved, paceGC). Run with
+			// GOGC=400 to see the daemon's figure, ≈ 0.045 and ≈ 0.09.
 			b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc-cycles/op")
 			if st.BitEqFail != 0 || st.Completed != int64(b.N) {
 				b.Errorf("%d ops: %+v", b.N, st)

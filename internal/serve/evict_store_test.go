@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -237,36 +238,45 @@ func TestFailedEvictionTearsMachineDown(t *testing.T) {
 
 	// The first other session runs alone: its first slice puts a second
 	// machine over the cap of one, the victim is the only one resting, and
-	// the first Put of its eviction fails. The rest then run concurrently,
-	// evicting each other through a store that works again.
+	// the first Put of its eviction fails. Each of the rest then runs one
+	// slice alone, under a tenant of its own, putting a second machine
+	// over the cap and evicting the one before it through a store that
+	// works again — so the evictions happen however fast a slice is — and
+	// then they run to the end concurrently.
 	victim := strand(t, s, "victim", 1)
 	store.failPuts.Store(1)
 
 	const others = 4
 	results := make([]repro.RunResult, others)
 	var wg sync.WaitGroup
-	for i := 0; i < others; i++ {
-		if i == 1 {
-			wg.Wait()
-			// The victim's save may still be on its way to the Put that
-			// fails — nothing waits for it but its own Run.
-			if _, err := s.Run("victim", victim); !errors.Is(err, errPut) {
-				t.Fatalf("the victim's Run: %v, want the store's error", err)
-			}
-		}
-		id, err := s.Open("other", "stripe", uint64(10+i))
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(i int, id SessionID) {
 		wg.Add(1)
-		go func(i int, id SessionID) {
+		go func() {
 			defer wg.Done()
-			res, err := s.Run("other", id)
+			res, err := s.Run(fmt.Sprint("other", i), id)
 			if err != nil {
 				t.Errorf("run %s: %v", id, err)
 			}
 			results[i] = res
-		}(i, id)
+		}()
+	}
+	id, err := s.Open("other0", "stripe", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(0, id)
+	wg.Wait()
+	// The victim's save may still be on its way to the Put that fails —
+	// nothing waits for it but its own Run.
+	if _, err := s.Run("victim", victim); !errors.Is(err, errPut) {
+		t.Fatalf("the victim's Run: %v, want the store's error", err)
+	}
+	stranded := make([]SessionID, others)
+	for i := 1; i < others; i++ {
+		stranded[i] = strand(t, s, fmt.Sprint("other", i), uint64(10+i))
+	}
+	for i := 1; i < others; i++ {
+		run(i, stranded[i])
 	}
 	wg.Wait()
 	for i, got := range results {

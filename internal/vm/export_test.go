@@ -1,5 +1,81 @@
 package vm
 
+import "fmt"
+
+// newPage and newPageFrom are the heap allocations the byte oracle
+// (access_test.go) spells its page installs with, as the package did
+// before pages came from a pool.
+func newPage() *page { return (*Frames)(nil).page(true) }
+
+func newPageFrom(b []byte) *page { return (*Frames)(nil).pageFrom(b) }
+
+// checkFrames is the pool's safety invariant: every page and table f holds
+// is there once, has no references, and is reachable from none of live —
+// so nothing a space can still read or write is handed out again.
+func checkFrames(f *Frames, live []*Space) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	pages := make(map[*page]bool)
+	for _, pg := range f.pages {
+		if pages[pg] || pg.refs.Load() != 0 {
+			return fmt.Errorf("pooled page %p: refs %d, pooled twice %v", pg, pg.refs.Load(), pages[pg])
+		}
+		pages[pg] = true
+	}
+	tables := make(map[*table]bool)
+	for _, t := range f.tables {
+		if tables[t] || t.refs.Load() != 0 {
+			return fmt.Errorf("pooled table %p: refs %d, pooled twice %v", t, t.refs.Load(), tables[t])
+		}
+		tables[t] = true
+	}
+	for si, s := range live {
+		for l1, t := range s.root {
+			if t == nil {
+				continue
+			}
+			if tables[t] {
+				return fmt.Errorf("space %d: table %d is in the pool", si, l1)
+			}
+			for l2, e := range t.ptes {
+				if e.pg != nil && pages[e.pg] {
+					return fmt.Errorf("space %d: page %d/%d is in the pool", si, l1, l2)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// poisonFrames scribbles over everything f holds — page bytes, and table
+// slots that map a page of 0xA5s — so a recycled page or table that is
+// not cleared where it must be shows in what a space reads.
+func poisonFrames(f *Frames) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	junk := &page{}
+	for i := range junk.data {
+		junk.data[i] = 0xA5
+	}
+	for _, pg := range f.pages {
+		pg.data = junk.data
+	}
+	var full table
+	for l2 := range full.ptes {
+		full.set(l2, pte{pg: junk, perm: PermRW})
+	}
+	for _, t := range f.tables {
+		t.occ, t.ptes = full.occ, full.ptes
+	}
+}
+
+// pooled reports how many pages and tables f holds.
+func pooled(f *Frames) (pages, tables int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.pages), len(f.tables)
+}
+
 // FootprintWalk is Footprint as it was before tables carried an occupancy
 // map: every slot of every distinct table read, none of the map. It is
 // the oracle TestFootprintMatchesWalk holds Footprint to.

@@ -295,20 +295,24 @@ func openForest(data []byte) (r *imgenc.Reader, pages [][]byte, tables []flatTab
 // exact page/table sharing graph, dirty bitmaps, and snapshot identity
 // links (with freshly issued tokens). Corrupt or truncated input returns
 // *ImageFormatError; input from a newer format returns
-// *ImageVersionError.
-func DecodeForest(data []byte) ([]*Space, error) {
+// *ImageVersionError. The spaces have no frame pool.
+func DecodeForest(data []byte) ([]*Space, error) { return (*Frames)(nil).DecodeForest(data) }
+
+// DecodeForest is the package's DecodeForest for a machine: the restored
+// pages and tables come from f, and f is the restored spaces' pool.
+func (f *Frames) DecodeForest(data []byte) ([]*Space, error) {
 	r, pageBytes, flatTables, err := openForest(data)
 	if err != nil {
 		return nil, err
 	}
 	pages := make([]*page, len(pageBytes))
 	for i, b := range pageBytes {
-		pages[i] = newPageFrom(b)
+		pages[i] = f.pageFrom(b)
 		pages[i].refs.Store(0) // references added as ptes adopt the page
 	}
 	tables := make([]*table, len(flatTables))
 	for i, ft := range flatTables {
-		t := newTable()
+		t := f.table(true)
 		t.refs.Store(0)
 		for j := 0; j < ft.entries(); j++ {
 			l2, perm, pid := ft.pte(j)
@@ -325,7 +329,7 @@ func DecodeForest(data []byte) ([]*Space, error) {
 	nSpaces := r.Count(5, "space") // flags, root-slot count, dirty-slot count
 	spaces := make([]*Space, 0, nSpaces)
 	for i := 0; i < nSpaces && r.Err == nil; i++ {
-		s := NewSpace()
+		s := f.NewSpace()
 		s.dirtyAll = r.U8()&1 != 0
 		n := int(r.U16())
 		for j := 0; j < n && r.Err == nil; j++ {
@@ -384,7 +388,7 @@ func DecodeForest(data []byte) ([]*Space, error) {
 	for _, t := range tables {
 		if t.refs.Load() == 0 {
 			t.refs.Store(1)
-			releaseTable(t)
+			f.dropTable(t)
 		}
 	}
 	return spaces, nil

@@ -208,8 +208,8 @@ func mergeTable(dst, cur, ref *Space, job tableJob, c mergeCtx) {
 				count(l2)
 			}
 		}
-		releaseTable(dt)
 		dst.root[l1] = shareTable(ct)
+		dst.frames.dropTable(dt)
 		dst.markTableDirty(l1)
 		st.TablesAdopted++
 		*c.touched = true
@@ -249,11 +249,11 @@ func mergePage(dc *cursor, pa Addr, l2 int, ce, re pte, c mergeCtx) {
 		// child's whole page is byte-for-byte equivalent to copying only
 		// the changed bytes.
 		t := dc.own()
-		if old := t.ptes[l2].pg; old != nil {
-			old.refs.Add(-1)
-		}
 		if ce.pg != nil {
 			ce.pg.refs.Add(1)
+		}
+		if old := t.ptes[l2].pg; old != nil {
+			dc.s.frames.dropPage(old)
 		}
 		perm := de.perm
 		if !de.mapped() {
@@ -409,8 +409,8 @@ func (s *Space) CopyAllFrom(src *Space) CopyStats {
 		if srcT == dstT {
 			continue
 		}
-		releaseTable(dstT)
 		s.root[l1] = shareTable(srcT)
+		s.frames.dropTable(dstT)
 		if srcT != nil {
 			st.TablesShared++
 		}

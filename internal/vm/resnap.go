@@ -57,9 +57,9 @@ func (s *Space) Resnap(old *Space) (*Space, CopyStats) {
 		if db == nil {
 			continue
 		}
-		if old.root[l1] != s.root[l1] {
-			releaseTable(old.root[l1])
+		if t := old.root[l1]; t != s.root[l1] {
 			old.root[l1] = shareTable(s.root[l1])
+			old.frames.dropTable(t)
 		}
 		if s.root[l1] != nil {
 			st.TablesShared++

@@ -24,6 +24,24 @@
 // shared COW between spaces are never written in place (writers always
 // break sharing first), so cross-space page sharing needs no locking beyond
 // the atomic reference count.
+//
+// Pages and tables are made and freed only through a frame pool, Frames
+// (frames.go; a nil one is the Go heap). A kernel.Machine gives all its
+// spaces, their snapshots and the spaces it restores one pool, so a free
+// arrives from whichever goroutine drops the last reference — a child
+// breaking COW on a page its siblings share, a parent merging an early
+// finisher while later siblings still run — and the pool takes a lock. It
+// holds at most as many frames as the machine ever had free at once, and
+// dies with the machine.
+//
+// A recycled frame is a new object at an old address, so comparing
+// pointers is sound only between objects something still references.
+// Every == and != on a *page or *table — mergeRange, mergeTable,
+// mergePage, DeltaRuns, Resnap, CopyFrom, CopyAllFrom — compares entries
+// read from the root or a table of a live space or snapshot, which pins
+// them; and where a slot's page or table is replaced, the new reference is
+// taken before the old one is dropped, so a replacement by the same object
+// never passes through the pool.
 package vm
 
 import (
@@ -89,21 +107,6 @@ type page struct {
 	data [PageSize]byte
 }
 
-func newPage() *page {
-	p := &page{}
-	p.refs.Store(1)
-	return p
-}
-
-// newPageFrom returns a fresh exclusively-owned page holding a copy of b
-// (at most PageSize bytes). It is the install path for whole-page data
-// arriving from image and chunk decode.
-func newPageFrom(b []byte) *page {
-	p := newPage()
-	copy(p.data[:], b)
-	return p
-}
-
 // pte is a page-table entry: a permission plus an optional backing page.
 // A mapped entry with a nil page reads as zeros ("lazy zero page"); the
 // backing page is allocated on first write.
@@ -125,7 +128,7 @@ func (e pte) mapped() bool { return e.perm != PermNone || e.pg != nil }
 // occ is the occupancy map: bit l2 is set exactly when ptes[l2].pg is
 // non-nil. A table usually backs a handful of its 1024 slots, so the
 // walks that only want the pages — reference counting in ownTable and
-// releaseTable, first-encounter numbering in ForestEncoder.Encode, the
+// Frames.dropTable, first-encounter numbering in ForestEncoder.Encode, the
 // count in Footprint — visit set bits instead of slots. The invariant is
 // kept by writing page pointers only through set (and by ownTable, which
 // copies ptes and occ together).
@@ -133,12 +136,6 @@ type table struct {
 	refs atomic.Int32
 	occ  [tableEntries / 64]uint64
 	ptes [tableEntries]pte
-}
-
-func newTable() *table {
-	t := &table{}
-	t.refs.Store(1)
-	return t
 }
 
 // set makes e the entry of slot l2. It is the one place a page pointer
@@ -165,19 +162,6 @@ func (t *table) pages(yield func(*page) bool) {
 	}
 }
 
-// releaseTable drops one reference; the last release also drops the
-// table's page references.
-func releaseTable(t *table) {
-	if t == nil {
-		return
-	}
-	if t.refs.Add(-1) == 0 {
-		for pg := range t.pages {
-			pg.refs.Add(-1)
-		}
-	}
-}
-
 // shareTable adds a reference.
 func shareTable(t *table) *table {
 	if t != nil {
@@ -189,6 +173,9 @@ func shareTable(t *table) *table {
 // Space is a private virtual address space.
 type Space struct {
 	root [tableEntries]*table
+	// frames is where the space's pages and tables come from and go back
+	// to (frames.go); its snapshots share it. nil is the Go heap.
+	frames *Frames
 
 	// Dirty-page tracking (dirty.go): one lazily allocated bitmap per
 	// level-2 table marking the ptes mutated since the last Snapshot,
@@ -208,24 +195,25 @@ type Space struct {
 func (s *Space) ownTable(l1 int) *table {
 	t := s.root[l1]
 	if t == nil {
-		t = newTable()
+		t = s.frames.table(true)
 		s.root[l1] = t
 		return t
 	}
 	if t.refs.Load() > 1 {
-		nt := newTable()
+		nt := s.frames.table(false)
 		nt.ptes, nt.occ = t.ptes, t.occ
 		for pg := range nt.pages {
 			pg.refs.Add(1)
 		}
-		releaseTable(t)
+		s.frames.dropTable(t)
 		s.root[l1] = nt
 		return nt
 	}
 	return t
 }
 
-// NewSpace returns an empty address space with nothing mapped.
+// NewSpace returns an empty address space with nothing mapped, whose
+// pages and tables come from the Go heap and are left to the collector.
 func NewSpace() *Space { return &Space{} }
 
 // AccessError reports a faulting access, the Determinator analogue of a
@@ -338,7 +326,7 @@ func (s *Space) Zero(addr Addr, size uint64, perm Perm) error {
 	s.ownRange(addr, size, func(t *table, lo, hi int) {
 		for l2 := lo; l2 < hi; l2++ {
 			if old := t.ptes[l2].pg; old != nil {
-				old.refs.Add(-1)
+				s.frames.dropPage(old)
 				t.set(l2, pte{})
 			}
 			t.ptes[l2].perm = perm
@@ -352,7 +340,7 @@ func (s *Space) Zero(addr Addr, size uint64, perm Perm) error {
 // destroyed so that COW reference counts stay accurate.
 func (s *Space) Free() {
 	for i, t := range s.root {
-		releaseTable(t)
+		s.frames.dropTable(t)
 		s.root[i] = nil
 	}
 	// Emptying the space invalidates both sides of any dirty-tracking
@@ -397,8 +385,8 @@ func (s *Space) CopyFrom(src *Space, srcAddr, dstAddr Addr, size uint64) (CopySt
 			if srcT == dstT {
 				continue // already sharing (or both nil)
 			}
-			releaseTable(dstT)
 			s.root[l1] = shareTable(srcT)
+			s.frames.dropTable(dstT)
 			s.markTableDirty(l1)
 			if srcT != nil {
 				st.TablesShared++
@@ -411,14 +399,17 @@ func (s *Space) CopyFrom(src *Space, srcAddr, dstAddr Addr, size uint64) (CopySt
 		da := dstAddr + Addr(off)
 		l1, l2 := split(da)
 		t := s.ownTable(l1)
-		if old := t.ptes[l2].pg; old != nil {
-			old.refs.Add(-1)
-		}
+		// The new reference is taken before the old one is dropped: on a
+		// self-copy they are one page, and its last reference must not
+		// send it to the pool on the way to its own slot.
 		if se.pg != nil {
 			se.pg.refs.Add(1)
 			st.PagesShared++
 		} else {
 			st.PagesZeroed++
+		}
+		if old := t.ptes[l2].pg; old != nil {
+			s.frames.dropPage(old)
 		}
 		t.set(l2, pte{pg: se.pg, perm: se.perm})
 		s.markDirty(da)
@@ -435,7 +426,7 @@ func (s *Space) CopyFrom(src *Space, srcAddr, dstAddr Addr, size uint64) (CopySt
 // describe exactly the divergence from this snapshot. The pair is stamped
 // with an identity token that lets Merge recognize the relationship.
 func (s *Space) Snapshot() (*Space, CopyStats) {
-	snap := NewSpace()
+	snap := &Space{frames: s.frames}
 	var st CopyStats
 	for i, t := range s.root {
 		if t == nil {
@@ -456,28 +447,6 @@ func (s *Space) Snapshot() (*Space, CopyStats) {
 	}
 	s.clearDirty()
 	return snap, st
-}
-
-// writablePage returns an exclusively owned page behind entry l2 of t,
-// which the caller must itself own: a lazy-zero entry gets a fresh page
-// and a page shared copy-on-write is replaced by a private copy. whole
-// says the caller is about to overwrite every byte of the page, so the
-// shared page's contents are dropped rather than copied. This is the only
-// place a page's COW sharing is broken.
-func (t *table) writablePage(l2 int, whole bool) *page {
-	old := t.ptes[l2].pg
-	if old != nil && old.refs.Load() == 1 {
-		return old
-	}
-	np := newPage()
-	if old != nil {
-		if !whole {
-			np.data = old.data
-		}
-		old.refs.Add(-1)
-	}
-	t.set(l2, pte{pg: np, perm: t.ptes[l2].perm})
-	return np
 }
 
 // cursor walks one space's page tables for an access. The level-2 table
@@ -518,21 +487,37 @@ func (c *cursor) own() *table {
 	return c.t
 }
 
-// writablePage marks l2 dirty and returns a privately owned page there.
-// It is the funnel for every in-place data write, so it is also where
-// pages are marked dirty for merge tracking. The caller must already have
-// checked write permission.
+// writablePage marks l2 dirty and returns a privately owned page there: a
+// lazy-zero entry gets a zeroed page and a page shared copy-on-write is
+// replaced by a private copy. whole says the caller is about to overwrite
+// every byte of the page, so the new page is neither cleared nor copied
+// into. It is the funnel for every in-place data write, so it is also
+// where pages are marked dirty for merge tracking, and the only place a
+// page's COW sharing is broken. The caller must already have checked write
+// permission.
 func (c *cursor) writablePage(l2 int, whole bool) *page {
 	t := c.own()
 	c.db[l2>>6] |= 1 << (uint(l2) & 63)
-	return t.writablePage(l2, whole)
+	old := t.ptes[l2].pg
+	if old != nil && old.refs.Load() == 1 {
+		return old
+	}
+	np := c.s.frames.page(old == nil && !whole)
+	if old != nil {
+		if !whole {
+			np.data = old.data
+		}
+		c.s.frames.dropPage(old)
+	}
+	t.set(l2, pte{pg: np, perm: t.ptes[l2].perm})
+	return np
 }
 
 // page returns the bytes of the page containing addr, for a load or for
 // a store. The pte that passes the permission check is the pte the
 // access goes through. A load of a lazy-zero page gets the shared zero
 // page; a store gets a page the space owns exclusively (see
-// table.writablePage for whole).
+// cursor.writablePage for whole).
 func (c *cursor) page(addr Addr, write, whole bool) (*[PageSize]byte, error) {
 	l1, l2 := split(addr)
 	if l1 != c.l1 {
