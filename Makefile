@@ -87,8 +87,9 @@ bench:
 # One iteration of three micro-benchmarks: proves `go test -bench` still
 # builds, the detbench harness still runs under testing.B (Figure 4), the
 # dsched round engine still completes its blocked-heavy workload, and a
-# fork → write → join still runs at 1, 16 and 256 dirty pages
-# (MergeDirtyPages, with B/op: time a vm or kernel change with
+# fork → write → join still runs at 1, 16 and 256 dirty pages, and at one
+# dirty page of a table the parent backs whole — the join walk's worst
+# case (MergeDirtyPages, with B/op: time a vm or kernel change with
 # -benchtime 2000x, where the frame pool makes a steady-state op allocate
 # a few hundred bytes).
 # What the tables this target used to smoke-test assert now lives in

@@ -6,7 +6,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -195,13 +194,23 @@ func BenchmarkDschedRound(b *testing.B) {
 // frees the last round's. The machine's frame pool hands those frees to
 // the next round, so past the first round an op allocates a few hundred
 // bytes whatever N is (B/op, with enough iterations to amortise the first).
+// The dense case writes one page of a table whose 1024 pages the parent
+// backed before the first fork — par_fine's shape, and the worst case for
+// the join's walk, which visits every slot either side backs.
 func BenchmarkMergeDirtyPages(b *testing.B) {
-	for _, pages := range []int{1, 16, 256} {
-		b.Run(fmt.Sprintf("dirty=%d", pages), func(b *testing.B) {
+	for _, c := range []struct {
+		name          string
+		dirty, backed int // pages the child writes; pages of their table backed beforehand
+	}{
+		{"dirty=1", 1, 0}, {"dirty=16", 16, 0}, {"dirty=256", 256, 0},
+		{"dense", 1, 1024},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			res := core.Run(core.Options{}, func(rt *core.RT) uint64 {
-				buf := make([]uint32, pages*1024)
-				addr := rt.AllocPages(pages)
+				addr := rt.Alloc(4<<20, 4<<20) // one whole level-2 table
+				rt.Env().WriteU32s(addr, make([]uint32, c.backed*1024))
+				buf := make([]uint32, c.dirty*1024)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if err := rt.Fork(0, func(t *core.Thread) uint64 {

@@ -28,7 +28,7 @@
 // Sessions also own deterministic checkpoint/restore. A phased Program
 // bound to a session runs one Step at a time, and at any phase barrier
 // Suspend captures an Image — a versioned serialization of the whole
-// space tree (memory, snapshots, COW sharing and dirty tracking), every
+// space tree (memory, snapshots and their COW sharing), every
 // space's virtual time and traffic counters, the device cursors and the
 // trace log so far — into a content-addressed store; BindSuspended picks
 // it up in a fresh Session or a fresh process:

@@ -18,10 +18,10 @@
 // tracks a commit epoch for its shared region and each thread the epoch
 // it last synchronized to, and a thread resuming into an unchanged region
 // — no commits, no hand-off writes, and its own replica provably clean —
-// is restarted with a bare Put{Start,Limit}: no Copy, no fresh snapshot,
-// no dirty-bitmap churn. The skip is result-invariant, including virtual
-// times: it fires only when the kernel's (incremental) Copy and Snap
-// would charge nothing and change nothing. Per-round telemetry
+// is restarted with a bare Put{Start,Limit}: no Copy, no fresh snapshot.
+// The skip is result-invariant, including virtual times: it fires only
+// when the kernel's (incremental) Copy and Snap would charge nothing and
+// change nothing. Per-round telemetry
 // (RoundStats, Stats) makes the savings observable.
 //
 // Synchronization primitives trap to the master instead of spinning.

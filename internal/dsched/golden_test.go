@@ -18,6 +18,9 @@ import (
 // virtual time, schedule and merge statistics identical to these; the
 // no-skip variant was checked the same way when the values were taken.
 // Those paths no longer exist, so the equivalence is pinned as constants.
+// PtesScanned alone was re-pinned since: it counts the slots a merge
+// walks, which are now those either side backs in each table the child
+// no longer shares.
 func TestSchedRowsGolden(t *testing.T) {
 	const threads = 4
 	bs, _ := workload.Lookup("blackscholes")
@@ -42,7 +45,7 @@ func TestSchedRowsGolden(t *testing.T) {
 			stats: dsched.Stats{Rounds: 11, ThreadQuanta: 44, SyncSkipped: 40,
 				TablesResynced: 12, TablesSkipped: 120,
 				Merge: vm.MergeStats{TablesAdopted: 1, PagesAdopted: 2, PagesCompared: 2,
-					BytesMerged: 4050, PtesScanned: 4}},
+					BytesMerged: 4050, PtesScanned: 52}},
 		},
 		{
 			name:   "lockscan",
@@ -55,7 +58,7 @@ func TestSchedRowsGolden(t *testing.T) {
 			vt:       131521,
 			stats: dsched.Stats{Rounds: 28, ThreadQuanta: 31, SyncSkipped: 23,
 				TablesResynced: 23, TablesSkipped: 101,
-				Merge: vm.MergeStats{TablesAdopted: 5, PagesAdopted: 5, PtesScanned: 5}},
+				Merge: vm.MergeStats{TablesAdopted: 5, PagesAdopted: 5, PtesScanned: 125}},
 		},
 	}
 	def := runtime.GOMAXPROCS(0)

@@ -10,9 +10,9 @@ package kernel
 // a run depend on:
 //
 //   - every space's memory and merge snapshot, through the vm forest
-//     encoder, preserving the COW sharing graph and dirty tracking so
-//     incremental snapshots, dirty-guided merges and copy charges behave
-//     identically after a restore;
+//     encoder, preserving the COW sharing graph — which is all merges,
+//     incremental snapshots and copy charges read to tell what changed —
+//     so they behave identically after a restore;
 //   - per-space virtual time, instruction counts, argument/result
 //     registers, migration residency (the §3.3 read-only page caches),
 //     cross-node traffic counters and virtual-CPU pool occupancy;
@@ -260,7 +260,6 @@ func (sp *Space) encodeTree(enc *vm.ForestEncoder, allowed map[uint64]bool, isRo
 	snapIdx := ^uint32(0)
 	if sp.snap != nil {
 		snapIdx = uint32(enc.Add(sp.snap))
-		enc.LinkSnapshot(sp.mem, sp.snap)
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(memIdx))
 	b = binary.LittleEndian.AppendUint32(b, snapIdx)

@@ -217,7 +217,10 @@ func captureImage(t testing.TB) []byte {
 
 // The golden-file test pins the image format: identical machine state
 // must serialize to identical bytes, and any (intentional) format change
-// must come with a version bump and a regenerated golden file.
+// must come with a version bump and a regenerated golden file. A change
+// in what the encoder writes within the same grammar regenerates the
+// golden alone, and keeps the bytes it replaces as a fixture that must
+// still restore (TestCheckpointImageWithDirtySections).
 func TestCheckpointGoldenImage(t *testing.T) {
 	img := captureImage(t)
 	if img[4] != CheckpointVersion {
@@ -250,6 +253,44 @@ func TestCheckpointGoldenImage(t *testing.T) {
 	ref := New(ckConfig()).Run(ckProg(t, 0, nil), 0)
 	if got.Ret != ref.Ret || got.VT != ref.VT {
 		t.Fatalf("golden resume diverged: got %+v want %+v", got, ref)
+	}
+}
+
+// ckpt_v1_dirty.golden is the golden image as the encoder wrote it while
+// the forest carried per-space dirty bitmaps and snapshot links: the same
+// grammar and version, with those sections non-empty. It must restore and
+// resume to the uninterrupted run's result, and to the same machine the
+// current golden restores to.
+func TestCheckpointImageWithDirtySections(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "ckpt_v1_dirty.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := os.ReadFile(filepath.Join("testdata", "ckpt_v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(old, cur) {
+		t.Fatal("the fixture is the current golden")
+	}
+	m := New(ckConfig())
+	if err := m.Restore(old); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	got := m.Run(ckProg(t, 2, nil), 0)
+	ref := New(ckConfig()).Run(ckProg(t, 0, nil), 0)
+	if got.Ret != ref.Ret || got.VT != ref.VT {
+		t.Fatalf("resume diverged: got %+v want %+v", got, ref)
+	}
+	a, b := New(ckConfig()), New(ckConfig())
+	if err := a.Restore(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Restore(cur); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recapture(t, a), recapture(t, b)) {
+		t.Fatal("the fixture and the golden restore to different machines")
 	}
 }
 

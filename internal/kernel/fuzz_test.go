@@ -47,6 +47,11 @@ func FuzzRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(golden)
+	dirty, err := os.ReadFile(filepath.Join("testdata", "ckpt_v1_dirty.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dirty)
 	for _, cut := range []int{0, 4, 5, 5 + configSectionLen, len(golden) / 3, len(golden) - 5, len(golden) - 1} {
 		f.Add(golden[:cut])
 	}

@@ -111,14 +111,14 @@ type ChildInfo struct {
 	// harness) can observe join volume without a second walk.
 	Merge vm.MergeStats
 	// MemClean reports, when GetOpts.Merge ran, that the child's memory
-	// is provably unchanged since its reference snapshot (the cheap
-	// vm.CleanSince proof). A clean child contributed nothing to the
-	// merge and its snapshot is still exact; collectors use this to skip
-	// redundant resynchronization. False means only "no proof".
+	// still shares every level-2 table with its reference snapshot
+	// (vm.CleanSince), so it is unchanged since. A clean child contributed
+	// nothing to the merge and its snapshot is still exact; collectors use
+	// this to skip redundant resynchronization.
 	MemClean bool
 	// MergeTouched marks, when GetOpts.Merge ran, the level-1 tables of
 	// the parent the merge modified. Like the Merge statistics the bits
-	// are deterministic — invariant across guided and full walks —
+	// are deterministic — they depend only on the three spaces —
 	// so collectors can bump per-table sync epochs from them instead of
 	// invalidating the whole shared region on every commit.
 	MergeTouched vm.TableBits
@@ -307,7 +307,7 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 			// homed on its own node — a delegate collecting its local
 			// threads — moves nothing across the wire and charges
 			// nothing. With batching the child's delta ships as a compact
-			// page-run list (vm.DeltaRuns over its dirty tracking) —
+			// page-run list (vm.DeltaRuns over its COW identity) —
 			// per-run request overhead instead of per-page messages; the
 			// runs' page total equals PagesCompared+PagesAdopted by
 			// construction.

@@ -15,7 +15,7 @@ import (
 // (their own table walk, their own COW break), plus the typed accessors
 // spelled the way they used to be — encode into a staging buffer, then
 // the byte path. TestAccessMatchesByteOracle holds every accessor to
-// them: same bytes, same sharing structure, same dirty marks, same fault.
+// them: same bytes, same sharing structure, same fault.
 
 // oracleInstall is the oracles' pte write: the entry, and the occupancy
 // bit that says whether it holds a page, spelled out by hand rather than
@@ -81,11 +81,10 @@ func oracleRead(s *Space, addr Addr, p []byte) error {
 func oracleWrite(s *Space, addr Addr, p []byte) error {
 	curL1 := -1
 	var t *table
-	var db *dirtyBits
 	for len(p) > 0 {
 		l1, l2 := split(addr)
 		if l1 != curL1 {
-			t, curL1, db = s.root[l1], l1, nil
+			t, curL1 = s.root[l1], l1
 		}
 		var e pte
 		if t != nil {
@@ -98,10 +97,6 @@ func oracleWrite(s *Space, addr Addr, p []byte) error {
 			t = s.ownTable(l1)
 			e = t.ptes[l2]
 		}
-		if db == nil {
-			db = s.dirtyTable(l1)
-		}
-		db[l2>>6] |= 1 << (uint(l2) & 63)
 		off := int(addr & pageMask)
 		n := min(PageSize-off, len(p))
 		pg := e.pg
@@ -283,7 +278,7 @@ type accessWorld struct {
 
 const (
 	// accessBase puts the world's pages astride a level-1 boundary, so
-	// spans cross from one level-2 table (and dirty bitmap) into the next.
+	// spans cross from one level-2 table into the next.
 	accessPages = 6
 	accessBase  = Addr(tableEntries*PageSize - 3*PageSize)
 )
@@ -331,7 +326,7 @@ func buildAccessWorld(t *testing.T, rng *rand.Rand) *accessWorld {
 		}
 		w.others = append(w.others, o)
 	}
-	if k := rng.Intn(3); k > 0 { // whole tables shared with a snapshot, dirty marks reset
+	if k := rng.Intn(3); k > 0 { // whole tables shared with a snapshot
 		snap, _ := w.s.Snapshot()
 		w.others = append(w.others, snap)
 		if k == 2 { // tables private again, so it is the pages the snapshot shares
@@ -344,8 +339,8 @@ func buildAccessWorld(t *testing.T, rng *rand.Rand) *accessWorld {
 
 // shape describes everything about a world an access may legitimately
 // change and everything it must not: per-page permission, bytes and page
-// refcount for every space, table refcounts, occupancy words, dirty
-// bitmaps and footprint.
+// refcount for every space, table refcounts, occupancy words and
+// footprint.
 func (w *accessWorld) shape() string {
 	all := append([]*Space{w.s}, w.others...)
 	out := fmt.Sprintf("footprint %d\n", Footprint(all))
@@ -365,9 +360,8 @@ func (w *accessWorld) shape() string {
 			if tb := s.root[l1]; tb != nil {
 				refs, occ = tb.refs.Load(), tb.occ
 			}
-			out += fmt.Sprintf("space %d table %d refs %d occ %x dirty %v\n", si, l1, refs, occ, s.dirty[l1])
+			out += fmt.Sprintf("space %d table %d refs %d occ %x\n", si, l1, refs, occ)
 		}
-		out += fmt.Sprintf("space %d dirtyAll %v\n", si, s.dirtyAll)
 	}
 	return out
 }

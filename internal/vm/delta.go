@@ -1,5 +1,7 @@
 package vm
 
+import "math/bits"
+
 // Delta extraction: the compact description of "which pages did this
 // space change since that reference copy" that the kernel's batched
 // cross-node transfer path ships instead of walking the whole region.
@@ -12,10 +14,9 @@ package vm
 // broken and rewritten with identical bytes still counts (it would be
 // byte-compared by Merge too), while an untouched page never does.
 //
-// Like Merge, the walk is narrowed by the dirty bitmaps when they are
-// provably trustworthy for this (cur, ref) pair (see dirtyGuided) and
-// falls back to the full per-table pte scan otherwise; both walks visit
-// pages in ascending address order and return identical runs.
+// Like Merge, the walk skips every level-2 table the two spaces still
+// share and, inside the others, visits only the slots either side backs
+// (occIn), in ascending address order.
 
 // PageRun names a contiguous run of whole pages starting at Addr.
 type PageRun struct {
@@ -32,7 +33,6 @@ func DeltaRuns(cur, ref *Space, addr Addr, size uint64, maxRun int) []PageRun {
 	if rangeCheck(addr, size) != nil || size == 0 {
 		return nil
 	}
-	guided := dirtyGuided(cur, ref)
 	var runs []PageRun
 	flush := func(pa Addr) {
 		// Extend the current run or start a new one; split at maxRun.
@@ -61,27 +61,19 @@ func DeltaRuns(cur, ref *Space, addr Addr, size uint64, maxRun int) []PageRun {
 		if base+(tableEntries<<l2Shift) > end {
 			hi = int((end - base) >> l2Shift)
 		}
-		visit := func(l2 int) {
-			var cp, rp *page
-			if ct != nil {
-				cp = ct.ptes[l2].pg
-			}
-			if rt != nil {
-				rp = rt.ptes[l2].pg
-			}
-			if cp != rp {
-				flush(Addr(base) + Addr(l2)<<l2Shift)
-			}
-		}
-		if guided {
-			db := cur.dirty[l1]
-			if db == nil {
-				continue // trustworthy marks say: table untouched
-			}
-			db.forEachSetBit(lo, hi, visit)
-		} else {
-			for l2 := lo; l2 < hi; l2++ {
-				visit(l2)
+		for w := lo >> 6; w<<6 < hi; w++ {
+			for word := occIn(ct, rt, w, lo, hi); word != 0; word &= word - 1 {
+				l2 := w<<6 | bits.TrailingZeros64(word)
+				var cp, rp *page
+				if ct != nil {
+					cp = ct.ptes[l2].pg
+				}
+				if rt != nil {
+					rp = rt.ptes[l2].pg
+				}
+				if cp != rp {
+					flush(Addr(base) + Addr(l2)<<l2Shift)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -18,10 +19,11 @@ func deltaPagesOf(runs []PageRun) map[Addr]bool {
 }
 
 func TestDeltaRunsMatchesMergeStats(t *testing.T) {
-	// Randomized page churn: DeltaRuns must name exactly the pages a
-	// Merge over the same range processes (adopted + compared), whether
-	// or not the walk is dirty-guided, and the guided and unguided walks
-	// must return identical run lists.
+	// Randomized page churn: DeltaRuns must name exactly the pages the
+	// child wrote, exactly the pages whose entries differ slot by slot,
+	// and exactly the pages a Merge over the same range processes
+	// (adopted + compared); a space sharing every table with the child
+	// must get the same runs.
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		const pages = 512
@@ -48,16 +50,8 @@ func TestDeltaRunsMatchesMergeStats(t *testing.T) {
 			touched[a] = true
 		}
 
-		guidedRuns := DeltaRuns(child, snap, 0, pages*PageSize, 0)
-		if !dirtyGuided(child, snap) {
-			t.Fatal("expected dirty-guided walk to be available")
-		}
-		// Force the unguided walk through a space with no snapshot link.
-		child2 := NewSpace()
-		child2.CopyAllFrom(child) // markAllDirty: guidance impossible
-		unguidedRuns := DeltaRuns(child2, snap, 0, pages*PageSize, 0)
-
-		got := deltaPagesOf(guidedRuns)
+		runs := DeltaRuns(child, snap, 0, pages*PageSize, 0)
+		got := deltaPagesOf(runs)
 		for a := range touched {
 			if !got[a] {
 				t.Fatalf("trial %d: touched page %#x missing from delta", trial, a)
@@ -68,19 +62,18 @@ func TestDeltaRunsMatchesMergeStats(t *testing.T) {
 				t.Fatalf("trial %d: page %#x in delta but never written", trial, a)
 			}
 		}
-		if len(unguidedRuns) != len(guidedRuns) {
-			t.Fatalf("trial %d: guided/unguided run counts differ: %d vs %d",
-				trial, len(guidedRuns), len(unguidedRuns))
-		}
-		u2 := deltaPagesOf(unguidedRuns)
-		if len(u2) != len(got) {
-			t.Fatalf("trial %d: unguided page count %d != guided %d", trial, len(u2), len(got))
-		}
-		for a := range got {
-			if !u2[a] {
-				t.Fatalf("trial %d: unguided walk missing page %#x", trial, a)
+		for p := 0; p < pages; p++ {
+			a := Addr(p) << PageShift
+			if differs := child.entry(a).pg != snap.entry(a).pg; differs != got[a] {
+				t.Fatalf("trial %d: page %#x entries differ %v, in delta %v", trial, a, differs, got[a])
 			}
 		}
+		sharer := NewSpace()
+		sharer.CopyAllFrom(child)
+		if again := DeltaRuns(sharer, snap, 0, pages*PageSize, 0); fmt.Sprint(again) != fmt.Sprint(runs) {
+			t.Fatalf("trial %d: a space sharing the child's tables gets runs %v, the child %v", trial, again, runs)
+		}
+		sharer.Free()
 
 		// The merge over the same range must process exactly these pages.
 		dst := NewSpace()

@@ -381,7 +381,6 @@ func TestDecodeForestDrawsOnPool(t *testing.T) {
 	enc := NewForestEncoder()
 	enc.Add(s)
 	enc.Add(snap)
-	enc.LinkSnapshot(s, snap)
 
 	f := NewFrames()
 	old := f.NewSpace()

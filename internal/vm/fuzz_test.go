@@ -13,21 +13,11 @@ import (
 )
 
 // reencode serializes a decoded forest the way its image listed it:
-// spaces in order, and a snapshot link wherever the decoder left a
-// matching token pair.
+// spaces in order.
 func reencode(spaces []*Space) []byte {
 	e := NewForestEncoder()
 	for _, s := range spaces {
 		e.Add(s)
-	}
-	bySnapID := make(map[uint64]*Space)
-	for _, s := range spaces {
-		if s.snapID != 0 {
-			bySnapID[s.snapID] = s
-		}
-	}
-	for _, ref := range spaces {
-		e.LinkSnapshot(bySnapID[ref.snapOf], ref)
 	}
 	return e.Encode()
 }
@@ -38,12 +28,12 @@ func reencode(spaces []*Space) []byte {
 // reaches the decoder — and each must either fail with the layer's
 // typed error or decode to a forest that re-encodes to a fixed point:
 // the unmutated seeds re-encode to themselves, a mutant that still
-// decodes may normalize once (an unreferenced page is dropped, say) and
-// must then round-trip exactly. It must not panic, and what it
-// allocates must follow from the bytes it consumed, not from a count
-// field: every object the decoder builds (page, table, Space, dirty
-// bitmap) is declared by at least two input bytes and is no larger than
-// a Space, so that sparse-to-dense ratio is the bound.
+// decodes may normalize once (an unreferenced page is dropped, say, or
+// a dirty-slot or snapshot-link section emptied) and must then round-trip
+// exactly. It must not panic, and what it allocates must follow from the
+// bytes it consumed, not from a count field: every object the decoder
+// builds (page, table, Space) is declared by at least two input bytes and
+// is no larger than a table, so that sparse-to-dense ratio is the bound.
 func FuzzDecodeForest(f *testing.F) {
 	cur, snap := buildPair(f)
 	seed := encodePair(cur, snap)
@@ -63,7 +53,7 @@ func FuzzDecodeForest(f *testing.F) {
 	e.Add(one)
 	f.Add(e.Encode())
 
-	const maxObject = uint64(unsafe.Sizeof(Space{}))
+	const maxObject = uint64(unsafe.Sizeof(table{}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2*len(seed) {
 			t.Skip("longer than any image the seeds can grow into")

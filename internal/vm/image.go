@@ -22,10 +22,15 @@ package vm
 // by index. A space and its snapshot are thus automatically
 // delta-encoded: everything unchanged since the snapshot is one shared
 // table or page reference, and only diverged content carries payload.
-// Dirty bitmaps and the (space, snapshot) identity links are part of the
-// image, so dirty-guided merges, CleanSince proofs and incremental
-// Resnap behave identically after a restore — including the virtual
-// times they charge.
+// That sharing is also all Merge, DeltaRuns, CleanSince and Resnap read
+// to tell what changed, so they behave identically after a restore —
+// including the virtual times they charge.
+//
+// Each space record ends in a dirty-slot section, and the image in a
+// snapshot-link section, that an earlier change tracker filled. The
+// encoder writes them empty (and each space's flags byte 0); the decoder
+// still parses and bounds-checks them, then discards them, so images
+// written with them keep loading.
 //
 // The encoding is canonical: identical forest state produces identical
 // bytes, which is what makes golden-file format tests meaningful. The
@@ -71,12 +76,11 @@ func (e *ImageVersionError) Error() string {
 }
 
 // ForestEncoder serializes a set of spaces preserving their full COW
-// sharing graph. Add every space first, then record snapshot links, then
-// Encode. The encoder only reads the spaces; they remain usable.
+// sharing graph. Add every space, then Encode. The encoder only reads the
+// spaces; they remain usable.
 type ForestEncoder struct {
 	spaces   []*Space
 	spaceIdx map[*Space]int
-	links    [][2]int // (cur, ref) pairs whose snapshot identity must survive
 }
 
 // NewForestEncoder returns an empty encoder.
@@ -94,21 +98,6 @@ func (e *ForestEncoder) Add(s *Space) int {
 	e.spaces = append(e.spaces, s)
 	e.spaceIdx[s] = i
 	return i
-}
-
-// LinkSnapshot records that ref is cur's current snapshot (their
-// identity tokens match), so the decoder re-establishes the relationship
-// with a fresh token pair. Calls for pairs whose tokens do not match are
-// ignored — the relationship did not hold, so none is restored.
-func (e *ForestEncoder) LinkSnapshot(cur, ref *Space) {
-	if cur == nil || ref == nil || cur.snapID == 0 || ref.snapOf != cur.snapID {
-		return
-	}
-	ci, ok1 := e.spaceIdx[cur]
-	ri, ok2 := e.spaceIdx[ref]
-	if ok1 && ok2 {
-		e.links = append(e.links, [2]int{ci, ri})
-	}
 }
 
 // Encode serializes the registered forest.
@@ -144,16 +133,13 @@ func (e *ForestEncoder) Encode() []byte {
 		4 + len(pages)*PageSize +
 		4 + len(tables)*(2+tableEntries*flatPTESize) +
 		4 + // the space count; the spaces are added below
-		4 + len(e.links)*8 +
+		4 + // the (empty) link section
 		4 // imgenc.Seal's trailer
 	for _, s := range e.spaces {
 		size += 1 + 2 + 2 // flags, root-slot count, dirty-slot count
 		for l1 := range s.root {
 			if s.root[l1] != nil {
 				size += 2 + 4
-			}
-			if s.dirty[l1] != nil {
-				size += 2 + 8*dirtyWords
 			}
 		}
 	}
@@ -197,11 +183,7 @@ func (e *ForestEncoder) Encode() []byte {
 
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(e.spaces)))
 	for _, s := range e.spaces {
-		var flags byte
-		if s.dirtyAll {
-			flags |= 1
-		}
-		b = append(b, flags)
+		b = append(b, 0) // flags
 		n := 0
 		for _, t := range s.root {
 			if t != nil {
@@ -216,30 +198,10 @@ func (e *ForestEncoder) Encode() []byte {
 			b = binary.LittleEndian.AppendUint16(b, uint16(l1))
 			b = binary.LittleEndian.AppendUint32(b, uint32(tableIdx[t]+1))
 		}
-		n = 0
-		for _, db := range s.dirty {
-			if db != nil {
-				n++
-			}
-		}
-		b = binary.LittleEndian.AppendUint16(b, uint16(n))
-		for l1, db := range s.dirty {
-			if db == nil {
-				continue
-			}
-			b = binary.LittleEndian.AppendUint16(b, uint16(l1))
-			for _, w := range db {
-				b = binary.LittleEndian.AppendUint64(b, w)
-			}
-		}
+		b = binary.LittleEndian.AppendUint16(b, 0) // dirty slots
 	}
 
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(e.links)))
-	for _, l := range e.links {
-		b = binary.LittleEndian.AppendUint32(b, uint32(l[0]))
-		b = binary.LittleEndian.AppendUint32(b, uint32(l[1]))
-	}
-
+	b = binary.LittleEndian.AppendUint32(b, 0) // snapshot links
 	return imgenc.Seal(b)
 }
 
@@ -292,8 +254,7 @@ func openForest(data []byte) (r *imgenc.Reader, pages [][]byte, tables []flatTab
 }
 
 // DecodeForest reconstructs the spaces of a forest image, restoring the
-// exact page/table sharing graph, dirty bitmaps, and snapshot identity
-// links (with freshly issued tokens). Corrupt or truncated input returns
+// exact page/table sharing graph. Corrupt or truncated input returns
 // *ImageFormatError; input from a newer format returns
 // *ImageVersionError. The spaces have no frame pool.
 func DecodeForest(data []byte) ([]*Space, error) { return (*Frames)(nil).DecodeForest(data) }
@@ -330,7 +291,7 @@ func (f *Frames) DecodeForest(data []byte) ([]*Space, error) {
 	spaces := make([]*Space, 0, nSpaces)
 	for i := 0; i < nSpaces && r.Err == nil; i++ {
 		s := f.NewSpace()
-		s.dirtyAll = r.U8()&1 != 0
+		r.U8() // flags, discarded
 		n := int(r.U16())
 		for j := 0; j < n && r.Err == nil; j++ {
 			l1 := int(r.U16())
@@ -345,39 +306,23 @@ func (f *Frames) DecodeForest(data []byte) ([]*Space, error) {
 			s.root[l1] = tables[tid-1]
 			tables[tid-1].refs.Add(1)
 		}
-		n = int(r.U16())
+		n = int(r.U16()) // dirty slots, discarded: a slot and its 1024-bit map
 		for j := 0; j < n && r.Err == nil; j++ {
-			l1 := int(r.U16())
-			if r.Err != nil {
-				break
-			}
-			if l1 >= tableEntries {
+			if l1 := int(r.U16()); r.Err == nil && l1 >= tableEntries {
 				r.Failf("dirty slot %d out of range", l1)
 				break
 			}
-			db := new(dirtyBits)
-			for w := range db {
-				db[w] = r.U64()
-			}
-			s.dirty[l1] = db
+			r.Take(tableEntries / 8)
 		}
 		spaces = append(spaces, s)
 	}
 
-	nLinks := r.Count(8, "link")
+	nLinks := r.Count(8, "link") // snapshot links, discarded
 	for i := 0; i < nLinks && r.Err == nil; i++ {
-		ci := int(r.U32())
-		ri := int(r.U32())
-		if r.Err != nil {
-			break
-		}
-		if ci >= len(spaces) || ri >= len(spaces) {
+		ci, ri := int(r.U32()), int(r.U32())
+		if r.Err == nil && (ci >= len(spaces) || ri >= len(spaces)) {
 			r.Failf("snapshot link %d -> %d out of range", ci, ri)
-			break
 		}
-		id := snapshotIDs.Add(1)
-		spaces[ci].snapID = id
-		spaces[ri].snapOf = id
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

@@ -6,10 +6,13 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
+
+	"repro/internal/imgenc"
 )
 
 // buildPair returns a space with some content plus its snapshot, with
-// divergence written after the snapshot so dirty tracking is live.
+// divergence written after the snapshot, so the pair shares some pages
+// and not others.
 func buildPair(t testing.TB) (*Space, *Space) {
 	t.Helper()
 	s := NewSpace()
@@ -35,7 +38,6 @@ func encodePair(cur, snap *Space) []byte {
 	e := NewForestEncoder()
 	e.Add(cur)
 	e.Add(snap)
-	e.LinkSnapshot(cur, snap)
 	return e.Encode()
 }
 
@@ -121,7 +123,7 @@ func TestForestRoundTripPreservesSharing(t *testing.T) {
 	if rc.CleanSince(rs) != cur.CleanSince(snap) {
 		t.Fatal("CleanSince proof changed across round trip")
 	}
-	// Resnap must stay incremental: only the dirtied tables re-share.
+	// Resnap must stay incremental: only the diverged tables re-share.
 	_, stWant := cur.Resnap(snap)
 	_, stGot := rc.Resnap(rs)
 	if stWant != stGot {
@@ -146,9 +148,10 @@ func TestForestRoundTripPreservesSharing(t *testing.T) {
 	}
 }
 
-// A clean pair (snapshot just taken) must restore as provably clean, and
-// a dirtyAll space as provably not.
-func TestForestRoundTripDirtyState(t *testing.T) {
+// A clean pair (snapshot just taken) must restore as clean, and a pair
+// that diverged as not: the sharing CleanSince reads is what the image
+// carries.
+func TestForestRoundTripCleanState(t *testing.T) {
 	s := NewSpace()
 	if err := s.SetPerm(0, 1<<22, PermRW); err != nil {
 		t.Fatal(err)
@@ -165,13 +168,87 @@ func TestForestRoundTripDirtyState(t *testing.T) {
 		t.Fatal("clean pair restored unclean")
 	}
 
-	s.markAllDirty()
+	if err := s.WriteU32(64, 1); err != nil {
+		t.Fatal(err)
+	}
 	spaces, err = DecodeForest(encodePair(s, snap))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spaces[0].CleanSince(spaces[1]) {
-		t.Fatal("dirtyAll pair restored clean")
+		t.Fatal("diverged pair restored clean")
+	}
+}
+
+// trackerImage hand-builds a flat image of two spaces sharing one table,
+// which backs slot 3 with one page. With tracked set, the first space's
+// record carries flags 1 and one dirty slot (dirtySlot, all bits set), and
+// the image one snapshot link (0, linkTo) — the sections an earlier
+// encoder filled in.
+func trackerImage(tracked bool, dirtySlot uint16, linkTo uint32) []byte {
+	le := binary.LittleEndian
+	b := append([]byte(imageMagic), ImageVersion)
+	b = le.AppendUint32(b, 1) // pages
+	b = append(b, bytes.Repeat([]byte{7}, PageSize)...)
+	b = le.AppendUint32(b, 1) // tables
+	b = le.AppendUint16(b, 1) // one pte: slot 3, read-write, page 1
+	b = le.AppendUint16(b, 3)
+	b = append(b, byte(PermRW))
+	b = le.AppendUint32(b, 1)
+	b = le.AppendUint32(b, 2) // spaces
+	for i := 0; i < 2; i++ {
+		flags, dirty := byte(0), uint16(0)
+		if tracked && i == 0 {
+			flags, dirty = 1, 1
+		}
+		b = append(b, flags)
+		b = le.AppendUint16(b, 1) // root slot 0: table 1
+		b = le.AppendUint16(b, 0)
+		b = le.AppendUint32(b, 1)
+		b = le.AppendUint16(b, dirty)
+		if dirty > 0 {
+			b = le.AppendUint16(b, dirtySlot)
+			b = append(b, bytes.Repeat([]byte{0xff}, tableEntries/8)...)
+		}
+	}
+	if !tracked {
+		return imgenc.Seal(le.AppendUint32(b, 0))
+	}
+	b = le.AppendUint32(b, 1) // links
+	b = le.AppendUint32(b, 0)
+	b = le.AppendUint32(b, linkTo)
+	return imgenc.Seal(b)
+}
+
+// Images written when each space carried flags and dirty slots, and the
+// image snapshot links, keep loading: the decoder checks those sections'
+// bounds, then discards them, and the forest re-encodes with them empty.
+func TestForestDecodeDiscardsTrackerSections(t *testing.T) {
+	clean := trackerImage(false, 0, 0)
+	spaces, err := DecodeForest(trackerImage(true, 5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spaces) != 2 || !spaces[0].CleanSince(spaces[1]) {
+		t.Fatalf("decoded %d spaces, sharing their root %v", len(spaces), len(spaces) == 2 && spaces[0].CleanSince(spaces[1]))
+	}
+	if v, err := spaces[1].ReadU32(3*PageSize + 8); err != nil || v != 0x07070707 {
+		t.Fatalf("slot 3 reads %#x, %v", v, err)
+	}
+	if got := reencode(spaces); !bytes.Equal(got, clean) {
+		t.Fatalf("re-encoded to %d bytes, want the %d-byte image without the sections", len(got), len(clean))
+	}
+	if got, err := DecodeForest(clean); err != nil || !bytes.Equal(reencode(got), clean) {
+		t.Fatalf("the image without the sections is not canonical (err %v)", err)
+	}
+	var fe *ImageFormatError
+	for name, img := range map[string][]byte{
+		"dirty slot out of range":    trackerImage(true, tableEntries, 1),
+		"snapshot link out of range": trackerImage(true, 0, 2),
+	} {
+		if _, err := DecodeForest(img); !errors.As(err, &fe) {
+			t.Errorf("%s: %v, want *ImageFormatError", name, err)
+		}
 	}
 }
 

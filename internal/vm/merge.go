@@ -24,16 +24,15 @@ func dataOf(pg *page) *[PageSize]byte {
 
 // MergeStats reports the work done by a Merge, for the kernel's
 // virtual-time cost model. The semantic fields (adopted, compared, merged)
-// depend only on the three spaces' contents, never on how the merge was
-// executed: dirty-guided and full walks report identical values.
-// PtesScanned is the exception — it counts iteration effort, which
-// is exactly what dirty tracking exists to shrink.
+// depend only on the three spaces' contents and sharing, never on how the
+// merge was executed. PtesScanned is the exception — it counts iteration
+// effort.
 type MergeStats struct {
 	TablesAdopted int // whole child tables adopted (parent untouched since snapshot)
 	PagesAdopted  int // child pages adopted wholesale (parent page untouched)
 	PagesCompared int // pages byte-compared on the slow path
 	BytesMerged   int // individual bytes copied into the parent
-	PtesScanned   int // level-2 entries examined: O(mapped) unguided, O(dirtied) guided
+	PtesScanned   int // level-2 entries examined: the slots either side backs, in tables no longer shared
 }
 
 // Add accumulates another merge's statistics into s.
@@ -86,9 +85,8 @@ type MergeConfig struct {
 	// Touched, if non-nil, gets a bit set for every level-1 table of dst
 	// this merge modified (whole-table adoptions, page adoptions, and
 	// byte merges alike). Like the semantic MergeStats fields the bits
-	// are invariant across guided and unguided walks,
-	// so collectors can use them to maintain per-table commit epochs
-	// deterministically.
+	// depend only on the three spaces, so collectors can use them to
+	// maintain per-table commit epochs deterministically.
 	Touched *TableBits
 }
 
@@ -108,10 +106,9 @@ func Merge(dst, cur, ref *Space, addr Addr, size uint64) (MergeStats, error) {
 }
 
 // tableJob is one unit of merge work: the slice [lo, hi) of the level-2
-// table at level-1 index l1, optionally narrowed by a dirty bitmap.
+// table at level-1 index l1.
 type tableJob struct {
 	l1, lo, hi int
-	db         *dirtyBits // nil: scan every pte in [lo, hi)
 }
 
 // mergeCtx carries one merge's parameters and the caller's output sinks.
@@ -122,17 +119,10 @@ type mergeCtx struct {
 	touched  *bool // set when the table being merged modifies dst's level-1 slot
 }
 
-// MergeEx is the merge engine's entry point; see MergeConfig. The walk is
-// steered by cur's dirty bitmaps whenever they provably describe its
-// divergence from ref (dirtyGuided), and scans every pte of each touched
-// table otherwise; the outcome is the same either way.
+// MergeEx is the merge engine's entry point; see MergeConfig. It walks
+// only the level-2 tables cur no longer shares with ref, and inside each
+// only the slots either side backs (occIn).
 func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (MergeStats, error) {
-	return mergeRange(dst, cur, ref, addr, size, cfg, dirtyGuided(cur, ref))
-}
-
-// mergeRange is MergeEx with the walk chosen by the caller. guided may be
-// true only when dirtyGuided(cur, ref) holds; false is always correct.
-func mergeRange(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig, guided bool) (MergeStats, error) {
 	var st MergeStats
 	if err := rangeCheck(addr, size); err != nil {
 		return st, err
@@ -141,8 +131,7 @@ func mergeRange(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig, g
 	// Walk only the level-2 tables that exist in the child: the snapshot
 	// was taken from the child, so any page mapped in ref is mapped in cur.
 	// A table the child never touched is still pointer-shared with the
-	// snapshot and is skipped outright; when dirty hints are trustworthy,
-	// an untouched table additionally has no bitmap at all.
+	// snapshot and is skipped outright.
 	end := uint64(addr) + size
 	conflict := &MergeConflictError{}
 	var touched bool
@@ -151,12 +140,6 @@ func mergeRange(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig, g
 		ct := cur.root[l1]
 		if ct == nil || ct == ref.root[l1] {
 			continue // child did not touch this whole 4 MiB span
-		}
-		var db *dirtyBits
-		if guided {
-			if db = cur.dirty[l1]; db == nil {
-				continue
-			}
 		}
 		base := uint64(l1) << l1Shift
 		lo, hi := 0, tableEntries
@@ -167,7 +150,7 @@ func mergeRange(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig, g
 			hi = int((end - base) >> l2Shift)
 		}
 		touched = false
-		mergeTable(dst, cur, ref, tableJob{l1: l1, lo: lo, hi: hi, db: db}, c)
+		mergeTable(dst, cur, ref, tableJob{l1: l1, lo: lo, hi: hi}, c)
 		if touched && cfg.Touched != nil {
 			cfg.Touched.Set(l1)
 		}
@@ -191,49 +174,38 @@ func mergeTable(dst, cur, ref *Space, job tableJob, c mergeCtx) {
 		// whole table is byte-for-byte equivalent to merging it.
 		// Count the pages that actually changed (pointer compares)
 		// so the cost model still sees the real data volume.
-		count := func(l2 int) {
-			st.PtesScanned++
-			var rp *page
-			if rt != nil {
-				rp = rt.ptes[l2].pg
-			}
-			if ct.ptes[l2].pg != rp {
-				st.PagesAdopted++
-			}
-		}
-		if job.db != nil {
-			job.db.forEachSetBit(0, tableEntries, count)
-		} else {
-			for l2 := 0; l2 < tableEntries; l2++ {
-				count(l2)
+		for w := range ct.occ {
+			word := occIn(ct, rt, w, 0, tableEntries)
+			st.PtesScanned += bits.OnesCount64(word)
+			for ; word != 0; word &= word - 1 {
+				l2 := w<<6 | bits.TrailingZeros64(word)
+				if rt == nil || ct.ptes[l2].pg != rt.ptes[l2].pg {
+					st.PagesAdopted++
+				}
 			}
 		}
 		dst.root[l1] = shareTable(ct)
 		dst.frames.dropTable(dt)
-		dst.markTableDirty(l1)
 		st.TablesAdopted++
 		*c.touched = true
 		return
 	}
 	dc := cursor{s: dst, l1: l1}
-	visit := func(l2 int) {
-		st.PtesScanned++
-		ce := ct.ptes[l2]
-		var re pte
-		if rt != nil {
-			re = rt.ptes[l2]
-		}
-		if ce.pg == re.pg {
-			return // child did not change this page
-		}
-		pa := Addr(uint64(l1)<<l1Shift) + Addr(l2)<<l2Shift
-		mergePage(&dc, pa, l2, ce, re, c)
-	}
-	if job.db != nil {
-		job.db.forEachSetBit(job.lo, job.hi, visit)
-	} else {
-		for l2 := job.lo; l2 < job.hi; l2++ {
-			visit(l2)
+	for w := job.lo >> 6; w<<6 < job.hi; w++ {
+		word := occIn(ct, rt, w, job.lo, job.hi)
+		st.PtesScanned += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			l2 := w<<6 | bits.TrailingZeros64(word)
+			ce := ct.ptes[l2]
+			var re pte
+			if rt != nil {
+				re = rt.ptes[l2]
+			}
+			if ce.pg == re.pg {
+				continue // child did not change this page
+			}
+			pa := Addr(uint64(l1)<<l1Shift) + Addr(l2)<<l2Shift
+			mergePage(&dc, pa, l2, ce, re, c)
 		}
 	}
 }
@@ -260,7 +232,6 @@ func mergePage(dc *cursor, pa Addr, l2 int, ce, re pte, c mergeCtx) {
 			perm = ce.perm
 		}
 		t.set(l2, pte{pg: ce.pg, perm: perm})
-		dc.db[l2>>6] |= 1 << (uint(l2) & 63)
 		c.st.PagesAdopted++
 		*c.touched = true
 		return
@@ -415,6 +386,5 @@ func (s *Space) CopyAllFrom(src *Space) CopyStats {
 			st.TablesShared++
 		}
 	}
-	s.markAllDirty()
 	return st
 }

@@ -18,8 +18,7 @@ import (
 //     the touched tables must agree bit for bit;
 //   - byteRule, the three-way rule itself computed from Space.Read of
 //     dst, cur and ref alone — no table walk, no adoption fast path, no
-//     cursor — against which the whole engine (MergeEx, every worker
-//     count, guided and unguided) is checked.
+//     cursor — against which the whole engine (MergeEx) is checked.
 //
 // Scenarios deliberately plant overlapping writes that straddle 8-byte
 // word boundaries (where the masked conflict test and the per-byte
@@ -230,34 +229,28 @@ func byteRule(t *testing.T, dst, cur, ref *Space, mode MergeMode) ruleOutcome {
 }
 
 // checkAgainstByteRule merges the replayed history over [0, propSpan)
-// with cfg (through MergeEx, or through the forced full scan) and fails
+// with cfg through MergeEx and fails
 // unless destination bytes, BytesMerged, conflict total and reported
 // addresses are what byteRule computed from the pre-merge spaces, and
 // every table whose bytes changed is in Touched.
 func checkAgainstByteRule(t *testing.T, parent *Space, childOps, parentOps []memOp,
-	cfg MergeConfig, guided bool) (mergeOutcome, TableBits) {
+	cfg MergeConfig) (mergeOutcome, TableBits) {
 	t.Helper()
 	var touched TableBits
 	cfg.Touched = &touched
 	out := runMergeVia(t, parent, childOps, parentOps, 0, propSpan,
 		func(dst, cur, ref *Space) (MergeStats, error) {
 			want := byteRule(t, dst, cur, ref, cfg.Mode)
-			var st MergeStats
-			var err error
-			if guided {
-				st, err = MergeEx(dst, cur, ref, 0, propSpan, cfg)
-			} else {
-				st, err = mergeRange(dst, cur, ref, 0, propSpan, cfg, false)
-			}
+			st, err := MergeEx(dst, cur, ref, 0, propSpan, cfg)
 			got := make([]byte, propSpan)
 			if rerr := dst.Read(0, got); rerr != nil {
 				t.Fatal(rerr)
 			}
 			if !bytes.Equal(got, want.bytes) {
-				t.Errorf("cfg %+v guided %v: destination bytes differ from the byte rule", cfg, guided)
+				t.Errorf("cfg %+v: destination bytes differ from the byte rule", cfg)
 			}
 			if st.BytesMerged != want.merged {
-				t.Errorf("cfg %+v guided %v: BytesMerged = %d, byte rule says %d", cfg, guided, st.BytesMerged, want.merged)
+				t.Errorf("cfg %+v: BytesMerged = %d, byte rule says %d", cfg, st.BytesMerged, want.merged)
 			}
 			var total int
 			var addrs []Addr
@@ -265,12 +258,12 @@ func checkAgainstByteRule(t *testing.T, parent *Space, childOps, parentOps []mem
 				total, addrs = mc.Total, mc.Addrs
 			}
 			if total != want.total || fmt.Sprint(addrs) != fmt.Sprint(want.addrs) {
-				t.Errorf("cfg %+v guided %v: conflicts %d %v, byte rule says %d %v",
-					cfg, guided, total, addrs, want.total, want.addrs)
+				t.Errorf("cfg %+v: conflicts %d %v, byte rule says %d %v",
+					cfg, total, addrs, want.total, want.addrs)
 			}
 			for i, w := range want.changed {
 				if w&^touched[i] != 0 {
-					t.Errorf("cfg %+v guided %v: a table whose bytes changed is not in Touched", cfg, guided)
+					t.Errorf("cfg %+v: a table whose bytes changed is not in Touched", cfg)
 					break
 				}
 			}
@@ -284,17 +277,7 @@ func TestMergeMatchesByteRuleProperty(t *testing.T) {
 		parent, childOps, parentOps := straddleHistory(t, seed)
 		defer parent.Free()
 		for _, mode := range []MergeMode{MergeStrict, MergeLastWriter} {
-			base, baseTouched := checkAgainstByteRule(t, parent, childOps, parentOps,
-				MergeConfig{Mode: mode}, true)
-			got, touched := checkAgainstByteRule(t, parent, childOps, parentOps,
-				MergeConfig{Mode: mode}, false)
-			if diff := outcomesEqual(base, got, true); diff != "" {
-				t.Errorf("seed %d mode %v full scan: %s", seed, mode, diff)
-			}
-			if touched != baseTouched {
-				t.Errorf("seed %d mode %v full scan: touched tables differ: %x vs %x",
-					seed, mode, touched, baseTouched)
-			}
+			checkAgainstByteRule(t, parent, childOps, parentOps, MergeConfig{Mode: mode})
 		}
 		return !t.Failed()
 	}
@@ -355,7 +338,7 @@ func TestMergeKernelStraddledConflicts(t *testing.T) {
 	// adopted and the engine's outcome equals the bare kernel's but for
 	// the scan count.
 	got, _ := checkAgainstByteRule(t, parent, childOps, parentOps,
-		MergeConfig{Mode: MergeStrict}, true)
+		MergeConfig{Mode: MergeStrict})
 	if diff := outcomesEqual(oracle, got, true); diff != "" {
 		t.Errorf("engine differs from byte oracle: %s", diff)
 	}

@@ -7,11 +7,13 @@ import (
 	"testing/quick"
 )
 
-// Property test for the merge engine: dirty-guided and full-scan walks of
-// the same (dst, cur, ref) triple must produce byte-identical destination
-// spaces, identical semantic MergeStats, and identical conflict address
-// lists — in both conflict modes, across randomized dirty patterns on both
-// sides of the fork.
+// Property test for the merge engine: its occupancy walk and slotMerge,
+// a walk of every slot, over the same (dst, cur, ref) triple must produce
+// byte-identical destination spaces, identical semantic MergeStats, and
+// identical conflict address lists — in both conflict modes, across
+// randomized write patterns on both sides of the fork. The engine's
+// PtesScanned must be the slots either side backs in the tables it walks
+// (slotsBacked), counted here slot by slot, not from the occupancy maps.
 
 // propSpan covers two whole level-2 tables plus a partial third, so the
 // walk exercises whole-table adoption, partial-table clamping, and a
@@ -89,24 +91,120 @@ type mergeOutcome struct {
 }
 
 // runMerge replays the history onto fresh copies of parent and merges
-// through MergeEx, which picks the guided walk (the histories always
-// qualify); runMergeFull forces the unguided full scan instead.
+// through MergeEx, failing t unless its PtesScanned is slotsBacked;
+// runMergeSlots merges through slotMerge instead.
 func runMerge(t *testing.T, parent *Space, childOps, parentOps []memOp,
 	addr Addr, size uint64, cfg MergeConfig) mergeOutcome {
 	t.Helper()
 	return runMergeVia(t, parent, childOps, parentOps, addr, size,
 		func(dst, cur, ref *Space) (MergeStats, error) {
-			return MergeEx(dst, cur, ref, addr, size, cfg)
+			st, err := MergeEx(dst, cur, ref, addr, size, cfg)
+			if want := slotsBacked(cur, ref, addr, size); st.PtesScanned != want {
+				t.Errorf("merge over %#x+%#x scanned %d ptes, the walked tables back %d slots",
+					addr, size, st.PtesScanned, want)
+			}
+			return st, err
 		})
 }
 
-func runMergeFull(t *testing.T, parent *Space, childOps, parentOps []memOp,
+func runMergeSlots(t *testing.T, parent *Space, childOps, parentOps []memOp,
 	addr Addr, size uint64, cfg MergeConfig) mergeOutcome {
 	t.Helper()
 	return runMergeVia(t, parent, childOps, parentOps, addr, size,
 		func(dst, cur, ref *Space) (MergeStats, error) {
-			return mergeRange(dst, cur, ref, addr, size, cfg, false)
+			return slotMerge(dst, cur, ref, addr, size, cfg)
 		})
+}
+
+// slotRange is the slice [lo, hi) of table l1's slots that the range
+// [addr, end) covers.
+func slotRange(l1 int, addr Addr, end uint64) (lo, hi int) {
+	base := uint64(l1) << l1Shift
+	lo, hi = 0, tableEntries
+	if base < uint64(addr) {
+		lo = int((uint64(addr) - base) >> l2Shift)
+	}
+	if base+(tableEntries<<l2Shift) > end {
+		hi = int((end - base) >> l2Shift)
+	}
+	return lo, hi
+}
+
+// entryOf is slot l2 of t, or no entry for no table.
+func entryOf(t *table, l2 int) pte {
+	if t == nil {
+		return pte{}
+	}
+	return t.ptes[l2]
+}
+
+// slotsBacked counts, slot by slot, the slots in range that cur or ref
+// backs with a page, over the tables a merge walks: those cur has and no
+// longer shares with ref.
+func slotsBacked(cur, ref *Space, addr Addr, size uint64) int {
+	n, end := 0, uint64(addr)+size
+	for l1 := int(addr >> l1Shift); uint64(l1)<<l1Shift < end; l1++ {
+		ct, rt := cur.root[l1], ref.root[l1]
+		if ct == nil || ct == rt {
+			continue
+		}
+		lo, hi := slotRange(l1, addr, end)
+		for l2 := lo; l2 < hi; l2++ {
+			if ct.ptes[l2].pg != nil || entryOf(rt, l2).pg != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// slotMerge is the merge engine as it walked before tables carried
+// occupancy maps: every slot in range of each table cur no longer shares
+// with ref, one at a time, into the same whole-table adoption and the same
+// per-page path. It is the reference the occupancy walk must match on
+// everything but PtesScanned.
+func slotMerge(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (MergeStats, error) {
+	var st MergeStats
+	if err := rangeCheck(addr, size); err != nil {
+		return st, err
+	}
+	conflict, end := &MergeConflictError{}, uint64(addr)+size
+	for l1 := int(addr >> l1Shift); uint64(l1)<<l1Shift < end; l1++ {
+		ct, rt := cur.root[l1], ref.root[l1]
+		if ct == nil || ct == rt {
+			continue
+		}
+		lo, hi := slotRange(l1, addr, end)
+		var touched bool
+		if dt := dst.root[l1]; dt == rt && lo == 0 && hi == tableEntries {
+			for l2 := 0; l2 < tableEntries; l2++ {
+				st.PtesScanned++
+				if ct.ptes[l2].pg != entryOf(rt, l2).pg {
+					st.PagesAdopted++
+				}
+			}
+			dst.root[l1] = shareTable(ct)
+			dst.frames.dropTable(dt)
+			st.TablesAdopted++
+			touched = true
+		} else {
+			c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict, touched: &touched}
+			dc := cursor{s: dst, l1: l1}
+			for l2 := lo; l2 < hi; l2++ {
+				st.PtesScanned++
+				if ce, re := ct.ptes[l2], entryOf(rt, l2); ce.pg != re.pg {
+					mergePage(&dc, Addr(l1)<<l1Shift|Addr(l2)<<l2Shift, l2, ce, re, c)
+				}
+			}
+		}
+		if touched && cfg.Touched != nil {
+			cfg.Touched.Set(l1)
+		}
+	}
+	if conflict.Total > 0 {
+		return st, conflict
+	}
+	return st, nil
 }
 
 func runMergeVia(t *testing.T, parent *Space, childOps, parentOps []memOp,
@@ -192,17 +290,15 @@ func TestMergeEnginesEquivalentProperty(t *testing.T) {
 		}
 
 		for _, mode := range []MergeMode{MergeStrict, MergeLastWriter} {
-			guided := runMerge(t, parent, childOps, parentOps, addr, size,
+			got := runMerge(t, parent, childOps, parentOps, addr, size,
 				MergeConfig{Mode: mode})
-			full := runMergeFull(t, parent, childOps, parentOps, addr, size,
+			slots := runMergeSlots(t, parent, childOps, parentOps, addr, size,
 				MergeConfig{Mode: mode})
-			if diff := outcomesEqual(guided, full, true); diff != "" {
-				t.Errorf("seed %d mode %v: full scan differs from guided: %s", seed, mode, diff)
+			if diff := outcomesEqual(got, slots, true); diff != "" {
+				t.Errorf("seed %d mode %v: slot walk differs from the engine: %s", seed, mode, diff)
 				return false
 			}
-			if full.st.PtesScanned < guided.st.PtesScanned {
-				t.Errorf("seed %d mode %v: full scan visited %d ptes, fewer than guided's %d",
-					seed, mode, full.st.PtesScanned, guided.st.PtesScanned)
+			if t.Failed() {
 				return false
 			}
 		}
@@ -217,7 +313,7 @@ func TestMergeEnginesEquivalentProperty(t *testing.T) {
 // TestMergeEnginesEquivalentOnContention pins the hard cases the random
 // scenarios only sometimes draw: a guaranteed write/write conflict, a
 // byte-compared false-sharing page, and a whole-table adoption, all in one
-// merge — and requires the guided and the full walk to agree on them.
+// merge — and requires the engine and the slot walk to agree on them.
 func TestMergeEnginesEquivalentOnContention(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	parent := NewSpace()
@@ -239,18 +335,17 @@ func TestMergeEnginesEquivalentOnContention(t *testing.T) {
 	for _, mode := range []MergeMode{MergeStrict, MergeLastWriter} {
 		cfg := MergeConfig{Mode: mode}
 		base := runMerge(t, parent, childOps, parentOps, 0, propSpan, cfg)
-		got := runMergeFull(t, parent, childOps, parentOps, 0, propSpan, cfg)
+		got := runMergeSlots(t, parent, childOps, parentOps, 0, propSpan, cfg)
 		if diff := outcomesEqual(base, got, true); diff != "" {
-			t.Errorf("mode %v full: %s", mode, diff)
+			t.Errorf("mode %v slot walk: %s", mode, diff)
 		}
 	}
 }
 
-// TestMergeMutatedRefNeverGuides closes a trust hole: a reference
-// snapshot that was written to and then re-snapshotted must not steer a
-// guided merge — re-snapshotting clears the ref's dirty marks (the
-// evidence of its divergence), so its own snapshot identity has to be
-// dropped with them, forcing the full walk.
+// TestMergeMutatedRefNeverGuides: a reference snapshot that was written
+// to, and then snapshotted itself, still diverges from cur where it was
+// written — its write copied the table it shared with cur — and the merge
+// sees that divergence.
 func TestMergeMutatedRefNeverGuides(t *testing.T) {
 	cur := NewSpace()
 	if err := cur.SetPerm(0, 4*PageSize, PermRW); err != nil {
@@ -260,16 +355,15 @@ func TestMergeMutatedRefNeverGuides(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref, _ := cur.Snapshot()
-	// Mutate the reference behind the merge's back, then launder its
-	// dirty marks through a second Snapshot call.
+	// Mutate the reference behind the merge's back, then snapshot it.
 	if err := ref.Write(PageSize, []byte("ref-side change")); err != nil {
 		t.Fatal(err)
 	}
 	ref.Snapshot()
-	if dirtyGuided(cur, ref) {
-		t.Fatal("mutated, re-snapshotted ref still trusted for guided merge")
+	if cur.CleanSince(ref) {
+		t.Fatal("cur reported clean against a ref written since")
 	}
-	// The full walk must now see the ref-side divergence: cur's page 1
+	// The merge must see the ref-side divergence: cur's page 1
 	// (still "base"-era zeros) differs from ref's, so the merge folds
 	// cur's bytes over the ref-side change.
 	dst := NewSpace()
@@ -282,30 +376,25 @@ func TestMergeMutatedRefNeverGuides(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(b[:]) == "ref-side change" {
-		t.Error("merge skipped a page the ref diverged on (guided walk used stale hints)")
+		t.Error("merge skipped a page the ref diverged on")
 	}
 }
 
-// TestMergeDirtyGuidedScansLessThanFull pins the tentpole claim: with a
-// sparse dirty pattern the guided walk examines O(dirtied) ptes while the
-// seed-equivalent full walk examines every pte of each touched table.
-func TestMergeDirtyGuidedScansLessThanFull(t *testing.T) {
+// TestMergeScansOccupiedSlots: inside a table the child no longer shares
+// with its snapshot, the merge visits the slots either side backs and no
+// others — here 4 per table, of the 1024 a slot walk visits — while still
+// agreeing with the slot walk on everything else.
+func TestMergeScansOccupiedSlots(t *testing.T) {
 	parent := NewSpace()
 	if err := parent.SetPerm(0, propSpan, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, PageSize)
-	for p := 0; p < propSpan/PageSize; p++ {
-		if err := parent.Write(Addr(p*PageSize), buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Child dirties 3 pages in each of the first two tables. Dirtying the
-	// parent too keeps both tables off the whole-table adoption path, so
-	// the comparison isolates the pte-scan cost.
-	childOps := []memOp{}
-	parentOps := []memOp{{addr: 5 * PageSize, data: []byte("parent")},
-		{addr: Addr(tableEntries+9) * PageSize, data: []byte("parent")}}
+	// One backed page per table on both sides of the fork; the child backs
+	// three more per table. Writing the parent too keeps both tables off
+	// the whole-table adoption path.
+	applyOps(t, parent, []memOp{{addr: 7 * PageSize, data: []byte("base")},
+		{addr: (tableEntries + 7) * PageSize, data: []byte("base")}})
+	var childOps []memOp
 	for _, l1 := range []int{0, 1} {
 		for i := 0; i < 3; i++ {
 			childOps = append(childOps, memOp{
@@ -314,16 +403,18 @@ func TestMergeDirtyGuidedScansLessThanFull(t *testing.T) {
 			})
 		}
 	}
-	guided := runMerge(t, parent, childOps, parentOps, 0, propSpan, MergeConfig{})
-	full := runMergeFull(t, parent, childOps, parentOps, 0, propSpan, MergeConfig{})
-	if diff := outcomesEqual(guided, full, true); diff != "" {
-		t.Fatalf("guided and full walks disagree: %s", diff)
+	parentOps := []memOp{{addr: 5 * PageSize, data: []byte("parent")},
+		{addr: Addr(tableEntries+9) * PageSize, data: []byte("parent")}}
+	got := runMerge(t, parent, childOps, parentOps, 0, propSpan, MergeConfig{})
+	slots := runMergeSlots(t, parent, childOps, parentOps, 0, propSpan, MergeConfig{})
+	if diff := outcomesEqual(got, slots, true); diff != "" {
+		t.Fatalf("engine and slot walk disagree: %s", diff)
 	}
-	if guided.st.PtesScanned > 16 {
-		t.Errorf("guided walk scanned %d ptes for 6 dirty pages, want O(dirtied)", guided.st.PtesScanned)
+	if got.st.PtesScanned != 8 {
+		t.Errorf("merge scanned %d ptes, want the 8 backed slots of the two walked tables", got.st.PtesScanned)
 	}
-	if full.st.PtesScanned < 2*tableEntries {
-		t.Errorf("full walk scanned %d ptes, expected the whole %d-pte touched span",
-			full.st.PtesScanned, 2*tableEntries)
+	if slots.st.PtesScanned != 2*tableEntries {
+		t.Errorf("slot walk scanned %d ptes, want the %d slots of the two walked tables",
+			slots.st.PtesScanned, 2*tableEntries)
 	}
 }

@@ -7,37 +7,32 @@ import (
 )
 
 // perPageZero and perPageSetPerm are Zero and SetPerm as they were
-// before ownRange: split + ownTable + markDirty for every page. They are
-// the reference the bulk walk must match pte for pte and dirty bit for
-// dirty bit.
+// before ownRange: split + ownTable for every page. They are the
+// reference the bulk walk must match pte for pte.
 func perPageZero(s *Space, addr Addr, size uint64, perm Perm) {
 	for off := uint64(0); off < size; off += PageSize {
-		a := addr + Addr(off)
-		l1, l2 := split(a)
+		l1, l2 := split(addr + Addr(off))
 		t := s.ownTable(l1)
 		if old := t.ptes[l2].pg; old != nil {
 			old.refs.Add(-1)
 		}
 		oracleInstall(t, l2, pte{perm: perm})
-		s.markDirty(a)
 	}
 }
 
 func perPageSetPerm(s *Space, addr Addr, size uint64, perm Perm) {
 	for off := uint64(0); off < size; off += PageSize {
-		a := addr + Addr(off)
-		l1, l2 := split(a)
+		l1, l2 := split(addr + Addr(off))
 		s.ownTable(l1).ptes[l2].perm = perm
-		s.markDirty(a)
 	}
 }
 
 // TestBulkRangeOpsMatchPerPage drives two spaces through the same seeded
-// history of writes, snapshots (which share every table and clear the
-// dirty marks), zeroes and permission changes over ranges that start and
-// end mid-table and span table boundaries — one space through Zero and
-// SetPerm, the other through the per-page reference — and requires the
-// same permissions, backing, page reference counts and dirty bitmaps
+// history of writes, snapshots (which share every table), zeroes and
+// permission changes over ranges that start and end mid-table and span
+// table boundaries — one space through Zero and SetPerm, the other
+// through the per-page reference — and requires the
+// same permissions, backing, occupancy and page reference counts
 // throughout.
 func TestBulkRangeOpsMatchPerPage(t *testing.T) {
 	const span = 3 * tableEntries * PageSize // three level-2 tables
@@ -76,10 +71,6 @@ func TestBulkRangeOpsMatchPerPage(t *testing.T) {
 			perPageSetPerm(ref, addr, size, PermRW)
 		}
 		for l1 := 0; l1 < 3; l1++ {
-			db, dr := bulk.dirty[l1], ref.dirty[l1]
-			if (db == nil) != (dr == nil) || (db != nil && *db != *dr) {
-				t.Fatalf("op %d: dirty bitmap of table %d differs from the per-page walk's", op, l1)
-			}
 			tb, tr := bulk.root[l1], ref.root[l1]
 			if (tb == nil) != (tr == nil) {
 				t.Fatalf("op %d: table %d allocated on one side only", op, l1)

@@ -1,6 +1,10 @@
 package vm
 
-import "testing"
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
 
 // fillPages maps n pages RW and writes a deterministic pattern.
 func fillPages(t *testing.T, s *Space, n int, salt byte) {
@@ -138,7 +142,6 @@ func TestResnapNoopIsFree(t *testing.T) {
 	if st != (CopyStats{}) {
 		t.Fatalf("no-op Resnap charged %+v", st)
 	}
-	// The refreshed pair must still support dirty-guided merges.
 	if !s.CleanSince(snap2) {
 		t.Fatal("pair not clean after no-op Resnap")
 	}
@@ -150,7 +153,7 @@ func TestResnapFallsBackAfterPrecisionLoss(t *testing.T) {
 	snap, _ := s.Snapshot()
 	other := NewSpace()
 	fillPages(t, other, 4, 9)
-	s.CopyAllFrom(other) // marks everything dirty: proof unavailable
+	s.CopyAllFrom(other) // a whole-space replacement
 	snap2, st := s.Resnap(snap)
 	if st.TablesShared == 0 {
 		t.Fatal("fallback resnap shared no tables")
@@ -165,28 +168,116 @@ func TestResnapFallsBackAfterPrecisionLoss(t *testing.T) {
 	other.Free()
 }
 
-func TestResnapGuidesMergeAfterUpdate(t *testing.T) {
-	// After a Resnap, the dirty-guided merge must scan O(dirtied) ptes,
-	// proving the identity restamp keeps the guidance proof alive.
-	const pages = 512 // two level-2 tables' worth if spread out
-	s := NewSpace()
-	fillPages(t, s, pages, 1)
-	snap, _ := s.Snapshot()
-	for round := 0; round < 3; round++ {
-		snap, _ = s.Resnap(snap)
-		if err := s.WriteU32(Addr(round)*PageSize+64, uint32(round)+1); err != nil {
-			t.Fatal(err)
+// TestResnapSharesRootAfterAnyHistory calls Resnap on snapshots whatever
+// happened to them or their space since — a whole-space replacement, a
+// freed space, a freed snapshot, a snapshot written to, a pair decoded
+// from an image — and requires each time the old snapshot back,
+// sharing every root slot with the space, charged one TablesShared per
+// non-nil table it had to re-share.
+func TestResnapSharesRootAfterAnyHistory(t *testing.T) {
+	const pages = 2*tableEntries + 8 // three tables, the third nearly empty
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T, s, snap *Space) (*Space, *Space)
+	}{
+		{"after CopyAllFrom", func(t *testing.T, s, snap *Space) (*Space, *Space) {
+			other := NewSpace()
+			fillPages(t, other, 4, 9)
+			s.CopyAllFrom(other)
+			return s, snap
+		}},
+		{"after the space is freed", func(t *testing.T, s, snap *Space) (*Space, *Space) {
+			s.Free()
+			return s, snap
+		}},
+		{"after the snapshot is freed", func(t *testing.T, s, snap *Space) (*Space, *Space) {
+			snap.Free()
+			return s, snap
+		}},
+		{"on a mutated snapshot", func(t *testing.T, s, snap *Space) (*Space, *Space) {
+			if err := snap.WriteU32(tableEntries*PageSize+8, 5); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.WriteU32(3*PageSize, 6); err != nil {
+				t.Fatal(err)
+			}
+			return s, snap
+		}},
+		{"on a decoded pair", func(t *testing.T, s, snap *Space) (*Space, *Space) {
+			if err := s.WriteU32(2*tableEntries*PageSize, 7); err != nil {
+				t.Fatal(err)
+			}
+			spaces, err := DecodeForest(encodePair(s, snap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return spaces[0], spaces[1]
+		}},
+	} {
+		s := NewSpace()
+		fillPages(t, s, pages, 1)
+		snap, _ := s.Snapshot()
+		s, snap = tc.setup(t, s, snap)
+		want := 0
+		for l1 := range s.root {
+			if s.root[l1] != snap.root[l1] && s.root[l1] != nil {
+				want++
+			}
 		}
-		dst := NewSpace()
-		dst.CopyAllFrom(snap) // dst == ref: merge adopts the one changed page
-		st, err := MergeEx(dst, s, snap, 0, pages*PageSize, MergeConfig{})
-		if err != nil {
-			t.Fatal(err)
+		got, st := s.Resnap(snap)
+		if got != snap {
+			t.Errorf("%s: Resnap did not return the old snapshot", tc.name)
 		}
-		if st.PtesScanned > 8 {
-			t.Fatalf("round %d: guided merge scanned %d ptes (want O(dirtied))", round, st.PtesScanned)
+		if got.root != s.root {
+			t.Errorf("%s: the snapshot does not share every root slot with the space", tc.name)
 		}
-		dst.Free()
+		if st != (CopyStats{TablesShared: want}) {
+			t.Errorf("%s: Resnap charged %+v, want %d re-shared tables", tc.name, st, want)
+		}
+		if !s.CleanSince(got) {
+			t.Errorf("%s: space not clean against its refreshed snapshot", tc.name)
+		}
+	}
+}
+
+// TestCleanSinceSound runs the frame-pool scripts — writes, Zero,
+// SetPerm, CopyFrom, CopyAllFrom, merges, Snapshot and Resnap — and after
+// every step holds each space CleanSince its snapshot reports on to equal
+// permissions everywhere and equal bytes on every page the scripts touch.
+func TestCleanSinceSound(t *testing.T) {
+	clean, dirty := 0, 0
+	for seed := 0; seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		w := newFramesWorld(t, nil)
+		for step := 0; step < 150; step++ {
+			op := drawFramesOp(rng)
+			w.apply(op)
+			for i, s := range w.s {
+				snap := w.snap[i]
+				if op.kind == opResnap && i == op.i && !s.CleanSince(snap) {
+					t.Fatalf("seed %d step %d: space %d not clean right after Resnap", seed, step, i)
+				}
+				if !s.CleanSince(snap) {
+					dirty++
+					continue
+				}
+				clean++
+				for a := Addr(0); uint64(a) < framesSpan; a += PageSize {
+					if s.entry(a).perm != snap.entry(a).perm {
+						t.Fatalf("seed %d step %d: space %d clean, but page %#x perm %v, snapshot %v",
+							seed, step, i, a, s.entry(a).perm, snap.entry(a).perm)
+					}
+				}
+				for _, pn := range framesHot {
+					if a := pn * PageSize; !bytes.Equal(dataOf(s.entry(a).pg)[:], dataOf(snap.entry(a).pg)[:]) {
+						t.Fatalf("seed %d step %d: space %d clean, but page %#x differs from its snapshot", seed, step, i, a)
+					}
+				}
+			}
+		}
+	}
+	if clean == 0 || dirty == 0 {
+		t.Fatalf("scripts never exercised both answers: %d clean, %d not", clean, dirty)
 	}
 }
 

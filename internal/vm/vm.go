@@ -9,12 +9,11 @@
 // its reference snapshot are folded into the parent, and bytes changed on
 // both sides raise a conflict, independent of any execution schedule.
 //
-// Every mutation additionally sets a bit in a per-space dirty bitmap
-// (dirty.go). Snapshot clears the bitmap and stamps the (space, snapshot)
-// pair with an identity token, so a merge that is handed the space's most
-// recent snapshot can walk only the ptes the space actually dirtied —
-// O(dirtied) instead of O(mapped) — and provably reach the same pages the
-// full scan would.
+// Copy-on-write is also the record of what changed: a table or page a
+// space still shares with its snapshot is one it has not changed since.
+// Merge, DeltaRuns, Resnap and CleanSince answer from that pointer
+// identity alone; inside a table that is no longer shared, Merge and
+// DeltaRuns visit only the slots either side's occupancy map lists.
 //
 // # Concurrency invariants
 //
@@ -37,9 +36,9 @@
 // A recycled frame is a new object at an old address, so comparing
 // pointers is sound only between objects something still references.
 // Every == and != on a *page or *table — mergeRange, mergeTable,
-// mergePage, DeltaRuns, Resnap, CopyFrom, CopyAllFrom — compares entries
-// read from the root or a table of a live space or snapshot, which pins
-// them; and where a slot's page or table is replaced, the new reference is
+// mergePage, DeltaRuns, Resnap, CleanSince, CopyFrom, CopyAllFrom —
+// compares entries read from the root or a table of a live space or
+// snapshot, which pins them; and where a slot's page or table is replaced, the new reference is
 // taken before the old one is dropped, so a replacement by the same object
 // never passes through the pool.
 package vm
@@ -162,6 +161,27 @@ func (t *table) pages(yield func(*page) bool) {
 	}
 }
 
+// occIn returns occupancy word w of the slots a or b backs (a nil table
+// backs none), limited to slots [lo, hi). Slots neither backs hold no page
+// on either side, so the walks comparing two tables' pages — Merge and
+// DeltaRuns — visit only the set bits of these words.
+func occIn(a, b *table, w, lo, hi int) uint64 {
+	var word uint64
+	if a != nil {
+		word = a.occ[w]
+	}
+	if b != nil {
+		word |= b.occ[w]
+	}
+	if base := w << 6; base < lo {
+		word &= ^uint64(0) << uint(lo-base)
+	}
+	if end := (w + 1) << 6; end > hi {
+		word &= ^uint64(0) >> uint(end-hi)
+	}
+	return word
+}
+
 // shareTable adds a reference.
 func shareTable(t *table) *table {
 	if t != nil {
@@ -176,18 +196,6 @@ type Space struct {
 	// frames is where the space's pages and tables come from and go back
 	// to (frames.go); its snapshots share it. nil is the Go heap.
 	frames *Frames
-
-	// Dirty-page tracking (dirty.go): one lazily allocated bitmap per
-	// level-2 table marking the ptes mutated since the last Snapshot,
-	// plus a coarse escape hatch for whole-space replacements.
-	dirty    [tableEntries]*dirtyBits
-	dirtyAll bool
-	// snapID identifies the most recent Snapshot taken of this space;
-	// snapOf, set only on snapshot spaces, names the Snapshot call that
-	// produced them. Merge trusts the dirty bitmap only when the tokens
-	// match (see dirtyGuided).
-	snapID uint64
-	snapOf uint64
 }
 
 // ownTable returns a privately owned (mutable) level-2 table for index
@@ -286,17 +294,14 @@ func rangeCheck(addr Addr, size uint64) error {
 // ownRange calls visit once per level-2 table the (page-aligned, already
 // range-checked) span touches, handing it that table and its slots [lo, hi)
 // for the span.
-// The table is privately owned and the ptes are marked dirty before visit
-// sees them, so table sharing is broken and the dirty bitmap fetched once
-// per level-1 slot rather than once per page — the bulk counterpart of
-// the cursor walk in Read and Write.
+// The table is privately owned before visit sees it, so table sharing is
+// broken once per level-1 slot rather than once per page — the bulk
+// counterpart of the cursor walk in Read and Write.
 func (s *Space) ownRange(addr Addr, size uint64, visit func(t *table, lo, hi int)) {
 	for a, end := uint64(addr), uint64(addr)+size; a < end; {
 		l1, lo := split(Addr(a))
 		hi := min(tableEntries, lo+int((end-a)>>PageShift))
-		t := s.ownTable(l1)
-		s.dirtyTable(l1).setRange(lo, hi)
-		visit(t, lo, hi)
+		visit(s.ownTable(l1), lo, hi)
 		a += uint64(hi-lo) << PageShift
 	}
 }
@@ -343,12 +348,6 @@ func (s *Space) Free() {
 		s.frames.dropTable(t)
 		s.root[i] = nil
 	}
-	// Emptying the space invalidates both sides of any dirty-tracking
-	// relationship it was part of: it no longer matches its last snapshot,
-	// and if it was itself a snapshot it no longer matches its origin.
-	s.clearDirty()
-	s.snapID = 0
-	s.snapOf = 0
 }
 
 // CopyStats reports the work done by a bulk page operation, used by the
@@ -387,7 +386,6 @@ func (s *Space) CopyFrom(src *Space, srcAddr, dstAddr Addr, size uint64) (CopySt
 			}
 			s.root[l1] = shareTable(srcT)
 			s.frames.dropTable(dstT)
-			s.markTableDirty(l1)
 			if srcT != nil {
 				st.TablesShared++
 			}
@@ -396,8 +394,7 @@ func (s *Space) CopyFrom(src *Space, srcAddr, dstAddr Addr, size uint64) (CopySt
 	}
 	for off := uint64(0); off < size; off += PageSize {
 		se := src.entry(srcAddr + Addr(off))
-		da := dstAddr + Addr(off)
-		l1, l2 := split(da)
+		l1, l2 := split(dstAddr + Addr(off))
 		t := s.ownTable(l1)
 		// The new reference is taken before the old one is dropped: on a
 		// self-copy they are one page, and its last reference must not
@@ -412,19 +409,14 @@ func (s *Space) CopyFrom(src *Space, srcAddr, dstAddr Addr, size uint64) (CopySt
 			s.frames.dropPage(old)
 		}
 		t.set(l2, pte{pg: se.pg, perm: se.perm})
-		s.markDirty(da)
 	}
 	return st, nil
 }
 
 // Snapshot returns a COW clone of the entire space, used as the reference
 // copy for a later Merge (the Snap option of Put). It shares whole level-2
-// tables, so snapshotting costs O(mapped address space / 4 MiB).
-//
-// Snapshot also resets the space's dirty-page tracking: space and clone
-// are identical at this instant, so the marks that accumulate afterwards
-// describe exactly the divergence from this snapshot. The pair is stamped
-// with an identity token that lets Merge recognize the relationship.
+// tables, so snapshotting costs O(mapped address space / 4 MiB), and
+// whatever either side later writes parts from the other by copy-on-write.
 func (s *Space) Snapshot() (*Space, CopyStats) {
 	snap := &Space{frames: s.frames}
 	var st CopyStats
@@ -435,32 +427,19 @@ func (s *Space) Snapshot() (*Space, CopyStats) {
 		snap.root[i] = shareTable(t)
 		st.TablesShared++
 	}
-	id := snapshotIDs.Add(1)
-	s.snapID = id
-	snap.snapOf = id
-	if s.snapOf != 0 && s.anyDirty() {
-		// s was itself a snapshot and has been written since it was
-		// taken. clearDirty below erases that evidence, so drop s's own
-		// snapshot identity too: it is no longer a faithful reference
-		// for its origin, and merges against it must take the full walk.
-		s.snapOf = 0
-	}
-	s.clearDirty()
 	return snap, st
 }
 
 // cursor walks one space's page tables for an access. The level-2 table
 // is resolved once per level-1 slot (1024 pages) instead of once per
-// page; the privately owned table and its dirty bitmap are cached on the
-// first store, so the per-page store path is a pte load, a refcount check
-// and a bit set. Loads, stores and the destination side of a merge job
-// all go through it; a merge job owns its level-1 slot exclusively, like
-// everything else it mutates.
+// page; the privately owned table is cached on the first store, so the
+// per-page store path is a pte load and a refcount check. Loads, stores
+// and the destination side of a merge job all go through it; a merge job
+// owns its level-1 slot exclusively, like everything else it mutates.
 type cursor struct {
 	s  *Space
-	l1 int        // -1 before an access has resolved its first page
-	t  *table     // privately owned level-2 table for l1, resolved lazily
-	db *dirtyBits // the space's dirty bitmap for l1, resolved with t
+	l1 int    // -1 before an access has resolved its first page
+	t  *table // privately owned level-2 table for l1, resolved lazily
 }
 
 // entry reads the pte for l2, through the owned table once one exists.
@@ -482,22 +461,20 @@ func (c *cursor) own() *table {
 		if t == nil || t.refs.Load() > 1 { // else already private: skip the call
 			t = c.s.ownTable(c.l1)
 		}
-		c.t, c.db = t, c.s.dirtyTable(c.l1)
+		c.t = t
 	}
 	return c.t
 }
 
-// writablePage marks l2 dirty and returns a privately owned page there: a
-// lazy-zero entry gets a zeroed page and a page shared copy-on-write is
-// replaced by a private copy. whole says the caller is about to overwrite
-// every byte of the page, so the new page is neither cleared nor copied
-// into. It is the funnel for every in-place data write, so it is also
-// where pages are marked dirty for merge tracking, and the only place a
-// page's COW sharing is broken. The caller must already have checked write
+// writablePage returns a privately owned page at l2: a lazy-zero entry
+// gets a zeroed page and a page shared copy-on-write is replaced by a
+// private copy. whole says the caller is about to overwrite every byte of
+// the page, so the new page is neither cleared nor copied into. It is the
+// funnel for every in-place data write, and the only place a page's COW
+// sharing is broken. The caller must already have checked write
 // permission.
 func (c *cursor) writablePage(l2 int, whole bool) *page {
 	t := c.own()
-	c.db[l2>>6] |= 1 << (uint(l2) & 63)
 	old := t.ptes[l2].pg
 	if old != nil && old.refs.Load() == 1 {
 		return old
@@ -578,8 +555,8 @@ func move[T word](v []T, b []byte, write bool) {
 // access is every bulk typed load and store: it moves the elements of v,
 // size bytes each, between the caller's slice and the pages at addr, in
 // place, through the same per-page step as the byte path — so permissions,
-// COW breaks, dirty marks, the whole-page install and the faulting address
-// are the byte path's, with the pages before a fault already accessed.
+// COW breaks, the whole-page install and the faulting address are the
+// byte path's, with the pages before a fault already accessed.
 //
 // An element that straddles a page boundary is staged in an 8-byte stack
 // array and goes through the byte path itself, so it faults on either

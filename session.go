@@ -37,7 +37,7 @@ import (
 // joins and barriers as it pleases but returns with every thread
 // collected. At any phase barrier the Session can capture an Image — a
 // versioned serialization of the entire space tree (memory, snapshots,
-// COW sharing, dirty tracking), every space's virtual time, instruction
+// COW sharing), every space's virtual time, instruction
 // and traffic counters, the device cursors, the runtime's allocator and
 // placement state, the scheduler state the program stashes, and (when
 // recording) the trace log so far. Suspend saves it into a BlobStore as a
