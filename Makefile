@@ -58,8 +58,9 @@ race:
 # decoders of bytes another space wrote: detmake's task message, over
 # the same cursor, and fs.Attach; on the ref value parser
 # (DirStore.Ref), which every Collect runs over every file with a ref's
-# name; and on detmake's build-file parser, whose errors must not quote a
-# hostile field whole — twelve targets. The seed corpora also
+# name; on detmake's build-file parser, whose errors must not quote a
+# hostile field whole; and on the trace log a session image carries
+# (trace.Unmarshal) — thirteen targets. The seed corpora also
 # run as plain tests under `make test`; this target is what mutates
 # them. A crasher is written to the package's testdata/fuzz and fails
 # every later `go test` until fixed.
@@ -79,6 +80,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz FuzzAttach ./internal/fs
 	$(FUZZ) -fuzz FuzzRefValue ./internal/castore
 	$(FUZZ) -fuzz FuzzBuildFile ./cmd/detmake
+	$(FUZZ) -fuzz FuzzTraceUnmarshal ./internal/trace
 
 # Full-size experiment tables (slow); see also `go run ./cmd/detbench`.
 bench:
@@ -96,7 +98,9 @@ bench:
 # package tests and the two goldens (`make test`, `make bench-exact`).
 # Then one iteration of vm's typed-access benchmark, which fails itself
 # if any of its variants allocates: the words move in place. Then the
-# strided column load beside the scalar loop it stands for, and the
+# strided column load beside the scalar loop it stands for, the same
+# typed loads and stores through a root space's Env (which fails itself
+# if one allocates), and the
 # micro-benchmarks under a build's host cost — fs.Checksum over a sparse
 # image, the whole-table scans of a task image and a full one, one
 # WriteFile of a new file and of an overwrite at depth 1 and 4, the chunk
@@ -112,7 +116,7 @@ bench:
 bench-smoke:
 	$(GO) test -bench='Fig4|DschedRound|MergeDirtyPages' -benchtime=1x -run='^$$' .
 	$(GO) test -bench=TypedAccess -benchtime=1x -run='^$$' ./internal/vm
-	$(GO) test -bench=ReadU32Stride -benchtime=1x -run='^$$' ./internal/kernel
+	$(GO) test -bench='ReadU32Stride|EnvTypedAccess' -benchtime=1x -run='^$$' ./internal/kernel
 	$(GO) test -bench='Checksum|Scan|WriteFile' -benchtime=1x -run='^$$' ./internal/fs
 	$(GO) test -bench=EncodeBlob -benchtime=1x -run='^$$' ./internal/castore
 	$(GO) test -bench='Build|TaskMessage' -benchtime=1x -run='^$$' ./internal/detmake

@@ -348,9 +348,14 @@ const (
 	outcomeMissing           // the declared output never written
 )
 
-// encodeMessage is the one encoder.
+// encodeMessage is the one encoder. It sizes the message before writing
+// it, so the buffer is allocated once.
 func encodeMessage(word uint32, files []taskFile) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, word)
+	n := 8
+	for _, f := range files {
+		n += 8 + len(f.Path) + len(f.Body)
+	}
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, n), word)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(files)))
 	for _, f := range files {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Path)))

@@ -59,11 +59,24 @@ func (e *Env) NetStats() NetStats { return e.sp.net }
 // computation. If an instruction limit is armed and the counter crosses
 // it, the space traps back to its parent (StatusInsnLimit) and resumes
 // here when restarted.
-func (e *Env) Tick(n int64) {
-	sp := e.sp
+func (e *Env) Tick(n int64) { e.sp.tick(n) }
+
+// tick is Tick. The park is kept out of line (preempt) so that tick is
+// small enough to inline into every memory accessor's prologue.
+func (sp *Space) tick(n int64) {
 	sp.insns += n
 	sp.vt += n
-	if sp.limit > 0 && sp.insns >= sp.limit && sp.critical == 0 {
+	if sp.limit > 0 && sp.insns >= sp.limit {
+		sp.preempt()
+	}
+}
+
+// preempt parks the space at its instruction limit unless a NoPreempt
+// section holds it off.
+//
+//go:noinline
+func (sp *Space) preempt() {
+	if sp.critical == 0 {
 		sp.park(StatusInsnLimit)
 	}
 }
@@ -79,8 +92,8 @@ func (e *Env) NoPreempt(f func()) {
 	sp.critical++
 	defer func() {
 		sp.critical--
-		if sp.critical == 0 && sp.limit > 0 && sp.insns >= sp.limit {
-			sp.park(StatusInsnLimit)
+		if sp.limit > 0 && sp.insns >= sp.limit {
+			sp.preempt()
 		}
 	}()
 	f()
@@ -112,13 +125,16 @@ type haltSignal struct{}
 // --- memory -------------------------------------------------------------------
 
 // access accounts for one load or store of size bytes at addr before it
-// happens: the memory tick, then the demand-paging cost of the pages it
-// touches. A span that runs past the top of the address space faults here,
-// before demand paging would walk (and charge for) its wrapped image.
+// happens: the memory tick, then, on a space that tracks residency, the
+// demand-paging cost of the pages it touches. A span that runs past the
+// top of the address space faults here, before demand paging would walk
+// (and charge for) its wrapped image.
 func (e *Env) access(addr vm.Addr, size int, write bool) {
-	e.Tick(int64(size+7) / 8)
+	e.sp.tick(int64(size+7) / 8)
 	e.fault(vm.CheckSpan(addr, size))
-	e.sp.touchPages(addr, size, write)
+	if e.sp.fetched != nil {
+		e.sp.touchPages(addr, size, write)
+	}
 }
 
 func (e *Env) fault(err error) {

@@ -339,10 +339,12 @@ func msgExtra(c CostModel) int64 {
 // round trip moves up to BatchPages pages, so a bulk read of a remote
 // span pays per-run rather than per-page protocol overhead. With
 // batching disabled every page is its own request, the original
-// per-page protocol, at exactly the original cost.
+// per-page protocol, at exactly the original cost. A space whose fetched
+// set is nil (a single node: everything resident) has nothing to charge,
+// and Env.access does not call it.
 func (sp *Space) touchPages(addr vm.Addr, size int, write bool) {
-	if sp.fetched == nil || size <= 0 {
-		return // single-node fast path: everything resident
+	if size <= 0 {
+		return
 	}
 	cost := sp.m.cost
 	maxRun := cost.BatchPages

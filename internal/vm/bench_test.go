@@ -179,44 +179,73 @@ func BenchmarkPageSpanRead(b *testing.B) {
 	}
 }
 
-// BenchmarkTypedAccess times the bulk float64 and uint32 accessors on
-// already-private pages at the span lengths the fine-grained workloads
-// use — an FFT butterfly's 2, a short run's 8, a matrix row's 64, a whole
-// block of pages — aligned and with the span starting half an element
-// below a page boundary, so an element straddles it. The words move in
-// place, never through a staging buffer, so a variant that allocates
+// BenchmarkTypedAccess times the bulk float64 and uint32 accessors at the
+// span lengths the fine-grained workloads use — an FFT butterfly's 2, a
+// short run's 8, a matrix row's 64, a whole block of pages. On
+// already-private pages, aligned and with the span starting half an
+// element below a page boundary so an element straddles it, a load or a
+// store within one page is the hit test's; "readonly" loads pages mapped
+// PermR only. "cow" stores into a pool-backed space whose snapshot is
+// re-taken before every store, so each one walks, copies the level-2
+// table and breaks copy-on-write on every page it touches, with the
+// frames coming back to the pool at the next re-snapshot. The words move
+// in place, never through a staging buffer, so a variant that allocates
 // fails (`make bench-smoke` runs them all).
 func BenchmarkTypedAccess(b *testing.B) {
-	s := benchSpace(16)
-	benchTypedAccess(b, "f64", 8, s.ReadF64s, s.WriteF64s)
-	benchTypedAccess(b, "u32", 4, s.ReadU32s, s.WriteU32s)
+	benchTypedAccess(b, "f64", 8, (*Space).ReadF64s, (*Space).WriteF64s)
+	benchTypedAccess(b, "u32", 4, (*Space).ReadU32s, (*Space).WriteU32s)
 }
 
-func benchTypedAccess[T word](b *testing.B, typ string, size int, read, write func(Addr, []T) error) {
+func benchTypedAccess[T word](b *testing.B, typ string, size int, read, write func(*Space, Addr, []T) error) {
+	const roAddr = 32 * PageSize // eight backed pages, mapped PermR
+	s := benchSpace(16)
+	if err := s.Write(roAddr, make([]byte, 8*PageSize)); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.SetPerm(roAddr, 8*PageSize, PermR); err != nil {
+		b.Fatal(err)
+	}
+	cow := NewFrames().NewSpace()
+	if err := cow.SetPerm(0, tableEntries*PageSize, PermRW); err != nil {
+		b.Fatal(err)
+	}
+	if err := cow.Write(0, make([]byte, 16*PageSize)); err != nil {
+		b.Fatal(err)
+	}
+	var snap *Space
+	load := func(a Addr, v []T) error { return read(s, a, v) }
+	store := func(a Addr, v []T) error { return write(s, a, v) }
+	cowStore := func(a Addr, v []T) error {
+		snap, _ = cow.Resnap(snap)
+		return write(cow, a, v)
+	}
 	for _, n := range []int{2, 8, 64, 4096} {
 		vals := make([]T, n)
-		for _, at := range []struct {
-			name string
-			addr Addr
-		}{{"aligned", PageSize}, {"straddle", PageSize - Addr(size/2)}} {
-			for _, op := range []struct {
-				name string
-				fn   func(Addr, []T) error
-			}{{"read", read}, {"write", write}} {
-				b.Run(fmt.Sprintf("%s/%s/%s/%d", typ, op.name, at.name, n), func(b *testing.B) {
-					if a := testing.AllocsPerRun(10, func() { op.fn(at.addr, vals) }); a != 0 {
-						b.Fatalf("%v allocs/op, want 0", a)
+		for _, c := range []struct {
+			op, at string
+			fn     func(Addr, []T) error
+			addr   Addr
+		}{
+			{"read", "aligned", load, PageSize},
+			{"write", "aligned", store, PageSize},
+			{"read", "straddle", load, PageSize - Addr(size/2)},
+			{"write", "straddle", store, PageSize - Addr(size/2)},
+			{"read", "readonly", load, roAddr},
+			{"write", "cow", cowStore, PageSize},
+		} {
+			b.Run(fmt.Sprintf("%s/%s/%s/%d", typ, c.op, c.at, n), func(b *testing.B) {
+				if a := testing.AllocsPerRun(10, func() { c.fn(c.addr, vals) }); a != 0 {
+					b.Fatalf("%v allocs/op, want 0", a)
+				}
+				b.ReportAllocs()
+				b.SetBytes(int64(size * n))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := c.fn(c.addr, vals); err != nil {
+						b.Fatal(err)
 					}
-					b.ReportAllocs()
-					b.SetBytes(int64(size * n))
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := op.fn(at.addr, vals); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

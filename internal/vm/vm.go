@@ -15,6 +15,12 @@
 // identity alone; inside a table that is no longer shared, Merge and
 // DeltaRuns visit only the slots either side's occupancy map lists.
 //
+// A load or store the page table already allows costs one pte check.
+// Every accessor asks the hit test (Space.hit) first, which returns the
+// page when the span lies inside it and the pte grants the access with
+// no copy-on-write to break and no page to install; only the rest walk
+// the tables with a cursor.
+//
 // # Concurrency invariants
 //
 // A Space is not safe for concurrent use by multiple goroutines. The kernel
@@ -430,12 +436,45 @@ func (s *Space) Snapshot() (*Space, CopyStats) {
 	return snap, st
 }
 
-// cursor walks one space's page tables for an access. The level-2 table
-// is resolved once per level-1 slot (1024 pages) instead of once per
-// page; the privately owned table is cached on the first store, so the
-// per-page store path is a pte load and a refcount check. Loads, stores
-// and the destination side of a merge job all go through it; a merge job
-// owns its level-1 slot exclusively, like everything else it mutates.
+// hit returns the bytes of the page holding [addr, addr+n) when the access
+// needs nothing of the walk: the span lies inside one page and its pte
+// already grants the access — PermR for a load (a lazy-zero page reads as
+// the shared zero page); for a store PermW, a backing page, and both that
+// page and its level-2 table referenced once, so nothing is shared
+// copy-on-write. Otherwise it returns nil and the access walks with a
+// cursor, which breaks sharing, installs pages and faults. The test keeps
+// no state, so nothing invalidates it; it is the software TLB hit, and
+// it takes the early exit only where the walk would return the same page
+// untouched.
+func (s *Space) hit(addr Addr, n int, write bool) *[PageSize]byte {
+	if int(addr&pageMask)+n > PageSize {
+		return nil
+	}
+	t := s.root[addr>>l1Shift]
+	if t == nil {
+		return nil
+	}
+	e := t.ptes[(addr>>l2Shift)&(tableEntries-1)]
+	if !write {
+		if e.perm&PermR == 0 {
+			return nil
+		}
+		return dataOf(e.pg)
+	}
+	if e.perm&PermW == 0 || e.pg == nil || e.pg.refs.Load() != 1 || t.refs.Load() != 1 {
+		return nil
+	}
+	return &e.pg.data
+}
+
+// cursor walks one space's page tables for an access the hit test turned
+// away: a span that leaves its page, a store that must break sharing or
+// install a page, or a fault. The level-2 table is resolved once per
+// level-1 slot (1024 pages) instead of once per page; the privately owned
+// table is cached on the first store, so the per-page store path is a pte
+// load and a refcount check. The walk and the destination side of a merge
+// job go through it; a merge job owns its level-1 slot exclusively, like
+// everything else it mutates.
 type cursor struct {
 	s  *Space
 	l1 int    // -1 before an access has resolved its first page
@@ -554,17 +593,24 @@ func move[T word](v []T, b []byte, write bool) {
 
 // access is every bulk typed load and store: it moves the elements of v,
 // size bytes each, between the caller's slice and the pages at addr, in
-// place, through the same per-page step as the byte path — so permissions,
-// COW breaks, the whole-page install and the faulting address are the
-// byte path's, with the pages before a fault already accessed.
+// place. A span the hit test admits is one move; any other walks through
+// the same per-page step as the byte path — so permissions, COW breaks,
+// the whole-page install and the faulting address are the byte path's,
+// with the pages before a fault already accessed.
 //
 // An element that straddles a page boundary is staged in an 8-byte stack
-// array and goes through the byte path itself, so it faults on either
-// page exactly as its bytes would. (The byte path walks with a cursor of
-// its own; c stays valid across it because a cursor caches only a table
-// the space already owns.)
+// array and goes through the byte walk itself, so it faults on either
+// page exactly as its bytes would. (The byte walk uses a cursor of its
+// own; c stays valid across it because a cursor caches only a table the
+// space already owns.)
 func access[T word](s *Space, addr Addr, v []T, size int, write bool) error {
-	if err := CheckSpan(addr, len(v)*size); err != nil {
+	span := len(v) * size
+	if d := s.hit(addr, span, write); d != nil {
+		off := int(addr & pageMask)
+		move(v, d[off:off+span], write)
+		return nil
+	}
+	if err := CheckSpan(addr, span); err != nil {
 		return err
 	}
 	shift := bits.TrailingZeros(uint(size)) // size is a power of two: no division per call
@@ -585,7 +631,7 @@ func access[T word](s *Space, addr Addr, v []T, size int, write bool) error {
 		if write {
 			move(v[i:i+1], w[:size], true)
 		}
-		if err := s.bytes(addr, w[:size], write); err != nil {
+		if err := s.walk(addr, w[:size], write); err != nil {
 			return err
 		}
 		if !write {
@@ -596,12 +642,26 @@ func access[T word](s *Space, addr Addr, v []T, size int, write bool) error {
 	return nil
 }
 
-// bytes is the byte path: Read, or Write when write is set. Every page
-// touched must carry the permission; the first one that does not faults,
-// after the pages before it have been accessed. A store that covers a
-// whole page installs a fresh page initialized straight from the incoming
-// bytes, skipping the read-copy of data that is about to be overwritten.
+// bytes is the byte path: Read, or Write when write is set. A span the hit
+// test admits is one copy; any other walks.
 func (s *Space) bytes(addr Addr, p []byte, write bool) error {
+	if d := s.hit(addr, len(p), write); d != nil {
+		if off := addr & pageMask; write {
+			copy(d[off:], p)
+		} else {
+			copy(p, d[off:])
+		}
+		return nil
+	}
+	return s.walk(addr, p, write)
+}
+
+// walk is the byte path past the hit test. Every page touched must carry
+// the permission; the first one that does not faults, after the pages
+// before it have been accessed. A store that covers a whole page installs
+// a fresh page initialized straight from the incoming bytes, skipping the
+// read-copy of data that is about to be overwritten.
+func (s *Space) walk(addr Addr, p []byte, write bool) error {
 	if err := CheckSpan(addr, len(p)); err != nil {
 		return err
 	}
@@ -662,52 +722,44 @@ func (s *Space) ZeroRun(addr Addr, limit uint64) uint64 {
 // be mapped with PermW; COW sharing is broken as needed.
 func (s *Space) Write(addr Addr, p []byte) error { return s.bytes(addr, p, true) }
 
-// The scalar accessors resolve their one page with the cursor and move
-// the word in place; the rare word astride a page boundary goes through a
-// stack array and the byte path.
+// The scalar accessors move their word in place on a page the hit test
+// admits; any other word — astride a page boundary, on a page a store must
+// install or unshare, or faulting — goes through a stack array and the
+// byte walk.
 
 // ReadU32 reads a little-endian uint32 at addr.
 func (s *Space) ReadU32(addr Addr) (uint32, error) {
-	off := addr & pageMask
-	if off > PageSize-4 {
-		var w [4]byte
-		err := s.bytes(addr, w[:], false)
-		return binary.LittleEndian.Uint32(w[:]), err
+	if d := s.hit(addr, 4, false); d != nil {
+		return binary.LittleEndian.Uint32(d[addr&pageMask:]), nil
 	}
-	c := cursor{s: s, l1: -1}
-	d, err := c.page(addr, false, false)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(d[off:]), nil
+	var w [4]byte
+	err := s.walk(addr, w[:], false)
+	return binary.LittleEndian.Uint32(w[:]), err
 }
 
 // ReadU32Stride loads dst[i] from addr+i*stride (Addr arithmetic, as a
 // loop of ReadU32 would compute it), in index order. It is that loop with
-// each page resolved once: consecutive elements on one page share the
-// lookup, a word astride a page boundary takes the byte path, and the first
-// element that faults stops the load — loaded counts the elements before
-// it, and err is the error ReadU32 returns for that element.
+// one hit test per page: consecutive elements on one page share it, a
+// word astride a page boundary takes ReadU32, and so does the first word
+// on a page the test turns away — a load it refuses faults — which stops
+// the load: loaded counts the elements before it, and err is the error
+// ReadU32 returns for that element.
 func (s *Space) ReadU32Stride(addr, stride Addr, dst []uint32) (loaded int, err error) {
-	c := cursor{s: s, l1: -1}
-	var d *[PageSize]byte // the page at base, nil before the first lookup
+	var d *[PageSize]byte // the page at base, nil before the first test or after a miss
 	var base Addr
 	for i := range dst {
 		a := addr + Addr(i)*stride
 		off := a & pageMask
-		if off > PageSize-4 {
+		if d == nil || a-off != base {
+			d, base = s.hit(a-off, PageSize, false), a-off
+		}
+		if d == nil || off > PageSize-4 {
 			v, err := s.ReadU32(a)
 			if err != nil {
 				return i, err
 			}
 			dst[i] = v
 			continue
-		}
-		if d == nil || a-off != base {
-			if d, err = c.page(a, false, false); err != nil {
-				return i, err
-			}
-			base = a - off
 		}
 		dst[i] = binary.LittleEndian.Uint32(d[off:])
 	}
@@ -716,50 +768,34 @@ func (s *Space) ReadU32Stride(addr, stride Addr, dst []uint32) (loaded int, err 
 
 // WriteU32 writes a little-endian uint32 at addr.
 func (s *Space) WriteU32(addr Addr, v uint32) error {
-	off := addr & pageMask
-	if off > PageSize-4 {
-		var w [4]byte
-		binary.LittleEndian.PutUint32(w[:], v)
-		return s.bytes(addr, w[:], true)
+	if d := s.hit(addr, 4, true); d != nil {
+		binary.LittleEndian.PutUint32(d[addr&pageMask:], v)
+		return nil
 	}
-	c := cursor{s: s, l1: -1}
-	d, err := c.page(addr, true, false)
-	if err == nil {
-		binary.LittleEndian.PutUint32(d[off:], v)
-	}
-	return err
+	var w [4]byte
+	binary.LittleEndian.PutUint32(w[:], v)
+	return s.walk(addr, w[:], true)
 }
 
 // ReadU64 reads a little-endian uint64 at addr.
 func (s *Space) ReadU64(addr Addr) (uint64, error) {
-	off := addr & pageMask
-	if off > PageSize-8 {
-		var w [8]byte
-		err := s.bytes(addr, w[:], false)
-		return binary.LittleEndian.Uint64(w[:]), err
+	if d := s.hit(addr, 8, false); d != nil {
+		return binary.LittleEndian.Uint64(d[addr&pageMask:]), nil
 	}
-	c := cursor{s: s, l1: -1}
-	d, err := c.page(addr, false, false)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(d[off:]), nil
+	var w [8]byte
+	err := s.walk(addr, w[:], false)
+	return binary.LittleEndian.Uint64(w[:]), err
 }
 
 // WriteU64 writes a little-endian uint64 at addr.
 func (s *Space) WriteU64(addr Addr, v uint64) error {
-	off := addr & pageMask
-	if off > PageSize-8 {
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], v)
-		return s.bytes(addr, w[:], true)
+	if d := s.hit(addr, 8, true); d != nil {
+		binary.LittleEndian.PutUint64(d[addr&pageMask:], v)
+		return nil
 	}
-	c := cursor{s: s, l1: -1}
-	d, err := c.page(addr, true, false)
-	if err == nil {
-		binary.LittleEndian.PutUint64(d[off:], v)
-	}
-	return err
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	return s.walk(addr, w[:], true)
 }
 
 // ReadF64 reads a float64 at addr.
