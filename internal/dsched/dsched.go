@@ -14,15 +14,16 @@
 // The round engine keeps that model while avoiding its naive cost.
 // Collection applies the merges strictly in thread order, each Get
 // blocking until its thread stops, so an early finisher commits while
-// stragglers still run. Resynchronization is epoch-skipped: the master
-// tracks a commit epoch for its shared region and each thread the epoch
-// it last synchronized to, and a thread resuming into an unchanged region
-// — no commits, no hand-off writes, and its own replica provably clean —
-// is restarted with a bare Put{Start,Limit}: no Copy, no fresh snapshot.
-// The skip is result-invariant, including virtual times: it fires only
-// when the kernel's (incremental) Copy and Snap would charge nothing and
-// change nothing. Per-round telemetry
-// (RoundStats, Stats) makes the savings observable.
+// stragglers still run. Resynchronization costs what changed: every
+// resuming thread gets the same Put — copy the shared region, refresh
+// the snapshot — and copy-on-write identity does the rest. A replica
+// table still pointer-shared with the master's is current, because
+// whichever side writes a shared table copies it first; the kernel's
+// table-aligned copy re-shares only the tables whose pointers differ and
+// charges only those, and the snapshot refresh likewise. A thread
+// resuming into an unchanged region, its own replica unwritten, costs
+// one system call. Per-round telemetry (RoundStats, Stats) counts the
+// tables each resync found stale and current.
 //
 // Synchronization primitives trap to the master instead of spinning.
 // Each mutex is owned by some thread; the owner locks and unlocks it
@@ -97,15 +98,16 @@ type RoundStats struct {
 	Quantum int64 // instruction limit each runnable thread received
 	Ran     int   // threads that ran a quantum this round
 	Blocked int   // threads that sat blocked on a sync object
-	// SyncSkipped counts threads resumed with a bare Put{Start,Limit}:
-	// the epoch proof showed both the shared-region copy and the
-	// re-snapshot would be no-ops, so neither was issued.
+	// SyncSkipped counts threads whose region copy found nothing stale:
+	// every table already pointer-shared with the master's, so the copy
+	// re-shared none.
 	SyncSkipped int
-	// TablesResynced counts the 4 MiB shared-region tables re-copied
-	// into resuming threads this round; TablesSkipped counts the tables
-	// the per-table epoch proof showed current, so their copies were
-	// never issued. A full resync (the thread's replica was dirty) counts
-	// every region table as resynced.
+	// TablesResynced counts the 4 MiB shared-region tables the started
+	// threads' region copies re-shared this round: tables the master's
+	// commits or the thread's own writes replaced since it last ran.
+	// TablesSkipped counts the region tables those copies found already
+	// shared (or empty on both sides) and left alone. Each start counts
+	// every region table in one of the two.
 	TablesResynced int
 	TablesSkipped  int
 	// Merge totals the reconciliation work of this round's collections.
@@ -118,9 +120,9 @@ type RoundStats struct {
 type Stats struct {
 	Rounds         int64
 	ThreadQuanta   int64 // total quanta executed across all threads
-	SyncSkipped    int64 // quanta started without any resynchronization
-	TablesResynced int64 // shared-region tables re-copied across all resyncs
-	TablesSkipped  int64 // shared-region tables proven current and not copied
+	SyncSkipped    int64 // quanta started with no region table stale
+	TablesResynced int64 // shared-region tables re-shared across all starts
+	TablesSkipped  int64 // shared-region tables found current across all starts
 	Merge          vm.MergeStats
 }
 
@@ -144,15 +146,6 @@ type threadState struct {
 	blocked bool
 	done    bool
 	crash   error
-	// syncEpoch is the master commit epoch the thread's replica was last
-	// synchronized to; dirty records that the thread has provably-unknown
-	// (or known) divergence from its own snapshot since then. Together
-	// they decide epoch-skipped resync: a thread with syncEpoch equal to
-	// the master's commit epoch and a clean replica would receive a
-	// no-op Copy (every table still pointer-shared) and a no-op Snap
-	// (snapshot still exact), so the engine skips both.
-	syncEpoch uint64
-	dirty     bool
 }
 
 // Sched is the master-space scheduler.
@@ -167,30 +160,9 @@ type Sched struct {
 	barriers []*barrierState
 	stats    Stats
 
-	// commitEpoch advances whenever the master's copy of the shared
-	// region changes: a collection merged bytes or adopted pages, or the
-	// master wrote shared memory during a mutex hand-off. Threads record
-	// the epoch they last synchronized at; matching epochs prove the
-	// master region is byte- and pointer-identical to what the thread
-	// already holds.
-	commitEpoch uint64
-	// tableEpochs refines commitEpoch to level-1 table granularity:
-	// tableEpochs[i] is the commit epoch at which region table epochLo+i
-	// last changed. A table whose epoch is <= a thread's syncEpoch is
-	// byte- and pointer-identical between master and that thread's
-	// replica (the merge's touched-table bits are deterministic and any
-	// divergence marks the table), so a resync need only copy the tables
-	// whose epoch passed the thread's.
-	tableEpochs []uint64
-	// epochLo is the level-1 index of the shared region's first table.
-	epochLo int
-
-	// noSkip and onRound are the package's test seams, set by nothing
-	// outside _test.go. noSkip forces the full resync every round, so the
-	// invariance tests can show that skipping changes no result and no
-	// virtual time; onRound receives every completed round's statistics,
-	// so they can compare schedules round for round.
-	noSkip  bool
+	// onRound is the package's test seam, set by nothing outside
+	// _test.go: it receives every completed round's statistics, so the
+	// invariance tests can compare schedules round for round.
 	onRound func(RoundStats)
 }
 
@@ -211,7 +183,7 @@ func (t *Thread) Env() *kernel.Env { return t.env }
 //
 // Every core.RT's shared region is a whole number of level-1 tables
 // (core.New rounds to it, core.Attach rejects anything else), which is
-// what lets a partial resync be a list of table-aligned copies.
+// what puts a resync's region copy on the kernel's table-sharing path.
 func New(rt *core.RT, cfg Config) (*Sched, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -220,12 +192,7 @@ func New(rt *core.RT, cfg Config) (*Sched, error) {
 	if q == 0 {
 		q = DefaultQuantum
 	}
-	base, size := rt.SharedRange()
-	return &Sched{
-		rt: rt, env: rt.Env(), quantum: q, commitEpoch: 1,
-		tableEpochs: make([]uint64, size/vm.TableSpan),
-		epochLo:     vm.TableOf(base),
-	}, nil
+	return &Sched{rt: rt, env: rt.Env(), quantum: q}, nil
 }
 
 // NewMutex creates a mutex, initially unlocked and owned by thread 0.
@@ -263,26 +230,18 @@ func (s *Sched) Run(n int, body func(t *Thread)) error {
 	for i, m := range s.mutexes {
 		mus[i] = m.addr
 	}
-	base, size := s.rt.SharedRange()
 	s.threads = make([]*threadState, n)
 	// Round zero: fork every thread with the quantum limit armed, then
-	// collect, like any later round. The first resync is always full.
-	rs := RoundStats{Round: s.stats.Rounds + 1, Quantum: s.quantum, Ran: n,
-		TablesResynced: n * len(s.tableEpochs)}
+	// collect, like any later round.
+	rs := RoundStats{Round: s.stats.Rounds + 1, Quantum: s.quantum}
 	started := make([]bool, n)
 	for i := 0; i < n; i++ {
 		i := i
-		s.threads[i] = &threadState{id: i, syncEpoch: s.commitEpoch}
+		s.threads[i] = &threadState{id: i}
 		entry := func(env *kernel.Env) {
 			body(&Thread{ID: i, env: env, mus: mus})
 		}
-		if err := s.env.Put(s.ref(i), kernel.PutOpts{
-			Regs:  &kernel.Regs{Entry: entry, Arg: uint64(i)},
-			Copy:  &kernel.CopyRange{Src: base, Dst: base, Size: size},
-			Snap:  true,
-			Start: true,
-			Limit: s.quantum,
-		}); err != nil {
+		if err := s.start(i, &kernel.Regs{Entry: entry, Arg: uint64(i)}, &rs); err != nil {
 			return err
 		}
 		started[i] = true
@@ -317,27 +276,31 @@ func (s *Sched) Run(n int, body func(t *Thread)) error {
 
 func (s *Sched) ref(id int) uint64 { return uint64(id + 1) }
 
-// bumpTouched advances the commit epoch for a merge commit, stamping the
-// region tables the merge's deterministic touched bits say it changed.
-func (s *Sched) bumpTouched(tb *vm.TableBits) {
-	s.commitEpoch++
-	for i := range s.tableEpochs {
-		if tb.Test(s.epochLo + i) {
-			s.tableEpochs[i] = s.commitEpoch
-		}
+// start runs thread id for one quantum, loading regs first if non-nil.
+// Every start is the same Put: copy the shared region into the thread's
+// replica and refresh its snapshot, which re-share and charge only the
+// tables no longer pointer-shared (see the package comment). What the
+// copy re-shared is the round's resync telemetry.
+func (s *Sched) start(id int, regs *kernel.Regs, rs *RoundStats) error {
+	base, size := s.rt.SharedRange()
+	var copied vm.CopyStats
+	if err := s.env.Put(s.ref(id), kernel.PutOpts{
+		Regs:   regs,
+		Copy:   &kernel.CopyRange{Src: base, Dst: base, Size: size},
+		Copied: &copied,
+		Snap:   true,
+		Start:  true,
+		Limit:  s.quantum,
+	}); err != nil {
+		return err
 	}
-}
-
-// bumpAddrs advances the commit epoch for a master write to the given
-// shared-memory addresses (mutex hand-off words), stamping the tables
-// containing them.
-func (s *Sched) bumpAddrs(addrs ...vm.Addr) {
-	s.commitEpoch++
-	for _, a := range addrs {
-		if i := vm.TableOf(a) - s.epochLo; i >= 0 && i < len(s.tableEpochs) {
-			s.tableEpochs[i] = s.commitEpoch
-		}
+	rs.Ran++
+	rs.TablesResynced += copied.TablesShared
+	rs.TablesSkipped += int(size/vm.TableSpan) - copied.TablesShared
+	if copied.TablesShared == 0 {
+		rs.SyncSkipped++
 	}
+	return nil
 }
 
 // get collects thread id: rendezvous plus shared-region merge with
@@ -353,12 +316,10 @@ func (s *Sched) get(id int) (kernel.ChildInfo, error) {
 }
 
 // round runs one scheduling quantum: resynchronize and start every
-// runnable thread (skipping the resync when the epoch proof makes it a
-// no-op), wait for all of them concurrently, then apply their merge
-// commits strictly in thread order.
+// runnable thread, wait for all of them concurrently, then apply their
+// merge commits strictly in thread order.
 func (s *Sched) round() error {
 	rs := RoundStats{Round: s.stats.Rounds + 1}
-	base, size := s.rt.SharedRange()
 	runnable := 0
 	for _, t := range s.threads {
 		switch {
@@ -378,48 +339,10 @@ func (s *Sched) round() error {
 		if t.done || t.blocked {
 			continue
 		}
-		opts := kernel.PutOpts{Start: true, Limit: s.quantum}
-		regionTables := len(s.tableEpochs)
-		if t.dirty || s.noSkip {
-			// The replica diverged from its own snapshot: re-copy the
-			// whole shared region and refresh the snapshot. Both
-			// operations do — and charge — work only proportional to the
-			// tables that actually diverged.
-			opts.Copy = &kernel.CopyRange{Src: base, Dst: base, Size: size}
-			opts.Snap = true
-			rs.TablesResynced += regionTables
-			t.syncEpoch = s.commitEpoch
-			t.dirty = false
-		} else if stale := s.staleRuns(t.syncEpoch, base); len(stale.runs) == 0 {
-			// In sync: the thread's replica, and its snapshot, are still
-			// byte- and pointer-identical to the master region, so Copy
-			// and Snap would be no-ops. Resume bare.
-			rs.SyncSkipped++
-			rs.TablesSkipped += regionTables
-			t.syncEpoch = s.commitEpoch
-		} else {
-			// Some tables committed past the thread's sync epoch; every
-			// other table is byte- and pointer-identical on both sides, so
-			// copying only the stale ones is exactly the whole-region copy
-			// — same bytes, and same virtual time, because the kernel's
-			// table-aligned copy fast path charges only pointer-different
-			// tables and the current ones are already shared.
-			if stale.count == regionTables {
-				opts.Copy = &kernel.CopyRange{Src: base, Dst: base, Size: size}
-			} else {
-				opts.Copies = stale.runs
-			}
-			opts.Snap = true
-			rs.TablesResynced += stale.count
-			rs.TablesSkipped += regionTables - stale.count
-			t.syncEpoch = s.commitEpoch
-			t.dirty = false
-		}
-		if err := s.env.Put(s.ref(t.id), opts); err != nil {
+		if err := s.start(t.id, nil, &rs); err != nil {
 			return err
 		}
 		started[t.id] = true
-		rs.Ran++
 	}
 	if err := s.collect(started, &rs); err != nil {
 		return err
@@ -427,42 +350,6 @@ func (s *Sched) round() error {
 	s.handoffs()
 	s.finishRound(rs)
 	return nil
-}
-
-// staleSet describes the region tables whose epoch passed a thread's
-// sync epoch, coalesced into maximal table-aligned copy ranges.
-type staleSet struct {
-	runs  []kernel.CopyRange
-	count int
-}
-
-// staleRuns computes the stale set for a thread last synchronized at
-// syncEpoch.
-func (s *Sched) staleRuns(syncEpoch uint64, base vm.Addr) staleSet {
-	var out staleSet
-	lo := -1
-	flush := func(hi int) {
-		if lo < 0 {
-			return
-		}
-		addr := base + vm.Addr(uint64(lo)*vm.TableSpan)
-		out.runs = append(out.runs, kernel.CopyRange{
-			Src: addr, Dst: addr, Size: uint64(hi-lo) * vm.TableSpan,
-		})
-		lo = -1
-	}
-	for i, e := range s.tableEpochs {
-		if e > syncEpoch {
-			if lo < 0 {
-				lo = i
-			}
-			out.count++
-			continue
-		}
-		flush(i)
-	}
-	flush(len(s.tableEpochs))
-	return out
 }
 
 // collect gathers every started thread: each Get waits for its thread to
@@ -477,13 +364,6 @@ func (s *Sched) collect(started []bool, rs *RoundStats) error {
 		if err != nil {
 			return err
 		}
-		if info.MergeTouched.Any() {
-			// The master's region changed: every thread synchronized to
-			// an earlier epoch must resync the touched tables before it
-			// next runs.
-			s.bumpTouched(&info.MergeTouched)
-		}
-		t.dirty = !info.MemClean
 		rs.Merge.Add(info.Merge)
 		if err := s.handleStop(t.id, info); err != nil {
 			return err
@@ -599,13 +479,12 @@ func (s *Sched) handoff(m *mutexState) {
 		}
 		next := m.waiters[0]
 		m.waiters = m.waiters[1:]
-		// Hand over locked: the requester was acquiring it. The master
-		// just changed the shared region, so every thread's sync epoch
-		// is stale — in particular the woken requester resyncs before it
-		// runs and cannot miss its own ownership.
+		// Hand over locked: the requester was acquiring it. The write
+		// copies the table the master shared with every replica, so
+		// each thread's next resync re-shares it — in particular the
+		// woken requester cannot miss its own ownership.
 		s.env.WriteU64(m.addr+offFlag, 1)
 		s.env.WriteU64(m.addr+offOwner, uint64(next))
-		s.bumpAddrs(m.addr+offFlag, m.addr+offOwner)
 		s.threads[next].blocked = false
 	}
 }

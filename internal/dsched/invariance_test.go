@@ -11,7 +11,7 @@ import (
 )
 
 // engineResult captures everything the round engine promises to keep
-// invariant across host parallelism (GOMAXPROCS) and the skip seam.
+// invariant across host parallelism (GOMAXPROCS).
 type engineResult struct {
 	checksum uint64
 	vt       int64
@@ -20,6 +20,7 @@ type engineResult struct {
 	merge    vm.MergeStats
 	resynced int64 // Stats.TablesResynced
 	skipped  int64 // Stats.TablesSkipped
+	tables   int   // shared-region tables
 	perRound []RoundStats
 }
 
@@ -35,10 +36,9 @@ func mustNew(rt *core.RT, cfg Config) *Sched {
 
 // runEngineWorkload executes a composite synchronization workload — a
 // mutex-protected counter, deliberately racy (LWW) writes, a condvar
-// handshake and a barrier — and returns the invariants. noSkip sets the
-// Sched's test seam: every resync is the full one, never skipped or
-// partial. The per-round statistics arrive through the onRound seam.
-func runEngineWorkload(t *testing.T, noSkip bool) engineResult {
+// handshake and a barrier — and returns the invariants. The per-round
+// statistics arrive through the onRound seam.
+func runEngineWorkload(t *testing.T) engineResult {
 	t.Helper()
 	const n, iters = 4, 6
 	var out engineResult
@@ -46,7 +46,6 @@ func runEngineWorkload(t *testing.T, noSkip bool) engineResult {
 		Kernel: kernel.Config{CPUsPerNode: n},
 	}, func(rt *core.RT) uint64 {
 		s := mustNew(rt, Config{Quantum: 900})
-		s.noSkip = noSkip
 		s.onRound = func(rs RoundStats) { out.perRound = append(out.perRound, rs) }
 		mu := s.NewMutex()
 		counter := rt.Alloc(8, 8)
@@ -97,6 +96,8 @@ func runEngineWorkload(t *testing.T, noSkip bool) engineResult {
 		out.merge = st.Merge
 		out.resynced = st.TablesResynced
 		out.skipped = st.TablesSkipped
+		_, size := rt.SharedRange()
+		out.tables = int(size / vm.TableSpan)
 		return sig
 	})
 	if res.Status != kernel.StatusHalted {
@@ -111,115 +112,74 @@ func runEngineWorkload(t *testing.T, noSkip bool) engineResult {
 // before the ablation knobs were deleted (fff16d7), where it was asserted
 // identical with epoch skipping on and off, at per-table and whole-region
 // epoch granularity, and under the word and per-byte merge kernels. The
-// paths those knobs selected are gone; this pins that what remains still
-// computes what all of them did. PtesScanned alone was re-pinned since:
-// it counts the slots a merge walks, which are now those either side
-// backs in each table the child no longer shares.
+// paths those knobs selected are gone, the epoch tracking too; this pins
+// that what remains still computes what all of them did. Three counts
+// were re-pinned since: PtesScanned counts the slots a merge walks, which
+// are now those either side backs in each table the child no longer
+// shares; resynced and skipped count the region tables each start's copy
+// found replaced and still shared, not what an epoch proof concluded.
 var engineGolden = engineResult{
 	checksum: 0xe933f93af32a0f26,
 	vt:       152551,
 	rounds:   13,
 	quanta:   31,
 	merge:    vm.MergeStats{TablesAdopted: 10, PagesAdopted: 16, PtesScanned: 20},
-	resynced: 169,
-	skipped:  327,
+	resynced: 78,
+	skipped:  418,
+	tables:   16,
 }
 
 func TestRoundEngineGolden(t *testing.T) {
-	got := runEngineWorkload(t, false)
+	got := runEngineWorkload(t)
 	got.perRound = nil
 	if !reflect.DeepEqual(got, engineGolden) {
 		t.Errorf("engine workload moved:\n got  %+v\n want %+v", got, engineGolden)
 	}
-	// With the seam forcing every resync full, the parent commit counted
-	// all 496 thread-round tables as resynced at the same checksum and VT.
-	full := runEngineWorkload(t, true)
-	if full.checksum != engineGolden.checksum || full.vt != engineGolden.vt ||
-		full.resynced != 496 || full.skipped != 0 {
-		t.Errorf("no-skip run moved: checksum %#x vt %d resynced %d skipped %d",
-			full.checksum, full.vt, full.resynced, full.skipped)
-	}
 }
 
 // TestRoundEngineInvariance: checksums, conflict behavior (the LWW merges
-// must never raise one), round counts, merge statistics and virtual times
-// are identical with the threads' goroutines on one OS thread and on the
-// default GOMAXPROCS, and with epoch-skipped resynchronization on and off.
+// must never raise one), round counts, merge statistics, resync counts
+// and virtual times are identical, round for round, with the threads'
+// goroutines on one OS thread and on the default GOMAXPROCS; and every
+// start counts each shared-region table once, as stale or as current.
 func TestRoundEngineInvariance(t *testing.T) {
 	def := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(def) })
-	base := runEngineWorkload(t, false)
+	base := runEngineWorkload(t)
 	if base.rounds < 8 {
 		t.Fatalf("workload too small to exercise the engine: %d rounds", base.rounds)
 	}
-	variants := []struct {
-		name   string
-		procs  int
-		noSkip bool
-	}{
-		{"procsDefault", def, false},
-		{"noSkip", 1, true},
-		{"noSkipProcsDefault", def, true},
+	for i, rs := range base.perRound {
+		if rs.TablesResynced+rs.TablesSkipped != rs.Ran*base.tables {
+			t.Errorf("round %d: %d stale + %d current tables over %d starts of %d tables",
+				i+1, rs.TablesResynced, rs.TablesSkipped, rs.Ran, base.tables)
+		}
 	}
-	for _, v := range variants {
-		runtime.GOMAXPROCS(v.procs)
-		got := runEngineWorkload(t, v.noSkip)
-		if got.checksum != base.checksum {
-			t.Errorf("%s: checksum %#x != base %#x", v.name, got.checksum, base.checksum)
-		}
-		if got.vt != base.vt {
-			t.Errorf("%s: virtual time %d != base %d", v.name, got.vt, base.vt)
-		}
-		if got.rounds != base.rounds || got.quanta != base.quanta {
-			t.Errorf("%s: rounds/quanta %d/%d != base %d/%d",
-				v.name, got.rounds, got.quanta, base.rounds, base.quanta)
-		}
-		if got.merge != base.merge {
-			t.Errorf("%s: merge stats %+v != base %+v", v.name, got.merge, base.merge)
-		}
-		if len(got.perRound) != len(base.perRound) {
-			t.Errorf("%s: %d per-round records != base %d",
-				v.name, len(got.perRound), len(base.perRound))
-			continue
-		}
-		for i := range got.perRound {
-			g, b := got.perRound[i], base.perRound[i]
-			// SyncSkipped and the resync-table counts legitimately differ
-			// with the skip seam (that telemetry measures exactly what it
-			// changes); everything else must match round for round.
-			g.SyncSkipped, b.SyncSkipped = 0, 0
-			g.TablesResynced, b.TablesResynced = 0, 0
-			g.TablesSkipped, b.TablesSkipped = 0, 0
-			if g != b {
-				t.Errorf("%s: round %d stats %+v != base %+v", v.name, i+1,
-					got.perRound[i], base.perRound[i])
-				break
-			}
-		}
+	runtime.GOMAXPROCS(def)
+	got := runEngineWorkload(t)
+	if !reflect.DeepEqual(got, base) {
+		t.Errorf("GOMAXPROCS %d moved the engine:\n got  %+v\n base %+v", def, got, base)
 	}
 }
 
-// TestEpochSkipFiresOnReadMostlyPhases proves the skip is real: the
-// workload's post-barrier scan phase runs quanta that write nothing, and
-// the engine must resume those threads without resynchronization.
-func TestEpochSkipFiresOnReadMostlyPhases(t *testing.T) {
-	got := runEngineWorkload(t, false)
+// TestReadMostlyQuantaResyncNothing proves the identity check is real:
+// the workload's post-barrier scan phase runs quanta that write nothing,
+// and those threads must resume with every region table still shared —
+// while the quanta that do write find their tables stale.
+func TestReadMostlyQuantaResyncNothing(t *testing.T) {
+	got := runEngineWorkload(t)
 	if got.perRound[len(got.perRound)-1].VT == 0 {
 		t.Fatal("round telemetry missing VT")
 	}
-	var skipped int64
-	for _, rs := range got.perRound {
+	var skipped, resynced int64
+	for _, rs := range got.perRound[1:] {
 		skipped += int64(rs.SyncSkipped)
+		resynced += int64(rs.TablesResynced)
 	}
 	if skipped == 0 {
-		t.Fatal("no quantum was resumed via epoch skip on a read-mostly workload")
+		t.Fatal("no quantum resumed with nothing stale on a read-mostly workload")
 	}
-	off := runEngineWorkload(t, true)
-	var offSkipped int64
-	for _, rs := range off.perRound {
-		offSkipped += int64(rs.SyncSkipped)
-	}
-	if offSkipped != 0 {
-		t.Fatalf("noSkip still skipped %d resyncs", offSkipped)
+	if resynced == 0 {
+		t.Fatal("no resumed quantum found a table its writes or a commit replaced")
 	}
 }

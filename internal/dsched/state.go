@@ -9,9 +9,9 @@ package dsched
 // program carry one scheduler across a checkpoint: the resumed process
 // attaches a new Sched whose mutexes point at the same shared-memory
 // words (the allocator is deterministic, so the addresses are already
-// reserved in the restored RT), whose commit epoch and statistics
-// continue from the recorded values, and whose next Run therefore
-// schedules exactly as the uninterrupted run's would.
+// reserved in the restored RT), whose statistics continue from the
+// recorded values, and whose next Run therefore schedules exactly as the
+// uninterrupted run's would.
 //
 // Export is only valid between Runs, at a quiescent point: every thread
 // collected, every waiter queue empty. Mid-round scheduler state cannot
@@ -31,8 +31,13 @@ type State struct {
 	// Scale is always 1. It was the multiplier of a second quantum policy
 	// since deleted; the member stays because session images hash these
 	// bytes.
-	Scale       int64     `json:"scale"`
-	CommitEpoch uint64    `json:"commit_epoch"` // shared-region commit epoch
+	Scale int64 `json:"scale"`
+	// CommitEpoch is always written 0 and ignored when attached. It was
+	// the shared-region commit epoch of a resync tracker since deleted
+	// (copy-on-write identity already tells which tables are stale); the
+	// member stays so the state bytes keep their shape, and states
+	// written with an epoch still attach.
+	CommitEpoch uint64    `json:"commit_epoch"`
 	Stats       Stats     `json:"stats"`
 	Mutexes     []vm.Addr `json:"mutexes"`  // shared-memory words, by Mutex index
 	Conds       int       `json:"conds"`    // condition variable count
@@ -86,11 +91,10 @@ func (s *Sched) ExportState() (State, error) {
 		}
 	}
 	st := State{
-		Quantum:     s.quantum,
-		Scale:       1,
-		CommitEpoch: s.commitEpoch,
-		Stats:       s.stats,
-		Conds:       len(s.conds),
+		Quantum: s.quantum,
+		Scale:   1,
+		Stats:   s.stats,
+		Conds:   len(s.conds),
 	}
 	for _, m := range s.mutexes {
 		st.Mutexes = append(st.Mutexes, m.addr)
@@ -125,7 +129,6 @@ func AttachState(rt *core.RT, cfg Config, st State) (*Sched, error) {
 		}
 	}
 	s.quantum = st.Quantum
-	s.commitEpoch = st.CommitEpoch
 	s.stats = st.Stats
 	for _, a := range st.Mutexes {
 		s.mutexes = append(s.mutexes, &mutexState{addr: a})

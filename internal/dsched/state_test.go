@@ -4,19 +4,25 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
 )
 
-// stateGolden is the marshalled State of the scheduler below as captured
-// at 29812f9, the commit before the adaptive-quantum policy was deleted.
-// Session images embed these bytes (ckpt_v1.golden, quick.golden.json's
-// ckpt cells and serve's failover digests hash them), so no member may
-// move, be renamed or disappear — "scale":1 included, which nothing
-// computes any more.
-const stateGolden = `{"quantum":700,"scale":1,"commit_epoch":19,"stats":{"Rounds":11,"ThreadQuanta":18,"SyncSkipped":0,"TablesResynced":183,"TablesSkipped":105,"Merge":{"TablesAdopted":11,"PagesAdopted":11,"PagesCompared":0,"BytesMerged":0,"PtesScanned":11}},"mutexes":[268435456,268435472],"conds":1,"barriers":[3]}`
+// stateGolden is the marshalled State of the scheduler below. Session
+// images embed these bytes, so no member may move, be renamed or
+// disappear — "scale":1 and "commit_epoch":0 included, which nothing
+// computes any more. The values were re-pinned when the resync epochs
+// were deleted: commit_epoch is written 0, and the resync counts are what
+// each start's region copy found.
+const stateGolden = `{"quantum":700,"scale":1,"commit_epoch":0,"stats":{"Rounds":11,"ThreadQuanta":18,"SyncSkipped":3,"TablesResynced":60,"TablesSkipped":228,"Merge":{"TablesAdopted":11,"PagesAdopted":11,"PagesCompared":0,"BytesMerged":0,"PtesScanned":11}},"mutexes":[268435456,268435472],"conds":1,"barriers":[3]}`
+
+// stateEpochGolden is the same scheduler's State as written at 29812f9,
+// while a commit epoch was still kept: state bytes of that shape must
+// keep attaching.
+const stateEpochGolden = `{"quantum":700,"scale":1,"commit_epoch":19,"stats":{"Rounds":11,"ThreadQuanta":18,"SyncSkipped":0,"TablesResynced":183,"TablesSkipped":105,"Merge":{"TablesAdopted":11,"PagesAdopted":11,"PagesCompared":0,"BytesMerged":0,"PtesScanned":11}},"mutexes":[268435456,268435472],"conds":1,"barriers":[3]}`
 
 func TestStateBytesPinned(t *testing.T) {
 	const n = 3
@@ -65,6 +71,35 @@ func TestStateBytesPinned(t *testing.T) {
 	}
 	if string(got) != stateGolden {
 		t.Errorf("State bytes moved:\n got  %s\n want %s", got, stateGolden)
+	}
+}
+
+// TestAttachStateIgnoresCommitEpoch: a state written with a commit epoch
+// attaches, carries its statistics and mutexes over, and exports with the
+// epoch written 0.
+func TestAttachStateIgnoresCommitEpoch(t *testing.T) {
+	var old State
+	if err := json.Unmarshal([]byte(stateEpochGolden), &old); err != nil {
+		t.Fatal(err)
+	}
+	res := core.Run(core.Options{}, func(rt *core.RT) uint64 {
+		s, err := AttachState(rt, Config{}, old)
+		if err != nil {
+			panic(err)
+		}
+		st, err := s.ExportState()
+		if err != nil {
+			panic(err)
+		}
+		want := old
+		want.CommitEpoch = 0
+		if !reflect.DeepEqual(st, want) {
+			panic(fmt.Sprintf("re-exported %+v, want %+v", st, want))
+		}
+		return 0
+	})
+	if res.Status != kernel.StatusHalted {
+		t.Fatalf("%v: %v", res.Status, res.Err)
 	}
 }
 

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/vm"
@@ -325,6 +326,52 @@ func TestPutGetCopiesMultipleRanges(t *testing.T) {
 		env.Read(regA, a[:])
 		if string(a[:]) != "alpha" {
 			panic("child write leaked into parent range")
+		}
+	})
+}
+
+// TestPutCopiedCountsStaleTables: a table-aligned Copy re-shares only the
+// tables the child no longer shares with the parent — those either side
+// wrote since the last copy — and Copied reports that count, which is
+// all the copy charges: re-copying an unchanged region costs the system
+// call alone.
+func TestPutCopiedCountsStaleTables(t *testing.T) {
+	const tables = 4
+	size := tables * vm.TableSpan
+	region := &CopyRange{Size: size}
+	runRoot(t, func(env *Env) {
+		env.SetPerm(0, size, vm.PermRW)
+		for i := uint64(0); i < tables; i++ {
+			env.WriteU64(vm.Addr(i*vm.TableSpan), i)
+		}
+		resync := func(regs *Regs) (shared int, vt int64) {
+			var st vm.CopyStats
+			before := env.VT()
+			if err := env.Put(1, PutOpts{Regs: regs, Copy: region, Copied: &st, Snap: true, Start: true}); err != nil {
+				panic(err)
+			}
+			vt = env.VT() - before
+			if _, err := env.Get(1, GetOpts{}); err != nil {
+				panic(err)
+			}
+			return st.TablesShared, vt
+		}
+		entry := func(c *Env) {
+			c.Ret()
+			c.WriteU64(vm.Addr(vm.TableSpan+8), 1)
+			c.Ret()
+		}
+		if n, _ := resync(&Regs{Entry: entry}); n != tables {
+			panic(fmt.Sprintf("first copy shared %d tables, want %d", n, tables))
+		}
+		if n, vt := resync(nil); n != 0 || vt != env.sp.m.cost.Syscall {
+			panic(fmt.Sprintf("unchanged region: %d tables shared, %d VT charged", n, vt))
+		}
+		// The child wrote table 1 during that quantum; the parent now
+		// writes table 2.
+		env.WriteU64(vm.Addr(2*vm.TableSpan), 7)
+		if n, _ := resync(nil); n != 2 {
+			panic(fmt.Sprintf("after one write each side: %d tables shared, want 2", n))
 		}
 	})
 }

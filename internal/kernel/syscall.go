@@ -43,6 +43,12 @@ type PutOpts struct {
 	// CopyAll copies the parent's entire address space into the child:
 	// the fork idiom ("one Put call copies the parent's memory state").
 	CopyAll bool
+	// Copied, if non-nil, receives the copy-on-write work of this Put's
+	// Copy, Copies or CopyAll, summed: the figures the cost model charges.
+	// A table-aligned copy shares only the tables the child does not
+	// already share with the parent, so a collector resynchronizing a
+	// child learns from TablesShared how many tables had gone stale.
+	Copied *vm.CopyStats
 	// Perm sets page permissions on a child range.
 	Perm *PermRange
 	// Snap saves a snapshot of the child's post-copy memory as the
@@ -110,18 +116,6 @@ type ChildInfo struct {
 	// collectors (the deterministic scheduler's telemetry, the bench
 	// harness) can observe join volume without a second walk.
 	Merge vm.MergeStats
-	// MemClean reports, when GetOpts.Merge ran, that the child's memory
-	// still shares every level-2 table with its reference snapshot
-	// (vm.CleanSince), so it is unchanged since. A clean child contributed
-	// nothing to the merge and its snapshot is still exact; collectors use
-	// this to skip redundant resynchronization.
-	MemClean bool
-	// MergeTouched marks, when GetOpts.Merge ran, the level-1 tables of
-	// the parent the merge modified. Like the Merge statistics the bits
-	// are deterministic — they depend only on the three spaces —
-	// so collectors can bump per-table sync epochs from them instead of
-	// invalidating the whole shared region on every commit.
-	MergeTouched vm.TableBits
 }
 
 // lookupChild finds or creates the child named by ref, migrating the
@@ -195,9 +189,10 @@ func (sp *Space) put(ref uint64, o PutOpts) error {
 			return kerr("put", "zero: %v", err)
 		}
 	}
+	var copied vm.CopyStats
 	if o.CopyAll {
-		st := child.mem.CopyAllFrom(sp.mem)
-		sp.chargeVT(int64(st.TablesShared+st.PagesShared+st.PagesZeroed) * cost.PageCopy)
+		copied = child.mem.CopyAllFrom(sp.mem)
+		sp.chargeVT(int64(copied.TablesShared+copied.PagesShared+copied.PagesZeroed) * cost.PageCopy)
 	} else {
 		for _, c := range copyList(o.Copy, o.Copies) {
 			st, err := child.mem.CopyFrom(sp.mem, c.Src, c.Dst, c.Size)
@@ -205,7 +200,11 @@ func (sp *Space) put(ref uint64, o PutOpts) error {
 				return kerr("put", "copy: %v", err)
 			}
 			sp.chargeVT(int64(st.TablesShared+st.PagesShared+st.PagesZeroed) * cost.PageCopy)
+			copied.Add(st)
 		}
+	}
+	if o.Copied != nil {
+		*o.Copied = copied
 	}
 	if o.CopyAll || o.Copy != nil || len(o.Copies) > 0 {
 		// COW sharing means the child's view of the copied pages is as
@@ -287,12 +286,8 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 		if o.MergeLWW {
 			mode = vm.MergeLastWriter
 		}
-		st, err := vm.MergeEx(sp.mem, child.mem, child.snap, r.Addr, r.Size, vm.MergeConfig{
-			Mode:    mode,
-			Touched: &info.MergeTouched,
-		})
+		st, err := vm.MergeEx(sp.mem, child.mem, child.snap, r.Addr, r.Size, vm.MergeConfig{Mode: mode})
 		info.Merge = st
-		info.MemClean = child.mem.CleanSince(child.snap)
 		// Adopted pages are pte moves; compared pages walk all 4 KiB.
 		// Charging them separately keeps join cost proportional to data
 		// actually reconciled, not to pages merely mapped.

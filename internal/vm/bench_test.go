@@ -289,8 +289,7 @@ func BenchmarkMergeKernels(b *testing.B) {
 			b.Run(shape.name+"/"+k.name, func(b *testing.B) {
 				var st MergeStats
 				var conflict MergeConflictError
-				var touched bool
-				c := mergeCtx{mode: MergeLastWriter, st: &st, conflict: &conflict, touched: &touched}
+				c := mergeCtx{mode: MergeLastWriter, st: &st, conflict: &conflict}
 				dc := cursor{s: dst, l1: 0}
 				b.SetBytes(tableEntries * PageSize)
 				b.ResetTimer()

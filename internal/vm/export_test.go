@@ -9,6 +9,16 @@ func newPage() *page { return (*Frames)(nil).page(true) }
 
 func newPageFrom(b []byte) *page { return (*Frames)(nil).pageFrom(b) }
 
+// CleanSince reports whether s is unchanged since snap was taken from it:
+// the two still share every level-2 table. While they share a table its
+// reference count is at least 2, so ownTable copies it before any write
+// on either side and the pointers part. It is the root compare Resnap,
+// CopyFrom and Merge make slot by slot, asked of the whole space at once;
+// the tests use it to check that sharing survives what should keep it.
+func (s *Space) CleanSince(snap *Space) bool {
+	return snap != nil && s.root == snap.root
+}
+
 // checkFrames is the pool's safety invariant: every page and table f holds
 // is there once, has no references, and is reachable from none of live —
 // so nothing a space can still read or write is handed out again.

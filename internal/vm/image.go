@@ -22,7 +22,7 @@ package vm
 // by index. A space and its snapshot are thus automatically
 // delta-encoded: everything unchanged since the snapshot is one shared
 // table or page reference, and only diverged content carries payload.
-// That sharing is also all Merge, DeltaRuns, CleanSince and Resnap read
+// That sharing is also all Merge, DeltaRuns, CopyFrom and Resnap read
 // to tell what changed, so they behave identically after a restore —
 // including the virtual times they charge.
 //

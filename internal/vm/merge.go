@@ -82,12 +82,6 @@ const (
 type MergeConfig struct {
 	// Mode selects conflict handling (MergeStrict or MergeLastWriter).
 	Mode MergeMode
-	// Touched, if non-nil, gets a bit set for every level-1 table of dst
-	// this merge modified (whole-table adoptions, page adoptions, and
-	// byte merges alike). Like the semantic MergeStats fields the bits
-	// depend only on the three spaces, so collectors can use them to
-	// maintain per-table commit epochs deterministically.
-	Touched *TableBits
 }
 
 // Merge folds the child's changes since its reference snapshot into dst
@@ -116,7 +110,6 @@ type mergeCtx struct {
 	mode     MergeMode
 	st       *MergeStats
 	conflict *MergeConflictError
-	touched  *bool // set when the table being merged modifies dst's level-1 slot
 }
 
 // MergeEx is the merge engine's entry point; see MergeConfig. It walks
@@ -134,8 +127,7 @@ func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (Mer
 	// snapshot and is skipped outright.
 	end := uint64(addr) + size
 	conflict := &MergeConflictError{}
-	var touched bool
-	c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict, touched: &touched}
+	c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict}
 	for l1 := int(addr >> l1Shift); uint64(l1)<<l1Shift < end; l1++ {
 		ct := cur.root[l1]
 		if ct == nil || ct == ref.root[l1] {
@@ -149,11 +141,7 @@ func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (Mer
 		if base+(tableEntries<<l2Shift) > end {
 			hi = int((end - base) >> l2Shift)
 		}
-		touched = false
 		mergeTable(dst, cur, ref, tableJob{l1: l1, lo: lo, hi: hi}, c)
-		if touched && cfg.Touched != nil {
-			cfg.Touched.Set(l1)
-		}
 	}
 	if conflict.Total > 0 {
 		return st, conflict
@@ -187,7 +175,6 @@ func mergeTable(dst, cur, ref *Space, job tableJob, c mergeCtx) {
 		dst.root[l1] = shareTable(ct)
 		dst.frames.dropTable(dt)
 		st.TablesAdopted++
-		*c.touched = true
 		return
 	}
 	dc := cursor{s: dst, l1: l1}
@@ -233,7 +220,6 @@ func mergePage(dc *cursor, pa Addr, l2 int, ce, re pte, c mergeCtx) {
 		}
 		t.set(l2, pte{pg: ce.pg, perm: perm})
 		c.st.PagesAdopted++
-		*c.touched = true
 		return
 	}
 	mergePageWords(dc, pa, l2, ce, re, de, c)
@@ -291,7 +277,6 @@ func mergePageWords(dc *cursor, pa Addr, l2 int, ce, re pte, de pte, c mergeCtx)
 	writable := func() *page {
 		if wp == nil {
 			wp = dc.writablePage(l2, false)
-			*c.touched = true
 		}
 		return wp
 	}

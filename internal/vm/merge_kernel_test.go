@@ -14,8 +14,8 @@ import (
 //
 //   - mergePageBytes, the per-byte reference kernel, run page by page
 //     beside mergePageWords by runKernel: destination bytes, every
-//     MergeStats field, the conflict address list (order included) and
-//     the touched tables must agree bit for bit;
+//     MergeStats field and the conflict address list (order included)
+//     must agree bit for bit;
 //   - byteRule, the three-way rule itself computed from Space.Read of
 //     dst, cur and ref alone — no table walk, no adoption fast path, no
 //     cursor — against which the whole engine (MergeEx) is checked.
@@ -60,7 +60,6 @@ func mergePageBytes(dc *cursor, pa Addr, l2 int, ce, re pte, de pte, c mergeCtx)
 			}
 			if wp == nil {
 				wp = dc.writablePage(l2, false)
-				*c.touched = true
 			}
 			wp.data[off+b] = cb
 			st.BytesMerged++
@@ -99,10 +98,9 @@ type pageKernel func(dc *cursor, pa Addr, l2 int, ce, re pte, de pte, c mergeCtx
 // walk, with no adoption of any kind, so two kernels run through it see
 // exactly the same (cur, ref, dst) page triples.
 func runKernel(t *testing.T, parent *Space, childOps, parentOps []memOp,
-	mode MergeMode, kernel pageKernel) (mergeOutcome, TableBits) {
+	mode MergeMode, kernel pageKernel) mergeOutcome {
 	t.Helper()
-	var tables TableBits
-	out := runMergeVia(t, parent, childOps, parentOps, 0, propSpan,
+	return runMergeVia(t, parent, childOps, parentOps, 0, propSpan,
 		func(dst, cur, ref *Space) (MergeStats, error) {
 			var st MergeStats
 			conflict := &MergeConflictError{}
@@ -117,13 +115,9 @@ func runKernel(t *testing.T, parent *Space, childOps, parentOps []memOp,
 					if ce.pg == re.pg {
 						continue
 					}
-					var touched bool
 					kernel(&dc, pa, l2, ce, re, dc.entry(l2), mergeCtx{
-						mode: mode, st: &st, conflict: conflict, touched: &touched,
+						mode: mode, st: &st, conflict: conflict,
 					})
-					if touched {
-						tables.Set(l1)
-					}
 				}
 			}
 			if conflict.Total > 0 {
@@ -131,7 +125,6 @@ func runKernel(t *testing.T, parent *Space, childOps, parentOps []memOp,
 			}
 			return st, nil
 		})
-	return out, tables
 }
 
 // straddleHistory draws one seeded history with the planted straddles.
@@ -153,15 +146,10 @@ func TestMergeKernelsEquivalentProperty(t *testing.T) {
 		parent, childOps, parentOps := straddleHistory(t, seed)
 		defer parent.Free()
 		for _, mode := range []MergeMode{MergeStrict, MergeLastWriter} {
-			oracle, oracleTouched := runKernel(t, parent, childOps, parentOps, mode, mergePageBytes)
-			got, touched := runKernel(t, parent, childOps, parentOps, mode, mergePageWords)
+			oracle := runKernel(t, parent, childOps, parentOps, mode, mergePageBytes)
+			got := runKernel(t, parent, childOps, parentOps, mode, mergePageWords)
 			if diff := outcomesEqual(oracle, got, false); diff != "" {
 				t.Errorf("seed %d mode %v: word kernel differs from byte oracle: %s", seed, mode, diff)
-				return false
-			}
-			if touched != oracleTouched {
-				t.Errorf("seed %d mode %v: touched tables differ: %x vs oracle %x",
-					seed, mode, touched, oracleTouched)
 				return false
 			}
 		}
@@ -174,11 +162,10 @@ func TestMergeKernelsEquivalentProperty(t *testing.T) {
 
 // ruleOutcome is what the per-byte three-way rule says a merge must do.
 type ruleOutcome struct {
-	bytes   []byte    // dst's contents over the range after the merge
-	changed TableBits // tables holding a byte whose value the merge changes
-	merged  int       // MergeStats.BytesMerged
-	total   int       // conflicting bytes
-	addrs   []Addr    // the first maxReportedConflicts of them, ascending
+	bytes  []byte // dst's contents over the range after the merge
+	merged int    // MergeStats.BytesMerged
+	total  int    // conflicting bytes
+	addrs  []Addr // the first maxReportedConflicts of them, ascending
 }
 
 // byteRule evaluates Deterministic Consistency's merge rule byte by byte
@@ -215,9 +202,6 @@ func byteRule(t *testing.T, dst, cur, ref *Space, mode MergeMode) ruleOutcome {
 				}
 				out.total++
 			default:
-				if d[i] != c[i] {
-					out.changed.Set(TableOf(Addr(i)))
-				}
 				d[i] = c[i]
 				if copied {
 					out.merged++
@@ -231,14 +215,11 @@ func byteRule(t *testing.T, dst, cur, ref *Space, mode MergeMode) ruleOutcome {
 // checkAgainstByteRule merges the replayed history over [0, propSpan)
 // with cfg through MergeEx and fails
 // unless destination bytes, BytesMerged, conflict total and reported
-// addresses are what byteRule computed from the pre-merge spaces, and
-// every table whose bytes changed is in Touched.
+// addresses are what byteRule computed from the pre-merge spaces.
 func checkAgainstByteRule(t *testing.T, parent *Space, childOps, parentOps []memOp,
-	cfg MergeConfig) (mergeOutcome, TableBits) {
+	cfg MergeConfig) mergeOutcome {
 	t.Helper()
-	var touched TableBits
-	cfg.Touched = &touched
-	out := runMergeVia(t, parent, childOps, parentOps, 0, propSpan,
+	return runMergeVia(t, parent, childOps, parentOps, 0, propSpan,
 		func(dst, cur, ref *Space) (MergeStats, error) {
 			want := byteRule(t, dst, cur, ref, cfg.Mode)
 			st, err := MergeEx(dst, cur, ref, 0, propSpan, cfg)
@@ -261,15 +242,8 @@ func checkAgainstByteRule(t *testing.T, parent *Space, childOps, parentOps []mem
 				t.Errorf("cfg %+v: conflicts %d %v, byte rule says %d %v",
 					cfg, total, addrs, want.total, want.addrs)
 			}
-			for i, w := range want.changed {
-				if w&^touched[i] != 0 {
-					t.Errorf("cfg %+v: a table whose bytes changed is not in Touched", cfg)
-					break
-				}
-			}
 			return st, err
 		})
-	return out, touched
 }
 
 func TestMergeMatchesByteRuleProperty(t *testing.T) {
@@ -311,7 +285,7 @@ func TestMergeKernelStraddledConflicts(t *testing.T) {
 		{addr: edge - 4, data: randBytes(rng, 9)},
 	}
 
-	oracle, _ := runKernel(t, parent, childOps, parentOps, MergeStrict, mergePageBytes)
+	oracle := runKernel(t, parent, childOps, parentOps, MergeStrict, mergePageBytes)
 	if oracle.total == 0 {
 		t.Fatalf("constructed scenario produced no conflicts: %+v", oracle.st)
 	}
@@ -330,14 +304,14 @@ func TestMergeKernelStraddledConflicts(t *testing.T) {
 		t.Fatalf("conflict list %v does not straddle a word boundary (%v) and a page edge (%v)",
 			oracle.addrs, straddlesWord, straddlesEdge)
 	}
-	words, _ := runKernel(t, parent, childOps, parentOps, MergeStrict, mergePageWords)
+	words := runKernel(t, parent, childOps, parentOps, MergeStrict, mergePageWords)
 	if diff := outcomesEqual(oracle, words, false); diff != "" {
 		t.Errorf("word kernel differs from byte oracle: %s", diff)
 	}
 	// Every compared page here is one the parent wrote, so nothing is
 	// adopted and the engine's outcome equals the bare kernel's but for
 	// the scan count.
-	got, _ := checkAgainstByteRule(t, parent, childOps, parentOps,
+	got := checkAgainstByteRule(t, parent, childOps, parentOps,
 		MergeConfig{Mode: MergeStrict})
 	if diff := outcomesEqual(oracle, got, true); diff != "" {
 		t.Errorf("engine differs from byte oracle: %s", diff)

@@ -175,7 +175,6 @@ func slotMerge(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (M
 			continue
 		}
 		lo, hi := slotRange(l1, addr, end)
-		var touched bool
 		if dt := dst.root[l1]; dt == rt && lo == 0 && hi == tableEntries {
 			for l2 := 0; l2 < tableEntries; l2++ {
 				st.PtesScanned++
@@ -186,9 +185,8 @@ func slotMerge(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (M
 			dst.root[l1] = shareTable(ct)
 			dst.frames.dropTable(dt)
 			st.TablesAdopted++
-			touched = true
 		} else {
-			c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict, touched: &touched}
+			c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict}
 			dc := cursor{s: dst, l1: l1}
 			for l2 := lo; l2 < hi; l2++ {
 				st.PtesScanned++
@@ -196,9 +194,6 @@ func slotMerge(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (M
 					mergePage(&dc, Addr(l1)<<l1Shift|Addr(l2)<<l2Shift, l2, ce, re, c)
 				}
 			}
-		}
-		if touched && cfg.Touched != nil {
-			cfg.Touched.Set(l1)
 		}
 	}
 	if conflict.Total > 0 {

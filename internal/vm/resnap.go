@@ -17,15 +17,6 @@ package vm
 // Snapshot would build, and charging the cost model only for the tables
 // actually re-shared, so a no-op re-snapshot is free in virtual time too.
 
-// CleanSince reports whether s is unchanged since snap was taken from it:
-// the two still share every level-2 table. While they share a table its
-// reference count is at least 2, so ownTable copies it before any write
-// on either side and the pointers part. The check is a compare of the two
-// roots and never reads page data.
-func (s *Space) CleanSince(snap *Space) bool {
-	return snap != nil && s.root == snap.root
-}
-
 // Resnap updates old to be a current snapshot of s, returning the
 // snapshot to use in its place and the sharing stats for cost accounting.
 // Every root slot where old differs from s is re-shared from s, and each
@@ -36,14 +27,24 @@ func (s *Space) Resnap(old *Space) (*Space, CopyStats) {
 		return s.Snapshot()
 	}
 	var st CopyStats
-	for l1 := range s.root {
-		if t, o := s.root[l1], old.root[l1]; o != t {
-			old.root[l1] = shareTable(t)
-			old.frames.dropTable(o)
-			if t != nil {
-				st.TablesShared++
+	for lo := 0; lo < tableEntries; lo += resnapSpan {
+		if *(*[resnapSpan]*table)(s.root[lo:]) == *(*[resnapSpan]*table)(old.root[lo:]) {
+			continue
+		}
+		for l1 := lo; l1 < lo+resnapSpan; l1++ {
+			if t, o := s.root[l1], old.root[l1]; o != t {
+				old.root[l1] = shareTable(t)
+				old.frames.dropTable(o)
+				if t != nil {
+					st.TablesShared++
+				}
 			}
 		}
 	}
 	return old, st
 }
+
+// resnapSpan is how many root slots Resnap compares at once before it
+// looks at them one by one: a block compare runs at memequal speed, and
+// most blocks of a re-snapshotted root have not changed.
+const resnapSpan = 64

@@ -170,7 +170,8 @@ func TestResnapFallsBackAfterPrecisionLoss(t *testing.T) {
 
 // TestResnapSharesRootAfterAnyHistory calls Resnap on snapshots whatever
 // happened to them or their space since — a whole-space replacement, a
-// freed space, a freed snapshot, a snapshot written to, a pair decoded
+// freed space, a freed snapshot, a snapshot written to, tables added at
+// the first and last slots of Resnap's compare blocks, a pair decoded
 // from an image — and requires each time the old snapshot back,
 // sharing every root slot with the space, charged one TablesShared per
 // non-nil table it had to re-share.
@@ -200,6 +201,18 @@ func TestResnapSharesRootAfterAnyHistory(t *testing.T) {
 			}
 			if err := s.WriteU32(3*PageSize, 6); err != nil {
 				t.Fatal(err)
+			}
+			return s, snap
+		}},
+		{"at the edges of Resnap's blocks", func(t *testing.T, s, snap *Space) (*Space, *Space) {
+			for _, l1 := range []int{resnapSpan - 1, resnapSpan, tableEntries - 1} {
+				a := Addr(l1) << l1Shift
+				if err := s.SetPerm(a, PageSize, PermRW); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.WriteU32(a, 8); err != nil {
+					t.Fatal(err)
+				}
 			}
 			return s, snap
 		}},

@@ -11,7 +11,7 @@
 //
 // Copy-on-write is also the record of what changed: a table or page a
 // space still shares with its snapshot is one it has not changed since.
-// Merge, DeltaRuns, Resnap and CleanSince answer from that pointer
+// Merge, DeltaRuns, Resnap and CopyFrom answer from that pointer
 // identity alone; inside a table that is no longer shared, Merge and
 // DeltaRuns visit only the slots either side's occupancy map lists.
 //
@@ -42,7 +42,7 @@
 // A recycled frame is a new object at an old address, so comparing
 // pointers is sound only between objects something still references.
 // Every == and != on a *page or *table — mergeRange, mergeTable,
-// mergePage, DeltaRuns, Resnap, CleanSince, CopyFrom, CopyAllFrom —
+// mergePage, DeltaRuns, Resnap, CopyFrom, CopyAllFrom —
 // compares entries read from the root or a table of a live space or
 // snapshot, which pins them; and where a slot's page or table is replaced, the new reference is
 // taken before the old one is dropped, so a replacement by the same object
@@ -70,6 +70,11 @@ const (
 	l1Shift      = 22
 	l2Shift      = PageShift
 	tableEntries = 1024
+
+	// TableSpan is the address span one level-2 table covers: the
+	// granularity of copy-on-write table sharing and of whole-table merge
+	// adoption. A region of whole tables is copied by sharing tables.
+	TableSpan = uint64(tableEntries) << l2Shift
 
 	// SpaceSize is the total size of a space's virtual address range.
 	SpaceSize = 1 << 32
@@ -362,6 +367,13 @@ type CopyStats struct {
 	TablesShared int // whole level-2 tables shared copy-on-write
 	PagesShared  int // individual pages shared copy-on-write
 	PagesZeroed  int // pages dropped or left lazy-zero
+}
+
+// Add accumulates another operation's statistics into s.
+func (s *CopyStats) Add(o CopyStats) {
+	s.TablesShared += o.TablesShared
+	s.PagesShared += o.PagesShared
+	s.PagesZeroed += o.PagesZeroed
 }
 
 // CopyFrom logically copies the (page-aligned) range from src into s using
