@@ -47,6 +47,7 @@
 package fs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -165,36 +166,24 @@ var (
 // by every operation that changes the map, through any handle) guards
 // it: a handle whose cached generation is stale rebuilds the index from
 // the table before trusting it, which keeps multiple handles on one
-// image coherent. The generation is part of the operation history, so
-// replicas that performed the same operations still produce
-// bit-identical images.
+// image coherent. The rebuild reads through Env.Peek and charges
+// nothing, so the cache never shows in virtual time: a lookup costs the
+// same on a warm handle, a fresh one and one attached after restore.
+// The generation is part of the operation history, so replicas that
+// performed the same operations still produce bit-identical images.
 type FS struct {
 	env     *kernel.Env
 	base    vm.Addr
 	protect bool
 
-	noIndex bool           // SetIndex(false): always scan (uproc's phased root)
-	idx     map[dirent]int // cached (dir, name) → inode, nil until built
-	idxGen  uint32         // sbGen the cache was built/maintained at
+	idx    map[dirent]int // cached (dir, name) → inode, nil until built
+	idxGen uint32         // sbGen the cache was built/maintained at
 }
 
 // dirent keys the per-directory entry index.
 type dirent struct {
 	dir  int
 	name string
-}
-
-// SetIndex enables or disables this handle's per-directory entry index
-// (enabled by default). Disabling forces the full-table scan on every
-// lookup; results are identical either way, but the reads charged are
-// not: a cold index is rebuilt lazily. uproc's phased root depends on
-// that — it runs with the index off so that a resumed run, which
-// reattaches with a cold cache, costs exactly what the uninterrupted
-// run did (uproc/phased.go). The lookup micro-benchmark and the
-// equivalence tests use it too.
-func (f *FS) SetIndex(on bool) {
-	f.noIndex = !on
-	f.idx = nil
 }
 
 // nsMutate records a change to the (dir, name) → inode map: the image
@@ -427,7 +416,7 @@ func (f *FS) iPut(ino int, field uint32, v uint32) { f.pu32(inodeOff(ino)+field,
 // those 127 reads in slot order. A scan may take a field from a column
 // only if it visits every slot and stores into no later slot's copy of
 // that field; one that can stop early would be charged for slots it never
-// read, and stays scalar (freeInode, childInScan, dirHasLive).
+// read, and stays scalar (freeInode, dirHasLive).
 func (f *FS) column(field uint32, col *[NumInodes]uint32) {
 	f.env.ReadU32Stride(f.base+vm.Addr(inodeOff(1)+field), inodeSize, col[1:])
 }
@@ -454,10 +443,16 @@ func (f *FS) freeSlot(ino int) {
 func (f *FS) name(ino int) string {
 	var buf [MaxNameLen]byte
 	f.gbytes(inodeOff(ino)+iName, buf[:])
-	if i := strings.IndexByte(string(buf[:]), 0); i >= 0 {
-		return string(buf[:i])
+	return cstring(buf[:])
+}
+
+// cstring is a name field's text: the bytes before the first NUL, or all
+// of them.
+func cstring(b []byte) string {
+	if i := bytes.IndexByte(b, 0); i >= 0 {
+		return string(b[:i])
 	}
-	return string(buf[:])
+	return string(b)
 }
 
 // setName names a freshly allocated slot. Callers set iParent first, so
@@ -516,13 +511,11 @@ func validName(c string) bool {
 
 // childIn finds the in-use slot for name directly under directory dir
 // that satisfies want (a flag mask ANDed against the slot's flags), or
-// -1. There is at most one in-use slot per (dir, name), so the indexed
-// and scanning paths agree: the index maps (dir, name) to the one
-// in-use slot and the want mask is checked live on the hit.
+// -1. It is charged the sbGen read, then on a hit the hit's flags: the
+// index maps (dir, name) to the one in-use slot, and the want mask is
+// checked live on it. A rebuild in between charges nothing, so a lookup
+// costs the same whether this handle's cache was warm, cold or stale.
 func (f *FS) childIn(dir int, name string, want uint32) int {
-	if f.noIndex {
-		return f.childInScan(dir, name, want)
-	}
 	if gen := f.gu32(sbGen); f.idx == nil || f.idxGen != gen {
 		f.rebuildIndex(gen)
 	}
@@ -533,29 +526,19 @@ func (f *FS) childIn(dir int, name string, want uint32) int {
 	return ino
 }
 
-// childInScan is the original full-table lookup, the index's ground
-// truth.
-func (f *FS) childInScan(dir int, name string, want uint32) int {
-	for i := 1; i < NumInodes; i++ {
-		if !f.inUse(i) || f.iGet(i, iFlags)&want == 0 {
-			continue
-		}
-		if int(f.iGet(i, iParent)) == dir && f.name(i) == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// rebuildIndex scans the inode table once and records every in-use
-// entry under its (parent, name) key.
+// rebuildIndex scans the inode table once, through the uncharged Peek,
+// and records every in-use entry under its (parent, name) key. A
+// hostile image may hold two in-use slots under one key; the later slot
+// wins, whichever handle builds the map.
 func (f *FS) rebuildIndex(gen uint32) {
 	f.idx = make(map[dirent]int)
 	var flags [NumInodes]uint32
-	f.column(iFlags, &flags)
+	f.env.PeekU32Stride(f.base+vm.Addr(inodeOff(1)+iFlags), inodeSize, flags[1:])
 	for i := 1; i < NumInodes; i++ {
 		if flags[i]&(flagExists|flagTomb) != 0 {
-			f.idx[dirent{dir: int(f.iGet(i, iParent)), name: f.name(i)}] = i
+			var rec [inodeSize - iParent]byte // the parent link, then the name
+			f.env.Peek(f.base+vm.Addr(inodeOff(i)+iParent), rec[:])
+			f.idx[dirent{dir: int(binary.LittleEndian.Uint32(rec[:])), name: cstring(rec[iName-iParent:])}] = i
 		}
 	}
 	f.idxGen = gen

@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -76,9 +77,20 @@ func attachBytes(t *testing.T, img []byte, fn func(env *kernel.Env, f *FS, err e
 	}
 }
 
+// duplicatedName is the seed image with file a's record copied into a
+// free slot: two in-use entries under one (dir, name), which no sequence
+// of fs operations produces but Attach does not refuse.
+func duplicatedName(t testing.TB) []byte {
+	img := fuzzSeedImage(t)
+	img = append(img, make([]byte, dataStart-len(img))...)
+	copy(img[inodeOff(NumInodes-1):], img[inodeOff(2):inodeOff(3)])
+	return bytes.TrimRight(img, "\x00")
+}
+
 func FuzzAttach(f *testing.F) {
 	// The inputs it has found so far are in testdata/fuzz/FuzzAttach.
 	f.Add(fuzzSeedImage(f))
+	f.Add(duplicatedName(f))
 	f.Fuzz(func(t *testing.T, img []byte) {
 		if len(img) > fuzzMapped {
 			t.Skip("longer than the span the harness maps")
@@ -88,14 +100,25 @@ func FuzzAttach(f *testing.F) {
 				return
 			}
 			// An accepted image is used the way a collector uses one.
-			// Errors are fine; what must not happen is a fault.
+			// Errors are fine; what must not happen is a fault. Every
+			// Stat and ReadFile answers, and costs, on the attached
+			// handle what it does on a fresh one over the same bytes.
 			for _, info := range f.List() {
 				if info.Dir {
 					f.ReadDir(info.Name)
-				} else {
-					f.ReadFile(info.Name)
 				}
-				f.Stat(info.Name)
+				for _, op := range []func(f *FS) string{
+					func(f *FS) string { return fmt.Sprint(f.Stat(info.Name)) },
+					func(f *FS) string { return fmt.Sprint(f.ReadFile(info.Name)) },
+				} {
+					var got, want string
+					gotCost := charged(env, func() { got = op(f) })
+					wantCost := charged(env, func() { want = op(AttachRestored(env, testBase)) })
+					if got != want || gotCost != wantCost {
+						t.Errorf("%q: attached handle %s charged %v, fresh handle %s charged %v",
+							info.Name, got, gotCost, want, wantCost)
+					}
+				}
 			}
 			f.WriteFile("fuzz", []byte("written after attach"))
 			f.Checksum()

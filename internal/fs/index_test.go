@@ -22,11 +22,42 @@ func indexEnv(t testing.TB, fn func(env *kernel.Env)) {
 	}
 }
 
+// childInScan is the full-table lookup the index replaced, kept as its
+// ground truth: the first in-use slot named name under dir whose flags
+// meet want.
+func (f *FS) childInScan(dir int, name string, want uint32) int {
+	for i := 1; i < NumInodes; i++ {
+		if !f.inUse(i) || f.iGet(i, iFlags)&want == 0 {
+			continue
+		}
+		if int(f.iGet(i, iParent)) == dir && f.name(i) == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// lookupScan is lookup resolved by childInScan alone.
+func (f *FS) lookupScan(path string) int {
+	parts, err := splitPath(path)
+	if err != nil || len(parts) == 0 {
+		return -1
+	}
+	dir := 0
+	for _, c := range parts[:len(parts)-1] {
+		ino := f.childInScan(dir, c, flagExists)
+		if ino < 0 || f.iGet(ino, iFlags)&flagDir == 0 {
+			return -1
+		}
+		dir = ino
+	}
+	return f.childInScan(dir, parts[len(parts)-1], flagExists)
+}
+
 func TestIndexMatchesScanUnderRandomOps(t *testing.T) {
 	indexEnv(t, func(env *kernel.Env) {
 		f := Format(env, DefaultBase, 1<<20)
 		scan := Attach2(env, DefaultBase, 1<<20)
-		scan.SetIndex(false)
 		rng := rand.New(rand.NewSource(99))
 		var live []string
 		paths := func() []string {
@@ -51,13 +82,12 @@ func TestIndexMatchesScanUnderRandomOps(t *testing.T) {
 			case 2:
 				f.WriteAt(p, rng.Intn(64), []byte("data"))
 			}
-			// Both handles, and both lookup paths, must agree on every
-			// candidate path after every step.
+			// The mutating handle's index, a second handle's and the
+			// scan must agree on every candidate path after every step.
 			for _, q := range paths {
-				a := f.lookup(q)
-				b := scan.lookup(q)
-				if a != b {
-					panic(fmt.Sprintf("step %d: indexed lookup(%q)=%d, scan=%d", step, q, a, b))
+				a, b, c := f.lookup(q), scan.lookup(q), f.lookupScan(q)
+				if a != c || b != c {
+					panic(fmt.Sprintf("step %d: lookup(%q)=%d, second handle %d, scan %d", step, q, a, b, c))
 				}
 			}
 		}
@@ -98,6 +128,105 @@ func TestIndexCoherentAcrossHandles(t *testing.T) {
 	})
 }
 
+// handleKinds are the four ways an operation can find its handle's index:
+// built and maintained by this handle all along, absent on a handle
+// Attach or AttachRestored made just now, or out of date because another
+// handle mutated the image since. handleKinds[k] returns the handle for
+// step on the image at base; stale ones take turns, so each finds what
+// the other did.
+var handleKinds = []struct {
+	name   string
+	handle func(env *kernel.Env, base vm.Addr, warm [2]*FS, step int) *FS
+}{
+	{"warm", func(_ *kernel.Env, _ vm.Addr, warm [2]*FS, _ int) *FS { return warm[0] }},
+	{"attached", func(env *kernel.Env, base vm.Addr, _ [2]*FS, _ int) *FS {
+		return Attach2(env, base, walkImageSize)
+	}},
+	{"restored", func(env *kernel.Env, base vm.Addr, _ [2]*FS, _ int) *FS { return AttachRestored(env, base) }},
+	{"stale", func(_ *kernel.Env, _ vm.Addr, warm [2]*FS, step int) *FS { return warm[step%2] }},
+}
+
+// handleOps are the operations the handle-kind scripts draw from; each
+// describes what it returned.
+var handleOps = []func(f *FS, path string, p []byte) string{
+	func(f *FS, path string, p []byte) string { return fmt.Sprint(f.WriteFile(path, p)) },
+	func(f *FS, path string, p []byte) string { return fmt.Sprint(f.WriteFileAll(path, p)) },
+	func(f *FS, path string, _ []byte) string { return fmt.Sprint(f.Create(path)) },
+	func(f *FS, path string, _ []byte) string { return fmt.Sprint(f.Mkdir(path)) },
+	func(f *FS, path string, _ []byte) string { return fmt.Sprint(f.Unlink(path)) },
+	func(f *FS, path string, p []byte) string { return fmt.Sprint(f.Append(path, p)) },
+	func(f *FS, path string, p []byte) string { return fmt.Sprint(f.Truncate(path, len(p))) },
+	func(f *FS, path string, _ []byte) string {
+		b, err := f.ReadFile(path)
+		return fmt.Sprint(len(b), fnvFold(fnvOffset64, b), err)
+	},
+	func(f *FS, path string, p []byte) string {
+		n, err := f.ReadAt(path, len(p)%512, p)
+		return fmt.Sprint(n, fnvFold(fnvOffset64, p[:n]), err)
+	},
+	func(f *FS, path string, _ []byte) string { return fmt.Sprint(f.Stat(path)) },
+	func(f *FS, path string, _ []byte) string { return fmt.Sprint(f.ReadDir(path)) },
+}
+
+// TestLookupChargeIsImageState: the entry index is a host cache, so an
+// operation returns and costs the same through every kind of handle.
+// Four images take the same random script, each through its own
+// handleKinds entry, and every operation's result, instructions and
+// virtual time must agree with the warm handle's. Mutation-checked: a
+// rebuildIndex that charges its reads fails here.
+func TestLookupChargeIsImageState(t *testing.T) {
+	stale := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		indexEnv(t, func(env *kernel.Env) {
+			rng := rand.New(rand.NewSource(seed))
+			protect := seed%3 == 0
+			var bases [4]vm.Addr
+			var warm [4][2]*FS
+			for k := range bases {
+				bases[k] = testBase + vm.Addr(k)*0x0100_0000
+				f := Format(env, bases[k], walkImageSize)
+				f.SetProtect(protect)
+				warm[k] = [2]*FS{f, Attach2(env, bases[k], walkImageSize)}
+			}
+			for step := 0; step < 200; step++ {
+				path, p := walkPath(rng), walkData(rng)
+				op := handleOps[rng.Intn(len(handleOps))]
+				var want string
+				var wantCost [2]int64
+				for k, kind := range handleKinds {
+					f := kind.handle(env, bases[k], warm[k], step)
+					f.protect = protect
+					if f.idx != nil && f.idxGen != f.gu32(sbGen) {
+						stale++
+					}
+					var got string
+					cost := charged(env, func() { got = op(f, path, bytes.Clone(p)) })
+					if k == 0 {
+						want, wantCost = got, cost
+						continue
+					}
+					if got != want || cost != wantCost {
+						panic(fmt.Sprintf("seed %d step %d, %q through a %s handle: %s charged (insns, vt) %v; warm: %s charged %v",
+							seed, step, path, kind.name, got, cost, want, wantCost))
+					}
+				}
+			}
+			img := make([]byte, walkImageSize)
+			env.Read(bases[0], img)
+			for k := 1; k < len(bases); k++ {
+				other := make([]byte, walkImageSize)
+				env.Read(bases[k], other)
+				if !bytes.Equal(img, other) {
+					panic(fmt.Sprintf("seed %d: the %s handle's image differs from the warm one's", seed, handleKinds[k].name))
+				}
+			}
+		})
+	}
+	if stale == 0 {
+		t.Errorf("no operation found its handle's index stale")
+	}
+}
+
 // Attach2 attaches a second handle, failing the test on error.
 func Attach2(env *kernel.Env, base uint32, size uint64) *FS {
 	f, err := Attach(env, base, size)
@@ -109,8 +238,8 @@ func Attach2(env *kernel.Env, base uint32, size uint64) *FS {
 
 // referenceAttach and referenceIndex are Attach and rebuildIndex as they
 // stood before their scans took columns — one checked load per field, in
-// slot order — kept verbatim as the oracle for what the column forms
-// return, build and charge.
+// slot order — kept verbatim as the oracle for what Attach returns and
+// charges and what rebuildIndex builds.
 func referenceAttach(env *kernel.Env, base vm.Addr, mapped uint64) (*FS, error) {
 	f := &FS{env: env, base: base}
 	if f.gu32(sbMagic) != Magic {
@@ -266,9 +395,10 @@ func charged(env *kernel.Env, fn func()) [2]int64 {
 	return [2]int64{env.Insns() - i0, env.VT() - v0}
 }
 
-// TestScansMatchScalarReference: over every image shape, the column
-// forms of Attach and rebuildIndex return what the field-by-field bodies
-// return and cost exactly what they cost.
+// TestScansMatchScalarReference: over every image shape, the column form
+// of Attach returns what the field-by-field body returns and costs
+// exactly what it costs; rebuildIndex builds the reference's index and
+// costs nothing.
 func TestScansMatchScalarReference(t *testing.T) {
 	for _, img := range scanImages {
 		t.Run(img.name, func(t *testing.T) {
@@ -286,12 +416,12 @@ func TestScansMatchScalarReference(t *testing.T) {
 				}
 				gen := got.gu32(sbGen)
 				gotCost = charged(env, func() { got.rebuildIndex(gen) })
-				wantCost = charged(env, func() { referenceIndex(want, gen) })
+				referenceIndex(want, gen)
 				if !reflect.DeepEqual(got.idx, want.idx) || got.idxGen != want.idxGen {
 					t.Errorf("index %v, reference %v", got.idx, want.idx)
 				}
-				if gotCost != wantCost {
-					t.Errorf("rebuildIndex charged %v, reference %v", gotCost, wantCost)
+				if gotCost != [2]int64{} {
+					t.Errorf("rebuildIndex charged (insns, vt) %v, want nothing", gotCost)
 				}
 			})
 		})
@@ -414,19 +544,18 @@ func BenchmarkScan(b *testing.B) {
 }
 
 // BenchmarkLookup measures path resolution at a full 128-slot inode
-// table — the satellite's target case — with the per-directory index on
-// and off. The tree is three levels deep, so every lookup resolves
+// table through the per-directory index and through the scan oracle it
+// replaced. The tree is three levels deep, so every lookup resolves
 // three components; the scan pays O(NumInodes) per component.
 func BenchmarkLookup(b *testing.B) {
 	for _, indexed := range []bool{true, false} {
-		name := "indexed"
+		name, lookup := "indexed", (*FS).lookup
 		if !indexed {
-			name = "scan"
+			name, lookup = "scan", (*FS).lookupScan
 		}
 		b.Run(name, func(b *testing.B) {
 			indexEnv(b, func(env *kernel.Env) {
 				f := Format(env, DefaultBase, 1<<20)
-				f.SetIndex(indexed)
 				// Fill the table: 2 dirs, 5 subdirs each, leaves under
 				// them until the 128 slots run out.
 				var leaves []string
@@ -454,8 +583,8 @@ func BenchmarkLookup(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := f.Stat(leaves[i%len(leaves)]); err != nil {
-						panic(err)
+					if lookup(f, leaves[i%len(leaves)]) < 0 {
+						panic("leaf not found")
 					}
 				}
 			})

@@ -119,7 +119,7 @@ func (r walkReached) notePath(img *FS, path string) {
 	if err != nil {
 		return
 	}
-	f := &FS{env: img.env, base: img.base, noIndex: true}
+	f := AttachRestored(img.env, img.base)
 	for i := 1; i < len(parts); i++ {
 		ino := f.lookupAny(strings.Join(parts[:i], "/"))
 		if ino < 0 {
@@ -139,16 +139,16 @@ func (r walkReached) notePath(img *FS, path string) {
 func TestSingleWalkMatchesComposition(t *testing.T) {
 	reached := walkReached{}
 	for seed := int64(1); seed <= 40; seed++ {
-		indexed, protect := seed%2 == 0, seed%4 < 2
+		fresh, protect := seed%2 == 0, seed%4 < 2
 		var fail string
 		res := kernel.New(kernel.Config{}).Run(func(env *kernel.Env) {
-			fail = walkScript(env, rand.New(rand.NewSource(seed)), indexed, protect, reached)
+			fail = walkScript(env, rand.New(rand.NewSource(seed)), fresh, protect, reached)
 		}, 0)
 		if res.Status != kernel.StatusHalted {
 			t.Fatalf("seed %d: %v: %v", seed, res.Status, res.Err)
 		}
 		if fail != "" {
-			t.Fatalf("seed %d (index %v, protect %v): %s", seed, indexed, protect, fail)
+			t.Fatalf("seed %d (fresh handles %v, protect %v): %s", seed, fresh, protect, fail)
 		}
 	}
 	want := []string{"tombstoned parent", "conflicted parent", "file as parent",
@@ -165,17 +165,25 @@ func TestSingleWalkMatchesComposition(t *testing.T) {
 
 // walkScript runs 200 random operations against two images in env, one
 // through the single walks and one through the compositions, and
-// describes the first difference.
-func walkScript(env *kernel.Env, rng *rand.Rand, indexed, protect bool, reached walkReached) string {
+// describes the first difference. The images are operated on through
+// one long-lived handle each, or, if fresh, through a fresh
+// AttachRestored handle per operation.
+func walkScript(env *kernel.Env, rng *rand.Rand, fresh, protect bool, reached walkReached) string {
 	single := Format(env, testBase, walkImageSize)
 	composed := Format(env, scratch, walkImageSize)
 	both := []*FS{single, composed}
 	for _, f := range both {
-		f.SetIndex(indexed)
 		f.SetProtect(protect)
 	}
 	imgS, imgC := make([]byte, walkImageSize), make([]byte, walkImageSize)
 	for step := 0; step < 200; step++ {
+		if fresh {
+			single, composed = AttachRestored(env, testBase), AttachRestored(env, scratch)
+			both = []*FS{single, composed}
+			for _, f := range both {
+				f.protect = protect
+			}
+		}
 		path := walkPath(rng)
 		var op string
 		var errS, errC error

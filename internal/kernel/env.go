@@ -13,7 +13,8 @@ import (
 // access violations, mirroring processor traps; they do not return errors.
 // Each accessor also advances the instruction counter by one tick per
 // eight bytes touched, so memory-bound work is charged to virtual time
-// without manual ticking.
+// without manual ticking — all but Peek and PeekU32Stride, which charge
+// nothing.
 type Env struct {
 	sp *Space
 }
@@ -254,6 +255,20 @@ func (e *Env) ReadU32Stride(addr, stride vm.Addr, dst []uint32) {
 		n = int64(loaded) + 1
 	}
 	e.Tick(n)
+	e.fault(err)
+}
+
+// Peek copies memory from the space into p as Read does, faulting at the
+// same address on the same violations, but charges nothing: no tick, no
+// demand paging, no NetStats, so a later access is charged as if the Peek
+// never happened. It is the one exception to "every accessor ticks", for
+// a host-side cache of the space's own bytes whose content, never its
+// warmth, may decide what the program observes (docs/determinism-rules.md).
+func (e *Env) Peek(addr vm.Addr, p []byte) { e.fault(e.sp.mem.Read(addr, p)) }
+
+// PeekU32Stride is ReadU32Stride uncharged, as Peek is Read.
+func (e *Env) PeekU32Stride(addr, stride vm.Addr, dst []uint32) {
+	_, err := e.sp.mem.ReadU32Stride(addr, stride, dst)
 	e.fault(err)
 }
 

@@ -56,13 +56,6 @@ func NewInit(env *kernel.Env, reg *Registry, args []string) (*Proc, error) {
 		reg = NewRegistry()
 	}
 	fsys := fs.Format(env, FSBase, FSSize)
-	// The phased root runs without the handle's lookup cache: a resumed
-	// run reattaches with a cold cache, and the lazy rebuild would cost
-	// reads the uninterrupted run's warm cache never pays — breaking the
-	// bit-identity contract. With the index off, both runs scan
-	// identically. (Forked children build their handles identically in
-	// both runs and keep the cache.)
-	fsys.SetIndex(false)
 	for _, name := range []string{ConsoleIn, ConsoleOut} {
 		if err := fsys.CreateAppendOnly(name); err != nil {
 			return nil, &StateError{Msg: fmt.Sprintf("create %s: %v", name, err)}
@@ -92,9 +85,10 @@ func AttachInit(env *kernel.Env, reg *Registry, args []string, st InitState) (*P
 	// AttachRestored performs no validating reads: restore must cost the
 	// machine nothing (the resumed run's counters must equal the
 	// uninterrupted run's), and the image's integrity was established by
-	// the checkpoint CRC. The index stays off, matching NewInit.
+	// the checkpoint CRC. The handle's lookup cache starts cold, which
+	// costs nothing: the fs rebuilds it through uncharged reads, so the
+	// resumed run's lookups are charged what the uninterrupted run's were.
 	fsys := fs.AttachRestored(env, FSBase)
-	fsys.SetIndex(false)
 	return &Proc{
 		env:        env,
 		fsys:       fsys,
