@@ -18,9 +18,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/vm"
@@ -60,6 +61,13 @@ type RT struct {
 	// tree: per-node delegate collectors pre-merge their local children
 	// and the master merges only one delta per node (see tree.go).
 	tree *treeState
+
+	// parked lists the threads the last barrier collect found stopped at
+	// their Barrier, in collection order: the threads resync restarts.
+	// The flat collector resyncs them within the same round; a tree
+	// delegate keeps them across commands and resyncs them at the start
+	// of its next one.
+	parked []int
 }
 
 // nodeHome is the placement value meaning "the caller's home node".
@@ -295,10 +303,24 @@ func (rt *RT) joinOn(node, id int) (uint64, error) {
 		return 0, err
 	}
 	if rt.tree != nil {
-		res, err := rt.treeJoin(map[int][]int{rt.concreteNode(node): {id}})
-		return res[id], err
+		n := rt.concreteNode(node)
+		var v uint64
+		err := rt.treeJoin([]int{n}, map[int][]int{n: {id}}, func(_ int, r uint64) { v = r })
+		return v, err
 	}
-	info, err := rt.env.Get(rt.ref(node, id), kernel.GetOpts{
+	info, err := rt.mergeThread(rt.ref(node, id), id)
+	if err != nil {
+		return 0, err
+	}
+	return threadResult(id, info)
+}
+
+// mergeThread is the merging Get that collects one thread: it waits for
+// the thread at ref to stop and folds the thread's shared-region changes
+// since its snapshot into rt's replica. A write/write conflict comes back
+// as a *ConflictError naming thread id.
+func (rt *RT) mergeThread(ref uint64, id int) (kernel.ChildInfo, error) {
+	info, err := rt.env.Get(ref, kernel.GetOpts{
 		Regs:       true,
 		Merge:      true,
 		MergeRange: &kernel.Range{Addr: rt.base, Size: rt.size},
@@ -306,11 +328,91 @@ func (rt *RT) joinOn(node, id int) (uint64, error) {
 	if err != nil {
 		var mc *vm.MergeConflictError
 		if errors.As(err, &mc) {
-			return 0, &ConflictError{ThreadID: id, Node: -1, Cause: mc}
+			return info, &ConflictError{ThreadID: id, Node: -1, Cause: mc}
 		}
-		return 0, err
 	}
-	return threadResult(id, info)
+	return info, err
+}
+
+// collect merges the listed threads, all forked on one node, into rt's
+// replica strictly in ascending thread order: one node's share of the
+// node-then-thread commit order. The flat collector runs it once per
+// node; a tree delegate runs it over its own node's threads.
+//
+// With a nil sink it is a barrier collect. A thread stopped at its
+// Barrier is appended to rt.parked for resync. A thread that halted or
+// crashed instead gets Put{Snap}, so the delta just merged is not merged
+// again by a later collect. The first error ends the collect.
+//
+// With a sink it is a join collect: every thread's result goes to sink
+// (0 where the merge failed), and collection continues past an error,
+// the first of which is returned at the end (ParallelDo's contract).
+func (rt *RT) collect(ids []int, sink func(id int, v uint64)) error {
+	var firstErr error
+	for _, id := range ids {
+		ref := rt.placedRef(id)
+		info, err := rt.mergeThread(ref, id)
+		switch {
+		case sink != nil:
+			var v uint64
+			if err == nil {
+				v, err = threadResult(id, info)
+			}
+			sink(id, v)
+		case err != nil:
+			// A failed merge; handled below.
+		case info.Status == kernel.StatusRet:
+			rt.parked = append(rt.parked, id)
+		default:
+			if err = rt.env.Put(ref, kernel.PutOpts{Snap: true}); err == nil {
+				_, err = threadResult(id, info)
+			}
+		}
+		if err != nil {
+			if sink == nil {
+				return err
+			}
+			if firstErr == nil {
+				firstErr = err
+			}
+		}
+	}
+	return firstErr
+}
+
+// resync hands every parked thread a fresh copy of rt's replica as its
+// new merge snapshot and restarts it, one Put per thread, then empties
+// rt.parked.
+func (rt *RT) resync() error {
+	parked := rt.parked
+	rt.parked = rt.parked[:0]
+	for _, id := range parked {
+		if err := rt.env.Put(rt.placedRef(id), kernel.PutOpts{
+			Copy:  &kernel.CopyRange{Src: rt.base, Dst: rt.base, Size: rt.size},
+			Snap:  true,
+			Start: true,
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// join collects the listed threads through the configured collector in
+// node-then-thread order, passing each thread's result to sink, and
+// returns the first error in that order once every thread is collected.
+func (rt *RT) join(ids []int, sink func(id int, v uint64)) error {
+	nodes, groups := rt.groupByNode(ids)
+	if rt.tree != nil {
+		return rt.treeJoin(nodes, groups, sink)
+	}
+	var firstErr error
+	for _, nd := range nodes {
+		if err := rt.collect(groups[nd], sink); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // threadResult converts a collected thread's ChildInfo into the Join
@@ -338,18 +440,19 @@ func (rt *RT) concreteNode(node int) int {
 // ascending thread order — the fixed node-then-thread collection order
 // every collector (flat or tree) commits merges in.
 func (rt *RT) groupByNode(ids []int) ([]int, map[int][]int) {
+	node := func(id int) int { return rt.concreteNode(rt.nodeOf(id)) }
+	sorted := slices.Clone(ids)
+	slices.SortFunc(sorted, func(a, b int) int {
+		return cmp.Or(cmp.Compare(node(a), node(b)), cmp.Compare(a, b))
+	})
 	groups := make(map[int][]int)
 	var nodes []int
-	for _, id := range ids {
-		n := rt.concreteNode(rt.nodeOf(id))
-		if _, ok := groups[n]; !ok {
-			nodes = append(nodes, n)
+	for i, j := 0, 0; i < len(sorted); i = j {
+		n := node(sorted[i])
+		for j = i + 1; j < len(sorted) && node(sorted[j]) == n; j++ {
 		}
-		groups[n] = append(groups[n], id)
-	}
-	sort.Ints(nodes)
-	for _, n := range nodes {
-		sort.Ints(groups[n])
+		nodes = append(nodes, n)
+		groups[n] = sorted[i:j]
 	}
 	return nodes, groups
 }
@@ -376,28 +479,9 @@ func (rt *RT) ParallelDoOn(n int, place func(i int) int, fn ThreadFunc) ([]uint6
 	if err := rt.forkAll(n, place, fn); err != nil {
 		return nil, err
 	}
-	all := ids(n)
 	res := make([]uint64, n)
-	var firstErr error
-	if rt.tree != nil {
-		_, groups := rt.groupByNode(all)
-		byID, err := rt.treeJoin(groups)
-		for i := 0; i < n; i++ {
-			res[i] = byID[i]
-		}
-		return res, err
-	}
-	nodes, groups := rt.groupByNode(all)
-	for _, nd := range nodes {
-		for _, id := range groups[nd] {
-			v, err := rt.Join(id)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			res[id] = v
-		}
-	}
-	return res, firstErr
+	err := rt.join(ids(n), func(id int, v uint64) { res[id] = v })
+	return res, err
 }
 
 // forkAll forks threads 0..n-1 with the given placement, batching the
@@ -459,61 +543,30 @@ func (t *Thread) Barrier() {
 
 // BarrierRound, called by the parent, collects every listed thread at its
 // Barrier (merging changes), then redistributes the combined state and
-// resumes the threads. A thread that halts instead of reaching the
-// barrier stays halted; its final merge still occurs.
+// resumes the threads: one merging Get and one Put{Copy, Snap, Start}
+// per thread, the two steps of a barrier. A thread that halts instead of
+// reaching the barrier stays halted; its final merge still occurs, and
+// its snapshot is refreshed so that merge is not repeated.
 //
 // Like ParallelDo, the round applies the threads' merges in
 // node-then-thread order so every round's combined state — and any
 // conflict it raises — is independent of which thread happened to arrive
-// first. In tree-join
-// mode the per-node pre-merges happen in the delegates, concurrently in
-// virtual time, and this collector commits one delta per node in the
-// same overall order.
+// first. The flat collector runs collect over each node's threads and
+// then resync; in tree-join mode each node's delegate runs the same two
+// steps over its own threads, concurrently in virtual time, and this
+// collector commits one delta per node in the same overall order.
 func (rt *RT) BarrierRound(ids []int) error {
-	if rt.tree != nil {
-		return rt.treeBarrierRound(ids)
-	}
 	nodes, groups := rt.groupByNode(ids)
+	if rt.tree != nil {
+		return rt.treeBarrierRound(nodes, groups)
+	}
+	rt.parked = rt.parked[:0] // a round that failed left its list unresynced
 	for _, nd := range nodes {
-		for _, id := range groups[nd] {
-			info, err := rt.env.Get(rt.placedRef(id), kernel.GetOpts{
-				Merge:      true,
-				MergeRange: &kernel.Range{Addr: rt.base, Size: rt.size},
-			})
-			if err != nil {
-				var mc *vm.MergeConflictError
-				if errors.As(err, &mc) {
-					return &ConflictError{ThreadID: id, Node: -1, Cause: mc}
-				}
-				return err
-			}
-			if info.Status == kernel.StatusFault || info.Status == kernel.StatusExcept {
-				return &ThreadCrashError{ThreadID: id, Status: info.Status, Cause: info.Err}
-			}
+		if err := rt.collect(groups[nd], nil); err != nil {
+			return err
 		}
 	}
-	for _, nd := range nodes {
-		for _, id := range groups[nd] {
-			ref := rt.placedRef(id)
-			if err := rt.env.Put(ref, kernel.PutOpts{
-				Copy: &kernel.CopyRange{Src: rt.base, Dst: rt.base, Size: rt.size},
-				Snap: true,
-			}); err != nil {
-				return err
-			}
-			// Only resume threads parked at a barrier; halted ones are done.
-			info, err := rt.env.Get(ref, kernel.GetOpts{})
-			if err != nil {
-				return err
-			}
-			if info.Status == kernel.StatusRet {
-				if err := rt.env.Put(ref, kernel.PutOpts{Start: true}); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+	return rt.resync()
 }
 
 // RunPhases runs n persistent threads through a sequence of phases
@@ -526,8 +579,11 @@ func (rt *RT) RunPhases(n, phases int, fn func(t *Thread, phase int)) error {
 
 // RunPhasesOn is RunPhases with explicit thread placement, the
 // cluster-scale form: thread i runs on node place(i) for every phase,
-// and each barrier round collects through the configured collector
-// (flat or sharded tree).
+// and each barrier round and the final join collect through the
+// configured collector (flat or sharded tree). The final join collects
+// every thread even after one fails, so both collectors leave the same
+// memory behind; the error returned is the first in node-then-thread
+// order.
 func (rt *RT) RunPhasesOn(n, phases int, place func(i int) int, fn func(t *Thread, phase int)) error {
 	if err := rt.forkAll(n, place, func(t *Thread) uint64 {
 		for p := 0; p < phases; p++ {
@@ -546,20 +602,7 @@ func (rt *RT) RunPhasesOn(n, phases int, place func(i int) int, fn func(t *Threa
 			return err
 		}
 	}
-	if rt.tree != nil {
-		_, groups := rt.groupByNode(all)
-		_, err := rt.treeJoin(groups)
-		return err
-	}
-	nodes, groups := rt.groupByNode(all)
-	for _, nd := range nodes {
-		for _, id := range groups[nd] {
-			if _, err := rt.Join(id); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return rt.join(all, func(int, uint64) {})
 }
 
 // Options configures a Run.

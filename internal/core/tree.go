@@ -24,7 +24,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 
 	"repro/internal/kernel"
 	"repro/internal/vm"
@@ -59,7 +58,7 @@ const (
 	dcmdNone    dcmd = iota
 	dcmdFork         // fork the listed threads from the delegate's replica
 	dcmdCollect      // barrier collect: resync threads parked by the previous collect, then merge
-	dcmdJoin         // final collect: same, but capture results too
+	dcmdJoin         // join collect: the same resync, then merge and capture results
 )
 
 // delegateBox is the master↔delegate command mailbox (see the package
@@ -72,22 +71,14 @@ type delegateBox struct {
 	forks []forkReq
 	ids   []int // thread ids the command applies to, ascending
 
-	// parked is delegate-private state: the threads the previous collect
-	// left stopped at a barrier. The next collect command resynchronizes
-	// and restarts exactly these — by then the master has committed the
-	// round and refreshed the delegate's replica, so the deferred resync
-	// hands them the combined state, like the flat collector's
-	// redistribution pass, without a separate command dispatch.
-	parked []int
-
-	// Results, valid after the delegate's next stop. err is the first
-	// unreported error, in thread order; it survives across commands
-	// until the master reads it (takeErr), so an error from a command
-	// whose completion the master did not wait for — a barrier round's
-	// resync — surfaces at the next collection instead of vanishing.
-	infos map[int]kernel.ChildInfo
-	rets  map[int]uint64
-	err   error
+	// Results, valid after the delegate's next stop. rets holds a join
+	// command's results, one per ids entry. err is the first unreported
+	// error, in thread order; it survives across commands until the
+	// master reads it (takeErr), so an error from a command whose
+	// completion the master did not wait for — a barrier round's resync
+	// — surfaces at the next collection instead of vanishing.
+	rets []uint64
+	err  error
 }
 
 func (b *delegateBox) set(cmd dcmd, ids []int, forks []forkReq) {
@@ -153,7 +144,13 @@ func delegateEntry(box *delegateBox, base vm.Addr, size uint64) kernel.Prog {
 	}
 }
 
-// run executes the current command inside the delegate.
+// run executes the current command inside the delegate. Both collect
+// commands first resync the threads the previous collect left parked at
+// a barrier (d.parked): by then the master has committed the round and
+// refreshed the delegate's replica, so the deferred resync hands them
+// the combined state, as the flat collector's resync does, without a
+// separate command dispatch. Then the delegate collects its threads
+// with the same collect the flat collector runs.
 func (b *delegateBox) run(d *RT) {
 	switch b.cmd {
 	case dcmdFork:
@@ -164,108 +161,29 @@ func (b *delegateBox) run(d *RT) {
 			}
 		}
 	case dcmdCollect:
-		b.resyncParked(d)
-		b.collect(d, false)
+		b.fail(d.resync())
+		b.fail(d.collect(b.ids, nil))
 	case dcmdJoin:
-		b.resyncParked(d)
-		b.collect(d, true)
+		b.rets = b.rets[:0]
+		b.fail(d.resync())
+		b.fail(d.collect(b.ids, func(_ int, v uint64) { b.rets = append(b.rets, v) }))
 	}
 }
 
-// resyncParked pushes the delegate's (just-refreshed) replica to every
-// thread the previous collect left parked at a barrier and restarts
-// them. The threads are stopped by construction — the previous collect
-// saw them at StatusRet and nothing has run them since.
-func (b *delegateBox) resyncParked(d *RT) {
-	parked := b.parked
-	b.parked = nil
-	for _, id := range parked {
-		if err := d.env.Put(d.ref(nodeHome, id), kernel.PutOpts{
-			Copy:  &kernel.CopyRange{Src: d.base, Dst: d.base, Size: d.size},
-			Snap:  true,
-			Start: true,
-		}); err != nil {
-			b.fail(err)
-			return
-		}
+// treeSend loads the delegate's pending command and starts it. The same
+// Put re-copies the master's shared region into the delegate and
+// refreshes its merge snapshot: fork batches and the resync that opens
+// every collect command need the replica current. The first send also
+// loads the command-loop program.
+func (rt *RT) treeSend(d *delegateState) error {
+	opts := kernel.PutOpts{
+		Copy:  &kernel.CopyRange{Src: rt.base, Dst: rt.base, Size: rt.size},
+		Snap:  true,
+		Start: true,
 	}
-}
-
-// collect merges the listed local threads into the delegate's replica
-// strictly in thread order — the node-local half of the node-then-thread
-// commit order. join captures register results for the Join contract and
-// keeps collecting after an error (ParallelDo semantics); a barrier
-// collect stops at the first error like the flat collector does.
-func (b *delegateBox) collect(d *RT, join bool) {
-	if b.infos == nil {
-		b.infos = make(map[int]kernel.ChildInfo)
-	}
-	if join && b.rets == nil {
-		b.rets = make(map[int]uint64)
-	}
-	for _, id := range b.ids {
-		info, err := d.env.Get(d.ref(nodeHome, id), kernel.GetOpts{
-			Regs:       true,
-			Merge:      true,
-			MergeRange: &kernel.Range{Addr: d.base, Size: d.size},
-		})
-		b.infos[id] = info
-		if err != nil {
-			var mc *vm.MergeConflictError
-			if errors.As(err, &mc) {
-				err = &ConflictError{ThreadID: id, Node: -1, Cause: mc}
-			}
-			b.fail(err)
-			if !join {
-				return
-			}
-			continue
-		}
-		if info.Status == kernel.StatusRet {
-			b.parked = append(b.parked, id)
-		} else {
-			// A thread that halted (or crashed) before the barrier gets
-			// no resync, so neutralize its just-merged delta by
-			// refreshing its snapshot in place — the flat collector's
-			// Copy+Snap over every listed id does the equivalent. Without
-			// this, the next collect would re-merge the same stale delta:
-			// double-counted stats at best, a false conflict at worst.
-			if err := d.env.Put(d.ref(nodeHome, id), kernel.PutOpts{Snap: true}); err != nil {
-				b.fail(err)
-				if !join {
-					return
-				}
-				continue
-			}
-		}
-		if join {
-			v, rerr := threadResult(id, info)
-			b.rets[id] = v
-			if rerr != nil {
-				b.fail(rerr)
-			}
-		} else if info.Status == kernel.StatusFault || info.Status == kernel.StatusExcept {
-			b.fail(&ThreadCrashError{ThreadID: id, Status: info.Status, Cause: info.Err})
-			return
-		}
-	}
-}
-
-// treeSend loads the delegate's pending command and starts it. The
-// first send also loads the command-loop program; withRegion re-copies
-// the master's shared region into the delegate and refreshes its merge
-// snapshot in the same Put (fork batches and resyncs need the replica
-// current; collects must not touch it).
-func (rt *RT) treeSend(d *delegateState, withRegion bool) error {
-	opts := kernel.PutOpts{Start: true}
 	if !d.made {
 		opts.Regs = &kernel.Regs{Entry: delegateEntry(d.box, rt.base, rt.size)}
 		d.made = true
-		withRegion = true
-	}
-	if withRegion {
-		opts.Copy = &kernel.CopyRange{Src: rt.base, Dst: rt.base, Size: rt.size}
-		opts.Snap = true
 	}
 	return rt.env.Put(d.ref, opts)
 }
@@ -317,7 +235,7 @@ func (rt *RT) treeCommit(d *delegateState) error {
 func (rt *RT) treeFork(node int, reqs []forkReq) error {
 	d := rt.treeDelegate(rt.concreteNode(node))
 	d.box.set(dcmdFork, nil, reqs)
-	if err := rt.treeSend(d, true); err != nil {
+	if err := rt.treeSend(d); err != nil {
 		return err
 	}
 	return rt.treeSync(d)
@@ -326,14 +244,9 @@ func (rt *RT) treeFork(node int, reqs []forkReq) error {
 // treeJoin collects the grouped threads through their delegates: every
 // node's collection is started first (they proceed concurrently, each on
 // its own node's CPUs), then the per-node deltas are committed in
-// ascending node order. Results are keyed by thread id; the error is the
-// first in node-then-thread order.
-func (rt *RT) treeJoin(groups map[int][]int) (map[int]uint64, error) {
-	nodes := make([]int, 0, len(groups))
-	for nd := range groups {
-		nodes = append(nodes, nd)
-	}
-	sort.Ints(nodes)
+// ascending node order and each node's results passed to sink. The
+// error is the first in node-then-thread order.
+func (rt *RT) treeJoin(nodes []int, groups map[int][]int, sink func(id int, v uint64)) error {
 	// Dispatch in descending node order: the master ends its tour next
 	// to node 0, so the ascending commit walk below revisits the nodes
 	// without a wasted hop. Dispatch order is invisible to results —
@@ -341,44 +254,39 @@ func (rt *RT) treeJoin(groups map[int][]int) (map[int]uint64, error) {
 	for i := len(nodes) - 1; i >= 0; i-- {
 		d := rt.treeDelegate(nodes[i])
 		d.box.set(dcmdJoin, groups[nodes[i]], nil)
-		// withRegion: the join's deferred-resync prefix must hand any
-		// still-parked threads the latest combined state, exactly as a
-		// barrier round's would.
-		if err := rt.treeSend(d, true); err != nil {
-			return nil, err
+		if err := rt.treeSend(d); err != nil {
+			return err
 		}
 	}
-	res := make(map[int]uint64)
 	var firstErr error
 	for _, nd := range nodes {
 		d := rt.treeDelegate(nd)
 		if err := rt.treeCommit(d); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		for _, id := range groups[nd] {
-			res[id] = d.box.rets[id]
+		for k, id := range groups[nd] {
+			sink(id, d.box.rets[k])
 		}
 	}
-	return res, firstErr
+	return firstErr
 }
 
 // treeBarrierRound is BarrierRound over the sharded tree. One command
 // per node per round: the Put that dispatches it refreshes the
 // delegate's replica (the previous round's combined state), the delegate
-// resynchronizes and restarts the threads its previous collect left at
-// the barrier, waits for all of its threads to stop again, and
-// pre-merges them in thread order; the master then commits one delta per
-// node in node order. The redistribution the flat collector performs as
-// a separate pass is the deferred resync prefix of the next round's
-// command — which also means every mailbox write happens directly after
-// a committing rendezvous proved the delegate stopped.
-func (rt *RT) treeBarrierRound(ids []int) error {
-	nodes, groups := rt.groupByNode(ids)
+// resyncs the threads its previous collect left at the barrier, waits
+// for all of its threads to stop again, and collects them in thread
+// order; the master then commits one delta per node in node order. The
+// flat collector's resync within the round is here the deferred resync
+// prefix of the next round's command — which also means every mailbox
+// write happens directly after a committing rendezvous proved the
+// delegate stopped.
+func (rt *RT) treeBarrierRound(nodes []int, groups map[int][]int) error {
 	// Descending dispatch for the same hop-saving reason as treeJoin.
 	for i := len(nodes) - 1; i >= 0; i-- {
 		d := rt.treeDelegate(nodes[i])
 		d.box.set(dcmdCollect, groups[nodes[i]], nil)
-		if err := rt.treeSend(d, true); err != nil {
+		if err := rt.treeSend(d); err != nil {
 			return err
 		}
 	}

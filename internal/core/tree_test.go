@@ -219,11 +219,10 @@ func TestTreeIntraNodeConflictKeepsThreadAttribution(t *testing.T) {
 
 func TestTreeEarlyExitThreadMatchesFlat(t *testing.T) {
 	// A thread that halts before ever reaching the barrier: its delta
-	// must be merged exactly once. The flat collector's resync pass
-	// refreshes every listed thread's snapshot; the delegate must
-	// neutralize halted threads the same way, or the next collect
-	// re-merges the stale delta (a false conflict when another thread
-	// later writes the same bytes).
+	// must be merged exactly once. The barrier collect both collectors
+	// run refreshes a halted thread's snapshot right after merging it;
+	// without that, the next collect re-merges the stale delta (a false
+	// conflict when another thread later writes the same bytes).
 	run := func(tree bool) (uint64, error) {
 		var out error
 		res := Run(Options{

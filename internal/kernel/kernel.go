@@ -45,16 +45,17 @@ type CostModel struct {
 	// Batched transfers (§3.3 at cluster scale): one request round trip
 	// moves a whole run of contiguous pages instead of one page per
 	// message. BatchPages caps the run length of a single request; 0 or
-	// 1 disables batching — every page ships as its own request, with
-	// the same per-page framing (a model refinement: before batching
-	// existed, join traffic paid transfer but no request framing, so
-	// pre-batching multi-node virtual times are reproduced by the
-	// per-page protocol only up to that framing term). BatchMsg is the
-	// fixed per-request overhead of a transfer — MigrateMsg/4, the
-	// request cost demand paging has always charged, so a run of one
-	// page costs exactly what an unbatched fetch does — and what the
-	// message-passing baselines charge for the same wire framing, which
-	// keeps the Figure 12-style comparisons fair under batching.
+	// 1 caps it at one page — every page ships as its own request, with
+	// the same per-page framing, through the same run-list protocol (a
+	// model refinement: before batching existed, join traffic paid
+	// transfer but no request framing, so pre-batching multi-node
+	// virtual times are reproduced by a cap of one only up to that
+	// framing term). BatchMsg is the fixed per-request overhead of a
+	// transfer — MigrateMsg/4, the request cost demand paging has always
+	// charged, so a run of one page costs exactly what an unbatched
+	// fetch does — and what the message-passing baselines charge for the
+	// same wire framing, which keeps the Figure 12-style comparisons fair
+	// under batching.
 	BatchPages int
 	BatchMsg   int64
 }
@@ -74,9 +75,6 @@ func DefaultCostModel() CostModel {
 		BatchMsg:     25_000, // request framing, same as a per-page fetch
 	}
 }
-
-// batched reports whether the model's wire protocol coalesces page runs.
-func (c CostModel) batched() bool { return c.BatchPages > 1 }
 
 // Config describes the simulated machine.
 type Config struct {

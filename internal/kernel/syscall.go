@@ -301,26 +301,17 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 			// the pages that actually moved. A collector merging a child
 			// homed on its own node — a delegate collecting its local
 			// threads — moves nothing across the wire and charges
-			// nothing. With batching the child's delta ships as a compact
-			// page-run list (vm.DeltaRuns over its COW identity) —
-			// per-run request overhead instead of per-page messages; the
-			// runs' page total equals PagesCompared+PagesAdopted by
-			// construction.
-			if cost.batched() {
-				runs := vm.DeltaRuns(child.mem, child.snap, r.Addr, r.Size, cost.BatchPages)
-				pages := vm.DeltaPages(runs)
-				sp.chargeVT(int64(len(runs))*(cost.BatchMsg+msgExtra(cost)) +
-					int64(pages)*cost.PageTransfer)
-				sp.net.Msgs += int64(len(runs))
-				sp.net.Pages += int64(pages)
-			} else {
-				// Unbatched: every page ships as its own request, the same
-				// per-page framing the demand-paging path charges.
-				moved := int64(st.PagesCompared + st.PagesAdopted)
-				sp.chargeVT(moved * (cost.BatchMsg + cost.PageTransfer + msgExtra(cost)))
-				sp.net.Msgs += moved
-				sp.net.Pages += moved
-			}
+			// nothing. The child's delta ships as a compact page-run list
+			// (vm.DeltaRuns over its COW identity), one request per run of
+			// at most BatchPages pages — with a cap of one, one request per
+			// page; the runs' page total equals PagesCompared+PagesAdopted
+			// by construction.
+			runs := vm.DeltaRuns(child.mem, child.snap, r.Addr, r.Size, max(cost.BatchPages, 1))
+			pages := vm.DeltaPages(runs)
+			sp.chargeVT(int64(len(runs))*(cost.BatchMsg+msgExtra(cost)) +
+				int64(pages)*cost.PageTransfer)
+			sp.net.Msgs += int64(len(runs))
+			sp.net.Pages += int64(pages)
 		}
 		if err != nil {
 			return info, err // vm.MergeConflictError: the paper's runtime exception

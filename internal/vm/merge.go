@@ -77,8 +77,9 @@ const (
 	MergeLastWriter
 )
 
-// MergeConfig selects how a merge is executed. Execution choices never
-// change the outcome — only wall-clock cost and the PtesScanned counter.
+// MergeConfig parameterizes a merge. Its one field, Mode, decides what
+// a byte both sides changed becomes — a conflict or the child's byte —
+// so it is part of the merge's semantics, not an execution choice.
 type MergeConfig struct {
 	// Mode selects conflict handling (MergeStrict or MergeLastWriter).
 	Mode MergeMode
