@@ -8,8 +8,7 @@
 //
 // The Session is the package's entry point: one builder that composes
 // the machine (cluster shape, cost model), the runtime (shared-region
-// size, flat or sharded-tree collection), console I/O, and trace
-// record/replay.
+// size), console I/O, and trace record/replay.
 //
 //	sess, err := repro.NewSession(
 //	    repro.WithMachine(repro.MachineConfig{CPUsPerNode: 4}),

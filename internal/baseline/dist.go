@@ -114,7 +114,7 @@ func MatmultDist(nodes, n int, cost kernel.CostModel) DistResult {
 // workers compute their stripes locally. Only boundaries and work
 // descriptors cross the wire — the explicit-messaging program a
 // distributed-systems programmer would write by hand — making it the
-// fairness baseline for the sharded barrier tree, which must approach
+// fairness baseline for the per-node delegate collectors, which must approach
 // this traffic shape while still providing the shared-memory model.
 func StencilDist(nodes, threads, pagesPerThread, phases int, cost kernel.CostModel) int64 {
 	net := newSimnet(nodes+1, cost)

@@ -8,10 +8,11 @@ import (
 	"repro/internal/vm"
 )
 
-// Tests for the one barrier protocol both collectors run: a barrier is
-// one merging Get and one Put{Copy, Snap, Start} per thread, and a join
-// collects every thread even past an error, so the flat collector and
-// the tree's delegates leave the same memory whatever a thread does.
+// Tests for the one barrier protocol the caller and every delegate run:
+// a barrier is one merging Get and one Put{Copy, Snap, Start} per
+// thread, and a join collects every thread even past an error, so a
+// delegated collection and the flat reference leave the same memory
+// whatever a thread does.
 
 // TestLastPhaseCrashMatchesAcrossCollectors crashes thread 0 in the last
 // phase of RunPhasesOn. The final join must still merge threads 1–3 in
@@ -24,11 +25,10 @@ func TestLastPhaseCrashMatchesAcrossCollectors(t *testing.T) {
 		res := Run(Options{
 			Kernel:     kernel.Config{Nodes: nodes, CPUsPerNode: 1},
 			SharedSize: 4 << 20,
-			TreeJoin:   tree,
 		}, func(rt *RT) uint64 {
 			w := rt.Alloc(8*threads, 8)
 			place := func(i int) int { return i * nodes / threads }
-			out = rt.RunPhasesOn(threads, phases, place, func(th *Thread, phase int) {
+			out = runPhasesVia(!tree, rt, threads, phases, place, func(th *Thread, phase int) {
 				if th.ID == 0 && phase == phases-1 {
 					panic("thread 0 dies in its last phase")
 				}
@@ -65,40 +65,41 @@ func TestLastPhaseCrashMatchesAcrossCollectors(t *testing.T) {
 	}
 }
 
-// TestBarrierKernelCallsPinned pins what a barrier costs the root on one
-// node with four no-op threads: the flat collector's extra phase is one
-// merging Get and one Put per thread (4 × 2 syscalls), the tree's is its
-// delegate dispatch and commit plus the delegate's own calls, and a
-// one-phase tree run pays no snapshot refresh for the halted threads it
-// joins. A status re-read or a split Put in the barrier moves these.
+// TestBarrierKernelCallsPinned pins what a barrier costs the root with
+// four no-op threads. On one node the caller collects them itself: an
+// extra phase is one merging Get and one Put per thread (4 × 2
+// syscalls). Spread over two nodes, the remote pair goes through node
+// 1's delegate: an extra phase adds the delegate's dispatch and commit
+// and the delegate's own Get and Put per thread. A status re-read or a
+// split Put in collect or resync moves these.
 func TestBarrierKernelCallsPinned(t *testing.T) {
-	vtFor := func(tree bool, phases int) int64 {
+	vtFor := func(nodes, phases int) int64 {
 		res := Run(Options{
-			Kernel:     kernel.Config{CPUsPerNode: 4},
+			Kernel:     kernel.Config{Nodes: nodes, CPUsPerNode: 4},
 			SharedSize: 4 << 20,
-			TreeJoin:   tree,
 		}, func(rt *RT) uint64 {
-			if err := rt.RunPhases(4, phases, func(*Thread, int) {}); err != nil {
+			place := func(i int) int { return i * nodes / 4 }
+			if err := rt.RunPhasesOn(4, phases, place, func(*Thread, int) {}); err != nil {
 				panic(err)
 			}
 			return 0
 		})
 		if res.Status != kernel.StatusHalted {
-			t.Fatalf("tree=%v phases=%d: %v %v", tree, phases, res.Status, res.Err)
+			t.Fatalf("nodes=%d phases=%d: %v %v", nodes, phases, res.Status, res.Err)
 		}
 		return res.VT
 	}
 	for _, c := range []struct {
-		tree     bool
-		perPhase int64
-	}{{false, 16_000}, {true, 22_000}} {
-		one, two, three := vtFor(c.tree, 1), vtFor(c.tree, 2), vtFor(c.tree, 3)
-		if two-one != c.perPhase || three-two != c.perPhase {
-			t.Errorf("tree=%v: phases cost %d then %d VT, want %d each",
-				c.tree, two-one, three-two, c.perPhase)
+		nodes         int
+		one, perPhase int64
+	}{{1, 17_200, 16_000}, {2, 323_500, 414_000}} {
+		one, two, three := vtFor(c.nodes, 1), vtFor(c.nodes, 2), vtFor(c.nodes, 3)
+		if one != c.one {
+			t.Errorf("nodes=%d: one-phase run %d VT, want %d", c.nodes, one, c.one)
 		}
-	}
-	if got := vtFor(true, 1); got != 27_500 {
-		t.Errorf("one-phase tree run: %d VT, want 27500", got)
+		if two-one != c.perPhase || three-two != c.perPhase {
+			t.Errorf("nodes=%d: phases cost %d then %d VT, want %d each",
+				c.nodes, two-one, three-two, c.perPhase)
+		}
 	}
 }

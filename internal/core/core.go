@@ -57,16 +57,14 @@ type RT struct {
 	// node-mates by the barrier machinery.
 	placed map[int]int
 
-	// tree, when non-nil, switches collection to the sharded barrier
-	// tree: per-node delegate collectors pre-merge their local children
-	// and the master merges only one delta per node (see tree.go).
-	tree *treeState
+	// delegates holds, by concrete node id, the delegate collector of
+	// every remote node a collection spanning nodes has used (tree.go).
+	delegates map[int]*delegateState
 
 	// parked lists the threads the last barrier collect found stopped at
 	// their Barrier, in collection order: the threads resync restarts.
-	// The flat collector resyncs them within the same round; a tree
-	// delegate keeps them across commands and resyncs them at the start
-	// of its next one.
+	// The caller resyncs its own within the same round; a delegate keeps
+	// them across commands and resyncs them at the start of its next one.
 	parked []int
 }
 
@@ -217,13 +215,6 @@ func (rt *RT) forkOn(node, id int, fn ThreadFunc) error {
 	if err := rt.checkPlacement(node, id); err != nil {
 		return err
 	}
-	if rt.tree != nil {
-		if err := rt.treeFork(node, []forkReq{{id: id, fn: fn}}); err != nil {
-			return err
-		}
-		rt.record(node, id)
-		return nil
-	}
 	if err := rt.env.Put(rt.ref(node, id), forkOpts(rt.base, rt.size, id, fn)); err != nil {
 		return err
 	}
@@ -247,11 +238,11 @@ func forkOpts(base vm.Addr, size uint64, id int, fn ThreadFunc) kernel.PutOpts {
 }
 
 // ConflictError wraps a merge conflict detected while joining a thread.
-// When the sharded barrier tree detects a cross-node conflict while the
-// master merges a whole node's pre-merged delta, the conflict can no
+// When a collection spanning nodes finds a cross-node conflict while
+// committing a remote node's pre-merged delta, the conflict can no
 // longer be pinned on one thread: ThreadID is -1 and Node names the
 // node whose delta clashed. The conflicting byte addresses and totals
-// (Cause) are identical to the flat collector's either way.
+// (Cause) are those of the same program collected on one node.
 type ConflictError struct {
 	ThreadID int
 	Node     int // conflicting node for node-level attribution; else -1
@@ -302,12 +293,6 @@ func (rt *RT) joinOn(node, id int) (uint64, error) {
 	if err := rt.checkPlacement(node, id); err != nil {
 		return 0, err
 	}
-	if rt.tree != nil {
-		n := rt.concreteNode(node)
-		var v uint64
-		err := rt.treeJoin([]int{n}, map[int][]int{n: {id}}, func(_ int, r uint64) { v = r })
-		return v, err
-	}
 	info, err := rt.mergeThread(rt.ref(node, id), id)
 	if err != nil {
 		return 0, err
@@ -336,8 +321,8 @@ func (rt *RT) mergeThread(ref uint64, id int) (kernel.ChildInfo, error) {
 
 // collect merges the listed threads, all forked on one node, into rt's
 // replica strictly in ascending thread order: one node's share of the
-// node-then-thread commit order. The flat collector runs it once per
-// node; a tree delegate runs it over its own node's threads.
+// node-then-thread commit order. The caller runs it over every group it
+// collects itself; a delegate runs it over its own node's threads.
 //
 // With a nil sink it is a barrier collect. A thread stopped at its
 // Barrier is appended to rt.parked for resync. A thread that halted or
@@ -398,21 +383,66 @@ func (rt *RT) resync() error {
 	return nil
 }
 
-// join collects the listed threads through the configured collector in
-// node-then-thread order, passing each thread's result to sink, and
-// returns the first error in that order once every thread is collected.
-func (rt *RT) join(ids []int, sink func(id int, v uint64)) error {
-	nodes, groups := rt.groupByNode(ids)
-	if rt.tree != nil {
-		return rt.treeJoin(nodes, groups, sink)
+// remote reports whether a collection hands node nd's group to nd's
+// delegate: only when the collection spans more than one node, and never
+// for the caller's home node.
+func (rt *RT) remote(span bool, nd int) bool {
+	return span && nd != rt.env.HomeNodeID()
+}
+
+// collectAll joins the grouped threads in node-then-thread order,
+// passing each thread's result to sink, and returns the first error in
+// that order once every thread is collected. Every remote group's
+// delegate starts its collection first; the caller then collects its own
+// groups in place and commits each remote node's delta in node order.
+func (rt *RT) collectAll(nodes []int, groups map[int][]int, span bool, sink func(id int, v uint64)) error {
+	if err := rt.dispatch(nodes, groups, span, dcmdJoin); err != nil {
+		return err
 	}
 	var firstErr error
 	for _, nd := range nodes {
-		if err := rt.collect(groups[nd], sink); err != nil && firstErr == nil {
+		var err error
+		if rt.remote(span, nd) {
+			d := rt.delegate(nd)
+			err = rt.treeCommit(d)
+			for k, id := range groups[nd] {
+				sink(id, d.box.rets[k])
+			}
+		} else {
+			err = rt.collect(groups[nd], sink)
+		}
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// barrierAll is one barrier round over the grouped threads: collect
+// every group in node-then-thread order, as collectAll does, then resync
+// the caller's parked threads with the combined state. A delegate
+// resyncs its own at the start of its next command, from the replica
+// that command's dispatch refreshes. The first error ends the round;
+// the delegates it started but did not commit are rendezvoused first,
+// so none is left running a command.
+func (rt *RT) barrierAll(nodes []int, groups map[int][]int, span bool) error {
+	rt.parked = rt.parked[:0] // a round that failed left its list unresynced
+	if err := rt.dispatch(nodes, groups, span, dcmdCollect); err != nil {
+		return err
+	}
+	for i, nd := range nodes {
+		var err error
+		if rt.remote(span, nd) {
+			err = rt.treeCommit(rt.delegate(nd))
+		} else {
+			err = rt.collect(groups[nd], nil)
+		}
+		if err != nil {
+			rt.syncAll(nodes[i+1:], span)
+			return err
+		}
+	}
+	return rt.resync()
 }
 
 // threadResult converts a collected thread's ChildInfo into the Join
@@ -437,8 +467,8 @@ func (rt *RT) concreteNode(node int) int {
 
 // groupByNode buckets thread ids by the concrete node they were forked
 // on and returns the ascending node order plus each node's ids in
-// ascending thread order — the fixed node-then-thread collection order
-// every collector (flat or tree) commits merges in.
+// ascending thread order — the fixed node-then-thread order every
+// collection commits merges in.
 func (rt *RT) groupByNode(ids []int) ([]int, map[int][]int) {
 	node := func(id int) int { return rt.concreteNode(rt.nodeOf(id)) }
 	sorted := slices.Clone(ids)
@@ -472,56 +502,55 @@ func (rt *RT) ParallelDo(n int, fn ThreadFunc) ([]uint64, error) {
 }
 
 // ParallelDoOn is ParallelDo with explicit thread placement: thread i is
-// forked on node place(i) (nodeHome for nil place, as ParallelDo). In
-// tree-join mode each node's delegate forks, collects and pre-merges its
-// local threads, and this collector merges one delta per node.
+// forked on node place(i) (nodeHome for nil place, as ParallelDo). When
+// the placement spans more than one node, each remote node's delegate
+// forks, collects and pre-merges that node's threads, and the caller
+// merges one delta per remote node (tree.go).
 func (rt *RT) ParallelDoOn(n int, place func(i int) int, fn ThreadFunc) ([]uint64, error) {
-	if err := rt.forkAll(n, place, fn); err != nil {
+	nodes, groups, span, err := rt.forkAll(n, place, fn)
+	if err != nil {
 		return nil, err
 	}
 	res := make([]uint64, n)
-	err := rt.join(ids(n), func(id int, v uint64) { res[id] = v })
+	err = rt.collectAll(nodes, groups, span, func(id int, v uint64) { res[id] = v })
 	return res, err
 }
 
-// forkAll forks threads 0..n-1 with the given placement, batching the
-// forks per node through the delegates in tree mode.
-func (rt *RT) forkAll(n int, place func(i int) int, fn ThreadFunc) error {
-	node := func(i int) int {
-		if place == nil {
-			return nodeHome
-		}
-		return place(i)
-	}
-	if rt.tree == nil {
-		for i := 0; i < n; i++ {
-			if err := rt.forkOn(node(i), i, fn); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Tree mode: validate and record every placement, then dispatch one
-	// fork command per node — grouped and ordered by the same
-	// groupByNode the collectors use, so fork order and commit order can
-	// never drift apart.
+// forkAll validates and records the placement of threads 0..n-1, groups
+// them once in node-then-thread order, the grouping every later
+// collection of them reuses, and forks them. It reports whether the
+// placement spans more than one node: then each remote node's group is
+// forked by that node's delegate. The caller forks every other group
+// itself.
+func (rt *RT) forkAll(n int, place func(i int) int, fn ThreadFunc) ([]int, map[int][]int, bool, error) {
 	for i := 0; i < n; i++ {
-		if err := rt.checkPlacement(node(i), i); err != nil {
-			return err
+		node := nodeHome
+		if place != nil {
+			node = place(i)
 		}
-		rt.record(rt.concreteNode(node(i)), i)
+		if err := rt.checkPlacement(node, i); err != nil {
+			return nil, nil, false, err
+		}
+		rt.record(node, i)
 	}
 	nodes, groups := rt.groupByNode(ids(n))
+	span := len(nodes) > 1
 	for _, nd := range nodes {
-		reqs := make([]forkReq, len(groups[nd]))
-		for k, id := range groups[nd] {
-			reqs[k] = forkReq{id: id, fn: fn}
+		var err error
+		if rt.remote(span, nd) {
+			err = rt.treeFork(nd, groups[nd], fn)
+		} else {
+			for _, id := range groups[nd] {
+				if err = rt.env.Put(rt.placedRef(id), forkOpts(rt.base, rt.size, id, fn)); err != nil {
+					break
+				}
+			}
 		}
-		if err := rt.treeFork(nd, reqs); err != nil {
-			return err
+		if err != nil {
+			return nil, nil, false, err
 		}
 	}
-	return nil
+	return nodes, groups, span, nil
 }
 
 // ids returns [0, n).
@@ -551,22 +580,11 @@ func (t *Thread) Barrier() {
 // Like ParallelDo, the round applies the threads' merges in
 // node-then-thread order so every round's combined state — and any
 // conflict it raises — is independent of which thread happened to arrive
-// first. The flat collector runs collect over each node's threads and
-// then resync; in tree-join mode each node's delegate runs the same two
-// steps over its own threads, concurrently in virtual time, and this
-// collector commits one delta per node in the same overall order.
+// first. BarrierRound acts on the caller's own children wherever they
+// run: it collects every node's threads itself and then resyncs them.
 func (rt *RT) BarrierRound(ids []int) error {
 	nodes, groups := rt.groupByNode(ids)
-	if rt.tree != nil {
-		return rt.treeBarrierRound(nodes, groups)
-	}
-	rt.parked = rt.parked[:0] // a round that failed left its list unresynced
-	for _, nd := range nodes {
-		if err := rt.collect(groups[nd], nil); err != nil {
-			return err
-		}
-	}
-	return rt.resync()
+	return rt.barrierAll(nodes, groups, false)
 }
 
 // RunPhases runs n persistent threads through a sequence of phases
@@ -578,14 +596,14 @@ func (rt *RT) RunPhases(n, phases int, fn func(t *Thread, phase int)) error {
 }
 
 // RunPhasesOn is RunPhases with explicit thread placement, the
-// cluster-scale form: thread i runs on node place(i) for every phase,
-// and each barrier round and the final join collect through the
-// configured collector (flat or sharded tree). The final join collects
-// every thread even after one fails, so both collectors leave the same
-// memory behind; the error returned is the first in node-then-thread
-// order.
+// cluster-scale form: thread i runs on node place(i) for every phase.
+// The barrier rounds and the final join reuse forkAll's grouping, so a
+// placement spanning nodes is collected through the remote nodes'
+// delegates every round, as ParallelDoOn's is. The final join collects
+// every thread even after one fails; the error returned is the first in
+// node-then-thread order.
 func (rt *RT) RunPhasesOn(n, phases int, place func(i int) int, fn func(t *Thread, phase int)) error {
-	if err := rt.forkAll(n, place, func(t *Thread) uint64 {
+	nodes, groups, span, err := rt.forkAll(n, place, func(t *Thread) uint64 {
 		for p := 0; p < phases; p++ {
 			fn(t, p)
 			if p < phases-1 {
@@ -593,25 +611,22 @@ func (rt *RT) RunPhasesOn(n, phases int, place func(i int) int, fn func(t *Threa
 			}
 		}
 		return 0
-	}); err != nil {
+	})
+	if err != nil {
 		return err
 	}
-	all := ids(n)
 	for p := 0; p < phases-1; p++ {
-		if err := rt.BarrierRound(all); err != nil {
+		if err := rt.barrierAll(nodes, groups, span); err != nil {
 			return err
 		}
 	}
-	return rt.join(all, func(int, uint64) {})
+	return rt.collectAll(nodes, groups, span, func(int, uint64) {})
 }
 
 // Options configures a Run.
 type Options struct {
 	Kernel     kernel.Config
 	SharedSize uint64
-	// TreeJoin starts the root runtime with the sharded barrier tree
-	// enabled (see RT.SetTreeJoin).
-	TreeJoin bool
 }
 
 // Run builds a machine, runs main as its root program with a fresh
@@ -620,8 +635,6 @@ type Options struct {
 func Run(opts Options, main func(rt *RT) uint64) kernel.RunResult {
 	m := kernel.New(opts.Kernel)
 	return m.Run(func(env *kernel.Env) {
-		rt := New(env, opts.SharedSize)
-		rt.SetTreeJoin(opts.TreeJoin)
-		env.SetRet(main(rt))
+		env.SetRet(main(New(env, opts.SharedSize)))
 	}, 0)
 }

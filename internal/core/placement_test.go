@@ -83,8 +83,9 @@ func TestForkJoinNodeValidation(t *testing.T) {
 // TestPlacementInvariance is the migration-placement property test:
 // random ForkOn placements of the same data-parallel program across a
 // fixed 4-node machine must yield checksums identical to the all-home
-// placement and to a genuine single-node machine, with no conflicts, in
-// both collector modes — and every individual configuration must repeat
+// placement and to a genuine single-node machine, with no conflicts,
+// through RunPhasesOn and through the flat reference collector (tree.go's
+// tests) — and every individual configuration must repeat
 // bit-exactly, virtual time included. Virtual time across different
 // placements legitimately differs (by the modeled wire costs); the
 // all-home placement on the 4-node machine must match the single-node
@@ -95,11 +96,10 @@ func TestPlacementInvariance(t *testing.T) {
 		res := Run(Options{
 			Kernel:     kernel.Config{Nodes: nodes, CPUsPerNode: 1},
 			SharedSize: 4 << 20,
-			TreeJoin:   tree,
 		}, func(rt *RT) uint64 {
 			stripes := rt.AllocPages(threads)
 			words := rt.Alloc(8*threads, 8)
-			if err := rt.RunPhasesOn(threads, phases, place, func(th *Thread, phase int) {
+			if err := runPhasesVia(!tree, rt, threads, phases, place, func(th *Thread, phase int) {
 				env := th.Env()
 				var carry uint64
 				if phase > 0 {

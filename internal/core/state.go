@@ -5,9 +5,8 @@ package core
 // An RT's kernel-visible state (the shared region's bytes, every
 // thread's replica and snapshot) lives in the machine image; what the
 // kernel cannot see is the runtime's own bookkeeping — the deterministic
-// allocator cursor, the thread-placement table, and whether collection
-// runs through the sharded barrier tree. ExportState captures exactly
-// that, and Attach rebuilds a runtime over a restored root environment.
+// allocator cursor and the thread-placement table. ExportState captures
+// exactly that, and Attach rebuilds a runtime over a restored root environment.
 //
 // Go-side addresses (the values Alloc returned before the checkpoint)
 // cannot be serialized, but they do not need to be: allocation is a
@@ -28,11 +27,10 @@ import (
 
 // RTState is the serializable bookkeeping of one RT.
 type RTState struct {
-	Base     vm.Addr
-	Size     uint64
-	Next     vm.Addr     // allocator cursor at export time
-	Placed   map[int]int // thread id -> concrete home node (ForkOn placements)
-	TreeJoin bool
+	Base   vm.Addr
+	Size   uint64
+	Next   vm.Addr     // allocator cursor at export time
+	Placed map[int]int // thread id -> concrete home node (ForkOn placements)
 }
 
 // StateError reports an RTState that cannot be attached (or a layout
@@ -44,23 +42,20 @@ type StateError struct {
 
 func (e *StateError) Error() string { return fmt.Sprintf("core: attach %s: %s", e.Field, e.Msg) }
 
-// DelegateRefs returns the kernel child references of the sharded
-// barrier tree's delegate collectors, in ascending node order. Delegates
+// DelegateRefs returns the kernel child references of the delegate
+// collectors this runtime has used, in ascending node order. Delegates
 // are permanently parked command loops, so a machine checkpoint must
 // name them explicitly (kernel.CheckpointOpts.AllowParked); they restore
 // as restartable spaces and the first post-restore command reloads them.
 func (rt *RT) DelegateRefs() []uint64 {
-	if rt.tree == nil {
-		return nil
-	}
-	nodes := make([]int, 0, len(rt.tree.delegates))
-	for n := range rt.tree.delegates {
+	nodes := make([]int, 0, len(rt.delegates))
+	for n := range rt.delegates {
 		nodes = append(nodes, n)
 	}
 	sort.Ints(nodes)
 	refs := make([]uint64, 0, len(nodes))
 	for _, n := range nodes {
-		refs = append(refs, rt.tree.delegates[n].ref)
+		refs = append(refs, rt.delegates[n].ref)
 	}
 	return refs
 }
@@ -69,7 +64,7 @@ func (rt *RT) DelegateRefs() []uint64 {
 // quiescent point — no live (un-joined, un-halted) threads — which is
 // also the only point a machine checkpoint can be taken.
 func (rt *RT) ExportState() RTState {
-	st := RTState{Base: rt.base, Size: rt.size, Next: rt.next, TreeJoin: rt.tree != nil}
+	st := RTState{Base: rt.base, Size: rt.size, Next: rt.next}
 	if len(rt.placed) > 0 {
 		st.Placed = make(map[int]int, len(rt.placed))
 		for id, n := range rt.placed {
@@ -83,11 +78,10 @@ func (rt *RT) ExportState() RTState {
 // non-nil, re-runs the program's deterministic allocation sequence (or a
 // prefix of it) to re-derive Go-side addresses; the shared region's
 // bytes come from the restored memory image and are not touched. The
-// sharded barrier tree, when recorded as active, restarts with fresh
-// delegates — their spaces' memory and snapshots were restored by the
-// kernel, and every delegate command reloads its command loop, so the
-// first post-restore dispatch re-arms them at unchanged virtual-time
-// cost.
+// runtime restarts with no delegates on record: their spaces' memory and
+// snapshots were restored by the kernel, and the first command to each
+// reloads its command loop, so the first post-restore collection that
+// spans nodes re-arms them at unchanged virtual-time cost.
 func Attach(env *kernel.Env, st RTState, layout func(rt *RT)) (*RT, error) {
 	// Accept exactly the regions New produces: a table-aligned base and a
 	// non-zero whole number of tables inside the address space. dsched
@@ -117,6 +111,5 @@ func Attach(env *kernel.Env, st RTState, layout func(rt *RT)) (*RT, error) {
 		}
 		rt.record(n, id)
 	}
-	rt.SetTreeJoin(st.TreeJoin)
 	return rt, nil
 }

@@ -49,9 +49,9 @@ func (e *Env) VT() int64 { return e.sp.vt }
 
 // NetStats reports the cross-node protocol traffic this space has
 // initiated so far — deterministic for the same reason VT is. The
-// cluster experiments read it through the collector to show the sharded
-// barrier tree cutting the root's message count from O(threads) to
-// O(nodes).
+// cluster experiments read it through the collector to show the
+// per-node delegate collectors cutting the root's message count from
+// O(threads) to O(nodes).
 func (e *Env) NetStats() NetStats { return e.sp.net }
 
 // --- instruction accounting --------------------------------------------------

@@ -53,7 +53,15 @@ func FuzzDecodeForest(f *testing.F) {
 	e.Add(one)
 	f.Add(e.Encode())
 
-	const maxObject = uint64(unsafe.Sizeof(table{}))
+	// maxObject is what the allocator hands out for a table, the
+	// largest object the decoder builds: its size class, not its
+	// unsafe.Sizeof (16 520 bytes). An image may hold tables with no
+	// mapped slot — the encoder writes one for a table whose slots were
+	// all set back to PermNone — so 2 bytes can cost a whole table.
+	const maxObject = 18 << 10
+	if unsafe.Sizeof(table{}) > maxObject {
+		f.Fatalf("a table is %d bytes, above the %d-byte bound per object", unsafe.Sizeof(table{}), maxObject)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2*len(seed) {
 			t.Skip("longer than any image the seeds can grow into")

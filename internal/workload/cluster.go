@@ -14,22 +14,19 @@ import (
 // through the barrier merges) into its own page stripe and publishes a
 // new boundary word. The stripe writes make per-thread deltas that are
 // page-contiguous per node, the layout batched transfers and the
-// sharded barrier tree are built for.
+// per-node delegate collectors are built for.
 type ClusterConfig struct {
 	Nodes          int
 	Threads        int
 	PagesPerThread int
 	Phases         int
-	// Tree selects the sharded barrier tree; false is the flat collector.
-	Tree bool
 }
 
 // ClusterStencil runs the workload on rt's machine and returns the
 // deterministic result checksum plus the root collector's cross-node
-// traffic. The checksum depends only on the configuration — never on
-// Nodes or Tree — which is what the bench harness asserts.
+// traffic. The checksum depends only on Threads, PagesPerThread and
+// Phases — never on Nodes — which is what the bench harness asserts.
 func ClusterStencil(rt *core.RT, cfg ClusterConfig) (uint64, kernel.NetStats) {
-	rt.SetTreeJoin(cfg.Tree)
 	threads, pages := cfg.Threads, cfg.PagesPerThread
 	stripes := rt.AllocPages(threads * pages)
 	words := rt.Alloc(uint64(8*threads), 8)

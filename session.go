@@ -19,7 +19,7 @@ import (
 // A Session is the library's coherent entry point: one builder that
 // composes everything the historical free functions configured
 // separately — the machine (kernel.Config), the runtime (shared-region
-// size, flat vs sharded-tree collection), console I/O, and trace
+// size), console I/O, and trace
 // record/replay — and the home of deterministic checkpoint/restore.
 //
 // A Session is a validated configuration plus the run entry points.
@@ -251,9 +251,6 @@ type SessionConfig struct {
 	// SharedSize is the private-workspace shared region size (0 selects
 	// the default 64 MiB).
 	SharedSize uint64
-	// TreeJoin collects threads through the sharded per-node barrier
-	// tree instead of the flat collector.
-	TreeJoin bool
 	// Record captures every nondeterministic device input of each run
 	// into the log returned by TraceLog.
 	Record bool
@@ -276,11 +273,6 @@ func WithMachine(m MachineConfig) SessionOption {
 // WithSharedSize sets the shared-region size.
 func WithSharedSize(n uint64) SessionOption {
 	return func(c *SessionConfig) { c.SharedSize = n }
-}
-
-// WithTreeJoin selects sharded-tree collection.
-func WithTreeJoin(on bool) SessionOption {
-	return func(c *SessionConfig) { c.TreeJoin = on }
 }
 
 // WithRecord enables trace recording.
@@ -403,9 +395,7 @@ func (s *Session) Run(main func(rt *RT) uint64) RunResult {
 	defer s.mu.Unlock()
 	m := kernel.New(s.deviceConfig(s.cfg.Output))
 	return m.Run(func(env *kernel.Env) {
-		rt := core.New(env, s.cfg.SharedSize)
-		rt.SetTreeJoin(s.cfg.TreeJoin)
-		env.SetRet(main(rt))
+		env.SetRet(main(core.New(env, s.cfg.SharedSize)))
 	}, 0)
 }
 
@@ -528,7 +518,6 @@ func (s *Session) startPhased(p Program, img *Image, stop int, held bool) (*live
 			}
 		} else {
 			rt = core.New(env, s.cfg.SharedSize)
-			rt.SetTreeJoin(s.cfg.TreeJoin)
 			if p.Layout != nil {
 				p.Layout(rt)
 			}
@@ -1065,8 +1054,7 @@ func (s *Session) LastManifest() *Manifest {
 type Image struct {
 	// Phase is the phase index the resumed run continues at.
 	Phase int
-	// RT is the runtime bookkeeping (allocator cursor, placements,
-	// collection mode).
+	// RT is the runtime bookkeeping (allocator cursor, placements).
 	RT core.RTState
 	// User holds the sections Program.Snapshot contributed.
 	User map[string][]byte
@@ -1106,11 +1094,7 @@ func (im *Image) Bytes() ([]byte, error) {
 	b = binary.LittleEndian.AppendUint32(b, im.RT.Base)
 	b = binary.LittleEndian.AppendUint64(b, im.RT.Size)
 	b = binary.LittleEndian.AppendUint32(b, im.RT.Next)
-	var tj byte
-	if im.RT.TreeJoin {
-		tj = 1
-	}
-	b = append(b, tj)
+	b = append(b, 0) // retired: the tree-join flag; ignored on decode
 	ids := make([]int, 0, len(im.RT.Placed))
 	for id := range im.RT.Placed {
 		ids = append(ids, id)
@@ -1170,7 +1154,7 @@ func DecodeImage(data []byte) (*Image, error) {
 	im.RT.Base = r.U32()
 	im.RT.Size = r.U64()
 	im.RT.Next = r.U32()
-	im.RT.TreeJoin = r.U8() != 0
+	r.U8() // retired tree-join flag
 	for n := r.Count(16, "placement"); n > 0; n-- {
 		id := int(r.I64())
 		node := int(r.I64())

@@ -277,12 +277,9 @@ func settleGoroutines(base int) int {
 // stopped — and every way of ending residency must take all of it down:
 // Close, Suspend, finishing, and a slice dying.
 func TestLiveSessionLeaksNoGoroutines(t *testing.T) {
-	// The tree-join runtime keeps permanently parked delegate spaces, so
-	// a leak here would be of more than the root.
-	opts := []SessionOption{
-		WithMachine(MachineConfig{Nodes: 2, CPUsPerNode: 2}),
-		WithTreeJoin(true),
-	}
+	// A placement spanning both nodes leaves a permanently parked
+	// delegate space, so a leak here would be of more than the root.
+	opts := []SessionOption{WithMachine(MachineConfig{Nodes: 2, CPUsPerNode: 2})}
 	place := func(i int) int { return i % 2 }
 	prog := func(killAt int) Program { return killOnce(arrayProgram(4, 4, 512, -1, place), killAt) }
 	base := runtime.NumGoroutine()

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/imgenc"
 )
 
 // --- helpers -----------------------------------------------------------------
@@ -258,15 +259,21 @@ func TestSessionCheckpointResumeConflictReport(t *testing.T) {
 	checkpointEverywhere(t, opts, p)
 }
 
+// TestSessionCheckpointResumeMultiNodeTree checkpoints a 3-node program
+// at every barrier. Spread over the nodes, each phase is collected
+// through the remote nodes' delegates, which every checkpoint must
+// carry; confined to one remote node, the root collects it directly.
 func TestSessionCheckpointResumeMultiNodeTree(t *testing.T) {
-	for _, tree := range []bool{false, true} {
-		t.Run(fmt.Sprintf("tree=%v", tree), func(t *testing.T) {
-			opts := []SessionOption{
-				WithMachine(MachineConfig{Nodes: 3, CPUsPerNode: 2}),
-				WithTreeJoin(tree),
-			}
-			place := func(i int) int { return i % 3 }
-			checkpointEverywhere(t, opts, arrayProgram(6, 3, 2048, -1, place))
+	for _, c := range []struct {
+		name  string
+		place func(i int) int
+	}{
+		{"spread", func(i int) int { return i % 3 }},
+		{"remote-node", func(int) int { return 2 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := []SessionOption{WithMachine(MachineConfig{Nodes: 3, CPUsPerNode: 2})}
+			checkpointEverywhere(t, opts, arrayProgram(6, 3, 2048, -1, c.place))
 		})
 	}
 }
@@ -544,18 +551,21 @@ func TestSessionCheckpointResumeProperty(t *testing.T) {
 		phases := 2 + rng.Intn(4)
 		words := 256 << rng.Intn(3)
 		nodes := []int{1, 1, 2, 3}[rng.Intn(4)]
-		tree := nodes > 1 && rng.Intn(2) == 0
+		// Spread threads are collected through delegates; threads all on
+		// the last node are collected directly.
+		spread := nodes > 1 && rng.Intn(2) == 0
 		conflictAt := -1
 		if rng.Intn(3) == 0 {
 			conflictAt = rng.Intn(phases)
 		}
 		var place func(i int) int
-		if nodes > 1 {
+		if spread {
 			place = func(i int) int { return i % nodes }
+		} else if nodes > 1 {
+			place = func(int) int { return nodes - 1 }
 		}
 		opts := []SessionOption{
 			WithMachine(MachineConfig{Nodes: nodes, CPUsPerNode: 1 + rng.Intn(3)}),
-			WithTreeJoin(tree),
 		}
 		p := arrayProgram(threads, phases, words, conflictAt, place)
 
@@ -572,8 +582,8 @@ func TestSessionCheckpointResumeProperty(t *testing.T) {
 		}
 		_, res, rerr := shipped(t, opts, store, m, p)
 		if got := keyOf(res, rerr); got != want {
-			t.Fatalf("iter %d (threads=%d phases=%d nodes=%d tree=%v conflict=%d ck=%d) diverged:\n got %+v\nwant %+v",
-				it, threads, phases, nodes, tree, conflictAt, k, got, want)
+			t.Fatalf("iter %d (threads=%d phases=%d nodes=%d spread=%v conflict=%d ck=%d) diverged:\n got %+v\nwant %+v",
+				it, threads, phases, nodes, spread, conflictAt, k, got, want)
 		}
 	}
 }
@@ -616,6 +626,38 @@ func TestSessionImageRoundTripAndRejects(t *testing.T) {
 		store, m, arrayProgram(2, 2, 128, -1, nil))
 	if !errors.As(err, &mm) {
 		t.Fatalf("mismatched resume: got %v, want *ImageMismatchError", err)
+	}
+}
+
+// The byte after the allocator cursor once recorded whether collection
+// ran through delegates. The runtime now picks its collector from each
+// collection's placement, so the byte is written 0 and ignored on
+// decode: an image written with it set still decodes, to the same image.
+func TestDecodeImageIgnoresRetiredCollectorByte(t *testing.T) {
+	img, err := mustSession(t).RunToCheckpoint(arrayProgram(2, 2, 128, -1, nil), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := img.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const off = 4 + 1 + 4 + 4 + 8 + 4 // magic, version, phase, base, size, cursor
+	if data[off] != 0 {
+		t.Fatalf("tree-join byte written as %d, want 0", data[off])
+	}
+	set := append([]byte(nil), data[:len(data)-4]...)
+	set[off] = 1
+	got, err := DecodeImage(imgenc.Seal(set))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := got.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatal("an image with the tree-join byte set does not decode to the same image")
 	}
 }
 
