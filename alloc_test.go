@@ -4,22 +4,36 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/dsched"
 	"repro/internal/kernel"
 	"repro/internal/workload"
 )
 
 // Allocation ceilings for one pass of the fine-grained programs — fft,
 // lu_cont and lu_noncont at DefaultSize on two threads, the par_fine op
-// without its goroutine twins — measured at 33 778 allocations and
-// 7 636 768 B, the same run to run, plus 2 % slack. (Before each machine
+// without its goroutine twins — measured at 33 693 allocations and
+// 7 632 080 B, the same run to run, plus 2 % slack. (Before each machine
 // recycled the pages and tables its spaces free, a pass allocated 34 902
 // and 13 908 304 B: a fresh page per COW break, a fresh table per table
 // copy; before spaces stopped carrying dirty bitmaps, 33 855 and
-// 7 781 024 B.) A 4 KiB buffer per typed access adds thousands. A change
+// 7 781 024 B; before a barrier's resync and a fork batch shared one
+// Put, 33 704.) A 4 KiB buffer per typed access adds thousands. A change
 // that lowers a count lowers its ceiling.
 const (
-	finePassAllocs = 33778 * 102 / 100
-	finePassBytes  = 7_636_768 * 102 / 100
+	finePassAllocs = 33693 * 102 / 100
+	finePassBytes  = 7_632_080 * 102 / 100
+)
+
+// Allocation ceiling for one pass of par_coarse's dsched program —
+// blackscholes at DefaultSize on two threads — sliced into 34 rounds by
+// a 50 000-instruction quantum: 68 starts and 68 collects through the
+// runtime's Start and Collect. Measured at 354 allocations, the same run
+// to run, plus 2 % slack. At the default quantum the program runs one
+// round of two starts, and 2 % of its 288 allocations would hide an
+// allocation per start; here one adds 68, well past the slack.
+const (
+	schedPassQuantum = 50_000
+	schedPassAllocs  = 354 * 102 / 100
 )
 
 func TestFinePassAllocations(t *testing.T) {
@@ -30,7 +44,7 @@ func TestFinePassAllocations(t *testing.T) {
 			fine = append(fine, s)
 		}
 	}
-	pass := func() {
+	allocs, bytes := leastPassAllocs(func() {
 		for _, s := range fine {
 			size := s.DefaultSize
 			res := Run(Options{
@@ -41,20 +55,55 @@ func TestFinePassAllocations(t *testing.T) {
 				t.Fatalf("%s stopped with %v: %v", s.Name, res.Status, res.Err)
 			}
 		}
-	}
-	// One P, as testing.AllocsPerRun runs: the spaces' goroutines then
-	// come from one free list.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	pass() // the first pass in the process allocates more
-	// The lesser of two passes: a collection mid-pass empties the
-	// runtime's own pools, and the pass after it refills them.
-	allocs, bytes := passAllocs(pass)
-	if a, b := passAllocs(pass); a < allocs {
-		allocs, bytes = a, b
-	}
+	})
 	if allocs > finePassAllocs || bytes > finePassBytes {
 		t.Errorf("fine pass: %d allocations, %d bytes; ceiling %d, %d", allocs, bytes, finePassAllocs, finePassBytes)
 	}
+}
+
+func TestSchedPassAllocations(t *testing.T) {
+	const threads = 2
+	bs, err := workload.Lookup("blackscholes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := bs.DefaultSize
+	var rounds int64
+	allocs, _ := leastPassAllocs(func() {
+		res := Run(Options{
+			Kernel:     MachineConfig{CPUsPerNode: threads},
+			SharedSize: bs.SharedBytes(size),
+		}, func(rt *RT) uint64 {
+			v, st := workload.BlackscholesSched(rt, threads, size, dsched.Config{Quantum: schedPassQuantum})
+			rounds = st.Rounds
+			return v
+		})
+		if res.Status != kernel.StatusHalted {
+			t.Fatalf("blackscholes stopped with %v: %v", res.Status, res.Err)
+		}
+	})
+	if rounds != 34 {
+		t.Fatalf("the pass ran %d rounds, want 34", rounds)
+	}
+	if allocs > schedPassAllocs {
+		t.Errorf("sched pass: %d allocations; ceiling %d", allocs, schedPassAllocs)
+	}
+}
+
+// leastPassAllocs reports the heap allocations one run of pass makes,
+// and their bytes, the lesser of two runs after a warm-up run: the first
+// pass in the process allocates more, and a collection mid-pass empties
+// the runtime's own pools, which the pass after it refills. It runs on
+// one P, as testing.AllocsPerRun does: the spaces' goroutines then come
+// from one free list.
+func leastPassAllocs(pass func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pass()
+	allocs, bytes = passAllocs(pass)
+	if a, b := passAllocs(pass); a < allocs {
+		allocs, bytes = a, b
+	}
+	return allocs, bytes
 }
 
 // passAllocs reports the heap allocations run makes, and their bytes.

@@ -184,7 +184,8 @@ func (rt *RT) nodeOf(id int) int {
 // placedRef returns the child reference for a thread, wherever it lives.
 func (rt *RT) placedRef(id int) uint64 { return rt.ref(rt.nodeOf(id), id) }
 
-// record stores a thread's placement after a successful fork.
+// record stores a thread's placement: the node its fork, and every later
+// Put and Get of it, goes to.
 func (rt *RT) record(node, id int) {
 	if rt.placed == nil {
 		rt.placed = make(map[int]int)
@@ -215,26 +216,89 @@ func (rt *RT) forkOn(node, id int, fn ThreadFunc) error {
 	if err := rt.checkPlacement(node, id); err != nil {
 		return err
 	}
-	if err := rt.env.Put(rt.ref(node, id), forkOpts(rt.base, rt.size, id, fn)); err != nil {
-		return err
-	}
 	rt.record(node, id)
-	return nil
+	return rt.start([]int{id}, threadEntry(rt.base, rt.size, fn), Policy{})
 }
 
-// forkOpts builds the Put that creates one thread: registers, a COW copy
-// of the shared region, the merge snapshot, and Start.
-func forkOpts(base vm.Addr, size uint64, id int, fn ThreadFunc) kernel.PutOpts {
-	entry := func(env *kernel.Env) {
-		t := &Thread{RT: child(env, base, size), ID: id}
-		env.SetRet(fn(t))
+// threadEntry is the program of a thread running fn over the shared
+// region base+size. The thread's id is its Arg register, which the fork's
+// Put loads, so one entry serves every thread a Start forks.
+func threadEntry(base vm.Addr, size uint64, fn ThreadFunc) kernel.Prog {
+	return func(env *kernel.Env) {
+		env.SetRet(fn(&Thread{RT: child(env, base, size), ID: int(env.Arg())}))
 	}
-	return kernel.PutOpts{
-		Regs:  &kernel.Regs{Entry: entry, Arg: uint64(id)},
-		Copy:  &kernel.CopyRange{Src: base, Dst: base, Size: size},
+}
+
+// Policy is what Start and Collect run threads under. The zero Policy is
+// the fork/join runtime's own: no instruction limit, and a write/write
+// conflict is an error. The deterministic scheduler's rounds (package
+// dsched) arm a quantum and commit last-writer-wins. A Policy is a
+// parameter in code, never configuration.
+type Policy struct {
+	// Limit is the instruction limit each started thread runs under; 0
+	// runs it until it stops by itself.
+	Limit int64
+	// LWW merges last-writer-wins (vm.MergeLastWriter) instead of
+	// failing on a write/write conflict.
+	LWW bool
+	// Started, if non-nil, receives what each thread's region copy did,
+	// in start order: a resync learns from TablesShared how many of the
+	// region's tables had gone stale.
+	Started func(copied vm.CopyStats)
+}
+
+// Start starts the listed threads in list order, one Put per thread: copy
+// rt's shared region into the thread's replica copy-on-write, snapshot it
+// as the thread's merge reference, and start it under p's limit. The
+// region is table-aligned, so the copy re-shares and charges only the
+// tables the replica no longer shares with rt's, and the snapshot refresh
+// likewise: restarting a thread whose replica is current costs one system
+// call. A thread resumes where it stopped.
+//
+// With a non-nil entry the Puts fork the threads instead: each loads
+// entry, with the thread's id in its Arg register. A thread Start forks
+// is a home-node thread: Start drops whatever placement an earlier
+// ForkOn or ParallelDoOn recorded under its id.
+func (rt *RT) Start(ids []int, entry kernel.Prog, p Policy) error {
+	if entry != nil {
+		for _, id := range ids {
+			if err := rt.checkPlacement(nodeHome, id); err != nil {
+				return err
+			}
+			delete(rt.placed, id)
+		}
+	}
+	return rt.start(ids, entry, p)
+}
+
+// start is Start over threads already placed: each Put goes to the node
+// the thread was recorded on. It is the one Put that starts a thread.
+func (rt *RT) start(ids []int, entry kernel.Prog, p Policy) error {
+	var copied vm.CopyStats
+	opts := kernel.PutOpts{
+		Copy:  &kernel.CopyRange{Src: rt.base, Dst: rt.base, Size: rt.size},
 		Snap:  true,
 		Start: true,
+		Limit: p.Limit,
 	}
+	if p.Started != nil {
+		opts.Copied = &copied
+	}
+	var regs kernel.Regs
+	if entry != nil {
+		regs.Entry = entry
+		opts.Regs = &regs
+	}
+	for _, id := range ids {
+		regs.Arg = uint64(id)
+		if err := rt.env.Put(rt.placedRef(id), opts); err != nil {
+			return err
+		}
+		if p.Started != nil {
+			p.Started(copied)
+		}
+	}
+	return nil
 }
 
 // ConflictError wraps a merge conflict detected while joining a thread.
@@ -293,94 +357,89 @@ func (rt *RT) joinOn(node, id int) (uint64, error) {
 	if err := rt.checkPlacement(node, id); err != nil {
 		return 0, err
 	}
-	info, err := rt.mergeThread(rt.ref(node, id), id)
-	if err != nil {
-		return 0, err
+	if node != rt.nodeOf(id) {
+		rt.record(node, id) // Collect finds the thread through its placement
 	}
-	return threadResult(id, info)
+	var v uint64
+	err := rt.join([]int{id}, func(_ int, r uint64) { v = r })
+	return v, err
 }
 
-// mergeThread is the merging Get that collects one thread: it waits for
-// the thread at ref to stop and folds the thread's shared-region changes
-// since its snapshot into rt's replica. A write/write conflict comes back
-// as a *ConflictError naming thread id.
-func (rt *RT) mergeThread(ref uint64, id int) (kernel.ChildInfo, error) {
-	info, err := rt.env.Get(ref, kernel.GetOpts{
-		Regs:       true,
-		Merge:      true,
-		MergeRange: &kernel.Range{Addr: rt.base, Size: rt.size},
-	})
-	if err != nil {
-		var mc *vm.MergeConflictError
-		if errors.As(err, &mc) {
-			return info, &ConflictError{ThreadID: id, Node: -1, Cause: mc}
-		}
-	}
-	return info, err
-}
-
-// collect merges the listed threads, all forked on one node, into rt's
-// replica strictly in ascending thread order: one node's share of the
-// node-then-thread commit order. The caller runs it over every group it
-// collects itself; a delegate runs it over its own node's threads.
-//
-// With a nil sink it is a barrier collect. A thread stopped at its
-// Barrier is appended to rt.parked for resync. A thread that halted or
-// crashed instead gets Put{Snap}, so the delta just merged is not merged
-// again by a later collect. The first error ends the collect.
-//
-// With a sink it is a join collect: every thread's result goes to sink
-// (0 where the merge failed), and collection continues past an error,
-// the first of which is returned at the end (ParallelDo's contract).
-func (rt *RT) collect(ids []int, sink func(id int, v uint64)) error {
-	var firstErr error
+// Collect collects the listed threads strictly in list order, one merging
+// Get per thread: the Get waits for the thread to stop and folds its
+// shared-region changes since its snapshot into rt's replica, so an early
+// finisher commits while later threads still run. The order, not the
+// waiting, is what the combined state depends on. Each stop, with the
+// merge's error, goes to stop; the first error stop returns ends the
+// collect. Under the zero Policy a write/write conflict arrives as a
+// *ConflictError naming the thread; under p.LWW the later merge wins.
+func (rt *RT) Collect(ids []int, p Policy, stop func(id int, info kernel.ChildInfo, err error) error) error {
 	for _, id := range ids {
-		ref := rt.placedRef(id)
-		info, err := rt.mergeThread(ref, id)
-		switch {
-		case sink != nil:
-			var v uint64
-			if err == nil {
-				v, err = threadResult(id, info)
-			}
-			sink(id, v)
-		case err != nil:
-			// A failed merge; handled below.
-		case info.Status == kernel.StatusRet:
-			rt.parked = append(rt.parked, id)
-		default:
-			if err = rt.env.Put(ref, kernel.PutOpts{Snap: true}); err == nil {
-				_, err = threadResult(id, info)
-			}
-		}
+		info, err := rt.env.Get(rt.placedRef(id), kernel.GetOpts{
+			Regs:       true,
+			Merge:      true,
+			MergeRange: &kernel.Range{Addr: rt.base, Size: rt.size},
+			MergeLWW:   p.LWW,
+		})
 		if err != nil {
-			if sink == nil {
-				return err
-			}
-			if firstErr == nil {
-				firstErr = err
+			var mc *vm.MergeConflictError
+			if errors.As(err, &mc) {
+				err = &ConflictError{ThreadID: id, Node: -1, Cause: mc}
 			}
 		}
-	}
-	return firstErr
-}
-
-// resync hands every parked thread a fresh copy of rt's replica as its
-// new merge snapshot and restarts it, one Put per thread, then empties
-// rt.parked.
-func (rt *RT) resync() error {
-	parked := rt.parked
-	rt.parked = rt.parked[:0]
-	for _, id := range parked {
-		if err := rt.env.Put(rt.placedRef(id), kernel.PutOpts{
-			Copy:  &kernel.CopyRange{Src: rt.base, Dst: rt.base, Size: rt.size},
-			Snap:  true,
-			Start: true,
-		}); err != nil {
+		if err := stop(id, info, err); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// park is a barrier's stop. A thread stopped at its Barrier is appended
+// to rt.parked for resync. A thread that halted or crashed instead gets
+// Put{Snap}, so the delta just merged is not merged again by a later
+// collect, and a crash is its error.
+func (rt *RT) park(id int, info kernel.ChildInfo, err error) error {
+	switch {
+	case err != nil:
+		return err
+	case info.Status == kernel.StatusRet:
+		rt.parked = append(rt.parked, id)
+		return nil
+	}
+	if err := rt.env.Put(rt.placedRef(id), kernel.PutOpts{Snap: true}); err != nil {
+		return err
+	}
+	_, err = threadResult(id, info)
+	return err
+}
+
+// join collects the listed threads with a join's stop: every thread's
+// result goes to sink (0 where the merge failed), and collection goes on
+// past an error, the first of which is returned at the end (ParallelDo's
+// contract). The caller runs it over every group it collects itself; a
+// delegate runs it over its own node's threads.
+func (rt *RT) join(ids []int, sink func(id int, v uint64)) error {
+	var first error
+	_ = rt.Collect(ids, Policy{}, func(id int, info kernel.ChildInfo, err error) error {
+		var v uint64
+		if err == nil {
+			v, err = threadResult(id, info)
+		}
+		sink(id, v)
+		if first == nil {
+			first = err
+		}
+		return nil
+	})
+	return first
+}
+
+// resync hands every parked thread a fresh copy of rt's replica as its
+// new merge snapshot and restarts it, then empties rt.parked.
+func (rt *RT) resync() error {
+	parked := rt.parked
+	rt.parked = rt.parked[:0]
+	return rt.Start(parked, nil, Policy{})
 }
 
 // remote reports whether a collection hands node nd's group to nd's
@@ -409,7 +468,7 @@ func (rt *RT) collectAll(nodes []int, groups map[int][]int, span bool, sink func
 				sink(id, d.box.rets[k])
 			}
 		} else {
-			err = rt.collect(groups[nd], sink)
+			err = rt.join(groups[nd], sink)
 		}
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -435,7 +494,7 @@ func (rt *RT) barrierAll(nodes []int, groups map[int][]int, span bool) error {
 		if rt.remote(span, nd) {
 			err = rt.treeCommit(rt.delegate(nd))
 		} else {
-			err = rt.collect(groups[nd], nil)
+			err = rt.Collect(groups[nd], Policy{}, rt.park)
 		}
 		if err != nil {
 			rt.syncAll(nodes[i+1:], span)
@@ -535,16 +594,13 @@ func (rt *RT) forkAll(n int, place func(i int) int, fn ThreadFunc) ([]int, map[i
 	}
 	nodes, groups := rt.groupByNode(ids(n))
 	span := len(nodes) > 1
+	entry := threadEntry(rt.base, rt.size, fn)
 	for _, nd := range nodes {
 		var err error
 		if rt.remote(span, nd) {
 			err = rt.treeFork(nd, groups[nd], fn)
 		} else {
-			for _, id := range groups[nd] {
-				if err = rt.env.Put(rt.placedRef(id), forkOpts(rt.base, rt.size, id, fn)); err != nil {
-					break
-				}
-			}
+			err = rt.start(groups[nd], entry, Policy{})
 		}
 		if err != nil {
 			return nil, nil, false, err
@@ -562,29 +618,13 @@ func ids(n int) []int {
 	return s
 }
 
-// Barrier, called from a thread, stops the thread until the parent
-// completes a BarrierRound: the thread's changes so far are merged into
-// the parent's replica and the thread resumes with a fresh snapshot of
-// the combined state (§4.4, the OpenMP-style data-parallel foundation).
+// Barrier, called from a thread, stops the thread until its parent's
+// next barrier round (RunPhases): the thread's changes so far are merged
+// into the parent's replica and the thread resumes with a fresh snapshot
+// of the combined state (§4.4, the OpenMP-style data-parallel
+// foundation).
 func (t *Thread) Barrier() {
 	t.env.Ret()
-}
-
-// BarrierRound, called by the parent, collects every listed thread at its
-// Barrier (merging changes), then redistributes the combined state and
-// resumes the threads: one merging Get and one Put{Copy, Snap, Start}
-// per thread, the two steps of a barrier. A thread that halts instead of
-// reaching the barrier stays halted; its final merge still occurs, and
-// its snapshot is refreshed so that merge is not repeated.
-//
-// Like ParallelDo, the round applies the threads' merges in
-// node-then-thread order so every round's combined state — and any
-// conflict it raises — is independent of which thread happened to arrive
-// first. BarrierRound acts on the caller's own children wherever they
-// run: it collects every node's threads itself and then resyncs them.
-func (rt *RT) BarrierRound(ids []int) error {
-	nodes, groups := rt.groupByNode(ids)
-	return rt.barrierAll(nodes, groups, false)
 }
 
 // RunPhases runs n persistent threads through a sequence of phases

@@ -24,7 +24,7 @@ func TestBarrierRoundReportsCrashedThread(t *testing.T) {
 				panic(err)
 			}
 		}
-		err := rt.BarrierRound([]int{0, 1})
+		err := flatBarrier(rt, []int{0, 1})
 		var tc *ThreadCrashError
 		if !errors.As(err, &tc) || tc.ThreadID != 1 {
 			panic("crashed thread not attributed at barrier")
@@ -49,7 +49,7 @@ func TestBarrierRoundConflictAttribution(t *testing.T) {
 				panic(err)
 			}
 		}
-		err := rt.BarrierRound([]int{0, 1})
+		err := flatBarrier(rt, []int{0, 1})
 		var ce *ConflictError
 		if !errors.As(err, &ce) || ce.ThreadID != 1 {
 			panic("conflict at barrier not attributed to the second merger")

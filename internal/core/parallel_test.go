@@ -9,7 +9,7 @@ import (
 	"repro/internal/vm"
 )
 
-// Tests for the collection path: ParallelDo and BarrierRound must report
+// Tests for the collection path: ParallelDo and barrier rounds must report
 // identical results, virtual times, and errors however the host schedules
 // the spaces' goroutines — the only host concurrency there is — and
 // across repeated runs. (The test names predate the deletion of the

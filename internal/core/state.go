@@ -84,10 +84,10 @@ func (rt *RT) ExportState() RTState {
 // spans nodes re-arms them at unchanged virtual-time cost.
 func Attach(env *kernel.Env, st RTState, layout func(rt *RT)) (*RT, error) {
 	// Accept exactly the regions New produces: a table-aligned base and a
-	// non-zero whole number of tables inside the address space. dsched
-	// sizes its per-table epochs from this range and resyncs by
-	// table-aligned copies, so anything else (a crafted image) must stop
-	// here, as a typed error.
+	// non-zero whole number of tables inside the address space. Every
+	// Start's region copy relies on it to take the kernel's table-sharing
+	// path, so anything else (a crafted image) must stop here, as a typed
+	// error.
 	if uint64(st.Base)%vm.TableSpan != 0 || st.Size == 0 || st.Size%vm.TableSpan != 0 ||
 		st.Size > vm.SpaceSize-uint64(st.Base) {
 		return nil, &StateError{Field: "region", Msg: fmt.Sprintf("bad shared region %#x+%#x", st.Base, st.Size)}

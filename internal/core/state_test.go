@@ -9,9 +9,10 @@ import (
 )
 
 // Attach must accept exactly the shared regions New can produce. An
-// RTState comes out of a session image, i.e. off a disk or a socket;
-// dsched sizes its per-table epoch array from the region, so a crafted
-// size used to reach makeslice and kill the process.
+// RTState comes out of a session image, i.e. off a disk or a socket, and
+// every Start copies the region table by table, sharing whole tables
+// with the kernel's table-sharing path; a crafted size once reached
+// makeslice and killed the process.
 func TestAttachRejectsRegionsNewCannotProduce(t *testing.T) {
 	cases := []struct {
 		name string
@@ -23,7 +24,7 @@ func TestAttachRejectsRegionsNewCannotProduce(t *testing.T) {
 		{"one table", SharedBase, vm.TableSpan, true},
 		{"to the top of the space", SharedBase, vm.SpaceSize - uint64(SharedBase), true},
 		{"empty", SharedBase, 0, false},
-		{"8 TiB of epochs", SharedBase, 1 << 62, false},
+		{"2^62 bytes", SharedBase, 1 << 62, false},
 		{"page-aligned only", SharedBase + 0x1000, 0x3000, false},
 		{"unaligned base", SharedBase + 0x1000, vm.TableSpan, false},
 		{"unaligned size", SharedBase, vm.TableSpan + vm.PageSize, false},

@@ -125,25 +125,21 @@ func delegateEntry(box *delegateBox, base vm.Addr, size uint64) kernel.Prog {
 // a barrier: by then the caller has committed the round and refreshed
 // the delegate's replica, so the deferred resync hands them the combined
 // state, as the caller's own resync does, without a separate command
-// dispatch. Then the delegate collects its threads with the same collect
-// the caller runs.
+// dispatch. Then the delegate collects its threads with the stop the
+// caller's own collect of that kind uses: the barrier's park or the
+// join's result sink.
 func (b *delegateBox) run(d *RT) {
 	switch b.cmd {
 	case dcmdFork:
 		d.parked = d.parked[:0]
-		for _, id := range b.ids {
-			if err := d.Fork(id, b.fn); err != nil {
-				b.fail(err)
-				return
-			}
-		}
+		b.fail(d.Start(b.ids, threadEntry(d.base, d.size, b.fn), Policy{}))
 	case dcmdCollect:
 		b.fail(d.resync())
-		b.fail(d.collect(b.ids, nil))
+		b.fail(d.Collect(b.ids, Policy{}, d.park))
 	case dcmdJoin:
 		b.rets = b.rets[:0]
 		b.fail(d.resync())
-		b.fail(d.collect(b.ids, func(_ int, v uint64) { b.rets = append(b.rets, v) }))
+		b.fail(d.join(b.ids, func(_ int, v uint64) { b.rets = append(b.rets, v) }))
 	}
 }
 

@@ -68,7 +68,20 @@ func flatParallelDoOn(rt *RT, n int, place func(i int) int, fn ThreadFunc) ([]ui
 	return res, flatJoin(rt, flatOrder(n, place), res)
 }
 
-// flatRunPhasesOn is the reference RunPhasesOn: ForkOn, one BarrierRound
+// flatBarrier is the reference barrier round: the caller collects every
+// listed thread itself, wherever it runs, strictly in list order with the
+// barrier's park stop, then resyncs the parked threads with the combined
+// state. A thread that halted instead of reaching the barrier stays
+// halted; its final merge still occurs. The first error ends the round.
+func flatBarrier(rt *RT, order []int) error {
+	rt.parked = rt.parked[:0]
+	if err := rt.Collect(order, Policy{}, rt.park); err != nil {
+		return err
+	}
+	return rt.resync()
+}
+
+// flatRunPhasesOn is the reference RunPhasesOn: ForkOn, one flatBarrier
 // per phase boundary and a Join of every thread, all by the caller.
 func flatRunPhasesOn(rt *RT, n, phases int, place func(i int) int, fn func(t *Thread, phase int)) error {
 	if err := flatFork(rt, n, place, func(t *Thread) uint64 {
@@ -84,7 +97,7 @@ func flatRunPhasesOn(rt *RT, n, phases int, place func(i int) int, fn func(t *Th
 	}
 	order := flatOrder(n, place)
 	for p := 0; p < phases-1; p++ {
-		if err := rt.BarrierRound(order); err != nil {
+		if err := flatBarrier(rt, order); err != nil {
 			return err
 		}
 	}
@@ -352,7 +365,7 @@ func TestTreeEarlyExitThreadMatchesFlat(t *testing.T) {
 				if err := flatFork(rt, 4, place, body); err != nil {
 					panic(err)
 				}
-				if err := rt.BarrierRound([]int{0, 1, 2, 3}); err != nil {
+				if err := flatBarrier(rt, flatOrder(4, place)); err != nil {
 					panic(err)
 				}
 				out = flatJoin(rt, flatOrder(4, place), nil)

@@ -11,19 +11,24 @@
 // Writes therefore propagate only at quantum boundaries — the weak
 // consistency model of DMP-B, totally ordering only synchronization.
 //
-// The round engine keeps that model while avoiding its naive cost.
-// Collection applies the merges strictly in thread order, each Get
-// blocking until its thread stops, so an early finisher commits while
-// stragglers still run. Resynchronization costs what changed: every
-// resuming thread gets the same Put — copy the shared region, refresh
-// the snapshot — and copy-on-write identity does the rest. A replica
-// table still pointer-shared with the master's is current, because
-// whichever side writes a shared table copies it first; the kernel's
-// table-aligned copy re-shares only the tables whose pointers differ and
-// charges only those, and the snapshot refresh likewise. A thread
-// resuming into an unchanged region, its own replica unwritten, costs
-// one system call. Per-round telemetry (RoundStats, Stats) counts the
-// tables each resync found stale and current.
+// A round is the fork/join runtime's start and collect with a quantum:
+// core.RT.Start hands every runnable thread the same Put — copy the
+// shared region, refresh the snapshot, arm the instruction limit — and
+// core.RT.Collect merges the threads last-writer-wins strictly in thread
+// order, each Get blocking until its thread stops, so an early finisher
+// commits while stragglers still run. Round zero is the same round with
+// the threads' fork registers. What is left here is scheduling policy:
+// which threads are runnable, what each stop means, the mutex hand-offs,
+// deadlock detection and the round statistics.
+//
+// Resynchronization costs what changed. A replica table still
+// pointer-shared with the master's is current, because whichever side
+// writes a shared table copies it first; the kernel's table-aligned copy
+// re-shares only the tables whose pointers differ and charges only those,
+// and the snapshot refresh likewise. A thread resuming into an unchanged
+// region, its own replica unwritten, costs one system call. Per-round
+// telemetry (RoundStats, Stats) counts the tables each start's copy found
+// stale and current.
 //
 // Synchronization primitives trap to the master instead of spinning.
 // Each mutex is owned by some thread; the owner locks and unlocks it
@@ -155,6 +160,7 @@ type Sched struct {
 	quantum int64
 
 	threads  []*threadState
+	run      []int // the current round's runnable thread ids, ascending
 	mutexes  []*mutexState
 	conds    []*condState
 	barriers []*barrierState
@@ -225,46 +231,25 @@ var ErrDeadlock = fmt.Errorf("dsched: all threads blocked (deadlock)")
 
 // Run executes n application threads under deterministic scheduling and
 // returns when all have exited (or one crashes, or the set deadlocks).
+// Round zero forks every thread with the quantum armed; it is otherwise
+// a round like any later one. Run(0) runs no round.
 func (s *Sched) Run(n int, body func(t *Thread)) error {
 	mus := make([]vm.Addr, len(s.mutexes))
 	for i, m := range s.mutexes {
 		mus[i] = m.addr
 	}
 	s.threads = make([]*threadState, n)
-	// Round zero: fork every thread with the quantum limit armed, then
-	// collect, like any later round.
-	rs := RoundStats{Round: s.stats.Rounds + 1, Quantum: s.quantum}
-	started := make([]bool, n)
-	for i := 0; i < n; i++ {
-		i := i
+	for i := range s.threads {
 		s.threads[i] = &threadState{id: i}
-		entry := func(env *kernel.Env) {
-			body(&Thread{ID: i, env: env, mus: mus})
-		}
-		if err := s.start(i, &kernel.Regs{Entry: entry, Arg: uint64(i)}, &rs); err != nil {
+	}
+	entry := func(env *kernel.Env) {
+		body(&Thread{ID: int(env.Arg()), env: env, mus: mus})
+	}
+	for s.alive() {
+		if err := s.round(entry); err != nil {
 			return err
 		}
-		started[i] = true
-	}
-	if err := s.collect(started, &rs); err != nil {
-		return err
-	}
-	s.handoffs()
-	s.finishRound(rs)
-	for {
-		alive := false
-		for _, t := range s.threads {
-			if !t.done {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			break
-		}
-		if err := s.round(); err != nil {
-			return err
-		}
+		entry = nil
 	}
 	for _, t := range s.threads {
 		if t.crash != nil {
@@ -274,101 +259,60 @@ func (s *Sched) Run(n int, body func(t *Thread)) error {
 	return nil
 }
 
-func (s *Sched) ref(id int) uint64 { return uint64(id + 1) }
-
-// start runs thread id for one quantum, loading regs first if non-nil.
-// Every start is the same Put: copy the shared region into the thread's
-// replica and refresh its snapshot, which re-share and charge only the
-// tables no longer pointer-shared (see the package comment). What the
-// copy re-shared is the round's resync telemetry.
-func (s *Sched) start(id int, regs *kernel.Regs, rs *RoundStats) error {
-	base, size := s.rt.SharedRange()
-	var copied vm.CopyStats
-	if err := s.env.Put(s.ref(id), kernel.PutOpts{
-		Regs:   regs,
-		Copy:   &kernel.CopyRange{Src: base, Dst: base, Size: size},
-		Copied: &copied,
-		Snap:   true,
-		Start:  true,
-		Limit:  s.quantum,
-	}); err != nil {
-		return err
+// alive reports whether any thread has not exited.
+func (s *Sched) alive() bool {
+	for _, t := range s.threads {
+		if !t.done {
+			return true
+		}
 	}
-	rs.Ran++
-	rs.TablesResynced += copied.TablesShared
-	rs.TablesSkipped += int(size/vm.TableSpan) - copied.TablesShared
-	if copied.TablesShared == 0 {
-		rs.SyncSkipped++
-	}
-	return nil
+	return false
 }
 
-// get collects thread id: rendezvous plus shared-region merge with
-// deterministic last-writer-wins commit.
-func (s *Sched) get(id int) (kernel.ChildInfo, error) {
-	base, size := s.rt.SharedRange()
-	return s.env.Get(s.ref(id), kernel.GetOpts{
-		Regs:       true,
-		Merge:      true,
-		MergeRange: &kernel.Range{Addr: base, Size: size},
-		MergeLWW:   true,
-	})
-}
-
-// round runs one scheduling quantum: resynchronize and start every
-// runnable thread, wait for all of them concurrently, then apply their
-// merge commits strictly in thread order.
-func (s *Sched) round() error {
-	rs := RoundStats{Round: s.stats.Rounds + 1}
-	runnable := 0
+// round runs one scheduling quantum over the runnable threads with the
+// runtime's start and collect (core.RT.Start, core.RT.Collect): start
+// every runnable thread under the quantum, forking it first if entry is
+// non-nil, then merge their commits last-writer-wins strictly in thread
+// order, servicing each thread's stop as it is collected.
+func (s *Sched) round(entry kernel.Prog) error {
+	rs := RoundStats{Round: s.stats.Rounds + 1, Quantum: s.quantum}
+	s.run = s.run[:0]
 	for _, t := range s.threads {
 		switch {
 		case t.done:
 		case t.blocked:
 			rs.Blocked++
 		default:
-			runnable++
+			s.run = append(s.run, t.id)
 		}
 	}
-	if runnable == 0 {
+	if len(s.run) == 0 {
 		return ErrDeadlock
 	}
-	rs.Quantum = s.quantum
-	started := make([]bool, len(s.threads))
-	for _, t := range s.threads {
-		if t.done || t.blocked {
-			continue
+	_, size := s.rt.SharedRange()
+	tables := int(size / vm.TableSpan)
+	p := core.Policy{Limit: s.quantum, LWW: true, Started: func(copied vm.CopyStats) {
+		rs.Ran++
+		rs.TablesResynced += copied.TablesShared
+		rs.TablesSkipped += tables - copied.TablesShared
+		if copied.TablesShared == 0 {
+			rs.SyncSkipped++
 		}
-		if err := s.start(t.id, nil, &rs); err != nil {
-			return err
-		}
-		started[t.id] = true
-	}
-	if err := s.collect(started, &rs); err != nil {
+	}}
+	if err := s.rt.Start(s.run, entry, p); err != nil {
 		return err
 	}
-	s.handoffs()
-	s.finishRound(rs)
-	return nil
-}
-
-// collect gathers every started thread: each Get waits for its thread to
-// stop, and the merge commits are applied strictly in thread-id order —
-// the order, not the waiting, is what the deterministic result depends on.
-func (s *Sched) collect(started []bool, rs *RoundStats) error {
-	for _, t := range s.threads {
-		if !started[t.id] {
-			continue
-		}
-		info, err := s.get(t.id)
+	if err := s.rt.Collect(s.run, p, func(id int, info kernel.ChildInfo, err error) error {
 		if err != nil {
 			return err
 		}
 		rs.Merge.Add(info.Merge)
-		if err := s.handleStop(t.id, info); err != nil {
-			return err
-		}
+		return s.handleStop(id, info)
+	}); err != nil {
+		return err
 	}
+	s.handoffs()
+	s.finishRound(rs)
 	return nil
 }
 

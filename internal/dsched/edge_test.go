@@ -125,15 +125,23 @@ func TestYieldEndsQuantumEarly(t *testing.T) {
 	}
 }
 
+// TestZeroThreadsCompletesTrivially: with no thread there is nothing to
+// start or collect, so Run(0) returns at once and runs no round:
+// Stats.Rounds stays 0.
 func TestZeroThreadsCompletesTrivially(t *testing.T) {
+	var st Stats
 	res := core.Run(core.Options{}, func(rt *core.RT) uint64 {
 		s := mustNew(rt, Config{})
 		if err := s.Run(0, func(th *Thread) {}); err != nil {
 			panic(err)
 		}
+		st = s.Stats()
 		return 1
 	})
 	if res.Status != kernel.StatusHalted || res.Ret != 1 {
 		t.Fatalf("%v: %v", res.Status, res.Err)
+	}
+	if st != (Stats{}) {
+		t.Errorf("Run(0) left stats %+v, want none", st)
 	}
 }
