@@ -268,13 +268,18 @@ func TestChecksumWordPatterns(t *testing.T) {
 	}
 }
 
-// TestFNVFoldMatchesByteLoop pins the word fold to its definition on
+// TestFNVFoldMatchesByteLoop pins the fold to its definition on
 // spans around two words long — every length from nothing to a
-// two-word span with a tail, and in each all zeros, a single non-zero
-// byte at every position, and noise.
+// two-word span with a tail — and around the 64-byte block it tests for
+// zero, and in each all zeros, a single non-zero byte at every
+// position, and noise.
 func TestFNVFoldMatchesByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
+	var lengths []int
 	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range append(lengths, 63, 64, 65, 128+17, 200) {
 		spans := [][]byte{make([]byte, n)}
 		for i := 0; i < n; i++ {
 			b := make([]byte, n)

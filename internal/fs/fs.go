@@ -1366,10 +1366,10 @@ const checksumWindow = 64 << 10
 // approximation. A page the image has mapped but never written has no
 // backing page (Format and growth leave demand-zero ptes), so the page
 // table alone says it holds 4096 zeros; Checksum jumps such runs without
-// reading them and hashes only backed pages. A backed page is mostly
-// zero words too (inode table, superblock, the slack after a short
-// file), and fnvFold takes each of those eight bytes at a time by the
-// same identity.
+// reading them and hashes only backed pages, in place. A backed page is
+// mostly zeros too (inode table, superblock, the slack after a short
+// file), and fnvFold jumps each run of zero 64-byte blocks by the same
+// identity.
 //
 // What it charges is unchanged by the jump: the image is read in
 // checksumWindow spans, each accounted (memory ticks, demand paging on a
@@ -1381,34 +1381,39 @@ func (f *FS) Checksum() uint64 {
 	zeros := func(n int) { h *= fnvPow(uint64(n)) }
 	size := f.size()
 	for off := uint64(0); off < size; off += checksumWindow {
-		n := size - off
-		if n > checksumWindow {
-			n = checksumWindow
-		}
+		n := min(size-off, checksumWindow)
 		f.env.ReadRuns(f.base+vm.Addr(off), int(n), data, zeros)
 	}
 	return h
 }
 
-// fnvFold continues the FNV-1a hash h over b. A zero 8-byte word is one
-// multiplication by prime^8; any other word, and the tail, go byte by
-// byte.
+// fnvFold continues the FNV-1a hash h over b. Zero bytes only multiply,
+// so a run of them is one multiplication by prime^n, made where the run
+// ends; fnvFold takes b 64 bytes at a time, a block of zeros as such a
+// run and any other block, and the tail, byte by byte.
 func fnvFold(h uint64, b []byte) uint64 {
-	const prime8 = fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 *
-		fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 & (1<<64 - 1)
-	for ; len(b) >= 8; b = b[8:] {
-		if binary.LittleEndian.Uint64(b) == 0 {
-			h *= prime8
+	var run uint64 // zero bytes passed over and not yet folded into h
+	for len(b) > 0 {
+		block := b[:min(len(b), 64)]
+		b = b[len(block):]
+		if len(block) == 64 && zero64(block) {
+			run += 64
 			continue
 		}
-		for _, c := range b[:8] {
+		h, run = h*fnvPow(run), 0
+		for _, c := range block {
 			h = (h ^ uint64(c)) * fnvPrime64
 		}
 	}
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime64
-	}
-	return h
+	return h * fnvPow(run)
+}
+
+// zero64 reports whether the first 64 bytes of b are all zero. The last
+// word is read first, so one bounds check covers the other seven.
+func zero64(b []byte) bool {
+	le := binary.LittleEndian
+	return le.Uint64(b[56:])|le.Uint64(b)|le.Uint64(b[8:])|le.Uint64(b[16:])|
+		le.Uint64(b[24:])|le.Uint64(b[32:])|le.Uint64(b[40:])|le.Uint64(b[48:]) == 0
 }
 
 // fnvPow returns fnvPrime64^n mod 2^64, by squaring.

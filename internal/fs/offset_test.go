@@ -277,10 +277,3 @@ func TestNoOperationEscapesItsExtent(t *testing.T) {
 		}
 	})
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

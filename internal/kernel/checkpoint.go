@@ -159,30 +159,28 @@ func (e *Env) Checkpoint(o CheckpointOpts) ([]byte, error) {
 	return imgenc.Seal(b), nil
 }
 
-// Footprint reports how much memory the calling space's subtree — for
-// the root, the whole machine — pins, as vm.Footprint of every space's
-// memory and merge snapshot: distinct level-2 tables plus the pages they
-// back, at least 1 for any machine that has touched memory. Like
-// Checkpoint it is a pure observation that blocks until every descendant
-// has stopped, but it serializes nothing: it is what a live session
-// costs while it rests, read without making it leave the machine.
+// Footprint reports how much memory the machine pins: the distinct
+// level-2 tables of every space and merge snapshot plus the distinct pages
+// they back, at least 1 for any machine that has touched memory. It is
+// root-only, like Checkpoint, and a call from any other space faults it.
+// Like Checkpoint it is a pure observation that blocks until every
+// descendant has stopped, but it walks nothing: once they have, the
+// machine's frame pool holds every frame no space references, so the
+// frames it has out (vm.Frames.Live) are the count. It is what a live
+// session costs while it rests, read in O(1) without making it leave the
+// machine.
 func (e *Env) Footprint() int {
-	return vm.Footprint(e.sp.forest(nil))
+	e.requireRoot("footprint")
+	e.sp.waitTree()
+	return e.sp.m.frames.Live()
 }
 
-// forest appends the memory and merge snapshot of sp and of every
-// descendant, waiting for each descendant to stop first. Callers only
-// count what it returns, so the map order of children does not matter.
-func (sp *Space) forest(out []*vm.Space) []*vm.Space {
-	out = append(out, sp.mem)
-	if sp.snap != nil {
-		out = append(out, sp.snap)
-	}
+// waitTree waits for every descendant of sp to stop.
+func (sp *Space) waitTree() {
 	for _, child := range sp.children {
 		child.waitStopped()
-		out = child.forest(out)
+		child.waitTree()
 	}
-	return out
 }
 
 // encodeConfig emits the machine-identity section: the knobs virtual
@@ -435,6 +433,9 @@ func (m *Machine) Restore(data []byte) error {
 	tr := &imgenc.Reader{B: tree, Wrap: badImage}
 	root := m.decodeTree(tr, nil, 0, spaces)
 	if err := tr.Done(); err != nil {
+		for _, s := range spaces {
+			s.Free() // back to the pool, which counts what the machine pins
+		}
 		return err
 	}
 	// Everything decoded and validated; only now touch machine state.

@@ -84,10 +84,3 @@ func SeededRand(seed uint64) RandFunc {
 		return s
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

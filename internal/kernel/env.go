@@ -159,22 +159,23 @@ func (e *Env) Read(addr vm.Addr, p []byte) {
 // exactly as a Read of the same span would. The bytes arrive in address
 // order as page-granular runs: zeros(n) stands for n bytes of readable
 // pages with no backing page, found by a page-table query alone, and
-// data(b) carries at most one page of everything else; b is only valid
-// during the call.
+// data(b) carries at most one page of everything else, in place where the
+// load hit test admits it (vm.Space.View) and copied by Read otherwise;
+// b is only valid during the call, and data must not write it.
 func (e *Env) ReadRuns(addr vm.Addr, size int, data func(b []byte), zeros func(n int)) {
 	e.access(addr, size, false)
-	var buf []byte // escapes through data, so only spans that need it pay for it
 	for size > 0 {
 		n := int(e.sp.mem.ZeroRun(addr, uint64(size)))
 		if n > 0 {
 			zeros(n)
 		} else {
-			if buf == nil {
-				buf = make([]byte, vm.PageSize)
-			}
 			n = min(size, vm.PageSize-int(addr&(vm.PageSize-1)))
-			e.fault(e.sp.mem.Read(addr, buf[:n]))
-			data(buf[:n])
+			b := e.sp.mem.View(addr, n)
+			if b == nil { // a page Read faults on: View admits every other
+				b = make([]byte, n)
+				e.fault(e.sp.mem.Read(addr, b))
+			}
+			data(b)
 		}
 		addr += vm.Addr(n)
 		size -= n
@@ -303,9 +304,11 @@ func (e *Env) Zero(addr vm.Addr, size uint64, perm vm.Perm) {
 
 // --- devices (root space only, §3.1) -------------------------------------------
 
+// requireRoot faults a non-root space that calls a root-only op: a
+// device, or the machine's footprint.
 func (e *Env) requireRoot(op string) {
 	if !e.IsRoot() {
-		panic(kerr(op, "device access from non-root space"))
+		panic(kerr(op, "root-only call from a non-root space"))
 	}
 }
 

@@ -113,6 +113,11 @@ func FuzzRestore(f *testing.F) {
 				if !errors.As(err, &bad) && !errors.As(err, &ver) && !errors.As(err, &mis) && !errors.As(err, &kern) {
 					t.Fatalf("Restore: %v (%T), want one of the layer's typed errors", err, err)
 				}
+				// A machine that rejected an image may still run, and
+				// its footprint is its pool's live count.
+				if n := m.frames.Live(); n != 0 && m.broken == nil {
+					t.Fatalf("a rejected image left %d frames out of the machine's pool", n)
+				}
 				continue
 			}
 			first := recapture(t, m)

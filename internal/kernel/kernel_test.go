@@ -562,6 +562,35 @@ func TestDeviceAccessRootOnly(t *testing.T) {
 	}
 }
 
+// TestFootprintRootOnly: the footprint is the machine's, read off its
+// frame pool, so only the root may ask for it; a child that does faults.
+func TestFootprintRootOnly(t *testing.T) {
+	res := New(Config{}).Run(func(env *Env) {
+		env.SetPerm(0, vm.PageSize, vm.PermRW)
+		env.WriteU32(0, 1)
+		if fp := env.Footprint(); fp != 2 {
+			panic(fmt.Sprintf("root footprint %d, want a table and a page", fp))
+		}
+		if err := env.Put(1, PutOpts{
+			Regs:    &Regs{Entry: func(c *Env) { c.Footprint() }},
+			CopyAll: true,
+			Start:   true,
+		}); err != nil {
+			panic(err)
+		}
+		info, err := env.Get(1, GetOpts{})
+		if err != nil {
+			panic(err)
+		}
+		if info.Status != StatusExcept || !strings.Contains(info.Err.Error(), "kernel: footprint:") {
+			panic(fmt.Sprintf("non-root Footprint: %v %v", info.Status, info.Err))
+		}
+	}, 0)
+	if res.Status != StatusHalted {
+		t.Fatalf("root: %v %v", res.Status, res.Err)
+	}
+}
+
 // parallelSumProg forks n children that each sum a slice of a shared
 // array in their private workspace and write the result to a private slot,
 // then merges all children. Used for determinism tests.

@@ -86,6 +86,33 @@ func pooled(f *Frames) (pages, tables int) {
 	return len(f.pages), len(f.tables)
 }
 
+// Footprint is the resident size of a forest of spaces, in objects: the
+// distinct level-2 tables the spaces reference plus the distinct pages
+// those tables back. Tables and pages shared copy-on-write — between a
+// space and its snapshot, a parent and its replicas — count once, and
+// lazy-zero mappings count nothing. It is the walk a machine's footprint
+// was read with before its frame pool counted live frames (Frames.Live),
+// and the oracle the live count is held to; it reads the occupancy map.
+func Footprint(spaces []*Space) int {
+	tables := make(map[*table]struct{})
+	pages := make(map[*page]struct{})
+	for _, s := range spaces {
+		for _, t := range s.root {
+			if t == nil {
+				continue
+			}
+			if _, seen := tables[t]; seen {
+				continue
+			}
+			tables[t] = struct{}{}
+			for pg := range t.pages {
+				pages[pg] = struct{}{}
+			}
+		}
+	}
+	return len(tables) + len(pages)
+}
+
 // FootprintWalk is Footprint as it was before tables carried an occupancy
 // map: every slot of every distinct table read, none of the map. It is
 // the oracle TestFootprintMatchesWalk holds Footprint to.

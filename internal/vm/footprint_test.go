@@ -1,6 +1,8 @@
 package vm_test
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro"
@@ -179,4 +181,160 @@ func TestFootprintMatchesWalk(t *testing.T) {
 			t.Errorf("compared %d barriers after the resume, want %d", n, p.Phases-1-3)
 		}
 	})
+}
+
+// TestLiveCountMatchesWalk: Env.Footprint counts the frames the machine's
+// pool has out instead of walking the forest, so every path that takes
+// or drops a page or table must leave that count equal to the walk. This
+// holds it to the slot walk of the forest the checkpoint image lists, at
+// every quiescent root point of random kernel scripts on 1- and 2-node
+// machines — Put and Get with Copy, CopyAll, Snap, Merge, Zero and Perm,
+// children that fork grandchildren and leave them running — and through
+// a Checkpoint→Restore round trip, after which the script runs on.
+func TestLiveCountMatchesWalk(t *testing.T) {
+	for _, nodes := range []int{1, 2} {
+		for seed := int64(1); seed <= 6; seed++ {
+			cfg := kernel.Config{Nodes: nodes, CPUsPerNode: 2}
+			var img []byte
+			res := kernel.New(cfg).Run(func(env *kernel.Env) {
+				sc := &liveScript{t: t, rng: rand.New(rand.NewSource(seed)), nodes: nodes}
+				env.SetPerm(liveBase, liveSize, vm.PermRW)
+				sc.steps(env, 24)
+				var err error
+				if img, err = env.Checkpoint(kernel.CheckpointOpts{}); err != nil {
+					panic(err)
+				}
+			}, 0)
+			if res.Status != kernel.StatusHalted {
+				t.Fatalf("%d nodes, seed %d: %v %v", nodes, seed, res.Status, res.Err)
+			}
+			m := kernel.New(cfg)
+			if err := m.Restore(img); err != nil {
+				t.Fatal(err)
+			}
+			res = m.Run(func(env *kernel.Env) {
+				sc := &liveScript{t: t, rng: rand.New(rand.NewSource(-seed)), nodes: nodes}
+				sc.check(env, "restored")
+				sc.steps(env, 12)
+			}, 0)
+			if res.Status != kernel.StatusHalted {
+				t.Fatalf("%d nodes, seed %d, restored: %v %v", nodes, seed, res.Status, res.Err)
+			}
+		}
+	}
+}
+
+// The scripts' memory: 32 pages astride the boundary between level-2
+// tables 0 and 1, so page-granular operations split tables and a
+// table-aligned one shares table 1 whole.
+const (
+	liveBase = vm.Addr(vm.TableSpan) - 16*vm.PageSize
+	liveSize = 32 * vm.PageSize
+)
+
+// liveScript draws random kernel operations and checks the live count
+// after each one.
+type liveScript struct {
+	t     *testing.T
+	rng   *rand.Rand
+	nodes int
+	step  int
+}
+
+// span draws a page-aligned range inside the scripts' memory.
+func (sc *liveScript) span() kernel.Range {
+	first := sc.rng.Intn(32)
+	n := 1 + sc.rng.Intn(32-first)
+	return kernel.Range{Addr: liveBase + vm.Addr(first*vm.PageSize), Size: uint64(n * vm.PageSize)}
+}
+
+// writer returns an entry that stores a few words at drawn addresses
+// and, when fork is set, starts a grandchild that does the same and
+// halts without waiting for it.
+func (sc *liveScript) writer(fork bool) func(*kernel.Env) {
+	var addrs [4]vm.Addr
+	for i := range addrs {
+		addrs[i] = liveBase + vm.Addr(4*sc.rng.Intn(liveSize/4))
+	}
+	grand := func(*kernel.Env) {}
+	if fork {
+		grand = sc.writer(false)
+	}
+	return func(env *kernel.Env) {
+		for i, a := range addrs {
+			env.WriteU32(a, uint32(i+1))
+		}
+		if fork {
+			if err := env.Put(1, kernel.PutOpts{Regs: &kernel.Regs{Entry: grand}, CopyAll: true, Snap: true, Start: true}); err != nil {
+				panic(err)
+			}
+		}
+	}
+}
+
+// steps runs n random operations, checking the live count after each.
+// Errors a drawn operation may legitimately return — a merge conflict,
+// a merge of a child with no snapshot — are part of the script.
+func (sc *liveScript) steps(env *kernel.Env, n int) {
+	for i := 0; i < n; i++ {
+		child := kernel.ChildOn(sc.rng.Intn(sc.nodes), uint64(1+sc.rng.Intn(3)))
+		regs := &kernel.Regs{Entry: sc.writer(sc.rng.Intn(4) == 0)}
+		r := sc.span()
+		op := sc.rng.Intn(9)
+		switch op {
+		case 0:
+			env.SetPerm(liveBase, liveSize, vm.PermRW) // a Get may have taken it away
+			env.WriteU32(liveBase+vm.Addr(4*sc.rng.Intn(liveSize/4)), uint32(i))
+		case 1:
+			env.Put(child, kernel.PutOpts{Regs: regs, CopyAll: true, Snap: true, Start: true})
+		case 2:
+			env.Put(child, kernel.PutOpts{Regs: regs, Copy: &kernel.CopyRange{Src: r.Addr, Dst: r.Addr, Size: r.Size}, Snap: true, Start: true})
+		case 3:
+			tbl := kernel.CopyRange{Src: vm.Addr(vm.TableSpan), Dst: vm.Addr(vm.TableSpan), Size: vm.TableSpan}
+			env.Put(child, kernel.PutOpts{Regs: regs, Copy: &tbl, Snap: true, Start: true})
+		case 4:
+			env.Get(child, kernel.GetOpts{Merge: true})
+		case 5:
+			env.Get(child, kernel.GetOpts{Copy: &kernel.CopyRange{Src: r.Addr, Dst: r.Addr, Size: r.Size}})
+		case 6:
+			env.Get(child, kernel.GetOpts{CopyAll: true})
+		case 7:
+			z := &kernel.PermRange{Range: r, Perm: vm.PermRW}
+			if sc.rng.Intn(2) == 0 {
+				env.Put(child, kernel.PutOpts{Zero: z})
+			} else {
+				env.Get(child, kernel.GetOpts{Zero: z})
+			}
+		case 8:
+			p := &kernel.PermRange{Range: r, Perm: vm.Perm(sc.rng.Intn(4))}
+			if sc.rng.Intn(2) == 0 {
+				env.Put(child, kernel.PutOpts{Perm: p})
+			} else {
+				env.Get(child, kernel.GetOpts{Perm: p})
+			}
+		}
+		sc.check(env, fmt.Sprint("op ", op))
+	}
+}
+
+// check compares the live count with the slot walk of the forest the
+// machine's checkpoint image lists.
+func (sc *liveScript) check(env *kernel.Env, what string) {
+	sc.step++
+	live := env.Footprint()
+	img, err := env.Checkpoint(kernel.CheckpointOpts{})
+	if err != nil {
+		panic(err)
+	}
+	_, forest, err := kernel.SplitImage(img)
+	if err != nil {
+		panic(err)
+	}
+	spaces, err := vm.DecodeForest(forest)
+	if err != nil {
+		panic(err)
+	}
+	if walk := vm.FootprintWalk(spaces); live != walk {
+		sc.t.Errorf("%d nodes, step %d (%s): live count %d, slot walk %d", sc.nodes, sc.step, what, live, walk)
+	}
 }

@@ -10,12 +10,18 @@ import "sync"
 // caller. The pool holds at most as many frames as its spaces ever had free
 // at once, for as long as the pool itself lives.
 //
+// The pool also knows how many of its frames are out: made counts every
+// page and table it has ever allocated, and only a take that finds the
+// pool empty allocates, so the count moves inside the lock that take
+// already holds and a take or drop the pool can serve pays nothing more.
+//
 // Every method is nil-safe, and a nil *Frames is the Go heap: a take
 // allocates and a free leaves the object to the collector.
 type Frames struct {
 	mu     sync.Mutex
 	pages  []*page
 	tables []*table
+	made   int // pages and tables ever allocated for the pool
 }
 
 // NewFrames returns an empty pool.
@@ -31,7 +37,7 @@ func (f *Frames) NewSpace() *Space { return &Space{frames: f} }
 func (f *Frames) page(zero bool) *page {
 	var p *page
 	if f != nil {
-		p = pop(&f.mu, &f.pages)
+		p = pop(&f.mu, &f.pages, &f.made)
 	}
 	switch {
 	case p == nil:
@@ -58,7 +64,7 @@ func (f *Frames) pageFrom(b []byte) *page {
 func (f *Frames) table(zero bool) *table {
 	var t *table
 	if f != nil {
-		t = pop(&f.mu, &f.tables)
+		t = pop(&f.mu, &f.tables, &f.made)
 	}
 	switch {
 	case t == nil:
@@ -92,13 +98,29 @@ func (f *Frames) dropTable(t *table) {
 	}
 }
 
-// pop takes the top of stack, or nil. The emptied slot is cleared, so the
+// Live reports how many of the pool's pages and tables are out: made and
+// not back in the pool. When every space drawing on f is stopped, that is
+// the distinct tables those spaces and their snapshots reference plus the
+// distinct pages the tables back, since a frame goes back to the pool with
+// its last reference. A nil pool counts nothing.
+func (f *Frames) Live() int {
+	if f == nil {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.made - len(f.pages) - len(f.tables)
+}
+
+// pop takes the top of stack, or nil after counting in made the frame the
+// caller will allocate instead. The emptied slot is cleared, so the
 // stack's spare capacity does not pin a frame after its owner lets it go.
-func pop[T any](mu *sync.Mutex, stack *[]*T) *T {
+func pop[T any](mu *sync.Mutex, stack *[]*T, made *int) *T {
 	mu.Lock()
 	defer mu.Unlock()
 	n := len(*stack) - 1
 	if n < 0 {
+		*made++
 		return nil
 	}
 	x := (*stack)[n]

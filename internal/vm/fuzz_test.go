@@ -34,6 +34,10 @@ func reencode(spaces []*Space) []byte {
 // bytes it consumed, not from a count field: every object the decoder
 // builds (page, table, Space) is declared by at least two input bytes and
 // is no larger than a table, so that sparse-to-dense ratio is the bound.
+// The decode draws on a frame pool, whose live count must be the slot
+// walk of what it decoded, and 0 once those spaces are freed or the
+// decode has failed: every frame a decode takes is either in its forest
+// or back in the pool.
 func FuzzDecodeForest(f *testing.F) {
 	cur, snap := buildPair(f)
 	seed := encodePair(cur, snap)
@@ -72,8 +76,9 @@ func FuzzDecodeForest(f *testing.F) {
 		}
 		for _, in := range inputs {
 			var before, after runtime.MemStats
+			pool := NewFrames()
 			runtime.ReadMemStats(&before)
-			spaces, err := DecodeForest(in)
+			spaces, err := pool.DecodeForest(in)
 			runtime.ReadMemStats(&after)
 			if grew, bound := after.TotalAlloc-before.TotalAlloc, (uint64(len(in))/2+8)*maxObject; grew > bound {
 				t.Fatalf("decoding %d bytes allocated %d (bound %d)", len(in), grew, bound)
@@ -84,11 +89,20 @@ func FuzzDecodeForest(f *testing.F) {
 				if !errors.As(err, &fe) && !errors.As(err, &ve) {
 					t.Fatalf("err = %v (%T), want *ImageFormatError or *ImageVersionError", err, err)
 				}
+				if n := pool.Live(); n != 0 {
+					t.Fatalf("a failed decode left %d frames out of the pool", n)
+				}
 				continue
+			}
+			if live, walk := pool.Live(), FootprintWalk(spaces); live != walk {
+				t.Fatalf("decoded forest: %d frames live, slot walk %d", live, walk)
 			}
 			first := reencode(spaces)
 			for _, s := range spaces {
 				s.Free()
+			}
+			if n := pool.Live(); n != 0 {
+				t.Fatalf("freeing the decoded forest left %d frames out of the pool", n)
 			}
 			if bytes.Equal(in, seed) && !bytes.Equal(first, seed) {
 				t.Fatal("the canonical seed does not re-encode to itself")

@@ -266,23 +266,28 @@ func (f *Frames) DecodeForest(data []byte) ([]*Space, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each page and table comes out of f with one reference, the
+	// decoder's own, which it drops once the spaces hold theirs: an
+	// object nothing else references (possible only in a hand-built
+	// image) then goes back to f, and so does everything a failed decode
+	// took.
 	pages := make([]*page, len(pageBytes))
 	for i, b := range pageBytes {
 		pages[i] = f.pageFrom(b)
-		pages[i].refs.Store(0) // references added as ptes adopt the page
 	}
 	tables := make([]*table, len(flatTables))
 	for i, ft := range flatTables {
 		t := f.table(true)
-		t.refs.Store(0)
 		for j := 0; j < ft.entries(); j++ {
 			l2, perm, pid := ft.pte(j)
 			var pg *page
 			if pid != 0 {
 				pg = pages[pid-1]
-				pg.refs.Add(1)
 			}
 			t.set(int(l2), pte{pg: pg, perm: Perm(perm)})
+		}
+		for pg := range t.pages { // the entries that stand: a slot may be listed twice
+			pg.refs.Add(1)
 		}
 		tables[i] = t
 	}
@@ -302,6 +307,9 @@ func (f *Frames) DecodeForest(data []byte) ([]*Space, error) {
 			if l1 >= tableEntries || tid == 0 || tid > len(tables) {
 				r.Failf("root slot %d -> table %d out of range", l1, tid)
 				break
+			}
+			if old := s.root[l1]; old != nil {
+				old.refs.Add(-1) // a slot listed twice keeps its last table
 			}
 			s.root[l1] = tables[tid-1]
 			tables[tid-1].refs.Add(1)
@@ -324,17 +332,17 @@ func (f *Frames) DecodeForest(data []byte) ([]*Space, error) {
 			r.Failf("snapshot link %d -> %d out of range", ci, ri)
 		}
 	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	// Every restored object needs at least one reference for the Free
-	// accounting to balance; unreferenced pages/tables (possible only in
-	// hand-built images) are simply dropped.
-	for _, t := range tables {
-		if t.refs.Load() == 0 {
-			t.refs.Store(1)
-			f.dropTable(t)
+	if err = r.Done(); err != nil {
+		for _, s := range spaces {
+			s.Free()
 		}
+		spaces = nil
 	}
-	return spaces, nil
+	for _, pg := range pages {
+		f.dropPage(pg)
+	}
+	for _, t := range tables {
+		f.dropTable(t)
+	}
+	return spaces, err
 }

@@ -138,9 +138,9 @@ func (e pte) mapped() bool { return e.perm != PermNone || e.pg != nil }
 // occ is the occupancy map: bit l2 is set exactly when ptes[l2].pg is
 // non-nil. A table usually backs a handful of its 1024 slots, so the
 // walks that only want the pages — reference counting in ownTable and
-// Frames.dropTable, first-encounter numbering in ForestEncoder.Encode, the
-// count in Footprint — visit set bits instead of slots. The invariant is
-// kept by writing page pointers only through set (and by ownTable, which
+// Frames.dropTable, first-encounter numbering in ForestEncoder.Encode,
+// DecodeForest's — visit set bits instead of slots. The invariant is kept
+// by writing page pointers only through set (and by ownTable, which
 // copies ptes and occ together).
 type table struct {
 	refs atomic.Int32
@@ -831,30 +831,15 @@ func (s *Space) ReadF64s(addr Addr, dst []float64) error { return access(s, addr
 // WriteF64s bulk-writes src as float64s starting at addr.
 func (s *Space) WriteF64s(addr Addr, src []float64) error { return access(s, addr, src, 8, true) }
 
-// Footprint is the resident size of a forest of spaces, in objects: the
-// distinct level-2 tables the spaces reference plus the distinct pages
-// those tables back. Tables and pages shared copy-on-write — between a
-// space and its snapshot, a parent and its replicas — count once, and
-// lazy-zero mappings count nothing, so the number tracks what the forest
-// actually pins in memory. It is a pure table walk (no serialization) and
-// deterministic: it depends only on the sharing graph, which is itself a
-// function of the program's history.
-func Footprint(spaces []*Space) int {
-	tables := make(map[*table]struct{})
-	pages := make(map[*page]struct{})
-	for _, s := range spaces {
-		for _, t := range s.root {
-			if t == nil {
-				continue
-			}
-			if _, seen := tables[t]; seen {
-				continue
-			}
-			tables[t] = struct{}{}
-			for pg := range t.pages {
-				pages[pg] = struct{}{}
-			}
-		}
+// View returns the n bytes at addr in place, without copying them, when
+// the load hit test admits the span: it lies inside one page and the pte
+// grants PermR. Otherwise it returns nil and the caller Reads the span,
+// which walks and faults as always. The bytes are the page's own, shared
+// with every space that maps it: the caller must not write them, and they
+// are valid only until the space next changes.
+func (s *Space) View(addr Addr, n int) []byte {
+	if d := s.hit(addr, n, false); d != nil {
+		return d[addr&pageMask:][:n]
 	}
-	return len(tables) + len(pages)
+	return nil
 }

@@ -573,7 +573,8 @@ type StepResult struct {
 	// the barrier it rests at — its cost while Quiescent: the distinct
 	// level-2 page tables of every space and merge snapshot in the
 	// machine plus the distinct pages they back (kernel.Env.Footprint),
-	// read off the live forest by a table walk with nothing serialized.
+	// read off the machine's frame pool as the frames it has out, with
+	// nothing walked or serialized.
 	// It is deterministic (a function of the program's history), at
 	// least 1 for a live machine, and 0 once Done: a finished session
 	// holds only its result.
