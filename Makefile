@@ -97,7 +97,8 @@ bench:
 # What the tables this target used to smoke-test assert now lives in
 # package tests and the two goldens (`make test`, `make bench-exact`).
 # Then one iteration of vm's typed-access benchmark, which fails itself
-# if any of its variants allocates: the words move in place. Then the
+# if any of its variants allocates: the words move in place, and of the
+# root-sharing walk's fork and snapshot (CopyAllFrom, Snapshot). Then the
 # strided column load beside the scalar loop it stands for, the same
 # typed loads and stores through a root space's Env (which fails itself
 # if one allocates), and the
@@ -115,7 +116,7 @@ bench:
 # 300x) before claiming it with `go run ./benchmark`.
 bench-smoke:
 	$(GO) test -bench='Fig4|DschedRound|MergeDirtyPages' -benchtime=1x -run='^$$' .
-	$(GO) test -bench=TypedAccess -benchtime=1x -run='^$$' ./internal/vm
+	$(GO) test -bench='TypedAccess|CopyAllFrom|Snapshot' -benchtime=1x -run='^$$' ./internal/vm
 	$(GO) test -bench='ReadU32Stride|EnvTypedAccess' -benchtime=1x -run='^$$' ./internal/kernel
 	$(GO) test -bench='Checksum|Scan|WriteFile' -benchtime=1x -run='^$$' ./internal/fs
 	$(GO) test -bench=EncodeBlob -benchtime=1x -run='^$$' ./internal/castore

@@ -175,6 +175,29 @@ func TestUnknownExperimentRejected(t *testing.T) {
 	}
 }
 
+func TestFig4ScheduleShape(t *testing.T) {
+	// Figure 4's schedules (b)-(d): tasks of 3, 1 and 2 units on two
+	// CPUs. 'make -j' and Unix's completion-order wait both finish in 3
+	// units; Determinator's wait, which reports the earliest-forked
+	// child, starts the third task late and finishes in 5.
+	tab := Fig4(Options{})
+	vt := make([]float64, len(tab.Rows))
+	for i, r := range tab.Rows {
+		v, err := strconv.ParseFloat(r[1], 64)
+		if err != nil {
+			t.Fatalf("bad makespan cell %q", r[1])
+		}
+		vt[i] = v
+	}
+	unlimited, unix, det := vt[0], vt[1], vt[2]
+	if d := unix/unlimited - 1; d < -0.02 || d > 0.02 {
+		t.Errorf("-j2 with Unix wait takes %.0f VT, -j %.0f: want them within 2%% (both 3 units)", unix, unlimited)
+	}
+	if r := det / unlimited; r < 1.6 || r > 1.7 {
+		t.Errorf("Determinator -j2 / -j = %.2f, want 5/3 units, in [1.6, 1.7]", r)
+	}
+}
+
 func TestFig7RatiosReproduceShape(t *testing.T) {
 	// The coarse/fine split is the paper's headline: md5 and matmult
 	// must land near parity, the lu pair well above, and lu_noncont

@@ -171,14 +171,16 @@ func (rt *RT) treeSync(d *delegateState) error {
 }
 
 // treeCommit folds one node's pre-merged delta into the caller's
-// replica and refreshes the delegate's snapshot so the committed state
-// becomes the reference for its next collection. The merging Get doubles
-// as the rendezvous with the delegate's collection command, whose
-// recorded error — thread-attributed, earlier in the node-then-thread
-// order — takes precedence over a conflict found here. A conflict here
-// is a cross-node conflict — bytes changed by this node's threads and by
-// an earlier-merged node (or the caller itself) — and is attributed to
-// the node; the byte addresses are those a one-node collection reports.
+// replica with one merging Get. It leaves the delegate's snapshot as it
+// is: every command starts with treeSend's Put{Copy, Snap, Start}, which
+// re-snapshots the delegate before anything reads the snapshot again.
+// The merging Get doubles as the rendezvous with the delegate's
+// collection command, whose recorded error — thread-attributed, earlier
+// in the node-then-thread order — takes precedence over a conflict found
+// here. A conflict here is a cross-node conflict — bytes changed by this
+// node's threads and by an earlier-merged node (or the caller itself) —
+// and is attributed to the node; the byte addresses are those a one-node
+// collection reports.
 func (rt *RT) treeCommit(d *delegateState) error {
 	_, err := rt.env.Get(d.ref, kernel.GetOpts{
 		Merge:      true,
@@ -195,9 +197,6 @@ func (rt *RT) treeCommit(d *delegateState) error {
 	}
 	if boxErr := d.box.takeErr(); boxErr != nil {
 		merr = boxErr
-	}
-	if err := rt.env.Put(d.ref, kernel.PutOpts{Snap: true}); err != nil && merr == nil {
-		merr = err
 	}
 	return merr
 }

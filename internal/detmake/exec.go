@@ -35,7 +35,10 @@ const (
 	outBase vm.Addr = 0xB000_0000
 )
 
-// Defaults for Config's zero values.
+// DefaultJobs is what a zero Config.Jobs means. Every task's hermetic
+// image is DefaultTaskFSSize bytes, a size every action key hashes (it
+// bounds what executions can succeed), and the master image is
+// DefaultMasterFSSize.
 const (
 	DefaultJobs         = 8
 	DefaultTaskFSSize   = uint64(4 << 20)
@@ -59,9 +62,6 @@ type Config struct {
 	// (kernel.Config.CPUsPerNode). Build results are bit-identical at
 	// every setting; only virtual time (the modeled makespan) varies.
 	Jobs int
-
-	TaskFSSize   uint64 // hermetic image size per task
-	MasterFSSize uint64 // master image size
 }
 
 // TaskResult is the per-task outcome of a build, reported in sorted
@@ -110,12 +110,6 @@ func Build(cfg Config) (Result, error) {
 	}
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = DefaultJobs
-	}
-	if cfg.TaskFSSize == 0 {
-		cfg.TaskFSSize = DefaultTaskFSSize
-	}
-	if cfg.MasterFSSize == 0 {
-		cfg.MasterFSSize = DefaultMasterFSSize
 	}
 	if cfg.Store != nil && cfg.Index == nil {
 		cfg.Index = refIndex{cfg.Store, actionsDir}
@@ -195,7 +189,7 @@ func (b *builder) hashOf(p string) castore.Key {
 // left it: a failed build's covers exactly the sources and waves that
 // committed before the failure.
 func (b *builder) run(env *kernel.Env) {
-	master := fs.Format(env, masterBase, b.cfg.MasterFSSize)
+	master := fs.Format(env, masterBase, DefaultMasterFSSize)
 	ret := uint64(1)
 	if b.build(env, master) {
 		ret = 0
@@ -240,7 +234,7 @@ func (b *builder) runWave(env *kernel.Env, master *fs.FS, wave []*Task) bool {
 		for _, in := range t.Inputs {
 			b.hashOf(in) // memoize so actionKey sees every input hash
 		}
-		key := actionKey(t, b.treeHash, cfg.TaskFSSize)
+		key := actionKey(t, b.treeHash, DefaultTaskFSSize)
 		keys[t.ID] = key
 		if cfg.Store == nil {
 			cold = append(cold, t)
@@ -448,7 +442,7 @@ func (b *builder) stage(env *kernel.Env, t *Task) (uint64, *kernel.CopyRange) {
 // between sees what it always saw, a real image holding exactly its
 // inputs.
 func (b *builder) taskEntry(t *Task, treeSnap map[string]bool) func(*kernel.Env) {
-	size := b.cfg.TaskFSSize
+	const size = DefaultTaskFSSize
 	action, _ := b.cfg.Actions.Lookup(t.Action)
 	inputs := make(map[string]bool, len(t.Inputs))
 	for _, p := range t.Inputs {
@@ -517,7 +511,7 @@ func resultMessage(ctx *TaskCtx, actErr error) []byte {
 // decodes the result message at its head. Whatever else the task left
 // there is a dead image and is never looked at.
 func (b *builder) collect(env *kernel.Env, ref uint64, t *Task) (map[string][]byte, error) {
-	size := b.cfg.TaskFSSize
+	const size = DefaultTaskFSSize
 	info, err := env.Get(ref, kernel.GetOpts{
 		Regs: true,
 		Copy: &kernel.CopyRange{Src: stageBase, Dst: stageBase, Size: size},

@@ -198,7 +198,7 @@ func TestNoSpaceLeavesNoHalfVisibleOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Build(Config{Graph: g, Actions: actions, TaskFSSize: 1 << 20})
+	res, err := Build(Config{Graph: g, Actions: actions})
 	var taskErr *TaskError
 	if !errors.As(err, &taskErr) || !errors.Is(err, fs.ErrNoSpace) {
 		t.Fatalf("Build = %v, want *TaskError wrapping fs.ErrNoSpace", err)
@@ -225,12 +225,12 @@ func TestNoSpaceLeavesNoHalfVisibleOutputs(t *testing.T) {
 	// its inputs into it, so it is the task that runs out of space (the
 	// root used to, staging, with an untyped error). The sibling that
 	// shares the wave commits nothing.
-	big := map[string][]byte{"big1.src": make([]byte, 600<<10), "big2.src": make([]byte, 600<<10)}
+	big := map[string][]byte{"big1.src": make([]byte, 2200<<10), "big2.src": make([]byte, 2200<<10)}
 	g = mustGraph(t, []*Task{
 		mkTask("a-ok", "gen", []string{"stable"}, nil),
 		mkTask("eat", "concat", []string{"big.out"}, []string{"big1.src", "big2.src"}),
 	})
-	res, err = Build(Config{Graph: g, Sources: big, TaskFSSize: 1 << 20})
+	res, err = Build(Config{Graph: g, Sources: big})
 	if !errors.As(err, &taskErr) || taskErr.Task != "eat" || !errors.Is(err, fs.ErrNoSpace) {
 		t.Fatalf("oversized input: Build = %v, want *TaskError for eat wrapping fs.ErrNoSpace", err)
 	}
@@ -261,7 +261,7 @@ func TestFullImageStillReports(t *testing.T) {
 		return nil
 	})
 	cfg := Config{Graph: mustGraph(t, []*Task{mkTask("h", "hog", []string{"out"}, nil)}),
-		Actions: actions, TaskFSSize: 1 << 20}
+		Actions: actions}
 	res := buildOrDie(t, cfg)
 	if string(res.Outputs["out"]) != "kept" {
 		t.Fatalf("out = %q", res.Outputs["out"])
@@ -318,9 +318,10 @@ func TestMissingOutput(t *testing.T) {
 // stageBase and n in its Ret register — anything a hostile task could
 // leave there — and collects it the way a build does. sum is the master
 // checksum the root takes on its last line.
-func collectForged(t *testing.T, task *Task, size uint64, msg []byte, n uint64) (out map[string][]byte, err error, sum uint64) {
+func collectForged(t *testing.T, task *Task, msg []byte, n uint64) (out map[string][]byte, err error, sum uint64) {
 	t.Helper()
-	b := &builder{cfg: Config{TaskFSSize: size}}
+	const size = DefaultTaskFSSize
+	b := &builder{}
 	res := kernel.New(kernel.Config{}).Run(func(env *kernel.Env) {
 		master := fs.Format(env, masterBase, DefaultMasterFSSize)
 		forge := func(child *kernel.Env) {
@@ -348,12 +349,12 @@ func collectForged(t *testing.T, task *Task, size uint64, msg []byte, n uint64) 
 // an image, so that case now has to pass or fail the task in the child —
 // the last case below.)
 func TestScribbledResultImageFailsTheTask(t *testing.T) {
-	const size = 1 << 20
+	const size = DefaultTaskFSSize
 	task := mkTask("s", "gen", []string{"out"}, nil)
 	u32 := func(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 	good := encodeMessage(outcomeOK, []taskFile{{"out", []byte("written")}})
 
-	out, err, sum := collectForged(t, task, size, good, uint64(len(good)))
+	out, err, sum := collectForged(t, task, good, uint64(len(good)))
 	if err != nil || string(out["out"]) != "written" || sum == 0 {
 		t.Fatalf("well-formed message: out = %q, err = %v, checksum %#x", out["out"], err, sum)
 	}
@@ -377,14 +378,14 @@ func TestScribbledResultImageFailsTheTask(t *testing.T) {
 		{"cut inside the outcome word", good, 2},
 		{"cut inside a body", good, uint64(len(good)) - 1},
 		{"empty", nil, 0},
-		{"a message length above TaskFSSize", good, size + 1},
+		{"a message length above DefaultTaskFSSize", good, size + 1},
 		{"a message length of all ones", good, ^uint64(0)},
 	} {
 		n := tc.n
 		if n == 0 {
 			n = uint64(len(tc.msg))
 		}
-		out, err, sum := collectForged(t, task, size, tc.msg, n)
+		out, err, sum := collectForged(t, task, tc.msg, n)
 		var te *TaskError
 		if !errors.As(err, &te) || te.Task != "s" || !strings.Contains(err.Error(), "result message corrupt") {
 			t.Errorf("%s: collect = %v, %v; want *TaskError for s: result message corrupt", tc.name, out, err)

@@ -49,7 +49,7 @@ func goldenMessages(t testing.TB) (inputs, results [][]byte, tasks []*Task) {
 // and their truncations. Either reading round-trips to the same bytes or
 // fails — the result typed: *TaskError, or the failure the message
 // reports — and what it allocates is bounded by the message's length
-// (which collect bounds by TaskFSSize before reading it), whatever
+// (which collect bounds by DefaultTaskFSSize before reading it), whatever
 // counts and lengths it claims.
 func FuzzTaskMessage(f *testing.F) {
 	inputs, results, tasks := goldenMessages(f)

@@ -1301,17 +1301,6 @@ func (f *FS) StampFork() {
 // ImageSize reports the image's currently mapped extent in bytes.
 func (f *FS) ImageSize() uint64 { return f.size() }
 
-// ImageSizeAt reads the recorded size of an image at base without
-// attaching to it. Collectors use it to learn how many bytes of a child
-// replica to copy before the full image — and its validation — is in
-// reach; only the first page needs to be present.
-func ImageSizeAt(env *kernel.Env, base vm.Addr) (uint64, error) {
-	if env.ReadU32(base+sbMagic) != Magic {
-		return 0, fmt.Errorf("fs: no image at %#x", base)
-	}
-	return uint64(env.ReadU32(base + sbSize)), nil
-}
-
 // GCStats reports the allocator's reuse and growth counters, which live
 // in the superblock and are therefore per-replica and fully
 // deterministic.

@@ -290,6 +290,22 @@ func (sp *Space) collect(child *Space) {
 // chargeVT advances the space's virtual clock.
 func (sp *Space) chargeVT(c int64) { sp.vt += c }
 
+// chargeCopy charges copy-on-write work — a Put's or Get's copies, a
+// snapshot, a subtree clone — at PageCopy per table or page shared or
+// zeroed.
+func (sp *Space) chargeCopy(st vm.CopyStats) {
+	sp.chargeVT(int64(st.TablesShared+st.PagesShared+st.PagesZeroed) * sp.m.cost.PageCopy)
+}
+
+// ship charges one cross-node request that moves a run of pages: the
+// request's round trip plus each page's transfer, counted in NetStats.
+func (sp *Space) ship(pages int) {
+	cost := sp.m.cost
+	sp.chargeVT(cost.BatchMsg + int64(pages)*cost.PageTransfer + msgExtra(cost))
+	sp.net.Msgs++
+	sp.net.Pages += int64(pages)
+}
+
 // migrate moves the calling space to the target node, charging the
 // cross-node protocol costs and switching the residency tracking to the
 // target node's read-only page cache (§3.3).
@@ -356,9 +372,7 @@ func (sp *Space) touchPages(addr vm.Addr, size int, write bool) {
 		if run == 0 {
 			return
 		}
-		sp.chargeVT(cost.BatchMsg + int64(run)*cost.PageTransfer + msgExtra(cost))
-		sp.net.Msgs++
-		sp.net.Pages += int64(run)
+		sp.ship(run)
 		run = 0
 	}
 	first := addr &^ (vm.PageSize - 1)

@@ -10,7 +10,10 @@ type Range struct {
 
 // CopyRange names a source and destination span for the Copy option.
 // On Put, Src is in the parent and Dst in the child; on Get, Src is in the
-// child and Dst in the parent.
+// child and Dst in the parent. A span of whole 4 MiB tables (vm.TableSpan)
+// with Src and Dst both table-aligned shares the tables, wherever Dst is;
+// any other span shares page by page. Either way the copy is charged
+// PageCopy per table or page it shared or zeroed.
 type CopyRange struct {
 	Src  vm.Addr
 	Dst  vm.Addr
@@ -52,12 +55,11 @@ type PutOpts struct {
 	// Perm sets page permissions on a child range.
 	Perm *PermRange
 	// Snap saves a snapshot of the child's post-copy memory as the
-	// reference for a later Get with Merge. The kernel maintains the
-	// snapshot incrementally: when the child's existing snapshot is
-	// provably its most recent one, only the level-2 tables the child
-	// (or this Put's Copy) touched since are re-shared and charged, so
-	// re-snapshotting an unchanged child is free. The resulting snapshot
-	// is identical — table for table — to one built from scratch.
+	// reference for a later Get with Merge. The kernel keeps the child's
+	// snapshot and re-shares into it only the level-2 tables that differ
+	// from the child's (vm.Resnap), charging those, so re-snapshotting an
+	// unchanged child is free. The resulting snapshot is identical —
+	// table for table — to one built from scratch.
 	Snap bool
 	// Tree deep-copies the subtree rooted at the caller's child TreeSrc
 	// (memory, registers, snapshots and recursively all children) into
@@ -150,6 +152,34 @@ func copyList(first *CopyRange, rest []CopyRange) []CopyRange {
 	return append([]CopyRange{*first}, rest...)
 }
 
+// transfer applies the memory options Put and Get share (Table 2) to dst,
+// from src: Zero, then CopyAll or the Copy ranges in order. A Put's dst is
+// the child, a Get's the caller. It charges the copy-on-write work it did
+// (chargeCopy) and returns it summed; a failing range stops the list
+// after charging the ranges before it.
+func (sp *Space) transfer(op string, dst, src *vm.Space, zero *PermRange, copies []CopyRange, all bool) (vm.CopyStats, error) {
+	if zero != nil {
+		if err := dst.Zero(zero.Addr, zero.Size, zero.Perm); err != nil {
+			return vm.CopyStats{}, kerr(op, "zero: %v", err)
+		}
+	}
+	var copied vm.CopyStats
+	if all {
+		copied = dst.CopyAllFrom(src)
+	} else {
+		for _, c := range copies {
+			st, err := dst.CopyFrom(src, c.Src, c.Dst, c.Size)
+			if err != nil {
+				sp.chargeCopy(copied)
+				return copied, kerr(op, "copy: %v", err)
+			}
+			copied.Add(st)
+		}
+	}
+	sp.chargeCopy(copied)
+	return copied, nil
+}
+
 // rendezvous blocks until the child stops, finalizes its virtual-time
 // segment, and synchronizes the parent's clock with it. Time the caller
 // spends waiting here counts as blocked, not as CPU occupancy.
@@ -184,24 +214,9 @@ func (sp *Space) put(ref uint64, o PutOpts) error {
 			child.regs.Entry = entry
 		}
 	}
-	if o.Zero != nil {
-		if err := child.mem.Zero(o.Zero.Addr, o.Zero.Size, o.Zero.Perm); err != nil {
-			return kerr("put", "zero: %v", err)
-		}
-	}
-	var copied vm.CopyStats
-	if o.CopyAll {
-		copied = child.mem.CopyAllFrom(sp.mem)
-		sp.chargeVT(int64(copied.TablesShared+copied.PagesShared+copied.PagesZeroed) * cost.PageCopy)
-	} else {
-		for _, c := range copyList(o.Copy, o.Copies) {
-			st, err := child.mem.CopyFrom(sp.mem, c.Src, c.Dst, c.Size)
-			if err != nil {
-				return kerr("put", "copy: %v", err)
-			}
-			sp.chargeVT(int64(st.TablesShared+st.PagesShared+st.PagesZeroed) * cost.PageCopy)
-			copied.Add(st)
-		}
+	copied, err := sp.transfer("put", child.mem, sp.mem, o.Zero, copyList(o.Copy, o.Copies), o.CopyAll)
+	if err != nil {
+		return err
 	}
 	if o.Copied != nil {
 		*o.Copied = copied
@@ -219,7 +234,7 @@ func (sp *Space) put(ref uint64, o PutOpts) error {
 	if o.Snap {
 		var st vm.CopyStats
 		child.snap, st = child.mem.Resnap(child.snap)
-		sp.chargeVT(int64(st.TablesShared+st.PagesShared+st.PagesZeroed) * cost.PageCopy)
+		sp.chargeCopy(st)
 	}
 	if o.Tree {
 		src, err := sp.lookupChild("put", o.TreeSrc)
@@ -257,22 +272,8 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 	if o.Regs {
 		info.Regs = child.regs
 	}
-	if o.Zero != nil {
-		if err := sp.mem.Zero(o.Zero.Addr, o.Zero.Size, o.Zero.Perm); err != nil {
-			return info, kerr("get", "zero: %v", err)
-		}
-	}
-	if o.CopyAll {
-		st := sp.mem.CopyAllFrom(child.mem)
-		sp.chargeVT(int64(st.TablesShared+st.PagesShared+st.PagesZeroed) * cost.PageCopy)
-	} else {
-		for _, c := range copyList(o.Copy, o.Copies) {
-			st, err := sp.mem.CopyFrom(child.mem, c.Src, c.Dst, c.Size)
-			if err != nil {
-				return info, kerr("get", "copy: %v", err)
-			}
-			sp.chargeVT(int64(st.TablesShared+st.PagesShared+st.PagesZeroed) * cost.PageCopy)
-		}
+	if _, err := sp.transfer("get", sp.mem, child.mem, o.Zero, copyList(o.Copy, o.Copies), o.CopyAll); err != nil {
+		return info, err
 	}
 	if o.Merge {
 		if child.snap == nil {
@@ -302,16 +303,13 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 			// homed on its own node — a delegate collecting its local
 			// threads — moves nothing across the wire and charges
 			// nothing. The child's delta ships as a compact page-run list
-			// (vm.DeltaRuns over its COW identity), one request per run of
-			// at most BatchPages pages — with a cap of one, one request per
-			// page; the runs' page total equals PagesCompared+PagesAdopted
-			// by construction.
-			runs := vm.DeltaRuns(child.mem, child.snap, r.Addr, r.Size, max(cost.BatchPages, 1))
-			pages := vm.DeltaPages(runs)
-			sp.chargeVT(int64(len(runs))*(cost.BatchMsg+msgExtra(cost)) +
-				int64(pages)*cost.PageTransfer)
-			sp.net.Msgs += int64(len(runs))
-			sp.net.Pages += int64(pages)
+			// (vm.DeltaRuns over its COW identity), one request (ship) per
+			// run of at most BatchPages pages — with a cap of one, one
+			// request per page; the runs' page total equals
+			// PagesCompared+PagesAdopted by construction.
+			for _, run := range vm.DeltaRuns(child.mem, child.snap, r.Addr, r.Size, max(cost.BatchPages, 1)) {
+				sp.ship(run.Pages)
+			}
 		}
 		if err != nil {
 			return info, err // vm.MergeConflictError: the paper's runtime exception
@@ -339,18 +337,16 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 // stopped by induction only if the program stopped them — we wait to be
 // safe.
 func (sp *Space) cloneTree(dst, src *Space) {
-	cost := sp.m.cost
 	dst.discardExecution()
-	st := dst.mem.CopyAllFrom(src.mem)
-	sp.chargeVT(int64(st.TablesShared+st.PagesShared+st.PagesZeroed) * cost.PageCopy)
+	sp.chargeCopy(dst.mem.CopyAllFrom(src.mem))
 	if dst.snap != nil {
 		dst.snap.Free()
 		dst.snap = nil
 	}
 	if src.snap != nil {
-		var sst vm.CopyStats
-		dst.snap, sst = src.snap.Snapshot()
-		sp.chargeVT(int64(sst.TablesShared+sst.PagesShared+sst.PagesZeroed) * cost.PageCopy)
+		var st vm.CopyStats
+		dst.snap, st = src.snap.Snapshot()
+		sp.chargeCopy(st)
 	}
 	dst.regs = src.regs
 	dst.status = src.status

@@ -79,13 +79,3 @@ func DeltaRuns(cur, ref *Space, addr Addr, size uint64, maxRun int) []PageRun {
 	}
 	return runs
 }
-
-// DeltaPages sums the page counts of DeltaRuns without materializing the
-// run list.
-func DeltaPages(runs []PageRun) int {
-	n := 0
-	for _, r := range runs {
-		n += r.Pages
-	}
-	return n
-}

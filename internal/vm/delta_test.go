@@ -114,9 +114,6 @@ func TestDeltaRunsCoalescingAndCap(t *testing.T) {
 	if len(runs) != 2 || runs[0] != want[0] || runs[1] != want[1] {
 		t.Fatalf("runs = %+v, want %+v", runs, want)
 	}
-	if DeltaPages(runs) != 11 {
-		t.Fatalf("DeltaPages = %d, want 11", DeltaPages(runs))
-	}
 	// Capped at 3 pages per run: the 8-page block splits 3+3+2.
 	capped := DeltaRuns(child, snap, 0, 64*PageSize, 3)
 	if len(capped) != 4 || capped[0].Pages != 3 || capped[1].Pages != 3 ||

@@ -353,24 +353,3 @@ func mergePageWords(dc *cursor, pa Addr, l2 int, ce, re pte, de pte, c mergeCtx)
 	}
 	flush(PageSize)
 }
-
-// CopyAllFrom replaces the entire contents of s with a COW clone of src,
-// releasing whatever s held before. It is the bulk path behind fork-style
-// "copy the parent's whole memory into the child" Put calls: whole
-// level-2 tables are shared, so the cost is O(mapped space / 4 MiB).
-func (s *Space) CopyAllFrom(src *Space) CopyStats {
-	var st CopyStats
-	for l1 := range s.root {
-		srcT := src.root[l1]
-		dstT := s.root[l1]
-		if srcT == dstT {
-			continue
-		}
-		s.root[l1] = shareTable(srcT)
-		s.frames.dropTable(dstT)
-		if srcT != nil {
-			st.TablesShared++
-		}
-	}
-	return st
-}

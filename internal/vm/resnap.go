@@ -1,21 +1,54 @@
 package vm
 
-// Incremental snapshot maintenance.
+// Root sharing: the one walk that makes a run of one space's root slots
+// pointer-equal to a run of another's.
 //
-// The kernel's Snap option used to rebuild a space's reference snapshot
-// from scratch every time: free the old clone, re-share every mapped
-// level-2 table. For the deterministic scheduler, which re-snapshots
-// every runnable thread every quantum, that O(mapped tables) churn
-// dominated round cost even when a thread had touched one table — or
-// nothing at all.
-//
-// A level-2 table a space still shares with its snapshot is one neither
-// side has changed: sharing makes it immutable, and a write to either
-// side copies it first (ownTable). So the root slots where the two
-// differ are exactly the ones to re-share, and Resnap re-shares only
-// those — producing a snapshot pointer-identical to what a fresh
-// Snapshot would build, and charging the cost model only for the tables
-// actually re-shared, so a no-op re-snapshot is free in virtual time too.
+// A level-2 table two spaces share is one neither has changed since:
+// sharing makes it immutable, and a write to either side copies it first
+// (ownTable). So a whole-table copy, a fork, a snapshot and a re-snapshot
+// are one operation — re-share each destination slot whose table differs
+// from its source slot's — and each charges the cost model only for the
+// non-nil tables it actually re-shared. Snapshot, CopyAllFrom, Resnap and
+// CopyFrom's whole-table path all call shareRoot; a no-op re-snapshot
+// or a resync of an unchanged child is free in virtual time too.
+
+// shareRoot makes root slots [dst, dst+n) of s pointer-equal to slots
+// [src, src+n) of from, dropping the tables s held there, and returns
+// how many non-nil tables it re-shared. Slots already equal are left
+// alone; 64 at a time are compared at memequal speed first, since most
+// blocks of a re-snapshotted or resynced root have not changed. The new
+// reference is taken before the old one is dropped.
+func (s *Space) shareRoot(from *Space, src, dst, n int) (shared int) {
+	for i := 0; i < n; i += resnapSpan {
+		k := min(resnapSpan, n-i)
+		if k == resnapSpan && *(*[resnapSpan]*table)(s.root[dst+i:]) == *(*[resnapSpan]*table)(from.root[src+i:]) {
+			continue
+		}
+		for j := i; j < i+k; j++ {
+			if t, o := from.root[src+j], s.root[dst+j]; t != o {
+				s.root[dst+j] = shareTable(t)
+				s.frames.dropTable(o)
+				if t != nil {
+					shared++
+				}
+			}
+		}
+	}
+	return shared
+}
+
+// resnapSpan is how many root slots shareRoot compares at once before it
+// looks at them one by one: a block compare runs at memequal speed.
+const resnapSpan = 64
+
+// Snapshot returns a COW clone of the entire space, used as the reference
+// copy for a later Merge (the Snap option of Put). It shares whole level-2
+// tables, so snapshotting costs O(mapped address space / 4 MiB), and
+// whatever either side later writes parts from the other by copy-on-write.
+func (s *Space) Snapshot() (*Space, CopyStats) {
+	snap := &Space{frames: s.frames}
+	return snap, snap.CopyAllFrom(s)
+}
 
 // Resnap updates old to be a current snapshot of s, returning the
 // snapshot to use in its place and the sharing stats for cost accounting.
@@ -26,25 +59,13 @@ func (s *Space) Resnap(old *Space) (*Space, CopyStats) {
 	if old == nil {
 		return s.Snapshot()
 	}
-	var st CopyStats
-	for lo := 0; lo < tableEntries; lo += resnapSpan {
-		if *(*[resnapSpan]*table)(s.root[lo:]) == *(*[resnapSpan]*table)(old.root[lo:]) {
-			continue
-		}
-		for l1 := lo; l1 < lo+resnapSpan; l1++ {
-			if t, o := s.root[l1], old.root[l1]; o != t {
-				old.root[l1] = shareTable(t)
-				old.frames.dropTable(o)
-				if t != nil {
-					st.TablesShared++
-				}
-			}
-		}
-	}
-	return old, st
+	return old, old.CopyAllFrom(s)
 }
 
-// resnapSpan is how many root slots Resnap compares at once before it
-// looks at them one by one: a block compare runs at memequal speed, and
-// most blocks of a re-snapshotted root have not changed.
-const resnapSpan = 64
+// CopyAllFrom replaces the entire contents of s with a COW clone of src,
+// releasing whatever s held before. It is the bulk path behind fork-style
+// "copy the parent's whole memory into the child" Put calls: whole
+// level-2 tables are shared, so the cost is O(mapped space / 4 MiB).
+func (s *Space) CopyAllFrom(src *Space) CopyStats {
+	return CopyStats{TablesShared: s.shareRoot(src, 0, 0, tableEntries)}
+}

@@ -11,9 +11,16 @@
 //
 // Copy-on-write is also the record of what changed: a table or page a
 // space still shares with its snapshot is one it has not changed since.
-// Merge, DeltaRuns, Resnap and CopyFrom answer from that pointer
+// Merge, DeltaRuns and the root-sharing walk answer from that pointer
 // identity alone; inside a table that is no longer shared, Merge and
 // DeltaRuns visit only the slots either side's occupancy map lists.
+//
+// One walk re-shares root slots (shareRoot, resnap.go): it makes a run of
+// one space's level-2 table pointers equal to a run of another's. A
+// snapshot, a re-snapshot, a whole-space copy and a copy of whole tables
+// between any two table-aligned addresses are each that walk, so Snapshot,
+// Resnap, CopyAllFrom and CopyFrom's whole-table path copy nothing and
+// report the tables they re-shared.
 //
 // A load or store the page table already allows costs one pte check.
 // Every accessor asks the hit test (Space.hit) first, which returns the
@@ -42,11 +49,11 @@
 // A recycled frame is a new object at an old address, so comparing
 // pointers is sound only between objects something still references.
 // Every == and != on a *page or *table — mergeRange, mergeTable,
-// mergePage, DeltaRuns, Resnap, CopyFrom, CopyAllFrom —
-// compares entries read from the root or a table of a live space or
-// snapshot, which pins them; and where a slot's page or table is replaced, the new reference is
-// taken before the old one is dropped, so a replacement by the same object
-// never passes through the pool.
+// mergePage, DeltaRuns, shareRoot — compares entries read from the root
+// or a table of a live space or snapshot, which pins them; and where a
+// slot's page or table is replaced, the new reference is taken before the
+// old one is dropped, so a replacement by the same object never passes
+// through the pool.
 package vm
 
 import (
@@ -379,8 +386,10 @@ func (s *CopyStats) Add(o CopyStats) {
 // CopyFrom logically copies the (page-aligned) range from src into s using
 // copy-on-write sharing: no bytes move until someone writes. Destination
 // permissions are inherited from the source. It implements the Copy option
-// of Put/Get (with s and src being child/parent or vice versa) and, with
-// the whole address range, the bulk "copy entire memory" fork idiom.
+// of Put/Get (with s and src being child/parent or vice versa). A range of
+// whole level-2 tables at table-aligned addresses on both sides, equal or
+// not, shares the tables themselves; any other range shares page by page.
+// A copy of a space onto itself must be to the same address.
 func (s *Space) CopyFrom(src *Space, srcAddr, dstAddr Addr, size uint64) (CopyStats, error) {
 	var st CopyStats
 	if err := rangeCheck(srcAddr, size); err != nil {
@@ -392,22 +401,9 @@ func (s *Space) CopyFrom(src *Space, srcAddr, dstAddr Addr, size uint64) (CopySt
 	if s == src && srcAddr != dstAddr {
 		return st, fmt.Errorf("vm: overlapping self-copy unsupported")
 	}
-	const tableSpan = tableEntries << l2Shift
-	if srcAddr == dstAddr && srcAddr%tableSpan == 0 && size%tableSpan == 0 {
-		// Fast path: whole level-2 tables, same offsets on both sides —
-		// share the tables themselves, copying nothing.
-		for l1 := int(srcAddr >> l1Shift); uint64(l1)<<l1Shift < uint64(srcAddr)+size; l1++ {
-			srcT := src.root[l1]
-			dstT := s.root[l1]
-			if srcT == dstT {
-				continue // already sharing (or both nil)
-			}
-			s.root[l1] = shareTable(srcT)
-			s.frames.dropTable(dstT)
-			if srcT != nil {
-				st.TablesShared++
-			}
-		}
+	if srcAddr%Addr(TableSpan) == 0 && dstAddr%Addr(TableSpan) == 0 && size%TableSpan == 0 {
+		// Whole level-2 tables on both sides: share the tables themselves.
+		st.TablesShared = s.shareRoot(src, int(srcAddr>>l1Shift), int(dstAddr>>l1Shift), int(size>>l1Shift))
 		return st, nil
 	}
 	for off := uint64(0); off < size; off += PageSize {
@@ -429,23 +425,6 @@ func (s *Space) CopyFrom(src *Space, srcAddr, dstAddr Addr, size uint64) (CopySt
 		t.set(l2, pte{pg: se.pg, perm: se.perm})
 	}
 	return st, nil
-}
-
-// Snapshot returns a COW clone of the entire space, used as the reference
-// copy for a later Merge (the Snap option of Put). It shares whole level-2
-// tables, so snapshotting costs O(mapped address space / 4 MiB), and
-// whatever either side later writes parts from the other by copy-on-write.
-func (s *Space) Snapshot() (*Space, CopyStats) {
-	snap := &Space{frames: s.frames}
-	var st CopyStats
-	for i, t := range s.root {
-		if t == nil {
-			continue
-		}
-		snap.root[i] = shareTable(t)
-		st.TablesShared++
-	}
-	return snap, st
 }
 
 // hit returns the bytes of the page holding [addr, addr+n) when the access

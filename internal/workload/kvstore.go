@@ -171,19 +171,11 @@ func KVStore(rt *core.RT, cfg KVConfig) (uint64, KVStats) {
 			if info.Status != kernel.StatusHalted {
 				panic(fmt.Sprintf("kvstore: thread %d stopped with %v: %v", t, info.Status, info.Err))
 			}
-			// The child may have grown its replica: read its recorded
-			// size from the superblock before copying the whole image.
+			// Copy out the child's whole image span, as uproc does: its
+			// replica may have grown, and Attach refuses one that claims
+			// more than the span.
 			_, err = env.Get(refs[t], kernel.GetOpts{
-				Copy: &kernel.CopyRange{Src: kvFSBase, Dst: kvScratch, Size: vm.PageSize},
-			})
-			must(err)
-			childSize, err := fs.ImageSizeAt(env, kvScratch)
-			must(err)
-			if childSize > cfg.FSMax {
-				panic("kvstore: child image exceeds configured maximum")
-			}
-			_, err = env.Get(refs[t], kernel.GetOpts{
-				Copy: &kernel.CopyRange{Src: kvFSBase, Dst: kvScratch, Size: childSize},
+				Copy: &kernel.CopyRange{Src: kvFSBase, Dst: kvScratch, Size: cfg.FSMax},
 			})
 			must(err)
 			replica, err := fs.Attach(env, kvScratch, cfg.FSMax)
