@@ -101,7 +101,9 @@ bench:
 # root-sharing walk's fork and snapshot (CopyAllFrom, Snapshot). Then the
 # strided column load beside the scalar loop it stands for, the same
 # typed loads and stores through a root space's Env (which fails itself
-# if one allocates), and the
+# if one allocates), a machine's whole life from New to Wait (with B/op:
+# a machine after the first draws its pages and tables from the depot
+# the one before released them to), and the
 # micro-benchmarks under a build's host cost — fs.Checksum over a sparse
 # image, the whole-table scans of a task image and a full one, one
 # WriteFile of a new file and of an overwrite at depth 1 and 4, the chunk
@@ -117,7 +119,7 @@ bench:
 bench-smoke:
 	$(GO) test -bench='Fig4|DschedRound|MergeDirtyPages' -benchtime=1x -run='^$$' .
 	$(GO) test -bench='TypedAccess|CopyAllFrom|Snapshot' -benchtime=1x -run='^$$' ./internal/vm
-	$(GO) test -bench='ReadU32Stride|EnvTypedAccess' -benchtime=1x -run='^$$' ./internal/kernel
+	$(GO) test -bench='ReadU32Stride|EnvTypedAccess|MachineLifecycle' -benchtime=1x -run='^$$' ./internal/kernel
 	$(GO) test -bench='Checksum|Scan|WriteFile' -benchtime=1x -run='^$$' ./internal/fs
 	$(GO) test -bench=EncodeBlob -benchtime=1x -run='^$$' ./internal/castore
 	$(GO) test -bench='Build|TaskMessage' -benchtime=1x -run='^$$' ./internal/detmake

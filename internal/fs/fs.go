@@ -1355,7 +1355,9 @@ const checksumWindow = 64 << 10
 // approximation. A page the image has mapped but never written has no
 // backing page (Format and growth leave demand-zero ptes), so the page
 // table alone says it holds 4096 zeros; Checksum jumps such runs without
-// reading them and hashes only backed pages, in place. A backed page is
+// reading them and hashes only backed pages, in place. It only counts
+// the zeros between two backed runs, across windows, and folds the count
+// in once, when the next backed run or the end arrives. A backed page is
 // mostly zeros too (inode table, superblock, the slack after a short
 // file), and fnvFold jumps each run of zero 64-byte blocks by the same
 // identity.
@@ -1365,15 +1367,15 @@ const checksumWindow = 64 << 10
 // remote node, a fault on an unreadable page) exactly as one Read of
 // that span.
 func (f *FS) Checksum() uint64 {
-	h := uint64(fnvOffset64)
-	data := func(b []byte) { h = fnvFold(h, b) }
-	zeros := func(n int) { h *= fnvPow(uint64(n)) }
+	h, pending := uint64(fnvOffset64), uint64(0)
+	data := func(b []byte) { h, pending = fnvFold(h*fnvPow(pending), b), 0 }
+	zeros := func(n int) { pending += uint64(n) }
 	size := f.size()
 	for off := uint64(0); off < size; off += checksumWindow {
 		n := min(size-off, checksumWindow)
 		f.env.ReadRuns(f.base+vm.Addr(off), int(n), data, zeros)
 	}
-	return h
+	return h * fnvPow(pending)
 }
 
 // fnvFold continues the FNV-1a hash h over b. Zero bytes only multiply,

@@ -262,7 +262,9 @@ func (m *Machine) Start(prog Prog, arg uint64) {
 
 // Wait blocks until the root started by Start halts or traps and every
 // descendant space has stopped, then reports the root's result. No space
-// goroutine of the machine outlives Wait.
+// goroutine of the machine outlives Wait, and no frame of its memory: the
+// pages and tables go to the depot of cleared frames the next machine
+// draws on (release).
 func (m *Machine) Wait() RunResult {
 	root := m.root
 	root.waitStopped()
@@ -275,6 +277,7 @@ func (m *Machine) Wait() RunResult {
 		Net:    root.net,
 	}
 	m.shutdown()
+	m.release()
 	return res
 }
 
@@ -285,6 +288,15 @@ func (m *Machine) shutdown() {
 		m.root.abortTree()
 	}
 	m.wg.Wait()
+}
+
+// release frees every space's memory and snapshot, so that every frame
+// the machine made is back in its pool, and hands the pool's frames to
+// the depot (vm.Frames.Release). It runs after shutdown: no space
+// goroutine is left, and nothing reads the machine's memory again.
+func (m *Machine) release() {
+	m.root.free()
+	m.frames.Release()
 }
 
 // KernelError reports misuse of the syscall API (the real kernel would

@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/vm"
@@ -261,6 +263,18 @@ func (sp *Space) abortTree() {
 	sp.discardExecution()
 	for _, c := range sp.children {
 		c.abortTree()
+	}
+}
+
+// free releases the memory and snapshot of sp and of every descendant,
+// children in ascending ref order.
+func (sp *Space) free() {
+	sp.mem.Free()
+	if sp.snap != nil {
+		sp.snap.Free()
+	}
+	for _, ref := range slices.Sorted(maps.Keys(sp.children)) {
+		sp.children[ref].free()
 	}
 }
 

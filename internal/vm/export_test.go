@@ -21,7 +21,9 @@ func (s *Space) CleanSince(snap *Space) bool {
 
 // checkFrames is the pool's safety invariant: every page and table f holds
 // is there once, has no references, and is reachable from none of live —
-// so nothing a space can still read or write is handed out again.
+// so nothing a space can still read or write is handed out again. The
+// depot's frames are held to it as well, and to two more rules: none is
+// also in f, and each is all zero, so a take from the depot is a new one.
 func checkFrames(f *Frames, live []*Space) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -39,22 +41,79 @@ func checkFrames(f *Frames, live []*Space) error {
 		}
 		tables[t] = true
 	}
+	if err := checkDepot(pages, tables); err != nil {
+		return err
+	}
 	for si, s := range live {
 		for l1, t := range s.root {
 			if t == nil {
 				continue
 			}
 			if tables[t] {
-				return fmt.Errorf("space %d: table %d is in the pool", si, l1)
+				return fmt.Errorf("space %d: table %d is in the pool or the depot", si, l1)
 			}
 			for l2, e := range t.ptes {
 				if e.pg != nil && pages[e.pg] {
-					return fmt.Errorf("space %d: page %d/%d is in the pool", si, l1, l2)
+					return fmt.Errorf("space %d: page %d/%d is in the pool or the depot", si, l1, l2)
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// checkDepot holds the depot's frames to checkFrames' rules, adding them
+// to the pages and tables already seen.
+func checkDepot(pages map[*page]bool, tables map[*table]bool) error {
+	depot.pages.mu.Lock()
+	defer depot.pages.mu.Unlock()
+	depot.tables.mu.Lock()
+	defer depot.tables.mu.Unlock()
+	for _, pg := range depot.pages.free {
+		if pages[pg] || pg.refs.Load() != 0 || pg.data != [PageSize]byte{} {
+			return fmt.Errorf("depot page %p: refs %d, held twice %v, cleared %v",
+				pg, pg.refs.Load(), pages[pg], pg.data == [PageSize]byte{})
+		}
+		pages[pg] = true
+	}
+	for _, t := range depot.tables.free {
+		cleared := t.occ == [tableEntries / 64]uint64{} && t.ptes == [tableEntries]pte{}
+		if tables[t] || t.refs.Load() != 0 || !cleared {
+			return fmt.Errorf("depot table %p: refs %d, held twice %v, cleared %v", t, t.refs.Load(), tables[t], cleared)
+		}
+		tables[t] = true
+	}
+	if n := len(depot.pages.free); n > depot.pages.most {
+		return fmt.Errorf("depot holds %d pages, more than the %d one release returned", n, depot.pages.most)
+	}
+	if n := len(depot.tables.free); n > depot.tables.most {
+		return fmt.Errorf("depot holds %d tables, more than the %d one release returned", n, depot.tables.most)
+	}
+	return nil
+}
+
+// CheckDepot holds the depot to checkFrames' rules, for the tests outside
+// the package that end kernel machines.
+func CheckDepot() error { return checkDepot(make(map[*page]bool), make(map[*table]bool)) }
+
+// drainDepot empties the depot, so a test sees only the frames it
+// releases. The bound stays: it is the most one release ever returned.
+func drainDepot() {
+	depot.pages.mu.Lock()
+	depot.pages.free = nil
+	depot.pages.mu.Unlock()
+	depot.tables.mu.Lock()
+	depot.tables.free = nil
+	depot.tables.mu.Unlock()
+}
+
+// depotLen reports how many pages and tables the depot holds.
+func depotLen() (pages, tables int) {
+	depot.pages.mu.Lock()
+	defer depot.pages.mu.Unlock()
+	depot.tables.mu.Lock()
+	defer depot.tables.mu.Unlock()
+	return len(depot.pages.free), len(depot.tables.free)
 }
 
 // poisonFrames scribbles over everything f holds — page bytes, and table

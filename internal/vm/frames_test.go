@@ -489,3 +489,101 @@ func TestFramesConcurrentFrees(t *testing.T) {
 		t.Fatal("nothing was freed into the pool")
 	}
 }
+
+// TestDepotFramesMatchHeap: frames outlive the pool that made them. Each
+// seed's script runs over two pool lifetimes. At the end of the first,
+// every space is freed, the pool is poisoned and Release hands it to the
+// depot, as a machine's end does; the second lifetime's pool starts empty,
+// so what it does not recycle itself it takes from the depot, and every
+// step must still match the heap's.
+func TestDepotFramesMatchHeap(t *testing.T) {
+	seeds, steps := 20, 150
+	if testing.Short() {
+		seeds = 4
+	}
+	drew := false
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		drainDepot()
+		for life := 0; life < 2; life++ {
+			f := NewFrames()
+			a, b := newFramesWorld(t, f), newFramesWorld(t, nil)
+			stocked, _ := depotLen()
+			for step := 0; step < steps; step++ {
+				op := drawFramesOp(rng)
+				if ra, rb := a.apply(op), b.apply(op); ra != rb {
+					t.Fatalf("seed %d life %d step %d op %d: pooled side returned %q, heap side %q", seed, life, step, op.kind, ra, rb)
+				}
+				if err := checkFrames(f, a.live()); err != nil {
+					t.Fatalf("seed %d life %d step %d op %d: %v", seed, life, step, op.kind, err)
+				}
+				if diff := shapeDiff(a.shape(), b.shape()); diff != "" {
+					t.Fatalf("seed %d life %d step %d op %d: sharing graphs differ: %s", seed, life, step, op.kind, diff)
+				}
+				if diff := sameBytes(a, b); diff != "" {
+					t.Fatalf("seed %d life %d step %d op %d: %s differs from the heap side's", seed, life, step, op.kind, diff)
+				}
+				poisonFrames(f)
+			}
+			if p, _ := depotLen(); p < stocked {
+				drew = true
+			}
+			for _, s := range a.live() {
+				s.Free()
+			}
+			poisonFrames(f)
+			f.Release()
+			if p, tb := pooled(f); p+tb != 0 || f.Live() != 0 {
+				t.Fatalf("seed %d life %d: released pool holds %d pages and %d tables, %d live", seed, life, p, tb, f.Live())
+			}
+			if err := checkFrames(f, nil); err != nil {
+				t.Fatalf("seed %d life %d, released: %v", seed, life, err)
+			}
+		}
+	}
+	if !drew {
+		t.Fatal("no second lifetime ever took a frame from the depot")
+	}
+}
+
+// TestDepotBound: a stock of the depot keeps at most as many frames as
+// one release has returned, and clears only the ones it keeps. Two
+// machines that ran side by side release in turn: the first release
+// stocks every frame, the second finds no room and leaves its frames,
+// uncleared, to the collector. Once takes make room, a release fills just
+// that, and a larger release raises the bound.
+func TestDepotBound(t *testing.T) {
+	const n = 64
+	var s stock[page]
+	release := func(n int) []*page {
+		pages := make([]*page, n)
+		for i := range pages {
+			pages[i] = &page{}
+			pages[i].data[0] = 0xA5
+		}
+		s.keep(pages, func(p *page) { clear(p.data[:]) })
+		return pages
+	}
+	check := func(when string, pages []*page, stocked, most int) {
+		t.Helper()
+		if len(s.free) != stocked || s.most != most || s.clearing != 0 {
+			t.Fatalf("%s: the stock holds %d of at most %d (%d clearing), want %d of at most %d", when, len(s.free), s.most, s.clearing, stocked, most)
+		}
+		kept := make(map[*page]bool)
+		for _, pg := range s.free {
+			kept[pg] = true
+		}
+		for i, pg := range pages {
+			if cleared := pg.data[0] == 0; cleared != kept[pg] {
+				t.Fatalf("%s: page %d of the release is stocked %v, cleared %v", when, i, kept[pg], cleared)
+			}
+		}
+	}
+	check("first release", release(n), n, n)
+	check("second release", release(n), n, n)
+	for i := 0; i < 10; i++ {
+		pop(&s.mu, &s.free, nil)
+	}
+	check("after ten takes", release(n), n, n)
+	check("a larger release", release(2*n), 2*n, 2*n)
+}

@@ -43,8 +43,18 @@
 // arrives from whichever goroutine drops the last reference — a child
 // breaking COW on a page its siblings share, a parent merging an early
 // finisher while later siblings still run — and the pool takes a lock. It
-// holds at most as many frames as the machine ever had free at once, and
-// dies with the machine.
+// holds at most as many frames as the machine ever had free at once.
+//
+// Frames outlive their machine. When a machine ends, after its last space
+// goroutine has stopped and every space and snapshot has been freed, its
+// pool's frames go to the depot (Frames.Release), the one state machines
+// share: a process-wide stock any pool that runs short takes from before
+// it allocates. The depot holds only frames that are all zero and
+// unreferenced — Release clears what it keeps — so a take from it is
+// byte-for-byte a new page or table, and no machine's bytes, layout or
+// reference counts reach another. It keeps at most as many pages (tables)
+// as one release has returned; its lock is held to push and pop, never to
+// clear. Frames.Live counts only the machine's own frames.
 //
 // A recycled frame is a new object at an old address, so comparing
 // pointers is sound only between objects something still references.
@@ -363,8 +373,10 @@ func (s *Space) Zero(addr Addr, size uint64, perm Perm) error {
 // destroyed so that COW reference counts stay accurate.
 func (s *Space) Free() {
 	for i, t := range s.root {
-		s.frames.dropTable(t)
-		s.root[i] = nil
+		if t != nil {
+			s.frames.dropTable(t)
+			s.root[i] = nil
+		}
 	}
 }
 
