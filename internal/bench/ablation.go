@@ -15,6 +15,13 @@ import (
 // the cluster, consulting the table on every node to dispatch work —
 // the "travelling salesman" pattern of md5-circuit with a working set
 // big enough to matter.
+//
+// The kernel has no switch to turn the cache off, so the uncached column
+// is a placement: the same program on a laps×nodes-node machine, where
+// lap 0 visits nodes 0..nodes-1 as the cached run does and every later
+// worker is forked and joined on a node of its own, numbered by its id.
+// Each visit is then a first visit and pays for the table again, which
+// is what every revisit would cost without per-node caching.
 func ROCache(o Options) Table {
 	nodeSteps := []int{2, 4, 8, 16}
 	if o.Quick {
@@ -22,12 +29,15 @@ func ROCache(o Options) Table {
 	}
 	const refPages = 64
 	const laps = 3
-	run := func(nodes int, disable bool) int64 {
+	run := func(nodes int, uncached bool) int64 {
+		size := nodes
+		if uncached {
+			size = laps * nodes
+		}
 		res := core.Run(core.Options{
 			Kernel: kernel.Config{
-				Nodes:          nodes,
-				CPUsPerNode:    1,
-				DisableROCache: disable,
+				Nodes:       size,
+				CPUsPerNode: 1,
 			},
 			SharedSize: 1 << 20,
 		}, func(rt *core.RT) uint64 {
@@ -42,9 +52,13 @@ func ROCache(o Options) Table {
 			for lap := 0; lap < laps; lap++ {
 				for nd := 0; nd < nodes; nd++ {
 					id := lap*nodes + nd
-					// Fork a worker on node nd (this migrates the
+					on := nd
+					if uncached {
+						on = id
+					}
+					// Fork a worker on its node (this migrates the
 					// master there)...
-					if err := rt.ForkOn(nd, id, func(t *core.Thread) uint64 {
+					if err := rt.ForkOn(on, id, func(t *core.Thread) uint64 {
 						t.Env().Tick(10_000)
 						return 0
 					}); err != nil {
@@ -53,7 +67,7 @@ func ROCache(o Options) Table {
 					// ...where the master consults its reference table
 					// to decide the next dispatch.
 					env.ReadU32s(ref, buf)
-					if _, err := rt.JoinOn(nd, id); err != nil {
+					if _, err := rt.JoinOn(on, id); err != nil {
 						panic(err)
 					}
 				}

@@ -13,7 +13,7 @@ import (
 // chained growth and Compact all sit on the reconciliation path, and
 // every column is a deterministic observable of it. (That none of them
 // depends on how the host parallelizes the joins is
-// TestKVStoreDeterministicAcrossMergeWorkers in internal/workload.)
+// TestKVStoreDeterministicAcrossGOMAXPROCS in internal/workload.)
 //
 // The reuse column is the extent-GC payoff: allocations served from the
 // free list, where the paper's prototype leaked every freed extent.

@@ -31,7 +31,7 @@ func runFresh(main func(rt *RT) uint64) kernel.RunResult {
 	return Run(Options{Kernel: kernel.Config{CPUsPerNode: 4}}, main)
 }
 
-func TestParallelDoInvariantUnderMergeWorkers(t *testing.T) {
+func TestParallelDoInvariantUnderGOMAXPROCS(t *testing.T) {
 	const threads = 8
 	program := func(rt *RT) uint64 {
 		arr := rt.AllocPages(threads * 2)
@@ -81,7 +81,7 @@ func th32(rt *RT, base vm.Addr, id int) uint64 {
 	return uint64(rt.Env().ReadU32(base + vm.Addr(4*id)))
 }
 
-func TestParallelDoConflictInvariantUnderMergeWorkers(t *testing.T) {
+func TestParallelDoConflictInvariantUnderGOMAXPROCS(t *testing.T) {
 	// Threads 2 and 5 write the same byte with different values: a
 	// write/write conflict whose report — the error text, including the
 	// conflicting thread id and first conflicting address — must be
@@ -135,7 +135,7 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestBarrierRoundInvariantUnderMergeWorkers(t *testing.T) {
+func TestBarrierRoundInvariantUnderGOMAXPROCS(t *testing.T) {
 	const threads, phases = 6, 4
 	program := func(rt *RT) uint64 {
 		arr := rt.Alloc(4*threads*phases, 4)

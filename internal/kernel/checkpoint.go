@@ -188,10 +188,7 @@ func (sp *Space) waitTree() {
 func (m *Machine) encodeConfig(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.nodes)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(m.nodes[0].cpus))
-	var flags byte
-	if m.noCache {
-		flags |= 1
-	}
+	var flags byte // bit 0 marked the retired uncached mode; never set
 	if m.cost.TCPLike {
 		flags |= 2
 	}
@@ -309,7 +306,9 @@ func (sp *Space) execStatus() (Status, bool) {
 
 // encodeResidency emits the migration residency state: the per-node
 // read-only caches and which of them (if any) is the space's current
-// fetched set.
+// fetched set — kind 0 for none, kind 1 and a node id for a cache.
+// Kind 2, the standalone set of a retired uncached mode, is never
+// written and is refused at restore.
 func (sp *Space) encodeResidency(b []byte) []byte {
 	ids := make([]int, 0, len(sp.caches))
 	for id := range sp.caches {
@@ -327,15 +326,9 @@ func (sp *Space) encodeResidency(b []byte) []byte {
 			fetchedCache = id
 		}
 	}
-	if sp.fetched != nil && fetchedKind == 0 {
-		fetchedKind = 2 // standalone (DisableROCache mode)
-	}
 	b = append(b, fetchedKind)
-	switch fetchedKind {
-	case 1:
+	if fetchedKind == 1 {
 		b = binary.LittleEndian.AppendUint32(b, uint32(fetchedCache))
-	case 2:
-		b = appendPageSet(b, sp.fetched)
 	}
 	return b
 }
@@ -482,8 +475,8 @@ func (m *Machine) decodeConfig(r *imgenc.Reader) (devClock, devRand, devConsole 
 		err = mismatch("node count", fmt.Sprint(nodes), fmt.Sprint(len(m.nodes)))
 	case cpus != m.nodes[0].cpus:
 		err = mismatch("CPUs per node", fmt.Sprint(cpus), fmt.Sprint(m.nodes[0].cpus))
-	case (flags&1 != 0) != m.noCache:
-		err = mismatch("DisableROCache", fmt.Sprint(flags&1 != 0), fmt.Sprint(m.noCache))
+	case flags&1 != 0:
+		err = mismatch("read-only page cache", "disabled", "enabled")
 	case cost != m.cost:
 		err = mismatch("cost model", fmt.Sprintf("%+v", cost), fmt.Sprintf("%+v", m.cost))
 	}
@@ -636,8 +629,6 @@ func (m *Machine) decodeResidency(r *imgenc.Reader, sp *Space) bool {
 			return false
 		}
 		sp.fetched = c
-	case 2:
-		sp.fetched = readPageSet(r)
 	default:
 		r.Failf("bad fetched-set kind %d", kind)
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/imgenc"
 	"repro/internal/vm"
 )
 
@@ -355,6 +356,24 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	cfg.Cost.PageCompare++
 	if err := New(cfg).Restore(img); !errors.As(err, &mm) || mm.Field != "cost model" {
 		t.Fatalf("cost mismatch: got %v", err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "ckpt_v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New(ckConfig()).Restore(uncachedImage(golden)); !errors.As(err, &mm) || mm.Field != "read-only page cache" {
+		t.Fatalf("uncached mode: got %v, want *ImageMismatchError", err)
+	}
+}
+
+// A residency record of kind 2 — the standalone fetched set of the
+// retired uncached mode — is refused, not rebuilt.
+func TestDecodeResidencyRejectsStandaloneSet(t *testing.T) {
+	rec := []byte{0, 0, 2, 0, 0, 0, 0, 0} // no caches, kind 2, an empty page set
+	r := &imgenc.Reader{B: rec, Wrap: badImage}
+	var bad *BadImageError
+	if New(ckConfig()).decodeResidency(r, &Space{}) || !errors.As(r.Err, &bad) {
+		t.Fatalf("kind 2: got %v, want *BadImageError", r.Err)
 	}
 }
 

@@ -16,6 +16,19 @@ import (
 // config section that follows the envelope's 5-byte head.
 const cursorsAt = 5 + configSectionLen - 3*8
 
+// flagsAt is the offset of the config section's flag byte, after the
+// node and CPU counts.
+const flagsAt = 5 + 4 + 4
+
+// uncachedImage is img with config flag bit 0 set and re-sealed: the
+// mark of a machine in the retired mode without per-node read-only
+// caches, which Restore refuses.
+func uncachedImage(img []byte) []byte {
+	b := append([]byte(nil), img...)
+	b[flagsAt] |= 1
+	return imgenc.Seal(b[:len(b)-4])
+}
+
 // recapture resumes a restored machine with a program that does nothing
 // but checkpoint it again.
 func recapture(t *testing.T, m *Machine) []byte {
@@ -58,6 +71,7 @@ func FuzzRestore(f *testing.F) {
 	negCursor := append([]byte(nil), golden...)
 	binary.LittleEndian.PutUint64(negCursor[cursorsAt+8:], ^uint64(0))
 	f.Add(imgenc.Seal(negCursor[:len(negCursor)-4]))
+	f.Add(uncachedImage(golden))
 
 	// Restore replays device reads up to the image's three cursors, so
 	// its running time is proportional to them by design; past this many

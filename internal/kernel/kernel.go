@@ -84,9 +84,6 @@ type Config struct {
 	Console     *Console  // nil for a discard console
 	Clock       ClockFunc // nil for a deterministic logical clock
 	Rand        RandFunc  // nil for a fixed-seed generator
-	// DisableROCache turns off per-node caching of read-only pages for
-	// re-migrating spaces (an ablation of the optimization in §3.3).
-	DisableROCache bool
 	// Deprecated: MergeWorkers is not read. It selected the width of a
 	// parallel merge engine that no workload's merges ever reached (a
 	// thread's delta fits one level-2 table); merges are one serial walk.
@@ -103,7 +100,6 @@ type Machine struct {
 	console *Console
 	clock   ClockFunc
 	rand    RandFunc
-	noCache bool
 	// frames recycles the pages and tables the machine's spaces free; every
 	// space's memory and snapshot, restored ones included, draws on it.
 	frames *vm.Frames
@@ -191,7 +187,6 @@ func New(cfg Config) *Machine {
 		console: cfg.Console,
 		clock:   cfg.Clock,
 		rand:    cfg.Rand,
-		noCache: cfg.DisableROCache,
 		frames:  vm.NewFrames(),
 	}
 	for i := 0; i < cfg.Nodes; i++ {

@@ -736,46 +736,48 @@ func TestMigrationChargesTransfers(t *testing.T) {
 }
 
 func TestROCacheMakesRevisitsCheaper(t *testing.T) {
-	// A space that migrates to a remote node twice, reading the same pages
-	// each visit, pays the transfer only once when the read-only cache is
-	// enabled (§3.3), and twice when it is disabled.
-	prog := func(env *Env) {
-		env.SetPerm(0, 8*vm.PageSize, vm.PermRW)
-		buf := make([]uint32, 8*1024)
-		env.WriteU32s(0, buf)
-		for visit := 0; visit < 2; visit++ {
-			// Interacting with a child on node 1 migrates us there...
-			if err := env.Put(ChildOn(1, 1), PutOpts{
-				Regs:  &Regs{Entry: func(c *Env) {}},
-				Start: true,
-			}); err != nil {
-				panic(err)
-			}
-			if _, err := env.Get(ChildOn(1, 1), GetOpts{}); err != nil {
-				panic(err)
-			}
-			env.ReadU32s(0, buf) // ...where we read our pages
-			// ...and a child on node 0 migrates us home.
-			if err := env.Put(ChildOn(0, 2), PutOpts{
-				Regs:  &Regs{Entry: func(c *Env) {}},
-				Start: true,
-			}); err != nil {
-				panic(err)
-			}
-			if _, err := env.Get(ChildOn(0, 2), GetOpts{}); err != nil {
-				panic(err)
+	// A space that leaves node 1 and comes back, reading the same pages
+	// each visit, finds them in node 1's read-only cache (§3.3): the
+	// second visit costs less than a first visit to a third node, which
+	// must transfer them again.
+	prog := func(second int) Prog {
+		return func(env *Env) {
+			env.SetPerm(0, 8*vm.PageSize, vm.PermRW)
+			buf := make([]uint32, 8*1024)
+			env.WriteU32s(0, buf)
+			for _, nd := range []int{1, second} {
+				// Interacting with a child on node nd migrates us there...
+				if err := env.Put(ChildOn(nd, 1), PutOpts{
+					Regs:  &Regs{Entry: func(c *Env) {}},
+					Start: true,
+				}); err != nil {
+					panic(err)
+				}
+				if _, err := env.Get(ChildOn(nd, 1), GetOpts{}); err != nil {
+					panic(err)
+				}
+				env.ReadU32s(0, buf) // ...where we read our pages
+				// ...and a child on node 0 migrates us home.
+				if err := env.Put(ChildOn(0, 2), PutOpts{
+					Regs:  &Regs{Entry: func(c *Env) {}},
+					Start: true,
+				}); err != nil {
+					panic(err)
+				}
+				if _, err := env.Get(ChildOn(0, 2), GetOpts{}); err != nil {
+					panic(err)
+				}
 			}
 		}
 	}
-	vt := func(disable bool) int64 {
-		m := New(Config{Nodes: 2, DisableROCache: disable})
-		res := m.Run(prog, 0)
+	vt := func(nodes, second int) int64 {
+		res := New(Config{Nodes: nodes}).Run(prog(second), 0)
 		if res.Status != StatusHalted {
-			t.Fatalf("disable=%v: %v %v", disable, res.Status, res.Err)
+			t.Fatalf("%d nodes, second visit to node %d: %v %v", nodes, second, res.Status, res.Err)
 		}
 		return res.VT
 	}
-	cached, uncached := vt(false), vt(true)
+	cached, uncached := vt(2, 1), vt(3, 2)
 	if cached >= uncached {
 		t.Errorf("RO cache did not reduce VT: cached %d, uncached %d", cached, uncached)
 	}

@@ -332,18 +332,12 @@ func (sp *Space) migrate(target *node) {
 	sp.net.Msgs++
 	sp.node = target
 	if len(sp.m.nodes) > 1 {
-		if sp.m.noCache {
-			sp.fetched = newPageSet(false)
-			return
-		}
 		if sp.caches == nil {
 			sp.caches = make(map[int]*pageSet)
 		}
-		if sp.fetched != nil {
-			// What we accumulated at the previous node stays cached there.
-			// (Pages written elsewhere are removed from all caches at
-			// write time, so the cache only ever holds clean pages.)
-		}
+		// What we accumulated at the previous node stays cached there.
+		// (Pages written elsewhere are removed from all caches at write
+		// time, so the cache only ever holds clean pages.)
 		c := sp.caches[target.id]
 		if c == nil {
 			c = newPageSet(false)
@@ -430,10 +424,8 @@ func (sp *Space) inheritResidency(child *Space) {
 	} else {
 		child.fetched = newPageSet(false)
 	}
-	if !sp.m.noCache {
-		if child.caches == nil {
-			child.caches = make(map[int]*pageSet)
-		}
-		child.caches[child.node.id] = child.fetched
+	if child.caches == nil {
+		child.caches = make(map[int]*pageSet)
 	}
+	child.caches[child.node.id] = child.fetched
 }

@@ -3,7 +3,6 @@ package uproc
 import (
 	"io"
 
-	"repro/internal/fs"
 	"repro/internal/kernel"
 )
 
@@ -37,31 +36,13 @@ func Boot(cfg BootConfig, entry string, args ...string) BootResult {
 	cfg.Kernel.Console = kernel.NewConsole(cfg.Stdin, cfg.Stdout)
 	m := kernel.New(cfg.Kernel)
 	res := m.Run(func(env *kernel.Env) {
-		fsys := formatRoot(env)
-		p := &Proc{
-			env:      env,
-			fsys:     fsys,
-			registry: cfg.Registry,
-			args:     append([]string{entry}, args...),
-			root:     true,
-			children: make(map[int]*childState),
+		p, err := NewInit(env, cfg.Registry, append([]string{entry}, args...))
+		if err != nil {
+			panic(err)
 		}
 		status := p.runToExit(prog)
 		p.pumpConsole() // final output flush
 		env.SetRet(uint64(status))
 	}, 0)
 	return BootResult{ExitStatus: int(res.Ret), Run: res}
-}
-
-// formatRoot formats the root process's file system image (Format maps
-// its own pages), including the console special files (§4.3).
-func formatRoot(env *kernel.Env) *fs.FS {
-	fsys := fs.Format(env, FSBase, FSSize)
-	if err := fsys.CreateAppendOnly(ConsoleIn); err != nil {
-		panic(err)
-	}
-	if err := fsys.CreateAppendOnly(ConsoleOut); err != nil {
-		panic(err)
-	}
-	return fsys
 }

@@ -44,10 +44,11 @@ type StateError struct{ Msg string }
 func (e *StateError) Error() string { return "uproc: checkpoint state: " + e.Msg }
 
 // NewInit creates the init process for a fresh machine: it formats the
-// root file system image and creates the console special files, exactly
-// as Boot does, but reports failures as typed errors and leaves running
-// the program to the caller's phases. reg may be nil for a tree that
-// only forks Go functions.
+// root file system image (Format maps its own pages) and creates the
+// console special files (§4.3), reporting failures as typed errors and
+// leaving running the program to the caller — Boot's one run, or a
+// session's phases. reg may be nil for a tree that only forks Go
+// functions.
 func NewInit(env *kernel.Env, reg *Registry, args []string) (*Proc, error) {
 	if env == nil {
 		return nil, &StateError{Msg: "nil environment"}

@@ -95,20 +95,15 @@ func TestBootRecordReplay(t *testing.T) {
 	}
 }
 
-// runInit boots the init program on a pre-built machine (mirrors Boot,
-// which owns machine construction and so cannot be used with Record).
+// runInit boots the init program on a pre-built machine, as Boot does
+// (Boot owns machine construction and so cannot be used with Record).
 func runInit(t *testing.T, m *kernel.Machine, reg *Registry) {
 	t.Helper()
 	prog, _ := reg.Lookup("init")
 	res := m.Run(func(env *kernel.Env) {
-		fsys := formatRoot(env)
-		p := &Proc{
-			env:      env,
-			fsys:     fsys,
-			registry: reg,
-			args:     []string{"init"},
-			root:     true,
-			children: make(map[int]*childState),
+		p, err := NewInit(env, reg, []string{"init"})
+		if err != nil {
+			panic(err)
 		}
 		status := p.runToExit(prog)
 		p.pumpConsole()

@@ -25,12 +25,11 @@ func runKVStore(t *testing.T, cfg KVConfig) (uint64, KVStats, int64) {
 	return sum, st, res.VT
 }
 
-// TestKVStoreDeterministicAcrossMergeWorkers is the scenario's core
+// TestKVStoreDeterministicAcrossGOMAXPROCS is the scenario's core
 // claim: the checksum (which folds the final image bytes), the conflict
-// history and the virtual time are all independent of host parallelism —
-// GOMAXPROCS, since the merge-worker knob the name recalls was deleted —
-// and of repetition.
-func TestKVStoreDeterministicAcrossMergeWorkers(t *testing.T) {
+// history and the virtual time are all independent of host parallelism
+// (GOMAXPROCS) and of repetition.
+func TestKVStoreDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	cfg := KVConfig{Threads: 4, Keys: 6, Ops: 24, Rounds: 2, WritePct: 70, ValueSize: 200}
 	def := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(def) })
