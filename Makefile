@@ -137,7 +137,7 @@ bench-exact:
 # an edited TAB3.golden a reviewer sees; regenerate it with the pipeline
 # below.
 tab3:
-	$(GO) run ./cmd/codesize | awk '$$NF ~ /^[0-9]+$$/ { n = $$(NF-2); NF -= 4; print $$0, n }' | diff TAB3.golden -
+	$(GO) run ./cmd/detbench -run tab3 | awk '$$NF ~ /^[0-9]+$$/ { n = $$(NF-2); NF -= 4; print $$0, n }' | diff TAB3.golden -
 
 # The coverage census (docs/census.md): every product function outside
 # benchmark/, cmd/ and examples/ is classed by the best of what reaches

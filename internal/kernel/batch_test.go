@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/vm"
@@ -152,5 +153,97 @@ func TestSingleNodeReportsNoTraffic(t *testing.T) {
 	}
 	if res.Net != (NetStats{}) {
 		t.Errorf("RunResult.Net = %+v, want zeros", res.Net)
+	}
+}
+
+// mergedBlocks runs a child on node 1 that writes pages [4,12) and
+// [20,23), merges it back over r, and returns the root's traffic less
+// the fork's one migration: the merge's own requests and pages.
+func mergedBlocks(t *testing.T, batch int, r Range) NetStats {
+	t.Helper()
+	cost := DefaultCostModel()
+	cost.BatchPages = batch
+	m := New(Config{Nodes: 2, Cost: cost})
+	res := m.Run(func(env *Env) {
+		env.SetPerm(0, 64*vm.PageSize, vm.PermRW)
+		ref := ChildOn(1, 1)
+		if err := env.Put(ref, PutOpts{
+			Regs: &Regs{Entry: func(c *Env) {
+				for _, b := range [][2]int{{4, 12}, {20, 23}} {
+					for p := b[0]; p < b[1]; p++ {
+						c.WriteU32(vm.Addr(p)*vm.PageSize, 1)
+					}
+				}
+			}},
+			CopyAll: true,
+			Snap:    true,
+			Start:   true,
+		}); err != nil {
+			panic(err)
+		}
+		if _, err := env.Get(ref, GetOpts{Merge: true, MergeRange: &r}); err != nil {
+			panic(err)
+		}
+	}, 0)
+	if res.Status != StatusHalted {
+		t.Fatalf("%v: %v", res.Status, res.Err)
+	}
+	res.Net.Msgs--
+	return res.Net
+}
+
+func TestMergeShipsContiguousRunsUnderCap(t *testing.T) {
+	whole := Range{0, 64 * vm.PageSize}
+	for _, tc := range []struct {
+		batch int
+		r     Range
+		want  NetStats
+	}{
+		{64, whole, NetStats{Msgs: 2, Pages: 11}}, // [4,12) and [20,23)
+		{3, whole, NetStats{Msgs: 4, Pages: 11}},  // 3+3+2, then 3
+		{1, whole, NetStats{Msgs: 11, Pages: 11}}, // a page per request
+		{64, Range{16 * vm.PageSize, 32 * vm.PageSize}, NetStats{Msgs: 1, Pages: 3}},
+	} {
+		if got := mergedBlocks(t, tc.batch, tc.r); got != tc.want {
+			t.Errorf("cap %d over %+v: merge shipped %+v, want %+v", tc.batch, tc.r, got, tc.want)
+		}
+	}
+}
+
+func TestMergeOfUnmappedTableShipsNothing(t *testing.T) {
+	// A child on another node whose first table is replaced by an unmapped
+	// one (a table-aligned copy from an unmapped source, no new snapshot)
+	// merges nothing: every MergeStats field is zero, so nothing ships
+	// home. The only message is the fork's migration.
+	const table = 1 << 22
+	m := New(Config{Nodes: 2})
+	res := m.Run(func(env *Env) {
+		env.SetPerm(0, 8*vm.PageSize, vm.PermRW)
+		for p := 0; p < 8; p++ {
+			env.WriteU32(vm.Addr(p)*vm.PageSize, uint32(p+1))
+		}
+		ref := ChildOn(1, 1)
+		if err := env.Put(ref, PutOpts{CopyAll: true, Snap: true}); err != nil {
+			panic(err)
+		}
+		if err := env.Put(ref, PutOpts{Copy: &CopyRange{Src: 8 * table, Dst: 0, Size: table}}); err != nil {
+			panic(err)
+		}
+		info, err := env.Get(ref, GetOpts{Merge: true})
+		if err != nil {
+			panic(err)
+		}
+		if info.Merge != (vm.MergeStats{}) {
+			panic(fmt.Sprintf("merge stats %+v, want zeros", info.Merge))
+		}
+	}, 0)
+	if res.Status != StatusHalted {
+		t.Fatalf("%v: %v", res.Status, res.Err)
+	}
+	if want := (NetStats{Msgs: 1, Pages: 0}); res.Net != want {
+		t.Errorf("root traffic %+v, want %+v", res.Net, want)
+	}
+	if res.VT != 106308 {
+		t.Errorf("root VT %d, want 106308", res.VT)
 	}
 }

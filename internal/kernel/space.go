@@ -320,6 +320,33 @@ func (sp *Space) ship(pages int) {
 	sp.net.Pages += int64(pages)
 }
 
+// shipper batches the pages a space moves across the wire into requests:
+// add extends the pending run while the pages are contiguous and the run
+// is under CostModel.BatchPages (a cap of 0 or 1 is one page per
+// request), and flush ships the run as one request. Demand paging and a
+// cross-node merge's delta both ship through it, so a page costs the
+// same whichever moved it.
+type shipper struct {
+	sp   *Space
+	next vm.Addr // the page after the pending run
+	run  int     // pages in the pending run
+}
+
+func (w *shipper) add(p vm.Addr) {
+	if w.run > 0 && (p != w.next || w.run >= w.sp.m.cost.BatchPages) {
+		w.flush()
+	}
+	w.run++
+	w.next = p + vm.PageSize
+}
+
+func (w *shipper) flush() {
+	if w.run > 0 {
+		w.sp.ship(w.run)
+		w.run = 0
+	}
+}
+
 // migrate moves the calling space to the target node, charging the
 // cross-node protocol costs and switching the residency tracking to the
 // target node's read-only page cache (§3.3).
@@ -370,30 +397,13 @@ func (sp *Space) touchPages(addr vm.Addr, size int, write bool) {
 	if size <= 0 {
 		return
 	}
-	cost := sp.m.cost
-	maxRun := cost.BatchPages
-	if maxRun < 1 {
-		maxRun = 1
-	}
-	run := 0
-	flush := func() {
-		if run == 0 {
-			return
-		}
-		sp.ship(run)
-		run = 0
-	}
+	wire := shipper{sp: sp}
 	first := addr &^ (vm.PageSize - 1)
 	last := (addr + vm.Addr(size) - 1) &^ (vm.PageSize - 1)
 	for p := first; ; p += vm.PageSize {
 		if !sp.fetched.has(p) {
-			if run == maxRun {
-				flush()
-			}
-			run++
+			wire.add(p)
 			sp.fetched.add(p)
-		} else {
-			flush()
 		}
 		if write {
 			for id, c := range sp.caches {
@@ -406,7 +416,7 @@ func (sp *Space) touchPages(addr vm.Addr, size int, write bool) {
 			break
 		}
 	}
-	flush()
+	wire.flush()
 }
 
 // inheritResidency initializes a child's residency tracking from its

@@ -287,7 +287,26 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 		if o.MergeLWW {
 			mode = vm.MergeLastWriter
 		}
-		st, err := vm.MergeEx(sp.mem, child.mem, child.snap, r.Addr, r.Size, vm.MergeConfig{Mode: mode})
+		cfg := vm.MergeConfig{Mode: mode}
+		var wire *shipper
+		if len(sp.m.nodes) > 1 && sp.home != child.node {
+			// The merge ran on the child's node, but the merged result
+			// must reach the caller's home copy: the pages the merge
+			// adopts or compares (MergeConfig.Moved) ship home in runs,
+			// one request per run of at most BatchPages pages, so the
+			// pages shipped are PagesAdopted+PagesCompared. A collector
+			// merging a child homed on its own node — a delegate
+			// collecting its local threads — moves nothing across the
+			// wire and charges nothing. The batcher is made only here:
+			// stored in cfg it escapes, and a single-node merge must
+			// not allocate.
+			wire = &shipper{sp: sp}
+			cfg.Moved = wire.add
+		}
+		st, err := vm.MergeEx(sp.mem, child.mem, child.snap, r.Addr, r.Size, cfg)
+		if wire != nil {
+			wire.flush()
+		}
 		info.Merge = st
 		// Adopted pages are pte moves; compared pages walk all 4 KiB.
 		// Charging them separately keeps join cost proportional to data
@@ -296,21 +315,6 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 			int64(st.BytesMerged)*cost.ByteMerge +
 			int64(st.TablesAdopted)*cost.PageCopy +
 			int64(st.PagesAdopted)*cost.PageAdopt)
-		if len(sp.m.nodes) > 1 && sp.home != child.node {
-			// The merge ran on the child's node, but the merged result
-			// must reach the caller's home copy: charge wire traffic for
-			// the pages that actually moved. A collector merging a child
-			// homed on its own node — a delegate collecting its local
-			// threads — moves nothing across the wire and charges
-			// nothing. The child's delta ships as a compact page-run list
-			// (vm.DeltaRuns over its COW identity), one request (ship) per
-			// run of at most BatchPages pages — with a cap of one, one
-			// request per page; the runs' page total equals
-			// PagesCompared+PagesAdopted by construction.
-			for _, run := range vm.DeltaRuns(child.mem, child.snap, r.Addr, r.Size, max(cost.BatchPages, 1)) {
-				sp.ship(run.Pages)
-			}
-		}
 		if err != nil {
 			return info, err // vm.MergeConflictError: the paper's runtime exception
 		}

@@ -22,9 +22,9 @@ package vm
 // by index. A space and its snapshot are thus automatically
 // delta-encoded: everything unchanged since the snapshot is one shared
 // table or page reference, and only diverged content carries payload.
-// That sharing is also all Merge, DeltaRuns, CopyFrom and Resnap read
-// to tell what changed, so they behave identically after a restore —
-// including the virtual times they charge.
+// That sharing is also all Merge, CopyFrom and Resnap read to tell what
+// changed, so they behave identically after a restore — including the
+// pages a merge names and the virtual times they charge.
 //
 // Each space record ends in a dirty-slot section, and the image in a
 // snapshot-link section, that an earlier change tracker filled. The

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"repro/internal/imgenc"
@@ -100,25 +101,26 @@ func mappedPages(s *Space) int {
 }
 
 // The restored pair must preserve page identity sharing: unchanged pages
-// are the same object in cur and snap, so DeltaRuns, CleanSince and an
-// incremental Resnap see exactly the pre-serialization divergence.
+// are the same object in cur and snap, so a merge's Moved pages,
+// CleanSince and an incremental Resnap see exactly the pre-serialization
+// divergence.
 func TestForestRoundTripPreservesSharing(t *testing.T) {
 	cur, snap := buildPair(t)
-	wantRuns := DeltaRuns(cur, snap, 0, 1<<22, 0)
+	movedOf := func(cur, snap *Space) []Addr {
+		dst, _ := snap.Snapshot()
+		defer dst.Free()
+		moved, _ := mergeMoved(t, dst, cur, snap, 0, 1<<22)
+		return moved
+	}
+	want := movedOf(cur, snap)
 	img := encodePair(cur, snap)
 	spaces, err := DecodeForest(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc, rs := spaces[0], spaces[1]
-	gotRuns := DeltaRuns(rc, rs, 0, 1<<22, 0)
-	if len(gotRuns) != len(wantRuns) {
-		t.Fatalf("delta runs %v != %v", gotRuns, wantRuns)
-	}
-	for i := range wantRuns {
-		if gotRuns[i] != wantRuns[i] {
-			t.Fatalf("delta runs %v != %v", gotRuns, wantRuns)
-		}
+	if got := movedOf(rc, rs); !slices.Equal(got, want) {
+		t.Fatalf("moved pages %#x != %#x", got, want)
 	}
 	if rc.CleanSince(rs) != cur.CleanSince(snap) {
 		t.Fatal("CleanSince proof changed across round trip")

@@ -77,12 +77,20 @@ const (
 	MergeLastWriter
 )
 
-// MergeConfig parameterizes a merge. Its one field, Mode, decides what
-// a byte both sides changed becomes — a conflict or the child's byte —
-// so it is part of the merge's semantics, not an execution choice.
+// MergeConfig parameterizes a merge. Mode decides what a byte both
+// sides changed becomes — a conflict or the child's byte — so it is part
+// of the merge's semantics, not an execution choice. Moved is an output
+// sink and selects no behaviour: a nil one is the same merge.
 type MergeConfig struct {
 	// Mode selects conflict handling (MergeStrict or MergeLastWriter).
 	Mode MergeMode
+	// Moved, if non-nil, is called with the address of every page the
+	// merge adopts or compares — PagesAdopted+PagesCompared calls, in
+	// ascending address order, as the walk reaches each page. These are
+	// the pages whose entries differ between cur and ref in the tables
+	// cur holds and no longer shares with ref: the merge's own output,
+	// which a kernel merging a child on another node ships home.
+	Moved func(pa Addr)
 }
 
 // Merge folds the child's changes since its reference snapshot into dst
@@ -100,17 +108,12 @@ func Merge(dst, cur, ref *Space, addr Addr, size uint64) (MergeStats, error) {
 	return MergeEx(dst, cur, ref, addr, size, MergeConfig{Mode: MergeStrict})
 }
 
-// tableJob is one unit of merge work: the slice [lo, hi) of the level-2
-// table at level-1 index l1.
-type tableJob struct {
-	l1, lo, hi int
-}
-
 // mergeCtx carries one merge's parameters and the caller's output sinks.
 type mergeCtx struct {
 	mode     MergeMode
 	st       *MergeStats
 	conflict *MergeConflictError
+	moved    func(pa Addr)
 }
 
 // MergeEx is the merge engine's entry point; see MergeConfig. It walks
@@ -128,7 +131,7 @@ func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (Mer
 	// snapshot and is skipped outright.
 	end := uint64(addr) + size
 	conflict := &MergeConflictError{}
-	c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict}
+	c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict, moved: cfg.Moved}
 	for l1 := int(addr >> l1Shift); uint64(l1)<<l1Shift < end; l1++ {
 		ct := cur.root[l1]
 		if ct == nil || ct == ref.root[l1] {
@@ -142,7 +145,7 @@ func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (Mer
 		if base+(tableEntries<<l2Shift) > end {
 			hi = int((end - base) >> l2Shift)
 		}
-		mergeTable(dst, cur, ref, tableJob{l1: l1, lo: lo, hi: hi}, c)
+		mergeTable(dst, cur, ref, l1, lo, hi, c)
 	}
 	if conflict.Total > 0 {
 		return st, conflict
@@ -150,14 +153,14 @@ func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (Mer
 	return st, nil
 }
 
-// mergeTable merges one job's slice of a level-2 table into dst.
-// Everything it mutates hangs off dst's level-1 slot job.l1.
-func mergeTable(dst, cur, ref *Space, job tableJob, c mergeCtx) {
-	l1 := job.l1
+// mergeTable merges the slots [lo, hi) of the level-2 table at level-1
+// index l1 into dst. Everything it mutates hangs off dst's slot l1.
+func mergeTable(dst, cur, ref *Space, l1, lo, hi int, c mergeCtx) {
 	ct := cur.root[l1]
 	rt := ref.root[l1]
 	st := c.st
-	if dt := dst.root[l1]; dt == rt && job.lo == 0 && job.hi == tableEntries {
+	base := Addr(uint64(l1) << l1Shift)
+	if dt := dst.root[l1]; dt == rt && lo == 0 && hi == tableEntries {
 		// The parent still shares the snapshot's table: it has not
 		// touched this span since the fork, so adopting the child's
 		// whole table is byte-for-byte equivalent to merging it.
@@ -170,6 +173,9 @@ func mergeTable(dst, cur, ref *Space, job tableJob, c mergeCtx) {
 				l2 := w<<6 | bits.TrailingZeros64(word)
 				if rt == nil || ct.ptes[l2].pg != rt.ptes[l2].pg {
 					st.PagesAdopted++
+					if c.moved != nil {
+						c.moved(base + Addr(l2)<<l2Shift)
+					}
 				}
 			}
 		}
@@ -179,8 +185,8 @@ func mergeTable(dst, cur, ref *Space, job tableJob, c mergeCtx) {
 		return
 	}
 	dc := cursor{s: dst, l1: l1}
-	for w := job.lo >> 6; w<<6 < job.hi; w++ {
-		word := occIn(ct, rt, w, job.lo, job.hi)
+	for w := lo >> 6; w<<6 < hi; w++ {
+		word := occIn(ct, rt, w, lo, hi)
 		st.PtesScanned += bits.OnesCount64(word)
 		for ; word != 0; word &= word - 1 {
 			l2 := w<<6 | bits.TrailingZeros64(word)
@@ -192,7 +198,10 @@ func mergeTable(dst, cur, ref *Space, job tableJob, c mergeCtx) {
 			if ce.pg == re.pg {
 				continue // child did not change this page
 			}
-			pa := Addr(uint64(l1)<<l1Shift) + Addr(l2)<<l2Shift
+			pa := base + Addr(l2)<<l2Shift
+			if c.moved != nil {
+				c.moved(pa)
+			}
 			mergePage(&dc, pa, l2, ce, re, c)
 		}
 	}

@@ -11,9 +11,10 @@
 //
 // Copy-on-write is also the record of what changed: a table or page a
 // space still shares with its snapshot is one it has not changed since.
-// Merge, DeltaRuns and the root-sharing walk answer from that pointer
-// identity alone; inside a table that is no longer shared, Merge and
-// DeltaRuns visit only the slots either side's occupancy map lists.
+// Merge and the root-sharing walk answer from that pointer identity
+// alone; inside a table that is no longer shared, Merge visits only the
+// slots either side's occupancy map lists, and names the pages it moves
+// (MergeConfig.Moved) as it reaches them.
 //
 // One walk re-shares root slots (shareRoot, resnap.go): it makes a run of
 // one space's level-2 table pointers equal to a run of another's. A
@@ -58,8 +59,8 @@
 //
 // A recycled frame is a new object at an old address, so comparing
 // pointers is sound only between objects something still references.
-// Every == and != on a *page or *table — mergeRange, mergeTable,
-// mergePage, DeltaRuns, shareRoot — compares entries read from the root
+// Every == and != on a *page or *table — MergeEx, mergeTable,
+// mergePage, shareRoot — compares entries read from the root
 // or a table of a live space or snapshot, which pins them; and where a
 // slot's page or table is replaced, the new reference is taken before the
 // old one is dropped, so a replacement by the same object never passes
@@ -191,8 +192,8 @@ func (t *table) pages(yield func(*page) bool) {
 
 // occIn returns occupancy word w of the slots a or b backs (a nil table
 // backs none), limited to slots [lo, hi). Slots neither backs hold no page
-// on either side, so the walks comparing two tables' pages — Merge and
-// DeltaRuns — visit only the set bits of these words.
+// on either side, so the walk comparing two tables' pages — Merge's —
+// visits only the set bits of these words.
 func occIn(a, b *table, w, lo, hi int) uint64 {
 	var word uint64
 	if a != nil {
