@@ -17,9 +17,12 @@ import (
 // cell for cell; the shape tests below check the paper's claims on the
 // full-size figures.
 
-const quickGoldenPath = "testdata/quick.golden.json"
+const (
+	quickGoldenPath = "testdata/quick.golden.json"
+	fullGoldenPath  = "testdata/full.golden.json"
+)
 
-// quickIDs is every experiment the golden pins: all but tab3, whose
+// quickIDs is every experiment the quick golden pins: all but tab3, whose
 // counts move with every edit to the module.
 func quickIDs() []string {
 	var ids []string
@@ -31,16 +34,22 @@ func quickIDs() []string {
 	return ids
 }
 
-// quickGolden loads the golden tables keyed by id. Following
-// ckpt_v1.golden's convention the file is created when absent: delete
-// it and re-run to regenerate, then read the diff before committing it.
-func quickGolden(t *testing.T) map[string]Table {
+// fullIDs is every experiment the full-size golden pins: the multi-node
+// tables, whose figures at full size reach migration and merge traffic
+// the quick runs do not. Together they take well under a second.
+var fullIDs = []string{"cluster", "fig11", "fig12", "rocache"}
+
+// loadGolden loads the golden tables at path keyed by id. Following
+// ckpt_v1.golden's convention the file is created when absent, from
+// ids run under opt: delete it and re-run to regenerate, then read the
+// diff before committing it.
+func loadGolden(t *testing.T, path string, ids []string, opt Options) map[string]Table {
 	t.Helper()
-	raw, err := os.ReadFile(quickGoldenPath)
+	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		var tabs []Table
-		for _, id := range quickIDs() {
-			tab, err := Run(id, "", Options{Quick: true})
+		for _, id := range ids {
+			tab, err := Run(id, "", opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,19 +58,19 @@ func quickGolden(t *testing.T) map[string]Table {
 		if raw, err = json.MarshalIndent(tabs, "", "  "); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(quickGoldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(quickGoldenPath, append(raw, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("golden file created; commit %s", quickGoldenPath)
+		t.Logf("golden file created; commit %s", path)
 	} else if err != nil {
 		t.Fatal(err)
 	}
 	var tabs []Table
 	if err := json.Unmarshal(raw, &tabs); err != nil {
-		t.Fatalf("%s: %v", quickGoldenPath, err)
+		t.Fatalf("%s: %v", path, err)
 	}
 	byID := make(map[string]Table, len(tabs))
 	for _, tab := range tabs {
@@ -70,23 +79,25 @@ func quickGolden(t *testing.T) map[string]Table {
 	return byID
 }
 
-// TestQuickGolden runs every pinned experiment in quick mode and
-// requires its table to equal the golden's: an exact-quantity change
-// nobody explained fails here naming table, row, column, got and want.
-// It passes at any GOMAXPROCS and repeats under -count.
-func TestQuickGolden(t *testing.T) {
-	golden := quickGolden(t)
-	if len(golden) != len(quickIDs()) {
-		t.Errorf("golden holds %d tables, want %d", len(golden), len(quickIDs()))
+func quickGolden(t *testing.T) map[string]Table {
+	return loadGolden(t, quickGoldenPath, quickIDs(), Options{Quick: true})
+}
+
+// checkGolden runs each of ids under opt and requires its table to equal
+// the golden's: an exact-quantity change nobody explained fails here
+// naming table, row, column, got and want.
+func checkGolden(t *testing.T, golden map[string]Table, ids []string, opt Options) {
+	if len(golden) != len(ids) {
+		t.Errorf("golden holds %d tables, want %d", len(golden), len(ids))
 	}
-	for _, id := range quickIDs() {
+	for _, id := range ids {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			want, ok := golden[id]
 			if !ok {
 				t.Fatalf("no golden table %q", id)
 			}
-			got, err := Run(id, "", Options{Quick: true})
+			got, err := Run(id, "", opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,6 +126,19 @@ func TestQuickGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestQuickGolden runs every pinned experiment in quick mode against
+// quick.golden.json. It passes at any GOMAXPROCS and repeats under -count.
+func TestQuickGolden(t *testing.T) {
+	checkGolden(t, quickGolden(t), quickIDs(), Options{Quick: true})
+}
+
+// TestFullGolden runs the multi-node tables at full size against
+// full.golden.json, the check a change to migration, residency or merge
+// traffic used to make by diffing detbench's output by hand.
+func TestFullGolden(t *testing.T) {
+	checkGolden(t, loadGolden(t, fullGoldenPath, fullIDs, Options{}), fullIDs, Options{})
 }
 
 // TestAllExperimentsRunQuick checks the form of every experiment's
