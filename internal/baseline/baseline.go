@@ -88,10 +88,10 @@ func Qsort(threads, size int) uint64 {
 
 func qsortPar(a []uint32, depth int) {
 	if len(a) < 64 || depth == 0 {
-		workload.QsortSeqRef(a)
+		workload.QsortSeq(a)
 		return
 	}
-	p := workload.QsortPartitionRef(a)
+	p := workload.QsortPartition(a)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); qsortPar(a[:p], depth-1) }()
@@ -132,7 +132,7 @@ func FFT(threads, size int) uint64 {
 			go func() {
 				defer wg.Done()
 				blo, bhi := stripe(nb, threads, t)
-				updates[t] = workload.FFTButterfliesRef(data, half, blo, bhi)
+				updates[t] = workload.FFTButterflies(data, half, blo, bhi)
 			}()
 		}
 		wg.Wait()
@@ -151,11 +151,11 @@ func FFT(threads, size int) uint64 {
 // lu_cont and lu_noncont, as the Linux pthreads baselines effectively do
 // in the paper.
 func LU(threads, n int) uint64 {
-	const bs = workload.LUBlockSize
+	const bs = workload.LUBlock
 	if n%bs != 0 {
 		panic("baseline: lu size must be a multiple of the block size")
 	}
-	a := workload.LUGenRef(n)
+	a := workload.LUGen(n)
 	nb := n / bs
 	get := func(bi, bj int, buf []float64) {
 		for r := 0; r < bs; r++ {
@@ -192,7 +192,7 @@ func LU(threads, n int) uint64 {
 	diag := make([]float64, bs*bs)
 	for k := 0; k < nb; k++ {
 		get(k, k, diag)
-		workload.LUFactorDiagRef(diag)
+		workload.LUFactorDiag(diag)
 		put(k, k, diag)
 
 		panels := make([][2]int, 0, 2*(nb-k-1))
@@ -206,9 +206,9 @@ func LU(threads, n int) uint64 {
 			get(k, k, d)
 			get(b[0], b[1], blk)
 			if b[0] == k {
-				workload.LUSolveRowRef(d, blk)
+				workload.LUSolveRow(d, blk)
 			} else {
-				workload.LUSolveColRef(d, blk)
+				workload.LUSolveCol(d, blk)
 			}
 			put(b[0], b[1], blk)
 		})
@@ -226,7 +226,7 @@ func LU(threads, n int) uint64 {
 			get(b[0], b[1], dst)
 			get(b[0], k, l)
 			get(k, b[1], u)
-			workload.LUUpdateRef(dst, l, u)
+			workload.LUUpdate(dst, l, u)
 			put(b[0], b[1], dst)
 		})
 	}

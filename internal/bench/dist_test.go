@@ -71,3 +71,18 @@ func TestDistributedVirtualTimesPinned(t *testing.T) {
 		}
 	}
 }
+
+// ROCache's master holds its reference table on its home node from
+// birth, so the cached run ships the table once to each other node and
+// never home again: 64·(nodes−1) pages. The uncached placement visits
+// laps×nodes nodes once each and ships it to every one but home.
+func TestROCacheMasterShipsTableOncePerNode(t *testing.T) {
+	for _, nodes := range []int{2, 4} {
+		if got, want := rocacheRun(nodes, false).Net.Pages, int64(rocacheRefPages*(nodes-1)); got != want {
+			t.Errorf("cached, %d nodes: master shipped %d pages, want %d", nodes, got, want)
+		}
+		if got, want := rocacheRun(nodes, true).Net.Pages, int64(rocacheRefPages*(rocacheLaps*nodes-1)); got != want {
+			t.Errorf("uncached, %d nodes: master shipped %d pages, want %d", nodes, got, want)
+		}
+	}
+}

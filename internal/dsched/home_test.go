@@ -48,13 +48,18 @@ func TestThreadsStayHomeAfterPlacedFork(t *testing.T) {
 	if placed.Ret != home.Ret {
 		t.Errorf("checksum %#x after a placed fork, %#x without", placed.Ret, home.Ret)
 	}
-	// Pinned when the scheduler kept its own Put and Get, which named its
-	// threads' home-node references directly. The master starts the
-	// scheduler's run on node 1, where the ParallelDoOn left it, and its
-	// traffic is what coming home costs. Threads resolved through the
-	// stale placement read VT 1 627 002, 4 messages and 16 pages.
-	if home.VT != 206_490 || placed.VT != 1_983_202 || sched != (kernel.NetStats{Msgs: 3, Pages: 14}) {
-		t.Errorf("vt %d without the placed fork, %d after it, scheduler traffic %+v; want 206490, 1983202, {Msgs:3 Pages:14}",
+	// The master starts the scheduler's run on node 1, where the
+	// ParallelDoOn left it, and its traffic is what coming home costs:
+	// one request fetching 12 pages on node 1 and the migration home,
+	// {2, 12}. Its home node has held its pages since birth and still
+	// holds every one it did not write on node 1, so neither it nor the
+	// threads it forks at home fetch anything there. A home cache lost at
+	// the first migration costs 256 912 more: the master refetches 2
+	// pages at the end of the run (one request, 25 000 + 2 × 70 000 =
+	// 165 000) and each thread one page (91 912 on the critical path),
+	// reading VT 1 983 202 and {3, 14}.
+	if home.VT != 206_490 || placed.VT != 1_726_290 || sched != (kernel.NetStats{Msgs: 2, Pages: 12}) {
+		t.Errorf("vt %d without the placed fork, %d after it, scheduler traffic %+v; want 206490, 1726290, {Msgs:2 Pages:12}",
 			home.VT, placed.VT, sched)
 	}
 }

@@ -305,10 +305,11 @@ func (sp *Space) execStatus() (Status, bool) {
 }
 
 // encodeResidency emits the migration residency state: the per-node
-// read-only caches and which of them (if any) is the space's current
-// fetched set — kind 0 for none, kind 1 and a node id for a cache.
-// Kind 2, the standalone set of a retired uncached mode, is never
-// written and is refused at restore.
+// read-only caches, then a fetched-set byte naming the one resident on
+// the space's current node — kind 0 for a space without caches (a single
+// node), kind 1 and the current node's id otherwise. Kind 2, the
+// standalone set of a retired uncached mode, is never written and is
+// refused at restore.
 func (sp *Space) encodeResidency(b []byte) []byte {
 	ids := make([]int, 0, len(sp.caches))
 	for id := range sp.caches {
@@ -316,21 +317,15 @@ func (sp *Space) encodeResidency(b []byte) []byte {
 	}
 	sort.Ints(ids)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(ids)))
-	fetchedKind := byte(0) // nil
-	fetchedCache := -1
 	for _, id := range ids {
 		b = binary.LittleEndian.AppendUint32(b, uint32(id))
 		b = appendPageSet(b, sp.caches[id])
-		if sp.fetched == sp.caches[id] {
-			fetchedKind = 1
-			fetchedCache = id
-		}
 	}
-	b = append(b, fetchedKind)
-	if fetchedKind == 1 {
-		b = binary.LittleEndian.AppendUint32(b, uint32(fetchedCache))
+	if sp.caches == nil {
+		return append(b, 0)
 	}
-	return b
+	b = append(b, 1)
+	return binary.LittleEndian.AppendUint32(b, uint32(sp.node.id))
 }
 
 func appendPageSet(b []byte, s *pageSet) []byte {
@@ -602,7 +597,12 @@ func (m *Machine) decodeTree(r *imgenc.Reader, parent *Space, ref uint64, spaces
 	return sp
 }
 
-// decodeResidency rebuilds the migration residency state.
+// decodeResidency rebuilds the migration residency state. The fetched-set
+// byte must name the space's current node's cache, or be kind 0 beside no
+// caches at all. A multi-node space recorded with no caches comes from an
+// image written while a space that had not migrated yet tracked nothing,
+// every page counting as resident: it is restored with its current
+// node's cache holding everything.
 func (m *Machine) decodeResidency(r *imgenc.Reader, sp *Space) bool {
 	nCaches := int(r.U16())
 	for i := 0; i < nCaches && r.Err == nil; i++ {
@@ -618,17 +618,24 @@ func (m *Machine) decodeResidency(r *imgenc.Reader, sp *Space) bool {
 	}
 	switch kind := r.U8(); kind {
 	case 0:
+		if sp.caches != nil {
+			r.Failf("caches recorded without a fetched set")
+			return false
+		}
+		sp.residentHere()
 	case 1:
 		id := int(r.U32())
 		if r.Err != nil {
 			return false
 		}
-		c, ok := sp.caches[id]
-		if !ok {
+		if id != sp.node.id {
+			r.Failf("fetched set names cache %d, not current node %d", id, sp.node.id)
+			return false
+		}
+		if sp.caches[id] == nil {
 			r.Failf("fetched set names missing cache %d", id)
 			return false
 		}
-		sp.fetched = c
 	default:
 		r.Failf("bad fetched-set kind %d", kind)
 	}

@@ -377,40 +377,97 @@ func TestDecodeResidencyRejectsStandaloneSet(t *testing.T) {
 	}
 }
 
+// mnConfig is the multi-node checkpoint tests' machine: ckConfig's CPUs
+// and cost model on 3 nodes.
+var mnConfig = Config{Nodes: 3, CPUsPerNode: 2}
+
+// mnProg runs ckPhases phases as ckProg does, phase p forking its child
+// on node p%3, so the root migrates every phase.
+func mnProg(t testing.TB, start int, onBarrier func(env *Env, next int) bool) Prog {
+	return func(env *Env) {
+		if start == 0 {
+			env.SetPerm(ckBase, ckSize, vm.PermRW)
+		}
+		for p := start; p < ckPhases; p++ {
+			env.Tick(10)
+			ref := ChildOn(p%3, 1)
+			if err := env.Put(ref, PutOpts{
+				Regs:  &Regs{Entry: ckChild(p), Arg: uint64(p)},
+				Copy:  &CopyRange{Src: ckBase, Dst: ckBase, Size: ckSize},
+				Snap:  true,
+				Start: true,
+			}); err != nil {
+				t.Errorf("put: %v", err)
+				return
+			}
+			if _, err := env.Get(ref, GetOpts{Merge: true,
+				MergeRange: &Range{Addr: ckBase, Size: ckSize}}); err != nil {
+				t.Errorf("get: %v", err)
+				return
+			}
+			if onBarrier != nil && !onBarrier(env, p+1) {
+				return
+			}
+		}
+		ckResult(env)
+	}
+}
+
+// mnImage captures mnProg's machine at the barrier before phase stop and
+// returns the image and the root's residency record as encoded.
+func mnImage(t testing.TB, stop int) (img, rec []byte) {
+	t.Helper()
+	if res := New(mnConfig).Run(mnProg(t, 0, func(env *Env, next int) bool {
+		if next != stop {
+			return true
+		}
+		var err error
+		if img, err = env.Checkpoint(CheckpointOpts{}); err != nil {
+			t.Errorf("checkpoint: %v", err)
+		}
+		rec = env.sp.encodeResidency(nil)
+		return false
+	}), 0); res.Err != nil || img == nil {
+		t.Fatalf("capture failed: %v", res.Err)
+	}
+	return img, rec
+}
+
+// spliceRootResidency returns img with the root's residency record, old,
+// replaced by rec, the tree section's length fixed up and the image
+// re-sealed. The record follows the root's fixed fields (82 bytes for a
+// root, which records no trap cause) and its CPU pools.
+func spliceRootResidency(t testing.TB, img, old, rec []byte) []byte {
+	t.Helper()
+	treeLen := 5 + configSectionLen
+	at := treeLen + 4 + 82
+	pools := int(binary.LittleEndian.Uint16(img[at:]))
+	for at += 2; pools > 0; pools-- {
+		at += 4 + 2 + 8*int(binary.LittleEndian.Uint16(img[at+4:]))
+	}
+	if !bytes.Equal(img[at:at+len(old)], old) {
+		t.Fatal("the root's residency record is not where the layout puts it")
+	}
+	b := append(append(append([]byte(nil), img[:at]...), rec...), img[at+len(old):len(img)-4]...)
+	binary.LittleEndian.PutUint32(b[treeLen:], binary.LittleEndian.Uint32(b[treeLen:])+uint32(len(rec))-uint32(len(old)))
+	return imgenc.Seal(b)
+}
+
+// residencyVariants are the root residency records the decoder must
+// refuse or translate, derived from rec, a record naming node 1's cache
+// beside node 0's (mnImage at stop 2): the fetched set naming another
+// node's cache; caches with no fetched set; and a multi-node space with
+// no caches, as an image written while nil meant everything resident.
+func residencyVariants(rec []byte) (otherNode, noFetched, noCaches []byte) {
+	otherNode = binary.LittleEndian.AppendUint32(append([]byte(nil), rec[:len(rec)-4]...), 0)
+	noFetched = append(append([]byte(nil), rec[:len(rec)-5]...), 0)
+	return otherNode, noFetched, []byte{0, 0, 0}
+}
+
 // Multi-node machines carry residency caches, per-node pools and traffic
 // counters through the image.
 func TestCheckpointResumeMultiNode(t *testing.T) {
-	cfg := Config{Nodes: 3, CPUsPerNode: 2}
-	prog := func(start int, onBarrier func(env *Env, next int) bool) Prog {
-		return func(env *Env) {
-			if start == 0 {
-				env.SetPerm(ckBase, ckSize, vm.PermRW)
-			}
-			for p := start; p < ckPhases; p++ {
-				env.Tick(10)
-				ref := ChildOn(p%3, 1)
-				if err := env.Put(ref, PutOpts{
-					Regs:  &Regs{Entry: ckChild(p), Arg: uint64(p)},
-					Copy:  &CopyRange{Src: ckBase, Dst: ckBase, Size: ckSize},
-					Snap:  true,
-					Start: true,
-				}); err != nil {
-					t.Errorf("put: %v", err)
-					return
-				}
-				if _, err := env.Get(ref, GetOpts{Merge: true,
-					MergeRange: &Range{Addr: ckBase, Size: ckSize}}); err != nil {
-					t.Errorf("get: %v", err)
-					return
-				}
-				if onBarrier != nil && !onBarrier(env, p+1) {
-					return
-				}
-			}
-			ckResult(env)
-		}
-	}
-	want := New(cfg).Run(prog(0, nil), 0)
+	want := New(mnConfig).Run(mnProg(t, 0, nil), 0)
 	if want.Err != nil {
 		t.Fatal(want.Err)
 	}
@@ -418,28 +475,44 @@ func TestCheckpointResumeMultiNode(t *testing.T) {
 		t.Fatal("test expects cross-node traffic")
 	}
 	for stop := 1; stop < ckPhases; stop++ {
-		var img []byte
-		if res := New(cfg).Run(prog(0, func(env *Env, next int) bool {
-			if next != stop {
-				return true
-			}
-			var err error
-			img, err = env.Checkpoint(CheckpointOpts{})
-			if err != nil {
-				t.Errorf("checkpoint: %v", err)
-			}
-			return false
-		}), 0); res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		m := New(cfg)
+		img, _ := mnImage(t, stop)
+		m := New(mnConfig)
 		if err := m.Restore(img); err != nil {
 			t.Fatalf("restore: %v", err)
 		}
-		got := m.Run(prog(stop, nil), 0)
+		got := m.Run(mnProg(t, stop, nil), 0)
 		if got.Ret != want.Ret || got.VT != want.VT || got.Net != want.Net {
 			t.Fatalf("multi-node resume at %d diverged:\n got %+v\nwant %+v", stop, got, want)
 		}
+	}
+}
+
+// The residency record's fetched set names the cache of the space's
+// current node. A record naming another node's cache, or caches beside
+// no fetched set, is refused; a multi-node space recorded with no caches
+// restores with its current node's cache holding every page.
+func TestRestoreResidencyRecord(t *testing.T) {
+	img, rec := mnImage(t, 2)
+	if want := []byte{1, 1, 0, 0, 0}; !bytes.Equal(rec[len(rec)-5:], want) {
+		t.Fatalf("root residency record ends % x, want the fetched set of node 1, % x", rec[len(rec)-5:], want)
+	}
+	otherNode, noFetched, noCaches := residencyVariants(rec)
+	var bad *BadImageError
+	for _, tc := range []struct {
+		name string
+		rec  []byte
+	}{{"another node's cache", otherNode}, {"caches without a fetched set", noFetched}} {
+		if err := New(mnConfig).Restore(spliceRootResidency(t, img, rec, tc.rec)); !errors.As(err, &bad) {
+			t.Errorf("%s: got %v, want *BadImageError", tc.name, err)
+		}
+	}
+	m := New(mnConfig)
+	if err := m.Restore(spliceRootResidency(t, img, rec, noCaches)); err != nil {
+		t.Fatalf("no caches: %v", err)
+	}
+	root := m.root
+	if c := root.caches[root.node.id]; len(root.caches) != 1 || c == nil || !c.all || len(c.except) != 0 {
+		t.Errorf("no caches restored as %+v, want node %d's cache holding everything", root.caches, root.node.id)
 	}
 }
 

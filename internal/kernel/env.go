@@ -133,7 +133,7 @@ type haltSignal struct{}
 func (e *Env) access(addr vm.Addr, size int, write bool) {
 	e.sp.tick(int64(size+7) / 8)
 	e.fault(vm.CheckSpan(addr, size))
-	if e.sp.fetched != nil {
+	if e.sp.caches != nil {
 		e.sp.touchPages(addr, size, write)
 	}
 }
@@ -245,7 +245,7 @@ func (e *Env) ReadU32s(addr vm.Addr, dst []uint32) {
 // charged for, and the ones after it have not, as in the loop.
 func (e *Env) ReadU32Stride(addr, stride vm.Addr, dst []uint32) {
 	sp, n := e.sp, int64(len(dst))
-	if sp.fetched != nil || (sp.limit > 0 && sp.critical == 0 && sp.insns+n >= sp.limit) {
+	if sp.caches != nil || (sp.limit > 0 && sp.critical == 0 && sp.insns+n >= sp.limit) {
 		for i := range dst {
 			dst[i] = e.ReadU32(addr + vm.Addr(i)*stride)
 		}

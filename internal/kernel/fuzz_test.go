@@ -72,6 +72,12 @@ func FuzzRestore(f *testing.F) {
 	binary.LittleEndian.PutUint64(negCursor[cursorsAt+8:], ^uint64(0))
 	f.Add(imgenc.Seal(negCursor[:len(negCursor)-4]))
 	f.Add(uncachedImage(golden))
+	mn, rec := mnImage(f, 2)
+	f.Add(mn)
+	otherNode, noFetched, noCaches := residencyVariants(rec)
+	for _, r := range [][]byte{otherNode, noFetched, noCaches} {
+		f.Add(spliceRootResidency(f, mn, rec, r))
+	}
 
 	// Restore replays device reads up to the image's three cursors, so
 	// its running time is proportional to them by design; past this many
@@ -115,7 +121,11 @@ func FuzzRestore(f *testing.F) {
 				}
 			}
 
-			m := New(ckConfig())
+			cfg := ckConfig()
+			if len(in) >= 9 && binary.LittleEndian.Uint32(in[5:]) == uint32(mnConfig.Nodes) {
+				cfg = mnConfig // the multi-node seeds' machine
+			}
+			m := New(cfg)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			err = m.Restore(in)
@@ -135,7 +145,7 @@ func FuzzRestore(f *testing.F) {
 				continue
 			}
 			first := recapture(t, m)
-			m = New(ckConfig())
+			m = New(cfg)
 			if err := m.Restore(first); err != nil {
 				t.Fatalf("re-captured image does not restore: %v", err)
 			}

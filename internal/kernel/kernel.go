@@ -249,6 +249,7 @@ func (m *Machine) Start(prog Prog, arg uint64) {
 			panic("kernel: Machine started twice")
 		}
 		root = newSpace(m, nil, 0, m.nodes[0], m.frames.NewSpace())
+		root.residentHere()
 		root.regs = Regs{Entry: prog, Arg: arg}
 		m.root = root
 	}
@@ -350,9 +351,6 @@ type pageSet struct {
 func newPageSet(all bool) *pageSet { return &pageSet{all: all} }
 
 func (s *pageSet) has(p vm.Addr) bool {
-	if s == nil {
-		return false
-	}
 	if s.all {
 		_, ex := s.except[p]
 		return !ex
@@ -373,9 +371,6 @@ func (s *pageSet) add(p vm.Addr) {
 }
 
 func (s *pageSet) remove(p vm.Addr) {
-	if s == nil {
-		return
-	}
 	if s.all {
 		if s.except == nil {
 			s.except = make(map[vm.Addr]struct{})
@@ -387,9 +382,6 @@ func (s *pageSet) remove(p vm.Addr) {
 }
 
 func (s *pageSet) clone() *pageSet {
-	if s == nil {
-		return nil
-	}
 	c := &pageSet{all: s.all}
 	if len(s.except) > 0 {
 		c.except = make(map[vm.Addr]struct{}, len(s.except))

@@ -110,11 +110,13 @@ type Space struct {
 	segBlocked int64 // vt spent blocked in rendezvous during this segment
 	accounted  bool  // current stop has been charged to a virtual CPU
 
-	// Migration state (multi-node machines only).
-	node    *node    // node the space currently executes on
-	fetched *pageSet // pages resident on node; nil = everything (single node)
-	caches  map[int]*pageSet
-	net     NetStats // cross-node traffic this space initiated
+	// Migration state. On a multi-node machine caches holds, from the
+	// space's birth, the pages resident for it on every node it has run
+	// on (§3.3's read-only caches): caches[node.id] is its residency
+	// here. A single-node space has nil caches and everything resident.
+	node   *node // node the space currently executes on
+	caches map[int]*pageSet
+	net    NetStats // cross-node traffic this space initiated
 
 	// Per-node virtual CPU pools for the children this space collects
 	// (touched only by the collector's goroutine, in program order).
@@ -348,8 +350,10 @@ func (w *shipper) flush() {
 }
 
 // migrate moves the calling space to the target node, charging the
-// cross-node protocol costs and switching the residency tracking to the
-// target node's read-only page cache (§3.3).
+// cross-node protocol costs. What the space holds on the node it leaves
+// stays cached there (§3.3) — pages written elsewhere are removed from
+// every cache at write time, so a cache only ever holds clean pages — and
+// a node it has not run on yet starts with nothing.
 func (sp *Space) migrate(target *node) {
 	if sp.node == target {
 		return
@@ -358,19 +362,17 @@ func (sp *Space) migrate(target *node) {
 	sp.chargeVT(cost.MigrateMsg + msgExtra(cost))
 	sp.net.Msgs++
 	sp.node = target
+	if sp.caches[target.id] == nil {
+		sp.caches[target.id] = newPageSet(false)
+	}
+}
+
+// residentHere gives a space born with nothing to inherit — the root, a
+// clone — every page it holds resident on its node, on a multi-node
+// machine.
+func (sp *Space) residentHere() {
 	if len(sp.m.nodes) > 1 {
-		if sp.caches == nil {
-			sp.caches = make(map[int]*pageSet)
-		}
-		// What we accumulated at the previous node stays cached there.
-		// (Pages written elsewhere are removed from all caches at write
-		// time, so the cache only ever holds clean pages.)
-		c := sp.caches[target.id]
-		if c == nil {
-			c = newPageSet(false)
-			sp.caches[target.id] = c
-		}
-		sp.fetched = c
+		sp.caches = map[int]*pageSet{sp.node.id: newPageSet(true)}
 	}
 }
 
@@ -390,20 +392,21 @@ func msgExtra(c CostModel) int64 {
 // round trip moves up to BatchPages pages, so a bulk read of a remote
 // span pays per-run rather than per-page protocol overhead. With
 // batching disabled every page is its own request, the original
-// per-page protocol, at exactly the original cost. A space whose fetched
-// set is nil (a single node: everything resident) has nothing to charge,
-// and Env.access does not call it.
+// per-page protocol, at exactly the original cost. A space with nil
+// caches (a single node: everything resident) has nothing to charge, and
+// Env.access does not call it.
 func (sp *Space) touchPages(addr vm.Addr, size int, write bool) {
 	if size <= 0 {
 		return
 	}
+	here := sp.caches[sp.node.id]
 	wire := shipper{sp: sp}
 	first := addr &^ (vm.PageSize - 1)
 	last := (addr + vm.Addr(size) - 1) &^ (vm.PageSize - 1)
 	for p := first; ; p += vm.PageSize {
-		if !sp.fetched.has(p) {
+		if !here.has(p) {
 			wire.add(p)
-			sp.fetched.add(p)
+			here.add(p)
 		}
 		if write {
 			for id, c := range sp.caches {
@@ -419,23 +422,19 @@ func (sp *Space) touchPages(addr vm.Addr, size int, write bool) {
 	wire.flush()
 }
 
-// inheritResidency initializes a child's residency tracking from its
+// inheritResidency initializes a child's residency on its node from its
 // parent at fork time: COW-shared pages are exactly as resident for the
 // child as they were for the parent.
 func (sp *Space) inheritResidency(child *Space) {
-	if len(sp.m.nodes) <= 1 {
+	if sp.caches == nil {
 		return
-	}
-	if sp.node == child.node {
-		child.fetched = sp.fetched.clone()
-		if child.fetched == nil {
-			child.fetched = newPageSet(true)
-		}
-	} else {
-		child.fetched = newPageSet(false)
 	}
 	if child.caches == nil {
 		child.caches = make(map[int]*pageSet)
 	}
-	child.caches[child.node.id] = child.fetched
+	if sp.node == child.node {
+		child.caches[child.node.id] = sp.caches[sp.node.id].clone()
+	} else {
+		child.caches[child.node.id] = newPageSet(false)
+	}
 }

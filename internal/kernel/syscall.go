@@ -368,6 +368,7 @@ func (sp *Space) cloneTree(dst, src *Space) {
 		dc := dst.children[ref]
 		if dc == nil {
 			dc = newSpace(sp.m, dst, ref, sc.home, sp.m.frames.NewSpace())
+			dc.residentHere()
 			if dst.children == nil {
 				dst.children = make(map[uint64]*Space)
 			}

@@ -80,14 +80,16 @@ const (
 // MergeConfig parameterizes a merge. Mode decides what a byte both
 // sides changed becomes — a conflict or the child's byte — so it is part
 // of the merge's semantics, not an execution choice. Moved is an output
-// sink and selects no behaviour: a nil one is the same merge.
+// sink and selects no behaviour: a nil one is the same merge. Neither
+// touches the merge's one unmap rule: a page the child unmapped since its
+// snapshot is not a change, and the parent keeps its page.
 type MergeConfig struct {
 	// Mode selects conflict handling (MergeStrict or MergeLastWriter).
 	Mode MergeMode
 	// Moved, if non-nil, is called with the address of every page the
 	// merge adopts or compares — PagesAdopted+PagesCompared calls, in
 	// ascending address order, as the walk reaches each page. These are
-	// the pages whose entries differ between cur and ref in the tables
+	// the pages cur maps whose entries differ from ref's, in the tables
 	// cur holds and no longer shares with ref: the merge's own output,
 	// which a kernel merging a child on another node ships home.
 	Moved func(pa Addr)
@@ -98,7 +100,9 @@ type MergeConfig struct {
 // byte that differs between cur (the child's current state) and ref (the
 // snapshot taken when the child was forked), the byte is copied into dst —
 // unless dst itself changed that byte since the snapshot, which is a
-// conflict. Bytes the child did not change are left untouched in dst.
+// conflict. Bytes the child did not change are left untouched in dst, and
+// so is a page the child unmapped: unmapping is not a change, and the
+// parent keeps its page, its bytes and its permissions.
 //
 // Merge is the kernel-level operation behind the Merge option of Get; the
 // byte-granularity semantics are what make Determinator's private
@@ -155,35 +159,21 @@ func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (Mer
 
 // mergeTable merges the slots [lo, hi) of the level-2 table at level-1
 // index l1 into dst. Everything it mutates hangs off dst's slot l1.
+//
+// A page the child unmapped is not a change: the parent keeps its page.
+// When the parent still shares the snapshot's table — it has not touched
+// this span since the fork — and the whole table is merged, adopting the
+// child's table is byte-for-byte the per-slot merge, unless the child
+// unmapped a page, which adoption would take from the parent. The walk
+// is one either way: it counts and names every changed page, merging it
+// slot by slot or, for an adopted table, swapping the table in after.
 func mergeTable(dst, cur, ref *Space, l1, lo, hi int, c mergeCtx) {
 	ct := cur.root[l1]
 	rt := ref.root[l1]
+	dt := dst.root[l1]
 	st := c.st
 	base := Addr(uint64(l1) << l1Shift)
-	if dt := dst.root[l1]; dt == rt && lo == 0 && hi == tableEntries {
-		// The parent still shares the snapshot's table: it has not
-		// touched this span since the fork, so adopting the child's
-		// whole table is byte-for-byte equivalent to merging it.
-		// Count the pages that actually changed (pointer compares)
-		// so the cost model still sees the real data volume.
-		for w := range ct.occ {
-			word := occIn(ct, rt, w, 0, tableEntries)
-			st.PtesScanned += bits.OnesCount64(word)
-			for ; word != 0; word &= word - 1 {
-				l2 := w<<6 | bits.TrailingZeros64(word)
-				if rt == nil || ct.ptes[l2].pg != rt.ptes[l2].pg {
-					st.PagesAdopted++
-					if c.moved != nil {
-						c.moved(base + Addr(l2)<<l2Shift)
-					}
-				}
-			}
-		}
-		dst.root[l1] = shareTable(ct)
-		dst.frames.dropTable(dt)
-		st.TablesAdopted++
-		return
-	}
+	adopt := dt == rt && lo == 0 && hi == tableEntries && !unmapsAny(ct, rt)
 	dc := cursor{s: dst, l1: l1}
 	for w := lo >> 6; w<<6 < hi; w++ {
 		word := occIn(ct, rt, w, lo, hi)
@@ -195,16 +185,41 @@ func mergeTable(dst, cur, ref *Space, l1, lo, hi int, c mergeCtx) {
 			if rt != nil {
 				re = rt.ptes[l2]
 			}
-			if ce.pg == re.pg {
-				continue // child did not change this page
+			if ce.pg == re.pg || !ce.mapped() {
+				continue // child did not change this page, or unmapped it
 			}
 			pa := base + Addr(l2)<<l2Shift
 			if c.moved != nil {
 				c.moved(pa)
 			}
-			mergePage(&dc, pa, l2, ce, re, c)
+			if adopt {
+				st.PagesAdopted++
+			} else {
+				mergePage(&dc, pa, l2, ce, re, c)
+			}
 		}
 	}
+	if adopt {
+		dst.root[l1] = shareTable(ct)
+		dst.frames.dropTable(dt)
+		st.TablesAdopted++
+	}
+}
+
+// unmapsAny reports whether ct leaves unmapped a slot rt backs: a page the
+// child unmapped, which a merge leaves to the parent.
+func unmapsAny(ct, rt *table) bool {
+	if rt == nil {
+		return false
+	}
+	for w, word := range rt.occ {
+		for word &^= ct.occ[w]; word != 0; word &= word - 1 {
+			if !ct.ptes[w<<6|bits.TrailingZeros64(word)].mapped() {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // mergePage merges one child page at address pa into dst: adopted whole

@@ -7,7 +7,8 @@
 // Merge performs the byte-granularity three-way reconciliation at the heart
 // of Determinator's private workspace model: bytes the child changed since
 // its reference snapshot are folded into the parent, and bytes changed on
-// both sides raise a conflict, independent of any execution schedule.
+// both sides raise a conflict, independent of any execution schedule. A
+// page the child unmapped is not a change: the parent keeps its page.
 //
 // Copy-on-write is also the record of what changed: a table or page a
 // space still shares with its snapshot is one it has not changed since.

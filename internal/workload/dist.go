@@ -15,7 +15,7 @@ import (
 // then retraces the same circuit to collect results. The serial circuit
 // is the scaling bottleneck the paper observes.
 func MD5Circuit(rt *core.RT, nodes, size int) uint64 {
-	want := md5Candidate(MD5Target(size))
+	want := MD5Candidate(MD5Target(size))
 	slots := rt.Alloc(uint64(8*nodes), 8)
 	for nd := 0; nd < nodes; nd++ {
 		nd := nd
@@ -101,7 +101,7 @@ func joinOnNode(f forker, node, id int) (uint64, error) {
 // MD5Tree distributes the search by recursive binary fan-out across the
 // cluster — the variant that scales in Figure 11.
 func MD5Tree(rt *core.RT, nodes, size int) uint64 {
-	want := md5Candidate(MD5Target(size))
+	want := MD5Candidate(MD5Target(size))
 	slots := rt.Alloc(uint64(8*nodes), 8)
 	leaf := func(t *core.Thread, node int) {
 		lo, hi := stripe(size, nodes, node)

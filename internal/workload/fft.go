@@ -35,10 +35,10 @@ func fftBitReverse(data []float64) {
 	}
 }
 
-// fftButterflies executes butterflies [blo, bhi) of the stage with
+// FFTButterflies executes butterflies [blo, bhi) of the stage with
 // half-size half, reading pairs from src and returning the updated pair
 // values as (index, re, im) triples flattened into updates.
-func fftButterflies(src []float64, half, blo, bhi int) []float64 {
+func FFTButterflies(src []float64, half, blo, bhi int) []float64 {
 	// Each butterfly b works on indices i = (b/half)*2*half + b%half
 	// and j = i + half.
 	updates := make([]float64, 0, 4*(bhi-blo))
@@ -122,7 +122,7 @@ func FFTSeq(size int) uint64 {
 	fftBitReverse(data)
 	nb := size / 2
 	for half := 1; half < size; half *= 2 {
-		updates := fftButterflies(data, half, 0, nb)
+		updates := FFTButterflies(data, half, 0, nb)
 		for k, b := 0, 0; b < nb; k, b = k+4, b+1 {
 			i := (b/half)*2*half + b%half
 			j := i + half

@@ -24,8 +24,8 @@ import (
 // solves, trailing update) separated by joins, making lu the most
 // fine-grained benchmark in the suite.
 
-// luBlock is the block edge; n must be a multiple.
-const luBlock = 32
+// LUBlock is the block edge; n must be a multiple.
+const LUBlock = 32
 
 const luTicksPerFlop = 2
 
@@ -50,7 +50,7 @@ type contLayout struct {
 }
 
 func (l contLayout) blockAddr(bi, bj int) vm.Addr {
-	return l.base + vm.Addr(8*luBlock*luBlock*(bi*l.blocks+bj))
+	return l.base + vm.Addr(8*LUBlock*LUBlock*(bi*l.blocks+bj))
 }
 
 func (l contLayout) readBlock(env *envIface, bi, bj int, buf []float64) {
@@ -67,21 +67,21 @@ type rowLayout struct {
 }
 
 func (l rowLayout) readBlock(env *envIface, bi, bj int, buf []float64) {
-	for r := 0; r < luBlock; r++ {
-		addr := l.base + vm.Addr(8*((bi*luBlock+r)*l.n+bj*luBlock))
-		env.readF64s(addr, buf[r*luBlock:(r+1)*luBlock])
+	for r := 0; r < LUBlock; r++ {
+		addr := l.base + vm.Addr(8*((bi*LUBlock+r)*l.n+bj*LUBlock))
+		env.readF64s(addr, buf[r*LUBlock:(r+1)*LUBlock])
 	}
 }
 
 func (l rowLayout) writeBlock(env *envIface, bi, bj int, buf []float64) {
-	for r := 0; r < luBlock; r++ {
-		addr := l.base + vm.Addr(8*((bi*luBlock+r)*l.n+bj*luBlock))
-		env.writeF64s(addr, buf[r*luBlock:(r+1)*luBlock])
+	for r := 0; r < LUBlock; r++ {
+		addr := l.base + vm.Addr(8*((bi*LUBlock+r)*l.n+bj*LUBlock))
+		env.writeF64s(addr, buf[r*LUBlock:(r+1)*LUBlock])
 	}
 }
 
-// luGen builds the deterministic, diagonally dominant input matrix.
-func luGen(n int) []float64 {
+// LUGen builds the deterministic, diagonally dominant input matrix.
+func LUGen(n int) []float64 {
 	a := GenF64(n*n, 0x10)
 	for i := 0; i < n; i++ {
 		a[i*n+i] += float64(n)
@@ -91,91 +91,91 @@ func luGen(n int) []float64 {
 
 // Dense block kernels (row-major B×B buffers).
 
-// luFactorDiag factors a diagonal block in place (Doolittle, unit lower).
-func luFactorDiag(d []float64) {
-	for k := 0; k < luBlock; k++ {
-		pivot := d[k*luBlock+k]
-		for i := k + 1; i < luBlock; i++ {
-			d[i*luBlock+k] /= pivot
-			lik := d[i*luBlock+k]
-			for j := k + 1; j < luBlock; j++ {
-				d[i*luBlock+j] -= lik * d[k*luBlock+j]
+// LUFactorDiag factors a diagonal block in place (Doolittle, unit lower).
+func LUFactorDiag(d []float64) {
+	for k := 0; k < LUBlock; k++ {
+		pivot := d[k*LUBlock+k]
+		for i := k + 1; i < LUBlock; i++ {
+			d[i*LUBlock+k] /= pivot
+			lik := d[i*LUBlock+k]
+			for j := k + 1; j < LUBlock; j++ {
+				d[i*LUBlock+j] -= lik * d[k*LUBlock+j]
 			}
 		}
 	}
 }
 
-// luSolveRow computes U_kj: solve L_kk * X = A_kj for X, in place.
-func luSolveRow(diag, blk []float64) {
-	for k := 0; k < luBlock; k++ {
-		for i := k + 1; i < luBlock; i++ {
-			lik := diag[i*luBlock+k]
-			for j := 0; j < luBlock; j++ {
-				blk[i*luBlock+j] -= lik * blk[k*luBlock+j]
+// LUSolveRow computes U_kj: solve L_kk * X = A_kj for X, in place.
+func LUSolveRow(diag, blk []float64) {
+	for k := 0; k < LUBlock; k++ {
+		for i := k + 1; i < LUBlock; i++ {
+			lik := diag[i*LUBlock+k]
+			for j := 0; j < LUBlock; j++ {
+				blk[i*LUBlock+j] -= lik * blk[k*LUBlock+j]
 			}
 		}
 	}
 }
 
-// luSolveCol computes L_ik: solve X * U_kk = A_ik for X, in place.
-func luSolveCol(diag, blk []float64) {
-	for k := 0; k < luBlock; k++ {
-		ukk := diag[k*luBlock+k]
-		for i := 0; i < luBlock; i++ {
-			blk[i*luBlock+k] /= ukk
-			lik := blk[i*luBlock+k]
-			for j := k + 1; j < luBlock; j++ {
-				blk[i*luBlock+j] -= lik * diag[k*luBlock+j]
+// LUSolveCol computes L_ik: solve X * U_kk = A_ik for X, in place.
+func LUSolveCol(diag, blk []float64) {
+	for k := 0; k < LUBlock; k++ {
+		ukk := diag[k*LUBlock+k]
+		for i := 0; i < LUBlock; i++ {
+			blk[i*LUBlock+k] /= ukk
+			lik := blk[i*LUBlock+k]
+			for j := k + 1; j < LUBlock; j++ {
+				blk[i*LUBlock+j] -= lik * diag[k*LUBlock+j]
 			}
 		}
 	}
 }
 
-// luUpdate computes A_ij -= L_ik * U_kj.
-func luUpdate(dst, l, u []float64) {
-	for i := 0; i < luBlock; i++ {
-		for k := 0; k < luBlock; k++ {
-			lik := l[i*luBlock+k]
+// LUUpdate computes A_ij -= L_ik * U_kj.
+func LUUpdate(dst, l, u []float64) {
+	for i := 0; i < LUBlock; i++ {
+		for k := 0; k < LUBlock; k++ {
+			lik := l[i*LUBlock+k]
 			if lik == 0 {
 				continue
 			}
-			for j := 0; j < luBlock; j++ {
-				dst[i*luBlock+j] -= lik * u[k*luBlock+j]
+			for j := 0; j < LUBlock; j++ {
+				dst[i*LUBlock+j] -= lik * u[k*LUBlock+j]
 			}
 		}
 	}
 }
 
-const luBlockFlops = 2 * luBlock * luBlock * luBlock
+const luBlockFlops = 2 * LUBlock * LUBlock * LUBlock
 
 // luDet runs the blocked factorization on Determinator threads with the
 // given layout.
 func luDet(rt *core.RT, threads, n int, mk func(base vm.Addr) luLayout) uint64 {
-	if n%luBlock != 0 {
+	if n%LUBlock != 0 {
 		panic("workload: lu size must be a multiple of the block size")
 	}
 	base := rt.Alloc(uint64(8*n*n), vm.PageSize)
-	nb := n / luBlock
+	nb := n / LUBlock
 
 	// Load the input in the chosen layout.
-	a := luGen(n)
+	a := LUGen(n)
 	lay := mk(base)
 	parentEnv := &envIface{readF64s: rt.Env().ReadF64s, writeF64s: rt.Env().WriteF64s}
-	buf := make([]float64, luBlock*luBlock)
+	buf := make([]float64, LUBlock*LUBlock)
 	for bi := 0; bi < nb; bi++ {
 		for bj := 0; bj < nb; bj++ {
-			for r := 0; r < luBlock; r++ {
-				copy(buf[r*luBlock:], a[(bi*luBlock+r)*n+bj*luBlock:][:luBlock])
+			for r := 0; r < LUBlock; r++ {
+				copy(buf[r*LUBlock:], a[(bi*LUBlock+r)*n+bj*LUBlock:][:LUBlock])
 			}
 			lay.writeBlock(parentEnv, bi, bj, buf)
 		}
 	}
 
-	diag := make([]float64, luBlock*luBlock)
+	diag := make([]float64, LUBlock*LUBlock)
 	for k := 0; k < nb; k++ {
 		// Phase 1 (parent): factor the diagonal block.
 		lay.readBlock(parentEnv, k, k, diag)
-		luFactorDiag(diag)
+		LUFactorDiag(diag)
 		rt.Env().Tick(luBlockFlops / 3 * luTicksPerFlop)
 		lay.writeBlock(parentEnv, k, k, diag)
 
@@ -186,14 +186,14 @@ func luDet(rt *core.RT, threads, n int, mk func(base vm.Addr) luLayout) uint64 {
 			panels = append(panels, [2]int{j, k}) // col panel L_jk
 		}
 		luParallelBlocks(rt, threads, panels, func(env *envIface, t *core.Thread, b [2]int) {
-			blk := make([]float64, luBlock*luBlock)
-			d := make([]float64, luBlock*luBlock)
+			blk := make([]float64, LUBlock*LUBlock)
+			d := make([]float64, LUBlock*LUBlock)
 			lay.readBlock(env, k, k, d)
 			lay.readBlock(env, b[0], b[1], blk)
 			if b[0] == k {
-				luSolveRow(d, blk)
+				LUSolveRow(d, blk)
 			} else {
-				luSolveCol(d, blk)
+				LUSolveCol(d, blk)
 			}
 			t.Env().Tick(luBlockFlops / 2 * luTicksPerFlop)
 			lay.writeBlock(env, b[0], b[1], blk)
@@ -207,13 +207,13 @@ func luDet(rt *core.RT, threads, n int, mk func(base vm.Addr) luLayout) uint64 {
 			}
 		}
 		luParallelBlocks(rt, threads, trail, func(env *envIface, t *core.Thread, b [2]int) {
-			dst := make([]float64, luBlock*luBlock)
-			l := make([]float64, luBlock*luBlock)
-			u := make([]float64, luBlock*luBlock)
+			dst := make([]float64, LUBlock*LUBlock)
+			l := make([]float64, LUBlock*LUBlock)
+			u := make([]float64, LUBlock*LUBlock)
 			lay.readBlock(env, b[0], b[1], dst)
 			lay.readBlock(env, b[0], k, l)
 			lay.readBlock(env, k, b[1], u)
-			luUpdate(dst, l, u)
+			LUUpdate(dst, l, u)
 			t.Env().Tick(luBlockFlops * luTicksPerFlop)
 			lay.writeBlock(env, b[0], b[1], dst)
 		})
@@ -225,8 +225,8 @@ func luDet(rt *core.RT, threads, n int, mk func(base vm.Addr) luLayout) uint64 {
 	for bi := 0; bi < nb; bi++ {
 		for bj := 0; bj < nb; bj++ {
 			lay.readBlock(parentEnv, bi, bj, buf)
-			for r := 0; r < luBlock; r++ {
-				copy(out[(bi*luBlock+r)*n+bj*luBlock:], buf[r*luBlock:(r+1)*luBlock])
+			for r := 0; r < LUBlock; r++ {
+				copy(out[(bi*LUBlock+r)*n+bj*LUBlock:], buf[r*LUBlock:(r+1)*LUBlock])
 			}
 		}
 	}
@@ -258,7 +258,7 @@ func luParallelBlocks(rt *core.RT, threads int, blocks [][2]int,
 // LUContDet is the contiguous-blocks variant.
 func LUContDet(rt *core.RT, threads, n int) uint64 {
 	return luDet(rt, threads, n, func(base vm.Addr) luLayout {
-		return contLayout{base: base, blocks: n / luBlock}
+		return contLayout{base: base, blocks: n / LUBlock}
 	})
 }
 
@@ -272,35 +272,35 @@ func LUNoncontDet(rt *core.RT, threads, n int) uint64 {
 // LUSeq is the sequential reference: identical block kernels applied in
 // the same order on a plain slice.
 func LUSeq(n int) uint64 {
-	if n%luBlock != 0 {
+	if n%LUBlock != 0 {
 		panic("workload: lu size must be a multiple of the block size")
 	}
-	a := luGen(n)
-	nb := n / luBlock
+	a := LUGen(n)
+	nb := n / LUBlock
 	get := func(bi, bj int, buf []float64) {
-		for r := 0; r < luBlock; r++ {
-			copy(buf[r*luBlock:], a[(bi*luBlock+r)*n+bj*luBlock:][:luBlock])
+		for r := 0; r < LUBlock; r++ {
+			copy(buf[r*LUBlock:], a[(bi*LUBlock+r)*n+bj*LUBlock:][:LUBlock])
 		}
 	}
 	put := func(bi, bj int, buf []float64) {
-		for r := 0; r < luBlock; r++ {
-			copy(a[(bi*luBlock+r)*n+bj*luBlock:][:luBlock], buf[r*luBlock:])
+		for r := 0; r < LUBlock; r++ {
+			copy(a[(bi*LUBlock+r)*n+bj*LUBlock:][:LUBlock], buf[r*LUBlock:])
 		}
 	}
-	d := make([]float64, luBlock*luBlock)
-	blk := make([]float64, luBlock*luBlock)
-	l := make([]float64, luBlock*luBlock)
-	u := make([]float64, luBlock*luBlock)
+	d := make([]float64, LUBlock*LUBlock)
+	blk := make([]float64, LUBlock*LUBlock)
+	l := make([]float64, LUBlock*LUBlock)
+	u := make([]float64, LUBlock*LUBlock)
 	for k := 0; k < nb; k++ {
 		get(k, k, d)
-		luFactorDiag(d)
+		LUFactorDiag(d)
 		put(k, k, d)
 		for j := k + 1; j < nb; j++ {
 			get(k, j, blk)
-			luSolveRow(d, blk)
+			LUSolveRow(d, blk)
 			put(k, j, blk)
 			get(j, k, blk)
-			luSolveCol(d, blk)
+			LUSolveCol(d, blk)
 			put(j, k, blk)
 		}
 		for i := k + 1; i < nb; i++ {
@@ -308,7 +308,7 @@ func LUSeq(n int) uint64 {
 				get(i, j, blk)
 				get(i, k, l)
 				get(k, j, u)
-				luUpdate(blk, l, u)
+				LUUpdate(blk, l, u)
 				put(i, j, blk)
 			}
 		}

@@ -18,8 +18,8 @@ import (
 // MD5Target plants the needle at the given fraction of the space.
 func MD5Target(size int) uint64 { return uint64(size) * 3 / 4 }
 
-// md5Candidate hashes one candidate value.
-func md5Candidate(v uint64) [md5.Size]byte {
+// MD5Candidate hashes one candidate value.
+func MD5Candidate(v uint64) [md5.Size]byte {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	return md5.Sum(b[:])
@@ -36,7 +36,7 @@ func md5Scan(tick func(int64), lo, hi uint64, want [md5.Size]byte) uint64 {
 	const batch = 64
 	n := int64(0)
 	for v := lo; v < hi; v++ {
-		if md5Candidate(v) == want {
+		if MD5Candidate(v) == want {
 			found = v + 1
 		}
 		n++
@@ -53,7 +53,7 @@ func md5Scan(tick func(int64), lo, hi uint64, want [md5.Size]byte) uint64 {
 // thread writes its verdict into its own result slot; the merge is
 // conflict-free by construction.
 func MD5Det(rt *core.RT, threads, size int) uint64 {
-	want := md5Candidate(MD5Target(size))
+	want := MD5Candidate(MD5Target(size))
 	slots := rt.Alloc(uint64(8*threads), 8)
 	for i := 0; i < threads; i++ {
 		i := i

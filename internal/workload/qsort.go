@@ -16,17 +16,17 @@ import (
 // qsortTicksPerElem scales the n·log n comparison/swap cost model.
 const qsortTicksPerElem = 2
 
-// qsortSeq is the sequential in-place quicksort used at the leaves (and
+// QsortSeq is the sequential in-place quicksort used at the leaves (and
 // by the sequential reference), written out so both worlds run byte-
 // identical comparison logic.
-func qsortSeq(a []uint32) {
+func QsortSeq(a []uint32) {
 	for len(a) > 12 {
-		p := qsortPartition(a)
+		p := QsortPartition(a)
 		if p < len(a)-p-1 {
-			qsortSeq(a[:p])
+			QsortSeq(a[:p])
 			a = a[p+1:]
 		} else {
-			qsortSeq(a[p+1:])
+			QsortSeq(a[p+1:])
 			a = a[:p]
 		}
 	}
@@ -38,9 +38,9 @@ func qsortSeq(a []uint32) {
 	}
 }
 
-// qsortPartition partitions around a median-of-three pivot and returns
+// QsortPartition partitions around a median-of-three pivot and returns
 // the pivot's final index.
-func qsortPartition(a []uint32) int {
+func QsortPartition(a []uint32) int {
 	n := len(a)
 	mid := n / 2
 	if a[0] > a[mid] {
@@ -115,7 +115,7 @@ func qsortDetRange(f forker, base vm.Addr, lo, hi, depth int) {
 	if depth == 0 || n < 64 {
 		buf := make([]uint32, n)
 		env.ReadU32s(base+vm.Addr(4*lo), buf)
-		qsortSeq(buf)
+		QsortSeq(buf)
 		lg := 1
 		for 1<<lg < n {
 			lg++
@@ -127,7 +127,7 @@ func qsortDetRange(f forker, base vm.Addr, lo, hi, depth int) {
 	// Partition here (the serial fraction), then fork the halves.
 	buf := make([]uint32, n)
 	env.ReadU32s(base+vm.Addr(4*lo), buf)
-	p := qsortPartition(buf)
+	p := QsortPartition(buf)
 	env.Tick(int64(n) * 2)
 	env.WriteU32s(base+vm.Addr(4*lo), buf)
 

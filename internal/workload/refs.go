@@ -1,26 +1,18 @@
 package workload
 
-// Exported reference hooks: the exact computational kernels the
-// Determinator versions run, re-exported so package baseline (and the
-// sequential references in tests) execute byte-identical arithmetic.
-// Keeping one copy of each kernel is what makes the three-way
-// equivalence checks (sequential == deterministic == baseline) sharp.
-
-import "crypto/md5"
-
-// MD5Candidate hashes one candidate value, as the search kernels do.
-func MD5Candidate(v uint64) [md5.Size]byte { return md5Candidate(v) }
-
-// QsortSeqRef sorts in place with the leaf quicksort.
-func QsortSeqRef(a []uint32) { qsortSeq(a) }
-
-// QsortPartitionRef partitions in place, returning the pivot index.
-func QsortPartitionRef(a []uint32) int { return qsortPartition(a) }
+// Sequential references: each whole benchmark computed in one pass, and
+// the few helpers package baseline needs beyond the kernels themselves.
+// The kernels the Determinator versions run (MD5Candidate, QsortSeq,
+// QsortPartition, FFTButterflies, the LU* block kernels) are exported
+// under their own names, so baseline and the tests execute
+// byte-identical arithmetic. Keeping one copy of each kernel is what
+// makes the three-way equivalence checks (sequential == deterministic ==
+// baseline) sharp.
 
 // QsortSeqFull is the sequential reference for the whole benchmark.
 func QsortSeqFull(size int) uint64 {
 	a := GenU32(size, 0x50F7)
-	qsortSeq(a)
+	QsortSeq(a)
 	return ChecksumU32(a)
 }
 
@@ -31,13 +23,7 @@ func FFTInput(size int) []float64 {
 	return data
 }
 
-// FFTButterfliesRef computes the update list for butterflies [blo, bhi)
-// of the stage with half-size half.
-func FFTButterfliesRef(src []float64, half, blo, bhi int) []float64 {
-	return fftButterflies(src, half, blo, bhi)
-}
-
-// FFTApplyRef applies an update list produced by FFTButterfliesRef.
+// FFTApplyRef applies an update list produced by FFTButterflies.
 func FFTApplyRef(data []float64, half, blo, bhi int, updates []float64) {
 	for k, b := 0, blo; b < bhi; k, b = k+4, b+1 {
 		i := (b/half)*2*half + b%half
@@ -72,29 +58,9 @@ func BlackscholesSeq(size int) uint64 {
 
 // MD5Seq is the sequential reference for the whole benchmark.
 func MD5Seq(size int) uint64 {
-	want := md5Candidate(MD5Target(size))
+	want := MD5Candidate(MD5Target(size))
 	if v := md5Scan(func(int64) {}, 0, uint64(size), want); v != 0 {
 		return v - 1
 	}
 	return 0
 }
-
-// LU reference hooks.
-
-// LUBlockSize is the block edge used by all lu variants.
-const LUBlockSize = luBlock
-
-// LUGenRef builds the deterministic input matrix.
-func LUGenRef(n int) []float64 { return luGen(n) }
-
-// LUFactorDiagRef factors a diagonal block in place.
-func LUFactorDiagRef(d []float64) { luFactorDiag(d) }
-
-// LUSolveRowRef solves a row panel block in place.
-func LUSolveRowRef(diag, blk []float64) { luSolveRow(diag, blk) }
-
-// LUSolveColRef solves a column panel block in place.
-func LUSolveColRef(diag, blk []float64) { luSolveCol(diag, blk) }
-
-// LUUpdateRef applies a trailing-submatrix block update.
-func LUUpdateRef(dst, l, u []float64) { luUpdate(dst, l, u) }

@@ -70,7 +70,7 @@ func qsortCritical(n, threads int) int64 {
 
 // luWork sums the tick accounting of luDet exactly.
 func luWork(n int) int64 {
-	nb := n / luBlock
+	nb := n / LUBlock
 	const f = int64(luBlockFlops) * luTicksPerFlop
 	var total int64
 	for k := 0; k < nb; k++ {

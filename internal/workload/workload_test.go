@@ -58,7 +58,7 @@ func TestQsortDetSortsCorrectly(t *testing.T) {
 	ref := GenU32(size, 0x50F7)
 	std := append([]uint32(nil), ref...)
 	sort.Slice(std, func(i, j int) bool { return std[i] < std[j] })
-	QsortSeqRef(ref)
+	QsortSeq(ref)
 	for i := range ref {
 		if ref[i] != std[i] {
 			t.Fatalf("reference quicksort wrong at %d", i)
@@ -126,7 +126,7 @@ func TestFFTRecoversKnownSpectrum(t *testing.T) {
 	}
 	fftBitReverse(data)
 	for half := 1; half < n; half *= 2 {
-		u := fftButterflies(data, half, 0, n/2)
+		u := FFTButterflies(data, half, 0, n/2)
 		FFTApplyRef(data, half, 0, n/2, u)
 	}
 	if data[0] != n {
@@ -158,10 +158,10 @@ func TestLUVariantsAgree(t *testing.T) {
 
 func TestLUFactorizationIsCorrect(t *testing.T) {
 	// Verify L·U ≈ A on a small matrix: multiply the factors back.
-	const n = luBlock // single block: factor == dense LU
-	a := luGen(n)
+	const n = LUBlock // single block: factor == dense LU
+	a := LUGen(n)
 	orig := append([]float64(nil), a...)
-	luFactorDiag(a)
+	LUFactorDiag(a)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			var sum float64
