@@ -72,13 +72,21 @@ const (
 	stateRunning                  // goroutine executing user code
 )
 
-// abortSignal is panicked into parked goroutines at shutdown or when
+// abortSignal is panicked into a parked goroutine at shutdown or when
 // the parent overwrites a parked space's registers.
 type abortSignal struct{}
 
 // Space is one node of the kernel's space hierarchy (§3.1): register state
 // for a single control flow plus a private virtual address space. A space
 // interacts only with its immediate parent and children.
+//
+// A space has at most one goroutine, its control flow. The first start
+// spawns it; from then on it lives as long as the space does, waiting
+// between runs in one of two places: parked inside a run (Ret or an
+// instruction-limit trap, resumable) or idling after the run stopped for
+// good (halt, fault, exception), ready to run the next Regs.Entry. A start
+// wakes it from either; it exits only when a parked run is discarded or
+// when abortTree retires it at shutdown.
 type Space struct {
 	m      *Machine
 	parent *Space
@@ -89,8 +97,9 @@ type Space struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	state   execState
-	parked  bool // a goroutine exists, parked inside park()
-	abort   bool // parked goroutine must unwind and exit
+	parked  bool // the goroutine waits inside a run, in park()
+	idling  bool // the goroutine's run stopped for good; it waits in run()
+	abort   bool // the waiting goroutine must exit instead of running
 	status  Status
 	trapErr error
 
@@ -152,6 +161,8 @@ func newSpace(m *Machine, parent *Space, ref uint64, home *node, mem *vm.Space) 
 
 // start launches or resumes the space's user code. The caller (the parent,
 // during Put, or Machine.Run for the root) must know the space is stopped.
+// A space whose goroutine is parked resumes it; one whose goroutine idles
+// wakes it to run Regs.Entry; only a space without a goroutine spawns one.
 func (sp *Space) start(limit int64) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -164,46 +175,88 @@ func (sp *Space) start(limit int64) {
 	sp.startVT = sp.vt
 	sp.segBlocked = 0
 	sp.state = stateRunning
-	if sp.parked {
-		sp.cond.Broadcast() // wake the goroutine parked in park()
+	if sp.parked || sp.idling {
+		sp.cond.Broadcast() // wake the goroutine waiting in awaitStart
 		return
 	}
-	entry := sp.regs.Entry
 	sp.m.wg.Add(1)
-	go sp.run(entry)
+	go sp.run(sp.regs.Entry)
 }
 
-// run is the top of a space goroutine: it executes the entry program and
-// converts panics into trap statuses, mirroring processor exceptions.
+// run is the space's goroutine: it executes entry, records why it
+// stopped, then idles until the next start and runs the Regs.Entry that
+// start found. It returns when a parked run is discarded or when
+// abortTree retires it.
 func (sp *Space) run(entry Prog) {
 	defer sp.m.wg.Done()
+	for {
+		st, discarded, err := sp.exec(entry)
+		if discarded {
+			return // the discarder already holds the state machine
+		}
+		sp.mu.Lock()
+		sp.status = st
+		sp.trapErr = err
+		sp.idling = true // with stateStopped, or a start would spawn a twin
+		if sp.awaitStart() {
+			sp.mu.Unlock()
+			return
+		}
+		entry = sp.regs.Entry
+		sp.mu.Unlock()
+	}
+}
+
+// exec runs one program to its stop, converting panics into trap
+// statuses, mirroring processor exceptions. discarded reports a parked
+// run whose execution was thrown away (abortSignal). A program that
+// calls runtime.Goexit ends the goroutine: exec halts the space on its
+// way out, and the next start spawns another.
+func (sp *Space) exec(entry Prog) (st Status, discarded bool, err error) {
+	returned := false
 	defer func() {
 		r := recover()
 		switch t := r.(type) {
 		case nil, haltSignal:
-			sp.stop(StatusHalted, nil)
+			st = StatusHalted
 		case abortSignal:
-			// Shutdown or register overwrite: exit without changing state;
-			// the aborter already holds the state machine.
+			discarded = true
 		case *vm.AccessError, *vm.SpanError:
-			sp.stop(StatusFault, t.(error))
+			st, err = StatusFault, t.(error)
 		default:
-			sp.stop(StatusExcept, fmt.Errorf("kernel: exception in space: %v", r))
+			st, err = StatusExcept, fmt.Errorf("kernel: exception in space: %v", r)
+		}
+		if r == nil && !returned {
+			sp.mu.Lock()
+			sp.status, sp.trapErr = st, nil
+			sp.state = stateStopped
+			sp.cond.Broadcast()
+			sp.mu.Unlock()
 		}
 	}()
 	entry(&Env{sp: sp})
+	returned = true
+	return
 }
 
-// stop marks the space permanently stopped (halt, fault or exception);
-// the goroutine is about to exit.
-func (sp *Space) stop(st Status, err error) {
-	sp.mu.Lock()
-	sp.status = st
-	sp.trapErr = err
-	sp.parked = false
+// awaitStart is the one wait of a space's goroutine, parked or idling
+// (whichever flag the caller set): it stops the space, hands the state
+// machine to the parent and blocks until a start or an abort. It reports
+// an abort, having handed the state machine back to the aborter; the
+// goroutine then never runs user code again. sp.mu must be held.
+func (sp *Space) awaitStart() (aborted bool) {
 	sp.state = stateStopped
 	sp.cond.Broadcast()
-	sp.mu.Unlock()
+	for sp.state != stateRunning {
+		sp.cond.Wait()
+	}
+	sp.parked, sp.idling = false, false
+	aborted, sp.abort = sp.abort, false
+	if aborted {
+		sp.state = stateStopped
+		sp.cond.Broadcast()
+	}
+	return aborted
 }
 
 // park suspends the calling space goroutine (Ret or instruction-limit
@@ -214,23 +267,11 @@ func (sp *Space) park(st Status) {
 	sp.status = st
 	sp.trapErr = nil
 	sp.parked = true
-	sp.state = stateStopped
-	sp.cond.Broadcast()
-	for sp.state != stateRunning {
-		sp.cond.Wait()
-	}
-	sp.parked = false
-	aborted := sp.abort
-	sp.abort = false
+	aborted := sp.awaitStart()
+	sp.mu.Unlock()
 	if aborted {
-		// This goroutine will never run user code again; hand the state
-		// machine back to the aborter before unwinding.
-		sp.state = stateStopped
-		sp.cond.Broadcast()
-		sp.mu.Unlock()
 		panic(abortSignal{})
 	}
-	sp.mu.Unlock()
 }
 
 // waitStopped blocks until the space's user code stops (Ret, trap, halt).
@@ -244,25 +285,31 @@ func (sp *Space) waitStopped() {
 }
 
 // discardExecution aborts a parked goroutine so the space can be restarted
-// at fresh registers. The space must be stopped.
-func (sp *Space) discardExecution() {
+// at fresh registers. The space must be stopped. An idling goroutine is
+// left alone: it runs the fresh registers at the next start.
+func (sp *Space) discardExecution() { sp.retire(false) }
+
+// retire makes the space's waiting goroutine exit: a parked one always,
+// an idling one too if idle is set. The space must be stopped.
+func (sp *Space) retire(idle bool) {
 	sp.mu.Lock()
-	if sp.parked {
+	if sp.parked || idle && sp.idling {
 		sp.abort = true
-		sp.state = stateRunning // release the goroutine parked in park()
+		sp.state = stateRunning // release the goroutine from awaitStart
 		sp.cond.Broadcast()
-		for sp.parked {
-			sp.cond.Wait() // park() resets parked and state before unwinding
+		for sp.parked || sp.idling {
+			sp.cond.Wait() // awaitStart resets both before returning
 		}
 	}
 	sp.mu.Unlock()
 }
 
 // abortTree recursively shuts down this space and all descendants: waits
-// for running code to stop, then discards parked goroutines.
+// for running code to stop, then retires every goroutine, parked or
+// idling, so Machine.Wait's wg.Wait returns.
 func (sp *Space) abortTree() {
 	sp.waitStopped()
-	sp.discardExecution()
+	sp.retire(true)
 	for _, c := range sp.children {
 		c.abortTree()
 	}
