@@ -381,6 +381,27 @@ func (s *pageSet) remove(p vm.Addr) {
 	delete(s.pages, p)
 }
 
+// removeSpan removes every page the span [addr, addr+size) touches; the
+// whole address space empties the set.
+func (s *pageSet) removeSpan(addr vm.Addr, size uint64) {
+	if size >= vm.SpaceSize {
+		*s = pageSet{}
+		return
+	}
+	first, end := uint64(addr)&^(vm.PageSize-1), uint64(addr)+size
+	if !s.all && uint64(len(s.pages)) < (end-first)/vm.PageSize {
+		for p := range s.pages {
+			if uint64(p) >= first && uint64(p) < end {
+				delete(s.pages, p)
+			}
+		}
+		return
+	}
+	for p := first; p < end; p += vm.PageSize {
+		s.remove(vm.Addr(p))
+	}
+}
+
 func (s *pageSet) clone() *pageSet {
 	c := &pageSet{all: s.all}
 	if len(s.except) > 0 {

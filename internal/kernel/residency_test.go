@@ -83,3 +83,102 @@ func TestResidencyMatchesModel(t *testing.T) {
 		}
 	}
 }
+
+// TestGetWritesLeaveOtherCaches: every page a Get writes into the caller
+// — a merge's, a Copy's, a Zero's, a CopyAll's — leaves the caller's
+// caches on the other nodes, as a store there would. The root reads page
+// 0 on node 2, writes it through a Get on node 1, returns to node 2 and
+// reads it again: the bytes are the new ones, and they cost a page.
+func TestGetWritesLeaveOtherCaches(t *testing.T) {
+	const region = 4 * vm.PageSize
+	for _, c := range []struct {
+		name string
+		get  GetOpts
+		want uint32
+	}{
+		{"merge", GetOpts{Merge: true, MergeRange: &Range{0, region}}, 42},
+		{"copy", GetOpts{Copy: &CopyRange{Src: 0, Dst: 0, Size: vm.PageSize}}, 42},
+		{"zero", GetOpts{Zero: &PermRange{Range{0, vm.PageSize}, vm.PermRW}}, 0},
+		{"copyall", GetOpts{CopyAll: true}, 42},
+	} {
+		res := New(Config{Nodes: 3}).Run(func(env *Env) {
+			env.SetPerm(0, region, vm.PermRW)
+			env.WriteU32(0, 7)
+			visit := func(n int) {
+				if _, err := env.Get(ChildOn(n, 9), GetOpts{}); err != nil {
+					panic(err)
+				}
+			}
+			visit(2)
+			if env.ReadU32(0) != 7 {
+				panic("node 2 read the wrong bytes")
+			}
+			err := env.Put(ChildOn(1, 1), PutOpts{
+				Copy:  &CopyRange{Src: 0, Dst: 0, Size: region},
+				Snap:  true,
+				Start: true,
+				Regs:  &Regs{Entry: func(c *Env) { c.WriteU32(0, 42) }},
+			})
+			if err != nil {
+				panic(err)
+			}
+			if _, err := env.Get(ChildOn(1, 1), c.get); err != nil {
+				panic(err)
+			}
+			visit(2)
+			before := env.NetStats().Pages
+			if got := env.ReadU32(0); got != c.want {
+				t.Errorf("%s: node 2 read %d, want %d", c.name, got, c.want)
+			}
+			if got := env.NetStats().Pages - before; got != 1 {
+				t.Errorf("%s: the read on node 2 shipped %d pages, want 1", c.name, got)
+			}
+		}, 0)
+		if res.Status != StatusHalted {
+			t.Fatalf("%s: %v %v", c.name, res.Status, res.Err)
+		}
+	}
+}
+
+// TestPutWritesLeaveChildCaches: a Put writes its child on the caller's
+// node, and the child's copies of those pages cached on other nodes go
+// stale. The child, homed on node 1, reads page 0 on node 2 (where it
+// moved to reach a grandchild) and Rets; the root zeroes the page from
+// node 1 and resumes it, and its next read of the page on node 2 costs a
+// page.
+func TestPutWritesLeaveChildCaches(t *testing.T) {
+	res := New(Config{Nodes: 3}).Run(func(env *Env) {
+		env.SetPerm(0, vm.PageSize, vm.PermRW)
+		env.WriteU32(0, 7)
+		child := ChildOn(1, 1)
+		err := env.Put(child, PutOpts{
+			CopyAll: true,
+			Start:   true,
+			Regs: &Regs{Entry: func(c *Env) {
+				if _, err := c.Get(ChildOn(2, 1), GetOpts{}); err != nil {
+					panic(err)
+				}
+				c.ReadU32(0)
+				c.Ret()
+				before := c.NetStats().Pages
+				c.SetRet(uint64(c.ReadU32(0))<<32 | uint64(c.NetStats().Pages-before))
+			}},
+		})
+		if err != nil {
+			panic(err)
+		}
+		if err := env.Put(child, PutOpts{Zero: &PermRange{Range{0, vm.PageSize}, vm.PermRW}, Start: true}); err != nil {
+			panic(err)
+		}
+		info, err := env.Get(child, GetOpts{Regs: true})
+		if err != nil {
+			panic(err)
+		}
+		if v, pages := info.Regs.Ret>>32, info.Regs.Ret&0xFFFF_FFFF; v != 0 || pages != 1 {
+			t.Errorf("the resumed child read %d shipping %d pages, want 0 and 1", v, pages)
+		}
+	}, 0)
+	if res.Status != StatusHalted {
+		t.Fatalf("%v %v", res.Status, res.Err)
+	}
+}

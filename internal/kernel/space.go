@@ -456,17 +456,27 @@ func (sp *Space) touchPages(addr vm.Addr, size int, write bool) {
 			here.add(p)
 		}
 		if write {
-			for id, c := range sp.caches {
-				if id != sp.node.id {
-					c.remove(p)
-				}
-			}
+			sp.wrote(sp.node, p, vm.PageSize)
 		}
 		if p == last {
 			break
 		}
 	}
 	wire.flush()
+}
+
+// wrote keeps the read-only caches clean after the span [addr,
+// addr+size) of the space's memory changed on node at: every other
+// node's copy of those pages is stale, and leaves its cache. A store
+// (touchPages) and every page a Put or Get writes into a space go
+// through it; a Put writes its child on the caller's node, which need
+// not be the one the child stopped on.
+func (sp *Space) wrote(at *node, addr vm.Addr, size uint64) {
+	for id, c := range sp.caches {
+		if id != at.id {
+			c.removeSpan(addr, size)
+		}
+	}
 }
 
 // inheritResidency initializes a child's residency on its node from its

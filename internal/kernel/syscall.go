@@ -154,25 +154,29 @@ func copyList(first *CopyRange, rest []CopyRange) []CopyRange {
 
 // transfer applies the memory options Put and Get share (Table 2) to dst,
 // from src: Zero, then CopyAll or the Copy ranges in order. A Put's dst is
-// the child, a Get's the caller. It charges the copy-on-write work it did
+// the child, a Get's the caller; every span it writes leaves dst's caches
+// on other nodes (wrote). It charges the copy-on-write work it did
 // (chargeCopy) and returns it summed; a failing range stops the list
 // after charging the ranges before it.
-func (sp *Space) transfer(op string, dst, src *vm.Space, zero *PermRange, copies []CopyRange, all bool) (vm.CopyStats, error) {
+func (sp *Space) transfer(op string, dst, src *Space, zero *PermRange, copies []CopyRange, all bool) (vm.CopyStats, error) {
 	if zero != nil {
-		if err := dst.Zero(zero.Addr, zero.Size, zero.Perm); err != nil {
+		if err := dst.mem.Zero(zero.Addr, zero.Size, zero.Perm); err != nil {
 			return vm.CopyStats{}, kerr(op, "zero: %v", err)
 		}
+		dst.wrote(sp.node, zero.Addr, zero.Size)
 	}
 	var copied vm.CopyStats
 	if all {
-		copied = dst.CopyAllFrom(src)
+		copied = dst.mem.CopyAllFrom(src.mem)
+		dst.wrote(sp.node, 0, vm.SpaceSize)
 	} else {
 		for _, c := range copies {
-			st, err := dst.CopyFrom(src, c.Src, c.Dst, c.Size)
+			st, err := dst.mem.CopyFrom(src.mem, c.Src, c.Dst, c.Size)
 			if err != nil {
 				sp.chargeCopy(copied)
 				return copied, kerr(op, "copy: %v", err)
 			}
+			dst.wrote(sp.node, c.Dst, c.Size)
 			copied.Add(st)
 		}
 	}
@@ -214,7 +218,7 @@ func (sp *Space) put(ref uint64, o PutOpts) error {
 			child.regs.Entry = entry
 		}
 	}
-	copied, err := sp.transfer("put", child.mem, sp.mem, o.Zero, copyList(o.Copy, o.Copies), o.CopyAll)
+	copied, err := sp.transfer("put", child, sp, o.Zero, copyList(o.Copy, o.Copies), o.CopyAll)
 	if err != nil {
 		return err
 	}
@@ -272,7 +276,7 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 	if o.Regs {
 		info.Regs = child.regs
 	}
-	if _, err := sp.transfer("get", sp.mem, child.mem, o.Zero, copyList(o.Copy, o.Copies), o.CopyAll); err != nil {
+	if _, err := sp.transfer("get", sp, child, o.Zero, copyList(o.Copy, o.Copies), o.CopyAll); err != nil {
 		return info, err
 	}
 	if o.Merge {
@@ -289,19 +293,26 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 		}
 		cfg := vm.MergeConfig{Mode: mode}
 		var wire *shipper
-		if len(sp.m.nodes) > 1 && sp.home != child.node {
-			// The merge ran on the child's node, but the merged result
-			// must reach the caller's home copy: the pages the merge
-			// adopts or compares (MergeConfig.Moved) ship home in runs,
-			// one request per run of at most BatchPages pages, so the
-			// pages shipped are PagesAdopted+PagesCompared. A collector
-			// merging a child homed on its own node — a delegate
-			// collecting its local threads — moves nothing across the
-			// wire and charges nothing. The batcher is made only here:
-			// stored in cfg it escapes, and a single-node merge must
-			// not allocate.
+		if sp.caches != nil {
+			// Every page the merge writes (MergeConfig.Moved) leaves the
+			// caller's caches on other nodes, as a store's would. When
+			// the merge ran on a node other than the caller's home, the
+			// merged result must also reach the home copy: those pages
+			// ship home in runs, one request per run of at most
+			// BatchPages pages, so the pages shipped are
+			// PagesAdopted+PagesCompared. A collector merging a child
+			// homed on its own node — a delegate collecting its local
+			// threads — moves nothing across the wire and charges
+			// nothing. The sink is made only here: stored in cfg it
+			// escapes, and a single-node merge must not allocate.
+			ship := sp.home != child.node
 			wire = &shipper{sp: sp}
-			cfg.Moved = wire.add
+			cfg.Moved = func(p vm.Addr) {
+				sp.wrote(sp.node, p, vm.PageSize)
+				if ship {
+					wire.add(p)
+				}
+			}
 		}
 		st, err := vm.MergeEx(sp.mem, child.mem, child.snap, r.Addr, r.Size, cfg)
 		if wire != nil {
