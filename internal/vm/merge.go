@@ -102,7 +102,9 @@ type MergeConfig struct {
 // unless dst itself changed that byte since the snapshot, which is a
 // conflict. Bytes the child did not change are left untouched in dst, and
 // so is a page the child unmapped: unmapping is not a change, and the
-// parent keeps its page, its bytes and its permissions.
+// parent keeps its page, its bytes and its permissions. A permission the
+// child set is not a change either: wherever the parent maps a slot, the
+// slot keeps the parent's permission.
 //
 // Merge is the kernel-level operation behind the Merge option of Get; the
 // byte-granularity semantics are what make Determinator's private
@@ -161,10 +163,12 @@ func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (Mer
 // index l1 into dst. Everything it mutates hangs off dst's slot l1.
 //
 // A page the child unmapped is not a change: the parent keeps its page.
-// When the parent still shares the snapshot's table — it has not touched
-// this span since the fork — and the whole table is merged, adopting the
-// child's table is byte-for-byte the per-slot merge, unless the child
-// unmapped a page, which adoption would take from the parent. The walk
+// Nor is a permission: the parent keeps its own wherever it maps the
+// slot. When the parent still shares the snapshot's table — it has not
+// touched this span since the fork — and the whole table is merged,
+// adopting the child's table is byte-for-byte the per-slot merge, unless
+// the child unmapped or re-permissioned a slot the snapshot maps, which
+// adoption would take from the parent (keepsSnapshot). The walk
 // is one either way: it counts and names every changed page, merging it
 // slot by slot or, for an adopted table, swapping the table in after.
 func mergeTable(dst, cur, ref *Space, l1, lo, hi int, c mergeCtx) {
@@ -173,7 +177,7 @@ func mergeTable(dst, cur, ref *Space, l1, lo, hi int, c mergeCtx) {
 	dt := dst.root[l1]
 	st := c.st
 	base := Addr(uint64(l1) << l1Shift)
-	adopt := dt == rt && lo == 0 && hi == tableEntries && !unmapsAny(ct, rt)
+	adopt := dt == rt && lo == 0 && hi == tableEntries && keepsSnapshot(ct, rt)
 	dc := cursor{s: dst, l1: l1}
 	for w := lo >> 6; w<<6 < hi; w++ {
 		word := occIn(ct, rt, w, lo, hi)
@@ -206,20 +210,20 @@ func mergeTable(dst, cur, ref *Space, l1, lo, hi int, c mergeCtx) {
 	}
 }
 
-// unmapsAny reports whether ct leaves unmapped a slot rt backs: a page the
-// child unmapped, which a merge leaves to the parent.
-func unmapsAny(ct, rt *table) bool {
+// keepsSnapshot reports whether ct maps every slot rt maps, with rt's
+// permission. A slot the child unmapped or re-permissioned is not a
+// change the parent takes: the parent keeps its page and its permission
+// wherever it maps the slot, which adopting ct whole would take from it.
+func keepsSnapshot(ct, rt *table) bool {
 	if rt == nil {
-		return false
+		return true
 	}
-	for w, word := range rt.occ {
-		for word &^= ct.occ[w]; word != 0; word &= word - 1 {
-			if !ct.ptes[w<<6|bits.TrailingZeros64(word)].mapped() {
-				return true
-			}
+	for l2, re := range &rt.ptes {
+		if ce := ct.ptes[l2]; re.mapped() && (ce.perm != re.perm || !ce.mapped()) {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // mergePage merges one child page at address pa into dst: adopted whole
