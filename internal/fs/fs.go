@@ -252,7 +252,10 @@ func FormatGrowable(env *kernel.Env, base vm.Addr, size, maxSize uint64) *FS {
 	if maxSize >= 1<<32 {
 		panic(fmt.Sprintf("fs: image ceiling %d must be below 4 GiB", maxSize))
 	}
-	f := &FS{env: env, base: base}
+	// The fresh image's namespace is empty at generation 0 (the zeroed
+	// sbGen), so the handle's index starts current: the first lookup
+	// rebuilds nothing.
+	f := &FS{env: env, base: base, idx: map[dirent]int{}, idxGen: 0}
 	// Map and zero the whole initial region: stale bytes from a previous
 	// image must never read as inodes or free entries.
 	env.Zero(base, size, vm.PermRW)
