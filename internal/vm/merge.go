@@ -120,6 +120,9 @@ type mergeCtx struct {
 	st       *MergeStats
 	conflict *MergeConflictError
 	moved    func(pa Addr)
+	// sameMaps: cur is unremapped since ref was taken of it, so it maps
+	// what ref maps with ref's permissions (Space.remaps).
+	sameMaps bool
 }
 
 // MergeEx is the merge engine's entry point; see MergeConfig. It walks
@@ -137,7 +140,8 @@ func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (Mer
 	// snapshot and is skipped outright.
 	end := uint64(addr) + size
 	conflict := &MergeConflictError{}
-	c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict, moved: cfg.Moved}
+	c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict, moved: cfg.Moved,
+		sameMaps: ref.snapOf == cur && ref.snapAt == cur.remaps}
 	for l1 := int(addr >> l1Shift); uint64(l1)<<l1Shift < end; l1++ {
 		ct := cur.root[l1]
 		if ct == nil || ct == ref.root[l1] {
@@ -177,7 +181,7 @@ func mergeTable(dst, cur, ref *Space, l1, lo, hi int, c mergeCtx) {
 	dt := dst.root[l1]
 	st := c.st
 	base := Addr(uint64(l1) << l1Shift)
-	adopt := dt == rt && lo == 0 && hi == tableEntries && keepsSnapshot(ct, rt)
+	adopt := dt == rt && lo == 0 && hi == tableEntries && (c.sameMaps || keepsSnapshot(ct, rt))
 	dc := cursor{s: dst, l1: l1}
 	for w := lo >> 6; w<<6 < hi; w++ {
 		word := occIn(ct, rt, w, lo, hi)

@@ -19,6 +19,7 @@ package vm
 // blocks of a re-snapshotted or resynced root have not changed. The new
 // reference is taken before the old one is dropped.
 func (s *Space) shareRoot(from *Space, src, dst, n int) (shared int) {
+	s.remapped()
 	for i := 0; i < n; i += resnapSpan {
 		k := min(resnapSpan, n-i)
 		if k == resnapSpan && *(*[resnapSpan]*table)(s.root[dst+i:]) == *(*[resnapSpan]*table)(from.root[src+i:]) {
@@ -47,7 +48,9 @@ const resnapSpan = 64
 // whatever either side later writes parts from the other by copy-on-write.
 func (s *Space) Snapshot() (*Space, CopyStats) {
 	snap := &Space{frames: s.frames}
-	return snap, snap.CopyAllFrom(s)
+	st := snap.CopyAllFrom(s)
+	snap.snapOf, snap.snapAt = s, s.remaps
+	return snap, st
 }
 
 // Resnap updates old to be a current snapshot of s, returning the
@@ -59,7 +62,9 @@ func (s *Space) Resnap(old *Space) (*Space, CopyStats) {
 	if old == nil {
 		return s.Snapshot()
 	}
-	return old, old.CopyAllFrom(s)
+	st := old.CopyAllFrom(s)
+	old.snapOf, old.snapAt = s, s.remaps
+	return old, st
 }
 
 // CopyAllFrom replaces the entire contents of s with a COW clone of src,

@@ -227,6 +227,25 @@ type Space struct {
 	// frames is where the space's pages and tables come from and go back
 	// to (frames.go); its snapshots share it. nil is the Go heap.
 	frames *Frames
+
+	// remaps counts the operations that may have changed the permission
+	// of a mapped slot or unmapped one (remapped): SetPerm, Zero, the
+	// copies and Free. Stores and merges into the space do neither. A
+	// snapshot records the space it was taken of and that space's count
+	// then, so a merge whose child has not been remapped since knows,
+	// without looking, that the child maps every slot the snapshot maps
+	// with the snapshot's permission (keepsSnapshot).
+	remaps uint64
+	snapOf *Space
+	snapAt uint64
+}
+
+// remapped records that a permission or a mapping of s may have
+// changed: its count moves on, and if s is a snapshot it no longer
+// stands for the space it was taken of.
+func (s *Space) remapped() {
+	s.remaps++
+	s.snapOf = nil
 }
 
 // ownTable returns a privately owned (mutable) level-2 table for index
@@ -344,6 +363,7 @@ func (s *Space) SetPerm(addr Addr, size uint64, perm Perm) error {
 	if err := rangeCheck(addr, size); err != nil {
 		return err
 	}
+	s.remapped()
 	s.ownRange(addr, size, func(t *table, lo, hi int) {
 		for l2 := lo; l2 < hi; l2++ {
 			t.ptes[l2].perm = perm
@@ -359,6 +379,7 @@ func (s *Space) Zero(addr Addr, size uint64, perm Perm) error {
 	if err := rangeCheck(addr, size); err != nil {
 		return err
 	}
+	s.remapped()
 	s.ownRange(addr, size, func(t *table, lo, hi int) {
 		for l2 := lo; l2 < hi; l2++ {
 			if old := t.ptes[l2].pg; old != nil {
@@ -375,6 +396,7 @@ func (s *Space) Zero(addr Addr, size uint64, perm Perm) error {
 // leaving it empty. The kernel calls this when a space or snapshot is
 // destroyed so that COW reference counts stay accurate.
 func (s *Space) Free() {
+	s.remapped()
 	for i, t := range s.root {
 		if t != nil {
 			s.frames.dropTable(t)
@@ -416,6 +438,7 @@ func (s *Space) CopyFrom(src *Space, srcAddr, dstAddr Addr, size uint64) (CopySt
 	if s == src && srcAddr != dstAddr {
 		return st, fmt.Errorf("vm: overlapping self-copy unsupported")
 	}
+	s.remapped()
 	if srcAddr%Addr(TableSpan) == 0 && dstAddr%Addr(TableSpan) == 0 && size%TableSpan == 0 {
 		// Whole level-2 tables on both sides: share the tables themselves.
 		st.TablesShared = s.shareRoot(src, int(srcAddr>>l1Shift), int(dstAddr>>l1Shift), int(size>>l1Shift))
