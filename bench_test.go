@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -105,7 +106,13 @@ func BenchmarkBaseLU(b *testing.B)           { benchBase(b, "lu_cont", microLU) 
 // Substrate micro-benchmarks: the primitive costs behind every number
 // above.
 
+// BenchmarkForkJoinThread times one fork and join of a thread that
+// writes a word. A thread's space keeps its goroutine from one fork to
+// the next, so the benchmark fails itself if the process holds more
+// goroutines after b.N fork/joins than after the first.
 func BenchmarkForkJoinThread(b *testing.B) {
+	b.ReportAllocs()
+	var first, last int
 	res := core.Run(core.Options{}, func(rt *core.RT) uint64 {
 		x := rt.Alloc(4, 0)
 		b.ResetTimer()
@@ -119,11 +126,18 @@ func BenchmarkForkJoinThread(b *testing.B) {
 			if _, err := rt.Join(0); err != nil {
 				panic(err)
 			}
+			if i == 0 {
+				first = runtime.NumGoroutine()
+			}
 		}
+		last = runtime.NumGoroutine()
 		return 0
 	})
 	if res.Status != kernel.StatusHalted {
 		b.Fatalf("%v: %v", res.Status, res.Err)
+	}
+	if last > first {
+		b.Fatalf("%d goroutines after %d fork/joins, %d after the first", last, b.N, first)
 	}
 }
 
