@@ -93,7 +93,13 @@ bench:
 # dirty page of a table the parent backs whole — the join walk's worst
 # case (MergeDirtyPages, with B/op: time a vm or kernel change with
 # -benchtime 2000x, where the frame pool makes a steady-state op allocate
-# a few hundred bytes).
+# a few hundred bytes), and a fork → join of one thread
+# (ForkJoinThread, with allocs/op): a thread's space keeps its goroutine
+# from one start to the next, so the benchmark fails itself if the
+# process holds more goroutines after b.N fork/joins than after the
+# first — at 1x a smoke run; time it, and see the guard bite, at
+# -benchtime 2000x (the tier-1 TestRestartedChildKeepsItsGoroutine pins
+# the reuse itself).
 # What the tables this target used to smoke-test assert now lives in
 # package tests and the two goldens (`make test`, `make bench-exact`).
 # Then one iteration of vm's typed-access benchmark, which fails itself
@@ -117,7 +123,7 @@ bench:
 # reporting evictions/op; time a serve change with that one (-benchtime
 # 300x) before claiming it with `go run ./benchmark`.
 bench-smoke:
-	$(GO) test -bench='Fig4|DschedRound|MergeDirtyPages' -benchtime=1x -run='^$$' .
+	$(GO) test -bench='Fig4|DschedRound|MergeDirtyPages|ForkJoinThread' -benchtime=1x -run='^$$' .
 	$(GO) test -bench='TypedAccess|CopyAllFrom|Snapshot' -benchtime=1x -run='^$$' ./internal/vm
 	$(GO) test -bench='ReadU32Stride|EnvTypedAccess|MachineLifecycle' -benchtime=1x -run='^$$' ./internal/kernel
 	$(GO) test -bench='Checksum|Scan|WriteFile' -benchtime=1x -run='^$$' ./internal/fs
