@@ -388,16 +388,7 @@ func (s *pageSet) removeSpan(addr vm.Addr, size uint64) {
 		*s = pageSet{}
 		return
 	}
-	first, end := uint64(addr)&^(vm.PageSize-1), uint64(addr)+size
-	if !s.all && uint64(len(s.pages)) < (end-first)/vm.PageSize {
-		for p := range s.pages {
-			if uint64(p) >= first && uint64(p) < end {
-				delete(s.pages, p)
-			}
-		}
-		return
-	}
-	for p := first; p < end; p += vm.PageSize {
+	for p, end := uint64(addr)&^(vm.PageSize-1), uint64(addr)+size; p < end; p += vm.PageSize {
 		s.remove(vm.Addr(p))
 	}
 }
