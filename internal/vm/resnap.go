@@ -17,7 +17,8 @@ package vm
 // how many non-nil tables it re-shared. Slots already equal are left
 // alone; 64 at a time are compared at memequal speed first, since most
 // blocks of a re-snapshotted or resynced root have not changed. The new
-// reference is taken before the old one is dropped.
+// reference is taken before the old one is dropped. A whole root shared
+// makes s a clone of from, stamped as such for keepsSnapshot's shortcut.
 func (s *Space) shareRoot(from *Space, src, dst, n int) (shared int) {
 	s.remapped()
 	for i := 0; i < n; i += resnapSpan {
@@ -35,6 +36,9 @@ func (s *Space) shareRoot(from *Space, src, dst, n int) (shared int) {
 			}
 		}
 	}
+	if n == tableEntries {
+		s.snapOf, s.snapAt = from, from.remaps
+	}
 	return shared
 }
 
@@ -48,9 +52,7 @@ const resnapSpan = 64
 // whatever either side later writes parts from the other by copy-on-write.
 func (s *Space) Snapshot() (*Space, CopyStats) {
 	snap := &Space{frames: s.frames}
-	st := snap.CopyAllFrom(s)
-	snap.snapOf, snap.snapAt = s, s.remaps
-	return snap, st
+	return snap, snap.CopyAllFrom(s)
 }
 
 // Resnap updates old to be a current snapshot of s, returning the
@@ -62,9 +64,7 @@ func (s *Space) Resnap(old *Space) (*Space, CopyStats) {
 	if old == nil {
 		return s.Snapshot()
 	}
-	st := old.CopyAllFrom(s)
-	old.snapOf, old.snapAt = s, s.remaps
-	return old, st
+	return old, old.CopyAllFrom(s)
 }
 
 // CopyAllFrom replaces the entire contents of s with a COW clone of src,

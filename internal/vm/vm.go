@@ -231,18 +231,19 @@ type Space struct {
 	// remaps counts the operations that may have changed the permission
 	// of a mapped slot or unmapped one (remapped): SetPerm, Zero, the
 	// copies and Free. Stores and merges into the space do neither. A
-	// snapshot records the space it was taken of and that space's count
-	// then, so a merge whose child has not been remapped since knows,
-	// without looking, that the child maps every slot the snapshot maps
-	// with the snapshot's permission (keepsSnapshot).
+	// whole-space copy — a snapshot, a re-snapshot, a fork — records the
+	// space it cloned and that space's count then (snapOf, snapAt;
+	// shareRoot), so a merge whose child has not been remapped since its
+	// snapshot knows, without looking, that the child maps every slot the
+	// snapshot maps with the snapshot's permission (keepsSnapshot).
 	remaps uint64
 	snapOf *Space
 	snapAt uint64
 }
 
 // remapped records that a permission or a mapping of s may have
-// changed: its count moves on, and if s is a snapshot it no longer
-// stands for the space it was taken of.
+// changed: its count moves on, and if s is a clone it no longer stands
+// for the space it was taken of.
 func (s *Space) remapped() {
 	s.remaps++
 	s.snapOf = nil
