@@ -97,9 +97,9 @@ bench:
 # (ForkJoinThread, with allocs/op): a thread's space keeps its goroutine
 # from one start to the next, so the benchmark fails itself if the
 # process holds more goroutines after b.N fork/joins than after the
-# first — at 1x a smoke run; time it, and see the guard bite, at
-# -benchtime 2000x (the tier-1 TestRestartedChildKeepsItsGoroutine pins
-# the reuse itself).
+# first — at 1x a smoke run; time it, with the guard over many
+# fork/joins, at -benchtime 2000x (the tier-1
+# TestRestartedChildKeepsItsGoroutine pins the reuse itself).
 # What the tables this target used to smoke-test assert now lives in
 # package tests and the two goldens (`make test`, `make bench-exact`).
 # Then one iteration of vm's typed-access benchmark, which fails itself
