@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/vm"
 )
 
@@ -59,6 +60,16 @@ func FFTButterflies(src []float64, half, blo, bhi int) []float64 {
 // FFTDet transforms size complex points on threads threads with a
 // barrier per stage, returning a bit-level checksum of the spectrum.
 func FFTDet(rt *core.RT, threads, size int) uint64 {
+	return fftDet(rt, threads, size, fftStage)
+}
+
+// fftStageFunc runs butterflies [blo, bhi) of the stage with half-size
+// half on the array of complex points at addr, in the calling thread's
+// space.
+type fftStageFunc func(env *kernel.Env, addr vm.Addr, half, blo, bhi int)
+
+// fftDet is FFTDet with the per-thread stage body as a parameter.
+func fftDet(rt *core.RT, threads, size int, stage fftStageFunc) uint64 {
 	if size&(size-1) != 0 {
 		panic("workload: fft size must be a power of two")
 	}
@@ -73,46 +84,73 @@ func FFTDet(rt *core.RT, threads, size int) uint64 {
 	}
 	nb := size / 2 // butterflies per stage
 	if err := rt.RunPhases(threads, stages, func(t *core.Thread, phase int) {
-		half := 1 << phase
 		blo, bhi := stripe(nb, threads, t.ID)
-		env := t.Env()
-		// A contiguous butterfly range touches, per 2·half group it
-		// crosses, two contiguous element runs (the i side and the j
-		// side), so each thread bulk-reads and bulk-writes exactly the
-		// data it owns — no whole-array traffic.
-		for b := blo; b < bhi; {
-			g, off := b/half, b%half
-			cnt := half - off
-			if b+cnt > bhi {
-				cnt = bhi - b
-			}
-			i0 := g*2*half + off
-			j0 := i0 + half
-			xs := make([]float64, 2*cnt)
-			ys := make([]float64, 2*cnt)
-			env.ReadF64s(addr+vm.Addr(16*i0), xs)
-			env.ReadF64s(addr+vm.Addr(16*j0), ys)
-			for k := 0; k < cnt; k++ {
-				ang := -math.Pi * float64(off+k) / float64(half)
-				wr, wi := math.Cos(ang), math.Sin(ang)
-				xr, xi := xs[2*k], xs[2*k+1]
-				yr, yi := ys[2*k], ys[2*k+1]
-				tr := yr*wr - yi*wi
-				ti := yr*wi + yi*wr
-				xs[2*k], xs[2*k+1] = xr+tr, xi+ti
-				ys[2*k], ys[2*k+1] = xr-tr, xi-ti
-			}
-			env.Tick(int64(cnt) * fftTicksPerButterfly)
-			env.WriteF64s(addr+vm.Addr(16*i0), xs)
-			env.WriteF64s(addr+vm.Addr(16*j0), ys)
-			b += cnt
-		}
+		stage(t.Env(), addr, 1<<phase, blo, bhi)
 	}); err != nil {
 		panic(err)
 	}
 	out := make([]float64, 2*size)
 	rt.Env().ReadF64s(addr, out)
 	return ChecksumF64(out)
+}
+
+// fftSpan is a run of n complex points starting at element e.
+type fftSpan struct{ e, n int }
+
+// fftStage stages a thread's stripe once per stage, as the goroutine
+// twin does with its one update buffer. A contiguous butterfly range
+// owns, per 2·half group it crosses, two runs of elements — the i side,
+// then the j side — and a run that ends where the next begins joins it,
+// so a stripe of whole groups is one span and a partial group at either
+// end adds at most one more. Each span is read once into one buffer,
+// the butterflies run in place there, and each span is written back
+// once: the same bytes, memory ticks and butterfly ticks as one read and
+// write per run, in far fewer calls.
+func fftStage(env *kernel.Env, addr vm.Addr, half, blo, bhi int) {
+	spans := make([]fftSpan, 0, 4)
+	for b := blo; b < bhi; {
+		off := b % half
+		cnt := min(half-off, bhi-b)
+		i0 := (b/half)*2*half + off
+		for _, e := range [2]int{i0, i0 + half} {
+			if k := len(spans) - 1; k >= 0 && spans[k].e+spans[k].n == e {
+				spans[k].n += cnt
+			} else {
+				spans = append(spans, fftSpan{e, cnt})
+			}
+		}
+		b += cnt
+	}
+	buf := make([]float64, 4*(bhi-blo))
+	at := 0
+	for _, s := range spans {
+		env.ReadF64s(addr+vm.Addr(16*s.e), buf[at:at+2*s.n])
+		at += 2 * s.n
+	}
+	at = 0
+	for b := blo; b < bhi; {
+		off := b % half
+		cnt := min(half-off, bhi-b)
+		xs, ys := buf[at:at+2*cnt], buf[at+2*cnt:at+4*cnt]
+		for k := 0; k < cnt; k++ {
+			ang := -math.Pi * float64(off+k) / float64(half)
+			wr, wi := math.Cos(ang), math.Sin(ang)
+			xr, xi := xs[2*k], xs[2*k+1]
+			yr, yi := ys[2*k], ys[2*k+1]
+			tr := yr*wr - yi*wi
+			ti := yr*wi + yi*wr
+			xs[2*k], xs[2*k+1] = xr+tr, xi+ti
+			ys[2*k], ys[2*k+1] = xr-tr, xi-ti
+		}
+		env.Tick(int64(cnt) * fftTicksPerButterfly)
+		at += 4 * cnt
+		b += cnt
+	}
+	at = 0
+	for _, s := range spans {
+		env.WriteF64s(addr+vm.Addr(16*s.e), buf[at:at+2*s.n])
+		at += 2 * s.n
+	}
 }
 
 // FFTSeq is the sequential reference, structured to execute the exact
