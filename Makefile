@@ -86,7 +86,7 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
-# One iteration of three micro-benchmarks: proves `go test -bench` still
+# One iteration of the root micro-benchmarks: proves `go test -bench` still
 # builds, the detbench harness still runs under testing.B (Figure 4), the
 # dsched round engine still completes its blocked-heavy workload, and a
 # fork → write → join still runs at 1, 16 and 256 dirty pages, and at one
@@ -99,7 +99,10 @@ bench:
 # process holds more goroutines after b.N fork/joins than after the
 # first — at 1x a smoke run; time it, with the guard over many
 # fork/joins, at -benchtime 2000x (the tier-1
-# TestRestartedChildKeepsItsGoroutine pins the reuse itself).
+# TestRestartedChildKeepsItsGoroutine pins the reuse itself), and fft
+# on Determinator and on its goroutine twin (DetFFT, BaseFFT, with
+# allocs/op), so the log shows a program's own host buffers costing both
+# sides alike.
 # What the tables this target used to smoke-test assert now lives in
 # package tests and the two goldens (`make test`, `make bench-exact`).
 # Then one iteration of vm's typed-access benchmark, which fails itself
@@ -123,7 +126,7 @@ bench:
 # reporting evictions/op; time a serve change with that one (-benchtime
 # 300x) before claiming it with `go run ./benchmark`.
 bench-smoke:
-	$(GO) test -bench='Fig4|DschedRound|MergeDirtyPages|ForkJoinThread' -benchtime=1x -run='^$$' .
+	$(GO) test -bench='Fig4|DschedRound|MergeDirtyPages|ForkJoinThread|DetFFT|BaseFFT' -benchtime=1x -run='^$$' .
 	$(GO) test -bench='TypedAccess|CopyAllFrom|Snapshot' -benchtime=1x -run='^$$' ./internal/vm
 	$(GO) test -bench='ReadU32Stride|EnvTypedAccess|MachineLifecycle' -benchtime=1x -run='^$$' ./internal/kernel
 	$(GO) test -bench='Checksum|Scan|WriteFile' -benchtime=1x -run='^$$' ./internal/fs

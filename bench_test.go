@@ -49,6 +49,8 @@ func BenchmarkQuantum(b *testing.B) { benchExperiment(b, "quantum") }
 // Per-workload micro-benchmarks: each benchmark kernel on Determinator
 // and on the nondeterministic baseline, at a fixed small size, so
 // `go test -bench=. -benchmem` exposes the isolation overhead directly.
+// Both sides report allocations per op: a program's own host buffers
+// should cost the two alike.
 
 const (
 	microThreads = 4
@@ -62,6 +64,7 @@ const (
 
 func benchDet(b *testing.B, name string, size int) {
 	b.Helper()
+	b.ReportAllocs()
 	spec, err := workload.Lookup(name)
 	if err != nil {
 		b.Fatal(err)
@@ -81,6 +84,7 @@ func benchDet(b *testing.B, name string, size int) {
 
 func benchBase(b *testing.B, name string, size int) {
 	b.Helper()
+	b.ReportAllocs()
 	fn := baseline.Baselines()[name]
 	var sink uint64
 	for i := 0; i < b.N; i++ {
