@@ -127,6 +127,57 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
+// An image depends on the state, not on how the run got there: the image
+// an uninterrupted run takes at barrier 2 equals, byte for byte, the one
+// a run restored at barrier 1 takes there.
+func TestCheckpointImageIndependentOfResume(t *testing.T) {
+	const at = 2
+	capture := func(img *[]byte) func(env *Env, next int) bool {
+		return func(env *Env, next int) bool {
+			if next != at {
+				return true
+			}
+			var err error
+			if *img, err = env.Checkpoint(CheckpointOpts{}); err != nil {
+				t.Errorf("checkpoint at %d: %v", next, err)
+			}
+			return false
+		}
+	}
+	var want []byte
+	if res := New(ckConfig()).Run(ckProg(t, 0, capture(&want)), 0); res.Err != nil {
+		t.Fatalf("uninterrupted run: %v", res.Err)
+	}
+	var first []byte
+	if res := New(ckConfig()).Run(ckProg(t, 0, func(env *Env, next int) bool {
+		var err error
+		if first, err = env.Checkpoint(CheckpointOpts{}); err != nil {
+			t.Errorf("checkpoint at %d: %v", next, err)
+		}
+		return false
+	}), 0); res.Err != nil {
+		t.Fatalf("run to barrier 1: %v", res.Err)
+	}
+	m := New(ckConfig())
+	if err := m.Restore(first); err != nil {
+		t.Fatalf("restore at barrier 1: %v", err)
+	}
+	var got []byte
+	if res := m.Run(ckProg(t, 1, capture(&got)), 0); res.Err != nil {
+		t.Fatalf("resumed run: %v", res.Err)
+	}
+	if want == nil || got == nil {
+		t.Fatal("an image was not captured")
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < min(len(got), len(want)) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("barrier-%d image of a resumed run differs from the uninterrupted one's at offset %d (%d vs %d bytes)", at, i, len(got), len(want))
+	}
+}
+
 // A checkpoint must be a pure observation: taking one mid-run and
 // continuing produces bit-identical results to never taking one.
 func TestCheckpointIsVTNeutral(t *testing.T) {

@@ -48,9 +48,9 @@ func recapture(t *testing.T, m *Machine) []byte {
 // halves JoinImage reassembles byte for byte. Restore either fails with
 // one of the layer's typed errors, leaving the machine pristine, or
 // yields a machine whose re-captured image is a fixed point: the first
-// re-capture may normalize (a resumed root's segment starts at its
-// restored virtual time, a mutant's unreferenced page is dropped) and
-// must then round-trip exactly. Neither may panic, and what they
+// re-capture may normalize (a mutant's root segment start is written
+// back as 0, its unreferenced page is dropped) and must then round-trip
+// exactly. Neither may panic, and what they
 // allocate must follow from the bytes consumed, never from a count
 // field (the bound is vm's sparse-to-dense ratio: a 16 KiB table or
 // space per two bytes of forest, see FuzzDecodeForest).
