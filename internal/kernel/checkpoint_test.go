@@ -131,8 +131,8 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 // an uninterrupted run takes at barrier 2 equals, byte for byte, the one
 // a run restored at barrier 1 takes there.
 func TestCheckpointImageIndependentOfResume(t *testing.T) {
-	const at = 2
-	capture := func(img *[]byte) func(env *Env, next int) bool {
+	// capture checkpoints into img at barrier at and halts there.
+	capture := func(at int, img *[]byte) func(env *Env, next int) bool {
 		return func(env *Env, next int) bool {
 			if next != at {
 				return true
@@ -144,26 +144,18 @@ func TestCheckpointImageIndependentOfResume(t *testing.T) {
 			return false
 		}
 	}
-	var want []byte
-	if res := New(ckConfig()).Run(ckProg(t, 0, capture(&want)), 0); res.Err != nil {
+	var want, first, got []byte
+	if res := New(ckConfig()).Run(ckProg(t, 0, capture(2, &want)), 0); res.Err != nil {
 		t.Fatalf("uninterrupted run: %v", res.Err)
 	}
-	var first []byte
-	if res := New(ckConfig()).Run(ckProg(t, 0, func(env *Env, next int) bool {
-		var err error
-		if first, err = env.Checkpoint(CheckpointOpts{}); err != nil {
-			t.Errorf("checkpoint at %d: %v", next, err)
-		}
-		return false
-	}), 0); res.Err != nil {
+	if res := New(ckConfig()).Run(ckProg(t, 0, capture(1, &first)), 0); res.Err != nil {
 		t.Fatalf("run to barrier 1: %v", res.Err)
 	}
 	m := New(ckConfig())
 	if err := m.Restore(first); err != nil {
 		t.Fatalf("restore at barrier 1: %v", err)
 	}
-	var got []byte
-	if res := m.Run(ckProg(t, 1, capture(&got)), 0); res.Err != nil {
+	if res := m.Run(ckProg(t, 1, capture(2, &got)), 0); res.Err != nil {
 		t.Fatalf("resumed run: %v", res.Err)
 	}
 	if want == nil || got == nil {
@@ -174,7 +166,7 @@ func TestCheckpointImageIndependentOfResume(t *testing.T) {
 		for i < min(len(got), len(want)) && got[i] == want[i] {
 			i++
 		}
-		t.Fatalf("barrier-%d image of a resumed run differs from the uninterrupted one's at offset %d (%d vs %d bytes)", at, i, len(got), len(want))
+		t.Fatalf("barrier-2 image of a resumed run differs from the uninterrupted one's at offset %d (%d vs %d bytes)", i, len(got), len(want))
 	}
 }
 

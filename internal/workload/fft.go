@@ -94,9 +94,6 @@ func fftDet(rt *core.RT, threads, size int, stage fftStageFunc) uint64 {
 	return ChecksumF64(out)
 }
 
-// fftSpan is a run of n complex points starting at element e.
-type fftSpan struct{ e, n int }
-
 // fftStage stages a thread's stripe once per stage, as the goroutine
 // twin does with its one update buffer. A contiguous butterfly range
 // owns, per 2·half group it crosses, two runs of elements — the i side,
@@ -107,7 +104,8 @@ type fftSpan struct{ e, n int }
 // once: the same bytes, memory ticks and butterfly ticks as one read and
 // write per run, in far fewer calls.
 func fftStage(env *kernel.Env, addr vm.Addr, half, blo, bhi int) {
-	spans := make([]fftSpan, 0, 4)
+	type span struct{ e, n int } // n complex points from element e
+	spans := make([]span, 0, 4)
 	for b := blo; b < bhi; {
 		off := b % half
 		cnt := min(half-off, bhi-b)
@@ -116,7 +114,7 @@ func fftStage(env *kernel.Env, addr vm.Addr, half, blo, bhi int) {
 			if k := len(spans) - 1; k >= 0 && spans[k].e+spans[k].n == e {
 				spans[k].n += cnt
 			} else {
-				spans = append(spans, fftSpan{e, cnt})
+				spans = append(spans, span{e, cnt})
 			}
 		}
 		b += cnt
