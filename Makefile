@@ -60,7 +60,10 @@ race:
 # (DirStore.Ref), which every Collect runs over every file with a ref's
 # name; on detmake's build-file parser, whose errors must not quote a
 # hostile field whole; and on the trace log a session image carries
-# (trace.Unmarshal) — thirteen targets. The seed corpora also
+# (trace.Unmarshal) — thirteen targets; and on one that decodes no
+# stored bytes but a script: FuzzMergeRule holds vm.MergeEx to the
+# merge's per-slot rule over child writes, SetPerms, Zeros and unmaps,
+# seeded with the unbacked-mapping case. The seed corpora also
 # run as plain tests under `make test`; this target is what mutates
 # them. A crasher is written to the package's testdata/fuzz and fails
 # every later `go test` until fixed.
@@ -72,6 +75,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz FuzzParseNode ./internal/castore
 	$(FUZZ) -fuzz FuzzDecodeForest ./internal/vm
 	$(FUZZ) -fuzz FuzzUnchunkForest ./internal/vm
+	$(FUZZ) -fuzz FuzzMergeRule ./internal/vm
 	$(FUZZ) -fuzz FuzzRestore ./internal/kernel
 	$(FUZZ) -fuzz FuzzDecodeImage .
 	$(FUZZ) -fuzz FuzzDecodeManifest .

@@ -81,8 +81,10 @@ const (
 // sides changed becomes — a conflict or the child's byte — so it is part
 // of the merge's semantics, not an execution choice. Moved is an output
 // sink and selects no behaviour: a nil one is the same merge. Neither
-// touches the merge's one unmap rule: a page the child unmapped since its
-// snapshot is not a change, and the parent keeps its page.
+// touches the merge's one slot rule: a slot moves only where the child
+// maps it with a page other than its snapshot's. A page the child
+// unmapped is not a change, and the parent keeps its page; nor is a
+// permission the child set, or a slot it mapped but never backed.
 type MergeConfig struct {
 	// Mode selects conflict handling (MergeStrict or MergeLastWriter).
 	Mode MergeMode
@@ -104,7 +106,10 @@ type MergeConfig struct {
 // so is a page the child unmapped: unmapping is not a change, and the
 // parent keeps its page, its bytes and its permissions. A permission the
 // child set is not a change either: wherever the parent maps a slot, the
-// slot keeps the parent's permission.
+// slot keeps the parent's permission. Nor is a mapping without a page: a
+// slot the snapshot does not back, which the child SetPerms or Zeros and
+// never writes, stays as the parent has it — unmapped, if the parent
+// does not map it.
 //
 // Merge is the kernel-level operation behind the Merge option of Get; the
 // byte-granularity semantics are what make Determinator's private
@@ -120,9 +125,6 @@ type mergeCtx struct {
 	st       *MergeStats
 	conflict *MergeConflictError
 	moved    func(pa Addr)
-	// sameMaps: cur is unremapped since ref was taken of it, so it maps
-	// what ref maps with ref's permissions (Space.remaps).
-	sameMaps bool
 }
 
 // MergeEx is the merge engine's entry point; see MergeConfig. It walks
@@ -140,8 +142,7 @@ func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (Mer
 	// snapshot and is skipped outright.
 	end := uint64(addr) + size
 	conflict := &MergeConflictError{}
-	c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict, moved: cfg.Moved,
-		sameMaps: ref.snapOf == cur && ref.snapAt == cur.remaps}
+	c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict, moved: cfg.Moved}
 	for l1 := int(addr >> l1Shift); uint64(l1)<<l1Shift < end; l1++ {
 		ct := cur.root[l1]
 		if ct == nil || ct == ref.root[l1] {
@@ -166,14 +167,14 @@ func MergeEx(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (Mer
 // mergeTable merges the slots [lo, hi) of the level-2 table at level-1
 // index l1 into dst. Everything it mutates hangs off dst's slot l1.
 //
-// A page the child unmapped is not a change: the parent keeps its page.
-// Nor is a permission: the parent keeps its own wherever it maps the
-// slot. When the parent still shares the snapshot's table — it has not
-// touched this span since the fork — and the whole table is merged,
-// adopting the child's table is byte-for-byte the per-slot merge, unless
-// the child unmapped or re-permissioned a slot the snapshot maps, which
-// adoption would take from the parent (keepsSnapshot). The walk
-// is one either way: it counts and names every changed page, merging it
+// A slot moves only where the child maps it with a page other than the
+// snapshot's: an unmapping, a permission or a mapping without a page is
+// not a change (Merge). When the parent still shares the snapshot's
+// table — it has not touched this span since the fork — and the whole
+// table is merged, adopting the child's table is the per-slot merge
+// exactly when no slot holds one of those three, which keepsSnapshot
+// decides from the child's and the snapshot's tables alone. The walk is
+// one either way: it counts and names every changed page, merging it
 // slot by slot or, for an adopted table, swapping the table in after.
 func mergeTable(dst, cur, ref *Space, l1, lo, hi int, c mergeCtx) {
 	ct := cur.root[l1]
@@ -181,7 +182,7 @@ func mergeTable(dst, cur, ref *Space, l1, lo, hi int, c mergeCtx) {
 	dt := dst.root[l1]
 	st := c.st
 	base := Addr(uint64(l1) << l1Shift)
-	adopt := dt == rt && lo == 0 && hi == tableEntries && (c.sameMaps || keepsSnapshot(ct, rt))
+	adopt := dt == rt && lo == 0 && hi == tableEntries && keepsSnapshot(ct, rt)
 	dc := cursor{s: dst, l1: l1}
 	for w := lo >> 6; w<<6 < hi; w++ {
 		word := occIn(ct, rt, w, lo, hi)
@@ -214,16 +215,23 @@ func mergeTable(dst, cur, ref *Space, l1, lo, hi int, c mergeCtx) {
 	}
 }
 
-// keepsSnapshot reports whether ct maps every slot rt maps, with rt's
-// permission. A slot the child unmapped or re-permissioned is not a
-// change the parent takes: the parent keeps its page and its permission
-// wherever it maps the slot, which adopting ct whole would take from it.
+// keepsSnapshot reports whether adopting ct whole is the per-slot merge
+// into a parent that still shares rt: ct maps every slot rt maps, with
+// rt's permission, and maps no slot rt leaves unmapped without a page. A
+// slot the child unmapped, re-permissioned or mapped without writing is
+// not a change, and adoption would take from the parent its page, its
+// permission or its empty slot. A nil rt maps nothing.
 func keepsSnapshot(ct, rt *table) bool {
-	if rt == nil {
-		return true
-	}
-	for l2, re := range &rt.ptes {
-		if ce := ct.ptes[l2]; re.mapped() && (ce.perm != re.perm || !ce.mapped()) {
+	var re pte
+	for l2, ce := range &ct.ptes {
+		if rt != nil {
+			re = rt.ptes[l2]
+		}
+		if re.mapped() {
+			if ce.perm != re.perm || !ce.mapped() {
+				return false
+			}
+		} else if ce.pg == nil && ce.mapped() {
 			return false
 		}
 	}

@@ -135,9 +135,9 @@ func straddleHistory(t *testing.T, seed int64) (parent *Space, childOps, parentO
 	if err := parent.SetPerm(0, propSpan, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	applyOps(t, parent, randOps(rng, 8, propSpan))
+	applyOps(t, parent, randOps(rng, 8, propSpan, false))
 	childOps, parentOps = plantStraddles(rng,
-		randOps(rng, 8, propSpan), randOps(rng, 4, propSpan))
+		randOps(rng, 8, propSpan, false), randOps(rng, 4, propSpan, false))
 	return parent, childOps, parentOps
 }
 
@@ -271,7 +271,7 @@ func TestMergeKernelStraddledConflicts(t *testing.T) {
 	if err := parent.SetPerm(0, propSpan, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	applyOps(t, parent, randOps(rng, 4, propSpan))
+	applyOps(t, parent, randOps(rng, 4, propSpan, false))
 	wordBase := Addr(3*PageSize + 64)
 	edge := Addr(5 * PageSize)
 	// Overlaps are kept small enough that both straddles land inside the

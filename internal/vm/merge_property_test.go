@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,45 +10,100 @@ import (
 )
 
 // Property test for the merge engine: its occupancy walk and slotMerge,
-// a walk of every slot, over the same (dst, cur, ref) triple must produce
-// byte-identical destination spaces, identical semantic MergeStats, and
-// identical conflict address lists — in both conflict modes, across
-// randomized write patterns on both sides of the fork. The engine's
-// PtesScanned must be the slots either side backs in the tables it walks
-// (slotsBacked), counted here slot by slot, not from the occupancy maps.
+// the merge rule applied to every slot, over the same (dst, cur, ref)
+// triple must produce byte-identical destination spaces, identical
+// semantic MergeStats — tables adopted included — and identical conflict
+// address lists, in both conflict modes, across randomized histories on
+// both sides of the fork: writes, and on the child's side the operations
+// that change a mapping rather than bytes. The engine's PtesScanned must
+// be the slots either side backs in the tables it walks (slotsBacked),
+// counted here slot by slot, not from the occupancy maps.
 
-// propSpan covers two whole level-2 tables plus a partial third, so the
-// walk exercises whole-table adoption, partial-table clamping, and a
-// multi-table walk in one scenario.
+// propSpan is what the parent maps: two whole level-2 tables plus a
+// partial third, so the walk exercises whole-table adoption,
+// partial-table clamping, and a multi-table walk in one scenario.
 const propSpan = 2*(tableEntries*PageSize) + 64*PageSize
+
+// mergeSpan is propSpan and the rest of its third table, which the
+// parent leaves unmapped: a child mapping there meets an unmapped
+// snapshot slot in a table a merge may adopt whole.
+const mergeSpan = 3 * tableEntries * PageSize
+
+// memKind is what a memOp does.
+type memKind uint8
+
+const (
+	memWrite memKind = iota // write data at addr
+	memZero                 // Zero the page at addr, mapping it with perm
+	memPerm                 // SetPerm the page at addr to perm
+	memUnmap                // unmap the whole level-2 table holding addr
+)
 
 // memOp is one recorded mutation, replayable onto identical space copies.
 type memOp struct {
+	kind memKind
 	addr Addr
-	data []byte // nil: Zero the page at addr
+	data []byte // memWrite's bytes
+	perm Perm   // memZero's and memPerm's permission
 }
 
+// applyOps replays ops onto s. A write to a page a SetPerm closed, or
+// one no op mapped, faults as a program's store would, and leaves the
+// same bytes on every replay; any other failure fails t.
 func applyOps(t *testing.T, s *Space, ops []memOp) {
 	t.Helper()
 	for _, op := range ops {
-		if op.data == nil {
-			if err := s.Zero(op.addr&^pageMask, PageSize, PermRW); err != nil {
-				t.Fatalf("Zero(%#x): %v", op.addr, err)
+		var err error
+		pa := op.addr &^ pageMask
+		switch op.kind {
+		case memWrite:
+			var fault *AccessError
+			if err = s.Write(op.addr, op.data); errors.As(err, &fault) {
+				err = nil
 			}
-			continue
+		case memZero:
+			err = s.Zero(pa, PageSize, op.perm)
+		case memPerm:
+			err = s.SetPerm(pa, PageSize, op.perm)
+		case memUnmap:
+			ta := op.addr &^ Addr(TableSpan-1)
+			_, err = s.CopyFrom(NewSpace(), ta, ta, TableSpan)
 		}
-		if err := s.Write(op.addr, op.data); err != nil {
-			t.Fatalf("Write(%#x, %d bytes): %v", op.addr, len(op.data), err)
+		if err != nil {
+			t.Fatalf("op %d at %#x (%d bytes, perm %v): %v", op.kind, op.addr, len(op.data), op.perm, err)
 		}
 	}
 }
 
-// randOps draws n mutations with addresses below span.
-func randOps(rng *rand.Rand, n int, span int64) []memOp {
+// randOps draws n mutations: writes of up to three pages below span and,
+// one in eight, the Zero of a page below span. With remaps it also draws
+// the operations that change a mapping rather than bytes: the SetPerm of
+// a page below mergeSpan to R, RW or None; the Zero of a page past the
+// parent's mapped span (propSpan), half the time written after; and,
+// rarely, the unmap of a whole table.
+func randOps(rng *rand.Rand, n int, span int64, remaps bool) []memOp {
 	ops := make([]memOp, 0, n)
 	for i := 0; i < n; i++ {
+		if remaps {
+			switch rng.Intn(16) {
+			case 0, 1:
+				perm := []Perm{PermR, PermRW, PermNone}[rng.Intn(3)]
+				ops = append(ops, memOp{kind: memPerm, addr: Addr(rng.Int63n(mergeSpan)), perm: perm})
+				continue
+			case 2, 3:
+				pa := Addr(propSpan+rng.Int63n(mergeSpan-propSpan)) &^ pageMask
+				ops = append(ops, memOp{kind: memZero, addr: pa, perm: PermRW})
+				if rng.Intn(2) == 0 {
+					ops = append(ops, memOp{addr: pa + Addr(rng.Intn(PageSize-64)), data: randBytes(rng, 64)})
+				}
+				continue
+			case 4:
+				ops = append(ops, memOp{kind: memUnmap, addr: Addr(rng.Int63n(mergeSpan))})
+				continue
+			}
+		}
 		if rng.Intn(8) == 0 {
-			ops = append(ops, memOp{addr: Addr(rng.Int63n(span))})
+			ops = append(ops, memOp{kind: memZero, addr: Addr(rng.Int63n(span)), perm: PermRW})
 			continue
 		}
 		data := make([]byte, rng.Intn(3*PageSize)+1)
@@ -63,18 +120,36 @@ func randBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
+// fnvPrime is FNV-1a's 64-bit multiplier, and fnvZeroPage what mixing a
+// page of zero bytes multiplies the hash by: XOR with a zero byte leaves
+// it alone, so the page is PageSize multiplications.
+const fnvPrime = 1099511628211
+
+var fnvZeroPage = func() uint64 {
+	m := uint64(1)
+	for range PageSize {
+		m *= fnvPrime
+	}
+	return m
+}()
+
 // fingerprint hashes the observable state of every page in the range:
 // permission plus backing bytes (FNV-1a), independent of COW structure.
+// A page with no backing hashes as the zeros it reads as, in one step.
 func fingerprint(s *Space, addr Addr, size uint64) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(b byte) {
 		h ^= uint64(b)
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	for off := uint64(0); off < size; off += PageSize {
 		e := s.entry(addr + Addr(off))
 		mix(byte(e.perm))
-		for _, b := range dataOf(e.pg) {
+		if e.pg == nil {
+			h *= fnvZeroPage
+			continue
+		}
+		for _, b := range &e.pg.data {
 			mix(b)
 		}
 	}
@@ -158,11 +233,15 @@ func slotsBacked(cur, ref *Space, addr Addr, size uint64) int {
 	return n
 }
 
-// slotMerge is the merge engine as it walked before tables carried
-// occupancy maps: every slot in range of each table cur no longer shares
-// with ref, one at a time, into the same whole-table adoption and the same
-// per-page path. It is the reference the occupancy walk must match on
-// everything but PtesScanned.
+// slotMerge is the merge rule applied to every slot in range of each
+// table cur no longer shares with ref, one at a time, with no occupancy
+// map and no adoption shortcut: a slot moves only where cur maps it with
+// a page other than ref's, through the per-page path. It counts a table
+// as adopted where the engine may adopt one — the parent still shared
+// ref's table and the whole table was merged — and the rule's result is
+// cur's table, compared entry by entry: no slot's page, mapping or
+// permission differs, so taking cur's table whole is the same merge. It
+// is the reference the engine must match on everything but PtesScanned.
 func slotMerge(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (MergeStats, error) {
 	var st MergeStats
 	if err := rangeCheck(addr, size); err != nil {
@@ -175,31 +254,34 @@ func slotMerge(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (M
 			continue
 		}
 		lo, hi := slotRange(l1, addr, end)
-		if dt := dst.root[l1]; dt == rt && lo == 0 && hi == tableEntries {
-			for l2 := 0; l2 < tableEntries; l2++ {
-				st.PtesScanned++
-				if ct.ptes[l2].pg != entryOf(rt, l2).pg {
-					st.PagesAdopted++
-				}
+		whole := dst.root[l1] == rt && lo == 0 && hi == tableEntries
+		c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict}
+		dc := cursor{s: dst, l1: l1}
+		for l2 := lo; l2 < hi; l2++ {
+			st.PtesScanned++
+			if ce, re := ct.ptes[l2], entryOf(rt, l2); ce.pg != re.pg && ce.mapped() {
+				mergePage(&dc, Addr(l1)<<l1Shift|Addr(l2)<<l2Shift, l2, ce, re, c)
 			}
-			dst.root[l1] = shareTable(ct)
-			dst.frames.dropTable(dt)
+		}
+		if whole && sameEntries(dst.root[l1], ct) {
 			st.TablesAdopted++
-		} else {
-			c := mergeCtx{mode: cfg.Mode, st: &st, conflict: conflict}
-			dc := cursor{s: dst, l1: l1}
-			for l2 := lo; l2 < hi; l2++ {
-				st.PtesScanned++
-				if ce, re := ct.ptes[l2], entryOf(rt, l2); ce.pg != re.pg {
-					mergePage(&dc, Addr(l1)<<l1Shift|Addr(l2)<<l2Shift, l2, ce, re, c)
-				}
-			}
 		}
 	}
 	if conflict.Total > 0 {
 		return st, conflict
 	}
 	return st, nil
+}
+
+// sameEntries reports whether a and b (nil: no entries) hold the same
+// entry in every slot.
+func sameEntries(a, b *table) bool {
+	for l2 := range tableEntries {
+		if entryOf(a, l2) != entryOf(b, l2) {
+			return false
+		}
+	}
+	return true
 }
 
 func runMergeVia(t *testing.T, parent *Space, childOps, parentOps []memOp,
@@ -259,16 +341,17 @@ func TestMergeEnginesEquivalentProperty(t *testing.T) {
 		if err := parent.SetPerm(0, propSpan, PermRW); err != nil {
 			t.Fatal(err)
 		}
-		applyOps(t, parent, randOps(rng, 10, propSpan))
-		// Child mutations roam the whole span, and always include a write
-		// in the second table; parent mutations stay inside the first
-		// table, so the second table is a whole-table adoption candidate.
-		childOps := randOps(rng, 12, propSpan)
+		applyOps(t, parent, randOps(rng, 10, propSpan, false))
+		// Child mutations roam the whole span, remap it and the unmapped
+		// rest of the third table, and always include a write in the
+		// second table; parent mutations stay inside the first table, so
+		// the second and third are whole-table adoption candidates.
+		childOps := randOps(rng, 16, propSpan, true)
 		childOps = append(childOps, memOp{
 			addr: Addr(tableEntries+rng.Intn(tableEntries)) * PageSize,
 			data: randBytes(rng, 64),
 		})
-		parentOps := randOps(rng, 4, tableEntries*PageSize)
+		parentOps := randOps(rng, 4, tableEntries*PageSize, false)
 		if rng.Intn(2) == 0 {
 			// Contended page: both sides write overlapping random bytes —
 			// a guaranteed byte comparison, near-certain conflict.
@@ -278,10 +361,10 @@ func TestMergeEnginesEquivalentProperty(t *testing.T) {
 		}
 
 		// Whole span or a random page-aligned sub-range.
-		addr, size := Addr(0), uint64(propSpan)
+		addr, size := Addr(0), uint64(mergeSpan)
 		if rng.Intn(2) == 0 {
-			addr = Addr(rng.Int63n(propSpan/PageSize)) * PageSize
-			size = uint64(rng.Int63n((propSpan-int64(addr))/PageSize)+1) * PageSize
+			addr = Addr(rng.Int63n(mergeSpan/PageSize)) * PageSize
+			size = uint64(rng.Int63n((mergeSpan-int64(addr))/PageSize)+1) * PageSize
 		}
 
 		for _, mode := range []MergeMode{MergeStrict, MergeLastWriter} {
@@ -300,9 +383,86 @@ func TestMergeEnginesEquivalentProperty(t *testing.T) {
 		parent.Free()
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// maxRuleOps bounds FuzzMergeRule's script: four bytes an op.
+const maxRuleOps = 16
+
+// ruleOp encodes one op of FuzzMergeRule's script: kind, the page it
+// acts on, and its argument.
+func ruleOp(kind memKind, page int, arg byte) []byte {
+	return []byte{byte(kind), byte(page >> 8), byte(page), arg}
+}
+
+// decodeRuleScript reads up to maxRuleOps child ops from script, four
+// bytes each: a kind (write, Zero, SetPerm or unmap, mod 4), a page
+// below mergeSpan (big-endian, mod its page count), and an argument — a
+// write's byte value and its offset in sixteens, a Zero's or SetPerm's
+// permission (None, R or RW, mod 3), nothing for an unmap.
+func decodeRuleScript(script []byte) []memOp {
+	var ops []memOp
+	for i := 0; i+4 <= len(script) && len(ops) < maxRuleOps; i += 4 {
+		b := script[i : i+4]
+		pa := Addr((int(b[1])<<8|int(b[2]))%(mergeSpan/PageSize)) * PageSize
+		op := memOp{kind: memKind(b[0] % 4), addr: pa, perm: []Perm{PermNone, PermR, PermRW}[b[3]%3]}
+		if op.kind == memWrite {
+			op.addr += Addr(b[3]) * 16
+			op.data = bytes.Repeat([]byte{b[3] | 1}, 8)
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// FuzzMergeRule holds MergeEx to the per-slot rule (slotMerge) on child
+// histories the fuzzer writes (decodeRuleScript), against a parent that
+// maps propSpan and backs four pages of each table. The low three bits of
+// touched name the tables the parent writes after the fork; first and
+// count pick the merge range in pages. The seeds are the unbacked-mapping
+// case, a SetPerm or a Zero of a page the snapshot does not map beside a
+// write elsewhere in its table, into an untouched parent and into one
+// that wrote that table.
+func FuzzMergeRule(f *testing.F) {
+	const pages = mergeSpan / PageSize
+	unbacked := 2*tableEntries + 100 // in the third table, past propSpan
+	for _, remap := range []memKind{memPerm, memZero} {
+		script := append(ruleOp(remap, unbacked, 2), ruleOp(memWrite, 2*tableEntries+3, 7)...)
+		f.Add(script, uint8(0), uint16(0), uint16(pages-1))
+		f.Add(script, uint8(4), uint16(0), uint16(pages-1))
+	}
+	f.Fuzz(func(t *testing.T, script []byte, touched uint8, first, count uint16) {
+		parent := NewSpace()
+		if err := parent.SetPerm(0, propSpan, PermRW); err != nil {
+			t.Fatal(err)
+		}
+		var parentOps []memOp
+		for l1 := range 3 {
+			for p := range 4 {
+				if err := parent.WriteU32(Addr(l1*tableEntries+p)*PageSize, uint32(l1<<8|p+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if touched>>l1&1 != 0 {
+				parentOps = append(parentOps, memOp{addr: Addr(l1*tableEntries+2)*PageSize + 40, data: []byte{0xd0}})
+			}
+		}
+		childOps := decodeRuleScript(script)
+		lo := int(first) % pages
+		addr := Addr(lo) * PageSize
+		size := uint64(1+int(count)%(pages-lo)) * PageSize
+		for _, mode := range []MergeMode{MergeStrict, MergeLastWriter} {
+			cfg := MergeConfig{Mode: mode}
+			got := runMerge(t, parent, childOps, parentOps, addr, size, cfg)
+			want := runMergeSlots(t, parent, childOps, parentOps, addr, size, cfg)
+			if diff := outcomesEqual(got, want, true); diff != "" {
+				t.Fatalf("mode %v over %#x+%#x: the engine differs from the slot rule: %s", mode, addr, size, diff)
+			}
+		}
+		parent.Free()
+	})
 }
 
 // TestMergeEnginesEquivalentOnContention pins the hard cases the random
@@ -315,7 +475,7 @@ func TestMergeEnginesEquivalentOnContention(t *testing.T) {
 	if err := parent.SetPerm(0, propSpan, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	applyOps(t, parent, randOps(rng, 10, propSpan))
+	applyOps(t, parent, randOps(rng, 10, propSpan, false))
 	childOps := []memOp{
 		{addr: 3 * PageSize, data: randBytes(rng, 64)},                    // contended page
 		{addr: (tableEntries + 7) * PageSize, data: randBytes(rng, 1000)}, // table-1 adoption

@@ -128,3 +128,77 @@ func TestMergeKeepsTheParentsPermissions(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeUnbackedMappingIsNotAChange pins the rule for a slot the
+// snapshot does not map: a child that maps it without backing it — a
+// SetPerm or a Zero of page 10, never written — has not changed it. The
+// child also writes page 3, so its table is no longer the snapshot's; the
+// parent has not touched the table since the fork (so the merge could
+// adopt the child's table whole) or has written page 2 (so it walks slot
+// by slot). Both parents leave page 10 unmapped, take the child's page 3,
+// and agree on every other page's bytes and permissions.
+func TestMergeUnbackedMappingIsNotAChange(t *testing.T) {
+	const pages, mapped = 16, 8
+	for _, remap := range []struct {
+		name string
+		do   func(s *Space, a Addr) error
+	}{
+		{"SetPerm", func(s *Space, a Addr) error { return s.SetPerm(a, PageSize, PermRW) }},
+		{"Zero", func(s *Space, a Addr) error { return s.Zero(a, PageSize, PermRW) }},
+	} {
+		name := remap.name
+		var perms [2][pages]Perm
+		var data [2][pages]*[PageSize]byte
+		for i, touched := range []bool{false, true} {
+			parent := NewSpace()
+			if err := parent.SetPerm(0, mapped*PageSize, PermRW); err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < 4; p++ {
+				if err := parent.WriteU32(Addr(p)*PageSize, uint32(p+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			child := NewSpace()
+			child.CopyAllFrom(parent)
+			snap, _ := child.Snapshot()
+			if err := remap.do(child, 10*PageSize); err != nil {
+				t.Fatal(err)
+			}
+			if err := child.WriteU32(3*PageSize+8, 0xc0ffee); err != nil {
+				t.Fatal(err)
+			}
+			dst := NewSpace()
+			dst.CopyAllFrom(parent)
+			if touched {
+				if err := dst.WriteU32(2*PageSize+16, 9); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := Merge(dst, child, snap, 0, tableEntries*PageSize)
+			if err != nil {
+				t.Fatalf("%s, parent touched %v: %v", name, touched, err)
+			}
+			if e := dst.entry(10 * PageSize); e.mapped() {
+				t.Errorf("%s, parent touched %v: page 10 mapped %v (merge %+v), want unmapped",
+					name, touched, e.perm, st)
+			}
+			if v, err := dst.ReadU32(3*PageSize + 8); err != nil || v != 0xc0ffee {
+				t.Errorf("%s, parent touched %v: page 3 reads %#x (%v), want the child's %#x",
+					name, touched, v, err, 0xc0ffee)
+			}
+			for p := range pages {
+				e := dst.entry(Addr(p) * PageSize)
+				perms[i][p], data[i][p] = e.perm, dataOf(e.pg)
+			}
+		}
+		for p := range pages {
+			if perms[0][p] != perms[1][p] {
+				t.Errorf("%s: page %d perm %v untouched, %v touched", name, p, perms[0][p], perms[1][p])
+			}
+			if p != 2 && *data[0][p] != *data[1][p] {
+				t.Errorf("%s: page %d bytes differ between the two parents", name, p)
+			}
+		}
+	}
+}

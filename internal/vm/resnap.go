@@ -17,10 +17,8 @@ package vm
 // how many non-nil tables it re-shared. Slots already equal are left
 // alone; 64 at a time are compared at memequal speed first, since most
 // blocks of a re-snapshotted or resynced root have not changed. The new
-// reference is taken before the old one is dropped. A whole root shared
-// makes s a clone of from, stamped as such for keepsSnapshot's shortcut.
+// reference is taken before the old one is dropped.
 func (s *Space) shareRoot(from *Space, src, dst, n int) (shared int) {
-	s.remapped()
 	for i := 0; i < n; i += resnapSpan {
 		k := min(resnapSpan, n-i)
 		if k == resnapSpan && *(*[resnapSpan]*table)(s.root[dst+i:]) == *(*[resnapSpan]*table)(from.root[src+i:]) {
@@ -35,9 +33,6 @@ func (s *Space) shareRoot(from *Space, src, dst, n int) (shared int) {
 				}
 			}
 		}
-	}
-	if n == tableEntries {
-		s.snapOf, s.snapAt = from, from.remaps
 	}
 	return shared
 }

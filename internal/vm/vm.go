@@ -9,7 +9,9 @@
 // its reference snapshot are folded into the parent, and bytes changed on
 // both sides raise a conflict, independent of any execution schedule. A
 // page the child unmapped is not a change: the parent keeps its page. Nor
-// is a permission: wherever the parent maps a slot, it keeps its own.
+// is a permission: wherever the parent maps a slot, it keeps its own. Nor
+// is a mapping the child made over a slot the snapshot does not back and
+// never wrote: the parent's slot stays as it was.
 //
 // Copy-on-write is also the record of what changed: a table or page a
 // space still shares with its snapshot is one it has not changed since.
@@ -227,26 +229,6 @@ type Space struct {
 	// frames is where the space's pages and tables come from and go back
 	// to (frames.go); its snapshots share it. nil is the Go heap.
 	frames *Frames
-
-	// remaps counts the operations that may have changed the permission
-	// of a mapped slot or unmapped one (remapped): SetPerm, Zero, the
-	// copies and Free. Stores and merges into the space do neither. A
-	// whole-space copy — a snapshot, a re-snapshot, a fork — records the
-	// space it cloned and that space's count then (snapOf, snapAt;
-	// shareRoot), so a merge whose child has not been remapped since its
-	// snapshot knows, without looking, that the child maps every slot the
-	// snapshot maps with the snapshot's permission (keepsSnapshot).
-	remaps uint64
-	snapOf *Space
-	snapAt uint64
-}
-
-// remapped records that a permission or a mapping of s may have
-// changed: its count moves on, and if s is a clone it no longer stands
-// for the space it was taken of.
-func (s *Space) remapped() {
-	s.remaps++
-	s.snapOf = nil
 }
 
 // ownTable returns a privately owned (mutable) level-2 table for index
@@ -364,7 +346,6 @@ func (s *Space) SetPerm(addr Addr, size uint64, perm Perm) error {
 	if err := rangeCheck(addr, size); err != nil {
 		return err
 	}
-	s.remapped()
 	s.ownRange(addr, size, func(t *table, lo, hi int) {
 		for l2 := lo; l2 < hi; l2++ {
 			t.ptes[l2].perm = perm
@@ -380,7 +361,6 @@ func (s *Space) Zero(addr Addr, size uint64, perm Perm) error {
 	if err := rangeCheck(addr, size); err != nil {
 		return err
 	}
-	s.remapped()
 	s.ownRange(addr, size, func(t *table, lo, hi int) {
 		for l2 := lo; l2 < hi; l2++ {
 			if old := t.ptes[l2].pg; old != nil {
@@ -397,7 +377,6 @@ func (s *Space) Zero(addr Addr, size uint64, perm Perm) error {
 // leaving it empty. The kernel calls this when a space or snapshot is
 // destroyed so that COW reference counts stay accurate.
 func (s *Space) Free() {
-	s.remapped()
 	for i, t := range s.root {
 		if t != nil {
 			s.frames.dropTable(t)
@@ -439,7 +418,6 @@ func (s *Space) CopyFrom(src *Space, srcAddr, dstAddr Addr, size uint64) (CopySt
 	if s == src && srcAddr != dstAddr {
 		return st, fmt.Errorf("vm: overlapping self-copy unsupported")
 	}
-	s.remapped()
 	if srcAddr%Addr(TableSpan) == 0 && dstAddr%Addr(TableSpan) == 0 && size%TableSpan == 0 {
 		// Whole level-2 tables on both sides: share the tables themselves.
 		st.TablesShared = s.shareRoot(src, int(srcAddr>>l1Shift), int(dstAddr>>l1Shift), int(size>>l1Shift))
