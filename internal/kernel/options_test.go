@@ -276,8 +276,8 @@ func TestInsnCountVisible(t *testing.T) {
 
 func TestPutGetCopiesMultipleRanges(t *testing.T) {
 	// Copies ships several disjoint regions in one Put (the fork idiom
-	// for a thread that carries both a shared region and an FS image),
-	// and collects them with one Get.
+	// for a thread that carries both a shared region and an FS image);
+	// a Get copies one range, so collecting them takes one Get each.
 	const (
 		regA vm.Addr = 0
 		regB vm.Addr = 0x0100_0000
@@ -308,19 +308,17 @@ func TestPutGetCopiesMultipleRanges(t *testing.T) {
 			panic(err)
 		}
 		env.SetPerm(back, 2*vm.PageSize, vm.PermRW)
-		if _, err := env.Get(1, GetOpts{
-			Copies: []CopyRange{
-				{Src: regA, Dst: back, Size: vm.PageSize},
-				{Src: regB, Dst: back + vm.PageSize, Size: vm.PageSize},
-			},
-		}); err != nil {
-			panic(err)
+		for i, src := range []vm.Addr{regA, regB} {
+			dst := back + vm.Addr(i)*vm.PageSize
+			if _, err := env.Get(1, GetOpts{Copy: &CopyRange{Src: src, Dst: dst, Size: vm.PageSize}}); err != nil {
+				panic(err)
+			}
 		}
 		var a, b [5]byte
 		env.Read(back, a[:])
 		env.Read(back+vm.PageSize, b[:])
 		if string(a[:]) != "ALPHA" || string(b[:]) != "BETA!" {
-			panic("Get Copies did not collect both ranges")
+			panic("Get Copy did not collect both ranges")
 		}
 		// The parent's own copies of the regions are untouched.
 		env.Read(regA, a[:])

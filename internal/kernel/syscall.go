@@ -84,9 +84,6 @@ type GetOpts struct {
 	Zero *PermRange
 	// Copy copies a child range into the parent copy-on-write.
 	Copy *CopyRange
-	// Copies applies additional child→parent range copies after Copy,
-	// in order — the collector-side pair of PutOpts.Copies.
-	Copies []CopyRange
 	// CopyAll copies the child's entire address space into the parent
 	// (the exec idiom: "this Get returns into the new program").
 	CopyAll bool
@@ -276,7 +273,7 @@ func (sp *Space) get(ref uint64, o GetOpts) (ChildInfo, error) {
 	if o.Regs {
 		info.Regs = child.regs
 	}
-	if _, err := sp.transfer("get", sp, child, o.Zero, copyList(o.Copy, o.Copies), o.CopyAll); err != nil {
+	if _, err := sp.transfer("get", sp, child, o.Zero, copyList(o.Copy, nil), o.CopyAll); err != nil {
 		return info, err
 	}
 	if o.Merge {
