@@ -75,7 +75,7 @@ func buildImage(env *kernel.Env, seed int64) *FS {
 		case 6:
 			_ = f.Append(name, make([]byte, rng.Intn(9000)))
 		case 7:
-			_, _ = f.Compact(CompactOptions{ReclaimTombstones: rng.Intn(2) == 0})
+			_, _ = f.Compact()
 		}
 	}
 	return f

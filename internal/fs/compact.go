@@ -9,17 +9,13 @@ package fs
 // operation history computes a bit-identical image — which is what lets
 // the benchmarks assert whole-image checksums across configurations.
 //
-// Compact is meant for synchronization points: after a replica has
-// reconciled (or stamped) and no forked child is still working against
-// the old layout. It moves no logical state — versions, sizes and bytes
-// are untouched — so running it between a fork and the matching
-// reconcile is harmless for correctness, merely pointless.
-//
-// With ReclaimTombstones set it also frees tombstone slots (scrubbing
-// their names). That is safe only when no outstanding child replica
-// might still need the deletion propagated — the master of a fork round
-// calls it after collecting every child, never between forks.
-func (f *FS) Compact(o CompactOptions) (CompactStats, error) {
+// It also frees tombstone slots (scrubbing their names), so it runs only
+// at quiescent synchronization points: after a replica has reconciled
+// (or stamped) and no forked child is still working against the old
+// image. A child replica forked before a deletion would otherwise lose
+// the record that propagates it — the master of a fork round calls
+// Compact after collecting every child, never between forks.
+func (f *FS) Compact() (CompactStats, error) {
 	defer f.unlock()()
 	var st CompactStats
 	for _, e := range f.readFreeList() {
@@ -64,13 +60,11 @@ func (f *FS) Compact(o CompactOptions) (CompactStats, error) {
 		return st, ErrNoSpace
 	}
 
-	if o.ReclaimTombstones {
-		f.column(iFlags, &flags) // freeSlot scrubs only the slot it is given
-		for ino := 1; ino < NumInodes; ino++ {
-			if flags[ino]&flagTomb != 0 {
-				f.freeSlot(ino) // tombstones hold no extent by invariant
-				st.Tombs++
-			}
+	f.column(iFlags, &flags) // freeSlot scrubs only the slot it is given
+	for ino := 1; ino < NumInodes; ino++ {
+		if flags[ino]&flagTomb != 0 {
+			f.freeSlot(ino) // tombstones hold no extent by invariant
+			st.Tombs++
 		}
 	}
 
@@ -109,14 +103,6 @@ func (f *FS) Compact(o CompactOptions) (CompactStats, error) {
 		st.FreeBytesAfter += int64(e.length)
 	}
 	return st, nil
-}
-
-// CompactOptions configures a Compact pass.
-type CompactOptions struct {
-	// ReclaimTombstones frees deletion-record slots too. Only safe at a
-	// quiescent sync point: a child replica forked before the deletion
-	// would otherwise lose the propagation record.
-	ReclaimTombstones bool
 }
 
 // CompactStats reports what a Compact pass did.

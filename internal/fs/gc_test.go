@@ -106,8 +106,8 @@ func gcRun(t *testing.T, seed int64, check bool) uint64 {
 					panic(fmt.Sprintf("step %d unlink %s: %v", step, name, err))
 				}
 				delete(model, name)
-			case 11: // compact, sometimes reclaiming tombstones
-				st, err := f.Compact(CompactOptions{ReclaimTombstones: rng.Intn(2) == 0})
+			case 11: // compact, reclaiming tombstones
+				st, err := f.Compact()
 				if err != nil {
 					panic(fmt.Sprintf("step %d compact: %v", step, err))
 				}
@@ -122,7 +122,7 @@ func gcRun(t *testing.T, seed int64, check bool) uint64 {
 				}
 			}
 		}
-		if _, err := f.Compact(CompactOptions{ReclaimTombstones: true}); err != nil {
+		if _, err := f.Compact(); err != nil {
 			panic(err)
 		}
 		if check {
@@ -264,7 +264,7 @@ func TestCompactReclaimsSpace(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i%5 == 4 {
-				if _, err := f.Compact(CompactOptions{ReclaimTombstones: true}); err != nil {
+				if _, err := f.Compact(); err != nil {
 					t.Fatal(err)
 				}
 			}

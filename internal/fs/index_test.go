@@ -492,6 +492,9 @@ func TestAttachRejectChargesWholeColumns(t *testing.T) {
 // against — List, ReadDir, StampFork, ReconcileFrom's pass over the child,
 // Compact's two — cost on the tombstones image exactly the instructions
 // they cost at b99e401, when each read its flags one slot at a time.
+// Compact's pin is its one pass, tombstones reclaimed, straight after
+// ReconcileFrom: what Compact with ReclaimTombstones cost there at
+// 258997a, the last commit where Compact could also leave tombstones.
 func TestScanChargesPinned(t *testing.T) {
 	indexEnv(t, func(env *kernel.Env) {
 		f := scanTombstones(env)
@@ -509,8 +512,7 @@ func TestScanChargesPinned(t *testing.T) {
 		must(child.Unlink("f002"))
 		must(child.WriteFile("new", []byte("n")))
 		pin("ReconcileFrom", 430, func() { f.ReconcileFrom(child) })
-		pin("Compact", 530629, func() { f.Compact(CompactOptions{}) })
-		pin("Compact reclaiming", 531236, func() { f.Compact(CompactOptions{ReclaimTombstones: true}) })
+		pin("Compact", 531221, func() { f.Compact() })
 	})
 }
 

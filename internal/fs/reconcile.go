@@ -16,9 +16,9 @@ func (c Conflict) String() string { return fmt.Sprintf("conflict(%s)", c.Name) }
 
 // ReconcileFrom folds the changes a child replica made since its fork
 // stamp into this (the parent's) replica. Both images must live in the
-// same address space: the runtime Get-Copies the child's file system
-// region into a scratch area of the parent space first, exactly as §4.2
-// describes, then attaches an FS handle to the scratch copy.
+// same address space: the runtime first copies the child's file system
+// region into a scratch area of the parent space with a Get, exactly as
+// §4.2 describes, then attaches an FS handle to the scratch copy.
 //
 // Reconciliation is keyed by full path, never by inode number — the two
 // replicas may have laid out their tables and extents completely

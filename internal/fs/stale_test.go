@@ -65,10 +65,10 @@ func TestFailedAdoptionLeavesNoHalfEntry(t *testing.T) {
 	})
 }
 
-// TestReclaimedTombstoneInvisible: Compact with ReclaimTombstones frees
-// deletion records; the freed slots must be undetectable afterwards and
-// a re-created file starts a fresh history (version 1, not a revival of
-// the scrubbed slot's).
+// TestReclaimedTombstoneInvisible: Compact frees deletion records; the
+// freed slots must be undetectable afterwards and a re-created file
+// starts a fresh history (version 1, not a revival of the scrubbed
+// slot's).
 func TestReclaimedTombstoneInvisible(t *testing.T) {
 	withFS(t, func(env *kernel.Env, f *FS) {
 		if err := f.WriteFile("doomed", []byte("payload")); err != nil {
@@ -77,7 +77,7 @@ func TestReclaimedTombstoneInvisible(t *testing.T) {
 		if err := f.Unlink("doomed"); err != nil {
 			t.Fatal(err)
 		}
-		st, err := f.Compact(CompactOptions{ReclaimTombstones: true})
+		st, err := f.Compact()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -202,7 +202,7 @@ func KVStore(rt *core.RT, cfg KVConfig) (uint64, KVStats) {
 		// The quiescent sync point: every child collected, none
 		// outstanding — compact to the canonical layout and reclaim
 		// tombstones.
-		if _, err := fsys.Compact(fs.CompactOptions{ReclaimTombstones: true}); err != nil {
+		if _, err := fsys.Compact(); err != nil {
 			panic(err)
 		}
 		for t := 0; t < cfg.Threads; t++ {
