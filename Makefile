@@ -63,7 +63,8 @@ race:
 # (trace.Unmarshal) — thirteen targets; and on one that decodes no
 # stored bytes but a script: FuzzMergeRule holds vm.MergeEx to the
 # merge's per-slot rule over child writes, SetPerms, Zeros and unmaps,
-# seeded with the unbacked-mapping case. The seed corpora also
+# seeded with the unbacked-mapping case, one child history per mask test
+# of the adoption check, and one history it must adopt. The seed corpora also
 # run as plain tests under `make test`; this target is what mutates
 # them. A crasher is written to the package's testdata/fuzz and fails
 # every later `go test` until fixed.

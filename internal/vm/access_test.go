@@ -17,35 +17,68 @@ import (
 // the byte path. TestAccessMatchesByteOracle holds every accessor to
 // them: same bytes, same sharing structure, same fault.
 
-// oracleInstall is the oracles' pte write: the entry, and the occupancy
-// bit that says whether it holds a page, spelled out by hand rather than
-// through table.set — so the occupancy words in a world's shape are
-// the oracle's own, and an install that bypasses the setter differs.
+// oracleInstall is the oracles' pte write: the entry, and the bitmap bits
+// that say whether it holds a page and which permissions it grants,
+// spelled out by hand rather than through table.set — so the bitmaps in a
+// world's shape are the oracle's own, and an install that bypasses the
+// setter differs.
 func oracleInstall(t *table, l2 int, e pte) {
 	t.ptes[l2] = e
-	if bit := uint64(1) << (uint(l2) & 63); e.pg != nil {
-		t.occ[l2>>6] |= bit
-	} else {
-		t.occ[l2>>6] &^= bit
+	w, bit := l2>>6, uint64(1)<<(uint(l2)&63)
+	t.occ[w] &^= bit
+	t.rd[w] &^= bit
+	t.wr[w] &^= bit
+	if e.pg != nil {
+		t.occ[w] |= bit
+	}
+	if e.perm&PermR != 0 {
+		t.rd[w] |= bit
+	}
+	if e.perm&PermW != 0 {
+		t.wr[w] |= bit
 	}
 }
 
-// checkOccupancy fails t unless every table of s lists in its occupancy
-// map exactly the slots that hold a page.
-func checkOccupancy(t *testing.T, s *Space) {
+// bitmapsOf recomputes a table's three bitmaps from its ptes, slot by
+// slot: the slots holding a page, granting PermR and granting PermW.
+func bitmapsOf(tb *table) (occ, rd, wr bitmap) {
+	for l2, e := range tb.ptes {
+		w, bit := l2>>6, uint64(1)<<(uint(l2)&63)
+		if e.pg != nil {
+			occ[w] |= bit
+		}
+		if e.perm&PermR != 0 {
+			rd[w] |= bit
+		}
+		if e.perm&PermW != 0 {
+			wr[w] |= bit
+		}
+	}
+	return occ, rd, wr
+}
+
+// checkBitmaps fails t unless every table of s holds in occ, rd and wr
+// exactly what its ptes say (bitmapsOf), and no pte carries a permission
+// bit outside PermRW, which no bitmap would hold.
+func checkBitmaps(t *testing.T, s *Space) {
 	t.Helper()
 	for l1, tb := range s.root {
 		if tb == nil {
 			continue
 		}
-		var want [tableEntries / 64]uint64
-		for l2 := range tb.ptes {
-			if tb.ptes[l2].pg != nil {
-				want[l2>>6] |= 1 << (uint(l2) & 63)
-			}
+		occ, rd, wr := bitmapsOf(tb)
+		switch {
+		case tb.occ != occ:
+			t.Fatalf("table %d: occupancy map %x, slots holding a page %x", l1, tb.occ, occ)
+		case tb.rd != rd:
+			t.Fatalf("table %d: read map %x, slots granting PermR %x", l1, tb.rd, rd)
+		case tb.wr != wr:
+			t.Fatalf("table %d: write map %x, slots granting PermW %x", l1, tb.wr, wr)
 		}
-		if tb.occ != want {
-			t.Fatalf("table %d: occupancy map %x, slots holding a page %x", l1, tb.occ, want)
+		for l2, e := range tb.ptes {
+			if e.perm&^PermRW != 0 {
+				t.Fatalf("table %d slot %d: permission %v", l1, l2, e.perm)
+			}
 		}
 	}
 }
@@ -339,7 +372,7 @@ func buildAccessWorld(t *testing.T, rng *rand.Rand) *accessWorld {
 
 // shape describes everything about a world an access may legitimately
 // change and everything it must not: per-page permission, bytes and page
-// refcount for every space, table refcounts, occupancy words and
+// refcount for every space, table refcounts, bitmap words and
 // footprint.
 func (w *accessWorld) shape() string {
 	all := append([]*Space{w.s}, w.others...)
@@ -356,11 +389,12 @@ func (w *accessWorld) shape() string {
 				si, pa, e.perm, refs, fingerprint(s, pa, PageSize))
 		}
 		for l1 := 0; l1 < 3; l1++ {
-			refs, occ := int32(0), [tableEntries / 64]uint64{}
+			var refs int32
+			var occ, rd, wr bitmap
 			if tb := s.root[l1]; tb != nil {
-				refs, occ = tb.refs.Load(), tb.occ
+				refs, occ, rd, wr = tb.refs.Load(), tb.occ, tb.rd, tb.wr
 			}
-			out += fmt.Sprintf("space %d table %d refs %d occ %x\n", si, l1, refs, occ)
+			out += fmt.Sprintf("space %d table %d refs %d occ %x rd %x wr %x\n", si, l1, refs, occ, rd, wr)
 		}
 	}
 	return out

@@ -77,7 +77,7 @@ func checkDepot(pages map[*page]bool, tables map[*table]bool) error {
 		pages[pg] = true
 	}
 	for _, t := range depot.tables.free {
-		cleared := t.occ == [tableEntries / 64]uint64{} && t.ptes == [tableEntries]pte{}
+		cleared := t.occ == bitmap{} && t.rd == bitmap{} && t.wr == bitmap{} && t.ptes == [tableEntries]pte{}
 		if tables[t] || t.refs.Load() != 0 || !cleared {
 			return fmt.Errorf("depot table %p: refs %d, held twice %v, cleared %v", t, t.refs.Load(), tables[t], cleared)
 		}
@@ -134,7 +134,7 @@ func poisonFrames(f *Frames) {
 		full.set(l2, pte{pg: junk, perm: PermRW})
 	}
 	for _, t := range f.tables {
-		t.occ, t.ptes = full.occ, full.ptes
+		t.occ, t.rd, t.wr, t.ptes = full.occ, full.rd, full.wr, full.ptes
 	}
 }
 

@@ -83,7 +83,7 @@ func (f *Frames) pageFrom(b []byte) *page {
 
 // table returns an exclusively owned table. A recycled table keeps the
 // entries it last held unless zero is set, so only a caller that overwrites
-// ptes and occ whole may leave it unset.
+// ptes and all three bitmaps whole (ownTable) may leave it unset.
 func (f *Frames) table(zero bool) *table {
 	var t *table
 	stale := false
@@ -155,6 +155,8 @@ func (f *Frames) Release() {
 
 func clearTable(t *table) {
 	clear(t.occ[:])
+	clear(t.rd[:])
+	clear(t.wr[:])
 	clear(t.ptes[:])
 }
 

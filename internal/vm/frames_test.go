@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // Tests that make recycling safe. A space drawing on a frame pool must
@@ -334,8 +335,27 @@ func TestRecycledPageFromShortHasZeroTail(t *testing.T) {
 	}
 }
 
+// TestFrameLayout pins the two frames' layout to the allocator's size
+// classes. A page's bytes start at its allocation's start, which the
+// 4 864-byte class aligns to 256 bytes, so every word of them is aligned;
+// a field placed before data would make every typed access, page copy and
+// merge word straddle. Neither frame may grow into the next size class: a
+// page past 4 864 bytes or a table past 18 432 costs every frame a pool
+// holds, and the allocation ceilings of the packages above count bytes.
+func TestFrameLayout(t *testing.T) {
+	if off := unsafe.Offsetof(page{}.data); off != 0 {
+		t.Errorf("a page's bytes start %d bytes into it, want 0", off)
+	}
+	if n := unsafe.Sizeof(page{}); n > 4864 {
+		t.Errorf("a page is %d bytes, past its 4 864-byte size class", n)
+	}
+	if n := unsafe.Sizeof(table{}); n > 18432 {
+		t.Errorf("a table is %d bytes, past its 18 432-byte size class", n)
+	}
+}
+
 // TestRecycledEmptyTableIsEmpty: the empty-table path of ownTable hands
-// out a recycled table with no slot mapped and an empty occupancy map.
+// out a recycled table with no slot mapped and empty bitmaps.
 func TestRecycledEmptyTableIsEmpty(t *testing.T) {
 	f := NewFrames()
 	s := f.NewSpace()
@@ -356,8 +376,8 @@ func TestRecycledEmptyTableIsEmpty(t *testing.T) {
 	if tb != old {
 		t.Fatal("SetPerm on an empty slot did not take the recycled table")
 	}
-	if tb.occ != [tableEntries / 64]uint64{} {
-		t.Errorf("recycled empty table: occupancy %x", tb.occ)
+	if tb.occ != (bitmap{}) || tb.wr != (bitmap{}) || tb.rd != (bitmap{1 << 5}) {
+		t.Errorf("recycled empty table: occupancy %x, read map %x, write map %x", tb.occ, tb.rd, tb.wr)
 	}
 	for l2, e := range tb.ptes {
 		if want := (pte{perm: PermR}); l2 == 5 && e != want || l2 != 5 && e != (pte{}) {

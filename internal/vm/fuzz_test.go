@@ -56,10 +56,11 @@ func FuzzDecodeForest(f *testing.F) {
 	e := NewForestEncoder()
 	e.Add(one)
 	f.Add(e.Encode())
+	f.Add(onePTEImage(5, 0x04)) // a permission bit outside PermRW
 
 	// maxObject is what the allocator hands out for a table, the
 	// largest object the decoder builds: its size class, not its
-	// unsafe.Sizeof (16 520 bytes). An image may hold tables with no
+	// unsafe.Sizeof (16 776 bytes). An image may hold tables with no
 	// mapped slot — the encoder writes one for a table whose slots were
 	// all set back to PermNone — so 2 bytes can cost a whole table.
 	const maxObject = 18 << 10
@@ -201,31 +202,55 @@ func unchunkOf(t *testing.T, node []byte) func() error {
 	}
 }
 
+// onePTEImage seals a flat image of one space whose one table lists one
+// demand-zero slot, l2, with the permission byte perm.
+func onePTEImage(l2 uint16, perm byte) []byte {
+	b := append([]byte(imageMagic), ImageVersion)
+	b = binary.LittleEndian.AppendUint32(b, 0) // pages
+	b = binary.LittleEndian.AppendUint32(b, 1) // tables
+	b = binary.LittleEndian.AppendUint16(b, 1) // one pte
+	b = binary.LittleEndian.AppendUint16(b, l2)
+	b = append(b, perm)
+	b = binary.LittleEndian.AppendUint32(b, 0) // demand-zero
+	b = binary.LittleEndian.AppendUint32(b, 1) // spaces
+	b = append(b, 0)                           // flags
+	b = binary.LittleEndian.AppendUint16(b, 1) // one root slot
+	b = binary.LittleEndian.AppendUint16(b, 0) // l1
+	b = binary.LittleEndian.AppendUint32(b, 1) // table 1
+	b = binary.LittleEndian.AppendUint16(b, 0) // dirty slots
+	b = binary.LittleEndian.AppendUint32(b, 0) // links
+	return imgenc.Seal(b)
+}
+
 // ChunkForest and DecodeForest read the page and table sections through
 // one walker, so what one rejects there the other does: a pte slot past
 // the table's end used to be chunked, stored, and fail only on the
-// restore that needed it.
+// restore that needed it, and a permission byte with bits outside
+// PermRW — a slot no access could use, and no permission bitmap would
+// hold — used to be restored.
 func TestChunkForestRejectsWhatDecodeForestRejects(t *testing.T) {
-	b := append([]byte(imageMagic), ImageVersion)
-	b = binary.LittleEndian.AppendUint32(b, 0)            // pages
-	b = binary.LittleEndian.AppendUint32(b, 1)            // tables
-	b = binary.LittleEndian.AppendUint16(b, 1)            // one pte
-	b = binary.LittleEndian.AppendUint16(b, tableEntries) // slot 1024 of 1024
-	b = append(b, byte(PermRW))
-	b = binary.LittleEndian.AppendUint32(b, 0) // demand-zero
-	b = binary.LittleEndian.AppendUint32(b, 0) // spaces
-	b = binary.LittleEndian.AppendUint32(b, 0) // links
-	flat := imgenc.Seal(b)
-	var fe *ImageFormatError
-	if _, err := DecodeForest(flat); !errors.As(err, &fe) {
-		t.Fatalf("DecodeForest: %v, want *ImageFormatError", err)
+	if _, err := DecodeForest(onePTEImage(5, byte(PermRW))); err != nil {
+		t.Fatalf("the well-formed image does not decode: %v", err)
 	}
-	store := castore.NewMemStore()
-	if _, err := ChunkForest(store, flat, castore.Key{}); !errors.As(err, &fe) {
-		t.Fatalf("ChunkForest: %v, want *ImageFormatError", err)
-	}
-	if st, _ := store.Stats(); st.Puts != 0 {
-		t.Fatalf("ChunkForest stored %d chunks of an image it rejected", st.Puts)
+	for _, tc := range []struct {
+		name string
+		flat []byte
+	}{
+		{"slot 1024 of 1024", onePTEImage(tableEntries, byte(PermRW))},
+		{"permission 0x04", onePTEImage(5, 0x04)},
+		{"permission 0x83", onePTEImage(5, 0x83)},
+	} {
+		var fe *ImageFormatError
+		if _, err := DecodeForest(tc.flat); !errors.As(err, &fe) {
+			t.Fatalf("%s: DecodeForest: %v, want *ImageFormatError", tc.name, err)
+		}
+		store := castore.NewMemStore()
+		if _, err := ChunkForest(store, tc.flat, castore.Key{}); !errors.As(err, &fe) {
+			t.Fatalf("%s: ChunkForest: %v, want *ImageFormatError", tc.name, err)
+		}
+		if st, _ := store.Stats(); st.Puts != 0 {
+			t.Fatalf("%s: ChunkForest stored %d chunks of an image it rejected", tc.name, st.Puts)
+		}
 	}
 }
 

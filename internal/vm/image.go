@@ -224,8 +224,8 @@ func (t flatTable) pte(j int) (l2 uint16, perm byte, pid uint32) {
 // openForest is the one reader of the flat image's envelope and of its
 // page and table sections: DecodeForest builds the object graph from
 // what it returns, ChunkForest the chunks. The cursor is left at the
-// space section; pages and tables alias the image; every slot index and
-// page id in the tables is in range.
+// space section; pages and tables alias the image; every slot index,
+// permission and page id in the tables is in range.
 func openForest(data []byte) (r *imgenc.Reader, pages [][]byte, tables []flatTable, err error) {
 	r, err = imgenc.Open(data, imageMagic, ImageVersion,
 		func(off int, msg string) error { return &ImageFormatError{Offset: off, Msg: msg} },
@@ -241,9 +241,11 @@ func openForest(data []byte) (r *imgenc.Reader, pages [][]byte, tables []flatTab
 	for i := 0; i < len(tables) && r.Err == nil; i++ {
 		t := flatTable(r.Take(r.Count16(flatPTESize, "pte") * flatPTESize))
 		for j := 0; j < t.entries(); j++ {
-			switch l2, _, pid := t.pte(j); {
+			switch l2, perm, pid := t.pte(j); {
 			case l2 >= tableEntries:
 				r.Failf("pte index %d out of range", l2)
+			case Perm(perm)&^PermRW != 0:
+				r.Failf("pte %d: permission %#x has bits outside %v", l2, perm, PermRW)
 			case int(pid) > len(pages):
 				r.Failf("page id %d out of range (%d pages)", pid, len(pages))
 			}

@@ -221,17 +221,21 @@ func mergeTable(dst, cur, ref *Space, l1, lo, hi int, c mergeCtx) {
 // slot the child unmapped, re-permissioned or mapped without writing is
 // not a change, and adoption would take from the parent its page, its
 // permission or its empty slot. A nil rt maps nothing.
+//
+// A slot is mapped exactly when its bit is set in occ|rd|wr, so the rule
+// is read off the bitmaps a word of 64 slots at a time. The four tests
+// are disjoint: a slot rt maps and ct does not; a slot both map whose read
+// or whose write permission differs; a slot only ct maps, with no page.
 func keepsSnapshot(ct, rt *table) bool {
-	var re pte
-	for l2, ce := range &ct.ptes {
+	for w := range ct.occ {
+		var so, sr, sw uint64 // the snapshot's words: none for no table
 		if rt != nil {
-			re = rt.ptes[l2]
+			so, sr, sw = rt.occ[w], rt.rd[w], rt.wr[w]
 		}
-		if re.mapped() {
-			if ce.perm != re.perm || !ce.mapped() {
-				return false
-			}
-		} else if ce.pg == nil && ce.mapped() {
+		co, cr, cw := ct.occ[w], ct.rd[w], ct.wr[w]
+		sm, cm := so|sr|sw, co|cr|cw
+		both := sm & cm
+		if sm&^cm != 0 || both&(cr^sr) != 0 || both&(cw^sw) != 0 || cm&^sm&^co != 0 {
 			return false
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -47,9 +48,10 @@ type memOp struct {
 	perm Perm   // memZero's and memPerm's permission
 }
 
-// applyOps replays ops onto s. A write to a page a SetPerm closed, or
-// one no op mapped, faults as a program's store would, and leaves the
-// same bytes on every replay; any other failure fails t.
+// applyOps replays ops onto s, checking every table's bitmaps against its
+// ptes after each. A write to a page a SetPerm closed, or one no op
+// mapped, faults as a program's store would, and leaves the same bytes on
+// every replay; any other failure fails t.
 func applyOps(t *testing.T, s *Space, ops []memOp) {
 	t.Helper()
 	for _, op := range ops {
@@ -72,6 +74,7 @@ func applyOps(t *testing.T, s *Space, ops []memOp) {
 		if err != nil {
 			t.Fatalf("op %d at %#x (%d bytes, perm %v): %v", op.kind, op.addr, len(op.data), op.perm, err)
 		}
+		checkBitmaps(t, s)
 	}
 }
 
@@ -273,6 +276,94 @@ func slotMerge(dst, cur, ref *Space, addr Addr, size uint64, cfg MergeConfig) (M
 	return st, nil
 }
 
+// keepsSnapshotSlots is keepsSnapshot read off the ptes, slot by slot,
+// as the engine decided adoption before tables carried permission
+// bitmaps: ct maps every slot rt maps, with rt's permission, and maps no
+// slot rt leaves unmapped without a page. A nil rt maps nothing. It is
+// the oracle TestKeepsSnapshotMatchesSlotWalk holds the mask tests to.
+func keepsSnapshotSlots(ct, rt *table) bool {
+	var re pte
+	for l2, ce := range &ct.ptes {
+		if rt != nil {
+			re = rt.ptes[l2]
+		}
+		if re.mapped() {
+			if ce.perm != re.perm || !ce.mapped() {
+				return false
+			}
+		} else if ce.pg == nil && ce.mapped() {
+			return false
+		}
+	}
+	return true
+}
+
+// randSlot draws one slot's entry: unmapped, `--` with a page, or r-, -w
+// or rw with or without one; pg is the page it gets when backed.
+func randSlot(rng *rand.Rand, pg *page) pte {
+	switch rng.Intn(8) {
+	case 0:
+		return pte{}
+	case 1:
+		return pte{pg: pg}
+	}
+	e := pte{perm: []Perm{PermR, PermW, PermRW}[rng.Intn(3)]}
+	if rng.Intn(2) == 0 {
+		e.pg = pg
+	}
+	return e
+}
+
+// TestKeepsSnapshotMatchesSlotWalk draws snapshot tables (one in eight
+// nil) of random slots and child tables derived from them as a child's
+// history would leave them: every slot copied, a backed slot's page
+// shared or replaced, then up to three slots redrawn, a snapshot slot
+// half the time. keepsSnapshot must answer as keepsSnapshotSlots does,
+// and the draws must reach both answers.
+func TestKeepsSnapshotMatchesSlotWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	pages := []*page{new(page), new(page), new(page), new(page)}
+	pick := func() *page { return pages[rng.Intn(len(pages))] }
+	answers := map[bool]int{}
+	ct, snap := new(table), new(table)
+	for it := range 2000 {
+		clearTable(snap)
+		var rt *table
+		var slots []int // the slots the snapshot sets
+		if rng.Intn(8) != 0 {
+			rt = snap
+			for range rng.Intn(40) {
+				l2 := rng.Intn(tableEntries)
+				rt.set(l2, randSlot(rng, pick()))
+				slots = append(slots, l2)
+			}
+		}
+		ct.ptes, ct.occ, ct.rd, ct.wr = snap.ptes, snap.occ, snap.rd, snap.wr
+		for w, word := range ct.occ {
+			for ; word != 0; word &= word - 1 {
+				if l2 := w<<6 | bits.TrailingZeros64(word); rng.Intn(4) == 0 {
+					ct.set(l2, pte{pg: pick(), perm: ct.ptes[l2].perm})
+				}
+			}
+		}
+		for range rng.Intn(4) {
+			l2 := rng.Intn(tableEntries)
+			if len(slots) > 0 && rng.Intn(2) == 0 {
+				l2 = slots[rng.Intn(len(slots))]
+			}
+			ct.set(l2, randSlot(rng, pick()))
+		}
+		want := keepsSnapshotSlots(ct, rt)
+		if got := keepsSnapshot(ct, rt); got != want {
+			t.Fatalf("draw %d (snapshot nil %v): keepsSnapshot %v, slot walk %v", it, rt == nil, got, want)
+		}
+		answers[want]++
+	}
+	if answers[true] < 200 || answers[false] < 200 {
+		t.Fatalf("the draws reached keep %d times and refuse %d times: too few of one to test it", answers[true], answers[false])
+	}
+}
+
 // sameEntries reports whether a and b (nil: no entries) hold the same
 // entry in every slot.
 func sameEntries(a, b *table) bool {
@@ -297,7 +388,7 @@ func runMergeVia(t *testing.T, parent *Space, childOps, parentOps []memOp,
 	applyOps(t, dst, parentOps)
 
 	st, err := merge(dst, child, snap)
-	checkOccupancy(t, dst)
+	checkBitmaps(t, dst)
 	out := mergeOutcome{st: st, print: fingerprint(dst, addr, size)}
 	if err != nil {
 		out.err = err.Error()
@@ -401,13 +492,13 @@ func ruleOp(kind memKind, page int, arg byte) []byte {
 // bytes each: a kind (write, Zero, SetPerm or unmap, mod 4), a page
 // below mergeSpan (big-endian, mod its page count), and an argument — a
 // write's byte value and its offset in sixteens, a Zero's or SetPerm's
-// permission (None, R or RW, mod 3), nothing for an unmap.
+// permission (None, R, RW or W, mod 4), nothing for an unmap.
 func decodeRuleScript(script []byte) []memOp {
 	var ops []memOp
 	for i := 0; i+4 <= len(script) && len(ops) < maxRuleOps; i += 4 {
 		b := script[i : i+4]
 		pa := Addr((int(b[1])<<8|int(b[2]))%(mergeSpan/PageSize)) * PageSize
-		op := memOp{kind: memKind(b[0] % 4), addr: pa, perm: []Perm{PermNone, PermR, PermRW}[b[3]%3]}
+		op := memOp{kind: memKind(b[0] % 4), addr: pa, perm: []Perm{PermNone, PermR, PermRW, PermW}[b[3]%4]}
 		if op.kind == memWrite {
 			op.addr += Addr(b[3]) * 16
 			op.data = bytes.Repeat([]byte{b[3] | 1}, 8)
@@ -421,10 +512,12 @@ func decodeRuleScript(script []byte) []memOp {
 // histories the fuzzer writes (decodeRuleScript), against a parent that
 // maps propSpan and backs four pages of each table. The low three bits of
 // touched name the tables the parent writes after the fork; first and
-// count pick the merge range in pages. The seeds are the unbacked-mapping
-// case, a SetPerm or a Zero of a page the snapshot does not map beside a
-// write elsewhere in its table, into an untouched parent and into one
-// that wrote that table.
+// count pick the merge range in pages. The first seeds are the
+// unbacked-mapping case, a SetPerm or a Zero of a page the snapshot does
+// not map beside a write elsewhere in its table, into an untouched parent
+// and into one that wrote that table. Then one seed per test of
+// keepsSnapshot, each a child history only that test refuses to adopt,
+// merged whole into an untouched parent, and one the engine must adopt.
 func FuzzMergeRule(f *testing.F) {
 	const pages = mergeSpan / PageSize
 	unbacked := 2*tableEntries + 100 // in the third table, past propSpan
@@ -432,6 +525,19 @@ func FuzzMergeRule(f *testing.F) {
 		script := append(ruleOp(remap, unbacked, 2), ruleOp(memWrite, 2*tableEntries+3, 7)...)
 		f.Add(script, uint8(0), uint16(0), uint16(pages-1))
 		f.Add(script, uint8(4), uint16(0), uint16(pages-1))
+	}
+	backed := tableEntries + 1 // in the second table, backed by the parent
+	for _, script := range [][]byte{
+		// Unmaps the second table, then maps one of its slots again: the
+		// snapshot maps 1023 slots the child does not.
+		append(ruleOp(memUnmap, backed, 0), ruleOp(memZero, backed+4, 2)...),
+		ruleOp(memPerm, backed, 3),   // rw to -w: the read permission differs
+		ruleOp(memPerm, backed, 1),   // rw to r-: the write permission differs
+		ruleOp(memPerm, unbacked, 1), // maps a slot past the snapshot, unbacked
+		// Only writes, in the second and third tables: both are adopted.
+		append(ruleOp(memWrite, backed+6, 9), ruleOp(memWrite, 2*tableEntries+5, 5)...),
+	} {
+		f.Add(script, uint8(0), uint16(0), uint16(pages-1))
 	}
 	f.Fuzz(func(t *testing.T, script []byte, touched uint8, first, count uint16) {
 		parent := NewSpace()

@@ -7,7 +7,7 @@ import (
 )
 
 // perPageZero and perPageSetPerm are Zero and SetPerm as they were
-// before ownRange: split + ownTable for every page. They are the
+// before the bulk walk: split + ownTable for every page. They are the
 // reference the bulk walk must match pte for pte.
 func perPageZero(s *Space, addr Addr, size uint64, perm Perm) {
 	for off := uint64(0); off < size; off += PageSize {
@@ -23,7 +23,8 @@ func perPageZero(s *Space, addr Addr, size uint64, perm Perm) {
 func perPageSetPerm(s *Space, addr Addr, size uint64, perm Perm) {
 	for off := uint64(0); off < size; off += PageSize {
 		l1, l2 := split(addr + Addr(off))
-		s.ownTable(l1).ptes[l2].perm = perm
+		t := s.ownTable(l1)
+		oracleInstall(t, l2, pte{pg: t.ptes[l2].pg, perm: perm})
 	}
 }
 
@@ -32,7 +33,7 @@ func perPageSetPerm(s *Space, addr Addr, size uint64, perm Perm) {
 // permission changes over ranges that start and end mid-table and span
 // table boundaries — one space through Zero and SetPerm, the other
 // through the per-page reference — and requires the
-// same permissions, backing, occupancy and page reference counts
+// same permissions, backing, bitmaps and page reference counts
 // throughout.
 func TestBulkRangeOpsMatchPerPage(t *testing.T) {
 	const span = 3 * tableEntries * PageSize // three level-2 tables
@@ -78,8 +79,9 @@ func TestBulkRangeOpsMatchPerPage(t *testing.T) {
 			if tb == nil {
 				continue
 			}
-			if tb.occ != tr.occ {
-				t.Fatalf("op %d: occupancy of table %d is %x, per-page walk has %x", op, l1, tb.occ, tr.occ)
+			if tb.occ != tr.occ || tb.rd != tr.rd || tb.wr != tr.wr {
+				t.Fatalf("op %d: bitmaps of table %d are occ %x rd %x wr %x, per-page walk has occ %x rd %x wr %x",
+					op, l1, tb.occ, tb.rd, tb.wr, tr.occ, tr.rd, tr.wr)
 			}
 			for l2 := range tb.ptes {
 				eb, er := tb.ptes[l2], tr.ptes[l2]

@@ -253,7 +253,7 @@ func TestTableCOWIsolationProperty(t *testing.T) {
 		}
 		buf := make([]byte, spanPages*PageSize)
 		for i := range spaces {
-			checkOccupancy(t, spaces[i])
+			checkBitmaps(t, spaces[i])
 			if err := spaces[i].Read(0, buf); err != nil {
 				return false
 			}

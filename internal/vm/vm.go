@@ -18,7 +18,9 @@
 // Merge and the root-sharing walk answer from that pointer identity
 // alone; inside a table that is no longer shared, Merge visits only the
 // slots either side's occupancy map lists, and names the pages it moves
-// (MergeConfig.Moved) as it reaches them.
+// (MergeConfig.Moved) as it reaches them. Whether it may adopt such a
+// table whole it reads off the two tables' occupancy and permission
+// bitmaps, 64 slots a word, never off their entries.
 //
 // One walk re-shares root slots (shareRoot, resnap.go): it makes a run of
 // one space's level-2 table pointers equal to a run of another's. A
@@ -134,9 +136,15 @@ func (p Perm) String() string {
 // A page is the unit of storage and of copy-on-write sharing. refs counts
 // how many page-table entries (across all spaces and snapshots) reference
 // it; a page with refs > 1 is immutable and must be copied before writing.
+//
+// data comes first so that a page's bytes start where its allocation
+// does: a page falls in the allocator's 4 864-byte size class, whose
+// objects are 256-byte aligned, so every typed access, page copy, clear
+// and word-masked merge reads and writes aligned words. With refs first
+// the bytes would sit 4 bytes in and every word of them would straddle.
 type page struct {
-	refs atomic.Int32
 	data [PageSize]byte
+	refs atomic.Int32
 }
 
 // pte is a page-table entry: a permission plus an optional backing page.
@@ -149,6 +157,10 @@ type pte struct {
 
 func (e pte) mapped() bool { return e.perm != PermNone || e.pg != nil }
 
+// bitmap is one of a table's occupancy and permission maps: bit l2 of word
+// l2/64 for slot l2.
+type bitmap = [tableEntries / 64]uint64
+
 // table is a level-2 page table covering 4 MiB of address space. Like
 // pages, tables are shared copy-on-write between spaces: refs counts the
 // spaces (and snapshots) referencing the table, and a shared table is
@@ -157,30 +169,65 @@ func (e pte) mapped() bool { return e.perm != PermNone || e.pg != nil }
 // than O(pages), mirroring the real kernel's two-level COW ("replicating
 // a file system image among many spaces copies no physical pages").
 //
-// occ is the occupancy map: bit l2 is set exactly when ptes[l2].pg is
-// non-nil. A table usually backs a handful of its 1024 slots, so the
-// walks that only want the pages — reference counting in ownTable and
-// Frames.dropTable, first-encounter numbering in ForestEncoder.Encode,
-// DecodeForest's — visit set bits instead of slots. The invariant is kept
-// by writing page pointers only through set (and by ownTable, which
-// copies ptes and occ together).
+// Three bitmaps mirror the ptes. occ is the occupancy map: bit l2 is set
+// exactly when ptes[l2].pg is non-nil. rd and wr hold the slots whose
+// permission has PermR and PermW. A permission has no other bits (SetPerm,
+// Zero and the image decoder refuse them), so a slot is mapped exactly
+// when its bit is set in occ|rd|wr. A table usually backs a handful of its
+// 1024 slots, so the walks that only want the pages — reference counting
+// in ownTable and Frames.dropTable, first-encounter numbering in
+// ForestEncoder.Encode, DecodeForest's — visit set bits instead of slots,
+// and the adoption test (keepsSnapshot) compares words instead of entries.
+//
+// The invariant is kept by writing ptes only through the two setters:
+// set, for one slot, and setRange, for a run of slots (and by ownTable and
+// clearTable, which copy or clear ptes and bitmaps together).
 type table struct {
 	refs atomic.Int32
-	occ  [tableEntries / 64]uint64
+	occ  bitmap
+	rd   bitmap
+	wr   bitmap
 	ptes [tableEntries]pte
 }
 
-// set makes e the entry of slot l2. It is the one place a page pointer
-// is installed in or dropped from a table, which is what keeps occ in
-// step with ptes; reference counts are the caller's.
+// set makes e the entry of slot l2 and keeps the three bitmaps in step;
+// reference counts are the caller's.
 func (t *table) set(l2 int, e pte) {
 	t.ptes[l2] = e
 	w, bit := l2>>6, uint64(1)<<(uint(l2)&63)
-	if e.pg != nil {
-		t.occ[w] |= bit
-	} else {
-		t.occ[w] &^= bit
+	t.occ[w] = fill(t.occ[w], bit, e.pg != nil)
+	t.rd[w] = fill(t.rd[w], bit, e.perm&PermR != 0)
+	t.wr[w] = fill(t.wr[w], bit, e.perm&PermW != 0)
+}
+
+// setRange gives slots [lo, hi) permission perm. With drop set it also
+// drops every page they hold, releasing the table's reference to f; else
+// the pages stay. The bitmaps are kept a word at a time.
+func (t *table) setRange(f *Frames, lo, hi int, perm Perm, drop bool) {
+	for w := lo >> 6; w<<6 < hi; w++ {
+		m := slotsIn(w, lo, hi)
+		if drop {
+			for word := t.occ[w] & m; word != 0; word &= word - 1 {
+				l2 := w<<6 | bits.TrailingZeros64(word)
+				f.dropPage(t.ptes[l2].pg)
+				t.ptes[l2].pg = nil
+			}
+			t.occ[w] &^= m
+		}
+		t.rd[w] = fill(t.rd[w], m, perm&PermR != 0)
+		t.wr[w] = fill(t.wr[w], m, perm&PermW != 0)
 	}
+	for l2 := lo; l2 < hi; l2++ {
+		t.ptes[l2].perm = perm
+	}
+}
+
+// fill returns word with the bits of m set when on, cleared otherwise.
+func fill(word, m uint64, on bool) uint64 {
+	if on {
+		return word | m
+	}
+	return word &^ m
 }
 
 // pages ranges over the pages t backs, in ascending slot order.
@@ -192,6 +239,18 @@ func (t *table) pages(yield func(*page) bool) {
 			}
 		}
 	}
+}
+
+// slotsIn returns the bits of bitmap word w that stand for slots [lo, hi).
+func slotsIn(w, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if base := w << 6; base < lo {
+		m <<= uint(lo - base)
+	}
+	if end := (w + 1) << 6; end > hi {
+		m &= ^uint64(0) >> uint(end-hi)
+	}
+	return m
 }
 
 // occIn returns occupancy word w of the slots a or b backs (a nil table
@@ -206,13 +265,7 @@ func occIn(a, b *table, w, lo, hi int) uint64 {
 	if b != nil {
 		word |= b.occ[w]
 	}
-	if base := w << 6; base < lo {
-		word &= ^uint64(0) << uint(lo-base)
-	}
-	if end := (w + 1) << 6; end > hi {
-		word &= ^uint64(0) >> uint(end-hi)
-	}
-	return word
+	return word & slotsIn(w, lo, hi)
 }
 
 // shareTable adds a reference.
@@ -242,7 +295,7 @@ func (s *Space) ownTable(l1 int) *table {
 	}
 	if t.refs.Load() > 1 {
 		nt := s.frames.table(false)
-		nt.ptes, nt.occ = t.ptes, t.occ
+		nt.ptes, nt.occ, nt.rd, nt.wr = t.ptes, t.occ, t.rd, t.wr
 		for pg := range nt.pages {
 			pg.refs.Add(1)
 		}
@@ -324,52 +377,39 @@ func rangeCheck(addr Addr, size uint64) error {
 	return nil
 }
 
-// ownRange calls visit once per level-2 table the (page-aligned, already
-// range-checked) span touches, handing it that table and its slots [lo, hi)
-// for the span.
-// The table is privately owned before visit sees it, so table sharing is
-// broken once per level-1 slot rather than once per page — the bulk
-// counterpart of the cursor walk in Read and Write.
-func (s *Space) ownRange(addr Addr, size uint64, visit func(t *table, lo, hi int)) {
-	for a, end := uint64(addr), uint64(addr)+size; a < end; {
-		l1, lo := split(Addr(a))
-		hi := min(tableEntries, lo+int((end-a)>>PageShift))
-		visit(s.ownTable(l1), lo, hi)
-		a += uint64(hi-lo) << PageShift
-	}
-}
-
 // SetPerm sets the permissions of every page in the (page-aligned) range,
 // mapping previously unmapped pages as lazy-zero pages. It corresponds to
 // the Perm option of Put/Get.
 func (s *Space) SetPerm(addr Addr, size uint64, perm Perm) error {
-	if err := rangeCheck(addr, size); err != nil {
-		return err
-	}
-	s.ownRange(addr, size, func(t *table, lo, hi int) {
-		for l2 := lo; l2 < hi; l2++ {
-			t.ptes[l2].perm = perm
-		}
-	})
-	return nil
+	return s.mapRange(addr, size, perm, false)
 }
 
 // Zero zero-fills the (page-aligned) range, dropping any backing pages and
 // leaving the pages mapped with the given permissions. It corresponds to
 // the Zero option of Put/Get.
 func (s *Space) Zero(addr Addr, size uint64, perm Perm) error {
+	return s.mapRange(addr, size, perm, true)
+}
+
+// mapRange is SetPerm, or Zero when drop is set. It refuses a permission
+// with bits outside PermRW, which no access could use and no bitmap holds.
+// Each level-2 table the range touches is owned once and handed its slots
+// [lo, hi) whole, so table sharing is broken once per level-1 slot rather
+// than once per page — the bulk counterpart of the cursor walk in Read and
+// Write.
+func (s *Space) mapRange(addr Addr, size uint64, perm Perm, drop bool) error {
 	if err := rangeCheck(addr, size); err != nil {
 		return err
 	}
-	s.ownRange(addr, size, func(t *table, lo, hi int) {
-		for l2 := lo; l2 < hi; l2++ {
-			if old := t.ptes[l2].pg; old != nil {
-				s.frames.dropPage(old)
-				t.set(l2, pte{})
-			}
-			t.ptes[l2].perm = perm
-		}
-	})
+	if perm&^PermRW != 0 {
+		return fmt.Errorf("vm: permission %v has bits outside %v", perm, PermRW)
+	}
+	for a, end := uint64(addr), uint64(addr)+size; a < end; {
+		l1, lo := split(Addr(a))
+		hi := min(tableEntries, lo+int((end-a)>>PageShift))
+		s.ownTable(l1).setRange(s.frames, lo, hi, perm, drop)
+		a += uint64(hi-lo) << PageShift
+	}
 	return nil
 }
 

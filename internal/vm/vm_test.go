@@ -222,6 +222,34 @@ func TestRangeValidation(t *testing.T) {
 	}
 }
 
+// TestPermOutsideRWRefused: SetPerm and Zero refuse a permission with
+// bits outside PermRW, as they refuse a bad range, and leave the space as
+// it was. Such a slot would be mapped by its pte and in no permission
+// bitmap, so the adoption test and the per-slot rule would disagree on it.
+func TestPermOutsideRWRefused(t *testing.T) {
+	s := NewSpace()
+	mustSetPerm(t, s, 0, 2*PageSize, PermRW)
+	if err := s.WriteU32(PageSize, 7); err != nil {
+		t.Fatal(err)
+	}
+	before := fingerprint(s, 0, TableSpan)
+	for _, perm := range []Perm{4, PermRW | 4, 0x80} {
+		if err := s.SetPerm(0, 2*PageSize, perm); err == nil {
+			t.Errorf("SetPerm accepted %v", perm)
+		}
+		if err := s.Zero(0, 2*PageSize, perm); err == nil {
+			t.Errorf("Zero accepted %v", perm)
+		}
+		if err := s.SetPerm(4<<l1Shift, PageSize, perm); err == nil || s.root[4] != nil {
+			t.Errorf("SetPerm of an unmapped table to %v: err %v, table made %v", perm, err, s.root[4] != nil)
+		}
+	}
+	if fingerprint(s, 0, TableSpan) != before {
+		t.Error("a refused SetPerm or Zero changed the space")
+	}
+	checkBitmaps(t, s)
+}
+
 func TestSnapshotIsolation(t *testing.T) {
 	s := NewSpace()
 	mustSetPerm(t, s, 0, PageSize, PermRW)
