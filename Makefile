@@ -10,7 +10,7 @@ GO ?= go
 # wall-clock trajectory is `go run ./benchmark`.
 BENCH_OUT ?= BENCH.json
 
-.PHONY: build test race fuzz-smoke bench bench-smoke bench-exact bench-json tab3 census vet fmt-check staticcheck detlint ci
+.PHONY: build test race fuzz-smoke bench bench-smoke par-split bench-exact bench-json tab3 census vet fmt-check staticcheck detlint ci
 
 build:
 	$(GO) build ./...
@@ -107,7 +107,8 @@ bench:
 # TestRestartedChildKeepsItsGoroutine pins the reuse itself), and fft
 # on Determinator and on its goroutine twin (DetFFT, BaseFFT, with
 # allocs/op), so the log shows a program's own host buffers costing both
-# sides alike.
+# sides alike, and the per-program split of the par_* ratios (ParSplit,
+# every suite program once on each side; `make par-split` times it).
 # What the tables this target used to smoke-test assert now lives in
 # package tests and the two goldens (`make test`, `make bench-exact`).
 # Then one iteration of vm's typed-access benchmark, which fails itself
@@ -131,13 +132,23 @@ bench:
 # reporting evictions/op; time a serve change with that one (-benchtime
 # 300x) before claiming it with `go run ./benchmark`.
 bench-smoke:
-	$(GO) test -bench='Fig4|DschedRound|MergeDirtyPages|ForkJoinThread|DetFFT|BaseFFT' -benchtime=1x -run='^$$' .
+	$(GO) test -bench='Fig4|DschedRound|MergeDirtyPages|ForkJoinThread|DetFFT|BaseFFT|ParSplit' -benchtime=1x -run='^$$' .
 	$(GO) test -bench='TypedAccess|CopyAllFrom|Snapshot' -benchtime=1x -run='^$$' ./internal/vm
 	$(GO) test -bench='ReadU32Stride|EnvTypedAccess|MachineLifecycle' -benchtime=1x -run='^$$' ./internal/kernel
 	$(GO) test -bench='Checksum|Scan|WriteFile' -benchtime=1x -run='^$$' ./internal/fs
 	$(GO) test -bench=EncodeBlob -benchtime=1x -run='^$$' ./internal/castore
 	$(GO) test -bench='Build|TaskMessage' -benchtime=1x -run='^$$' ./internal/detmake
 	$(GO) test -bench=Serve -benchtime=1x -run='^$$' ./internal/serve
+
+# The par_coarse and par_fine wall_ratio split by program: each suite
+# program at its default size on GOMAXPROCS threads, deterministic run
+# then goroutine twin, 40 times, reporting the median det-ms, twin-ms and
+# their ratio. The end-to-end benchmark reports only the aggregate; this
+# says which program holds the gap (docs/perf.md, "matmult runs its
+# twin's inner loop"). Compare a change with its parent by running both
+# trees' splits in turn on one host.
+par-split:
+	$(GO) test -run='^$$' -bench=ParSplit -benchtime=40x .
 
 # The exact gate: the end-to-end benchmark's 14 deterministic per-layer
 # metrics (virtual times, instruction, round, page and byte counts) must

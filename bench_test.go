@@ -7,6 +7,7 @@ package repro_test
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -106,6 +107,52 @@ func BenchmarkBaseFFT(b *testing.B)          { benchBase(b, "fft", microFFT) }
 func BenchmarkDetLUCont(b *testing.B)        { benchDet(b, "lu_cont", microLU) }
 func BenchmarkDetLUNoncont(b *testing.B)     { benchDet(b, "lu_noncont", microLU) }
 func BenchmarkBaseLU(b *testing.B)           { benchBase(b, "lu_cont", microLU) }
+
+// BenchmarkParSplit is the par_* workloads' wall_ratio split by program:
+// one sub-benchmark per suite program at Spec.DefaultSize on GOMAXPROCS
+// threads, each iteration the deterministic run on a fresh machine and
+// then the goroutine twin, as the benchmark's pass interleaves them. It
+// reports the median det-ms and twin-ms over the iterations and their
+// ratio; `make par-split` runs it at 40 iterations. A checksum that
+// differs between the two sides fails it.
+func BenchmarkParSplit(b *testing.B) {
+	threads := runtime.GOMAXPROCS(0)
+	bases := baseline.Baselines()
+	for _, spec := range workload.Specs() {
+		b.Run(spec.Name, func(b *testing.B) {
+			size := spec.DefaultSize
+			det := make([]float64, 0, b.N)
+			twin := make([]float64, 0, b.N)
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				res := core.Run(core.Options{
+					Kernel:     kernel.Config{CPUsPerNode: threads},
+					SharedSize: spec.SharedBytes(size),
+				}, func(rt *core.RT) uint64 { return spec.Det(rt, threads, size) })
+				t1 := time.Now()
+				want := bases[spec.Name](threads, size)
+				t2 := time.Now()
+				if res.Status != kernel.StatusHalted {
+					b.Fatalf("%v: %v", res.Status, res.Err)
+				}
+				if res.Ret != want {
+					b.Fatalf("deterministic checksum %#x, goroutine twin %#x", res.Ret, want)
+				}
+				det = append(det, t1.Sub(t0).Seconds()*1e3)
+				twin = append(twin, t2.Sub(t1).Seconds()*1e3)
+			}
+			d, w := median(det), median(twin)
+			b.ReportMetric(d, "det-ms")
+			b.ReportMetric(w, "twin-ms")
+			b.ReportMetric(d/w, "ratio")
+		})
+	}
+}
+
+func median(v []float64) float64 {
+	slices.Sort(v)
+	return (v[(len(v)-1)/2] + v[len(v)/2]) / 2
+}
 
 // Substrate micro-benchmarks: the primitive costs behind every number
 // above.

@@ -27,23 +27,45 @@ func MatmultInit(rt *core.RT, n int) (a, b, c vm.Addr) {
 	return
 }
 
-// matmultRows computes result rows [rlo, rhi) given flat operands.
+// matmultRows computes result rows [rlo, rhi) given flat operands. Per
+// row it does what baseline.Matmult's goroutine does: clear the row
+// scratch, run the row kernel, charge the row, copy it out.
 func matmultRows(av, bv []uint32, n, rlo, rhi int, tick func(int64)) []uint32 {
 	out := make([]uint32, (rhi-rlo)*n)
 	row := make([]uint32, n)
 	for i := rlo; i < rhi; i++ {
 		clear(row)
-		for k := 0; k < n; k++ {
-			aik := av[(i-rlo)*n+k]
-			brow := bv[k*n : k*n+n]
-			for j, bkj := range brow {
-				row[j] += aik * bkj
-			}
-		}
+		matmultRow(row, av[(i-rlo)*n:(i-rlo)*n+n], bv, n)
 		tick(int64(n) * int64(n) * matmulTicksPerMAC)
 		copy(out[(i-rlo)*n:], row)
 	}
 	return out
+}
+
+// matmultRow accumulates arow·B into row, B being the n×n bv. It is its
+// own function, kept out of line, for the machine code of the inner j
+// loop. Inline in matmultRows, with the stripe bounds, the tick closure
+// and out live around it, the loop kept rhi spilled and reloaded it from
+// the stack on every multiply-accumulate, into a register overwritten
+// two instructions later: eight instructions where baseline.Matmult's
+// loop runs seven, and a quarter more time than the twin on one thread.
+// Here only the loop's operands are live. Reslicing row to n lets the
+// j < n test bound row[j] too, as the twin's make([]uint32, n) does, so
+// the loop compiles to the twin's seven instructions (IMULL, ADDL to
+// memory, INCQ, CMPQ, JLE, MOVL, JA) with no stack access. Merging it
+// back into matmultRows, or letting it inline there, brings the reload
+// back; check with `go tool objdump -s 'workload.matmultRow$'`
+// (docs/perf.md).
+//
+//go:noinline
+func matmultRow(row, arow, bv []uint32, n int) {
+	row = row[:n]
+	for k, aik := range arow {
+		brow := bv[k*n : k*n+n]
+		for j, bkj := range brow {
+			row[j] += aik * bkj
+		}
+	}
 }
 
 // MatmultDet multiplies on threads private-workspace threads and returns
