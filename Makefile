@@ -20,12 +20,20 @@ build:
 # CRC32 — a format that imports it is hand-rolling a seventh trailer.
 # Likewise package unsafe has one product use, the byte view of a run of
 # words in vm's move (internal/vm/vm.go); anywhere else it is refused.
+# And the kernel's per-instruction charge, (*Env).Tick and the
+# (*Space).tick it wraps, must stay inlinable: a program's inner loop
+# that ticks per element pays a call otherwise.
 vet:
 	$(GO) vet ./...
 	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=imgenc '"hash/crc32"' .); \
 	if [ -n "$$out" ]; then echo "hash/crc32 imported outside internal/imgenc (use imgenc.Seal/Open):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=testdata '"unsafe"' . | grep -vx './internal/vm/vm.go'); \
 	if [ -n "$$out" ]; then echo "unsafe imported outside internal/vm/vm.go (its one use is move's byte view):"; echo "$$out"; exit 1; fi
+	@out=$$($(GO) build -gcflags=-m ./internal/kernel 2>&1); \
+	for f in Env.Tick Space.tick; do \
+		echo "$$out" | grep -q "can inline (\*$${f%.*})\.$${f#*.}$$" || \
+		{ echo "internal/kernel: (*$${f%.*}).$${f#*.} is no longer inlinable (go build -gcflags=-m=2 gives its cost)"; exit 1; }; \
+	done
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

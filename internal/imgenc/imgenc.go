@@ -133,22 +133,32 @@ func Seal(b []byte) []byte {
 // banned in the deterministic packages (detlint globalmut).
 func Open(data []byte, magic string, version byte, wrap func(off int, msg string) error,
 	badVersion func(v byte) error) (*Reader, error) {
+	r, _, err := OpenRange(data, magic, version, version, wrap, badVersion)
+	return r, err
+}
+
+// OpenRange is Open for a format whose decoder still reads the versions
+// before its newest: any version from oldest to newest is accepted, and
+// the one the image carries is returned for the decoder to branch on.
+func OpenRange(data []byte, magic string, oldest, newest byte, wrap func(off int, msg string) error,
+	badVersion func(v byte) error) (*Reader, byte, error) {
 	if len(data) < len(magic)+1+4 {
-		return nil, wrap(0, "short image")
+		return nil, 0, wrap(0, "short image")
 	}
 	payload, trailer := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(trailer) {
-		return nil, wrap(len(payload), "checksum mismatch (corrupt image)")
+		return nil, 0, wrap(len(payload), "checksum mismatch (corrupt image)")
 	}
 	r := &Reader{B: payload, Wrap: wrap}
 	if got := r.Take(len(magic)); r.Err == nil && string(got) != magic {
-		return nil, wrap(0, "bad magic")
+		return nil, 0, wrap(0, "bad magic")
 	}
-	if v := r.U8(); r.Err == nil && v != version {
-		return nil, badVersion(v)
+	v := r.U8()
+	if r.Err == nil && (v < oldest || v > newest) {
+		return nil, 0, badVersion(v)
 	}
 	if r.Err != nil {
-		return nil, r.Err
+		return nil, 0, r.Err
 	}
-	return r, nil
+	return r, v, nil
 }

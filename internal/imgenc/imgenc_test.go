@@ -245,3 +245,20 @@ func TestDone(t *testing.T) {
 		t.Fatalf("Done on an empty payload = %v", err)
 	}
 }
+
+// OpenRange accepts every version from oldest to newest, reports which
+// one the image carries, and hands any other to badVersion.
+func TestOpenRangeVersions(t *testing.T) {
+	for v := byte(0); v <= 4; v++ {
+		r, got, err := OpenRange(sealed("TEST", v, 0xaa), "TEST", 1, 3, wrap, badVersion)
+		var ve *verErr
+		switch {
+		case v >= 1 && v <= 3:
+			if err != nil || got != v || r.Off != 5 || r.Remaining() != 1 {
+				t.Errorf("version %d: reader at %v, version %d, err %v", v, r, got, err)
+			}
+		case r != nil || !errors.As(err, &ve) || ve.v != v:
+			t.Errorf("version %d: got %v, %v; want verErr{%d}", v, r, err, v)
+		}
+	}
+}

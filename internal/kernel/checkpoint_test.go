@@ -306,7 +306,24 @@ func TestCheckpointGoldenImage(t *testing.T) {
 // resume to the uninterrupted run's result, and to the same machine the
 // current golden restores to.
 func TestCheckpointImageWithDirtySections(t *testing.T) {
-	old, err := os.ReadFile(filepath.Join("testdata", "ckpt_v1_dirty.golden"))
+	restoresLikeGolden(t, "ckpt_v1_dirty.golden")
+}
+
+// ckpt_v1_forest1.golden is the golden image as it was before the vm
+// forest image moved to version 2 (a table's runs and backed runs in
+// place of a pte per mapped slot): the machine image's grammar and
+// version are unchanged, its forest section is a version-1 forest. It
+// must restore and resume like the fixture above.
+func TestCheckpointImageWithV1Forest(t *testing.T) {
+	restoresLikeGolden(t, "ckpt_v1_forest1.golden")
+}
+
+// restoresLikeGolden restores the fixture in testdata, resumes it to the
+// uninterrupted run's Ret and VT, and re-captures it to the image the
+// current golden re-captures to.
+func restoresLikeGolden(t *testing.T, fixture string) {
+	t.Helper()
+	old, err := os.ReadFile(filepath.Join("testdata", fixture))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func (e *Env) Tick(n int64) { e.sp.tick(n) }
 func (sp *Space) tick(n int64) {
 	sp.insns += n
 	sp.vt += n
-	if sp.limit > 0 && sp.insns >= sp.limit {
+	if sp.insns >= sp.limit {
 		sp.preempt()
 	}
 }
@@ -93,7 +93,7 @@ func (e *Env) NoPreempt(f func()) {
 	sp.critical++
 	defer func() {
 		sp.critical--
-		if sp.limit > 0 && sp.insns >= sp.limit {
+		if sp.insns >= sp.limit {
 			sp.preempt()
 		}
 	}()
@@ -245,7 +245,7 @@ func (e *Env) ReadU32s(addr vm.Addr, dst []uint32) {
 // charged for, and the ones after it have not, as in the loop.
 func (e *Env) ReadU32Stride(addr, stride vm.Addr, dst []uint32) {
 	sp, n := e.sp, int64(len(dst))
-	if sp.caches != nil || (sp.limit > 0 && sp.critical == 0 && sp.insns+n >= sp.limit) {
+	if sp.caches != nil || (sp.critical == 0 && sp.insns+n >= sp.limit) {
 		for i := range dst {
 			dst[i] = e.ReadU32(addr + vm.Addr(i)*stride)
 		}

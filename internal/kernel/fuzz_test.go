@@ -60,11 +60,17 @@ func FuzzRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(golden)
-	dirty, err := os.ReadFile(filepath.Join("testdata", "ckpt_v1_dirty.golden"))
-	if err != nil {
-		f.Fatal(err)
+	// The fixtures whose forest is a version-1 image, and the longest
+	// image any seed is.
+	longest := len(golden)
+	for _, fixture := range []string{"ckpt_v1_dirty.golden", "ckpt_v1_forest1.golden"} {
+		old, err := os.ReadFile(filepath.Join("testdata", fixture))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
+		longest = max(longest, len(old))
 	}
-	f.Add(dirty)
 	for _, cut := range []int{0, 4, 5, 5 + configSectionLen, len(golden) / 3, len(golden) - 5, len(golden) - 1} {
 		f.Add(golden[:cut])
 	}
@@ -87,7 +93,7 @@ func FuzzRestore(f *testing.F) {
 	const maxObject = 17 << 10
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 2*len(golden) {
+		if len(data) > 2*longest {
 			t.Skip("longer than any image the seeds can grow into")
 		}
 		inputs := [][]byte{data}

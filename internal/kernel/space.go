@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 
@@ -112,7 +113,7 @@ type Space struct {
 
 	// Instruction accounting and virtual time.
 	insns      int64 // ticks executed by this space
-	limit      int64 // trap when insns reaches this value; 0 = none
+	limit      int64 // trap when insns reaches this value; noLimit = none
 	critical   int   // >0 suppresses limit preemption (see Env.NoPreempt)
 	vt         int64 // virtual clock
 	startVT    int64 // vt when the current segment started
@@ -145,6 +146,11 @@ func (sp *Space) poolFor(n *node) *vcpuPool {
 	return p
 }
 
+// noLimit is the limit of a space running without one: insns never
+// reaches it, so tick's test is one comparison and (*Env).Tick, which
+// wraps tick, stays inlinable.
+const noLimit = math.MaxInt64
+
 func newSpace(m *Machine, parent *Space, ref uint64, home *node, mem *vm.Space) *Space {
 	sp := &Space{
 		m:      m,
@@ -154,6 +160,7 @@ func newSpace(m *Machine, parent *Space, ref uint64, home *node, mem *vm.Space) 
 		node:   home,
 		mem:    mem,
 		status: StatusNever,
+		limit:  noLimit,
 	}
 	sp.cond = sync.NewCond(&sp.mu)
 	return sp
@@ -169,7 +176,7 @@ func (sp *Space) start(limit int64) {
 	if limit > 0 {
 		sp.limit = sp.insns + limit
 	} else {
-		sp.limit = 0
+		sp.limit = noLimit
 	}
 	sp.accounted = false
 	sp.startVT = sp.vt

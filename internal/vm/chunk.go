@@ -18,12 +18,14 @@ package vm
 //     untouched between checkpoints (or identical across sibling
 //     sessions forked from one parent) hash to the same key and are
 //     stored once.
-//   - Table chunks carry only a table's *layout* (which level-2 slots
-//     are mapped, with what permissions) — deliberately not its page
-//     references. Layout rarely changes between checkpoints, while page
-//     references change with every dirtied page; separating them keeps
-//     table chunks stable. The page-id lists live in the root, where
-//     they delta-encode well.
+//   - Table chunks carry only a table's *layout* — its runs section,
+//     which level-2 slots are mapped, with what permissions — and
+//     deliberately not its page references. Layout rarely changes
+//     between checkpoints, while page references change with every
+//     dirtied page; separating them keeps table chunks stable. The
+//     backed sections, a (slot, page id) pair per run of pages a table
+//     holds, live in the root, where they delta-encode well. Neither
+//     grows with the slots a table maps but does not back.
 //   - The root is a castore node whose leaf refs are the literal page
 //     and table chunk keys, and whose payload rebuilds the image's
 //     instance lists. Identical-content but distinct-identity pages
@@ -38,6 +40,13 @@ package vm
 // bytes: k page chunks plus a handful of ops. When little survives
 // from the parent, or the chain grows deep, the encoder falls back to
 // a self-contained full root.
+//
+// Version 1 roots gave each table record a page id per slot its layout
+// listed, mapped or not, and their layouts listed every mapped slot.
+// They keep loading: resolveShape reads their records through one
+// branch, and UnchunkForest spells out the version-1 table section from
+// them and rewrites it in the current grammar as openForest does. A root
+// delta-encodes only against a parent of its own version.
 
 import (
 	"encoding/binary"
@@ -49,7 +58,7 @@ import (
 )
 
 const (
-	chunkRootVersion = 1
+	chunkRootVersion = 2
 
 	// maxChainDepth bounds how long a delta chain may grow before the
 	// encoder emits a self-contained root, bounding restore latency and
@@ -66,20 +75,21 @@ const (
 )
 
 // tableRec is one table instance in a chunked image: the layout chunk
-// it references plus its per-slot page ids (0 = no page, else
-// 1-based index into the image's page list).
+// it references plus where its pages are.
 type tableRec struct {
-	chunk castore.Key
-	pids  []uint32
+	chunk  castore.Key
+	backed []byte   // the table's backed section, as the flat image holds it
+	pids   []uint32 // a version-1 record's: a page id per slot the layout lists
 }
 
 // forestShape is a resolved root: the instance lists and trailing
 // sections needed to reassemble the flat image.
 type forestShape struct {
+	version  byte
 	depth    uint32
 	pageKeys []castore.Key
 	tables   []tableRec
-	tail     []byte // spaces + links sections, verbatim flat bytes
+	tail     []byte // the flat image's space section, verbatim (version 1: spaces and links)
 }
 
 // chunkOp is one run of a delta-encoded instance list: count items
@@ -100,16 +110,15 @@ func chunkFailf(off int, format string, args ...any) *ImageFormatError {
 // node. When parent is the (non-zero) root key of an earlier image in
 // the same store, the new root is delta-encoded against it where
 // profitable; UnchunkForest of the returned key reproduces flat
-// byte-for-byte either way.
+// byte-for-byte either way (a version-1 flat image comes back as the
+// current image of its forest).
 func ChunkForest(store castore.BlobStore, flat []byte, parent castore.Key) (castore.Key, error) {
-	r, pages, flatTables, err := openForest(flat)
+	img, err := openForest(flat)
 	if err != nil {
 		return castore.Key{}, err
 	}
-	tail := r.Take(r.Remaining()) // spaces and links, verbatim
-
-	pageKeys := make([]castore.Key, len(pages))
-	for i, pg := range pages {
+	pageKeys := make([]castore.Key, len(img.pages))
+	for i, pg := range img.pages {
 		pageKeys[i] = castore.KeyOf(pg)
 		if err := store.Put(pageKeys[i], pg); err != nil {
 			return castore.Key{}, err
@@ -117,30 +126,21 @@ func ChunkForest(store castore.BlobStore, flat []byte, parent castore.Key) (cast
 	}
 	// Tables of one machine mostly share a layout (every slot mapped
 	// read-write, say): each distinct layout is hashed and Put once.
-	tables := make([]tableRec, len(flatTables))
+	tables := make([]tableRec, len(img.tables))
 	layouts := make(map[string]castore.Key)
-	var chunk []byte
-	for i, ft := range flatTables {
-		pids := make([]uint32, ft.entries())
-		chunk = binary.LittleEndian.AppendUint16(chunk[:0], uint16(len(pids)))
-		for j := range pids {
-			l2, perm, pid := ft.pte(j)
-			chunk = binary.LittleEndian.AppendUint16(chunk, l2)
-			chunk = append(chunk, perm)
-			pids[j] = pid
-		}
-		key, stored := layouts[string(chunk)]
+	for i, t := range img.tables {
+		key, stored := layouts[string(t.runs)]
 		if !stored {
-			key = castore.KeyOf(chunk)
-			if err := store.Put(key, chunk); err != nil {
+			key = castore.KeyOf(t.runs)
+			if err := store.Put(key, t.runs); err != nil {
 				return castore.Key{}, err
 			}
-			layouts[string(chunk)] = key
+			layouts[string(t.runs)] = key
 		}
-		tables[i] = tableRec{chunk: key, pids: pids}
+		tables[i] = tableRec{chunk: key, backed: t.backed}
 	}
 
-	cur := &forestShape{pageKeys: pageKeys, tables: tables, tail: tail}
+	cur := &forestShape{version: chunkRootVersion, pageKeys: pageKeys, tables: tables, tail: img.spaces}
 
 	// Delta against the parent when one is given and enough survives.
 	var par *forestShape
@@ -186,8 +186,11 @@ func ChunkForest(store castore.BlobStore, flat []byte, parent castore.Key) (cast
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(op.count))
 	}
 
+	// A literal record names its layout by leaf ref, one ref per distinct
+	// layout.
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(cur.tables)))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(tableOps)))
+	layoutRef := make(map[castore.Key]int)
 	for _, op := range tableOps {
 		if op.copy {
 			payload = append(payload, 1)
@@ -198,12 +201,14 @@ func ChunkForest(store castore.BlobStore, flat []byte, parent castore.Key) (cast
 		payload = append(payload, 0)
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(op.count))
 		for _, rec := range cur.tables[op.start : op.start+op.count] {
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(leafRefs)))
-			leafRefs = append(leafRefs, rec.chunk)
-			payload = binary.LittleEndian.AppendUint16(payload, uint16(len(rec.pids)))
-			for _, pid := range rec.pids {
-				payload = binary.LittleEndian.AppendUint32(payload, pid)
+			ref, ok := layoutRef[rec.chunk]
+			if !ok {
+				ref = len(leafRefs)
+				layoutRef[rec.chunk] = ref
+				leafRefs = append(leafRefs, rec.chunk)
 			}
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(ref))
+			payload = append(payload, rec.backed...)
 		}
 	}
 
@@ -222,76 +227,91 @@ func ChunkForest(store castore.BlobStore, flat []byte, parent castore.Key) (cast
 // result decodes with DecodeForest exactly as the original flat image
 // would; missing chunks surface as *castore.ChunkMissingError,
 // damaged ones as *castore.ChunkHashError, and structural nonsense as
-// *ImageFormatError.
+// *ImageFormatError. Every section is checked as openForest checks it,
+// so what this returns chunks and decodes. A version-1 root comes back
+// as the current image of its forest.
 func UnchunkForest(store castore.BlobStore, root castore.Key) ([]byte, error) {
 	shape, err := resolveShape(store, root, 0)
 	if err != nil {
 		return nil, err
 	}
 
-	// The image's size follows from the lists, so the buffer is made
-	// once. Each distinct key is fetched once: a repeated page is copied
-	// from where its first instance landed in the image, a repeated table
-	// layout comes from layouts — bytes the first fetch verified.
-	size := len(imageMagic) + 1 + 4 + len(shape.pageKeys)*PageSize + 4 + len(shape.tail) + 4
-	for _, rec := range shape.tables {
-		size += 2 + len(rec.pids)*flatPTESize
-	}
-	b := make([]byte, 0, size)
-	b = append(b, imageMagic[:]...)
-	b = append(b, ImageVersion)
-
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(shape.pageKeys)))
-	pageAt := make(map[castore.Key]int, len(shape.pageKeys))
-	for _, key := range shape.pageKeys {
-		if at, ok := pageAt[key]; ok {
-			b = append(b, b[at:at+PageSize]...)
-			continue
+	// Each distinct key is fetched once: a repeated page or layout is the
+	// slice its first fetch verified.
+	fetched := make(map[castore.Key][]byte)
+	get := func(key castore.Key) ([]byte, error) {
+		b, ok := fetched[key]
+		if !ok {
+			if b, err = store.Get(key); err != nil {
+				return nil, err
+			}
+			fetched[key] = b
 		}
-		pg, err := store.Get(key)
+		return b, nil
+	}
+	img := &forestImage{pages: make([][]byte, len(shape.pageKeys))}
+	for i, key := range shape.pageKeys {
+		pg, err := get(key)
 		if err != nil {
 			return nil, err
 		}
 		if len(pg) != PageSize {
-			return nil, chunkFailf(len(b), "page chunk %s is %d bytes, want %d", key, len(pg), PageSize)
+			return nil, chunkFailf(0, "page chunk %s is %d bytes, want %d", key, len(pg), PageSize)
 		}
-		pageAt[key] = len(b)
-		b = append(b, pg...)
+		img.pages[i] = pg
 	}
-
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(shape.tables)))
-	layouts := make(map[castore.Key][]byte)
-	for ti, rec := range shape.tables {
-		chunk, ok := layouts[rec.chunk]
-		if !ok {
-			if chunk, err = store.Get(rec.chunk); err != nil {
+	if shape.version == 1 {
+		// A version-1 layout lists a (slot, permission) per slot the
+		// record has a page id for: the pair spells out the version-1
+		// table section, read back as the rest of a version-1 image.
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(shape.tables)))
+		for i, rec := range shape.tables {
+			layout, err := get(rec.chunk)
+			if err != nil {
 				return nil, err
 			}
-			layouts[rec.chunk] = chunk
-		}
-		if len(chunk) < 2 {
-			return nil, chunkFailf(len(b), "table chunk %s truncated", rec.chunk)
-		}
-		n := int(binary.LittleEndian.Uint16(chunk))
-		if len(chunk) != 2+3*n {
-			return nil, chunkFailf(len(b), "table chunk %s is %d bytes, want %d", rec.chunk, len(chunk), 2+3*n)
-		}
-		if n != len(rec.pids) {
-			return nil, chunkFailf(len(b), "table %d: chunk has %d slots, root lists %d page ids", ti, n, len(rec.pids))
-		}
-		b = binary.LittleEndian.AppendUint16(b, uint16(n))
-		for j := 0; j < n; j++ {
-			pid := rec.pids[j]
-			if int(pid) > len(shape.pageKeys) {
-				return nil, chunkFailf(len(b), "table %d: page id %d out of range (%d pages)", ti, pid, len(shape.pageKeys))
+			if n := len(rec.pids); len(layout) != 2+3*n || int(binary.LittleEndian.Uint16(layout)) != n {
+				return nil, chunkFailf(0, "table %d: chunk %s is %d bytes, root lists %d page ids", i, rec.chunk, len(layout), n)
 			}
-			b = append(b, chunk[2+3*j:2+3*j+3]...) // l2 + perm, verbatim
-			b = binary.LittleEndian.AppendUint32(b, pid)
+			b = append(b, layout[:2]...)
+			for j, pid := range rec.pids {
+				b = append(b, layout[2+3*j:5+3*j]...)
+				b = binary.LittleEndian.AppendUint32(b, pid)
+			}
 		}
+		r := &imgenc.Reader{B: append(b, shape.tail...), Wrap: func(off int, msg string) error {
+			return chunkFailf(off, "version-1 tables and spaces: %s", msg)
+		}}
+		img.readV1(r)
+		if err := r.Done(); err != nil {
+			return nil, err
+		}
+		return img.seal(), nil
 	}
 
-	b = append(b, shape.tail...)
-	return imgenc.Seal(b), nil
+	img.tables = make([]tableImage, len(shape.tables))
+	for i, rec := range shape.tables {
+		runs, err := get(rec.chunk)
+		if err != nil {
+			return nil, err
+		}
+		if len(runs) < 2 || len(runs) != 2+runSize*int(binary.LittleEndian.Uint16(runs)) {
+			return nil, chunkFailf(0, "table chunk %s is %d bytes, not a runs section", rec.chunk, len(runs))
+		}
+		img.tables[i] = tableImage{runs: runs, backed: rec.backed}
+		if err := img.tables[i].check(len(img.pages)); err != nil {
+			return nil, chunkFailf(0, "table %d: %v", i, err)
+		}
+	}
+	img.spaces = shape.tail
+	r := &imgenc.Reader{B: shape.tail, Wrap: func(off int, msg string) error {
+		return chunkFailf(off, "space section: %s", msg)
+	}}
+	readSpaces(r, len(img.tables))
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return img.seal(), nil
 }
 
 // resolveShape parses a root node and materializes its instance lists,
@@ -308,10 +328,11 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 		return &ImageFormatError{Offset: off, Msg: "root " + key.String()[:12] + ": " + msg}
 	}}
 
-	if v := r.U8(); r.Err == nil && v != chunkRootVersion {
+	v := r.U8()
+	if r.Err == nil && (v == 0 || v > chunkRootVersion) {
 		return nil, &ImageVersionError{Version: v, Max: chunkRootVersion}
 	}
-	shape := &forestShape{depth: r.U32()}
+	shape := &forestShape{version: v, depth: r.U32()}
 	hasParent := r.U8() != 0
 
 	var par *forestShape
@@ -322,6 +343,9 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 		par, err = resolveShape(store, node.NodeRefs[0], depth+1)
 		if err != nil {
 			return nil, err
+		}
+		if par.version != shape.version {
+			return nil, chunkFailf(r.Off, "version %d root over a version %d parent", shape.version, par.version)
 		}
 	}
 
@@ -364,13 +388,18 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 	for i := 0; i < nOps && r.Err == nil; i++ {
 		switch kind := r.U8(); kind {
 		case 0:
-			count := r.Count(6, "table literal") // leaf ref, page-id count
+			count := r.Count(6, "table literal") // leaf ref, backed-slot or page-id count
 			shape.tables = slices.Grow(shape.tables, count)
 			for j := 0; j < count && r.Err == nil; j++ {
 				leafIdx := int(r.U32())
-				pids := make([]uint32, r.Count16(4, "page id"))
-				for k := range pids {
-					pids[k] = r.U32()
+				var rec tableRec
+				if shape.version == 1 {
+					rec.pids = make([]uint32, r.Count16(4, "page id"))
+					for k := range rec.pids {
+						rec.pids[k] = r.U32()
+					}
+				} else {
+					rec.backed = take16(r, backedSize, "backed run")
 				}
 				if r.Err != nil {
 					break
@@ -379,7 +408,8 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 					r.Failf("table leaf ref %d outside %d leaf refs", leafIdx, len(node.LeafRefs))
 					break
 				}
-				shape.tables = append(shape.tables, tableRec{chunk: node.LeafRefs[leafIdx], pids: pids})
+				rec.chunk = node.LeafRefs[leafIdx]
+				shape.tables = append(shape.tables, rec)
 			}
 		case 1:
 			start := int(r.U32())
@@ -413,7 +443,8 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 
 // planOps delta-encodes cur's instance lists against par, falling back
 // to a self-contained full root (usePar=false, all-literal ops) when
-// there is no parent, the chain is deep, or too little survives.
+// there is no parent, the parent is of another version, the chain is
+// deep, or too little survives.
 func planOps(cur, par *forestShape) (pageOps, tableOps []chunkOp, usePar bool) {
 	fullPages := []chunkOp{{start: 0, count: len(cur.pageKeys)}}
 	fullTables := []chunkOp{{start: 0, count: len(cur.tables)}}
@@ -423,7 +454,7 @@ func planOps(cur, par *forestShape) (pageOps, tableOps []chunkOp, usePar bool) {
 	if len(cur.tables) == 0 {
 		fullTables = nil
 	}
-	if par == nil || par.depth+1 >= maxChainDepth {
+	if par == nil || par.version != cur.version || par.depth+1 >= maxChainDepth {
 		return fullPages, fullTables, false
 	}
 	pageOps, pageLit := deltaOps(pageTokens(cur), pageTokens(par))
@@ -445,16 +476,11 @@ func pageTokens(s *forestShape) []string {
 }
 
 // tableTokens serializes a shape's table records (layout chunk plus
-// page-id list — both must match for a parent record to be reused).
+// backed section — both must match for a parent record to be reused).
 func tableTokens(s *forestShape) []string {
 	out := make([]string, len(s.tables))
 	for i, rec := range s.tables {
-		b := make([]byte, 0, castore.KeySize+4*len(rec.pids))
-		b = append(b, rec.chunk[:]...)
-		for _, pid := range rec.pids {
-			b = binary.LittleEndian.AppendUint32(b, pid)
-		}
-		out[i] = string(b)
+		out[i] = string(rec.chunk[:]) + string(rec.backed)
 	}
 	return out
 }

@@ -40,12 +40,7 @@ func reencode(spaces []*Space) []byte {
 // or back in the pool.
 func FuzzDecodeForest(f *testing.F) {
 	cur, snap := buildPair(f)
-	seed := encodePair(cur, snap)
-	f.Add(seed)
-	for _, cut := range []int{0, 3, 5, 9, len(seed) / 2, len(seed) - 5, len(seed) - 1} {
-		f.Add(seed[:cut])
-	}
-	f.Add(NewForestEncoder().Encode())
+	seed, seedV1 := encodePair(cur, snap), encodeV1(cur, snap)
 	one := NewSpace()
 	if err := one.SetPerm(0, 2*PageSize, PermRW); err != nil {
 		f.Fatal(err)
@@ -53,10 +48,20 @@ func FuzzDecodeForest(f *testing.F) {
 	if err := one.WriteU64(8, 42); err != nil {
 		f.Fatal(err)
 	}
-	e := NewForestEncoder()
-	e.Add(one)
-	f.Add(e.Encode())
+	for _, img := range [][]byte{seed, seedV1} {
+		f.Add(img)
+		for _, cut := range []int{0, 3, 5, 9, len(img) / 2, len(img) - 5, len(img) - 1} {
+			f.Add(img[:cut])
+		}
+	}
+	f.Add(NewForestEncoder().Encode())
+	f.Add(encodeV1())
+	f.Add(reencode([]*Space{one}))
+	f.Add(encodeV1(one))
 	f.Add(onePTEImage(5, 0x04)) // a permission bit outside PermRW
+	for _, tc := range hostileTables {
+		f.Add(oneTableImage(tc.pages, tc.runs, tc.backed))
+	}
 
 	// maxObject is what the allocator hands out for a table, the
 	// largest object the decoder builds: its size class, not its
@@ -68,7 +73,7 @@ func FuzzDecodeForest(f *testing.F) {
 		f.Fatalf("a table is %d bytes, above the %d-byte bound per object", unsafe.Sizeof(table{}), maxObject)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 2*len(seed) {
+		if len(data) > 2*len(seedV1) {
 			t.Skip("longer than any image the seeds can grow into")
 		}
 		inputs := [][]byte{data}
@@ -107,6 +112,9 @@ func FuzzDecodeForest(f *testing.F) {
 			}
 			if bytes.Equal(in, seed) && !bytes.Equal(first, seed) {
 				t.Fatal("the canonical seed does not re-encode to itself")
+			}
+			if bytes.Equal(in, seedV1) && !bytes.Equal(first, seed) {
+				t.Fatal("the version-1 seed does not re-encode to the canonical seed")
 			}
 			again, err := DecodeForest(first)
 			if err != nil {
@@ -202,10 +210,10 @@ func unchunkOf(t *testing.T, node []byte) func() error {
 	}
 }
 
-// onePTEImage seals a flat image of one space whose one table lists one
-// demand-zero slot, l2, with the permission byte perm.
+// onePTEImage seals a version-1 flat image of one space whose one table
+// lists one demand-zero slot, l2, with the permission byte perm.
 func onePTEImage(l2 uint16, perm byte) []byte {
-	b := append([]byte(imageMagic), ImageVersion)
+	b := append([]byte(imageMagic), 1)
 	b = binary.LittleEndian.AppendUint32(b, 0) // pages
 	b = binary.LittleEndian.AppendUint32(b, 1) // tables
 	b = binary.LittleEndian.AppendUint16(b, 1) // one pte
@@ -222,6 +230,70 @@ func onePTEImage(l2 uint16, perm byte) []byte {
 	return imgenc.Seal(b)
 }
 
+// oneTableImage seals a current flat image of npages zero pages and one
+// space whose one table, at level-1 slot 0, has the given runs (first
+// slot, length, permission) and backed runs (first slot, length, first
+// page id), written as given.
+func oneTableImage(npages int, runs, backed [][3]int) []byte {
+	le := binary.LittleEndian
+	b := append([]byte(imageMagic), ImageVersion)
+	b = le.AppendUint32(b, uint32(npages))
+	b = append(b, make([]byte, npages*PageSize)...)
+	b = le.AppendUint32(b, 1) // tables
+	b = append(b, runsSection(runs)...)
+	b = append(b, backedSection(backed)...)
+	b = le.AppendUint32(b, 1) // spaces
+	b = le.AppendUint16(b, 1) // one root slot
+	b = le.AppendUint16(b, 0) // l1
+	b = le.AppendUint32(b, 1) // table 1
+	return imgenc.Seal(b)
+}
+
+func runsSection(runs [][3]int) []byte {
+	b := binary.LittleEndian.AppendUint16(nil, uint16(len(runs)))
+	for _, r := range runs {
+		b = binary.LittleEndian.AppendUint16(b, uint16(r[0]))
+		b = binary.LittleEndian.AppendUint16(b, uint16(r[1]))
+		b = append(b, byte(r[2]))
+	}
+	return b
+}
+
+func backedSection(backed [][3]int) []byte {
+	b := binary.LittleEndian.AppendUint16(nil, uint16(len(backed)))
+	for _, r := range backed {
+		b = binary.LittleEndian.AppendUint16(b, uint16(r[0]))
+		b = binary.LittleEndian.AppendUint16(b, uint16(r[1]))
+		b = binary.LittleEndian.AppendUint32(b, uint32(r[2]))
+	}
+	return b
+}
+
+// hostileTables are tables the current grammar refuses, one per rule
+// table.check enforces, written as oneTableImage takes them.
+var hostileTables = []struct {
+	name   string
+	pages  int
+	runs   [][3]int
+	backed [][3]int
+}{
+	{"runs that overlap", 0, [][3]int{{0, 8, 3}, {4, 8, 3}}, nil},
+	{"runs out of order", 0, [][3]int{{10, 2, 3}, {0, 2, 3}}, nil},
+	{"a run of length 0", 0, [][3]int{{3, 0, 3}}, nil},
+	{"a run past slot 1023", 0, [][3]int{{1020, 8, 3}}, nil},
+	{"a run with permission 0x04", 0, [][3]int{{0, 1, 4}}, nil},
+	{"a backed slot no run maps", 1, [][3]int{{0, 4, 3}}, [][3]int{{9, 1, 1}}},
+	{"a backed run across a gap in the runs", 3, [][3]int{{0, 2, 3}, {3, 2, 3}}, [][3]int{{1, 3, 1}}},
+	{"a backed slot repeated", 1, [][3]int{{0, 4, 3}}, [][3]int{{1, 1, 1}, {1, 1, 1}}},
+	{"backed runs out of order", 1, [][3]int{{0, 4, 3}}, [][3]int{{2, 1, 1}, {1, 1, 1}}},
+	{"a backed run of length 0", 1, [][3]int{{0, 4, 3}}, [][3]int{{1, 0, 1}}},
+	{"a backed slot past the table", 1, [][3]int{{0, tableEntries, 3}}, [][3]int{{tableEntries, 1, 1}}},
+	{"a backed run past slot 1023", 2, [][3]int{{0, tableEntries, 3}}, [][3]int{{tableEntries - 1, 2, 1}}},
+	{"a page id past the pages", 1, [][3]int{{0, 4, 3}}, [][3]int{{1, 1, 2}}},
+	{"page ids running past the pages", 1, [][3]int{{0, 4, 3}}, [][3]int{{1, 2, 1}}},
+	{"page id 0", 1, [][3]int{{0, 4, 3}}, [][3]int{{1, 1, 0}}},
+}
+
 // ChunkForest and DecodeForest read the page and table sections through
 // one walker, so what one rejects there the other does: a pte slot past
 // the table's end used to be chunked, stored, and fail only on the
@@ -232,14 +304,24 @@ func TestChunkForestRejectsWhatDecodeForestRejects(t *testing.T) {
 	if _, err := DecodeForest(onePTEImage(5, byte(PermRW))); err != nil {
 		t.Fatalf("the well-formed image does not decode: %v", err)
 	}
-	for _, tc := range []struct {
+	if _, err := DecodeForest(oneTableImage(2, [][3]int{{0, 4, 3}, {4, 2, 1}, {6, 1, 0}}, [][3]int{{1, 1, 1}, {5, 2, 1}})); err != nil {
+		t.Fatalf("the well-formed current image does not decode: %v", err)
+	}
+	cases := []struct {
 		name string
 		flat []byte
 	}{
 		{"slot 1024 of 1024", onePTEImage(tableEntries, byte(PermRW))},
 		{"permission 0x04", onePTEImage(5, 0x04)},
 		{"permission 0x83", onePTEImage(5, 0x83)},
-	} {
+	}
+	for _, tc := range hostileTables {
+		cases = append(cases, struct {
+			name string
+			flat []byte
+		}{tc.name, oneTableImage(tc.pages, tc.runs, tc.backed)})
+	}
+	for _, tc := range cases {
 		var fe *ImageFormatError
 		if _, err := DecodeForest(tc.flat); !errors.As(err, &fe) {
 			t.Fatalf("%s: DecodeForest: %v, want *ImageFormatError", tc.name, err)
@@ -273,7 +355,8 @@ func (s *meteredStore) Get(key castore.Key) ([]byte, error) {
 }
 
 // FuzzUnchunkForest mutates the root node of a chunked forest — a full
-// root and a delta root over it, both seeded — and stores the mutant
+// root and a delta root over it, both seeded in the current version and
+// in version 1, and a root per table the grammar refuses — and stores the mutant
 // under its own key beside the untouched chunks, as given and with its
 // CRC trailer recomputed. UnchunkForest must fail with a typed error of
 // vm's or castore's, or produce a flat image that chunks and unchunks
@@ -282,9 +365,9 @@ func (s *meteredStore) Get(key castore.Key) ([]byte, error) {
 // the chunks it fetched, plus the keys and table records its ops list —
 // an op is at least 9 bytes and lists no more than its source (the
 // root's leaf refs, its parent's lists) holds — plus the image those
-// lists spell out, a page per key and seven bytes per page id (a
-// repeated key is fetched once, so the image can outgrow the fetches) —
-// never from a count.
+// lists spell out, a page per key and a table's layout and backed slots
+// per record (a repeated key is fetched once, so the image can outgrow
+// the fetches) — never from a count.
 func FuzzUnchunkForest(f *testing.F) {
 	cur, snap := buildPair(f)
 	base := castore.NewMemStore()
@@ -292,6 +375,7 @@ func FuzzUnchunkForest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	fullV1 := chunkV1(f, base, encodeV1(cur, snap), castore.Key{})
 	if err := cur.WriteU64(5*PageSize, 0xfeed); err != nil {
 		f.Fatal(err)
 	}
@@ -299,18 +383,27 @@ func FuzzUnchunkForest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	deltaV1 := chunkV1(f, base, encodeV1(cur, snap), fullV1)
+	seeds := []castore.Key{full, delta, fullV1, deltaV1}
+	for _, tc := range hostileTables {
+		seeds = append(seeds, tableRoot(f, base, tc.pages, tc.runs, tc.backed))
+	}
 	longest, listed := 0, 0
-	for _, key := range []castore.Key{full, delta} {
+	for i, key := range seeds {
 		node, err := base.Get(key)
 		if err != nil {
 			f.Fatal(err)
+		}
+		if i >= 4 { // a root whose table the grammar refuses
+			f.Add(node)
+			continue
 		}
 		shape, err := resolveShape(base, key, 0)
 		if err != nil {
 			f.Fatal(err)
 		}
-		if key == delta && shape.depth != 1 {
-			f.Fatal("the second seed is not a delta root")
+		if (key == delta || key == deltaV1) != (shape.depth == 1) {
+			f.Fatalf("seed %d is at depth %d", i, shape.depth)
 		}
 		longest = max(longest, len(node))
 		listed = max(listed, len(shape.pageKeys)+len(shape.tables))
@@ -342,7 +435,13 @@ func FuzzUnchunkForest(f *testing.F) {
 			if shape, serr := resolveShape(store, store.key, 0); serr == nil {
 				image = uint64(len(shape.pageKeys)*PageSize + len(shape.tail))
 				for _, rec := range shape.tables {
-					image += uint64(len(rec.pids) * flatPTESize)
+					// A version-1 record's slot is a pte in the image
+					// reassembled, then a run and a backed slot in the
+					// one it is rewritten as.
+					image += uint64(len(rec.backed) + len(rec.pids)*(flatPTESize+runSize+backedSize))
+					if layout, err := base.Get(rec.chunk); err == nil {
+						image += uint64(len(layout))
+					}
 				}
 			}
 			if grew, bound := after.TotalAlloc-before.TotalAlloc, (uint64(len(in))/9+8)*perOp+16*fetched+2*image+1<<20; grew > bound {
@@ -376,4 +475,72 @@ func FuzzUnchunkForest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// tableRoot stores npages zero pages, a layout of the given runs and a
+// current full root over them whose one table record has the given
+// backed runs, mapped by one space at level-1 slot 0, and returns the
+// root's key.
+func tableRoot(t testing.TB, store castore.BlobStore, npages int, runs, backed [][3]int) castore.Key {
+	le := binary.LittleEndian
+	zero := make([]byte, PageSize)
+	layout := runsSection(runs)
+	refs := []castore.Key{castore.KeyOf(layout)}
+	for _, b := range [][]byte{layout, zero} {
+		if err := store.Put(castore.KeyOf(b), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := []byte{chunkRootVersion, 0, 0, 0, 0, 0} // version, depth, no parent
+	p = le.AppendUint32(p, uint32(npages))
+	if npages > 0 {
+		p = le.AppendUint32(p, 1) // one literal page op over refs[1:]
+		p = append(p, 0)
+		p = le.AppendUint32(p, 1)
+		p = le.AppendUint32(p, uint32(npages))
+		for range npages {
+			refs = append(refs, castore.KeyOf(zero))
+		}
+	} else {
+		p = le.AppendUint32(p, 0)
+	}
+	p = le.AppendUint32(p, 1) // one table
+	p = le.AppendUint32(p, 1) // in one literal op
+	p = append(p, 0)
+	p = le.AppendUint32(p, 1)
+	p = le.AppendUint32(p, 0) // layout: leaf ref 0
+	p = append(p, backedSection(backed)...)
+	spaces := le.AppendUint32(nil, 1)
+	spaces = le.AppendUint16(spaces, 1)
+	spaces = le.AppendUint16(spaces, 0)
+	spaces = le.AppendUint32(spaces, 1)
+	p = le.AppendUint32(p, uint32(len(spaces)))
+	p = append(p, spaces...)
+	key, err := castore.PutNode(store, nil, refs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// A root carries a table's backed slots and its layout chunk the runs, so
+// UnchunkForest checks the pair as openForest checks a flat table: each
+// table the grammar refuses fails typed, and the well-formed one
+// reassembles into an image that decodes.
+func TestUnchunkRejectsHostileTables(t *testing.T) {
+	store := castore.NewMemStore()
+	good := tableRoot(t, store, 2, [][3]int{{0, 4, 3}, {4, 2, 1}, {6, 1, 0}}, [][3]int{{1, 1, 1}, {5, 2, 1}})
+	flat, err := UnchunkForest(store, good)
+	if err != nil {
+		t.Fatalf("the well-formed root: %v", err)
+	}
+	if _, err := DecodeForest(flat); err != nil {
+		t.Fatalf("the well-formed root's image: %v", err)
+	}
+	for _, tc := range hostileTables {
+		var fe *ImageFormatError
+		if _, err := UnchunkForest(store, tableRoot(t, store, tc.pages, tc.runs, tc.backed)); !errors.As(err, &fe) {
+			t.Errorf("%s: %v, want *ImageFormatError", tc.name, err)
+		}
+	}
 }

@@ -178,7 +178,9 @@ func SaveImage(store BlobStore, img *Image, parent *Manifest) (*Manifest, error)
 }
 
 // LoadImage reassembles the checkpoint image a manifest references.
-// The result is byte-identical to the image SaveImage stored: missing
+// The result is byte-identical to the image SaveImage stored (one whose
+// vm forest was a version-1 image loads with the current image of that
+// forest in its place): missing
 // chunks surface as *ChunkMissingError, damaged ones as
 // *ChunkHashError, and structural problems as the owning layer's typed
 // image error.
