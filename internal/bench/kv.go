@@ -61,6 +61,6 @@ func KVEngine(o Options) Table {
 		}
 	}
 	t.Note("reuse = free-list hits / extent allocations in the master image (the paper leaked these);")
-	t.Note("grows counts chained regions added past the 64K initial image; image is the final mapped size.")
+	t.Note("grows counts the times the image grew in place past its 64K initial size; image is the final mapped size.")
 	return t
 }

@@ -1,7 +1,9 @@
 package castore
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -67,15 +69,21 @@ func (s *DirStore) Put(key Key, b []byte) error {
 // be, so that a crashed writer leaves the old file or the new one, never
 // a torn one under the real name: the bytes go to a uniquely named
 // temporary file in the same directory (dot-prefixed, so Keys and Refs
-// skip it), which is then renamed into place. Put and SetRef are its
-// only users. Atomic, not durable: nothing is fsynced, neither the file
-// nor its directory. ROADMAP's durability item adds that, and this is
-// the one place it has to.
+// skip it), which is then renamed into place. The directory is made only
+// when the temporary cannot be created for want of it — a new fan-out or
+// a new nested ref name — and the create is then tried once more, so the
+// common write into an existing directory pays no extra stat. Put and
+// SetRef are its only users. Atomic, not durable: nothing is fsynced,
+// neither the file nor its directory. ROADMAP's durability item adds
+// that, and this is the one place it has to.
 func writeFileAtomic(path string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			tmp, err = os.CreateTemp(dir, ".tmp-*")
+		}
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -156,5 +157,42 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if ents, err = os.ReadDir(filepath.Dir(nested)); err != nil || len(ents) != 1 {
 		t.Fatalf("the directory made on demand holds %d entries, %v; want only the file", len(ents), err)
+	}
+}
+
+// The directory writeFileAtomic makes on demand is made the first time
+// and then found: a Put into a fan-out directory no chunk has used yet
+// and a SetRef to a nested name whose directory is missing both land,
+// and a second write into each directory, which is then there, lands too.
+func TestWriteFileAtomicMakesMissingDirectories(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chunks [][]byte
+	for i := 0; len(chunks) < 2; i++ {
+		b := []byte(fmt.Sprintf("chunk %d", i))
+		if len(chunks) == 0 || KeyOf(b).String()[:2] == KeyOf(chunks[0]).String()[:2] {
+			chunks = append(chunks, b)
+		}
+	}
+	for _, b := range chunks {
+		k := KeyOf(b)
+		if err := s.Put(k, b); err != nil {
+			t.Fatalf("Put %s: %v", k, err)
+		}
+		if got, err := s.Get(k); err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("Get %s = %q, %v; want %q", k, got, err, b)
+		}
+	}
+	for i, b := range chunks {
+		name := "actions/" + KeyOf([]byte{byte(i)}).String()
+		if err := s.SetRef(name, KeyOf(b)); err != nil {
+			t.Fatalf("SetRef %s: %v", name, err)
+		}
+		if got, ok, err := s.Ref(name); err != nil || !ok || got != KeyOf(b) {
+			t.Fatalf("Ref %s = %s, %v, %v; want %s", name, got, ok, err, KeyOf(b))
+		}
 	}
 }

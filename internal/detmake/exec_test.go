@@ -395,16 +395,18 @@ func TestScribbledResultImageFailsTheTask(t *testing.T) {
 		}
 	}
 
-	// In the machine: an action that scribbles over its own image's region
-	// table (fs's superblock layout: the region count at 40, the table of
-	// {start, size} pairs at 64) after writing its output. The epilogue
-	// reads the output through the handle it made, so the task either
-	// reports the right bytes or fails typed; the build machine halts.
+	// In the machine: an action that scribbles over its own image's
+	// superblock after writing its output: the image's size at 8, and the
+	// words where growth once kept a table of chained regions (the count
+	// at 40, {start, size} pairs from 64). The epilogue reads the output
+	// through the handle it made, so the task either reports the right
+	// bytes or fails typed; the build machine halts.
 	actions := DefaultActions()
 	actions.Register("scribble", func(c *TaskCtx) error {
 		if err := c.WriteFile(c.Outputs()[0], []byte("written")); err != nil {
 			return err
 		}
+		c.env.WriteU32(stageBase+8, 0xd7d7d7d7) // the image runs 3.6 GB
 		c.env.WriteU32(stageBase+40, 2)
 		c.env.WriteU32(stageBase+64+4, 0xd7d7d7d7) // region 0 runs 3.6 GB past the image
 		c.env.WriteU32(stageBase+64+8, 0xd7d7d7d7) // and region 1 chains on from there

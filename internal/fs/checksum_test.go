@@ -41,8 +41,8 @@ const checksumMaxSize = 3<<20 + 5*vm.PageSize
 // over it chosen to produce every page state Checksum distinguishes:
 // never-written pages (demand-zero), written pages, pages written and
 // then overwritten with zeros (backed, but all zero), pages freed by
-// unlink and truncate, extents moved and scrubbed by Compact, regions
-// chained on by growth. Individual operations may fail (ErrNoSpace on
+// unlink and truncate, extents moved and scrubbed by Compact, pages
+// mapped by growth. Individual operations may fail (ErrNoSpace on
 // the fixed images); the history is a function of the seed either way.
 func buildImage(env *kernel.Env, seed int64) *FS {
 	rng := rand.New(rand.NewSource(seed))

@@ -13,8 +13,8 @@
 //   - append-only files (console, logs) merge by concatenating both
 //     sides' appended tails, so concurrent logging never conflicts.
 //
-// The on-"disk" format is a byte image (superblock, inode table, one or
-// more extent regions) manipulated exclusively through the owning
+// The on-"disk" format is a byte image (superblock, inode table, one
+// extent area) manipulated exclusively through the owning
 // space's Env accessors: the file system is ordinary user-space memory,
 // which is exactly what makes it replicable, and also why a wild pointer
 // write can corrupt it — a trade-off the paper acknowledges (see
@@ -37,10 +37,9 @@
 //     outstanding) that rewrites all live extents in inode order and
 //     zeroes everything else, so every replica that performs the same
 //     operation history computes a bit-identical image.
-//   - image growth: when the current regions are exhausted the image
-//     extends itself by mapping a fresh region chained from the
-//     superblock's region table, making ErrNoSpace a soft limit up to
-//     the configured maximum (FormatGrowable).
+//   - image growth: when the extent area is exhausted the image extends
+//     it in place, mapping fresh pages at its end, making ErrNoSpace a
+//     soft limit up to the configured maximum (FormatGrowable).
 //
 // The file system remains memory-only (no persistence) and
 // single-writer per replica, like the paper's.
@@ -61,7 +60,9 @@ import (
 // Image geometry. All offsets are relative to the FS base address.
 const (
 	// Magic identifies a formatted image (v2: directories + free list +
-	// chained regions).
+	// growth). Images grown before growth was in place grew by chaining
+	// regions end to end, so they too are one extent area, and attach as
+	// they are.
 	Magic = 0xD37F5002
 
 	// DefaultBase is where the uproc runtime places the FS image: a
@@ -82,9 +83,8 @@ const (
 	inodeTable = vm.PageSize // inode table starts at page 1
 	dataStart  = inodeTable + NumInodes*inodeSize
 
-	// GrowChunk is the minimum size of a chained region added when the
-	// image grows (requests larger than a chunk get a region big enough
-	// to hold them).
+	// GrowChunk is the least the image grows by (an allocation larger
+	// than a chunk grows it as far as the allocation needs).
 	GrowChunk = 1 << 20
 
 	// Superblock field offsets (all uint32, page 0).
@@ -96,25 +96,16 @@ const (
 	sbAllocs    = 20 // extent allocations ever made
 	sbReused    = 24 // allocations served from the free list
 	sbReusedKB  = 28 // bytes so served, in KiB units to defer wrap
-	sbGrows     = 32 // chained regions added
+	sbGrows     = 32 // times the image grew
 	sbCompacts  = 36 // Compact passes run
-	sbRegions   = 40 // entries in the region table
 	sbDropped   = 44 // free extents leaked to free-table overflow
 	sbGen       = 48 // namespace generation: bumped whenever the (dir, name) → inode map changes
 
-	// regionTable holds up to maxRegions {start,size} pairs describing
-	// the chained regions; region 0 is the one Format laid out.
-	regionTable = 64
-	maxRegions  = 64
-
 	// freeTable holds up to maxFree {off,len} pairs, sorted by offset,
-	// filling the rest of the superblock page.
-	freeTable = regionTable + maxRegions*8
+	// filling the rest of the superblock page. It starts where it did
+	// beside the region table, so older images' free lists read as such.
+	freeTable = 576
 	maxFree   = (int(vm.PageSize) - freeTable) / 8
-
-	// regionMagic begins the header page of every chained (grown)
-	// region, forming a verifiable chain from the superblock.
-	regionMagic = 0xD37FAE91
 
 	// Inode field offsets.
 	iFlags       = 0
@@ -235,7 +226,7 @@ func Format(env *kernel.Env, base vm.Addr, size uint64) *FS {
 }
 
 // FormatGrowable initializes an empty image of the given initial size
-// that may grow, in chained regions, up to maxSize — the paper's
+// that may grow, in place, up to maxSize — the paper's
 // fixed-image ErrNoSpace becomes a soft limit. The image maps its own
 // pages, at format time and whenever it grows.
 func FormatGrowable(env *kernel.Env, base vm.Addr, size, maxSize uint64) *FS {
@@ -256,16 +247,19 @@ func FormatGrowable(env *kernel.Env, base vm.Addr, size, maxSize uint64) *FS {
 	// sbGen), so the handle's index starts current: the first lookup
 	// rebuilds nothing.
 	f := &FS{env: env, base: base, idx: map[dirent]int{}, idxGen: 0}
-	// Map and zero the whole initial region: stale bytes from a previous
+	// Map and zero the whole initial image: stale bytes from a previous
 	// image must never read as inodes or free entries.
 	env.Zero(base, size, vm.PermRW)
 	f.pu32(sbMagic, Magic)
 	f.pu32(sbCursor, dataStart)
 	f.pu32(sbSize, uint32(size))
 	f.pu32(sbMaxSize, uint32(maxSize))
-	f.pu32(sbRegions, 1)
-	f.pu32(regionTable+0, 0)
-	f.pu32(regionTable+4, uint32(size))
+	// Words 40 and 68 are a one-entry table of {start, size} regions,
+	// which Format wrote when growth chained regions. Nothing reads
+	// them; they keep a fixed-size image bit-identical to one formatted
+	// then.
+	f.pu32(40, 1)
+	f.pu32(68, uint32(size))
 	// Slot 0 is the root directory: always live, never reconciled.
 	f.iPut(0, iFlags, flagExists|flagDir)
 	f.iPut(0, iVersion, 1)
@@ -275,8 +269,8 @@ func FormatGrowable(env *kernel.Env, base vm.Addr, size, maxSize uint64) *FS {
 
 // Attach returns a handle on an existing image (after fork or exec).
 // mapped is the span the caller knows to be addressable; the image's own
-// recorded size must fit inside it, and every chained region header must
-// check out, or the image is rejected as corrupt/foreign.
+// recorded size must fit inside it, and its allocation state must lie in
+// its extent area, or the image is rejected as corrupt/foreign.
 func Attach(env *kernel.Env, base vm.Addr, mapped uint64) (*FS, error) {
 	f := &FS{env: env, base: base}
 	if f.gu32(sbMagic) != Magic {
@@ -289,45 +283,19 @@ func Attach(env *kernel.Env, base vm.Addr, mapped uint64) (*FS, error) {
 	if size%vm.PageSize != 0 {
 		return nil, fmt.Errorf("fs: image size %d is not whole pages", size)
 	}
-	n := int(f.gu32(sbRegions))
-	if n < 1 || n > maxRegions {
-		return nil, fmt.Errorf("fs: corrupt region count %d", n)
-	}
-	end := uint32(0)
-	for i := 0; i < n; i++ {
-		start := f.gu32(uint32(regionTable + i*8))
-		rsize := f.gu32(uint32(regionTable + i*8 + 4))
-		if start != end || rsize == 0 {
-			return nil, fmt.Errorf("fs: region %d not chained (start %d, prev end %d)", i, start, end)
-		}
-		// The table is image bytes: a region is bounded by the size the
-		// caller vouched for before its header is dereferenced, or a wild
-		// entry faults the attaching space instead of failing the attach.
-		if uint64(start)+uint64(rsize) > uint64(size) {
-			return nil, fmt.Errorf("fs: region %d [%d,+%d) outside the image's %d bytes", i, start, rsize, size)
-		}
-		if i > 0 && (rsize < vm.PageSize || f.gu32(start) != regionMagic || f.gu32(start+4) != uint32(i)) {
-			return nil, fmt.Errorf("fs: region %d header missing", i)
-		}
-		end = start + rsize
-	}
-	if end != size {
-		return nil, fmt.Errorf("fs: regions cover %d bytes, superblock says %d", end, size)
-	}
-	// Allocation state must point into the chain too: a damaged cursor
-	// would panic on the first allocation, and damaged free entries
-	// would hand out extents on top of the metadata pages — the wild
-	// writes this layer otherwise guards against.
-	regs := f.regions()
-	if !insideDataArea(regs, f.gu32(sbCursor), 0) {
-		return nil, fmt.Errorf("fs: bump cursor %d outside the region chain", f.gu32(sbCursor))
+	// Allocation state must point into the extent area: a damaged cursor
+	// would fault the first allocation, and damaged free entries would
+	// hand out extents on top of the metadata pages — the wild writes
+	// this layer otherwise guards against.
+	if cur := f.gu32(sbCursor); !inside(size, cur, 0) {
+		return nil, fmt.Errorf("fs: bump cursor %d outside the extent area", cur)
 	}
 	if int(f.gu32(sbFreeCount)) > maxFree {
 		return nil, fmt.Errorf("fs: free table claims %d entries (max %d)", f.gu32(sbFreeCount), maxFree)
 	}
-	// Inode extents must point into the chain too: ReconcileFrom reads
-	// a replica's extents directly, and a corrupt iExtOff would turn
-	// into a machine fault mid-reconcile instead of this error. Both
+	// Inode extents must point into the extent area too: ReconcileFrom
+	// reads a replica's extents directly, and a corrupt iExtOff would
+	// turn into a machine fault mid-reconcile instead of this error. Both
 	// columns are read in full before the first slot is judged: an
 	// accepted image costs exactly what reading field by field did, a
 	// rejected one has been charged for every slot, not only for those
@@ -347,16 +315,16 @@ func Attach(env *kernel.Env, base vm.Addr, mapped uint64) (*FS, error) {
 			if f.iGet(ino, iSize) > c {
 				return nil, fmt.Errorf("fs: inode %d size exceeds extent capacity", ino)
 			}
-			if c != 0 && !insideDataArea(regs, f.iGet(ino, iExtOff), c) {
-				return nil, fmt.Errorf("fs: inode %d extent [%d,+%d) outside the region chain",
+			if c != 0 && !inside(size, f.iGet(ino, iExtOff), c) {
+				return nil, fmt.Errorf("fs: inode %d extent [%d,+%d) outside the extent area",
 					ino, f.iGet(ino, iExtOff), c)
 			}
 		}
 	}
 	prevEnd := uint32(0)
 	for _, e := range f.readFreeList() {
-		if e.length == 0 || !insideDataArea(regs, e.off, e.length) {
-			return nil, fmt.Errorf("fs: free extent [%d,+%d) outside the region chain", e.off, e.length)
+		if e.length == 0 || !inside(size, e.off, e.length) {
+			return nil, fmt.Errorf("fs: free extent [%d,+%d) outside the extent area", e.off, e.length)
 		}
 		// The list must be sorted and disjoint: freeExtent's insertion
 		// and coalescing assume it, and duplicated entries would hand
@@ -380,15 +348,11 @@ func AttachRestored(env *kernel.Env, base vm.Addr) *FS {
 	return &FS{env: env, base: base}
 }
 
-// insideDataArea reports whether [off, off+length) lies entirely within
-// one region's allocatable span (length 0 checks the bare position).
-func insideDataArea(regs []extent, off, length uint32) bool {
-	for i, r := range regs {
-		if off >= regionDataStart(i, r) && uint64(off)+uint64(length) <= uint64(r.off+r.length) {
-			return true
-		}
-	}
-	return false
+// inside reports whether [off, off+length) lies within the extent area
+// [dataStart, size) of an image of size bytes (length 0 checks the bare
+// position).
+func inside(size, off, length uint32) bool {
+	return off >= dataStart && uint64(off)+uint64(length) <= uint64(size)
 }
 
 // low-level image accessors (offsets relative to base)
@@ -610,7 +574,7 @@ func (f *FS) freeInode() int {
 	return -1
 }
 
-// --- extent allocation: free list, bump cursor, chained growth ----------------
+// --- extent allocation: free list, bump cursor, growth in place ---------------
 
 type extent struct{ off, length uint32 }
 
@@ -675,66 +639,26 @@ func (f *FS) freeExtent(off, n uint32) {
 	f.writeFreeList(list)
 }
 
-func (f *FS) regions() []extent {
-	n := int(f.gu32(sbRegions))
-	words := make([]uint32, 2*n)
-	f.env.ReadU32s(f.base+vm.Addr(regionTable), words)
-	list := make([]extent, n)
-	for i := range list {
-		list[i] = extent{words[2*i], words[2*i+1]}
-	}
-	return list
-}
-
-// regionDataStart is where allocatable bytes begin within a region:
-// after the fixed metadata for region 0, after the header page for
-// chained regions.
-func regionDataStart(index int, r extent) uint32 {
-	if index == 0 {
-		return dataStart
-	}
-	return r.off + vm.PageSize
-}
-
-// grow chains a fresh region onto the image, large enough for want
-// bytes, reporting success. The new pages are mapped (and zeroed) by the
-// image itself — the caller's address space is the disk.
-func (f *FS) grow(want uint32) bool {
-	size := f.size()
-	maxSize := f.maxSize()
-	n := int(f.gu32(sbRegions))
-	if size >= maxSize || n >= maxRegions {
+// grow extends the image in place to hold at least end bytes, reporting
+// success: it grows by at least GrowChunk and never past the ceiling. The
+// new pages are mapped (and zeroed) by the image itself — the caller's
+// address space is the disk.
+func (f *FS) grow(end uint64) bool {
+	size, maxSize := f.size(), f.maxSize()
+	if end > maxSize {
 		return false
 	}
-	need := roundPages(uint64(want) + vm.PageSize) // payload + header page
-	delta := need
-	if delta < GrowChunk {
-		delta = GrowChunk
-	}
-	if size+delta > maxSize {
-		delta = maxSize - size
-	}
-	if delta < need {
-		return false
-	}
-	f.env.Zero(f.base+vm.Addr(size), delta, vm.PermRW)
-	start := uint32(size)
-	f.pu32(start, regionMagic)
-	f.pu32(start+4, uint32(n))
-	f.pu32(start+8, start)
-	f.pu32(uint32(regionTable+n*8), start)
-	f.pu32(uint32(regionTable+n*8+4), uint32(delta))
-	f.pu32(sbRegions, uint32(n+1))
-	f.pu32(sbSize, uint32(size+delta))
+	newSize := min(max(roundPages(end), size+GrowChunk), maxSize)
+	f.env.Zero(f.base+vm.Addr(size), newSize-size, vm.PermRW)
+	f.pu32(sbSize, uint32(newSize))
 	f.pu32(sbGrows, f.gu32(sbGrows)+1)
 	return true
 }
 
 // allocExtent reserves capacity bytes: deterministic best-fit from the
 // free list first (smallest sufficient entry, lowest offset on ties),
-// then the bump cursor, growing the image when the current region is
-// exhausted. Extents never span regions; a too-small region tail goes
-// onto the free list.
+// then the bump cursor, growing the image when the cursor would pass its
+// end.
 func (f *FS) allocExtent(capacity uint32) (uint32, error) {
 	list := f.readFreeList()
 	best := -1
@@ -761,45 +685,13 @@ func (f *FS) allocExtent(capacity uint32) (uint32, error) {
 	}
 
 	cur := f.gu32(sbCursor)
-	regs := f.regions()
-	ri := regionIndexOf(regs, cur)
-	for {
-		end := regs[ri].off + regs[ri].length
-		if uint64(cur)+uint64(capacity) <= uint64(end) {
-			break
-		}
-		// The cursor's region is exhausted (its remainder, if any, goes
-		// to the free list): advance into the next region — after a
-		// Compact the cursor may sit regions behind the chain's end —
-		// growing the chain only once there is no next region.
-		if ri+1 >= len(regs) {
-			if !f.grow(capacity) {
-				return 0, ErrNoSpace
-			}
-			regs = f.regions()
-		}
-		if end > cur {
-			f.freeExtent(cur, end-cur)
-		}
-		ri++
-		cur = regionDataStart(ri, regs[ri])
+	end := uint64(cur) + uint64(capacity)
+	if end > f.size() && !f.grow(end) {
+		return 0, ErrNoSpace
 	}
-	f.pu32(sbCursor, cur+capacity)
+	f.pu32(sbCursor, uint32(end))
 	f.pu32(sbAllocs, f.gu32(sbAllocs)+1)
 	return cur, nil
-}
-
-// regionIndexOf locates the region whose allocatable span contains the
-// bump cursor (a cursor at a region's very end still belongs to it).
-func regionIndexOf(regs []extent, cur uint32) int {
-	for i, r := range regs {
-		if cur >= regionDataStart(i, r) && cur <= r.off+r.length {
-			return i
-		}
-	}
-	// A freshly formatted image starts at region 0's data area; the
-	// cursor can never escape the chain.
-	panic(fmt.Sprintf("fs: bump cursor %d outside every region", cur))
 }
 
 // canonicalCap is the deterministic extent capacity for a file of n
@@ -1313,7 +1205,7 @@ type GCStats struct {
 	ReusedBytes int64 // bytes so served
 	FreeExtents int   // current free-list entries
 	FreeBytes   int64 // bytes currently on the free list
-	Grows       int   // chained regions added
+	Grows       int   // times the image grew
 	Compactions int   // Compact passes run
 	Dropped     int   // free extents leaked to table overflow
 }

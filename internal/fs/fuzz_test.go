@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/kernel"
@@ -18,8 +17,9 @@ import (
 // with the task that scribbled.
 
 // fuzzMapped is the span the harness maps for an image; inputs are the
-// image's leading bytes and the rest reads as zeros.
-const fuzzMapped = 128 << 10
+// image's leading bytes and the rest reads as zeros. It holds the grown
+// fixture (chained_v2.img.gz).
+const fuzzMapped = 4 << 20
 
 // fuzzSeedImage is the metadata (superblock and the inode table's used
 // slots) of an image holding a directory and three files.
@@ -38,16 +38,18 @@ func fuzzSeedImage(t testing.TB) []byte {
 }
 
 // wildRegionTable is the 77-byte image FuzzAttach found first (with size
-// 72448): region 0 claims 0xd7d7d7d7 bytes and region 1 chains on from
-// there, so Attach went to read region 1's header 3.6 GB past the image.
+// 72448), when the superblock held a table of chained regions: region 0
+// claimed 0xd7d7d7d7 bytes and region 1 chained on from there, so Attach
+// went to read region 1's header 3.6 GB past the image. The table's words
+// (the count at 40, {start, size} pairs from 64) are no longer read.
 func wildRegionTable(size uint32) []byte {
 	img := make([]byte, 77)
 	binary.LittleEndian.PutUint32(img[sbMagic:], Magic)
 	binary.LittleEndian.PutUint32(img[sbSize:], size)
-	binary.LittleEndian.PutUint32(img[sbRegions:], 15)
-	binary.LittleEndian.PutUint32(img[regionTable+4:], 0xd7d7d7d7)
-	binary.LittleEndian.PutUint32(img[regionTable+8:], 0xd7d7d7d7)
-	img[regionTable+12] = 0xd7
+	binary.LittleEndian.PutUint32(img[40:], 15)
+	binary.LittleEndian.PutUint32(img[68:], 0xd7d7d7d7)
+	binary.LittleEndian.PutUint32(img[72:], 0xd7d7d7d7)
+	img[76] = 0xd7
 	return img
 }
 
@@ -91,6 +93,7 @@ func FuzzAttach(f *testing.F) {
 	// The inputs it has found so far are in testdata/fuzz/FuzzAttach.
 	f.Add(fuzzSeedImage(f))
 	f.Add(duplicatedName(f))
+	f.Add(chainedImage(f))
 	f.Fuzz(func(t *testing.T, img []byte) {
 		if len(img) > fuzzMapped {
 			t.Skip("longer than the span the harness maps")
@@ -126,13 +129,24 @@ func FuzzAttach(f *testing.F) {
 	})
 }
 
-func TestAttachBoundsRegionsBeforeTheirHeaders(t *testing.T) {
-	// Whole pages, so the size itself passes and the table is reached.
-	attachBytes(t, wildRegionTable(72448&^(vm.PageSize-1)), func(_ *kernel.Env, _ *FS, err error) {
-		if err == nil || !strings.Contains(err.Error(), "region 0") {
-			t.Errorf("Attach = %v, want region 0 refused as outside the image", err)
+// TestAttachRefusesWildImageReadingNothingPastIt: the wild-region-table
+// image is refused with an error, and the attach reads nothing past the
+// image's own bytes — only they are mapped, so a read beyond them faults
+// the space.
+func TestAttachRefusesWildImageReadingNothingPastIt(t *testing.T) {
+	// Whole pages, so the size itself passes and the allocation state is
+	// reached.
+	size := uint32(72448 &^ (vm.PageSize - 1))
+	res := kernel.New(kernel.Config{}).Run(func(env *kernel.Env) {
+		env.Zero(testBase, uint64(size), vm.PermRW)
+		env.Write(testBase, wildRegionTable(size))
+		if _, err := Attach(env, testBase, uint64(size)); err == nil {
+			t.Error("Attach accepted the wild image")
 		}
-	})
+	}, 0)
+	if res.Status != kernel.StatusHalted {
+		t.Fatalf("attaching space stopped %v: %v", res.Status, res.Err)
+	}
 }
 
 // TestWildParentLinkDoesNotFault: the paths that turn a parent link into

@@ -2,9 +2,13 @@ package fs
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -17,11 +21,11 @@ import (
 // in-memory model, checking after every mutation that
 //
 //   - no live extent overlaps another live extent, a free-list entry,
-//     the metadata pages or a chained-region header;
+//     or the metadata pages;
 //   - every file still reads back exactly as the model says;
 //
 // and at every Compact that the space accounting closes: live canonical
-// capacities + free-list bytes + the bump-cursor tail cover the data
+// capacities + free-list bytes + the bump-cursor tail cover the extent
 // area exactly — no leaked extent, which is precisely the defect the
 // paper's prototype kept.
 //
@@ -39,8 +43,8 @@ func gcRun(t *testing.T, seed int64, check bool) uint64 {
 	var sum uint64
 	m := kernel.New(kernel.Config{})
 	res := m.Run(func(env *kernel.Env) {
-		// Small initial image with headroom to grow: growth, region
-		// chaining and boundary gaps are all on the tested path.
+		// Small initial image with headroom to grow: growth, and
+		// extents that cross the old end, are on the tested path.
 		f := FormatGrowable(env, testBase, 64<<10, testSize)
 		rng := rand.New(rand.NewSource(seed))
 		if err := f.Mkdir("d"); err != nil {
@@ -137,18 +141,14 @@ func gcRun(t *testing.T, seed int64, check bool) uint64 {
 	return sum
 }
 
-// gcCheckLayout asserts that live extents, free-list entries, metadata
-// and region headers are pairwise disjoint and inside the image.
+// gcCheckLayout asserts that live extents, free-list entries and the
+// metadata are pairwise disjoint and inside the image.
 func gcCheckLayout(f *FS, step int) {
 	type span struct {
 		off, end uint32
 		what     string
 	}
-	regs := f.regions()
-	var spans []span
-	for i, r := range regs {
-		spans = append(spans, span{r.off, regionDataStart(i, r), fmt.Sprintf("region %d metadata", i)})
-	}
+	spans := []span{{0, dataStart, "metadata"}}
 	for ino := 1; ino < NumInodes; ino++ {
 		if f.iGet(ino, iFlags)&flagExists == 0 {
 			if f.inUse(ino) && f.iGet(ino, iExtCap) != 0 {
@@ -183,13 +183,9 @@ func gcCheckLayout(f *FS, step int) {
 }
 
 // gcCheckAccounting asserts the post-Compact identity: canonical live
-// capacities + free bytes + the cursor tail == the whole data area.
+// capacities + free bytes + the cursor tail == the whole extent area.
 func gcCheckAccounting(f *FS, _ CompactStats, step int) {
-	regs := f.regions()
-	var total, used, free, tail int64
-	for i, r := range regs {
-		total += int64(r.off + r.length - regionDataStart(i, r))
-	}
+	var used, free int64
 	for ino := 1; ino < NumInodes; ino++ {
 		if f.iGet(ino, iFlags)&flagExists != 0 {
 			c := f.iGet(ino, iExtCap)
@@ -202,20 +198,10 @@ func gcCheckAccounting(f *FS, _ CompactStats, step int) {
 	for _, e := range f.readFreeList() {
 		free += int64(e.length)
 	}
-	// The unallocated tail: from the cursor to the end of its region,
-	// plus the whole data area of any region the cursor never reached.
-	cursor := f.gu32(sbCursor)
-	for i, r := range regs {
-		ds, end := regionDataStart(i, r), r.off+r.length
-		switch {
-		case cursor >= ds && cursor <= end:
-			tail += int64(end - cursor)
-		case cursor < ds:
-			tail += int64(end - ds)
-		}
-	}
+	size := int64(f.size())
+	total, tail := size-dataStart, size-int64(f.gu32(sbCursor))
 	if used+free+tail != total {
-		panic(fmt.Sprintf("step %d: leak after compact: used %d + free %d + tail %d != data area %d",
+		panic(fmt.Sprintf("step %d: leak after compact: used %d + free %d + tail %d != extent area %d",
 			step, used, free, tail, total))
 	}
 }
@@ -280,8 +266,8 @@ func TestCompactReclaimsSpace(t *testing.T) {
 }
 
 // TestGrowthChainsRegions exercises the soft ErrNoSpace limit: an image
-// formatted small but growable chains new regions on demand, and the
-// hard ceiling still refuses.
+// formatted small but growable grows in place on demand, and the hard
+// ceiling still refuses.
 func TestGrowthChainsRegions(t *testing.T) {
 	m := kernel.New(kernel.Config{})
 	res := m.Run(func(env *kernel.Env) {
@@ -295,9 +281,9 @@ func TestGrowthChainsRegions(t *testing.T) {
 			panic("content lost across growth")
 		}
 		if f.GC().Grows == 0 {
-			panic("image never chained a region")
+			panic("image never grew")
 		}
-		// Attach still validates the grown chain.
+		// Attach still validates the grown image.
 		if _, err := Attach(env, testBase, 4<<20); err != nil {
 			panic(fmt.Sprintf("attach grown image: %v", err))
 		}
@@ -313,4 +299,129 @@ func TestGrowthChainsRegions(t *testing.T) {
 	if res.Status != kernel.StatusHalted {
 		t.Fatalf("%v: %v", res.Status, res.Err)
 	}
+}
+
+// chained_v2.img.gz is an image grown under the chained-region format
+// (89972c6), when every growth mapped a header page and a region-table
+// entry. It was written there by
+//
+//	f := FormatGrowable(env, testBase, 64<<10, 4<<20)
+//	f.Mkdir("d")
+//	for _, name := range []string{"a", "d/b", "big", "c"} { f.WriteFile(name, chainedFill(name)) }
+//	f.Unlink("a")
+//	for _, name := range []string{"huge", "d/e"} { f.WriteFile(name, chainedFill(name)) }
+//
+// then read out whole (f.ImageSize() bytes) and gzipped. "big" grew it
+// once and "huge" again: it holds three regions, the second's tail on the
+// free list, and "d/e" reusing a's extent.
+var chainedSizes = map[string]int{"d/b": 20000, "big": 40000, "c": 5000, "huge": 1000000, "d/e": 100}
+
+// chainedFill is the content the fixture's file name was written with.
+func chainedFill(name string) []byte {
+	n := chainedSizes[name]
+	return bytes.Repeat([]byte(name+";"), n/(len(name)+1)+1)[:n]
+}
+
+// chainedImage is the fixture's bytes.
+func chainedImage(t testing.TB) []byte {
+	z, err := os.Open(filepath.Join("testdata", "chained_v2.img.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer z.Close()
+	r, err := gzip.NewReader(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestChainedImageAttachesAndGrowsInPlace: an image grown in chained
+// regions is one extent area. It attaches as it is, every file reads
+// back, a write past its end grows it in place, and Compact lays it out
+// canonically.
+func TestChainedImageAttachesAndGrowsInPlace(t *testing.T) {
+	img := chainedImage(t)
+	indexEnv(t, func(env *kernel.Env) {
+		env.Zero(testBase, uint64(len(img)), vm.PermRW)
+		env.Write(testBase, img)
+		f, err := Attach(env, testBase, uint64(len(img)))
+		if err != nil {
+			t.Fatalf("Attach: %v", err)
+		}
+		more := bytes.Repeat([]byte{0x5A}, 600<<10)
+		check := func(when string, grown bool) {
+			for name := range chainedSizes {
+				if got, err := f.ReadFile(name); err != nil || !bytes.Equal(got, chainedFill(name)) {
+					t.Fatalf("%s: %s reads %d bytes, %v", when, name, len(got), err)
+				}
+			}
+			if got, _ := f.ReadFile("more"); grown && !bytes.Equal(got, more) {
+				t.Fatalf("%s: the file that grew the image reads %d bytes", when, len(got))
+			}
+		}
+		check("attached", false)
+		gcCheckLayout(f, 0)
+
+		// The cursor sits at the end and no free entry holds 1 MiB, so
+		// the write bumps from the old end and grows the image there.
+		end := f.ImageSize()
+		must(f.WriteFile("more", more))
+		if off := f.iGet(f.lookup("more"), iExtOff); uint64(off) != end {
+			t.Errorf("the write landed at %d, want the old end %d", off, end)
+		}
+		if got, want := f.ImageSize(), end+1<<20; got != want {
+			t.Errorf("image grew to %d, want %d", got, want)
+		}
+		if g := f.GC().Grows; g != 3 {
+			t.Errorf("Grows = %d, want 3", g)
+		}
+		check("grown", true)
+		gcCheckLayout(f, 1)
+
+		st, err := f.Compact()
+		if err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		gcCheckLayout(f, 2)
+		gcCheckAccounting(f, st, 2)
+		if n := len(f.readFreeList()); n != 0 {
+			t.Errorf("%d free entries after Compact, want none", n)
+		}
+		check("compacted", true)
+		if _, err := Attach(env, testBase, f.ImageSize()); err != nil {
+			t.Errorf("Attach after Compact: %v", err)
+		}
+	})
+}
+
+// TestAllocationCrossesTheEnd: an extent the cursor cannot fit before the
+// end is placed at the cursor and the image grows under it, once; the
+// bytes before the old end go to the extent, not to the free list.
+func TestAllocationCrossesTheEnd(t *testing.T) {
+	indexEnv(t, func(env *kernel.Env) {
+		f := FormatGrowable(env, testBase, 64<<10, testSize)
+		must(f.WriteFile("x", make([]byte, 32<<10)))
+		must(f.WriteFile("y", make([]byte, 4<<10)))
+		cur := f.gu32(sbCursor)
+		if want := uint32(64<<10 - 8<<10); cur != want {
+			t.Fatalf("cursor %d, want %d", cur, want)
+		}
+		z := bytes.Repeat([]byte{9}, 16<<10)
+		must(f.WriteFile("z", z))
+		if off := f.iGet(f.lookup("z"), iExtOff); off != cur {
+			t.Errorf("z landed at %d, want the cursor %d", off, cur)
+		}
+		if gc := f.GC(); gc.FreeExtents != 0 || gc.Grows != 1 {
+			t.Errorf("free extents %d, grows %d; want 0 and 1", gc.FreeExtents, gc.Grows)
+		}
+		if got, _ := f.ReadFile("z"); !bytes.Equal(got, z) {
+			t.Error("z does not read back")
+		}
+		gcCheckLayout(f, 0)
+	})
 }

@@ -238,8 +238,9 @@ func Attach2(env *kernel.Env, base uint32, size uint64) *FS {
 
 // referenceAttach and referenceIndex are Attach and rebuildIndex as they
 // stood before their scans took columns — one checked load per field, in
-// slot order — kept verbatim as the oracle for what Attach returns and
-// charges and what rebuildIndex builds.
+// slot order — kept as the oracle for what Attach returns and charges and
+// what rebuildIndex builds. Every bound is the one-area rule: the cursor,
+// each extent and each free entry lie in [dataStart, size).
 func referenceAttach(env *kernel.Env, base vm.Addr, mapped uint64) (*FS, error) {
 	f := &FS{env: env, base: base}
 	if f.gu32(sbMagic) != Magic {
@@ -249,66 +250,37 @@ func referenceAttach(env *kernel.Env, base vm.Addr, mapped uint64) (*FS, error) 
 	if uint64(size) > mapped {
 		return nil, fmt.Errorf("fs: image claims %d bytes but only %d are mapped", size, mapped)
 	}
-	n := int(f.gu32(sbRegions))
-	if n < 1 || n > maxRegions {
-		return nil, fmt.Errorf("fs: corrupt region count %d", n)
+	if size%vm.PageSize != 0 {
+		return nil, fmt.Errorf("fs: image size %d is not whole pages", size)
 	}
-	end := uint32(0)
-	for i := 0; i < n; i++ {
-		start := f.gu32(uint32(regionTable + i*8))
-		rsize := f.gu32(uint32(regionTable + i*8 + 4))
-		if start != end || rsize == 0 {
-			return nil, fmt.Errorf("fs: region %d not chained (start %d, prev end %d)", i, start, end)
-		}
-		if i > 0 && (f.gu32(start) != regionMagic || f.gu32(start+4) != uint32(i)) {
-			return nil, fmt.Errorf("fs: region %d header missing", i)
-		}
-		end = start + rsize
-	}
-	if end != size {
-		return nil, fmt.Errorf("fs: regions cover %d bytes, superblock says %d", end, size)
-	}
-	// Allocation state must point into the chain too: a damaged cursor
-	// would panic on the first allocation, and damaged free entries
-	// would hand out extents on top of the metadata pages — the wild
-	// writes this layer otherwise guards against.
-	regs := f.regions()
-	if !insideDataArea(regs, f.gu32(sbCursor), 0) {
-		return nil, fmt.Errorf("fs: bump cursor %d outside the region chain", f.gu32(sbCursor))
+	if cur := f.gu32(sbCursor); !inside(size, cur, 0) {
+		return nil, fmt.Errorf("fs: bump cursor %d outside the extent area", cur)
 	}
 	if int(f.gu32(sbFreeCount)) > maxFree {
 		return nil, fmt.Errorf("fs: free table claims %d entries (max %d)", f.gu32(sbFreeCount), maxFree)
 	}
-	// Inode extents must point into the chain too: ReconcileFrom reads
-	// a replica's extents directly, and a corrupt iExtOff would turn
-	// into a machine fault mid-reconcile instead of this error.
 	for ino := 1; ino < NumInodes; ino++ {
 		fl := f.iGet(ino, iFlags)
 		c := f.iGet(ino, iExtCap)
 		isFile := fl&flagExists != 0 && fl&flagDir == 0
 		if !isFile && c != 0 {
-			// Free slots are scrubbed, tombstones freed their extent,
-			// directories never own one.
 			return nil, fmt.Errorf("fs: inode %d holds an extent it cannot own", ino)
 		}
 		if isFile {
 			if f.iGet(ino, iSize) > c {
 				return nil, fmt.Errorf("fs: inode %d size exceeds extent capacity", ino)
 			}
-			if c != 0 && !insideDataArea(regs, f.iGet(ino, iExtOff), c) {
-				return nil, fmt.Errorf("fs: inode %d extent [%d,+%d) outside the region chain",
+			if c != 0 && !inside(size, f.iGet(ino, iExtOff), c) {
+				return nil, fmt.Errorf("fs: inode %d extent [%d,+%d) outside the extent area",
 					ino, f.iGet(ino, iExtOff), c)
 			}
 		}
 	}
 	prevEnd := uint32(0)
 	for _, e := range f.readFreeList() {
-		if e.length == 0 || !insideDataArea(regs, e.off, e.length) {
-			return nil, fmt.Errorf("fs: free extent [%d,+%d) outside the region chain", e.off, e.length)
+		if e.length == 0 || !inside(size, e.off, e.length) {
+			return nil, fmt.Errorf("fs: free extent [%d,+%d) outside the extent area", e.off, e.length)
 		}
-		// The list must be sorted and disjoint: freeExtent's insertion
-		// and coalescing assume it, and duplicated entries would hand
-		// the same extent to two files.
 		if e.off < prevEnd {
 			return nil, fmt.Errorf("fs: free extent [%d,+%d) overlaps or disorders the free list", e.off, e.length)
 		}
@@ -349,8 +321,8 @@ var scanImages = []struct {
 		f := FormatGrowable(env, testBase, 64<<10, testSize)
 		must(f.WriteFile("a", bytes.Repeat([]byte{1}, 200<<10)))
 		must(f.WriteFile("b", bytes.Repeat([]byte{2}, 1200<<10)))
-		if n := f.gu32(sbRegions); n != 3 {
-			panic(fmt.Sprintf("grown image has %d regions, want 3", n))
+		if n := f.GC().Grows; n != 2 {
+			panic(fmt.Sprintf("image grew %d times, want 2", n))
 		}
 		return f
 	}},
@@ -438,9 +410,7 @@ func TestAttachRejectsWhatItRejected(t *testing.T) {
 	}{
 		{"unformatted", func(f *FS, _ int) { f.pu32(sbMagic, 0) }},
 		{"overclaimed size", func(f *FS, _ int) { f.pu32(sbSize, uint32(testSize)+vm.PageSize) }},
-		{"region count", func(f *FS, _ int) { f.pu32(sbRegions, 0) }},
-		{"unchained region", func(f *FS, _ int) { f.pu32(regionTable, 4096) }},
-		{"regions short of size", func(f *FS, _ int) { f.pu32(regionTable+4, uint32(testSize)-vm.PageSize) }},
+		{"ragged size", func(f *FS, _ int) { f.pu32(sbSize, uint32(testSize)-1) }},
 		{"cursor in superblock", func(f *FS, _ int) { f.pu32(sbCursor, 17) }},
 		{"free count", func(f *FS, _ int) { f.pu32(sbFreeCount, uint32(maxFree)+1) }},
 		{"free extent over metadata", func(f *FS, _ int) {
@@ -494,7 +464,9 @@ func TestAttachRejectChargesWholeColumns(t *testing.T) {
 // they cost at b99e401, when each read its flags one slot at a time.
 // Compact's pin is its one pass, tombstones reclaimed, straight after
 // ReconcileFrom: what Compact with ReclaimTombstones cost there at
-// 258997a, the last commit where Compact could also leave tombstones.
+// 258997a, the last commit where Compact could also leave tombstones,
+// less one tick since the image is one extent area: Compact reads its
+// size (one word) where it read the region count and table (two).
 func TestScanChargesPinned(t *testing.T) {
 	indexEnv(t, func(env *kernel.Env) {
 		f := scanTombstones(env)
@@ -512,7 +484,7 @@ func TestScanChargesPinned(t *testing.T) {
 		must(child.Unlink("f002"))
 		must(child.WriteFile("new", []byte("n")))
 		pin("ReconcileFrom", 430, func() { f.ReconcileFrom(child) })
-		pin("Compact", 531221, func() { f.Compact() })
+		pin("Compact", 531220, func() { f.Compact() })
 	})
 }
 

@@ -257,10 +257,10 @@ func walkCharge(env *kernel.Env, p []byte, both []*FS, single, composed func(*FS
 // (docs/determinism-rules.md quotes these).
 func TestWalkChargesPinned(t *testing.T) {
 	want := map[string][2]int64{
-		"WriteFileAll new depth 1":    {83, 89},
-		"WriteFileAll new depth 4":    {157, 208},
-		"WriteFile new depth 1":       {84, 90},
-		"WriteFile new depth 4":       {98, 131},
+		"WriteFileAll new depth 1":    {82, 88},
+		"WriteFileAll new depth 4":    {156, 207},
+		"WriteFile new depth 1":       {83, 89},
+		"WriteFile new depth 4":       {97, 130},
 		"WriteFile overwrite depth 1": {74, 79},
 		"WriteFile overwrite depth 4": {83, 106},
 		"ReadFile depth 1":            {38, 57},
