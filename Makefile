@@ -138,7 +138,11 @@ bench:
 # through an in-process server with every session resident and with one
 # machine for two clients — serve_hot and serve_evict minus the HTTP,
 # reporting evictions/op; time a serve change with that one (-benchtime
-# 300x) before claiming it with `go run ./benchmark`.
+# 300x) before claiming it with `go run ./benchmark`. Last, one
+# iteration of internal/bench's BenchmarkCkptSave, the ruler ROADMAP's
+# O(dirty) bar is set on: it times the Session.Suspend a user pays (a
+# fresh save and a chained one after a resume), and no test builds or
+# runs a benchmark, so without this line a break in it would go unseen.
 bench-smoke:
 	$(GO) test -bench='Fig4|DschedRound|MergeDirtyPages|ForkJoinThread|DetFFT|BaseFFT|ParSplit' -benchtime=1x -run='^$$' .
 	$(GO) test -bench='TypedAccess|CopyAllFrom|Snapshot' -benchtime=1x -run='^$$' ./internal/vm
@@ -147,6 +151,7 @@ bench-smoke:
 	$(GO) test -bench=EncodeBlob -benchtime=1x -run='^$$' ./internal/castore
 	$(GO) test -bench='Build|TaskMessage' -benchtime=1x -run='^$$' ./internal/detmake
 	$(GO) test -bench=Serve -benchtime=1x -run='^$$' ./internal/serve
+	$(GO) test -bench=CkptSave -benchtime=1x -run='^$$' ./internal/bench
 
 # The par_coarse and par_fine wall_ratio split by program: each suite
 # program at its default size on GOMAXPROCS threads, deterministic run

@@ -1,8 +1,8 @@
 // The module's micro-benchmarks (`go test -bench`): testing.B's own
-// repetition is the only timing loop here. The package is external
-// because it needs nothing unexported; the import cycle that once forced
-// it (bench → serve → repro) is gone — internal/bench depends only on
-// baseline, core, kernel, uproc, vm and workload.
+// repetition is the only timing loop here. The package is external, and
+// must be: internal/bench imports repro (its ckpt sweep saves and
+// resumes through the Session), and an external test package may import
+// a package that imports the one under test without a cycle.
 package repro_test
 
 import (

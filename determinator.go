@@ -17,12 +17,15 @@
 //	if err != nil {
 //	    log.Fatal(err)
 //	}
-//	res := sess.Run(func(rt *repro.RT) uint64 {
+//	res, err := sess.RunProgram(repro.Program{Result: func(rt *repro.RT) uint64 {
 //	    x := rt.Alloc(4, 0)
 //	    rt.Env().WriteU32(x, 1)
 //	    rt.ParallelDo(4, func(t *repro.Thread) uint64 { ... })
 //	    return uint64(rt.Env().ReadU32(x))
-//	})
+//	}})
+//
+// A Program with no phases is a one-shot run: Result is the whole
+// program.
 //
 // Sessions also own deterministic checkpoint/restore. A phased Program
 // bound to a session runs one Step at a time, and at any phase barrier
@@ -212,8 +215,9 @@ type (
 )
 
 // Run executes main as a deterministic parallel program on a fresh
-// machine and returns the result. It is the legacy one-shot form of
-// Session.Run, kept as a thin wrapper.
+// machine and returns the result. It is the pre-Session spelling of
+// RunProgram(Program{Result: main}) on a Session built from opts, kept
+// as a thin wrapper because the frozen benchmark/ calls it.
 func Run(opts Options, main func(rt *RT) uint64) RunResult { return core.Run(opts, main) }
 
 // NewRegistry returns an empty program registry for UprocProgram.

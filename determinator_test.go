@@ -100,8 +100,8 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res := sess.Run(func(rt *RT) uint64 { prog(rt.Env()); return 0 }); res.Err != nil {
-			t.Fatal(res.Err)
+		if _, err := sess.RunProgram(Program{Result: func(rt *RT) uint64 { prog(rt.Env()); return 0 }}); err != nil {
+			t.Fatal(err)
 		}
 		return sess
 	}

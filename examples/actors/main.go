@@ -29,9 +29,14 @@ const (
 )
 
 func main() {
-	res := repro.Run(repro.Options{Kernel: repro.MachineConfig{CPUsPerNode: 4}}, simulate)
-	if res.Err != nil {
-		fmt.Fprintln(os.Stderr, "machine stopped:", res.Err)
+	sess, err := repro.NewSession(repro.WithMachine(repro.MachineConfig{CPUsPerNode: 4}))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	res, err := sess.RunProgram(repro.Program{Result: simulate})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "machine stopped:", err)
 		os.Exit(1)
 	}
 	if res.Ret != 1 {

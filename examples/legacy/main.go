@@ -40,7 +40,12 @@ func main() {
 // run executes the job queue once and returns which worker took each job.
 func run() []uint32 {
 	var got []uint32
-	res := repro.Run(repro.Options{Kernel: repro.MachineConfig{CPUsPerNode: 4}}, func(rt *repro.RT) uint64 {
+	sess, err := repro.NewSession(repro.WithMachine(repro.MachineConfig{CPUsPerNode: 4}))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	_, err = sess.RunProgram(repro.Program{Result: func(rt *repro.RT) uint64 {
 		// Small quantum: plenty of preemption.
 		s, err := repro.NewSchedWith(rt, repro.SchedConfig{Quantum: 2_000})
 		if err != nil {
@@ -84,9 +89,9 @@ func run() []uint32 {
 			sig = sig*31 + uint64(v)
 		}
 		return sig
-	})
-	if res.Err != nil {
-		fmt.Fprintln(os.Stderr, "run failed:", res.Err)
+	}})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "run failed:", err)
 		os.Exit(1)
 	}
 	return got

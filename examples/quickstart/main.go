@@ -21,9 +21,15 @@ import (
 )
 
 func main() {
-	res := repro.Run(repro.Options{Kernel: repro.MachineConfig{CPUsPerNode: 4}}, demo)
-	if res.Err != nil {
-		fmt.Fprintln(os.Stderr, "machine stopped:", res.Err)
+	sess, err := repro.NewSession(repro.WithMachine(repro.MachineConfig{CPUsPerNode: 4}))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	// A program with no phases is a one-shot run: Result is all of it.
+	res, err := sess.RunProgram(repro.Program{Result: demo})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "machine stopped:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("done (deterministic virtual time: %d instructions)\n", res.VT)

@@ -67,7 +67,8 @@ func program(env *repro.Env) {
 func run(stdin string, out io.Writer, opts ...repro.SessionOption) *repro.Session {
 	sess, err := repro.NewSession(append(opts, repro.WithConsole(strings.NewReader(stdin), out))...)
 	check(err)
-	check(sess.Run(func(rt *repro.RT) uint64 { program(rt.Env()); return 0 }).Err)
+	_, err = sess.RunProgram(repro.Program{Result: func(rt *repro.RT) uint64 { program(rt.Env()); return 0 }})
+	check(err)
 	return sess
 }
 

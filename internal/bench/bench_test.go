@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/kernel"
+	"repro"
 )
 
 // The harness itself under test. Every quantity it prints is exact, so
@@ -394,17 +394,19 @@ func TestTableFormatting(t *testing.T) {
 }
 
 // BenchmarkCkptSave is the ruler for ROADMAP's O(dirty) bar: a second
-// checkpoint after a 2%-dirty round (delta2) should cost within 2× of
-// the first checkpoint of a machine that only ever dirtied 2% (fresh2).
-// Only the last env.Checkpoint of each run is timed; the workloads are
-// the ckpt table's 2% and Δ2 rows on the quick-mode 32M region.
+// save after a 2%-dirty round (delta2) should cost within 2× of the
+// first save of a machine that only ever dirtied 2% (fresh2). Only the
+// last Session.Suspend of each run is timed — the capture, the chunking
+// into a MemStore and the machine's teardown, what an eviction pays;
+// delta2 suspends after a full round, resumes, dirties 2% and suspends
+// again. The workloads are the ckpt table's 2% and Δ2 rows on the
+// quick-mode 32M region.
 func BenchmarkCkptSave(b *testing.B) {
 	const region, threads = 32 << 20, 4
-	cfg := kernel.Config{CPUsPerNode: threads}
 	for _, sh := range []struct {
 		name  string
 		w     ckptWorkload
-		saves []int // barriers checkpointed; the last is the timed one
+		saves []int // barriers suspended at; the last is the timed one
 	}{
 		{"fresh2", ckptWorkload{region: region, frac: 2, threads: threads, phases: 3}, []int{2}},
 		{"delta2", ckptWorkload{region: region, frac: 2, threads: threads, phases: 3,
@@ -413,26 +415,27 @@ func BenchmarkCkptSave(b *testing.B) {
 		b.Run(sh.name, func(b *testing.B) {
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
-				saved := 0
-				var saveErr error
-				// The hook runs on the machine's root goroutine, so it
-				// reports through saveErr rather than b.Fatal.
-				res := sh.w.run(cfg, 0, nil, func(env *kernel.Env, after int) bool {
-					if after != sh.saves[saved] {
-						return true
+				store := repro.NewMemStore()
+				s := sh.w.session()
+				if err := s.Bind(sh.w.program()); err != nil {
+					b.Fatal(err)
+				}
+				pos := 0
+				for j, at := range sh.saves {
+					if _, err := s.Step(at - pos); err != nil {
+						b.Fatal(err)
 					}
-					saved++
-					last := saved == len(sh.saves)
-					if last {
+					pos = at
+					if j == len(sh.saves)-1 {
 						b.StartTimer()
 					}
-					_, saveErr = env.Checkpoint(kernel.CheckpointOpts{})
+					_, err := s.Suspend(store)
 					b.StopTimer()
-					return !last && saveErr == nil
-				})
-				if saveErr != nil || res.Err != nil {
-					b.Fatal(saveErr, res.Err)
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
+				s.Close()
 			}
 		})
 	}

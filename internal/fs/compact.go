@@ -1,5 +1,7 @@
 package fs
 
+import "repro/internal/vm"
+
 // Compact rewrites the image's extent area into its canonical layout:
 // every live file's data is re-placed in inode order, end to end from the
 // start of the extent area, every extent capacity is reset to the
@@ -16,12 +18,18 @@ package fs
 // image. A child replica forked before a deletion would otherwise lose
 // the record that propagates it — the master of a fork round calls
 // Compact after collecting every child, never between forks.
+//
+// Its cost is what the image holds, not its size. The extent area is
+// zeroed by remapping it with fresh zero pages, which charges nothing,
+// as Format's and grow's zeroing charge nothing, and leaves only the
+// metadata and the live data backed; the live data is then written back
+// through charged writes. Unlike a charged write, the remap does not
+// evict the span from other nodes' read-only caches. Nothing observes
+// that: the one caller that compacts every round, the kv workload's
+// master image, runs on one node.
 func (f *FS) Compact() (CompactStats, error) {
 	defer f.unlock()()
 	var st CompactStats
-	for _, e := range f.readFreeList() {
-		st.FreeBytesBefore += int64(e.length)
-	}
 
 	// Gather every live file's extent, in inode order, into host
 	// memory, and lay it out at the next canonical offset. The image is
@@ -31,10 +39,10 @@ func (f *FS) Compact() (CompactStats, error) {
 	// layout past the image's end means a corrupt image — guard rather
 	// than destroy.
 	type item struct {
-		ino            int
-		oldOff, newOff uint32
-		size, cap      uint32
-		data           []byte
+		ino       int
+		off       uint32 // the canonical offset
+		size, cap uint32
+		data      []byte
 	}
 	var items []item
 	size := uint32(f.size())
@@ -47,16 +55,16 @@ func (f *FS) Compact() (CompactStats, error) {
 			continue
 		}
 		sz := f.iGet(ino, iSize)
-		it := item{ino: ino, oldOff: f.iGet(ino, iExtOff), size: sz, cap: f.canonicalCap(sz)}
+		it := item{ino: ino, size: sz, cap: f.canonicalCap(sz)}
 		if sz > 0 {
 			it.data = make([]byte, sz)
-			f.gbytes(it.oldOff, it.data)
+			f.gbytes(f.iGet(ino, iExtOff), it.data)
 		}
 		if it.cap != 0 {
 			if !inside(size, cursor, it.cap) {
 				return st, ErrNoSpace
 			}
-			it.newOff = cursor
+			it.off = cursor
 			cursor += it.cap
 		}
 		items = append(items, it)
@@ -73,23 +81,13 @@ func (f *FS) Compact() (CompactStats, error) {
 	// Zero the whole extent area, then write the live data back at its
 	// canonical offsets. Zero-first makes freed space and extent tails
 	// read as zeros — the canonical image.
-	zero := make([]byte, 64<<10)
-	for off := uint32(dataStart); off < size; {
-		n := min(uint32(len(zero)), size-off)
-		f.pbytes(off, zero[:n])
-		off += n
-	}
+	f.env.Zero(f.base+dataStart, uint64(size-dataStart), vm.PermRW)
 	for _, it := range items {
 		if it.size > 0 {
-			f.pbytes(it.newOff, it.data)
+			f.pbytes(it.off, it.data)
 		}
-		if it.newOff != it.oldOff || it.cap != f.iGet(it.ino, iExtCap) {
-			st.Moved++
-			st.MovedBytes += int64(it.size)
-		}
-		f.iPut(it.ino, iExtOff, it.newOff)
+		f.iPut(it.ino, iExtOff, it.off)
 		f.iPut(it.ino, iExtCap, it.cap)
-		st.Live++
 	}
 
 	f.writeFreeList(nil)
@@ -100,9 +98,5 @@ func (f *FS) Compact() (CompactStats, error) {
 
 // CompactStats reports what a Compact pass did.
 type CompactStats struct {
-	Live            int   // live extents laid out
-	Moved           int   // extents whose offset or capacity changed
-	MovedBytes      int64 // bytes rewritten because of moves
-	Tombs           int   // tombstone slots reclaimed
-	FreeBytesBefore int64 // free-list bytes before the pass
+	Tombs int // tombstone slots reclaimed
 }

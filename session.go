@@ -23,12 +23,13 @@ import (
 // record/replay — and the home of deterministic checkpoint/restore.
 //
 // A Session is a validated configuration plus the run entry points.
-// Run, RunProgram and RunToCheckpoint each build a fresh machine, run it
-// and tear it down. A session bound to a program (Bind, BindSuspended)
-// owns a live machine whose root program parks at a phase barrier
-// between Steps, so a timeslice costs the program's own phases plus one
-// goroutine handoff; it is the one way a run is saved, resumed or
-// captured mid-way.
+// RunProgram and RunToCheckpoint each build a fresh machine, run it and
+// tear it down; a program with no phases is the one-shot run,
+// RunProgram(Program{Result: main}). A session bound to a program
+// (Bind, BindSuspended) owns a live machine whose root program parks at
+// a phase barrier between Steps, so a timeslice costs the program's own
+// phases plus one goroutine handoff; it is the one way a run is saved,
+// resumed or captured mid-way.
 //
 // # Checkpoint/restore
 //
@@ -67,8 +68,8 @@ import (
 //
 // The states:
 //
-//   - Idle: no program bound; Run, RunProgram, RunToCheckpoint and the
-//     two binds are available, and the one-shot runs leave it Idle.
+//   - Idle: no program bound; RunProgram, RunToCheckpoint and the two
+//     binds are available, and the one-shot runs leave it Idle.
 //   - Running: an entry point is in flight. Any lifecycle call made
 //     concurrently fails immediately with *StateError instead of
 //     queueing behind the run (a Suspend mid-run, a second Step).
@@ -381,22 +382,6 @@ func (s *Session) deviceConfig(out io.Writer) MachineConfig {
 		cfg.Console = kernel.NewConsole(input, out)
 	}
 	return cfg
-}
-
-// Run executes main as a deterministic parallel program on a fresh
-// machine built from the session configuration — the Session form of the
-// package-level Run. Lifecycle misuse (a concurrent run in flight, a
-// closed or bound session) surfaces as a StatusNever result whose Err is
-// a *StateError.
-func (s *Session) Run(main func(rt *RT) uint64) RunResult {
-	if err := s.begin("Run", StateIdle); err != nil {
-		return RunResult{Status: kernel.StatusNever, Err: err}
-	}
-	defer s.mu.Unlock()
-	m := kernel.New(s.deviceConfig(s.cfg.Output))
-	return m.Run(func(env *kernel.Env) {
-		env.SetRet(main(core.New(env, s.cfg.SharedSize)))
-	}, 0)
 }
 
 // Program is a phased deterministic program: the checkpointable form.

@@ -388,7 +388,7 @@ func TestSessionAPIHammer(t *testing.T) {
 			go func(h int) {
 				defer wg.Done()
 				for i := 0; i < iters; i++ {
-					switch (i + h) % 12 {
+					switch (i + h) % 11 {
 					case 0:
 						_ = s.State()
 					case 1:
@@ -414,8 +414,6 @@ func TestSessionAPIHammer(t *testing.T) {
 						_, err := s.RunToCheckpoint(p, 1)
 						refused("RunToCheckpoint", err)
 					case 10:
-						refused("Run", s.Run(func(*RT) uint64 { return 0 }).Err)
-					case 11:
 						// A competing stepper: it may win slices from the driver.
 						_, err := s.Step(1)
 						refused("Step", err)

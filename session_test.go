@@ -6,11 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/imgenc"
+	"repro/internal/kernel"
+	"repro/internal/workload"
 )
 
 // --- helpers -----------------------------------------------------------------
@@ -744,41 +747,100 @@ func TestLegacyWrapperValidation(t *testing.T) {
 	}
 }
 
-// Session.Run honors the composed configuration the free functions used
-// to take separately: record/replay through the session reproduces runs.
-func TestSessionRunRecordReplay(t *testing.T) {
-	prog := func(rt *RT) uint64 {
+// quickSize is a suite program's problem size in detbench -quick.
+func quickSize(name string) int {
+	switch name {
+	case "matmult", "lu_cont", "lu_noncont":
+		return 64
+	case "qsort":
+		return 1 << 13
+	}
+	return 1 << 11
+}
+
+// TestZeroPhaseProgramIsCoreRun is the oracle for the one-shot run: a
+// Program with no phases, run through RunProgram, returns exactly the
+// RunResult core.Run returns for the same main on the same machine —
+// on one and two nodes, for every suite program at quick size, for
+// md5-tree, which spreads its threads over the nodes (the suite programs
+// fork every thread on the home node, so it is the case that moves pages
+// between nodes), and for a program that reads the clock and the entropy
+// device. A run recorded WithRecord returns the same result, and replays
+// bit-identically WithReplay on a machine whose own devices would answer
+// differently.
+func TestZeroPhaseProgramIsCoreRun(t *testing.T) {
+	const threads = 2
+	type oneShot struct {
+		name   string
+		shared uint64
+		main   func(rt *RT) uint64
+	}
+	var progs []oneShot
+	for _, spec := range workload.Specs() {
+		size := quickSize(spec.Name)
+		progs = append(progs, oneShot{spec.Name, spec.SharedBytes(size),
+			func(rt *RT) uint64 { return spec.Det(rt, threads, size) }})
+	}
+	progs = append(progs, oneShot{"md5-tree", 1 << 20, func(rt *RT) uint64 {
+		return workload.MD5Tree(rt, rt.Env().Nodes(), 1<<12)
+	}})
+	progs = append(progs, oneShot{"devices", 0, func(rt *RT) uint64 {
 		h := uint64(7)
 		for i := 0; i < 5; i++ {
 			h = h*31 + rt.Env().RandUint64() + uint64(rt.Env().ClockNow())
 		}
 		return h
-	}
-	rec := mustSession(t, WithRecord())
-	res1 := rec.Run(prog)
-	if res1.Err != nil {
-		t.Fatal(res1.Err)
-	}
-	if got := len(rec.TraceLog().Rand); got != 5 {
-		t.Fatalf("recorded %d rand readings, want 5", got)
-	}
-	rep := mustSession(t, WithReplay(rec.TraceLog()))
-	res2 := rep.Run(prog)
-	if res2.Ret != res1.Ret || res2.VT != res1.VT {
-		t.Fatalf("replayed session diverged: %+v vs %+v", res2, res1)
+	}})
+	for _, nodes := range []int{1, 2} {
+		for _, p := range progs {
+			t.Run(fmt.Sprintf("%s/nodes=%d", p.name, nodes), func(t *testing.T) {
+				// Each run gets its own entropy source: a seeded one
+				// advances as it is read.
+				machine := func() MachineConfig {
+					return MachineConfig{Nodes: nodes, CPUsPerNode: threads, Rand: kernel.SeededRand(12345)}
+				}
+				want := core.Run(core.Options{Kernel: machine(), SharedSize: p.shared}, p.main)
+				if want.Err != nil {
+					t.Fatal(want.Err)
+				}
+				run := func(mc MachineConfig, opts ...SessionOption) (RunResult, *Session) {
+					s := mustSession(t, append(opts, WithMachine(mc), WithSharedSize(p.shared))...)
+					res, err := s.RunProgram(Program{Result: p.main})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res, s
+				}
+				if got, _ := run(machine()); !reflect.DeepEqual(got, want) {
+					t.Fatalf("RunProgram %+v, core.Run %+v", got, want)
+				}
+				rec, s := run(machine(), WithRecord())
+				if !reflect.DeepEqual(rec, want) {
+					t.Fatalf("recorded RunProgram %+v, core.Run %+v", rec, want)
+				}
+				if p.name == "devices" && len(s.TraceLog().Rand) != 5 {
+					t.Fatalf("recorded %d entropy words, want 5", len(s.TraceLog().Rand))
+				}
+				own := machine()
+				own.Rand = nil // the default source: replay must not read it
+				if rep, _ := run(own, WithReplay(s.TraceLog())); !reflect.DeepEqual(rep, rec) {
+					t.Fatalf("replayed %+v, recorded %+v", rep, rec)
+				}
+			})
+		}
 	}
 }
 
 func TestSessionConsole(t *testing.T) {
 	var out strings.Builder
 	s := mustSession(t, WithConsole(strings.NewReader("ping"), &out))
-	res := s.Run(func(rt *RT) uint64 {
+	res, err := s.RunProgram(Program{Result: func(rt *RT) uint64 {
 		buf := make([]byte, 16)
 		n := rt.Env().ConsoleRead(buf)
 		rt.Env().ConsoleWrite([]byte("got:" + string(buf[:n])))
 		return uint64(n)
-	})
-	if res.Err != nil || res.Ret != 4 || out.String() != "got:ping" {
-		t.Fatalf("console session: %+v out=%q", res, out.String())
+	}})
+	if err != nil || res.Ret != 4 || out.String() != "got:ping" {
+		t.Fatalf("console session: %+v, %v out=%q", res, err, out.String())
 	}
 }
