@@ -68,11 +68,13 @@ race:
 # (DirStore.Ref), which every Collect runs over every file with a ref's
 # name; on detmake's build-file parser, whose errors must not quote a
 # hostile field whole; and on the trace log a session image carries
-# (trace.Unmarshal) — thirteen targets; and on one that decodes no
-# stored bytes but a script: FuzzMergeRule holds vm.MergeEx to the
-# merge's per-slot rule over child writes, SetPerms, Zeros and unmaps,
-# seeded with the unbacked-mapping case, one child history per mask test
-# of the adoption check, and one history it must adopt. The seed corpora also
+# (trace.Unmarshal) — thirteen targets; on the splice of that log over
+# what a resumed recording's restore re-read (FuzzLogSplice); and on one
+# that decodes no stored bytes but a script: FuzzMergeRule holds
+# vm.MergeEx to the merge's per-slot rule over child writes, SetPerms,
+# Zeros and unmaps, seeded with the unbacked-mapping case, one child
+# history per mask test of the adoption check, and one history it must
+# adopt — fifteen targets in all. The seed corpora also
 # run as plain tests under `make test`; this target is what mutates
 # them. A crasher is written to the package's testdata/fuzz and fails
 # every later `go test` until fixed.
@@ -94,6 +96,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz FuzzRefValue ./internal/castore
 	$(FUZZ) -fuzz FuzzBuildFile ./cmd/detmake
 	$(FUZZ) -fuzz FuzzTraceUnmarshal ./internal/trace
+	$(FUZZ) -fuzz FuzzLogSplice ./internal/trace
 
 # Full-size experiment tables (slow); see also `go run ./cmd/detbench`.
 bench:

@@ -487,7 +487,9 @@ func (m *Machine) decodeConfig(r *imgenc.Reader) (devClock, devRand, devConsole 
 
 // fastForward consumes and discards device readings up to the recorded
 // cursors, so the next read the program issues sees exactly what the
-// uninterrupted run saw.
+// uninterrupted run saw. It is the one place a resume skips readings: a
+// recording session overwrites what it logged here with the image's
+// trace prefix (trace.Log.Splice).
 func (m *Machine) fastForward(devClock, devRand, devConsole int64) error {
 	for i := int64(0); i < devClock; i++ {
 		m.clock()
@@ -500,8 +502,8 @@ func (m *Machine) fastForward(devClock, devRand, devConsole int64) error {
 		remaining := devConsole
 		// The console is a polled device: a 0-byte read legally means "no
 		// input pending yet", so tolerate a bounded number of empty reads
-		// (as trace's skipReader does) before declaring the source
-		// genuinely shorter than the checkpoint cursor.
+		// before declaring the source genuinely shorter than the
+		// checkpoint cursor.
 		empty := 0
 		for remaining > 0 {
 			n := int64(len(buf))

@@ -9,11 +9,14 @@ import (
 // it; every other space sees console I/O as file-system state propagated
 // through the space hierarchy (§4.3). Input is non-blocking at the device
 // level: read returns what is available now, modelling an input FIFO.
+// A read is one Read of the host source into the program's buffer, so
+// a recorder around the source (trace.Log.RecordInput) logs each read
+// that delivers bytes as one chunk: exactly what the program received.
+// Once the source fails or ends, the console stays dry.
 type Console struct {
 	mu  sync.Mutex
 	in  io.Reader
 	out io.Writer
-	buf []byte
 	eof bool
 }
 
@@ -26,16 +29,13 @@ func NewConsole(in io.Reader, out io.Writer) *Console {
 func (c *Console) read(p []byte) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.buf) == 0 && c.in != nil && !c.eof {
-		tmp := make([]byte, 4096)
-		n, err := c.in.Read(tmp)
-		c.buf = append(c.buf, tmp[:n]...)
-		if err != nil {
-			c.eof = true
-		}
+	if c.in == nil || c.eof {
+		return 0
 	}
-	n := copy(p, c.buf)
-	c.buf = c.buf[n:]
+	n, err := c.in.Read(p)
+	if err != nil {
+		c.eof = true
+	}
 	return n
 }
 

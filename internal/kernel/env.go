@@ -312,8 +312,9 @@ func (e *Env) requireRoot(op string) {
 	}
 }
 
-// ConsoleRead reads available console input (root only). It returns 0
-// when no input is pending; the caller decides how to wait.
+// ConsoleRead reads available console input (root only): one read of
+// the host source into p, so it returns at most len(p) bytes, and 0 when
+// no input is pending; the caller decides how to wait.
 func (e *Env) ConsoleRead(p []byte) int {
 	e.requireRoot("console-read")
 	n := e.sp.m.console.read(p)

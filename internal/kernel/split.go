@@ -19,13 +19,15 @@ import (
 // SplitImage separates a machine checkpoint image into a self-sealed
 // metadata image (config + tree sections, no forest) and the raw vm
 // forest bytes. The input is fully validated — a truncated or corrupt
-// image fails with *BadImageError before anything is returned.
+// image fails with *BadImageError before anything is returned. The
+// forest is a view into img, not a copy: it changes if img does, and
+// appending to it cannot reach img.
 func SplitImage(img []byte) (meta, forest []byte, err error) {
 	_, _, f, head, err := sections(img, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	return imgenc.Seal(bytes.Clone(head)), bytes.Clone(f), nil
+	return imgenc.Seal(bytes.Clone(head)), f[:len(f):len(f)], nil
 }
 
 // JoinImage recombines a metadata image from SplitImage with forest

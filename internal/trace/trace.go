@@ -3,7 +3,10 @@
 // and console input. Because the kernel eliminates all internal
 // nondeterminism, logging these external inputs alone is sufficient to
 // replay any computation exactly — the property replay debugging, fault
-// tolerance and intrusion analysis rely on.
+// tolerance and intrusion analysis rely on. A recording resumed from a
+// checkpoint logs what the kernel's restore re-read from the devices,
+// and Splice puts the image's recorded prefix in its place, so the log
+// is the one an uninterrupted recording would have made.
 package trace
 
 import (
@@ -20,7 +23,7 @@ import (
 type Log struct {
 	Clock []int64  `json:"clock"`
 	Rand  []uint64 `json:"rand"`
-	Input [][]byte `json:"input"` // console input, one entry per device read
+	Input [][]byte `json:"input"` // console input, one entry per device read: the bytes it delivered
 }
 
 // Marshal serializes the log.
@@ -46,106 +49,6 @@ func (l *Log) Clone() *Log {
 		c.Input = append(c.Input, append([]byte(nil), chunk...))
 	}
 	return c
-}
-
-// ReplayPrefix wraps cfg's devices so the first len(prefix.*) readings
-// of each device come from the prefix log, after which reads fall
-// through to the devices cfg already had. Each replayed reading also
-// consumes (and discards) one reading from the underlying source, so a
-// deterministic generator — the logical clock, the seeded entropy
-// device — is advanced exactly as the recorded run advanced it and the
-// post-prefix readings continue the original sequence.
-//
-// This is the splice a resumed recording needs: the kernel's restore
-// fast-forwards the devices past the prefix (consuming exactly the
-// recorded values, even when the underlying source is not reproducible),
-// and recording continues on the live source — so a run recorded across
-// a checkpoint/resume yields the same log an uninterrupted recording
-// would. Call before Record and before kernel.New.
-func ReplayPrefix(cfg *kernel.Config, prefix *Log) {
-	clock := cfg.Clock
-	if clock == nil {
-		clock = kernel.LogicalClock()
-	}
-	pc := replayClock(prefix.Clock)
-	var cmu sync.Mutex
-	ci := 0
-	cfg.Clock = func() int64 {
-		cmu.Lock()
-		i := ci
-		ci++
-		cmu.Unlock()
-		if i < len(prefix.Clock) {
-			clock() // keep the underlying source in step
-			return pc()
-		}
-		return clock()
-	}
-
-	rnd := cfg.Rand
-	if rnd == nil {
-		rnd = kernel.SeededRand(1)
-	}
-	pr := replayRand(prefix.Rand)
-	var rmu sync.Mutex
-	ri := 0
-	cfg.Rand = func() uint64 {
-		rmu.Lock()
-		i := ri
-		ri++
-		rmu.Unlock()
-		if i < len(prefix.Rand) {
-			rnd()
-			return pr()
-		}
-		return rnd()
-	}
-}
-
-// PrefixReader returns a reader that first delivers the log's recorded
-// console input with its recorded chunk boundaries, then continues with
-// in — which should be the run's full input source: the bytes the prefix
-// already covers are skipped, mirroring what ReplayPrefix does for the
-// other devices. in may be nil for EOF after the prefix.
-func (l *Log) PrefixReader(in io.Reader) io.Reader {
-	skip := 0
-	for _, c := range l.Input {
-		skip += len(c)
-	}
-	return io.MultiReader(l.ReplayInput(), &skipReader{in: in, skip: skip})
-}
-
-// skipReader discards the first skip bytes of in, then reads through.
-type skipReader struct {
-	in   io.Reader
-	skip int
-}
-
-func (r *skipReader) Read(p []byte) (int, error) {
-	if r.in == nil {
-		return 0, io.EOF
-	}
-	// Bound the zero-progress (0, nil) reads a non-blocking source may
-	// legally return, so the skip loop cannot spin forever.
-	for empty := 0; r.skip > 0; {
-		n := r.skip
-		if n > len(p) {
-			n = len(p)
-		}
-		got, err := r.in.Read(p[:n])
-		r.skip -= got
-		if err != nil {
-			return 0, err
-		}
-		if got == 0 {
-			if empty++; empty >= 100 {
-				return 0, io.ErrNoProgress
-			}
-		} else {
-			empty = 0
-		}
-	}
-	return r.in.Read(p)
 }
 
 // Record wraps cfg's devices so that every nondeterministic input is
@@ -204,11 +107,68 @@ func (r *recordingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// Splice turns the log of a machine that has just restored a checkpoint
+// into the log the uninterrupted run would have recorded. The restore
+// re-read every device up to the image's cursors from the live sources
+// (kernel.Machine.Restore), and l recorded those readings; prefix is the
+// log the run recorded before the checkpoint. Clock and entropy readings
+// are overwritten one for one. Console input becomes the prefix's
+// chunks, cut where the restore's reading stopped: a log recorded by a
+// console that read ahead of its program carries bytes past the cursor.
+// Where prefix is shorter than what the restore read, the restore's own
+// readings stand past its end. Call it before the machine runs on.
+func (l *Log) Splice(prefix *Log) {
+	copy(l.Clock, prefix.Clock)
+	copy(l.Rand, prefix.Rand)
+	read := 0
+	for _, c := range l.Input {
+		read += len(c)
+	}
+	var in [][]byte
+	off := 0 // prefix bytes kept
+	for _, c := range prefix.Input {
+		if off == read {
+			break
+		}
+		c = c[:min(len(c), read-off)]
+		in = append(in, bytes.Clone(c))
+		off += len(c)
+	}
+	for _, c := range l.Input { // the restore's bytes past the prefix
+		if off >= len(c) {
+			off -= len(c)
+			continue
+		}
+		in = append(in, c[off:])
+		off = 0
+	}
+	l.Input = in
+}
+
 // Replay configures cfg's devices to reproduce the logged inputs: the
 // machine sees exactly the values of the recorded run.
 func Replay(cfg *kernel.Config, l *Log) {
-	cfg.Clock = replayClock(l.Clock)
-	cfg.Rand = replayRand(l.Rand)
+	cfg.Clock = replayer(l.Clock)
+	cfg.Rand = replayer(l.Rand)
+}
+
+// replayer hands out vals in order, then repeats the last one; an empty
+// log reads as zeros.
+func replayer[T int64 | uint64](vals []T) func() T {
+	var mu sync.Mutex
+	i := 0
+	return func() T {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(vals) == 0 {
+			return 0
+		}
+		v := vals[i]
+		if i < len(vals)-1 {
+			i++
+		}
+		return v
+	}
 }
 
 // ReplayInput returns a reader that delivers the recorded console input
@@ -232,40 +192,4 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 		c.idx++
 	}
 	return c.buf.Read(p)
-}
-
-func replayClock(vals []int64) kernel.ClockFunc {
-	var mu sync.Mutex
-	i := 0
-	return func() int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		if i >= len(vals) {
-			if len(vals) == 0 {
-				return 0
-			}
-			return vals[len(vals)-1]
-		}
-		v := vals[i]
-		i++
-		return v
-	}
-}
-
-func replayRand(vals []uint64) kernel.RandFunc {
-	var mu sync.Mutex
-	i := 0
-	return func() uint64 {
-		mu.Lock()
-		defer mu.Unlock()
-		if i >= len(vals) {
-			if len(vals) == 0 {
-				return 0
-			}
-			return vals[len(vals)-1]
-		}
-		v := vals[i]
-		i++
-		return v
-	}
 }

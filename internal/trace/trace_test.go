@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -98,5 +100,47 @@ func TestChunkBoundariesPreserved(t *testing.T) {
 	n2, _ := r.Read(b[:])
 	if string(b[:n2]) != "cdef" {
 		t.Errorf("second chunk = %q", b[:n2])
+	}
+}
+
+// pieceReader hands out at most n bytes per Read.
+type pieceReader struct {
+	r io.Reader
+	n int
+}
+
+func (p pieceReader) Read(b []byte) (int, error) {
+	if len(b) > p.n {
+		b = b[:p.n]
+	}
+	return p.r.Read(b)
+}
+
+// A console read is one read of the host source: the log holds one chunk
+// per read that delivered bytes, equal to what the program received.
+func TestConsoleRecordsOneChunkPerRead(t *testing.T) {
+	text := strings.Repeat("the quick brown fox ", 20)
+	var cfg kernel.Config
+	log := Record(&cfg)
+	cfg.Console = kernel.NewConsole(log.RecordInput(pieceReader{strings.NewReader(text), 7}), nil)
+	var got [][]byte
+	kernel.New(cfg).Run(func(env *kernel.Env) {
+		for i := 0; ; i++ {
+			b := make([]byte, []int{3, 64, 5, 7, 1}[i%5])
+			n := env.ConsoleRead(b)
+			if n == 0 {
+				return
+			}
+			if n > 7 {
+				t.Errorf("read %d returned %d bytes from a source that hands out 7", i, n)
+			}
+			got = append(got, b[:n])
+		}
+	}, 0)
+	if !reflect.DeepEqual(log.Input, got) {
+		t.Fatalf("recorded %q, program received %q", log.Input, got)
+	}
+	if all := bytes.Join(got, nil); string(all) != text {
+		t.Fatalf("program received %q, want %q", all, text)
 	}
 }

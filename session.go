@@ -153,10 +153,8 @@ type Session struct {
 	pos int
 
 	// log is the live recording of the most recent Run* call or of the
-	// live machine (Record mode); prefix is the already-recorded log a
-	// resumed session splices in front of it.
-	log    *TraceLog
-	prefix *TraceLog
+	// live machine (Record mode).
+	log *TraceLog
 }
 
 // SessionState is a Session's position in its lifecycle.
@@ -340,10 +338,11 @@ func NewSessionFromConfig(cfg SessionConfig) (*Session, error) {
 // TraceLog returns the trace recorded by the most recent Run* call
 // (Record mode only) — for a bound session, by its machine so far. For
 // a run resumed from a checkpoint the log is complete, not a suffix:
-// the restore re-records the image's prefix while fast-forwarding the
-// devices, so the result is bit-identical to the log an uninterrupted
-// recording would have produced. A live machine is still appending to
-// its log, so a resident session hands out a snapshot of it.
+// the readings the restore's fast-forward recorded are overwritten with
+// the image's prefix (trace.Log.Splice), so the result is bit-identical
+// to the log an uninterrupted recording would have produced. A live
+// machine is still appending to its log, so a resident session hands
+// out a snapshot of it.
 func (s *Session) TraceLog() *TraceLog {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -354,8 +353,8 @@ func (s *Session) TraceLog() *TraceLog {
 }
 
 // deviceConfig materializes the kernel configuration for one run:
-// console plumbing (writing to out), replay, resume-splicing and
-// recording, in that wrapping order.
+// console plumbing (writing to out), replay and recording, in that
+// wrapping order.
 func (s *Session) deviceConfig(out io.Writer) MachineConfig {
 	cfg := s.cfg.Machine
 	input := s.cfg.Input
@@ -364,13 +363,6 @@ func (s *Session) deviceConfig(out io.Writer) MachineConfig {
 		if len(s.cfg.Replay.Input) > 0 {
 			input = s.cfg.Replay.ReplayInput()
 		}
-	}
-	if s.prefix != nil {
-		// Resuming a recorded run: the first reads of each device replay
-		// the recorded prefix (consumed by the restore's fast-forward),
-		// then reads fall through to the live sources.
-		trace.ReplayPrefix(&cfg, s.prefix)
-		input = s.prefix.PrefixReader(input)
 	}
 	if s.cfg.Record {
 		s.log = trace.Record(&cfg)
@@ -466,11 +458,6 @@ func (s *Session) startPhased(p Program, img *Image, stop int, held bool) (*live
 	if err := bindable(p); err != nil {
 		return nil, err
 	}
-	if img != nil {
-		s.prefix = img.TracePrefix
-		defer func() { s.prefix = nil }()
-	}
-
 	l := &liveMachine{s: s, p: p, stop: stop,
 		ctl: make(chan liveCmd), evt: make(chan liveEvt), exited: make(chan struct{})}
 	out := s.cfg.Output
@@ -483,6 +470,9 @@ func (s *Session) startPhased(p Program, img *Image, stop int, held bool) (*live
 	if img != nil {
 		if err := l.m.Restore(img.Kernel); err != nil {
 			return nil, err
+		}
+		if s.cfg.Record && img.TracePrefix != nil {
+			s.log.Splice(img.TracePrefix)
 		}
 		start = img.Phase
 		if start > p.Phases {
@@ -1009,7 +999,6 @@ func (s *Session) Close() error {
 	s.final = nil
 	s.current = nil
 	s.log = nil
-	s.prefix = nil
 	return nil
 }
 
@@ -1045,8 +1034,8 @@ type Image struct {
 	// User holds the sections Program.Snapshot contributed.
 	User map[string][]byte
 	// TracePrefix is the trace recorded up to the checkpoint (Record
-	// mode only): the part of the log a resumed recording splices in
-	// front of its own.
+	// mode only): what a resumed recording puts in place of the readings
+	// its restore re-read (trace.Log.Splice).
 	TracePrefix *TraceLog
 	// Kernel is the machine image: the whole space tree, counters and
 	// device cursors.

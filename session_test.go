@@ -436,7 +436,8 @@ func TestSessionCheckpointResumeRecordedTrace(t *testing.T) {
 			t.Fatalf("recorded resume from %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
 		// The spliced log must equal the uninterrupted recording bit for
-		// bit: prefix re-recorded by the fast-forward, continuation live.
+		// bit: prefix spliced over the fast-forward's readings,
+		// continuation live.
 		gotLog, err := resumed.TraceLog().Marshal()
 		if err != nil {
 			t.Fatal(err)
@@ -469,7 +470,7 @@ func TestSessionCheckpointResumeRecordedTrace(t *testing.T) {
 // bit-identical to the uninterrupted recording.
 func TestSessionCheckpointResumeConsoleSplice(t *testing.T) {
 	input := func() string {
-		b := make([]byte, 11000) // > the console's 4096-byte read granularity
+		b := make([]byte, 11000) // several reads' worth, split across the barriers
 		for i := range b {
 			b[i] = byte('a' + i%23)
 		}
@@ -486,7 +487,7 @@ func TestSessionCheckpointResumeConsoleSplice(t *testing.T) {
 		Layout: func(rt *RT) { cell = rt.Alloc(8, 8) },
 		Init:   func(rt *RT) { rt.Env().WriteU64(cell, 3) },
 		Phase: func(rt *RT, phase int) error {
-			buf := make([]byte, 2500+1700*phase) // crosses the 4096 granularity
+			buf := make([]byte, 2500+1700*phase) // the restore's 4096-byte fast-forward reads cut these elsewhere
 			h := rt.Env().ReadU64(cell)
 			for read := 0; read < len(buf); {
 				n := rt.Env().ConsoleRead(buf[read:])
@@ -537,6 +538,82 @@ func TestSessionCheckpointResumeConsoleSplice(t *testing.T) {
 		}
 		if !bytes.Equal(gotLog, wantLog) {
 			t.Fatalf("spliced console log at %d differs from the uninterrupted recording", k)
+		}
+	}
+}
+
+// An image recorded by a console that read ahead of its program carries
+// a TracePrefix past the console cursor: its last chunk holds the
+// source's next bytes, which the program had not received. Resumed
+// under WithRecord, the log is cut at the cursor — byte-equal to the
+// uninterrupted recording — and replaying it gives the same result.
+func TestSessionResumeCutsPrefixAtConsoleCursor(t *testing.T) {
+	input := bytes.Repeat([]byte("0123456789abcdefghijklmnopqrstuvwxyz"), 300)
+	opts := func() []SessionOption {
+		return []SessionOption{WithRecord(), WithConsole(bytes.NewReader(input), nil)}
+	}
+	var cell Addr
+	p := Program{
+		Phases: 3,
+		Layout: func(rt *RT) { cell = rt.Alloc(8, 8) },
+		Phase: func(rt *RT, phase int) error {
+			buf := make([]byte, 2500-1000*phase)
+			n := rt.Env().ConsoleRead(buf)
+			h := rt.Env().ReadU64(cell)
+			for _, c := range buf[:n] {
+				h = h*31 + uint64(c)
+			}
+			rt.Env().WriteU64(cell, h)
+			return nil
+		},
+		Result: func(rt *RT) uint64 { return rt.Env().ReadU64(cell) },
+	}
+
+	full := mustSession(t, opts()...)
+	res, err := full.RunProgram(p)
+	if err != nil || res.Err != nil {
+		t.Fatalf("console run: %v / %v", err, res.Err)
+	}
+	want := keyOf(res, err)
+	wantLog, err := full.TraceLog().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for k := 1; k <= p.Phases; k++ {
+		img, err := mustSession(t, opts()...).RunToCheckpoint(p, k)
+		if err != nil {
+			t.Fatalf("checkpoint at %d: %v", k, err)
+		}
+		// What a 4096-byte read-ahead left in the prefix: the last chunk
+		// filled up with the bytes that follow it in the source.
+		chunks := img.TracePrefix.Input
+		cursor := len(bytes.Join(chunks, nil))
+		last := &chunks[len(chunks)-1]
+		*last = append(bytes.Clone(*last), input[cursor:min(len(input), cursor+4096-len(*last))]...)
+		if len(bytes.Join(chunks, nil)) <= cursor {
+			t.Fatalf("barrier %d: prefix does not run past the console cursor %d", k, cursor)
+		}
+
+		store := NewMemStore()
+		m, err := SaveImage(store, img, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, res, rerr := resumeFrom(t, opts(), store, m, p)
+		if got := keyOf(res, rerr); got != want {
+			t.Fatalf("resume from %d diverged:\n got %+v\nwant %+v", k, got, want)
+		}
+		gotLog, err := resumed.TraceLog().Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotLog, wantLog) {
+			t.Fatalf("resumed log at %d differs:\n got %s\nwant %s", k, gotLog, wantLog)
+		}
+		res, err = mustSession(t, WithReplay(resumed.TraceLog())).RunProgram(p)
+		if got := keyOf(res, err); got != want {
+			t.Fatalf("replay of the log resumed at %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
 	}
 }
