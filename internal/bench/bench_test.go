@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -400,7 +402,10 @@ func TestTableFormatting(t *testing.T) {
 // into a MemStore and the machine's teardown, what an eviction pays;
 // delta2 suspends after a full round, resumes, dirties 2% and suspends
 // again. The workloads are the ckpt table's 2% and Δ2 rows on the
-// quick-mode 32M region.
+// quick-mode 32M region. The timed save runs with the collector off,
+// after an untimed collection: no cycle lands in it, so the figure is
+// the save's own work whatever GOGC is, and B/op is what its garbage
+// will cost the collector.
 func BenchmarkCkptSave(b *testing.B) {
 	const region, threads = 32 << 20, 4
 	for _, sh := range []struct {
@@ -426,11 +431,12 @@ func BenchmarkCkptSave(b *testing.B) {
 						b.Fatal(err)
 					}
 					pos = at
+					var err error
 					if j == len(sh.saves)-1 {
-						b.StartTimer()
+						err = timedSuspend(b, s, store)
+					} else {
+						_, err = s.Suspend(store)
 					}
-					_, err := s.Suspend(store)
-					b.StopTimer()
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -439,4 +445,15 @@ func BenchmarkCkptSave(b *testing.B) {
 			}
 		})
 	}
+}
+
+// timedSuspend times one Suspend of s into store with the collector
+// off, after an untimed collection.
+func timedSuspend(b *testing.B, s *repro.Session, store repro.BlobStore) error {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.StartTimer()
+	defer b.StopTimer()
+	_, err := s.Suspend(store)
+	return err
 }

@@ -85,15 +85,16 @@ const manifestMagic = "DMK1"
 type manifest struct {
 	Action  castore.Key // the action key this result answers (sanity check)
 	Outputs []string    // Outputs[i] is the path of LeafRefs[i]
-	Cost    int64       // the task space's virtual-time cost when executed
 }
 
-// encodeManifest frames the payload carried by a result node.
+// encodeManifest frames the payload carried by a result node. The eight
+// bytes after the action key are a retired cost field, written as 0 so
+// that stored manifests, and the keys naming them, keep their bytes.
 func encodeManifest(m manifest) []byte {
 	var b []byte
 	b = append(b, manifestMagic...)
 	b = append(b, m.Action[:]...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(m.Cost))
+	b = binary.LittleEndian.AppendUint64(b, 0)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Outputs)))
 	for _, p := range m.Outputs {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
@@ -113,7 +114,12 @@ func decodeManifest(p []byte) (manifest, error) {
 	}
 	var m manifest
 	copy(m.Action[:], r.Take(castore.KeySize))
-	m.Cost = r.I64()
+	// The retired cost field: every manifest since it went holds 0, so
+	// anything else is damage, and a manifest decodes only to the bytes
+	// it re-encodes to.
+	if r.I64() != 0 {
+		r.Failf("retired cost field is not 0")
+	}
 	for n := r.Count(4, "output path"); n > 0; n-- { // a path is at least its length prefix
 		m.Outputs = append(m.Outputs, r.Str())
 	}
@@ -180,7 +186,7 @@ func OpenDirIndex(dir string) (ActionIndex, error) {
 // are nominally present are deleted and re-put, so a corrupted stored
 // form is replaced instead of surviving behind Put's idempotence. Each
 // output's content key is left in keyOf under its path.
-func storeResult(s castore.BlobStore, action castore.Key, outputs []string, bytesOf map[string][]byte, keyOf map[string]castore.Key, cost int64, heal bool) (castore.Key, int64, error) {
+func storeResult(s castore.BlobStore, action castore.Key, outputs []string, bytesOf map[string][]byte, keyOf map[string]castore.Key, heal bool) (castore.Key, int64, error) {
 	del, canDel := s.(interface{ Delete(castore.Key) error })
 	var stored int64
 	putBlob := func(k castore.Key, b []byte) error {
@@ -211,7 +217,7 @@ func storeResult(s castore.BlobStore, action castore.Key, outputs []string, byte
 		}
 		leafRefs[i], keyOf[p] = k, k
 	}
-	node := castore.BuildNode(nil, leafRefs, encodeManifest(manifest{Action: action, Outputs: outputs, Cost: cost}))
+	node := castore.BuildNode(nil, leafRefs, encodeManifest(manifest{Action: action, Outputs: outputs}))
 	man := castore.KeyOf(node)
 	if err := putBlob(man, node); err != nil {
 		return castore.Key{}, stored, err

@@ -16,13 +16,12 @@ func TestManifestRoundTrip(t *testing.T) {
 	m := manifest{
 		Action:  castore.KeyOf([]byte("action")),
 		Outputs: []string{"a.out", "obj/deep/x.o"},
-		Cost:    12345,
 	}
 	got, err := decodeManifest(encodeManifest(m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Action != m.Action || got.Cost != m.Cost || len(got.Outputs) != 2 ||
+	if got.Action != m.Action || len(got.Outputs) != 2 ||
 		got.Outputs[0] != m.Outputs[0] || got.Outputs[1] != m.Outputs[1] {
 		t.Fatalf("round trip = %+v, want %+v", got, m)
 	}
@@ -30,10 +29,13 @@ func TestManifestRoundTrip(t *testing.T) {
 
 func TestManifestDecodeRejectsDamage(t *testing.T) {
 	enc := encodeManifest(manifest{Action: castore.KeyOf([]byte("a")), Outputs: []string{"x"}})
+	cost := append([]byte{}, enc...)
+	cost[len(manifestMagic)+castore.KeySize] = 1 // the retired cost field
 	for _, bad := range [][]byte{
 		nil,
 		enc[:len(enc)-1],
 		append(append([]byte{}, enc...), 0),
+		cost,
 		[]byte("XXXX not a manifest at all, far too short? no, long enough to pass the length gate......."),
 	} {
 		if _, err := decodeManifest(bad); err == nil {

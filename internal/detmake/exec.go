@@ -571,7 +571,7 @@ func parentDir(p string) string {
 // marks a task whose previous cache entry was rejected: its chunks are
 // rewritten rather than deduplicated against the damaged stored form.
 func (b *builder) storeTask(t *Task, key castore.Key, out map[string][]byte, heal bool) (int64, error) {
-	man, stored, err := storeResult(b.cfg.Store, key, t.Outputs, out, b.treeHash, 0, heal)
+	man, stored, err := storeResult(b.cfg.Store, key, t.Outputs, out, b.treeHash, heal)
 	if err != nil {
 		return stored, err
 	}

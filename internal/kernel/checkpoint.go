@@ -237,14 +237,15 @@ func (sp *Space) encodeTree(enc *vm.ForestEncoder, allowed map[uint64]bool, isRo
 	b = binary.LittleEndian.AppendUint32(b, uint32(sp.node.id))
 	b = binary.LittleEndian.AppendUint64(b, sp.regs.Arg)
 	b = binary.LittleEndian.AppendUint64(b, sp.regs.Ret)
-	// A root's segment start is written as the 0 an uninterrupted root
-	// holds: Machine.Start sets it afresh on every restore, so the image
-	// of a state does not depend on whether the run was resumed on the way.
-	startVT := sp.startVT
+	// A root's segment clock is not state: Machine.Start resets startVT
+	// and segBlocked on every restore, and only a parent reads a space's
+	// segment. Both are written as 0, so the image of a state does not
+	// depend on whether the run was resumed on the way.
+	startVT, segBlocked := sp.startVT, sp.segBlocked
 	if isRoot {
-		startVT = 0
+		startVT, segBlocked = 0, 0
 	}
-	for _, v := range []int64{sp.insns, sp.vt, startVT, sp.segBlocked,
+	for _, v := range []int64{sp.insns, sp.vt, startVT, segBlocked,
 		sp.net.Msgs, sp.net.Pages} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}

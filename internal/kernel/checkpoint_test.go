@@ -129,44 +129,98 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 
 // An image depends on the state, not on how the run got there: the image
 // an uninterrupted run takes at barrier 2 equals, byte for byte, the one
-// a run restored at barrier 1 takes there.
+// a run restored at barrier 1 takes there — on one node, and on two with
+// every phase forking a child on each node, where the root spends part
+// of every segment blocked on a remote child.
 func TestCheckpointImageIndependentOfResume(t *testing.T) {
-	// capture checkpoints into img at barrier at and halts there.
-	capture := func(at int, img *[]byte) func(env *Env, next int) bool {
-		return func(env *Env, next int) bool {
-			if next != at {
-				return true
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		prog func(t testing.TB, start int, onBarrier func(env *Env, next int) bool) Prog
+	}{
+		{"one-node", ckConfig(), ckProg},
+		{"two-node", Config{Nodes: 2, CPUsPerNode: 2}, bothNodesProg},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// capture checkpoints into img at barrier at and halts there.
+			capture := func(at int, img *[]byte) func(env *Env, next int) bool {
+				return func(env *Env, next int) bool {
+					if next != at {
+						return true
+					}
+					var err error
+					if *img, err = env.Checkpoint(CheckpointOpts{}); err != nil {
+						t.Errorf("checkpoint at %d: %v", next, err)
+					}
+					return false
+				}
 			}
-			var err error
-			if *img, err = env.Checkpoint(CheckpointOpts{}); err != nil {
-				t.Errorf("checkpoint at %d: %v", next, err)
+			var want, first, got []byte
+			if res := New(c.cfg).Run(c.prog(t, 0, capture(2, &want)), 0); res.Err != nil {
+				t.Fatalf("uninterrupted run: %v", res.Err)
 			}
-			return false
+			if res := New(c.cfg).Run(c.prog(t, 0, capture(1, &first)), 0); res.Err != nil {
+				t.Fatalf("run to barrier 1: %v", res.Err)
+			}
+			m := New(c.cfg)
+			if err := m.Restore(first); err != nil {
+				t.Fatalf("restore at barrier 1: %v", err)
+			}
+			if res := m.Run(c.prog(t, 1, capture(2, &got)), 0); res.Err != nil {
+				t.Fatalf("resumed run: %v", res.Err)
+			}
+			if want == nil || got == nil {
+				t.Fatal("an image was not captured")
+			}
+			if !bytes.Equal(got, want) {
+				i := 0
+				for i < min(len(got), len(want)) && got[i] == want[i] {
+					i++
+				}
+				t.Fatalf("barrier-2 image of a resumed run differs from the uninterrupted one's at offset %d (%d vs %d bytes)", i, len(got), len(want))
+			}
+		})
+	}
+}
+
+// bothNodesProg runs ckPhases phases as ckProg does on a two-node
+// machine, phase p forking one child on each node before collecting
+// either: node 0's writes page p, node 1's page p+ckPhases. Each child
+// computes for longer than the fork and the merge cost its parent, so
+// the root spends part of every segment blocked on its children.
+func bothNodesProg(t testing.TB, start int, onBarrier func(env *Env, next int) bool) Prog {
+	return func(env *Env) {
+		if start == 0 {
+			env.SetPerm(ckBase, ckSize, vm.PermRW)
 		}
-	}
-	var want, first, got []byte
-	if res := New(ckConfig()).Run(ckProg(t, 0, capture(2, &want)), 0); res.Err != nil {
-		t.Fatalf("uninterrupted run: %v", res.Err)
-	}
-	if res := New(ckConfig()).Run(ckProg(t, 0, capture(1, &first)), 0); res.Err != nil {
-		t.Fatalf("run to barrier 1: %v", res.Err)
-	}
-	m := New(ckConfig())
-	if err := m.Restore(first); err != nil {
-		t.Fatalf("restore at barrier 1: %v", err)
-	}
-	if res := m.Run(ckProg(t, 1, capture(2, &got)), 0); res.Err != nil {
-		t.Fatalf("resumed run: %v", res.Err)
-	}
-	if want == nil || got == nil {
-		t.Fatal("an image was not captured")
-	}
-	if !bytes.Equal(got, want) {
-		i := 0
-		for i < min(len(got), len(want)) && got[i] == want[i] {
-			i++
+		for p := start; p < ckPhases; p++ {
+			env.Tick(10)
+			for n := 0; n < 2; n++ {
+				if err := env.Put(ChildOn(n, 1), PutOpts{
+					Regs: &Regs{Entry: func(env *Env) {
+						env.Tick(1 << 20)
+						ckChild(p + n*ckPhases)(env)
+					}},
+					Copy:  &CopyRange{Src: ckBase, Dst: ckBase, Size: ckSize},
+					Snap:  true,
+					Start: true,
+				}); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+			}
+			for n := 0; n < 2; n++ {
+				if _, err := env.Get(ChildOn(n, 1), GetOpts{Merge: true,
+					MergeRange: &Range{Addr: ckBase, Size: ckSize}}); err != nil {
+					t.Errorf("get: %v", err)
+					return
+				}
+			}
+			if onBarrier != nil && !onBarrier(env, p+1) {
+				return
+			}
 		}
-		t.Fatalf("barrier-2 image of a resumed run differs from the uninterrupted one's at offset %d (%d vs %d bytes)", i, len(got), len(want))
+		ckResult(env)
 	}
 }
 

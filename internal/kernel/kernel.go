@@ -150,16 +150,9 @@ func (p *vcpuPool) schedule(earliest, dur int64) int64 {
 			best = i
 		}
 	}
-	start := max64(earliest, p.free[best])
+	start := max(earliest, p.free[best])
 	p.free[best] = start + dur
 	return start + dur
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // New constructs a simulated machine.

@@ -253,7 +253,7 @@ func (sp *Space) put(ref uint64, o PutOpts) error {
 			return kerr("put", "start: child %#x stopped with %v and no new registers were loaded",
 				ref, child.status)
 		}
-		child.vt = max64(child.vt, sp.vt)
+		child.vt = max(child.vt, sp.vt)
 		child.start(o.Limit)
 	}
 	return nil

@@ -18,8 +18,9 @@ const (
 	FaultCrashMid
 	// FaultCrashAfter kills the worker after the slice completes but
 	// before it reports back: the server fails over to a fresh Session
-	// re-admitted from the pre-slice manifest, re-runs the slice, and
-	// asserts the re-run's checkpoint digest equals the dead worker's.
+	// re-admitted from the session's last manifest (or bound afresh when
+	// it has none), steps it to the dead worker's barrier, and asserts
+	// its checkpoint digest equals the dead worker's.
 	FaultCrashAfter
 )
 

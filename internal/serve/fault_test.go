@@ -49,41 +49,105 @@ func TestServeCrashMidRetry(t *testing.T) {
 }
 
 // TestServeCrashAfterFailover kills the worker after its slice lands:
-// the server re-admits the session from the pre-slice manifest on a
-// fresh Session, re-runs the slice, and asserts the re-run's checkpoint
-// digest equals the dead worker's — the determinism claim checked on
-// every failover, including the final result-bearing slice.
+// the server re-admits the session from its last manifest on a fresh
+// Session, steps it to the dead worker's barrier, and asserts the two
+// checkpoint digests are equal — the determinism claim checked on every
+// failover, including the final result-bearing slice. It runs on one
+// node, and on two with every phase's threads spread over both, where
+// the root spends part of each phase blocked on remote threads.
 func TestServeCrashAfterFailover(t *testing.T) {
 	const phases = 5
-	maker := StripeProgram(2, phases, 128)
-	var slices atomic.Int64
-	s := newTestServer(t, Config{Slice: 1, Fault: func(ev FaultEvent) FaultAction {
-		// Kill phase-0, a middle, and the final slice of the first session.
-		switch slices.Add(1) - 1 {
-		case 0, 2, phases - 1:
-			return FaultCrashAfter
-		}
-		return FaultNone
-	}})
-	s.Register("stripe", maker)
+	for _, c := range []struct {
+		name  string
+		opts  []repro.SessionOption
+		maker ProgramMaker
+	}{
+		{"one-node", testOpts(), StripeProgram(2, phases, 128)},
+		{"two-node", []repro.SessionOption{repro.WithMachine(repro.MachineConfig{Nodes: 2, CPUsPerNode: 2})},
+			spreadProgram(4, phases, 128)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var slices atomic.Int64
+			s := newTestServer(t, Config{SessionOpts: c.opts, Slice: 1, Fault: func(ev FaultEvent) FaultAction {
+				// Kill phase-0, a middle, and the final slice of the first session.
+				switch slices.Add(1) - 1 {
+				case 0, 2, phases - 1:
+					return FaultCrashAfter
+				}
+				return FaultNone
+			}})
+			s.Register("prog", c.maker)
 
-	id, err := s.Open("acme", "stripe", 99)
-	if err != nil {
-		t.Fatal(err)
+			id, err := s.Open("acme", "prog", 99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run("acme", id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := repro.NewSession(c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, err := direct.RunProgram(c.maker(99)); err != nil || res != want {
+				t.Errorf("served %+v after failovers, direct %+v (%v)", res, want, err)
+			}
+			st := s.Stats()
+			if st.Failovers != 3 || st.BitEqOK != 3 {
+				t.Errorf("want 3 digest-checked failovers, got %+v", st)
+			}
+			if st.BitEqFail != 0 {
+				t.Errorf("failover re-run diverged from dead worker's attempt: %+v", st)
+			}
+		})
 	}
-	res, err := s.Run("acme", id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := directResult(t, maker, 99); res != want {
-		t.Errorf("served %+v after failovers, direct %+v", res, want)
-	}
-	st := s.Stats()
-	if st.Failovers != 3 || st.BitEqOK != 3 {
-		t.Errorf("want 3 digest-checked failovers, got %+v", st)
-	}
-	if st.BitEqFail != 0 {
-		t.Errorf("failover re-run diverged from dead worker's attempt: %+v", st)
+}
+
+// spreadProgram is StripeProgram with each phase's threads placed
+// round-robin over two nodes (StripeProgram keeps every thread on its
+// home node): each remote thread is collected through node 1's
+// delegate, and a checkpoint carries both nodes' pools and caches.
+func spreadProgram(threads, phases, words int) ProgramMaker {
+	return func(arg uint64) repro.Program {
+		var arr, acc repro.Addr
+		return repro.Program{
+			Phases: phases,
+			Layout: func(rt *repro.RT) {
+				arr = rt.Alloc(uint64(8*words), 8)
+				acc = rt.Alloc(8, 8)
+			},
+			Init: func(rt *repro.RT) {
+				for i := 0; i < words; i++ {
+					rt.Env().WriteU64(arr+repro.Addr(8*i), (uint64(i)+arg)*2654435761)
+				}
+				rt.Env().WriteU64(acc, arg|1)
+			},
+			Phase: func(rt *repro.RT, p int) error {
+				rets, err := rt.ParallelDoOn(threads, func(i int) int { return i % 2 }, func(t *repro.Thread) uint64 {
+					var sum uint64
+					for i := t.ID * words / threads; i < (t.ID+1)*words/threads; i++ {
+						a := arr + repro.Addr(8*i)
+						v := t.Env().ReadU64(a)*6364136223846793005 + uint64(p) + 1
+						t.Env().WriteU64(a, v)
+						sum += v
+					}
+					return sum
+				})
+				if err != nil {
+					return err
+				}
+				h := rt.Env().ReadU64(acc)
+				for _, r := range rets {
+					h = h*31 + r
+				}
+				rt.Env().WriteU64(acc, h)
+				return nil
+			},
+			Result: func(rt *repro.RT) uint64 {
+				return rt.Env().ReadU64(acc)*1099511628211 + rt.Env().ReadU64(arr)
+			},
+		}
 	}
 }
 

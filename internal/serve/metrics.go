@@ -14,9 +14,10 @@ type Metrics struct {
 
 	// BitEqOK / BitEqFail count failover re-executions whose checkpoint
 	// digest did (did not) match the dead worker's attempt. BitEqFail
-	// staying zero is the paper's claim made operational: re-running a
-	// slice from the last manifest is bit-identical, so retry and
-	// failover are safe by construction.
+	// staying zero is the paper's claim made operational: a session
+	// re-derived from its last manifest to the dead worker's barrier
+	// rests in the same image, so retry and failover are safe by
+	// construction.
 	BitEqOK   int64
 	BitEqFail int64
 

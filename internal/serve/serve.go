@@ -17,9 +17,13 @@
 //     runs outside the dispatch lock, like a slice: it delays its
 //     victim's next request and nobody else's.
 //   - Retry and failover are free: a slice that dies is re-run by
-//     deterministic re-execution from the session's anchor, bit-identical
-//     to the attempt a dead worker made, which the server asserts on
-//     every failover (Metrics.BitEqOK) rather than assumes.
+//     deterministic re-execution from the session's anchor, and a
+//     worker lost after its slice is replaced by a fresh session that
+//     re-derives the barrier from the last manifest. A resting image is
+//     a function of the program and the barrier, so the re-derived one
+//     is bit-identical to the dead worker's, which the server asserts
+//     on every failover (Metrics.BitEqOK) rather than assumes; the
+//     fault path writes nothing to the store to make that so.
 //
 // Scheduling policy (admission, FIFO-per-tenant queueing, eviction
 // order) affects only latency and availability, never results — which
@@ -526,32 +530,12 @@ type sliceStats struct {
 //     A deterministic program error recurs on the retry and fails the
 //     request with the program's own error.
 //   - A post-slice death (FaultCrashAfter) fails over to a fresh
-//     Session re-admitted from the pre-slice manifest, re-runs the
-//     slice, and asserts the re-run's digest equals the dead worker's —
-//     the determinism claim, checked on every failover.
+//     Session that re-derives the barrier the dead worker reached, and
+//     asserts its digest equals the dead worker's — the determinism
+//     claim, checked on every failover.
 func (s *Server) execSlice(c *session, act FaultAction) (repro.StepResult, sliceStats, error) {
 	var st sliceStats
 	st.resumed = c.sess.State() == repro.StateSuspended
-
-	var preMan *repro.Manifest
-	if act == FaultCrashAfter {
-		// Anchor the pre-slice state in the store so the failover has a
-		// manifest to re-admit from — and so both attempts start from the
-		// same anchor, which is what makes their digests comparable. A
-		// fresh phase-0 session has nothing to anchor; its failover
-		// re-binds from scratch instead.
-		switch {
-		case st.resumed:
-			preMan = c.sess.LastManifest()
-		case c.sess.Phase() > 0:
-			m, err := c.sess.Suspend(s.cfg.Store)
-			if err != nil {
-				return repro.StepResult{}, st, err
-			}
-			preMan = m
-			st.resumed = true // the step below rebuilds from the store
-		}
-	}
 	if act == FaultCrashMid {
 		c.armKill()
 	}
@@ -571,7 +555,7 @@ func (s *Server) execSlice(c *session, act FaultAction) (repro.StepResult, slice
 	if err == nil && act == FaultCrashAfter {
 		st.died = true
 		st.failover = true
-		sr, err = s.failover(c, preMan, &st)
+		sr, err = s.failover(c, sr.Phase, &st)
 	}
 	if s.cfg.Clock != nil {
 		st.wall = s.cfg.Clock() - start
@@ -579,13 +563,14 @@ func (s *Server) execSlice(c *session, act FaultAction) (repro.StepResult, slice
 	return sr, st, err
 }
 
-// failover replaces c's Session — whose worker "died" after completing
-// a slice but before reporting — with a fresh one re-admitted from the
-// pre-slice manifest (or re-bound from scratch for a phase-0 session),
-// re-runs the slice, and compares the two sessions' digests: both
-// attempts ran the same slice from the same anchor, so their resting
-// checkpoints must be byte-identical.
-func (s *Server) failover(c *session, preMan *repro.Manifest, st *sliceStats) (repro.StepResult, error) {
+// failover replaces c's Session — whose worker "died" at barrier k,
+// after completing a slice but before reporting — with a fresh one
+// re-admitted from the session's last manifest (or bound from scratch
+// when it has none), steps it to k and compares the two sessions'
+// digests. A resting session's image is a function of the program and
+// the barrier alone, so the two must be byte-identical whatever
+// history brought each there.
+func (s *Server) failover(c *session, k int, st *sliceStats) (repro.StepResult, error) {
 	dead, err := c.sess.Digest()
 	if err != nil {
 		return repro.StepResult{}, err
@@ -594,15 +579,19 @@ func (s *Server) failover(c *session, preMan *repro.Manifest, st *sliceStats) (r
 	if err != nil {
 		return repro.StepResult{}, err
 	}
-	if preMan != nil {
-		err = fresh.BindSuspended(c.prog, s.cfg.Store, preMan)
+	if m := c.sess.LastManifest(); m != nil {
+		err = fresh.BindSuspended(c.prog, s.cfg.Store, m)
 	} else {
 		err = fresh.Bind(c.prog)
 	}
 	if err != nil {
 		return repro.StepResult{}, err
 	}
-	sr, err := fresh.Step(s.slice())
+	// The first Step learns the barrier a re-admitted session rests at.
+	sr, err := fresh.Step(1)
+	if err == nil && !sr.Done && sr.Phase < k {
+		sr, err = fresh.Step(k - sr.Phase)
+	}
 	if err != nil {
 		_ = fresh.Close()
 		return repro.StepResult{}, err

@@ -953,14 +953,12 @@ func (s *Session) Suspend(store BlobStore) (*Manifest, error) {
 
 // Digest returns the content key of the canonical serialization of the
 // checkpoint the session rests at, capturing it on demand (a
-// serialisation and a SHA-256 nobody pays unless they ask). Images are
-// canonical and a resting machine's state is a function of its anchor
-// and barrier alone, so two sessions with equal histories — the same
-// anchor, stepped to the same barrier, however sliced, retried or
-// observed in between — have equal digests: the bit-identity a server
-// asserts when it fails a slice over. Digests are history-sensitive
-// beyond that: a machine restored from an image and one that ran
-// through from the start rest in equivalent, not byte-equal, states.
+// serialisation and a SHA-256 nobody pays unless they ask). It is a
+// function of the program and the barrier: two sessions of one program
+// resting at one barrier have equal digests whatever history brought
+// each there — run through from Bind, restored from any earlier
+// checkpoint, sliced, retried or observed in between. That is the
+// bit-identity a server asserts when it fails a slice over.
 func (s *Session) Digest() (ChunkKey, error) {
 	if err := s.begin("Digest", StateQuiescent); err != nil {
 		return ChunkKey{}, err

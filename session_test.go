@@ -286,7 +286,7 @@ func TestSessionCheckpointResumeMultiNodeTree(t *testing.T) {
 // dschedProgram runs a mutex-protected accumulator under the
 // deterministic scheduler in every phase, carrying one Sched across all
 // phases — and, through Snapshot/Restore, across the checkpoint.
-func dschedProgram(t *testing.T, sess func() *Session, threads, phases int) Program {
+func dschedProgram(t *testing.T, threads, phases int) Program {
 	var cell Addr
 	var sched *Sched
 	cfg := SchedConfig{Quantum: 3000}
@@ -357,7 +357,7 @@ func dschedProgram(t *testing.T, sess func() *Session, threads, phases int) Prog
 func TestSessionCheckpointResumeDsched(t *testing.T) {
 	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4})}
 	sess := func() *Session { return mustSession(t, opts...) }
-	p := dschedProgram(t, sess, 3, 4)
+	p := dschedProgram(t, 3, 4)
 	res, err := sess().RunProgram(p)
 	if err != nil || res.Err != nil {
 		t.Fatalf("dsched run: %v / %v", err, res.Err)
@@ -749,7 +749,7 @@ func TestDecodeImageIgnoresRetiredCollectorByte(t *testing.T) {
 func TestSessionResumeRejectsCraftedRegion(t *testing.T) {
 	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4})}
 	sess := func() *Session { return mustSession(t, opts...) }
-	p := dschedProgram(t, sess, 3, 2)
+	p := dschedProgram(t, 3, 2)
 	img, err := sess().RunToCheckpoint(p, 1)
 	if err != nil {
 		t.Fatal(err)
